@@ -28,7 +28,9 @@ use eco_simhw::fault::FaultPlan;
 use eco_simhw::machine::{Machine, MachineConfig, Measurement};
 use eco_simhw::multicore::{MultiCoreMachine, MultiCoreMeasurement};
 use eco_simhw::trace::{DiskWork, OpClass, Phase, PhaseKind, PricingMode, WorkTrace};
-use eco_storage::{load_tpch, Catalog, EngineKind, Tuple, Value, WalError, WalRecord, WriteAheadLog};
+use eco_storage::{
+    load_tpch, Catalog, EngineKind, Tuple, Value, WalError, WalRecord, WriteAheadLog,
+};
 use eco_tpch::{q5_workload, Q5Params, QedQuery, TpchDb, TpchGenerator};
 use parking_lot::Mutex;
 
@@ -859,7 +861,8 @@ impl EcoDb {
     /// `eco_query::sql::plan`); probes are charged as v4 index random
     /// I/O, so index-free sessions keep bit-identical ledgers.
     pub fn try_trace_sql(&self, sql: &str) -> Result<(Vec<Tuple>, WorkTrace), ServerError> {
-        self.trace_sql_inner(sql, true).map(|(rows, trace, _)| (rows, trace))
+        self.trace_sql_inner(sql, true)
+            .map(|(rows, trace, _)| (rows, trace))
     }
 
     /// [`Self::try_trace_sql`] with *deferred durability*: a DML
@@ -1033,7 +1036,9 @@ impl EcoDb {
         catalog
             .pool()
             .set_warm_reread_every(self.profile.warm_reread_every());
-        catalog.pool().set_fault_plan(self.catalog.pool().fault_plan());
+        catalog
+            .pool()
+            .set_fault_plan(self.catalog.pool().fault_plan());
         for r in &rec.records {
             catalog.apply_wal_record(r)?;
         }
@@ -1440,7 +1445,10 @@ mod tests {
         // Staged statements charge log *records* but no log I/O yet.
         for t in &staged_traces {
             assert!(t.phases().iter().all(|p| p.disk.log_ios == 0));
-            assert!(t.phases().iter().any(|p| p.cpu.count(OpClass::LogRecord) > 0));
+            assert!(t
+                .phases()
+                .iter()
+                .any(|p| p.cpu.count(OpClass::LogRecord) > 0));
         }
         assert!(db.wal_pending_bytes() > 0);
         assert_eq!(db.wal_fsyncs(), 0);
@@ -1471,10 +1479,12 @@ mod tests {
         // Arm a crash: the log dies on the 5th append with a torn tail.
         // Statements 1-2 (2 records each: row + commit) commit; the
         // third statement's row record is the 5th append and dies.
-        db.set_fault_plan(FaultPlan::none().with_wal_crash(WalCrash::KillAfterRecords {
-            records: 4,
-            torn: TornTail::MidPayload,
-        }));
+        db.set_fault_plan(
+            FaultPlan::none().with_wal_crash(WalCrash::KillAfterRecords {
+                records: 4,
+                torn: TornTail::MidPayload,
+            }),
+        );
         db.try_trace_sql("INSERT INTO region VALUES (50, 'A', 'x')")
             .expect("committed 1");
         db.try_trace_sql("INSERT INTO region VALUES (51, 'B', 'y')")
@@ -1512,6 +1522,54 @@ mod tests {
             .try_trace_sql("SELECT r_regionkey FROM region WHERE r_regionkey >= 50")
             .expect("select");
         assert_eq!(rows.len(), 3);
+    }
+
+    #[test]
+    fn oversized_tuple_is_rejected_before_it_is_logged() {
+        // A row wider than a page used to pass bind, get logged and
+        // fsynced, panic in apply, and then re-panic every recover().
+        let wide = "w".repeat(9000);
+        let mut db = db(EngineProfile::CommercialDisk);
+        db.try_trace_sql("INSERT INTO region VALUES (50, 'A', 'fits')")
+            .expect("committed 1");
+        let image = db.wal_image();
+        for sql in [
+            format!("INSERT INTO region VALUES (51, 'B', '{wide}')"),
+            format!("UPDATE region SET r_comment = '{wide}' WHERE r_regionkey = 50"),
+        ] {
+            let err = db.try_trace_sql(&sql).unwrap_err();
+            assert!(
+                matches!(err, ServerError::Sql(eco_query::sql::SqlError::Bind(_))),
+                "typed bind error, got: {err}"
+            );
+            assert_eq!(db.wal_image(), image, "nothing was logged");
+        }
+        // The write path and recovery are unharmed.
+        db.try_trace_sql("INSERT INTO region VALUES (52, 'C', 'next')")
+            .expect("next statement succeeds");
+        let report = db.recover().expect("recovery replays a clean log");
+        assert_eq!(report.committed_txns, vec![1, 2]);
+        let (rows, _) = db
+            .try_trace_sql("SELECT r_regionkey FROM region WHERE r_regionkey >= 50")
+            .expect("select");
+        assert_eq!(rows, vec![vec![Value::Int(50)], vec![Value::Int(52)]]);
+        // Should such a record reach the log anyway, applying it fails
+        // typed and leaves the table alone.
+        let rec = eco_storage::WalRecord::Insert {
+            table: "region".into(),
+            tuple: vec![Value::Int(53), Value::str("D"), Value::str(&wide)],
+        };
+        assert_eq!(
+            db.catalog().apply_wal_record(&rec).unwrap_err(),
+            WalError::TupleTooWide {
+                table: "region".into()
+            }
+        );
+        assert_eq!(db.catalog().expect("region").len(), 7);
+        // The memory engine has no pages and takes the row.
+        let mem = EcoDb::tpch(EngineProfile::MemoryEngine, 0.005);
+        mem.try_trace_sql(&format!("INSERT INTO region VALUES (51, 'B', '{wide}')"))
+            .expect("no page limit on the memory engine");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! Pricing of the generation pass itself: the row scan a filtered
 //! `UPDATE`/`DELETE` performs is charged as **memory streaming** over
 //! the table's stored bytes (the mutation reads the resident working
-//! copy — the rebuild source — not the paged images; durability I/O is
-//! priced separately by the log classes), and every predicate / SET
+//! copy, not the paged images through the buffer pool; durability I/O
+//! is priced separately by the log classes), and every predicate / SET
 //! expression evaluation charges its usual op classes through
 //! [`Expr::eval`]. An `INSERT` streams each new tuple's width. All of
 //! it lands in the caller's [`ExecCtx`] like any read query's work.
@@ -70,18 +70,43 @@ fn lookup(catalog: &Catalog, table: &str) -> Result<std::sync::Arc<StoredTable>,
         .ok_or_else(|| SqlError::Bind(format!("unknown table {table:?}")))
 }
 
-/// The mutation pass's row source: the table's resident tuples, with
-/// the scan charged as memory streaming over the stored bytes.
-fn scan_rows(stored: &StoredTable, ctx: &mut ExecCtx) -> Vec<Tuple> {
+/// The mutation pass's row scan: `visit(row_id, row, ctx)` over the
+/// table's resident tuples — heap rows borrowed, paged rows decoded one
+/// at a time — charged as memory streaming over the stored bytes.
+/// Nothing is materialized; callers keep what matches.
+fn scan_rows(
+    stored: &StoredTable,
+    ctx: &mut ExecCtx,
+    mut visit: impl FnMut(usize, &Tuple, &mut ExecCtx) -> Result<(), SqlError>,
+) -> Result<(), SqlError> {
     match &stored.data {
         TableData::Memory(h) => {
             ctx.charge_mem_bytes(h.bytes());
-            h.tuples().to_vec()
+            for (row_id, row) in h.tuples().iter().enumerate() {
+                visit(row_id, row, ctx)?;
+            }
         }
         TableData::Disk(d) => {
             ctx.charge_mem_bytes(d.avg_tuple_bytes() * d.len() as u64);
-            d.all_tuples()
+            for (row_id, row) in d.rows().enumerate() {
+                visit(row_id, &row, ctx)?;
+            }
         }
+    }
+    Ok(())
+}
+
+/// Reject a tuple its table cannot physically hold (wider than a page
+/// of a paged table) while the statement can still fail cleanly —
+/// before anything is logged.
+fn check_storable(stored: &StoredTable, tuple: &Tuple) -> Result<(), SqlError> {
+    if stored.can_store(tuple) {
+        Ok(())
+    } else {
+        Err(SqlError::Bind(format!(
+            "row does not fit a page of table {:?}",
+            stored.name
+        )))
     }
 }
 
@@ -171,6 +196,7 @@ fn insert(catalog: &Catalog, stmt: &InsertStmt, ctx: &mut ExecCtx) -> Result<Dml
             tuple[dest] = Some(coerce_or_bind(v, col.ty, &col.name)?);
         }
         let tuple: Tuple = tuple.into_iter().flatten().collect();
+        check_storable(&stored, &tuple)?;
         ctx.charge_mem_bytes(eco_storage::tuple_width(&tuple));
         records.push(WalRecord::Insert {
             table: stmt.table.clone(),
@@ -199,12 +225,11 @@ fn update(catalog: &Catalog, stmt: &UpdateStmt, ctx: &mut ExecCtx) -> Result<Dml
         .as_ref()
         .map(|w| bind_expr(w, schema))
         .transpose()?;
-    let rows = scan_rows(&stored, ctx);
     let mut records = Vec::new();
-    for (row_id, row) in rows.iter().enumerate() {
+    scan_rows(&stored, ctx, |row_id, row, ctx| {
         if let Some(p) = &pred {
             if !p.eval_bool(row, ctx) {
-                continue;
+                return Ok(());
             }
         }
         let mut new = row.clone();
@@ -212,12 +237,14 @@ fn update(catalog: &Catalog, stmt: &UpdateStmt, ctx: &mut ExecCtx) -> Result<Dml
             let col = &schema.columns()[*idx];
             new[*idx] = coerce_or_bind(expr.eval(row, ctx), col.ty, &col.name)?;
         }
+        check_storable(&stored, &new)?;
         records.push(WalRecord::Update {
             table: stmt.table.clone(),
             row: row_id,
             tuple: new,
         });
-    }
+        Ok(())
+    })?;
     let affected = records.len() as u64;
     Ok(DmlOutcome { records, affected })
 }
@@ -229,17 +256,13 @@ fn delete(catalog: &Catalog, stmt: &DeleteStmt, ctx: &mut ExecCtx) -> Result<Dml
         .as_ref()
         .map(|w| bind_expr(w, stored.schema()))
         .transpose()?;
-    let rows = scan_rows(&stored, ctx);
     let mut matched = Vec::new();
-    for (row_id, row) in rows.iter().enumerate() {
-        let keep = match &pred {
-            Some(p) => p.eval_bool(row, ctx),
-            None => true,
-        };
-        if keep {
+    scan_rows(&stored, ctx, |row_id, row, ctx| {
+        if pred.as_ref().is_none_or(|p| p.eval_bool(row, ctx)) {
             matched.push(row_id);
         }
-    }
+        Ok(())
+    })?;
     // Descending order: each removal leaves earlier row ids stable.
     let records: Vec<WalRecord> = matched
         .iter()
@@ -361,12 +384,12 @@ mod tests {
         let cat = catalog();
         for bad in [
             "INSERT INTO ghost VALUES (1, 'a', 'b')",
-            "INSERT INTO t VALUES (1, 'a')",                 // arity
-            "INSERT INTO t (k, s) VALUES (1, 'a')",          // incomplete column list
-            "INSERT INTO t (k, k, s) VALUES (1, 2, 'a')",    // duplicate column
-            "INSERT INTO t VALUES (k, 'a', 'b')",            // column ref in VALUES
-            "INSERT INTO t VALUES ('str', 'a', 'b')",        // type mismatch
-            "INSERT INTO t VALUES (1, 'a', 'toolong')",      // bad CHAR
+            "INSERT INTO t VALUES (1, 'a')",              // arity
+            "INSERT INTO t (k, s) VALUES (1, 'a')",       // incomplete column list
+            "INSERT INTO t (k, k, s) VALUES (1, 2, 'a')", // duplicate column
+            "INSERT INTO t VALUES (k, 'a', 'b')",         // column ref in VALUES
+            "INSERT INTO t VALUES ('str', 'a', 'b')",     // type mismatch
+            "INSERT INTO t VALUES (1, 'a', 'toolong')",   // bad CHAR
             "UPDATE t SET ghost = 1",
             "UPDATE ghost SET k = 1",
             "DELETE FROM ghost",
@@ -385,9 +408,8 @@ mod tests {
         let cat = catalog();
         let (out, _) = run(&cat, "UPDATE t SET s = 'same'").expect("update");
         assert_eq!(out.affected, 10);
-        assert!(out
-            .records
-            .iter()
-            .all(|r| matches!(r, WalRecord::Update { tuple, .. } if tuple[1] == Value::str("same"))));
+        assert!(out.records.iter().all(
+            |r| matches!(r, WalRecord::Update { tuple, .. } if tuple[1] == Value::str("same"))
+        ));
     }
 }

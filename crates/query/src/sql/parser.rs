@@ -30,8 +30,7 @@
 //! ```
 
 use super::ast::{
-    BinOp, DeleteStmt, InsertStmt, OrderKey, SelectItem, SelectStmt, SqlExpr, Statement,
-    UpdateStmt,
+    BinOp, DeleteStmt, InsertStmt, OrderKey, SelectItem, SelectStmt, SqlExpr, Statement, UpdateStmt,
 };
 use super::lexer::{tokenize_spanned, Spanned, Token};
 use super::{ParseError, ParseErrorKind, SqlError};
@@ -730,8 +729,9 @@ mod tests {
 
     #[test]
     fn parses_dml_statements() {
-        let s = parse_statement("INSERT INTO region (r_regionkey, r_name) VALUES (5, 'X'), (6, 'Y');")
-            .unwrap();
+        let s =
+            parse_statement("INSERT INTO region (r_regionkey, r_name) VALUES (5, 'X'), (6, 'Y');")
+                .unwrap();
         let Statement::Insert(i) = s else {
             panic!("expected insert")
         };

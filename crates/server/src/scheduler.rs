@@ -876,7 +876,9 @@ mod tests {
     fn group_commit_batches_dml_fsyncs_and_keeps_ledger_identity() {
         // Per-statement durability: every DML fsyncs alone.
         let db_solo = db();
-        let requests: Vec<Request> = (0..8).map(|i| dml(i, i as f64 * 1e-4, 300 + i as i64)).collect();
+        let requests: Vec<Request> = (0..8)
+            .map(|i| dml(i, i as f64 * 1e-4, 300 + i as i64))
+            .collect();
         let mut solo_cfg = ServerConfig::batched(2, 4);
         solo_cfg.commit_threshold = 1;
         let solo = EcoServer::new(&db_solo, solo_cfg).serve(&requests);
@@ -953,10 +955,12 @@ mod tests {
         let db = db();
         // The log dies on its 4th append: txn 1 (2 records) commits,
         // txn 2's commit marker is the 4th append and dies.
-        db.set_fault_plan(FaultPlan::none().with_wal_crash(WalCrash::KillAfterRecords {
-            records: 3,
-            torn: TornTail::MidHeader,
-        }));
+        db.set_fault_plan(
+            FaultPlan::none().with_wal_crash(WalCrash::KillAfterRecords {
+                records: 3,
+                torn: TornTail::MidHeader,
+            }),
+        );
         let requests = vec![
             dml(0, 0.0, 500),
             dml(1, 1e-4, 501),

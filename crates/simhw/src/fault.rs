@@ -340,8 +340,7 @@ mod tests {
         }
         // A crash point alone makes the plan non-trivial even with a
         // zero page-fault rate.
-        let crash_only =
-            FaultPlan::none().with_wal_crash(WalCrash::FsyncFailure { fsync: 0 });
+        let crash_only = FaultPlan::none().with_wal_crash(WalCrash::FsyncFailure { fsync: 0 });
         assert!(!crash_only.is_none());
         assert!(FaultPlan::none().is_none());
     }

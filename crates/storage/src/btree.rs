@@ -39,6 +39,28 @@
 //! the buffer pool — so, like the columnar mirror
 //! ([`crate::disk_table::ColumnarExtents`]), *building* charges no I/O;
 //! only probes do.
+//!
+//! # Upkeep under mutation: patch the entries, re-emit the changed tail
+//!
+//! The sorted `(key, row_id)` entry array is kept as the index's source
+//! of truth, and the node pages are always exactly what a bulk load of
+//! that array produces. A table mutation patches the array in place —
+//! [`BTreeIndex::insert`] and [`BTreeIndex::remove`] binary-search
+//! their position (a removal also shifts every higher row id down by
+//! one, as the table does), [`BTreeIndex::update_key`] does nothing at
+//! all when the indexed column did not change — and then re-emits
+//! nodes through the *same* routine the bulk load uses: leaf packing is
+//! greedy and left to right, so every leaf that ends before the first
+//! changed entry is kept as it is, leaves are re-packed from there to
+//! the end (a fixed fanout never re-aligns after a one-entry shift),
+//! and the interior levels — a 256th of the leaves — are rebuilt above
+//! them. An append of the highest key rewrites the last leaf and the
+//! root.
+//!
+//! **Invariant:** tree shape, node images, checksums, and therefore
+//! every probe's `NodeSearch` count and `index_ios`, are those of
+//! [`BTreeIndex::build`] over the current entries
+//! (`tests/prop_incremental_apply.rs`).
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -48,7 +70,7 @@ use eco_simhw::trace::DiskWork;
 
 use crate::bufferpool::{BufferPool, PageId};
 use crate::disk_table::IoError;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{serialize_pair, Page, PAGE_SIZE};
 use crate::value::{ColumnType, Tuple, Value};
 
 /// Maximum entries per node (leaf or interior). Real fanout is the
@@ -100,10 +122,14 @@ pub struct IndexProbe {
     pub node_searches: u64,
 }
 
-/// A paged, read-only B-tree secondary index over one column.
+/// A paged B-tree secondary index over one column.
+#[derive(Clone)]
 pub struct BTreeIndex {
     index_id: u32,
     key_type: ColumnType,
+    /// Every `(key, row_id)` entry, sorted by key then row id — the
+    /// source of truth the node pages are emitted from.
+    entries: Vec<(Value, usize)>,
     /// All nodes, leaves first: pages `[0, leaf_count)` are the leaf
     /// level in key order (so a range walk is `page + 1`), upper levels
     /// follow, root last.
@@ -111,7 +137,6 @@ pub struct BTreeIndex {
     checksums: Vec<u64>,
     leaf_count: usize,
     height: usize,
-    len: usize,
     pool: Arc<BufferPool>,
 }
 
@@ -132,67 +157,119 @@ impl BTreeIndex {
             );
         }
         entries.sort_by(|a, b| cmp_keys(&a.0, &b.0).then(a.1.cmp(&b.1)));
-        let len = entries.len();
-
-        // Leaf level: [key, row_id] entries packed at fixed fanout.
-        let mut pages: Vec<Page> = Vec::new();
-        let mut seps: Vec<(Value, usize)> = Vec::new(); // (first key, page no)
-        {
-            let mut cur = Page::new();
-            let mut cur_n = 0usize;
-            for (key, row) in &entries {
-                let t: Tuple = vec![key.clone(), Value::Int(*row as i64)];
-                if cur_n == BTREE_FANOUT || !cur.insert(&t) {
-                    pages.push(std::mem::take(&mut cur));
-                    cur_n = 0;
-                    assert!(cur.insert(&t), "index entry wider than an empty page");
-                }
-                if cur_n == 0 {
-                    seps.push((key.clone(), pages.len()));
-                }
-                cur_n += 1;
-            }
-            if cur_n > 0 {
-                pages.push(cur);
-            }
-        }
-        let leaf_count = pages.len();
-        let mut height = usize::from(leaf_count > 0);
-
-        // Interior levels, bottom-up, until one root remains.
-        while seps.len() > 1 {
-            let level = std::mem::take(&mut seps);
-            let mut cur = Page::new();
-            let mut cur_n = 0usize;
-            for (key, child) in &level {
-                let t: Tuple = vec![key.clone(), Value::Int(*child as i64)];
-                if cur_n == BTREE_FANOUT || !cur.insert(&t) {
-                    pages.push(std::mem::take(&mut cur));
-                    cur_n = 0;
-                    assert!(cur.insert(&t), "separator wider than an empty page");
-                }
-                if cur_n == 0 {
-                    seps.push((key.clone(), pages.len()));
-                }
-                cur_n += 1;
-            }
-            if cur_n > 0 {
-                pages.push(cur);
-            }
-            height += 1;
-        }
-
-        let checksums = pages.iter().map(Page::checksum).collect();
-        Self {
+        let mut index = Self {
             index_id,
             key_type,
-            pages,
-            checksums,
-            leaf_count,
-            height,
-            len,
+            entries,
+            pages: Vec::new(),
+            checksums: Vec::new(),
+            leaf_count: 0,
+            height: 0,
             pool,
+        };
+        index.emit_from(0);
+        index
+    }
+
+    /// Index the table's newly appended row `row`. Panics if the key's
+    /// type differs from the index's.
+    pub fn insert(&mut self, key: Value, row: usize) {
+        assert!(
+            key.column_type() == self.key_type,
+            "index key {key:?} does not have type {:?}",
+            self.key_type
+        );
+        let (Ok(at) | Err(at)) = self.position(&key, row);
+        self.entries.insert(at, (key, row));
+        self.emit_from(at);
+    }
+
+    /// Drop the entry of the table's removed row `row` (whose indexed
+    /// column held `key`) and shift every higher row id down by one,
+    /// as the table's rows just did.
+    pub fn remove(&mut self, key: &Value, row: usize) {
+        let mut first_changed = self.drop_entry(key, row);
+        for (i, entry) in self.entries.iter_mut().enumerate() {
+            if entry.1 > row {
+                entry.1 -= 1;
+                first_changed = first_changed.min(i);
+            }
         }
+        self.emit_from(first_changed);
+    }
+
+    /// Row `row`'s indexed column changed from `old` to `new`; nothing
+    /// at all happens when it did not.
+    pub fn update_key(&mut self, row: usize, old: &Value, new: &Value) {
+        if old == new {
+            return;
+        }
+        let removed = self.drop_entry(old, row);
+        let (Ok(at) | Err(at)) = self.position(new, row);
+        self.entries.insert(at, (new.clone(), row));
+        self.emit_from(removed.min(at));
+    }
+
+    /// Take `(key, row)` out of the entries; returns where it was (the
+    /// entry count when the index did not hold it).
+    fn drop_entry(&mut self, key: &Value, row: usize) -> usize {
+        match self.position(key, row) {
+            Ok(at) => {
+                self.entries.remove(at);
+                at
+            }
+            Err(_) => self.entries.len(),
+        }
+    }
+
+    /// Where `(key, row)` is, or would be inserted, in the entry order.
+    fn position(&self, key: &Value, row: usize) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by(|e| cmp_keys(&e.0, key).then(e.1.cmp(&row)))
+    }
+
+    /// Bring the node pages in line with `entries`, given that entries
+    /// before sorted position `first_changed` are as they were when
+    /// the pages were last emitted (0 emits everything — the bulk
+    /// load). Leaves that end before `first_changed` are kept; the rest
+    /// of the leaf level and every interior level are packed afresh.
+    fn emit_from(&mut self, first_changed: usize) {
+        // Leaf `k` held the sorted positions from `starts[k]` up to the
+        // next leaf's start; the entry that opened the next leaf helped
+        // decide where `k` ends, so `k` is kept only when that entry,
+        // too, lies before the change.
+        let mut starts = Vec::with_capacity(self.leaf_count);
+        let mut at = 0usize;
+        for leaf in &self.pages[..self.leaf_count] {
+            starts.push(at);
+            at += leaf.len();
+        }
+        let keep = starts
+            .partition_point(|&s| s < first_changed)
+            .saturating_sub(1);
+        let resume = starts.get(keep).copied().unwrap_or(0);
+        self.pages.truncate(keep);
+        self.checksums.truncate(keep);
+
+        // Leaf level: [key, row_id] entries packed at fixed fanout.
+        let mut seps: Vec<(Value, usize)> = starts[..keep]
+            .iter()
+            .enumerate()
+            .map(|(leaf, &start)| (self.entries[start].0.clone(), leaf))
+            .collect();
+        pack_level(&self.entries[resume..], &mut self.pages, &mut seps);
+        self.leaf_count = self.pages.len();
+        self.height = usize::from(self.leaf_count > 0);
+
+        // Interior levels of [separator_key, child_page] entries,
+        // bottom-up, until one root remains.
+        while seps.len() > 1 {
+            let level = std::mem::take(&mut seps);
+            pack_level(&level, &mut self.pages, &mut seps);
+            self.height += 1;
+        }
+        self.checksums
+            .extend(self.pages[keep..].iter().map(Page::checksum));
     }
 
     /// This index's id (the `table` half of its buffer-pool page ids).
@@ -207,12 +284,12 @@ impl BTreeIndex {
 
     /// Number of indexed entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True when the index holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Total node pages (leaves + interior).
@@ -229,6 +306,20 @@ impl BTreeIndex {
     /// Size on disk, bytes (full pages — I/O is page-granular).
     pub fn bytes_on_disk(&self) -> u64 {
         (self.pages.len() * PAGE_SIZE) as u64
+    }
+
+    /// The raw image of node page `page_no` (leaves first, root last) —
+    /// with [`Self::stored_checksum`], what the incremental-apply
+    /// equivalence test compares against a bulk load. Panics on an
+    /// out-of-range page.
+    pub fn page_image(&self, page_no: usize) -> &[u8] {
+        self.pages[page_no].image()
+    }
+
+    /// The checksum recorded for node page `page_no` when it was last
+    /// emitted. Panics on an out-of-range page.
+    pub fn stored_checksum(&self, page_no: usize) -> u64 {
+        self.checksums[page_no]
     }
 
     /// Point probe: all rows whose key equals `key`.
@@ -409,11 +500,40 @@ impl std::fmt::Debug for BTreeIndex {
         f.debug_struct("BTreeIndex")
             .field("index_id", &self.index_id)
             .field("key_type", &self.key_type)
-            .field("entries", &self.len)
+            .field("entries", &self.entries.len())
             .field("pages", &self.pages.len())
             .field("leaves", &self.leaf_count)
             .field("height", &self.height)
             .finish()
+    }
+}
+
+/// Pack one level's `(key, payload)` entries — row ids on the leaf
+/// level, child page numbers above — into nodes appended to `pages`,
+/// pushing each new node's `(first key, page number)` onto `seps` for
+/// the level above. A node closes at [`BTREE_FANOUT`] entries or when
+/// the page is full, whichever comes first.
+fn pack_level(level: &[(Value, usize)], pages: &mut Vec<Page>, seps: &mut Vec<(Value, usize)>) {
+    let mut cur = Page::new();
+    let mut cur_n = 0usize;
+    let mut entry = Vec::new();
+    for (key, payload) in level {
+        serialize_pair(key, &Value::Int(*payload as i64), &mut entry);
+        if cur_n == BTREE_FANOUT || !cur.insert_raw(&entry) {
+            pages.push(std::mem::take(&mut cur));
+            cur_n = 0;
+            assert!(
+                cur.insert_raw(&entry),
+                "index entry wider than an empty page"
+            );
+        }
+        if cur_n == 0 {
+            seps.push((key.clone(), pages.len()));
+        }
+        cur_n += 1;
+    }
+    if cur_n > 0 {
+        pages.push(cur);
     }
 }
 
@@ -569,6 +689,55 @@ mod tests {
             ),
             vec![n as usize - 2, n as usize - 1]
         );
+    }
+
+    /// The model the patch operations are held to: a bulk load of the
+    /// same entries.
+    fn assert_same_as_build(ix: &BTreeIndex, keys: &[i64]) {
+        let fresh = int_index(keys);
+        assert_eq!(ix.len(), fresh.len());
+        assert_eq!(ix.height(), fresh.height());
+        assert_eq!(ix.num_pages(), fresh.num_pages());
+        for p in 0..fresh.num_pages() {
+            assert!(ix.page_image(p) == fresh.page_image(p), "node {p}");
+            assert_eq!(ix.stored_checksum(p), fresh.stored_checksum(p));
+        }
+    }
+
+    #[test]
+    fn patched_index_is_the_bulk_load_of_its_entries() {
+        // Three leaves and a root; keys out of row order, duplicated.
+        let mut keys: Vec<i64> = (0..700).map(|i| (i * 37) % 300).collect();
+        let mut ix = int_index(&keys);
+        assert_eq!(ix.height(), 2);
+        // Appended rows: smallest key (every leaf shifts), largest key
+        // (last leaf only), and a duplicate in the middle.
+        for k in [-1, 1000, 150] {
+            ix.insert(Value::Int(k), keys.len());
+            keys.push(k);
+            assert_same_as_build(&ix, &keys);
+        }
+        // Key changes, including onto and off a leaf boundary; an
+        // unchanged key is a no-op.
+        for (row, k) in [(0, 299), (5, 185), (699, -7), (256, 256)] {
+            ix.update_key(row, &Value::Int(keys[row]), &Value::Int(k));
+            keys[row] = k;
+            assert_same_as_build(&ix, &keys);
+        }
+        // Removals shift every higher row id down.
+        for row in [0, 350, keys.len() - 3] {
+            ix.remove(&Value::Int(keys[row]), row);
+            keys.remove(row);
+            assert_same_as_build(&ix, &keys);
+        }
+        // Down to nothing and back up.
+        while let Some(k) = keys.pop() {
+            ix.remove(&Value::Int(k), keys.len());
+        }
+        assert_same_as_build(&ix, &keys);
+        assert_eq!((ix.height(), ix.num_pages()), (0, 0));
+        ix.insert(Value::Int(9), 0);
+        assert_same_as_build(&ix, &[9]);
     }
 
     #[test]

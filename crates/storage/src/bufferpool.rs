@@ -343,9 +343,11 @@ impl BufferPool {
     /// Drop every cached page of one table (or index — indexes share
     /// the id space) and its scan positions. This is the invalidation
     /// the mutating write path needs: a mutated [`crate::disk_table::DiskTable`]
-    /// is rebuilt under the *same* table id, so any pages cached before
-    /// the mutation would otherwise serve stale tuples. Deliberate
-    /// invalidations are not counted as LRU evictions.
+    /// keeps its table id and reuses page numbers, so any pages cached
+    /// before the mutation would otherwise serve stale tuples. The
+    /// write path evicts wholesale on purpose, although it rewrites
+    /// only a few pages: what the next reader misses on is priced.
+    /// Deliberate invalidations are not counted as LRU evictions.
     pub fn evict_table(&self, table: u32) {
         let mut g = self.inner.lock();
         let victims: Vec<PageId> = g

@@ -7,6 +7,27 @@
 //! shared via `Arc` (the decode cost is charged by the executor as
 //! tuple-fetch work, same as the memory engine — the engines differ in
 //! I/O, not in tuple-access accounting).
+//!
+//! # Single-row mutations: repack until realign
+//!
+//! Packing is greedy and left to right — a page closes when the next
+//! tuple does not fit — so where a page starts depends only on the
+//! tuples up to and including its first. [`DiskTable::append`],
+//! [`DiskTable::set_row`] and [`DiskTable::remove_row`] exploit that:
+//! pages before the touched one are kept as they are, raw slot payloads
+//! are repacked from the touched page on (no tuple is decoded), and
+//! repacking stops at the first old page whose first tuple again opens
+//! a new page — from there on the old pages *are* the new packing. Checksums are
+//! recomputed for rewritten pages only. A same-width update rewrites
+//! one page, an append the last page, and a width change ripples only
+//! as far as the slack in the following pages lets it.
+//!
+//! **Invariant:** after any sequence of mutations the page images and
+//! checksums are byte-identical to [`DiskTable::load`] over the mutated
+//! tuple vector — both run the same packing routine — so page counts,
+//! row locations and every priced quantity derived from them cannot
+//! tell an incrementally maintained table from a reloaded one
+//! (`tests/prop_incremental_apply.rs`).
 
 use std::sync::{Arc, OnceLock};
 
@@ -16,7 +37,7 @@ use eco_simhw::trace::DiskWork;
 use crate::bufferpool::{BufferPool, PageId, EXTENT_PAGES};
 use crate::column::DataChunk;
 use crate::encode::EncodedChunk;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{serialize_tuple, Page, PAGE_SIZE};
 use crate::value::{Schema, Tuple};
 
 /// A page read that could not be satisfied: every attempt within the
@@ -74,7 +95,7 @@ impl std::error::Error for IoError {}
 /// columnar scan still drives every covered page through the pool for
 /// its ledger charges (misses, hits, warm re-reads), exactly like the
 /// row scan; only the tuple *data* comes from the mirror.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ColumnarExtents {
     /// Cumulative tuple offsets per page: page `p` holds rows
     /// `[page_rows[p], page_rows[p + 1])`. Length `num_pages + 1`.
@@ -139,13 +160,59 @@ impl ColumnarExtents {
     }
 }
 
-/// A read-only paged table.
+/// Greedy left-to-right page packing — the one routine behind both the
+/// bulk load and the single-row repack, which is why the two cannot
+/// disagree on a page image.
+#[derive(Default)]
+struct Packer {
+    full: Vec<Page>,
+    cur: Page,
+}
+
+impl Packer {
+    /// Place one serialized tuple; returns `true` when the current page
+    /// had to be closed first, i.e. `payload` opens a new page. Panics
+    /// on a payload wider than an empty page (callers validate with
+    /// [`crate::page::tuple_fits_page`] first).
+    fn push(&mut self, payload: &[u8]) -> bool {
+        if self.cur.insert_raw(payload) {
+            return false;
+        }
+        assert!(
+            !self.cur.is_empty(),
+            "tuple wider than a {PAGE_SIZE}-byte page"
+        );
+        self.full.push(std::mem::take(&mut self.cur));
+        assert!(
+            self.cur.insert_raw(payload),
+            "tuple wider than an empty page"
+        );
+        true
+    }
+
+    fn finish(mut self) -> Vec<Page> {
+        if !self.cur.is_empty() {
+            self.full.push(self.cur);
+        }
+        self.full
+    }
+}
+
+/// One single-row change, as the repacker sees it.
+enum RowChange<'a> {
+    Append(&'a [u8]),
+    Replace(usize, &'a [u8]),
+    Remove(usize),
+}
+
+/// A paged table.
+#[derive(Clone)]
 pub struct DiskTable {
     table_id: u32,
     schema: Schema,
     pages: Vec<Page>,
-    /// Per-page FNV-1a checksums computed at load time and verified on
-    /// every checked buffer-pool miss (see
+    /// Per-page FNV-1a checksums computed when a page is written (load
+    /// or repack) and verified on every checked buffer-pool miss (see
     /// [`DiskTable::read_page_checked`]).
     checksums: Vec<u64>,
     num_tuples: usize,
@@ -161,26 +228,16 @@ impl DiskTable {
     /// Pack `tuples` into pages and register with the pool.
     /// Panics if any tuple fails the schema or exceeds a page.
     pub fn load(table_id: u32, schema: Schema, tuples: &[Tuple], pool: Arc<BufferPool>) -> Self {
-        let mut pages = Vec::new();
-        let mut current = Page::new();
+        let mut packer = Packer::default();
         for t in tuples {
             assert!(
                 schema.check(t),
                 "tuple does not match schema {:?}",
                 schema.names()
             );
-            if !current.insert(t) {
-                assert!(
-                    !current.is_empty(),
-                    "tuple wider than a {PAGE_SIZE}-byte page"
-                );
-                pages.push(std::mem::take(&mut current));
-                assert!(current.insert(t), "tuple wider than an empty page");
-            }
+            packer.push(&serialize_tuple(t));
         }
-        if !current.is_empty() {
-            pages.push(current);
-        }
+        let pages = packer.finish();
         let checksums = pages.iter().map(Page::checksum).collect();
         Self {
             table_id,
@@ -192,6 +249,88 @@ impl DiskTable {
             columnar: OnceLock::new(),
             row_offsets: OnceLock::new(),
         }
+    }
+
+    /// Append one tuple as the new last row. Panics on a schema
+    /// mismatch or a tuple wider than a page — like the other two
+    /// mutators, this is the apply half of the write path, which
+    /// validates first (see `Catalog::apply_wal_record`), so a panic
+    /// here is a caller bug, not a data error.
+    pub fn append(&mut self, tuple: &Tuple) {
+        self.check(tuple);
+        self.repack(RowChange::Append(&serialize_tuple(tuple)));
+        self.num_tuples += 1;
+    }
+
+    /// Overwrite row `row`. Panics on an out-of-range row, a schema
+    /// mismatch or an over-wide tuple.
+    pub fn set_row(&mut self, row: usize, tuple: &Tuple) {
+        self.check(tuple);
+        self.repack(RowChange::Replace(row, &serialize_tuple(tuple)));
+    }
+
+    /// Remove row `row`, shifting later rows down by one. Panics on an
+    /// out-of-range row.
+    pub fn remove_row(&mut self, row: usize) {
+        self.repack(RowChange::Remove(row));
+        self.num_tuples -= 1;
+    }
+
+    fn check(&self, tuple: &Tuple) {
+        assert!(
+            self.schema.check(tuple),
+            "tuple does not match schema {:?}",
+            self.schema.names()
+        );
+    }
+
+    /// Repack-until-realign (see the module docs): rewrite pages from
+    /// the one `change` touches until an old page boundary is met
+    /// again, and splice them over the pages they replace.
+    fn repack(&mut self, change: RowChange<'_>) {
+        // Where the change lands; an append lands past the last slot.
+        let (at_page, at_slot) = match change {
+            RowChange::Append(_) => (self.pages.len(), 0),
+            RowChange::Replace(row, _) | RowChange::Remove(row) => self.row_location(row),
+        };
+        // A page's contents depend on every tuple up to the one that
+        // did not fit it any more, so a change to a page's *first*
+        // tuple (or past the last one) can reach back into the page
+        // before.
+        let first = if at_slot == 0 {
+            at_page.saturating_sub(1)
+        } else {
+            at_page
+        };
+        let mut end = self.pages.len();
+        let mut packer = Packer::default();
+        'pages: for (k, old) in self.pages.iter().enumerate().skip(first) {
+            for slot in 0..old.len() {
+                let payload = match change {
+                    RowChange::Replace(_, new) if (k, slot) == (at_page, at_slot) => new,
+                    RowChange::Remove(_) if (k, slot) == (at_page, at_slot) => continue,
+                    _ => old.payload(slot),
+                };
+                if packer.push(payload) && slot == 0 && k > at_page {
+                    // Past the change, and old page `k`'s first tuple
+                    // opens a new page again: the old packing holds
+                    // from here on. Drop the page just begun.
+                    packer.cur = Page::new();
+                    end = k;
+                    break 'pages;
+                }
+            }
+        }
+        if let RowChange::Append(payload) = change {
+            packer.push(payload);
+        }
+        let rebuilt = packer.finish();
+        let sums: Vec<u64> = rebuilt.iter().map(Page::checksum).collect();
+        self.checksums.splice(first..end, sums);
+        self.pages.splice(first..end, rebuilt);
+        // The mirrors no longer match; rebuild on next use.
+        self.columnar.take();
+        self.row_offsets.take();
     }
 
     /// The lazily-built columnar mirror (see [`ColumnarExtents`]).
@@ -265,28 +404,49 @@ impl DiskTable {
     /// [`ColumnarExtents`]).
     pub fn column_with_row_ids(&self, col: usize) -> Vec<(crate::value::Value, usize)> {
         let mut out = Vec::with_capacity(self.num_tuples);
-        let mut row = 0usize;
-        for page in &self.pages {
-            for t in page.all_tuples() {
-                out.push((t[col].clone(), row));
-                row += 1;
-            }
-        }
+        out.extend(
+            self.rows()
+                .enumerate()
+                .map(|(row, mut t)| (t.swap_remove(col), row)),
+        );
         out
     }
 
-    /// Every tuple in row order, straight from the pages — never
-    /// through the buffer pool, so no I/O is charged. This is the
-    /// mutating write path's rebuild source: a logical single-row
-    /// mutation of a paged table is modelled as collect → mutate →
-    /// reload under the same table id (after evicting the stale pages;
-    /// see [`BufferPool::evict_table`]).
+    /// Every tuple in row order, decoded one at a time straight from
+    /// the pages — never through the buffer pool, so no I/O is charged.
+    /// The DML bind pass walks this instead of materializing the table.
+    pub fn rows(&self) -> impl Iterator<Item = Tuple> + '_ {
+        self.pages
+            .iter()
+            .flat_map(|page| (0..page.len()).map(move |slot| page.get(slot)))
+    }
+
+    /// Every tuple in row order (see [`Self::rows`]): the bulk-load
+    /// oracle's input and the benchmark's space accounting.
     pub fn all_tuples(&self) -> Vec<Tuple> {
         let mut out = Vec::with_capacity(self.num_tuples);
-        for page in &self.pages {
-            out.extend(page.all_tuples());
-        }
+        out.extend(self.rows());
         out
+    }
+
+    /// Row `row`, decoded straight from its page (no I/O charged).
+    /// Panics on an out-of-range row.
+    pub fn tuple_at(&self, row: usize) -> Tuple {
+        let (page, slot) = self.row_location(row);
+        self.pages[page].get(slot)
+    }
+
+    /// The raw image of page `page_no` — with [`Self::stored_checksum`],
+    /// what the incremental-apply equivalence test compares against a
+    /// bulk load. Panics on an out-of-range page.
+    pub fn page_image(&self, page_no: usize) -> &[u8] {
+        self.pages[page_no].image()
+    }
+
+    /// The checksum recorded for page `page_no` when it was last
+    /// written. Panics on an out-of-range page.
+    pub fn stored_checksum(&self, page_no: usize) -> u64 {
+        self.checksums[page_no]
     }
 
     /// Read one page through the buffer pool (charging I/O on a miss).
@@ -619,6 +779,60 @@ mod tests {
             t.avg_tuple_bytes()
         );
         assert_eq!(avg, cols.avg_encoded_tuple_bytes());
+    }
+
+    fn assert_same_as_load(t: &DiskTable, rows: &[Tuple]) {
+        let fresh = DiskTable::load(1, schema(), rows, Arc::new(BufferPool::new(4)));
+        assert_eq!(t.len(), fresh.len());
+        assert_eq!(t.num_pages(), fresh.num_pages());
+        for p in 0..fresh.num_pages() {
+            assert!(t.page_image(p) == fresh.page_image(p), "page {p}");
+            assert_eq!(t.stored_checksum(p), fresh.stored_checksum(p));
+        }
+        assert_eq!(t.all_tuples(), rows);
+    }
+
+    #[test]
+    fn mutated_table_is_the_bulk_load_of_its_rows() {
+        let mut rows = tuples(2000);
+        let mut t = DiskTable::load(1, schema(), &rows, Arc::new(BufferPool::new(4)));
+        let wide = |k: i64| vec![Value::Int(k), Value::str("w".repeat(3000))];
+        let (boundary, _) = (0..2000)
+            .map(|r| (r, t.row_location(r)))
+            .find(|&(_, loc)| loc == (3, 0))
+            .expect("page 3 has a first row");
+        // Same width, wider, and narrower; mid-page, first slot of a
+        // page, last slot of the page before, first and last row.
+        for (row, tuple) in [
+            (700, vec![Value::Int(-1), Value::str("value-000700")]),
+            (boundary, wide(1)),
+            (boundary - 1, wide(2)),
+            (boundary, vec![Value::Int(3), Value::str("")]),
+            (0, wide(4)),
+            (1999, wide(5)),
+        ] {
+            t.set_row(row, &tuple);
+            rows[row] = tuple;
+            assert_same_as_load(&t, &rows);
+        }
+        for row in [boundary, boundary - 1, 0, rows.len() - 4] {
+            t.remove_row(row);
+            rows.remove(row);
+            assert_same_as_load(&t, &rows);
+        }
+        for tuple in [wide(6), wide(7), wide(8), tuples(1).remove(0)] {
+            t.append(&tuple);
+            rows.push(tuple);
+            assert_same_as_load(&t, &rows);
+        }
+        // Down to nothing and back up.
+        while rows.pop().is_some() {
+            t.remove_row(rows.len());
+        }
+        assert_same_as_load(&t, &rows);
+        assert_eq!(t.num_pages(), 0);
+        t.append(&wide(9));
+        assert_same_as_load(&t, &[wide(9)]);
     }
 
     #[test]

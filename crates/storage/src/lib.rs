@@ -59,7 +59,11 @@
 //! than just a latency one. [`Catalog::apply_wal_record`] is the
 //! single mutation entry point shared by live execution and recovery
 //! replay, so crash recovery provably lands on the committed-prefix
-//! state. Read-only workloads log nothing and stay bit-identical to
+//! state. Applying a record costs host time in proportion to the pages
+//! it changes — the table repacks from the touched page
+//! ([`disk_table`]), each index patches its entries and re-emits the
+//! changed leaves ([`btree`]) — and always lands on the page images a
+//! bulk load of the mutated rows would produce. Read-only workloads log nothing and stay bit-identical to
 //! every pre-v5 ledger.
 
 pub mod btree;

@@ -3,8 +3,13 @@
 //! Classic layout: a header (slot count), a slot directory growing from
 //! the front, and tuple payloads packed from the back. Values use a
 //! compact tagged serialization. Pages are fixed at 8 KB — a tuple that
-//! cannot fit an empty page is rejected at load time (TPC-H's widest
-//! rows are far below that).
+//! cannot fit an empty page ([`tuple_fits_page`]) is rejected before it
+//! is logged or applied (TPC-H's widest rows are far below that).
+//!
+//! A page image is a pure function of the payload sequence inserted
+//! into a fresh page, which is what lets the write path repack raw
+//! slot payloads ([`Page::payload`] → [`Page::insert_raw`]) and land on
+//! exactly the bytes a bulk load of the decoded tuples would produce.
 
 use crate::value::{Tuple, Value};
 
@@ -13,6 +18,11 @@ pub const PAGE_SIZE: usize = 8192;
 
 const HEADER: usize = 4; // u16 slot_count + u16 free_end
 const SLOT: usize = 4; // u16 offset + u16 len
+
+/// Widest serialized tuple the write path admits: what an empty page
+/// can take, less a tagged row id — so that `[key, row_id]`, the B-tree
+/// entry of any one of the tuple's columns, fits an empty page too.
+const MAX_TUPLE_PAYLOAD: usize = PAGE_SIZE - HEADER - SLOT - (1 + 8);
 
 /// A fixed-size slotted page of serialized tuples.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,13 +78,19 @@ impl Page {
 
     /// Try to append a tuple; returns `false` when it does not fit.
     pub fn insert(&mut self, tuple: &Tuple) -> bool {
-        let payload = serialize_tuple(tuple);
+        self.insert_raw(&serialize_tuple(tuple))
+    }
+
+    /// Try to append an already-serialized tuple (a [`Self::payload`]
+    /// of another page, or [`serialize_tuple`] output); returns `false`
+    /// when it does not fit.
+    pub fn insert_raw(&mut self, payload: &[u8]) -> bool {
         if payload.len() + SLOT > self.free_space() {
             return false;
         }
         let end = self.free_end() as usize;
         let start = end - payload.len();
-        self.buf[start..end].copy_from_slice(&payload);
+        self.buf[start..end].copy_from_slice(payload);
         let slot = self.slot_count() as usize;
         let off = HEADER + slot * SLOT;
         self.buf[off..off + 2].copy_from_slice(&(start as u16).to_le_bytes());
@@ -86,11 +102,22 @@ impl Page {
 
     /// Read the tuple in a slot. Panics on an out-of-range slot.
     pub fn get(&self, slot: usize) -> Tuple {
+        deserialize_tuple(self.payload(slot))
+    }
+
+    /// The serialized bytes of the tuple in a slot. Panics on an
+    /// out-of-range slot.
+    pub fn payload(&self, slot: usize) -> &[u8] {
         assert!(slot < self.len(), "slot {slot} out of range {}", self.len());
         let off = HEADER + slot * SLOT;
         let start = u16::from_le_bytes([self.buf[off], self.buf[off + 1]]) as usize;
         let len = u16::from_le_bytes([self.buf[off + 2], self.buf[off + 3]]) as usize;
-        deserialize_tuple(&self.buf[start..start + len])
+        &self.buf[start..start + len]
+    }
+
+    /// The raw page image.
+    pub fn image(&self) -> &[u8] {
+        &self.buf[..]
     }
 
     /// Decode every tuple on the page.
@@ -170,6 +197,34 @@ pub fn serialize_tuple(t: &Tuple) -> Vec<u8> {
         serialize_value(v, &mut out);
     }
     out
+}
+
+/// [`serialize_tuple`] of the two-value tuple `[a, b]` into `out`
+/// (cleared first) — lets the B-tree emit its `[key, row_id]` entries
+/// without building a tuple or allocating per entry.
+pub(crate) fn serialize_pair(a: &Value, b: &Value, out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(&2u16.to_le_bytes());
+    serialize_value(a, out);
+    serialize_value(b, out);
+}
+
+/// Whether `t`, serialized, fits an empty page (with room to spare for
+/// indexing any of its columns). Computed from the value widths without
+/// serializing, so an over-long string is rejected here rather than
+/// tripping [`serialize_tuple`]'s length assertion.
+pub fn tuple_fits_page(t: &Tuple) -> bool {
+    let len: usize = t
+        .iter()
+        .map(|v| match v {
+            Value::Int(_) => 1 + 8,
+            Value::Str(s) => 1 + 2 + s.len(),
+            Value::Date(_) => 1 + 4,
+            Value::Char(c) => 1 + 1 + c.len_utf8(),
+            Value::Bool(_) => 1 + 1,
+        })
+        .sum();
+    2 + len <= MAX_TUPLE_PAYLOAD
 }
 
 /// Deserialize a tuple from bytes produced by [`serialize_tuple`].
@@ -285,6 +340,44 @@ mod tests {
         // Everything already stored is still readable.
         assert_eq!(p.len(), n);
         assert_eq!(p.get(n - 1), t);
+    }
+
+    #[test]
+    fn raw_repack_reproduces_the_page_image() {
+        let mut p = Page::new();
+        for i in 0..10 {
+            let mut t = sample();
+            t[0] = Value::Int(i);
+            assert!(p.insert(&t));
+        }
+        let mut q = Page::new();
+        for slot in 0..p.len() {
+            assert!(q.insert_raw(p.payload(slot)));
+        }
+        assert_eq!(q.image(), p.image());
+        assert_eq!(q.checksum(), p.checksum());
+    }
+
+    #[test]
+    fn admitted_tuples_and_their_index_entries_fit_an_empty_page() {
+        // Widest admitted string: arity + tag + len prefix + bytes.
+        let widest = MAX_TUPLE_PAYLOAD - 2 - 3;
+        for (len, fits) in [
+            (10, true),
+            (widest, true),
+            (widest + 1, false),
+            (70_000, false),
+        ] {
+            let t: Tuple = vec![Value::str("x".repeat(len))];
+            assert_eq!(tuple_fits_page(&t), fits, "len {len}");
+            if fits {
+                assert!(Page::new().insert(&t), "len {len}");
+                let mut entry = Vec::new();
+                serialize_pair(&t[0], &Value::Int(i64::MAX), &mut entry);
+                assert!(Page::new().insert_raw(&entry), "index entry, len {len}");
+            }
+        }
+        assert!(tuple_fits_page(&sample()));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   counted and dropped.
 //!
 //! Crash injection is data, not control flow: a
-//! [`WalCrash`](eco_simhw::fault::WalCrash) installed via
+//! [`WalCrash`] installed via
 //! [`WriteAheadLog::set_crash`] deterministically kills the log after N
 //! appends (optionally leaving a torn tail) or fails the Nth fsync, so
 //! the crash-replay equivalence property can sweep crash points.
@@ -113,6 +113,12 @@ pub enum WalError {
         /// Target table.
         table: String,
     },
+    /// A replayed tuple is wider than the target paged table can store
+    /// (it would not fit an empty page).
+    TupleTooWide {
+        /// Target table.
+        table: String,
+    },
 }
 
 impl std::fmt::Display for WalError {
@@ -136,8 +142,16 @@ impl std::fmt::Display for WalError {
                 "log record addresses row {row} of table {table:?} (len {len})"
             ),
             WalError::SchemaMismatch { table } => {
-                write!(f, "log record tuple does not match schema of table {table:?}")
+                write!(
+                    f,
+                    "log record tuple does not match schema of table {table:?}"
+                )
             }
+            WalError::TupleTooWide { table } => write!(
+                f,
+                "log record tuple does not fit a {}-byte page of table {table:?}",
+                crate::page::PAGE_SIZE
+            ),
         }
     }
 }
@@ -218,7 +232,10 @@ impl WalRecord {
     /// `None`; the caller maps it to [`WalError::Corrupt`] with the
     /// record's log offset.
     pub fn decode(payload: &[u8]) -> Option<WalRecord> {
-        let mut r = Reader { buf: payload, pos: 0 };
+        let mut r = Reader {
+            buf: payload,
+            pos: 0,
+        };
         let rec = match r.u8()? {
             REC_INSERT => WalRecord::Insert {
                 table: r.name()?,

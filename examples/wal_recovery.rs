@@ -58,16 +58,26 @@ fn main() {
         grouped_joules += grouped.machine().measure(&trace, &config).wall_joules;
     }
     let (commit_bytes, commit_trace) = grouped.commit_wal().expect("group commit");
-    grouped_joules += grouped.machine().measure(&commit_trace, &config).wall_joules;
-    let grouped_log: (u64, u64) = commit_trace
-        .phases()
-        .iter()
-        .fold((0, 0), |(i, b), p| (i + p.disk.log_ios, b + p.disk.log_bytes));
+    grouped_joules += grouped
+        .machine()
+        .measure(&commit_trace, &config)
+        .wall_joules;
+    let grouped_log: (u64, u64) = commit_trace.phases().iter().fold((0, 0), |(i, b), p| {
+        (i + p.disk.log_ios, b + p.disk.log_bytes)
+    });
 
-    println!("10 inserts, per-statement fsync: {:>2} log_ios, {:>6} log_bytes, {:.4} mJ/txn",
-        solo_log.0, solo_log.1, solo_joules / 10.0 * 1e3);
-    println!("10 inserts, one group commit:   {:>2} log_ios, {:>6} log_bytes, {:.4} mJ/txn",
-        grouped_log.0, grouped_log.1, grouped_joules / 10.0 * 1e3);
+    println!(
+        "10 inserts, per-statement fsync: {:>2} log_ios, {:>6} log_bytes, {:.4} mJ/txn",
+        solo_log.0,
+        solo_log.1,
+        solo_joules / 10.0 * 1e3
+    );
+    println!(
+        "10 inserts, one group commit:   {:>2} log_ios, {:>6} log_bytes, {:.4} mJ/txn",
+        grouped_log.0,
+        grouped_log.1,
+        grouped_joules / 10.0 * 1e3
+    );
     assert_eq!(solo_log.0, 10);
     assert_eq!(grouped_log.0, 1, "one fsync covers the whole group");
     assert!(grouped_log.1 < solo_log.1, "block rounding is the win");
@@ -75,10 +85,12 @@ fn main() {
 
     // --- 2. Crash mid-workload --------------------------------------
     let mut db = EcoDb::tpch(EngineProfile::CommercialDisk, 0.002);
-    db.set_fault_plan(FaultPlan::none().with_wal_crash(WalCrash::KillAfterRecords {
-        records: 4, // two committed inserts (record + commit marker each)
-        torn: TornTail::MidPayload,
-    }));
+    db.set_fault_plan(
+        FaultPlan::none().with_wal_crash(WalCrash::KillAfterRecords {
+            records: 4, // two committed inserts (record + commit marker each)
+            torn: TornTail::MidPayload,
+        }),
+    );
     let mut acknowledged = Vec::new();
     for sql in &statements {
         match db.try_trace_sql(sql) {
@@ -88,13 +100,19 @@ fn main() {
             }
         }
     }
-    println!("\ncrash after 4 log records: {} of {} inserts acknowledged",
-        acknowledged.len(), statements.len());
+    println!(
+        "\ncrash after 4 log records: {} of {} inserts acknowledged",
+        acknowledged.len(),
+        statements.len()
+    );
 
     // Reads survive the crashed log; only writers fail.
     let probe = "SELECT r_regionkey, r_name FROM region";
     let (rows_before, _) = db.try_trace_sql(probe).expect("reads survive");
-    println!("reads still serve: region has {} rows pre-recovery", rows_before.len());
+    println!(
+        "reads still serve: region has {} rows pre-recovery",
+        rows_before.len()
+    );
 
     // --- 3. Recovery ------------------------------------------------
     let report = db.recover().expect("recovery");
@@ -108,7 +126,10 @@ fn main() {
         report.indexes_rebuilt,
     );
     assert_eq!(report.committed_txns.len(), acknowledged.len());
-    assert!(report.torn_tail, "MidPayload kill leaves a torn tail to trim");
+    assert!(
+        report.torn_tail,
+        "MidPayload kill leaves a torn tail to trim"
+    );
 
     // Equivalence: a clean replay of exactly the acknowledged
     // statements on a fresh twin lands on the same table state.

@@ -1,0 +1,385 @@
+//! Property test for the O(changed-pages) write path: **incremental
+//! state ≡ bulk-load state**.
+//!
+//! `Catalog::apply_wal_record` repacks a paged table from the touched
+//! page until the old page boundaries re-align, and patches each
+//! B-tree's entry array before re-emitting nodes from the first changed
+//! leaf. Both claim to land on exactly what a from-scratch load of the
+//! mutated rows would build. This test holds them to it: random
+//! mutation sequences run against a model `Vec<Tuple>`, and after
+//! **every** step
+//!
+//! * the table's page images, stored checksums, `num_pages`, `len`,
+//!   `avg_tuple_bytes` and every `row_location` equal
+//!   `DiskTable::load` over the model;
+//! * each index's node images, stored checksums, `height`, `num_pages`
+//!   and `len` equal `BTreeIndex::build` over the model's column — for
+//!   an `Int` key with many duplicates (fanout-bound leaves) and a wide
+//!   `Str` key (page-bound leaves);
+//! * point and range probes return the model's rows, and their whole
+//!   [`IndexProbe`] ledgers (`index_ios`, `NodeSearch` steps, backoff)
+//!   equal the bulk-loaded twin's, probe for probe.
+//!
+//! The sequences aim at the awkward places: appends, updates that
+//! change the row width, updates that do and do not touch an indexed
+//! column, and updates/deletes at the first row, the last row and the
+//! first/last slot of a page; short tables are deleted to empty and
+//! grown again. Half the cases hold a reader's snapshot of the table
+//! and indexes across each apply, which takes the copy-on-write path
+//! and must leave the snapshot untouched.
+
+use std::cmp::Ordering;
+use std::sync::Arc;
+
+use proptest::prelude::*;
+
+use ecodb::storage::disk_table::DiskTable;
+use ecodb::storage::{
+    BTreeIndex, BufferPool, Catalog, ColumnType, IndexEntry, KeyBound, Schema, StoredTable,
+    TableData, Tuple, Value, WalRecord,
+};
+
+const TABLE: &str = "t";
+/// `(index name, indexed column)`: a duplicate-heavy `Int` key and a
+/// wide `Str` key.
+const INDEXES: [(&str, usize); 2] = [("ix_k", 0), ("ix_s", 1)];
+
+fn schema() -> Schema {
+    Schema::new(&[
+        ("k", ColumnType::Int),
+        ("s", ColumnType::Str),
+        ("pad", ColumnType::Str),
+    ])
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Deterministic row generator. `wide` rows are 0.3–2.5 KB, so a page
+/// holds a handful and page boundaries are everywhere; narrow rows pack
+/// ~60 to a page, so a few hundred of them spill the index past one
+/// 256-entry leaf.
+struct Gen {
+    state: u64,
+    wide: bool,
+}
+
+impl Gen {
+    fn below(&mut self, n: usize) -> usize {
+        (splitmix64(&mut self.state) % n.max(1) as u64) as usize
+    }
+
+    /// Keys from a small domain: duplicates are the rule.
+    fn key(&mut self) -> Value {
+        Value::Int(self.below(40) as i64 - 5)
+    }
+
+    /// 60–350-byte strings from a domain of 30, so `ix_s` leaves fill
+    /// by bytes long before they reach the fanout cap. Width is not
+    /// monotone in key order: the entry after a leaf boundary is often
+    /// narrower than the one that closed the leaf.
+    fn name(&mut self) -> Value {
+        let id = self.below(30);
+        Value::str(format!("{id:03}-{}", "n".repeat(60 + id * 97 % 290)))
+    }
+
+    fn pad(&mut self) -> Value {
+        let len = if self.wide {
+            300 + self.below(2200)
+        } else {
+            self.below(120)
+        };
+        Value::str("p".repeat(len))
+    }
+
+    fn row(&mut self) -> Tuple {
+        vec![self.key(), self.name(), self.pad()]
+    }
+}
+
+fn disk(stored: &StoredTable) -> &DiskTable {
+    match &stored.data {
+        TableData::Disk(d) => d,
+        TableData::Memory(_) => panic!("{TABLE} is a disk table"),
+    }
+}
+
+/// A row worth aiming at: the first, the last, the first or last slot
+/// of some page, or any.
+fn pick_row(gen: &mut Gen, table: &DiskTable) -> usize {
+    let n = table.len();
+    match gen.below(5) {
+        0 => 0,
+        1 => n - 1,
+        2 | 3 => {
+            let edge = gen.below(2);
+            let page = gen.below(table.num_pages());
+            // First slot of `page`, or the row just before it (the
+            // last slot of the page before).
+            (0..n)
+                .find(|&r| table.row_location(r) == (page, 0))
+                .map_or(0, |r| r.saturating_sub(edge))
+        }
+        _ => gen.below(n),
+    }
+}
+
+fn next_record(gen: &mut Gen, table: &DiskTable, model: &[Tuple], draining: bool) -> WalRecord {
+    let table_name = TABLE.to_string();
+    if model.is_empty() {
+        return WalRecord::Insert {
+            table: table_name,
+            tuple: gen.row(),
+        };
+    }
+    let choice = if draining { 9 } else { gen.below(10) };
+    match choice {
+        0..=2 => WalRecord::Insert {
+            table: table_name,
+            tuple: gen.row(),
+        },
+        3..=6 => {
+            let row = pick_row(gen, table);
+            let mut tuple = model[row].clone();
+            match gen.below(4) {
+                // Width change only: no index entry moves.
+                0 => tuple[2] = gen.pad(),
+                // Same-width rewrite of an indexed column.
+                1 => tuple[0] = gen.key(),
+                2 => tuple[1] = gen.name(),
+                _ => tuple = gen.row(),
+            }
+            WalRecord::Update {
+                table: table_name,
+                row,
+                tuple,
+            }
+        }
+        _ => WalRecord::Delete {
+            table: table_name,
+            row: pick_row(gen, table),
+        },
+    }
+}
+
+fn apply_to_model(model: &mut Vec<Tuple>, rec: &WalRecord) {
+    match rec {
+        WalRecord::Insert { tuple, .. } => model.push(tuple.clone()),
+        WalRecord::Update { row, tuple, .. } => model[*row] = tuple.clone(),
+        WalRecord::Delete { row, .. } => {
+            model.remove(*row);
+        }
+        WalRecord::Commit { .. } => {}
+    }
+}
+
+fn assert_table_matches(
+    live: &DiskTable,
+    model: &[Tuple],
+    step: &str,
+) -> Result<(), TestCaseError> {
+    let oracle = DiskTable::load(
+        live.table_id(),
+        schema(),
+        model,
+        Arc::new(BufferPool::new(16)),
+    );
+    prop_assert_eq!(live.len(), oracle.len(), "{}: len", step);
+    prop_assert_eq!(live.num_pages(), oracle.num_pages(), "{}: num_pages", step);
+    prop_assert_eq!(
+        live.avg_tuple_bytes(),
+        oracle.avg_tuple_bytes(),
+        "{}: avg_tuple_bytes",
+        step
+    );
+    for p in 0..oracle.num_pages() {
+        prop_assert!(
+            live.page_image(p) == oracle.page_image(p),
+            "{}: image of page {} differs from a bulk load",
+            step,
+            p
+        );
+        prop_assert_eq!(
+            live.stored_checksum(p),
+            oracle.stored_checksum(p),
+            "{}: checksum of page {}",
+            step,
+            p
+        );
+    }
+    for row in 0..model.len() {
+        prop_assert_eq!(
+            live.row_location(row),
+            oracle.row_location(row),
+            "{}: row_location({})",
+            step,
+            row
+        );
+    }
+    prop_assert_eq!(&live.all_tuples(), model, "{}: rows", step);
+    Ok(())
+}
+
+fn assert_index_matches(
+    live: &BTreeIndex,
+    model: &[Tuple],
+    col: usize,
+    gen: &mut Gen,
+    step: &str,
+) -> Result<(), TestCaseError> {
+    let entries = model
+        .iter()
+        .enumerate()
+        .map(|(row, t)| (t[col].clone(), row))
+        .collect();
+    // A fresh pool: the apply evicted every cached node of the live
+    // index, so both sides probe cold and then warm up in lockstep.
+    let oracle = BTreeIndex::build(
+        live.index_id(),
+        live.key_type(),
+        entries,
+        Arc::new(BufferPool::new(1 << 16)),
+    );
+    prop_assert_eq!(live.len(), oracle.len(), "{}: index len", step);
+    prop_assert_eq!(live.height(), oracle.height(), "{}: height", step);
+    prop_assert_eq!(
+        live.num_pages(),
+        oracle.num_pages(),
+        "{}: index pages",
+        step
+    );
+    for p in 0..oracle.num_pages() {
+        prop_assert!(
+            live.page_image(p) == oracle.page_image(p),
+            "{}: image of node {} differs from a bulk load",
+            step,
+            p
+        );
+        prop_assert_eq!(
+            live.stored_checksum(p),
+            oracle.stored_checksum(p),
+            "{}: checksum of node {}",
+            step,
+            p
+        );
+    }
+
+    let draw = |gen: &mut Gen| if col == 0 { gen.key() } else { gen.name() };
+    for _ in 0..3 {
+        let (a, b) = (draw(gen), draw(gen));
+        let (lo, hi) = if a.partial_cmp_typed(&b) == Some(Ordering::Greater) {
+            (b, a)
+        } else {
+            (a, b)
+        };
+        for (from, to) in [
+            (KeyBound::Inclusive(&lo), KeyBound::Inclusive(&lo)),
+            (KeyBound::Inclusive(&lo), KeyBound::Exclusive(&hi)),
+            (KeyBound::Exclusive(&lo), KeyBound::Unbounded),
+        ] {
+            let got = live.probe_range(from, to).expect("fault-free probe");
+            let want = oracle.probe_range(from, to).expect("fault-free probe");
+            prop_assert_eq!(
+                &got,
+                &want,
+                "{}: ledger of probe {:?}..{:?}",
+                step,
+                from,
+                to
+            );
+            let model_rows: Vec<usize> = model
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| within(&t[col], from, to))
+                .map(|(row, _)| row)
+                .collect();
+            prop_assert_eq!(
+                &got.row_ids,
+                &model_rows,
+                "{}: rows of probe {:?}..{:?}",
+                step,
+                from,
+                to
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The model of a range probe's bound semantics.
+fn within(key: &Value, from: KeyBound<'_>, to: KeyBound<'_>) -> bool {
+    let cmp = |bound: &Value| key.partial_cmp_typed(bound);
+    let above = match from {
+        KeyBound::Unbounded => true,
+        KeyBound::Inclusive(b) => cmp(b) != Some(Ordering::Less),
+        KeyBound::Exclusive(b) => cmp(b) == Some(Ordering::Greater),
+    };
+    let below = match to {
+        KeyBound::Unbounded => true,
+        KeyBound::Inclusive(b) => cmp(b) != Some(Ordering::Greater),
+        KeyBound::Exclusive(b) => cmp(b) == Some(Ordering::Less),
+    };
+    above && below
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn incremental_apply_equals_bulk_load_after_every_step(
+        seed in 0u64..1_000_000,
+        n in prop_oneof![0usize..6, 6usize..60, 250usize..600],
+        steps in 8usize..40,
+        wide in any::<bool>(),
+        hold_snapshot in any::<bool>(),
+    ) {
+        let mut gen = Gen { state: seed, wide };
+        let mut model: Vec<Tuple> = (0..n).map(|_| gen.row()).collect();
+        let mut cat = Catalog::new(1 << 16);
+        cat.add_disk_table(TABLE, schema(), &model);
+        for (name, col) in INDEXES {
+            cat.create_index(name, TABLE, schema().columns()[col].name.as_str())
+                .expect("create index");
+        }
+        // Short tables are drained to empty first, then grown again.
+        let mut draining = n < 6;
+
+        for step in 0..steps {
+            let stored = cat.expect(TABLE);
+            let rec = next_record(&mut gen, disk(&stored), &model, draining);
+            let step = match &rec {
+                WalRecord::Insert { .. } => format!("step {step} insert"),
+                WalRecord::Update { row, .. } => format!("step {step} update row {row}"),
+                WalRecord::Delete { row, .. } => format!("step {step} delete row {row}"),
+                WalRecord::Commit { .. } => unreachable!("no commit markers are generated"),
+            };
+            let snapshot: Option<(Arc<StoredTable>, Vec<Arc<IndexEntry>>)> = hold_snapshot
+                .then(|| (Arc::clone(&stored), cat.index_entries()));
+            let rows_before = model.clone();
+            drop(stored);
+
+            cat.apply_wal_record(&rec).expect("valid record applies");
+            apply_to_model(&mut model, &rec);
+            draining &= !model.is_empty();
+
+            let stored = cat.expect(TABLE);
+            assert_table_matches(disk(&stored), &model, &step)?;
+            for (name, col) in INDEXES {
+                let entry = cat.index(name).expect("index stays registered");
+                assert_index_matches(&entry.index, &model, col, &mut gen, &step)?;
+            }
+            if let Some((old_table, old_indexes)) = snapshot {
+                // Copy-on-write: the reader's snapshot did not move.
+                prop_assert_eq!(&disk(&old_table).all_tuples(), &rows_before, "{}: snapshot", &step);
+                for e in &old_indexes {
+                    prop_assert_eq!(e.index.len(), rows_before.len(), "{}: index snapshot", &step);
+                }
+            }
+        }
+    }
+}
