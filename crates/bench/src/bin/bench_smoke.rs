@@ -8,8 +8,10 @@
 //!   merged parallel ledger verified bit-identical to serial execution
 //!   at every worker count;
 //! * `BENCH_columnar.json` — batch vs columnar medians and speedups on
-//!   TPC-H Q1/Q6 (the scan/aggregate-bound queries the columnar path
-//!   targets), with rows and ledgers verified identical across engines;
+//!   TPC-H Q1/Q3/Q5/Q6, with rows and ledgers verified identical across
+//!   engines, `EcoDb`'s default engine recorded and required to be
+//!   columnar, and columnar required to be no slower than batch on
+//!   every query (the default must be the fastest engine);
 //! * `BENCH_throughput.json` — the eco-server under saturating session
 //!   load: queries/sec × joules/query at 1/64/1k/10k sessions, online
 //!   QED batching vs no-batching admission, with per-session
@@ -79,6 +81,14 @@ fn q1(db: &EcoDb) -> BoxedOp {
     plans::q1_plan(db.catalog(), 90)
 }
 
+fn q3(db: &EcoDb) -> BoxedOp {
+    plans::q3_plan(
+        db.catalog(),
+        "BUILDING",
+        eco_tpch::Date::from_ymd(1995, 3, 15),
+    )
+}
+
 fn q5(db: &EcoDb) -> BoxedOp {
     plans::q5_plan(db.catalog(), &eco_tpch::Q5Params::new("ASIA", 1994))
 }
@@ -103,11 +113,23 @@ fn median_ns(mut f: impl FnMut(), samples: usize) -> u128 {
 }
 
 /// Batch-vs-columnar medians + identity flags for `BENCH_columnar.json`.
-/// Returns the JSON blob and the number of identity failures.
+/// Fails when an engine's rows or ledger drift from the scalar
+/// reference, when `EcoDb`'s default engine is not columnar, or when
+/// columnar is slower than batch on any query — the default must be
+/// the fastest engine. Returns the JSON blob and the failure count.
 fn columnar_report(db: &EcoDb) -> (String, usize) {
     let mut failures = 0usize;
     let mut blobs = Vec::new();
-    for (name, plan_fn) in [("q1", q1 as PlanFn), ("q6", q6 as PlanFn)] {
+    let default_engine = db.engine();
+    if default_engine != ExecEngine::Columnar {
+        eprintln!(
+            "FAIL: EcoDb's default engine is {}, not columnar",
+            default_engine.name()
+        );
+        failures += 1;
+    }
+    let all: [(&str, PlanFn); 4] = [("q1", q1), ("q3", q3), ("q5", q5), ("q6", q6)];
+    for (name, plan_fn) in all {
         // Identity: scalar is the reference; batch and columnar must
         // match its rows and its full ledger bit-for-bit.
         let mut sctx = ExecCtx::new().with_batch_size(1);
@@ -148,6 +170,10 @@ fn columnar_report(db: &EcoDb) -> (String, usize) {
             SAMPLES,
         );
         let speedup = batch_ns as f64 / columnar_ns as f64;
+        if speedup < 1.0 {
+            eprintln!("FAIL: {name} columnar is slower than batch ({speedup:.2}x)");
+            failures += 1;
+        }
         println!(
             "{name} columnar: batch {:.3} ms, columnar {:.3} ms, speedup {speedup:.2}x, \
              ledger_identical={columnar_identical}",
@@ -161,8 +187,10 @@ fn columnar_report(db: &EcoDb) -> (String, usize) {
         ));
     }
     let json = format!(
-        "{{\"bench\":\"exec_columnar_vs_batch\",\"scale\":{},\"samples\":{SAMPLES},\"queries\":{{{}}}}}\n",
+        "{{\"bench\":\"exec_columnar_vs_batch\",\"scale\":{},\"samples\":{SAMPLES},\
+         \"default_engine\":\"{}\",\"queries\":{{{}}}}}\n",
         eco_bench::BENCH_SCALE,
+        default_engine.name(),
         blobs.join(",")
     );
     (json, failures)
@@ -182,9 +210,7 @@ fn throughput_report() -> (String, usize) {
     const SESSIONS: [usize; 4] = [1, 64, 1_000, 10_000];
     const UNBATCHED_CAP: usize = 1_000;
 
-    // Columnar engine: same ledgers as batch execution, traces are just
-    // cheaper to produce at 10k sessions.
-    let db = bench_db_memory().with_engine(ExecEngine::Columnar);
+    let db = bench_db_memory();
     let plan = plan_admission(&db, &AdmissionConfig::default());
     let mut failures = 0usize;
     let mut blobs = Vec::new();
@@ -751,7 +777,7 @@ fn main() {
     write_artifact(&wal_path, &wal_json);
 
     if failures > 0 {
-        eprintln!("{failures} ledger-identity check(s) failed");
+        eprintln!("{failures} check(s) failed");
         std::process::exit(1);
     }
 }

@@ -243,7 +243,7 @@ pub fn rank_plans_by_energy(
         .into_iter()
         .map(|(name, mut plan)| {
             let mut ctx = eco_query::context::ExecCtx::new();
-            let rows = eco_query::exec::execute(plan.as_mut(), &mut ctx);
+            let rows = db.engine().execute(plan.as_mut(), &mut ctx);
             let phase = ctx.take_phase(eco_simhw::trace::PhaseKind::Execute, name);
             let mut trace = eco_simhw::trace::WorkTrace::new();
             trace.push(phase);

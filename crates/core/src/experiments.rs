@@ -586,7 +586,6 @@ pub struct JoinAlgoRow {
 /// energy-aware optimizer must weigh.
 pub fn operator_energy(scale: f64) -> Vec<JoinAlgoRow> {
     use eco_query::context::ExecCtx;
-    use eco_query::exec::execute;
     use eco_query::expr::{AggFunc, Expr};
     use eco_query::ops::{AggSpec, BoxedOp, HashAggregate, HashJoin, SeqScan, SortMergeJoin};
     use eco_simhw::trace::{PhaseKind, WorkTrace};
@@ -638,7 +637,7 @@ pub fn operator_energy(scale: f64) -> Vec<JoinAlgoRow> {
                 }],
             )) as BoxedOp;
             let mut ctx = ExecCtx::new();
-            let rows = execute(counted.as_mut(), &mut ctx);
+            let rows = db.engine().execute(counted.as_mut(), &mut ctx);
             let joined = rows[0][0].as_int().expect("count") as usize;
             let mut trace = WorkTrace::new();
             trace.push(ctx.take_phase(PhaseKind::Execute, name));
@@ -718,7 +717,6 @@ pub struct IndexCrossoverRow {
 /// the index strictly worse than streaming it).
 pub fn index_crossover(scale: f64) -> Vec<IndexCrossoverRow> {
     use eco_query::context::ExecCtx;
-    use eco_query::exec::execute;
     use eco_query::ops::BoxedOp;
     use eco_query::plans;
     use eco_simhw::trace::{PhaseKind, WorkTrace};
@@ -748,7 +746,7 @@ pub fn index_crossover(scale: f64) -> Vec<IndexCrossoverRow> {
     let measure = |mut plan: BoxedOp, label: &str| -> (Vec<Tuple>, f64, f64) {
         db.flush_cache();
         let mut ctx = ExecCtx::new();
-        let rows = execute(plan.as_mut(), &mut ctx);
+        let rows = db.engine().execute(plan.as_mut(), &mut ctx);
         let mut trace = WorkTrace::new();
         trace.push(ctx.take_phase(PhaseKind::Execute, label));
         let m = db.machine().measure(&trace, &MachineConfig::stock());

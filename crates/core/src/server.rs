@@ -302,7 +302,7 @@ impl EcoDb {
             source,
             catalog,
             machine: Machine::paper_sut(),
-            engine: ExecEngine::Batch,
+            engine: ExecEngine::Columnar,
             pricing: PricingMode::Raw,
             wal: Mutex::new(WalState {
                 log: WriteAheadLog::new(),
@@ -316,18 +316,23 @@ impl EcoDb {
         self.profile
     }
 
-    /// The execution engine driving statements (default
-    /// [`ExecEngine::Batch`]).
+    /// The execution engine driving statements — SQL, the hand-built
+    /// plans, merged QED scans, and everything `eco-server` and
+    /// `experiments` run on top. [`ExecEngine::Columnar`] unless
+    /// [`Self::with_engine`] chose otherwise.
     pub fn engine(&self) -> ExecEngine {
         self.engine
     }
 
     /// Same database with a different execution engine (builder style).
     ///
-    /// Because scalar, batch and columnar execution produce bit-identical
-    /// energy ledgers, every PVC/QED sweep and paper grid can be re-run
-    /// under [`ExecEngine::Columnar`] and yields the same figures —
-    /// only the wall-clock cost of *producing* the traces drops.
+    /// This is how the differential tests reach their oracles: scalar,
+    /// batch and columnar execution produce identical rows and
+    /// bit-identical energy ledgers, so every PVC/QED sweep and paper
+    /// grid yields the same figures under any of them — only the
+    /// wall-clock cost of *producing* the traces differs, and columnar
+    /// (the default) is the cheapest. Nothing outside tests and the
+    /// engine-comparison benches needs to call this.
     pub fn with_engine(mut self, engine: ExecEngine) -> Self {
         self.engine = engine;
         self
@@ -656,13 +661,8 @@ impl EcoDb {
         short_circuit: bool,
         workers: Option<usize>,
     ) -> Result<(Vec<Vec<Tuple>>, Vec<WorkTrace>), ServerError> {
-        let mut ctx = if short_circuit {
-            ExecCtx::new()
-        } else {
-            ExecCtx::exhaustive()
-        }
-        .with_columnar(self.engine == ExecEngine::Columnar)
-        .with_pricing(self.pricing);
+        let mut ctx = self.exec_ctx();
+        ctx.short_circuit_or = short_circuit;
         ctx.charge(
             OpClass::Parse,
             parse_tokens(StatementKind::MergedSelection(queries.len())),

@@ -3,7 +3,7 @@
 //!
 //! Columnar operators pass [`Chunk`]s instead of `Vec<Tuple>` batches.
 //! A chunk never copies column data on its way through a pipeline:
-//! scans emit `Arc`-shared windows over a table's columnar mirror,
+//! scans emit `Arc`-shared windows over a table's columns,
 //! filters refine the selection vector (which rows are live) without
 //! touching the data, and only projections / pipeline breakers build
 //! new columns. Rows are materialized back into `Tuple`s as late as

@@ -37,15 +37,18 @@ use crate::ops::Operator;
 use crate::parallel::gather_parallel;
 
 /// Which execution engine drives a plan — a pure throughput knob; all
-/// three produce identical rows and bit-identical ledgers.
+/// three produce identical rows and bit-identical ledgers. `EcoDb`
+/// (and so the server, `repro` and the benchmarks) runs
+/// [`ExecEngine::Columnar`]; the other two are kept as the oracles the
+/// differential tests compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecEngine {
-    /// Tuple-at-a-time Volcano loop (the measured baseline).
+    /// Tuple-at-a-time Volcano loop: the reference oracle.
     Scalar,
-    /// Vectorized `Vec<Tuple>` batches (PR 2).
+    /// Vectorized `Vec<Tuple>` batches: the second oracle.
     Batch,
     /// Typed column vectors + selection vectors with late
-    /// materialization (this PR); the fastest path on scan-heavy plans.
+    /// materialization: the production engine, and the fastest.
     Columnar,
 }
 

@@ -36,14 +36,16 @@
 //! [`ops::Operator::next_chunk`] streams [`chunk::Chunk`]s — `Arc`-shared
 //! windows of typed column vectors (`eco-storage`'s `DataChunk`) plus a
 //! *selection vector* of live rows — through the plan instead of
-//! `Vec<Tuple>` batches. Scans emit windows over a table's columnar
-//! mirror with no per-row clone; filters refine the selection vector
+//! `Vec<Tuple>` batches. Scans emit windows over a table's columns
+//! with no per-row clone; filters refine the selection vector
 //! column-at-a-time (short-circuiting becomes selection narrowing, with
 //! identical evaluation counts); aggregates update typed accumulator
 //! arrays keyed by group id; joins hash key columns directly; rows are
 //! re-materialized only at pipeline breakers and at the very top
 //! (**late materialization**). [`exec::execute_columnar`] drives the
-//! path (and [`exec::ExecEngine`] names all three engines); on
+//! path — it is the engine `EcoDb` runs by default, with scalar and
+//! batch kept as the differential-test oracles
+//! ([`exec::ExecEngine`] names all three); on
 //! scan-heavy TPC-H Q1/Q6 it is ~3-4x faster than the batch path
 //! (`exec_batch_vs_scalar` bench, recorded per-commit in CI's
 //! `BENCH_columnar.json`) while producing the same rows and **the same

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use eco_simhw::trace::{OpClass, PricingMode};
-use eco_storage::{tuple_width, BTreeIndex, Schema, StoredTable, TableData, Tuple};
+use eco_storage::{tuple_width, BTreeIndex, PageFrame, Schema, StoredTable, TableData, Tuple};
 
 use crate::context::ExecCtx;
 use crate::ops::{BoxedOp, Operator};
@@ -41,7 +41,7 @@ pub struct IxJoin {
     outer_row: Option<Tuple>,
     pending: Vec<usize>,
     pos: usize,
-    current: Option<(usize, Arc<Vec<Tuple>>)>,
+    current: Option<(usize, Arc<PageFrame>)>,
 }
 
 impl IxJoin {
@@ -178,7 +178,7 @@ impl Operator for IxJoin {
         }
         self.pos += 1;
         let (_, page) = self.current.as_ref().expect("page resident");
-        let inner_t = &page[slot];
+        let inner_t = &page.tuples()[slot];
         ctx.charge(OpClass::TupleFetch, 1);
         ctx.charge_mem_bytes(self.avg_inner_bytes);
         let outer_t = self.outer_row.as_ref().expect("outer row set");

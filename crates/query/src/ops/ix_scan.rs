@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use eco_simhw::trace::{OpClass, PricingMode};
-use eco_storage::{BTreeIndex, KeyBound, Schema, StoredTable, TableData, Tuple, Value};
+use eco_storage::{BTreeIndex, KeyBound, PageFrame, Schema, StoredTable, TableData, Tuple, Value};
 
 use crate::context::ExecCtx;
 use crate::ops::Operator;
@@ -64,7 +64,7 @@ pub struct IxScan {
     avg_bytes: u64,
     row_ids: Vec<usize>,
     pos: usize,
-    current: Option<(usize, Arc<Vec<Tuple>>)>,
+    current: Option<(usize, Arc<PageFrame>)>,
 }
 
 impl IxScan {
@@ -184,7 +184,7 @@ impl Operator for IxScan {
         }
         self.pos += 1;
         let (_, page) = self.current.as_ref().expect("page resident");
-        let t = page[slot].clone();
+        let t = page.tuples()[slot].clone();
         ctx.charge(OpClass::TupleFetch, 1);
         ctx.charge_mem_bytes(self.avg_bytes);
         Some(t)

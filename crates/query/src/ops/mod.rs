@@ -60,7 +60,8 @@
 //! scan → select → compute → late-materialize:
 //!
 //! * [`SeqScan`] / [`VecSource`] emit windows over their table's
-//!   columnar mirror — zero per-row work beyond the ledger charge;
+//!   columns (a heap table *is* its columns; a paged table keeps one
+//!   chunk per extent) — zero per-row work beyond the ledger charge;
 //! * [`Filter`] (and the QED [`crate::mqo::MultiFilter`]) evaluate
 //!   predicates column-at-a-time ([`crate::expr::Expr::filter_sel`]),
 //!   refining the selection vector without touching data — short-circuit
@@ -83,7 +84,8 @@
 //! invariance**: columnar paths charge the same per-tuple op classes
 //! with the same counts, aggregated per chunk — never re-priced — and
 //! columnar disk scans still drive every covered page through the
-//! buffer pool (the columnar mirror supplies data, never I/O). Scalar,
+//! buffer pool's checked miss path (the extent chunks supply data,
+//! never I/O, and the frames stay undecoded). Scalar,
 //! batch and columnar ledgers are bit-identical on both storage
 //! engines, cold and warm, at any chunk size and worker count
 //! (`tests/integration_columnar.rs` and the `columnar_matches_scalar`

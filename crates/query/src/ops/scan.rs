@@ -1,10 +1,11 @@
 //! Sequential scan over a stored table (memory or disk engine).
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use eco_simhw::trace::{OpClass, PricingMode};
-use eco_storage::{Schema, StoredTable, TableData, Tuple};
+use eco_storage::{PageFrame, Schema, StoredTable, TableData, Tuple};
 
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
@@ -50,8 +51,11 @@ enum ScanBounds {
 ///
 /// The batch path emits whole page slices per call (capped at the
 /// context's batch size) instead of advancing a per-tuple page cursor;
-/// the fused path additionally evaluates a pushed-down predicate over
-/// borrowed rows so non-matching tuples are never cloned.
+/// the fused path additionally evaluates a pushed-down predicate
+/// before a row is kept, so a page's non-matching tuples are never
+/// cloned (heap rows are materialized from the columns either way —
+/// the row paths are the differential-test oracles, not the production
+/// engine).
 ///
 /// For parallel execution the scan partitions itself into [`Morsel`]s:
 /// row ranges on the memory engine, whole disk *extents* on the disk
@@ -65,7 +69,7 @@ pub struct SeqScan {
     bounds: ScanBounds,
     // Disk-engine state.
     page_no: usize,
-    current: Option<Arc<Vec<Tuple>>>,
+    current: Option<Arc<PageFrame>>,
     idx: usize,
 }
 
@@ -222,9 +226,8 @@ impl Operator for SeqScan {
     fn next(&mut self, ctx: &mut ExecCtx) -> Option<Tuple> {
         match &self.table.data {
             TableData::Memory(heap) => {
-                let tuples = heap.tuples();
-                if self.idx < self.mem_end(tuples.len()) {
-                    let t = tuples[self.idx].clone();
+                if self.idx < self.mem_end(heap.len()) {
+                    let t = heap.row(self.idx);
                     self.idx += 1;
                     self.charge_tuple(ctx);
                     Some(t)
@@ -237,7 +240,7 @@ impl Operator for SeqScan {
                     return None;
                 }
                 let page = self.current.as_ref().expect("page resident");
-                let t = page[self.idx].clone();
+                let t = page.tuples()[self.idx].clone();
                 self.idx += 1;
                 self.charge_tuple(ctx);
                 Some(t)
@@ -250,11 +253,15 @@ impl Operator for SeqScan {
     }
 
     /// Columnar scan: emit `Arc`-shared windows over the table's
-    /// columnar mirror — no per-row clone, no per-tuple `Vec`. Charges
-    /// are identical to the row scan: one `TupleFetch` plus the average
+    /// columns (the heap table itself, or a paged table's extent
+    /// chunks) — no per-row clone, no per-tuple `Vec`. Charges are
+    /// identical to the row scan: one `TupleFetch` plus the average
     /// width per row, and on the disk engine every covered page is
-    /// still driven through the buffer pool (same misses, hits and warm
-    /// re-reads — the mirror supplies the *data*, never the I/O).
+    /// still driven through the buffer pool's checked miss path (same
+    /// misses, hits, warm re-reads, checksum verification and fault
+    /// handling — the chunks supply the *data*, never the I/O; the
+    /// frames it leaves resident stay undecoded until a row reader
+    /// needs them).
     fn next_chunk(&mut self, ctx: &mut ExecCtx) -> Option<Chunk> {
         match &self.table.data {
             TableData::Memory(heap) => {
@@ -348,7 +355,7 @@ impl Operator for SeqScan {
         }
         match &self.table.data {
             TableData::Memory(heap) => {
-                let n = heap.tuples().len();
+                let n = heap.len();
                 (n > 0).then(|| split_units(n, target_rows))
             }
             TableData::Disk(disk) => {
@@ -406,15 +413,17 @@ impl SeqScan {
         predicate: Option<&Expr>,
         out: &mut Vec<Tuple>,
     ) -> bool {
-        fn emit(rows: &[Tuple], predicate: Option<&Expr>, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
-            match predicate {
-                None => out.extend_from_slice(rows),
-                Some(p) => {
-                    for t in rows {
-                        if p.eval_bool(t, ctx) {
-                            out.push(t.clone());
-                        }
-                    }
+        // Heap rows arrive materialized (owned), page rows borrowed
+        // from the resident frame; either way only survivors are kept.
+        fn emit<'a>(
+            rows: impl Iterator<Item = Cow<'a, Tuple>>,
+            predicate: Option<&Expr>,
+            ctx: &mut ExecCtx,
+            out: &mut Vec<Tuple>,
+        ) {
+            for t in rows {
+                if predicate.is_none_or(|p| p.eval_bool(&t, ctx)) {
+                    out.push(t.into_owned());
                 }
             }
         }
@@ -422,10 +431,10 @@ impl SeqScan {
         let want = ctx.batch_size.max(1);
         match &self.table.data {
             TableData::Memory(heap) => {
-                let tuples = heap.tuples();
-                let limit = self.mem_end(tuples.len());
+                let limit = self.mem_end(heap.len());
                 let end = (self.idx + want).min(limit);
-                emit(&tuples[self.idx..end], predicate, ctx, out);
+                let rows = (self.idx..end).map(|i| Cow::Owned(heap.row(i)));
+                emit(rows, predicate, ctx, out);
                 self.charge_tuples(ctx, (end - self.idx) as u64);
                 self.idx = end;
                 self.idx < limit
@@ -440,7 +449,8 @@ impl SeqScan {
                     }
                     let page = Arc::clone(self.current.as_ref().expect("page resident"));
                     let end = (self.idx + (want - scanned)).min(page.len());
-                    emit(&page[self.idx..end], predicate, ctx, out);
+                    let rows = page.tuples()[self.idx..end].iter().map(Cow::Borrowed);
+                    emit(rows, predicate, ctx, out);
                     scanned += end - self.idx;
                     self.idx = end;
                 }

@@ -70,26 +70,43 @@ fn lookup(catalog: &Catalog, table: &str) -> Result<std::sync::Arc<StoredTable>,
         .ok_or_else(|| SqlError::Bind(format!("unknown table {table:?}")))
 }
 
-/// The mutation pass's row scan: `visit(row_id, row, ctx)` over the
-/// table's resident tuples — heap rows borrowed, paged rows decoded one
-/// at a time — charged as memory streaming over the stored bytes.
-/// Nothing is materialized; callers keep what matches.
-fn scan_rows(
+/// The mutation pass's row scan: `visit(row_id, row, ctx)` for every
+/// row `pred` accepts (every row when `None`), charged as memory
+/// streaming over the stored bytes plus the predicate's per-row op
+/// classes. Only matching rows are ever handed out as tuples: the heap
+/// filters on its columns ([`Expr::filter_sel`], charge-identical to a
+/// per-row [`Expr::eval_bool`]) a batch-sized window at a time — so
+/// the selection vector and the kernels' flag vectors stay small
+/// however large the table — and materializes the survivors; paged
+/// rows are decoded one at a time and dropped unless they match.
+fn scan_matching(
     stored: &StoredTable,
+    pred: Option<&Expr>,
     ctx: &mut ExecCtx,
     mut visit: impl FnMut(usize, &Tuple, &mut ExecCtx) -> Result<(), SqlError>,
 ) -> Result<(), SqlError> {
     match &stored.data {
         TableData::Memory(h) => {
             ctx.charge_mem_bytes(h.bytes());
-            for (row_id, row) in h.tuples().iter().enumerate() {
-                visit(row_id, row, ctx)?;
+            let window = ctx.batch_size.max(1);
+            let mut sel: Vec<u32> = Vec::with_capacity(window.min(h.len()));
+            for start in (0..h.len()).step_by(window) {
+                sel.clear();
+                sel.extend(start as u32..(start + window).min(h.len()) as u32);
+                if let Some(p) = pred {
+                    p.filter_sel(h.columns(), &mut sel, ctx);
+                }
+                for &row_id in &sel {
+                    visit(row_id as usize, &h.row(row_id as usize), ctx)?;
+                }
             }
         }
         TableData::Disk(d) => {
             ctx.charge_mem_bytes(d.avg_tuple_bytes() * d.len() as u64);
             for (row_id, row) in d.rows().enumerate() {
-                visit(row_id, &row, ctx)?;
+                if pred.is_none_or(|p| p.eval_bool(&row, ctx)) {
+                    visit(row_id, &row, ctx)?;
+                }
             }
         }
     }
@@ -226,12 +243,7 @@ fn update(catalog: &Catalog, stmt: &UpdateStmt, ctx: &mut ExecCtx) -> Result<Dml
         .map(|w| bind_expr(w, schema))
         .transpose()?;
     let mut records = Vec::new();
-    scan_rows(&stored, ctx, |row_id, row, ctx| {
-        if let Some(p) = &pred {
-            if !p.eval_bool(row, ctx) {
-                return Ok(());
-            }
-        }
+    scan_matching(&stored, pred.as_ref(), ctx, |row_id, row, ctx| {
         let mut new = row.clone();
         for (idx, expr) in &sets {
             let col = &schema.columns()[*idx];
@@ -257,10 +269,8 @@ fn delete(catalog: &Catalog, stmt: &DeleteStmt, ctx: &mut ExecCtx) -> Result<Dml
         .map(|w| bind_expr(w, stored.schema()))
         .transpose()?;
     let mut matched = Vec::new();
-    scan_rows(&stored, ctx, |row_id, row, ctx| {
-        if pred.as_ref().is_none_or(|p| p.eval_bool(row, ctx)) {
-            matched.push(row_id);
-        }
+    scan_matching(&stored, pred.as_ref(), ctx, |row_id, _, _| {
+        matched.push(row_id);
         Ok(())
     })?;
     // Descending order: each removal leaves earlier row ids stable.
@@ -377,6 +387,45 @@ mod tests {
         assert_eq!(out.affected, 10);
         let (out, _) = run(&cat, "UPDATE td SET flag = 'X'").expect("update all");
         assert_eq!(out.affected, 10);
+    }
+
+    #[test]
+    fn heap_bind_filters_on_columns_with_the_row_paths_charges() {
+        // The heap evaluates the predicate on its columns and the paged
+        // table per decoded row; both must emit the same records and
+        // charge the same op classes (short-circuit included: the
+        // second conjunct runs only where the first held).
+        let cat = catalog();
+        for sql in [
+            "UPDATE {} SET k = k * 2 WHERE k >= 3 AND s < 'row-7'",
+            "DELETE FROM {} WHERE k IN (2, 5, 7) OR s = 'row-9'",
+            "UPDATE {} SET s = 'all'",
+        ] {
+            let (mem, mem_ctx) = run(&cat, &sql.replace("{}", "t")).expect("memory");
+            let (disk, disk_ctx) = run(&cat, &sql.replace("{}", "td")).expect("disk");
+            assert_eq!(mem.affected, disk.affected, "{sql}");
+            let retarget = |r: &WalRecord| match r.clone() {
+                WalRecord::Update { row, tuple, .. } => (row, Some(tuple)),
+                WalRecord::Delete { row, .. } => (row, None),
+                other => panic!("unexpected {other:?}"),
+            };
+            assert_eq!(
+                mem.records.iter().map(retarget).collect::<Vec<_>>(),
+                disk.records.iter().map(retarget).collect::<Vec<_>>(),
+                "{sql}"
+            );
+            assert_eq!(mem_ctx.cpu, disk_ctx.cpu, "{sql}");
+            assert_eq!(mem_ctx.pred_evals, disk_ctx.pred_evals, "{sql}");
+        }
+        // A window smaller than the table changes nothing.
+        let stmt = parse_statement("DELETE FROM t WHERE k >= 4").expect("parse");
+        let mut whole = ExecCtx::new();
+        let mut windowed = ExecCtx::new().with_batch_size(3);
+        let a = execute_dml(&cat, &stmt, &mut whole).expect("whole");
+        let b = execute_dml(&cat, &stmt, &mut windowed).expect("windowed");
+        assert_eq!(a, b);
+        assert_eq!(whole.cpu, windowed.cpu);
+        assert_eq!(whole.mem_stream_bytes, windowed.mem_stream_bytes);
     }
 
     #[test]

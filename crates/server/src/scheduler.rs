@@ -386,7 +386,7 @@ impl<'a> EcoServer<'a> {
             .db
             .try_trace_merged_selection_cores(queries, cfg.short_circuit, cfg.workers)
         {
-            Ok((split, core_traces)) => {
+            Ok((mut split, core_traces)) => {
                 state.consecutive_io = 0;
                 if d.dispatch_s > state.now {
                     run.idle(d.dispatch_s - state.now);
@@ -398,15 +398,29 @@ impl<'a> EcoServer<'a> {
                 let totals = LedgerTotals::from_traces(&core_traces);
                 state.ledger.merge(&totals);
                 let k = d.members.len();
+                // Members that deduplicated onto one predicate share a
+                // result set: the last of them takes it, the ones
+                // before get copies.
+                let mut readers_left = vec![0usize; split.len()];
+                for member in &d.members {
+                    readers_left[member.query_index] += 1;
+                }
                 for (i, member) in d.members.iter().enumerate() {
                     state
                         .session_ledgers
                         .entry(member.session)
                         .or_default()
                         .merge(&totals.exact_share(i, k));
+                    let q = member.query_index;
+                    readers_left[q] -= 1;
+                    let rows = if readers_left[q] == 0 {
+                        std::mem::take(&mut split[q])
+                    } else {
+                        split[q].clone()
+                    };
                     state.outcomes[member.request] = Some(SessionOutcome::Completed {
                         session: member.session,
-                        rows: split[member.query_index].clone(),
+                        rows,
                         arrival_s: member.arrival_s,
                         dispatch_s: d.dispatch_s,
                         response_s: state.now - member.arrival_s,
@@ -564,7 +578,7 @@ impl<'a> EcoServer<'a> {
                 let totals = LedgerTotals::from_traces(&core_traces);
                 state.ledger.merge(&totals);
                 let k = members.len();
-                for (i, member) in members.iter().enumerate() {
+                for (i, member) in members.into_iter().enumerate() {
                     state
                         .session_ledgers
                         .entry(member.session)
@@ -572,7 +586,7 @@ impl<'a> EcoServer<'a> {
                         .merge(&totals.exact_share(i, k));
                     state.outcomes[member.request] = Some(SessionOutcome::Completed {
                         session: member.session,
-                        rows: member.rows.clone(),
+                        rows: member.rows,
                         arrival_s: member.arrival_s,
                         dispatch_s: member.dispatch_s,
                         response_s: state.now - member.arrival_s,

@@ -68,7 +68,7 @@ use std::sync::Arc;
 use eco_simhw::fault::{FaultPlan, PageFault, BACKOFF_BASE_NS, MAX_READ_RETRIES};
 use eco_simhw::trace::DiskWork;
 
-use crate::bufferpool::{BufferPool, PageId};
+use crate::bufferpool::{BufferPool, PageFrame, PageId};
 use crate::disk_table::IoError;
 use crate::page::{serialize_pair, Page, PAGE_SIZE};
 use crate::value::{ColumnType, Tuple, Value};
@@ -349,14 +349,15 @@ impl BTreeIndex {
         // Descend from the root to the first leaf that can hold `lo`.
         let mut page_no = self.pages.len() - 1;
         loop {
-            let node = self.read_node(page_no, &mut probe)?;
+            let frame = self.read_node(page_no, &mut probe)?;
             if page_no < self.leaf_count {
                 break;
             }
+            let node = frame.tuples();
             // Largest child whose separator is strictly below the lower
             // bound — duplicates of `lo` may start in that child.
             let pos = match lo.value() {
-                Some(v) => lower_bound(&node, v, &mut probe.node_searches).saturating_sub(1),
+                Some(v) => lower_bound(node, v, &mut probe.node_searches).saturating_sub(1),
                 None => 0,
             };
             page_no = match node[pos][1].as_int() {
@@ -372,9 +373,10 @@ impl BTreeIndex {
 
         // Walk leaves rightward from the lower bound.
         let mut leaf = page_no;
-        let mut entries = self.read_node(leaf, &mut probe)?;
+        let mut frame = self.read_node(leaf, &mut probe)?;
+        let mut entries = frame.tuples();
         let mut idx = match lo.value() {
-            Some(v) => lower_bound(&entries, v, &mut probe.node_searches),
+            Some(v) => lower_bound(entries, v, &mut probe.node_searches),
             None => 0,
         };
         loop {
@@ -383,7 +385,8 @@ impl BTreeIndex {
                 if leaf >= self.leaf_count {
                     break;
                 }
-                entries = self.read_node(leaf, &mut probe)?;
+                frame = self.read_node(leaf, &mut probe)?;
+                entries = frame.tuples();
                 idx = 0;
                 continue;
             }
@@ -431,18 +434,17 @@ impl BTreeIndex {
 
     /// Read one node through the buffer pool on the index charge path,
     /// merging this access's I/O and backoff into `probe`.
-    fn read_node(&self, page_no: usize, probe: &mut IndexProbe) -> Result<Vec<Tuple>, IoError> {
+    fn read_node(&self, page_no: usize, probe: &mut IndexProbe) -> Result<Arc<PageFrame>, IoError> {
         let id = PageId {
             table: self.index_id,
             page: page_no as u32,
         };
-        let (tuples, io, backoff_ns) =
-            self.pool.get_index_checked(id, |plan, io, backoff_ns| {
-                self.load_node_verified(page_no, plan, io, backoff_ns)
-            })?;
+        let (frame, io, backoff_ns) = self.pool.get_index_checked(id, |plan, io, backoff_ns| {
+            self.load_node_verified(page_no, plan, io, backoff_ns)
+        })?;
         probe.io.merge(&io);
         probe.backoff_ns += backoff_ns;
-        Ok(Arc::unwrap_or_clone(tuples))
+        Ok(frame)
     }
 
     /// Miss-path attempt loop — the index twin of
@@ -456,7 +458,7 @@ impl BTreeIndex {
         plan: FaultPlan,
         io: &mut DiskWork,
         backoff_ns: &mut u64,
-    ) -> Result<Arc<Vec<Tuple>>, IoError> {
+    ) -> Result<Arc<PageFrame>, IoError> {
         let fault = plan.fault_for(self.index_id, page_no as u64);
         let mut injected_failures = match fault {
             Some(PageFault::Transient { failures }) => failures,
@@ -474,7 +476,7 @@ impl BTreeIndex {
             }
             let page = &self.pages[page_no];
             if !injected && page.checksum() == self.checksums[page_no] {
-                return Ok(Arc::new(page.all_tuples()));
+                return Ok(Arc::new(PageFrame::new(page.clone())));
             }
             if attempt < MAX_READ_RETRIES {
                 io.retry_ios += 1;

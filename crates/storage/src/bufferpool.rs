@@ -9,15 +9,23 @@
 //! *warm re-read interval* models the residual disk traffic the paper
 //! observed on warm runs ("the hard disk drive had significant activity
 //! even though the database was warm").
+//!
+//! A resident page is a [`PageFrame`]: the page image the miss path
+//! read (and, on the checked paths, verified), with its tuples decoded
+//! on the first row read. Everything priced happens on the miss —
+//! fault lookup, checksum, retries, classification, LRU stamp — so a
+//! reader that only needs the access charged (a columnar scan, whose
+//! data comes from the extent chunks) never pays for a decode, and one
+//! that needs rows pays for it once per residency.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use eco_simhw::fault::FaultPlan;
 use eco_simhw::trace::DiskWork;
 use parking_lot::Mutex;
 
-use crate::page::PAGE_SIZE;
+use crate::page::{Page, PAGE_SIZE};
 use crate::value::Tuple;
 
 /// Pages per on-disk extent: sequential streaming is only possible
@@ -46,8 +54,41 @@ pub struct PoolStats {
     pub evictions: u64,
 }
 
+/// A resident page: its image plus the tuples on it, decoded on the
+/// first [`PageFrame::tuples`] call and kept for the residency.
+#[derive(Debug)]
+pub struct PageFrame {
+    page: Page,
+    tuples: OnceLock<Vec<Tuple>>,
+}
+
+impl PageFrame {
+    /// Frame over a page image (shared with the table, not copied).
+    pub fn new(page: Page) -> Self {
+        Self {
+            page,
+            tuples: OnceLock::new(),
+        }
+    }
+
+    /// Number of tuples on the page (read off the header; no decode).
+    pub fn len(&self) -> usize {
+        self.page.len()
+    }
+
+    /// True when the page holds no tuples.
+    pub fn is_empty(&self) -> bool {
+        self.page.is_empty()
+    }
+
+    /// The page's tuples in slot order.
+    pub fn tuples(&self) -> &[Tuple] {
+        self.tuples.get_or_init(|| self.page.all_tuples())
+    }
+}
+
 struct Frame {
-    tuples: Arc<Vec<Tuple>>,
+    page: Arc<PageFrame>,
     stamp: u64,
 }
 
@@ -125,15 +166,15 @@ impl BufferPool {
     /// Fetch a page, loading (and charging I/O to the pool's internal
     /// ledger) on miss via `load`. Uses the [`DEFAULT_STREAM`] scan
     /// cursor; the executor drains the charges with [`Self::take_io`].
-    pub fn get<F>(&self, id: PageId, load: F) -> Arc<Vec<Tuple>>
+    pub fn get<F>(&self, id: PageId, load: F) -> Arc<PageFrame>
     where
-        F: FnOnce() -> Arc<Vec<Tuple>>,
+        F: FnOnce() -> Arc<PageFrame>,
     {
-        let (tuples, io) = self.get_inner(id, DEFAULT_STREAM, load);
+        let (page, io) = self.get_inner(id, DEFAULT_STREAM, load);
         if !io.is_empty() {
             self.inner.lock().io.merge(&io);
         }
-        tuples
+        page
     }
 
     /// Fetch a page on a private scan stream, returning the I/O charged
@@ -145,9 +186,9 @@ impl BufferPool {
     /// (b) each worker attributes exactly its own I/O to its own energy
     /// ledger, keeping the merged parallel ledger identical to serial
     /// execution.
-    pub fn get_stream<F>(&self, id: PageId, stream: u64, load: F) -> (Arc<Vec<Tuple>>, DiskWork)
+    pub fn get_stream<F>(&self, id: PageId, stream: u64, load: F) -> (Arc<PageFrame>, DiskWork)
     where
-        F: FnOnce() -> Arc<Vec<Tuple>>,
+        F: FnOnce() -> Arc<PageFrame>,
     {
         self.get_inner(id, stream, load)
     }
@@ -160,15 +201,15 @@ impl BufferPool {
     /// the charges land in the pool ledger and the access's backoff is
     /// returned. On failure nothing is cached and the charges are
     /// discarded with the failed attempt.
-    pub fn get_checked<F, E>(&self, id: PageId, load: F) -> Result<(Arc<Vec<Tuple>>, u64), E>
+    pub fn get_checked<F, E>(&self, id: PageId, load: F) -> Result<(Arc<PageFrame>, u64), E>
     where
-        F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<Vec<Tuple>>, E>,
+        F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
     {
-        let (tuples, io, backoff_ns) = self.get_inner_checked(id, Some(DEFAULT_STREAM), load)?;
+        let (page, io, backoff_ns) = self.get_inner_checked(id, Some(DEFAULT_STREAM), load)?;
         if !io.is_empty() {
             self.inner.lock().io.merge(&io);
         }
-        Ok((tuples, backoff_ns))
+        Ok((page, backoff_ns))
     }
 
     /// Checked twin of [`Self::get_stream`]: like [`Self::get_checked`]
@@ -179,9 +220,9 @@ impl BufferPool {
         id: PageId,
         stream: u64,
         load: F,
-    ) -> Result<(Arc<Vec<Tuple>>, DiskWork, u64), E>
+    ) -> Result<(Arc<PageFrame>, DiskWork, u64), E>
     where
-        F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<Vec<Tuple>>, E>,
+        F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
     {
         self.get_inner_checked(id, Some(stream), load)
     }
@@ -200,21 +241,21 @@ impl BufferPool {
         &self,
         id: PageId,
         load: F,
-    ) -> Result<(Arc<Vec<Tuple>>, DiskWork, u64), E>
+    ) -> Result<(Arc<PageFrame>, DiskWork, u64), E>
     where
-        F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<Vec<Tuple>>, E>,
+        F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
     {
         self.get_inner_checked(id, None, load)
     }
 
-    fn get_inner<F>(&self, id: PageId, stream: u64, load: F) -> (Arc<Vec<Tuple>>, DiskWork)
+    fn get_inner<F>(&self, id: PageId, stream: u64, load: F) -> (Arc<PageFrame>, DiskWork)
     where
-        F: FnOnce() -> Arc<Vec<Tuple>>,
+        F: FnOnce() -> Arc<PageFrame>,
     {
         let r: Result<_, std::convert::Infallible> =
             self.get_inner_checked(id, Some(stream), |_, _, _| Ok(load()));
         match r {
-            Ok((tuples, io, _)) => (tuples, io),
+            Ok((page, io, _)) => (page, io),
             Err(e) => match e {},
         }
     }
@@ -227,9 +268,9 @@ impl BufferPool {
         id: PageId,
         stream: Option<u64>,
         load: F,
-    ) -> Result<(Arc<Vec<Tuple>>, DiskWork, u64), E>
+    ) -> Result<(Arc<PageFrame>, DiskWork, u64), E>
     where
-        F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<Vec<Tuple>>, E>,
+        F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
     {
         let mut io = DiskWork::none();
         let mut backoff_ns = 0u64;
@@ -240,7 +281,7 @@ impl BufferPool {
         if let Some(frame) = g.frames.get_mut(&id) {
             let old = frame.stamp;
             frame.stamp = stamp;
-            let tuples = Arc::clone(&frame.tuples);
+            let page = Arc::clone(&frame.page);
             g.by_stamp.remove(&old);
             g.by_stamp.insert(stamp, id);
             g.stats.hits += 1;
@@ -251,7 +292,7 @@ impl BufferPool {
                     io.random_bytes += PAGE_SIZE as u64;
                 }
             }
-            return Ok((tuples, io, 0));
+            return Ok((page, io, 0));
         }
 
         // Miss: charge I/O. Consecutive page numbers within a table
@@ -286,7 +327,7 @@ impl BufferPool {
         g.stats.misses += 1;
 
         let plan = g.fault_plan;
-        let tuples = load(plan, &mut io, &mut backoff_ns)?;
+        let page = load(plan, &mut io, &mut backoff_ns)?;
         if g.capacity > 0 {
             while g.frames.len() >= g.capacity {
                 // frames non-empty implies a stamp entry exists.
@@ -300,14 +341,14 @@ impl BufferPool {
             g.frames.insert(
                 id,
                 Frame {
-                    tuples: Arc::clone(&tuples),
+                    page: Arc::clone(&page),
                     stamp,
                 },
             );
             g.by_stamp.insert(stamp, id);
         }
         g.stats.resident = g.frames.len();
-        Ok((tuples, io, backoff_ns))
+        Ok((page, io, backoff_ns))
     }
 
     /// Drain the accumulated I/O ledger (the executor moves it into the
@@ -393,8 +434,10 @@ mod tests {
     use super::*;
     use crate::value::Value;
 
-    fn page_data(n: i64) -> Arc<Vec<Tuple>> {
-        Arc::new(vec![vec![Value::Int(n)]])
+    fn page_data(n: i64) -> Arc<PageFrame> {
+        let mut page = Page::new();
+        assert!(page.insert(&vec![Value::Int(n)]));
+        Arc::new(PageFrame::new(page))
     }
 
     fn id(table: u32, page: u32) -> PageId {
@@ -409,6 +452,15 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
+    }
+
+    #[test]
+    fn frame_decodes_on_first_row_read_and_keeps_the_rows() {
+        let frame = page_data(7);
+        assert_eq!(frame.len(), 1);
+        assert!(frame.tuples.get().is_none(), "len() reads the header only");
+        assert_eq!(frame.tuples(), &[vec![Value::Int(7)]]);
+        assert!(std::ptr::eq(frame.tuples(), frame.tuples()), "decoded once");
     }
 
     #[test]
@@ -523,7 +575,7 @@ mod tests {
     #[test]
     fn checked_read_error_leaves_nothing_cached() {
         let pool = BufferPool::new(8);
-        let r: Result<(Arc<Vec<Tuple>>, u64), &str> =
+        let r: Result<(Arc<PageFrame>, u64), &str> =
             pool.get_checked(id(1, 0), |_, io, backoff| {
                 io.retry_ios += 3;
                 io.retry_bytes += 3 * PAGE_SIZE as u64;

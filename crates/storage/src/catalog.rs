@@ -168,8 +168,13 @@ impl Catalog {
         self.insert(name, TableData::Memory(table));
     }
 
-    /// Register a disk-engine table built from `tuples`.
-    pub fn add_disk_table(&mut self, name: &str, schema: Schema, tuples: &[crate::value::Tuple]) {
+    /// Register a disk-engine table built from `tuples` (a slice or a
+    /// stream — see [`DiskTable::load`]).
+    pub fn add_disk_table<I>(&mut self, name: &str, schema: Schema, tuples: I)
+    where
+        I: IntoIterator,
+        I::Item: std::borrow::Borrow<Tuple>,
+    {
         let id = self.next_table_id;
         self.next_table_id += 1;
         let table = DiskTable::load(id, schema, tuples, Arc::clone(&self.pool));
@@ -223,7 +228,7 @@ impl Catalog {
     /// fails only its own transaction.
     ///
     /// Host cost follows what changes, not the table: the memory
-    /// engine edits its tuple vector, the disk engine repacks from the
+    /// engine edits its column vectors, the disk engine repacks from the
     /// touched page until the old page boundaries re-align
     /// ([`crate::disk_table`]) and patches each index's entries,
     /// re-emitting nodes from the first changed leaf ([`crate::btree`])
@@ -479,7 +484,10 @@ mod tests {
         let TableData::Memory(h) = &m.data else {
             panic!("m is memory");
         };
-        assert_eq!(h.tuples(), &[vec![Value::Int(10)], vec![Value::Int(3)]]);
+        assert_eq!(
+            h.rows().collect::<Vec<_>>(),
+            [vec![Value::Int(10)], vec![Value::Int(3)]]
+        );
         // …and the rebuilt disk table reads back the same rows.
         let d = c.expect("d");
         let TableData::Disk(t) = &d.data else {
@@ -600,7 +608,7 @@ mod tests {
             panic!("disk")
         };
         let last = t.read_page(t.num_pages() - 1);
-        assert_eq!(last.last(), Some(&vec![Value::Int(9999)]));
+        assert_eq!(last.tuples().last(), Some(&vec![Value::Int(9999)]));
     }
 
     #[test]

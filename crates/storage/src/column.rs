@@ -8,13 +8,15 @@
 //! run over `&[i64]` / `&[i32]` slices with no per-value enum dispatch
 //! and no per-row allocation.
 //!
-//! Chunks are *mirrors*, not a second source of truth: they are built
-//! from the same tuples the row engines store, and
-//! [`DataChunk::row`] materializes back the exact `Tuple` the row path
-//! would have produced. The energy ledger never charges for building a
-//! mirror — the columnar executor charges the same per-tuple op classes
-//! as the row executor (see `eco-query::ops` docs), which is what keeps
-//! scalar/batch/columnar ledgers bit-identical.
+//! On the memory engine the chunk *is* the table ([`crate::heap`]
+//! mutates it in place through [`DataChunk::push_row`] /
+//! [`DataChunk::set_row`] / [`DataChunk::remove_row`]); on the disk
+//! engine chunks mirror the pages, one per extent. Either way
+//! [`DataChunk::row`] materializes the exact `Tuple` the row path
+//! produces, and the energy ledger never charges for the
+//! representation — the columnar executor charges the same per-tuple op
+//! classes as the row executor (see `eco-query::ops` docs), which is
+//! what keeps scalar/batch/columnar ledgers bit-identical.
 //!
 //! Validity masks exist for forward compatibility with NULL-bearing
 //! sources: no TPC-H loader produces NULLs, so end-to-end executions
@@ -94,6 +96,42 @@ impl ColumnData {
             (ColumnData::Char(c), Value::Char(x)) => c.push(*x),
             (ColumnData::Bool(c), Value::Bool(x)) => c.push(*x),
             (c, v) => panic!("cannot push {v:?} into a {:?} column", c.column_type()),
+        }
+    }
+
+    /// Append one `Value`, taking it (a string moves in — no reference
+    /// count is touched); panics on a type mismatch.
+    pub fn push_value(&mut self, v: Value) {
+        match (self, v) {
+            (ColumnData::Int(c), Value::Int(x)) => c.push(x),
+            (ColumnData::Str(c), Value::Str(x)) => c.push(x),
+            (ColumnData::Date(c), Value::Date(x)) => c.push(x),
+            (ColumnData::Char(c), Value::Char(x)) => c.push(x),
+            (ColumnData::Bool(c), Value::Bool(x)) => c.push(x),
+            (c, v) => panic!("cannot push {v:?} into a {:?} column", c.column_type()),
+        }
+    }
+
+    /// Overwrite the value at `i`; panics on a type mismatch.
+    pub fn set(&mut self, i: usize, v: &Value) {
+        match (self, v) {
+            (ColumnData::Int(c), Value::Int(x)) => c[i] = *x,
+            (ColumnData::Str(c), Value::Str(x)) => c[i] = Arc::clone(x),
+            (ColumnData::Date(c), Value::Date(x)) => c[i] = *x,
+            (ColumnData::Char(c), Value::Char(x)) => c[i] = *x,
+            (ColumnData::Bool(c), Value::Bool(x)) => c[i] = *x,
+            (c, v) => panic!("cannot store {v:?} in a {:?} column", c.column_type()),
+        }
+    }
+
+    /// Remove the value at `i`, shifting later values down by one.
+    pub fn remove(&mut self, i: usize) -> Value {
+        match self {
+            ColumnData::Int(v) => Value::Int(v.remove(i)),
+            ColumnData::Str(v) => Value::Str(v.remove(i)),
+            ColumnData::Date(v) => Value::Date(v.remove(i)),
+            ColumnData::Char(v) => Value::Char(v.remove(i)),
+            ColumnData::Bool(v) => Value::Bool(v.remove(i)),
         }
     }
 
@@ -240,24 +278,71 @@ impl DataChunk {
         Self { columns, len }
     }
 
-    /// Decompose row tuples into a chunk, using `schema` for the column
-    /// types (required so empty runs still carry typed columns).
-    pub fn from_rows(schema: &Schema, rows: &[Tuple]) -> Self {
-        let mut cols: Vec<ColumnData> = schema
+    /// An empty chunk with `schema`'s column types (so empty runs still
+    /// carry typed columns) and room for `rows` rows.
+    pub fn with_capacity(schema: &Schema, rows: usize) -> Self {
+        let columns = schema
             .columns()
             .iter()
-            .map(|c| ColumnData::with_capacity(c.ty, rows.len()))
+            .map(|c| ColumnChunk::new(ColumnData::with_capacity(c.ty, rows)))
             .collect();
+        Self { columns, len: 0 }
+    }
+
+    /// Decompose row tuples into a chunk with `schema`'s column types.
+    pub fn from_rows(schema: &Schema, rows: &[Tuple]) -> Self {
+        let mut chunk = Self::with_capacity(schema, rows.len());
         for row in rows {
-            assert_eq!(row.len(), cols.len(), "row arity mismatch");
-            for (col, v) in cols.iter_mut().zip(row) {
-                col.push(v);
+            assert_eq!(row.len(), chunk.columns.len(), "row arity mismatch");
+            for (col, v) in chunk.columns.iter_mut().zip(row) {
+                col.data.push(v);
             }
         }
-        Self {
-            columns: cols.into_iter().map(ColumnChunk::new).collect(),
-            len: rows.len(),
+        chunk.len = rows.len();
+        chunk
+    }
+
+    /// Append one row, taking its values (the bulk-load path: nothing
+    /// is cloned); panics on an arity or type mismatch. The three row
+    /// mutators keep a validity mask, where a column has one, in step
+    /// (a stored value is valid).
+    pub fn push_row(&mut self, row: Tuple) {
+        assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
+        for (col, v) in self.columns.iter_mut().zip(row) {
+            col.data.push_value(v);
+            if let Some(mask) = &mut col.validity {
+                mask.push(true);
+            }
         }
+        self.len += 1;
+    }
+
+    /// Overwrite row `i`; panics on an out-of-range row or an arity or
+    /// type mismatch.
+    pub fn set_row(&mut self, i: usize, row: &Tuple) {
+        assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
+        for (col, v) in self.columns.iter_mut().zip(row) {
+            col.data.set(i, v);
+            if let Some(mask) = &mut col.validity {
+                mask[i] = true;
+            }
+        }
+    }
+
+    /// Remove row `i`, shifting later rows down by one, and return it.
+    /// Panics on an out-of-range row.
+    pub fn remove_row(&mut self, i: usize) -> Tuple {
+        assert!(i < self.len, "row {i} out of range {}", self.len);
+        self.len -= 1;
+        self.columns
+            .iter_mut()
+            .map(|col| {
+                if let Some(mask) = &mut col.validity {
+                    mask.remove(i);
+                }
+                col.data.remove(i)
+            })
+            .collect()
     }
 
     /// Number of rows.
@@ -340,6 +425,32 @@ mod tests {
         assert!(chunk.is_empty());
         assert_eq!(chunk.arity(), 4);
         assert_eq!(chunk.column(1).data.column_type(), T::Str);
+    }
+
+    #[test]
+    fn row_mutators_track_a_row_model_and_the_validity_mask() {
+        let mut model = rows();
+        let mut chunk = DataChunk::from_rows(&schema(), &model);
+        chunk.columns[0].validity = Some(vec![true, false, true, true, true]);
+        let new = |k: i64| {
+            vec![
+                Value::Int(k),
+                Value::str("n"),
+                Value::Date(7),
+                Value::Char('z'),
+            ]
+        };
+        chunk.set_row(1, &new(10));
+        model[1] = new(10);
+        assert!(chunk.column(0).is_valid(1), "a stored value is valid");
+        assert_eq!(chunk.remove_row(0), model.remove(0));
+        chunk.push_row(new(11));
+        model.push(new(11));
+        assert_eq!(chunk.len(), model.len());
+        for (i, r) in model.iter().enumerate() {
+            assert_eq!(&chunk.row(i), r, "row {i}");
+        }
+        assert_eq!(chunk.column(0).validity.as_ref().map(Vec::len), Some(5));
     }
 
     #[test]

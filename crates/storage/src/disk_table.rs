@@ -3,10 +3,13 @@
 //!
 //! Tuples are packed into 8 KB slotted pages at load time; reads go
 //! through the shared [`BufferPool`], which charges simulated I/O on
-//! misses. Pages decode to tuple vectors once per residency and are
-//! shared via `Arc` (the decode cost is charged by the executor as
-//! tuple-fetch work, same as the memory engine — the engines differ in
-//! I/O, not in tuple-access accounting).
+//! misses. A resident page decodes to a tuple vector at most once per
+//! residency — on its first row read ([`PageFrame::tuples`]); a
+//! columnar scan, which takes its data from the extent chunks, drives
+//! every page through the same checked miss path and never decodes one
+//! (the decode cost is charged by the executor as tuple-fetch work,
+//! same as the memory engine — the engines differ in I/O, not in
+//! tuple-access accounting).
 //!
 //! # Single-row mutations: repack until realign
 //!
@@ -29,12 +32,13 @@
 //! tell an incrementally maintained table from a reloaded one
 //! (`tests/prop_incremental_apply.rs`).
 
+use std::borrow::Borrow;
 use std::sync::{Arc, OnceLock};
 
 use eco_simhw::fault::{FaultPlan, PageFault, BACKOFF_BASE_NS, MAX_READ_RETRIES};
 use eco_simhw::trace::DiskWork;
 
-use crate::bufferpool::{BufferPool, PageId, EXTENT_PAGES};
+use crate::bufferpool::{BufferPool, PageFrame, PageId, EXTENT_PAGES};
 use crate::column::DataChunk;
 use crate::encode::EncodedChunk;
 use crate::page::{serialize_tuple, Page, PAGE_SIZE};
@@ -225,17 +229,25 @@ pub struct DiskTable {
 }
 
 impl DiskTable {
-    /// Pack `tuples` into pages and register with the pool.
-    /// Panics if any tuple fails the schema or exceeds a page.
-    pub fn load(table_id: u32, schema: Schema, tuples: &[Tuple], pool: Arc<BufferPool>) -> Self {
+    /// Pack `tuples` — a slice, or any stream of owned or borrowed
+    /// tuples, consumed one at a time — into pages and register with
+    /// the pool. Panics if any tuple fails the schema or exceeds a page.
+    pub fn load<I>(table_id: u32, schema: Schema, tuples: I, pool: Arc<BufferPool>) -> Self
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Tuple>,
+    {
         let mut packer = Packer::default();
+        let mut num_tuples = 0;
         for t in tuples {
+            let t = t.borrow();
             assert!(
                 schema.check(t),
                 "tuple does not match schema {:?}",
                 schema.names()
             );
             packer.push(&serialize_tuple(t));
+            num_tuples += 1;
         }
         let pages = packer.finish();
         let checksums = pages.iter().map(Page::checksum).collect();
@@ -244,7 +256,7 @@ impl DiskTable {
             schema,
             pages,
             checksums,
-            num_tuples: tuples.len(),
+            num_tuples,
             pool,
             columnar: OnceLock::new(),
             row_offsets: OnceLock::new(),
@@ -328,7 +340,7 @@ impl DiskTable {
         let sums: Vec<u64> = rebuilt.iter().map(Page::checksum).collect();
         self.checksums.splice(first..end, sums);
         self.pages.splice(first..end, rebuilt);
-        // The mirrors no longer match; rebuild on next use.
+        // The columnar copy no longer matches; rebuild on next use.
         self.columnar.take();
         self.row_offsets.take();
     }
@@ -346,11 +358,14 @@ impl DiskTable {
             let extent = EXTENT_PAGES as usize;
             let mut extents = Vec::with_capacity(self.pages.len().div_ceil(extent));
             for chunk_pages in self.pages.chunks(extent) {
-                let mut rows = Vec::new();
+                let rows = chunk_pages.iter().map(Page::len).sum();
+                let mut chunk = DataChunk::with_capacity(&self.schema, rows);
                 for p in chunk_pages {
-                    rows.extend(p.all_tuples());
+                    for slot in 0..p.len() {
+                        chunk.push_row(p.get(slot));
+                    }
                 }
-                extents.push(Arc::new(DataChunk::from_rows(&self.schema, &rows)));
+                extents.push(Arc::new(chunk));
             }
             let encoded = (0..extents.len()).map(|_| OnceLock::new()).collect();
             ColumnarExtents {
@@ -449,15 +464,20 @@ impl DiskTable {
         self.checksums[page_no]
     }
 
+    /// A frame over page `page_no`'s image: shares the image, decodes
+    /// nothing until a row reader asks.
+    fn frame(&self, page_no: usize) -> Arc<PageFrame> {
+        Arc::new(PageFrame::new(self.pages[page_no].clone()))
+    }
+
     /// Read one page through the buffer pool (charging I/O on a miss).
-    pub fn read_page(&self, page_no: usize) -> Arc<Vec<Tuple>> {
+    pub fn read_page(&self, page_no: usize) -> Arc<PageFrame> {
         assert!(page_no < self.pages.len(), "page {page_no} out of range");
         let id = PageId {
             table: self.table_id,
             page: page_no as u32,
         };
-        self.pool
-            .get(id, || Arc::new(self.pages[page_no].all_tuples()))
+        self.pool.get(id, || self.frame(page_no))
     }
 
     /// Read one page on a private scan stream (see
@@ -467,14 +487,13 @@ impl DiskTable {
         &self,
         page_no: usize,
         stream: u64,
-    ) -> (Arc<Vec<Tuple>>, eco_simhw::trace::DiskWork) {
+    ) -> (Arc<PageFrame>, eco_simhw::trace::DiskWork) {
         assert!(page_no < self.pages.len(), "page {page_no} out of range");
         let id = PageId {
             table: self.table_id,
             page: page_no as u32,
         };
-        self.pool
-            .get_stream(id, stream, || Arc::new(self.pages[page_no].all_tuples()))
+        self.pool.get_stream(id, stream, || self.frame(page_no))
     }
 
     /// Checked twin of [`Self::read_page`]: verifies the page's
@@ -485,7 +504,7 @@ impl DiskTable {
     /// access's backoff idle time in nanoseconds (zero unless a fault
     /// fired). Fault-free checked reads are charge-identical to
     /// unchecked reads.
-    pub fn read_page_checked(&self, page_no: usize) -> Result<(Arc<Vec<Tuple>>, u64), IoError> {
+    pub fn read_page_checked(&self, page_no: usize) -> Result<(Arc<PageFrame>, u64), IoError> {
         assert!(page_no < self.pages.len(), "page {page_no} out of range");
         let id = PageId {
             table: self.table_id,
@@ -526,7 +545,7 @@ impl DiskTable {
     pub fn read_page_index_checked(
         &self,
         page_no: usize,
-    ) -> Result<(Arc<Vec<Tuple>>, DiskWork, u64), IoError> {
+    ) -> Result<(Arc<PageFrame>, DiskWork, u64), IoError> {
         assert!(page_no < self.pages.len(), "page {page_no} out of range");
         let id = PageId {
             table: self.table_id,
@@ -544,7 +563,7 @@ impl DiskTable {
         &self,
         page_no: usize,
         stream: u64,
-    ) -> Result<(Arc<Vec<Tuple>>, DiskWork, u64), IoError> {
+    ) -> Result<(Arc<PageFrame>, DiskWork, u64), IoError> {
         assert!(page_no < self.pages.len(), "page {page_no} out of range");
         let id = PageId {
             table: self.table_id,
@@ -558,7 +577,8 @@ impl DiskTable {
 
     /// The miss-path attempt loop: read the page image, verify its
     /// checksum, and retry on failure (injected or genuine) up to
-    /// [`MAX_READ_RETRIES`] times with exponential backoff.
+    /// [`MAX_READ_RETRIES`] times with exponential backoff. The frame
+    /// it hands the pool holds the verified image undecoded.
     ///
     /// Accounting: the *initial* read is already charged by the buffer
     /// pool's miss classification (sequential or random). Each failed
@@ -574,7 +594,7 @@ impl DiskTable {
         plan: FaultPlan,
         io: &mut DiskWork,
         backoff_ns: &mut u64,
-    ) -> Result<Arc<Vec<Tuple>>, IoError> {
+    ) -> Result<Arc<PageFrame>, IoError> {
         let fault = plan.fault_for(self.table_id, page_no as u64);
         let mut injected_failures = match fault {
             Some(PageFault::Transient { failures }) => failures,
@@ -592,7 +612,7 @@ impl DiskTable {
             }
             let page = &self.pages[page_no];
             if !injected && page.checksum() == self.checksums[page_no] {
-                return Ok(Arc::new(page.all_tuples()));
+                return Ok(self.frame(page_no));
             }
             if attempt < MAX_READ_RETRIES {
                 // Re-read: reposition + burst the block again, after an
@@ -669,7 +689,7 @@ mod tests {
         // Read everything back in order.
         let mut seen = 0usize;
         for p in 0..t.num_pages() {
-            for tup in t.read_page(p).iter() {
+            for tup in t.read_page(p).tuples() {
                 assert_eq!(tup[0], Value::Int(seen as i64));
                 seen += 1;
             }
@@ -680,7 +700,7 @@ mod tests {
     #[test]
     fn full_scan_charges_mostly_sequential_io() {
         let pool = Arc::new(BufferPool::new(256));
-        let t = DiskTable::load(1, schema(), &tuples(2000), Arc::clone(&pool));
+        let t = DiskTable::load(1, schema(), tuples(2000), Arc::clone(&pool));
         pool.take_io();
         for p in 0..t.num_pages() {
             t.read_page(p);
@@ -700,7 +720,7 @@ mod tests {
     #[test]
     fn warm_scan_is_io_free() {
         let pool = Arc::new(BufferPool::new(256));
-        let t = DiskTable::load(1, schema(), &tuples(2000), Arc::clone(&pool));
+        let t = DiskTable::load(1, schema(), tuples(2000), Arc::clone(&pool));
         for p in 0..t.num_pages() {
             t.read_page(p);
         }
@@ -716,7 +736,7 @@ mod tests {
         // A pool smaller than the table forces a full re-read on the
         // second scan (the classic sequential-flooding pattern).
         let pool = Arc::new(BufferPool::new(2));
-        let t = DiskTable::load(1, schema(), &tuples(2000), Arc::clone(&pool));
+        let t = DiskTable::load(1, schema(), tuples(2000), Arc::clone(&pool));
         for p in 0..t.num_pages() {
             t.read_page(p);
         }
@@ -856,7 +876,7 @@ mod tests {
         for p in 0..a.num_pages() {
             let ta = a.read_page(p);
             let (tb, backoff) = b.read_page_checked(p).expect("fault-free read");
-            assert_eq!(*ta, *tb);
+            assert_eq!(ta.tuples(), tb.tuples());
             assert_eq!(backoff, 0, "no fault ⇒ no backoff");
         }
         let (ia, ib) = (pa.take_io(), pb.take_io());
@@ -887,7 +907,7 @@ mod tests {
     #[test]
     fn transient_fault_retries_with_exact_ledger_charges() {
         let pool = Arc::new(BufferPool::new(256));
-        let t = DiskTable::load(1, schema(), &tuples(2000), Arc::clone(&pool));
+        let t = DiskTable::load(1, schema(), tuples(2000), Arc::clone(&pool));
         pool.take_io();
         let plan = FaultPlan::new(42, 1_000_000);
         pool.set_fault_plan(plan);
@@ -913,7 +933,7 @@ mod tests {
     #[test]
     fn permanent_fault_reports_a_typed_error() {
         let pool = Arc::new(BufferPool::new(256));
-        let t = DiskTable::load(1, schema(), &tuples(20_000), Arc::clone(&pool));
+        let t = DiskTable::load(1, schema(), tuples(20_000), Arc::clone(&pool));
         pool.take_io();
         let plan = FaultPlan::new(42, 1_000_000);
         pool.set_fault_plan(plan);
@@ -935,7 +955,7 @@ mod tests {
     #[test]
     fn stall_fault_charges_backoff_only() {
         let pool = Arc::new(BufferPool::new(256));
-        let t = DiskTable::load(1, schema(), &tuples(20_000), Arc::clone(&pool));
+        let t = DiskTable::load(1, schema(), tuples(20_000), Arc::clone(&pool));
         pool.take_io();
         let plan = FaultPlan::new(42, 1_000_000);
         pool.set_fault_plan(plan);
@@ -953,7 +973,7 @@ mod tests {
     #[test]
     fn corrupted_page_is_detected_and_reported() {
         let pool = Arc::new(BufferPool::new(256));
-        let mut t = DiskTable::load(1, schema(), &tuples(2000), Arc::clone(&pool));
+        let mut t = DiskTable::load(1, schema(), tuples(2000), Arc::clone(&pool));
         t.corrupt_page(3, 100);
         pool.take_io();
         let err = t.read_page_checked(3).unwrap_err();
@@ -970,7 +990,7 @@ mod tests {
     #[test]
     fn stream_checked_reads_return_io_directly() {
         let pool = Arc::new(BufferPool::new(256));
-        let t = DiskTable::load(1, schema(), &tuples(2000), Arc::clone(&pool));
+        let t = DiskTable::load(1, schema(), tuples(2000), Arc::clone(&pool));
         pool.take_io();
         let plan = FaultPlan::new(42, 1_000_000);
         pool.set_fault_plan(plan);

@@ -1,8 +1,12 @@
 //! In-memory heap table — the "MySQL memory engine" profile.
 //!
-//! Tuples live in a flat vector; scans stream straight from DRAM with
-//! no disk involvement, which is exactly why the paper uses the memory
-//! engine "to stress the CPU" (§3.3).
+//! The table *is* its columns: one typed vector per schema column (a
+//! [`DataChunk`]), which columnar scans window without copying. Scans
+//! stream straight from DRAM with no disk involvement, which is exactly
+//! why the paper uses the memory engine "to stress the CPU" (§3.3).
+//! Rows are not stored; [`HeapTable::row`] / [`HeapTable::rows`]
+//! materialize them for the consumers that need one (the oracle
+//! engines' row scans, DML bind matches).
 
 use std::sync::{Arc, OnceLock};
 
@@ -10,52 +14,57 @@ use crate::column::DataChunk;
 use crate::encode::EncodedChunk;
 use crate::value::{tuple_width, Schema, Tuple};
 
-/// An append-only in-memory table.
+/// An in-memory table, stored column by column.
 #[derive(Debug, Clone, Default)]
 pub struct HeapTable {
     schema: Schema,
-    tuples: Vec<Tuple>,
+    /// The rows, decomposed. Shared with every scan window handed out;
+    /// the mutators go through [`Arc::make_mut`], so a mutation copies
+    /// the columns only while a reader still holds a snapshot.
+    columns: Arc<DataChunk>,
     bytes: u64,
-    /// Lazily-built columnar mirror of `tuples` (see
-    /// [`HeapTable::columns`]); invalidated on insert.
-    columns: OnceLock<Arc<DataChunk>>,
-    /// Lazily-built *encoded* mirror of [`HeapTable::columns`] (see
-    /// [`HeapTable::encoded`]); invalidated on insert.
+    /// Lazily-built *encoded* form of [`HeapTable::columns`] (see
+    /// [`HeapTable::encoded`]); invalidated on mutation.
     encoded: OnceLock<Arc<EncodedChunk>>,
 }
 
 impl HeapTable {
     /// Empty table with a schema.
     pub fn new(schema: Schema) -> Self {
-        Self {
-            schema,
-            tuples: Vec::new(),
-            bytes: 0,
-            columns: OnceLock::new(),
-            encoded: OnceLock::new(),
-        }
+        Self::from_tuples(schema, [])
     }
 
-    /// Build from pre-validated tuples.
-    pub fn from_tuples(schema: Schema, tuples: Vec<Tuple>) -> Self {
-        let mut t = Self::new(schema);
+    /// Build from pre-validated tuples, consumed one at a time (a
+    /// loader can stream its source rows through without ever holding
+    /// the table in row form).
+    pub fn from_tuples(schema: Schema, tuples: impl IntoIterator<Item = Tuple>) -> Self {
+        let tuples = tuples.into_iter();
+        let mut t = Self {
+            columns: Arc::new(DataChunk::with_capacity(&schema, tuples.size_hint().0)),
+            schema,
+            bytes: 0,
+            encoded: OnceLock::new(),
+        };
         for tup in tuples {
             t.insert(tup);
         }
         t
     }
 
+    /// `tuple`'s stored width; panics if it does not match `schema`.
+    fn checked_width(schema: &Schema, tuple: &Tuple) -> u64 {
+        assert!(
+            schema.check(tuple),
+            "tuple does not match schema {:?}",
+            schema.names()
+        );
+        tuple_width(tuple)
+    }
+
     /// Append one tuple; panics if it does not match the schema.
     pub fn insert(&mut self, tuple: Tuple) {
-        assert!(
-            self.schema.check(&tuple),
-            "tuple does not match schema {:?}",
-            self.schema.names()
-        );
-        self.bytes += tuple_width(&tuple);
-        self.tuples.push(tuple);
-        // The columnar mirrors no longer match; rebuild on next use.
-        self.columns.take();
+        self.bytes += Self::checked_width(&self.schema, &tuple);
+        Arc::make_mut(&mut self.columns).push_row(tuple);
         self.encoded.take();
     }
 
@@ -64,15 +73,9 @@ impl HeapTable {
     /// (see `Catalog::apply_wal_record`), so a panic here is a caller
     /// bug, not a data error.
     pub fn set_row(&mut self, row: usize, tuple: Tuple) {
-        assert!(
-            self.schema.check(&tuple),
-            "tuple does not match schema {:?}",
-            self.schema.names()
-        );
-        self.bytes -= tuple_width(&self.tuples[row]);
-        self.bytes += tuple_width(&tuple);
-        self.tuples[row] = tuple;
-        self.columns.take();
+        self.bytes -= tuple_width(&self.row(row));
+        self.bytes += Self::checked_width(&self.schema, &tuple);
+        Arc::make_mut(&mut self.columns).set_row(row, &tuple);
         self.encoded.take();
     }
 
@@ -81,30 +84,26 @@ impl HeapTable {
     /// `eco_storage::wal`). Panics on an out-of-range row; callers
     /// validate first.
     pub fn remove_row(&mut self, row: usize) -> Tuple {
-        let old = self.tuples.remove(row);
+        let old = Arc::make_mut(&mut self.columns).remove_row(row);
         self.bytes -= tuple_width(&old);
-        self.columns.take();
         self.encoded.take();
         old
     }
 
-    /// The whole table as one columnar [`DataChunk`] mirror, built
-    /// lazily on first use and shared thereafter. The mirror holds
-    /// exactly the tuples of [`Self::tuples`] in insertion order; the
-    /// columnar scan path reads it instead of cloning row tuples, while
-    /// charging the ledger identically to the row path.
+    /// The whole table as one [`DataChunk`], rows in insertion order.
+    /// The columnar scan path windows it instead of cloning row tuples,
+    /// while charging the ledger identically to the row path.
     pub fn columns(&self) -> &Arc<DataChunk> {
-        self.columns
-            .get_or_init(|| Arc::new(DataChunk::from_rows(&self.schema, &self.tuples)))
+        &self.columns
     }
 
-    /// The whole table's *encoded* columnar mirror (dictionary / RLE /
-    /// bit-packed per column, auto-selected; see [`crate::encode`]),
-    /// built lazily on first use — raw-pricing executions never build
-    /// it. Row indices align exactly with [`HeapTable::columns`].
+    /// The whole table *encoded* (dictionary / RLE / bit-packed per
+    /// column, auto-selected; see [`crate::encode`]), built lazily on
+    /// first use — raw-pricing executions never build it. Row indices
+    /// align exactly with [`HeapTable::columns`].
     pub fn encoded(&self) -> &Arc<EncodedChunk> {
         self.encoded
-            .get_or_init(|| Arc::new(EncodedChunk::encode(self.columns())))
+            .get_or_init(|| Arc::new(EncodedChunk::encode(&self.columns)))
     }
 
     /// The table's schema.
@@ -114,12 +113,12 @@ impl HeapTable {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.columns.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.columns.is_empty()
     }
 
     /// Total stored bytes (drives memory-stream accounting for scans).
@@ -129,16 +128,17 @@ impl HeapTable {
 
     /// Average tuple width in bytes (0 for an empty table).
     pub fn avg_tuple_bytes(&self) -> u64 {
-        if self.tuples.is_empty() {
-            0
-        } else {
-            self.bytes / self.tuples.len() as u64
-        }
+        self.bytes.checked_div(self.len() as u64).unwrap_or(0)
     }
 
-    /// All tuples, in insertion order.
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
+    /// Row `i`, materialized. Panics on an out-of-range row.
+    pub fn row(&self, i: usize) -> Tuple {
+        self.columns.row(i)
+    }
+
+    /// Every row in insertion order, materialized one at a time.
+    pub fn rows(&self) -> impl Iterator<Item = Tuple> + '_ {
+        (0..self.len()).map(|i| self.row(i))
     }
 }
 
@@ -159,7 +159,7 @@ mod tests {
             t.insert(vec![Value::Int(i), Value::str(format!("v{i}"))]);
         }
         assert_eq!(t.len(), 5);
-        assert_eq!(t.tuples()[3][0], Value::Int(3));
+        assert_eq!(t.row(3)[0], Value::Int(3));
         assert!(t.bytes() > 0);
         assert!(t.avg_tuple_bytes() > 0);
     }
@@ -172,16 +172,20 @@ mod tests {
     }
 
     #[test]
-    fn columnar_mirror_tracks_inserts() {
+    fn a_held_window_keeps_its_snapshot_across_inserts() {
         let mut t = HeapTable::new(schema());
         t.insert(vec![Value::Int(1), Value::str("a")]);
-        assert_eq!(t.columns().len(), 1);
-        // Insert invalidates and a fresh mirror sees the new row.
+        let snapshot = Arc::clone(t.columns());
         t.insert(vec![Value::Int(2), Value::str("b")]);
+        assert_eq!(snapshot.len(), 1, "the reader's view did not move");
         let cols = t.columns();
         assert_eq!(cols.len(), 2);
-        assert_eq!(cols.row(1), t.tuples()[1]);
         assert_eq!(cols.column(0).data.as_ints().unwrap(), &[1, 2]);
+        // Unshared again: the next insert mutates where it stands.
+        drop(snapshot);
+        let before = Arc::as_ptr(t.columns());
+        t.insert(vec![Value::Int(3), Value::str("c")]);
+        assert_eq!(Arc::as_ptr(t.columns()), before);
     }
 
     #[test]
@@ -195,9 +199,71 @@ mod tests {
         for (i, col) in enc.columns().iter().enumerate() {
             assert_eq!(col.decode(), t.columns().column(i).data, "column {i}");
         }
-        // Insert invalidates; the fresh mirror sees the new row.
+        // Insert invalidates; the fresh encoding sees the new row.
         t.insert(vec![Value::Int(9), Value::str("g9")]);
         assert_eq!(t.encoded().rows(), 65);
+    }
+
+    /// Random `insert`/`set_row`/`remove_row` sequences against a
+    /// `Vec<Tuple>` model; every other case holds a scan's window on
+    /// the columns across each mutation.
+    #[test]
+    fn mutations_track_a_row_model_and_never_move_a_held_snapshot() {
+        fn splitmix64(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        for case in 0..64u64 {
+            let mut state = case;
+            let mut below = |n: usize| (splitmix64(&mut state) % n.max(1) as u64) as usize;
+            let hold_snapshot = case % 2 == 1;
+            let mut model: Vec<Tuple> = Vec::new();
+            let mut t = HeapTable::new(schema());
+            for step in 0..40 + below(80) {
+                let what = format!("case {case} step {step}");
+                let row = vec![
+                    Value::Int(below(7) as i64 - 3),
+                    Value::str("s".repeat(below(40))),
+                ];
+                let snapshot = hold_snapshot.then(|| (Arc::clone(t.columns()), model.clone()));
+                // Grow early, then mix; an empty table can only grow.
+                match if model.is_empty() { 0 } else { below(4) } {
+                    0 | 1 => {
+                        t.insert(row.clone());
+                        model.push(row);
+                    }
+                    2 => {
+                        let at = below(model.len());
+                        t.set_row(at, row.clone());
+                        model[at] = row;
+                    }
+                    _ => {
+                        let at = below(model.len());
+                        assert_eq!(t.remove_row(at), model.remove(at), "{what}");
+                    }
+                }
+                assert_eq!(t.len(), model.len(), "{what}");
+                assert_eq!(t.rows().collect::<Vec<_>>(), model, "{what}");
+                let bytes: u64 = model.iter().map(tuple_width).sum();
+                assert_eq!(t.bytes(), bytes, "{what}");
+                let avg = bytes.checked_div(model.len() as u64).unwrap_or(0);
+                assert_eq!(t.avg_tuple_bytes(), avg, "{what}");
+                let enc = t.encoded();
+                assert_eq!(enc.rows(), model.len(), "{what}");
+                for (i, col) in enc.columns().iter().enumerate() {
+                    assert_eq!(col.decode(), t.columns().column(i).data, "{what} col {i}");
+                }
+                if let Some((held, rows_before)) = snapshot {
+                    assert_eq!(held.len(), rows_before.len(), "{what}: snapshot");
+                    for (i, r) in rows_before.iter().enumerate() {
+                        assert_eq!(&held.row(i), r, "{what}: snapshot row {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,17 +13,20 @@
 //! The engine stores real tuples and returns real bytes; only the
 //! *pricing* of I/O is simulated (see `eco-simhw`).
 //!
-//! # Compressed columnar mirrors (ledger schema v3)
+//! # Columns, and their compressed form (ledger schema v3)
 //!
-//! Both engines expose lazily-built columnar mirrors of their tuples
-//! ([`heap::HeapTable::columns`], [`disk_table::DiskTable::columnar`]),
-//! and — since schema v3 — *encoded* mirrors next to them
+//! Both engines serve columnar scans from typed column vectors: the
+//! memory engine *stores* its tables that way
+//! ([`heap::HeapTable::columns`] is the table; rows are materialized on
+//! demand), the disk engine keeps a lazily-built mirror of its pages,
+//! one chunk per extent ([`disk_table::DiskTable::columnar`]). Since
+//! schema v3 each also has a lazily-built *encoded* form
 //! ([`heap::HeapTable::encoded`], [`ColumnarExtents::extent_encoded`]):
 //! dictionary encoding for strings/chars, run-length and
 //! frame-of-reference bit-packing for ints/dates, one bitmap bit per
 //! bool, auto-selected per column from build-time stats (see
-//! [`encode`]). The encoded mirrors never replace the raw data — under
-//! the default raw pricing mode they are never even built, and every
+//! [`encode`]). The encoded form never replaces the raw data — under
+//! the default raw pricing mode it is never even built, and every
 //! pre-v3 ledger figure stays bit-identical. Under the opt-in
 //! compressed pricing mode (`PricingMode::Compressed` in `eco-simhw`),
 //! scans price [`encode::EncodedChunk::avg_tuple_bytes`] — the encoded
@@ -79,7 +82,7 @@ pub mod value;
 pub mod wal;
 
 pub use btree::{BTreeIndex, IndexProbe, KeyBound};
-pub use bufferpool::{BufferPool, PageId};
+pub use bufferpool::{BufferPool, PageFrame, PageId};
 pub use catalog::{Catalog, IndexEntry, IndexError, StoredTable, TableData};
 pub use column::{ColumnChunk, ColumnData, DataChunk};
 pub use disk_table::{ColumnarExtents, IoError};

@@ -144,172 +144,155 @@ pub fn lineitem_schema() -> Schema {
     ])
 }
 
-fn region_tuples(db: &TpchDb) -> Vec<Tuple> {
-    db.region
-        .iter()
-        .map(|r| {
-            vec![
-                Value::Int(r.r_regionkey),
-                Value::str(&r.r_name),
-                Value::str(&r.r_comment),
-            ]
-        })
-        .collect()
+fn region_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
+    db.region.iter().map(|r| {
+        vec![
+            Value::Int(r.r_regionkey),
+            Value::str(&r.r_name),
+            Value::str(&r.r_comment),
+        ]
+    })
 }
 
-fn nation_tuples(db: &TpchDb) -> Vec<Tuple> {
-    db.nation
-        .iter()
-        .map(|n| {
-            vec![
-                Value::Int(n.n_nationkey),
-                Value::str(&n.n_name),
-                Value::Int(n.n_regionkey),
-                Value::str(&n.n_comment),
-            ]
-        })
-        .collect()
+fn nation_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
+    db.nation.iter().map(|n| {
+        vec![
+            Value::Int(n.n_nationkey),
+            Value::str(&n.n_name),
+            Value::Int(n.n_regionkey),
+            Value::str(&n.n_comment),
+        ]
+    })
 }
 
-fn supplier_tuples(db: &TpchDb) -> Vec<Tuple> {
-    db.supplier
-        .iter()
-        .map(|s| {
-            vec![
-                Value::Int(s.s_suppkey),
-                Value::str(&s.s_name),
-                Value::str(&s.s_address),
-                Value::Int(s.s_nationkey),
-                Value::str(&s.s_phone),
-                Value::Int(s.s_acctbal),
-                Value::str(&s.s_comment),
-            ]
-        })
-        .collect()
+fn supplier_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
+    db.supplier.iter().map(|s| {
+        vec![
+            Value::Int(s.s_suppkey),
+            Value::str(&s.s_name),
+            Value::str(&s.s_address),
+            Value::Int(s.s_nationkey),
+            Value::str(&s.s_phone),
+            Value::Int(s.s_acctbal),
+            Value::str(&s.s_comment),
+        ]
+    })
 }
 
-fn customer_tuples(db: &TpchDb) -> Vec<Tuple> {
-    db.customer
-        .iter()
-        .map(|c| {
-            vec![
-                Value::Int(c.c_custkey),
-                Value::str(&c.c_name),
-                Value::str(&c.c_address),
-                Value::Int(c.c_nationkey),
-                Value::str(&c.c_phone),
-                Value::Int(c.c_acctbal),
-                Value::str(&c.c_mktsegment),
-                Value::str(&c.c_comment),
-            ]
-        })
-        .collect()
+fn customer_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
+    db.customer.iter().map(|c| {
+        vec![
+            Value::Int(c.c_custkey),
+            Value::str(&c.c_name),
+            Value::str(&c.c_address),
+            Value::Int(c.c_nationkey),
+            Value::str(&c.c_phone),
+            Value::Int(c.c_acctbal),
+            Value::str(&c.c_mktsegment),
+            Value::str(&c.c_comment),
+        ]
+    })
 }
 
-fn part_tuples(db: &TpchDb) -> Vec<Tuple> {
-    db.part
-        .iter()
-        .map(|p| {
-            vec![
-                Value::Int(p.p_partkey),
-                Value::str(&p.p_name),
-                Value::str(&p.p_mfgr),
-                Value::str(&p.p_brand),
-                Value::str(&p.p_type),
-                Value::Int(p.p_size),
-                Value::str(&p.p_container),
-                Value::Int(p.p_retailprice),
-                Value::str(&p.p_comment),
-            ]
-        })
-        .collect()
+fn part_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
+    db.part.iter().map(|p| {
+        vec![
+            Value::Int(p.p_partkey),
+            Value::str(&p.p_name),
+            Value::str(&p.p_mfgr),
+            Value::str(&p.p_brand),
+            Value::str(&p.p_type),
+            Value::Int(p.p_size),
+            Value::str(&p.p_container),
+            Value::Int(p.p_retailprice),
+            Value::str(&p.p_comment),
+        ]
+    })
 }
 
-fn partsupp_tuples(db: &TpchDb) -> Vec<Tuple> {
-    db.partsupp
-        .iter()
-        .map(|ps| {
-            vec![
-                Value::Int(ps.ps_partkey),
-                Value::Int(ps.ps_suppkey),
-                Value::Int(ps.ps_availqty),
-                Value::Int(ps.ps_supplycost),
-                Value::str(&ps.ps_comment),
-            ]
-        })
-        .collect()
+fn partsupp_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
+    db.partsupp.iter().map(|ps| {
+        vec![
+            Value::Int(ps.ps_partkey),
+            Value::Int(ps.ps_suppkey),
+            Value::Int(ps.ps_availqty),
+            Value::Int(ps.ps_supplycost),
+            Value::str(&ps.ps_comment),
+        ]
+    })
 }
 
-fn orders_tuples(db: &TpchDb) -> Vec<Tuple> {
-    db.orders
-        .iter()
-        .map(|o| {
-            vec![
-                Value::Int(o.o_orderkey),
-                Value::Int(o.o_custkey),
-                Value::Char(o.o_orderstatus),
-                Value::Int(o.o_totalprice),
-                Value::Date(o.o_orderdate.0),
-                Value::str(&o.o_orderpriority),
-                Value::str(&o.o_clerk),
-                Value::Int(o.o_shippriority),
-                Value::str(&o.o_comment),
-            ]
-        })
-        .collect()
+fn orders_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
+    db.orders.iter().map(|o| {
+        vec![
+            Value::Int(o.o_orderkey),
+            Value::Int(o.o_custkey),
+            Value::Char(o.o_orderstatus),
+            Value::Int(o.o_totalprice),
+            Value::Date(o.o_orderdate.0),
+            Value::str(&o.o_orderpriority),
+            Value::str(&o.o_clerk),
+            Value::Int(o.o_shippriority),
+            Value::str(&o.o_comment),
+        ]
+    })
 }
 
-fn lineitem_tuples(db: &TpchDb) -> Vec<Tuple> {
-    db.lineitem
-        .iter()
-        .map(|l| {
-            vec![
-                Value::Int(l.l_orderkey),
-                Value::Int(l.l_partkey),
-                Value::Int(l.l_suppkey),
-                Value::Int(l.l_linenumber),
-                Value::Int(l.l_quantity),
-                Value::Int(l.l_extendedprice),
-                Value::Int(l.l_discount),
-                Value::Int(l.l_tax),
-                Value::Char(l.l_returnflag),
-                Value::Char(l.l_linestatus),
-                Value::Date(l.l_shipdate.0),
-                Value::Date(l.l_commitdate.0),
-                Value::Date(l.l_receiptdate.0),
-                Value::str(&l.l_shipinstruct),
-                Value::str(&l.l_shipmode),
-                Value::str(&l.l_comment),
-            ]
-        })
-        .collect()
+fn lineitem_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
+    db.lineitem.iter().map(|l| {
+        vec![
+            Value::Int(l.l_orderkey),
+            Value::Int(l.l_partkey),
+            Value::Int(l.l_suppkey),
+            Value::Int(l.l_linenumber),
+            Value::Int(l.l_quantity),
+            Value::Int(l.l_extendedprice),
+            Value::Int(l.l_discount),
+            Value::Int(l.l_tax),
+            Value::Char(l.l_returnflag),
+            Value::Char(l.l_linestatus),
+            Value::Date(l.l_shipdate.0),
+            Value::Date(l.l_commitdate.0),
+            Value::Date(l.l_receiptdate.0),
+            Value::str(&l.l_shipinstruct),
+            Value::str(&l.l_shipmode),
+            Value::str(&l.l_comment),
+        ]
+    })
+}
+
+/// Register `rows` as table `name` under the given engine profile,
+/// consuming them one at a time: heap tables push straight into their
+/// columns, paged tables pack pages as the rows arrive.
+fn add_table(
+    cat: &mut Catalog,
+    kind: EngineKind,
+    name: &str,
+    schema: Schema,
+    rows: impl Iterator<Item = Tuple>,
+) {
+    match kind {
+        EngineKind::Memory => cat.add_memory_table(name, HeapTable::from_tuples(schema, rows)),
+        EngineKind::Disk => cat.add_disk_table(name, schema, rows),
+    }
 }
 
 /// Load a TPC-H database into a fresh catalog under the given engine
 /// profile. `pool_pages` sizes the buffer pool (ignored by the memory
-/// engine, which never touches it).
+/// engine, which never touches it). Tables load one after the other,
+/// each streamed from the source rows, so no table ever exists as a
+/// vector of tuples on the way in.
 pub fn load_tpch(db: &TpchDb, kind: EngineKind, pool_pages: usize) -> Catalog {
     let mut cat = Catalog::new(pool_pages);
-    let tables: [(&str, Schema, Vec<Tuple>); 8] = [
-        ("region", region_schema(), region_tuples(db)),
-        ("nation", nation_schema(), nation_tuples(db)),
-        ("supplier", supplier_schema(), supplier_tuples(db)),
-        ("customer", customer_schema(), customer_tuples(db)),
-        ("part", part_schema(), part_tuples(db)),
-        ("partsupp", partsupp_schema(), partsupp_tuples(db)),
-        ("orders", orders_schema(), orders_tuples(db)),
-        ("lineitem", lineitem_schema(), lineitem_tuples(db)),
-    ];
-    for (name, schema, tuples) in tables {
-        match kind {
-            EngineKind::Memory => {
-                cat.add_memory_table(name, HeapTable::from_tuples(schema, tuples));
-            }
-            EngineKind::Disk => {
-                cat.add_disk_table(name, schema, &tuples);
-            }
-        }
-    }
+    let c = &mut cat;
+    add_table(c, kind, "region", region_schema(), region_rows(db));
+    add_table(c, kind, "nation", nation_schema(), nation_rows(db));
+    add_table(c, kind, "supplier", supplier_schema(), supplier_rows(db));
+    add_table(c, kind, "customer", customer_schema(), customer_rows(db));
+    add_table(c, kind, "part", part_schema(), part_rows(db));
+    add_table(c, kind, "partsupp", partsupp_schema(), partsupp_rows(db));
+    add_table(c, kind, "orders", orders_schema(), orders_rows(db));
+    add_table(c, kind, "lineitem", lineitem_schema(), lineitem_rows(db));
     cat
 }
 
@@ -468,14 +451,7 @@ pub fn load_tbl(
     kind: EngineKind,
 ) -> Result<(), LoadError> {
     let tuples = parse_tbl(name, &schema, text)?;
-    match kind {
-        EngineKind::Memory => {
-            cat.add_memory_table(name, HeapTable::from_tuples(schema, tuples));
-        }
-        EngineKind::Disk => {
-            cat.add_disk_table(name, schema, &tuples);
-        }
-    }
+    add_table(cat, kind, name, schema, tuples.into_iter());
     Ok(())
 }
 
@@ -504,8 +480,8 @@ mod tests {
         for name in cat.names() {
             let t = cat.expect(&name);
             if let crate::catalog::TableData::Memory(h) = &t.data {
-                for tup in h.tuples().iter().take(10) {
-                    assert!(t.schema().check(tup), "{name} tuple fails schema");
+                for tup in h.rows().take(10) {
+                    assert!(t.schema().check(&tup), "{name} tuple fails schema");
                 }
             }
         }
@@ -613,8 +589,8 @@ mod tests {
                 panic!("memory expected")
             };
             let mut text = String::new();
-            for tup in h.tuples() {
-                for v in tup {
+            for tup in h.rows() {
+                for v in &tup {
                     match v {
                         Value::Int(n) => text.push_str(&n.to_string()),
                         Value::Str(s) => text.push_str(s),
@@ -630,7 +606,7 @@ mod tests {
                 text.push('\n');
             }
             let parsed = parse_tbl(name, t.schema(), &text).unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(h.tuples(), &parsed[..], "{name} round trip");
+            assert_eq!(h.rows().collect::<Vec<_>>(), parsed, "{name} round trip");
         }
     }
 
@@ -649,11 +625,11 @@ mod tests {
         };
         let mut from_disk = Vec::new();
         for p in 0..dt.num_pages() {
-            from_disk.extend(dt.read_page(p).iter().cloned());
+            from_disk.extend(dt.read_page(p).tuples().iter().cloned());
         }
         assert_eq!(
-            h.tuples(),
-            &from_disk[..],
+            h.rows().collect::<Vec<_>>(),
+            from_disk,
             "page roundtrip must preserve tuples"
         );
     }

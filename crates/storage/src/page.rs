@@ -11,6 +11,8 @@
 //! slot payloads ([`Page::payload`] → [`Page::insert_raw`]) and land on
 //! exactly the bytes a bulk load of the decoded tuples would produce.
 
+use std::sync::Arc;
+
 use crate::value::{Tuple, Value};
 
 /// Page size in bytes.
@@ -24,10 +26,13 @@ const SLOT: usize = 4; // u16 offset + u16 len
 /// entry of any one of the tuple's columns, fits an empty page too.
 const MAX_TUPLE_PAYLOAD: usize = PAGE_SIZE - HEADER - SLOT - (1 + 8);
 
-/// A fixed-size slotted page of serialized tuples.
+/// A fixed-size slotted page of serialized tuples. The image is shared:
+/// a clone (a buffer-pool frame, a table snapshot) costs a reference
+/// count, and a write copies the image only while a clone still reads
+/// it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Page {
-    buf: Box<[u8; PAGE_SIZE]>,
+    buf: Arc<[u8; PAGE_SIZE]>,
 }
 
 impl Default for Page {
@@ -39,25 +44,16 @@ impl Default for Page {
 impl Page {
     /// An empty page.
     pub fn new() -> Self {
-        let mut p = Self {
-            buf: Box::new([0u8; PAGE_SIZE]),
-        };
-        p.set_slot_count(0);
-        p.set_free_end(PAGE_SIZE as u16);
-        p
+        let mut buf = [0u8; PAGE_SIZE];
+        buf[2..4].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
+        Self { buf: Arc::new(buf) }
     }
 
     fn slot_count(&self) -> u16 {
         u16::from_le_bytes([self.buf[0], self.buf[1]])
     }
-    fn set_slot_count(&mut self, n: u16) {
-        self.buf[0..2].copy_from_slice(&n.to_le_bytes());
-    }
     fn free_end(&self) -> u16 {
         u16::from_le_bytes([self.buf[2], self.buf[3]])
-    }
-    fn set_free_end(&mut self, n: u16) {
-        self.buf[2..4].copy_from_slice(&n.to_le_bytes());
     }
 
     /// Number of tuples stored.
@@ -90,13 +86,14 @@ impl Page {
         }
         let end = self.free_end() as usize;
         let start = end - payload.len();
-        self.buf[start..end].copy_from_slice(payload);
         let slot = self.slot_count() as usize;
         let off = HEADER + slot * SLOT;
-        self.buf[off..off + 2].copy_from_slice(&(start as u16).to_le_bytes());
-        self.buf[off + 2..off + 4].copy_from_slice(&(payload.len() as u16).to_le_bytes());
-        self.set_slot_count((slot + 1) as u16);
-        self.set_free_end(start as u16);
+        let buf = Arc::make_mut(&mut self.buf);
+        buf[start..end].copy_from_slice(payload);
+        buf[off..off + 2].copy_from_slice(&(start as u16).to_le_bytes());
+        buf[off + 2..off + 4].copy_from_slice(&(payload.len() as u16).to_le_bytes());
+        buf[0..2].copy_from_slice(&((slot + 1) as u16).to_le_bytes());
+        buf[2..4].copy_from_slice(&(start as u16).to_le_bytes());
         true
     }
 
@@ -146,7 +143,7 @@ impl Page {
     /// Corrupt one byte of the raw page image (a fault-injection /
     /// test hook: the next checksum verification must detect it).
     pub fn flip_byte(&mut self, offset: usize) {
-        self.buf[offset % PAGE_SIZE] ^= 0xFF;
+        Arc::make_mut(&mut self.buf)[offset % PAGE_SIZE] ^= 0xFF;
     }
 }
 

@@ -14,7 +14,7 @@ use ecodb::query::exec::execute_columnar;
 use ecodb::query::plans;
 use ecodb::simhw::machine::MachineConfig;
 use ecodb::simhw::trace::{PhaseKind, PricingMode, WorkTrace};
-use ecodb::storage::{tuple_width, TableData};
+use ecodb::storage::TableData;
 
 fn main() {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.01);
@@ -23,11 +23,11 @@ fn main() {
         unreachable!("memory profile stores heap tables");
     };
 
-    // Per-column encoding choice, picked at mirror-build time from
+    // Per-column encoding choice, picked at encode time from
     // column statistics (exact candidate byte sizes).
     let enc = heap.encoded();
     let rows = enc.rows() as u64;
-    let raw_bytes: u64 = heap.tuples().iter().map(tuple_width).sum();
+    let raw_bytes = heap.bytes();
     println!(
         "lineitem: {rows} rows, raw {raw_bytes} B, encoded {} B",
         enc.encoded_bytes()

@@ -8,13 +8,12 @@
 //! ```
 
 use ecodb::core::server::{EcoDb, EngineProfile};
-use ecodb::query::exec::ExecEngine;
 use ecodb::server::{
     plan_admission, replay_serial, session_workload, AdmissionConfig, EcoServer, ServerConfig,
 };
 
 fn main() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.005).with_engine(ExecEngine::Columnar);
+    let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.005);
 
     // The advisor walks the QED estimate curve and picks the knee.
     let plan = plan_admission(&db, &AdmissionConfig::default());

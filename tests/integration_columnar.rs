@@ -234,35 +234,50 @@ fn limit_over_streaming_pipeline_columnar_identical() {
     }
 }
 
+/// Columnar is what `EcoDb` runs unless a test asks for an oracle.
+#[test]
+fn default_engine_is_columnar() {
+    for profile in [EngineProfile::MemoryEngine, EngineProfile::CommercialDisk] {
+        assert_eq!(EcoDb::tpch(profile, 0.002).engine(), ExecEngine::Columnar);
+        assert_eq!(
+            EcoDb::tpch_seeded(profile, 0.002, 7).engine(),
+            ExecEngine::Columnar
+        );
+    }
+}
+
 /// The engine knob on the server facade: identical rows and identical
-/// work traces (hence identical priced figures) under every engine.
+/// work traces (hence identical priced figures) under every engine —
+/// the default and both oracles.
 #[test]
 fn ecodb_engine_knob_produces_identical_traces() {
     let mk = || EcoDb::tpch(EngineProfile::MemoryEngine, 0.002);
-    let batch_db = mk();
-    let (rows_b, trace_b) = batch_db.trace_q1(90);
-    for engine in [ExecEngine::Scalar, ExecEngine::Columnar] {
+    let default_db = mk();
+    let (rows_d, trace_d) = default_db.trace_q1(90);
+    for engine in [ExecEngine::Scalar, ExecEngine::Batch, ExecEngine::Columnar] {
         let db = mk().with_engine(engine);
         assert_eq!(db.engine(), engine);
         let (rows, trace) = db.trace_q1(90);
-        assert_eq!(rows, rows_b, "{engine:?}: rows differ");
+        assert_eq!(rows, rows_d, "{engine:?}: rows differ");
         assert_eq!(
             trace.total_cpu(),
-            trace_b.total_cpu(),
+            trace_d.total_cpu(),
             "{engine:?}: cpu work differs"
         );
         assert_eq!(
             trace.total_mem_stream_bytes(),
-            trace_b.total_mem_stream_bytes(),
+            trace_d.total_mem_stream_bytes(),
             "{engine:?}: stream bytes differ"
         );
     }
 
     // The QED path honors the knob too.
     let queries = ecodb::tpch::qed_workload(5);
-    let (split_b, qtrace_b) = batch_db.trace_merged_selection(&queries, true);
-    let col_db = mk().with_engine(ExecEngine::Columnar);
-    let (split_c, qtrace_c) = col_db.trace_merged_selection(&queries, true);
-    assert_eq!(split_c, split_b);
-    assert_eq!(qtrace_c.total_cpu(), qtrace_b.total_cpu());
+    let (split_d, qtrace_d) = default_db.trace_merged_selection(&queries, true);
+    for engine in [ExecEngine::Scalar, ExecEngine::Batch] {
+        let oracle = mk().with_engine(engine);
+        let (split, qtrace) = oracle.trace_merged_selection(&queries, true);
+        assert_eq!(split, split_d, "{engine:?}");
+        assert_eq!(qtrace.total_cpu(), qtrace_d.total_cpu(), "{engine:?}");
+    }
 }

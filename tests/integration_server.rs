@@ -17,6 +17,13 @@ const SCALE: f64 = 0.002;
 const RATE_QPS: f64 = 50_000.0;
 const SEED: u64 = 0xEC0;
 
+/// The same memory-profile database under each oracle engine (the
+/// servers under test run `EcoDb`'s default, columnar).
+fn oracles() -> [EcoDb; 2] {
+    [ExecEngine::Scalar, ExecEngine::Batch]
+        .map(|engine| EcoDb::tpch(EngineProfile::MemoryEngine, SCALE).with_engine(engine))
+}
+
 fn serve(db: &EcoDb, sessions: usize, threshold: usize) -> ServeReport {
     let requests = session_workload(sessions, RATE_QPS, SEED);
     let cfg = ServerConfig::batched(2, threshold);
@@ -25,7 +32,7 @@ fn serve(db: &EcoDb, sessions: usize, threshold: usize) -> ServeReport {
 
 #[test]
 fn online_qed_batching_halves_joules_per_query_at_1k_sessions() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE).with_engine(ExecEngine::Columnar);
+    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
     let plan = plan_admission(&db, &AdmissionConfig::default());
     let threshold = plan.threshold.max(32);
 
@@ -61,14 +68,20 @@ fn online_qed_batching_halves_joules_per_query_at_1k_sessions() {
         let replay = replay_serial(&db, &report.dispatches, 2, true);
         assert_eq!(report.ledger, replay);
     }
+    // ...and to replays under the oracle engines.
+    for oracle in oracles() {
+        let replay = replay_serial(&oracle, &batched.dispatches, 2, true);
+        assert_eq!(batched.ledger, replay, "{:?}", oracle.engine());
+    }
 }
 
 #[test]
 fn every_session_gets_its_own_correct_rows_out_of_merged_batches() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE).with_engine(ExecEngine::Columnar);
+    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
     let requests = session_workload(128, RATE_QPS, SEED ^ 1);
     let report = EcoServer::new(&db, ServerConfig::batched(2, 16)).serve(&requests);
     assert_eq!(report.served, 128);
+    let oracles = oracles();
     for (r, o) in requests.iter().zip(&report.outcomes) {
         let SessionOutcome::Completed { rows, .. } = o else {
             panic!("expected completion, got {o:?}")
@@ -76,8 +89,10 @@ fn every_session_gets_its_own_correct_rows_out_of_merged_batches() {
         let ecodb::server::Statement::Selection(q) = &r.statement else {
             unreachable!()
         };
-        let (want, _) = db.trace_selection(q);
-        assert_eq!(rows, &want);
+        for oracle in &oracles {
+            let (want, _) = oracle.trace_selection(q);
+            assert_eq!(rows, &want, "{:?}", oracle.engine());
+        }
     }
 }
 

@@ -1,24 +1,35 @@
 //! Property test `concurrent_ledger_identity`: for random session
 //! counts, arrival orders and batch thresholds, the merged
 //! multi-session ledger equals the serial ledger of the same merged
-//! statements — on both engine profiles, cold and warm.
+//! statements — on both engine profiles, cold and warm, replayed under
+//! the serving engine (columnar, `EcoDb`'s default) and under both
+//! oracle engines.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use ecodb::core::server::{EcoDb, EngineProfile};
+use ecodb::query::exec::ExecEngine;
 use ecodb::server::{replay_serial, EcoServer, Request, ServerConfig, SessionId, Statement};
 use ecodb::tpch::QedQuery;
 
-fn memory_db() -> &'static EcoDb {
-    static DB: OnceLock<EcoDb> = OnceLock::new();
-    DB.get_or_init(|| EcoDb::tpch(EngineProfile::MemoryEngine, 0.002))
-}
+const ENGINES: [ExecEngine; 3] = [ExecEngine::Columnar, ExecEngine::Scalar, ExecEngine::Batch];
 
-fn disk_db() -> &'static EcoDb {
-    static DB: OnceLock<EcoDb> = OnceLock::new();
-    DB.get_or_init(|| EcoDb::tpch(EngineProfile::CommercialDisk, 0.002))
+/// One database per (profile, engine): the server under test runs the
+/// columnar one, the oracles replay its transcript.
+fn db(on_disk_profile: bool, engine: ExecEngine) -> &'static EcoDb {
+    static DBS: OnceLock<Vec<EcoDb>> = OnceLock::new();
+    let dbs = DBS.get_or_init(|| {
+        [EngineProfile::MemoryEngine, EngineProfile::CommercialDisk]
+            .into_iter()
+            .flat_map(|profile| {
+                ENGINES.map(|engine| EcoDb::tpch(profile, 0.002).with_engine(engine))
+            })
+            .collect()
+    });
+    let at = ENGINES.iter().position(|e| *e == engine).expect("listed");
+    &dbs[usize::from(on_disk_profile) * ENGINES.len() + at]
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -76,7 +87,7 @@ proptest! {
         on_disk_profile in any::<bool>(),
         warm in any::<bool>(),
     ) {
-        let db = if on_disk_profile { disk_db() } else { memory_db() };
+        let db = db(on_disk_profile, ExecEngine::Columnar);
         let requests = workload_from_seed(seed, sessions);
         let cfg = ServerConfig::batched(workers, threshold);
 
@@ -93,9 +104,12 @@ proptest! {
         prop_assert_eq!(report.session_ledgers.len(), sessions);
 
         // Serve vs serial replay of the same merged statements, from
-        // the same pool state: bit-identical.
-        reset(db, warm);
-        let replay = replay_serial(db, &report.dispatches, workers, true);
-        prop_assert_eq!(report.ledger, replay, "serve != serial replay");
+        // the same pool state: bit-identical, whichever engine replays.
+        for engine in ENGINES {
+            let replayer = self::db(on_disk_profile, engine);
+            reset(replayer, warm);
+            let replay = replay_serial(replayer, &report.dispatches, workers, true);
+            prop_assert_eq!(&report.ledger, &replay, "serve != {:?} serial replay", engine);
+        }
     }
 }

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::core::ServerError;
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::execute;
+use ecodb::query::exec::{execute, ExecEngine};
 use ecodb::query::sql::{compile, parse_select, tokenize};
 use ecodb::server::{session_workload, EcoServer, ServerConfig, SessionOutcome, Statement};
 use ecodb::simhw::fault::{FaultPlan, PageFault, TornTail, WalCrash};
@@ -102,8 +102,7 @@ proptest! {
             panic!("memory table expected")
         };
         let want = heap
-            .tuples()
-            .iter()
+            .rows()
             .filter(|t| t[qty].as_int().unwrap() < threshold)
             .count() as i64;
         prop_assert_eq!(rows[0][0].as_int(), Some(want));
@@ -161,12 +160,14 @@ fn q5_survives_pathological_pool() {
 /// Degenerate QED batches: batch of 1 equals plain execution.
 #[test]
 fn qed_batch_of_one_is_a_noop() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.002);
     let q = ecodb::tpch::qed_workload(1);
-    let (split, _) = db.trace_merged_selection(&q, true);
-    let (direct, _) = db.trace_selection(&q[0]);
-    assert_eq!(split.len(), 1);
-    assert_eq!(split[0], direct);
+    for engine in [ExecEngine::Columnar, ExecEngine::Scalar, ExecEngine::Batch] {
+        let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.002).with_engine(engine);
+        let (split, _) = db.trace_merged_selection(&q, true);
+        let (direct, _) = db.trace_selection(&q[0]);
+        assert_eq!(split.len(), 1, "{engine:?}");
+        assert_eq!(split[0], direct, "{engine:?}");
+    }
 }
 
 // --- chaos: deterministic fault injection across sessions --------------------
