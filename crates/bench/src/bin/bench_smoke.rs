@@ -44,15 +44,13 @@
 //!   point required ≥2x cheaper in joules/txn than per-statement fsync.
 //!
 //! ```text
-//! cargo run -p eco-bench --bin bench_smoke --release \
-//!     [-- <parallel.json> [<columnar.json> [<throughput.json> \
-//!      [<faults.json> [<compression.json> [<index.json> [<wal.json>]]]]]]]
+//! cargo run -p eco-bench --bin bench_smoke --release [-- <path>...]
 //! ```
 //!
-//! Paths default to `BENCH_parallel_scaling.json` /
-//! `BENCH_columnar.json` / `BENCH_throughput.json` / `BENCH_faults.json`
-//! / `BENCH_compression.json` / `BENCH_index.json` / `BENCH_wal.json`
-//! in the current directory (CI runs it from the repo root). Exits
+//! The artifact names are the [`ARTIFACTS`] table, written to the
+//! current directory (CI runs it from the repo root, without
+//! arguments, and shows and uploads `BENCH_*.json`); positional
+//! arguments override them in table order. Exits
 //! non-zero if any ledger or row-identity check fails, so the smoke
 //! job guards correctness, not just timing.
 
@@ -674,14 +672,22 @@ fn wal_report() -> (String, usize) {
     (json, failures)
 }
 
+/// The artifacts one run writes — the single list of their names; a
+/// positional argument overrides the name at its position.
+const ARTIFACTS: [&str; 7] = [
+    "BENCH_parallel_scaling.json",
+    "BENCH_columnar.json",
+    "BENCH_throughput.json",
+    "BENCH_faults.json",
+    "BENCH_compression.json",
+    "BENCH_index.json",
+    "BENCH_wal.json",
+];
+
 fn main() {
-    let out_path = artifact_path(std::env::args().nth(1), "BENCH_parallel_scaling.json");
-    let columnar_path = artifact_path(std::env::args().nth(2), "BENCH_columnar.json");
-    let throughput_path = artifact_path(std::env::args().nth(3), "BENCH_throughput.json");
-    let faults_path = artifact_path(std::env::args().nth(4), "BENCH_faults.json");
-    let compression_path = artifact_path(std::env::args().nth(5), "BENCH_compression.json");
-    let index_path = artifact_path(std::env::args().nth(6), "BENCH_index.json");
-    let wal_path = artifact_path(std::env::args().nth(7), "BENCH_wal.json");
+    let mut args = std::env::args().skip(1);
+    let paths = ARTIFACTS.map(|default| artifact_path(args.next(), default));
+    let [scaling, columnar, throughput, faults, compression, index, wal] = paths;
     let host_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -750,31 +756,31 @@ fn main() {
         eco_bench::BENCH_SCALE,
         query_blobs.join(",")
     );
-    write_artifact(&out_path, &json);
+    write_artifact(&scaling, &json);
 
     let (columnar_json, columnar_failures) = columnar_report(&db);
     failures += columnar_failures;
-    write_artifact(&columnar_path, &columnar_json);
+    write_artifact(&columnar, &columnar_json);
 
     let (throughput_json, throughput_failures) = throughput_report();
     failures += throughput_failures;
-    write_artifact(&throughput_path, &throughput_json);
+    write_artifact(&throughput, &throughput_json);
 
     let (faults_json, faults_failures) = faults_report();
     failures += faults_failures;
-    write_artifact(&faults_path, &faults_json);
+    write_artifact(&faults, &faults_json);
 
     let (compression_json, compression_failures) = compression_report(&db);
     failures += compression_failures;
-    write_artifact(&compression_path, &compression_json);
+    write_artifact(&compression, &compression_json);
 
     let (index_json, index_failures) = index_report();
     failures += index_failures;
-    write_artifact(&index_path, &index_json);
+    write_artifact(&index, &index_json);
 
     let (wal_json, wal_failures) = wal_report();
     failures += wal_failures;
-    write_artifact(&wal_path, &wal_json);
+    write_artifact(&wal, &wal_json);
 
     if failures > 0 {
         eprintln!("{failures} check(s) failed");

@@ -6,9 +6,11 @@
 //! scans emit `Arc`-shared windows over a table's columns,
 //! filters refine the selection vector (which rows are live) without
 //! touching the data, and only projections / pipeline breakers build
-//! new columns. Rows are materialized back into `Tuple`s as late as
-//! possible — at blocking operators that inherently need rows (sort,
-//! hash build) and at the very top of the plan.
+//! new columns (a hash join keeps its build side as columns and
+//! gathers its output from build and probe columns). Rows are
+//! materialized back into `Tuple`s as late as possible — at the one
+//! blocking operator that inherently needs rows (sort) and at the very
+//! top of the plan.
 
 use std::ops::Range;
 use std::sync::Arc;

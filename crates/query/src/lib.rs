@@ -39,9 +39,11 @@
 //! `Vec<Tuple>` batches. Scans emit windows over a table's columns
 //! with no per-row clone; filters refine the selection vector
 //! column-at-a-time (short-circuiting becomes selection narrowing, with
-//! identical evaluation counts); aggregates update typed accumulator
-//! arrays keyed by group id; joins hash key columns directly; rows are
-//! re-materialized only at pipeline breakers and at the very top
+//! identical evaluation counts); joins and aggregates hash key columns
+//! a chunk at a time through one shared key kernel — the join keeps
+//! its build side as columns and gathers its output, the aggregate
+//! updates typed accumulator arrays keyed by group id; rows are
+//! re-materialized only by sort and at the very top
 //! (**late materialization**). [`exec::execute_columnar`] drives the
 //! path — it is the engine `EcoDb` runs by default, with scalar and
 //! batch kept as the differential-test oracles

@@ -1,14 +1,19 @@
 //! Hash aggregation: GROUP BY with SUM / COUNT / MIN / MAX / AVG.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use eco_simhw::trace::OpClass;
-use eco_storage::{ColumnType, EncodedChunk, EncodedColumn, Schema, Tuple, Value};
+use eco_storage::{
+    ColumnChunk, ColumnData, ColumnType, DataChunk, EncodedChunk, EncodedColumn, Schema, Tuple,
+    Value,
+};
 
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::expr::{AggFunc, Expr};
+use crate::ops::hashkey::{hash_keys, hash_row, keys_eq, KeyTable};
 use crate::ops::{drain_batches, drain_chunks, BoxedOp, Operator};
 use crate::parallel::run_morsels;
 
@@ -137,9 +142,11 @@ impl AggState {
     }
 }
 
-/// Index from group key to slot in the ordered accumulator list.
-/// Single-column keys are indexed by a [`Value`] directly and composite
-/// keys are looked up through a reused scratch vector (via
+/// The row engines' index from group key to slot in the ordered
+/// accumulator list (the columnar engine's [`ColumnarGroups`] assigns
+/// group ids through the key kernel instead and shares nothing with
+/// this). Single-column keys are indexed by a [`Value`] directly and
+/// composite keys are looked up through a reused scratch vector (via
 /// `Vec<Value>: Borrow<[Value]>`), so the steady-state path performs no
 /// per-row key allocation.
 enum GroupIndex {
@@ -155,11 +162,6 @@ impl GroupIndex {
     /// scratch — no allocation; on first sight the key is inserted with
     /// slot `next` and the materialized key tuple is returned for the
     /// caller to register in its first-seen-ordered storage.
-    ///
-    /// This is the *single* source of truth for slot assignment: both
-    /// the row-path [`GroupTable`] and the columnar
-    /// [`ColumnarGroups`] route through it, so their group order (and
-    /// with it rows and ledgers) cannot drift apart.
     fn slot_or_insert(&mut self, scratch: &mut Vec<Value>, next: usize) -> (usize, Option<Tuple>) {
         match self {
             GroupIndex::Single(m) => match m.get(&scratch[0]) {
@@ -181,11 +183,11 @@ impl GroupIndex {
     }
 }
 
-/// A grouping hash table: first-seen-ordered accumulators plus the
-/// key → slot index. One instance drives serial aggregation; parallel
-/// workers build one per morsel and the coordinator merges them *in
-/// morsel order*, which reproduces the serial stream's global
-/// first-seen group order exactly.
+/// The row engines' grouping hash table: first-seen-ordered
+/// accumulators plus the key → slot index. One instance drives serial
+/// aggregation; parallel workers build one per morsel and the
+/// coordinator merges them *in morsel order*, which reproduces the
+/// serial stream's global first-seen group order exactly.
 struct GroupTable {
     group_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
@@ -319,7 +321,7 @@ impl ColAcc {
         }
     }
 
-    /// The group's final [`AggState`] (for the shared merge/finish
+    /// The group's final [`AggState`] (for the shared finish
     /// machinery).
     fn state(&self, gid: usize) -> AggState {
         match self {
@@ -333,25 +335,78 @@ impl ColAcc {
             },
         }
     }
+
+    /// Fold group `theirs` of a later partial's accumulator into group
+    /// `mine` — free in the ledger, like [`AggState::merge`].
+    fn merge_from(&mut self, mine: usize, other: &ColAcc, theirs: usize) {
+        match (self, other) {
+            (ColAcc::Sum(a), ColAcc::Sum(b)) | (ColAcc::Count(a), ColAcc::Count(b)) => {
+                a[mine] += b[theirs];
+            }
+            (ColAcc::Min(a), ColAcc::Min(b)) => {
+                if let Some(v) = &b[theirs] {
+                    keep_extreme(&mut a[mine], v.clone(), Ordering::Less);
+                }
+            }
+            (ColAcc::Max(a), ColAcc::Max(b)) => {
+                if let Some(v) = &b[theirs] {
+                    keep_extreme(&mut a[mine], v.clone(), Ordering::Greater);
+                }
+            }
+            (
+                ColAcc::Avg { sums, counts },
+                ColAcc::Avg {
+                    sums: s2,
+                    counts: c2,
+                },
+            ) => {
+                sums[mine] += s2[theirs];
+                counts[mine] += c2[theirs];
+            }
+            _ => unreachable!("partial accumulators of one aggregate share a variant"),
+        }
+    }
 }
 
-/// The columnar grouping table: the same key → first-seen-slot index as
-/// [`GroupTable`], but with typed accumulator arrays ([`ColAcc`]) keyed
-/// by group id. Absorbing a chunk computes group ids for every live
-/// row, then updates each aggregate in a typed column loop
+/// `MIN`/`MAX` step: keep `v` when the slot is empty or `v` compares
+/// `wins` against the value held (ties keep the earlier value, like the
+/// row path).
+fn keep_extreme(acc: &mut Option<Value>, v: Value, wins: Ordering) {
+    let replace = match acc {
+        None => true,
+        Some(cur) => v.partial_cmp_typed(cur).expect("comparable MIN/MAX") == wins,
+    };
+    if replace {
+        *acc = Some(v);
+    }
+}
+
+/// The columnar grouping table: group ids come from the shared key
+/// kernel (`ops/hashkey.rs`) — the group columns of a chunk are hashed
+/// a column at a time, each live row finds or claims its group in a
+/// [`KeyTable`] whose rows *are* the group ids, and the first-seen key
+/// of every group is kept as columns (one key tuple is materialized per
+/// *group*, at the end). Accumulators are typed arrays ([`ColAcc`])
+/// keyed by group id, updated in tight per-chunk loops
 /// ([`Expr::eval_num`] resolves `SUM`/`AVG` inputs straight to `i64`
-/// slices). Charges are identical to [`GroupTable::absorb`]: one
-/// `HashProbe` + one random access per row, one `AggUpdate` per
-/// (row, aggregate), plus whatever the input expressions charge.
+/// slices). Group order is first-seen order, as on the row path, and
+/// the charges are identical to [`GroupTable::absorb`]: one `HashProbe`
+/// and one random access per row, one `AggUpdate` per (row, aggregate),
+/// plus whatever the input expressions charge.
 struct ColumnarGroups {
     group_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
-    keys: Vec<Tuple>,
-    index: GroupIndex,
+    /// First-seen group keys: row `g` is group `g`'s key, column `j`
+    /// its `group_cols[j]` value. Typed by the first chunk absorbed.
+    keys: Option<DataChunk>,
+    /// `0..group_cols.len()`: the key columns of `keys`.
+    key_cols: Vec<usize>,
+    /// Key → group id; holds exactly one row per group.
+    table: KeyTable,
     accs: Vec<ColAcc>,
-    /// Reused per-chunk group-id buffer.
+    /// Reused per-chunk group-id and key-hash buffers.
     gids: Vec<u32>,
-    scratch_key: Vec<Value>,
+    hashes: Vec<u64>,
     /// The encoded chunk the dict-id memo below is keyed against
     /// (compressed pricing, single dictionary-encoded group column).
     dict_enc: Option<Arc<EncodedChunk>>,
@@ -363,34 +418,45 @@ struct ColumnarGroups {
 
 impl ColumnarGroups {
     fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
-        let index = if group_cols.len() == 1 {
-            GroupIndex::Single(HashMap::new())
-        } else {
-            GroupIndex::Multi(HashMap::new())
-        };
         let accs = aggs.iter().map(|a| ColAcc::new(a.func)).collect();
         Self {
-            scratch_key: Vec::with_capacity(group_cols.len()),
+            key_cols: (0..group_cols.len()).collect(),
             group_cols,
             aggs,
-            keys: Vec::new(),
-            index,
+            keys: None,
+            table: KeyTable::with_capacity(0),
             accs,
             gids: Vec::new(),
+            hashes: Vec::new(),
             dict_enc: None,
             dict_gids: Vec::new(),
         }
     }
 
-    /// Group id for row `i` of `chunk`, inserting a fresh slot (and
-    /// growing every accumulator) on first sight. Slot assignment is
-    /// the shared [`GroupIndex::slot_or_insert`] discipline, so group
-    /// order is the row path's by construction.
-    fn gid_of(&mut self, chunk: &Chunk, i: usize) -> u32 {
-        self.scratch_key.clear();
-        self.scratch_key
-            .extend(self.group_cols.iter().map(|&c| chunk.data.value(c, i)));
-        self.slot_of_scratch() as u32
+    /// Number of groups seen so far.
+    fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Group id of the key in row `i` of `data` (key columns `cols`,
+    /// hash `h`), claiming the next id — and growing every accumulator
+    /// — on first sight.
+    fn gid_of(&mut self, h: u64, data: &DataChunk, cols: &[usize], i: usize) -> u32 {
+        let keys = self.keys.get_or_insert_with(|| {
+            let typed = cols
+                .iter()
+                .map(|&c| ColumnChunk::new(ColumnData::empty(data.column(c).data.column_type())));
+            DataChunk::new(typed.collect())
+        });
+        let key_cols = &self.key_cols;
+        let (gid, new) = self
+            .table
+            .find_or_insert(h, |g| keys_eq(keys, key_cols, g as usize, data, cols, i));
+        if new {
+            keys.append_rows(data, cols, std::iter::once(i));
+            self.accs.iter_mut().for_each(ColAcc::grow);
+        }
+        gid
     }
 
     /// Absorb one chunk (see type docs for the charge contract). Under
@@ -419,10 +485,15 @@ impl ColumnarGroups {
         if !dict_keyed {
             ctx.charge(OpClass::HashProbe, n as u64);
             ctx.charge_mem_random(n as u64);
-            chunk.rows().for_each(|_, i| {
-                let gid = self.gid_of(chunk, i);
-                gids.push(gid);
+            let group_cols = std::mem::take(&mut self.group_cols);
+            let mut hashes = std::mem::take(&mut self.hashes);
+            hashes.clear();
+            hash_keys(&chunk.data, &group_cols, chunk.rows(), &mut hashes);
+            chunk.rows().for_each(|k, i| {
+                gids.push(self.gid_of(hashes[k], &chunk.data, &group_cols, i));
             });
+            self.group_cols = group_cols;
+            self.hashes = hashes;
         }
 
         let rows = chunk.rows();
@@ -476,36 +547,19 @@ impl ColumnarGroups {
                     ctx.charge(OpClass::AggUpdate, n as u64);
                     let col = spec.input.eval_column(&chunk.data, rows, ctx);
                     rows.for_each(|k, _| {
-                        let g = gids[k] as usize;
-                        let v = col.data.value(k);
-                        let replace = match &accs[g] {
-                            None => true,
-                            Some(cur) => {
-                                v.partial_cmp_typed(cur).expect("comparable MIN")
-                                    == std::cmp::Ordering::Less
-                            }
-                        };
-                        if replace {
-                            accs[g] = Some(v);
-                        }
+                        keep_extreme(
+                            &mut accs[gids[k] as usize],
+                            col.data.value(k),
+                            Ordering::Less,
+                        );
                     });
                 }
                 (AggFunc::Max, ColAcc::Max(accs)) => {
                     ctx.charge(OpClass::AggUpdate, n as u64);
                     let col = spec.input.eval_column(&chunk.data, rows, ctx);
                     rows.for_each(|k, _| {
-                        let g = gids[k] as usize;
                         let v = col.data.value(k);
-                        let replace = match &accs[g] {
-                            None => true,
-                            Some(cur) => {
-                                v.partial_cmp_typed(cur).expect("comparable MAX")
-                                    == std::cmp::Ordering::Greater
-                            }
-                        };
-                        if replace {
-                            accs[g] = Some(v);
-                        }
+                        keep_extreme(&mut accs[gids[k] as usize], v, Ordering::Greater);
                     });
                 }
                 _ => unreachable!("accumulator variant matches its spec"),
@@ -519,10 +573,11 @@ impl ColumnarGroups {
     /// *is* the hash, so repeat keys never re-hash the string payload.
     /// Memo hits charge one `DictLookup` (an L1 array index); only the
     /// first sight of each id pays the `HashProbe` + random access the
-    /// raw path pays on every row. Slot assignment still routes through
-    /// [`GroupIndex::slot_or_insert`], so group order (and rows) are
-    /// identical to the raw path by construction. Returns `false` when
-    /// the single group column is not dictionary-encoded.
+    /// raw path pays on every row (and hashes the payload, read from
+    /// the row's raw mirror). Group ids still come from
+    /// [`Self::gid_of`], so group order (and rows) are identical to
+    /// the raw path by construction. Returns `false` when the single
+    /// group column is not dictionary-encoded.
     fn gids_from_dict(
         &mut self,
         ctx: &mut ExecCtx,
@@ -530,10 +585,10 @@ impl ColumnarGroups {
         enc: &Arc<EncodedChunk>,
         gids: &mut Vec<u32>,
     ) -> bool {
-        let col = self.group_cols[0];
-        let dict_len = match enc.column(col) {
-            EncodedColumn::DictStr { dict, .. } => dict.len(),
-            EncodedColumn::DictChar { dict, .. } => dict.len(),
+        let col = [self.group_cols[0]];
+        let (ids, dict_len) = match enc.column(col[0]) {
+            EncodedColumn::DictStr { dict, ids } => (ids, dict.len()),
+            EncodedColumn::DictChar { dict, ids } => (ids, dict.len()),
             _ => return false,
         };
         // The memo is keyed by dictionary id, so it is only valid for
@@ -544,63 +599,52 @@ impl ColumnarGroups {
         }
         self.dict_gids.resize(dict_len, u32::MAX);
         let mut misses = 0u64;
-        let n = chunk.len() as u64;
-        match enc.column(col) {
-            EncodedColumn::DictStr { dict, ids } => chunk.rows().for_each(|_, i| {
-                let d = ids.get(i) as usize;
-                let mut gid = self.dict_gids[d];
-                if gid == u32::MAX {
-                    misses += 1;
-                    self.scratch_key.clear();
-                    self.scratch_key.push(Value::Str(Arc::clone(&dict[d])));
-                    gid = self.slot_of_scratch() as u32;
-                    self.dict_gids[d] = gid;
-                }
-                gids.push(gid);
-            }),
-            EncodedColumn::DictChar { dict, ids } => chunk.rows().for_each(|_, i| {
-                let d = ids.get(i) as usize;
-                let mut gid = self.dict_gids[d];
-                if gid == u32::MAX {
-                    misses += 1;
-                    self.scratch_key.clear();
-                    self.scratch_key.push(Value::Char(dict[d]));
-                    gid = self.slot_of_scratch() as u32;
-                    self.dict_gids[d] = gid;
-                }
-                gids.push(gid);
-            }),
-            _ => unreachable!("checked above"),
-        }
-        ctx.charge(OpClass::DictLookup, n);
+        chunk.rows().for_each(|_, i| {
+            let d = ids.get(i) as usize;
+            if self.dict_gids[d] == u32::MAX {
+                misses += 1;
+                let h = hash_row(&chunk.data, &col, i);
+                self.dict_gids[d] = self.gid_of(h, &chunk.data, &col, i);
+            }
+            gids.push(self.dict_gids[d]);
+        });
+        ctx.charge(OpClass::DictLookup, chunk.len() as u64);
         ctx.charge(OpClass::HashProbe, misses);
         ctx.charge_mem_random(misses);
         true
     }
 
-    /// Slot for the key currently in `scratch_key`, growing accumulators
-    /// on first sight (shared tail of [`Self::gid_of`] and the dict path).
-    fn slot_of_scratch(&mut self) -> usize {
-        let (slot, new_key) = self
-            .index
-            .slot_or_insert(&mut self.scratch_key, self.keys.len());
-        if let Some(key) = new_key {
-            self.keys.push(key);
-            self.accs.iter_mut().for_each(ColAcc::grow);
+    /// Fold in a partial built from a *later* morsel of the input: each
+    /// of its groups finds or claims its id here (first-seen order is
+    /// preserved because `other`'s first sight of any shared group came
+    /// later in stream order) and its accumulators merge in. Free in
+    /// the ledger — every row was charged where it was absorbed.
+    fn merge(&mut self, other: ColumnarGroups) {
+        let Some(their_keys) = &other.keys else {
+            return;
+        };
+        for theirs in 0..other.len() {
+            let h = other.table.hash_of(theirs as u32);
+            let mine = self.gid_of(h, their_keys, &other.key_cols, theirs) as usize;
+            for (acc, their_acc) in self.accs.iter_mut().zip(&other.accs) {
+                acc.merge_from(mine, their_acc, theirs);
+            }
         }
-        slot
     }
 
-    /// Convert into a [`GroupTable`] (first-seen order preserved) so
-    /// partial-merge and output assembly stay on one code path.
-    fn into_group_table(self) -> GroupTable {
-        let mut table = GroupTable::new(self.group_cols, self.aggs);
-        for (gid, key) in self.keys.into_iter().enumerate() {
-            let slot = table.slot_for_key(key);
-            debug_assert_eq!(slot, gid);
-            table.entries[slot].1 = self.accs.iter().map(|a| a.state(gid)).collect();
-        }
-        table
+    /// The output rows, in first-seen group order: one key tuple per
+    /// group, followed by its finished aggregates.
+    fn into_rows(self) -> Vec<Tuple> {
+        let Some(keys) = &self.keys else {
+            return Vec::new();
+        };
+        (0..self.len())
+            .map(|gid| {
+                let mut row = keys.row(gid);
+                row.extend(self.accs.iter().map(|a| a.state(gid).finish()));
+                row
+            })
+            .collect()
     }
 }
 
@@ -650,15 +694,19 @@ fn rle_accumulate(
 /// single global row (0 rows in ⇒ 1 output row of zero-counts for
 /// `Sum`/`Count`; `Min`/`Max` over empty input panic by design).
 ///
-/// The input is drained through the child's batch path at `open`;
-/// per-row charges (`HashProbe`, one random access, one `AggUpdate` per
-/// aggregate) are aggregated per batch and are bit-identical to scalar
-/// execution.
+/// The input is drained at `open`; per-row charges (`HashProbe`, one
+/// random access, one `AggUpdate` per aggregate) are aggregated per
+/// batch or chunk and are bit-identical to scalar execution. The row
+/// engines (scalar, batch — the differential-test oracles) absorb
+/// tuples into a `Value`-keyed `GroupTable`; the columnar engine
+/// absorbs chunks into `ColumnarGroups`: group ids from the shared
+/// key kernel (`ops/hashkey.rs`), first-seen keys kept as columns,
+/// typed accumulator arrays.
 ///
 /// With a parallel context and a partitionable child, `open` runs
 /// morsel-parallel *partial aggregation*: each worker absorbs its
-/// morsels into private `GroupTable`s (charging each row exactly as
-/// the serial drain would), and the coordinator folds the partials
+/// morsels into private tables (charging each row exactly as the
+/// serial drain would), and the coordinator folds the partials
 /// together in morsel order — a ledger-free merge that reproduces both
 /// the serial group values and the serial first-seen output order.
 pub struct HashAggregate {
@@ -711,82 +759,68 @@ impl Operator for HashAggregate {
         ctx.streaming_exact = 0;
         let group_cols = &self.group_cols;
         let aggs = &self.aggs;
-        let partials = run_morsels(self.child.as_ref(), ctx, |wctx, pipe| {
-            // Columnar workers absorb chunks into typed accumulator
-            // arrays; either way the partial is handed back as a
-            // GroupTable so the in-order fold below is engine-agnostic.
-            if wctx.columnar {
+        let mut out = if ctx.columnar {
+            let partials = run_morsels(self.child.as_ref(), ctx, |wctx, pipe| {
                 let mut part = ColumnarGroups::new(group_cols.clone(), aggs.clone());
                 drain_chunks(pipe, wctx, |wctx, chunk| part.absorb(wctx, chunk));
-                return part.into_group_table();
-            }
-            let mut part = GroupTable::new(group_cols.clone(), aggs.clone());
-            let mut batch = Vec::new();
-            loop {
-                batch.clear();
-                let more = pipe.next_batch(wctx, &mut batch);
-                if !batch.is_empty() {
-                    part.absorb(wctx, &batch);
-                }
-                if !more {
-                    break;
-                }
-            }
-            part
-        });
-        ctx.streaming_exact = saved_exact;
-
-        let table = match partials {
-            Some(parts) => {
+                part
+            });
+            ctx.streaming_exact = saved_exact;
+            let mut groups = ColumnarGroups::new(group_cols.clone(), aggs.clone());
+            match partials {
                 // Fold morsel partials in order: serial first-seen
                 // group order, serial values, no extra charges.
-                let mut table = GroupTable::new(self.group_cols.clone(), self.aggs.clone());
-                for part in parts {
-                    table.merge(part);
+                Some(parts) => parts.into_iter().for_each(|part| groups.merge(part)),
+                None => {
+                    self.child.open(ctx);
+                    drain_chunks(self.child.as_mut(), ctx, |ctx, chunk| {
+                        groups.absorb(ctx, chunk);
+                    });
                 }
-                table
             }
-            None if ctx.columnar => {
-                self.child.open(ctx);
-                let mut groups = ColumnarGroups::new(self.group_cols.clone(), self.aggs.clone());
-                drain_chunks(self.child.as_mut(), ctx, |ctx, chunk| {
-                    groups.absorb(ctx, chunk);
-                });
-                groups.into_group_table()
-            }
-            None => {
-                self.child.open(ctx);
-                let mut table = GroupTable::new(self.group_cols.clone(), self.aggs.clone());
+            groups.into_rows()
+        } else {
+            let partials = run_morsels(self.child.as_ref(), ctx, |wctx, pipe| {
+                let mut part = GroupTable::new(group_cols.clone(), aggs.clone());
                 let mut batch = Vec::new();
-                drain_batches(self.child.as_mut(), ctx, &mut batch, |ctx, batch| {
-                    table.absorb(ctx, batch);
-                });
-                table
+                loop {
+                    batch.clear();
+                    let more = pipe.next_batch(wctx, &mut batch);
+                    if !batch.is_empty() {
+                        part.absorb(wctx, &batch);
+                    }
+                    if !more {
+                        break;
+                    }
+                }
+                part
+            });
+            ctx.streaming_exact = saved_exact;
+            let mut table = GroupTable::new(group_cols.clone(), aggs.clone());
+            match partials {
+                Some(parts) => parts.into_iter().for_each(|part| table.merge(part)),
+                None => {
+                    self.child.open(ctx);
+                    let mut batch = Vec::new();
+                    drain_batches(self.child.as_mut(), ctx, &mut batch, |ctx, batch| {
+                        table.absorb(ctx, batch);
+                    });
+                }
             }
+            let finish = |(mut row, states): (Tuple, Vec<AggState>)| {
+                row.extend(states.into_iter().map(AggState::finish));
+                row
+            };
+            table.entries.into_iter().map(finish).collect()
         };
-        let entries = table.entries;
 
-        if entries.is_empty() && self.group_cols.is_empty() {
+        if out.is_empty() && self.group_cols.is_empty() {
             // Global aggregate over empty input.
-            let states: Vec<AggState> = self.aggs.iter().map(|a| AggState::new(a.func)).collect();
-            let row: Tuple = states
-                .into_iter()
-                .map(|s| match s {
-                    AggState::Min(None) | AggState::Max(None) => Value::Int(0),
-                    other => other.finish(),
-                })
-                .collect();
-            self.results = vec![row].into_iter();
-            return;
-        }
-
-        let mut out = Vec::with_capacity(entries.len());
-        for (key, states) in entries {
-            let mut row = key;
-            for s in states {
-                row.push(s.finish());
-            }
-            out.push(row);
+            let zero = |a: &AggSpec| match AggState::new(a.func) {
+                AggState::Min(None) | AggState::Max(None) => Value::Int(0),
+                other => other.finish(),
+            };
+            out.push(self.aggs.iter().map(zero).collect());
         }
         self.results = out.into_iter();
     }

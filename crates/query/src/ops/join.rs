@@ -4,18 +4,23 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use eco_simhw::trace::OpClass;
-use eco_storage::{tuple_width, BitPacked, DataChunk, EncodedColumn, Schema, Tuple, Value};
+use eco_storage::{
+    tuple_width, BitPacked, ColumnChunk, DataChunk, EncodedColumn, Schema, Tuple, Value,
+};
 
-use crate::chunk::Chunk;
+use crate::chunk::{Chunk, Rows};
 use crate::context::ExecCtx;
+use crate::ops::hashkey::{hash_keys, hash_row, keys_eq, KeyTable, NO_ROW};
 use crate::ops::{drain_batches, drain_chunks, BoxedOp, Operator};
 use crate::parallel::run_morsels;
 
-/// The build-side hash table. Single-column keys index the table by a
-/// borrowed [`Value`] directly, and composite keys are looked up
-/// through a caller-provided scratch vector (`Vec<Value>:
-/// Borrow<[Value]>`), so the steady-state probe path performs **no
-/// per-row key allocation** at any arity.
+/// The row engines' build-side hash table (scalar and batch — the
+/// differential-test oracles; the columnar engine builds a
+/// [`BuildSide`] instead and shares nothing with this). Single-column
+/// keys index the table by a borrowed [`Value`] directly, and
+/// composite keys are looked up through a caller-provided scratch
+/// vector (`Vec<Value>: Borrow<[Value]>`), so the steady-state probe
+/// path performs **no per-row key allocation** at any arity.
 enum JoinTable {
     /// One join key: probe with `&tuple[key]`, zero allocation.
     Single(HashMap<Value, Vec<Tuple>>),
@@ -71,26 +76,6 @@ impl JoinTable {
         }
     }
 
-    /// Columnar lookup: key values read straight from the chunk's
-    /// columns (no probe-row materialization). Same scratch discipline
-    /// as [`JoinTable::lookup`].
-    fn lookup_chunk<'t>(
-        &'t self,
-        data: &DataChunk,
-        row: usize,
-        keys: &[usize],
-        scratch: &mut Vec<Value>,
-    ) -> Option<&'t [Tuple]> {
-        match self {
-            JoinTable::Single(m) => m.get(&data.value(keys[0], row)).map(Vec::as_slice),
-            JoinTable::Multi(m) => {
-                scratch.clear();
-                scratch.extend(keys.iter().map(|&i| data.value(i, row)));
-                m.get(scratch.as_slice()).map(Vec::as_slice)
-            }
-        }
-    }
-
     /// Absorb a partition table built from a *later* morsel of the
     /// build stream. Appending each key's row list preserves global
     /// build-insertion (FIFO) order per key, because every row in
@@ -112,8 +97,215 @@ impl JoinTable {
     }
 }
 
-/// In-memory hash join: materializes the build side into a hash table
-/// at `open`, then streams the probe side.
+/// The columnar engine's build side: the live build rows kept as
+/// columns, one stored width per row, and a [`KeyTable`] over the key
+/// columns. No `Tuple` and no `Value` is built on the way in, at the
+/// probe, or on the way out.
+struct BuildSide {
+    /// Key column positions in `rows`.
+    keys: Vec<usize>,
+    /// `0..arity`: the build keeps every column.
+    all_cols: Vec<usize>,
+    /// The live build rows, in build-stream order.
+    rows: DataChunk,
+    /// `tuple_width` of each build row.
+    widths: Vec<u32>,
+    /// Key hash of each build row, until [`Self::index`] hands them to
+    /// the table.
+    hashes: Vec<u64>,
+    table: KeyTable,
+}
+
+/// Per-probe-chunk buffers, kept by whoever probes (the operator, or a
+/// morsel worker) so a chunk allocates nothing but its output columns.
+#[derive(Default)]
+struct ProbeScratch {
+    hashes: Vec<u64>,
+    /// Output pairs, probe order × chain order: build row …
+    build_idx: Vec<u32>,
+    /// … and the probe row (absolute index into the chunk) it matched.
+    probe_idx: Vec<u32>,
+    widths: Vec<u32>,
+    /// Dictionary id → chain head ([`NO_ROW`] = no match) for the
+    /// current chunk; see [`BuildSide::pairs_by_dict_id`].
+    memo: Vec<u32>,
+}
+
+/// [`ProbeScratch::memo`]: id not yet looked up in this chunk.
+const UNSEEN: u32 = NO_ROW - 1;
+
+impl BuildSide {
+    fn new(schema: &Schema, keys: &[usize]) -> Self {
+        Self {
+            keys: keys.to_vec(),
+            all_cols: (0..schema.arity()).collect(),
+            rows: DataChunk::with_capacity(schema, 0),
+            widths: Vec::new(),
+            hashes: Vec::new(),
+            table: KeyTable::with_capacity(0),
+        }
+    }
+
+    /// Keep the live rows of one build chunk, charged as every engine
+    /// charges a build row: one `HashBuild` plus its stored width.
+    fn append(&mut self, chunk: &Chunk, ctx: &mut ExecCtx) {
+        let first = self.widths.len();
+        match chunk.rows() {
+            Rows::Range(s, e) => self.append_live(&chunk.data, s..e),
+            Rows::Sel(sel) => self.append_live(&chunk.data, sel.iter().map(|&i| i as usize)),
+        }
+        hash_keys(&chunk.data, &self.keys, chunk.rows(), &mut self.hashes);
+        let bytes: u64 = self.widths[first..].iter().map(|&w| u64::from(w)).sum();
+        ctx.charge(OpClass::HashBuild, chunk.len() as u64);
+        ctx.charge_mem_bytes(bytes);
+    }
+
+    fn append_live(&mut self, data: &DataChunk, live: impl Iterator<Item = usize> + Clone) {
+        self.rows.append_rows(data, &self.all_cols, live.clone());
+        data.row_widths(live, &mut self.widths);
+    }
+
+    /// Append a partition built from a *later* morsel of the build
+    /// stream (already charged by its worker). Concatenating in morsel
+    /// order numbers the rows exactly as the serial build does, so the
+    /// per-key chains — and the join's output order — come out the same.
+    fn concat(&mut self, part: BuildSide) {
+        self.rows
+            .append_rows(&part.rows, &self.all_cols, 0..part.rows.len());
+        self.widths.extend(part.widths);
+        self.hashes.extend(part.hashes);
+    }
+
+    /// Index the collected rows by key, in row order.
+    fn index(&mut self) {
+        let hashes = std::mem::take(&mut self.hashes);
+        let (rows, keys) = (&self.rows, &self.keys);
+        let mut table = KeyTable::with_capacity(hashes.len());
+        for (r, &h) in hashes.iter().enumerate() {
+            table.insert(h, |head| keys_eq(rows, keys, head as usize, rows, keys, r));
+        }
+        self.table = table;
+    }
+
+    /// The chain head of the build rows whose key equals row `i` of
+    /// `data` (key columns `probe_keys`, hash `h`).
+    #[inline]
+    fn find(&self, h: u64, data: &DataChunk, probe_keys: &[usize], i: usize) -> Option<u32> {
+        let (rows, keys) = (&self.rows, &self.keys);
+        self.table
+            .find(h, |b| keys_eq(rows, keys, b as usize, data, probe_keys, i))
+    }
+
+    /// Record `(build row, probe row i)` for every build row whose key
+    /// equals probe row `i`'s, in build-insertion order.
+    #[inline]
+    fn push_matches(&self, head: u32, i: usize, s: &mut ProbeScratch) {
+        for b in self.table.chain(head) {
+            s.build_idx.push(b);
+            s.probe_idx.push(i as u32);
+        }
+    }
+
+    /// Join one probe chunk. The key columns are hashed a chunk at a
+    /// time, matches are collected as `(build row, probe row)` pairs in
+    /// probe order × chain order, and the output is
+    /// `gather(build columns) ++ gather(probe columns)` — a string
+    /// costs an `Arc` bump, nothing is materialized and re-decomposed.
+    /// Charges one `HashProbe` + one random access per live probe row
+    /// and each output row's stored width, exactly like the row paths.
+    ///
+    /// Under compressed pricing a single dictionary-encoded probe key
+    /// goes through [`Self::pairs_by_dict_id`] instead.
+    fn probe(
+        &self,
+        chunk: &Chunk,
+        probe_keys: &[usize],
+        s: &mut ProbeScratch,
+        ctx: &mut ExecCtx,
+    ) -> Chunk {
+        s.build_idx.clear();
+        s.probe_idx.clear();
+        let dict = match (&chunk.enc, probe_keys) {
+            (Some(enc), [key]) => match enc.column(*key) {
+                EncodedColumn::DictStr { dict, ids } => Some((ids, dict.len())),
+                EncodedColumn::DictChar { dict, ids } => Some((ids, dict.len())),
+                _ => None,
+            },
+            _ => None,
+        };
+        if let Some((ids, dict_len)) = dict {
+            self.pairs_by_dict_id(ids, dict_len, chunk, probe_keys, s, ctx);
+        } else {
+            s.hashes.clear();
+            hash_keys(&chunk.data, probe_keys, chunk.rows(), &mut s.hashes);
+            chunk.rows().for_each(|k, i| {
+                if let Some(head) = self.find(s.hashes[k], &chunk.data, probe_keys, i) {
+                    self.push_matches(head, i, s);
+                }
+            });
+            let n = chunk.len() as u64;
+            ctx.charge(OpClass::HashProbe, n);
+            ctx.charge_mem_random(n);
+        }
+
+        let gathered = |cols: &[ColumnChunk], idx: &[u32]| -> Vec<ColumnChunk> {
+            (cols.iter().map(|c| ColumnChunk::new(c.data.gather(idx)))).collect()
+        };
+        let mut columns = gathered(self.rows.columns(), &s.build_idx);
+        columns.append(&mut gathered(chunk.data.columns(), &s.probe_idx));
+        // One row header, not two: width(build) + width(probe) − 2.
+        s.widths.clear();
+        let matched = s.probe_idx.iter().map(|&i| i as usize);
+        chunk.data.row_widths(matched, &mut s.widths);
+        let out_bytes: u64 = (s.build_idx.iter().zip(&s.widths))
+            .map(|(&b, &w)| u64::from(self.widths[b as usize] + w - 2))
+            .sum();
+        ctx.charge_mem_bytes(out_bytes);
+        Chunk::dense(Arc::new(DataChunk::new(columns)))
+    }
+
+    /// Dictionary-id pair collection (compressed pricing, single key):
+    /// the id *is* the hash key, so the string/char payload is hashed
+    /// and looked up only on the first sight of each id in this chunk;
+    /// repeats serve their chain head from a per-id memo. Every live
+    /// row charges one `DictLookup` (the id translation); only memo
+    /// misses charge the `HashProbe` + random access the raw kernel
+    /// charges per row. The pairs are identical to the raw kernel's.
+    /// The memo's *allocation* outlives the chunk; its contents must
+    /// not, or the per-chunk miss count — a ledger charge — would move.
+    fn pairs_by_dict_id(
+        &self,
+        ids: &BitPacked,
+        dict_len: usize,
+        chunk: &Chunk,
+        probe_keys: &[usize],
+        s: &mut ProbeScratch,
+        ctx: &mut ExecCtx,
+    ) {
+        s.memo.clear();
+        s.memo.resize(dict_len, UNSEEN);
+        let mut misses = 0u64;
+        chunk.rows().for_each(|_, i| {
+            let d = ids.get(i) as usize;
+            if s.memo[d] == UNSEEN {
+                misses += 1;
+                // Row `i` carries id `d`'s payload in the raw mirror.
+                let h = hash_row(&chunk.data, probe_keys, i);
+                let head = self.find(h, &chunk.data, probe_keys, i);
+                s.memo[d] = head.unwrap_or(NO_ROW);
+            }
+            if s.memo[d] != NO_ROW {
+                self.push_matches(s.memo[d], i, s);
+            }
+        });
+        ctx.charge(OpClass::DictLookup, chunk.len() as u64);
+        ctx.charge(OpClass::HashProbe, misses);
+        ctx.charge_mem_random(misses);
+    }
+}
+
+/// In-memory hash join: materializes the build side at `open`, then
+/// streams the probe side.
 ///
 /// Work accounting: one `HashBuild` plus the tuple's width in memory
 /// bytes per build row; one `HashProbe` plus one random memory access
@@ -121,32 +313,51 @@ impl JoinTable {
 /// output concatenation charges its width in memory bytes.
 ///
 /// Multi-match rows are emitted in build-insertion (FIFO) order, in
-/// both scalar and batch mode, so execution order is deterministic and
+/// every mode, so execution order is deterministic and
 /// path-independent.
+///
+/// Two engines, one contract. The row engines (scalar, batch) keep
+/// build tuples in a `Value`-keyed hash map — they are the oracles the
+/// differential tests compare against. The columnar engine
+/// ([`ExecCtx::columnar`]) never builds a row: the build side stays in
+/// columns with one stored width per row, keys are hashed a chunk at a
+/// time and indexed by the shared key kernel (`ops/hashkey.rs`:
+/// row-id table, per-key FIFO chains, typed column-vs-column
+/// equality), and a probe chunk's output is gathered from the build
+/// and probe columns. All charges are computed from the width vectors
+/// and are bit-identical to the row engines'.
 ///
 /// With a parallel context (`ExecCtx::workers > 1`) and partitionable
 /// children, `open` runs both sides morsel-parallel: workers build
-/// per-morsel partition tables that are merged in morsel order (so
-/// per-key FIFO order — and therefore output order — is exactly the
-/// serial build's), and the probe pipeline is pre-materialized by
-/// probing the shared table from every worker, gathered in morsel
-/// order. All charges are per-row and additive, so the merged ledger is
-/// bit-identical to serial execution. Probe pre-materialization is
-/// suppressed under a `Limit` ([`ExecCtx::streaming_exact`]) so early
-/// termination keeps consuming exactly what scalar execution would.
+/// per-morsel partitions that are merged (row engines) or concatenated
+/// and then indexed (columnar) in morsel order — so per-key FIFO order,
+/// and therefore output order, is exactly the serial build's — and the
+/// probe pipeline is pre-materialized by probing the shared, read-only
+/// table from every worker, gathered in morsel order. All charges are
+/// per-row and additive, so the merged ledger is bit-identical to
+/// serial execution. Probe pre-materialization is suppressed under a
+/// `Limit` ([`ExecCtx::streaming_exact`]) so early termination keeps
+/// consuming exactly what scalar execution would.
 pub struct HashJoin {
     build: BoxedOp,
     probe: BoxedOp,
     build_keys: Vec<usize>,
     probe_keys: Vec<usize>,
     schema: Schema,
+    /// Row engines: the build table.
     table: JoinTable,
+    /// Columnar engine: the build side, `Some` after a columnar `open`.
+    columns: Option<BuildSide>,
     pending: VecDeque<Tuple>,
     scratch: Vec<Tuple>,
     /// Reused composite-key probe buffer (see [`JoinTable::lookup`]).
     key_scratch: Vec<Value>,
-    /// Parallel-probed output (morsel order) and the serve cursor.
+    probe_scratch: ProbeScratch,
+    /// Row engines: parallel-probed output (morsel order) and the
+    /// serve cursor.
     probed: Option<(Vec<Tuple>, usize)>,
+    /// Columnar engine: parallel-probed output chunks, morsel order.
+    probed_chunks: Option<VecDeque<Chunk>>,
 }
 
 impl HashJoin {
@@ -174,10 +385,13 @@ impl HashJoin {
             probe_keys,
             schema,
             table,
+            columns: None,
             pending: VecDeque::new(),
             scratch: Vec::new(),
             key_scratch: Vec::new(),
+            probe_scratch: ProbeScratch::default(),
             probed: None,
+            probed_chunks: None,
         }
     }
 
@@ -189,112 +403,67 @@ impl HashJoin {
         out
     }
 
-    /// Columnar probe kernel: hash the key column(s) straight out of
-    /// the chunk and materialize a probe row only when it matches (late
-    /// materialization — non-matching probe rows are never built).
-    /// Charges one `HashProbe` + one random access per live probe row
-    /// and the output rows' widths, exactly like the row paths.
-    /// Under compressed pricing, a single dictionary-encoded probe key
-    /// reuses the dictionary id as the hash: the payload is hashed once
-    /// per distinct id per chunk ([`Self::probe_dict_chunk`]) and every
-    /// repeat resolves by array index.
-    fn probe_chunk(
-        table: &JoinTable,
-        probe_keys: &[usize],
-        chunk: &Chunk,
-        key_scratch: &mut Vec<Value>,
-        rows: &mut Vec<Tuple>,
-        ctx: &mut ExecCtx,
-    ) {
-        let n = chunk.len() as u64;
-        if n == 0 {
-            return;
-        }
-        if let (Some(enc), [key], JoinTable::Single(_)) = (&chunk.enc, probe_keys, table) {
-            match enc.column(*key) {
-                EncodedColumn::DictStr { dict, ids } => {
-                    return Self::probe_dict_chunk(
-                        table,
-                        ids,
-                        |d| Value::Str(Arc::clone(&dict[d])),
-                        dict.len(),
-                        chunk,
-                        rows,
-                        ctx,
-                    );
-                }
-                EncodedColumn::DictChar { dict, ids } => {
-                    return Self::probe_dict_chunk(
-                        table,
-                        ids,
-                        |d| Value::Char(dict[d]),
-                        dict.len(),
-                        chunk,
-                        rows,
-                        ctx,
-                    );
-                }
-                _ => {}
-            }
-        }
-        let mut out_bytes = 0u64;
-        chunk.rows().for_each(|_, i| {
-            if let Some(matches) = table.lookup_chunk(&chunk.data, i, probe_keys, key_scratch) {
-                let probe_t = chunk.data.row(i);
-                for build_t in matches {
-                    let t = Self::join_row(build_t, &probe_t);
-                    out_bytes += tuple_width(&t);
-                    rows.push(t);
-                }
-            }
+    /// `open` under the columnar engine: same shape as the row engines'
+    /// — build (morsel-parallel when possible), then pre-probe
+    /// (likewise) — over a [`BuildSide`].
+    fn open_columnar(&mut self, ctx: &mut ExecCtx) {
+        // The build side is fully consumed in every mode, so a
+        // surrounding Limit's streaming-exactness constraint does not
+        // apply below the build.
+        let saved_exact = ctx.streaming_exact;
+        ctx.streaming_exact = 0;
+        let keys = &self.build_keys;
+        let partitions = run_morsels(self.build.as_ref(), ctx, |wctx, pipe| {
+            let mut part = BuildSide::new(pipe.schema(), keys);
+            drain_chunks(pipe, wctx, |wctx, chunk| part.append(chunk, wctx));
+            part
         });
-        ctx.charge(OpClass::HashProbe, n);
-        ctx.charge_mem_random(n);
-        ctx.charge_mem_bytes(out_bytes);
+        let mut side = BuildSide::new(self.build.schema(), keys);
+        match partitions {
+            Some(parts) => parts.into_iter().for_each(|part| side.concat(part)),
+            None => {
+                self.build.open(ctx);
+                drain_chunks(self.build.as_mut(), ctx, |ctx, chunk| {
+                    side.append(chunk, ctx);
+                });
+            }
+        }
+        side.index();
+        ctx.streaming_exact = saved_exact;
+
+        // Probe side: pre-materialize morsel-parallel when allowed
+        // (run_morsels declines under streaming_exact / serial ctx).
+        // Workers share the finished table read-only.
+        let (side_ref, probe_keys) = (&side, &self.probe_keys);
+        let probed = run_morsels(self.probe.as_ref(), ctx, |wctx, pipe| {
+            let mut scratch = ProbeScratch::default();
+            let mut out = Vec::new();
+            drain_chunks(pipe, wctx, |wctx, chunk| {
+                let joined = side_ref.probe(chunk, probe_keys, &mut scratch, wctx);
+                if !joined.is_empty() {
+                    out.push(joined);
+                }
+            });
+            out
+        });
+        match probed {
+            Some(parts) => self.probed_chunks = Some(parts.into_iter().flatten().collect()),
+            None => self.probe.open(ctx),
+        }
+        self.columns = Some(side);
     }
 
-    /// Dictionary-id probe kernel (compressed pricing, single key): the
-    /// id *is* the hash key, so the string/char payload is hashed only
-    /// on the first sight of each id in this chunk; repeats serve their
-    /// match list from a per-id memo. Every live row charges one
-    /// `DictLookup` (the id translation); only memo misses charge the
-    /// `HashProbe` + random access the raw kernel charges per row.
-    /// Output rows — and their byte charges — are identical to the raw
-    /// kernel's.
-    fn probe_dict_chunk(
-        table: &JoinTable,
-        ids: &BitPacked,
-        key_val: impl Fn(usize) -> Value,
-        dict_len: usize,
-        chunk: &Chunk,
-        rows: &mut Vec<Tuple>,
-        ctx: &mut ExecCtx,
-    ) {
-        let JoinTable::Single(m) = table else {
-            unreachable!("dict probe requires a single-key table");
-        };
-        let mut memo: Vec<Option<Option<&[Tuple]>>> = vec![None; dict_len];
-        let mut misses = 0u64;
-        let mut out_bytes = 0u64;
-        chunk.rows().for_each(|_, i| {
-            let d = ids.get(i) as usize;
-            let matches = *memo[d].get_or_insert_with(|| {
-                misses += 1;
-                m.get(&key_val(d)).map(Vec::as_slice)
-            });
-            if let Some(matches) = matches {
-                let probe_t = chunk.data.row(i);
-                for build_t in matches {
-                    let t = Self::join_row(build_t, &probe_t);
-                    out_bytes += tuple_width(&t);
-                    rows.push(t);
-                }
-            }
-        });
-        ctx.charge(OpClass::DictLookup, chunk.len() as u64);
-        ctx.charge(OpClass::HashProbe, misses);
-        ctx.charge_mem_random(misses);
-        ctx.charge_mem_bytes(out_bytes);
+    /// Join probe *rows* against the columnar build side — for a parent
+    /// that pulls rows from a join the columnar engine opened (a
+    /// `Limit`, an index or merge join above it): the rows are
+    /// decomposed into a chunk and probed like any other, so the
+    /// charges are the chunk path's. Pulling one row at a time consumes
+    /// the probe stream exactly as scalar execution does.
+    fn probe_rows(&mut self, probe_in: &[Tuple], ctx: &mut ExecCtx) -> Chunk {
+        let side = self.columns.as_ref().expect("columnar open");
+        let data = DataChunk::from_rows(self.probe.schema(), probe_in);
+        let chunk = Chunk::dense(Arc::new(data));
+        side.probe(&chunk, &self.probe_keys, &mut self.probe_scratch, ctx)
     }
 }
 
@@ -305,8 +474,13 @@ impl Operator for HashJoin {
 
     fn open(&mut self, ctx: &mut ExecCtx) {
         self.table.clear();
+        self.columns = None;
         self.pending.clear();
         self.probed = None;
+        self.probed_chunks = None;
+        if ctx.columnar {
+            return self.open_columnar(ctx);
+        }
 
         // Build side: fully consumed in every mode, so a surrounding
         // Limit's streaming-exactness constraint does not apply below
@@ -317,24 +491,8 @@ impl Operator for HashJoin {
         let build_keys = &self.build_keys;
         let partitions = run_morsels(self.build.as_ref(), ctx, |wctx, pipe| {
             // One partition table per morsel, charged exactly as the
-            // serial build charges its batches. A columnar worker
-            // drains chunks and materializes survivors here (the hash
-            // build is a pipeline breaker) — same rows, same charges.
+            // serial build charges its batches.
             let mut part = JoinTable::for_arity(arity);
-            if wctx.columnar {
-                let mut batch = Vec::new();
-                drain_chunks(pipe, wctx, |wctx, chunk| {
-                    batch.clear();
-                    chunk.to_tuples(&mut batch);
-                    let bytes: u64 = batch.iter().map(tuple_width).sum();
-                    wctx.charge(OpClass::HashBuild, batch.len() as u64);
-                    wctx.charge_mem_bytes(bytes);
-                    for t in batch.drain(..) {
-                        part.insert(t, build_keys);
-                    }
-                });
-                return part;
-            }
             let mut batch = Vec::new();
             loop {
                 batch.clear();
@@ -357,22 +515,6 @@ impl Operator for HashJoin {
                 for part in parts {
                     self.table.absorb(part);
                 }
-            }
-            None if ctx.columnar => {
-                self.build.open(ctx);
-                let mut batch = std::mem::take(&mut self.scratch);
-                let (table, keys) = (&mut self.table, &self.build_keys);
-                drain_chunks(self.build.as_mut(), ctx, |ctx, chunk| {
-                    batch.clear();
-                    chunk.to_tuples(&mut batch);
-                    let bytes: u64 = batch.iter().map(tuple_width).sum();
-                    ctx.charge(OpClass::HashBuild, batch.len() as u64);
-                    ctx.charge_mem_bytes(bytes);
-                    for t in batch.drain(..) {
-                        table.insert(t, keys);
-                    }
-                });
-                self.scratch = batch;
             }
             None => {
                 self.build.open(ctx);
@@ -398,12 +540,6 @@ impl Operator for HashJoin {
         let probed = run_morsels(self.probe.as_ref(), ctx, |wctx, pipe| {
             let mut rows = Vec::new();
             let mut key_scratch = Vec::new();
-            if wctx.columnar {
-                drain_chunks(pipe, wctx, |wctx, chunk| {
-                    Self::probe_chunk(table, probe_keys, chunk, &mut key_scratch, &mut rows, wctx);
-                });
-                return rows;
-            }
             let mut probe_in = Vec::new();
             loop {
                 probe_in.clear();
@@ -444,6 +580,22 @@ impl Operator for HashJoin {
     }
 
     fn next(&mut self, ctx: &mut ExecCtx) -> Option<Tuple> {
+        if self.columns.is_some() {
+            loop {
+                if let Some(t) = self.pending.pop_front() {
+                    return Some(t);
+                }
+                let joined = match &mut self.probed_chunks {
+                    Some(chunks) => chunks.pop_front()?,
+                    None => {
+                        let probe_t = self.probe.next(ctx)?;
+                        self.probe_rows(std::slice::from_ref(&probe_t), ctx)
+                    }
+                };
+                let rows = (0..joined.len()).map(|i| joined.data.row(i));
+                self.pending.extend(rows);
+            }
+        }
         if let Some((rows, pos)) = &mut self.probed {
             let t = rows.get(*pos)?.clone();
             *pos += 1;
@@ -470,6 +622,21 @@ impl Operator for HashJoin {
     }
 
     fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
+        if self.columns.is_some() {
+            out.extend(self.pending.drain(..));
+            if let Some(chunks) = &mut self.probed_chunks {
+                if let Some(joined) = chunks.pop_front() {
+                    joined.to_tuples(out);
+                }
+                return !chunks.is_empty();
+            }
+            let mut probe_in = std::mem::take(&mut self.scratch);
+            probe_in.clear();
+            let more = self.probe.next_batch(ctx, &mut probe_in);
+            self.probe_rows(&probe_in, ctx).to_tuples(out);
+            self.scratch = probe_in;
+            return more;
+        }
         if let Some((rows, pos)) = &mut self.probed {
             let end = (*pos + ctx.batch_size.max(1)).min(rows.len());
             out.extend_from_slice(&rows[*pos..end]);
@@ -506,35 +673,24 @@ impl Operator for HashJoin {
         more
     }
 
-    /// Columnar probe: key values are hashed straight out of the probe
-    /// chunk's columns and only matching probe rows materialize. The
-    /// join output is a fresh row-major chunk — the join is the late
-    /// materialization point of its pipeline.
+    /// Columnar probe: the probe chunk's key columns are hashed, the
+    /// matches collected as row-id pairs, and the output gathered from
+    /// the build and probe columns (`BuildSide::probe`) — no row is
+    /// built on either side.
     fn next_chunk(&mut self, ctx: &mut ExecCtx) -> Option<Chunk> {
-        if let Some((rows, pos)) = &mut self.probed {
-            // Serve the parallel pre-probed rows as decomposed chunks.
-            if *pos >= rows.len() {
-                return None;
-            }
-            let end = (*pos + ctx.batch_size.max(1)).min(rows.len());
-            let data = DataChunk::from_rows(&self.schema, &rows[*pos..end]);
-            *pos = end;
-            return Some(Chunk::dense(Arc::new(data)));
+        let Some(side) = &self.columns else {
+            // Opened by a row engine: decompose a batch, as the trait's
+            // default does.
+            let mut rows = Vec::new();
+            let more = self.next_batch(ctx, &mut rows);
+            return (more || !rows.is_empty())
+                .then(|| Chunk::dense(Arc::new(DataChunk::from_rows(&self.schema, &rows))));
+        };
+        if let Some(chunks) = &mut self.probed_chunks {
+            return chunks.pop_front();
         }
         let chunk = self.probe.next_chunk(ctx)?;
-        let mut rows = Vec::new();
-        Self::probe_chunk(
-            &self.table,
-            &self.probe_keys,
-            &chunk,
-            &mut self.key_scratch,
-            &mut rows,
-            ctx,
-        );
-        Some(Chunk::dense(Arc::new(DataChunk::from_rows(
-            &self.schema,
-            &rows,
-        ))))
+        Some(side.probe(&chunk, &self.probe_keys, &mut self.probe_scratch, ctx))
     }
 }
 
@@ -670,6 +826,104 @@ mod tests {
         while j.next(&mut ctx).is_some() {}
         assert_eq!(ctx.cpu.count(OpClass::HashProbe), 2);
         assert_eq!(ctx.mem_random_accesses, 2);
+    }
+
+    /// Morsel partitions concatenated in morsel order index exactly
+    /// like the serial build: every key's chain lists its rows in
+    /// build-stream order, and the stored widths are the rows' widths.
+    #[test]
+    fn concatenated_partitions_chain_in_build_stream_order() {
+        let schema = Schema::new(&[("k", ColumnType::Int), ("v", ColumnType::Str)]);
+        let stream: Vec<Tuple> = (0..60)
+            .map(|i| vec![Value::Int(i % 7), Value::str("x".repeat(i as usize % 5))])
+            .collect();
+        let mut ctx = ExecCtx::new();
+        let mut part_of = |rows: &[Tuple], sel: Option<Vec<u32>>| {
+            let mut chunk = Chunk::dense(Arc::new(DataChunk::from_rows(&schema, rows)));
+            chunk.sel = sel;
+            let mut part = BuildSide::new(&schema, &[0]);
+            part.append(&chunk, &mut ctx);
+            part
+        };
+        // Uneven morsels; the last keeps only a selection of its chunk.
+        let keep: Vec<u32> = (0..20).filter(|i| i % 3 != 0).collect();
+        let parts = [
+            part_of(&stream[..7], None),
+            part_of(&stream[7..40], None),
+            part_of(&stream[40..], Some(keep.clone())),
+        ];
+        let live: Vec<&Tuple> = (stream[..40].iter())
+            .chain(keep.iter().map(|&i| &stream[40 + i as usize]))
+            .collect();
+        assert_eq!(ctx.cpu.count(OpClass::HashBuild), live.len() as u64);
+        assert_eq!(
+            ctx.mem_stream_bytes,
+            live.iter().map(|t| tuple_width(t)).sum::<u64>()
+        );
+
+        let mut side = BuildSide::new(&schema, &[0]);
+        parts.into_iter().for_each(|part| side.concat(part));
+        side.index();
+        assert_eq!(side.rows.len(), live.len());
+        for (r, t) in live.iter().enumerate() {
+            assert_eq!(&&side.rows.row(r), t, "row {r}");
+            assert_eq!(u64::from(side.widths[r]), tuple_width(t), "width {r}");
+        }
+        for key in 0..7 {
+            let want: Vec<u32> = (0..live.len() as u32)
+                .filter(|&r| live[r as usize][0] == Value::Int(key))
+                .collect();
+            let first = want[0] as usize;
+            let head = side
+                .find(hash_row(&side.rows, &[0], first), &side.rows, &[0], first)
+                .expect("key present");
+            assert_eq!(
+                side.table.chain(head).collect::<Vec<_>>(),
+                want,
+                "key {key}"
+            );
+        }
+    }
+
+    /// A parent that pulls rows (`next` / `next_batch`) from a join the
+    /// columnar engine opened gets the chunk path's rows and charges —
+    /// serial, and over morsel-parallel pre-probed chunks.
+    #[test]
+    fn row_pulls_after_a_columnar_open_match_the_chunk_path() {
+        let schema = Schema::new(&[("k", ColumnType::Int), ("v", ColumnType::Str)]);
+        let side = |n: i64, keys: i64, tag: &str| -> BoxedOp {
+            let rows = (0..n).map(|i| vec![Value::Int(i % keys), Value::str(format!("{tag}{i}"))]);
+            Box::new(VecSource::new(schema.clone(), rows.collect()))
+        };
+        let mk = || HashJoin::new(side(50, 9, "b"), side(200, 13, "p"), vec![0], vec![0]);
+        for workers in [1, 4] {
+            let ctx = || {
+                ExecCtx::new()
+                    .with_columnar(true)
+                    .with_batch_size(16)
+                    .with_workers(workers)
+                    .with_morsel_rows(32)
+            };
+            let (mut j, mut cctx, mut want) = (mk(), ctx(), Vec::new());
+            j.open(&mut cctx);
+            while let Some(c) = j.next_chunk(&mut cctx) {
+                c.to_tuples(&mut want);
+            }
+            assert!(want.len() > 200, "the join fans out");
+
+            let (mut j, mut nctx) = (mk(), ctx());
+            j.open(&mut nctx);
+            let by_next: Vec<Tuple> = std::iter::from_fn(|| j.next(&mut nctx)).collect();
+            let (mut j, mut bctx, mut by_batch) = (mk(), ctx(), Vec::new());
+            j.open(&mut bctx);
+            while j.next_batch(&mut bctx, &mut by_batch) {}
+            for (rows, got) in [(by_next, nctx), (by_batch, bctx)] {
+                assert_eq!(rows, want, "workers={workers}");
+                assert_eq!(got.cpu, cctx.cpu, "workers={workers}");
+                assert_eq!(got.mem_stream_bytes, cctx.mem_stream_bytes);
+                assert_eq!(got.mem_random_accesses, cctx.mem_random_accesses);
+            }
+        }
     }
 
     #[test]

@@ -68,12 +68,19 @@
 //!   semantics become *selection narrowing*, with identical evaluation
 //!   counts;
 //! * [`Project`] runs expression kernels over typed slices into fresh
-//!   columns; [`HashAggregate`] updates typed accumulator arrays keyed
-//!   by group id; [`HashJoin`] hashes key columns directly and
-//!   materializes only matching probe rows;
+//!   columns;
+//! * [`HashJoin`] and [`HashAggregate`] share one key kernel
+//!   (`ops/hashkey.rs`): key columns are hashed a chunk at a time in
+//!   typed loops, rows are indexed by a row-id table with per-key FIFO
+//!   chains, and keys are compared column against column — no `Value`
+//!   is built per row. The join keeps its build side as columns (plus
+//!   one stored width per row, which is what its charges are computed
+//!   from) and gathers each output chunk from build and probe columns;
+//!   the aggregate keeps first-seen group keys as columns and updates
+//!   typed accumulator arrays keyed by group id;
 //! * rows come back into existence ([`crate::chunk::Chunk::to_tuples`])
-//!   only at pipeline breakers that inherently need them (sort buffers,
-//!   hash-build tables) and at the top of the plan.
+//!   only at the pipeline breaker that inherently needs them (sort
+//!   buffers) and at the top of the plan.
 //!
 //! Every operator works under the columnar driver: the default
 //! `next_chunk` wraps `next_batch` and decomposes the batch, so
@@ -128,6 +135,7 @@
 mod agg;
 mod exchange;
 mod filter;
+mod hashkey;
 mod ix_join;
 mod ix_scan;
 mod join;
@@ -141,6 +149,7 @@ mod source;
 pub use agg::{AggSpec, HashAggregate};
 pub use exchange::{Exchange, GatherMerge};
 pub use filter::Filter;
+pub use hashkey::hash_keys;
 pub use ix_join::IxJoin;
 pub use ix_scan::{IxBound, IxScan};
 pub use join::HashJoin;

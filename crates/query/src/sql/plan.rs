@@ -88,6 +88,9 @@ pub fn plan_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<BoxedOp, SqlE
                 return None;
             }
             let entry = catalog.index_on(name, &col)?;
+            // A mistyped probe key stays a filter, whose binding
+            // rejects it with the type error.
+            bind_expr(p, t.schema()).ok()?;
             matches!(t.data, TableData::Disk(_)).then_some((pos, entry, lo, hi))
         });
         let mut est = t.len() as f64;
@@ -402,6 +405,9 @@ fn classify(e: &SqlExpr, tables: &[(String, Arc<StoredTable>)]) -> Result<Classi
             let ta = table_of_column(nl, ql.as_deref(), tables)?;
             let tb = table_of_column(nr, qr.as_deref(), tables)?;
             if ta != tb {
+                // A hash join pairs key columns of one type; anything
+                // else could never match a row.
+                check_comparable(l, tables[ta].1.schema(), r, tables[tb].1.schema())?;
                 return Ok(Classified::EquiJoin(ta, nl.clone(), tb, nr.clone()));
             }
         }
@@ -435,8 +441,38 @@ fn resolve_keys(schema: &eco_storage::Schema, names: &[String]) -> Result<Vec<us
         .collect()
 }
 
-/// Bind a SQL expression against a physical schema.
+/// Reject a comparison between operands of different types, naming
+/// both — the evaluators compare within a type only (a mismatch would
+/// panic mid-query, or as a join key silently match nothing).
+fn check_comparable(
+    l: &SqlExpr,
+    l_schema: &eco_storage::Schema,
+    r: &SqlExpr,
+    r_schema: &eco_storage::Schema,
+) -> Result<(), SqlError> {
+    let (lt, rt) = (output_type(l, l_schema), output_type(r, r_schema));
+    if lt == rt {
+        return Ok(());
+    }
+    let show = |e: &SqlExpr| match e {
+        SqlExpr::Column { name, .. } => name.clone(),
+        SqlExpr::Int(n) | SqlExpr::Decimal(n) => n.to_string(),
+        SqlExpr::Str(s) => format!("'{s}'"),
+        _ => "expression".to_string(),
+    };
+    Err(SqlError::Bind(format!(
+        "cannot compare {} ({lt:?}) with {} ({rt:?})",
+        show(l),
+        show(r)
+    )))
+}
+
+/// Bind a SQL expression against a physical schema. Comparisons
+/// (`=`, `<>`, `<`, `<=`, `>`, `>=`, `BETWEEN`, `IN`) are type-checked
+/// here, so a mismatched one is a [`SqlError::Bind`], never a panic at
+/// execution time.
 pub fn bind_expr(e: &SqlExpr, schema: &eco_storage::Schema) -> Result<Expr, SqlError> {
+    let comparable = |l: &SqlExpr, r: &SqlExpr| check_comparable(l, schema, r, schema);
     Ok(match e {
         SqlExpr::Column { name, .. } => {
             let idx = schema
@@ -449,23 +485,39 @@ pub fn bind_expr(e: &SqlExpr, schema: &eco_storage::Schema) -> Result<Expr, SqlE
         SqlExpr::DateLit(d) => Expr::date(d.0),
         SqlExpr::Not(inner) => Expr::Not(Box::new(bind_expr(inner, schema)?)),
         SqlExpr::Between(x, lo, hi) => {
-            let xe = bind_expr(x, schema)?;
+            let (xe, lo_e, hi_e) = (
+                bind_expr(x, schema)?,
+                bind_expr(lo, schema)?,
+                bind_expr(hi, schema)?,
+            );
+            comparable(x, lo)?;
+            comparable(x, hi)?;
             Expr::And(vec![
-                Expr::cmp(CmpOp::Ge, xe.clone(), bind_expr(lo, schema)?),
-                Expr::cmp(CmpOp::Le, xe, bind_expr(hi, schema)?),
+                Expr::cmp(CmpOp::Ge, xe.clone(), lo_e),
+                Expr::cmp(CmpOp::Le, xe, hi_e),
             ])
         }
         SqlExpr::InList(x, list) => {
             let xe = bind_expr(x, schema)?;
             Expr::Or(
                 list.iter()
-                    .map(|v| Ok(Expr::cmp(CmpOp::Eq, xe.clone(), bind_expr(v, schema)?)))
+                    .map(|v| {
+                        let ve = bind_expr(v, schema)?;
+                        comparable(x, v)?;
+                        Ok(Expr::cmp(CmpOp::Eq, xe.clone(), ve))
+                    })
                     .collect::<Result<Vec<_>, SqlError>>()?,
             )
         }
         SqlExpr::Binary(op, l, r) => {
             let le = bind_expr(l, schema)?;
             let re = bind_expr(r, schema)?;
+            if matches!(
+                op,
+                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+            ) {
+                comparable(l, r)?;
+            }
             match op {
                 BinOp::Eq => Expr::cmp(CmpOp::Eq, le, re),
                 BinOp::Ne => Expr::cmp(CmpOp::Ne, le, re),
@@ -744,6 +796,23 @@ mod tests {
                      GROUP BY n_name"
         )
         .contains("must appear in GROUP BY"));
+        // Comparisons across types are bind errors that name both
+        // types, whether they would have been a filter …
+        let e = err("SELECT COUNT(*) AS n FROM orders WHERE o_orderkey = 'abc'");
+        assert!(
+            e.contains("o_orderkey (Int)") && e.contains("'abc' (Str)"),
+            "{e}"
+        );
+        let e = err("SELECT COUNT(*) AS n FROM orders WHERE o_orderdate = o_orderkey");
+        assert!(e.contains("(Date)") && e.contains("(Int)"), "{e}");
+        assert!(err("SELECT * FROM orders WHERE o_orderdate BETWEEN 1 AND 2").contains("(Date)"));
+        assert!(err("SELECT * FROM region WHERE r_name IN ('ASIA', 3)").contains("(Str)"));
+        // … or a join key (which used to scan, hash and match nothing).
+        let e = err("SELECT COUNT(*) AS n FROM orders, lineitem WHERE o_orderdate = l_orderkey");
+        assert!(
+            e.contains("o_orderdate (Date)") && e.contains("l_orderkey (Int)"),
+            "{e}"
+        );
     }
 
     #[test]

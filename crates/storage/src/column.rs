@@ -184,31 +184,43 @@ impl ColumnData {
     /// column per output column instead of allocating per call).
     /// Replaces `out` with a fresh column on a type mismatch.
     pub fn gather_into(&self, indices: &[u32], out: &mut ColumnData) {
-        if out.column_type() != self.column_type() {
+        if out.column_type() == self.column_type() {
+            out.clear();
+        } else {
             *out = ColumnData::empty(self.column_type());
         }
-        match (self, out) {
-            (ColumnData::Int(v), ColumnData::Int(o)) => {
-                o.clear();
-                o.extend(indices.iter().map(|&i| v[i as usize]));
-            }
-            (ColumnData::Str(v), ColumnData::Str(o)) => {
-                o.clear();
-                o.extend(indices.iter().map(|&i| Arc::clone(&v[i as usize])));
-            }
-            (ColumnData::Date(v), ColumnData::Date(o)) => {
-                o.clear();
-                o.extend(indices.iter().map(|&i| v[i as usize]));
-            }
-            (ColumnData::Char(v), ColumnData::Char(o)) => {
-                o.clear();
-                o.extend(indices.iter().map(|&i| v[i as usize]));
-            }
-            (ColumnData::Bool(v), ColumnData::Bool(o)) => {
-                o.clear();
-                o.extend(indices.iter().map(|&i| v[i as usize]));
-            }
-            _ => unreachable!("gather_into aligned the output type above"),
+        out.append_rows(self, indices.iter().map(|&i| i as usize));
+    }
+
+    /// Append `src`'s values at `rows`, in iteration order (strings
+    /// cost one `Arc` bump each; rows may repeat). This is how a
+    /// pipeline breaker keeps the live rows of the chunks it drains —
+    /// a dense window passes its range, a selection vector its
+    /// indices — without building a tuple. Validity is not consulted,
+    /// exactly like [`DataChunk::row`]. Panics on a type mismatch.
+    pub fn append_rows(&mut self, src: &ColumnData, rows: impl Iterator<Item = usize>) {
+        match (self, src) {
+            (ColumnData::Int(o), ColumnData::Int(v)) => o.extend(rows.map(|i| v[i])),
+            (ColumnData::Str(o), ColumnData::Str(v)) => o.extend(rows.map(|i| Arc::clone(&v[i]))),
+            (ColumnData::Date(o), ColumnData::Date(v)) => o.extend(rows.map(|i| v[i])),
+            (ColumnData::Char(o), ColumnData::Char(v)) => o.extend(rows.map(|i| v[i])),
+            (ColumnData::Bool(o), ColumnData::Bool(v)) => o.extend(rows.map(|i| v[i])),
+            (o, v) => panic!(
+                "cannot append {:?} values to a {:?} column",
+                v.column_type(),
+                o.column_type()
+            ),
+        }
+    }
+
+    /// Drop every value, keeping the allocation.
+    pub fn clear(&mut self) {
+        match self {
+            ColumnData::Int(v) => v.clear(),
+            ColumnData::Str(v) => v.clear(),
+            ColumnData::Date(v) => v.clear(),
+            ColumnData::Char(v) => v.clear(),
+            ColumnData::Bool(v) => v.clear(),
         }
     }
 }
@@ -370,9 +382,59 @@ impl DataChunk {
         &self.columns[i]
     }
 
+    /// Append rows `rows` of `src`, column `j` of this chunk taking
+    /// `src`'s column `src_cols[j]` (see [`ColumnData::append_rows`];
+    /// an appended value is valid, as with the row mutators). Panics
+    /// on an arity or type mismatch.
+    pub fn append_rows(
+        &mut self,
+        src: &DataChunk,
+        src_cols: &[usize],
+        rows: impl Iterator<Item = usize> + Clone,
+    ) {
+        assert_eq!(src_cols.len(), self.columns.len(), "row arity mismatch");
+        let before = self.columns.first().map_or(0, |c| c.data.len());
+        for (col, &s) in self.columns.iter_mut().zip(src_cols) {
+            col.data.append_rows(&src.columns[s].data, rows.clone());
+            if let Some(mask) = &mut col.validity {
+                mask.resize(col.data.len(), true);
+            }
+        }
+        self.len += match self.columns.first() {
+            Some(c) => c.data.len() - before,
+            None => rows.count(),
+        };
+    }
+
     /// Materialize row `i` back into the row-engine tuple it mirrors.
     pub fn row(&self, i: usize) -> Tuple {
         self.columns.iter().map(|c| c.data.value(i)).collect()
+    }
+
+    /// Append the stored width of each of `rows` to `out`: exactly
+    /// [`crate::value::tuple_width`]`(&self.row(i))`, computed from the column types
+    /// plus the strings' byte lengths — no row is built.
+    pub fn row_widths(&self, rows: impl Iterator<Item = usize> + Clone, out: &mut Vec<u32>) {
+        let fixed: u32 = 2 + self
+            .columns
+            .iter()
+            .map(|c| match c.data {
+                ColumnData::Int(_) => 8,
+                ColumnData::Date(_) => 4,
+                ColumnData::Char(_) | ColumnData::Bool(_) => 1,
+                // The length prefix; the payload is added per row.
+                ColumnData::Str(_) => 2,
+            })
+            .sum::<u32>();
+        let start = out.len();
+        out.extend(rows.clone().map(|_| fixed));
+        for c in &self.columns {
+            if let ColumnData::Str(v) = &c.data {
+                for (w, i) in out[start..].iter_mut().zip(rows.clone()) {
+                    *w += v[i].len() as u32;
+                }
+            }
+        }
     }
 
     /// The value at (`col`, `row`).
@@ -479,6 +541,105 @@ mod tests {
             ColumnData::Str(vec![Arc::from("b"), Arc::from("a")])
         );
         assert_eq!(strs.gather(&[1, 0]), scratch, "gather matches gather_into");
+    }
+
+    /// One column of every type; strings include the empty string and
+    /// multi-byte UTF-8 (stored width counts bytes, not chars).
+    fn every_type() -> (Schema, Vec<Tuple>) {
+        let schema = Schema::new(&[
+            ("i", T::Int),
+            ("s", T::Str),
+            ("d", T::Date),
+            ("c", T::Char),
+            ("b", T::Bool),
+            ("s2", T::Str),
+        ]);
+        let strs = ["", "a", "żółć", "日本語テキスト", "plain ascii", "🦀"];
+        let rows = (0..6usize)
+            .map(|i| {
+                vec![
+                    Value::Int(i as i64 - 3),
+                    Value::str(strs[i]),
+                    Value::Date(i as i32),
+                    Value::Char(['x', 'é', '日'][i % 3]),
+                    Value::Bool(i % 2 == 0),
+                    Value::str(strs[5 - i]),
+                ]
+            })
+            .collect();
+        (schema, rows)
+    }
+
+    #[test]
+    fn row_widths_equal_tuple_width_over_windows_and_selections() {
+        use crate::value::tuple_width;
+        let (schema, rows) = every_type();
+        let chunk = DataChunk::from_rows(&schema, &rows);
+        let want = |i: usize| tuple_width(&chunk.row(i)) as u32;
+        assert_eq!(want(0), 2 + 8 + 2 + 4 + 1 + 1 + (2 + 4), "bytes, not chars");
+
+        let mut out = vec![7]; // appended to, never cleared
+        chunk.row_widths(0..6, &mut out);
+        assert_eq!(out[0], 7);
+        assert_eq!(out[1..], (0..6).map(want).collect::<Vec<_>>());
+
+        out.clear();
+        chunk.row_widths(2..5, &mut out);
+        assert_eq!(out, (2..5).map(want).collect::<Vec<_>>(), "dense window");
+
+        let sel: [u32; 4] = [5, 0, 0, 3]; // any order, repeats allowed
+        out.clear();
+        chunk.row_widths(sel.iter().map(|&i| i as usize), &mut out);
+        let picked: Vec<u32> = sel.iter().map(|&i| want(i as usize)).collect();
+        assert_eq!(out, picked, "selection vector");
+
+        out.clear();
+        chunk.row_widths(0..0, &mut out);
+        assert!(out.is_empty());
+        // A chunk with no columns still has its 2-byte row header.
+        DataChunk::default().row_widths(0..3, &mut out);
+        assert_eq!(out, vec![2, 2, 2]);
+    }
+
+    #[test]
+    fn append_rows_keeps_order_and_reads_values_like_row() {
+        let (schema, rows) = every_type();
+        let mut src = DataChunk::from_rows(&schema, &rows);
+        // `row` reads the stored value whatever the mask says; so does
+        // an append (and what it stores is valid).
+        src.columns[0].validity = Some(vec![true, false, true, true, false, true]);
+
+        let all: Vec<usize> = (0..schema.arity()).collect();
+        let mut dst = DataChunk::with_capacity(&schema, 0);
+        dst.columns[0].validity = Some(Vec::new());
+        dst.append_rows(&src, &all, 1..4);
+        let sel: [u32; 3] = [4, 0, 4];
+        dst.append_rows(&src, &all, sel.iter().map(|&i| i as usize));
+        let want: Vec<Tuple> = [1, 2, 3, 4, 0, 4].iter().map(|&i| src.row(i)).collect();
+        assert_eq!(dst.len(), want.len());
+        for (i, r) in want.iter().enumerate() {
+            assert_eq!(&dst.row(i), r, "row {i}");
+        }
+        assert_eq!(dst.column(0).validity, Some(vec![true; 6]));
+
+        // A projection: destination column j takes source column cols[j].
+        let mut keys = DataChunk::new(vec![
+            ColumnChunk::new(ColumnData::empty(T::Char)),
+            ColumnChunk::new(ColumnData::empty(T::Str)),
+        ]);
+        keys.append_rows(&src, &[3, 1], std::iter::once(2));
+        assert_eq!(keys.row(0), vec![rows[2][3].clone(), rows[2][1].clone()]);
+        // No columns at all: the rows still count.
+        let mut none = DataChunk::default();
+        none.append_rows(&src, &[], 0..2);
+        assert_eq!(none.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot append")]
+    fn append_rows_rejects_a_type_mismatch() {
+        let mut c = ColumnData::Int(vec![]);
+        c.append_rows(&ColumnData::Date(vec![1]), 0..1);
     }
 
     #[test]

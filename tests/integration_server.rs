@@ -176,3 +176,50 @@ fn open_system_pricing_charges_idle_between_sparse_arrivals() {
     // a busy machine's draw.
     assert!(report.measurement.makespan_s > report.measurement.busy_window_s * 10.0);
 }
+
+/// Regression: a comparison between values of different types used to
+/// panic inside the columnar comparison kernel — on the fallible path,
+/// so one session's statement took `serve` down — and as a join key it
+/// scanned and hashed both tables to return nothing. All three shapes
+/// are bind errors now; under `serve` only the offending session fails.
+#[test]
+fn type_mismatched_sql_is_a_bind_error_not_a_panic() {
+    use ecodb::query::sql::SqlError;
+    use ecodb::server::{Request, SessionId, Statement};
+
+    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
+    let mismatched = [
+        "SELECT COUNT(*) AS n FROM orders WHERE o_orderkey = 'abc'",
+        "SELECT COUNT(*) AS n FROM orders WHERE o_orderdate = o_orderkey",
+        "SELECT COUNT(*) AS n FROM orders, lineitem WHERE o_orderdate = l_orderkey",
+    ];
+    for sql in mismatched {
+        match db.try_trace_sql(sql) {
+            Err(ServerError::Sql(SqlError::Bind(msg))) => {
+                assert!(msg.contains("cannot compare"), "{sql}: {msg}");
+            }
+            other => panic!("{sql}: expected a bind error, got {other:?}"),
+        }
+    }
+
+    let sql = |session, arrival_s, text: &str| Request {
+        session: SessionId(session),
+        arrival_s,
+        statement: Statement::Sql(text.to_string()),
+    };
+    let requests = vec![
+        sql(0, 0.0, "SELECT COUNT(*) AS n FROM orders"),
+        sql(1, 1e-4, mismatched[0]),
+        sql(2, 2e-4, "SELECT COUNT(*) AS n FROM lineitem"),
+    ];
+    let report = EcoServer::new(&db, ServerConfig::batched(2, 2)).serve(&requests);
+    assert_eq!((report.served, report.failed), (2, 1));
+    assert!(matches!(
+        &report.outcomes[1],
+        SessionOutcome::Rejected {
+            error: ServerError::Sql(SqlError::Bind(_)),
+            ..
+        }
+    ));
+    assert!(report.outcomes[0].is_completed() && report.outcomes[2].is_completed());
+}

@@ -1,0 +1,573 @@
+//! Differential property test for the vectorised hash join and
+//! group-by (the columnar engine's `HashJoin` / `HashAggregate` over
+//! the shared key kernel) against the scalar **and** batch row engines.
+//!
+//! Generated inputs aim at the places a hash table goes wrong: 1–3 key
+//! columns drawn from every column type, duplicate keys with fan-out,
+//! skewed and all-equal keys, keys whose hashes collide in the table's
+//! low bits (one long probe cluster), distinct keys whose *full* 64-bit
+//! hashes are identical, key columns that agree bit for bit but differ
+//! in type (`Int(1)` vs `Date(1)`: never a match), empty build, empty
+//! probe, no matches at all, selection vectors on either side, a
+//! `LIMIT` pulling the join a row at a time, and group-bys over 0–3
+//! columns × SUM/COUNT/MIN/MAX/AVG.
+//!
+//! Under raw pricing, rows — including multi-match emission order and
+//! first-seen group order — and whole ledgers must equal both oracles
+//! at 1, 2 and 4 workers. Under compressed pricing (encoded mirrors on
+//! scanned tables) rows must still equal the oracles and the
+//! dictionary-id paths must charge exactly their contract: one
+//! `DictLookup` per live row, and `HashProbe` + a random access only
+//! on the first sight of an id (per probe chunk in the join, per
+//! encoded table in the aggregate).
+//!
+//! Seeds are pinned: the vendored `proptest` derives each test's
+//! generator from the test's name.
+
+use std::collections::HashSet;
+
+use proptest::prelude::*;
+
+use ecodb::query::chunk::Rows;
+use ecodb::query::context::ExecCtx;
+use ecodb::query::exec::{execute_parallel, execute_scalar, ExecEngine};
+use ecodb::query::expr::{AggFunc, CmpOp, Expr};
+use ecodb::query::ops::{
+    hash_keys, AggSpec, BoxedOp, Filter, HashAggregate, HashJoin, Limit, SeqScan, VecSource,
+};
+use ecodb::simhw::trace::{OpClass, PricingMode};
+use ecodb::storage::{
+    Catalog, ColumnType, DataChunk, EncodedColumn, HeapTable, Schema, Tuple, Value,
+};
+
+const TYPES: [ColumnType; 5] = [
+    ColumnType::Int,
+    ColumnType::Date,
+    ColumnType::Char,
+    ColumnType::Str,
+    ColumnType::Bool,
+];
+
+/// splitmix64: the case's own generator, seeded from one drawn `u64`.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n.max(1)
+    }
+
+    fn pick<T: Copy>(&mut self, of: &[T]) -> T {
+        of[self.below(of.len() as u64) as usize]
+    }
+}
+
+/// The value key id `id` takes in a column of type `ty` — one value per
+/// id (two ids per `Bool`), the same bits across the numeric types so
+/// that cross-typed columns agree in payload and differ only in type.
+fn key_value(ty: ColumnType, id: i64) -> Value {
+    match ty {
+        ColumnType::Int => Value::Int(id),
+        ColumnType::Date => Value::Date(id as i32),
+        ColumnType::Char => Value::Char(char::from_u32(id as u32 % 0xD000).expect("scalar value")),
+        ColumnType::Bool => Value::Bool(id % 2 != 0),
+        ColumnType::Str => Value::str(match id.rem_euclid(4) {
+            0 if id == 0 => String::new(),
+            1 => format!("ключ-{id}"),
+            2 => format!("{id}"),
+            _ => format!("key/{id}/with-a-longer-tail"),
+        }),
+    }
+}
+
+/// How the build side's keys are distributed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    Uniform,
+    Skewed,
+    AllEqual,
+    /// Every key lands in one probe cluster of the table.
+    LowBitCollisions,
+    /// Pairs of distinct keys with identical 64-bit hashes.
+    HashTwins,
+    /// Probe key columns carry the build's bits under another type.
+    CrossTyped,
+}
+
+const MODES: [Mode; 6] = [
+    Mode::Uniform,
+    Mode::Skewed,
+    Mode::AllEqual,
+    Mode::LowBitCollisions,
+    Mode::HashTwins,
+    Mode::CrossTyped,
+];
+
+/// The kernel's hash of each composite key in `keys` (typed `types`).
+fn hashes_of(types: &[ColumnType], keys: &[Vec<i64>]) -> Vec<u64> {
+    let cols: Vec<(String, ColumnType)> = types
+        .iter()
+        .enumerate()
+        .map(|(j, &t)| (format!("k{j}"), t))
+        .collect();
+    let refs: Vec<(&str, ColumnType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+    let rows: Vec<Tuple> = keys
+        .iter()
+        .map(|k| {
+            k.iter()
+                .zip(types)
+                .map(|(&id, &t)| key_value(t, id))
+                .collect()
+        })
+        .collect();
+    let data = DataChunk::from_rows(&Schema::new(&refs), &rows);
+    let key_cols: Vec<usize> = (0..types.len()).collect();
+    let mut out = Vec::new();
+    hash_keys(&data, &key_cols, Rows::Range(0, rows.len()), &mut out);
+    out
+}
+
+/// The pool of distinct composite keys the build side draws from.
+fn key_pool(rng: &mut Rng, mode: Mode, types: &[ColumnType], distinct: usize) -> Vec<Vec<i64>> {
+    let arity = types.len();
+    let random_key =
+        |rng: &mut Rng| -> Vec<i64> { (0..arity).map(|_| rng.below(40) as i64).collect() };
+    match mode {
+        Mode::AllEqual => vec![random_key(rng)],
+        Mode::LowBitCollisions => {
+            // Vary the first key column, hash the candidates with the
+            // kernel's own function, keep the fullest low-8-bit bucket:
+            // a build of up to 128 rows sits in a 256-slot table, so
+            // every key starts its probe at the same slot.
+            let tail = random_key(rng);
+            let candidates: Vec<Vec<i64>> = (0..4096)
+                .map(|id| {
+                    let mut k = tail.clone();
+                    k[0] = id;
+                    k
+                })
+                .collect();
+            let hashes = hashes_of(types, &candidates);
+            let mut fill = [0usize; 256];
+            hashes.iter().for_each(|h| fill[(h & 255) as usize] += 1);
+            let bucket = (0..256).max_by_key(|&b| fill[b]).expect("256 buckets") as u64;
+            // Keep one candidate per hash: a `Bool` or `Char` first
+            // column maps many ids to one key.
+            let mut seen = HashSet::new();
+            (candidates.into_iter().zip(&hashes))
+                .filter(|(_, &h)| h & 255 == bucket && seen.insert(h))
+                .map(|(k, _)| k)
+                .take(distinct.max(2))
+                .collect()
+        }
+        Mode::HashTwins => {
+            // The kernel folds a column at a time: h = mix(mix(seed, a), b)
+            // with mix(h, v) a function of h ^ v. Two keys (a, b) and
+            // (a', b') with mix(seed, a) ^ b == mix(seed, a') ^ b' hash
+            // identically — build such pairs from the one-column hash.
+            assert!(types[..2].iter().all(|&t| t == ColumnType::Int));
+            let mut pool = Vec::new();
+            for _ in 0..distinct.div_ceil(2) {
+                let (a, a2) = (rng.below(1000) as i64, 1000 + rng.below(1000) as i64);
+                let tail = random_key(rng);
+                let h = hashes_of(&types[..1], &[vec![a], vec![a2]]);
+                let b = rng.next() as i64;
+                let b2 = b ^ (h[0] ^ h[1]) as i64;
+                for (x, y) in [(a, b), (a2, b2)] {
+                    let mut k = tail.clone();
+                    (k[0], k[1]) = (x, y);
+                    pool.push(k);
+                }
+            }
+            let h = hashes_of(types, &pool);
+            assert!(h.chunks(2).all(|p| p[0] == p[1]), "twins must share a hash");
+            pool
+        }
+        _ => {
+            let mut seen = HashSet::new();
+            (0..distinct * 4)
+                .map(|_| random_key(rng))
+                .filter(|k| seen.insert(k.clone()))
+                .take(distinct)
+                .collect()
+        }
+    }
+}
+
+/// One generated join or aggregation input.
+struct Inputs {
+    build_schema: Schema,
+    build_rows: Vec<Tuple>,
+    build_keys: Vec<usize>,
+    probe_schema: Schema,
+    probe_rows: Vec<Tuple>,
+    probe_keys: Vec<usize>,
+    /// Keep rows with `r < t` (a selection vector under the columnar
+    /// engine); `None` leaves dense windows.
+    build_filter: Option<i64>,
+    probe_filter: Option<i64>,
+    /// Scan memory tables (which carry encoded mirrors) instead of
+    /// `VecSource`s.
+    scanned: Option<Catalog>,
+}
+
+fn schema_of(cols: &[(String, ColumnType)]) -> Schema {
+    let refs: Vec<(&str, ColumnType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+    Schema::new(&refs)
+}
+
+/// Payload columns every row carries besides its key: a sequence
+/// number, a variable-width (multi-byte) string and the filter column.
+fn payload(rng: &mut Rng, seq: usize) -> [Value; 3] {
+    let pad = ["", "é", "日本", "wide-ascii-padding"][rng.below(4) as usize];
+    [
+        Value::Int(seq as i64),
+        Value::str(format!("{pad}{}", seq % 7)),
+        Value::Int(rng.below(10) as i64),
+    ]
+}
+
+fn generate(seed: u64, mode: Mode, scanned: bool, filters: bool) -> Inputs {
+    let mut rng = Rng(seed);
+    let arity = 1 + rng.below(3) as usize;
+    let mut types: Vec<ColumnType> = (0..arity).map(|_| rng.pick(&TYPES)).collect();
+    let mode = match mode {
+        // Cross-typed keys only exist in hand-built plans.
+        Mode::CrossTyped if scanned => Mode::Uniform,
+        m => m,
+    };
+    if mode == Mode::HashTwins {
+        types = vec![ColumnType::Int; arity.max(2)];
+    }
+    let probe_types: Vec<ColumnType> = match mode {
+        Mode::CrossTyped => (types.iter())
+            .map(|&t| match t {
+                ColumnType::Int => ColumnType::Date,
+                _ => ColumnType::Int,
+            })
+            .collect(),
+        _ => types.clone(),
+    };
+
+    let n_build = rng.pick(&[0usize, 1, 5, 40, 128]);
+    let n_probe = rng.pick(&[0usize, 1, 30, 300]);
+    let distinct = rng.pick(&[1usize, 3, 12, 60]);
+    let pool = key_pool(&mut rng, mode, &types, distinct);
+    let no_matches = rng.below(6) == 0;
+
+    let draw = |rng: &mut Rng, hit: bool| -> Vec<i64> {
+        let mut k = match mode {
+            Mode::Skewed if rng.below(4) != 0 => pool[0].clone(),
+            _ => pool[rng.below(pool.len() as u64) as usize].clone(),
+        };
+        if !hit {
+            k[0] += 5000;
+        }
+        k
+    };
+
+    let key_names = |side: &str, tys: &[ColumnType]| -> Vec<(String, ColumnType)> {
+        (tys.iter().enumerate())
+            .map(|(j, &t)| (format!("{side}k{j}"), t))
+            .collect()
+    };
+    // Build rows: keys first. Probe rows: a payload column first, so
+    // the two sides' key positions differ.
+    let mut build_cols = key_names("b", &types);
+    for (n, t) in [
+        ("bseq", ColumnType::Int),
+        ("bpay", ColumnType::Str),
+        ("br", ColumnType::Int),
+    ] {
+        build_cols.push((n.to_string(), t));
+    }
+    let mut probe_cols = vec![("ppay".to_string(), ColumnType::Str)];
+    probe_cols.extend(key_names("p", &probe_types));
+    for (n, t) in [("pseq", ColumnType::Int), ("pr", ColumnType::Int)] {
+        probe_cols.push((n.to_string(), t));
+    }
+
+    let build_rows: Vec<Tuple> = (0..n_build)
+        .map(|i| {
+            let key = draw(&mut rng, true);
+            let mut row: Tuple = (key.iter().zip(&types))
+                .map(|(&id, &t)| key_value(t, id))
+                .collect();
+            row.extend(payload(&mut rng, i));
+            row
+        })
+        .collect();
+    let probe_rows: Vec<Tuple> = (0..n_probe)
+        .map(|i| {
+            let hit = !no_matches && rng.below(10) < 7;
+            let key = draw(&mut rng, hit);
+            let [seq, pay, r] = payload(&mut rng, i);
+            let mut row = vec![pay];
+            row.extend((key.iter().zip(&probe_types)).map(|(&id, &t)| key_value(t, id)));
+            row.extend([seq, r]);
+            row
+        })
+        .collect();
+
+    let (build_schema, probe_schema) = (schema_of(&build_cols), schema_of(&probe_cols));
+    let scanned = scanned.then(|| {
+        let mut cat = Catalog::new(1 << 20);
+        let table = |s: &Schema, rows: &[Tuple]| HeapTable::from_tuples(s.clone(), rows.to_vec());
+        cat.add_memory_table("b", table(&build_schema, &build_rows));
+        cat.add_memory_table("p", table(&probe_schema, &probe_rows));
+        cat
+    });
+    let mut filter = |on: bool| (on && rng.below(2) == 0).then(|| rng.pick(&[3i64, 7]));
+    Inputs {
+        build_keys: (0..types.len()).collect(),
+        probe_keys: (1..=types.len()).collect(),
+        build_filter: filter(filters),
+        probe_filter: filter(filters),
+        build_schema,
+        build_rows,
+        probe_schema,
+        probe_rows,
+        scanned,
+    }
+}
+
+impl Inputs {
+    fn source(&self, build: bool) -> BoxedOp {
+        let (name, schema, rows, filter) = if build {
+            ("b", &self.build_schema, &self.build_rows, self.build_filter)
+        } else {
+            ("p", &self.probe_schema, &self.probe_rows, self.probe_filter)
+        };
+        let src: BoxedOp = match &self.scanned {
+            Some(cat) => Box::new(SeqScan::new(cat.expect(name))),
+            None => Box::new(VecSource::new(schema.clone(), rows.clone())),
+        };
+        match filter {
+            Some(t) => {
+                let r = schema.arity() - 1;
+                Box::new(Filter::new(
+                    src,
+                    Expr::cmp(CmpOp::Lt, Expr::col(r), Expr::int(t)),
+                ))
+            }
+            None => src,
+        }
+    }
+
+    fn join(&self) -> BoxedOp {
+        Box::new(HashJoin::new(
+            self.source(true),
+            self.source(false),
+            self.build_keys.clone(),
+            self.probe_keys.clone(),
+        ))
+    }
+
+    /// GROUP BY the first `groups` key columns of the probe side.
+    fn aggregate(&self, groups: usize, funcs: &[AggFunc]) -> BoxedOp {
+        let seq = self.probe_schema.arity() - 2;
+        let aggs = (funcs.iter().enumerate())
+            .map(|(j, &func)| AggSpec {
+                func,
+                // Alternate the two Int payload columns.
+                input: Expr::col(seq + j % 2),
+                name: format!("a{j}"),
+            })
+            .collect();
+        let group_cols = self.probe_keys[..groups.min(self.probe_keys.len())].to_vec();
+        Box::new(HashAggregate::new(self.source(false), group_cols, aggs))
+    }
+}
+
+/// Everything the figures are priced from.
+fn ledger(ctx: &ExecCtx) -> impl PartialEq + std::fmt::Debug {
+    (
+        ctx.cpu.clone(),
+        ctx.mem_stream_bytes,
+        ctx.mem_random_accesses,
+        ctx.disk,
+        ctx.pred_evals,
+    )
+}
+
+fn columnar_ctx(chunk: usize, workers: usize, pricing: PricingMode) -> ExecCtx {
+    ExecCtx::new()
+        .with_batch_size(chunk)
+        .with_columnar(true)
+        .with_morsel_rows(16)
+        .with_workers(workers)
+        .with_pricing(pricing)
+}
+
+/// Rows and ledgers of `mk()` under the columnar engine equal both row
+/// oracles at every worker count. Returns the oracle rows.
+fn check_against_oracles(
+    mk: &dyn Fn() -> BoxedOp,
+    chunk: usize,
+) -> Result<Vec<Tuple>, TestCaseError> {
+    let mut sctx = ExecCtx::new().with_batch_size(1);
+    let scalar = execute_scalar(mk().as_mut(), &mut sctx);
+    let mut bctx = ExecCtx::new().with_batch_size(chunk);
+    let batch = ExecEngine::Batch.execute(mk().as_mut(), &mut bctx);
+    prop_assert_eq!(&batch, &scalar, "oracles disagree on rows");
+    prop_assert_eq!(
+        ledger(&bctx),
+        ledger(&sctx),
+        "oracles disagree on the ledger"
+    );
+    for workers in [1, 2, 4] {
+        let mut ctx = columnar_ctx(chunk, workers, PricingMode::Raw);
+        let rows = execute_parallel(mk().as_mut(), &mut ctx, workers);
+        prop_assert_eq!(&rows, &scalar, "columnar rows, workers={}", workers);
+        prop_assert_eq!(
+            ledger(&ctx),
+            ledger(&sctx),
+            "columnar ledger, workers={}",
+            workers
+        );
+    }
+    Ok(scalar)
+}
+
+/// Whether a scanned table's column `col` is dictionary-encoded.
+fn dict_encoded(schema: &Schema, rows: &[Tuple], col: usize) -> bool {
+    let data = DataChunk::from_rows(schema, rows);
+    matches!(
+        EncodedColumn::encode(&data.column(col).data),
+        EncodedColumn::DictStr { .. } | EncodedColumn::DictChar { .. }
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn join_matches_both_oracles(
+        seed in any::<u64>(),
+        mode_idx in 0usize..6,
+        scanned in any::<bool>(),
+        chunk in prop_oneof![Just(3usize), Just(64), Just(1024)],
+        limit in prop_oneof![Just(None), Just(None), Just(Some(0usize)), Just(Some(7))],
+    ) {
+        let inputs = generate(seed, MODES[mode_idx], scanned, true);
+        // Under a LIMIT the join is pulled a row at a time, and must
+        // consume — and charge — exactly as much of the probe stream
+        // as the scalar engine does.
+        let mk = || match limit {
+            Some(n) => Box::new(Limit::new(inputs.join(), n)) as BoxedOp,
+            None => inputs.join(),
+        };
+        let rows = check_against_oracles(&mk, chunk)?;
+        if MODES[mode_idx] == Mode::CrossTyped && !scanned {
+            prop_assert!(rows.is_empty(), "key columns of different types never match");
+        }
+    }
+
+    #[test]
+    fn join_under_compressed_pricing_keeps_rows_and_the_dict_charge_contract(
+        seed in any::<u64>(),
+        mode_idx in 0usize..5,
+        chunk in prop_oneof![Just(7usize), Just(64), Just(1024)],
+    ) {
+        let inputs = generate(seed, MODES[mode_idx], true, false);
+        let mut sctx = ExecCtx::new().with_batch_size(1);
+        let scalar = execute_scalar(inputs.join().as_mut(), &mut sctx);
+
+        let by_dict_id = inputs.probe_keys.len() == 1
+            && dict_encoded(&inputs.probe_schema, &inputs.probe_rows, inputs.probe_keys[0]);
+        let live = inputs.probe_rows.len() as u64;
+        // First sights: distinct keys per probe chunk (serial windows).
+        let first_sights: u64 = (inputs.probe_rows.chunks(chunk))
+            .map(|w| w.iter().map(|t| &t[inputs.probe_keys[0]]).collect::<HashSet<_>>().len() as u64)
+            .sum();
+        for workers in [1, 2, 4] {
+            let mut ctx = columnar_ctx(chunk, workers, PricingMode::Compressed);
+            let rows = execute_parallel(inputs.join().as_mut(), &mut ctx, workers);
+            prop_assert_eq!(&rows, &scalar, "compressed rows, workers={}", workers);
+            let (lookups, probes) = (
+                ctx.cpu.count(OpClass::DictLookup),
+                ctx.cpu.count(OpClass::HashProbe),
+            );
+            prop_assert_eq!(ctx.mem_random_accesses, probes);
+            prop_assert_eq!(ctx.cpu.count(OpClass::HashBuild), inputs.build_rows.len() as u64);
+            prop_assert_eq!(ctx.cpu.count(OpClass::ResultEmit), scalar.len() as u64);
+            if !by_dict_id {
+                prop_assert_eq!((lookups, probes), (0, live), "raw kernel charges");
+            } else {
+                prop_assert_eq!(lookups, live, "one DictLookup per live probe row");
+                if workers == 1 {
+                    prop_assert_eq!(probes, first_sights, "HashProbe on first sight per chunk");
+                }
+                prop_assert!(probes <= live);
+            }
+        }
+    }
+
+    #[test]
+    fn group_by_matches_both_oracles(
+        seed in any::<u64>(),
+        mode_idx in 0usize..5,
+        scanned in any::<bool>(),
+        groups in 0usize..4,
+        funcs in proptest::collection::vec(
+            prop_oneof![
+                Just(AggFunc::Sum), Just(AggFunc::Count), Just(AggFunc::Min),
+                Just(AggFunc::Max), Just(AggFunc::Avg)
+            ],
+            1..5,
+        ),
+        chunk in prop_oneof![Just(3usize), Just(64), Just(1024)],
+    ) {
+        let inputs = generate(seed, MODES[mode_idx], scanned, true);
+        check_against_oracles(&|| inputs.aggregate(groups, &funcs), chunk)?;
+    }
+
+    #[test]
+    fn group_by_under_compressed_pricing_keeps_rows_and_the_dict_charge_contract(
+        seed in any::<u64>(),
+        mode_idx in 0usize..4,
+        groups in 0usize..3,
+        chunk in prop_oneof![Just(7usize), Just(64), Just(1024)],
+    ) {
+        let inputs = generate(seed, MODES[mode_idx], true, false);
+        // COUNT and MIN have no run-at-a-time kernel, so AggUpdate
+        // stays one per (row, aggregate) under compressed pricing too.
+        let funcs = [AggFunc::Count, AggFunc::Min];
+        let mk = || inputs.aggregate(groups, &funcs);
+        let mut sctx = ExecCtx::new().with_batch_size(1);
+        let scalar = execute_scalar(mk().as_mut(), &mut sctx);
+
+        let group_cols = &inputs.probe_keys[..groups.min(inputs.probe_keys.len())];
+        let by_dict_id = group_cols.len() == 1
+            && dict_encoded(&inputs.probe_schema, &inputs.probe_rows, group_cols[0]);
+        let live = inputs.probe_rows.len() as u64;
+        for workers in [1, 2, 4] {
+            let mut ctx = columnar_ctx(chunk, workers, PricingMode::Compressed);
+            let rows = execute_parallel(mk().as_mut(), &mut ctx, workers);
+            prop_assert_eq!(&rows, &scalar, "compressed rows, workers={}", workers);
+            let (lookups, probes) = (
+                ctx.cpu.count(OpClass::DictLookup),
+                ctx.cpu.count(OpClass::HashProbe),
+            );
+            prop_assert_eq!(ctx.mem_random_accesses, probes);
+            prop_assert_eq!(ctx.cpu.count(OpClass::AggUpdate), 2 * live);
+            if !by_dict_id {
+                prop_assert_eq!((lookups, probes), (0, live), "raw kernel charges");
+            } else {
+                prop_assert_eq!(lookups, live, "one DictLookup per live row");
+                if workers == 1 {
+                    // One memo per encoded table: first sights are groups.
+                    prop_assert_eq!(probes, scalar.len() as u64);
+                }
+                prop_assert!(probes <= live);
+            }
+        }
+    }
+}
