@@ -20,7 +20,7 @@
 use eco_query::context::ExecCtx;
 use eco_query::error::ExecError;
 use eco_query::exec::{execute_parallel, ExecEngine};
-use eco_query::mqo::{split_results, MergeError, MergedSelection};
+use eco_query::mqo::{MergeError, MergedSelection};
 use eco_query::ops::BoxedOp;
 use eco_query::plans;
 use eco_query::sql::{execute_dml, DmlOutcome, Statement};
@@ -648,13 +648,16 @@ impl EcoDb {
     /// The one shared merged-batch path (offline QED replay *and* the
     /// online batcher in `eco-server` price through here): validate and
     /// build the [`MergedSelection`], charge the merged parse, run the
-    /// disjunctive scan (serially when `workers` is `None`,
-    /// morsel-parallel otherwise), split results per query on the
-    /// client, and assemble gap/execute/split phases into traces.
+    /// disjunctive scan and the application-side split in one pass
+    /// ([`MergedSelection::run_split`] — serially when `workers` is
+    /// `None`, morsel-parallel otherwise; on the columnar engine each
+    /// result row is built once, straight into its query's result set),
+    /// and assemble gap/execute/split phases into traces. The split is
+    /// client work: its phase follows the execute phase on core 0.
     ///
-    /// The serial branch reproduces the historical single-trace layout
-    /// (gap, `qed×k` execute, split) byte-for-byte, so every offline
-    /// QED figure is unchanged by routing through this function.
+    /// The serial layout reproduces the historical single trace (gap,
+    /// `qed×k` execute, split) byte-for-byte, so every offline QED
+    /// figure is unchanged by routing through this function.
     fn merged_selection_traces(
         &self,
         queries: &[QedQuery],
@@ -663,47 +666,35 @@ impl EcoDb {
     ) -> Result<(Vec<Vec<Tuple>>, Vec<WorkTrace>), ServerError> {
         let mut ctx = self.exec_ctx();
         ctx.short_circuit_or = short_circuit;
+        ctx.workers = workers.unwrap_or(1).max(1);
         ctx.charge(
             OpClass::Parse,
             parse_tokens(StatementKind::MergedSelection(queries.len())),
         );
         let mut merged = MergedSelection::try_new(&self.catalog, queries)?;
+        let mut client = ExecCtx::new();
+        let split = merged.run_split(&mut ctx, &mut client);
+        if let Some(e) = ctx.take_error() {
+            return Err(ServerError::Io(e));
+        }
+        let split_phase = client.take_phase(PhaseKind::ClientCompute, "qed split");
+
         let label = format!("qed×{}", queries.len());
-
-        match workers {
+        let traces = match workers {
             None => {
-                let tagged = merged.run(&mut ctx);
-                if let Some(e) = ctx.take_error() {
-                    return Err(ServerError::Io(e));
-                }
                 let exec_phase = ctx.take_phase(PhaseKind::Execute, label);
-
-                // Application-side split.
-                let mut client = ExecCtx::new();
-                let split = split_results(tagged, queries.len(), &mut client);
-                let split_phase = client.take_phase(PhaseKind::ClientCompute, "qed split");
-
                 let mut trace = WorkTrace::new();
                 trace.push(self.gap_before(&exec_phase));
                 trace.push(exec_phase);
                 trace.push(split_phase);
-                Ok((split, vec![trace]))
+                vec![trace]
             }
             Some(workers) => {
-                let tagged = merged.run_parallel(&mut ctx, workers);
-                if let Some(e) = ctx.take_error() {
-                    return Err(ServerError::Io(e));
-                }
                 let phases = ctx.take_core_phases(workers, &label);
-
-                // Application-side split, on the client (core 0).
-                let mut client = ExecCtx::new();
-                let split = split_results(tagged, queries.len(), &mut client);
-                let split_phase = client.take_phase(PhaseKind::ClientCompute, "qed split");
-
-                Ok((split, self.assemble_core_traces(phases, Some(split_phase))))
+                self.assemble_core_traces(phases, Some(split_phase))
             }
-        }
+        };
+        Ok((split, traces))
     }
 
     /// Run one Q6 morsel-parallel under a per-core configuration.

@@ -1,12 +1,34 @@
 //! Multi-query optimization for QED (paper §4).
 //!
-//! A batch of structurally-identical selection queries is merged into
-//! *one* scan whose filter is the disjunction of the individual
-//! predicates; each emitted tuple is tagged with the index of the query
-//! it belongs to, and an application-side splitter routes rows back to
-//! their queries ("QED also has a little bit of extra work to do with
-//! respect to splitting the result, which … we do in the application
-//! logic and include the time and energy cost").
+//! A batch of structurally-identical selection queries — `key_col = vᵢ`
+//! over one `Int` column — is merged into *one* scan whose filter is
+//! the disjunction of the individual predicates; each matched row is
+//! routed to the query (or queries) it belongs to, and an
+//! application-side splitter hands every query its own result set
+//! ("QED also has a little bit of extra work to do with respect to
+//! splitting the result, which … we do in the application logic and
+//! include the time and energy cost").
+//!
+//! # Two paths, one ledger
+//!
+//! * **Oracle (scalar / batch).** [`MultiFilter`]'s `next` / `next_batch`
+//!   evaluate the predicate [`Expr`]s one after another against each row
+//!   and emit one *tagged* tuple (query index first) per match;
+//!   [`MergedSelection::run`] collects them and [`split_results`] strips
+//!   the tag and routes each tuple to its query. This is the reference
+//!   the differential tests compare against, and what `EcoDb` runs
+//!   under a row engine.
+//! * **Production (columnar).** The predicates are compiled once, at
+//!   construction, into a key → query-ids routing table. Per chunk, one
+//!   table lookup per live row yields the `(row, query)` matches already
+//!   in row-major order, and the predicate-evaluation charge is derived
+//!   arithmetically (see [`MultiFilter`]). [`MergedSelection::run_split`]
+//!   consumes those matches directly: each result row is built exactly
+//!   once, from the scan's columns straight into its query's result
+//!   set — no tag column, no tagged tuple, no second copy — while
+//!   charging exactly what the oracle's emit + split charge.
+//!   [`Operator::next_chunk`] (tag column + gathered child columns)
+//!   stays for generic columnar drivers, on the same routing step.
 
 use std::sync::Arc;
 
@@ -16,15 +38,144 @@ use eco_storage::{
 };
 use eco_tpch::QedQuery;
 
-use crate::chunk::{Chunk, Rows};
+use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::expr::Expr;
 use crate::ops::{BoxedOp, Operator, SeqScan};
-use crate::parallel::Morsel;
-use crate::plans::selection_predicate;
+use crate::parallel::{run_morsels, Morsel};
 
-/// Filter a stream against many predicates at once, tagging each output
-/// row with the (0-based) index of the matching predicate.
+/// Widest key span (`max − min + 1`) the routing table indexes with a
+/// dense array (16 KiB of slots — QED's 50 quantities need 200 bytes);
+/// wider key sets are binary-searched.
+const DENSE_SPAN: u64 = 4096;
+
+/// "No query has this key" in the dense slot array.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Stored width of the query tag the oracle prepends to every emitted
+/// row (a `Value::Int`): what the server-side result path streams on
+/// top of the row itself.
+const TAG_BYTES: u64 = 8;
+
+/// What a [`MultiFilter`] and its morsel clones share: the predicates in
+/// both of their forms — `Expr`s for the row-engine oracle, the key →
+/// query-ids table for the columnar path.
+struct Routing {
+    /// The column every predicate compares.
+    key_col: usize,
+    /// Caller's promise that at most one predicate matches a row.
+    disjoint: bool,
+    /// `key_col = keys[q]`, in query order (the scalar oracle's form).
+    predicates: Vec<Expr>,
+    /// The distinct keys, ascending; a key's position is its *slot*.
+    keys: Vec<i64>,
+    /// Slot `s` routes to `qids[starts[s]..starts[s + 1]]`.
+    starts: Vec<u32>,
+    /// Query ids grouped by slot, ascending — i.e. in predicate order —
+    /// within each slot.
+    qids: Vec<u32>,
+    /// `key − keys[0]` → slot ([`NO_SLOT`] when no query has the key);
+    /// empty when the keys span more than [`DENSE_SPAN`].
+    dense: Vec<u32>,
+}
+
+impl Routing {
+    fn new(key_col: usize, keys: &[i64], disjoint: bool) -> Self {
+        assert!(!keys.is_empty(), "need at least one predicate");
+        let k = u32::try_from(keys.len()).expect("query tags are u32");
+        // Stable sort: queries with equal keys stay in predicate order.
+        let mut qids: Vec<u32> = (0..k).collect();
+        qids.sort_by_key(|&q| keys[q as usize]);
+        let mut distinct = Vec::new();
+        let mut starts = Vec::new();
+        for (pos, &q) in qids.iter().enumerate() {
+            let key = keys[q as usize];
+            if distinct.last() != Some(&key) {
+                distinct.push(key);
+                starts.push(pos as u32);
+            }
+        }
+        starts.push(k);
+
+        let lo = distinct[0];
+        let span = distinct[distinct.len() - 1].wrapping_sub(lo) as u64;
+        let mut dense = Vec::new();
+        if span < DENSE_SPAN {
+            dense.resize(span as usize + 1, NO_SLOT);
+            for (slot, &key) in distinct.iter().enumerate() {
+                dense[key.wrapping_sub(lo) as usize] = slot as u32;
+            }
+        }
+        Self {
+            key_col,
+            disjoint,
+            predicates: keys.iter().map(|&v| Expr::col_eq_int(key_col, v)).collect(),
+            keys: distinct,
+            starts,
+            qids,
+            dense,
+        }
+    }
+
+    /// The queries whose key is `key`, in predicate order.
+    #[inline]
+    fn queries_for(&self, key: i64) -> &[u32] {
+        let slot = if self.dense.is_empty() {
+            match self.keys.binary_search(&key) {
+                Ok(slot) => slot,
+                Err(_) => return &[],
+            }
+        } else {
+            // For `key < keys[0]` the difference wraps to at least
+            // 2⁶³ − keys[0], which no dense array reaches (its length
+            // is max − keys[0] + 1 with max < 2⁶³): never an alias.
+            let offset = key.wrapping_sub(self.keys[0]) as u64;
+            match usize::try_from(offset).ok().and_then(|o| self.dense.get(o)) {
+                Some(&slot) if slot != NO_SLOT => slot as usize,
+                _ => return &[],
+            }
+        };
+        &self.qids[self.starts[slot] as usize..self.starts[slot + 1] as usize]
+    }
+
+    /// The columnar routing step: append the `(row, query)` matches of
+    /// `chunk`'s live rows to `matches`, row-major, and charge the
+    /// predicate evaluations the oracle would have performed on them
+    /// (see [`MultiFilter`] for the arithmetic).
+    fn route_chunk(&self, chunk: &Chunk, ctx: &mut ExecCtx, matches: &mut Vec<(u32, u32)>) {
+        let col = chunk.data.column(self.key_col);
+        let vals = col
+            .data
+            .as_ints()
+            .unwrap_or_else(|| panic!("merged key column {} is not Int", self.key_col));
+        let mask = col.validity.as_deref();
+        let stop_at_first = self.disjoint && ctx.short_circuit_or;
+        let k = self.predicates.len() as u64;
+        let rows = chunk.rows();
+        let mut evals = k * rows.len() as u64;
+        rows.for_each(|_, i| {
+            if mask.is_some_and(|m| !m[i]) {
+                return;
+            }
+            let hits = self.queries_for(vals[i]);
+            if stop_at_first {
+                if let Some(&first) = hits.first() {
+                    // Predicates after the first match are never tried.
+                    evals -= k - (u64::from(first) + 1);
+                    matches.push((i as u32, first));
+                }
+            } else {
+                matches.extend(hits.iter().map(|&q| (i as u32, q)));
+            }
+        });
+        ctx.charge(OpClass::PredEval, evals);
+        ctx.pred_evals += evals;
+    }
+}
+
+/// Filter a stream against many `key_col = vᵢ` predicates at once,
+/// routing each row to the (0-based) index of every predicate it
+/// matches.
 ///
 /// When `disjoint` is set and the context short-circuits, evaluation
 /// stops at the first matching predicate (sound only when at most one
@@ -33,28 +184,43 @@ use crate::plans::selection_predicate;
 /// queries; fan-out rows emit in predicate order (row-major) in scalar,
 /// batch and columnar mode alike.
 ///
-/// The batch and columnar paths are steady-state allocation-lean: the
-/// input scratch buffer, the columnar match buffers and (disjoint path)
-/// the output reservation are all reused across batches, so QED's
-/// disjoint fast path performs no per-batch buffer allocation.
+/// # Row engines: the oracle
+///
+/// `next` / `next_batch` evaluate the predicates as [`Expr`]s, one after
+/// another per row, and emit tagged tuples.
+///
+/// # Columnar engine: key routing
+///
+/// The keys are compiled at construction into a routing table: the
+/// distinct keys in ascending order, each owning the ids of the queries
+/// that compare against it in predicate order, found through a dense
+/// `key − min` array (key spans up to 4096) or by binary search. Per
+/// chunk, one lookup per live row yields the matches already row-major.
+/// With *k* predicates the charges equal the oracle's by arithmetic:
+/// under `disjoint && ctx.short_circuit_or` a row first matched by
+/// predicate *p* (0-based) costs *p* + 1 `PredEval`s and goes to query
+/// *p* only, an unmatched or NULL-keyed row costs *k*; otherwise every
+/// live row costs *k* and goes to every equal-keyed query.
 pub struct MultiFilter {
     child: BoxedOp,
-    predicates: Vec<Expr>,
-    disjoint: bool,
+    routing: Arc<Routing>,
     schema: Schema,
     pending: std::collections::VecDeque<Tuple>,
     scratch: Vec<Tuple>,
-    /// Columnar scratch: live-row indices not yet claimed by a
-    /// predicate (disjoint short-circuit narrowing).
-    alive: Vec<u32>,
     /// Columnar scratch: matched `(row, query id)` pairs.
-    matches: Vec<(u32, u16)>,
+    matches: Vec<(u32, u32)>,
 }
 
 impl MultiFilter {
-    /// Multi-predicate filter over `child`.
-    pub fn new(child: BoxedOp, predicates: Vec<Expr>, disjoint: bool) -> Self {
-        assert!(!predicates.is_empty(), "need at least one predicate");
+    /// Multi-predicate filter over `child`: query `q` selects the rows
+    /// whose `Int` column `key_col` equals `keys[q]`. At most
+    /// `u32::MAX` keys (query ids are carried as `u32`).
+    pub fn new(child: BoxedOp, key_col: usize, keys: &[i64], disjoint: bool) -> Self {
+        assert_eq!(
+            child.schema().columns().get(key_col).map(|c| c.ty),
+            Some(ColumnType::Int),
+            "merged key column {key_col} must be an Int column of the child",
+        );
         let mut cols: Vec<(String, ColumnType)> = vec![("__query_id".to_string(), ColumnType::Int)];
         for c in child.schema().columns() {
             cols.push((c.name.clone(), c.ty));
@@ -62,19 +228,17 @@ impl MultiFilter {
         let refs: Vec<(&str, ColumnType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
         Self {
             child,
-            predicates,
-            disjoint,
+            routing: Arc::new(Routing::new(key_col, keys, disjoint)),
             schema: Schema::new(&refs),
             pending: std::collections::VecDeque::new(),
             scratch: Vec::new(),
-            alive: Vec::new(),
             matches: Vec::new(),
         }
     }
 
     /// Number of merged predicates.
     pub fn arity(&self) -> usize {
-        self.predicates.len()
+        self.routing.predicates.len()
     }
 
     /// Evaluate every predicate against `t`, appending a tagged copy
@@ -99,6 +263,108 @@ impl MultiFilter {
             }
         }
     }
+
+    /// Run the merged scan to completion and return one result set per
+    /// query — the fused production path. Each matched row is built
+    /// once, from the scan's columns straight into its query's result
+    /// set, yet the charges are exactly those of the oracle's two steps,
+    /// computed from the rows' stored widths
+    /// ([`DataChunk::row_widths`]): per routed row, `ResultEmit` and
+    /// `width + 8` (the tag) streamed bytes on `ctx` — what the driver
+    /// charges for emitting the tagged row — and `SplitRoute`,
+    /// `RowCopy` and `width` bytes on `client` — what [`split_results`]
+    /// charges for routing it.
+    ///
+    /// Honours [`ExecCtx::workers`]: morsels are scanned and routed on
+    /// worker threads (which charge the scan and the predicate
+    /// evaluations), their partial result sets are concatenated in
+    /// morsel order — so every query's rows come in serial order — and
+    /// the emit charge stays with the coordinator, as in
+    /// [`crate::exec::execute_parallel`]: per-core phases are unchanged
+    /// at every worker count.
+    ///
+    /// A row-engine context (`!ctx.columnar`) runs the oracle instead.
+    pub fn run_split(&mut self, ctx: &mut ExecCtx, client: &mut ExecCtx) -> Vec<Vec<Tuple>> {
+        if !ctx.columnar {
+            let workers = ctx.workers;
+            let tagged = crate::exec::execute_parallel(self, ctx, workers);
+            return split_results(tagged, self.arity(), client);
+        }
+        let routing = &*self.routing;
+        let parallel = run_morsels(self.child.as_ref(), ctx, |wctx, scan| {
+            SplitPart::drain(routing, scan, wctx)
+        });
+        let SplitPart {
+            per_query,
+            rows,
+            width,
+        } = match parallel {
+            Some(parts) => parts
+                .into_iter()
+                .reduce(SplitPart::followed_by)
+                .expect("a parallel run has at least two morsels"),
+            None => {
+                self.child.open(ctx);
+                SplitPart::drain(routing, self.child.as_mut(), ctx)
+            }
+        };
+        ctx.charge(OpClass::ResultEmit, rows);
+        ctx.charge_mem_bytes(width + TAG_BYTES * rows);
+        client.charge(OpClass::SplitRoute, rows);
+        client.charge(OpClass::RowCopy, rows);
+        client.charge_mem_bytes(width);
+        per_query
+    }
+}
+
+/// What draining one scan pipeline through the routing table yields:
+/// the per-query result rows plus the two sums every result-path charge
+/// is computed from.
+struct SplitPart {
+    per_query: Vec<Vec<Tuple>>,
+    /// Routed rows (a fanned-out row counts once per query).
+    rows: u64,
+    /// Their summed stored widths, tag excluded.
+    width: u64,
+}
+
+impl SplitPart {
+    /// Drain the opened `scan`, routing every chunk's live rows and
+    /// materializing each match directly into its query's result set.
+    fn drain(routing: &Routing, scan: &mut dyn Operator, ctx: &mut ExecCtx) -> Self {
+        let mut part = SplitPart {
+            per_query: vec![Vec::new(); routing.predicates.len()],
+            rows: 0,
+            width: 0,
+        };
+        let mut matches = Vec::new();
+        let mut widths = Vec::new();
+        while let Some(chunk) = scan.next_chunk(ctx) {
+            matches.clear();
+            routing.route_chunk(&chunk, ctx, &mut matches);
+            widths.clear();
+            chunk
+                .data
+                .row_widths(matches.iter().map(|&(row, _)| row as usize), &mut widths);
+            part.rows += matches.len() as u64;
+            part.width += widths.iter().map(|&w| u64::from(w)).sum::<u64>();
+            for &(row, qid) in &matches {
+                part.per_query[qid as usize].push(chunk.data.row(row as usize));
+            }
+        }
+        part
+    }
+
+    /// This part with a later morsel's appended: every query's rows
+    /// stay in scan order.
+    fn followed_by(mut self, later: SplitPart) -> SplitPart {
+        self.rows += later.rows;
+        self.width += later.width;
+        for (rows, mut more) in self.per_query.iter_mut().zip(later.per_query) {
+            rows.append(&mut more);
+        }
+        self
+    }
 }
 
 impl Operator for MultiFilter {
@@ -118,7 +384,8 @@ impl Operator for MultiFilter {
             }
             let t = self.child.next(ctx)?;
             let pending = &mut self.pending;
-            Self::route(&self.predicates, self.disjoint, &t, ctx, |tagged| {
+            let routing = &*self.routing;
+            Self::route(&routing.predicates, routing.disjoint, &t, ctx, |tagged| {
                 pending.push_back(tagged);
             });
         }
@@ -132,13 +399,14 @@ impl Operator for MultiFilter {
         let mut input = std::mem::take(&mut self.scratch);
         input.clear();
         let more = self.child.next_batch(ctx, &mut input);
-        if self.disjoint {
+        let routing = &*self.routing;
+        if routing.disjoint {
             // At most one output per input row: reserve the fan-out
             // upper bound once so the fast path never regrows `out`.
             out.reserve(input.len());
         }
         for t in &input {
-            Self::route(&self.predicates, self.disjoint, t, ctx, |tagged| {
+            Self::route(&routing.predicates, routing.disjoint, t, ctx, |tagged| {
                 out.push(tagged);
             });
         }
@@ -146,59 +414,17 @@ impl Operator for MultiFilter {
         more
     }
 
-    /// Columnar routing: evaluate each predicate over the rows still in
-    /// play (disjoint short-circuit narrows the live set exactly like
-    /// the scalar `stop_at_first` loop, so predicate-evaluation charges
-    /// are identical), collect `(row, query)` matches in row-major
-    /// order, and emit one gathered chunk: the tag column plus the
-    /// child's columns — no per-row tuple is built.
+    /// Columnar routing for generic drivers: route the chunk through
+    /// the key table and emit one gathered chunk — the tag column plus
+    /// the child's columns, in row-major match order. (The production
+    /// merged-selection path, [`MultiFilter::run_split`], skips this
+    /// gather and builds result rows directly.)
     fn next_chunk(&mut self, ctx: &mut ExecCtx) -> Option<Chunk> {
         let chunk = self.child.next_chunk(ctx)?;
         self.matches.clear();
-        let stop_at_first = self.disjoint && ctx.short_circuit_or;
-        if stop_at_first {
-            self.alive.clear();
-            chunk.rows().for_each(|_, i| self.alive.push(i as u32));
-            for (qid, pred) in self.predicates.iter().enumerate() {
-                if self.alive.is_empty() {
-                    break;
-                }
-                let flags = pred.eval_flags(&chunk.data, Rows::Sel(&self.alive), ctx);
-                let mut write = 0;
-                for (k, &matched) in flags.iter().enumerate() {
-                    if matched {
-                        self.matches.push((self.alive[k], qid as u16));
-                    } else {
-                        self.alive[write] = self.alive[k];
-                        write += 1;
-                    }
-                }
-                self.alive.truncate(write);
-            }
-            // Narrowing discovers matches predicate-major; the output
-            // contract is row-major (each row appears at most once here,
-            // so sorting by row id restores the scalar emission order).
-            self.matches.sort_unstable_by_key(|&(row, _)| row);
-        } else {
-            // Every predicate sees every live row; a row may fan out to
-            // several queries, emitted in predicate order per row.
-            let rows = chunk.rows();
-            let flags_per_pred: Vec<Vec<bool>> = self
-                .predicates
-                .iter()
-                .map(|p| p.eval_flags(&chunk.data, rows, ctx))
-                .collect();
-            rows.for_each(|k, i| {
-                for (qid, flags) in flags_per_pred.iter().enumerate() {
-                    if flags[k] {
-                        self.matches.push((i as u32, qid as u16));
-                    }
-                }
-            });
-        }
+        self.routing.route_chunk(&chunk, ctx, &mut self.matches);
 
-        // Gather the output chunk: tag column + child columns.
-        let tags = ColumnData::Int(self.matches.iter().map(|&(_, q)| q as i64).collect());
+        let tags = ColumnData::Int(self.matches.iter().map(|&(_, q)| i64::from(q)).collect());
         let indices: Vec<u32> = self.matches.iter().map(|&(row, _)| row).collect();
         let mut cols = Vec::with_capacity(1 + chunk.data.arity());
         cols.push(ColumnChunk::new(tags));
@@ -216,12 +442,10 @@ impl Operator for MultiFilter {
         let child = self.child.clone_morsel(morsel)?;
         Some(Box::new(MultiFilter {
             child,
-            predicates: self.predicates.clone(),
-            disjoint: self.disjoint,
+            routing: Arc::clone(&self.routing),
             schema: self.schema.clone(),
             pending: std::collections::VecDeque::new(),
             scratch: Vec::new(),
-            alive: Vec::new(),
             matches: Vec::new(),
         }))
     }
@@ -238,6 +462,8 @@ pub enum MergeError {
     EmptyBatch,
     /// The table the merged scan runs over is not in the catalog.
     MissingTable(String),
+    /// The batch holds more queries than a `u32` query tag can name.
+    TooManyQueries(usize),
 }
 
 impl std::fmt::Display for MergeError {
@@ -245,6 +471,11 @@ impl std::fmt::Display for MergeError {
         match self {
             MergeError::EmptyBatch => write!(f, "empty QED batch"),
             MergeError::MissingTable(t) => write!(f, "table `{t}` not in catalog"),
+            MergeError::TooManyQueries(n) => write!(
+                f,
+                "QED batch of {n} queries exceeds the {} a query tag can name",
+                u32::MAX
+            ),
         }
     }
 }
@@ -272,27 +503,29 @@ impl MergedSelection {
         if queries.is_empty() {
             return Err(MergeError::EmptyBatch);
         }
-        if catalog.get("lineitem").is_none() {
-            return Err(MergeError::MissingTable("lineitem".to_string()));
+        if u32::try_from(queries.len()).is_err() {
+            return Err(MergeError::TooManyQueries(queries.len()));
         }
+        let Some(lineitem) = catalog.get("lineitem") else {
+            return Err(MergeError::MissingTable("lineitem".to_string()));
+        };
+        let keys: Vec<i64> = queries.iter().map(|q| q.quantity).collect();
         let distinct = {
-            let mut v: Vec<i64> = queries.iter().map(|q| q.quantity).collect();
+            let mut v = keys.clone();
             v.sort_unstable();
             v.dedup();
-            v.len() == queries.len()
+            v.len() == keys.len()
         };
-        let predicates: Vec<Expr> = queries
-            .iter()
-            .map(|q| selection_predicate(catalog, q))
-            .collect();
-        let scan = Box::new(SeqScan::new(catalog.expect("lineitem"))) as BoxedOp;
+        let qty = lineitem.schema().expect_index("l_quantity");
+        let scan = Box::new(SeqScan::new(lineitem)) as BoxedOp;
         Ok(Self {
-            plan: MultiFilter::new(scan, predicates, distinct),
+            plan: MultiFilter::new(scan, qty, &keys, distinct),
             batch_size: queries.len(),
         })
     }
 
-    /// Execute the merged scan, returning tagged rows.
+    /// Execute the merged scan, returning tagged rows (the oracle's
+    /// first step; [`split_results`] is its second).
     pub fn run(&mut self, ctx: &mut ExecCtx) -> Vec<Tuple> {
         crate::exec::execute(&mut self.plan, ctx)
     }
@@ -302,6 +535,16 @@ impl MergedSelection {
     /// scan is a partitionable pipeline).
     pub fn run_parallel(&mut self, ctx: &mut ExecCtx, workers: usize) -> Vec<Tuple> {
         crate::exec::execute_parallel(&mut self.plan, ctx, workers)
+    }
+
+    /// Execute the merged scan *and* the application-side split in one
+    /// pass, returning per-query result sets: server-side work is
+    /// charged to `ctx` (across [`ExecCtx::workers`] threads), the
+    /// split to `client`. Rows and both ledgers equal [`Self::run`] /
+    /// [`Self::run_parallel`] followed by [`split_results`]; see
+    /// [`MultiFilter::run_split`].
+    pub fn run_split(&mut self, ctx: &mut ExecCtx, client: &mut ExecCtx) -> Vec<Vec<Tuple>> {
+        self.plan.run_split(ctx, client)
     }
 
     /// Batch size.
@@ -417,11 +660,148 @@ mod tests {
         let schema = Schema::new(&[("v", ColumnType::Int)]);
         let src = VecSource::new(schema, vec![vec![Value::Int(5)]]);
         // Two overlapping predicates both match value 5.
-        let preds = vec![Expr::col_eq_int(0, 5), Expr::col_eq_int(0, 5)];
-        let mut mf = MultiFilter::new(Box::new(src), preds, false);
+        let mut mf = MultiFilter::new(Box::new(src), 0, &[5, 5], false);
         let mut ctx = ExecCtx::new();
         let rows = execute(&mut mf, &mut ctx);
         assert_eq!(rows.len(), 2, "row must fan out to both queries");
+    }
+
+    /// Tagged rows, `pred_evals` and the whole ledger (as one phase) of
+    /// a `MultiFilter` over single-column `rows`, scalar or columnar.
+    fn run_filter(
+        rows: &[i64],
+        keys: &[i64],
+        disjoint: bool,
+        short_circuit: bool,
+        columnar: bool,
+    ) -> (Vec<Tuple>, u64, eco_simhw::trace::Phase) {
+        use crate::ops::VecSource;
+        let schema = Schema::new(&[("v", ColumnType::Int)]);
+        let src = VecSource::new(schema, rows.iter().map(|&v| vec![Value::Int(v)]).collect());
+        let mut mf = MultiFilter::new(Box::new(src), 0, keys, disjoint);
+        let mut ctx = ExecCtx::new().with_batch_size(7);
+        ctx.short_circuit_or = short_circuit;
+        let out = if columnar {
+            crate::exec::execute_columnar(&mut mf, &mut ctx)
+        } else {
+            crate::exec::execute_scalar(&mut mf, &mut ctx)
+        };
+        let evals = ctx.pred_evals;
+        (
+            out,
+            evals,
+            ctx.take_phase(eco_simhw::trace::PhaseKind::Execute, "t"),
+        )
+    }
+
+    #[test]
+    fn routed_charges_equal_the_scalar_oracle() {
+        let mixed: Vec<i64> = (0..40).map(|i| i % 9).collect();
+        // Every row matches predicate 0: the old narrowing loop's
+        // `alive.is_empty()` early exit, 1 evaluation per row.
+        let all_early = vec![3i64; 20];
+        let cases: [(&[i64], &[i64], bool); 5] = [
+            (&mixed, &[3, 1, 7, 5], true),
+            (&mixed, &[3, 1, 3, 8, 1], false),
+            (&all_early, &[3, 1, 7, 5], true),
+            (&mixed, &[100, 200], true),
+            // A caller that wrongly promises disjointness still gets the
+            // oracle's behaviour: the first equal-keyed query wins.
+            (&mixed, &[4, 2, 4], true),
+        ];
+        for (rows, keys, disjoint) in cases {
+            for short_circuit in [true, false] {
+                let what = format!("keys {keys:?} disjoint={disjoint} sc={short_circuit}");
+                let (rows_s, evals_s, phase_s) =
+                    run_filter(rows, keys, disjoint, short_circuit, false);
+                let (rows_c, evals_c, phase_c) =
+                    run_filter(rows, keys, disjoint, short_circuit, true);
+                assert_eq!(rows_c, rows_s, "{what}: rows");
+                assert_eq!(evals_c, evals_s, "{what}: pred_evals");
+                assert_eq!(phase_c, phase_s, "{what}: ledger");
+            }
+        }
+        let (_, evals, _) = run_filter(&all_early, &[3, 1, 7, 5], true, true, true);
+        assert_eq!(evals, 20, "p + 1 = 1 evaluation per first-predicate row");
+        let (_, evals, _) = run_filter(&all_early, &[1, 7, 5, 3], true, true, true);
+        assert_eq!(evals, 80, "matched by the last of four predicates");
+        let (_, evals, _) = run_filter(&all_early, &[1, 7, 5, 9], true, true, true);
+        assert_eq!(evals, 80, "an unmatched row costs k");
+    }
+
+    /// Regression: the columnar path used to carry tags as `u16`, so
+    /// query 65 536's rows came back tagged 0.
+    #[test]
+    fn query_tags_do_not_wrap_at_u16() {
+        let keys: Vec<i64> = (0..=65_536).collect();
+        for columnar in [false, true] {
+            let (rows, evals, _) = run_filter(&[65_536], &keys, true, true, columnar);
+            assert_eq!(
+                rows,
+                vec![vec![Value::Int(65_536), Value::Int(65_536)]],
+                "columnar={columnar}"
+            );
+            assert_eq!(evals, 65_537, "columnar={columnar}");
+        }
+    }
+
+    #[test]
+    fn run_split_equals_run_plus_split_results() {
+        use eco_simhw::trace::PhaseKind;
+        let cat = setup();
+        let distinct = qed_workload(8);
+        let mut fan_out = qed_workload(5);
+        fan_out.extend(qed_workload(3));
+        for queries in [distinct, fan_out] {
+            for short_circuit in [true, false] {
+                // Oracle: scalar-engine tagged rows, then the split.
+                let mut oracle = MergedSelection::new(&cat, &queries);
+                let mut octx = ExecCtx::new();
+                octx.short_circuit_or = short_circuit;
+                let tagged = crate::exec::execute_scalar(&mut oracle.plan, &mut octx);
+                let mut oclient = ExecCtx::new();
+                let expected = split_results(tagged, queries.len(), &mut oclient);
+                let oclient = oclient.take_phase(PhaseKind::ClientCompute, "split");
+
+                for workers in [1, 2, 4] {
+                    let what = format!("k={} sc={short_circuit} w={workers}", queries.len());
+                    let mut ctx = ExecCtx::new()
+                        .with_columnar(true)
+                        .with_workers(workers)
+                        .with_morsel_rows(1000);
+                    ctx.short_circuit_or = short_circuit;
+                    let mut client = ExecCtx::new();
+                    let split =
+                        MergedSelection::new(&cat, &queries).run_split(&mut ctx, &mut client);
+                    assert_eq!(split, expected, "{what}: rows");
+                    assert_eq!(ctx.pred_evals, octx.pred_evals, "{what}: pred_evals");
+                    assert_eq!(
+                        client.take_phase(PhaseKind::ClientCompute, "split"),
+                        oclient,
+                        "{what}: client ledger"
+                    );
+                    // The tagged-row parallel driver is the per-core oracle.
+                    let mut pctx = ExecCtx::new().with_morsel_rows(1000);
+                    pctx.short_circuit_or = short_circuit;
+                    MergedSelection::new(&cat, &queries).run_parallel(&mut pctx, workers);
+                    assert_eq!(
+                        ctx.take_core_phases(workers, "t"),
+                        pctx.take_core_phases(workers, "t"),
+                        "{what}: per-core server ledger"
+                    );
+                }
+                // …and the serial server ledger is the scalar one.
+                let mut ctx = ExecCtx::new().with_columnar(true);
+                ctx.short_circuit_or = short_circuit;
+                MergedSelection::new(&cat, &queries).run_split(&mut ctx, &mut ExecCtx::new());
+                assert_eq!(
+                    ctx.take_phase(PhaseKind::Execute, "t"),
+                    octx.take_phase(PhaseKind::Execute, "t"),
+                    "k={} sc={short_circuit}: server ledger",
+                    queries.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -62,11 +62,13 @@
 //! * [`SeqScan`] / [`VecSource`] emit windows over their table's
 //!   columns (a heap table *is* its columns; a paged table keeps one
 //!   chunk per extent) — zero per-row work beyond the ledger charge;
-//! * [`Filter`] (and the QED [`crate::mqo::MultiFilter`]) evaluate
-//!   predicates column-at-a-time ([`crate::expr::Expr::filter_sel`]),
-//!   refining the selection vector without touching data — short-circuit
-//!   semantics become *selection narrowing*, with identical evaluation
-//!   counts;
+//! * [`Filter`] evaluates predicates column-at-a-time
+//!   ([`crate::expr::Expr::filter_sel`]), refining the selection vector
+//!   without touching data — short-circuit semantics become *selection
+//!   narrowing*, with identical evaluation counts; the QED
+//!   [`crate::mqo::MultiFilter`] instead looks each live row's key up
+//!   in a key → query-ids table and derives the evaluation counts
+//!   arithmetically;
 //! * [`Project`] runs expression kernels over typed slices into fresh
 //!   columns;
 //! * [`HashJoin`] and [`HashAggregate`] share one key kernel

@@ -582,15 +582,6 @@ pub fn day_orders_lineitem_plan_indexed(catalog: &Catalog, day: eco_tpch::Date) 
     )))
 }
 
-/// The QED unit predicate over the lineitem schema (used by the merger).
-pub fn selection_predicate(catalog: &Catalog, query: &QedQuery) -> Expr {
-    let qty = catalog
-        .expect("lineitem")
-        .schema()
-        .expect_index("l_quantity");
-    Expr::col_eq_int(qty, query.quantity)
-}
-
 /// Reference evaluation of Q5 directly over generated rows — an
 /// executor-independent oracle for correctness tests.
 pub fn q5_reference(db: &eco_tpch::TpchDb, params: &Q5Params) -> Vec<(String, i64)> {

@@ -398,9 +398,11 @@ impl<'a> EcoServer<'a> {
                 let totals = LedgerTotals::from_traces(&core_traces);
                 state.ledger.merge(&totals);
                 let k = d.members.len();
-                // Members that deduplicated onto one predicate share a
-                // result set: the last of them takes it, the ones
-                // before get copies.
+                // `split[q]` is the only copy of query q's rows ever
+                // built (the fused split materializes each row once,
+                // straight into its query's result set). Members that
+                // deduplicated onto one predicate share it: the last
+                // reader takes it as is, the ones before get clones.
                 let mut readers_left = vec![0usize; split.len()];
                 for member in &d.members {
                     readers_left[member.query_index] += 1;
