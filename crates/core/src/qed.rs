@@ -145,7 +145,7 @@ pub fn run_qed(
         last_response_s: response(batch_size),
     };
 
-    let results_match = seq_results == qed_results;
+    let results_match = qed_results == seq_results;
 
     QedOutcome {
         batch_size,
@@ -219,7 +219,7 @@ pub fn run_qed_cores(
         last_response_s: response(batch_size),
     };
 
-    let results_match = seq_results == qed_results;
+    let results_match = qed_results == seq_results;
 
     QedOutcome {
         batch_size,

@@ -29,7 +29,7 @@ use eco_simhw::machine::{Machine, MachineConfig, Measurement};
 use eco_simhw::multicore::{MultiCoreMachine, MultiCoreMeasurement};
 use eco_simhw::trace::{DiskWork, OpClass, Phase, PhaseKind, PricingMode, WorkTrace};
 use eco_storage::{
-    load_tpch, Catalog, EngineKind, Tuple, Value, WalError, WalRecord, WriteAheadLog,
+    load_tpch, Catalog, EngineKind, RowSet, Tuple, Value, WalError, WalRecord, WriteAheadLog,
 };
 use eco_tpch::{q5_workload, Q5Params, QedQuery, TpchDb, TpchGenerator};
 use parking_lot::Mutex;
@@ -628,7 +628,7 @@ impl EcoDb {
         queries: &[QedQuery],
         short_circuit: bool,
         workers: usize,
-    ) -> (Vec<Vec<Tuple>>, Vec<WorkTrace>) {
+    ) -> (Vec<RowSet>, Vec<WorkTrace>) {
         self.try_trace_merged_selection_cores(queries, short_circuit, workers)
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -641,7 +641,7 @@ impl EcoDb {
         queries: &[QedQuery],
         short_circuit: bool,
         workers: usize,
-    ) -> Result<(Vec<Vec<Tuple>>, Vec<WorkTrace>), ServerError> {
+    ) -> Result<(Vec<RowSet>, Vec<WorkTrace>), ServerError> {
         self.merged_selection_traces(queries, short_circuit, Some(workers))
     }
 
@@ -650,10 +650,13 @@ impl EcoDb {
     /// build the [`MergedSelection`], charge the merged parse, run the
     /// disjunctive scan and the application-side split in one pass
     /// ([`MergedSelection::run_split`] — serially when `workers` is
-    /// `None`, morsel-parallel otherwise; on the columnar engine each
-    /// result row is built once, straight into its query's result set),
-    /// and assemble gap/execute/split phases into traces. The split is
-    /// client work: its phase follows the execute phase on core 0.
+    /// `None`, morsel-parallel otherwise), and assemble
+    /// gap/execute/split phases into traces. The split is client work:
+    /// its phase follows the execute phase on core 0. On the columnar
+    /// engine the per-query [`RowSet`]s are views of the scan's columns:
+    /// the ledger prices every routed row, but the host builds none
+    /// until a caller reads one (see [`RowSet::tuples`]), and a held
+    /// result keeps the table version it scanned.
     ///
     /// The serial layout reproduces the historical single trace (gap,
     /// `qed×k` execute, split) byte-for-byte, so every offline QED
@@ -663,7 +666,7 @@ impl EcoDb {
         queries: &[QedQuery],
         short_circuit: bool,
         workers: Option<usize>,
-    ) -> Result<(Vec<Vec<Tuple>>, Vec<WorkTrace>), ServerError> {
+    ) -> Result<(Vec<RowSet>, Vec<WorkTrace>), ServerError> {
         let mut ctx = self.exec_ctx();
         ctx.short_circuit_or = short_circuit;
         ctx.workers = workers.unwrap_or(1).max(1);
@@ -781,7 +784,7 @@ impl EcoDb {
         &self,
         queries: &[QedQuery],
         short_circuit: bool,
-    ) -> (Vec<Vec<Tuple>>, WorkTrace) {
+    ) -> (Vec<RowSet>, WorkTrace) {
         self.try_trace_merged_selection(queries, short_circuit)
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -792,7 +795,7 @@ impl EcoDb {
         &self,
         queries: &[QedQuery],
         short_circuit: bool,
-    ) -> Result<(Vec<Vec<Tuple>>, WorkTrace), ServerError> {
+    ) -> Result<(Vec<RowSet>, WorkTrace), ServerError> {
         let (split, mut traces) = self.merged_selection_traces(queries, short_circuit, None)?;
         Ok((split, traces.pop().expect("serial path yields one trace")))
     }

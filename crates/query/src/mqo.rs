@@ -23,10 +23,11 @@
 //!   table lookup per live row yields the `(row, query)` matches already
 //!   in row-major order, and the predicate-evaluation charge is derived
 //!   arithmetically (see [`MultiFilter`]). [`MergedSelection::run_split`]
-//!   consumes those matches directly: each result row is built exactly
-//!   once, from the scan's columns straight into its query's result
-//!   set — no tag column, no tagged tuple, no second copy — while
-//!   charging exactly what the oracle's emit + split charge.
+//!   keeps those matches beside the scan's shared columns and returns
+//!   one [`RowSet`] view per query — no tag column, no tagged tuple, no
+//!   row at all until a caller reads one (then the whole scan is
+//!   decoded once, in scan order) — while charging exactly what the
+//!   oracle's emit + split charge.
 //!   [`Operator::next_chunk`] (tag column + gathered child columns)
 //!   stays for generic columnar drivers, on the same routing step.
 
@@ -34,7 +35,8 @@ use std::sync::Arc;
 
 use eco_simhw::trace::OpClass;
 use eco_storage::{
-    tuple_width, Catalog, ColumnChunk, ColumnData, ColumnType, DataChunk, Schema, Tuple, Value,
+    tuple_width, Catalog, ColumnChunk, ColumnData, ColumnType, DataChunk, RoutedRows, RowSet,
+    Schema, Tuple, Value,
 };
 use eco_tpch::QedQuery;
 
@@ -265,37 +267,42 @@ impl MultiFilter {
     }
 
     /// Run the merged scan to completion and return one result set per
-    /// query — the fused production path. Each matched row is built
-    /// once, from the scan's columns straight into its query's result
-    /// set, yet the charges are exactly those of the oracle's two steps,
-    /// computed from the rows' stored widths
-    /// ([`DataChunk::row_widths`]): per routed row, `ResultEmit` and
-    /// `width + 8` (the tag) streamed bytes on `ctx` — what the driver
-    /// charges for emitting the tagged row — and `SplitRoute`,
+    /// query — the fused production path. No row is built: each
+    /// [`RowSet`] is a view of the scan's shared columns and the
+    /// `(row, query)` matches routed out of them, decoded for all
+    /// queries at once when one is first read. The charges are exactly
+    /// those of the oracle's two steps, computed from the rows' stored
+    /// widths ([`DataChunk::row_widths`]): per routed row, `ResultEmit`
+    /// and `width + 8` (the tag) streamed bytes on `ctx` — what the
+    /// driver charges for emitting the tagged row — and `SplitRoute`,
     /// `RowCopy` and `width` bytes on `client` — what [`split_results`]
     /// charges for routing it.
     ///
     /// Honours [`ExecCtx::workers`]: morsels are scanned and routed on
     /// worker threads (which charge the scan and the predicate
-    /// evaluations), their partial result sets are concatenated in
-    /// morsel order — so every query's rows come in serial order — and
-    /// the emit charge stays with the coordinator, as in
+    /// evaluations), their match lists are concatenated in morsel
+    /// order — so every query's rows come in serial order — and the
+    /// emit charge stays with the coordinator, as in
     /// [`crate::exec::execute_parallel`]: per-core phases are unchanged
     /// at every worker count.
     ///
-    /// A row-engine context (`!ctx.columnar`) runs the oracle instead.
-    pub fn run_split(&mut self, ctx: &mut ExecCtx, client: &mut ExecCtx) -> Vec<Vec<Tuple>> {
+    /// A row-engine context (`!ctx.columnar`) runs the oracle instead
+    /// and returns its tuples as owned sets.
+    pub fn run_split(&mut self, ctx: &mut ExecCtx, client: &mut ExecCtx) -> Vec<RowSet> {
         if !ctx.columnar {
             let workers = ctx.workers;
             let tagged = crate::exec::execute_parallel(self, ctx, workers);
-            return split_results(tagged, self.arity(), client);
+            return split_results(tagged, self.arity(), client)
+                .into_iter()
+                .map(RowSet::from)
+                .collect();
         }
         let routing = &*self.routing;
         let parallel = run_morsels(self.child.as_ref(), ctx, |wctx, scan| {
             SplitPart::drain(routing, scan, wctx)
         });
         let SplitPart {
-            per_query,
+            routed,
             rows,
             width,
         } = match parallel {
@@ -313,15 +320,15 @@ impl MultiFilter {
         client.charge(OpClass::SplitRoute, rows);
         client.charge(OpClass::RowCopy, rows);
         client.charge_mem_bytes(width);
-        per_query
+        routed.into_row_sets(self.arity())
     }
 }
 
 /// What draining one scan pipeline through the routing table yields:
-/// the per-query result rows plus the two sums every result-path charge
-/// is computed from.
+/// the routed matches plus the two sums every result-path charge is
+/// computed from.
 struct SplitPart {
-    per_query: Vec<Vec<Tuple>>,
+    routed: RoutedRows,
     /// Routed rows (a fanned-out row counts once per query).
     rows: u64,
     /// Their summed stored widths, tag excluded.
@@ -330,27 +337,25 @@ struct SplitPart {
 
 impl SplitPart {
     /// Drain the opened `scan`, routing every chunk's live rows and
-    /// materializing each match directly into its query's result set.
+    /// keeping the matches with the chunk's shared columns.
     fn drain(routing: &Routing, scan: &mut dyn Operator, ctx: &mut ExecCtx) -> Self {
         let mut part = SplitPart {
-            per_query: vec![Vec::new(); routing.predicates.len()],
+            routed: RoutedRows::default(),
             rows: 0,
             width: 0,
         };
-        let mut matches = Vec::new();
         let mut widths = Vec::new();
         while let Some(chunk) = scan.next_chunk(ctx) {
-            matches.clear();
-            routing.route_chunk(&chunk, ctx, &mut matches);
+            let matches = part.routed.matches_for(&chunk.data);
+            let seen = matches.len();
+            routing.route_chunk(&chunk, ctx, matches);
+            let new = &matches[seen..];
             widths.clear();
             chunk
                 .data
-                .row_widths(matches.iter().map(|&(row, _)| row as usize), &mut widths);
-            part.rows += matches.len() as u64;
+                .row_widths(new.iter().map(|&(row, _)| row as usize), &mut widths);
+            part.rows += new.len() as u64;
             part.width += widths.iter().map(|&w| u64::from(w)).sum::<u64>();
-            for &(row, qid) in &matches {
-                part.per_query[qid as usize].push(chunk.data.row(row as usize));
-            }
         }
         part
     }
@@ -360,9 +365,7 @@ impl SplitPart {
     fn followed_by(mut self, later: SplitPart) -> SplitPart {
         self.rows += later.rows;
         self.width += later.width;
-        for (rows, mut more) in self.per_query.iter_mut().zip(later.per_query) {
-            rows.append(&mut more);
-        }
+        self.routed.append(later.routed);
         self
     }
 }
@@ -418,7 +421,7 @@ impl Operator for MultiFilter {
     /// the key table and emit one gathered chunk — the tag column plus
     /// the child's columns, in row-major match order. (The production
     /// merged-selection path, [`MultiFilter::run_split`], skips this
-    /// gather and builds result rows directly.)
+    /// gather and keeps the matches as they are.)
     fn next_chunk(&mut self, ctx: &mut ExecCtx) -> Option<Chunk> {
         let chunk = self.child.next_chunk(ctx)?;
         self.matches.clear();
@@ -543,7 +546,7 @@ impl MergedSelection {
     /// split to `client`. Rows and both ledgers equal [`Self::run`] /
     /// [`Self::run_parallel`] followed by [`split_results`]; see
     /// [`MultiFilter::run_split`].
-    pub fn run_split(&mut self, ctx: &mut ExecCtx, client: &mut ExecCtx) -> Vec<Vec<Tuple>> {
+    pub fn run_split(&mut self, ctx: &mut ExecCtx, client: &mut ExecCtx) -> Vec<RowSet> {
         self.plan.run_split(ctx, client)
     }
 

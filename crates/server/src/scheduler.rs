@@ -386,7 +386,7 @@ impl<'a> EcoServer<'a> {
             .db
             .try_trace_merged_selection_cores(queries, cfg.short_circuit, cfg.workers)
         {
-            Ok((mut split, core_traces)) => {
+            Ok((split, core_traces)) => {
                 state.consecutive_io = 0;
                 if d.dispatch_s > state.now {
                     run.idle(d.dispatch_s - state.now);
@@ -398,31 +398,15 @@ impl<'a> EcoServer<'a> {
                 let totals = LedgerTotals::from_traces(&core_traces);
                 state.ledger.merge(&totals);
                 let k = d.members.len();
-                // `split[q]` is the only copy of query q's rows ever
-                // built (the fused split materializes each row once,
-                // straight into its query's result set). Members that
-                // deduplicated onto one predicate share it: the last
-                // reader takes it as is, the ones before get clones.
-                let mut readers_left = vec![0usize; split.len()];
-                for member in &d.members {
-                    readers_left[member.query_index] += 1;
-                }
                 for (i, member) in d.members.iter().enumerate() {
                     state
                         .session_ledgers
                         .entry(member.session)
                         .or_default()
                         .merge(&totals.exact_share(i, k));
-                    let q = member.query_index;
-                    readers_left[q] -= 1;
-                    let rows = if readers_left[q] == 0 {
-                        std::mem::take(&mut split[q])
-                    } else {
-                        split[q].clone()
-                    };
                     state.outcomes[member.request] = Some(SessionOutcome::Completed {
                         session: member.session,
-                        rows,
+                        rows: split[member.query_index].clone(),
                         arrival_s: member.arrival_s,
                         dispatch_s: d.dispatch_s,
                         response_s: state.now - member.arrival_s,
@@ -527,7 +511,7 @@ impl<'a> EcoServer<'a> {
                 } else {
                     state.outcomes[idx] = Some(SessionOutcome::Completed {
                         session: r.session,
-                        rows,
+                        rows: rows.into(),
                         arrival_s: r.arrival_s,
                         dispatch_s: t,
                         response_s: state.now - r.arrival_s,
@@ -588,7 +572,7 @@ impl<'a> EcoServer<'a> {
                         .merge(&totals.exact_share(i, k));
                     state.outcomes[member.request] = Some(SessionOutcome::Completed {
                         session: member.session,
-                        rows: member.rows,
+                        rows: member.rows.into(),
                         arrival_s: member.arrival_s,
                         dispatch_s: member.dispatch_s,
                         response_s: state.now - member.arrival_s,
@@ -723,6 +707,41 @@ mod tests {
                 other => panic!("expected completion, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn members_of_a_dispatch_share_one_decode() {
+        let db = db();
+        // Sessions 0 and 2 deduplicate onto one predicate; 1 has its
+        // own; 3 arrives in the next dispatch.
+        let requests: Vec<Request> = [5, 9, 5, 5]
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| selection(i as u64, i as f64 * 1e-4, q))
+            .collect();
+        let report = EcoServer::new(&db, ServerConfig::batched(2, 3)).serve(&requests);
+        assert_eq!(report.dispatches.len(), 2);
+        let copy = report.clone();
+        let rows = |report: &ServeReport, i: usize| match &report.outcomes[i] {
+            SessionOutcome::Completed { rows, .. } => rows.clone(),
+            other => panic!("expected completion, got {other:?}"),
+        };
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| rows(&report, i));
+        assert!([&a, &b, &c, &d].iter().all(|r| !r.is_decoded()));
+        let (want, _) = db.trace_selection(&QedQuery { quantity: 5 });
+        assert_eq!(a.len(), want.len(), "counted before any decode");
+        assert!(!a.is_decoded());
+
+        // One read decodes the dispatch: for the deduplicated member,
+        // for the member with another predicate, and for the cloned
+        // report — but not for the next dispatch.
+        assert_eq!(a, want);
+        assert!(b.is_decoded() && c.is_decoded() && !d.is_decoded());
+        assert_eq!(a.as_ptr(), c.as_ptr(), "deduplicated members share rows");
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        assert_eq!(rows(&copy, 0).as_ptr(), a.as_ptr(), "a cloned report too");
+        assert_eq!(d, want);
+        assert_ne!(d.as_ptr(), a.as_ptr());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use eco_core::ServerError;
 use eco_simhw::trace::{CpuWork, DiskWork, WorkTrace, ALL_OP_CLASSES};
-use eco_storage::Tuple;
+use eco_storage::RowSet;
 use eco_tpch::QedQuery;
 
 /// Identifies one client session.
@@ -65,8 +65,10 @@ pub enum SessionOutcome {
     Completed {
         /// The submitting session.
         session: SessionId,
-        /// This session's result rows (split out of the merged batch).
-        rows: Vec<Tuple>,
+        /// This session's result rows. Out of a merged batch they are a
+        /// view of the dispatch's scan, shared with every member of the
+        /// dispatch and decoded on first read (see [`RowSet`]).
+        rows: RowSet,
         /// When the statement arrived, seconds.
         arrival_s: f64,
         /// When its batch was dispatched, seconds.

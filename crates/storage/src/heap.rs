@@ -15,6 +15,16 @@ use crate::encode::EncodedChunk;
 use crate::value::{tuple_width, Schema, Tuple};
 
 /// An in-memory table, stored column by column.
+///
+/// The columns are shared, not copied, with every reader that holds
+/// them: a scan's window for the length of the scan, and a merged
+/// selection's result sets ([`crate::RowSet`] views) for as long as
+/// the caller keeps them. A mutation edits the columns where they
+/// stand when nobody else holds them and copies them first
+/// ([`Arc::make_mut`]) otherwise — so the first `INSERT`/`UPDATE`/
+/// `DELETE` after a selection whose results are still alive pays one
+/// copy of the table, and the held results go on reading the version
+/// they scanned.
 #[derive(Debug, Clone, Default)]
 pub struct HeapTable {
     schema: Schema,

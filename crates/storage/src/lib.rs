@@ -78,6 +78,7 @@ pub mod encode;
 pub mod heap;
 pub mod loader;
 pub mod page;
+pub mod rowset;
 pub mod value;
 pub mod wal;
 
@@ -89,5 +90,6 @@ pub use disk_table::{ColumnarExtents, IoError};
 pub use encode::{BitPacked, EncodedChunk, EncodedColumn};
 pub use heap::HeapTable;
 pub use loader::{load_tbl, load_tpch, parse_tbl, EngineKind, LoadError};
+pub use rowset::{RoutedRows, RowSet};
 pub use value::{tuple_width, Column, ColumnType, Schema, Tuple, Value};
 pub use wal::{Recovery, WalError, WalRecord, WriteAheadLog};

@@ -90,7 +90,7 @@ fn workload_manager_feeds_qed_end_to_end() {
     for batch in &batches {
         let (split, _) = db.trace_merged_selection(batch, true);
         assert_eq!(split.len(), 8);
-        let total: usize = split.iter().map(Vec::len).sum();
+        let total: usize = split.iter().map(|rows| rows.len()).sum();
         assert!(total > 0, "every batch selects some rows");
     }
 }

@@ -1,5 +1,6 @@
 //! Scale-invariance: the reproduction's *ratios* (the actual targets —
-//! see EXPERIMENTS.md) must not depend on the TPC-H scale factor. The
+//! see "Reproduction targets" in README.md and the `repro` binary) must
+//! not depend on the TPC-H scale factor. The
 //! paper measured SF 1.0/0.125/0.5 on hardware; we run smaller scales,
 //! so this property is what makes those runs representative.
 

@@ -12,6 +12,9 @@
 //!   pricing. Per-query rows and whole traces — the server ledger split
 //!   into per-core phases, the gap priced from it, and the client's
 //!   split phase — must be equal, on the serial and the per-core arm.
+//!   The fused path's result sets are views (`RowSet`): they are read
+//!   the way clients read them — counted before anything is decoded,
+//!   then decoded through `tuples()`, on one arm from a clone.
 //! * `routing_equals_the_scalar_oracle` aims at the routing table over
 //!   a `VecSource`: keys absent from the data, negative keys,
 //!   `i64::MIN`/`MAX` (the binary-searched table) and narrow key sets
@@ -24,6 +27,7 @@
 //! Seeds are pinned: the vendored `proptest` derives each test's
 //! generator from the test's name.
 
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -37,7 +41,7 @@ use ecodb::query::mqo::{split_results, MultiFilter};
 use ecodb::query::ops::{BoxedOp, Filter, Operator, VecSource};
 use ecodb::simhw::trace::{OpClass, Phase, PhaseKind, PricingMode};
 use ecodb::storage::{
-    tuple_width, ColumnChunk, ColumnData, ColumnType, DataChunk, Schema, Tuple, Value,
+    tuple_width, ColumnChunk, ColumnData, ColumnType, DataChunk, RowSet, Schema, Tuple, Value,
 };
 use ecodb::tpch::QedQuery;
 
@@ -152,6 +156,49 @@ fn routing_plan(rows: &[Tuple], cut: Option<i64>, keys: &[i64], disjoint: bool) 
     MultiFilter::new(child, 1, keys, disjoint)
 }
 
+/// The fused path's views against the oracle's rows: every count is
+/// right before anything is decoded, then every query's tuples are —
+/// with `via_clone`, read from a clone taken before the first decode,
+/// which must end up sharing the original's rows.
+fn check_views<O: Deref<Target = [Tuple]>>(
+    fused: &[RowSet],
+    oracle: &[O],
+    via_clone: bool,
+) -> Result<(), String> {
+    if fused.len() != oracle.len() {
+        return Err(format!(
+            "{} result sets, expected {}",
+            fused.len(),
+            oracle.len()
+        ));
+    }
+    for (q, (f, o)) in fused.iter().zip(oracle).enumerate() {
+        if f.is_decoded() || f.len() != o.len() || f.is_empty() != o.is_empty() {
+            return Err(format!(
+                "query {q}: {} rows (decoded: {}), expected {}",
+                f.len(),
+                f.is_decoded(),
+                o.len()
+            ));
+        }
+    }
+    let readers: Vec<RowSet> = if via_clone {
+        fused.to_vec()
+    } else {
+        Vec::new()
+    };
+    for (q, (f, o)) in fused.iter().zip(oracle).enumerate() {
+        let read = readers.get(q).unwrap_or(f);
+        if read.tuples() != &**o {
+            return Err(format!("query {q}: rows differ"));
+        }
+        if !f.is_decoded() || read.as_ptr() != f.as_ptr() {
+            return Err(format!("query {q}: the clone decoded rows of its own"));
+        }
+    }
+    Ok(())
+}
+
 fn server_phase(ctx: &mut ExecCtx) -> Phase {
     ctx.take_phase(PhaseKind::Execute, "t")
 }
@@ -214,7 +261,7 @@ proptest! {
         let (rows_f, trace_f) = fused
             .try_trace_merged_selection(&queries, short_circuit)
             .expect("fused, serial");
-        prop_assert_eq!(&rows_f, &rows_o, "serial rows");
+        prop_assert_eq!(check_views(&rows_f, &rows_o, true), Ok(()), "serial rows");
         prop_assert_eq!(trace_f, trace_o, "serial trace");
 
         oracle.flush_cache();
@@ -225,7 +272,7 @@ proptest! {
         let (rows_f, cores_f) = fused
             .try_trace_merged_selection_cores(&queries, short_circuit, workers)
             .expect("fused, per core");
-        prop_assert_eq!(&rows_f, &rows_o, "per-core rows");
+        prop_assert_eq!(check_views(&rows_f, &rows_o, false), Ok(()), "per-core rows");
         prop_assert_eq!(cores_f, cores_o, "per-core traces");
 
         // The oracle is itself anchored: every query gets exactly the
@@ -310,7 +357,7 @@ proptest! {
         ctx.short_circuit_or = short_circuit;
         let mut client = ExecCtx::new();
         let split = routing_plan(&rows, cut, &keys, disjoint).run_split(&mut ctx, &mut client);
-        prop_assert_eq!(split, expected, "{}: per-query rows", what);
+        prop_assert_eq!(check_views(&split, &expected, workers == 2), Ok(()), "{}", what);
         prop_assert_eq!(ctx.pred_evals, octx.pred_evals, "{}: pred_evals", what);
         prop_assert_eq!(client_phase(&mut client), client_phase(&mut oclient), "{}", what);
         prop_assert_eq!(server_phase(&mut ctx.clone()), server_phase(&mut octx), "{}", what);
