@@ -34,8 +34,10 @@
 //!   `IxScan` medians and speedups (≥10x required on both shapes),
 //!   index rows required bit-identical to scan rows, the scan plan's
 //!   ledger required bit-identical before/after `CREATE INDEX` with
-//!   every v4 class zero on the index-free path, and the probe required
-//!   to actually charge v4 index I/O.
+//!   every v4 class zero on the index-free path, the probe required
+//!   to actually charge v4 index I/O, and a cold indexed point read
+//!   required to decode no whole page while matching its
+//!   decoded-frames twin in rows and ledger (exact, no timing).
 //! * `BENCH_wal.json` — the durable write path (ledger schema v5):
 //!   group-commit batch size × joules/txn and txns/sec on an all-DML
 //!   session mix, with per-session ledger identity and the
@@ -424,6 +426,15 @@ fn compression_report(db: &EcoDb) -> (String, usize) {
     (json, failures)
 }
 
+/// Whether two executions charged bit-identical ledgers.
+fn same_ledger(a: &ExecCtx, b: &ExecCtx) -> bool {
+    a.cpu == b.cpu
+        && a.mem_stream_bytes == b.mem_stream_bytes
+        && a.mem_random_accesses == b.mem_random_accesses
+        && a.disk == b.disk
+        && a.backoff_ns == b.backoff_ns
+}
+
 /// Scan-vs-B-tree access paths for `BENCH_index.json` (ledger schema
 /// v4): warm point and narrow-range selections on
 /// `lineitem.l_orderkey`, each run as a full sequential scan and as an
@@ -431,8 +442,10 @@ fn compression_report(db: &EcoDb) -> (String, usize) {
 /// to scan rows; probe ≥10x faster than the scan on both shapes;
 /// `CREATE INDEX` leaves the scan plan's ledger bit-identical with
 /// every v4 class zero (the index-free bit-identity invariant on the
-/// perf path); and the first (cold) probe actually charges v4 index
-/// I/O. Returns the JSON blob and the failure count.
+/// perf path); the first (cold) probe actually charges v4 index I/O;
+/// and a cold indexed point read decodes no whole page
+/// ([`cold_point_read_report`]). Returns the JSON blob and the failure
+/// count.
 fn index_report() -> (String, usize) {
     const MIN_SPEEDUP: f64 = 10.0;
     let db = bench_db_commercial();
@@ -472,11 +485,7 @@ fn index_report() -> (String, usize) {
     for (&(name, lo, hi), (scan_rows, scan_ctx)) in shapes.iter().zip(&before) {
         // Creating the index must not disturb the scan plan's ledger.
         let (rows_after, ctx_after) = run_scan(lo, hi);
-        let scan_ledger_identical = rows_after == *scan_rows
-            && ctx_after.cpu == scan_ctx.cpu
-            && ctx_after.mem_stream_bytes == scan_ctx.mem_stream_bytes
-            && ctx_after.mem_random_accesses == scan_ctx.mem_random_accesses
-            && ctx_after.disk == scan_ctx.disk;
+        let scan_ledger_identical = rows_after == *scan_rows && same_ledger(&ctx_after, scan_ctx);
         let v4_zero = ctx_after.disk.index_ios == 0
             && ctx_after.disk.index_bytes == 0
             && ctx_after.cpu.count(OpClass::NodeSearch) == 0;
@@ -548,13 +557,114 @@ fn index_report() -> (String, usize) {
             scan_rows.len(),
         ));
     }
+    let (cold_point_read, cold_ok) = cold_point_read_report(&db, point_key, &before[0].0);
+    if !cold_ok {
+        failures += 1;
+    }
     let json = format!(
         "{{\"bench\":\"index_access_path\",\"scale\":{},\"samples\":{SAMPLES},\
-         \"min_speedup\":{MIN_SPEEDUP},\"queries\":{{{}}}}}\n",
+         \"min_speedup\":{MIN_SPEEDUP},\"queries\":{{{}}},\"cold_point_read\":{cold_point_read}}}\n",
         eco_bench::BENCH_SCALE,
         blobs.join(",")
     );
     (json, failures)
+}
+
+/// The exact (non-timing) half of `BENCH_index.json`'s cold-path gate:
+/// after a flush, an indexed point read on `lineitem.l_orderkey` reads
+/// its B-tree nodes and base pages a slot at a time — **no resident
+/// frame is decoded whole** — and a warm re-read prices and answers
+/// bit-identically whether or not every resident frame has been decoded
+/// in between (the decoded-frames twin). A `PageFrame::tuples()` call
+/// creeping back onto the probe path fails the first flag. Returns the
+/// JSON object and whether every flag held.
+fn cold_point_read_report(
+    db: &EcoDb,
+    key: i64,
+    scan_rows: &[Vec<eco_storage::Value>],
+) -> (String, bool) {
+    use eco_storage::{PageId, TableData};
+
+    let catalog = db.catalog();
+    let read = || {
+        let mut ctx = ExecCtx::new();
+        let rows = execute(
+            plans::orderkey_range_plan_indexed(catalog, key, key)
+                .expect("index registered by index_report")
+                .as_mut(),
+            &mut ctx,
+        );
+        (rows, ctx)
+    };
+    // Every frame of lineitem and its index now in the pool (a lookup
+    // that refuses to load finds exactly the resident ones).
+    let resident = || {
+        let lineitem = catalog.expect("lineitem");
+        let TableData::Disk(disk) = &lineitem.data else {
+            unreachable!("commercial profile stores lineitem on disk");
+        };
+        let index = catalog
+            .index("ix_lineitem_orderkey")
+            .expect("index registered by index_report");
+        let spans = [
+            (disk.table_id(), disk.num_pages()),
+            (index.index.index_id(), index.index.num_pages()),
+        ];
+        let mut frames = Vec::new();
+        for (table, pages) in spans {
+            for page in 0..pages as u32 {
+                let hit: Result<_, ()> = catalog
+                    .pool()
+                    .get_index_checked(PageId { table, page }, |_, _, _| Err(()));
+                frames.extend(hit.map(|(frame, _, _)| frame));
+            }
+        }
+        frames
+    };
+    db.flush_cache();
+    let (cold_rows, cold_ctx) = read();
+    let touched = resident();
+    let whole_pages_decoded = touched.iter().filter(|f| f.is_decoded()).count();
+    let (warm_rows, warm_ctx) = read();
+    // The twin: the same warm read with every resident frame decoded.
+    for frame in &touched {
+        std::hint::black_box(frame.tuples().len());
+    }
+    let (twin_rows, twin_ctx) = read();
+
+    let cold_charged = cold_ctx.disk.index_ios as usize == touched.len();
+    let rows_identical = cold_rows == scan_rows && warm_rows == cold_rows && twin_rows == cold_rows;
+    let twin_ledger_identical = same_ledger(&warm_ctx, &twin_ctx)
+        && warm_ctx.cpu == cold_ctx.cpu
+        && warm_ctx.disk.is_empty();
+    let ok = whole_pages_decoded == 0
+        && !touched.is_empty()
+        && cold_charged
+        && rows_identical
+        && twin_ledger_identical;
+    if !ok {
+        eprintln!(
+            "FAIL: cold indexed point read (whole_pages_decoded={whole_pages_decoded}, \
+             frames_touched={}, cold_charged={cold_charged}, rows_identical={rows_identical}, \
+             twin_ledger_identical={twin_ledger_identical})",
+            touched.len()
+        );
+    }
+    println!(
+        "cold point read: {} frames touched, {whole_pages_decoded} decoded whole, rows {}, \
+         twin_ledger_identical={twin_ledger_identical}",
+        touched.len(),
+        cold_rows.len(),
+    );
+    let json = format!(
+        "{{\"rows\":{},\"frames_touched\":{},\"whole_pages_decoded\":{whole_pages_decoded},\
+         \"cold_index_ios\":{},\"rows_identical\":{rows_identical},\
+         \"ledger_identical_to_decoded_twin\":{twin_ledger_identical}}}",
+        cold_rows.len(),
+        touched.len(),
+        cold_ctx.disk.index_ios,
+    );
+    (json, ok)
 }
 
 /// Group-commit economics for `BENCH_wal.json` (ledger schema v5): a

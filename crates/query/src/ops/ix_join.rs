@@ -178,13 +178,14 @@ impl Operator for IxJoin {
         }
         self.pos += 1;
         let (_, page) = self.current.as_ref().expect("page resident");
-        let inner_t = &page.tuples()[slot];
+        // One slot decoded from the page image; its neighbours are not.
+        let inner_t = page.tuple(slot);
         ctx.charge(OpClass::TupleFetch, 1);
         ctx.charge_mem_bytes(self.avg_inner_bytes);
         let outer_t = self.outer_row.as_ref().expect("outer row set");
         let mut out = Vec::with_capacity(self.schema.arity());
         out.extend_from_slice(outer_t);
-        out.extend_from_slice(inner_t);
+        out.extend(inner_t);
         ctx.charge_mem_bytes(tuple_width(&out));
         Some(out)
     }

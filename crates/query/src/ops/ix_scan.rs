@@ -55,7 +55,8 @@ impl IxBound {
 ///
 /// Matching row ids arrive sorted, so consecutive fetches of the same
 /// page reuse one pinned page (one pool access per distinct page, like
-/// a skip-sequential read).
+/// a skip-sequential read). A fetch decodes its own slot from the page
+/// image and nothing else on the page.
 pub struct IxScan {
     table: Arc<StoredTable>,
     index: Arc<BTreeIndex>,
@@ -184,7 +185,7 @@ impl Operator for IxScan {
         }
         self.pos += 1;
         let (_, page) = self.current.as_ref().expect("page resident");
-        let t = page.tuples()[slot].clone();
+        let t = page.tuple(slot);
         ctx.charge(OpClass::TupleFetch, 1);
         ctx.charge_mem_bytes(self.avg_bytes);
         Some(t)

@@ -33,7 +33,11 @@
 //!
 //! CPU-side, each binary-search step inside a node charges one
 //! [`eco_simhw::trace::OpClass::NodeSearch`] (also v4, also zero on
-//! index-free runs).
+//! index-free runs). A step reads one slot: the key is compared where it
+//! lies in the verified node image ([`crate::page`]'s in-place entry
+//! reader — no node is ever decoded, nothing is allocated), and an
+//! entry that is not a well-formed `[key, integer]` pair of the index's
+//! key type fails the probe with [`IoError::Corrupt`].
 //!
 //! Building the index reads the table's pages directly — never through
 //! the buffer pool — so, like the columnar mirror
@@ -70,8 +74,8 @@ use eco_simhw::trace::DiskWork;
 
 use crate::bufferpool::{BufferPool, PageFrame, PageId};
 use crate::disk_table::IoError;
-use crate::page::{serialize_pair, Page, PAGE_SIZE};
-use crate::value::{ColumnType, Tuple, Value};
+use crate::page::{read_key, read_pair, serialize_pair, Page, PAGE_SIZE};
+use crate::value::{ColumnType, Value};
 
 /// Maximum entries per node (leaf or interior). Real fanout is the
 /// smaller of this and what fits an 8 KB page; the fixed cap keeps tree
@@ -346,84 +350,83 @@ impl BTreeIndex {
             }
         }
 
+        let corrupt = |page_no: usize| IoError::Corrupt {
+            table: self.index_id,
+            page: page_no as u32,
+        };
+
         // Descend from the root to the first leaf that can hold `lo`.
+        // Keys are compared where they lie in the verified node image:
+        // a step reads one slot and no node is decoded.
         let mut page_no = self.pages.len() - 1;
         loop {
             let frame = self.read_node(page_no, &mut probe)?;
             if page_no < self.leaf_count {
                 break;
             }
-            let node = frame.tuples();
+            let node = frame.page();
             // Largest child whose separator is strictly below the lower
             // bound — duplicates of `lo` may start in that child.
             let pos = match lo.value() {
-                Some(v) => lower_bound(node, v, &mut probe.node_searches).saturating_sub(1),
+                Some(v) => lower_bound(node, v, &mut probe.node_searches)
+                    .ok_or(corrupt(page_no))?
+                    .saturating_sub(1),
                 None => 0,
             };
-            page_no = match node[pos][1].as_int() {
-                Some(c) => c as usize,
-                None => {
-                    return Err(IoError::Corrupt {
-                        table: self.index_id,
-                        page: page_no as u32,
-                    })
-                }
+            // Levels are laid out bottom-up, so a child always precedes
+            // its parent.
+            page_no = match read_pair(node.payload(pos)) {
+                Some((_, child)) if (0..page_no as i64).contains(&child) => child as usize,
+                _ => return Err(corrupt(page_no)),
             };
         }
 
         // Walk leaves rightward from the lower bound.
         let mut leaf = page_no;
         let mut frame = self.read_node(leaf, &mut probe)?;
-        let mut entries = frame.tuples();
-        let mut idx = match lo.value() {
-            Some(v) => lower_bound(entries, v, &mut probe.node_searches),
+        let mut start = match lo.value() {
+            Some(v) => {
+                lower_bound(frame.page(), v, &mut probe.node_searches).ok_or(corrupt(leaf))?
+            }
             None => 0,
         };
-        loop {
-            if idx == entries.len() {
-                leaf += 1;
-                if leaf >= self.leaf_count {
-                    break;
+        // The walk starts at the first key `>= lo` and keys only grow, so
+        // the lower bound can only exclude a leading run of keys equal
+        // to an exclusive `lo`.
+        let mut skip_equal_to = match lo {
+            KeyBound::Exclusive(v) => Some(v),
+            _ => None,
+        };
+        'leaves: loop {
+            let node = frame.page();
+            for idx in start..node.len() {
+                probe.node_searches += 1; // one key compare per entry walked
+                let (key, row) = read_pair(node.payload(idx)).ok_or(corrupt(leaf))?;
+                let cmp = |v: &Value| key.partial_cmp_value(v).ok_or(corrupt(leaf));
+                let past_hi = match hi {
+                    KeyBound::Unbounded => false,
+                    KeyBound::Inclusive(v) => cmp(v)? == Ordering::Greater,
+                    KeyBound::Exclusive(v) => cmp(v)? != Ordering::Less,
+                };
+                if past_hi {
+                    break 'leaves;
                 }
-                frame = self.read_node(leaf, &mut probe)?;
-                entries = frame.tuples();
-                idx = 0;
-                continue;
+                if let Some(v) = skip_equal_to {
+                    if cmp(v)? != Ordering::Greater {
+                        continue;
+                    }
+                    skip_equal_to = None;
+                }
+                probe
+                    .row_ids
+                    .push(usize::try_from(row).map_err(|_| corrupt(leaf))?);
             }
-            let entry = &entries[idx];
-            probe.node_searches += 1; // one key compare per entry walked
-            let key = &entry[0];
-            let in_lo = match lo {
-                KeyBound::Unbounded => true,
-                KeyBound::Inclusive(v) => cmp_keys(key, v) != Ordering::Less,
-                KeyBound::Exclusive(v) => cmp_keys(key, v) == Ordering::Greater,
-            };
-            let (in_hi, past_hi) = match hi {
-                KeyBound::Unbounded => (true, false),
-                KeyBound::Inclusive(v) => {
-                    let c = cmp_keys(key, v);
-                    (c != Ordering::Greater, c == Ordering::Greater)
-                }
-                KeyBound::Exclusive(v) => {
-                    let c = cmp_keys(key, v);
-                    (c == Ordering::Less, c != Ordering::Less)
-                }
-            };
-            if past_hi {
+            leaf += 1;
+            if leaf >= self.leaf_count {
                 break;
             }
-            if in_lo && in_hi {
-                match entry[1].as_int() {
-                    Some(r) => probe.row_ids.push(r as usize),
-                    None => {
-                        return Err(IoError::Corrupt {
-                            table: self.index_id,
-                            page: leaf as u32,
-                        })
-                    }
-                }
-            }
-            idx += 1;
+            frame = self.read_node(leaf, &mut probe)?;
+            start = 0;
         }
 
         // Duplicate keys interleave row ids across key groups; emit in
@@ -545,20 +548,22 @@ fn cmp_keys(a: &Value, b: &Value) -> Ordering {
     a.partial_cmp_typed(b).unwrap_or(Ordering::Equal)
 }
 
-/// First entry whose key is `>= key`, counting one node-search step per
-/// binary-search iteration.
-fn lower_bound(entries: &[Tuple], key: &Value, steps: &mut u64) -> usize {
-    let (mut lo, mut hi) = (0usize, entries.len());
+/// First entry of `node` whose key is `>= key`, counting one
+/// node-search step per binary-search iteration. Each step compares the
+/// key in place in its slot payload; `None` when a slot does not hold a
+/// key of `key`'s type.
+fn lower_bound(node: &Page, key: &Value, steps: &mut u64) -> Option<usize> {
+    let (mut lo, mut hi) = (0usize, node.len());
     while lo < hi {
         *steps += 1;
         let mid = (lo + hi) / 2;
-        if cmp_keys(&entries[mid][0], key) == Ordering::Less {
+        if read_key(node.payload(mid))?.partial_cmp_value(key)? == Ordering::Less {
             lo = mid + 1;
         } else {
             hi = mid;
         }
     }
-    lo
+    Some(lo)
 }
 
 #[cfg(test)]
@@ -840,5 +845,88 @@ mod tests {
             }
         }
         assert!(saw_permanent, "some probe crosses the dead page");
+    }
+
+    /// `ix` with node `page_no` rewritten to hold `payloads`, checksum
+    /// refreshed — the image verifies, so only the slot reader stands
+    /// between a malformed entry and the probe.
+    fn with_node(ix: &BTreeIndex, page_no: usize, payloads: &[Vec<u8>]) -> BTreeIndex {
+        let mut ix = ix.clone();
+        let mut node = Page::new();
+        for payload in payloads {
+            assert!(node.insert_raw(payload));
+        }
+        ix.checksums[page_no] = node.checksum();
+        ix.pages[page_no] = node;
+        ix.pool = pool();
+        ix
+    }
+
+    fn pair(key: &Value, n: &Value) -> Vec<u8> {
+        let mut out = Vec::new();
+        serialize_pair(key, n, &mut out);
+        out
+    }
+
+    #[test]
+    fn malformed_node_entries_are_reported_corrupt_not_panicked() {
+        let keys: Vec<i64> = (0..2 * BTREE_FANOUT as i64).collect();
+        let ix = int_index(&keys);
+        assert_eq!((ix.height(), ix.num_pages()), (2, 3));
+        let (leaf, root) = (0usize, 2usize);
+        let good = pair(&Value::Int(5), &Value::Int(5));
+        let unknown_tag = {
+            let mut e = good.clone();
+            e[2] = 0xEE;
+            e
+        };
+        let leaf_cases = [
+            ("short slot", good[..good.len() - 3].to_vec()),
+            ("empty slot", Vec::new()),
+            ("unknown tag", unknown_tag),
+            ("row id not an Int", pair(&Value::Int(5), &Value::Date(5))),
+            ("negative row id", pair(&Value::Int(5), &Value::Int(-1))),
+            (
+                "key of another type",
+                pair(&Value::str("5"), &Value::Int(5)),
+            ),
+        ];
+        for (what, bad) in leaf_cases {
+            let broken = with_node(&ix, leaf, &[good.clone(), bad]);
+            let err = broken
+                .probe_range(KeyBound::Unbounded, KeyBound::Inclusive(&Value::Int(999)))
+                .expect_err(what);
+            let corrupt = IoError::Corrupt {
+                table: ix.index_id(),
+                page: leaf as u32,
+            };
+            assert_eq!(err, corrupt, "{what}");
+            // A bounded probe meets the same slot, in the binary search
+            // or in the walk over the keys equal to it.
+            let err = broken.probe_point(&Value::Int(5)).expect_err(what);
+            assert_eq!(err, corrupt, "{what}: bounded probe");
+        }
+        let root_cases = [
+            ("child not an Int", pair(&Value::Int(0), &Value::Bool(true))),
+            ("child out of range", pair(&Value::Int(0), &Value::Int(99))),
+            (
+                "child is the node itself",
+                pair(&Value::Int(0), &Value::Int(2)),
+            ),
+            ("negative child", pair(&Value::Int(0), &Value::Int(-4))),
+            ("short slot", good[..4].to_vec()),
+        ];
+        for (what, bad) in root_cases {
+            let broken = with_node(&ix, root, &[bad]);
+            let err = broken.probe_point(&Value::Int(7)).expect_err(what);
+            assert_eq!(
+                err,
+                IoError::Corrupt {
+                    table: ix.index_id(),
+                    page: root as u32
+                },
+                "{what}"
+            );
+        }
     }
 }

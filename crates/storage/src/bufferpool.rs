@@ -11,12 +11,15 @@
 //! even though the database was warm").
 //!
 //! A resident page is a [`PageFrame`]: the page image the miss path
-//! read (and, on the checked paths, verified), with its tuples decoded
-//! on the first row read. Everything priced happens on the miss —
-//! fault lookup, checksum, retries, classification, LRU stamp — so a
-//! reader that only needs the access charged (a columnar scan, whose
-//! data comes from the extent chunks) never pays for a decode, and one
-//! that needs rows pays for it once per residency.
+//! read (and, on the checked paths, verified). Everything priced
+//! happens on the miss — fault lookup, checksum, retries,
+//! classification, LRU stamp — and a reader then pays for what it
+//! reads off the image: nothing for a columnar scan (its data comes
+//! from the extent chunks; it only needs the access charged), one slot
+//! for an index probe's key compare ([`crate::btree`]) or base-row
+//! fetch ([`PageFrame::tuple`]). Only the row engines' sequential
+//! scans — the test oracle — read every row of a page, and they alone
+//! decode it whole ([`PageFrame::tuples`], once per residency).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -54,8 +57,8 @@ pub struct PoolStats {
     pub evictions: u64,
 }
 
-/// A resident page: its image plus the tuples on it, decoded on the
-/// first [`PageFrame::tuples`] call and kept for the residency.
+/// A resident page: its image, plus every tuple on it once a
+/// sequential row reader has asked for them ([`PageFrame::tuples`]).
 #[derive(Debug)]
 pub struct PageFrame {
     page: Page,
@@ -81,9 +84,29 @@ impl PageFrame {
         self.page.is_empty()
     }
 
-    /// The page's tuples in slot order.
+    /// The page's tuples in slot order: the whole page is decoded on
+    /// the first call and kept for the residency. For readers that
+    /// walk the page; a point read wants [`Self::tuple`].
     pub fn tuples(&self) -> &[Tuple] {
         self.tuples.get_or_init(|| self.page.all_tuples())
+    }
+
+    /// The tuple in one slot, decoded from the image — no other slot
+    /// is touched and nothing is cached. Panics on an out-of-range
+    /// slot.
+    pub fn tuple(&self, slot: usize) -> Tuple {
+        self.page.get(slot)
+    }
+
+    /// Whether [`Self::tuples`] has decoded the whole page — an
+    /// observation hook for tests; nothing priced depends on it.
+    pub fn is_decoded(&self) -> bool {
+        self.tuples.get().is_some()
+    }
+
+    /// The page image.
+    pub(crate) fn page(&self) -> &Page {
+        &self.page
     }
 }
 
@@ -374,11 +397,15 @@ impl BufferPool {
     /// ledgers for serve-vs-replay comparisons).
     pub fn flush(&self) {
         let mut g = self.inner.lock();
-        g.frames.clear();
+        // Frames may carry decoded rows; free them after the lock is
+        // released.
+        let dropped: Vec<Frame> = g.frames.drain().map(|(_, frame)| frame).collect();
         g.by_stamp.clear();
         g.last_page.clear();
         g.hit_counter = 0;
         g.stats.resident = 0;
+        drop(g);
+        drop(dropped);
     }
 
     /// Drop every cached page of one table (or index — indexes share
@@ -397,13 +424,18 @@ impl BufferPool {
             .filter(|id| id.table == table)
             .copied()
             .collect();
+        let mut dropped = Vec::with_capacity(victims.len());
         for id in victims {
             if let Some(frame) = g.frames.remove(&id) {
                 g.by_stamp.remove(&frame.stamp);
+                dropped.push(frame);
             }
         }
         g.last_page.retain(|&(t, _), _| t != table);
         g.stats.resident = g.frames.len();
+        // As in `flush`: free the frames after the lock is released.
+        drop(g);
+        drop(dropped);
     }
 
     /// Current statistics.
@@ -461,6 +493,22 @@ mod tests {
         assert!(frame.tuples.get().is_none(), "len() reads the header only");
         assert_eq!(frame.tuples(), &[vec![Value::Int(7)]]);
         assert!(std::ptr::eq(frame.tuples(), frame.tuples()), "decoded once");
+    }
+
+    #[test]
+    fn slot_read_decodes_one_slot_and_caches_nothing() {
+        let mut page = Page::new();
+        for i in 0..5 {
+            assert!(page.insert(&vec![Value::Int(i), Value::str(format!("row {i}"))]));
+        }
+        let frame = PageFrame::new(page);
+        for i in [3usize, 0, 4] {
+            let row = vec![Value::Int(i as i64), Value::str(format!("row {i}"))];
+            assert_eq!(frame.tuple(i), row);
+        }
+        assert!(!frame.is_decoded(), "point reads leave the page undecoded");
+        assert_eq!(frame.tuple(2), frame.tuples()[2]);
+        assert!(frame.is_decoded());
     }
 
     #[test]

@@ -3,13 +3,17 @@
 //!
 //! Tuples are packed into 8 KB slotted pages at load time; reads go
 //! through the shared [`BufferPool`], which charges simulated I/O on
-//! misses. A resident page decodes to a tuple vector at most once per
-//! residency — on its first row read ([`PageFrame::tuples`]); a
-//! columnar scan, which takes its data from the extent chunks, drives
-//! every page through the same checked miss path and never decodes one
-//! (the decode cost is charged by the executor as tuple-fetch work,
-//! same as the memory engine — the engines differ in I/O, not in
-//! tuple-access accounting).
+//! misses. Every checked miss verifies the full page image against the
+//! checksum recorded when the page was written ([`Page::checksum`])
+//! before anything is read from it; after that a reader decodes what it
+//! reads. A columnar scan, which takes its data from the extent chunks,
+//! drives every page through the checked miss path and decodes nothing;
+//! an index-driven fetch decodes the one slot its row id names
+//! ([`PageFrame::tuple`]); only the row engines' sequential scans decode
+//! a page whole ([`PageFrame::tuples`], once per residency). (The
+//! decode cost is charged by the executor as tuple-fetch work, same as
+//! the memory engine — the engines differ in I/O, not in tuple-access
+//! accounting.)
 //!
 //! # Single-row mutations: repack until realign
 //!
@@ -215,9 +219,9 @@ pub struct DiskTable {
     table_id: u32,
     schema: Schema,
     pages: Vec<Page>,
-    /// Per-page FNV-1a checksums computed when a page is written (load
-    /// or repack) and verified on every checked buffer-pool miss (see
-    /// [`DiskTable::read_page_checked`]).
+    /// Per-page checksums ([`Page::checksum`]) computed when a page is
+    /// written (load or repack) and verified on every checked
+    /// buffer-pool miss (see [`DiskTable::read_page_checked`]).
     checksums: Vec<u64>,
     num_tuples: usize,
     pool: Arc<BufferPool>,
@@ -465,7 +469,7 @@ impl DiskTable {
     }
 
     /// A frame over page `page_no`'s image: shares the image, decodes
-    /// nothing until a row reader asks.
+    /// nothing.
     fn frame(&self, page_no: usize) -> Arc<PageFrame> {
         Arc::new(PageFrame::new(self.pages[page_no].clone()))
     }
@@ -578,7 +582,7 @@ impl DiskTable {
     /// The miss-path attempt loop: read the page image, verify its
     /// checksum, and retry on failure (injected or genuine) up to
     /// [`MAX_READ_RETRIES`] times with exponential backoff. The frame
-    /// it hands the pool holds the verified image undecoded.
+    /// it hands the pool holds the verified image, undecoded.
     ///
     /// Accounting: the *initial* read is already charged by the buffer
     /// pool's miss classification (sequential or random). Each failed

@@ -390,8 +390,8 @@ impl Reader<'_> {
     }
 }
 
-/// FNV-1a 64 — same function the page layer uses for its per-page
-/// checksums.
+/// FNV-1a 64, the log's record checksum — part of the log format. (The
+/// page layer's in-memory `Page::checksum` is a different function.)
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

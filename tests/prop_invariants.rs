@@ -13,8 +13,8 @@ use ecodb::query::plans::{self, selection_plan};
 use ecodb::simhw::machine::{Machine, MachineConfig};
 use ecodb::simhw::trace::{OpClass, Phase, WorkTrace};
 use ecodb::simhw::{CpuConfig, VoltageSetting};
-use ecodb::storage::page::{deserialize_tuple, serialize_tuple};
-use ecodb::storage::Value;
+use ecodb::storage::page::{deserialize_tuple, serialize_tuple, Page};
+use ecodb::storage::{PageFrame, Value};
 use ecodb::tpch::{Date, QedQuery};
 
 fn shared_db() -> &'static EcoDb {
@@ -147,6 +147,24 @@ proptest! {
     #[test]
     fn page_serialization_roundtrips(tuple in proptest::collection::vec(arb_value(), 0..12)) {
         prop_assert_eq!(deserialize_tuple(&serialize_tuple(&tuple)), tuple);
+    }
+
+    /// A point read of any slot of any page returns what decoding the
+    /// whole page puts in that slot, and decodes nothing else.
+    #[test]
+    fn slot_reads_match_the_whole_page_decode(
+        tuples in proptest::collection::vec(proptest::collection::vec(arb_value(), 0..12), 0..80),
+    ) {
+        let mut page = Page::new();
+        let stored: Vec<_> = tuples.into_iter().take_while(|t| page.insert(t)).collect();
+        let (lazy, decoded) = (PageFrame::new(page.clone()), PageFrame::new(page));
+        prop_assert_eq!(decoded.tuples(), &stored[..]);
+        prop_assert_eq!(lazy.len(), stored.len());
+        for slot in (0..stored.len()).rev() {
+            prop_assert_eq!(&lazy.tuple(slot), &decoded.tuples()[slot], "slot {}", slot);
+            prop_assert_eq!(&decoded.tuple(slot), &stored[slot], "slot {} of a decoded frame", slot);
+        }
+        prop_assert!(!lazy.is_decoded() && decoded.is_decoded());
     }
 
     /// Dates round-trip through y/m/d decomposition across the valid range.

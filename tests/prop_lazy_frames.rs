@@ -20,6 +20,9 @@
 //! 3. **Rows are there when asked for**: a row read after a columnar
 //!    touch is a pool hit, charges nothing, and returns the page's
 //!    tuples.
+//! 4. **A probe reads slots, not pages**: an index probe and its
+//!    base-row fetches decode no frame, cold or warm, and price and
+//!    answer exactly like a twin whose frames were all decoded first.
 
 use std::sync::Arc;
 
@@ -33,7 +36,8 @@ use ecodb::simhw::fault::{backoff_ns_for, FaultPlan, PageFault};
 use ecodb::simhw::trace::DiskWork;
 use ecodb::storage::disk_table::DiskTable;
 use ecodb::storage::{
-    BufferPool, Catalog, ColumnType, IoError, Schema, StoredTable, TableData, Tuple, Value,
+    BufferPool, Catalog, ColumnType, IoError, PageFrame, PageId, Schema, StoredTable, TableData,
+    Tuple, Value,
 };
 
 const TABLE: &str = "t";
@@ -311,4 +315,75 @@ fn a_row_read_after_a_columnar_touch_is_a_hit_with_the_right_tuples() {
     // An index probe's base-row fetch finds them the same way.
     let (probe, _) = run(ExecEngine::Columnar, &mut ix_range(&cat, 10, 12));
     assert_eq!(probe.result.map(|r| r.len()), Ok(9));
+}
+
+/// Every frame of the table and of the index that is resident in the
+/// pool, without loading any.
+fn resident_frames(cat: &Catalog) -> Vec<Arc<PageFrame>> {
+    let table = cat.expect(TABLE);
+    let index = &cat.index(INDEX).expect("registered").index;
+    let ids = [
+        (disk(&table).table_id(), disk(&table).num_pages()),
+        (index.index_id(), index.num_pages()),
+    ];
+    let mut frames = Vec::new();
+    for (table, pages) in ids {
+        for page in 0..pages as u32 {
+            let hit: Result<_, ()> = cat
+                .pool()
+                .get_index_checked(PageId { table, page }, |_, _, _| Err(()));
+            frames.extend(hit.map(|(frame, _, _)| frame));
+        }
+    }
+    frames
+}
+
+#[test]
+fn an_index_probe_and_its_row_fetches_decode_no_page() {
+    let rows = make_rows(1500);
+    let lazy = open(&rows, 1 << 16, None, FaultPlan::none());
+    let twin = open(&rows, 1 << 16, None, FaultPlan::none());
+    let want: Vec<Tuple> = rows
+        .iter()
+        .filter(|r| (100..=130).contains(&r[0].as_int().unwrap()))
+        .cloned()
+        .collect();
+    // A point read (key 250) and a range spanning several table pages:
+    // each one's result, I/O and CPU ledger (node searches included).
+    let probes = |cat: &Catalog| {
+        [(250, 250), (100, 130)].map(|(lo, hi)| {
+            let (outcome, ctx) = run(ExecEngine::Columnar, &mut ix_range(cat, lo, hi));
+            (outcome, ctx.cpu)
+        })
+    };
+
+    // Cold, after a flush: every node of the descent and every base
+    // page is a miss, verified and read a slot at a time.
+    lazy.pool().flush();
+    twin.pool().flush();
+    let cold = probes(&lazy);
+    assert_eq!(cold, probes(&twin));
+    let [(point, _), (range, _)] = &cold;
+    assert_eq!(point.result.as_ref().map(Vec::len), Ok(3));
+    assert_eq!(range.result.as_ref(), Ok(&want));
+    assert!(point.disk.index_ios >= 3 && range.disk.index_ios >= 3);
+    let touched = resident_frames(&lazy);
+    assert!(touched.len() >= 5, "root, leaves and base pages");
+    assert!(touched.iter().all(|f| !f.is_decoded()));
+
+    // Warm: the twin's frames are decoded first; rows, CPU ledger and
+    // every disk class still agree, with each other and with the cold
+    // run less its I/O.
+    for frame in resident_frames(&twin) {
+        assert_eq!(frame.tuples().len(), frame.len());
+    }
+    let warm = probes(&lazy);
+    assert_eq!(warm, probes(&twin));
+    for ((w, w_cpu), (c, c_cpu)) in warm.iter().zip(&cold) {
+        assert_eq!((&w.result, w_cpu), (&c.result, c_cpu));
+        assert!(w.disk.is_empty());
+    }
+    assert_eq!(lazy.pool().stats(), twin.pool().stats());
+    assert!(resident_frames(&lazy).iter().all(|f| !f.is_decoded()));
+    assert!(resident_frames(&twin).iter().all(|f| f.is_decoded()));
 }
