@@ -1,6 +1,7 @@
 //! Ablation: short-circuit vs exhaustive disjunction evaluation in the
-//! QED merged scan (DESIGN.md §5: short-circuiting is what produces the
-//! sublinear growth — and hence the diminishing returns — in Fig 6).
+//! QED merged scan (`docs/ARCHITECTURE.md`, "The merged QED scan":
+//! short-circuiting is what produces the sublinear growth — and hence
+//! the diminishing returns — in Fig 6).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eco_bench::bench_db_memory;

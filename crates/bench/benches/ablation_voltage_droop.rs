@@ -1,9 +1,9 @@
 //! Ablation: load-dependent voltage droop.
 //!
 //! The droop term is the mechanism behind the commercial-vs-MySQL
-//! savings gap (DESIGN.md §5.4). This bench prints the medium-voltage
-//! energy ratio at both utilization extremes and measures the pricing
-//! path.
+//! savings gap (`eco_simhw::calib::DROOP_AT_FULL_LOAD`). This bench
+//! prints the medium-voltage energy ratio at both utilization extremes
+//! and measures the pricing path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eco_bench::{bench_db_commercial, bench_db_memory};

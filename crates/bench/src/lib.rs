@@ -2,7 +2,7 @@
 //!
 //! One Criterion bench per table/figure of Lang & Patel (CIDR 2009),
 //! plus ablation benches for the design choices called out in
-//! `DESIGN.md` §4. The `repro` binary prints every table and figure
+//! `docs/ARCHITECTURE.md`. The `repro` binary prints every table and figure
 //! (`cargo run -p eco-bench --bin repro --release`); `README.md`
 //! ("Reproduction targets") lists its targets and
 //! `tests/golden/repro_0.01_all.txt` records its output.

@@ -1,13 +1,14 @@
 //! Calibration diagnostic: prints the raw numbers behind every
 //! headline experiment at one glance (used when tuning
-//! `eco-simhw::calib` constants; see DESIGN.md §2 calibration policy).
+//! `eco-simhw::calib` constants; its module docs state the
+//! calibration policy).
 //!
 //! ```text
 //! cargo run -p eco-core --example diag --release
 //! ```
 
 use eco_core::experiments;
-use eco_core::qed::run_qed;
+use eco_core::qed::run_qed_sweep;
 use eco_core::server::{EcoDb, EngineProfile};
 use eco_simhw::machine::MachineConfig;
 
@@ -44,8 +45,8 @@ fn main() {
 
     // QED
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
-    for k in [35, 40, 45, 50] {
-        let o = run_qed(&db, k, MachineConfig::stock(), true);
+    for o in run_qed_sweep(&db, &[35, 40, 45, 50], MachineConfig::stock(), true) {
+        let k = o.batch_size;
         println!("qed k={k}: E {:.3} resp {:.3} edp {:.3} (seq avg {:.4}s qed avg {:.4}s; seq J {:.1} qed J {:.1})",
             o.energy_ratio, o.response_ratio, o.edp_ratio,
             o.sequential.avg_response_s, o.qed.avg_response_s,

@@ -27,7 +27,7 @@ use eco_simhw::psu::PsuSpec;
 use eco_simhw::CpuSpec;
 
 use crate::pvc::{theoretical_edp_ratio, PvcSweep};
-use crate::qed::{run_qed, QedOutcome};
+use crate::qed::{run_qed_sweep, QedOutcome};
 use crate::server::{EcoDb, EngineProfile};
 
 /// Default scale factor for quick experiment runs.
@@ -427,13 +427,11 @@ pub fn fig5_report(rows: &[Fig5Row]) -> String {
 // ---------------------------------------------------------------------------
 
 /// Fig 6: QED vs sequential for the paper's batch sizes 35/40/45/50 on
-/// the MySQL memory-engine profile at stock settings.
+/// the MySQL memory-engine profile at stock settings (one sweep: the
+/// sequential baseline runs once, see [`run_qed_sweep`]).
 pub fn fig6(scale: f64) -> Vec<QedOutcome> {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
-    [35usize, 40, 45, 50]
-        .iter()
-        .map(|&k| run_qed(&db, k, MachineConfig::stock(), true))
-        .collect()
+    run_qed_sweep(&db, &[35, 40, 45, 50], MachineConfig::stock(), true)
 }
 
 /// Format Fig 6.

@@ -25,8 +25,9 @@
 //! batch, least for the last, and the first query's degradation grows
 //! with batch size.
 
-use eco_simhw::machine::MachineConfig;
-use eco_simhw::trace::PhaseKind;
+use eco_simhw::machine::{MachineConfig, PhaseMeasurement};
+use eco_simhw::trace::{PhaseKind, WorkTrace};
+use eco_storage::{RowSet, Tuple};
 use eco_tpch::{qed_workload, QedQuery};
 
 use crate::server::EcoDb;
@@ -58,6 +59,32 @@ impl QedScheme {
     pub fn edp(&self) -> f64 {
         self.joules_per_query() * self.avg_response_s
     }
+
+    /// The sequential scheme: query *i* responds at `completions[i]`.
+    fn sequential(completions: &[f64], total_seconds: f64, cpu_joules: f64) -> Self {
+        Self {
+            batch_size: completions.len(),
+            total_seconds,
+            cpu_joules,
+            avg_response_s: completions.iter().sum::<f64>() / completions.len() as f64,
+            first_response_s: completions[0],
+            last_response_s: completions[completions.len() - 1],
+        }
+    }
+
+    /// The QED scheme: every query waits `gap_exec` for the merged
+    /// statement, then query *i* of k for its share `i/k` of `split`.
+    fn merged(k: usize, total_seconds: f64, cpu_joules: f64, gap_exec: f64, split: f64) -> Self {
+        let response = |i: usize| gap_exec + split * (i as f64 / k as f64);
+        Self {
+            batch_size: k,
+            total_seconds,
+            cpu_joules,
+            avg_response_s: gap_exec + split * (k as f64 + 1.0) / (2.0 * k as f64),
+            first_response_s: response(1),
+            last_response_s: response(k),
+        }
+    }
 }
 
 /// Sequential vs QED comparison for one batch size.
@@ -79,6 +106,30 @@ pub struct QedOutcome {
     pub results_match: bool,
 }
 
+/// The two schemes side by side. `results_match` comes from comparing
+/// QED's result sets with the sequential rows in place
+/// ([`RowSet::all_eq`]): no merged row is built to be compared.
+fn compare(seq: QedScheme, qed: QedScheme, results_match: bool) -> QedOutcome {
+    QedOutcome {
+        batch_size: qed.batch_size,
+        energy_ratio: qed.cpu_joules / seq.cpu_joules,
+        response_ratio: qed.avg_response_s / seq.avg_response_s,
+        edp_ratio: qed.edp() / seq.edp(),
+        sequential: seq,
+        qed,
+        results_match,
+    }
+}
+
+/// Seconds of the client-side split phases (`client`) or of all others.
+fn phase_seconds(phases: &[PhaseMeasurement], client: bool) -> f64 {
+    let wanted = |p: &&PhaseMeasurement| (p.kind == PhaseKind::ClientCompute) == client;
+    phases.iter().filter(wanted).map(|p| p.elapsed_s).sum()
+}
+
+/// One sequential selection: its rows and its gap + execute trace.
+type Statement = (Vec<Tuple>, WorkTrace);
+
 /// Run the paper's QED experiment for one batch size under a machine
 /// configuration (the paper runs QED "at stock system settings";
 /// combining QED with PVC is an extension this API permits).
@@ -88,20 +139,49 @@ pub fn run_qed(
     config: MachineConfig,
     short_circuit: bool,
 ) -> QedOutcome {
-    let queries = qed_workload(batch_size);
+    run_qed_sweep(db, &[batch_size], config, short_circuit).remove(0)
+}
 
-    // --- sequential baseline ---------------------------------------------
-    let mut seq_trace = eco_simhw::trace::WorkTrace::new();
-    let mut seq_results: Vec<Vec<eco_storage::Tuple>> = Vec::with_capacity(batch_size);
-    for q in &queries {
-        let (rows, t) = db.trace_selection(q);
-        seq_results.push(rows);
-        seq_trace.extend(t);
+/// [`run_qed`] at each of `sizes` (Fig 6: 35 to 50) with the sequential
+/// baseline executed once: `qed_workload(k)` is a prefix of the largest
+/// batch, so that batch's selections are traced once, back to back, and
+/// size k prices — and checks its merged results against — the first k
+/// of them. On an engine whose statement traces do not depend on what
+/// ran before (the memory engine, where Fig 6 runs) each outcome equals
+/// [`run_qed`]'s bit for bit; on the disk engine (buffer pool, warm
+/// re-read schedule) a size's baseline is the first k statements *of
+/// that one pass*, not of a pass of its own.
+pub fn run_qed_sweep(
+    db: &EcoDb,
+    sizes: &[usize],
+    config: MachineConfig,
+    short_circuit: bool,
+) -> Vec<QedOutcome> {
+    let Some(&largest) = sizes.iter().max() else {
+        return Vec::new();
+    };
+    let baseline = sequential_statements(db, largest);
+    let outcome = |&k: &usize| qed_against(db, &baseline[..k], config, short_circuit);
+    sizes.iter().map(outcome).collect()
+}
+
+/// `qed_workload(k)` run back to back, one statement per query.
+fn sequential_statements(db: &EcoDb, k: usize) -> Vec<Statement> {
+    let trace = |q: &QedQuery| db.trace_selection(q);
+    qed_workload(k).iter().map(trace).collect()
+}
+
+/// QED at batch size `baseline.len()` (`sc`: short-circuit the merged
+/// predicate) against those sequential statements.
+fn qed_against(db: &EcoDb, baseline: &[Statement], config: MachineConfig, sc: bool) -> QedOutcome {
+    // Sequential baseline: one trace, so every sum runs in statement order.
+    let mut seq_trace = WorkTrace::new();
+    for (_, trace) in baseline {
+        seq_trace.extend(trace.clone());
     }
     let seq_m = db.price(&seq_trace, config);
-    // Completion time of query i = cumulative phase time through its
-    // execute phase (phases alternate gap, exec).
-    let mut completions = Vec::with_capacity(batch_size);
+    // Query i completes with its execute phase (they alternate gap, exec).
+    let mut completions = Vec::with_capacity(baseline.len());
     let mut acc = 0.0;
     for pair in seq_m.phases.chunks(2) {
         for p in pair {
@@ -109,53 +189,19 @@ pub fn run_qed(
         }
         completions.push(acc);
     }
-    assert_eq!(completions.len(), batch_size);
-    let sequential = QedScheme {
-        batch_size,
-        total_seconds: seq_m.elapsed_s,
-        cpu_joules: seq_m.cpu_joules,
-        avg_response_s: completions.iter().sum::<f64>() / batch_size as f64,
-        first_response_s: completions[0],
-        last_response_s: *completions.last().expect("non-empty batch"),
-    };
+    assert_eq!(completions.len(), baseline.len());
+    let seq = QedScheme::sequential(&completions, seq_m.elapsed_s, seq_m.cpu_joules);
 
-    // --- QED ---------------------------------------------------------------
-    let (qed_results, qed_trace) = db.trace_merged_selection(&queries, short_circuit);
-    let qed_m = db.price(&qed_trace, config);
-    let gap_exec: f64 = qed_m
-        .phases
-        .iter()
-        .filter(|p| p.kind != PhaseKind::ClientCompute)
-        .map(|p| p.elapsed_s)
-        .sum();
-    let split: f64 = qed_m
-        .phases
-        .iter()
-        .filter(|p| p.kind == PhaseKind::ClientCompute)
-        .map(|p| p.elapsed_s)
-        .sum();
-    let k = batch_size as f64;
-    let response = |i: usize| gap_exec + split * (i as f64 / k);
-    let qed = QedScheme {
-        batch_size,
-        total_seconds: qed_m.elapsed_s,
-        cpu_joules: qed_m.cpu_joules,
-        avg_response_s: gap_exec + split * (k + 1.0) / (2.0 * k),
-        first_response_s: response(1),
-        last_response_s: response(batch_size),
-    };
+    // QED: one merged statement.
+    let k = baseline.len();
+    let (rows, qed_trace) = db.trace_merged_selection(&qed_workload(k), sc);
+    let m = db.price(&qed_trace, config);
+    let gap_exec = phase_seconds(&m.phases, false);
+    let split = phase_seconds(&m.phases, true);
+    let qed = QedScheme::merged(k, m.elapsed_s, m.cpu_joules, gap_exec, split);
 
-    let results_match = qed_results == seq_results;
-
-    QedOutcome {
-        batch_size,
-        energy_ratio: qed.cpu_joules / sequential.cpu_joules,
-        response_ratio: qed.avg_response_s / sequential.avg_response_s,
-        edp_ratio: qed.edp() / sequential.edp(),
-        sequential,
-        qed,
-        results_match,
-    }
+    let seq_rows: Vec<&[Tuple]> = baseline.iter().map(|(rows, _)| &rows[..]).collect();
+    compare(seq, qed, RowSet::all_eq(&rows, &seq_rows))
 }
 
 /// [`run_qed`] on the cores axis: both schemes execute morsel-parallel
@@ -174,8 +220,8 @@ pub fn run_qed_cores(
     let queries = qed_workload(batch_size);
     let mc = db.multicore(workers);
 
-    // --- sequential baseline: k parallel statements back-to-back -------
-    let mut seq_results: Vec<Vec<eco_storage::Tuple>> = Vec::with_capacity(batch_size);
+    // Sequential baseline: k parallel statements back-to-back.
+    let mut seq_rows = Vec::with_capacity(batch_size);
     let mut completions = Vec::with_capacity(batch_size);
     let mut acc = 0.0;
     let mut seq_joules = 0.0;
@@ -185,51 +231,18 @@ pub fn run_qed_cores(
         acc += m.elapsed_s;
         seq_joules += m.cpu_joules;
         completions.push(acc);
-        seq_results.push(rows);
+        seq_rows.push(rows);
     }
-    let sequential = QedScheme {
-        batch_size,
-        total_seconds: acc,
-        cpu_joules: seq_joules,
-        avg_response_s: completions.iter().sum::<f64>() / batch_size as f64,
-        first_response_s: completions[0],
-        last_response_s: *completions.last().expect("non-empty batch"),
-    };
+    let seq = QedScheme::sequential(&completions, acc, seq_joules);
 
-    // --- QED: one merged parallel statement ----------------------------
-    let (qed_results, core_traces) =
-        db.trace_merged_selection_cores(&queries, short_circuit, workers);
-    let qed_m = mc.measure_uniform(&core_traces, &config);
-    // The split runs on the client (core 0) after the barrier.
-    let split: f64 = qed_m.per_core[0]
-        .phases
-        .iter()
-        .filter(|p| p.kind == PhaseKind::ClientCompute)
-        .map(|p| p.elapsed_s)
-        .sum();
-    let gap_exec = (qed_m.elapsed_s - split).max(0.0);
-    let k = batch_size as f64;
-    let response = |i: usize| gap_exec + split * (i as f64 / k);
-    let qed = QedScheme {
-        batch_size,
-        total_seconds: qed_m.elapsed_s,
-        cpu_joules: qed_m.cpu_joules,
-        avg_response_s: gap_exec + split * (k + 1.0) / (2.0 * k),
-        first_response_s: response(1),
-        last_response_s: response(batch_size),
-    };
-
-    let results_match = qed_results == seq_results;
-
-    QedOutcome {
-        batch_size,
-        energy_ratio: qed.cpu_joules / sequential.cpu_joules,
-        response_ratio: qed.avg_response_s / sequential.avg_response_s,
-        edp_ratio: qed.edp() / sequential.edp(),
-        sequential,
-        qed,
-        results_match,
-    }
+    // QED: one merged parallel statement; the split runs on the client
+    // (core 0) after the barrier.
+    let (rows, core_traces) = db.trace_merged_selection_cores(&queries, short_circuit, workers);
+    let m = mc.measure_uniform(&core_traces, &config);
+    let split = phase_seconds(&m.per_core[0].phases, true);
+    let gap_exec = (m.elapsed_s - split).max(0.0);
+    let qed = QedScheme::merged(batch_size, m.elapsed_s, m.cpu_joules, gap_exec, split);
+    compare(seq, qed, RowSet::all_eq(&rows, &seq_rows))
 }
 
 /// The admission-control queue: delay queries until a batch forms.
@@ -318,55 +331,46 @@ mod tests {
         EcoDb::tpch(EngineProfile::MemoryEngine, 0.004)
     }
 
+    /// Mutation check of the in-place comparison: one wrong cell in the
+    /// sequential rows fails exactly the batch sizes that contain it.
     #[test]
-    fn qed_saves_energy_and_degrades_response() {
+    fn a_wrong_baseline_cell_fails_every_batch_that_contains_it() {
         let db = db();
-        let o = run_qed(&db, 35, MachineConfig::stock(), true);
-        assert!(o.results_match, "QED must not change answers");
-        assert!(o.energy_ratio < 0.8, "energy ratio {}", o.energy_ratio);
-        assert!(
-            o.response_ratio > 1.0,
-            "response ratio {}",
-            o.response_ratio
-        );
-        assert!(o.edp_ratio < 1.0, "EDP ratio {}", o.edp_ratio);
+        let mut baseline = sequential_statements(&db, 50);
+        let verdicts = |baseline: &[Statement]| {
+            [35, 40, 45, 50].map(|k| {
+                qed_against(&db, &baseline[..k], MachineConfig::stock(), true).results_match
+            })
+        };
+        assert_eq!(verdicts(&baseline), [true; 4]);
+        // Query 42's last row, its comment: in batches 45 and 50 only.
+        let row = baseline[41].0.last_mut().expect("quantity 42 selects rows");
+        row[15] = eco_storage::Value::str("not what the scan saw");
+        assert_eq!(verdicts(&baseline), [true, true, false, false]);
     }
 
     #[test]
-    fn energy_savings_diminish_with_batch_size() {
+    fn fig6_sweep_saves_energy_with_diminishing_returns_and_best_edp_at_50() {
+        let outcomes = run_qed_sweep(&db(), &[35, 40, 45, 50], MachineConfig::stock(), true);
+        for o in &outcomes {
+            assert!(o.results_match, "QED must not change answers");
+            assert!(o.energy_ratio < 0.8, "energy ratio {}", o.energy_ratio);
+            assert!(o.response_ratio > 1.0, "response {}", o.response_ratio);
+            assert!(o.edp_ratio < 1.0, "EDP ratio {}", o.edp_ratio);
+        }
         // Paper Fig 6: "there is a diminishing decrease in energy
         // consumption" going 35 → 50.
-        let db = db();
-        let outcomes: Vec<QedOutcome> = [35, 40, 45, 50]
-            .iter()
-            .map(|&k| run_qed(&db, k, MachineConfig::stock(), true))
-            .collect();
-        for w in outcomes.windows(2) {
-            assert!(
-                w[1].energy_ratio < w[0].energy_ratio,
-                "larger batches save more: {} vs {}",
-                w[1].energy_ratio,
-                w[0].energy_ratio
-            );
-        }
-        let increments: Vec<f64> = outcomes
-            .windows(2)
-            .map(|w| w[0].energy_ratio - w[1].energy_ratio)
-            .collect();
+        let ratios: Vec<f64> = outcomes.iter().map(|o| o.energy_ratio).collect();
+        assert!(ratios.is_sorted_by(|a, b| a > b), "{ratios:?}");
+        let increments: Vec<f64> = ratios.windows(2).map(|w| w[0] - w[1]).collect();
         for w in increments.windows(2) {
             assert!(w[1] <= w[0] + 0.005, "diminishing returns: {increments:?}");
         }
-    }
-
-    #[test]
-    fn largest_batch_has_best_edp() {
         // Paper: "the largest batch size (of 50) … translates to the
-        // best EDP change."
-        let db = db();
-        let o35 = run_qed(&db, 35, MachineConfig::stock(), true);
-        let o50 = run_qed(&db, 50, MachineConfig::stock(), true);
+        // best EDP change." Response-time ratio improves as batches
+        // grow (Fig 6 trend).
+        let (o35, o50) = (&outcomes[0], &outcomes[3]);
         assert!(o50.edp_ratio < o35.edp_ratio);
-        // Response-time ratio improves as batches grow (Fig 6 trend).
         assert!(o50.response_ratio < o35.response_ratio);
     }
 
@@ -374,18 +378,15 @@ mod tests {
     fn first_query_suffers_most() {
         // Degradation (vs its sequential completion) is most severe for
         // the first query, least for the last.
-        let db = db();
-        let o = run_qed(&db, 20, MachineConfig::stock(), true);
-        let seq_first = o.sequential.first_response_s;
-        let seq_last = o.sequential.last_response_s;
-        let deg_first = o.qed.first_response_s / seq_first;
-        let deg_last = o.qed.last_response_s / seq_last;
+        let sweep = run_qed_sweep(&db(), &[20, 40], MachineConfig::stock(), true);
+        let (o, o_big) = (&sweep[0], &sweep[1]);
+        let deg_first = o.qed.first_response_s / o.sequential.first_response_s;
+        let deg_last = o.qed.last_response_s / o.sequential.last_response_s;
         assert!(
             deg_first > deg_last,
             "first {deg_first} must exceed last {deg_last}"
         );
         // And the first query's degradation grows with batch size.
-        let o_big = run_qed(&db, 40, MachineConfig::stock(), true);
         let deg_first_big = o_big.qed.first_response_s / o_big.sequential.first_response_s;
         assert!(deg_first_big > deg_first);
     }
@@ -401,11 +402,10 @@ mod tests {
         // Four cores finish the merged statement faster than one. The
         // speedup is bounded well below 4x: result emission and the
         // client-side split stay on the coordinator core by design.
+        let (par_s, serial_s) = (par.qed.total_seconds, serial.qed.total_seconds);
         assert!(
-            par.qed.total_seconds < 0.97 * serial.qed.total_seconds,
-            "parallel {} vs serial {}",
-            par.qed.total_seconds,
-            serial.qed.total_seconds
+            par_s < 0.97 * serial_s,
+            "parallel {par_s} vs serial {serial_s}"
         );
     }
 

@@ -732,10 +732,13 @@ mod tests {
         assert_eq!(a.len(), want.len(), "counted before any decode");
         assert!(!a.is_decoded());
 
+        // Comparing with rows in hand reads the scan's columns in place.
+        assert_eq!(a, want);
+        assert!(!a.is_decoded());
         // One read decodes the dispatch: for the deduplicated member,
         // for the member with another predicate, and for the cloned
         // report — but not for the next dispatch.
-        assert_eq!(a, want);
+        assert_eq!(a.tuples(), want);
         assert!(b.is_decoded() && c.is_decoded() && !d.is_decoded());
         assert_eq!(a.as_ptr(), c.as_ptr(), "deduplicated members share rows");
         assert_ne!(a.as_ptr(), b.as_ptr());

@@ -3,7 +3,7 @@
 //! Every tuned number in the model lives here, with a note tying it to
 //! the data point in Lang & Patel (CIDR 2009) that motivates it. The
 //! calibration targets are *shapes* — who wins, trend directions,
-//! crossover locations — per the reproduction policy in `DESIGN.md` §2.
+//! crossover locations — not the paper's absolute joules.
 //!
 //! System under test (paper §3.1): ASUS P5Q3 Deluxe, Intel Core2-Duo
 //! E8500 (333 MHz FSB, top multiplier 9.5 ⇒ 3.16 GHz), 2×1 GB DDR3,

@@ -26,6 +26,8 @@
 
 use std::sync::Arc;
 
+use crate::intern::Interner;
+use crate::page::try_append_to_columns;
 use crate::value::{ColumnType, Schema, Tuple, Value};
 
 /// One typed column vector.
@@ -143,6 +145,20 @@ impl ColumnData {
             ColumnData::Date(v) => Value::Date(v[i]),
             ColumnData::Char(v) => Value::Char(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
+        }
+    }
+
+    /// Whether the value at `i` equals `v` — what
+    /// `self.value(i) == *v` answers, read in place (a string is
+    /// compared, not cloned). A value of another type is unequal.
+    pub fn value_eq(&self, i: usize, v: &Value) -> bool {
+        match (self, v) {
+            (ColumnData::Int(c), Value::Int(x)) => c[i] == *x,
+            (ColumnData::Str(c), Value::Str(x)) => c[i] == *x,
+            (ColumnData::Date(c), Value::Date(x)) => c[i] == *x,
+            (ColumnData::Char(c), Value::Char(x)) => c[i] == *x,
+            (ColumnData::Bool(c), Value::Bool(x)) => c[i] == *x,
+            _ => false,
         }
     }
 
@@ -329,6 +345,18 @@ impl DataChunk {
         self.len += 1;
     }
 
+    /// Append the row serialized in `payload` (a page slot), decoded
+    /// straight into the columns with column `j`'s strings shared
+    /// through `strs[j]`. Panics on a payload that is not a serialized
+    /// row of this chunk's column types, like
+    /// [`crate::page::deserialize_tuple`].
+    pub(crate) fn push_serialized(&mut self, payload: &[u8], strs: &mut [Interner]) {
+        if try_append_to_columns(payload, &mut self.columns, strs).is_none() {
+            panic!("corrupt page: malformed tuple payload");
+        }
+        self.len += 1;
+    }
+
     /// Overwrite row `i`; panics on an out-of-range row or an arity or
     /// type mismatch.
     pub fn set_row(&mut self, i: usize, row: &Tuple) {
@@ -409,6 +437,18 @@ impl DataChunk {
     /// Materialize row `i` back into the row-engine tuple it mirrors.
     pub fn row(&self, i: usize) -> Tuple {
         self.columns.iter().map(|c| c.data.value(i)).collect()
+    }
+
+    /// Whether row `i` equals `row` — what `self.row(i) == *row`
+    /// answers, compared cell by cell where the values lie: no tuple
+    /// is built and no reference count touched.
+    pub fn row_eq(&self, i: usize, row: &Tuple) -> bool {
+        row.len() == self.columns.len()
+            && self
+                .columns
+                .iter()
+                .zip(row)
+                .all(|(c, v)| c.data.value_eq(i, v))
     }
 
     /// Append the stored width of each of `rows` to `out`: exactly

@@ -45,7 +45,8 @@ use eco_simhw::trace::DiskWork;
 use crate::bufferpool::{BufferPool, PageFrame, PageId, EXTENT_PAGES};
 use crate::column::DataChunk;
 use crate::encode::EncodedChunk;
-use crate::page::{serialize_tuple, Page, PAGE_SIZE};
+use crate::intern::Interner;
+use crate::page::{serialize_tuple, serialize_tuple_into, Page, PAGE_SIZE};
 use crate::value::{Schema, Tuple};
 
 /// A page read that could not be satisfied: every attempt within the
@@ -99,7 +100,9 @@ impl std::error::Error for IoError {}
 /// into chunk row windows.
 ///
 /// The mirror is decoded once, lazily, straight from the table's pages
-/// — never through the buffer pool, so building it charges no I/O. The
+/// — slot payload to typed column, no row in between, and one
+/// `Arc<str>` per distinct value of a low-cardinality string column —
+/// and never through the buffer pool, so building it charges no I/O. The
 /// columnar scan still drives every covered page through the pool for
 /// its ledger charges (misses, hits, warm re-reads), exactly like the
 /// row scan; only the tuple *data* comes from the mirror.
@@ -242,6 +245,7 @@ impl DiskTable {
         I::Item: Borrow<Tuple>,
     {
         let mut packer = Packer::default();
+        let mut payload = Vec::new();
         let mut num_tuples = 0;
         for t in tuples {
             let t = t.borrow();
@@ -250,7 +254,8 @@ impl DiskTable {
                 "tuple does not match schema {:?}",
                 schema.names()
             );
-            packer.push(&serialize_tuple(t));
+            serialize_tuple_into(t, &mut payload);
+            packer.push(&payload);
             num_tuples += 1;
         }
         let pages = packer.finish();
@@ -361,12 +366,15 @@ impl DiskTable {
             }
             let extent = EXTENT_PAGES as usize;
             let mut extents = Vec::with_capacity(self.pages.len().div_ceil(extent));
+            // One per column, across extents: a repeated string is
+            // allocated once for the whole mirror.
+            let mut strs = vec![Interner::default(); self.schema.arity()];
             for chunk_pages in self.pages.chunks(extent) {
                 let rows = chunk_pages.iter().map(Page::len).sum();
                 let mut chunk = DataChunk::with_capacity(&self.schema, rows);
                 for p in chunk_pages {
                     for slot in 0..p.len() {
-                        chunk.push_row(p.get(slot));
+                        chunk.push_serialized(p.payload(slot), &mut strs);
                     }
                 }
                 extents.push(Arc::new(chunk));

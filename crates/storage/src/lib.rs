@@ -76,6 +76,7 @@ pub mod column;
 pub mod disk_table;
 pub mod encode;
 pub mod heap;
+mod intern;
 pub mod loader;
 pub mod page;
 pub mod rowset;

@@ -14,6 +14,7 @@ use eco_tpch::TpchDb;
 
 use crate::catalog::Catalog;
 use crate::heap::HeapTable;
+use crate::intern::Interner;
 use crate::value::{Column, ColumnType as T, Schema, Tuple, Value};
 
 /// Which storage profile to load into (the paper's two systems).
@@ -144,102 +145,116 @@ pub fn lineitem_schema() -> Schema {
     ])
 }
 
+// The row builders intern their string columns, numbered in schema
+// order: the repeats of `l_shipmode`, `o_clerk`, `p_type` and the like
+// share one `Arc<str>` per distinct value on either profile, and a
+// column that does not repeat stops being looked up after a few hundred
+// rows (see `crate::intern`).
+
 fn region_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    db.region.iter().map(|r| {
+    let mut strs: [Interner; 2] = Default::default();
+    db.region.iter().map(move |r| {
         vec![
             Value::Int(r.r_regionkey),
-            Value::str(&r.r_name),
-            Value::str(&r.r_comment),
+            Value::Str(strs[0].intern(&r.r_name)),
+            Value::Str(strs[1].intern(&r.r_comment)),
         ]
     })
 }
 
 fn nation_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    db.nation.iter().map(|n| {
+    let mut strs: [Interner; 2] = Default::default();
+    db.nation.iter().map(move |n| {
         vec![
             Value::Int(n.n_nationkey),
-            Value::str(&n.n_name),
+            Value::Str(strs[0].intern(&n.n_name)),
             Value::Int(n.n_regionkey),
-            Value::str(&n.n_comment),
+            Value::Str(strs[1].intern(&n.n_comment)),
         ]
     })
 }
 
 fn supplier_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    db.supplier.iter().map(|s| {
+    let mut strs: [Interner; 4] = Default::default();
+    db.supplier.iter().map(move |s| {
         vec![
             Value::Int(s.s_suppkey),
-            Value::str(&s.s_name),
-            Value::str(&s.s_address),
+            Value::Str(strs[0].intern(&s.s_name)),
+            Value::Str(strs[1].intern(&s.s_address)),
             Value::Int(s.s_nationkey),
-            Value::str(&s.s_phone),
+            Value::Str(strs[2].intern(&s.s_phone)),
             Value::Int(s.s_acctbal),
-            Value::str(&s.s_comment),
+            Value::Str(strs[3].intern(&s.s_comment)),
         ]
     })
 }
 
 fn customer_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    db.customer.iter().map(|c| {
+    let mut strs: [Interner; 5] = Default::default();
+    db.customer.iter().map(move |c| {
         vec![
             Value::Int(c.c_custkey),
-            Value::str(&c.c_name),
-            Value::str(&c.c_address),
+            Value::Str(strs[0].intern(&c.c_name)),
+            Value::Str(strs[1].intern(&c.c_address)),
             Value::Int(c.c_nationkey),
-            Value::str(&c.c_phone),
+            Value::Str(strs[2].intern(&c.c_phone)),
             Value::Int(c.c_acctbal),
-            Value::str(&c.c_mktsegment),
-            Value::str(&c.c_comment),
+            Value::Str(strs[3].intern(&c.c_mktsegment)),
+            Value::Str(strs[4].intern(&c.c_comment)),
         ]
     })
 }
 
 fn part_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    db.part.iter().map(|p| {
+    let mut strs: [Interner; 6] = Default::default();
+    db.part.iter().map(move |p| {
         vec![
             Value::Int(p.p_partkey),
-            Value::str(&p.p_name),
-            Value::str(&p.p_mfgr),
-            Value::str(&p.p_brand),
-            Value::str(&p.p_type),
+            Value::Str(strs[0].intern(&p.p_name)),
+            Value::Str(strs[1].intern(&p.p_mfgr)),
+            Value::Str(strs[2].intern(&p.p_brand)),
+            Value::Str(strs[3].intern(&p.p_type)),
             Value::Int(p.p_size),
-            Value::str(&p.p_container),
+            Value::Str(strs[4].intern(&p.p_container)),
             Value::Int(p.p_retailprice),
-            Value::str(&p.p_comment),
+            Value::Str(strs[5].intern(&p.p_comment)),
         ]
     })
 }
 
 fn partsupp_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    db.partsupp.iter().map(|ps| {
+    let mut strs: [Interner; 1] = Default::default();
+    db.partsupp.iter().map(move |ps| {
         vec![
             Value::Int(ps.ps_partkey),
             Value::Int(ps.ps_suppkey),
             Value::Int(ps.ps_availqty),
             Value::Int(ps.ps_supplycost),
-            Value::str(&ps.ps_comment),
+            Value::Str(strs[0].intern(&ps.ps_comment)),
         ]
     })
 }
 
 fn orders_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    db.orders.iter().map(|o| {
+    let mut strs: [Interner; 3] = Default::default();
+    db.orders.iter().map(move |o| {
         vec![
             Value::Int(o.o_orderkey),
             Value::Int(o.o_custkey),
             Value::Char(o.o_orderstatus),
             Value::Int(o.o_totalprice),
             Value::Date(o.o_orderdate.0),
-            Value::str(&o.o_orderpriority),
-            Value::str(&o.o_clerk),
+            Value::Str(strs[0].intern(&o.o_orderpriority)),
+            Value::Str(strs[1].intern(&o.o_clerk)),
             Value::Int(o.o_shippriority),
-            Value::str(&o.o_comment),
+            Value::Str(strs[2].intern(&o.o_comment)),
         ]
     })
 }
 
 fn lineitem_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    db.lineitem.iter().map(|l| {
+    let mut strs: [Interner; 3] = Default::default();
+    db.lineitem.iter().map(move |l| {
         vec![
             Value::Int(l.l_orderkey),
             Value::Int(l.l_partkey),
@@ -254,9 +269,9 @@ fn lineitem_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
             Value::Date(l.l_shipdate.0),
             Value::Date(l.l_commitdate.0),
             Value::Date(l.l_receiptdate.0),
-            Value::str(&l.l_shipinstruct),
-            Value::str(&l.l_shipmode),
-            Value::str(&l.l_comment),
+            Value::Str(strs[0].intern(&l.l_shipinstruct)),
+            Value::Str(strs[1].intern(&l.l_shipmode)),
+            Value::Str(strs[2].intern(&l.l_comment)),
         ]
     })
 }

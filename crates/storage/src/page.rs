@@ -14,6 +14,8 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+use crate::column::{ColumnChunk, ColumnData};
+use crate::intern::Interner;
 use crate::value::{Tuple, Value};
 
 /// Page size in bytes.
@@ -222,11 +224,18 @@ fn serialize_value(v: &Value, out: &mut Vec<u8>) {
 /// Serialize a tuple to bytes (u16 arity + tagged values).
 pub fn serialize_tuple(t: &Tuple) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + t.len() * 10);
+    serialize_tuple_into(t, &mut out);
+    out
+}
+
+/// [`serialize_tuple`] into `out` (cleared first), so a bulk load
+/// reuses one buffer for all its rows.
+pub(crate) fn serialize_tuple_into(t: &Tuple, out: &mut Vec<u8>) {
+    out.clear();
     out.extend_from_slice(&(t.len() as u16).to_le_bytes());
     for v in t {
-        serialize_value(v, &mut out);
+        serialize_value(v, out);
     }
-    out
 }
 
 /// [`serialize_tuple`] of the two-value tuple `[a, b]` into `out`
@@ -370,6 +379,38 @@ fn try_deserialize_tuple(mut buf: &[u8]) -> Option<Tuple> {
         out.push(read_value(&mut buf)?.to_value()?);
     }
     Some(out)
+}
+
+/// Decode the tuple serialized in `buf` straight onto the ends of
+/// `columns` — one typed push per value, a string through its column's
+/// interner; no [`Tuple`] or [`Value`] is built. `None` when `buf` is
+/// not a serialized tuple of exactly these column types (the columns
+/// may then be left ragged: the caller has a corrupt page and panics).
+pub(crate) fn try_append_to_columns(
+    mut buf: &[u8],
+    columns: &mut [ColumnChunk],
+    strs: &mut [Interner],
+) -> Option<()> {
+    debug_assert_eq!(columns.len(), strs.len(), "one interner per column");
+    if u16::from_le_bytes(take_array(&mut buf)?) as usize != columns.len() {
+        return None;
+    }
+    for (col, strs) in columns.iter_mut().zip(strs) {
+        match (&mut col.data, read_value(&mut buf)?) {
+            (ColumnData::Int(c), ValueRef::Int(x)) => c.push(x),
+            (ColumnData::Str(c), ValueRef::Str(s)) => {
+                c.push(strs.intern(std::str::from_utf8(s).ok()?));
+            }
+            (ColumnData::Date(c), ValueRef::Date(x)) => c.push(x),
+            (ColumnData::Char(c), ValueRef::Char(x)) => c.push(x),
+            (ColumnData::Bool(c), ValueRef::Bool(x)) => c.push(x),
+            _ => return None,
+        }
+        if let Some(mask) = &mut col.validity {
+            mask.push(true);
+        }
+    }
+    Some(())
 }
 
 /// Deserialize a tuple from bytes produced by [`serialize_tuple`].

@@ -12,7 +12,9 @@
 //!   first called on *any* query of that scan; that call decodes the
 //!   whole scan in one sequential pass (the pattern of
 //!   [`crate::PageFrame`]) and every other query, and every clone,
-//!   reads the same decoded rows from then on.
+//!   reads the same decoded rows from then on. Comparing a view with
+//!   tuples the caller already holds (`==`, [`RowSet::all_eq`]) is not
+//!   a read: the routed cells are compared where they lie.
 //!
 //! # A view is a snapshot
 //!
@@ -126,16 +128,46 @@ impl Split {
             per_query
         })
     }
+
+    /// Whether, for every query `q` with `expected[q]` given, the rows
+    /// routed to `q` are exactly those tuples in that order — compared
+    /// cell by cell in the scan's chunks, in one pass over the scan
+    /// whatever the number of queries compared; no tuple is built.
+    fn rows_eq(&self, expected: &[Option<&[Tuple]>]) -> bool {
+        let lengths_agree = expected
+            .iter()
+            .zip(&self.counts)
+            .all(|(want, &n)| want.is_none_or(|want| want.len() == n));
+        if !lengths_agree {
+            return false;
+        }
+        // Each compared query's expected rows not yet met by the scan.
+        let mut rest = expected.to_vec();
+        self.parts.iter().all(|part| {
+            part.matches.iter().all(|&(row, query)| {
+                let Some(want) = &mut rest[query as usize] else {
+                    return true;
+                };
+                let Some((next, later)) = want.split_first() else {
+                    return false;
+                };
+                *want = later;
+                part.data.row_eq(row as usize, next)
+            })
+        })
+    }
 }
 
 /// A statement's result rows: shared, and — out of a merged scan — not
 /// materialised until read. See the [module docs](self) for the two
 /// forms and the snapshot rule.
 ///
-/// [`RowSet::len`] and [`RowSet::is_empty`] never decode; everything
-/// that hands out tuples ([`RowSet::tuples`], `Deref` to `[Tuple]`,
-/// `==`, `Debug`) does, once per merged scan. `clone()` copies a
-/// pointer.
+/// [`RowSet::len`] and [`RowSet::is_empty`] never decode, and neither
+/// does comparing a view with tuples (`== [Tuple]`, `== Vec<Tuple>`,
+/// [`RowSet::all_eq`]); everything that hands out tuples
+/// ([`RowSet::tuples`], `Deref` to `[Tuple]`, `Debug`) does, once per
+/// merged scan, and so does comparing two result sets. `clone()`
+/// copies a pointer.
 #[derive(Clone)]
 pub struct RowSet(Repr);
 
@@ -175,6 +207,41 @@ impl RowSet {
             Repr::View { split, .. } => split.decoded.get().is_some(),
         }
     }
+
+    /// The scan and query of a view whose rows are not decoded yet.
+    fn undecoded_view(&self) -> Option<(&Arc<Split>, usize)> {
+        match &self.0 {
+            Repr::View { split, query } if split.decoded.get().is_none() => Some((split, *query)),
+            _ => None,
+        }
+    }
+
+    /// Whether `sets[i] == *expected[i]` for every `i` (and the two are
+    /// equally many). Undecoded views of one merged scan — what
+    /// [`RoutedRows::into_row_sets`] returns, or any part of it — are
+    /// all checked in a single pass over that scan and stay undecoded.
+    pub fn all_eq<R: AsRef<[Tuple]>>(sets: &[RowSet], expected: &[R]) -> bool {
+        if sets.len() != expected.len() {
+            return false;
+        }
+        let scan = sets.first().and_then(RowSet::undecoded_view).map(|v| v.0);
+        let mut of_scan = vec![None; scan.map_or(0, |s| s.counts.len())];
+        for (set, want) in sets.iter().zip(expected) {
+            let want = want.as_ref();
+            match (scan, set.undecoded_view()) {
+                (Some(scan), Some((split, query)))
+                    if Arc::ptr_eq(split, scan) && of_scan[query].is_none() =>
+                {
+                    of_scan[query] = Some(want);
+                }
+                // An owned or decoded set, another scan's view, or one
+                // query a second time: compared on its own.
+                _ if set != want => return false,
+                _ => {}
+            }
+        }
+        scan.is_none_or(|scan| scan.rows_eq(&of_scan))
+    }
 }
 
 impl From<Vec<Tuple>> for RowSet {
@@ -211,7 +278,14 @@ impl PartialEq<Vec<Tuple>> for RowSet {
 
 impl PartialEq<[Tuple]> for RowSet {
     fn eq(&self, other: &[Tuple]) -> bool {
-        self.len() == other.len() && self.tuples() == other
+        match self.undecoded_view() {
+            Some((split, query)) => {
+                let mut expected = vec![None; split.counts.len()];
+                expected[query] = Some(other);
+                split.rows_eq(&expected)
+            }
+            None => self.len() == other.len() && self.tuples() == other,
+        }
     }
 }
 
@@ -304,6 +378,94 @@ mod tests {
         assert_ne!(v[2], [row(4), row(3)]);
         assert_ne!(v[0], v[2]);
         assert_ne!(v[0], RowSet::from(vec![row(0), row(2), row(4), row(5)]));
+    }
+
+    /// One column of every stored type, and a view of all of its rows.
+    fn typed_view() -> (Vec<Tuple>, RowSet) {
+        let schema = Schema::new(&[
+            ("i", ColumnType::Int),
+            ("s", ColumnType::Str),
+            ("d", ColumnType::Date),
+            ("c", ColumnType::Char),
+        ]);
+        let rows: Vec<Tuple> = (0..3)
+            .map(|k| {
+                vec![
+                    Value::Int(k),
+                    Value::str(format!("s{k}")),
+                    Value::Date(k as i32 * 7),
+                    Value::Char(char::from(b'a' + k as u8)),
+                ]
+            })
+            .collect();
+        let data = Arc::new(DataChunk::from_rows(&schema, &rows));
+        let mut routed = RoutedRows::default();
+        routed.matches_for(&data).extend([(0, 0), (1, 0), (2, 0)]);
+        (rows, routed.into_row_sets(1).remove(0))
+    }
+
+    #[test]
+    fn comparing_a_view_with_tuples_reads_cells_in_place_and_decodes_nothing() {
+        let (rows, view) = typed_view();
+        assert_eq!(view, rows);
+        assert_eq!(view, rows[..]);
+        // A wrong length, a wrong order …
+        assert_ne!(view, rows[..2]);
+        assert_ne!(view, [&rows[..], &rows[..1]].concat());
+        assert_ne!(view, [rows[1].clone(), rows[0].clone(), rows[2].clone()]);
+        // … and one differing cell, in each column type and a type that
+        // is not the column's at all.
+        for (col, wrong) in [
+            Value::Int(-1),
+            Value::str("s"),
+            Value::Date(-1),
+            Value::Char('z'),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for other in [wrong, Value::Bool(true)] {
+                let mut off = rows.clone();
+                off[2][col] = other;
+                assert_ne!(view, off, "column {col}");
+            }
+        }
+        assert!(!view.is_decoded(), "no comparison above built a tuple");
+        // The same verdicts once decoded (the tuple path).
+        assert_eq!(view.tuples(), rows);
+        assert_eq!(view, rows);
+        assert_ne!(view, rows[..2]);
+    }
+
+    #[test]
+    fn all_eq_checks_every_view_of_a_scan_in_one_pass_and_falls_back_per_set() {
+        let v = views();
+        let want = expected();
+        assert!(RowSet::all_eq(&v, &want));
+        assert!(RowSet::all_eq(&v[1..], &want[1..]), "any part of a scan");
+        assert!(!RowSet::all_eq(&v, &want[..2]), "fewer expected than sets");
+        let mut off = want.clone();
+        off[2][1][1] = Value::str("S4");
+        assert!(!RowSet::all_eq(&v, &off));
+        assert!(!RowSet::all_eq(&v[..2], &[&want[0][..3], &want[1][..]]));
+        // Mixed company: an owned set, another scan's view, and one
+        // query twice are each compared on their own.
+        let (rows, other_scan) = typed_view();
+        let mixed = [
+            v[2].clone(),
+            RowSet::from(want[0].clone()),
+            other_scan,
+            v[2].clone(),
+        ];
+        let mixed_want = [&want[2][..], &want[0][..], &rows[..], &want[2][..]];
+        assert!(RowSet::all_eq(&mixed, &mixed_want));
+        let swapped = [&want[2][..], &want[0][..], &rows[..], &want[0][..]];
+        assert!(!RowSet::all_eq(&mixed, &swapped));
+        assert!(v.iter().all(|r| !r.is_decoded()));
+        // Decoded views compare as tuples.
+        let _ = v[0].tuples();
+        assert!(RowSet::all_eq(&v, &want) && !RowSet::all_eq(&v, &off));
+        assert!(RowSet::all_eq(&[], &[] as &[Vec<Tuple>]));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 
 use ecodb::core::advisor::{choose_qed_batch, Sla};
-use ecodb::core::qed::{run_qed, WorkloadManager};
+use ecodb::core::qed::{run_qed_sweep, WorkloadManager};
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::simhw::MachineConfig;
 use ecodb::tpch::qed_workload;
@@ -30,12 +30,11 @@ fn main() {
 
     // The paper's Fig 6 sweep: batch sizes 35..50.
     println!("batch   E ratio   avg-resp ratio   per-query EDP ratio");
-    for k in [35, 40, 45, 50] {
-        let o = run_qed(&db, k, MachineConfig::stock(), true);
+    for o in run_qed_sweep(&db, &[35, 40, 45, 50], MachineConfig::stock(), true) {
         assert!(o.results_match);
         println!(
             "{:>5}   {:>7.3}   {:>14.3}   {:>19.3}",
-            k, o.energy_ratio, o.response_ratio, o.edp_ratio
+            o.batch_size, o.energy_ratio, o.response_ratio, o.edp_ratio
         );
     }
 

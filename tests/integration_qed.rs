@@ -1,7 +1,7 @@
 //! Cross-crate integration: the QED pipeline — correctness, trade-off
 //! shapes, interaction with PVC, and the workload manager.
 
-use ecodb::core::qed::{run_qed, WorkloadManager};
+use ecodb::core::qed::{run_qed, run_qed_sweep, QedOutcome, QedScheme, WorkloadManager};
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::simhw::{CpuConfig, MachineConfig, VoltageSetting};
 use ecodb::tpch::qed_workload;
@@ -15,10 +15,7 @@ fn db() -> EcoDb {
 #[test]
 fn fig6_shape_full() {
     let db = db();
-    let outcomes: Vec<_> = [35, 40, 45, 50]
-        .iter()
-        .map(|&k| run_qed(&db, k, MachineConfig::stock(), true))
-        .collect();
+    let outcomes = run_qed_sweep(&db, &[35, 40, 45, 50], MachineConfig::stock(), true);
     for o in &outcomes {
         assert!(o.results_match, "batch {}", o.batch_size);
         assert!((0.4..0.8).contains(&o.energy_ratio), "E {}", o.energy_ratio);
@@ -32,6 +29,53 @@ fn fig6_shape_full() {
         assert!(w[1].edp_ratio < w[0].edp_ratio);
         assert!(w[1].response_ratio < w[0].response_ratio);
     }
+}
+
+/// Every field of an outcome, floats by their bits.
+fn bits(o: &QedOutcome) -> (usize, [[u64; 5]; 2], [u64; 3], bool) {
+    let scheme = |s: &QedScheme| {
+        assert_eq!(s.batch_size, o.batch_size);
+        [
+            s.total_seconds,
+            s.cpu_joules,
+            s.avg_response_s,
+            s.first_response_s,
+            s.last_response_s,
+        ]
+        .map(f64::to_bits)
+    };
+    (
+        o.batch_size,
+        [scheme(&o.sequential), scheme(&o.qed)],
+        [o.energy_ratio, o.response_ratio, o.edp_ratio].map(f64::to_bits),
+        o.results_match,
+    )
+}
+
+/// The sweep shares the baseline's execution, nothing else: on the
+/// memory engine (history-free traces) it is four `run_qed` calls, to
+/// the last bit of every figure.
+#[test]
+fn a_sweep_equals_its_single_runs_bit_for_bit() {
+    let db = db();
+    let sizes = [35, 40, 45, 50];
+    for short_circuit in [true, false] {
+        let sweep = run_qed_sweep(&db, &sizes, MachineConfig::stock(), short_circuit);
+        assert_eq!(sweep.len(), sizes.len());
+        for (swept, &k) in sweep.iter().zip(&sizes) {
+            let single = run_qed(&db, k, MachineConfig::stock(), short_circuit);
+            assert!(single.results_match, "batch {k}");
+            assert_eq!(bits(swept), bits(&single), "batch {k} sc={short_circuit}");
+        }
+    }
+    // Sizes in any order, repeats allowed; none gives none.
+    let odd = run_qed_sweep(&db, &[12, 3, 12], MachineConfig::stock(), true);
+    assert_eq!(
+        odd.iter().map(|o| o.batch_size).collect::<Vec<_>>(),
+        [12, 3, 12]
+    );
+    assert_eq!(bits(&odd[0]), bits(&odd[2]));
+    assert!(run_qed_sweep(&db, &[], MachineConfig::stock(), true).is_empty());
 }
 
 #[test]

@@ -51,8 +51,12 @@ fn snapshot_case(profile: EngineProfile, workers: Option<usize>, decode_first: b
     let before = oracle_rows(&oracle, &queries);
     let held = select(&db);
     assert!(held.iter().all(|r| !r.is_decoded()), "{what}");
+    // Comparing with rows already in hand reads the scan's columns in
+    // place; only handing out tuples decodes.
+    assert_eq!(held[4], before[4], "{what}");
+    assert!(held.iter().all(|r| !r.is_decoded()), "{what}");
     if decode_first {
-        assert_eq!(held[4], before[4], "{what}");
+        assert_eq!(held[4].tuples(), before[4], "{what}");
     }
     assert_eq!(held[0].is_decoded(), decode_first, "{what}");
     let lens: Vec<usize> = held.iter().map(RowSet::len).collect();
@@ -70,6 +74,9 @@ fn snapshot_case(profile: EngineProfile, workers: Option<usize>, decode_first: b
     // … and the held one still reads the rows its scan saw.
     assert_eq!(held.iter().map(RowSet::len).collect::<Vec<_>>(), lens);
     assert_eq!(held, before, "{what}: held result");
+    // (Compared in place above; read as tuples — on the per-core arm
+    // decoded only now, after the mutation — they are the same rows.)
+    assert_eq!(held[0].tuples(), before[0], "{what}: held result, decoded");
     assert!(!before[0].is_empty() && !before[2].is_empty(), "{what}");
 }
 

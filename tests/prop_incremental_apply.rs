@@ -16,6 +16,10 @@
 //!   and `len` equal `BTreeIndex::build` over the model's column — for
 //!   an `Int` key with many duplicates (fanout-bound leaves) and a wide
 //!   `Str` key (page-bound leaves);
+//! * the table's columnar mirror, rebuilt after the mutation by
+//!   decoding slot payloads straight into typed columns (strings of a
+//!   repeating column shared, of a non-repeating one not), equals
+//!   `DataChunk::from_rows` over the model, extent by extent;
 //! * point and range probes return the model's rows, and their whole
 //!   [`IndexProbe`] ledgers (`index_ios`, `NodeSearch` steps, backoff)
 //!   equal the bulk-loaded twin's, probe for probe.
@@ -35,8 +39,8 @@ use proptest::prelude::*;
 
 use ecodb::storage::disk_table::DiskTable;
 use ecodb::storage::{
-    BTreeIndex, BufferPool, Catalog, ColumnType, IndexEntry, KeyBound, Schema, StoredTable,
-    TableData, Tuple, Value, WalRecord,
+    BTreeIndex, BufferPool, Catalog, ColumnType, DataChunk, IndexEntry, KeyBound, Schema,
+    StoredTable, TableData, Tuple, Value, WalRecord,
 };
 
 const TABLE: &str = "t";
@@ -222,6 +226,38 @@ fn assert_table_matches(
         );
     }
     prop_assert_eq!(&live.all_tuples(), model, "{}: rows", step);
+    assert_mirror_matches(live, model, step)
+}
+
+/// The columnar mirror is the rows: every extent's chunk equals the
+/// decomposition of the model rows it covers, and together they cover
+/// the model.
+fn assert_mirror_matches(
+    live: &DiskTable,
+    model: &[Tuple],
+    step: &str,
+) -> Result<(), TestCaseError> {
+    let mirror = live.columnar();
+    let mut covered = 0;
+    for e in 0..mirror.num_extents() {
+        let chunk = mirror.extent_chunk(e);
+        prop_assert_eq!(
+            mirror.extent_row_start(e),
+            covered,
+            "{}: extent {}",
+            step,
+            e
+        );
+        let rows = &model[covered..covered + chunk.len()];
+        prop_assert!(
+            **chunk == DataChunk::from_rows(live.schema(), rows),
+            "{}: mirror extent {} differs from its rows",
+            step,
+            e
+        );
+        covered += chunk.len();
+    }
+    prop_assert_eq!(covered, model.len(), "{}: mirror rows", step);
     Ok(())
 }
 
@@ -382,4 +418,57 @@ proptest! {
             }
         }
     }
+}
+
+/// 3000 narrow rows over several extents whose `s` column repeats 40
+/// values for a third of the table, then shows a thousand new ones —
+/// the mirror's per-column string sharing gives up mid-table — then
+/// repeats again; `pad` never repeats at all.
+#[test]
+fn mirror_equals_rows_when_a_column_stops_repeating_mid_table() {
+    let rows: Vec<Tuple> = (0..3000usize)
+        .map(|i| {
+            let s = if (1000..2000).contains(&i) { i } else { i % 40 };
+            vec![
+                Value::Int(i as i64 % 7),
+                Value::str(format!("value-{s}")),
+                Value::str(format!("{i:060}")),
+            ]
+        })
+        .collect();
+    let table = DiskTable::load(1, schema(), &rows, Arc::new(BufferPool::new(16)));
+    assert!(table.columnar().num_extents() > 2);
+    assert_mirror_matches(&table, &rows, "bulk load").expect("mirror equals rows");
+}
+
+/// A table whose first row's payload has the byte at `offset` garbled,
+/// mirrored. The mirror is decoded without checksum verification (it
+/// never goes through the pool), so the decoder itself must refuse.
+fn mirror_of_garbled_payload(offset: usize) {
+    let mut gen = Gen {
+        state: 7,
+        wide: false,
+    };
+    let rows: Vec<Tuple> = (0..100).map(|_| gen.row()).collect();
+    let mut table = DiskTable::load(1, schema(), &rows, Arc::new(BufferPool::new(16)));
+    // Slot 0's directory entry follows the 4-byte page header.
+    let image = table.page_image(0);
+    let payload = u16::from_le_bytes([image[4], image[5]]) as usize;
+    table.corrupt_page(0, payload + offset);
+    table.columnar();
+}
+
+#[test]
+#[should_panic(expected = "corrupt page")]
+fn mirror_refuses_an_unknown_value_tag() {
+    // Arity (2 bytes), then the first value's tag.
+    mirror_of_garbled_payload(2);
+}
+
+#[test]
+#[should_panic(expected = "corrupt page")]
+fn mirror_refuses_a_string_longer_than_its_slot() {
+    // Arity, a tagged Int (1 + 8), the Str tag, then its u16 length:
+    // garble the high byte, and the string claims more than the page.
+    mirror_of_garbled_payload(2 + 9 + 1 + 1);
 }
