@@ -149,13 +149,39 @@ pub struct Catalog {
 impl Catalog {
     /// Empty catalog with a pool of `pool_pages` pages.
     pub fn new(pool_pages: usize) -> Self {
+        Self::from_tables(BTreeMap::new(), Arc::new(BufferPool::new(pool_pages)))
+    }
+
+    /// A catalog over `tables` — a [`Self::tables`] snapshot, whose
+    /// disk tables read through `pool` — with no indexes. With
+    /// [`Self::tables`] this is the checkpoint mechanism: the snapshot
+    /// shares every table with the catalog it was taken from, and
+    /// whichever side is mutated first copies what it changes (a paged
+    /// table its page *pointers* and the pages it rewrites, a heap its
+    /// columns), so the snapshot keeps reading the state it was taken
+    /// at and a catalog restored from it starts there.
+    pub fn from_tables(tables: BTreeMap<String, Arc<StoredTable>>, pool: Arc<BufferPool>) -> Self {
+        let next_table_id = tables
+            .values()
+            .filter_map(|t| match &t.data {
+                TableData::Disk(d) => Some(d.table_id() + 1),
+                TableData::Memory(_) => None,
+            })
+            .max()
+            .unwrap_or(1);
         Self {
-            tables: Mutex::new(BTreeMap::new()),
-            pool: Arc::new(BufferPool::new(pool_pages)),
-            next_table_id: 1,
+            tables: Mutex::new(tables),
+            pool,
+            next_table_id,
             indexes: Mutex::new(BTreeMap::new()),
             next_index_id: Mutex::new(FIRST_INDEX_ID),
         }
+    }
+
+    /// The table map as it stands: one pointer clone per table (see
+    /// [`Self::from_tables`]).
+    pub fn tables(&self) -> BTreeMap<String, Arc<StoredTable>> {
+        self.tables.lock().clone()
     }
 
     /// The shared buffer pool.
@@ -399,7 +425,7 @@ impl Catalog {
 
     /// Every registered index entry, sorted by name. Crash recovery
     /// uses this to re-create the crashed catalog's indexes over the
-    /// rebuilt tables (indexes are derivable state, not WAL-logged).
+    /// recovered tables (indexes are derivable state, not WAL-logged).
     pub fn index_entries(&self) -> Vec<Arc<IndexEntry>> {
         self.indexes.lock().values().cloned().collect()
     }

@@ -345,13 +345,21 @@ impl DataChunk {
         self.len += 1;
     }
 
-    /// Append the row serialized in `payload` (a page slot), decoded
-    /// straight into the columns with column `j`'s strings shared
-    /// through `strs[j]`. Panics on a payload that is not a serialized
-    /// row of this chunk's column types, like
-    /// [`crate::page::deserialize_tuple`].
-    pub(crate) fn push_serialized(&mut self, payload: &[u8], strs: &mut [Interner]) {
-        if try_append_to_columns(payload, &mut self.columns, strs).is_none() {
+    /// Append columns `wanted` (ascending, distinct, one per column of
+    /// this chunk; `0..arity` for all of them) of the `arity`-column
+    /// row serialized in `payload` (a page slot), decoded straight into
+    /// the columns with column `j`'s strings shared through `strs[j]`;
+    /// the row's other values are skipped in place. Panics on a payload
+    /// that is not such a row with this chunk's column types at
+    /// `wanted`, like [`crate::page::deserialize_tuple`].
+    pub(crate) fn push_serialized(
+        &mut self,
+        payload: &[u8],
+        arity: usize,
+        wanted: impl IntoIterator<Item = usize>,
+        strs: &mut [Interner],
+    ) {
+        if try_append_to_columns(payload, arity, wanted, &mut self.columns, strs).is_none() {
             panic!("corrupt page: malformed tuple payload");
         }
         self.len += 1;

@@ -43,7 +43,7 @@ use eco_simhw::fault::{FaultPlan, PageFault, BACKOFF_BASE_NS, MAX_READ_RETRIES};
 use eco_simhw::trace::DiskWork;
 
 use crate::bufferpool::{BufferPool, PageFrame, PageId, EXTENT_PAGES};
-use crate::column::DataChunk;
+use crate::column::{ColumnChunk, ColumnData, DataChunk};
 use crate::encode::EncodedChunk;
 use crate::intern::Interner;
 use crate::page::{serialize_tuple, serialize_tuple_into, Page, PAGE_SIZE};
@@ -368,13 +368,14 @@ impl DiskTable {
             let mut extents = Vec::with_capacity(self.pages.len().div_ceil(extent));
             // One per column, across extents: a repeated string is
             // allocated once for the whole mirror.
-            let mut strs = vec![Interner::default(); self.schema.arity()];
+            let arity = self.schema.arity();
+            let mut strs = vec![Interner::default(); arity];
             for chunk_pages in self.pages.chunks(extent) {
                 let rows = chunk_pages.iter().map(Page::len).sum();
                 let mut chunk = DataChunk::with_capacity(&self.schema, rows);
                 for p in chunk_pages {
                     for slot in 0..p.len() {
-                        chunk.push_serialized(p.payload(slot), &mut strs);
+                        chunk.push_serialized(p.payload(slot), arity, 0..arity, &mut strs);
                     }
                 }
                 extents.push(Arc::new(chunk));
@@ -425,17 +426,54 @@ impl DiskTable {
         used.checked_div(self.num_tuples).unwrap_or(0) as u64
     }
 
+    /// Page-at-a-time projected scan: for every page in row order, the
+    /// table-global id of its first row, columns `cols` of its rows (in
+    /// that order; ascending and distinct) and the page itself, whose
+    /// slots the caller decodes whole ([`Page::get`]) for whichever rows
+    /// it turns out to need. The columns are decoded from the slot
+    /// payloads straight into typed vectors, strings interned per
+    /// column across pages, and the other columns of a row are stepped
+    /// over where they lie — a scan that filters on one column of nine
+    /// pays for one. Straight from the pages, never through the buffer
+    /// pool: no I/O is charged (the same rule as [`Self::rows`]).
+    /// Panics on a column out of range or out of order.
+    pub fn project_pages<'a>(
+        &'a self,
+        cols: &'a [usize],
+    ) -> impl Iterator<Item = (usize, DataChunk, &'a Page)> + 'a {
+        let arity = self.schema.arity();
+        assert!(
+            cols.is_sorted_by(|a, b| a < b) && cols.last().is_none_or(|&c| c < arity),
+            "projection {cols:?} is not ascending columns of {:?}",
+            self.schema.names()
+        );
+        let mut strs = vec![Interner::default(); cols.len()];
+        let mut next_row = 0;
+        self.pages.iter().map(move |page| {
+            let columns = cols.iter().map(|&c| {
+                let ty = self.schema.columns()[c].ty;
+                ColumnChunk::new(ColumnData::with_capacity(ty, page.len()))
+            });
+            let mut chunk = DataChunk::new(columns.collect());
+            for slot in 0..page.len() {
+                chunk.push_serialized(page.payload(slot), arity, cols.iter().copied(), &mut strs);
+            }
+            let first_row = next_row;
+            next_row += page.len();
+            (first_row, chunk, page)
+        })
+    }
+
     /// Decode column `col` of every tuple in row order, straight from
-    /// the pages — never through the buffer pool, so an index build
-    /// charges no I/O (the same rule as the columnar mirror; see
+    /// the pages ([`Self::project_pages`]: the row's other columns are
+    /// never decoded) — never through the buffer pool, so an index
+    /// build charges no I/O (the same rule as the columnar mirror; see
     /// [`ColumnarExtents`]).
     pub fn column_with_row_ids(&self, col: usize) -> Vec<(crate::value::Value, usize)> {
         let mut out = Vec::with_capacity(self.num_tuples);
-        out.extend(
-            self.rows()
-                .enumerate()
-                .map(|(row, mut t)| (t.swap_remove(col), row)),
-        );
+        for (first_row, chunk, _) in self.project_pages(&[col]) {
+            out.extend((0..chunk.len()).map(|i| (chunk.value(0, i), first_row + i)));
+        }
         out
     }
 

@@ -93,4 +93,4 @@ pub use heap::HeapTable;
 pub use loader::{load_tbl, load_tpch, parse_tbl, EngineKind, LoadError};
 pub use rowset::{RoutedRows, RowSet};
 pub use value::{tuple_width, Column, ColumnType, Schema, Tuple, Value};
-pub use wal::{Recovery, WalError, WalRecord, WriteAheadLog};
+pub use wal::{LogTail, Recovery, WalError, WalRecord, WriteAheadLog};

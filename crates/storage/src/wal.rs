@@ -36,6 +36,7 @@
 //! group commit wins: one fsync covering ten commits pays one block
 //! where ten per-statement fsyncs pay ten.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use eco_simhw::fault::{TornTail, WalCrash};
@@ -417,6 +418,16 @@ pub struct Recovery {
     pub uncommitted_records: usize,
 }
 
+/// How a scanned log image ended (see [`WriteAheadLog::scan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogTail {
+    /// True when a torn final record was trimmed from the image.
+    pub torn_tail: bool,
+    /// Intact records discarded because their commit marker never made
+    /// it into the log.
+    pub uncommitted_records: usize,
+}
+
 /// The simulated log device: an append-only byte image with an fsync
 /// horizon and an optional injected crash point.
 ///
@@ -533,75 +544,87 @@ impl WriteAheadLog {
     /// The byte image a restart would read back. After a clean run this
     /// is every appended byte; after a `KillAfterRecords` crash it also
     /// carries the torn fragment of the record whose append died;
-    /// after an fsync failure the unsynced tail is already gone.
-    pub fn image(&self) -> Vec<u8> {
-        let mut img = self.buf.clone();
-        img.extend_from_slice(&self.torn_fragment);
-        img
+    /// after an fsync failure the unsynced tail is already gone. Only
+    /// an image with a torn fragment to attach is a copy.
+    pub fn image(&self) -> Cow<'_, [u8]> {
+        if self.torn_fragment.is_empty() {
+            Cow::Borrowed(&self.buf)
+        } else {
+            Cow::Owned([&self.buf[..], &self.torn_fragment].concat())
+        }
     }
 
-    /// Scan a log image and return the committed prefix (see the
-    /// module docs for the torn-tail / corruption distinction).
-    pub fn recover(image: &[u8]) -> Result<Recovery, WalError> {
+    /// Scan a log image in log order, handing each committed
+    /// transaction — its id and its redo records — to `commit` when the
+    /// scan reaches its commit marker, so a replay holds one
+    /// transaction's records at a time, never the whole log's (see the
+    /// module docs for the torn-tail / corruption distinction). The
+    /// scan stops at the first error, `commit`'s own included, and by
+    /// then earlier transactions have been handed out: a caller that
+    /// must not act on a log with a bad record further on scans it once
+    /// with a `commit` that does nothing first.
+    pub fn scan<E: From<WalError>>(
+        image: &[u8],
+        mut commit: impl FnMut(u64, Vec<WalRecord>) -> Result<(), E>,
+    ) -> Result<LogTail, E> {
         let mut pos = 0usize;
         let mut staged: Vec<WalRecord> = Vec::new();
-        let mut out = Recovery {
-            records: Vec::new(),
-            txns: Vec::new(),
-            torn_tail: false,
-            uncommitted_records: 0,
-        };
+        let mut torn_tail = false;
         let mut last_txn: Option<u64> = None;
         while pos < image.len() {
-            if image.len() - pos < RECORD_HEADER {
-                out.torn_tail = true; // mid-header tear
+            let corrupt = WalError::Corrupt { offset: pos };
+            let Some((len, rest)) = image[pos..].split_first_chunk::<4>() else {
+                torn_tail = true; // mid-header tear
                 break;
-            }
-            let len_bytes: [u8; 4] = match image[pos..pos + 4].try_into() {
-                Ok(b) => b,
-                Err(_) => return Err(WalError::Corrupt { offset: pos }),
             };
-            let len = u32::from_le_bytes(len_bytes);
+            let Some((sum, body)) = rest.split_first_chunk::<8>() else {
+                torn_tail = true; // mid-header tear
+                break;
+            };
+            let len = u32::from_le_bytes(*len);
             if len == 0 || len > MAX_RECORD_LEN {
-                return Err(WalError::Corrupt { offset: pos });
+                return Err(corrupt.into());
             }
-            let sum_bytes: [u8; 8] = match image[pos + 4..pos + 12].try_into() {
-                Ok(b) => b,
-                Err(_) => return Err(WalError::Corrupt { offset: pos }),
-            };
-            let sum = u64::from_le_bytes(sum_bytes);
-            let body_start = pos + RECORD_HEADER;
-            let body_end = match body_start.checked_add(len as usize) {
-                Some(e) => e,
-                None => return Err(WalError::Corrupt { offset: pos }),
-            };
-            if body_end > image.len() {
-                out.torn_tail = true; // mid-payload tear
+            let Some(payload) = body.get(..len as usize) else {
+                torn_tail = true; // mid-payload tear
                 break;
-            }
-            let payload = &image[body_start..body_end];
-            if fnv1a(payload) != sum {
-                return Err(WalError::Corrupt { offset: pos });
-            }
-            let rec = match WalRecord::decode(payload) {
-                Some(r) => r,
-                None => return Err(WalError::Corrupt { offset: pos }),
             };
-            match rec {
+            if fnv1a(payload) != u64::from_le_bytes(*sum) {
+                return Err(corrupt.into());
+            }
+            match WalRecord::decode(payload).ok_or(corrupt)? {
                 WalRecord::Commit { txn } => {
                     if last_txn.is_some_and(|t| txn <= t) {
-                        return Err(WalError::DuplicateCommit { txn });
+                        return Err(WalError::DuplicateCommit { txn }.into());
                     }
                     last_txn = Some(txn);
-                    out.records.append(&mut staged);
-                    out.txns.push(txn);
+                    commit(txn, std::mem::take(&mut staged))?;
                 }
                 other => staged.push(other),
             }
-            pos = body_end;
+            pos += RECORD_HEADER + payload.len();
         }
-        out.uncommitted_records = staged.len();
-        Ok(out)
+        Ok(LogTail {
+            torn_tail,
+            uncommitted_records: staged.len(),
+        })
+    }
+
+    /// Scan a log image and return the committed prefix — every
+    /// transaction [`Self::scan`] hands out, collected.
+    pub fn recover(image: &[u8]) -> Result<Recovery, WalError> {
+        let (mut records, mut txns) = (Vec::new(), Vec::new());
+        let tail = Self::scan(image, |txn, mut staged| {
+            records.append(&mut staged);
+            txns.push(txn);
+            Ok::<(), WalError>(())
+        })?;
+        Ok(Recovery {
+            records,
+            txns,
+            torn_tail: tail.torn_tail,
+            uncommitted_records: tail.uncommitted_records,
+        })
     }
 }
 
@@ -781,11 +804,43 @@ mod tests {
         let mut wal = WriteAheadLog::new();
         wal.append(&ins("t", 1)).expect("append");
         wal.append(&WalRecord::Commit { txn: 1 }).expect("append");
-        let mut img = wal.image();
+        let mut img = wal.image().into_owned();
         img[RECORD_HEADER + 2] ^= 0x40; // flip a byte inside record 1's payload
         let err = WriteAheadLog::recover(&img).expect_err("corrupt");
         assert_eq!(err, WalError::Corrupt { offset: 0 });
         assert!(err.to_string().contains("corrupt"));
+    }
+
+    #[test]
+    fn a_scan_hands_out_transactions_until_it_meets_a_bad_record() {
+        // Why a replay validates the whole image first: the scan is a
+        // stream, and what precedes a corrupt record has been handed
+        // out by the time it is found.
+        let mut wal = WriteAheadLog::new();
+        for txn in 1..=3u64 {
+            wal.append(&ins("t", txn as i64)).expect("append");
+            wal.append(&WalRecord::Commit { txn }).expect("append");
+        }
+        let mut img = wal.image().into_owned();
+        let last = img.len() - 1;
+        img[last] ^= 0x40; // inside transaction 3's commit marker
+        let mut seen = Vec::new();
+        let err = WriteAheadLog::scan(&img, |txn, records| {
+            seen.push((txn, records));
+            Ok::<(), WalError>(())
+        })
+        .expect_err("corrupt");
+        assert!(matches!(err, WalError::Corrupt { .. }));
+        assert_eq!(seen, vec![(1, vec![ins("t", 1)]), (2, vec![ins("t", 2)])]);
+        // A failing `commit` stops the scan the same way.
+        let stop = WriteAheadLog::scan(&wal.image(), |txn, _| {
+            if txn == 2 {
+                Err(WalError::Crashed)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(stop, Err(WalError::Crashed));
     }
 
     #[test]

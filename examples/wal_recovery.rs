@@ -15,7 +15,11 @@
 //! * `EcoDb::recover` trims the torn tail, discards uncommitted
 //!   records, replays the committed prefix, and restores the write
 //!   path — the recovered table state matches a clean replay of the
-//!   acknowledged statements row for row.
+//!   acknowledged statements row for row;
+//! * recovery restarts from the checkpoint the previous recovery left,
+//!   not from the generated data: a second crash epoch — more DML,
+//!   another crash, another `recover` — keeps the first epoch's
+//!   transactions and replays only its own log.
 //!
 //! ```text
 //! cargo run --example wal_recovery --release
@@ -141,9 +145,43 @@ fn main() {
     let (twin_rows, _) = twin.try_trace_sql(probe).expect("probe");
     assert_eq!(recovered_rows, twin_rows, "committed prefix, nothing more");
 
-    // The write path is back.
-    db.try_trace_sql("INSERT INTO region VALUES (900, 'POSTCRASH', 'ok')")
-        .expect("write path restored");
+    // --- 4. A second crash epoch ------------------------------------
+    // The write path is back; the log restarted empty at the recovery,
+    // which left a checkpoint of the recovered tables. Two more
+    // inserts, the second lost to a failed fsync.
+    db.set_fault_plan(FaultPlan::none().with_wal_crash(WalCrash::FsyncFailure { fsync: 1 }));
+    let second_epoch = [
+        "INSERT INTO region VALUES (900, 'POSTCRASH', 'acknowledged')",
+        "INSERT INTO region VALUES (901, 'POSTCRASH', 'fsync fails')",
+    ];
+    for sql in second_epoch {
+        match db.try_trace_sql(sql) {
+            Ok(_) => acknowledged.push(sql.to_string()),
+            Err(e) => assert!(matches!(e, ServerError::Wal(_)), "typed write-path failure"),
+        }
+    }
+    let report = db.recover().expect("second recovery");
+    println!(
+        "\nsecond crash: {} txn replayed (id {:?}) over the first recovery's checkpoint",
+        report.committed_txns.len(),
+        report.committed_txns,
+    );
+    assert_eq!(report.records_replayed, 1, "only the second epoch's log");
 
-    println!("\ncommitted prefix recovered exactly; write path restored ✓");
+    twin.try_trace_sql(second_epoch[0]).expect("clean replay");
+    let (recovered_rows, _) = db.try_trace_sql(probe).expect("probe");
+    let (twin_rows, _) = twin.try_trace_sql(probe).expect("probe");
+    assert_eq!(
+        recovered_rows, twin_rows,
+        "every acknowledged statement of both epochs, nothing more"
+    );
+    println!(
+        "region has {} rows: 5 generated + {} acknowledged across two crashes — \
+         the first epoch survived the second recovery",
+        recovered_rows.len(),
+        acknowledged.len()
+    );
+    assert_eq!(recovered_rows.len(), 5 + acknowledged.len());
+
+    println!("\ncommitted prefix recovered exactly, twice; write path restored ✓");
 }

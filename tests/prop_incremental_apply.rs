@@ -442,9 +442,10 @@ fn mirror_equals_rows_when_a_column_stops_repeating_mid_table() {
 }
 
 /// A table whose first row's payload has the byte at `offset` garbled,
-/// mirrored. The mirror is decoded without checksum verification (it
-/// never goes through the pool), so the decoder itself must refuse.
-fn mirror_of_garbled_payload(offset: usize) {
+/// handed to `decode`. The mirror and the projected scan decode without
+/// checksum verification (they never go through the pool), so the
+/// decoder itself must refuse.
+fn with_garbled_payload<R>(offset: usize, decode: impl FnOnce(&DiskTable) -> R) -> R {
     let mut gen = Gen {
         state: 7,
         wide: false,
@@ -455,20 +456,44 @@ fn mirror_of_garbled_payload(offset: usize) {
     let image = table.page_image(0);
     let payload = u16::from_le_bytes([image[4], image[5]]) as usize;
     table.corrupt_page(0, payload + offset);
-    table.columnar();
+    decode(&table)
 }
+
+/// Arity (2 bytes), then the first value's tag.
+const FIRST_TAG: usize = 2;
+/// Arity, a tagged Int (1 + 8), the Str tag, then its u16 length: with
+/// the high byte garbled the string claims more than the page.
+const STR_LEN_HIGH: usize = 2 + 9 + 1 + 1;
 
 #[test]
 #[should_panic(expected = "corrupt page")]
 fn mirror_refuses_an_unknown_value_tag() {
-    // Arity (2 bytes), then the first value's tag.
-    mirror_of_garbled_payload(2);
+    with_garbled_payload(FIRST_TAG, |t| t.columnar().num_extents());
 }
 
 #[test]
 #[should_panic(expected = "corrupt page")]
 fn mirror_refuses_a_string_longer_than_its_slot() {
-    // Arity, a tagged Int (1 + 8), the Str tag, then its u16 length:
-    // garble the high byte, and the string claims more than the page.
-    mirror_of_garbled_payload(2 + 9 + 1 + 1);
+    with_garbled_payload(STR_LEN_HIGH, |t| t.columnar().num_extents());
+}
+
+#[test]
+#[should_panic(expected = "corrupt page")]
+fn projection_refuses_an_unknown_tag_on_a_value_it_steps_over() {
+    with_garbled_payload(FIRST_TAG, |t| t.project_pages(&[1]).count());
+}
+
+#[test]
+#[should_panic(expected = "corrupt page")]
+fn projection_refuses_a_string_longer_than_its_slot() {
+    with_garbled_payload(STR_LEN_HIGH, |t| t.project_pages(&[1]).count());
+}
+
+#[test]
+fn projection_reads_nothing_past_its_last_column() {
+    // The garbled length belongs to column 1; a projection of column 0
+    // never gets there (and a whole-row decode of the slot would).
+    let keys = with_garbled_payload(STR_LEN_HIGH, |t| t.column_with_row_ids(0));
+    assert_eq!(keys.len(), 100);
+    assert!(keys.iter().enumerate().all(|(i, (_, row))| *row == i));
 }

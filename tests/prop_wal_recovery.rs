@@ -8,6 +8,14 @@
 //! prefix on a fresh database. Crashes never panic; every write-path
 //! failure is a typed `ServerError::Wal`.
 //!
+//! And it holds across *repeated* crashes: recovery restarts from the
+//! checkpoint the previous recovery left (the log restarts empty each
+//! time), so after k crash/recover epochs, with DML in every one, the
+//! database holds every statement ever acknowledged —
+//! `every_epochs_acknowledged_statements_survive_repeated_crashes`,
+//! with group commits whose unsynced members are visible when the
+//! crash hits and a secondary index on the paged profile.
+//!
 //! The vendored proptest runner derives its RNG seed from the test
 //! name, so every crash case is pinned: CI replays the exact same
 //! workloads and crash points on every run.
@@ -32,13 +40,15 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A deterministic DML workload over `region`: inserts with fresh keys
-/// (100, 101, …), single-row updates of the five base regions, and
-/// deletes that may or may not find their target (an empty delete is
-/// still a committed transaction — just a lone commit marker).
-fn dml_workload(n: usize, seed: u64) -> Vec<String> {
-    let mut state = seed ^ 0xD6E8_FEB8_6659_FD93;
-    (0..n)
+/// A deterministic DML workload over `region` — the `n` statements
+/// from `first` on of a longer history: inserts with fresh keys (100,
+/// 101, …), single-row updates of the five base regions, and deletes,
+/// of any key the history may have inserted so far, that may or may not
+/// find their target (an empty delete is still a committed transaction:
+/// just a lone commit marker).
+fn dml_workload(first: usize, n: usize, seed: u64) -> Vec<String> {
+    let mut state = seed ^ 0xD6E8_FEB8_6659_FD93 ^ first as u64;
+    (first..first + n)
         .map(|i| match splitmix64(&mut state) % 3 {
             0 => {
                 let key = 100 + i;
@@ -94,7 +104,7 @@ proptest! {
         crash_at in 0u64..16,
     ) {
         let crash = crash_point(crash_kind, crash_at);
-        let stmts = dml_workload(n, seed);
+        let stmts = dml_workload(0, n, seed);
         for profile in [EngineProfile::MemoryEngine, EngineProfile::CommercialDisk] {
             let mut db = EcoDb::tpch_seeded(profile, SCALE, DB_SEED);
             db.set_fault_plan(FaultPlan::none().with_wal_crash(crash));
@@ -164,6 +174,98 @@ proptest! {
             let (rec_rows, _) = db.try_trace_sql(probe).expect("probe");
             let (clean_rows, _) = clean.try_trace_sql(probe).expect("probe");
             prop_assert_eq!(rec_rows, clean_rows);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// k crash/recover epochs, DML in every one: the final state is a
+    /// clean replay of every acknowledged statement of every epoch on a
+    /// fresh twin. Epochs that end in an fsync failure stage their
+    /// statements in group commits of two — so when the crash hits, the
+    /// live tables hold transactions the log never made durable, and
+    /// recovery has to start from the checkpoint, not from them; the
+    /// others fsync per statement and die mid-append.
+    #[test]
+    fn every_epochs_acknowledged_statements_survive_repeated_crashes(
+        seed in 0u64..1_000_000,
+        epochs in 1usize..4,
+        n in 2usize..7,
+        crash_kinds in 0u64..625,
+        crash_ats in 0u64..4096,
+    ) {
+        let probe = "SELECT r_regionkey, r_name, r_comment FROM region";
+        for profile in [EngineProfile::MemoryEngine, EngineProfile::CommercialDisk] {
+            let indexed = profile == EngineProfile::CommercialDisk;
+            let mut db = EcoDb::tpch_seeded(profile, SCALE, DB_SEED);
+            if indexed {
+                db.create_index("ix_region", "region", "r_regionkey").expect("index");
+            }
+            let mut acknowledged: Vec<String> = Vec::new();
+            let mut next_txn = 1;
+            for epoch in 0..epochs {
+                // Base-5 / base-16 digit `epoch` of the two parameters.
+                let kind = (crash_kinds / 5u64.pow(epoch as u32) % 5) as u8;
+                let at = crash_ats / 16u64.pow(epoch as u32) % 16;
+                db.set_fault_plan(FaultPlan::none().with_wal_crash(crash_point(kind, at)));
+                let grouped = kind >= 3;
+                let mut staged: Vec<String> = Vec::new();
+                let mut epoch_acks = 0u64;
+                for (i, sql) in dml_workload(epoch * n, n, seed).into_iter().enumerate() {
+                    let done = if grouped {
+                        db.try_trace_sql_deferred(&sql).map(|_| ())
+                    } else {
+                        db.try_trace_sql(&sql).map(|_| ())
+                    };
+                    match done {
+                        Ok(()) if grouped => staged.push(sql),
+                        Ok(()) => {
+                            acknowledged.push(sql);
+                            epoch_acks += 1;
+                        }
+                        Err(e) => prop_assert!(
+                            matches!(e, ServerError::Wal(_)),
+                            "write-path failure must be a typed Wal error, got: {}", e
+                        ),
+                    }
+                    // A group is acknowledged when its fsync returns
+                    // (a crashed log has nothing pending to refuse).
+                    let last = i + 1 == n;
+                    if (staged.len() == 2 || last) && !db.wal_crashed() && db.commit_wal().is_ok() {
+                        epoch_acks += staged.len() as u64;
+                        acknowledged.append(&mut staged);
+                    }
+                }
+
+                let report = db.recover().expect("recovery handles every injected crash image");
+                // Exactly this epoch's acknowledged transactions, their
+                // ids carrying on from the epochs before.
+                let want_txns: Vec<u64> = (next_txn..next_txn + epoch_acks).collect();
+                prop_assert_eq!(&report.committed_txns, &want_txns, "epoch {}", epoch);
+                next_txn += epoch_acks;
+                prop_assert_eq!(report.indexes_rebuilt, usize::from(indexed));
+                prop_assert!(!db.wal_crashed(), "recovery clears the spent crash point");
+            }
+
+            let clean = EcoDb::tpch_seeded(profile, SCALE, DB_SEED);
+            if indexed {
+                clean.create_index("ix_region", "region", "r_regionkey").expect("index");
+            }
+            for sql in &acknowledged {
+                clean.try_trace_sql(sql).expect("clean replay");
+            }
+            let (rec_rows, _) = db.try_trace_sql(probe).expect("probe after the last recovery");
+            let (clean_rows, _) = clean.try_trace_sql(probe).expect("probe on the clean twin");
+            prop_assert_eq!(rec_rows, clean_rows, "{} epochs, {:?}", epochs, acknowledged);
+            // Through the re-created index too, when there is one.
+            for key in [0, 3, 100, 101 + n] {
+                let point = format!("{probe} WHERE r_regionkey = {key}");
+                let (rec_rows, _) = db.try_trace_sql(&point).expect("point read");
+                let (clean_rows, _) = clean.try_trace_sql(&point).expect("twin point read");
+                prop_assert_eq!(rec_rows, clean_rows, "{}", point);
+            }
         }
     }
 }
