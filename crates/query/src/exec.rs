@@ -171,10 +171,12 @@ pub fn execute_columnar(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple
 /// The context's [`ExecCtx::columnar`] flag is raised for the duration
 /// of the run (blocking operators consult it when draining children)
 /// and restored afterwards, so a reused context does not silently
-/// switch later [`execute`] calls onto the columnar driver.
+/// switch later [`execute`] calls onto the columnar driver. The root is
+/// told that every column is read ([`Operator::prune`]) before `open`.
 pub fn execute_columnar_into(plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
     let saved = ctx.columnar;
     ctx.columnar = true;
+    plan.prune(&vec![true; plan.schema().arity()]);
     plan.open(ctx);
     while let Some(chunk) = plan.next_chunk(ctx) {
         if chunk.is_empty() {

@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use eco_simhw::trace::OpClass;
 use eco_storage::{
-    BitPacked, ColumnChunk, ColumnData, DataChunk, EncodedChunk, EncodedColumn, Tuple, Value,
+    BitPacked, ColumnChunk, ColumnData, ColumnType, DataChunk, EncodedChunk, EncodedColumn, Schema,
+    Tuple, Value,
 };
 
 use crate::chunk::Rows;
@@ -146,6 +147,17 @@ impl Expr {
             }
             Expr::And(arms) | Expr::Or(arms) => arms.iter().for_each(|a| a.columns(out)),
             Expr::Not(e) => e.columns(out),
+        }
+    }
+
+    /// The type of this expression's values over input `schema`:
+    /// comparisons and connectives are `Bool`, arithmetic is `Int`.
+    pub(crate) fn value_type(&self, schema: &Schema) -> ColumnType {
+        match self {
+            Expr::Col(i) => schema.columns()[*i].ty,
+            Expr::Lit(v) => v.column_type(),
+            Expr::Arith(..) => ColumnType::Int,
+            Expr::Cmp(..) | Expr::And(_) | Expr::Or(_) | Expr::Not(_) => ColumnType::Bool,
         }
     }
 

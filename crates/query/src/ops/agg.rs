@@ -6,15 +6,15 @@ use std::sync::Arc;
 
 use eco_simhw::trace::OpClass;
 use eco_storage::{
-    ColumnChunk, ColumnData, ColumnType, DataChunk, EncodedChunk, EncodedColumn, Schema, Tuple,
-    Value,
+    Column, ColumnChunk, ColumnData, ColumnType, DataChunk, EncodedChunk, EncodedColumn, Schema,
+    Tuple, Value,
 };
 
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::expr::{AggFunc, Expr};
 use crate::ops::hashkey::{hash_keys, hash_row, keys_eq, KeyTable};
-use crate::ops::{drain_batches, drain_chunks, BoxedOp, Operator};
+use crate::ops::{drain_batches, drain_chunks, mark_read, BoxedOp, Operator};
 use crate::parallel::run_morsels;
 
 /// One aggregate output: function, input expression, output name.
@@ -690,9 +690,11 @@ fn rle_accumulate(
     frags
 }
 
-/// Hash-based GROUP BY aggregation. With no group columns, produces a
-/// single global row (0 rows in ⇒ 1 output row of zero-counts for
-/// `Sum`/`Count`; `Min`/`Max` over empty input panic by design).
+/// Hash-based GROUP BY aggregation. `MIN`/`MAX` output their input's
+/// type, every other aggregate `Int`. With no group columns, produces
+/// a single global row (0 rows in ⇒ 1 output row: zero for
+/// `Sum`/`Count`/`Avg`, the type's zero — `0`, `""`, day 0, `'\0'`,
+/// `false` — for `Min`/`Max`).
 ///
 /// The input is drained at `open`; per-row charges (`HashProbe`, one
 /// random access, one `AggUpdate` per aggregate) are aggregated per
@@ -701,7 +703,10 @@ fn rle_accumulate(
 /// tuples into a `Value`-keyed `GroupTable`; the columnar engine
 /// absorbs chunks into `ColumnarGroups`: group ids from the shared
 /// key kernel (`ops/hashkey.rs`), first-seen keys kept as columns,
-/// typed accumulator arrays.
+/// typed accumulator arrays. Under the columnar engine `open` first
+/// tells its child ([`Operator::prune`]) that only the group columns
+/// and the aggregate inputs are read, so a join below gathers nothing
+/// else.
 ///
 /// With a parallel context and a partitionable child, `open` runs
 /// morsel-parallel *partial aggregation*: each worker absorbs its
@@ -730,10 +735,13 @@ impl HashAggregate {
             })
             .collect();
         for a in &aggs {
-            // All aggregates produce Int except MIN/MAX which preserve
-            // their input type; Int is the conservative declaration and
-            // `Schema::check` is not applied to aggregate outputs.
-            cols.push((a.name.clone(), ColumnType::Int));
+            // MIN/MAX keep their input's type; every other aggregate
+            // produces Int.
+            let ty = match a.func {
+                AggFunc::Min | AggFunc::Max => a.input.value_type(child_schema),
+                _ => ColumnType::Int,
+            };
+            cols.push((a.name.clone(), ty));
         }
         let refs: Vec<(&str, ColumnType)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
         Self {
@@ -760,6 +768,13 @@ impl Operator for HashAggregate {
         let group_cols = &self.group_cols;
         let aggs = &self.aggs;
         let mut out = if ctx.columnar {
+            // The aggregate reads its group columns and its inputs
+            // (`COUNT` reads none), nothing else of its child's chunks.
+            let mut needed = vec![false; self.child.schema().arity()];
+            group_cols.iter().for_each(|&c| needed[c] = true);
+            (aggs.iter().filter(|a| a.func != AggFunc::Count))
+                .for_each(|a| mark_read(&a.input, &mut needed));
+            self.child.prune(&needed);
             let partials = run_morsels(self.child.as_ref(), ctx, |wctx, pipe| {
                 let mut part = ColumnarGroups::new(group_cols.clone(), aggs.clone());
                 drain_chunks(pipe, wctx, |wctx, chunk| part.absorb(wctx, chunk));
@@ -815,12 +830,20 @@ impl Operator for HashAggregate {
         };
 
         if out.is_empty() && self.group_cols.is_empty() {
-            // Global aggregate over empty input.
-            let zero = |a: &AggSpec| match AggState::new(a.func) {
-                AggState::Min(None) | AggState::Max(None) => Value::Int(0),
+            // Global aggregate over empty input: MIN/MAX read their
+            // type's zero.
+            let zero = |(a, col): (&AggSpec, &Column)| match AggState::new(a.func) {
+                AggState::Min(None) | AggState::Max(None) => match col.ty {
+                    ColumnType::Int => Value::Int(0),
+                    ColumnType::Str => Value::str(""),
+                    ColumnType::Date => Value::Date(0),
+                    ColumnType::Char => Value::Char('\0'),
+                    ColumnType::Bool => Value::Bool(false),
+                },
                 other => other.finish(),
             };
-            out.push(self.aggs.iter().map(zero).collect());
+            let row = self.aggs.iter().zip(self.schema.columns()).map(zero);
+            out.push(row.collect());
         }
         self.results = out.into_iter();
     }

@@ -5,7 +5,7 @@ use eco_storage::{Schema, Tuple};
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::expr::Expr;
-use crate::ops::{BoxedOp, Operator};
+use crate::ops::{mark_read, BoxedOp, Operator};
 use crate::parallel::Morsel;
 
 /// Predicate filter. The expression evaluator itself charges one
@@ -92,6 +92,14 @@ impl Operator for Filter {
             None => self.predicate.filter_sel(&chunk.data, &mut sel, ctx),
         }
         Some(chunk.with_sel(sel))
+    }
+
+    /// The filter's output is its child's chunk, so the child is asked
+    /// for what the parent reads plus the predicate's columns.
+    fn prune(&mut self, needed: &[bool]) {
+        let mut needed = needed.to_vec();
+        mark_read(&self.predicate, &mut needed);
+        self.child.prune(&needed);
     }
 
     fn morsels(&self, target_rows: usize) -> Option<Vec<Morsel>> {

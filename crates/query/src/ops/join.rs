@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use eco_simhw::trace::OpClass;
 use eco_storage::{
-    tuple_width, BitPacked, ColumnChunk, DataChunk, EncodedColumn, Schema, Tuple, Value,
+    tuple_width, BitPacked, ColumnChunk, ColumnData, ColumnType, DataChunk, EncodedColumn, Schema,
+    Tuple, Value,
 };
 
 use crate::chunk::{Chunk, Rows};
@@ -98,17 +99,25 @@ impl JoinTable {
 }
 
 /// The columnar engine's build side: the live build rows kept as
-/// columns, one stored width per row, and a [`KeyTable`] over the key
-/// columns. No `Tuple` and no `Value` is built on the way in, at the
-/// probe, or on the way out.
+/// columns — only the ones a parent reads, plus the keys — one stored
+/// width per row, and a [`KeyTable`] over the key columns. No `Tuple`
+/// and no `Value` is built on the way in, at the probe, or on the way
+/// out.
 struct BuildSide {
+    /// Which of the join's output columns (build columns, then probe
+    /// columns) a parent reads ([`Operator::prune`]); the probe leaves
+    /// the others empty.
+    needed: Vec<bool>,
+    /// The build input's column types.
+    types: Vec<ColumnType>,
+    /// The build input's columns kept in `rows`, ascending: the needed
+    /// ones and the keys.
+    cols: Vec<usize>,
     /// Key column positions in `rows`.
     keys: Vec<usize>,
-    /// `0..arity`: the build keeps every column.
-    all_cols: Vec<usize>,
-    /// The live build rows, in build-stream order.
+    /// The live build rows' kept columns, in build-stream order.
     rows: DataChunk,
-    /// `tuple_width` of each build row.
+    /// `tuple_width` of each whole build row, kept columns or not.
     widths: Vec<u32>,
     /// Key hash of each build row, until [`Self::index`] hands them to
     /// the table.
@@ -125,7 +134,6 @@ struct ProbeScratch {
     build_idx: Vec<u32>,
     /// … and the probe row (absolute index into the chunk) it matched.
     probe_idx: Vec<u32>,
-    widths: Vec<u32>,
     /// Dictionary id → chain head ([`NO_ROW`] = no match) for the
     /// current chunk; see [`BuildSide::pairs_by_dict_id`].
     memo: Vec<u32>,
@@ -135,11 +143,19 @@ struct ProbeScratch {
 const UNSEEN: u32 = NO_ROW - 1;
 
 impl BuildSide {
-    fn new(schema: &Schema, keys: &[usize]) -> Self {
+    /// An empty build side over build input `schema`, keyed on `keys`,
+    /// for a join whose parent reads output columns `needed`.
+    fn new(schema: &Schema, keys: &[usize], needed: &[bool]) -> Self {
+        let cols: Vec<usize> = (0..schema.arity())
+            .filter(|c| needed[*c] || keys.contains(c))
+            .collect();
+        let keys = keys.iter().map(|k| cols.partition_point(|c| c < k));
         Self {
-            keys: keys.to_vec(),
-            all_cols: (0..schema.arity()).collect(),
-            rows: DataChunk::with_capacity(schema, 0),
+            needed: needed.to_vec(),
+            types: schema.columns().iter().map(|c| c.ty).collect(),
+            keys: keys.collect(),
+            rows: DataChunk::with_capacity(&schema.project(&cols), 0),
+            cols,
             widths: Vec::new(),
             hashes: Vec::new(),
             table: KeyTable::with_capacity(0),
@@ -154,14 +170,15 @@ impl BuildSide {
             Rows::Range(s, e) => self.append_live(&chunk.data, s..e),
             Rows::Sel(sel) => self.append_live(&chunk.data, sel.iter().map(|&i| i as usize)),
         }
-        hash_keys(&chunk.data, &self.keys, chunk.rows(), &mut self.hashes);
+        let kept = Rows::Range(first, self.widths.len());
+        hash_keys(&self.rows, &self.keys, kept, &mut self.hashes);
         let bytes: u64 = self.widths[first..].iter().map(|&w| u64::from(w)).sum();
         ctx.charge(OpClass::HashBuild, chunk.len() as u64);
         ctx.charge_mem_bytes(bytes);
     }
 
     fn append_live(&mut self, data: &DataChunk, live: impl Iterator<Item = usize> + Clone) {
-        self.rows.append_rows(data, &self.all_cols, live.clone());
+        self.rows.append_rows(data, &self.cols, live.clone());
         data.row_widths(live, &mut self.widths);
     }
 
@@ -170,8 +187,8 @@ impl BuildSide {
     /// order numbers the rows exactly as the serial build does, so the
     /// per-key chains — and the join's output order — come out the same.
     fn concat(&mut self, part: BuildSide) {
-        self.rows
-            .append_rows(&part.rows, &self.all_cols, 0..part.rows.len());
+        let all: Vec<usize> = (0..self.cols.len()).collect();
+        self.rows.append_rows(&part.rows, &all, 0..part.rows.len());
         self.widths.extend(part.widths);
         self.hashes.extend(part.hashes);
     }
@@ -209,8 +226,12 @@ impl BuildSide {
     /// Join one probe chunk. The key columns are hashed a chunk at a
     /// time, matches are collected as `(build row, probe row)` pairs in
     /// probe order × chain order, and the output is
-    /// `gather(build columns) ++ gather(probe columns)` — a string
-    /// costs an `Arc` bump, nothing is materialized and re-decomposed.
+    /// `gather(build columns) ++ gather(probe columns)` over the columns
+    /// a parent reads, the others left empty — a string costs an `Arc`
+    /// bump, nothing is materialized and re-decomposed. Each output
+    /// row carries its stored width, `width(build) + width(probe) − 2`
+    /// (one row header, not two): what a row engine's concatenated
+    /// tuple measures, so a parent join charges the same from it.
     /// Charges one `HashProbe` + one random access per live probe row
     /// and each output row's stored width, exactly like the row paths.
     ///
@@ -248,20 +269,33 @@ impl BuildSide {
             ctx.charge_mem_random(n);
         }
 
-        let gathered = |cols: &[ColumnChunk], idx: &[u32]| -> Vec<ColumnChunk> {
-            (cols.iter().map(|c| ColumnChunk::new(c.data.gather(idx)))).collect()
-        };
-        let mut columns = gathered(self.rows.columns(), &s.build_idx);
-        columns.append(&mut gathered(chunk.data.columns(), &s.probe_idx));
-        // One row header, not two: width(build) + width(probe) − 2.
-        s.widths.clear();
-        let matched = s.probe_idx.iter().map(|&i| i as usize);
-        chunk.data.row_widths(matched, &mut s.widths);
-        let out_bytes: u64 = (s.build_idx.iter().zip(&s.widths))
-            .map(|(&b, &w)| u64::from(self.widths[b as usize] + w - 2))
-            .sum();
-        ctx.charge_mem_bytes(out_bytes);
-        Chunk::dense(Arc::new(DataChunk::new(columns)))
+        let (build_read, probe_read) = self.needed.split_at(self.types.len());
+        let build = (self.types.iter().zip(build_read).enumerate()).map(|(c, (&ty, &read))| {
+            if read {
+                let kept = self.cols.partition_point(|&k| k < c);
+                self.rows.column(kept).data.gather(&s.build_idx)
+            } else {
+                ColumnData::empty(ty)
+            }
+        });
+        let probe = (chunk.data.columns().iter().zip(probe_read)).map(|(c, &read)| {
+            if read {
+                c.data.gather(&s.probe_idx)
+            } else {
+                ColumnData::empty(c.data.column_type())
+            }
+        });
+        let columns = build.chain(probe).map(ColumnChunk::new).collect();
+
+        let mut widths = Vec::with_capacity(s.probe_idx.len());
+        chunk
+            .data
+            .row_widths(s.probe_idx.iter().map(|&i| i as usize), &mut widths);
+        for (w, &b) in widths.iter_mut().zip(&s.build_idx) {
+            *w += self.widths[b as usize] - 2;
+        }
+        ctx.charge_mem_bytes(widths.iter().map(|&w| u64::from(w)).sum());
+        Chunk::dense(Arc::new(DataChunk::with_widths(columns, widths)))
     }
 
     /// Dictionary-id pair collection (compressed pricing, single key):
@@ -324,8 +358,11 @@ impl BuildSide {
 /// time and indexed by the shared key kernel (`ops/hashkey.rs`:
 /// row-id table, per-key FIFO chains, typed column-vs-column
 /// equality), and a probe chunk's output is gathered from the build
-/// and probe columns. All charges are computed from the width vectors
-/// and are bit-identical to the row engines'.
+/// and probe columns — only those a parent reads ([`Operator::prune`]);
+/// the build keeps no other column but its keys, the output leaves the
+/// others empty and carries each row's stored width. All charges are
+/// computed from the width vectors and are bit-identical to the row
+/// engines'.
 ///
 /// With a parallel context (`ExecCtx::workers > 1`) and partitionable
 /// children, `open` runs both sides morsel-parallel: workers build
@@ -344,6 +381,9 @@ pub struct HashJoin {
     build_keys: Vec<usize>,
     probe_keys: Vec<usize>,
     schema: Schema,
+    /// Columnar engine: the output columns a parent reads (all of them
+    /// unless [`Operator::prune`] says otherwise).
+    needed: Vec<bool>,
     /// Row engines: the build table.
     table: JoinTable,
     /// Columnar engine: the build side, `Some` after a columnar `open`.
@@ -383,6 +423,7 @@ impl HashJoin {
             probe,
             build_keys,
             probe_keys,
+            needed: vec![true; schema.arity()],
             schema,
             table,
             columns: None,
@@ -412,13 +453,13 @@ impl HashJoin {
         // apply below the build.
         let saved_exact = ctx.streaming_exact;
         ctx.streaming_exact = 0;
-        let keys = &self.build_keys;
+        let (keys, needed) = (&self.build_keys, &self.needed);
         let partitions = run_morsels(self.build.as_ref(), ctx, |wctx, pipe| {
-            let mut part = BuildSide::new(pipe.schema(), keys);
+            let mut part = BuildSide::new(pipe.schema(), keys, needed);
             drain_chunks(pipe, wctx, |wctx, chunk| part.append(chunk, wctx));
             part
         });
-        let mut side = BuildSide::new(self.build.schema(), keys);
+        let mut side = BuildSide::new(self.build.schema(), keys, needed);
         match partitions {
             Some(parts) => parts.into_iter().for_each(|part| side.concat(part)),
             None => {
@@ -692,6 +733,18 @@ impl Operator for HashJoin {
         let chunk = self.probe.next_chunk(ctx)?;
         Some(side.probe(&chunk, &self.probe_keys, &mut self.probe_scratch, ctx))
     }
+
+    /// The build keeps, and the probe gathers, only the output columns
+    /// `needed`; each side's child is asked for its share plus its keys.
+    fn prune(&mut self, needed: &[bool]) {
+        let (build, probe) = needed.split_at(self.build.schema().arity());
+        let (mut build, mut probe) = (build.to_vec(), probe.to_vec());
+        self.build_keys.iter().for_each(|&k| build[k] = true);
+        self.probe_keys.iter().for_each(|&k| probe[k] = true);
+        self.build.prune(&build);
+        self.probe.prune(&probe);
+        self.needed = needed.to_vec();
+    }
 }
 
 #[cfg(test)]
@@ -830,58 +883,77 @@ mod tests {
 
     /// Morsel partitions concatenated in morsel order index exactly
     /// like the serial build: every key's chain lists its rows in
-    /// build-stream order, and the stored widths are the rows' widths.
+    /// build-stream order, and the stored widths are the rows' widths —
+    /// whether the build keeps every column, some, or only its key.
     #[test]
     fn concatenated_partitions_chain_in_build_stream_order() {
-        let schema = Schema::new(&[("k", ColumnType::Int), ("v", ColumnType::Str)]);
+        let schema = Schema::new(&[
+            ("v", ColumnType::Str),
+            ("k", ColumnType::Int),
+            ("n", ColumnType::Int),
+        ]);
         let stream: Vec<Tuple> = (0..60)
-            .map(|i| vec![Value::Int(i % 7), Value::str("x".repeat(i as usize % 5))])
+            .map(|i| {
+                let v = Value::str("x".repeat(i as usize % 5));
+                vec![v, Value::Int(i % 7), Value::Int(i)]
+            })
             .collect();
-        let mut ctx = ExecCtx::new();
-        let mut part_of = |rows: &[Tuple], sel: Option<Vec<u32>>| {
-            let mut chunk = Chunk::dense(Arc::new(DataChunk::from_rows(&schema, rows)));
-            chunk.sel = sel;
-            let mut part = BuildSide::new(&schema, &[0]);
-            part.append(&chunk, &mut ctx);
-            part
-        };
         // Uneven morsels; the last keeps only a selection of its chunk.
         let keep: Vec<u32> = (0..20).filter(|i| i % 3 != 0).collect();
-        let parts = [
-            part_of(&stream[..7], None),
-            part_of(&stream[7..40], None),
-            part_of(&stream[40..], Some(keep.clone())),
-        ];
         let live: Vec<&Tuple> = (stream[..40].iter())
             .chain(keep.iter().map(|&i| &stream[40 + i as usize]))
             .collect();
-        assert_eq!(ctx.cpu.count(OpClass::HashBuild), live.len() as u64);
-        assert_eq!(
-            ctx.mem_stream_bytes,
-            live.iter().map(|t| tuple_width(t)).sum::<u64>()
-        );
-
-        let mut side = BuildSide::new(&schema, &[0]);
-        parts.into_iter().for_each(|part| side.concat(part));
-        side.index();
-        assert_eq!(side.rows.len(), live.len());
-        for (r, t) in live.iter().enumerate() {
-            assert_eq!(&&side.rows.row(r), t, "row {r}");
-            assert_eq!(u64::from(side.widths[r]), tuple_width(t), "width {r}");
-        }
-        for key in 0..7 {
-            let want: Vec<u32> = (0..live.len() as u32)
-                .filter(|&r| live[r as usize][0] == Value::Int(key))
-                .collect();
-            let first = want[0] as usize;
-            let head = side
-                .find(hash_row(&side.rows, &[0], first), &side.rows, &[0], first)
-                .expect("key present");
+        let subsets: [(&[bool], &[usize]); 3] = [
+            (&[true, true, true], &[0, 1, 2]),
+            (&[false, false, true], &[1, 2]),
+            (&[false, false, false], &[1]),
+        ];
+        for (needed, kept) in subsets {
+            let mut ctx = ExecCtx::new();
+            let mut part_of = |rows: &[Tuple], sel: Option<Vec<u32>>| {
+                let mut chunk = Chunk::dense(Arc::new(DataChunk::from_rows(&schema, rows)));
+                chunk.sel = sel;
+                let mut part = BuildSide::new(&schema, &[1], needed);
+                part.append(&chunk, &mut ctx);
+                part
+            };
+            let parts = [
+                part_of(&stream[..7], None),
+                part_of(&stream[7..40], None),
+                part_of(&stream[40..], Some(keep.clone())),
+            ];
+            assert_eq!(ctx.cpu.count(OpClass::HashBuild), live.len() as u64);
             assert_eq!(
-                side.table.chain(head).collect::<Vec<_>>(),
-                want,
-                "key {key}"
+                ctx.mem_stream_bytes,
+                live.iter().map(|t| tuple_width(t)).sum::<u64>(),
+                "a build row is charged its whole width, {kept:?} kept"
             );
+
+            let mut side = BuildSide::new(&schema, &[1], needed);
+            parts.into_iter().for_each(|part| side.concat(part));
+            side.index();
+            assert_eq!(side.cols, kept);
+            assert_eq!(side.rows.len(), live.len());
+            for (r, t) in live.iter().enumerate() {
+                let want: Tuple = kept.iter().map(|&c| t[c].clone()).collect();
+                assert_eq!(side.rows.row(r), want, "row {r}, {kept:?} kept");
+                assert_eq!(u64::from(side.widths[r]), tuple_width(t), "width {r}");
+            }
+            let keys = side.keys.clone();
+            for key in 0..7 {
+                let want: Vec<u32> = (0..live.len() as u32)
+                    .filter(|&r| live[r as usize][1] == Value::Int(key))
+                    .collect();
+                let first = want[0] as usize;
+                let head = side
+                    .find(hash_row(&side.rows, &keys, first), &side.rows, &keys, first)
+                    .expect("key present");
+                assert_eq!(
+                    side.table.chain(head).collect::<Vec<_>>(),
+                    want,
+                    "key {key}, {kept:?} kept"
+                );
+            }
         }
     }
 

@@ -80,6 +80,20 @@
 //!   from) and gathers each output chunk from build and probe columns;
 //!   the aggregate keeps first-seen group keys as columns and updates
 //!   typed accumulator arrays keyed by group id;
+//! * the join gathers only the columns someone reads
+//!   ([`Operator::prune`], called before `open`). The driver starts the
+//!   pass at the root with every column and [`HashAggregate`] with its
+//!   group columns and aggregate inputs; [`Project`] passes on its
+//!   expressions' columns, [`Filter`] adds its predicate's, and
+//!   [`HashJoin`] adds its keys and splits the rest between build and
+//!   probe. The build keeps only those columns and the keys, and the
+//!   probe leaves the others empty: each output row carries its stored
+//!   width instead ([`DataChunk::with_widths`]), so a parent join
+//!   charges exactly what it would from the full row. Every other
+//!   operator keeps the default, which passes nothing on: an operator
+//!   that pulls *rows* ([`Limit`], [`Sort`], [`IxJoin`],
+//!   [`SortMergeJoin`], [`Exchange`]) would read the empty columns, so
+//!   its subtree is never pruned;
 //! * rows come back into existence ([`crate::chunk::Chunk::to_tuples`])
 //!   only at the pipeline breaker that inherently needs them (sort
 //!   buffers) and at the top of the plan.
@@ -255,6 +269,18 @@ pub trait Operator: Send {
         None
     }
 
+    /// Column pruning for the columnar engine: a parent that consumes
+    /// this operator's chunks says which of its output columns
+    /// (`needed[i]` for column `i`) it will read, before `open`. An
+    /// operator may then leave the other columns of its output chunks
+    /// empty, as long as each row's stored width still reads in full
+    /// ([`DataChunk::with_widths`]). An operator that passes the call
+    /// on must only ever pull chunks from that child.
+    ///
+    /// The default does nothing and passes nothing on, so a subtree
+    /// under an operator that pulls rows is never pruned.
+    fn prune(&mut self, _needed: &[bool]) {}
+
     /// Morsel decomposition: if this subtree is a partitionable
     /// pipeline (a non-blocking chain over a single source leaf),
     /// return the morsels that cover its input exactly, sized near
@@ -317,6 +343,13 @@ pub(crate) fn drain_batches(
             return;
         }
     }
+}
+
+/// Mark every column `e` reads in `needed` (see [`Operator::prune`]).
+pub(crate) fn mark_read(e: &Expr, needed: &mut [bool]) {
+    let mut cols = Vec::new();
+    e.columns(&mut cols);
+    cols.into_iter().for_each(|c| needed[c] = true);
 }
 
 /// Drain `child` to exhaustion through the columnar path, invoking

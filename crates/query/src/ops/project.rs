@@ -7,7 +7,7 @@ use eco_storage::{ColumnChunk, ColumnType, DataChunk, Schema, Tuple};
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::expr::Expr;
-use crate::ops::{BoxedOp, Operator};
+use crate::ops::{mark_read, BoxedOp, Operator};
 use crate::parallel::Morsel;
 
 /// Expression projection with named output columns.
@@ -85,6 +85,16 @@ impl Operator for Project {
             .map(|e| e.eval_column(&chunk.data, rows, ctx))
             .collect();
         Some(Chunk::dense(Arc::new(DataChunk::new(cols))))
+    }
+
+    /// Every output column is computed, whatever the parent reads (its
+    /// widths are the row's), so the child is asked for the columns of
+    /// all the expressions. Only here, never in `open`: a projection
+    /// under a row puller must keep pulling whole rows.
+    fn prune(&mut self, _needed: &[bool]) {
+        let mut needed = vec![false; self.child.schema().arity()];
+        self.exprs.iter().for_each(|e| mark_read(e, &mut needed));
+        self.child.prune(&needed);
     }
 
     fn morsels(&self, target_rows: usize) -> Option<Vec<Morsel>> {

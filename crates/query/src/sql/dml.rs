@@ -38,7 +38,7 @@ use eco_storage::wal::WalRecord;
 use eco_storage::{Catalog, ColumnType, StoredTable, TableData, Tuple, Value};
 
 use super::ast::{DeleteStmt, InsertStmt, Statement, UpdateStmt};
-use super::plan::bind_expr;
+use super::plan::{bind_expr, bind_predicate};
 use super::SqlError;
 use crate::context::ExecCtx;
 use crate::expr::Expr;
@@ -278,7 +278,7 @@ fn update(catalog: &Catalog, stmt: &UpdateStmt, ctx: &mut ExecCtx) -> Result<Dml
     let pred = stmt
         .where_clause
         .as_ref()
-        .map(|w| bind_expr(w, schema))
+        .map(|w| bind_predicate(w, schema))
         .transpose()?;
     let mut records = Vec::new();
     scan_matching(&stored, pred.as_ref(), ctx, |row_id, row, ctx| {
@@ -304,7 +304,7 @@ fn delete(catalog: &Catalog, stmt: &DeleteStmt, ctx: &mut ExecCtx) -> Result<Dml
     let pred = stmt
         .where_clause
         .as_ref()
-        .map(|w| bind_expr(w, stored.schema()))
+        .map(|w| bind_predicate(w, stored.schema()))
         .transpose()?;
     let mut matched = Vec::new();
     scan_matching(&stored, pred.as_ref(), ctx, |row_id, _, _| {

@@ -111,7 +111,7 @@ pub fn plan_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<BoxedOp, SqlE
             let mut bound = Vec::new();
             for p in &preds {
                 est *= estimate_selectivity(p);
-                bound.push(bind_expr(p, op.schema())?);
+                bound.push(bind_predicate(p, op.schema())?);
             }
             let pred = if bound.len() == 1 {
                 bound.pop().expect("one predicate")
@@ -194,7 +194,7 @@ pub fn plan_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<BoxedOp, SqlE
 
     // --- residual predicates ------------------------------------------------
     for r in &residual {
-        let bound = bind_expr(r, current.schema())?;
+        let bound = bind_predicate(r, current.schema())?;
         current = Box::new(Filter::new(current, bound));
     }
 
@@ -285,6 +285,11 @@ fn plan_aggregate(input: BoxedOp, stmt: &SelectStmt) -> Result<BoxedOp, SqlError
             }
             SqlExpr::Agg(func, inner) => {
                 let bound = bind_expr(inner, input.schema())?;
+                match func {
+                    AggFunc::Sum => expect_type(inner, input.schema(), ColumnType::Int, "SUM")?,
+                    AggFunc::Avg => expect_type(inner, input.schema(), ColumnType::Int, "AVG")?,
+                    _ => {}
+                }
                 let name = output_name(expr, alias.as_deref(), i);
                 aggs.push(AggSpec {
                     func: *func,
@@ -325,19 +330,18 @@ fn plan_aggregate(input: BoxedOp, stmt: &SelectStmt) -> Result<BoxedOp, SqlError
     let mut group_seen = 0usize;
     let mut agg_seen = 0usize;
     for kind in item_kinds {
-        match kind {
+        let (name, src) = match kind {
             Kind::Group(name) => {
-                let src = group_seen;
                 group_seen += 1;
-                let ty = agg.schema().columns()[src].ty;
-                outputs.push((name, ty, Expr::col(src)));
+                (name, group_seen - 1)
             }
             Kind::Agg(name) => {
-                let src = stmt.group_by.len() + agg_seen;
                 agg_seen += 1;
-                outputs.push((name, ColumnType::Int, Expr::col(src)));
+                (name, stmt.group_by.len() + agg_seen - 1)
             }
-        }
+        };
+        let ty = agg.schema().columns()[src].ty;
+        outputs.push((name, ty, Expr::col(src)));
     }
     Ok(Box::new(Project::new(agg, outputs)))
 }
@@ -454,12 +458,6 @@ fn check_comparable(
     if lt == rt {
         return Ok(());
     }
-    let show = |e: &SqlExpr| match e {
-        SqlExpr::Column { name, .. } => name.clone(),
-        SqlExpr::Int(n) | SqlExpr::Decimal(n) => n.to_string(),
-        SqlExpr::Str(s) => format!("'{s}'"),
-        _ => "expression".to_string(),
-    };
     Err(SqlError::Bind(format!(
         "cannot compare {} ({lt:?}) with {} ({rt:?})",
         show(l),
@@ -467,10 +465,49 @@ fn check_comparable(
     )))
 }
 
-/// Bind a SQL expression against a physical schema. Comparisons
-/// (`=`, `<>`, `<`, `<=`, `>`, `>=`, `BETWEEN`, `IN`) are type-checked
-/// here, so a mismatched one is a [`SqlError::Bind`], never a panic at
-/// execution time.
+/// Reject `e` where `what` takes only values of type `want`, naming
+/// both — the evaluators would panic on it mid-query.
+fn expect_type(
+    e: &SqlExpr,
+    schema: &eco_storage::Schema,
+    want: ColumnType,
+    what: &str,
+) -> Result<(), SqlError> {
+    let got = output_type(e, schema);
+    if got == want {
+        return Ok(());
+    }
+    Err(SqlError::Bind(format!(
+        "{what} expects {want:?}, got {} ({got:?})",
+        show(e)
+    )))
+}
+
+/// An operand as an error message names it.
+fn show(e: &SqlExpr) -> String {
+    match e {
+        SqlExpr::Column { name, .. } => name.clone(),
+        SqlExpr::Int(n) | SqlExpr::Decimal(n) => n.to_string(),
+        SqlExpr::Str(s) => format!("'{s}'"),
+        _ => "expression".to_string(),
+    }
+}
+
+/// Bind a `WHERE` predicate: [`bind_expr`], and its value must be a
+/// boolean.
+pub(crate) fn bind_predicate(e: &SqlExpr, schema: &eco_storage::Schema) -> Result<Expr, SqlError> {
+    let bound = bind_expr(e, schema)?;
+    expect_type(e, schema, ColumnType::Bool, "WHERE")?;
+    Ok(bound)
+}
+
+/// Bind a SQL expression against a physical schema. It is type-checked
+/// here, so an ill-typed one is a [`SqlError::Bind`], never a panic at
+/// execution time: comparisons (`=`, `<>`, `<`, `<=`, `>`, `>=`,
+/// `BETWEEN`, `IN`) pair operands of one type, `AND`/`OR`/`NOT` take
+/// booleans, arithmetic takes `Int`s and never divides by a literal
+/// zero. (A divisor that is zero in the data still panics: ROADMAP
+/// item 4d.)
 pub fn bind_expr(e: &SqlExpr, schema: &eco_storage::Schema) -> Result<Expr, SqlError> {
     let comparable = |l: &SqlExpr, r: &SqlExpr| check_comparable(l, schema, r, schema);
     Ok(match e {
@@ -483,7 +520,11 @@ pub fn bind_expr(e: &SqlExpr, schema: &eco_storage::Schema) -> Result<Expr, SqlE
         SqlExpr::Int(n) | SqlExpr::Decimal(n) => Expr::int(*n),
         SqlExpr::Str(s) => Expr::str(s),
         SqlExpr::DateLit(d) => Expr::date(d.0),
-        SqlExpr::Not(inner) => Expr::Not(Box::new(bind_expr(inner, schema)?)),
+        SqlExpr::Not(inner) => {
+            let bound = bind_expr(inner, schema)?;
+            expect_type(inner, schema, ColumnType::Bool, "NOT")?;
+            Expr::Not(Box::new(bound))
+        }
         SqlExpr::Between(x, lo, hi) => {
             let (xe, lo_e, hi_e) = (
                 bind_expr(x, schema)?,
@@ -512,11 +553,22 @@ pub fn bind_expr(e: &SqlExpr, schema: &eco_storage::Schema) -> Result<Expr, SqlE
         SqlExpr::Binary(op, l, r) => {
             let le = bind_expr(l, schema)?;
             let re = bind_expr(r, schema)?;
-            if matches!(
-                op,
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-            ) {
-                comparable(l, r)?;
+            match op {
+                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                    comparable(l, r)?;
+                }
+                BinOp::And | BinOp::Or => {
+                    let what = if *op == BinOp::And { "AND" } else { "OR" };
+                    expect_type(l, schema, ColumnType::Bool, what)?;
+                    expect_type(r, schema, ColumnType::Bool, what)?;
+                }
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
+                    expect_type(l, schema, ColumnType::Int, "arithmetic")?;
+                    expect_type(r, schema, ColumnType::Int, "arithmetic")?;
+                    if *op == BinOp::Div && literal_value(r) == Some(Value::Int(0)) {
+                        return Err(SqlError::Bind(format!("division by zero: {} / 0", show(l))));
+                    }
+                }
             }
             match op {
                 BinOp::Eq => Expr::cmp(CmpOp::Eq, le, re),

@@ -289,11 +289,15 @@ impl ColumnChunk {
 }
 
 /// A run of rows in decomposed (columnar) form: one [`ColumnChunk`] per
-/// schema column, all the same length.
+/// schema column, all the same length — or, in a chunk built by
+/// [`DataChunk::with_widths`], each either that length or empty.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DataChunk {
     columns: Vec<ColumnChunk>,
     len: usize,
+    /// The stored width of each row, carried instead of computed from
+    /// the columns (see [`DataChunk::with_widths`]).
+    widths: Option<Vec<u32>>,
 }
 
 impl DataChunk {
@@ -303,7 +307,30 @@ impl DataChunk {
         for c in &columns {
             assert_eq!(c.data.len(), len, "ragged chunk");
         }
-        Self { columns, len }
+        Self {
+            columns,
+            len,
+            widths: None,
+        }
+    }
+
+    /// `widths.len()` rows whose stored widths are `widths`, not what
+    /// their columns add up to: a column nobody downstream reads may be
+    /// left empty (a pruned join output keeps its type, not its values),
+    /// and [`Self::row_widths`] still reports the full row's width, so
+    /// whatever is charged from it does not move. Reading a value of an
+    /// empty column panics. Panics if a column is neither empty nor
+    /// `widths.len()` long.
+    pub fn with_widths(columns: Vec<ColumnChunk>, widths: Vec<u32>) -> Self {
+        let len = widths.len();
+        for c in &columns {
+            assert!(c.data.len() == len || c.data.is_empty(), "ragged chunk");
+        }
+        Self {
+            columns,
+            len,
+            widths: Some(widths),
+        }
     }
 
     /// An empty chunk with `schema`'s column types (so empty runs still
@@ -314,7 +341,11 @@ impl DataChunk {
             .iter()
             .map(|c| ColumnChunk::new(ColumnData::with_capacity(c.ty, rows)))
             .collect();
-        Self { columns, len: 0 }
+        Self {
+            columns,
+            len: 0,
+            widths: None,
+        }
     }
 
     /// Decompose row tuples into a chunk with `schema`'s column types.
@@ -461,8 +492,13 @@ impl DataChunk {
 
     /// Append the stored width of each of `rows` to `out`: exactly
     /// [`crate::value::tuple_width`]`(&self.row(i))`, computed from the column types
-    /// plus the strings' byte lengths — no row is built.
+    /// plus the strings' byte lengths — no row is built. A chunk built
+    /// by [`Self::with_widths`] returns the widths it carries.
     pub fn row_widths(&self, rows: impl Iterator<Item = usize> + Clone, out: &mut Vec<u32>) {
+        if let Some(widths) = &self.widths {
+            out.extend(rows.map(|i| widths[i]));
+            return;
+        }
         let fixed: u32 = 2 + self
             .columns
             .iter()
@@ -647,6 +683,36 @@ mod tests {
         // A chunk with no columns still has its 2-byte row header.
         DataChunk::default().row_widths(0..3, &mut out);
         assert_eq!(out, vec![2, 2, 2]);
+
+        // A chunk that carries its widths reports them, over windows
+        // and selections, not what its half-emptied columns add up to.
+        let carried: Vec<u32> = (0..6).map(|i| want(i) + 100 * i as u32).collect();
+        let half = (chunk.columns().iter().enumerate())
+            .map(|(j, c)| match j % 2 {
+                0 => c.clone(),
+                _ => ColumnChunk::new(ColumnData::empty(c.data.column_type())),
+            })
+            .collect();
+        let pruned = DataChunk::with_widths(half, carried.clone());
+        assert_eq!(pruned.len(), 6);
+        out.clear();
+        pruned.row_widths(2..5, &mut out);
+        assert_eq!(out, carried[2..5], "dense window");
+        out.clear();
+        pruned.row_widths(sel.iter().map(|&i| i as usize), &mut out);
+        let picked: Vec<u32> = sel.iter().map(|&i| carried[i as usize]).collect();
+        assert_eq!(out, picked, "selection vector");
+        assert_eq!(
+            pruned.value(2, 3),
+            chunk.value(2, 3),
+            "kept columns read as before"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged chunk")]
+    fn carried_widths_reject_a_column_of_another_length() {
+        DataChunk::with_widths(vec![ColumnChunk::new(ColumnData::Int(vec![1]))], vec![2, 2]);
     }
 
     #[test]

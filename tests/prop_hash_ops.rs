@@ -10,7 +10,11 @@
 //! in type (`Int(1)` vs `Date(1)`: never a match), empty build, empty
 //! probe, no matches at all, selection vectors on either side, a
 //! `LIMIT` pulling the join a row at a time, and group-bys over 0–3
-//! columns × SUM/COUNT/MIN/MAX/AVG.
+//! columns × SUM/COUNT/MIN/MAX/AVG. The join also comes in plan shapes
+//! that make the columnar engine prune its columns (`Inputs::shaped`):
+//! under an aggregate reading a few of them, as both inputs of another
+//! join under one (whose charges then come from the widths the pruned
+//! joins carry), and under a projection, with and without a `LIMIT`.
 //!
 //! Under raw pricing, rows — including multi-match emission order and
 //! first-seen group order — and whole ledgers must equal both oracles
@@ -31,9 +35,10 @@ use proptest::prelude::*;
 use ecodb::query::chunk::Rows;
 use ecodb::query::context::ExecCtx;
 use ecodb::query::exec::{execute_parallel, execute_scalar, ExecEngine};
-use ecodb::query::expr::{AggFunc, CmpOp, Expr};
+use ecodb::query::expr::{AggFunc, ArithOp, CmpOp, Expr};
 use ecodb::query::ops::{
-    hash_keys, AggSpec, BoxedOp, Filter, HashAggregate, HashJoin, Limit, SeqScan, VecSource,
+    hash_keys, AggSpec, BoxedOp, Filter, HashAggregate, HashJoin, Limit, Project, SeqScan,
+    VecSource,
 };
 use ecodb::simhw::trace::{OpClass, PricingMode};
 use ecodb::storage::{
@@ -370,6 +375,46 @@ impl Inputs {
         ))
     }
 
+    /// The join in one of four plan shapes, the columnar engine's
+    /// column pruning in mind:
+    /// 0. the join itself (its parent, the driver, reads every column);
+    /// 1. an aggregate reading a few of the join's columns, so the join
+    ///    gathers only those and its keys;
+    /// 2. the same over a join whose build (the build side joined with
+    ///    itself on `bseq`) and probe (the join) are both joins — the
+    ///    two inner joins are pruned, and the outer one charges its
+    ///    build and probe from the widths their outputs carry;
+    /// 3. a projection of a few columns, one of them computed (under a
+    ///    `LIMIT` it is pulled a row at a time and must not prune).
+    fn shaped(&self, shape: usize, rng: &mut Rng) -> BoxedOp {
+        match shape {
+            0 => self.join(),
+            1 => aggregate_some(self.join(), rng),
+            2 => {
+                let seq = self.build_keys.len();
+                let build =
+                    HashJoin::new(self.source(true), self.source(true), vec![seq], vec![seq]);
+                let join = HashJoin::new(Box::new(build), self.join(), vec![seq], vec![seq]);
+                aggregate_some(Box::new(join), rng)
+            }
+            _ => {
+                let join = self.join();
+                let schema = join.schema().clone();
+                let mut outputs: Vec<(String, ColumnType, Expr)> = (some_columns(&schema, rng))
+                    .into_iter()
+                    .map(|c| {
+                        let col = &schema.columns()[c];
+                        (col.name.clone(), col.ty, Expr::col(c))
+                    })
+                    .collect();
+                let seq = self.build_keys.len();
+                let sum = Expr::arith(ArithOp::Add, Expr::col(seq), Expr::int(1));
+                outputs.push(("bseq1".to_string(), ColumnType::Int, sum));
+                Box::new(Project::new(join, outputs))
+            }
+        }
+    }
+
     /// GROUP BY the first `groups` key columns of the probe side.
     fn aggregate(&self, groups: usize, funcs: &[AggFunc]) -> BoxedOp {
         let seq = self.probe_schema.arity() - 2;
@@ -384,6 +429,53 @@ impl Inputs {
         let group_cols = self.probe_keys[..groups.min(self.probe_keys.len())].to_vec();
         Box::new(HashAggregate::new(self.source(false), group_cols, aggs))
     }
+}
+
+/// One to three distinct columns of `schema`, in random order.
+fn some_columns(schema: &Schema, rng: &mut Rng) -> Vec<usize> {
+    let mut cols: Vec<usize> = (0..schema.arity()).collect();
+    (0..cols.len())
+        .rev()
+        .for_each(|i| cols.swap(i, rng.below(i as u64 + 1) as usize));
+    cols.truncate(1 + rng.below(3) as usize);
+    cols
+}
+
+/// An aggregate over `child` that reads a few of its columns: up to
+/// two group columns and one to three aggregates of any function
+/// (`SUM`/`AVG` over an `Int` payload column — a key may hold any
+/// `i64`, and its sum overflow).
+fn aggregate_some(child: BoxedOp, rng: &mut Rng) -> BoxedOp {
+    let schema = child.schema().clone();
+    let ints: Vec<usize> = (schema.columns().iter().enumerate())
+        .filter(|(_, c)| c.ty == ColumnType::Int && !c.name[1..].starts_with('k'))
+        .map(|(i, _)| i)
+        .collect();
+    let mut groups = some_columns(&schema, rng);
+    groups.truncate(rng.below(3) as usize);
+    let inputs = some_columns(&schema, rng);
+    let aggs = (inputs.iter().enumerate())
+        .map(|(j, &c)| {
+            let funcs = [
+                AggFunc::Sum,
+                AggFunc::Count,
+                AggFunc::Min,
+                AggFunc::Max,
+                AggFunc::Avg,
+            ];
+            let func = rng.pick(&funcs);
+            let c = match func {
+                AggFunc::Sum | AggFunc::Avg => rng.pick(&ints),
+                _ => c,
+            };
+            AggSpec {
+                func,
+                input: Expr::col(c),
+                name: format!("a{j}"),
+            }
+        })
+        .collect();
+    Box::new(HashAggregate::new(child, groups, aggs))
 }
 
 /// Everything the figures are priced from.
@@ -455,17 +547,21 @@ proptest! {
         scanned in any::<bool>(),
         chunk in prop_oneof![Just(3usize), Just(64), Just(1024)],
         limit in prop_oneof![Just(None), Just(None), Just(Some(0usize)), Just(Some(7))],
+        shape in 0usize..4,
     ) {
         let inputs = generate(seed, MODES[mode_idx], scanned, true);
-        // Under a LIMIT the join is pulled a row at a time, and must
+        // Under a LIMIT the plan is pulled a row at a time, and must
         // consume — and charge — exactly as much of the probe stream
         // as the scalar engine does.
-        let mk = || match limit {
-            Some(n) => Box::new(Limit::new(inputs.join(), n)) as BoxedOp,
-            None => inputs.join(),
+        let mk = || {
+            let plan = inputs.shaped(shape, &mut Rng(seed ^ 0x5eed));
+            match limit {
+                Some(n) => Box::new(Limit::new(plan, n)) as BoxedOp,
+                None => plan,
+            }
         };
         let rows = check_against_oracles(&mk, chunk)?;
-        if MODES[mode_idx] == Mode::CrossTyped && !scanned {
+        if MODES[mode_idx] == Mode::CrossTyped && !scanned && shape == 0 {
             prop_assert!(rows.is_empty(), "key columns of different types never match");
         }
     }
