@@ -718,26 +718,20 @@ pub fn index_crossover(scale: f64) -> Vec<IndexCrossoverRow> {
     use eco_query::ops::BoxedOp;
     use eco_query::plans;
     use eco_simhw::trace::{PhaseKind, WorkTrace};
-    use eco_storage::Tuple;
+    use eco_storage::{TableData, Tuple};
 
     let db = EcoDb::tpch(EngineProfile::CommercialDisk, scale);
     db.create_index("ix_lineitem_orderkey", "lineitem", "l_orderkey")
         .expect("disk profile indexes l_orderkey");
-    let lineitem_rows = db.source().lineitem.len() as f64;
-    let min_key = db
-        .source()
-        .lineitem
-        .iter()
-        .map(|l| l.l_orderkey)
-        .min()
-        .unwrap_or(1);
-    let max_key = db
-        .source()
-        .lineitem
-        .iter()
-        .map(|l| l.l_orderkey)
-        .max()
-        .unwrap_or(1);
+    let lineitem = db.catalog().expect("lineitem");
+    let lineitem_rows = lineitem.len() as f64;
+    // Lines are stored in orderkey order: the first and last rows span
+    // the keys (read off their pages, no I/O charged).
+    let TableData::Disk(disk) = &lineitem.data else {
+        unreachable!("the disk profile pages its tables")
+    };
+    let key = |row: usize| disk.tuple_at(row)[0].as_int().unwrap_or(1);
+    let (min_key, max_key) = (key(0), key(disk.len() - 1));
     let span = (max_key - min_key).max(1) as f64;
 
     // Cold-run a plan: flush the pool, execute, price at stock.

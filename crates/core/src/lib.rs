@@ -27,12 +27,10 @@
 //!   figure in the paper's evaluation.
 
 pub mod advisor;
-pub mod cluster;
 pub mod experiments;
 pub mod metrics;
 pub mod pvc;
 pub mod qed;
-pub mod qed_model;
 pub mod server;
 
 pub use advisor::{AccessPath, AccessPathAdvice};

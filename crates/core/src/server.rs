@@ -18,7 +18,7 @@
 //! remain meaningful across scale factors.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use eco_query::context::ExecCtx;
 use eco_query::error::ExecError;
@@ -32,7 +32,7 @@ use eco_simhw::machine::{Machine, MachineConfig, Measurement};
 use eco_simhw::multicore::{MultiCoreMachine, MultiCoreMeasurement};
 use eco_simhw::trace::{DiskWork, OpClass, Phase, PhaseKind, PricingMode, WorkTrace};
 use eco_storage::{
-    load_tpch, Catalog, EngineKind, RowSet, StoredTable, Tuple, Value, WalError, WalRecord,
+    load_generated, Catalog, EngineKind, RowSet, StoredTable, Tuple, Value, WalError, WalRecord,
     WriteAheadLog,
 };
 use eco_tpch::{q5_workload, Q5Params, QedQuery, TpchDb, TpchGenerator};
@@ -112,9 +112,13 @@ pub enum ServerError {
         queued: usize,
     },
     /// Execution hit an unrecoverable disk fault (a page whose retry
-    /// budget was exhausted — see [`ExecError`]). Fails only the
+    /// budget was exhausted — see [`ExecError::Io`]). Fails only the
     /// statement (and its owning session); the server keeps serving.
     Io(ExecError),
+    /// Execution met a value it cannot compute with: a zero divisor in
+    /// the data ([`ExecError::DivisionByZero`]). Fails only the
+    /// statement, like a bind error, and is no sign of storage trouble.
+    Data(ExecError),
     /// The write path failed: the write-ahead log hit its installed
     /// crash point, an fsync failed, or recovery found the log
     /// unreplayable (see [`WalError`]). Mutations stop until
@@ -140,6 +144,7 @@ impl std::fmt::Display for ServerError {
                 write!(f, "admission control shed the statement ({queued} queued)")
             }
             ServerError::Io(e) => write!(f, "I/O error: {e}"),
+            ServerError::Data(e) => write!(f, "data error: {e}"),
             ServerError::Wal(e) => write!(f, "WAL error: {e}"),
             ServerError::NotSelection { statement } => {
                 write!(f, "statement is not a batchable selection: {statement}")
@@ -155,7 +160,7 @@ impl std::error::Error for ServerError {
             ServerError::Sql(e) => Some(e),
             ServerError::Index(e) => Some(e),
             ServerError::Shed { .. } => None,
-            ServerError::Io(e) => Some(e),
+            ServerError::Io(e) | ServerError::Data(e) => Some(e),
             ServerError::Wal(e) => Some(e),
             ServerError::NotSelection { .. } => None,
         }
@@ -182,7 +187,10 @@ impl From<eco_query::sql::SqlError> for ServerError {
 
 impl From<ExecError> for ServerError {
     fn from(e: ExecError) -> Self {
-        ServerError::Io(e)
+        match e {
+            ExecError::Io(_) => ServerError::Io(e),
+            ExecError::DivisionByZero => ServerError::Data(e),
+        }
     }
 }
 
@@ -294,7 +302,9 @@ pub struct RecoveryReport {
 pub struct EcoDb {
     profile: EngineProfile,
     scale: f64,
-    source: TpchDb,
+    seed: u64,
+    /// Built by the first [`Self::source`] call, if any.
+    source: OnceLock<TpchDb>,
     catalog: Catalog,
     machine: Machine,
     engine: ExecEngine,
@@ -310,12 +320,14 @@ impl EcoDb {
         Self::tpch_seeded(profile, scale, TpchGenerator::default().seed)
     }
 
-    /// Open with an explicit generator seed.
+    /// Open with an explicit generator seed. The tables are loaded
+    /// straight from the generator's stream ([`load_generated`]); the
+    /// source rows are not kept (see [`Self::source`]).
     pub fn tpch_seeded(profile: EngineProfile, scale: f64, seed: u64) -> Self {
-        let source = TpchGenerator::with_seed(scale, seed).generate();
+        let generator = TpchGenerator::with_seed(scale, seed);
         // Pool sized to hold everything: the paper notes "the size of
         // the raw tables is less than the main memory capacity".
-        let catalog = load_tpch(&source, profile.engine_kind(), 1 << 22);
+        let catalog = load_generated(&generator, profile.engine_kind(), 1 << 22);
         catalog
             .pool()
             .set_warm_reread_every(profile.warm_reread_every());
@@ -326,7 +338,8 @@ impl EcoDb {
         Self {
             profile,
             scale,
-            source,
+            seed,
+            source: OnceLock::new(),
             checkpoint,
             catalog,
             machine: Machine::paper_sut(),
@@ -417,9 +430,12 @@ impl EcoDb {
         &self.catalog
     }
 
-    /// The generated source rows (reference oracles in tests).
+    /// The generated source rows (reference oracles in tests), built
+    /// from the same generator on the first call: a database nobody
+    /// asks holds none.
     pub fn source(&self) -> &TpchDb {
-        &self.source
+        self.source
+            .get_or_init(|| TpchGenerator::with_seed(self.scale, self.seed).generate())
     }
 
     /// Model a reboot: drop the buffer pool (next run is cold).
@@ -500,7 +516,7 @@ impl EcoDb {
         ctx.charge(OpClass::Parse, parse_tokens(kind));
         let rows = self.engine.execute(plan.as_mut(), &mut ctx);
         if let Some(e) = ctx.take_error() {
-            return Err(ServerError::Io(e));
+            return Err(e.into());
         }
         let exec_phase = ctx.take_phase(PhaseKind::Execute, label);
         let mut trace = WorkTrace::new();
@@ -545,7 +561,7 @@ impl EcoDb {
         ctx.charge(OpClass::Parse, parse_tokens(kind));
         let rows = execute_parallel(plan.as_mut(), &mut ctx, workers);
         if let Some(e) = ctx.take_error() {
-            panic!("{}", ServerError::Io(e));
+            panic!("{}", ServerError::from(e));
         }
         let phases = ctx.take_core_phases(workers, label);
         (rows, self.assemble_core_traces(phases, None))
@@ -706,7 +722,7 @@ impl EcoDb {
         let mut client = ExecCtx::new();
         let split = merged.run_split(&mut ctx, &mut client);
         if let Some(e) = ctx.take_error() {
-            return Err(ServerError::Io(e));
+            return Err(e.into());
         }
         let split_phase = client.take_phase(PhaseKind::ClientCompute, "qed split");
 
@@ -876,7 +892,8 @@ impl EcoDb {
     /// [`ServerError`] — the session layer's single error type: lex /
     /// parse / bind errors as [`ServerError::Sql`], catalog rejections
     /// of `CREATE INDEX` as [`ServerError::Index`], unrecoverable disk
-    /// faults as [`ServerError::Io`].
+    /// faults as [`ServerError::Io`], a zero divisor in the data as
+    /// [`ServerError::Data`].
     ///
     /// Once an index exists, the planner picks it automatically for
     /// sufficiently selective sargable predicates (see
@@ -920,7 +937,7 @@ impl EcoDb {
                 let mut plan = eco_query::sql::plan_select(&self.catalog, &select)?;
                 let rows = self.engine.execute(plan.as_mut(), &mut ctx);
                 if let Some(e) = ctx.take_error() {
-                    return Err(ServerError::Io(e));
+                    return Err(e.into());
                 }
                 (rows, "sql")
             }
@@ -1690,6 +1707,27 @@ mod tests {
         let mem = EcoDb::tpch(EngineProfile::MemoryEngine, 0.005);
         mem.try_trace_sql(&format!("INSERT INTO region VALUES (51, 'B', '{wide}')"))
             .expect("no page limit on the memory engine");
+    }
+
+    #[test]
+    fn source_rows_are_built_only_when_asked_for() {
+        for profile in [EngineProfile::MemoryEngine, EngineProfile::CommercialDisk] {
+            let mut db = EcoDb::tpch_seeded(profile, 0.002, 7);
+            assert!(
+                db.source.get().is_none(),
+                "{profile:?}: opened without rows"
+            );
+            db.try_trace_sql("INSERT INTO region VALUES (50, 'A', 'x')")
+                .expect("insert");
+            db.recover().expect("recovery");
+            assert!(
+                db.source.get().is_none(),
+                "{profile:?}: recovered without rows"
+            );
+            let want = TpchGenerator::with_seed(0.002, 7).generate();
+            assert!(*db.source() == want, "{profile:?}: the generator's rows");
+            assert!(db.source.get().is_some());
+        }
     }
 
     #[test]

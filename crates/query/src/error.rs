@@ -5,8 +5,8 @@
 //! error in its [`crate::context::ExecCtx`] and ends its stream. The
 //! fallible drivers (`try_execute*` in [`crate::exec`]) check the slot
 //! after the pipeline drains and surface it as an `Err`, so a disk
-//! fault fails one query with a typed error instead of panicking the
-//! process.
+//! fault or a zero divisor in the data fails one query with a typed
+//! error instead of panicking the process.
 
 use eco_storage::IoError;
 
@@ -17,12 +17,17 @@ pub enum ExecError {
     /// budget was exhausted on an injected permanent fault or on
     /// genuine page corruption.
     Io(IoError),
+    /// An integer division met a zero divisor in the data (a literal
+    /// zero divisor is rejected at bind time). The row's value is a
+    /// placeholder and the query's scans stop.
+    DivisionByZero,
 }
 
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::Io(e) => write!(f, "query aborted: {e}"),
+            ExecError::DivisionByZero => write!(f, "query aborted: division by zero"),
         }
     }
 }
@@ -31,6 +36,7 @@ impl std::error::Error for ExecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ExecError::Io(e) => Some(e),
+            ExecError::DivisionByZero => None,
         }
     }
 }

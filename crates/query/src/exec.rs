@@ -19,14 +19,16 @@
 //! ## Failure semantics
 //!
 //! Operators are infallible at the interface level: a failing operator
-//! (a page read whose retry budget is exhausted — see
-//! [`crate::error::ExecError`]) records the first error in the context
-//! and ends its stream, so every driver below terminates normally with
-//! a *truncated* result and the error still recorded. The `try_*`
+//! (a page read whose retry budget is exhausted, a zero divisor in the
+//! data — see [`crate::error::ExecError`]) records the first error in
+//! the context and ends its stream — a failed expression yields a
+//! placeholder value, and every sequential scan stops once an error is
+//! recorded — so every driver below terminates normally with a
+//! *truncated* result and the error still recorded. The `try_*`
 //! drivers check the slot after the pipeline drains and surface it as
 //! an `Err`; callers of the infallible drivers can (and the server
 //! layer does) inspect [`ExecCtx::take_error`] themselves. Nothing on
-//! the execution path panics on a disk fault.
+//! the execution path panics on a disk fault or a zero divisor.
 
 use eco_simhw::trace::OpClass;
 use eco_storage::{tuple_width, Tuple};

@@ -17,6 +17,7 @@ use eco_storage::{
 
 use crate::chunk::Rows;
 use crate::context::ExecCtx;
+use crate::error::ExecError;
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,8 +76,27 @@ pub enum ArithOp {
     Sub,
     /// `*`
     Mul,
-    /// `/` (integer division; panics on zero divisor)
+    /// `/` (integer division; a zero divisor fails the query with
+    /// [`ExecError::DivisionByZero`])
     Div,
+}
+
+impl ArithOp {
+    /// `a op b`. A zero divisor records [`ExecError::DivisionByZero`] in
+    /// `ctx` (the statement fails) and yields a placeholder 0.
+    #[inline]
+    fn apply(self, a: i64, b: i64, ctx: &mut ExecCtx) -> i64 {
+        match self {
+            ArithOp::Add => a + b,
+            ArithOp::Sub => a - b,
+            ArithOp::Mul => a * b,
+            ArithOp::Div if b == 0 => {
+                ctx.fail(ExecError::DivisionByZero);
+                0
+            }
+            ArithOp::Div => a / b,
+        }
+    }
 }
 
 /// An expression tree.
@@ -225,12 +245,7 @@ impl Expr {
                 let lv = l.eval(tuple, ctx).as_int().expect("arith on Int");
                 let rv = r.eval(tuple, ctx).as_int().expect("arith on Int");
                 ctx.charge(OpClass::Arith, 1);
-                Value::Int(match op {
-                    ArithOp::Add => lv + rv,
-                    ArithOp::Sub => lv - rv,
-                    ArithOp::Mul => lv * rv,
-                    ArithOp::Div => lv / rv,
-                })
+                Value::Int(op.apply(lv, rv, ctx))
             }
         }
     }
@@ -508,16 +523,7 @@ impl Expr {
                 let n = rows.len();
                 ctx.charge(OpClass::Arith, n as u64);
                 let mut out = Vec::with_capacity(n);
-                rows.for_each(|k, i| {
-                    let a = lv.get(k, i);
-                    let b = rv.get(k, i);
-                    out.push(match op {
-                        ArithOp::Add => a + b,
-                        ArithOp::Sub => a - b,
-                        ArithOp::Mul => a * b,
-                        ArithOp::Div => a / b,
-                    });
-                });
+                rows.for_each(|k, i| out.push(op.apply(lv.get(k, i), rv.get(k, i), ctx)));
                 NumSrc::Own(out)
             }
             _ => panic!("arith on Int"),

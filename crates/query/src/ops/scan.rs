@@ -107,6 +107,21 @@ impl SeqScan {
         }
     }
 
+    /// Whether a recorded error has failed the query — a page read of
+    /// this scan's or any other's, a zero divisor downstream — so the
+    /// scan ends its stream (releasing its private pool stream).
+    fn stopped(&self, ctx: &ExecCtx) -> bool {
+        if ctx.error().is_none() {
+            return false;
+        }
+        if let (TableData::Disk(disk), ScanBounds::DiskPages { stream, .. }) =
+            (&self.table.data, self.bounds)
+        {
+            disk.end_stream(stream);
+        }
+        true
+    }
+
     /// First memory-row index of this scan's range.
     fn mem_start(&self) -> usize {
         match self.bounds {
@@ -224,6 +239,9 @@ impl Operator for SeqScan {
     }
 
     fn next(&mut self, ctx: &mut ExecCtx) -> Option<Tuple> {
+        if self.stopped(ctx) {
+            return None;
+        }
         match &self.table.data {
             TableData::Memory(heap) => {
                 if self.idx < self.mem_end(heap.len()) {
@@ -263,6 +281,9 @@ impl Operator for SeqScan {
     /// frames it leaves resident stay undecoded until a row reader
     /// needs them).
     fn next_chunk(&mut self, ctx: &mut ExecCtx) -> Option<Chunk> {
+        if self.stopped(ctx) {
+            return None;
+        }
         match &self.table.data {
             TableData::Memory(heap) => {
                 let cols = heap.columns();
@@ -428,6 +449,9 @@ impl SeqScan {
             }
         }
 
+        if self.stopped(ctx) {
+            return false;
+        }
         let want = ctx.batch_size.max(1);
         match &self.table.data {
             TableData::Memory(heap) => {

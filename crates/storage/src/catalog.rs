@@ -10,7 +10,7 @@ use crate::btree::{BTreeIndex, FIRST_INDEX_ID};
 use crate::bufferpool::BufferPool;
 use crate::disk_table::DiskTable;
 use crate::heap::HeapTable;
-use crate::page::tuple_fits_page;
+use crate::page::{tuple_fits_page, Page};
 use crate::value::{Schema, Tuple};
 use crate::wal::{WalError, WalRecord};
 
@@ -201,9 +201,16 @@ impl Catalog {
         I: IntoIterator,
         I::Item: std::borrow::Borrow<Tuple>,
     {
+        let pages = DiskTable::pack(&schema, tuples);
+        self.add_disk_pages(name, schema, pages);
+    }
+
+    /// Register a disk-engine table over already packed `pages`, under
+    /// the next table id.
+    pub(crate) fn add_disk_pages(&mut self, name: &str, schema: Schema, pages: Vec<Page>) {
         let id = self.next_table_id;
         self.next_table_id += 1;
-        let table = DiskTable::load(id, schema, tuples, Arc::clone(&self.pool));
+        let table = DiskTable::from_pages(id, schema, pages, Arc::clone(&self.pool));
         self.insert(name, TableData::Disk(table));
     }
 

@@ -103,6 +103,7 @@ impl ColumnData {
 
     /// Append one `Value`, taking it (a string moves in — no reference
     /// count is touched); panics on a type mismatch.
+    #[inline]
     pub fn push_value(&mut self, v: Value) {
         match (self, v) {
             (ColumnData::Int(c), Value::Int(x)) => c.push(x),
@@ -226,6 +227,17 @@ impl ColumnData {
                 v.column_type(),
                 o.column_type()
             ),
+        }
+    }
+
+    /// Make room for `n` more values.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        match self {
+            ColumnData::Int(v) => v.reserve(n),
+            ColumnData::Str(v) => v.reserve(n),
+            ColumnData::Date(v) => v.reserve(n),
+            ColumnData::Char(v) => v.reserve(n),
+            ColumnData::Bool(v) => v.reserve(n),
         }
     }
 

@@ -171,11 +171,12 @@ impl ColumnarExtents {
     }
 }
 
-/// Greedy left-to-right page packing — the one routine behind both the
-/// bulk load and the single-row repack, which is why the two cannot
-/// disagree on a page image.
+/// Greedy left-to-right page packing — the one routine behind the bulk
+/// loads (of tuples, and of the TPC-H loader's payloads) and the
+/// single-row repack, which is why they cannot disagree on a page
+/// image.
 #[derive(Default)]
-struct Packer {
+pub(crate) struct Packer {
     full: Vec<Page>,
     cur: Page,
 }
@@ -185,7 +186,7 @@ impl Packer {
     /// had to be closed first, i.e. `payload` opens a new page. Panics
     /// on a payload wider than an empty page (callers validate with
     /// [`crate::page::tuple_fits_page`] first).
-    fn push(&mut self, payload: &[u8]) -> bool {
+    pub(crate) fn push(&mut self, payload: &[u8]) -> bool {
         if self.cur.insert_raw(payload) {
             return false;
         }
@@ -201,7 +202,7 @@ impl Packer {
         true
     }
 
-    fn finish(mut self) -> Vec<Page> {
+    pub(crate) fn finish(mut self) -> Vec<Page> {
         if !self.cur.is_empty() {
             self.full.push(self.cur);
         }
@@ -244,9 +245,18 @@ impl DiskTable {
         I: IntoIterator,
         I::Item: Borrow<Tuple>,
     {
+        let pages = Self::pack(&schema, tuples);
+        Self::from_pages(table_id, schema, pages, pool)
+    }
+
+    /// The pages [`Self::load`] packs `tuples` into.
+    pub(crate) fn pack<I>(schema: &Schema, tuples: I) -> Vec<Page>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Tuple>,
+    {
         let mut packer = Packer::default();
         let mut payload = Vec::new();
-        let mut num_tuples = 0;
         for t in tuples {
             let t = t.borrow();
             assert!(
@@ -256,9 +266,19 @@ impl DiskTable {
             );
             serialize_tuple_into(t, &mut payload);
             packer.push(&payload);
-            num_tuples += 1;
         }
-        let pages = packer.finish();
+        packer.finish()
+    }
+
+    /// A table over `pages` (a [`Packer`]'s output) registered with the
+    /// pool, their checksums taken now.
+    pub(crate) fn from_pages(
+        table_id: u32,
+        schema: Schema,
+        pages: Vec<Page>,
+        pool: Arc<BufferPool>,
+    ) -> Self {
+        let num_tuples = pages.iter().map(Page::len).sum();
         let checksums = pages.iter().map(Page::checksum).collect();
         Self {
             table_id,

@@ -61,6 +61,17 @@ impl HeapTable {
         t
     }
 
+    /// A table whose rows are already decomposed into `columns`
+    /// (`schema`'s types), `bytes` their summed stored width.
+    pub(crate) fn from_columns(schema: Schema, columns: DataChunk, bytes: u64) -> Self {
+        Self {
+            schema,
+            columns: Arc::new(columns),
+            bytes,
+            encoded: OnceLock::new(),
+        }
+    }
+
     /// `tuple`'s stored width; panics if it does not match `schema`.
     fn checked_width(schema: &Schema, tuple: &Tuple) -> u64 {
         assert!(

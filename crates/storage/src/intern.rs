@@ -4,7 +4,7 @@
 //! Two of every three `lineitem` strings are one of 4 ship
 //! instructions or 7 ship modes; `orders`, `customer` and `part` have
 //! their own such columns. An [`Interner`] — one per column, alive for
-//! one build (a bulk load's row builder, one decode of a disk table's
+//! one build (a TPC-H load's column builder, one decode of a disk table's
 //! columnar mirror) — hands every repeat of a value the `Arc<str>` of
 //! its first occurrence, so the column costs one allocation per
 //! distinct value instead of one per row. A column that turns out not

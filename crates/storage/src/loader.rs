@@ -1,6 +1,7 @@
 //! Load a TPC-H database into a catalog, under either engine profile —
-//! from the in-memory generator ([`load_tpch`]) or from dbgen-style
-//! pipe-delimited `.tbl` text ([`parse_tbl`] / [`load_tbl`]).
+//! straight from the generator's stream ([`load_generated`]), from
+//! stored rows ([`load_tpch`]), or from dbgen-style pipe-delimited
+//! `.tbl` text ([`parse_tbl`] / [`load_tbl`]).
 //!
 //! Schemas follow TPC-H column naming; money is `Int` cents, dates are
 //! `Date` day offsets (see `eco-tpch::rows` for the conventions).
@@ -9,12 +10,41 @@
 //! record with the wrong field count, or an unparsable field comes
 //! back as a typed [`LoadError`] carrying the table name and 1-based
 //! line number, and the catalog is left without the broken table.
+//!
+//! # The TPC-H load path
+//!
+//! A load is one pass over a stream of source rows, each lent to the
+//! loader for one call ([`TpchSink`]): the generator's own scratch rows
+//! ([`TpchGenerator::stream`]), or a [`TpchDb`]'s stored ones
+//! ([`TpchDb::stream`]). Each table has a field listing that hands a
+//! row's fields, in schema order, to that table's builder — typed
+//! `int`/`str`/`date`/`char` writes, no row ever becomes a tuple or a
+//! `Vec<Value>`. There are two builders, one per profile:
+//!
+//! * the memory engine's pushes each value onto its typed column
+//!   (strings interned per column) and sums the stored width the
+//!   [`Value::width_bytes`] rule gives, producing the [`HeapTable`];
+//! * the disk engine's writes each row's payload in the page format's
+//!   exact bytes into one reused buffer and packs it as the row ends,
+//!   producing the [`DiskTable`]'s pages.
+//!
+//! Both sources reach the same builders, so [`load_generated`] and
+//! [`load_tpch`] of the generated rows land on identical catalogs
+//! (`tests/prop_invariants.rs` holds them to it).
+//!
+//! [`DiskTable`]: crate::disk_table::DiskTable
 
-use eco_tpch::TpchDb;
+use eco_tpch::{
+    Customer, Date, Lineitem, Nation, Order, Part, PartSupp, Region, Supplier, TpchDb,
+    TpchGenerator, TpchSink,
+};
 
 use crate::catalog::Catalog;
+use crate::column::{ColumnChunk, ColumnData, DataChunk};
+use crate::disk_table::Packer;
 use crate::heap::HeapTable;
 use crate::intern::Interner;
+use crate::page;
 use crate::value::{Column, ColumnType as T, Schema, Tuple, Value};
 
 /// Which storage profile to load into (the paper's two systems).
@@ -145,170 +175,310 @@ pub fn lineitem_schema() -> Schema {
     ])
 }
 
-// The row builders intern their string columns, numbered in schema
-// order: the repeats of `l_shipmode`, `o_clerk`, `p_type` and the like
-// share one `Arc<str>` per distinct value on either profile, and a
-// column that does not repeat stops being looked up after a few hundred
-// rows (see `crate::intern`).
+// --- the TPC-H load path ---------------------------------------------------
 
-fn region_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    let mut strs: [Interner; 2] = Default::default();
-    db.region.iter().map(move |r| {
-        vec![
-            Value::Int(r.r_regionkey),
-            Value::Str(strs[0].intern(&r.r_name)),
-            Value::Str(strs[1].intern(&r.r_comment)),
-        ]
-    })
+/// A table under construction: its field listing (one [`TpchSink`]
+/// method of [`Tables`]) writes each row's values in schema order, then
+/// ends the row; the finished table is registered in a catalog.
+trait FieldSink {
+    fn new(schema: Schema) -> Self;
+    /// Make room for about `rows` more rows, if there is room to make.
+    fn reserve(&mut self, _rows: usize) {}
+    fn int(&mut self, v: i64);
+    fn str(&mut self, v: &str);
+    fn date(&mut self, v: Date);
+    fn char(&mut self, v: char);
+    fn end_row(&mut self);
+    fn register(self, cat: &mut Catalog, name: &str);
 }
 
-fn nation_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    let mut strs: [Interner; 2] = Default::default();
-    db.nation.iter().map(move |n| {
-        vec![
-            Value::Int(n.n_nationkey),
-            Value::Str(strs[0].intern(&n.n_name)),
-            Value::Int(n.n_regionkey),
-            Value::Str(strs[1].intern(&n.n_comment)),
-        ]
-    })
-}
-
-fn supplier_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    let mut strs: [Interner; 4] = Default::default();
-    db.supplier.iter().map(move |s| {
-        vec![
-            Value::Int(s.s_suppkey),
-            Value::Str(strs[0].intern(&s.s_name)),
-            Value::Str(strs[1].intern(&s.s_address)),
-            Value::Int(s.s_nationkey),
-            Value::Str(strs[2].intern(&s.s_phone)),
-            Value::Int(s.s_acctbal),
-            Value::Str(strs[3].intern(&s.s_comment)),
-        ]
-    })
-}
-
-fn customer_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    let mut strs: [Interner; 5] = Default::default();
-    db.customer.iter().map(move |c| {
-        vec![
-            Value::Int(c.c_custkey),
-            Value::Str(strs[0].intern(&c.c_name)),
-            Value::Str(strs[1].intern(&c.c_address)),
-            Value::Int(c.c_nationkey),
-            Value::Str(strs[2].intern(&c.c_phone)),
-            Value::Int(c.c_acctbal),
-            Value::Str(strs[3].intern(&c.c_mktsegment)),
-            Value::Str(strs[4].intern(&c.c_comment)),
-        ]
-    })
-}
-
-fn part_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    let mut strs: [Interner; 6] = Default::default();
-    db.part.iter().map(move |p| {
-        vec![
-            Value::Int(p.p_partkey),
-            Value::Str(strs[0].intern(&p.p_name)),
-            Value::Str(strs[1].intern(&p.p_mfgr)),
-            Value::Str(strs[2].intern(&p.p_brand)),
-            Value::Str(strs[3].intern(&p.p_type)),
-            Value::Int(p.p_size),
-            Value::Str(strs[4].intern(&p.p_container)),
-            Value::Int(p.p_retailprice),
-            Value::Str(strs[5].intern(&p.p_comment)),
-        ]
-    })
-}
-
-fn partsupp_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    let mut strs: [Interner; 1] = Default::default();
-    db.partsupp.iter().map(move |ps| {
-        vec![
-            Value::Int(ps.ps_partkey),
-            Value::Int(ps.ps_suppkey),
-            Value::Int(ps.ps_availqty),
-            Value::Int(ps.ps_supplycost),
-            Value::Str(strs[0].intern(&ps.ps_comment)),
-        ]
-    })
-}
-
-fn orders_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    let mut strs: [Interner; 3] = Default::default();
-    db.orders.iter().map(move |o| {
-        vec![
-            Value::Int(o.o_orderkey),
-            Value::Int(o.o_custkey),
-            Value::Char(o.o_orderstatus),
-            Value::Int(o.o_totalprice),
-            Value::Date(o.o_orderdate.0),
-            Value::Str(strs[0].intern(&o.o_orderpriority)),
-            Value::Str(strs[1].intern(&o.o_clerk)),
-            Value::Int(o.o_shippriority),
-            Value::Str(strs[2].intern(&o.o_comment)),
-        ]
-    })
-}
-
-fn lineitem_rows(db: &TpchDb) -> impl Iterator<Item = Tuple> + '_ {
-    let mut strs: [Interner; 3] = Default::default();
-    db.lineitem.iter().map(move |l| {
-        vec![
-            Value::Int(l.l_orderkey),
-            Value::Int(l.l_partkey),
-            Value::Int(l.l_suppkey),
-            Value::Int(l.l_linenumber),
-            Value::Int(l.l_quantity),
-            Value::Int(l.l_extendedprice),
-            Value::Int(l.l_discount),
-            Value::Int(l.l_tax),
-            Value::Char(l.l_returnflag),
-            Value::Char(l.l_linestatus),
-            Value::Date(l.l_shipdate.0),
-            Value::Date(l.l_commitdate.0),
-            Value::Date(l.l_receiptdate.0),
-            Value::Str(strs[0].intern(&l.l_shipinstruct)),
-            Value::Str(strs[1].intern(&l.l_shipmode)),
-            Value::Str(strs[2].intern(&l.l_comment)),
-        ]
-    })
-}
-
-/// Register `rows` as table `name` under the given engine profile,
-/// consuming them one at a time: heap tables push straight into their
-/// columns, paged tables pack pages as the rows arrive.
-fn add_table(
-    cat: &mut Catalog,
-    kind: EngineKind,
-    name: &str,
+/// The memory profile's table builder: one typed column per schema
+/// column, string columns interned (repeats of `l_shipmode`, `o_clerk`,
+/// `p_type` and the like share one `Arc<str>` per distinct value; a
+/// column that does not repeat stops being looked up after a few
+/// hundred rows — see `crate::intern`), and the table's stored bytes
+/// summed as the values arrive, by [`Value::width_bytes`] — what
+/// [`crate::value::tuple_width`] adds up for the row the columns hold.
+struct ColumnSink {
     schema: Schema,
-    rows: impl Iterator<Item = Tuple>,
-) {
-    match kind {
-        EngineKind::Memory => cat.add_memory_table(name, HeapTable::from_tuples(schema, rows)),
-        EngineKind::Disk => cat.add_disk_table(name, schema, rows),
+    columns: Vec<ColumnData>,
+    strs: Vec<Interner>,
+    /// Column the next value goes to.
+    at: usize,
+    bytes: u64,
+}
+
+impl ColumnSink {
+    fn push(&mut self, v: Value) {
+        self.bytes += v.width_bytes();
+        self.columns[self.at].push_value(v);
+        self.at += 1;
     }
 }
 
-/// Load a TPC-H database into a fresh catalog under the given engine
-/// profile. `pool_pages` sizes the buffer pool (ignored by the memory
-/// engine, which never touches it). Tables load one after the other,
-/// each streamed from the source rows, so no table ever exists as a
-/// vector of tuples on the way in.
-pub fn load_tpch(db: &TpchDb, kind: EngineKind, pool_pages: usize) -> Catalog {
+impl FieldSink for ColumnSink {
+    fn new(schema: Schema) -> Self {
+        Self {
+            columns: schema
+                .columns()
+                .iter()
+                .map(|c| ColumnData::empty(c.ty))
+                .collect(),
+            strs: vec![Interner::default(); schema.arity()],
+            schema,
+            at: 0,
+            bytes: 0,
+        }
+    }
+    fn reserve(&mut self, rows: usize) {
+        self.columns.iter_mut().for_each(|c| c.reserve(rows));
+    }
+    fn int(&mut self, v: i64) {
+        self.push(Value::Int(v));
+    }
+    fn str(&mut self, v: &str) {
+        let s = self.strs[self.at].intern(v);
+        self.push(Value::Str(s));
+    }
+    fn date(&mut self, v: Date) {
+        self.push(Value::Date(v.0));
+    }
+    fn char(&mut self, v: char) {
+        self.push(Value::Char(v));
+    }
+    fn end_row(&mut self) {
+        debug_assert_eq!(self.at, self.columns.len(), "short row");
+        self.at = 0;
+        // The row header `tuple_width` counts on top of the values.
+        self.bytes += 2;
+    }
+    fn register(self, cat: &mut Catalog, name: &str) {
+        let columns = DataChunk::new(self.columns.into_iter().map(ColumnChunk::new).collect());
+        cat.add_memory_table(
+            name,
+            HeapTable::from_columns(self.schema, columns, self.bytes),
+        );
+    }
+}
+
+/// The disk profile's table builder: each row serialized into one
+/// reused payload buffer, byte for byte what
+/// [`crate::page::serialize_tuple`] writes for the row, and packed into
+/// pages as it ends — the pages [`DiskTable::load`] would pack.
+///
+/// [`DiskTable::load`]: crate::disk_table::DiskTable::load
+struct PageSink {
+    schema: Schema,
+    packer: Packer,
+    /// The arity header, then the current row's values.
+    payload: Vec<u8>,
+}
+
+impl FieldSink for PageSink {
+    fn new(schema: Schema) -> Self {
+        Self {
+            payload: (schema.arity() as u16).to_le_bytes().to_vec(),
+            schema,
+            packer: Packer::default(),
+        }
+    }
+    fn int(&mut self, v: i64) {
+        page::put_int(&mut self.payload, v);
+    }
+    fn str(&mut self, v: &str) {
+        page::put_str(&mut self.payload, v);
+    }
+    fn date(&mut self, v: Date) {
+        page::put_date(&mut self.payload, v.0);
+    }
+    fn char(&mut self, v: char) {
+        page::put_char(&mut self.payload, v);
+    }
+    fn end_row(&mut self) {
+        self.packer.push(&self.payload);
+        self.payload.truncate(2);
+    }
+    fn register(self, cat: &mut Catalog, name: &str) {
+        cat.add_disk_pages(name, self.schema, self.packer.finish());
+    }
+}
+
+type SchemaFn = fn() -> Schema;
+
+/// The TPC-H tables with their schemas, in the order they are
+/// registered (which numbers the disk profile's table ids).
+const TABLES: [(&str, SchemaFn); 8] = [
+    ("region", region_schema),
+    ("nation", nation_schema),
+    ("supplier", supplier_schema),
+    ("customer", customer_schema),
+    ("part", part_schema),
+    ("partsupp", partsupp_schema),
+    ("orders", orders_schema),
+    ("lineitem", lineitem_schema),
+];
+
+/// The eight TPC-H tables under construction, in [`TABLES`] order. As
+/// a [`TpchSink`] its row methods are the tables' field listings: each
+/// hands a lent source row's fields, in schema order, to that table's
+/// builder — no row becomes a tuple.
+struct Tables<B>([B; 8]);
+
+impl<B: FieldSink> Tables<B> {
+    fn new() -> Self {
+        Self(TABLES.map(|(_, schema)| B::new(schema())))
+    }
+
+    fn register(self, cat: &mut Catalog) {
+        for ((name, _), table) in TABLES.into_iter().zip(self.0) {
+            table.register(cat, name);
+        }
+    }
+}
+
+impl<B: FieldSink> TpchSink for Tables<B> {
+    fn reserve(&mut self, table: &str, rows: usize) {
+        if let Some(i) = TABLES.iter().position(|(name, _)| *name == table) {
+            self.0[i].reserve(rows);
+        }
+    }
+
+    fn region(&mut self, r: &Region) {
+        let f = &mut self.0[0];
+        f.int(r.r_regionkey);
+        f.str(&r.r_name);
+        f.str(&r.r_comment);
+        f.end_row();
+    }
+
+    fn nation(&mut self, n: &Nation) {
+        let f = &mut self.0[1];
+        f.int(n.n_nationkey);
+        f.str(&n.n_name);
+        f.int(n.n_regionkey);
+        f.str(&n.n_comment);
+        f.end_row();
+    }
+
+    fn supplier(&mut self, s: &Supplier) {
+        let f = &mut self.0[2];
+        f.int(s.s_suppkey);
+        f.str(&s.s_name);
+        f.str(&s.s_address);
+        f.int(s.s_nationkey);
+        f.str(&s.s_phone);
+        f.int(s.s_acctbal);
+        f.str(&s.s_comment);
+        f.end_row();
+    }
+
+    fn customer(&mut self, c: &Customer) {
+        let f = &mut self.0[3];
+        f.int(c.c_custkey);
+        f.str(&c.c_name);
+        f.str(&c.c_address);
+        f.int(c.c_nationkey);
+        f.str(&c.c_phone);
+        f.int(c.c_acctbal);
+        f.str(&c.c_mktsegment);
+        f.str(&c.c_comment);
+        f.end_row();
+    }
+
+    fn part(&mut self, p: &Part) {
+        let f = &mut self.0[4];
+        f.int(p.p_partkey);
+        f.str(&p.p_name);
+        f.str(&p.p_mfgr);
+        f.str(&p.p_brand);
+        f.str(&p.p_type);
+        f.int(p.p_size);
+        f.str(&p.p_container);
+        f.int(p.p_retailprice);
+        f.str(&p.p_comment);
+        f.end_row();
+    }
+
+    fn partsupp(&mut self, ps: &PartSupp) {
+        let f = &mut self.0[5];
+        f.int(ps.ps_partkey);
+        f.int(ps.ps_suppkey);
+        f.int(ps.ps_availqty);
+        f.int(ps.ps_supplycost);
+        f.str(&ps.ps_comment);
+        f.end_row();
+    }
+
+    fn order(&mut self, o: &Order) {
+        let f = &mut self.0[6];
+        f.int(o.o_orderkey);
+        f.int(o.o_custkey);
+        f.char(o.o_orderstatus);
+        f.int(o.o_totalprice);
+        f.date(o.o_orderdate);
+        f.str(&o.o_orderpriority);
+        f.str(&o.o_clerk);
+        f.int(o.o_shippriority);
+        f.str(&o.o_comment);
+        f.end_row();
+    }
+
+    fn lineitem(&mut self, l: &Lineitem) {
+        let f = &mut self.0[7];
+        f.int(l.l_orderkey);
+        f.int(l.l_partkey);
+        f.int(l.l_suppkey);
+        f.int(l.l_linenumber);
+        f.int(l.l_quantity);
+        f.int(l.l_extendedprice);
+        f.int(l.l_discount);
+        f.int(l.l_tax);
+        f.char(l.l_returnflag);
+        f.char(l.l_linestatus);
+        f.date(l.l_shipdate);
+        f.date(l.l_commitdate);
+        f.date(l.l_receiptdate);
+        f.str(&l.l_shipinstruct);
+        f.str(&l.l_shipmode);
+        f.str(&l.l_comment);
+        f.end_row();
+    }
+}
+
+/// A fresh catalog (a pool of `pool_pages` pages, which the memory
+/// engine never touches) holding the eight tables `feed` streams in,
+/// built under `kind`'s profile.
+fn load(kind: EngineKind, pool_pages: usize, feed: impl FnOnce(&mut dyn TpchSink)) -> Catalog {
+    fn build<B: FieldSink>(cat: &mut Catalog, feed: impl FnOnce(&mut dyn TpchSink)) {
+        let mut tables = Tables::<B>::new();
+        feed(&mut tables);
+        tables.register(cat);
+    }
     let mut cat = Catalog::new(pool_pages);
-    let c = &mut cat;
-    add_table(c, kind, "region", region_schema(), region_rows(db));
-    add_table(c, kind, "nation", nation_schema(), nation_rows(db));
-    add_table(c, kind, "supplier", supplier_schema(), supplier_rows(db));
-    add_table(c, kind, "customer", customer_schema(), customer_rows(db));
-    add_table(c, kind, "part", part_schema(), part_rows(db));
-    add_table(c, kind, "partsupp", partsupp_schema(), partsupp_rows(db));
-    add_table(c, kind, "orders", orders_schema(), orders_rows(db));
-    add_table(c, kind, "lineitem", lineitem_schema(), lineitem_rows(db));
+    match kind {
+        EngineKind::Memory => build::<ColumnSink>(&mut cat, feed),
+        EngineKind::Disk => build::<PageSink>(&mut cat, feed),
+    }
     cat
+}
+
+/// Load a generated TPC-H database into a fresh catalog under the given
+/// engine profile: one pass of `generator`'s stream
+/// ([`TpchGenerator::stream`]) straight into typed columns or packed
+/// pages. No source row outlives its own field listing, and no
+/// [`TpchDb`] is built. The catalog is [`load_tpch`]'s of
+/// `generator.generate()`, value for value and page for page.
+pub fn load_generated(generator: &TpchGenerator, kind: EngineKind, pool_pages: usize) -> Catalog {
+    load(kind, pool_pages, |sink| generator.stream(sink))
+}
+
+/// Load stored TPC-H rows into a fresh catalog under the given engine
+/// profile. `pool_pages` sizes the buffer pool (ignored by the memory
+/// engine, which never touches it). The rows take the same path as
+/// [`load_generated`]'s stream, so no table ever exists as a vector of
+/// tuples on the way in.
+pub fn load_tpch(db: &TpchDb, kind: EngineKind, pool_pages: usize) -> Catalog {
+    load(kind, pool_pages, |sink| db.stream(sink))
 }
 
 /// Why loading a pipe-delimited `.tbl` text table failed. Every
@@ -466,7 +636,10 @@ pub fn load_tbl(
     kind: EngineKind,
 ) -> Result<(), LoadError> {
     let tuples = parse_tbl(name, &schema, text)?;
-    add_table(cat, kind, name, schema, tuples.into_iter());
+    match kind {
+        EngineKind::Memory => cat.add_memory_table(name, HeapTable::from_tuples(schema, tuples)),
+        EngineKind::Disk => cat.add_disk_table(name, schema, tuples),
+    }
     Ok(())
 }
 

@@ -192,33 +192,45 @@ const TAG_BOOL: u8 = 5;
 
 fn serialize_value(v: &Value, out: &mut Vec<u8>) {
     match v {
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            let b = s.as_bytes();
-            assert!(b.len() <= u16::MAX as usize, "string too long for page");
-            out.extend_from_slice(&(b.len() as u16).to_le_bytes());
-            out.extend_from_slice(b);
-        }
-        Value::Date(d) => {
-            out.push(TAG_DATE);
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        Value::Char(c) => {
-            out.push(TAG_CHAR);
-            let mut b = [0u8; 4];
-            let s = c.encode_utf8(&mut b);
-            out.push(s.len() as u8);
-            out.extend_from_slice(s.as_bytes());
-        }
+        Value::Int(i) => put_int(out, *i),
+        Value::Str(s) => put_str(out, s),
+        Value::Date(d) => put_date(out, *d),
+        Value::Char(c) => put_char(out, *c),
         Value::Bool(b) => {
             out.push(TAG_BOOL);
             out.push(*b as u8);
         }
     }
+}
+
+// The serialized form of one value of each type, appended to `out` —
+// what `serialize_value` writes, and all a loader that has no `Value`
+// needs to write the same bytes.
+
+pub(crate) fn put_int(out: &mut Vec<u8>, i: i64) {
+    out.push(TAG_INT);
+    out.extend_from_slice(&i.to_le_bytes());
+}
+
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
+    out.push(TAG_STR);
+    let b = s.as_bytes();
+    assert!(b.len() <= u16::MAX as usize, "string too long for page");
+    out.extend_from_slice(&(b.len() as u16).to_le_bytes());
+    out.extend_from_slice(b);
+}
+
+pub(crate) fn put_date(out: &mut Vec<u8>, d: i32) {
+    out.push(TAG_DATE);
+    out.extend_from_slice(&d.to_le_bytes());
+}
+
+pub(crate) fn put_char(out: &mut Vec<u8>, c: char) {
+    out.push(TAG_CHAR);
+    let mut b = [0u8; 4];
+    let s = c.encode_utf8(&mut b);
+    out.push(s.len() as u8);
+    out.extend_from_slice(s.as_bytes());
 }
 
 /// Serialize a tuple to bytes (u16 arity + tagged values).

@@ -19,6 +19,6 @@ pub mod text;
 pub mod workload;
 
 pub use dates::Date;
-pub use gen::{TpchDb, TpchGenerator};
+pub use gen::{TpchDb, TpchGenerator, TpchSink};
 pub use rows::*;
 pub use workload::{q5_workload, qed_workload, Q5Params, QedQuery};

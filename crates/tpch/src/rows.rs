@@ -8,7 +8,7 @@
 use crate::dates::Date;
 
 /// `REGION` — 5 rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Region {
     /// Primary key, 0..5.
     pub r_regionkey: i64,
@@ -19,7 +19,7 @@ pub struct Region {
 }
 
 /// `NATION` — 25 rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Nation {
     /// Primary key, 0..25.
     pub n_nationkey: i64,
@@ -32,7 +32,7 @@ pub struct Nation {
 }
 
 /// `SUPPLIER` — SF × 10 000 rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Supplier {
     /// Primary key, 1-based.
     pub s_suppkey: i64,
@@ -51,7 +51,7 @@ pub struct Supplier {
 }
 
 /// `CUSTOMER` — SF × 150 000 rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Customer {
     /// Primary key, 1-based.
     pub c_custkey: i64,
@@ -72,7 +72,7 @@ pub struct Customer {
 }
 
 /// `PART` — SF × 200 000 rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Part {
     /// Primary key, 1-based.
     pub p_partkey: i64,
@@ -95,7 +95,7 @@ pub struct Part {
 }
 
 /// `PARTSUPP` — 4 rows per part.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartSupp {
     /// FK → part.
     pub ps_partkey: i64,
@@ -110,7 +110,7 @@ pub struct PartSupp {
 }
 
 /// `ORDERS` — SF × 1 500 000 rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Order {
     /// Primary key (sparse in spec; dense here — no experiment reads key gaps).
     pub o_orderkey: i64,
@@ -133,7 +133,7 @@ pub struct Order {
 }
 
 /// `LINEITEM` — 1..=7 rows per order (≈ SF × 6 000 000 rows).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Lineitem {
     /// FK → orders.
     pub l_orderkey: i64,

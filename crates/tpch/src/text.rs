@@ -4,6 +4,8 @@
 //! short word-pool phrases — the paper's experiments never read comment
 //! contents, only their width matters for scan volume).
 
+use std::fmt::Write;
+
 use rand::Rng;
 
 /// The five TPC-H regions, in key order.
@@ -128,38 +130,46 @@ pub const COMMENT_WORDS: [&str; 24] = [
     "platelets",
 ];
 
-/// A short synthetic comment of `words` words.
-pub fn comment<R: Rng>(rng: &mut R, words: usize) -> String {
-    let mut s = String::with_capacity(words * 8);
+// The synthetic fields are written into a caller's buffer, replacing
+// what it held: the generator refills one buffer per column instead of
+// allocating per row.
+
+/// A short synthetic comment of `words` words, into `out`.
+pub fn comment_into<R: Rng>(rng: &mut R, words: usize, out: &mut String) {
+    out.clear();
     for i in 0..words {
         if i > 0 {
-            s.push(' ');
+            out.push(' ');
         }
-        s.push_str(COMMENT_WORDS[rng.gen_range(0..COMMENT_WORDS.len())]);
+        out.push_str(COMMENT_WORDS[rng.gen_range(0..COMMENT_WORDS.len())]);
     }
-    s
 }
 
-/// A spec-style phone number for a nation key: `CC-DDD-DDD-DDDD` where
-/// the country code is `10 + nation_key`.
-pub fn phone<R: Rng>(rng: &mut R, nation_key: i64) -> String {
-    format!(
+/// A spec-style phone number for a nation key, into `out`:
+/// `CC-DDD-DDD-DDDD` where the country code is `10 + nation_key`.
+pub fn phone_into<R: Rng>(rng: &mut R, nation_key: i64, out: &mut String) {
+    out.clear();
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
         "{}-{}-{}-{}",
         10 + nation_key,
         rng.gen_range(100..1000),
         rng.gen_range(100..1000),
         rng.gen_range(1000..10000)
-    )
+    );
 }
 
-/// A synthetic street address.
-pub fn address<R: Rng>(rng: &mut R) -> String {
-    format!(
+/// A synthetic street address, into `out`.
+pub fn address_into<R: Rng>(rng: &mut R, out: &mut String) {
+    out.clear();
+    let _ = write!(
+        out,
         "{} {} {}",
         rng.gen_range(1..9999),
         COMMENT_WORDS[rng.gen_range(0..COMMENT_WORDS.len())],
         if rng.gen_bool(0.5) { "St" } else { "Ave" }
-    )
+    );
 }
 
 /// Lookup a region key by name (case-sensitive, spec spelling).
@@ -202,7 +212,8 @@ mod tests {
     #[test]
     fn phone_embeds_country_code() {
         let mut rng = StdRng::seed_from_u64(7);
-        let p = phone(&mut rng, 12);
+        let mut p = "stale".to_string();
+        phone_into(&mut rng, 12, &mut p);
         assert!(p.starts_with("22-"), "{p}");
         assert_eq!(p.split('-').count(), 4);
     }
@@ -210,7 +221,8 @@ mod tests {
     #[test]
     fn comment_word_count() {
         let mut rng = StdRng::seed_from_u64(7);
-        let c = comment(&mut rng, 5);
+        let mut c = "stale".to_string();
+        comment_into(&mut rng, 5, &mut c);
         assert_eq!(c.split(' ').count(), 5);
     }
 }

@@ -8,9 +8,14 @@
 //! to a server, idle servers may be put to sleep and woken on demand
 //! (paying a wake latency). Energy integrates per-server busy/idle/
 //! sleep residencies using power levels taken from the machine model.
+//!
+//! It touches no engine, ledger or reproduced figure: it lives with
+//! this example, and `tests/integration_extensions.rs` includes the
+//! same file to run its tests. Each of the two reads part of it.
+#![allow(dead_code)]
 
-use eco_simhw::machine::{Machine, MachineConfig};
-use eco_simhw::power::CpuPowerModel;
+use ecodb::simhw::machine::{Machine, MachineConfig};
+use ecodb::simhw::power::CpuPowerModel;
 
 /// Per-server power levels, watts (derived from the machine model via
 /// [`ServerPower::from_machine`]).
@@ -35,8 +40,8 @@ impl ServerPower {
         let idle_cpu = cpu.package_halt_w(&config.cpu, bottom, 0.0);
         let fixed = machine.mem.idle_power_w()
             + machine.disk.idle_power_w()
-            + eco_simhw::calib::MOBO_DC_W
-            + eco_simhw::calib::GPU_DC_W;
+            + ecodb::simhw::calib::MOBO_DC_W
+            + ecodb::simhw::calib::GPU_DC_W;
         Self {
             busy_w: machine.psu.wall_power_w(busy_cpu + fixed + 3.0),
             idle_w: machine.psu.wall_power_w(idle_cpu + fixed),

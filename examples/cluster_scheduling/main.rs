@@ -6,7 +6,9 @@
 //! cargo run --example cluster_scheduling --release
 //! ```
 
-use ecodb::core::cluster::{simulate, uniform_stream, Policy, ServerPower};
+mod cluster;
+
+use cluster::{simulate, uniform_stream, Policy, ServerPower};
 use ecodb::simhw::machine::{Machine, MachineConfig};
 
 fn main() {

@@ -2,14 +2,19 @@
 //! the analytical QED/SLA model, energy-aware plan choice, and the
 //! cluster-level scheduling simulation.
 
+#[path = "../examples/cluster_scheduling/cluster.rs"]
+mod cluster;
+#[path = "integration_extensions/qed_model.rs"]
+mod qed_model;
+
+use cluster::{simulate, uniform_stream, Policy, ServerPower};
 use ecodb::core::advisor::rank_plans_by_energy;
-use ecodb::core::cluster::{simulate, uniform_stream, Policy, ServerPower};
-use ecodb::core::qed_model::QedModel;
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::plans;
 use ecodb::simhw::machine::{Machine, MachineConfig};
 use ecodb::simhw::{CpuConfig, VoltageSetting};
 use ecodb::tpch::{q5_workload, Q5Params};
+use qed_model::QedModel;
 
 const SCALE: f64 = 0.004;
 

@@ -12,11 +12,13 @@
 //!   `g + t_merged(k) ≈ g + a + b·k`, after which the splitter returns
 //!   result sets in order, `s·k` total: query `i` responds at
 //!   `g + a + b·k + (i/k)·s·k`.
+//!
+//! Nothing in the engine or the reproduced figures reads it: it lives
+//! with its one caller, `tests/integration_extensions.rs`.
 
-use eco_simhw::machine::MachineConfig;
-use eco_tpch::qed_workload;
-
-use crate::server::EcoDb;
+use ecodb::core::server::EcoDb;
+use ecodb::simhw::machine::MachineConfig;
+use ecodb::tpch::qed_workload;
 
 /// Fitted QED timing model (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,8 +132,8 @@ impl QedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qed::run_qed;
-    use crate::server::EngineProfile;
+    use ecodb::core::qed::run_qed;
+    use ecodb::core::server::EngineProfile;
 
     fn model() -> (EcoDb, QedModel) {
         let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.004);

@@ -1,6 +1,6 @@
 //! Property-based tests over core invariants, spanning crates.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
@@ -13,9 +13,13 @@ use ecodb::query::plans::{self, selection_plan};
 use ecodb::simhw::machine::{Machine, MachineConfig};
 use ecodb::simhw::trace::{OpClass, Phase, WorkTrace};
 use ecodb::simhw::{CpuConfig, VoltageSetting};
+use ecodb::storage::disk_table::DiskTable;
 use ecodb::storage::page::{deserialize_tuple, serialize_tuple, Page};
-use ecodb::storage::{PageFrame, Value};
-use ecodb::tpch::{Date, QedQuery};
+use ecodb::storage::{
+    load_generated, load_tpch, tuple_width, BufferPool, Catalog, EngineKind, PageFrame, TableData,
+    Value,
+};
+use ecodb::tpch::{Date, QedQuery, TpchGenerator};
 
 fn shared_db() -> &'static EcoDb {
     static DB: OnceLock<EcoDb> = OnceLock::new();
@@ -277,5 +281,99 @@ proptest! {
         let t = b.elapsed_s / a.elapsed_s;
         let edp = b.edp() / a.edp();
         prop_assert!((edp - e * t).abs() < 1e-9);
+    }
+}
+
+/// Check `streamed` (one pass of the generator's stream) against
+/// `oracle` (the same rows generated, stored, then loaded) table by
+/// table — and both against the row-at-a-time constructions that share
+/// no code with the streamed builders: a heap table's stored bytes are
+/// the summed `tuple_width` of its rows, a paged table's pages are what
+/// `DiskTable::load` packs those rows into, and its lazily decoded
+/// columnar mirror holds them.
+fn assert_same_catalog(streamed: &Catalog, oracle: &Catalog, memory: &Catalog, what: &str) {
+    assert_eq!(streamed.names(), oracle.names(), "{what}");
+    for name in streamed.names() {
+        let what = format!("{what} {name}");
+        let (s, o) = (streamed.expect(&name), oracle.expect(&name));
+        assert_eq!(s.schema(), o.schema(), "{what}");
+        assert_eq!(s.len(), o.len(), "{what}");
+        let TableData::Memory(rows) = &memory.expect(&name).data else {
+            panic!("{what}: the memory profile holds heap tables")
+        };
+        match (&s.data, &o.data) {
+            (TableData::Memory(s), TableData::Memory(o)) => {
+                assert!(s.columns() == o.columns(), "{what}: column values");
+                assert_eq!(s.bytes(), o.bytes(), "{what}: stored bytes");
+                let widths: u64 = s.rows().map(|t| tuple_width(&t)).sum();
+                assert_eq!(s.bytes(), widths, "{what}: bytes are the rows' widths");
+            }
+            (TableData::Disk(s), TableData::Disk(o)) => {
+                assert_eq!(s.table_id(), o.table_id(), "{what}");
+                let packed = DiskTable::load(
+                    s.table_id(),
+                    s.schema().clone(),
+                    rows.rows(),
+                    Arc::new(BufferPool::new(4)),
+                );
+                assert_eq!(s.num_pages(), o.num_pages(), "{what}: pages");
+                assert_eq!(
+                    s.num_pages(),
+                    packed.num_pages(),
+                    "{what}: pages of the rows"
+                );
+                for p in 0..s.num_pages() {
+                    assert!(s.page_image(p) == o.page_image(p), "{what}: page {p}");
+                    assert!(
+                        s.page_image(p) == packed.page_image(p),
+                        "{what}: row page {p}"
+                    );
+                    assert_eq!(
+                        s.stored_checksum(p),
+                        o.stored_checksum(p),
+                        "{what}: page {p}"
+                    );
+                    assert_eq!(s.stored_checksum(p), packed.stored_checksum(p), "{what}");
+                }
+                let (sm, om) = (s.columnar(), o.columnar());
+                assert_eq!(sm.num_extents(), om.num_extents(), "{what}: extents");
+                for e in 0..sm.num_extents() {
+                    let chunk = sm.extent_chunk(e);
+                    assert!(chunk == om.extent_chunk(e), "{what}: mirror extent {e}");
+                    let start = sm.extent_row_start(e);
+                    for i in 0..chunk.len() {
+                        let row = chunk.row(i);
+                        assert!(rows.columns().row_eq(start + i, &row), "{what}: row {i}");
+                    }
+                }
+            }
+            _ => panic!("{what}: profiles differ"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Loading straight from the generator's stream builds the catalog
+    /// that loading the generated, stored rows builds — every column
+    /// value, heap byte count, page image, checksum and mirror — on
+    /// both profiles, at any scale and for any seed.
+    #[test]
+    fn streamed_load_equals_the_load_of_the_generated_rows(
+        scale in 0.001f64..0.004,
+        seed in any::<u64>(),
+    ) {
+        for seed in [TpchGenerator::default().seed, seed] {
+            let generator = TpchGenerator::with_seed(scale, seed);
+            let rows = generator.generate();
+            let memory = load_tpch(&rows, EngineKind::Memory, 0);
+            for kind in [EngineKind::Memory, EngineKind::Disk] {
+                let streamed = load_generated(&generator, kind, 64);
+                let oracle = load_tpch(&rows, kind, 64);
+                let what = format!("scale {scale} seed {seed} {kind:?}");
+                assert_same_catalog(&streamed, &oracle, &memory, &what);
+            }
+        }
     }
 }
