@@ -68,6 +68,12 @@ impl CmpOp {
 }
 
 /// Integer arithmetic operators.
+///
+/// Arithmetic is two's-complement wrapping in every build, on the row
+/// evaluator and the columnar kernels alike: an overflowing `+`, `-` or
+/// `*` wraps (`i64::wrapping_*`), and `i64::MIN / -1` is `i64::MIN`. A
+/// debug build therefore never panics where a release build would wrap,
+/// and both return the same rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
     /// `+`
@@ -76,26 +82,33 @@ pub enum ArithOp {
     Sub,
     /// `*`
     Mul,
-    /// `/` (integer division; a zero divisor fails the query with
-    /// [`ExecError::DivisionByZero`])
+    /// `/` (integer division, truncating; a zero divisor fails the
+    /// query with [`ExecError::DivisionByZero`])
     Div,
 }
 
 impl ArithOp {
-    /// `a op b`. A zero divisor records [`ExecError::DivisionByZero`] in
-    /// `ctx` (the statement fails) and yields a placeholder 0.
-    #[inline]
-    fn apply(self, a: i64, b: i64, ctx: &mut ExecCtx) -> i64 {
+    /// `a op b`, wrapping; a zero divisor yields the placeholder 0 (the
+    /// caller records the error).
+    #[inline(always)]
+    fn of(self, a: i64, b: i64) -> i64 {
         match self {
-            ArithOp::Add => a + b,
-            ArithOp::Sub => a - b,
-            ArithOp::Mul => a * b,
-            ArithOp::Div if b == 0 => {
-                ctx.fail(ExecError::DivisionByZero);
-                0
-            }
-            ArithOp::Div => a / b,
+            ArithOp::Add => a.wrapping_add(b),
+            ArithOp::Sub => a.wrapping_sub(b),
+            ArithOp::Mul => a.wrapping_mul(b),
+            ArithOp::Div if b == 0 => 0,
+            ArithOp::Div => a.wrapping_div(b),
         }
+    }
+
+    /// `a op b` for one row. A zero divisor records
+    /// [`ExecError::DivisionByZero`] in `ctx` (the statement fails) and
+    /// yields a placeholder 0.
+    fn apply(self, a: i64, b: i64, ctx: &mut ExecCtx) -> i64 {
+        if self == ArithOp::Div && b == 0 {
+            ctx.fail(ExecError::DivisionByZero);
+        }
+        self.of(a, b)
     }
 }
 
@@ -274,6 +287,18 @@ impl Expr {
 // Validity masks (NULLs) never occur in row execution, so they carry no
 // identity obligation; a comparison involving an invalid value charges
 // its `PredEval` and yields `false`, like SQL `NULL`.
+//
+// Kernels dispatch per chunk, never per row. An `Int` operand is settled
+// into a [`Lane`] once — dense by live-row ordinal (a computed vector, or
+// a column under a dense window), gathered through the selection vector,
+// or a constant — and the operator is matched once, so each arithmetic
+// node and each `Int` comparison is one monomorphised loop over slices
+// with no `ExecCtx`, no enum match and no charge inside it (charges are
+// counts, made before the loop). A zero divisor is found by a scan of
+// the divisor's lane before the division loop — a zero literal, or any
+// zero among the live rows — and recorded once
+// (`ExecError::DivisionByZero`, first error wins); the rows that divide
+// by zero hold the placeholder 0, as on the row path.
 
 /// An `Int`-valued operand resolved over a row set. `Slice` indexes by
 /// absolute row id, `Own` by live-row ordinal, `Const` by neither.
@@ -287,14 +312,125 @@ pub(crate) enum NumSrc<'a> {
 }
 
 impl NumSrc<'_> {
-    #[inline]
-    pub(crate) fn get(&self, k: usize, i: usize) -> i64 {
-        match self {
-            NumSrc::Slice(v) => v[i],
-            NumSrc::Own(v) => v[k],
-            NumSrc::Const(c) => *c,
+    /// This operand laid out for one loop over `rows`.
+    pub(crate) fn lane<'s>(&'s self, rows: Rows<'s>) -> Lane<'s> {
+        match (self, rows) {
+            (NumSrc::Slice(v), Rows::Range(s, e)) => Lane::Dense(&v[s..e]),
+            (NumSrc::Slice(v), Rows::Sel(sel)) => Lane::Gather(v, sel),
+            (NumSrc::Own(v), _) => Lane::Dense(v),
+            (NumSrc::Const(c), _) => Lane::Const(*c),
         }
     }
+}
+
+/// An `Int` operand's shape for one kernel loop over the live rows.
+#[derive(Clone, Copy)]
+pub(crate) enum Lane<'a> {
+    /// One value per live-row ordinal.
+    Dense(&'a [i64]),
+    /// A column read at the selection vector's row ids.
+    Gather(&'a [i64], &'a [u32]),
+    /// The same value for every row.
+    Const(i64),
+}
+
+impl Lane<'_> {
+    /// Whether any live row holds 0 (the divide-by-zero check).
+    fn has_zero(self) -> bool {
+        match self {
+            Lane::Dense(v) => v.contains(&0),
+            Lane::Gather(v, sel) => sel.iter().any(|&i| v[i as usize] == 0),
+            Lane::Const(c) => c == 0,
+        }
+    }
+
+    /// `f(gids[k], value of ordinal k)` for every live row — the
+    /// accumulators' loop.
+    #[inline]
+    pub(crate) fn zip_gids(self, gids: &[u32], mut f: impl FnMut(usize, i64)) {
+        match self {
+            Lane::Dense(v) => (gids.iter().zip(v)).for_each(|(&g, &x)| f(g as usize, x)),
+            Lane::Gather(v, sel) => {
+                (gids.iter().zip(sel)).for_each(|(&g, &i)| f(g as usize, v[i as usize]));
+            }
+            Lane::Const(c) => gids.iter().for_each(|&g| f(g as usize, c)),
+        }
+    }
+}
+
+/// `f(l, r)` for each of `n` live rows: one loop, chosen by the two
+/// lanes' shapes.
+#[inline(always)]
+fn zip_lanes<T: Copy>(l: Lane<'_>, r: Lane<'_>, n: usize, f: impl Fn(i64, i64) -> T) -> Vec<T> {
+    let at = |v: &[i64], i: u32| v[i as usize];
+    match (l, r) {
+        (Lane::Dense(a), Lane::Dense(b)) => a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect(),
+        (Lane::Dense(a), Lane::Gather(b, s)) => {
+            a.iter().zip(s).map(|(&x, &i)| f(x, at(b, i))).collect()
+        }
+        (Lane::Gather(a, s), Lane::Dense(b)) => {
+            s.iter().zip(b).map(|(&i, &y)| f(at(a, i), y)).collect()
+        }
+        (Lane::Gather(a, s), Lane::Gather(b, _)) => {
+            s.iter().map(|&i| f(at(a, i), at(b, i))).collect()
+        }
+        (Lane::Dense(a), Lane::Const(c)) => a.iter().map(|&x| f(x, c)).collect(),
+        (Lane::Const(c), Lane::Dense(b)) => b.iter().map(|&y| f(c, y)).collect(),
+        (Lane::Gather(a, s), Lane::Const(c)) => s.iter().map(|&i| f(at(a, i), c)).collect(),
+        (Lane::Const(c), Lane::Gather(b, s)) => s.iter().map(|&i| f(c, at(b, i))).collect(),
+        (Lane::Const(a), Lane::Const(b)) => vec![f(a, b); n],
+    }
+}
+
+/// The arithmetic kernel: `l op r` over the live rows, charging one
+/// `Arith` per live row, as per-row [`Expr::eval`] would.
+fn arith(
+    op: ArithOp,
+    l: &Expr,
+    r: &Expr,
+    data: &DataChunk,
+    rows: Rows<'_>,
+    ctx: &mut ExecCtx,
+) -> Vec<i64> {
+    let l = l.eval_num(data, rows, ctx);
+    let r = r.eval_num(data, rows, ctx);
+    let n = rows.len();
+    ctx.charge(OpClass::Arith, n as u64);
+    let (a, b) = (l.lane(rows), r.lane(rows));
+    match op {
+        ArithOp::Add => zip_lanes(a, b, n, |x, y| ArithOp::Add.of(x, y)),
+        ArithOp::Sub => zip_lanes(a, b, n, |x, y| ArithOp::Sub.of(x, y)),
+        ArithOp::Mul => zip_lanes(a, b, n, |x, y| ArithOp::Mul.of(x, y)),
+        ArithOp::Div => {
+            if b.has_zero() {
+                ctx.fail(ExecError::DivisionByZero);
+            }
+            zip_lanes(a, b, n, |x, y| ArithOp::Div.of(x, y))
+        }
+    }
+}
+
+/// The `Int`-against-`Int` comparison kernel: one loop per operator and
+/// operand shape; rows invalid on either side then read `false`.
+fn cmp_ints(
+    op: CmpOp,
+    (a, va): (&NumSrc<'_>, Option<&[bool]>),
+    (b, vb): (&NumSrc<'_>, Option<&[bool]>),
+    rows: Rows<'_>,
+) -> Vec<bool> {
+    let (n, a, b) = (rows.len(), a.lane(rows), b.lane(rows));
+    let mut flags = match op {
+        CmpOp::Eq => zip_lanes(a, b, n, |x, y| x == y),
+        CmpOp::Ne => zip_lanes(a, b, n, |x, y| x != y),
+        CmpOp::Lt => zip_lanes(a, b, n, |x, y| x < y),
+        CmpOp::Le => zip_lanes(a, b, n, |x, y| x <= y),
+        CmpOp::Gt => zip_lanes(a, b, n, |x, y| x > y),
+        CmpOp::Ge => zip_lanes(a, b, n, |x, y| x >= y),
+    };
+    if va.is_some() || vb.is_some() {
+        rows.for_each(|k, i| flags[k] &= valid_at(va, i) && valid_at(vb, i));
+    }
+    flags
 }
 
 /// Any typed operand resolved over a row set (comparison inputs).
@@ -517,15 +653,7 @@ impl Expr {
                 }
             }
             Expr::Lit(Value::Int(v)) => NumSrc::Const(*v),
-            Expr::Arith(op, l, r) => {
-                let lv = l.eval_num(data, rows, ctx);
-                let rv = r.eval_num(data, rows, ctx);
-                let n = rows.len();
-                ctx.charge(OpClass::Arith, n as u64);
-                let mut out = Vec::with_capacity(n);
-                rows.for_each(|k, i| out.push(op.apply(lv.get(k, i), rv.get(k, i), ctx)));
-                NumSrc::Own(out)
-            }
+            Expr::Arith(op, l, r) => NumSrc::Own(arith(*op, l, r, data, rows, ctx)),
             _ => panic!("arith on Int"),
         }
     }
@@ -547,15 +675,9 @@ impl Expr {
                 }
                 ColumnChunk::new(out)
             }
-            Expr::Arith(..) => ColumnChunk::new(match self.eval_num(data, rows, ctx) {
-                NumSrc::Own(v) => ColumnData::Int(v),
-                NumSrc::Slice(v) => {
-                    let mut out = Vec::with_capacity(n);
-                    rows.for_each(|_, i| out.push(v[i]));
-                    ColumnData::Int(out)
-                }
-                NumSrc::Const(c) => ColumnData::Int(vec![c; n]),
-            }),
+            Expr::Arith(op, l, r) => {
+                ColumnChunk::new(ColumnData::Int(arith(*op, l, r, data, rows, ctx)))
+            }
             _ => ColumnChunk::new(ColumnData::Bool(self.eval_flags(data, rows, ctx))),
         }
     }
@@ -693,12 +815,11 @@ fn cmp_flags(
     let n = rows.len();
     ctx.charge(OpClass::PredEval, n as u64);
     ctx.pred_evals += n as u64;
+    if let (ValSrc::Int(a, va), ValSrc::Int(b, vb)) = (&l, &r) {
+        return cmp_ints(op, (a, *va), (b, *vb), rows);
+    }
     let mut flags = vec![false; n];
     match (&l, &r) {
-        (ValSrc::Int(a, va), ValSrc::Int(b, vb)) => rows.for_each(|k, i| {
-            flags[k] =
-                valid_at(*va, i) && valid_at(*vb, i) && op.test(a.get(k, i).cmp(&b.get(k, i)));
-        }),
         (ValSrc::Date(a, va), ValSrc::Date(b, vb)) => rows.for_each(|k, i| {
             flags[k] = valid_at(*va, i) && valid_at(*vb, i) && op.test(a[i].cmp(&b[i]));
         }),

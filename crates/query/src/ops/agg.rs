@@ -51,7 +51,8 @@ impl AggState {
     fn update(&mut self, v: Option<Value>) {
         match self {
             AggState::Sum(acc) => {
-                *acc += v.expect("SUM input").as_int().expect("SUM over Int");
+                let v = v.expect("SUM input").as_int().expect("SUM over Int");
+                *acc = acc.wrapping_add(v);
             }
             AggState::Count(acc) => *acc += 1,
             AggState::Min(acc) => {
@@ -81,7 +82,8 @@ impl AggState {
                 }
             }
             AggState::Avg { sum, count } => {
-                *sum += v.expect("AVG input").as_int().expect("AVG over Int");
+                let v = v.expect("AVG input").as_int().expect("AVG over Int");
+                *sum = sum.wrapping_add(v);
                 *count += 1;
             }
         }
@@ -94,7 +96,7 @@ impl AggState {
     /// ledger (every row was already charged where it was absorbed).
     fn merge(&mut self, other: AggState) {
         match (self, other) {
-            (AggState::Sum(a), AggState::Sum(b)) => *a += b,
+            (AggState::Sum(a), AggState::Sum(b)) => *a = a.wrapping_add(b),
             (AggState::Count(a), AggState::Count(b)) => *a += b,
             (AggState::Min(a), AggState::Min(b)) => {
                 if let Some(v) = b {
@@ -125,7 +127,7 @@ impl AggState {
                 }
             }
             (AggState::Avg { sum, count }, AggState::Avg { sum: s2, count: c2 }) => {
-                *sum += s2;
+                *sum = sum.wrapping_add(s2);
                 *count += c2;
             }
             _ => unreachable!("partial states of one aggregate share a variant"),
@@ -341,7 +343,7 @@ impl ColAcc {
     fn merge_from(&mut self, mine: usize, other: &ColAcc, theirs: usize) {
         match (self, other) {
             (ColAcc::Sum(a), ColAcc::Sum(b)) | (ColAcc::Count(a), ColAcc::Count(b)) => {
-                a[mine] += b[theirs];
+                a[mine] = a[mine].wrapping_add(b[theirs]);
             }
             (ColAcc::Min(a), ColAcc::Min(b)) => {
                 if let Some(v) = &b[theirs] {
@@ -360,7 +362,7 @@ impl ColAcc {
                     counts: c2,
                 },
             ) => {
-                sums[mine] += s2[theirs];
+                sums[mine] = sums[mine].wrapping_add(s2[theirs]);
                 counts[mine] += c2[theirs];
             }
             _ => unreachable!("partial accumulators of one aggregate share a variant"),
@@ -386,13 +388,18 @@ fn keep_extreme(acc: &mut Option<Value>, v: Value, wins: Ordering) {
 /// a column at a time, each live row finds or claims its group in a
 /// [`KeyTable`] whose rows *are* the group ids, and the first-seen key
 /// of every group is kept as columns (one key tuple is materialized per
-/// *group*, at the end). Accumulators are typed arrays ([`ColAcc`])
-/// keyed by group id, updated in tight per-chunk loops
-/// ([`Expr::eval_num`] resolves `SUM`/`AVG` inputs straight to `i64`
-/// slices). Group order is first-seen order, as on the row path, and
+/// *group*, at the end). A global aggregate (no group columns) skips
+/// the per-row hash and probe: the chunk's first live row finds or
+/// claims group 0 and every row takes it. Accumulators are typed
+/// arrays ([`ColAcc`]) keyed by group id; each aggregate resolves its
+/// input once per chunk ([`Expr::eval_num`] settles `SUM`/`AVG` inputs
+/// into an `i64` lane — a slice, a gather or a constant) and runs one
+/// loop over the group ids and that lane. Sums wrap, like the row
+/// path's. Group order is first-seen order, as on the row path, and
 /// the charges are identical to [`GroupTable::absorb`]: one `HashProbe`
-/// and one random access per row, one `AggUpdate` per (row, aggregate),
-/// plus whatever the input expressions charge.
+/// and one random access per row (global aggregate included), one
+/// `AggUpdate` per (row, aggregate), plus whatever the input
+/// expressions charge.
 struct ColumnarGroups {
     group_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
@@ -486,14 +493,23 @@ impl ColumnarGroups {
             ctx.charge(OpClass::HashProbe, n as u64);
             ctx.charge_mem_random(n as u64);
             let group_cols = std::mem::take(&mut self.group_cols);
-            let mut hashes = std::mem::take(&mut self.hashes);
-            hashes.clear();
-            hash_keys(&chunk.data, &group_cols, chunk.rows(), &mut hashes);
-            chunk.rows().for_each(|k, i| {
-                gids.push(self.gid_of(hashes[k], &chunk.data, &group_cols, i));
-            });
+            if group_cols.is_empty() {
+                // Global aggregate: every row's key is the empty key, so
+                // the chunk's first live row finds (or claims) the one
+                // group for all of them.
+                let i = chunk.rows().at(0);
+                let g = self.gid_of(hash_row(&chunk.data, &[], i), &chunk.data, &[], i);
+                gids.resize(n, g);
+            } else {
+                let mut hashes = std::mem::take(&mut self.hashes);
+                hashes.clear();
+                hash_keys(&chunk.data, &group_cols, chunk.rows(), &mut hashes);
+                chunk.rows().for_each(|k, i| {
+                    gids.push(self.gid_of(hashes[k], &chunk.data, &group_cols, i));
+                });
+                self.hashes = hashes;
+            }
             self.group_cols = group_cols;
-            self.hashes = hashes;
         }
 
         let rows = chunk.rows();
@@ -517,19 +533,20 @@ impl ColumnarGroups {
                 (AggFunc::Sum, ColAcc::Sum(sums)) => {
                     if let Some((values, ends)) = rle {
                         let frags = rle_accumulate(values, ends, rows, &gids, |g, v, w| {
-                            sums[g] += v * w;
+                            sums[g] = sums[g].wrapping_add(v.wrapping_mul(w));
                         });
                         ctx.charge(OpClass::AggUpdate, frags);
                         continue;
                     }
                     ctx.charge(OpClass::AggUpdate, n as u64);
                     let src = spec.input.eval_num(&chunk.data, rows, ctx);
-                    rows.for_each(|k, i| sums[gids[k] as usize] += src.get(k, i));
+                    src.lane(rows)
+                        .zip_gids(&gids, |g, v| sums[g] = sums[g].wrapping_add(v));
                 }
                 (AggFunc::Avg, ColAcc::Avg { sums, counts }) => {
                     if let Some((values, ends)) = rle {
                         let frags = rle_accumulate(values, ends, rows, &gids, |g, v, w| {
-                            sums[g] += v * w;
+                            sums[g] = sums[g].wrapping_add(v.wrapping_mul(w));
                             counts[g] += w;
                         });
                         ctx.charge(OpClass::AggUpdate, frags);
@@ -537,9 +554,8 @@ impl ColumnarGroups {
                     }
                     ctx.charge(OpClass::AggUpdate, n as u64);
                     let src = spec.input.eval_num(&chunk.data, rows, ctx);
-                    rows.for_each(|k, i| {
-                        let g = gids[k] as usize;
-                        sums[g] += src.get(k, i);
+                    src.lane(rows).zip_gids(&gids, |g, v| {
+                        sums[g] = sums[g].wrapping_add(v);
                         counts[g] += 1;
                     });
                 }
@@ -1103,6 +1119,72 @@ mod tests {
             10 + 10 + 600,
             "SUM and AVG touch runs, COUNT touches rows"
         );
+    }
+
+    /// The global aggregate claims its one group once per chunk instead
+    /// of probing for it per row, yet charges what the row path charges:
+    /// `HashProbe` and a random access per live row and `AggUpdate` per
+    /// (live row, aggregate), over several chunks — a window, a
+    /// selection and an all-filtered selection among them — and yields
+    /// the row path's single group: an empty key and its aggregates.
+    #[test]
+    fn global_aggregate_charges_per_row_without_probing() {
+        use crate::expr::ArithOp;
+        let schema = Schema::new(&[("v", ColumnType::Int)]);
+        let tuples: Vec<Tuple> = (0..12).map(|i| vec![Value::Int(i * 10 + 1)]).collect();
+        let data = Arc::new(DataChunk::from_rows(&schema, &tuples));
+        let with_sel = |sel: Vec<u32>| Chunk {
+            sel: Some(sel),
+            ..Chunk::dense(Arc::clone(&data))
+        };
+        let chunks = [
+            Chunk::window(Arc::clone(&data), 0..4),
+            with_sel(vec![5, 7]),
+            with_sel(vec![]),
+            Chunk::window(Arc::clone(&data), 8..12),
+        ];
+        let spec = |func, input| AggSpec {
+            func,
+            input,
+            name: String::new(),
+        };
+        let aggs = vec![
+            spec(AggFunc::Sum, Expr::col(0)),
+            spec(AggFunc::Count, Expr::col(0)),
+            spec(
+                AggFunc::Avg,
+                Expr::arith(ArithOp::Mul, Expr::col(0), Expr::int(2)),
+            ),
+            spec(AggFunc::Min, Expr::col(0)),
+        ];
+
+        let mut ctx = ExecCtx::new();
+        let mut groups = ColumnarGroups::new(vec![], aggs.clone());
+        chunks.iter().for_each(|c| groups.absorb(&mut ctx, c));
+        let live = 10;
+        assert_eq!(ctx.cpu.count(OpClass::HashProbe), live);
+        assert_eq!(ctx.mem_random_accesses, live);
+        assert_eq!(ctx.cpu.count(OpClass::AggUpdate), live * 4);
+        assert_eq!(ctx.cpu.count(OpClass::Arith), live);
+        assert_eq!(groups.len(), 1, "one group, claimed once");
+
+        let mut row_ctx = ExecCtx::new();
+        let mut table = GroupTable::new(vec![], aggs);
+        let live_rows: Vec<Tuple> = (chunks.iter())
+            .flat_map(|c| c.rows().to_indices())
+            .map(|i| tuples[i as usize].clone())
+            .collect();
+        table.absorb(&mut row_ctx, &live_rows);
+        let want: Vec<Tuple> = (table.entries.into_iter())
+            .map(|(mut key, states)| {
+                key.extend(states.into_iter().map(AggState::finish));
+                key
+            })
+            .collect();
+        assert_eq!(groups.into_rows(), want);
+        assert_eq!(want[0][..2], [Value::Int(570), Value::Int(10)]);
+        assert_eq!(ctx.cpu, row_ctx.cpu);
+        assert_eq!(ctx.mem_random_accesses, row_ctx.mem_random_accesses);
     }
 
     #[test]

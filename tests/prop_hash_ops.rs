@@ -25,6 +25,14 @@
 //! on the first sight of an id (per probe chunk in the join, per
 //! encoded table in the aggregate).
 //!
+//! The arithmetic and accumulator kernels under those aggregates have a
+//! property of their own: generated `Int` expression trees (up to four
+//! levels, every operand shape pair — column, computed vector, literal
+//! — over dense windows and selections, zero divisors both literal and
+//! in the data, values that overflow) summed, averaged and counted,
+//! globally and grouped, must equal the row oracles in rows, ledger and
+//! recorded `ExecError`.
+//!
 //! Seeds are pinned: the vendored `proptest` derives each test's
 //! generator from the test's name.
 
@@ -498,8 +506,9 @@ fn columnar_ctx(chunk: usize, workers: usize, pricing: PricingMode) -> ExecCtx {
         .with_pricing(pricing)
 }
 
-/// Rows and ledgers of `mk()` under the columnar engine equal both row
-/// oracles at every worker count. Returns the oracle rows.
+/// Rows, ledgers and recorded errors of `mk()` under the columnar
+/// engine equal both row oracles at every worker count. Returns the
+/// oracle rows.
 fn check_against_oracles(
     mk: &dyn Fn() -> BoxedOp,
     chunk: usize,
@@ -509,6 +518,7 @@ fn check_against_oracles(
     let mut bctx = ExecCtx::new().with_batch_size(chunk);
     let batch = ExecEngine::Batch.execute(mk().as_mut(), &mut bctx);
     prop_assert_eq!(&batch, &scalar, "oracles disagree on rows");
+    prop_assert_eq!(bctx.error(), sctx.error(), "oracles disagree on the error");
     prop_assert_eq!(
         ledger(&bctx),
         ledger(&sctx),
@@ -524,8 +534,70 @@ fn check_against_oracles(
             "columnar ledger, workers={}",
             workers
         );
+        prop_assert_eq!(
+            ctx.error(),
+            sctx.error(),
+            "columnar error, workers={}",
+            workers
+        );
     }
     Ok(scalar)
+}
+
+/// Literals of the kernel property: zero (a literal zero divisor), the
+/// identities, small values and the extremes that overflow.
+const LITERALS: [i64; 8] = [0, 1, -1, 2, 3, 100, i64::MAX, i64::MIN];
+
+const ARITH_OPS: [ArithOp; 4] = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div];
+
+/// One operand of shape `shape` — 0: a column (a borrowed slice), 1: a
+/// literal, 2: arithmetic (a computed vector) — over the `Int` columns
+/// `cols`, at most `depth` levels deep.
+fn operand(rng: &mut Rng, shape: u64, depth: usize, cols: &[usize]) -> Expr {
+    match shape {
+        0 => Expr::col(rng.pick(cols)),
+        1 => Expr::int(rng.pick(&LITERALS)),
+        _ => int_tree(rng, depth, cols),
+    }
+}
+
+/// An arithmetic node over operands of random shapes, `depth` levels
+/// deep at most (leaves are columns or literals).
+fn int_tree(rng: &mut Rng, depth: usize, cols: &[usize]) -> Expr {
+    let side = |rng: &mut Rng| {
+        let shape = rng.below(if depth > 1 { 3 } else { 2 });
+        operand(rng, shape, depth - 1, cols)
+    };
+    let (l, r) = (side(rng), side(rng));
+    Expr::arith(rng.pick(&ARITH_OPS), l, r)
+}
+
+/// The kernel property's input: `g` (a group key), `a` (never zero),
+/// `b` (zero about one row in seven) and `r` (the filter column); one
+/// value in ten of `a` and `b` is an extreme.
+fn kernel_source(rng: &mut Rng, n: usize) -> VecSource {
+    let schema = Schema::new(&[
+        ("g", ColumnType::Int),
+        ("a", ColumnType::Int),
+        ("b", ColumnType::Int),
+        ("r", ColumnType::Int),
+    ]);
+    let int = |rng: &mut Rng, zero: bool| match rng.below(10) {
+        0 => rng.pick(&[i64::MIN, i64::MAX, i64::MIN + 1]),
+        _ if zero => rng.below(7) as i64 - 3,
+        _ => rng.pick(&[-3, -2, -1, 1, 2, 3]),
+    };
+    let rows = (0..n)
+        .map(|_| {
+            let g = rng.below(3) as i64;
+            let (a, b) = (int(rng, false), int(rng, true));
+            vec![g, a, b, rng.below(10) as i64]
+                .into_iter()
+                .map(Value::Int)
+                .collect()
+        })
+        .collect();
+    VecSource::new(schema, rows)
 }
 
 /// Whether a scanned table's column `col` is dictionary-encoded.
@@ -623,6 +695,64 @@ proptest! {
     ) {
         let inputs = generate(seed, MODES[mode_idx], scanned, true);
         check_against_oracles(&|| inputs.aggregate(groups, &funcs), chunk)?;
+    }
+
+    /// The columnar arithmetic, comparison and accumulator kernels
+    /// against the row oracles: `SUM`/`AVG` of generated trees whose
+    /// root combines operands of shapes `lhs` and `rhs`, and `COUNT`,
+    /// globally or grouped, over a dense input or one a filter turned
+    /// into selections — the filter itself comparing a generated tree,
+    /// before or after a plain conjunct.
+    #[test]
+    fn arithmetic_kernels_match_both_oracles(
+        seed in any::<u64>(),
+        lhs in 0u64..3,
+        rhs in 0u64..3,
+        filtered in any::<bool>(),
+        grouped in any::<bool>(),
+        n in prop_oneof![Just(1usize), Just(40), Just(300)],
+        chunk in prop_oneof![Just(3usize), Just(64), Just(1024)],
+    ) {
+        let mut rng = Rng(seed);
+        let cols = [1, 2];
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let root = |rng: &mut Rng| {
+            let l = operand(rng, lhs, 3, &cols);
+            let r = operand(rng, rhs, 3, &cols);
+            Expr::arith(rng.pick(&ARITH_OPS), l, r)
+        };
+        let (sum, avg) = (root(&mut rng), root(&mut rng));
+        let filter = filtered.then(|| {
+            let lit = Expr::int(rng.pick(&LITERALS));
+            let tree = Expr::cmp(rng.pick(&ops), int_tree(&mut rng, 2, &cols), lit);
+            let plain = Expr::cmp(CmpOp::Lt, Expr::col(3), Expr::int(7));
+            let mut arms = vec![plain, tree];
+            if rng.below(2) == 0 {
+                arms.reverse();
+            }
+            Expr::And(arms)
+        });
+        let source_seed = rng.next();
+        let mk = || {
+            let src: BoxedOp = Box::new(kernel_source(&mut Rng(source_seed), n));
+            let src: BoxedOp = match &filter {
+                Some(p) => Box::new(Filter::new(src, p.clone())),
+                None => src,
+            };
+            let spec = |func, input: &Expr, name: &str| AggSpec {
+                func,
+                input: input.clone(),
+                name: name.to_string(),
+            };
+            let aggs = vec![
+                spec(AggFunc::Sum, &sum, "s"),
+                spec(AggFunc::Avg, &avg, "a"),
+                spec(AggFunc::Count, &sum, "c"),
+            ];
+            let groups = if grouped { vec![0] } else { vec![] };
+            Box::new(HashAggregate::new(src, groups, aggs)) as BoxedOp
+        };
+        check_against_oracles(&mk, chunk)?;
     }
 
     #[test]

@@ -22,7 +22,7 @@ use ecodb::server::{session_workload, EcoServer, ServerConfig, SessionOutcome, S
 use ecodb::simhw::fault::{FaultPlan, PageFault, TornTail, WalCrash};
 use ecodb::simhw::machine::MachineConfig;
 use ecodb::storage::page::PAGE_SIZE;
-use ecodb::storage::{load_tpch, Catalog, EngineKind, TableData};
+use ecodb::storage::{load_tpch, Catalog, EngineKind, TableData, Value};
 use ecodb::tpch::TpchGenerator;
 
 fn shared_catalog() -> &'static Catalog {
@@ -122,7 +122,9 @@ fn compile_and_run(sql: &str) -> Result<(), SqlError> {
 /// bind errors, and `MIN`/`MAX` over non-`Int` columns (once declared
 /// `Int`, which the columnar engine could not store) and a divisor
 /// that is zero in the data (`l_discount` is 0 in about one row in
-/// eleven; see the next test for the error it fails with) run.
+/// eleven; see the next test for the error it fails with) run, and so
+/// does arithmetic that overflows: it wraps in every build, so
+/// `i64::MIN / -1` is `i64::MIN` on both engines, not a panic.
 #[test]
 fn pinned_statements_bind_or_run_without_panicking() {
     for sql in [
@@ -146,19 +148,32 @@ fn pinned_statements_bind_or_run_without_panicking() {
         "SELECT MIN(l_comment) AS s FROM lineitem WHERE l_quantity > 1000",
         "SELECT COUNT(*) AS n FROM lineitem WHERE NOT l_quantity < 3 OR 1 = 1",
         "SELECT l_quantity / l_discount AS x FROM lineitem",
+        OVERFLOW,
     ] {
         compile_and_run(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
     }
     // The columnar engine returns what the oracle returns, typed.
-    let sql = "SELECT MIN(l_comment) AS s, MAX(l_shipdate) AS d FROM lineitem";
-    let run = |engine: ExecEngine| {
+    let run = |engine: ExecEngine, sql: &str| {
         let mut plan = compile(shared_catalog(), sql).expect("binds");
         engine.execute(plan.as_mut(), &mut ExecCtx::new())
     };
-    let rows = run(ExecEngine::Columnar);
-    assert_eq!(rows, run(ExecEngine::Scalar));
+    let sql = "SELECT MIN(l_comment) AS s, MAX(l_shipdate) AS d FROM lineitem";
+    let rows = run(ExecEngine::Columnar, sql);
+    assert_eq!(rows, run(ExecEngine::Scalar, sql));
     assert!(rows[0][0].as_str().is_some() && rows[0][1].as_date().is_some());
+    let rows = run(ExecEngine::Columnar, OVERFLOW);
+    assert_eq!(rows, run(ExecEngine::Scalar, OVERFLOW));
+    assert_eq!(
+        rows,
+        vec![vec![Value::Int(0)]],
+        "i64::MIN / -1 wraps to i64::MIN"
+    );
 }
+
+/// `(i64::MIN) / (-1)` in every row, built from column arithmetic that
+/// overflows on the way.
+const OVERFLOW: &str = "SELECT COUNT(*) AS c FROM lineitem \
+    WHERE (l_quantity - l_quantity - 9223372036854775807 - 1) / (0 - 1) > 0";
 
 /// A divisor that is zero in the data fails the statement with a typed
 /// error — wherever the division sits, on both storage profiles, on the
