@@ -19,39 +19,42 @@
 //!   the differential tests compare against, and what `EcoDb` runs
 //!   under a row engine.
 //! * **Production (columnar).** The predicates are compiled once, at
-//!   construction, into a key → query-ids routing table. Per chunk, one
-//!   table lookup per live row yields the `(row, query)` matches already
-//!   in row-major order, and the predicate-evaluation charge is derived
-//!   arithmetically (see [`MultiFilter`]). [`MergedSelection::run_split`]
-//!   keeps those matches beside the scan's shared columns and returns
-//!   one [`RowSet`] view per query — no tag column, no tagged tuple, no
-//!   row at all until a caller reads one (then the whole scan is
-//!   decoded once, in scan order) — while charging exactly what the
-//!   oracle's emit + split charge.
-//!   [`Operator::next_chunk`] (tag column + gathered child columns)
-//!   stays for generic columnar drivers, on the same routing step.
+//!   construction, into per-key routing entries: each key's first query,
+//!   what a row with that key costs under short-circuit evaluation, and
+//!   whether it fans out to more queries. Per chunk, a loop with no
+//!   data-dependent branch looks each live row's entry up and writes
+//!   its `(row, query)` match whether or not it hit, advancing past it
+//!   only on a hit — so the matches come out row-major and the
+//!   predicate-evaluation charge is a sum of precomputed costs (see
+//!   [`MultiFilter`]). [`MergedSelection::run_split`] keeps those
+//!   matches beside the scan's shared columns and returns one
+//!   [`RowSet`] view per query — no tag column, no tagged tuple, no row
+//!   at all until a caller reads one (then the whole scan is decoded
+//!   once, in scan order) — while charging exactly what the oracle's
+//!   emit + split charge. A generic columnar driver over a
+//!   [`MultiFilter`] gets the oracle's tagged rows through the default
+//!   [`Operator::next_chunk`].
 
 use std::sync::Arc;
 
 use eco_simhw::trace::OpClass;
 use eco_storage::{
-    tuple_width, Catalog, ColumnChunk, ColumnData, ColumnType, DataChunk, RoutedRows, RowSet,
-    Schema, Tuple, Value,
+    tuple_width, Catalog, ColumnChunk, ColumnType, RoutedRows, RowSet, Schema, Tuple, Value,
 };
 use eco_tpch::QedQuery;
 
-use crate::chunk::Chunk;
+use crate::chunk::{Chunk, Rows};
 use crate::context::ExecCtx;
 use crate::expr::Expr;
 use crate::ops::{BoxedOp, Operator, SeqScan};
 use crate::parallel::{run_morsels, Morsel};
 
-/// Widest key span (`max − min + 1`) the routing table indexes with a
-/// dense array (16 KiB of slots — QED's 50 quantities need 200 bytes);
-/// wider key sets are binary-searched.
+/// Widest key span (`max − min + 1`) the routing table indexes densely
+/// by `key − min` (64 KiB of entries — QED's 50 quantities need 816
+/// bytes); wider key sets reach the same entries by binary search.
 const DENSE_SPAN: u64 = 4096;
 
-/// "No query has this key" in the dense slot array.
+/// "No query has this key": an [`Entry`]'s first query.
 const NO_SLOT: u32 = u32::MAX;
 
 /// Stored width of the query tag the oracle prepends to every emitted
@@ -59,9 +62,22 @@ const NO_SLOT: u32 = u32::MAX;
 /// top of the row itself.
 const TAG_BYTES: u64 = 8;
 
+/// What routing a row with one key does, precomputed per key.
+#[derive(Clone, Copy)]
+struct Entry {
+    /// The key's first query in predicate order ([`NO_SLOT`] if none).
+    first: u32,
+    /// The short-circuit `PredEval` cost of a row with this key:
+    /// `first + 1`, or *k* when no query has it.
+    cost: u32,
+    /// The key's other queries, `qids[rest.0..rest.1]` in predicate
+    /// order — empty unless the key fans out.
+    rest: (u32, u32),
+}
+
 /// What a [`MultiFilter`] and its morsel clones share: the predicates in
-/// both of their forms — `Expr`s for the row-engine oracle, the key →
-/// query-ids table for the columnar path.
+/// both of their forms — `Expr`s for the row-engine oracle, the per-key
+/// routing entries for the columnar path.
 struct Routing {
     /// The column every predicate compares.
     key_col: usize,
@@ -69,16 +85,18 @@ struct Routing {
     disjoint: bool,
     /// `key_col = keys[q]`, in query order (the scalar oracle's form).
     predicates: Vec<Expr>,
-    /// The distinct keys, ascending; a key's position is its *slot*.
+    /// The distinct keys, ascending.
     keys: Vec<i64>,
-    /// Slot `s` routes to `qids[starts[s]..starts[s + 1]]`.
-    starts: Vec<u32>,
-    /// Query ids grouped by slot, ascending — i.e. in predicate order —
-    /// within each slot.
+    /// Whether `entries` is indexed by `key − keys[0]` (spans up to
+    /// [`DENSE_SPAN`]) rather than by a key's position in `keys`.
+    dense: bool,
+    /// One entry per dense offset (or per distinct key), then the
+    /// sentinel: no query, cost *k* — where out-of-range and NULL keys
+    /// land.
+    entries: Vec<Entry>,
+    /// Query ids grouped by key, ascending — i.e. in predicate order —
+    /// within each key; [`Entry::rest`] indexes it.
     qids: Vec<u32>,
-    /// `key − keys[0]` → slot ([`NO_SLOT`] when no query has the key);
-    /// empty when the keys span more than [`DENSE_SPAN`].
-    dense: Vec<u32>,
 }
 
 impl Routing {
@@ -89,55 +107,46 @@ impl Routing {
         let mut qids: Vec<u32> = (0..k).collect();
         qids.sort_by_key(|&q| keys[q as usize]);
         let mut distinct = Vec::new();
-        let mut starts = Vec::new();
-        for (pos, &q) in qids.iter().enumerate() {
+        let mut hits = Vec::new();
+        for (pos, &q) in (0u32..).zip(&qids) {
             let key = keys[q as usize];
             if distinct.last() != Some(&key) {
                 distinct.push(key);
-                starts.push(pos as u32);
+                hits.push(Entry {
+                    first: q,
+                    cost: q + 1,
+                    rest: (pos + 1, pos + 1),
+                });
             }
+            hits.last_mut().expect("pushed above").rest.1 = pos + 1;
         }
-        starts.push(k);
+        let miss = Entry {
+            first: NO_SLOT,
+            cost: k,
+            rest: (0, 0),
+        };
 
         let lo = distinct[0];
         let span = distinct[distinct.len() - 1].wrapping_sub(lo) as u64;
-        let mut dense = Vec::new();
-        if span < DENSE_SPAN {
-            dense.resize(span as usize + 1, NO_SLOT);
-            for (slot, &key) in distinct.iter().enumerate() {
-                dense[key.wrapping_sub(lo) as usize] = slot as u32;
+        let dense = span < DENSE_SPAN;
+        let entries = if dense {
+            let mut entries = vec![miss; span as usize + 2];
+            for (&key, hit) in distinct.iter().zip(hits) {
+                entries[key.wrapping_sub(lo) as usize] = hit;
             }
-        }
+            entries
+        } else {
+            hits.into_iter().chain([miss]).collect()
+        };
         Self {
             key_col,
             disjoint,
             predicates: keys.iter().map(|&v| Expr::col_eq_int(key_col, v)).collect(),
             keys: distinct,
-            starts,
-            qids,
             dense,
+            entries,
+            qids,
         }
-    }
-
-    /// The queries whose key is `key`, in predicate order.
-    #[inline]
-    fn queries_for(&self, key: i64) -> &[u32] {
-        let slot = if self.dense.is_empty() {
-            match self.keys.binary_search(&key) {
-                Ok(slot) => slot,
-                Err(_) => return &[],
-            }
-        } else {
-            // For `key < keys[0]` the difference wraps to at least
-            // 2⁶³ − keys[0], which no dense array reaches (its length
-            // is max − keys[0] + 1 with max < 2⁶³): never an alias.
-            let offset = key.wrapping_sub(self.keys[0]) as u64;
-            match usize::try_from(offset).ok().and_then(|o| self.dense.get(o)) {
-                Some(&slot) if slot != NO_SLOT => slot as usize,
-                _ => return &[],
-            }
-        };
-        &self.qids[self.starts[slot] as usize..self.starts[slot + 1] as usize]
     }
 
     /// The columnar routing step: append the `(row, query)` matches of
@@ -145,33 +154,114 @@ impl Routing {
     /// predicate evaluations the oracle would have performed on them
     /// (see [`MultiFilter`] for the arithmetic).
     fn route_chunk(&self, chunk: &Chunk, ctx: &mut ExecCtx, matches: &mut Vec<(u32, u32)>) {
-        let col = chunk.data.column(self.key_col);
-        let vals = col
-            .data
-            .as_ints()
-            .unwrap_or_else(|| panic!("merged key column {} is not Int", self.key_col));
-        let mask = col.validity.as_deref();
+        let keys = chunk.data.column(self.key_col);
         let stop_at_first = self.disjoint && ctx.short_circuit_or;
-        let k = self.predicates.len() as u64;
-        let rows = chunk.rows();
-        let mut evals = k * rows.len() as u64;
-        rows.for_each(|_, i| {
-            if mask.is_some_and(|m| !m[i]) {
-                return;
+        let routed_cost = match chunk.rows() {
+            Rows::Range(start, end) => self.route_rows(start..end, keys, stop_at_first, matches),
+            Rows::Sel(sel) => {
+                let rows = sel.iter().map(|&i| i as usize);
+                self.route_rows(rows, keys, stop_at_first, matches)
             }
-            let hits = self.queries_for(vals[i]);
-            if stop_at_first {
-                if let Some(&first) = hits.first() {
-                    // Predicates after the first match are never tried.
-                    evals -= k - (u64::from(first) + 1);
-                    matches.push((i as u32, first));
-                }
-            } else {
-                matches.extend(hits.iter().map(|&q| (i as u32, q)));
-            }
-        });
+        };
+        let evals = if stop_at_first {
+            routed_cost
+        } else {
+            self.predicates.len() as u64 * chunk.len() as u64
+        };
         ctx.charge(OpClass::PredEval, evals);
         ctx.pred_evals += evals;
+    }
+
+    /// [`Self::route_with`] instantiated for this table's lookup — a
+    /// key's dense offset, or its position among the distinct keys — and
+    /// for what the chunk needs checked.
+    #[inline(always)]
+    fn route_rows(
+        &self,
+        rows: impl ExactSizeIterator<Item = usize>,
+        keys: &ColumnChunk,
+        stop_at_first: bool,
+        matches: &mut Vec<(u32, u32)>,
+    ) -> u64 {
+        let Some(vals) = keys.data.as_ints() else {
+            panic!("merged key column {} is not Int", self.key_col)
+        };
+        let mask = keys.validity.as_deref();
+        // A key below `keys[0]` wraps to at least 2⁶³ − keys[0], past
+        // every dense offset: the clamp sends it to the sentinel, never
+        // to an alias.
+        let lo = self.keys[0];
+        let dense = |i: usize| vals[i].wrapping_sub(lo) as u64;
+        let search = |i: usize| {
+            self.keys
+                .binary_search(&vals[i])
+                .map_or(u64::MAX, |s| s as u64)
+        };
+        // All ones — past the table, like a missing key — for a NULL.
+        let null = |i: usize| mask.map_or(0, |m| u64::from(!m[i]).wrapping_neg());
+        // A chunk without NULLs routed under short-circuit evaluation —
+        // every QED dispatch — has neither a NULL nor a fan-out to test.
+        match (self.dense, mask.is_some() || !stop_at_first) {
+            (true, false) => self.route_with::<false>(rows, stop_at_first, matches, dense),
+            (true, true) => {
+                self.route_with::<true>(rows, stop_at_first, matches, |i| dense(i) | null(i))
+            }
+            (false, false) => self.route_with::<false>(rows, stop_at_first, matches, search),
+            (false, true) => {
+                self.route_with::<true>(rows, stop_at_first, matches, |i| search(i) | null(i))
+            }
+        }
+    }
+
+    /// The per-row loop of [`Self::route_chunk`], over the entries at
+    /// `position(row)` (anything past the table means the sentinel);
+    /// only a `CHECKED` loop looks for fan-out. No branch depends on a
+    /// row's data: every row's match is written at the cursor and the
+    /// cursor advances only on a hit. Returns the summed short-circuit
+    /// cost of the rows.
+    #[inline(always)]
+    fn route_with<const CHECKED: bool>(
+        &self,
+        rows: impl ExactSizeIterator<Item = usize>,
+        stop_at_first: bool,
+        matches: &mut Vec<(u32, u32)>,
+        position: impl Fn(usize) -> u64,
+    ) -> u64 {
+        // The sentinel's index, which the compiler can see is in bounds.
+        let last = self.entries.split_last().expect("the sentinel").1.len() as u64;
+        let mut len = matches.len();
+        // One slot per live row; a fan-out row grows the vector itself.
+        matches.resize(len + rows.len(), (0, NO_SLOT));
+        let mut out = &mut matches[..];
+        let mut cost = 0;
+        for i in rows {
+            let entry = &self.entries[position(i).min(last) as usize];
+            cost += u64::from(entry.cost);
+            out[len] = (i as u32, entry.first);
+            len += usize::from(entry.first != NO_SLOT);
+            let (from, to) = entry.rest;
+            if CHECKED && !stop_at_first && from < to {
+                let rest = &self.qids[from as usize..to as usize];
+                fan_out(matches, len, i as u32, rest);
+                out = &mut matches[..];
+                len += rest.len();
+            }
+        }
+        matches.truncate(len);
+        cost
+    }
+}
+
+/// Write `(row, q)` for every query `q` of `rest` at `matches[at..]`,
+/// growing `matches` by as many entries: a fanned-out row's queries
+/// after its first. Out of the loop's way: a distinct-key batch never
+/// gets here.
+#[cold]
+#[inline(never)]
+fn fan_out(matches: &mut Vec<(u32, u32)>, at: usize, row: u32, rest: &[u32]) {
+    matches.resize(matches.len() + rest.len(), (0, NO_SLOT));
+    for (m, &q) in matches[at..].iter_mut().zip(rest) {
+        *m = (row, q);
     }
 }
 
@@ -193,24 +283,35 @@ impl Routing {
 ///
 /// # Columnar engine: key routing
 ///
-/// The keys are compiled at construction into a routing table: the
-/// distinct keys in ascending order, each owning the ids of the queries
-/// that compare against it in predicate order, found through a dense
-/// `key − min` array (key spans up to 4096) or by binary search. Per
-/// chunk, one lookup per live row yields the matches already row-major.
 /// With *k* predicates the charges equal the oracle's by arithmetic:
 /// under `disjoint && ctx.short_circuit_or` a row first matched by
 /// predicate *p* (0-based) costs *p* + 1 `PredEval`s and goes to query
 /// *p* only, an unmatched or NULL-keyed row costs *k*; otherwise every
 /// live row costs *k* and goes to every equal-keyed query.
+///
+/// The keys are compiled at construction into per-offset tables: for
+/// every `key − min` of a span up to 4096 (or, for wider key sets, for
+/// every distinct key, found by binary search) the key's first query
+/// in predicate order (none if no query has it), its short-circuit cost
+/// *p* + 1 (*k* if none), and its other queries. One sentinel entry past
+/// the end has no query and costs *k*: a key outside the span is
+/// clamped onto it, and so is a NULL key.
+///
+/// The per-chunk loop has no branch on a row's data. It writes every
+/// row's `(row, first query)` at the cursor and advances the cursor only
+/// when there was a first query, and it adds the row's cost (under
+/// exhaustive evaluation the charge is *k* per live row, once per
+/// chunk). Only a row whose key fans out, with short-circuiting off,
+/// appends its key's other queries right after the first — a branch a
+/// distinct-key batch never takes. A chunk without NULL keys routed
+/// under short-circuit evaluation — every QED dispatch — runs the loop
+/// instantiated without the NULL and fan-out tests.
 pub struct MultiFilter {
     child: BoxedOp,
     routing: Arc<Routing>,
     schema: Schema,
     pending: std::collections::VecDeque<Tuple>,
     scratch: Vec<Tuple>,
-    /// Columnar scratch: matched `(row, query id)` pairs.
-    matches: Vec<(u32, u32)>,
 }
 
 impl MultiFilter {
@@ -234,7 +335,6 @@ impl MultiFilter {
             schema: Schema::new(&refs),
             pending: std::collections::VecDeque::new(),
             scratch: Vec::new(),
-            matches: Vec::new(),
         }
     }
 
@@ -272,7 +372,7 @@ impl MultiFilter {
     /// `(row, query)` matches routed out of them, decoded for all
     /// queries at once when one is first read. The charges are exactly
     /// those of the oracle's two steps, computed from the rows' stored
-    /// widths ([`DataChunk::row_widths`]): per routed row, `ResultEmit`
+    /// widths ([`eco_storage::DataChunk::width_sum`]): per routed row, `ResultEmit`
     /// and `width + 8` (the tag) streamed bytes on `ctx` — what the
     /// driver charges for emitting the tagged row — and `SplitRoute`,
     /// `RowCopy` and `width` bytes on `client` — what [`split_results`]
@@ -344,18 +444,15 @@ impl SplitPart {
             rows: 0,
             width: 0,
         };
-        let mut widths = Vec::new();
         while let Some(chunk) = scan.next_chunk(ctx) {
             let matches = part.routed.matches_for(&chunk.data);
             let seen = matches.len();
             routing.route_chunk(&chunk, ctx, matches);
             let new = &matches[seen..];
-            widths.clear();
-            chunk
-                .data
-                .row_widths(new.iter().map(|&(row, _)| row as usize), &mut widths);
             part.rows += new.len() as u64;
-            part.width += widths.iter().map(|&w| u64::from(w)).sum::<u64>();
+            part.width += chunk
+                .data
+                .width_sum(new.iter().map(|&(row, _)| row as usize));
         }
         part
     }
@@ -417,26 +514,6 @@ impl Operator for MultiFilter {
         more
     }
 
-    /// Columnar routing for generic drivers: route the chunk through
-    /// the key table and emit one gathered chunk — the tag column plus
-    /// the child's columns, in row-major match order. (The production
-    /// merged-selection path, [`MultiFilter::run_split`], skips this
-    /// gather and keeps the matches as they are.)
-    fn next_chunk(&mut self, ctx: &mut ExecCtx) -> Option<Chunk> {
-        let chunk = self.child.next_chunk(ctx)?;
-        self.matches.clear();
-        self.routing.route_chunk(&chunk, ctx, &mut self.matches);
-
-        let tags = ColumnData::Int(self.matches.iter().map(|&(_, q)| i64::from(q)).collect());
-        let indices: Vec<u32> = self.matches.iter().map(|&(row, _)| row).collect();
-        let mut cols = Vec::with_capacity(1 + chunk.data.arity());
-        cols.push(ColumnChunk::new(tags));
-        for c in chunk.data.columns() {
-            cols.push(c.gather(&indices));
-        }
-        Some(Chunk::dense(Arc::new(DataChunk::new(cols))))
-    }
-
     fn morsels(&self, target_rows: usize) -> Option<Vec<Morsel>> {
         self.child.morsels(target_rows)
     }
@@ -449,7 +526,6 @@ impl Operator for MultiFilter {
             schema: self.schema.clone(),
             pending: std::collections::VecDeque::new(),
             scratch: Vec::new(),
-            matches: Vec::new(),
         }))
     }
 }
@@ -467,6 +543,16 @@ pub enum MergeError {
     MissingTable(String),
     /// The batch holds more queries than a `u32` query tag can name.
     TooManyQueries(usize),
+    /// The table has no `Int` column the predicates can compare:
+    /// `found` is the named column's type, `None` when it is absent.
+    BadKeyColumn {
+        /// The scanned table.
+        table: String,
+        /// The column every predicate compares.
+        column: String,
+        /// Its type in the catalog, if the table has it.
+        found: Option<ColumnType>,
+    },
 }
 
 impl std::fmt::Display for MergeError {
@@ -474,6 +560,16 @@ impl std::fmt::Display for MergeError {
         match self {
             MergeError::EmptyBatch => write!(f, "empty QED batch"),
             MergeError::MissingTable(t) => write!(f, "table `{t}` not in catalog"),
+            MergeError::BadKeyColumn {
+                table,
+                column,
+                found: None,
+            } => write!(f, "table `{table}` has no column `{column}`"),
+            MergeError::BadKeyColumn {
+                table,
+                column,
+                found: Some(ty),
+            } => write!(f, "merge key `{table}.{column}` is {ty:?}, not Int"),
             MergeError::TooManyQueries(n) => write!(
                 f,
                 "QED batch of {n} queries exceeds the {} a query tag can name",
@@ -519,7 +615,15 @@ impl MergedSelection {
             v.dedup();
             v.len() == keys.len()
         };
-        let qty = lineitem.schema().expect_index("l_quantity");
+        let qty = lineitem.schema().index_of("l_quantity");
+        let found = qty.map(|i| lineitem.schema().columns()[i].ty);
+        let Some(qty) = qty.filter(|_| found == Some(ColumnType::Int)) else {
+            return Err(MergeError::BadKeyColumn {
+                table: "lineitem".to_string(),
+                column: "l_quantity".to_string(),
+                found,
+            });
+        };
         let scan = Box::new(SeqScan::new(lineitem)) as BoxedOp;
         Ok(Self {
             plan: MultiFilter::new(scan, qty, &keys, distinct),
@@ -669,32 +773,38 @@ mod tests {
         assert_eq!(rows.len(), 2, "row must fan out to both queries");
     }
 
-    /// Tagged rows, `pred_evals` and the whole ledger (as one phase) of
-    /// a `MultiFilter` over single-column `rows`, scalar or columnar.
+    /// Per-query rows, `pred_evals` and both ledgers (server, client;
+    /// one phase each) of a `MultiFilter` over single-column `rows`:
+    /// the scalar oracle's tagged rows and `split_results`, or the
+    /// columnar `run_split`.
     fn run_filter(
         rows: &[i64],
         keys: &[i64],
         disjoint: bool,
         short_circuit: bool,
         columnar: bool,
-    ) -> (Vec<Tuple>, u64, eco_simhw::trace::Phase) {
+    ) -> (Vec<Vec<Tuple>>, u64, [eco_simhw::trace::Phase; 2]) {
         use crate::ops::VecSource;
+        use eco_simhw::trace::PhaseKind;
         let schema = Schema::new(&[("v", ColumnType::Int)]);
         let src = VecSource::new(schema, rows.iter().map(|&v| vec![Value::Int(v)]).collect());
         let mut mf = MultiFilter::new(Box::new(src), 0, keys, disjoint);
-        let mut ctx = ExecCtx::new().with_batch_size(7);
+        let mut ctx = ExecCtx::new().with_batch_size(7).with_columnar(columnar);
         ctx.short_circuit_or = short_circuit;
-        let out = if columnar {
-            crate::exec::execute_columnar(&mut mf, &mut ctx)
+        let mut client = ExecCtx::new();
+        let split = if columnar {
+            let sets = mf.run_split(&mut ctx, &mut client);
+            sets.iter().map(|s| s.tuples().to_vec()).collect()
         } else {
-            crate::exec::execute_scalar(&mut mf, &mut ctx)
+            let tagged = crate::exec::execute_scalar(&mut mf, &mut ctx);
+            split_results(tagged, keys.len(), &mut client)
         };
         let evals = ctx.pred_evals;
-        (
-            out,
-            evals,
-            ctx.take_phase(eco_simhw::trace::PhaseKind::Execute, "t"),
-        )
+        let phases = [
+            ctx.take_phase(PhaseKind::Execute, "t"),
+            client.take_phase(PhaseKind::ClientCompute, "split"),
+        ];
+        (split, evals, phases)
     }
 
     #[test]
@@ -703,7 +813,7 @@ mod tests {
         // Every row matches predicate 0: the old narrowing loop's
         // `alive.is_empty()` early exit, 1 evaluation per row.
         let all_early = vec![3i64; 20];
-        let cases: [(&[i64], &[i64], bool); 5] = [
+        let cases: [(&[i64], &[i64], bool); 7] = [
             (&mixed, &[3, 1, 7, 5], true),
             (&mixed, &[3, 1, 3, 8, 1], false),
             (&all_early, &[3, 1, 7, 5], true),
@@ -711,17 +821,21 @@ mod tests {
             // A caller that wrongly promises disjointness still gets the
             // oracle's behaviour: the first equal-keyed query wins.
             (&mixed, &[4, 2, 4], true),
+            // Rows one below the smallest and one above the largest key.
+            (&mixed, &[7, 1, 7], false),
+            // A span past the dense table: binary-searched entries.
+            (&mixed, &[2, 5000, 6], true),
         ];
         for (rows, keys, disjoint) in cases {
             for short_circuit in [true, false] {
                 let what = format!("keys {keys:?} disjoint={disjoint} sc={short_circuit}");
-                let (rows_s, evals_s, phase_s) =
+                let (rows_s, evals_s, phases_s) =
                     run_filter(rows, keys, disjoint, short_circuit, false);
-                let (rows_c, evals_c, phase_c) =
+                let (rows_c, evals_c, phases_c) =
                     run_filter(rows, keys, disjoint, short_circuit, true);
                 assert_eq!(rows_c, rows_s, "{what}: rows");
                 assert_eq!(evals_c, evals_s, "{what}: pred_evals");
-                assert_eq!(phase_c, phase_s, "{what}: ledger");
+                assert_eq!(phases_c, phases_s, "{what}: server and client ledgers");
             }
         }
         let (_, evals, _) = run_filter(&all_early, &[3, 1, 7, 5], true, true, true);
@@ -738,12 +852,13 @@ mod tests {
     fn query_tags_do_not_wrap_at_u16() {
         let keys: Vec<i64> = (0..=65_536).collect();
         for columnar in [false, true] {
-            let (rows, evals, _) = run_filter(&[65_536], &keys, true, true, columnar);
+            let (split, evals, _) = run_filter(&[65_536], &keys, true, true, columnar);
             assert_eq!(
-                rows,
-                vec![vec![Value::Int(65_536), Value::Int(65_536)]],
+                split[65_536],
+                vec![vec![Value::Int(65_536)]],
                 "columnar={columnar}"
             );
+            assert_eq!(split.iter().map(Vec::len).sum::<usize>(), 1);
             assert_eq!(evals, 65_537, "columnar={columnar}");
         }
     }
@@ -827,6 +942,24 @@ mod tests {
             MergedSelection::try_new(&empty_catalog, &queries).err(),
             Some(MergeError::MissingTable("lineitem".to_string()))
         );
+        // A `lineitem` without an `Int` `l_quantity` is an error, not a
+        // panic.
+        for (found, cols) in [
+            (None, [("l_orderkey", ColumnType::Int)]),
+            (Some(ColumnType::Str), [("l_quantity", ColumnType::Str)]),
+        ] {
+            let mut odd = Catalog::new(0);
+            odd.add_memory_table("lineitem", eco_storage::HeapTable::new(Schema::new(&cols)));
+            let err = MergedSelection::try_new(&odd, &queries).err();
+            assert_eq!(
+                err,
+                Some(MergeError::BadKeyColumn {
+                    table: "lineitem".to_string(),
+                    column: "l_quantity".to_string(),
+                    found,
+                })
+            );
+        }
         assert!(MergedSelection::try_new(&cat, &queries).is_ok());
     }
 }

@@ -65,10 +65,10 @@
 //! * [`Filter`] evaluates predicates column-at-a-time
 //!   ([`crate::expr::Expr::filter_sel`]), refining the selection vector
 //!   without touching data — short-circuit semantics become *selection
-//!   narrowing*, with identical evaluation counts; the QED
-//!   [`crate::mqo::MultiFilter`] instead looks each live row's key up
-//!   in a key → query-ids table and derives the evaluation counts
-//!   arithmetically;
+//!   narrowing*, with identical evaluation counts; the QED merged scan
+//!   ([`crate::mqo::MultiFilter::run_split`]) instead looks each live
+//!   row's key up in a per-key routing table, with no branch on the
+//!   row's data, and sums the evaluation counts the table holds;
 //! * [`Project`] runs expression kernels over typed slices into fresh
 //!   columns;
 //! * [`HashJoin`] and [`HashAggregate`] share one key kernel

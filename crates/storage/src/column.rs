@@ -511,17 +511,7 @@ impl DataChunk {
             out.extend(rows.map(|i| widths[i]));
             return;
         }
-        let fixed: u32 = 2 + self
-            .columns
-            .iter()
-            .map(|c| match c.data {
-                ColumnData::Int(_) => 8,
-                ColumnData::Date(_) => 4,
-                ColumnData::Char(_) | ColumnData::Bool(_) => 1,
-                // The length prefix; the payload is added per row.
-                ColumnData::Str(_) => 2,
-            })
-            .sum::<u32>();
+        let fixed = self.fixed_width();
         let start = out.len();
         out.extend(rows.clone().map(|_| fixed));
         for c in &self.columns {
@@ -531,6 +521,39 @@ impl DataChunk {
                 }
             }
         }
+    }
+
+    /// The summed stored widths of `rows`: what [`Self::row_widths`]
+    /// appends, added up without a vector — one pass over each string
+    /// column, the fixed part once. A chunk built by
+    /// [`Self::with_widths`] sums the widths it carries.
+    pub fn width_sum(&self, rows: impl Iterator<Item = usize> + Clone) -> u64 {
+        if let Some(widths) = &self.widths {
+            return rows.map(|i| u64::from(widths[i])).sum();
+        }
+        let mut sum = u64::from(self.fixed_width()) * rows.clone().count() as u64;
+        for c in &self.columns {
+            if let ColumnData::Str(v) = &c.data {
+                sum += rows.clone().map(|i| v[i].len() as u64).sum::<u64>();
+            }
+        }
+        sum
+    }
+
+    /// The part of every row's stored width that does not depend on its
+    /// values: the row header plus each column's fixed bytes.
+    fn fixed_width(&self) -> u32 {
+        2 + self
+            .columns
+            .iter()
+            .map(|c| match c.data {
+                ColumnData::Int(_) => 8,
+                ColumnData::Date(_) => 4,
+                ColumnData::Char(_) | ColumnData::Bool(_) => 1,
+                // The length prefix; the payload is added per row.
+                ColumnData::Str(_) => 2,
+            })
+            .sum::<u32>()
     }
 
     /// The value at (`col`, `row`).
@@ -673,6 +696,19 @@ mod tests {
         let chunk = DataChunk::from_rows(&schema, &rows);
         let want = |i: usize| tuple_width(&chunk.row(i)) as u32;
         assert_eq!(want(0), 2 + 8 + 2 + 4 + 1 + 1 + (2 + 4), "bytes, not chars");
+        // `width_sum` is Σ `row_widths` over the same rows.
+        let assert_width_sum = |c: &DataChunk, rows: &[usize]| {
+            let mut widths = Vec::new();
+            c.row_widths(rows.iter().copied(), &mut widths);
+            let sum: u64 = widths.iter().map(|&w| u64::from(w)).sum();
+            assert_eq!(c.width_sum(rows.iter().copied()), sum, "over {rows:?}");
+        };
+        let window: Vec<usize> = (2..5).collect();
+        let sel_rows = [5, 0, 0, 3];
+        for rows in [&(0..6).collect::<Vec<_>>()[..], &window, &sel_rows, &[]] {
+            assert_width_sum(&chunk, rows);
+        }
+        assert_eq!(DataChunk::default().width_sum(0..3), 6, "row headers only");
 
         let mut out = vec![7]; // appended to, never cleared
         chunk.row_widths(0..6, &mut out);
@@ -714,6 +750,11 @@ mod tests {
         pruned.row_widths(sel.iter().map(|&i| i as usize), &mut out);
         let picked: Vec<u32> = sel.iter().map(|&i| carried[i as usize]).collect();
         assert_eq!(out, picked, "selection vector");
+        for rows in [&window[..], &sel_rows] {
+            assert_width_sum(&pruned, rows);
+        }
+        let carried_sum: u64 = window.iter().map(|&i| u64::from(carried[i])).sum();
+        assert_eq!(pruned.width_sum(2..5), carried_sum, "the carried widths");
         assert_eq!(
             pruned.value(2, 3),
             chunk.value(2, 3),

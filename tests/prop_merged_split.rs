@@ -16,13 +16,18 @@
 //!   the way clients read them — counted before anything is decoded,
 //!   then decoded through `tuples()`, on one arm from a clone.
 //! * `routing_equals_the_scalar_oracle` aims at the routing table over
-//!   a `VecSource`: keys absent from the data, negative keys,
-//!   `i64::MIN`/`MAX` (the binary-searched table) and narrow key sets
-//!   (the dense one), duplicate keys with and without a (wrong)
-//!   disjointness promise, empty input, input arriving under a
-//!   selection vector, rows of varying width.
-//! * NULL keys never occur on the row engines, so that case is pinned
-//!   by hand: a NULL matches nothing and is still charged *k*.
+//!   a `VecSource`, serially and morsel-parallel: keys absent from the
+//!   data, negative keys, `i64::MIN`/`MAX` (the binary-searched table)
+//!   and narrow key sets (the dense one), key spans of 4096 and 4097
+//!   (the widest dense table, the narrowest binary-searched one), rows
+//!   one below the smallest key, at the largest and one above it,
+//!   duplicate keys with and without a (wrong) disjointness promise,
+//!   empty input, input arriving under a selection vector, rows of
+//!   varying width. Then the same rows with NULL keys, fed as prebuilt
+//!   chunks with and without selection vectors; NULL keys never occur
+//!   on the row engines, so the oracle sees each NULL as a key no query
+//!   has — the rule `null_keys_match_nothing_and_cost_k` pins by hand: a
+//!   NULL matches nothing and is still charged *k*.
 //!
 //! Seeds are pinned: the vendored `proptest` derives each test's
 //! generator from the test's name.
@@ -35,7 +40,7 @@ use proptest::prelude::*;
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::chunk::Chunk;
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute_columnar, execute_parallel, execute_scalar, ExecEngine};
+use ecodb::query::exec::{execute_parallel, execute_scalar, ExecEngine};
 use ecodb::query::expr::{CmpOp, Expr};
 use ecodb::query::mqo::{split_results, MultiFilter};
 use ecodb::query::ops::{BoxedOp, Filter, Operator, VecSource};
@@ -116,6 +121,39 @@ fn batch(rng: &mut Rng, dups: bool) -> Vec<QedQuery> {
         .into_iter()
         .map(|quantity| QedQuery { quantity })
         .collect()
+}
+
+/// Which values a routing case draws its rows and keys from.
+#[derive(Debug, Clone, Copy)]
+enum KeySet {
+    /// [`NARROW`]: within the dense table's span.
+    Narrow,
+    /// [`WIDE`]: the binary-searched table and the wrap-around corners
+    /// of `key − min`.
+    Wide,
+    /// Keys from `lo` to `lo + 4095` or `lo + 4096`, both ends always
+    /// present: the widest dense table and the narrowest binary-searched
+    /// one.
+    Boundary,
+}
+
+impl KeySet {
+    /// The values rows draw from, the values keys draw from, and the
+    /// keys every case of this set must have.
+    fn draw(self, rng: &mut Rng) -> (Vec<i64>, Vec<i64>, Vec<i64>) {
+        let absent = [7, -9, 1000];
+        match self {
+            KeySet::Narrow => (NARROW.to_vec(), [&NARROW[..], &absent].concat(), vec![]),
+            KeySet::Wide => (WIDE.to_vec(), [&WIDE[..], &absent].concat(), vec![]),
+            KeySet::Boundary => {
+                let lo = rng.pick(&[-4096, -1, 0, 7]);
+                let hi = lo + rng.pick(&[4095, 4096]);
+                let inner = vec![lo + 1, lo + 2048, hi - 1];
+                let rows = [&inner[..], &[lo, hi]].concat();
+                (rows, inner, vec![lo, hi])
+            }
+        }
+    }
 }
 
 /// Values the routing cases draw rows and keys from. The narrow set
@@ -235,6 +273,39 @@ impl Operator for ChunkSource {
     }
 }
 
+/// `rows` (of [`routing_schema`]) as windows of `step` rows over one
+/// chunk whose key column is NULL where `valid` is false; with `live`,
+/// each window carries the selection of its rows `live` names.
+fn masked_chunks(
+    rows: &[Tuple],
+    valid: &[bool],
+    live: Option<&[bool]>,
+    step: usize,
+) -> ChunkSource {
+    let schema = routing_schema();
+    let mut cols = DataChunk::from_rows(&schema, rows).columns().to_vec();
+    cols[1] = ColumnChunk::with_validity(cols[1].data.clone(), valid.to_vec());
+    let data = Arc::new(DataChunk::new(cols));
+    let chunks = (0..rows.len())
+        .step_by(step)
+        .map(|start| {
+            let window = start..(start + step).min(rows.len());
+            let chunk = Chunk::window(Arc::clone(&data), window.clone());
+            match live {
+                Some(live) => {
+                    chunk.with_sel(window.filter(|&i| live[i]).map(|i| i as u32).collect())
+                }
+                None => chunk,
+            }
+        })
+        .collect();
+    ChunkSource {
+        schema,
+        chunks,
+        at: 0,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(36))]
 
@@ -291,7 +362,7 @@ proptest! {
     #[test]
     fn routing_equals_the_scalar_oracle(
         seed in any::<u64>(),
-        wide in any::<bool>(),
+        key_set in prop_oneof![Just(KeySet::Narrow), Just(KeySet::Wide), Just(KeySet::Boundary)],
         short_circuit in any::<bool>(),
         dups in any::<bool>(),
         promise_disjoint in any::<bool>(),
@@ -299,25 +370,16 @@ proptest! {
         workers in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let mut rng = Rng(seed);
-        let universe: &[i64] = if wide { &WIDE } else { &NARROW };
-        let n_rows = if rng.below(8) == 0 { 0 } else { rng.below(200) as usize };
-        let rows: Vec<Tuple> = (0..n_rows)
-            .map(|i| {
-                vec![
-                    Value::str("x".repeat(rng.below(9) as usize)),
-                    Value::Int(rng.pick(universe)),
-                    Value::Int(i as i64 % 10),
-                ]
-            })
-            .collect();
-        // Keys: a subset of the universe (so some values in the data
-        // have no query) plus values the data never holds.
-        let mut pool: Vec<i64> = universe.to_vec();
-        pool.extend([7, -9, 1000]);
-        let n_keys = 1 + rng.below(8) as usize;
+        let (mut universe, mut pool, edges) = key_set.draw(&mut rng);
+        // Keys: a subset of the pool (so some values in the data have
+        // no query, and some keys no row), in random order.
+        let n_keys = 1 + rng.below(pool.len().min(8) as u64) as usize;
         let mut keys: Vec<i64> = (0..n_keys)
             .map(|_| pool.swap_remove(rng.below(pool.len() as u64) as usize))
             .collect();
+        for edge in edges {
+            keys.insert(rng.below(keys.len() as u64 + 1) as usize, edge);
+        }
         if dups {
             for _ in 0..=rng.below(3) {
                 let at = rng.below(keys.len() as u64 + 1) as usize;
@@ -325,6 +387,20 @@ proptest! {
                 keys.insert(at, from);
             }
         }
+        // Rows also hold the values at the table's edges: one below the
+        // smallest key, the largest, one above it.
+        let (lo, hi) = (keys.iter().min().unwrap(), keys.iter().max().unwrap());
+        universe.extend([lo.wrapping_sub(1), *hi, hi.wrapping_add(1)]);
+        let n_rows = if rng.below(8) == 0 { 0 } else { rng.below(200) as usize };
+        let rows: Vec<Tuple> = (0..n_rows)
+            .map(|i| {
+                vec![
+                    Value::str("x".repeat(rng.below(9) as usize)),
+                    Value::Int(rng.pick(&universe)),
+                    Value::Int(i as i64 % 10),
+                ]
+            })
+            .collect();
         // A duplicate-keyed batch that still promises disjointness gets
         // the oracle's answer: the first equal-keyed query wins.
         let disjoint = !dups || promise_disjoint;
@@ -337,15 +413,19 @@ proptest! {
         octx.short_circuit_or = short_circuit;
         let tagged = execute_scalar(&mut routing_plan(&rows, cut, &keys, disjoint), &mut octx);
         let mut oclient = ExecCtx::new();
-        let expected = split_results(tagged.clone(), k, &mut oclient);
+        let expected = split_results(tagged, k, &mut oclient);
 
-        // Generic columnar driver: same tagged rows, same ledger.
-        let mut gctx = ExecCtx::new().with_batch_size(rng.pick(&[1, 7, 1024]));
-        gctx.short_circuit_or = short_circuit;
-        let tagged_c = execute_columnar(&mut routing_plan(&rows, cut, &keys, disjoint), &mut gctx);
-        prop_assert_eq!(tagged_c, tagged, "{}: tagged rows", what);
-        prop_assert_eq!(gctx.pred_evals, octx.pred_evals, "{}: pred_evals", what);
-        prop_assert_eq!(server_phase(&mut gctx), server_phase(&mut octx.clone()), "{}", what);
+        // Fused path, serial, over chunks of 1, 7 or 1024 rows.
+        let mut sctx = ExecCtx::new()
+            .with_columnar(true)
+            .with_batch_size(rng.pick(&[1, 7, 1024]));
+        sctx.short_circuit_or = short_circuit;
+        let mut sclient = ExecCtx::new();
+        let split = routing_plan(&rows, cut, &keys, disjoint).run_split(&mut sctx, &mut sclient);
+        prop_assert_eq!(check_views(&split, &expected, false), Ok(()), "{}: serial", what);
+        prop_assert_eq!(sctx.pred_evals, octx.pred_evals, "{}: serial pred_evals", what);
+        prop_assert_eq!(server_phase(&mut sctx), server_phase(&mut octx.clone()), "{}", what);
+        prop_assert_eq!(client_phase(&mut sclient), client_phase(&mut oclient.clone()), "{}", what);
 
         // Fused path, morsel-parallel.
         let morsel_rows = rng.pick(&[16, 64, 4096]);
@@ -372,6 +452,39 @@ proptest! {
             pctx.take_core_phases(workers, "t"),
             "{}: per-core phases", what
         );
+
+        // NULL keys, fed as prebuilt chunks (under a selection vector
+        // when `under_selection`). The oracle runs over the selected
+        // rows with each NULL key swapped for a key no query has — the
+        // hand rule: a NULL costs k and matches nothing.
+        let valid: Vec<bool> = (0..n_rows).map(|_| rng.below(3) != 0).collect();
+        let live: Vec<bool> = (0..n_rows).map(|_| !under_selection || rng.below(3) != 0).collect();
+        let absent = (0..).find(|v| !keys.contains(v)).expect("finitely many keys");
+        let nulled: Vec<Tuple> = (0..n_rows)
+            .filter(|&i| live[i])
+            .map(|i| {
+                let mut row = rows[i].clone();
+                if !valid[i] {
+                    row[1] = Value::Int(absent);
+                }
+                row
+            })
+            .collect();
+        let mut octx = ExecCtx::new();
+        octx.short_circuit_or = short_circuit;
+        let tagged = execute_scalar(&mut routing_plan(&nulled, None, &keys, disjoint), &mut octx);
+        let mut oclient = ExecCtx::new();
+        let expected = split_results(tagged, k, &mut oclient);
+
+        let source = masked_chunks(&rows, &valid, under_selection.then_some(&live[..]), rng.pick(&[1, 7, 64]));
+        let mut nctx = ExecCtx::new().with_columnar(true);
+        nctx.short_circuit_or = short_circuit;
+        let mut nclient = ExecCtx::new();
+        let split = MultiFilter::new(Box::new(source), 1, &keys, disjoint).run_split(&mut nctx, &mut nclient);
+        prop_assert_eq!(check_views(&split, &expected, false), Ok(()), "{}: NULL keys", what);
+        prop_assert_eq!(nctx.pred_evals, octx.pred_evals, "{}: NULL pred_evals", what);
+        prop_assert_eq!(server_phase(&mut nctx), server_phase(&mut octx), "{}: NULL", what);
+        prop_assert_eq!(client_phase(&mut nclient), client_phase(&mut oclient), "{}: NULL", what);
     }
 }
 
