@@ -42,14 +42,14 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut plan = plans::q5_plan(db.catalog(), &params);
             let mut ctx = eco_query::context::ExecCtx::new();
-            black_box(eco_query::exec::execute(plan.as_mut(), &mut ctx))
+            black_box(eco_query::exec::execute_columnar(plan.as_mut(), &mut ctx))
         })
     });
     g.bench_function("late_filter_plan", |b| {
         b.iter(|| {
             let mut plan = plans::q5_plan_late_filter(db.catalog(), &params);
             let mut ctx = eco_query::context::ExecCtx::new();
-            black_box(eco_query::exec::execute(plan.as_mut(), &mut ctx))
+            black_box(eco_query::exec::execute_columnar(plan.as_mut(), &mut ctx))
         })
     });
     g.finish();

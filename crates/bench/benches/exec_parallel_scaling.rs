@@ -1,5 +1,5 @@
-//! Morsel-driven parallel execution vs single-threaded batch execution
-//! over TPC-H Q1/Q5/Q6 on the memory engine — the wall-clock payoff of
+//! Morsel-driven parallel execution vs single-threaded execution, both
+//! columnar, over TPC-H Q1/Q5/Q6 on the memory engine — the wall-clock payoff of
 //! `exec::execute_parallel`, whose merged energy ledger is bit-identical
 //! to serial execution at every worker count
 //! (`tests/integration_parallel.rs`).
@@ -41,7 +41,7 @@ const QUERIES: [(&str, PlanFn); 3] = [("q1", q1), ("q5", q5), ("q6", q6)];
 
 fn run(db: &EcoDb, plan_fn: PlanFn, workers: usize) -> usize {
     let mut plan = plan_fn(db);
-    let mut ctx = ExecCtx::new();
+    let mut ctx = ExecCtx::new().with_columnar(true);
     execute_parallel(plan.as_mut(), &mut ctx, workers).len()
 }
 

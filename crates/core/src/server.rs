@@ -367,13 +367,14 @@ impl EcoDb {
 
     /// Same database with a different execution engine (builder style).
     ///
-    /// This is how the differential tests reach their oracles: scalar,
-    /// batch and columnar execution produce identical rows and
-    /// bit-identical energy ledgers, so every PVC/QED sweep and paper
-    /// grid yields the same figures under any of them — only the
-    /// wall-clock cost of *producing* the traces differs, and columnar
-    /// (the default) is the cheapest. Nothing outside tests and the
-    /// engine-comparison benches needs to call this.
+    /// This is how the differential tests reach their oracle: scalar
+    /// and columnar execution produce identical rows and bit-identical
+    /// energy ledgers — serial and on every morsel worker — so every
+    /// PVC/QED sweep and paper grid yields the same figures under
+    /// either — only the wall-clock cost of *producing* the traces
+    /// differs, and columnar (the default) is the cheaper. Nothing
+    /// outside tests and the engine-comparison checks needs to call
+    /// this.
     pub fn with_engine(mut self, engine: ExecEngine) -> Self {
         self.engine = engine;
         self
@@ -554,9 +555,7 @@ impl EcoDb {
         workers: usize,
     ) -> (Vec<Tuple>, Vec<WorkTrace>) {
         assert!(workers >= 1, "need at least one worker");
-        // Workers run batch or columnar pipelines per the engine knob
-        // (a Scalar engine falls back to batch pipelines here — the
-        // morsel driver is inherently batched).
+        // Workers drain scalar or columnar pipelines per the engine knob.
         let mut ctx = self.exec_ctx().with_workers(workers);
         ctx.charge(OpClass::Parse, parse_tokens(kind));
         let rows = execute_parallel(plan.as_mut(), &mut ctx, workers);

@@ -4,9 +4,9 @@ use eco_simhw::trace::{CpuWork, DiskWork, OpClass, Phase, PhaseKind, PricingMode
 
 use crate::error::ExecError;
 
-/// Default number of tuples a batch-mode operator call produces (or, for
-/// filters, consumes). 1024 keeps a batch of lineitem-width tuples well
-/// inside L2 while amortizing per-call dispatch to noise.
+/// Default [`ExecCtx::batch_size`]: rows per columnar chunk and per DML
+/// filter window. 1024 keeps a chunk of lineitem-width rows well inside
+/// L2 while amortizing per-call dispatch to noise.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 /// Default number of input tuples per morsel handed to a parallel
@@ -49,10 +49,13 @@ pub struct ExecCtx {
     pub short_circuit_or: bool,
     /// Number of predicate-term evaluations (for introspection/tests).
     pub pred_evals: u64,
-    /// Tuples per `next_batch` call. Execution *semantics and the
-    /// energy ledger are independent of this value* (it only changes
-    /// how work is chunked, never how much work is charged); it is a
-    /// pure throughput knob.
+    /// Rows per columnar chunk (what a scan window and the default
+    /// [`crate::ops::Operator::next_chunk`] hold) and per DML filter
+    /// window ([`crate::sql::execute_dml`]). The scalar engine never
+    /// reads it. Execution *semantics and the energy ledger are
+    /// independent of this value* (it only changes how work is
+    /// chunked, never how much work is charged); it is a pure
+    /// throughput knob.
     pub batch_size: usize,
     /// Worker threads available to parallel sections (1 = serial). Like
     /// `batch_size`, this is a pure throughput knob: the merged ledger
@@ -62,10 +65,11 @@ pub struct ExecCtx {
     /// operators may align this upward (disk scans round to whole
     /// extents so parallel I/O charges stay identical to serial).
     pub morsel_rows: usize,
-    /// Columnar execution: when set, drivers and blocking operators
-    /// move data through [`crate::ops::Operator::next_chunk`] (typed
-    /// column vectors + selection vectors) instead of `Vec<Tuple>`
-    /// batches. Like `batch_size` and `workers`, a pure throughput
+    /// The engine: when set, drivers, blocking operators and morsel
+    /// workers move data through [`crate::ops::Operator::next_chunk`]
+    /// (typed column vectors + selection vectors); otherwise they pull
+    /// [`crate::ops::Operator::next`] tuple-at-a-time (the scalar
+    /// oracle). Like `batch_size` and `workers`, a pure throughput
     /// knob: the energy ledger is bit-identical either way
     /// (`tests/integration_columnar.rs`).
     pub columnar: bool,

@@ -1,20 +1,19 @@
 //! Driving a plan to completion.
 //!
-//! [`execute`] / [`execute_into`] drive the plan through the vectorized
-//! batch path ([`Operator::next_batch`]); [`execute_columnar`] drives
-//! it through the columnar path ([`Operator::next_chunk`] — typed
-//! column vectors and selection vectors, rows materialized only at the
-//! top); [`execute_scalar`] / [`execute_into_scalar`] retain the
-//! tuple-at-a-time Volcano loop; [`execute_parallel`] adds
+//! A plan runs one of two ways, picked by [`ExecCtx::columnar`]:
+//! the columnar chunk driver ([`Operator::next_chunk`] — typed column
+//! vectors and selection vectors, rows materialized only at the top),
+//! which is what ships, or the tuple-at-a-time scalar driver
+//! ([`Operator::next`]), the oracle the differential tests compare it
+//! against. [`execute`] / [`execute_into`] dispatch on the flag;
+//! [`ExecEngine`] sets it for one run; [`execute_parallel`] adds
 //! morsel-driven intra-query parallelism on worker threads and composes
-//! with all of them (a columnar context runs columnar pipelines on
-//! every worker). All paths produce identical result rows and
-//! bit-identical [`ExecCtx`] ledgers (see
-//! `tests/integration_vectorized.rs`, `tests/integration_columnar.rs`
-//! and `tests/integration_parallel.rs`) — engine choice, batch size and
-//! worker count are purely throughput knobs; the energy accounting the
-//! paper's figures are computed from never changes.
-
+//! with both (every worker drains the context's engine). Both produce
+//! identical result rows and bit-identical [`ExecCtx`] ledgers (see
+//! `tests/integration_columnar.rs` and `tests/integration_parallel.rs`)
+//! — engine choice, chunk size and worker count are purely throughput
+//! knobs; the energy accounting the paper's figures are computed from
+//! never changes.
 //!
 //! ## Failure semantics
 //!
@@ -38,19 +37,17 @@ use crate::error::ExecError;
 use crate::ops::Operator;
 use crate::parallel::gather_parallel;
 
-/// Which execution engine drives a plan — a pure throughput knob; all
-/// three produce identical rows and bit-identical ledgers. `EcoDb`
-/// (and so the server, `repro` and the benchmarks) runs
-/// [`ExecEngine::Columnar`]; the other two are kept as the oracles the
+/// Which execution engine drives a plan — a pure throughput knob; both
+/// produce identical rows and bit-identical ledgers. `EcoDb` (and so
+/// the server, `repro` and the benchmarks) runs
+/// [`ExecEngine::Columnar`]; scalar is kept as the oracle the
 /// differential tests compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecEngine {
     /// Tuple-at-a-time Volcano loop: the reference oracle.
     Scalar,
-    /// Vectorized `Vec<Tuple>` batches: the second oracle.
-    Batch,
     /// Typed column vectors + selection vectors with late
-    /// materialization: the production engine, and the fastest.
+    /// materialization: the production engine.
     Columnar,
 }
 
@@ -59,24 +56,18 @@ impl ExecEngine {
     pub fn name(self) -> &'static str {
         match self {
             ExecEngine::Scalar => "scalar",
-            ExecEngine::Batch => "batch",
             ExecEngine::Columnar => "columnar",
         }
     }
 
     /// Execute `plan` under this engine, appending into `out`. The
-    /// engine choice is authoritative: a context whose
-    /// [`ExecCtx::columnar`] flag disagrees is overridden for the
-    /// duration of the run (and restored), so `ExecEngine::Batch`
-    /// always measures the batch driver.
+    /// engine choice is authoritative: the context's
+    /// [`ExecCtx::columnar`] flag is set from it for the duration of
+    /// the run (and restored).
     pub fn execute_into(self, plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
         let saved = ctx.columnar;
-        ctx.columnar = false;
-        match self {
-            ExecEngine::Scalar => execute_into_scalar(plan, ctx, out),
-            ExecEngine::Batch => execute_into(plan, ctx, out),
-            ExecEngine::Columnar => execute_columnar_into(plan, ctx, out),
-        }
+        ctx.columnar = self == ExecEngine::Columnar;
+        execute_into(plan, ctx, out);
         ctx.columnar = saved;
     }
 
@@ -120,10 +111,10 @@ fn take_exec_error(ctx: &mut ExecCtx) -> Result<(), ExecError> {
     }
 }
 
-/// Execute a plan through the batch path, returning all result tuples.
-/// Each result row charges one `ResultEmit` plus its width in memory
-/// bytes (materialization into the wire buffer — the DBMS side of the
-/// result path).
+/// Execute a plan under the context's engine, returning all result
+/// tuples. Each result row charges one `ResultEmit` plus its width in
+/// memory bytes (materialization into the wire buffer — the DBMS side
+/// of the result path).
 pub fn execute(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
     let mut out = Vec::new();
     execute_into(plan, ctx, &mut out);
@@ -131,66 +122,46 @@ pub fn execute(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
 }
 
 /// Like [`execute`], appending into an existing buffer (lets callers
-/// reuse a workhorse allocation across queries).
+/// reuse a workhorse allocation across queries). The one dispatcher:
+/// a context with [`ExecCtx::columnar`] set runs the columnar driver,
+/// any other the scalar one.
 ///
-/// A context with [`ExecCtx::columnar`] set is routed through the
-/// columnar driver, so callers that thread a context through generic
-/// entry points (the server facade, the QED merger) get the columnar
-/// path without new plumbing.
+/// The columnar driver tells the root that every column is read
+/// ([`Operator::prune`]) before `open`, streams chunks through the
+/// plan and materializes rows only here, at the top (late
+/// materialization), charging the same `ResultEmit` + width bytes per
+/// row as the scalar loop.
 pub fn execute_into(plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
-    if ctx.columnar {
-        return execute_columnar_into(plan, ctx, out);
-    }
-    plan.open(ctx);
-    loop {
-        let start = out.len();
-        let more = plan.next_batch(ctx, out);
-        let emitted = &out[start..];
-        if !emitted.is_empty() {
-            let bytes: u64 = emitted.iter().map(tuple_width).sum();
-            ctx.charge(OpClass::ResultEmit, emitted.len() as u64);
-            ctx.charge_mem_bytes(bytes);
+    if !ctx.columnar {
+        plan.open(ctx);
+        while let Some(t) = plan.next(ctx) {
+            ctx.charge(OpClass::ResultEmit, 1);
+            ctx.charge_mem_bytes(tuple_width(&t));
+            out.push(t);
         }
-        if !more {
-            return;
-        }
+        return;
     }
-}
-
-/// Execute a plan through the columnar path ([`Operator::next_chunk`]),
-/// returning all result tuples. Chunks stream through the plan as typed
-/// column vectors with selection vectors; rows are materialized only
-/// here, at the top (late materialization), charging the same
-/// `ResultEmit` + width bytes per row as the other drivers.
-pub fn execute_columnar(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    execute_columnar_into(plan, ctx, &mut out);
-    out
-}
-
-/// Like [`execute_columnar`], appending into an existing buffer.
-///
-/// The context's [`ExecCtx::columnar`] flag is raised for the duration
-/// of the run (blocking operators consult it when draining children)
-/// and restored afterwards, so a reused context does not silently
-/// switch later [`execute`] calls onto the columnar driver. The root is
-/// told that every column is read ([`Operator::prune`]) before `open`.
-pub fn execute_columnar_into(plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
-    let saved = ctx.columnar;
-    ctx.columnar = true;
     plan.prune(&vec![true; plan.schema().arity()]);
     plan.open(ctx);
     while let Some(chunk) = plan.next_chunk(ctx) {
-        if chunk.is_empty() {
-            continue;
-        }
         let start = out.len();
         chunk.to_tuples(out);
         let bytes: u64 = out[start..].iter().map(tuple_width).sum();
         ctx.charge(OpClass::ResultEmit, (out.len() - start) as u64);
         ctx.charge_mem_bytes(bytes);
     }
-    ctx.columnar = saved;
+}
+
+/// Execute a plan through the columnar driver whatever the context's
+/// flag ([`ExecEngine::Columnar`]).
+pub fn execute_columnar(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
+    ExecEngine::Columnar.execute(plan, ctx)
+}
+
+/// Execute a plan tuple-at-a-time whatever the context's flag
+/// ([`ExecEngine::Scalar`]): the oracle.
+pub fn execute_scalar(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
+    ExecEngine::Scalar.execute(plan, ctx)
 }
 
 /// Execute a plan with `workers` morsel-parallel worker threads.
@@ -231,7 +202,7 @@ pub fn execute_parallel_into(
 ) {
     ctx.workers = workers.max(1);
     // Root-level gather for fully partitionable plans; the result-path
-    // charges below match execute_into's per-batch charging exactly.
+    // charges below match execute_into's per-row charges exactly.
     if let Some(rows) = gather_parallel(plan, ctx) {
         if !rows.is_empty() {
             let bytes: u64 = rows.iter().map(tuple_width).sum();
@@ -242,25 +213,6 @@ pub fn execute_parallel_into(
         return;
     }
     execute_into(plan, ctx, out);
-}
-
-/// Execute a plan tuple-at-a-time (the Volcano baseline the batch path
-/// is benchmarked against). Identical results and ledger to
-/// [`execute`]; strictly more per-tuple overhead.
-pub fn execute_scalar(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    execute_into_scalar(plan, ctx, &mut out);
-    out
-}
-
-/// Like [`execute_scalar`], appending into an existing buffer.
-pub fn execute_into_scalar(plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
-    plan.open(ctx);
-    while let Some(t) = plan.next(ctx) {
-        ctx.charge(OpClass::ResultEmit, 1);
-        ctx.charge_mem_bytes(tuple_width(&t));
-        out.push(t);
-    }
 }
 
 #[cfg(test)]
@@ -290,29 +242,30 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_batch_agree_on_rows_and_ledger() {
-        let mut ctx_s = ExecCtx::new().with_batch_size(1);
+    fn scalar_and_columnar_agree_on_rows_and_ledger() {
+        let mut ctx_s = ExecCtx::new();
         let rows_s = execute_scalar(&mut plan(), &mut ctx_s);
 
-        for batch_size in [1, 3, 7, 1024] {
-            let mut ctx_b = ExecCtx::new().with_batch_size(batch_size);
-            let rows_b = execute(&mut plan(), &mut ctx_b);
-            assert_eq!(rows_b, rows_s, "batch size {batch_size}");
-            assert_eq!(ctx_b.cpu, ctx_s.cpu, "batch size {batch_size}");
-            assert_eq!(ctx_b.mem_stream_bytes, ctx_s.mem_stream_bytes);
-            assert_eq!(ctx_b.mem_random_accesses, ctx_s.mem_random_accesses);
-            assert_eq!(ctx_b.pred_evals, ctx_s.pred_evals);
+        for chunk_size in [1, 3, 7, 1024] {
+            let mut ctx_c = ExecCtx::new().with_batch_size(chunk_size);
+            let rows_c = execute_columnar(&mut plan(), &mut ctx_c);
+            assert_eq!(rows_c, rows_s, "chunk size {chunk_size}");
+            assert_eq!(ctx_c.cpu, ctx_s.cpu, "chunk size {chunk_size}");
+            assert_eq!(ctx_c.mem_stream_bytes, ctx_s.mem_stream_bytes);
+            assert_eq!(ctx_c.mem_random_accesses, ctx_s.mem_random_accesses);
+            assert_eq!(ctx_c.pred_evals, ctx_s.pred_evals);
         }
     }
 
     #[test]
-    fn columnar_driver_restores_the_context_flag() {
+    fn engines_restore_the_context_flag() {
         let mut ctx = ExecCtx::new();
         let rows_c = execute_columnar(&mut plan(), &mut ctx);
         assert!(!ctx.columnar, "flag must not leak out of the columnar run");
-        // The same context now drives a genuine batch run.
-        let rows_b = execute(&mut plan(), &mut ctx);
-        assert_eq!(rows_b, rows_c);
+        let mut ctx = ExecCtx::new().with_columnar(true);
+        let rows_s = execute_scalar(&mut plan(), &mut ctx);
+        assert!(ctx.columnar, "flag must not leak out of the scalar run");
+        assert_eq!(rows_s, rows_c);
     }
 
     #[test]

@@ -848,6 +848,10 @@ fn cmp_flags(
         (ValSrc::StrConst(c), ValSrc::Str(b, vb)) => rows.for_each(|k, i| {
             flags[k] = valid_at(*vb, i) && op.test((*c).cmp(b[i].as_ref()));
         }),
+        // Two literals (`'ASIA' = 'x'`): one verdict for every row.
+        (ValSrc::DateConst(a), ValSrc::DateConst(b)) => flags.fill(op.test(a.cmp(b))),
+        (ValSrc::CharConst(a), ValSrc::CharConst(b)) => flags.fill(op.test(a.cmp(b))),
+        (ValSrc::StrConst(a), ValSrc::StrConst(b)) => flags.fill(op.test(a.cmp(b))),
         (a, b) => {
             // Boolean/mixed-shape comparisons: rare, resolved generically.
             rows.for_each(|k, i| {

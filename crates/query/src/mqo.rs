@@ -11,13 +11,13 @@
 //!
 //! # Two paths, one ledger
 //!
-//! * **Oracle (scalar / batch).** [`MultiFilter`]'s `next` / `next_batch`
-//!   evaluate the predicate [`Expr`]s one after another against each row
-//!   and emit one *tagged* tuple (query index first) per match;
+//! * **Oracle (scalar).** [`MultiFilter`]'s `next` evaluates the
+//!   predicate [`Expr`]s one after another against each row and emits
+//!   one *tagged* tuple (query index first) per match;
 //!   [`MergedSelection::run`] collects them and [`split_results`] strips
 //!   the tag and routes each tuple to its query. This is the reference
 //!   the differential tests compare against, and what `EcoDb` runs
-//!   under a row engine.
+//!   under the scalar engine.
 //! * **Production (columnar).** The predicates are compiled once, at
 //!   construction, into per-key routing entries: each key's first query,
 //!   what a row with that key costs under short-circuit evaluation, and
@@ -273,13 +273,13 @@ fn fan_out(matches: &mut Vec<(u32, u32)>, at: usize, row: u32, rest: &[u32]) {
 /// stops at the first matching predicate (sound only when at most one
 /// can match — true for QED's distinct `l_quantity` values). Otherwise
 /// every predicate is evaluated and a row may fan out to several
-/// queries; fan-out rows emit in predicate order (row-major) in scalar,
-/// batch and columnar mode alike.
+/// queries; fan-out rows emit in predicate order (row-major) in scalar
+/// and columnar mode alike.
 ///
-/// # Row engines: the oracle
+/// # Scalar engine: the oracle
 ///
-/// `next` / `next_batch` evaluate the predicates as [`Expr`]s, one after
-/// another per row, and emit tagged tuples.
+/// `next` evaluates the predicates as [`Expr`]s, one after another per
+/// row, and emits tagged tuples.
 ///
 /// # Columnar engine: key routing
 ///
@@ -311,7 +311,6 @@ pub struct MultiFilter {
     routing: Arc<Routing>,
     schema: Schema,
     pending: std::collections::VecDeque<Tuple>,
-    scratch: Vec<Tuple>,
 }
 
 impl MultiFilter {
@@ -334,7 +333,6 @@ impl MultiFilter {
             routing: Arc::new(Routing::new(key_col, keys, disjoint)),
             schema: Schema::new(&refs),
             pending: std::collections::VecDeque::new(),
-            scratch: Vec::new(),
         }
     }
 
@@ -386,8 +384,8 @@ impl MultiFilter {
     /// [`crate::exec::execute_parallel`]: per-core phases are unchanged
     /// at every worker count.
     ///
-    /// A row-engine context (`!ctx.columnar`) runs the oracle instead
-    /// and returns its tuples as owned sets.
+    /// A scalar context (`!ctx.columnar`) runs the oracle instead — on
+    /// every worker — and returns its tuples as owned sets.
     pub fn run_split(&mut self, ctx: &mut ExecCtx, client: &mut ExecCtx) -> Vec<RowSet> {
         if !ctx.columnar {
             let workers = ctx.workers;
@@ -491,29 +489,6 @@ impl Operator for MultiFilter {
         }
     }
 
-    fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
-        // Drain anything a scalar caller left behind first.
-        while let Some(t) = self.pending.pop_front() {
-            out.push(t);
-        }
-        let mut input = std::mem::take(&mut self.scratch);
-        input.clear();
-        let more = self.child.next_batch(ctx, &mut input);
-        let routing = &*self.routing;
-        if routing.disjoint {
-            // At most one output per input row: reserve the fan-out
-            // upper bound once so the fast path never regrows `out`.
-            out.reserve(input.len());
-        }
-        for t in &input {
-            Self::route(&routing.predicates, routing.disjoint, t, ctx, |tagged| {
-                out.push(tagged);
-            });
-        }
-        self.scratch = input;
-        more
-    }
-
     fn morsels(&self, target_rows: usize) -> Option<Vec<Morsel>> {
         self.child.morsels(target_rows)
     }
@@ -525,7 +500,6 @@ impl Operator for MultiFilter {
             routing: Arc::clone(&self.routing),
             schema: self.schema.clone(),
             pending: std::collections::VecDeque::new(),
-            scratch: Vec::new(),
         }))
     }
 }

@@ -14,7 +14,7 @@ use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::expr::{AggFunc, Expr};
 use crate::ops::hashkey::{hash_keys, hash_row, keys_eq, KeyTable};
-use crate::ops::{drain_batches, drain_chunks, mark_read, BoxedOp, Operator};
+use crate::ops::{drain_chunks, mark_read, BoxedOp, Operator};
 use crate::parallel::run_morsels;
 
 /// One aggregate output: function, input expression, output name.
@@ -144,7 +144,7 @@ impl AggState {
     }
 }
 
-/// The row engines' index from group key to slot in the ordered
+/// The scalar engine's index from group key to slot in the ordered
 /// accumulator list (the columnar engine's [`ColumnarGroups`] assigns
 /// group ids through the key kernel instead and shares nothing with
 /// this). Single-column keys are indexed by a [`Value`] directly and
@@ -185,7 +185,7 @@ impl GroupIndex {
     }
 }
 
-/// The row engines' grouping hash table: first-seen-ordered
+/// The scalar engine's grouping hash table: first-seen-ordered
 /// accumulators plus the key → slot index. One instance drives serial
 /// aggregation; parallel workers build one per morsel and the
 /// coordinator merges them *in morsel order*, which reproduces the
@@ -217,7 +217,7 @@ impl GroupTable {
 
     /// Slot for `t`'s group key, inserting a fresh accumulator row on
     /// first sight. Charges nothing (the per-row probe charge is made
-    /// by [`Self::absorb`], batch-aggregated).
+    /// by [`Self::absorb`]).
     fn slot(&mut self, t: &Tuple) -> usize {
         self.scratch_key.clear();
         self.scratch_key
@@ -234,26 +234,21 @@ impl GroupTable {
         slot
     }
 
-    /// Absorb one input batch: one probe + one latency-bound access per
-    /// input row, and one accumulator update per (row, aggregate) —
-    /// charged per batch, identical in total to per-row charging, and
-    /// identical wherever the row is absorbed (serial drain or any
-    /// worker's morsel).
-    fn absorb(&mut self, ctx: &mut ExecCtx, batch: &[Tuple]) {
-        let rows = batch.len() as u64;
-        ctx.charge(OpClass::HashProbe, rows);
-        ctx.charge_mem_random(rows);
-        ctx.charge(OpClass::AggUpdate, rows * self.aggs.len() as u64);
-        for t in batch {
-            let slot = self.slot(t);
-            let states = &mut self.entries[slot].1;
-            for (state, spec) in states.iter_mut().zip(&self.aggs) {
-                let v = match spec.func {
-                    AggFunc::Count => None,
-                    _ => Some(spec.input.eval(t, ctx)),
-                };
-                state.update(v);
-            }
+    /// Absorb one input row: one probe + one latency-bound access, and
+    /// one accumulator update per aggregate — identical wherever the row
+    /// is absorbed (serial drain or any worker's morsel).
+    fn absorb(&mut self, ctx: &mut ExecCtx, t: &Tuple) {
+        ctx.charge(OpClass::HashProbe, 1);
+        ctx.charge_mem_random(1);
+        ctx.charge(OpClass::AggUpdate, self.aggs.len() as u64);
+        let slot = self.slot(t);
+        let states = &mut self.entries[slot].1;
+        for (state, spec) in states.iter_mut().zip(&self.aggs) {
+            let v = match spec.func {
+                AggFunc::Count => None,
+                _ => Some(spec.input.eval(t, ctx)),
+            };
+            state.update(v);
         }
     }
 
@@ -714,9 +709,9 @@ fn rle_accumulate(
 ///
 /// The input is drained at `open`; per-row charges (`HashProbe`, one
 /// random access, one `AggUpdate` per aggregate) are aggregated per
-/// batch or chunk and are bit-identical to scalar execution. The row
-/// engines (scalar, batch — the differential-test oracles) absorb
-/// tuples into a `Value`-keyed `GroupTable`; the columnar engine
+/// chunk and are bit-identical to scalar execution. The scalar engine
+/// (the differential-test oracle) absorbs tuples into a `Value`-keyed
+/// `GroupTable`; the columnar engine
 /// absorbs chunks into `ColumnarGroups`: group ids from the shared
 /// key kernel (`ops/hashkey.rs`), first-seen keys kept as columns,
 /// typed accumulator arrays. Under the columnar engine `open` first
@@ -813,16 +808,8 @@ impl Operator for HashAggregate {
         } else {
             let partials = run_morsels(self.child.as_ref(), ctx, |wctx, pipe| {
                 let mut part = GroupTable::new(group_cols.clone(), aggs.clone());
-                let mut batch = Vec::new();
-                loop {
-                    batch.clear();
-                    let more = pipe.next_batch(wctx, &mut batch);
-                    if !batch.is_empty() {
-                        part.absorb(wctx, &batch);
-                    }
-                    if !more {
-                        break;
-                    }
+                while let Some(t) = pipe.next(wctx) {
+                    part.absorb(wctx, &t);
                 }
                 part
             });
@@ -832,10 +819,9 @@ impl Operator for HashAggregate {
                 Some(parts) => parts.into_iter().for_each(|part| table.merge(part)),
                 None => {
                     self.child.open(ctx);
-                    let mut batch = Vec::new();
-                    drain_batches(self.child.as_mut(), ctx, &mut batch, |ctx, batch| {
-                        table.absorb(ctx, batch);
-                    });
+                    while let Some(t) = self.child.next(ctx) {
+                        table.absorb(ctx, &t);
+                    }
                 }
             }
             let finish = |(mut row, states): (Tuple, Vec<AggState>)| {
@@ -984,9 +970,8 @@ mod tests {
     }
 
     /// Micro-assertion for the multi-column group-key path: composite
-    /// keys produce identical groups, values and ledgers across scalar,
-    /// batch and columnar execution (the columnar path probes the same
-    /// scratch-buffered index, so no `Vec<Value>` per row anywhere).
+    /// keys produce identical groups, values and ledgers under scalar
+    /// and columnar execution.
     #[test]
     fn multi_key_groups_and_ledgers_identical_across_engines() {
         use crate::exec::ExecEngine;
@@ -1026,22 +1011,15 @@ mod tests {
             )
         };
 
-        let mut sctx = ExecCtx::new().with_batch_size(1);
-        let mut agg = mk();
-        let scalar_rows = crate::exec::execute_scalar(&mut agg, &mut sctx);
+        let mut sctx = ExecCtx::new();
+        let scalar_rows = ExecEngine::Scalar.execute(&mut mk(), &mut sctx);
         assert_eq!(scalar_rows.len(), 12, "3 × 4 composite groups");
 
-        for engine in [ExecEngine::Batch, ExecEngine::Columnar] {
-            let mut ctx = ExecCtx::new();
-            let mut agg = mk();
-            let rows = engine.execute(&mut agg, &mut ctx);
-            assert_eq!(rows, scalar_rows, "{engine:?}: groups differ");
-            assert_eq!(ctx.cpu, sctx.cpu, "{engine:?}: op counts differ");
-            assert_eq!(
-                ctx.mem_random_accesses, sctx.mem_random_accesses,
-                "{engine:?}"
-            );
-        }
+        let mut ctx = ExecCtx::new();
+        let rows = ExecEngine::Columnar.execute(&mut mk(), &mut ctx);
+        assert_eq!(rows, scalar_rows, "groups differ");
+        assert_eq!(ctx.cpu, sctx.cpu, "op counts differ");
+        assert_eq!(ctx.mem_random_accesses, sctx.mem_random_accesses);
     }
 
     /// Micro-assertion for the compressed aggregate kernels: under
@@ -1170,11 +1148,9 @@ mod tests {
 
         let mut row_ctx = ExecCtx::new();
         let mut table = GroupTable::new(vec![], aggs);
-        let live_rows: Vec<Tuple> = (chunks.iter())
+        (chunks.iter())
             .flat_map(|c| c.rows().to_indices())
-            .map(|i| tuples[i as usize].clone())
-            .collect();
-        table.absorb(&mut row_ctx, &live_rows);
+            .for_each(|i| table.absorb(&mut row_ctx, &tuples[i as usize]));
         let want: Vec<Tuple> = (table.entries.into_iter())
             .map(|(mut key, states)| {
                 key.extend(states.into_iter().map(AggState::finish));

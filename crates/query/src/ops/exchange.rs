@@ -24,7 +24,6 @@
 use eco_storage::{Schema, Tuple};
 
 use crate::context::ExecCtx;
-use crate::expr::Expr;
 use crate::ops::{BoxedOp, Operator};
 use crate::parallel::{gather_parallel, Morsel};
 
@@ -33,8 +32,7 @@ struct Gather {
     child: BoxedOp,
     /// Parallel-gathered output (morsel order); `None` while delegating
     /// to the child in serial mode.
-    buffered: Option<Vec<Tuple>>,
-    pos: usize,
+    buffered: Option<std::vec::IntoIter<Tuple>>,
 }
 
 impl Gather {
@@ -42,38 +40,20 @@ impl Gather {
         Self {
             child,
             buffered: None,
-            pos: 0,
         }
     }
 
     fn open(&mut self, ctx: &mut ExecCtx) {
-        self.pos = 0;
-        self.buffered = gather_parallel(self.child.as_ref(), ctx);
+        self.buffered = gather_parallel(self.child.as_ref(), ctx).map(Vec::into_iter);
         if self.buffered.is_none() {
             self.child.open(ctx);
         }
     }
 
     fn next(&mut self, ctx: &mut ExecCtx) -> Option<Tuple> {
-        match &self.buffered {
-            Some(rows) => {
-                let t = rows.get(self.pos)?.clone();
-                self.pos += 1;
-                Some(t)
-            }
+        match &mut self.buffered {
+            Some(rows) => rows.next(),
             None => self.child.next(ctx),
-        }
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
-        match &self.buffered {
-            Some(rows) => {
-                let end = (self.pos + ctx.batch_size.max(1)).min(rows.len());
-                out.extend_from_slice(&rows[self.pos..end]);
-                self.pos = end;
-                self.pos < rows.len()
-            }
-            None => self.child.next_batch(ctx, out),
         }
     }
 }
@@ -93,10 +73,6 @@ macro_rules! gather_operator {
                 self.inner.next(ctx)
             }
 
-            fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
-                self.inner.next_batch(ctx, out)
-            }
-
             fn morsels(&self, target_rows: usize) -> Option<Vec<Morsel>> {
                 // An exchange is itself a pipeline breaker: consumers
                 // partition *below* it, never through it.
@@ -106,21 +82,6 @@ macro_rules! gather_operator {
 
             fn clone_morsel(&self, _morsel: &Morsel) -> Option<BoxedOp> {
                 None
-            }
-
-            fn next_batch_filtered(
-                &mut self,
-                ctx: &mut ExecCtx,
-                predicate: &Expr,
-                out: &mut Vec<Tuple>,
-            ) -> Option<bool> {
-                // Only sensible while delegating (serial mode); the
-                // gathered buffer has no fused path.
-                if self.inner.buffered.is_none() {
-                    self.inner.child.next_batch_filtered(ctx, predicate, out)
-                } else {
-                    None
-                }
             }
         }
     };
@@ -167,7 +128,7 @@ gather_operator!(GatherMerge);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::CmpOp;
+    use crate::expr::{CmpOp, Expr};
     use crate::ops::{Filter, VecSource};
     use eco_storage::{ColumnType, Value};
 
@@ -182,9 +143,7 @@ mod tests {
 
     fn drain(op: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
         op.open(ctx);
-        let mut out = Vec::new();
-        while op.next_batch(ctx, &mut out) {}
-        out
+        std::iter::from_fn(|| op.next(ctx)).collect()
     }
 
     #[test]

@@ -12,12 +12,6 @@ use crate::parallel::Morsel;
 /// `PredEval` per comparison, so selective predicates are cheap and
 /// wide disjunctions expensive — exactly the effect QED trades on.
 ///
-/// In batch mode the filter first offers its predicate to the child via
-/// [`Operator::next_batch_filtered`]; scan-like children then evaluate
-/// it over borrowed rows and never materialize non-matching tuples.
-/// Children without a fused path fall back to a pulled batch compacted
-/// in place.
-///
 /// In columnar mode ([`Operator::next_chunk`]) the predicate is
 /// evaluated column-at-a-time into the chunk's *selection vector* —
 /// no row is ever materialized or moved; non-matching rows are simply
@@ -52,25 +46,6 @@ impl Operator for Filter {
                 return Some(t);
             }
         }
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
-        if let Some(more) = self.child.next_batch_filtered(ctx, &self.predicate, out) {
-            return more;
-        }
-        // Generic path: pull one child batch, compact survivors in
-        // place (stable, allocation-free).
-        let start = out.len();
-        let more = self.child.next_batch(ctx, out);
-        let mut write = start;
-        for read in start..out.len() {
-            if self.predicate.eval_bool(&out[read], ctx) {
-                out.swap(write, read);
-                write += 1;
-            }
-        }
-        out.truncate(write);
-        more
     }
 
     fn next_chunk(&mut self, ctx: &mut ExecCtx) -> Option<Chunk> {

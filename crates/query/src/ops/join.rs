@@ -12,16 +12,16 @@ use eco_storage::{
 use crate::chunk::{Chunk, Rows};
 use crate::context::ExecCtx;
 use crate::ops::hashkey::{hash_keys, hash_row, keys_eq, KeyTable, NO_ROW};
-use crate::ops::{drain_batches, drain_chunks, BoxedOp, Operator};
+use crate::ops::{drain_chunks, BoxedOp, Operator};
 use crate::parallel::run_morsels;
 
-/// The row engines' build-side hash table (scalar and batch — the
-/// differential-test oracles; the columnar engine builds a
-/// [`BuildSide`] instead and shares nothing with this). Single-column
-/// keys index the table by a borrowed [`Value`] directly, and
-/// composite keys are looked up through a caller-provided scratch
-/// vector (`Vec<Value>: Borrow<[Value]>`), so the steady-state probe
-/// path performs **no per-row key allocation** at any arity.
+/// The scalar engine's build-side hash table (the differential-test
+/// oracle; the columnar engine builds a [`BuildSide`] instead and
+/// shares nothing with this). Single-column keys index the table by a
+/// borrowed [`Value`] directly, and composite keys are looked up
+/// through a caller-provided scratch vector
+/// (`Vec<Value>: Borrow<[Value]>`), so the steady-state probe path
+/// performs **no per-row key allocation** at any arity.
 enum JoinTable {
     /// One join key: probe with `&tuple[key]`, zero allocation.
     Single(HashMap<Value, Vec<Tuple>>),
@@ -45,7 +45,11 @@ impl JoinTable {
         }
     }
 
-    fn insert(&mut self, tuple: Tuple, keys: &[usize]) {
+    /// Insert one build row, charged as every engine charges a build
+    /// row: one `HashBuild` plus its width.
+    fn insert(&mut self, tuple: Tuple, keys: &[usize], ctx: &mut ExecCtx) {
+        ctx.charge(OpClass::HashBuild, 1);
+        ctx.charge_mem_bytes(tuple_width(&tuple));
         match self {
             JoinTable::Single(m) => {
                 m.entry(tuple[keys[0]].clone()).or_default().push(tuple);
@@ -57,23 +61,36 @@ impl JoinTable {
         }
     }
 
-    /// Rows matching `probe`'s key columns, in build-insertion order.
-    /// `scratch` is a reused buffer for composite keys — cleared and
-    /// refilled with cheap value clones, looked up by slice borrow, so
-    /// no `Vec<Value>` is allocated per probe.
-    fn lookup<'t>(
-        &'t self,
+    /// Join one probe row, handing `emit` its output rows in
+    /// build-insertion order. Charges one `HashProbe` + one random
+    /// access, and each output row's width. `scratch` is a reused
+    /// buffer for composite keys — cleared and refilled with cheap
+    /// value clones, looked up by slice borrow, so no `Vec<Value>` is
+    /// allocated per probe.
+    fn probe(
+        &self,
         probe: &Tuple,
         keys: &[usize],
         scratch: &mut Vec<Value>,
-    ) -> Option<&'t [Tuple]> {
-        match self {
-            JoinTable::Single(m) => m.get(&probe[keys[0]]).map(Vec::as_slice),
+        ctx: &mut ExecCtx,
+        mut emit: impl FnMut(Tuple),
+    ) {
+        ctx.charge(OpClass::HashProbe, 1);
+        ctx.charge_mem_random(1);
+        let matches = match self {
+            JoinTable::Single(m) => m.get(&probe[keys[0]]),
             JoinTable::Multi(m) => {
                 scratch.clear();
                 scratch.extend(keys.iter().map(|&i| probe[i].clone()));
-                m.get(scratch.as_slice()).map(Vec::as_slice)
+                m.get(scratch.as_slice())
             }
+        };
+        for build in matches.into_iter().flatten() {
+            let mut out = Vec::with_capacity(build.len() + probe.len());
+            out.extend(build.iter().cloned());
+            out.extend(probe.iter().cloned());
+            ctx.charge_mem_bytes(tuple_width(&out));
+            emit(out);
         }
     }
 
@@ -350,9 +367,9 @@ impl BuildSide {
 /// every mode, so execution order is deterministic and
 /// path-independent.
 ///
-/// Two engines, one contract. The row engines (scalar, batch) keep
-/// build tuples in a `Value`-keyed hash map — they are the oracles the
-/// differential tests compare against. The columnar engine
+/// Two engines, one contract. The scalar engine keeps build tuples in
+/// a `Value`-keyed hash map — it is the oracle the differential tests
+/// compare against. The columnar engine
 /// ([`ExecCtx::columnar`]) never builds a row: the build side stays in
 /// columns with one stored width per row, keys are hashed a chunk at a
 /// time and indexed by the shared key kernel (`ops/hashkey.rs`:
@@ -366,8 +383,8 @@ impl BuildSide {
 ///
 /// With a parallel context (`ExecCtx::workers > 1`) and partitionable
 /// children, `open` runs both sides morsel-parallel: workers build
-/// per-morsel partitions that are merged (row engines) or concatenated
-/// and then indexed (columnar) in morsel order — so per-key FIFO order,
+/// per-morsel partitions that are merged (scalar) or concatenated and
+/// then indexed (columnar) in morsel order — so per-key FIFO order,
 /// and therefore output order, is exactly the serial build's — and the
 /// probe pipeline is pre-materialized by probing the shared, read-only
 /// table from every worker, gathered in morsel order. All charges are
@@ -384,18 +401,16 @@ pub struct HashJoin {
     /// Columnar engine: the output columns a parent reads (all of them
     /// unless [`Operator::prune`] says otherwise).
     needed: Vec<bool>,
-    /// Row engines: the build table.
+    /// Scalar engine: the build table.
     table: JoinTable,
     /// Columnar engine: the build side, `Some` after a columnar `open`.
     columns: Option<BuildSide>,
     pending: VecDeque<Tuple>,
-    scratch: Vec<Tuple>,
-    /// Reused composite-key probe buffer (see [`JoinTable::lookup`]).
+    /// Reused composite-key probe buffer (see [`JoinTable::probe`]).
     key_scratch: Vec<Value>,
     probe_scratch: ProbeScratch,
-    /// Row engines: parallel-probed output (morsel order) and the
-    /// serve cursor.
-    probed: Option<(Vec<Tuple>, usize)>,
+    /// Scalar engine: parallel-probed output, morsel order.
+    probed: Option<std::vec::IntoIter<Tuple>>,
     /// Columnar engine: parallel-probed output chunks, morsel order.
     probed_chunks: Option<VecDeque<Chunk>>,
 }
@@ -428,7 +443,6 @@ impl HashJoin {
             table,
             columns: None,
             pending: VecDeque::new(),
-            scratch: Vec::new(),
             key_scratch: Vec::new(),
             probe_scratch: ProbeScratch::default(),
             probed: None,
@@ -436,16 +450,8 @@ impl HashJoin {
         }
     }
 
-    /// Concatenate one build row with one probe row.
-    fn join_row(build_t: &Tuple, probe_t: &Tuple) -> Tuple {
-        let mut out = Vec::with_capacity(build_t.len() + probe_t.len());
-        out.extend(build_t.iter().cloned());
-        out.extend(probe_t.iter().cloned());
-        out
-    }
-
-    /// `open` under the columnar engine: same shape as the row engines'
-    /// — build (morsel-parallel when possible), then pre-probe
+    /// `open` under the columnar engine: same shape as the scalar
+    /// engine's — build (morsel-parallel when possible), then pre-probe
     /// (likewise) — over a [`BuildSide`].
     fn open_columnar(&mut self, ctx: &mut ExecCtx) {
         // The build side is fully consumed in every mode, so a
@@ -494,15 +500,15 @@ impl HashJoin {
         self.columns = Some(side);
     }
 
-    /// Join probe *rows* against the columnar build side — for a parent
-    /// that pulls rows from a join the columnar engine opened (a
-    /// `Limit`, an index or merge join above it): the rows are
-    /// decomposed into a chunk and probed like any other, so the
-    /// charges are the chunk path's. Pulling one row at a time consumes
-    /// the probe stream exactly as scalar execution does.
-    fn probe_rows(&mut self, probe_in: &[Tuple], ctx: &mut ExecCtx) -> Chunk {
+    /// Join one probe *row* against the columnar build side — for a
+    /// parent that pulls rows from a join the columnar engine opened (a
+    /// `Limit`, an index or merge join above it): the row is decomposed
+    /// into a chunk and probed like any other, so the charges are the
+    /// chunk path's. Pulling one row at a time consumes the probe
+    /// stream exactly as scalar execution does.
+    fn probe_row(&mut self, probe_t: Tuple, ctx: &mut ExecCtx) -> Chunk {
         let side = self.columns.as_ref().expect("columnar open");
-        let data = DataChunk::from_rows(self.probe.schema(), probe_in);
+        let data = DataChunk::from_rows(self.probe.schema(), &[probe_t]);
         let chunk = Chunk::dense(Arc::new(data));
         side.probe(&chunk, &self.probe_keys, &mut self.probe_scratch, ctx)
     }
@@ -532,201 +538,81 @@ impl Operator for HashJoin {
         let build_keys = &self.build_keys;
         let partitions = run_morsels(self.build.as_ref(), ctx, |wctx, pipe| {
             // One partition table per morsel, charged exactly as the
-            // serial build charges its batches.
+            // serial build charges its rows.
             let mut part = JoinTable::for_arity(arity);
-            let mut batch = Vec::new();
-            loop {
-                batch.clear();
-                let more = pipe.next_batch(wctx, &mut batch);
-                let bytes: u64 = batch.iter().map(tuple_width).sum();
-                wctx.charge(OpClass::HashBuild, batch.len() as u64);
-                wctx.charge_mem_bytes(bytes);
-                for t in batch.drain(..) {
-                    part.insert(t, build_keys);
-                }
-                if !more {
-                    break;
-                }
+            while let Some(t) = pipe.next(wctx) {
+                part.insert(t, build_keys, wctx);
             }
             part
         });
         match partitions {
-            Some(parts) => {
-                // Merge in morsel order: per-key FIFO equals serial.
-                for part in parts {
-                    self.table.absorb(part);
-                }
-            }
+            // Merge in morsel order: per-key FIFO equals serial.
+            Some(parts) => parts.into_iter().for_each(|part| self.table.absorb(part)),
             None => {
                 self.build.open(ctx);
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let (table, keys) = (&mut self.table, &self.build_keys);
-                drain_batches(self.build.as_mut(), ctx, &mut scratch, |ctx, batch| {
-                    let bytes: u64 = batch.iter().map(tuple_width).sum();
-                    ctx.charge(OpClass::HashBuild, batch.len() as u64);
-                    ctx.charge_mem_bytes(bytes);
-                    for t in batch.drain(..) {
-                        table.insert(t, keys);
-                    }
-                });
-                self.scratch = scratch;
+                while let Some(t) = self.build.next(ctx) {
+                    self.table.insert(t, &self.build_keys, ctx);
+                }
             }
         }
         ctx.streaming_exact = saved_exact;
 
         // Probe side: pre-materialize morsel-parallel when allowed
         // (run_morsels declines under streaming_exact / serial ctx).
-        let table = &self.table;
-        let probe_keys = &self.probe_keys;
+        let (table, probe_keys) = (&self.table, &self.probe_keys);
         let probed = run_morsels(self.probe.as_ref(), ctx, |wctx, pipe| {
-            let mut rows = Vec::new();
-            let mut key_scratch = Vec::new();
-            let mut probe_in = Vec::new();
-            loop {
-                probe_in.clear();
-                let more = pipe.next_batch(wctx, &mut probe_in);
-                let mut out_bytes = 0u64;
-                for probe_t in &probe_in {
-                    if let Some(matches) = table.lookup(probe_t, probe_keys, &mut key_scratch) {
-                        for build_t in matches {
-                            let t = Self::join_row(build_t, probe_t);
-                            out_bytes += tuple_width(&t);
-                            rows.push(t);
-                        }
-                    }
-                }
-                let n = probe_in.len() as u64;
-                if n > 0 {
-                    wctx.charge(OpClass::HashProbe, n);
-                    wctx.charge_mem_random(n);
-                }
-                wctx.charge_mem_bytes(out_bytes);
-                if !more {
-                    break;
-                }
+            let (mut rows, mut key_scratch) = (Vec::new(), Vec::new());
+            while let Some(probe_t) = pipe.next(wctx) {
+                table.probe(&probe_t, probe_keys, &mut key_scratch, wctx, |t| {
+                    rows.push(t);
+                });
             }
             rows
         });
         match probed {
             Some(parts) => {
-                let total = parts.iter().map(Vec::len).sum();
-                let mut rows = Vec::with_capacity(total);
-                for mut p in parts {
-                    rows.append(&mut p);
-                }
-                self.probed = Some((rows, 0));
+                let rows: Vec<Tuple> = parts.into_iter().flatten().collect();
+                self.probed = Some(rows.into_iter());
             }
             None => self.probe.open(ctx),
         }
     }
 
     fn next(&mut self, ctx: &mut ExecCtx) -> Option<Tuple> {
-        if self.columns.is_some() {
-            loop {
-                if let Some(t) = self.pending.pop_front() {
-                    return Some(t);
-                }
-                let joined = match &mut self.probed_chunks {
-                    Some(chunks) => chunks.pop_front()?,
-                    None => {
-                        let probe_t = self.probe.next(ctx)?;
-                        self.probe_rows(std::slice::from_ref(&probe_t), ctx)
-                    }
-                };
-                let rows = (0..joined.len()).map(|i| joined.data.row(i));
-                self.pending.extend(rows);
-            }
-        }
-        if let Some((rows, pos)) = &mut self.probed {
-            let t = rows.get(*pos)?.clone();
-            *pos += 1;
-            return Some(t);
+        if let Some(rows) = &mut self.probed {
+            return rows.next();
         }
         loop {
             if let Some(t) = self.pending.pop_front() {
                 return Some(t);
             }
-            let probe_t = self.probe.next(ctx)?;
-            ctx.charge(OpClass::HashProbe, 1);
-            ctx.charge_mem_random(1);
-            if let Some(matches) =
-                self.table
-                    .lookup(&probe_t, &self.probe_keys, &mut self.key_scratch)
-            {
-                for build_t in matches {
-                    let out = Self::join_row(build_t, &probe_t);
-                    ctx.charge_mem_bytes(tuple_width(&out));
-                    self.pending.push_back(out);
-                }
+            if self.columns.is_some() {
+                let joined = match &mut self.probed_chunks {
+                    Some(chunks) => chunks.pop_front()?,
+                    None => {
+                        let probe_t = self.probe.next(ctx)?;
+                        self.probe_row(probe_t, ctx)
+                    }
+                };
+                self.pending
+                    .extend((0..joined.len()).map(|i| joined.data.row(i)));
+            } else {
+                let probe_t = self.probe.next(ctx)?;
+                let (table, keys, pending) = (&self.table, &self.probe_keys, &mut self.pending);
+                table.probe(&probe_t, keys, &mut self.key_scratch, ctx, |t| {
+                    pending.push_back(t)
+                });
             }
         }
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
-        if self.columns.is_some() {
-            out.extend(self.pending.drain(..));
-            if let Some(chunks) = &mut self.probed_chunks {
-                if let Some(joined) = chunks.pop_front() {
-                    joined.to_tuples(out);
-                }
-                return !chunks.is_empty();
-            }
-            let mut probe_in = std::mem::take(&mut self.scratch);
-            probe_in.clear();
-            let more = self.probe.next_batch(ctx, &mut probe_in);
-            self.probe_rows(&probe_in, ctx).to_tuples(out);
-            self.scratch = probe_in;
-            return more;
-        }
-        if let Some((rows, pos)) = &mut self.probed {
-            let end = (*pos + ctx.batch_size.max(1)).min(rows.len());
-            out.extend_from_slice(&rows[*pos..end]);
-            *pos = end;
-            return *pos < rows.len();
-        }
-        // Drain anything a scalar caller left behind first.
-        while let Some(t) = self.pending.pop_front() {
-            out.push(t);
-        }
-        let mut probe_in = std::mem::take(&mut self.scratch);
-        probe_in.clear();
-        let more = self.probe.next_batch(ctx, &mut probe_in);
-        let mut out_bytes = 0u64;
-        for probe_t in &probe_in {
-            if let Some(matches) =
-                self.table
-                    .lookup(probe_t, &self.probe_keys, &mut self.key_scratch)
-            {
-                for build_t in matches {
-                    let t = Self::join_row(build_t, probe_t);
-                    out_bytes += tuple_width(&t);
-                    out.push(t);
-                }
-            }
-        }
-        let n = probe_in.len() as u64;
-        if n > 0 {
-            ctx.charge(OpClass::HashProbe, n);
-            ctx.charge_mem_random(n);
-        }
-        ctx.charge_mem_bytes(out_bytes);
-        self.scratch = probe_in;
-        more
     }
 
     /// Columnar probe: the probe chunk's key columns are hashed, the
     /// matches collected as row-id pairs, and the output gathered from
     /// the build and probe columns (`BuildSide::probe`) — no row is
-    /// built on either side.
+    /// built on either side. Chunks are only pulled from a join the
+    /// columnar engine opened.
     fn next_chunk(&mut self, ctx: &mut ExecCtx) -> Option<Chunk> {
-        let Some(side) = &self.columns else {
-            // Opened by a row engine: decompose a batch, as the trait's
-            // default does.
-            let mut rows = Vec::new();
-            let more = self.next_batch(ctx, &mut rows);
-            return (more || !rows.is_empty())
-                .then(|| Chunk::dense(Arc::new(DataChunk::from_rows(&self.schema, &rows))));
-        };
+        let side = self.columns.as_ref().expect("columnar open");
         if let Some(chunks) = &mut self.probed_chunks {
             return chunks.pop_front();
         }
@@ -811,31 +697,6 @@ mod tests {
         // And the probe side advances in stream order.
         let probes: Vec<&str> = out.iter().map(|t| t[3].as_str().unwrap()).collect();
         assert_eq!(probes, vec!["p", "p", "p", "q", "q", "q"]);
-    }
-
-    #[test]
-    fn batch_path_matches_scalar_rows_and_order() {
-        let data_b = [(1, "x"), (2, "y"), (2, "z")];
-        let data_p = [(2, "p"), (1, "q"), (2, "r"), (9, "s")];
-        let mut scalar = HashJoin::new(
-            Box::new(src("a", &data_b)),
-            Box::new(src("b", &data_p)),
-            vec![0],
-            vec![0],
-        );
-        let scalar_rows = run(&mut scalar);
-
-        let mut batch = HashJoin::new(
-            Box::new(src("a", &data_b)),
-            Box::new(src("b", &data_p)),
-            vec![0],
-            vec![0],
-        );
-        let mut ctx = ExecCtx::new().with_batch_size(2);
-        batch.open(&mut ctx);
-        let mut batch_rows = Vec::new();
-        while batch.next_batch(&mut ctx, &mut batch_rows) {}
-        assert_eq!(batch_rows, scalar_rows);
     }
 
     #[test]
@@ -957,9 +818,9 @@ mod tests {
         }
     }
 
-    /// A parent that pulls rows (`next` / `next_batch`) from a join the
-    /// columnar engine opened gets the chunk path's rows and charges —
-    /// serial, and over morsel-parallel pre-probed chunks.
+    /// A parent that pulls rows (`next`) from a join the columnar engine
+    /// opened gets the chunk path's rows and charges — serial, and over
+    /// morsel-parallel pre-probed chunks.
     #[test]
     fn row_pulls_after_a_columnar_open_match_the_chunk_path() {
         let schema = Schema::new(&[("k", ColumnType::Int), ("v", ColumnType::Str)]);
@@ -986,15 +847,10 @@ mod tests {
             let (mut j, mut nctx) = (mk(), ctx());
             j.open(&mut nctx);
             let by_next: Vec<Tuple> = std::iter::from_fn(|| j.next(&mut nctx)).collect();
-            let (mut j, mut bctx, mut by_batch) = (mk(), ctx(), Vec::new());
-            j.open(&mut bctx);
-            while j.next_batch(&mut bctx, &mut by_batch) {}
-            for (rows, got) in [(by_next, nctx), (by_batch, bctx)] {
-                assert_eq!(rows, want, "workers={workers}");
-                assert_eq!(got.cpu, cctx.cpu, "workers={workers}");
-                assert_eq!(got.mem_stream_bytes, cctx.mem_stream_bytes);
-                assert_eq!(got.mem_random_accesses, cctx.mem_random_accesses);
-            }
+            assert_eq!(by_next, want, "workers={workers}");
+            assert_eq!(nctx.cpu, cctx.cpu, "workers={workers}");
+            assert_eq!(nctx.mem_stream_bytes, cctx.mem_stream_bytes);
+            assert_eq!(nctx.mem_random_accesses, cctx.mem_random_accesses);
         }
     }
 
@@ -1067,7 +923,7 @@ mod tests {
     /// Micro-assertion for the borrowed multi-key probe path: composite
     /// keys (including string components, the allocation-heavy case the
     /// scratch buffer eliminates) produce identical rows and identical
-    /// ledgers across scalar, batch and columnar execution.
+    /// ledgers under scalar and columnar execution.
     #[test]
     fn multi_key_rows_and_ledgers_identical_across_engines() {
         use crate::exec::ExecEngine;
@@ -1088,22 +944,15 @@ mod tests {
             HashJoin::new(Box::new(build), Box::new(probe), vec![0, 1], vec![0, 1])
         };
 
-        let mut sctx = ExecCtx::new().with_batch_size(1);
-        let mut j = mk();
-        let scalar_rows = crate::exec::execute_scalar(&mut j, &mut sctx);
+        let mut sctx = ExecCtx::new();
+        let scalar_rows = ExecEngine::Scalar.execute(&mut mk(), &mut sctx);
         assert!(!scalar_rows.is_empty(), "the workload must join something");
 
-        for engine in [ExecEngine::Batch, ExecEngine::Columnar] {
-            let mut ctx = ExecCtx::new();
-            let mut j = mk();
-            let rows = engine.execute(&mut j, &mut ctx);
-            assert_eq!(rows, scalar_rows, "{engine:?}: rows differ");
-            assert_eq!(ctx.cpu, sctx.cpu, "{engine:?}: op counts differ");
-            assert_eq!(ctx.mem_stream_bytes, sctx.mem_stream_bytes, "{engine:?}");
-            assert_eq!(
-                ctx.mem_random_accesses, sctx.mem_random_accesses,
-                "{engine:?}"
-            );
-        }
+        let mut ctx = ExecCtx::new();
+        let rows = ExecEngine::Columnar.execute(&mut mk(), &mut ctx);
+        assert_eq!(rows, scalar_rows, "rows differ");
+        assert_eq!(ctx.cpu, sctx.cpu, "op counts differ");
+        assert_eq!(ctx.mem_stream_bytes, sctx.mem_stream_bytes);
+        assert_eq!(ctx.mem_random_accesses, sctx.mem_random_accesses);
     }
 }

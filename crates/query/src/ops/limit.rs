@@ -7,12 +7,13 @@ use crate::ops::{BoxedOp, Operator};
 
 /// Emits at most `n` tuples from its child.
 ///
-/// Batch mode deliberately pulls the child tuple-at-a-time: early
-/// termination must consume — and therefore charge — exactly as much of
-/// the child stream as scalar execution does, keeping the energy ledger
-/// batch-invariant even for limits over non-blocking pipelines. The
-/// pipeline *below* a blocking child (sort, aggregate) still runs
-/// vectorized inside that child's `open`.
+/// The columnar engine reaches it through the default
+/// [`Operator::next_chunk`], which pulls `next()`: the child is pulled
+/// tuple-at-a-time in every engine, so early termination consumes — and
+/// therefore charges — exactly as much of the child stream as scalar
+/// execution does, even over non-blocking pipelines. The pipeline
+/// *below* a blocking child (sort, aggregate) still runs columnar
+/// inside that child's `open`.
 ///
 /// The same contract governs parallelism: `open` raises
 /// [`ExecCtx::streaming_exact`] while opening its subtree, so streaming
@@ -57,23 +58,6 @@ impl Operator for Limit {
         let t = self.child.next(ctx)?;
         self.emitted += 1;
         Some(t)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
-        if self.emitted >= self.n {
-            return false;
-        }
-        let want = ctx.batch_size.max(1).min(self.n - self.emitted);
-        for _ in 0..want {
-            match self.child.next(ctx) {
-                Some(t) => {
-                    out.push(t);
-                    self.emitted += 1;
-                }
-                None => return false,
-            }
-        }
-        self.emitted < self.n
     }
 }
 

@@ -16,7 +16,8 @@ use eco_simhw::trace::OpClass;
 use eco_storage::{tuple_width, Schema, Tuple, Value};
 
 use crate::context::ExecCtx;
-use crate::ops::{drain_batches, BoxedOp, Operator};
+use crate::ops::{BoxedOp, Operator};
+use crate::parallel::drain_pipeline;
 
 /// Sort-merge equi-join (multi-column keys). Materializes and sorts
 /// both inputs at `open`, then merges.
@@ -58,13 +59,8 @@ impl SortMergeJoin {
 
     fn drain_sorted(child: &mut BoxedOp, keys: &[usize], ctx: &mut ExecCtx) -> Vec<Tuple> {
         child.open(ctx);
-        let mut rows = Vec::new();
-        let mut scratch = Vec::new();
-        drain_batches(child.as_mut(), ctx, &mut scratch, |ctx, batch| {
-            let bytes: u64 = batch.iter().map(tuple_width).sum();
-            ctx.charge_mem_bytes(bytes);
-            rows.append(batch);
-        });
+        let mut rows = drain_pipeline(ctx, child.as_mut());
+        ctx.charge_mem_bytes(rows.iter().map(tuple_width).sum());
         let mut comparisons = 0u64;
         rows.sort_by(|a, b| {
             comparisons += 1;

@@ -1,5 +1,5 @@
 //! Physical operators: a Volcano-style (open/next) executor with a
-//! vectorized batch path layered on top.
+//! columnar chunk path layered on top.
 //!
 //! Every operator performs real work on real tuples and charges that
 //! work into the [`ExecCtx`] ledger as it goes. The paper's headline
@@ -16,43 +16,18 @@
 //! sequential energy split of the paper's fig. 5 becomes measurable
 //! from real query plans (see `eco_storage::btree`).
 //!
-//! # Batch execution
+//! # Two engines
 //!
-//! [`Operator::next_batch`] is the vectorized counterpart of
-//! [`Operator::next`]: one virtual call moves up to
-//! [`ExecCtx::batch_size`] tuples instead of one, which removes the
-//! per-tuple dynamic dispatch, `Option` shuffling and ledger-charge
-//! calls that dominate tuple-at-a-time execution. Every built-in
-//! operator implements a native batch path; the provided default simply
-//! loops `next()`, so third-party operators keep working unchanged.
-//!
-//! Scan-like operators additionally implement
-//! [`Operator::next_batch_filtered`], which lets [`Filter`] evaluate its
-//! predicate against *borrowed* rows inside the scan and materialize
-//! only the survivors — for selective predicates (TPC-H Q6 keeps ~2 % of
-//! lineitem) this skips the dominant cost of the scalar path, the clone
-//! of every scanned tuple.
-//!
-//! **The energy ledger is batch-invariant by construction.** Batch
-//! paths charge the same per-tuple op classes with the same counts as
-//! the scalar paths — aggregated per batch (`charge(class, n)`), never
-//! re-priced — so a scalar and a batch execution of the same plan
-//! produce bit-identical [`ExecCtx`] ledgers (op-class counts, memory
-//! bytes, random accesses, disk I/O). The paper-reproduction figures
-//! are computed from that ledger, so this invariant is load-bearing and
-//! is enforced by `tests/integration_vectorized.rs`.
-//!
-//! The one deliberate asymmetry: [`Limit`] pulls from its child
-//! tuple-at-a-time even in batch mode, so early termination consumes
-//! exactly as much of the child stream — and charges exactly as much
-//! work — as scalar execution would. Everything below a blocking
-//! operator (sort, aggregate, hash build) still runs vectorized.
+//! [`Operator::next`] is the scalar engine: tuple-at-a-time, the
+//! reference oracle every differential test compares against. Row-mode
+//! blocking operators and morsel workers pull it too.
+//! [`Operator::next_chunk`] is the columnar engine, the one `EcoDb`
+//! ships; [`ExecCtx::columnar`] picks between them.
 //!
 //! # Columnar execution
 //!
-//! [`Operator::next_chunk`] is the columnar counterpart of
-//! [`Operator::next_batch`]: instead of a `Vec<Tuple>` of heap-allocated
-//! tagged values, a [`crate::chunk::Chunk`] moves an `Arc`-shared window
+//! Instead of one heap-allocated tuple of tagged values per call, a
+//! [`crate::chunk::Chunk`] moves an `Arc`-shared window
 //! of typed column vectors (`eco-storage`'s [`DataChunk`] — one
 //! contiguous `i64`/`i32`/`char`/`Arc<str>` array per column, plus
 //! optional validity) together with an optional **selection vector**
@@ -99,20 +74,24 @@
 //!   buffers) and at the top of the plan.
 //!
 //! Every operator works under the columnar driver: the default
-//! `next_chunk` wraps `next_batch` and decomposes the batch, so
-//! operators without a native chunk path (e.g. [`Limit`], which must
-//! keep scalar-exact stream consumption) remain correct.
+//! `next_chunk` collects up to [`ExecCtx::batch_size`] rows from
+//! `next()` into a chunk, so operators without a native chunk path
+//! remain correct. [`Limit`] relies on it: pulling its child a row at a
+//! time, it consumes exactly as much of the child stream — and charges
+//! exactly as much work — as scalar execution does.
 //!
-//! **The ledger is engine-invariant by the same construction as batch
-//! invariance**: columnar paths charge the same per-tuple op classes
-//! with the same counts, aggregated per chunk — never re-priced — and
-//! columnar disk scans still drive every covered page through the
-//! buffer pool's checked miss path (the extent chunks supply data,
-//! never I/O, and the frames stay undecoded). Scalar,
-//! batch and columnar ledgers are bit-identical on both storage
-//! engines, cold and warm, at any chunk size and worker count
-//! (`tests/integration_columnar.rs` and the `columnar_matches_scalar`
-//! property test).
+//! **The ledger is engine-invariant by construction**: columnar paths
+//! charge the same per-tuple op classes with the same counts as
+//! `next()`, aggregated per chunk (`charge(class, n)`) — never
+//! re-priced — and columnar disk scans still drive every covered page
+//! through the buffer pool's checked miss path (the extent chunks
+//! supply data, never I/O, and the frames stay undecoded). Scalar and
+//! columnar ledgers (op-class counts, memory bytes, random accesses,
+//! disk I/O) are bit-identical on both storage engines, cold and warm,
+//! at any chunk size and worker count (`tests/integration_columnar.rs`
+//! and the `columnar_matches_scalar` property test). The paper's
+//! figures are computed from that ledger, so this invariant is
+//! load-bearing.
 //!
 //! # Morsel-driven parallel execution
 //!
@@ -136,8 +115,8 @@
 //! as standalone [`Exchange`] / [`GatherMerge`] operators for custom
 //! plans.
 //!
-//! **The ledger is worker-count-invariant by the same construction as
-//! batch invariance**: every charge is per-tuple and additive, morsels
+//! **The ledger is worker-count-invariant by the same construction**:
+//! every charge is per-tuple and additive, morsels
 //! partition the input exactly, and merging worker ledgers is
 //! commutative addition — so the merged parallel ledger is bit-identical
 //! to serial execution at any worker count and any morsel size
@@ -185,7 +164,7 @@ use crate::context::ExecCtx;
 use crate::expr::Expr;
 use crate::parallel::Morsel;
 
-/// A Volcano-style physical operator with an optional vectorized path
+/// A Volcano-style physical operator with an optional columnar path
 /// and an optional morsel-parallel decomposition.
 ///
 /// Operators are `Send` so pipeline clones can move onto worker
@@ -202,30 +181,6 @@ pub trait Operator: Send {
     /// Produce the next tuple, or `None` at end of stream.
     fn next(&mut self, ctx: &mut ExecCtx) -> Option<Tuple>;
 
-    /// Produce the next batch of tuples, appending to `out`.
-    ///
-    /// Returns `false` once the stream is exhausted (the final call may
-    /// still have appended a partial batch); afterwards further calls
-    /// append nothing and keep returning `false`. A call is allowed to
-    /// append fewer tuples than [`ExecCtx::batch_size`] — or none at
-    /// all — while returning `true` (e.g. a filter batch where nothing
-    /// matched), and fan-out operators such as joins may append more.
-    ///
-    /// The default implementation loops [`Operator::next`], so operators
-    /// without a native batch path remain correct (and remain
-    /// ledger-identical, since the ledger only ever counts per-tuple
-    /// work).
-    fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
-        let target = out.len() + ctx.batch_size.max(1);
-        while out.len() < target {
-            match self.next(ctx) {
-                Some(t) => out.push(t),
-                None => return false,
-            }
-        }
-        true
-    }
-
     /// Produce the next [`Chunk`] of the columnar path, or `None` at
     /// end of stream.
     ///
@@ -233,40 +188,16 @@ pub trait Operator: Send {
     /// where nothing matched) while the stream continues; drivers loop
     /// until `None`. Native implementations emit `Arc`-shared windows
     /// over columnar storage mirrors and refine *selection vectors*
-    /// instead of materializing rows; the provided default wraps
-    /// [`Operator::next_batch`] and decomposes the batch, so every
-    /// operator — including third-party ones — keeps working under the
-    /// columnar driver, with identical charges (decomposition itself is
-    /// never charged, exactly like the row path's `Vec` shuffling).
+    /// instead of materializing rows; the provided default collects up
+    /// to [`ExecCtx::batch_size`] rows from [`Operator::next`] into one
+    /// chunk, so every operator — including third-party ones — keeps
+    /// working under the columnar driver, with identical charges
+    /// (building the chunk itself is never charged).
     fn next_chunk(&mut self, ctx: &mut ExecCtx) -> Option<Chunk> {
-        let mut rows = Vec::new();
-        let more = self.next_batch(ctx, &mut rows);
-        if rows.is_empty() && !more {
-            return None;
-        }
-        Some(Chunk::dense(Arc::new(DataChunk::from_rows(
-            self.schema(),
-            &rows,
-        ))))
-    }
-
-    /// Scan fusion hook: produce the next batch of tuples *satisfying
-    /// `predicate`*, evaluating it against borrowed rows before they
-    /// are materialized. Charges must be identical to a plain
-    /// `next_batch` followed by predicate evaluation on every row.
-    ///
-    /// Returns `None` when the operator has no fused path (the
-    /// default); `Some(more)` otherwise, with `more` as in
-    /// [`Operator::next_batch`]. Only leaf operators that own their
-    /// tuples ([`SeqScan`], [`VecSource`]) implement this; [`Filter`]
-    /// consumes it.
-    fn next_batch_filtered(
-        &mut self,
-        _ctx: &mut ExecCtx,
-        _predicate: &Expr,
-        _out: &mut Vec<Tuple>,
-    ) -> Option<bool> {
-        None
+        let n = ctx.batch_size.max(1);
+        let rows: Vec<Tuple> = std::iter::from_fn(|| self.next(ctx)).take(n).collect();
+        (!rows.is_empty())
+            .then(|| Chunk::dense(Arc::new(DataChunk::from_rows(self.schema(), &rows))))
     }
 
     /// Column pruning for the columnar engine: a parent that consumes
@@ -311,40 +242,6 @@ pub trait Operator: Send {
 /// A boxed operator (plan node).
 pub type BoxedOp = Box<dyn Operator>;
 
-/// Drain `child` to exhaustion, invoking `consume` on each non-empty
-/// batch (blocking operators use this to materialize their input).
-/// `scratch` is cleared and reused between batches.
-///
-/// With `batch_size <= 1` the child is pulled tuple-at-a-time through
-/// [`Operator::next`], so a scalar context runs a genuinely scalar
-/// pipeline end to end; either way `consume` observes the same tuples
-/// and the ledger receives the same charges.
-pub(crate) fn drain_batches(
-    child: &mut dyn Operator,
-    ctx: &mut ExecCtx,
-    scratch: &mut Vec<Tuple>,
-    mut consume: impl FnMut(&mut ExecCtx, &mut Vec<Tuple>),
-) {
-    if ctx.batch_size <= 1 {
-        while let Some(t) = child.next(ctx) {
-            scratch.clear();
-            scratch.push(t);
-            consume(ctx, scratch);
-        }
-        return;
-    }
-    loop {
-        scratch.clear();
-        let more = child.next_batch(ctx, scratch);
-        if !scratch.is_empty() {
-            consume(ctx, scratch);
-        }
-        if !more {
-            return;
-        }
-    }
-}
-
 /// Mark every column `e` reads in `needed` (see [`Operator::prune`]).
 pub(crate) fn mark_read(e: &Expr, needed: &mut [bool]) {
     let mut cols = Vec::new();
@@ -353,8 +250,7 @@ pub(crate) fn mark_read(e: &Expr, needed: &mut [bool]) {
 }
 
 /// Drain `child` to exhaustion through the columnar path, invoking
-/// `consume` on each non-empty chunk (the columnar counterpart of
-/// [`drain_batches`], used by blocking operators when
+/// `consume` on each non-empty chunk (used by blocking operators when
 /// [`ExecCtx::columnar`] is set).
 pub(crate) fn drain_chunks(
     child: &mut dyn Operator,

@@ -15,7 +15,6 @@ pub struct Project {
     child: BoxedOp,
     exprs: Vec<Expr>,
     schema: Schema,
-    scratch: Vec<Tuple>,
 }
 
 impl Project {
@@ -28,7 +27,6 @@ impl Project {
             child,
             exprs: outputs.into_iter().map(|(_, _, e)| e).collect(),
             schema,
-            scratch: Vec::new(),
         }
     }
 
@@ -40,7 +38,6 @@ impl Project {
             child,
             exprs,
             schema,
-            scratch: Vec::new(),
         }
     }
 }
@@ -57,18 +54,6 @@ impl Operator for Project {
     fn next(&mut self, ctx: &mut ExecCtx) -> Option<Tuple> {
         let t = self.child.next(ctx)?;
         Some(self.exprs.iter().map(|e| e.eval(&t, ctx)).collect())
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
-        let mut input = std::mem::take(&mut self.scratch);
-        input.clear();
-        let more = self.child.next_batch(ctx, &mut input);
-        out.reserve(input.len());
-        for t in &input {
-            out.push(self.exprs.iter().map(|e| e.eval(t, ctx)).collect());
-        }
-        self.scratch = input;
-        more
     }
 
     /// Columnar projection: evaluate each output expression over the
@@ -107,7 +92,6 @@ impl Operator for Project {
             child,
             exprs: self.exprs.clone(),
             schema: self.schema.clone(),
-            scratch: Vec::new(),
         }))
     }
 }

@@ -1,6 +1,5 @@
 //! Sequential scan over a stored table (memory or disk engine).
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -9,7 +8,6 @@ use eco_storage::{PageFrame, Schema, StoredTable, TableData, Tuple};
 
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
-use crate::expr::Expr;
 use crate::ops::{BoxedOp, Operator};
 use crate::parallel::{split_units, Morsel};
 
@@ -43,19 +41,11 @@ enum ScanBounds {
 /// Under [`PricingMode::Compressed`] (ledger schema v3) the per-tuple
 /// memory charge is the table's average *encoded* width instead — the
 /// deterministic table-wide mean of the encoded mirrors' byte counts,
-/// so every scan geometry (scalar, batch, columnar, any morsel split)
-/// prices the same bytes. Disk I/O is unaffected: pages store raw
-/// tuples, so cold reads cost what they always did. Columnar chunks
-/// additionally carry the encoded mirror so downstream kernels can run
-/// directly on the compressed form.
-///
-/// The batch path emits whole page slices per call (capped at the
-/// context's batch size) instead of advancing a per-tuple page cursor;
-/// the fused path additionally evaluates a pushed-down predicate
-/// before a row is kept, so a page's non-matching tuples are never
-/// cloned (heap rows are materialized from the columns either way —
-/// the row paths are the differential-test oracles, not the production
-/// engine).
+/// so every scan geometry (scalar, columnar, any morsel split) prices
+/// the same bytes. Disk I/O is unaffected: pages store raw tuples, so
+/// cold reads cost what they always did. Columnar chunks additionally
+/// carry the encoded mirror so downstream kernels can run directly on
+/// the compressed form.
 ///
 /// For parallel execution the scan partitions itself into [`Morsel`]s:
 /// row ranges on the memory engine, whole disk *extents* on the disk
@@ -97,7 +87,7 @@ impl SeqScan {
         ctx.charge_mem_bytes(self.avg_bytes);
     }
 
-    /// Charge `n` tuple fetches at once — the batch-mode equivalent of
+    /// Charge `n` tuple fetches at once — the chunk-mode equivalent of
     /// `n` [`Self::charge_tuple`] calls, by construction bit-identical
     /// in the ledger.
     fn charge_tuples(&self, ctx: &mut ExecCtx, n: u64) {
@@ -266,10 +256,6 @@ impl Operator for SeqScan {
         }
     }
 
-    fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
-        self.scan_batch(ctx, None, out)
-    }
-
     /// Columnar scan: emit `Arc`-shared windows over the table's
     /// columns (the heap table itself, or a paged table's extent
     /// chunks) — no per-row clone, no per-tuple `Vec`. Charges are
@@ -360,15 +346,6 @@ impl Operator for SeqScan {
         }
     }
 
-    fn next_batch_filtered(
-        &mut self,
-        ctx: &mut ExecCtx,
-        predicate: &Expr,
-        out: &mut Vec<Tuple>,
-    ) -> Option<bool> {
-        Some(self.scan_batch(ctx, Some(predicate), out))
-    }
-
     fn morsels(&self, target_rows: usize) -> Option<Vec<Morsel>> {
         if !matches!(self.bounds, ScanBounds::Full) {
             // Already a partition of some other scan; never re-split.
@@ -420,68 +397,6 @@ impl Operator for SeqScan {
             current: None,
             idx: 0,
         }))
-    }
-}
-
-impl SeqScan {
-    /// The single batch cursor loop behind both `next_batch`
-    /// (`predicate: None`) and `next_batch_filtered`: scan up to
-    /// `batch_size` input rows, materializing all of them or only the
-    /// predicate's survivors.
-    fn scan_batch(
-        &mut self,
-        ctx: &mut ExecCtx,
-        predicate: Option<&Expr>,
-        out: &mut Vec<Tuple>,
-    ) -> bool {
-        // Heap rows arrive materialized (owned), page rows borrowed
-        // from the resident frame; either way only survivors are kept.
-        fn emit<'a>(
-            rows: impl Iterator<Item = Cow<'a, Tuple>>,
-            predicate: Option<&Expr>,
-            ctx: &mut ExecCtx,
-            out: &mut Vec<Tuple>,
-        ) {
-            for t in rows {
-                if predicate.is_none_or(|p| p.eval_bool(&t, ctx)) {
-                    out.push(t.into_owned());
-                }
-            }
-        }
-
-        if self.stopped(ctx) {
-            return false;
-        }
-        let want = ctx.batch_size.max(1);
-        match &self.table.data {
-            TableData::Memory(heap) => {
-                let limit = self.mem_end(heap.len());
-                let end = (self.idx + want).min(limit);
-                let rows = (self.idx..end).map(|i| Cow::Owned(heap.row(i)));
-                emit(rows, predicate, ctx, out);
-                self.charge_tuples(ctx, (end - self.idx) as u64);
-                self.idx = end;
-                self.idx < limit
-            }
-            TableData::Disk(_) => {
-                let mut scanned = 0usize;
-                let mut more = true;
-                while scanned < want {
-                    if !self.advance_disk_page(ctx) {
-                        more = false;
-                        break;
-                    }
-                    let page = Arc::clone(self.current.as_ref().expect("page resident"));
-                    let end = (self.idx + (want - scanned)).min(page.len());
-                    let rows = page.tuples()[self.idx..end].iter().map(Cow::Borrowed);
-                    emit(rows, predicate, ctx, out);
-                    scanned += end - self.idx;
-                    self.idx = end;
-                }
-                self.charge_tuples(ctx, scanned as u64);
-                more
-            }
-        }
     }
 }
 

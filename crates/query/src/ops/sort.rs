@@ -4,8 +4,8 @@ use eco_simhw::trace::OpClass;
 use eco_storage::{tuple_width, Schema, Tuple};
 
 use crate::context::ExecCtx;
-use crate::ops::{drain_batches, drain_chunks, BoxedOp, Operator};
-use crate::parallel::gather_parallel;
+use crate::ops::{BoxedOp, Operator};
+use crate::parallel::{drain_pipeline, gather_parallel};
 
 /// One sort key: column index plus direction.
 #[derive(Debug, Clone, Copy)]
@@ -67,40 +67,17 @@ impl Operator for Sort {
         // subtree.
         let saved_exact = ctx.streaming_exact;
         ctx.streaming_exact = 0;
+        // The sort is a pipeline breaker: a columnar child's rows
+        // materialize here (late).
         let mut rows = match gather_parallel(self.child.as_ref(), ctx) {
-            Some(rows) => {
-                // Materialization charge, identical to the serial
-                // per-batch sum below.
-                let bytes: u64 = rows.iter().map(tuple_width).sum();
-                ctx.charge_mem_bytes(bytes);
-                rows
-            }
-            None if ctx.columnar => {
-                // Columnar child: the sort is a pipeline breaker, so
-                // this is where rows materialize (late), with the same
-                // per-row width charge as the batch drain below.
-                self.child.open(ctx);
-                let mut rows = Vec::new();
-                drain_chunks(self.child.as_mut(), ctx, |ctx, chunk| {
-                    let start = rows.len();
-                    chunk.to_tuples(&mut rows);
-                    let bytes: u64 = rows[start..].iter().map(tuple_width).sum();
-                    ctx.charge_mem_bytes(bytes);
-                });
-                rows
-            }
+            Some(rows) => rows,
             None => {
                 self.child.open(ctx);
-                let mut rows = Vec::new();
-                let mut scratch = Vec::new();
-                drain_batches(self.child.as_mut(), ctx, &mut scratch, |ctx, batch| {
-                    let bytes: u64 = batch.iter().map(tuple_width).sum();
-                    ctx.charge_mem_bytes(bytes);
-                    rows.append(batch);
-                });
-                rows
+                drain_pipeline(ctx, self.child.as_mut())
             }
         };
+        // Materialization: every row's width, however it arrived.
+        ctx.charge_mem_bytes(rows.iter().map(tuple_width).sum());
         ctx.streaming_exact = saved_exact;
         let keys = self.keys.clone();
         let mut comparisons: u64 = 0;

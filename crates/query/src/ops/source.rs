@@ -6,7 +6,6 @@ use eco_storage::{DataChunk, Schema, Tuple};
 
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
-use crate::expr::Expr;
 use crate::ops::{BoxedOp, Operator};
 use crate::parallel::{split_units, Morsel};
 
@@ -64,29 +63,6 @@ impl Operator for VecSource {
         let t = self.tuples[self.idx].clone();
         self.idx += 1;
         Some(t)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) -> bool {
-        let end = (self.idx + ctx.batch_size.max(1)).min(self.end);
-        out.extend_from_slice(&self.tuples[self.idx..end]);
-        self.idx = end;
-        self.idx < self.end
-    }
-
-    fn next_batch_filtered(
-        &mut self,
-        ctx: &mut ExecCtx,
-        predicate: &Expr,
-        out: &mut Vec<Tuple>,
-    ) -> Option<bool> {
-        let end = (self.idx + ctx.batch_size.max(1)).min(self.end);
-        for t in &self.tuples[self.idx..end] {
-            if predicate.eval_bool(t, ctx) {
-                out.push(t.clone());
-            }
-        }
-        self.idx = end;
-        Some(self.idx < self.end)
     }
 
     fn next_chunk(&mut self, ctx: &mut ExecCtx) -> Option<Chunk> {

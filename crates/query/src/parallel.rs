@@ -81,9 +81,9 @@ pub fn split_units(total: usize, per_morsel: usize) -> Vec<Morsel> {
         .collect()
 }
 
-/// Drain an opened pipeline to completion through its batch path — or,
-/// in a columnar context, through its chunk path with rows materialized
-/// at the drain point (the parallel workers' late-materialization
+/// Drain an opened pipeline to completion tuple-at-a-time — or, in a
+/// columnar context, through its chunk path with rows materialized at
+/// the drain point (the parallel workers' late-materialization
 /// boundary). Either way the tuples and charges are identical.
 pub(crate) fn drain_pipeline(ctx: &mut ExecCtx, op: &mut dyn Operator) -> Vec<Tuple> {
     let mut out = Vec::new();
@@ -92,7 +92,7 @@ pub(crate) fn drain_pipeline(ctx: &mut ExecCtx, op: &mut dyn Operator) -> Vec<Tu
             chunk.to_tuples(&mut out);
         }
     } else {
-        while op.next_batch(ctx, &mut out) {}
+        out.extend(std::iter::from_fn(|| op.next(ctx)));
     }
     out
 }

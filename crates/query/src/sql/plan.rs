@@ -506,8 +506,8 @@ pub(crate) fn bind_predicate(e: &SqlExpr, schema: &eco_storage::Schema) -> Resul
 /// execution time: comparisons (`=`, `<>`, `<`, `<=`, `>`, `>=`,
 /// `BETWEEN`, `IN`) pair operands of one type, `AND`/`OR`/`NOT` take
 /// booleans, arithmetic takes `Int`s and never divides by a literal
-/// zero. (A divisor that is zero in the data still panics: ROADMAP
-/// item 4d.)
+/// zero. (A divisor that is zero in the data fails at execution with
+/// [`crate::error::ExecError::DivisionByZero`].)
 pub fn bind_expr(e: &SqlExpr, schema: &eco_storage::Schema) -> Result<Expr, SqlError> {
     let comparable = |l: &SqlExpr, r: &SqlExpr| check_comparable(l, schema, r, schema);
     Ok(match e {

@@ -58,8 +58,8 @@
 //! ## The ledger-identity invariant, extended
 //!
 //! Every figure in this repository is guarded by bit-identical energy
-//! ledgers across execution modes (scalar = batch = columnar =
-//! parallel). The server extends that to concurrency, in two exact
+//! ledgers across execution modes (scalar = columnar = parallel). The
+//! server extends that to concurrency, in two exact
 //! equalities enforced by tests and bench flags:
 //!
 //! * the merge of all per-session forked ledgers equals the server's

@@ -12,7 +12,7 @@
 //! transcript. [`replay_serial`] re-executes that transcript serially
 //! through the *same* shared `MergedSelection` path and must reproduce
 //! the server's summed ledger **bit for bit** — the concurrent-session
-//! extension of the scalar = batch = columnar = parallel invariant.
+//! extension of the scalar = columnar = parallel invariant.
 //! (Callers comparing a serve run against its replay must restore the
 //! buffer pool to the same starting state first — `flush_cache`, plus
 //! `warm_up` for warm comparisons — because the disk profile's

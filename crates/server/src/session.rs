@@ -8,8 +8,8 @@
 //! divided with the remainder spread over the first members — so the
 //! sum of all per-session ledgers reproduces the server's summed ledger
 //! *bit for bit*. This extends the ledger-identity invariant that
-//! guards every reproduced figure (scalar = batch = columnar =
-//! parallel) to the concurrent-session axis.
+//! guards every reproduced figure (scalar = columnar = parallel) to
+//! the concurrent-session axis.
 
 use eco_core::ServerError;
 use eco_simhw::trace::{CpuWork, DiskWork, WorkTrace, ALL_OP_CLASSES};

@@ -67,8 +67,7 @@ pub const LEDGER_SCHEMA_VERSION: u32 = 5;
 ///   tuple bytes and no [`OpClass::DictLookup`] is ever recorded. This
 ///   is the bit-identical mode every reproduced figure is priced
 ///   under: op-class counts, memory bytes, random accesses and disk
-///   I/O are invariant across scalar/batch/columnar/parallel
-///   execution.
+///   I/O are invariant across scalar/columnar/parallel execution.
 /// * [`PricingMode::Compressed`] — scans over encoded columnar
 ///   mirrors charge the *encoded* bytes per tuple as memory traffic,
 ///   and kernels that read through a dictionary charge one

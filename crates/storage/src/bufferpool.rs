@@ -17,7 +17,7 @@
 //! reads off the image: nothing for a columnar scan (its data comes
 //! from the extent chunks; it only needs the access charged), one slot
 //! for an index probe's key compare ([`crate::btree`]) or base-row
-//! fetch ([`PageFrame::tuple`]). Only the row engines' sequential
+//! fetch ([`PageFrame::tuple`]). Only the scalar engine's sequential
 //! scans — the test oracle — read every row of a page, and they alone
 //! decode it whole ([`PageFrame::tuples`], once per residency).
 

@@ -16,7 +16,7 @@
 //! produces, and the energy ledger never charges for the
 //! representation — the columnar executor charges the same per-tuple op
 //! classes as the row executor (see `eco-query::ops` docs), which is
-//! what keeps scalar/batch/columnar ledgers bit-identical.
+//! what keeps scalar/columnar ledgers bit-identical.
 //!
 //! Validity masks exist for forward compatibility with NULL-bearing
 //! sources: no TPC-H loader produces NULLs, so end-to-end executions

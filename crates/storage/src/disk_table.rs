@@ -9,7 +9,7 @@
 //! reads. A columnar scan, which takes its data from the extent chunks,
 //! drives every page through the checked miss path and decodes nothing;
 //! an index-driven fetch decodes the one slot its row id names
-//! ([`PageFrame::tuple`]); only the row engines' sequential scans decode
+//! ([`PageFrame::tuple`]); only the scalar engine's sequential scans decode
 //! a page whole ([`PageFrame::tuples`], once per residency). (The
 //! decode cost is charged by the executor as tuple-fetch work, same as
 //! the memory engine — the engines differ in I/O, not in tuple-access

@@ -47,8 +47,8 @@
 //!
 //! * `README.md` at the repository root — quickstart, the repro-target
 //!   table, and the example catalogue.
-//! * `docs/ARCHITECTURE.md` — the crate map, the four-engine execution
-//!   ladder, and the energy-ledger **bit-identity invariant** with its
+//! * `docs/ARCHITECTURE.md` — the crate map, the execution ladder
+//!   (scalar oracle, columnar, parallel), and the energy-ledger **bit-identity invariant** with its
 //!   versioned pricing-schema history (v1 base, v2 faults,
 //!   v3 compression, v4 indexes) that every change must follow.
 

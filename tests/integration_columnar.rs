@@ -1,5 +1,5 @@
-//! The columnar contract: scalar, batch and columnar execution must
-//! produce **identical result rows** and **bit-identical energy
+//! The columnar contract: scalar and columnar execution must produce
+//! **identical result rows** and **bit-identical energy
 //! ledgers** — op-class counts, memory stream bytes, random accesses
 //! and disk I/O — for TPC-H Q1/Q3/Q5/Q6 and the QED merged scan, on
 //! both storage engines, cold and warm, serial and morsel-parallel,
@@ -64,12 +64,7 @@ fn run_twice(
 fn check_query(name: &str, mk: &dyn Fn(&Catalog) -> BoxedOp) {
     for engine in [EngineKind::Memory, EngineKind::Disk] {
         // The baseline: a genuinely tuple-at-a-time pipeline.
-        let scalar = run_twice(
-            engine,
-            mk,
-            || ExecCtx::new().with_batch_size(1),
-            ExecEngine::Scalar,
-        );
+        let scalar = run_twice(engine, mk, ExecCtx::new, ExecEngine::Scalar);
 
         // Columnar execution at several chunkings, including sizes that
         // do not divide the table and the default.
@@ -145,9 +140,9 @@ fn parallel_columnar_identical_to_scalar() {
     for engine in [EngineKind::Memory, EngineKind::Disk] {
         for (name, mk) in queries {
             let cat = fresh_catalog(engine);
-            let mut sctx = ExecCtx::new().with_batch_size(1);
+            let mut sctx = ExecCtx::new();
             let cold_rows = execute_scalar(mk(&cat).as_mut(), &mut sctx);
-            let mut wctx = ExecCtx::new().with_batch_size(1);
+            let mut wctx = ExecCtx::new();
             let warm_rows = execute_scalar(mk(&cat).as_mut(), &mut wctx);
 
             for workers in [1usize, 2, 4] {
@@ -203,7 +198,8 @@ fn merged_selection_columnar_identical() {
 
 /// A LIMIT over a streaming pipeline keeps scalar-exact stream
 /// consumption under the columnar driver (the limit pulls its child
-/// tuple-at-a-time in every engine).
+/// tuple-at-a-time in every engine), and under both drivers it stops
+/// the scan early.
 #[test]
 fn limit_over_streaming_pipeline_columnar_identical() {
     use ecodb::query::expr::{CmpOp, Expr};
@@ -221,7 +217,7 @@ fn limit_over_streaming_pipeline_columnar_identical() {
         };
 
         let catalog = fresh_catalog(engine);
-        let mut sctx = ExecCtx::new().with_batch_size(1);
+        let mut sctx = ExecCtx::new();
         let rows_s = execute_scalar(mk(&catalog).as_mut(), &mut sctx);
         assert_eq!(rows_s.len(), 25);
 
@@ -231,6 +227,16 @@ fn limit_over_streaming_pipeline_columnar_identical() {
         let what = format!("limit/{engine:?}/columnar");
         assert_eq!(rows_c, rows_s, "{what}: rows differ");
         assert_ledgers_equal(&cctx, &sctx, &what);
+
+        // The scan stopped early: fewer fetches than rows.
+        let total = source_db().lineitem.len() as u64;
+        for (driver, ctx) in [("scalar", &sctx), ("columnar", &cctx)] {
+            let fetched = ctx.cpu.count(OpClass::TupleFetch);
+            assert!(
+                fetched < total,
+                "{engine:?}/{driver}: limit failed to stop the scan: {fetched}/{total}"
+            );
+        }
     }
 }
 
@@ -247,14 +253,14 @@ fn default_engine_is_columnar() {
 }
 
 /// The engine knob on the server facade: identical rows and identical
-/// work traces (hence identical priced figures) under every engine —
-/// the default and both oracles.
+/// work traces (hence identical priced figures) under both engines —
+/// the default and the oracle.
 #[test]
 fn ecodb_engine_knob_produces_identical_traces() {
     let mk = || EcoDb::tpch(EngineProfile::MemoryEngine, 0.002);
     let default_db = mk();
     let (rows_d, trace_d) = default_db.trace_q1(90);
-    for engine in [ExecEngine::Scalar, ExecEngine::Batch, ExecEngine::Columnar] {
+    for engine in [ExecEngine::Scalar, ExecEngine::Columnar] {
         let db = mk().with_engine(engine);
         assert_eq!(db.engine(), engine);
         let (rows, trace) = db.trace_q1(90);
@@ -274,10 +280,8 @@ fn ecodb_engine_knob_produces_identical_traces() {
     // The QED path honors the knob too.
     let queries = ecodb::tpch::qed_workload(5);
     let (split_d, qtrace_d) = default_db.trace_merged_selection(&queries, true);
-    for engine in [ExecEngine::Scalar, ExecEngine::Batch] {
-        let oracle = mk().with_engine(engine);
-        let (split, qtrace) = oracle.trace_merged_selection(&queries, true);
-        assert_eq!(split, split_d, "{engine:?}");
-        assert_eq!(qtrace.total_cpu(), qtrace_d.total_cpu(), "{engine:?}");
-    }
+    let oracle = mk().with_engine(ExecEngine::Scalar);
+    let (split, qtrace) = oracle.trace_merged_selection(&queries, true);
+    assert_eq!(split, split_d);
+    assert_eq!(qtrace.total_cpu(), qtrace_d.total_cpu());
 }

@@ -29,7 +29,7 @@ fn source_db() -> &'static TpchDb {
     DB.get_or_init(|| TpchGenerator::new(0.004).generate())
 }
 
-/// A roomy, reread-free pool (like `integration_vectorized.rs`): cold
+/// A roomy, reread-free pool (like `integration_columnar.rs`): cold
 /// runs charge the full read once, warm runs are I/O-free — so ledgers
 /// are comparable across runs without warm-reread counter offsets.
 fn fresh_catalog(engine: EngineKind) -> Catalog {

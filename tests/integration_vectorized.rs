@@ -1,9 +1,16 @@
-//! The vectorization contract: scalar (tuple-at-a-time) and batch
-//! execution must produce **identical result rows** and **bit-identical
-//! energy ledgers** — op-class counts, memory stream bytes, random
-//! accesses and disk I/O — for TPC-H Q1/Q3/Q5/Q6 on both storage
-//! engines, cold and warm. The paper-reproduction figures are priced
-//! from the ledger, so any drift here silently corrupts them.
+//! The chunking contract of the context-dispatched driver:
+//! [`execute`] under a columnar context must produce **identical result
+//! rows** and **bit-identical energy ledgers** — op-class counts, memory
+//! stream bytes, random accesses and disk I/O — to the tuple-at-a-time
+//! scalar oracle, at every `ExecCtx::batch_size` (the rows per columnar
+//! chunk), for TPC-H Q1/Q3/Q5/Q6 on both storage engines, cold and warm.
+//!
+//! `tests/integration_columnar.rs` pins the same contract through
+//! `ExecEngine` at the usual chunk sizes; this file goes through the
+//! flag-driven dispatcher and the extremes: one-row chunks, a small
+//! power of two, and chunks larger than the default. The
+//! paper-reproduction figures are priced from the ledger, so any drift
+//! here silently corrupts them.
 
 use std::sync::OnceLock;
 
@@ -17,6 +24,10 @@ use ecodb::tpch::{Q5Params, TpchDb, TpchGenerator};
 
 const SCALE: f64 = 0.003;
 
+/// Chunk sizes the columnar runs use: the degenerate one-row chunk, a
+/// size that divides nothing in the data, and one above the default.
+const CHUNK_SIZES: [usize; 3] = [1, 64, 4096];
+
 fn source_db() -> &'static TpchDb {
     static DB: OnceLock<TpchDb> = OnceLock::new();
     DB.get_or_init(|| TpchGenerator::new(SCALE).generate())
@@ -24,8 +35,14 @@ fn source_db() -> &'static TpchDb {
 
 fn fresh_catalog(engine: EngineKind) -> Catalog {
     // A roomy pool: cold runs charge the full read once, warm runs are
-    // I/O-free — deterministically, for scalar and batch alike.
+    // I/O-free — deterministically, for scalar and columnar alike.
     load_tpch(source_db(), engine, 1 << 20)
+}
+
+fn columnar_ctx(chunk_size: usize) -> ExecCtx {
+    ExecCtx::new()
+        .with_batch_size(chunk_size)
+        .with_columnar(true)
 }
 
 fn assert_ledgers_equal(a: &ExecCtx, b: &ExecCtx, what: &str) {
@@ -42,45 +59,34 @@ fn assert_ledgers_equal(a: &ExecCtx, b: &ExecCtx, what: &str) {
     assert_eq!(a.pred_evals, b.pred_evals, "{what}: pred_evals differ");
 }
 
-/// Run `mk`'s plan cold then warm on a fresh catalog; return rows and
-/// ledgers for both runs.
+/// Run `mk`'s plan cold then warm on a fresh catalog through the
+/// dispatcher; return rows and ledgers for both runs.
 fn run_twice(
     engine: EngineKind,
     mk: &dyn Fn(&Catalog) -> BoxedOp,
     mut ctx_of: impl FnMut() -> ExecCtx,
-    scalar: bool,
 ) -> [(Vec<Tuple>, ExecCtx); 2] {
     let catalog = fresh_catalog(engine);
     [(); 2].map(|_| {
         let mut plan = mk(&catalog);
         let mut ctx = ctx_of();
-        let rows = if scalar {
-            execute_scalar(plan.as_mut(), &mut ctx)
-        } else {
-            execute(plan.as_mut(), &mut ctx)
-        };
+        let rows = execute(plan.as_mut(), &mut ctx);
         (rows, ctx)
     })
 }
 
 fn check_query(name: &str, mk: &dyn Fn(&Catalog) -> BoxedOp) {
     for engine in [EngineKind::Memory, EngineKind::Disk] {
-        // The baseline: a genuinely tuple-at-a-time pipeline.
-        let scalar = run_twice(engine, mk, || ExecCtx::new().with_batch_size(1), true);
+        // The baseline: a fresh context is not columnar, so the
+        // dispatcher runs the tuple-at-a-time oracle.
+        let scalar = run_twice(engine, mk, ExecCtx::new);
 
-        // Batch execution at several chunkings, including sizes that do
-        // not divide the table and the default.
-        for batch_size in [3, 257, 1024] {
-            let batch = run_twice(
-                engine,
-                mk,
-                || ExecCtx::new().with_batch_size(batch_size),
-                false,
-            );
+        for chunk_size in CHUNK_SIZES {
+            let columnar = run_twice(engine, mk, || columnar_ctx(chunk_size));
             for (pass, label) in [(0, "cold"), (1, "warm")] {
-                let what = format!("{name}/{engine:?}/{label}/batch={batch_size}");
-                assert_eq!(batch[pass].0, scalar[pass].0, "{what}: rows differ");
-                assert_ledgers_equal(&batch[pass].1, &scalar[pass].1, &what);
+                let what = format!("{name}/{engine:?}/{label}/chunk={chunk_size}");
+                assert_eq!(columnar[pass].0, scalar[pass].0, "{what}: rows differ");
+                assert_ledgers_equal(&columnar[pass].1, &scalar[pass].1, &what);
             }
         }
 
@@ -132,26 +138,26 @@ fn merged_selection_scalar_batch_identical() {
     use ecodb::query::mqo::MergedSelection;
     let queries = ecodb::tpch::qed_workload(8);
     for engine in [EngineKind::Memory, EngineKind::Disk] {
-        let run = |batch_size: usize| {
+        let run = |ctx: ExecCtx| {
             let catalog = fresh_catalog(engine);
             let mut merged = MergedSelection::new(&catalog, &queries);
-            let mut ctx = ExecCtx::new().with_batch_size(batch_size);
+            let mut ctx = ctx;
             let rows = merged.run(&mut ctx);
             (rows, ctx)
         };
-        let (rows_s, ctx_s) = run(1);
-        for batch_size in [7, 1024] {
-            let (rows_b, ctx_b) = run(batch_size);
-            let what = format!("QED/{engine:?}/batch={batch_size}");
-            assert_eq!(rows_b, rows_s, "{what}: rows differ");
-            assert_ledgers_equal(&ctx_b, &ctx_s, &what);
+        let (rows_s, ctx_s) = run(ExecCtx::new());
+        for chunk_size in CHUNK_SIZES {
+            let (rows_c, ctx_c) = run(columnar_ctx(chunk_size));
+            let what = format!("QED/{engine:?}/chunk={chunk_size}");
+            assert_eq!(rows_c, rows_s, "{what}: rows differ");
+            assert_ledgers_equal(&ctx_c, &ctx_s, &what);
         }
     }
 }
 
 /// Early termination: a LIMIT over a streaming (non-blocking) pipeline
-/// must consume — and charge — exactly as much of its input in batch
-/// mode as in scalar mode.
+/// must consume — and charge — exactly as much of its input at every
+/// chunk size as the scalar oracle does, and stop the scan early.
 #[test]
 fn limit_over_streaming_pipeline_identical() {
     use ecodb::query::expr::{CmpOp, Expr};
@@ -169,16 +175,16 @@ fn limit_over_streaming_pipeline_identical() {
         };
 
         let catalog = fresh_catalog(engine);
-        let mut sctx = ExecCtx::new().with_batch_size(1);
+        let mut sctx = ExecCtx::new();
         let rows_s = execute_scalar(mk(&catalog).as_mut(), &mut sctx);
 
-        for batch_size in [4, 1024] {
+        for chunk_size in CHUNK_SIZES {
             let catalog = fresh_catalog(engine);
-            let mut bctx = ExecCtx::new().with_batch_size(batch_size);
-            let rows_b = execute(mk(&catalog).as_mut(), &mut bctx);
-            let what = format!("limit/{engine:?}/batch={batch_size}");
-            assert_eq!(rows_b, rows_s, "{what}: rows differ");
-            assert_ledgers_equal(&bctx, &sctx, &what);
+            let mut cctx = columnar_ctx(chunk_size);
+            let rows_c = execute(mk(&catalog).as_mut(), &mut cctx);
+            let what = format!("limit/{engine:?}/chunk={chunk_size}");
+            assert_eq!(rows_c, rows_s, "{what}: rows differ");
+            assert_ledgers_equal(&cctx, &sctx, &what);
         }
         assert_eq!(rows_s.len(), 25);
         // The scan must have stopped early: fewer fetches than rows.

@@ -130,7 +130,7 @@ proptest! {
         };
 
         // Raw scalar baseline on a fresh catalog (cold pool).
-        let mut sctx = ExecCtx::new().with_batch_size(1);
+        let mut sctx = ExecCtx::new();
         let scalar = execute_scalar(mk(&load(engine_idx, &tuples)).as_mut(), &mut sctx);
 
         // Raw columnar: rows AND the full ledger bit-identical to

@@ -1,6 +1,6 @@
 //! Differential property test for the vectorised hash join and
 //! group-by (the columnar engine's `HashJoin` / `HashAggregate` over
-//! the shared key kernel) against the scalar **and** batch row engines.
+//! the shared key kernel) against the scalar row engine.
 //!
 //! Generated inputs aim at the places a hash table goes wrong: 1–3 key
 //! columns drawn from every column type, duplicate keys with fan-out,
@@ -17,9 +17,9 @@
 //! joins carry), and under a projection, with and without a `LIMIT`.
 //!
 //! Under raw pricing, rows — including multi-match emission order and
-//! first-seen group order — and whole ledgers must equal both oracles
+//! first-seen group order — and whole ledgers must equal the oracle's
 //! at 1, 2 and 4 workers. Under compressed pricing (encoded mirrors on
-//! scanned tables) rows must still equal the oracles and the
+//! scanned tables) rows must still equal the oracle and the
 //! dictionary-id paths must charge exactly their contract: one
 //! `DictLookup` per live row, and `HashProbe` + a random access only
 //! on the first sight of an id (per probe chunk in the join, per
@@ -30,7 +30,7 @@
 //! levels, every operand shape pair — column, computed vector, literal
 //! — over dense windows and selections, zero divisors both literal and
 //! in the data, values that overflow) summed, averaged and counted,
-//! globally and grouped, must equal the row oracles in rows, ledger and
+//! globally and grouped, must equal the row oracle in rows, ledger and
 //! recorded `ExecError`.
 //!
 //! Seeds are pinned: the vendored `proptest` derives each test's
@@ -42,7 +42,7 @@ use proptest::prelude::*;
 
 use ecodb::query::chunk::Rows;
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute_parallel, execute_scalar, ExecEngine};
+use ecodb::query::exec::{execute_parallel, execute_scalar};
 use ecodb::query::expr::{AggFunc, ArithOp, CmpOp, Expr};
 use ecodb::query::ops::{
     hash_keys, AggSpec, BoxedOp, Filter, HashAggregate, HashJoin, Limit, Project, SeqScan,
@@ -507,23 +507,14 @@ fn columnar_ctx(chunk: usize, workers: usize, pricing: PricingMode) -> ExecCtx {
 }
 
 /// Rows, ledgers and recorded errors of `mk()` under the columnar
-/// engine equal both row oracles at every worker count. Returns the
+/// engine equal the scalar oracle's at every worker count. Returns the
 /// oracle rows.
-fn check_against_oracles(
+fn check_against_oracle(
     mk: &dyn Fn() -> BoxedOp,
     chunk: usize,
 ) -> Result<Vec<Tuple>, TestCaseError> {
-    let mut sctx = ExecCtx::new().with_batch_size(1);
+    let mut sctx = ExecCtx::new();
     let scalar = execute_scalar(mk().as_mut(), &mut sctx);
-    let mut bctx = ExecCtx::new().with_batch_size(chunk);
-    let batch = ExecEngine::Batch.execute(mk().as_mut(), &mut bctx);
-    prop_assert_eq!(&batch, &scalar, "oracles disagree on rows");
-    prop_assert_eq!(bctx.error(), sctx.error(), "oracles disagree on the error");
-    prop_assert_eq!(
-        ledger(&bctx),
-        ledger(&sctx),
-        "oracles disagree on the ledger"
-    );
     for workers in [1, 2, 4] {
         let mut ctx = columnar_ctx(chunk, workers, PricingMode::Raw);
         let rows = execute_parallel(mk().as_mut(), &mut ctx, workers);
@@ -632,7 +623,7 @@ proptest! {
                 None => plan,
             }
         };
-        let rows = check_against_oracles(&mk, chunk)?;
+        let rows = check_against_oracle(&mk, chunk)?;
         if MODES[mode_idx] == Mode::CrossTyped && !scanned && shape == 0 {
             prop_assert!(rows.is_empty(), "key columns of different types never match");
         }
@@ -645,7 +636,7 @@ proptest! {
         chunk in prop_oneof![Just(7usize), Just(64), Just(1024)],
     ) {
         let inputs = generate(seed, MODES[mode_idx], true, false);
-        let mut sctx = ExecCtx::new().with_batch_size(1);
+        let mut sctx = ExecCtx::new();
         let scalar = execute_scalar(inputs.join().as_mut(), &mut sctx);
 
         let by_dict_id = inputs.probe_keys.len() == 1
@@ -694,11 +685,11 @@ proptest! {
         chunk in prop_oneof![Just(3usize), Just(64), Just(1024)],
     ) {
         let inputs = generate(seed, MODES[mode_idx], scanned, true);
-        check_against_oracles(&|| inputs.aggregate(groups, &funcs), chunk)?;
+        check_against_oracle(&|| inputs.aggregate(groups, &funcs), chunk)?;
     }
 
     /// The columnar arithmetic, comparison and accumulator kernels
-    /// against the row oracles: `SUM`/`AVG` of generated trees whose
+    /// against the row oracle: `SUM`/`AVG` of generated trees whose
     /// root combines operands of shapes `lhs` and `rhs`, and `COUNT`,
     /// globally or grouped, over a dense input or one a filter turned
     /// into selections — the filter itself comparing a generated tree,
@@ -752,7 +743,7 @@ proptest! {
             let groups = if grouped { vec![0] } else { vec![] };
             Box::new(HashAggregate::new(src, groups, aggs)) as BoxedOp
         };
-        check_against_oracles(&mk, chunk)?;
+        check_against_oracle(&mk, chunk)?;
     }
 
     #[test]
@@ -767,7 +758,7 @@ proptest! {
         // stays one per (row, aggregate) under compressed pricing too.
         let funcs = [AggFunc::Count, AggFunc::Min];
         let mk = || inputs.aggregate(groups, &funcs);
-        let mut sctx = ExecCtx::new().with_batch_size(1);
+        let mut sctx = ExecCtx::new();
         let scalar = execute_scalar(mk().as_mut(), &mut sctx);
 
         let group_cols = &inputs.probe_keys[..groups.min(inputs.probe_keys.len())];

@@ -77,14 +77,14 @@ proptest! {
 
         // Reference: a cold scan on an index-free catalog.
         let before = load(&tuples);
-        let mut ctx_before = ExecCtx::new().with_batch_size(1);
+        let mut ctx_before = ExecCtx::new();
         let scan_rows = execute_scalar(scan_plan(&before).as_mut(), &mut ctx_before);
 
         // The same catalog shape WITH an index: the scan plan's ledger
         // must not move, and every v4 class must stay zero.
         let indexed = load(&tuples);
         let entry = indexed.create_index("ix_t_k", "t", "k").expect("disk table");
-        let mut ctx_after = ExecCtx::new().with_batch_size(1);
+        let mut ctx_after = ExecCtx::new();
         let scan_rows_after = execute_scalar(scan_plan(&indexed).as_mut(), &mut ctx_after);
         prop_assert_eq!(&scan_rows_after, &scan_rows);
         prop_assert_eq!(&ctx_after.cpu, &ctx_before.cpu);
@@ -112,7 +112,7 @@ proptest! {
                 IxBound::Inclusive(Value::Int(hi)),
             )
         };
-        let mut ictx = ExecCtx::new().with_batch_size(1);
+        let mut ictx = ExecCtx::new();
         let ix_rows = execute_scalar(&mut ix, &mut ictx);
         prop_assert_eq!(&ix_rows, &scan_rows, "index path must return the scan's rows");
         prop_assert_eq!(ictx.disk.sequential_bytes, 0, "probes never charge sequential I/O");

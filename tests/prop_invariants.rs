@@ -121,7 +121,7 @@ proptest! {
         let cat = ecodb::storage::load_tpch(src, engine, 1 << 20);
         let scalar: Vec<(Vec<ecodb::storage::Tuple>, ExecCtx)> = (0..2)
             .map(|_| {
-                let mut ctx = ExecCtx::new().with_batch_size(1);
+                let mut ctx = ExecCtx::new();
                 let rows =
                     ecodb::query::exec::execute_scalar(mk(&cat).as_mut(), &mut ctx);
                 (rows, ctx)

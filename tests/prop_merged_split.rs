@@ -25,7 +25,7 @@
 //!   empty input, input arriving under a selection vector, rows of
 //!   varying width. Then the same rows with NULL keys, fed as prebuilt
 //!   chunks with and without selection vectors; NULL keys never occur
-//!   on the row engines, so the oracle sees each NULL as a key no query
+//!   on the scalar engine, so the oracle sees each NULL as a key no query
 //!   has — the rule `null_keys_match_nothing_and_cost_k` pins by hand: a
 //!   NULL matches nothing and is still charged *k*.
 //!
@@ -443,7 +443,7 @@ proptest! {
         prop_assert_eq!(server_phase(&mut ctx.clone()), server_phase(&mut octx), "{}", what);
 
         // Per-core attribution: the tagged-row parallel driver on the
-        // row engine is the oracle.
+        // scalar engine is the oracle.
         let mut pctx = ExecCtx::new().with_morsel_rows(morsel_rows);
         pctx.short_circuit_or = short_circuit;
         execute_parallel(&mut routing_plan(&rows, cut, &keys, disjoint), &mut pctx, workers);

@@ -2,8 +2,8 @@
 //! counts, arrival orders and batch thresholds, the merged
 //! multi-session ledger equals the serial ledger of the same merged
 //! statements — on both engine profiles, cold and warm, replayed under
-//! the serving engine (columnar, `EcoDb`'s default) and under both
-//! oracle engines.
+//! the serving engine (columnar, `EcoDb`'s default) and under the
+//! scalar oracle.
 
 use std::sync::OnceLock;
 
@@ -14,10 +14,10 @@ use ecodb::query::exec::ExecEngine;
 use ecodb::server::{replay_serial, EcoServer, Request, ServerConfig, SessionId, Statement};
 use ecodb::tpch::QedQuery;
 
-const ENGINES: [ExecEngine; 3] = [ExecEngine::Columnar, ExecEngine::Scalar, ExecEngine::Batch];
+const ENGINES: [ExecEngine; 2] = [ExecEngine::Columnar, ExecEngine::Scalar];
 
 /// One database per (profile, engine): the server under test runs the
-/// columnar one, the oracles replay its transcript.
+/// columnar one, both replay its transcript.
 fn db(on_disk_profile: bool, engine: ExecEngine) -> &'static EcoDb {
     static DBS: OnceLock<Vec<EcoDb>> = OnceLock::new();
     let dbs = DBS.get_or_init(|| {

@@ -106,10 +106,10 @@ proptest! {
 }
 
 /// The never-panic property's check: compile `sql` against the shared
-/// catalog and, if it compiles, run it on the batch oracle and on the
+/// catalog and, if it compiles, run it on the scalar oracle and on the
 /// default (columnar) engine — neither may panic.
 fn compile_and_run(sql: &str) -> Result<(), SqlError> {
-    for engine in [ExecEngine::Batch, ExecEngine::Columnar] {
+    for engine in [ExecEngine::Scalar, ExecEngine::Columnar] {
         let mut plan = compile(shared_catalog(), sql)?;
         engine.execute(plan.as_mut(), &mut ExecCtx::new());
     }
@@ -124,7 +124,10 @@ fn compile_and_run(sql: &str) -> Result<(), SqlError> {
 /// that is zero in the data (`l_discount` is 0 in about one row in
 /// eleven; see the next test for the error it fails with) run, and so
 /// does arithmetic that overflows: it wraps in every build, so
-/// `i64::MIN / -1` is `i64::MIN` on both engines, not a panic.
+/// `i64::MIN / -1` is `i64::MIN` on both engines, not a panic. So does
+/// a comparison of two literals (`'ASIA' = 'x'`, also under `IN` and
+/// `BETWEEN`), which the columnar comparison kernel once had no case
+/// for.
 #[test]
 fn pinned_statements_bind_or_run_without_panicking() {
     for sql in [
@@ -149,6 +152,8 @@ fn pinned_statements_bind_or_run_without_panicking() {
         "SELECT COUNT(*) AS n FROM lineitem WHERE NOT l_quantity < 3 OR 1 = 1",
         "SELECT l_quantity / l_discount AS x FROM lineitem",
         OVERFLOW,
+        LITERALS,
+        "SELECT COUNT(*) AS n FROM lineitem WHERE DATE '1995-03-15' < DATE '1996-01-01'",
     ] {
         compile_and_run(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
     }
@@ -168,7 +173,15 @@ fn pinned_statements_bind_or_run_without_panicking() {
         vec![vec![Value::Int(0)]],
         "i64::MIN / -1 wraps to i64::MIN"
     );
+    let rows = run(ExecEngine::Columnar, LITERALS);
+    assert_eq!(rows, run(ExecEngine::Scalar, LITERALS));
+    assert_eq!(rows.len(), 25, "one row per nation");
 }
+
+/// Literals compared with each other: `'ASIA' = 'x'` is false on every
+/// row, the `IN` list and `BETWEEN` hold where the name allows.
+const LITERALS: &str = "SELECT 'ASIA' = 'x' AS e, 'x' IN (n_name, 'x') AS i, \
+                        'x' BETWEEN 'ASIA' AND n_name AS b FROM nation";
 
 /// `(i64::MIN) / (-1)` in every row, built from column arithmetic that
 /// overflows on the way.
@@ -268,7 +281,7 @@ fn q5_survives_pathological_pool() {
 #[test]
 fn qed_batch_of_one_is_a_noop() {
     let q = ecodb::tpch::qed_workload(1);
-    for engine in [ExecEngine::Columnar, ExecEngine::Scalar, ExecEngine::Batch] {
+    for engine in [ExecEngine::Columnar, ExecEngine::Scalar] {
         let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.002).with_engine(engine);
         let (split, _) = db.trace_merged_selection(&q, true);
         let (direct, _) = db.trace_selection(&q[0]);
