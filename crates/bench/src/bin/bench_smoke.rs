@@ -72,7 +72,7 @@ use eco_server::{
 };
 use eco_simhw::fault::FaultPlan;
 use eco_simhw::machine::MachineConfig;
-use eco_simhw::trace::{OpClass, PhaseKind, PricingMode, WorkTrace};
+use eco_simhw::trace::{DiskWork, Ledger, OpClass, PhaseKind, PricingMode, WorkTrace};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const SAMPLES: usize = 7;
@@ -139,10 +139,7 @@ fn columnar_report(db: &EcoDb) -> (String, usize) {
         let mut cctx = ExecCtx::new();
         let columnar_rows = execute_columnar(plan_fn(db).as_mut(), &mut cctx);
         let identical = columnar_rows == scalar_rows
-            && cctx.cpu == sctx.cpu
-            && cctx.mem_stream_bytes == sctx.mem_stream_bytes
-            && cctx.mem_random_accesses == sctx.mem_random_accesses
-            && cctx.disk == sctx.disk
+            && same_ledger(name, &sctx.ledger, &cctx.ledger)
             && cctx.pred_evals == sctx.pred_evals;
         if !identical {
             eprintln!("FAIL: {name} columnar rows or ledger differ from scalar");
@@ -210,7 +207,11 @@ fn throughput_report() -> (String, usize) {
     // replay equality, both bit-exact.
     let mode_blob = |name: &str, sessions: usize, report: &ServeReport| -> (String, bool) {
         let identity = report.ledger_identity()
-            && replay_serial(&db, &report.dispatches, WORKERS, true) == report.ledger;
+            && same_ledger(
+                "serve vs replay",
+                &report.ledger,
+                &replay_serial(&db, &report.dispatches, WORKERS, true),
+            );
         if !identity {
             eprintln!("FAIL: {name} at {sessions} sessions broke ledger identity");
         }
@@ -301,19 +302,16 @@ fn faults_report() -> (String, usize) {
             EcoServer::new(&db, ServerConfig::batched(WORKERS, THRESHOLD)).serve(&requests);
 
         let mut identity = report.ledger_identity() && report.served == SESSIONS;
-        let mut base = report.ledger.clone();
-        base.disk.retry_ios = 0;
-        base.disk.retry_bytes = 0;
-        base.backoff_ns = 0;
+        let base = report.ledger.without_schema(2);
         match &clean_ledger {
             None => {
                 // The zero-rate point: schema-v2 classes must be zero.
-                identity &= base == report.ledger;
+                identity &= same_ledger("zero-rate v2 classes", &report.ledger, &base);
                 clean_ledger = Some(base);
             }
             // Faulted points differ from fault-free only in the
             // explicitly priced v2 retry/backoff classes.
-            Some(clean) => identity &= &base == clean,
+            Some(clean) => identity &= same_ledger("fault-free base classes", clean, &base),
         }
         if !identity {
             eprintln!("FAIL: fault rate {rate_ppm} ppm broke ledger identity or service");
@@ -374,7 +372,7 @@ fn compression_report(db: &EcoDb) -> (String, usize) {
     let run = |pricing: PricingMode, plan_fn: PlanFn, name: &str| {
         let mut ctx = ExecCtx::new().with_columnar(true).with_pricing(pricing);
         let rows = execute_columnar(plan_fn(db).as_mut(), &mut ctx);
-        let bytes = ctx.mem_stream_bytes;
+        let bytes = ctx.ledger.mem_stream_bytes;
         let mut trace = WorkTrace::new();
         trace.push(ctx.take_phase(PhaseKind::Execute, name));
         let m = machine.measure(&trace, &config);
@@ -415,13 +413,14 @@ fn compression_report(db: &EcoDb) -> (String, usize) {
     (json, failures)
 }
 
-/// Whether two executions charged bit-identical ledgers.
-fn same_ledger(a: &ExecCtx, b: &ExecCtx) -> bool {
-    a.cpu == b.cpu
-        && a.mem_stream_bytes == b.mem_stream_bytes
-        && a.mem_random_accesses == b.mem_random_accesses
-        && a.disk == b.disk
-        && a.backoff_ns == b.backoff_ns
+/// Whether two ledgers are bit-identical; prints which classes drifted
+/// (and by how much) when they are not.
+fn same_ledger(what: &str, left: &Ledger, right: &Ledger) -> bool {
+    let diff = left.diff(right);
+    if !diff.is_empty() {
+        eprintln!("{what}: ledgers differ\n{diff}");
+    }
+    diff.is_empty()
 }
 
 /// How much faster an `IxScan` probe must be than the full scan it
@@ -491,10 +490,9 @@ fn index_report() -> (String, usize) {
     for (&(name, lo, hi, min_speedup), (scan_rows, scan_ctx)) in shapes.iter().zip(&before) {
         // Creating the index must not disturb the scan plan's ledger.
         let (rows_after, ctx_after) = run_scan(lo, hi);
-        let scan_ledger_identical = rows_after == *scan_rows && same_ledger(&ctx_after, scan_ctx);
-        let v4_zero = ctx_after.disk.index_ios == 0
-            && ctx_after.disk.index_bytes == 0
-            && ctx_after.cpu.count(OpClass::NodeSearch) == 0;
+        let scan_ledger_identical =
+            rows_after == *scan_rows && same_ledger(name, &scan_ctx.ledger, &ctx_after.ledger);
+        let v4_zero = ctx_after.ledger.without_schema(4) == ctx_after.ledger;
 
         // First probe: index pages are cold (they materialize lazily),
         // so this run must carry the v4 index-I/O charges.
@@ -506,8 +504,8 @@ fn index_report() -> (String, usize) {
             &mut ictx,
         );
         let rows_identical = ix_rows == *scan_rows;
-        let index_ios = ictx.disk.index_ios;
-        let probe_charged = index_ios > 0 && ictx.cpu.count(OpClass::NodeSearch) > 0;
+        let index_ios = ictx.ledger.disk.index_ios;
+        let probe_charged = index_ios > 0 && ictx.ledger.cpu.count(OpClass::NodeSearch) > 0;
 
         let scan_ns = median_ns(
             || {
@@ -638,11 +636,11 @@ fn cold_point_read_report(
     }
     let (twin_rows, twin_ctx) = read();
 
-    let cold_charged = cold_ctx.disk.index_ios as usize == touched.len();
+    let cold_charged = cold_ctx.ledger.disk.index_ios as usize == touched.len();
     let rows_identical = cold_rows == scan_rows && warm_rows == cold_rows && twin_rows == cold_rows;
-    let twin_ledger_identical = same_ledger(&warm_ctx, &twin_ctx)
-        && warm_ctx.cpu == cold_ctx.cpu
-        && warm_ctx.disk.is_empty();
+    let twin_ledger_identical = same_ledger("decoded twin", &warm_ctx.ledger, &twin_ctx.ledger)
+        && warm_ctx.ledger.cpu == cold_ctx.ledger.cpu
+        && warm_ctx.ledger.disk == DiskWork::none();
     let ok = whole_pages_decoded == 0
         && !touched.is_empty()
         && cold_charged
@@ -668,7 +666,7 @@ fn cold_point_read_report(
          \"ledger_identical_to_decoded_twin\":{twin_ledger_identical}}}",
         cold_rows.len(),
         touched.len(),
-        cold_ctx.disk.index_ios,
+        cold_ctx.ledger.disk.index_ios,
     );
     (json, ok)
 }
@@ -729,8 +727,11 @@ fn wal_report() -> (String, usize) {
         let identity = report.served == SESSIONS
             && report.ledger_identity()
             && report.ledger.disk.log_ios == expected_fsyncs
-            && replay_serial(&replay_db, &report.dispatches, WORKERS, cfg.short_circuit)
-                == report.ledger;
+            && same_ledger(
+                "serve vs replay",
+                &report.ledger,
+                &replay_serial(&replay_db, &report.dispatches, WORKERS, cfg.short_circuit),
+            );
         if !identity {
             eprintln!(
                 "FAIL: wal commit_threshold={commit_threshold} broke ledger identity \
@@ -832,10 +833,8 @@ fn main() {
             let mut pctx = ExecCtx::new().with_columnar(true);
             let rows = execute_parallel(plan_fn(&db).as_mut(), &mut pctx, workers);
             let ledger_identical = rows == serial_rows
-                && pctx.cpu == sctx.cpu
-                && pctx.mem_stream_bytes == sctx.mem_stream_bytes
-                && pctx.mem_random_accesses == sctx.mem_random_accesses
-                && pctx.disk == sctx.disk;
+                && same_ledger(name, &sctx.ledger, &pctx.ledger)
+                && pctx.pred_evals == sctx.pred_evals;
             if !ledger_identical {
                 eprintln!("FAIL: {name} at {workers} workers diverged from serial");
                 failures += 1;

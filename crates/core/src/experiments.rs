@@ -492,21 +492,10 @@ pub fn parallel_scaling(scale: f64) -> Vec<ParallelScalingRow> {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
     let (_, serial_trace) = db.trace_q5_workload();
     let totals = |traces: &[eco_simhw::trace::WorkTrace]| {
-        let mut cpu = eco_simhw::trace::CpuWork::new();
-        let mut disk = eco_simhw::trace::DiskWork::none();
-        let mut stream = 0u64;
-        let mut random = 0u64;
-        for t in traces {
-            cpu.merge(&t.total_cpu());
-            disk.merge(&t.total_disk());
-            stream += t.total_mem_stream_bytes();
-            random += t
-                .phases()
-                .iter()
-                .map(|p| p.mem_random_accesses)
-                .sum::<u64>();
-        }
-        (cpu, disk, stream, random)
+        traces
+            .iter()
+            .map(eco_simhw::trace::WorkTrace::total)
+            .sum::<eco_simhw::trace::Ledger>()
     };
     let serial_totals = totals(std::slice::from_ref(&serial_trace));
 

@@ -229,7 +229,7 @@ mod tests {
         let machine = Machine::paper_sut();
         let mut trace = WorkTrace::new();
         let mut p = Phase::execute("w");
-        p.cpu.add(OpClass::PredEval, 2_000_000);
+        p.ledger.cpu.add(OpClass::PredEval, 2_000_000);
         trace.push(p);
 
         let configs = vec![

@@ -190,9 +190,9 @@ mod tests {
         let mut t = WorkTrace::new();
         for i in 0..4 {
             let mut p = Phase::execute(format!("q{i}"));
-            p.cpu.add(OpClass::PredEval, 4_000_000);
-            p.cpu.add(OpClass::TupleFetch, 4_000_000);
-            p.mem_stream_bytes = 200 << 20;
+            p.ledger.cpu.add(OpClass::PredEval, 4_000_000);
+            p.ledger.cpu.add(OpClass::TupleFetch, 4_000_000);
+            p.ledger.mem_stream_bytes = 200 << 20;
             t.push(p);
             t.push(Phase::client_gap(30_000_000));
         }

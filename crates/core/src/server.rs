@@ -576,13 +576,10 @@ impl EcoDb {
         phases: Vec<Phase>,
         core0_tail: Option<Phase>,
     ) -> Vec<WorkTrace> {
-        let mut combined = Phase::execute("combined");
-        for p in &phases {
-            combined.cpu.merge(&p.cpu);
-            combined.mem_stream_bytes += p.mem_stream_bytes;
-            combined.mem_random_accesses += p.mem_random_accesses;
-            combined.disk.merge(&p.disk);
-        }
+        let combined = Phase {
+            ledger: phases.iter().map(|p| &p.ledger).sum(),
+            ..Phase::execute("combined")
+        };
         let gap = self.gap_before(&combined);
 
         phases
@@ -1309,10 +1306,8 @@ mod tests {
         let db = db(EngineProfile::CommercialDisk);
         let sql = "SELECT l_orderkey FROM lineitem WHERE l_quantity = 7";
         let (scan_rows, scan_trace) = db.try_trace_sql(sql).expect("scan plan");
-        assert!(scan_trace
-            .phases()
-            .iter()
-            .all(|p| p.disk.index_ios == 0 && p.cpu.count(OpClass::NodeSearch) == 0));
+        let scan_total = scan_trace.total();
+        scan_total.assert_same(&scan_total.without_schema(4), "v4 classes of a scan");
 
         let (ddl_rows, ddl_trace) = db
             .try_trace_sql("CREATE INDEX ix_qty ON lineitem (l_quantity)")
@@ -1322,7 +1317,7 @@ mod tests {
             ddl_trace
                 .phases()
                 .iter()
-                .any(|p| p.cpu.count(OpClass::NodeSearch) > 0),
+                .any(|p| p.ledger.cpu.count(OpClass::NodeSearch) > 0),
             "bulk load bills NodeSearch comparison work"
         );
 
@@ -1330,7 +1325,10 @@ mod tests {
         // probes billed as v4 index random I/O.
         let (ix_rows, ix_trace) = db.try_trace_sql(sql).expect("index plan");
         assert_eq!(scan_rows, ix_rows, "access path must not change answers");
-        assert!(ix_trace.phases().iter().any(|p| p.disk.index_ios > 0));
+        assert!(ix_trace
+            .phases()
+            .iter()
+            .any(|p| p.ledger.disk.index_ios > 0));
 
         // Duplicate names and memory-engine tables are typed catalog
         // rejections, not panics.
@@ -1410,11 +1408,8 @@ mod tests {
         let (rows_b, trace_b) = db.trace_q6(1994, 6, 24);
         assert_eq!(rows_a, rows_b);
         assert_eq!(trace_a, trace_b, "fault-free ledgers are bit-identical");
-        for p in trace_b.phases() {
-            assert_eq!(p.disk.retry_ios, 0);
-            assert_eq!(p.disk.retry_bytes, 0);
-            assert_eq!(p.backoff_ns, 0);
-        }
+        let total = trace_b.total();
+        total.assert_same(&total.without_schema(2), "v2 classes of a fault-free run");
     }
 
     #[test]
@@ -1431,14 +1426,13 @@ mod tests {
             // The DML trace carries the v5 charge classes: LogRecord
             // CPU work (record + commit marker) and one block-rounded
             // log fsync.
-            let logged: u64 = ins_trace
-                .phases()
-                .iter()
-                .map(|p| p.cpu.count(OpClass::LogRecord))
-                .sum();
-            assert_eq!(logged, 2, "insert + commit marker");
-            let log_ios: u64 = ins_trace.phases().iter().map(|p| p.disk.log_ios).sum();
-            let log_bytes: u64 = ins_trace.phases().iter().map(|p| p.disk.log_bytes).sum();
+            let total = ins_trace.total();
+            assert_eq!(
+                total.cpu.count(OpClass::LogRecord),
+                2,
+                "insert + commit marker"
+            );
+            let (log_ios, log_bytes) = (total.disk.log_ios, total.disk.log_bytes);
             assert_eq!(log_ios, 1);
             assert_eq!(
                 log_bytes % eco_storage::page::PAGE_SIZE as u64,
@@ -1481,11 +1475,8 @@ mod tests {
             .try_trace_sql("SELECT l_orderkey FROM lineitem WHERE l_quantity = 7")
             .expect("select");
         for t in [&trace, &sql_trace] {
-            for p in t.phases() {
-                assert_eq!(p.cpu.count(OpClass::LogRecord), 0);
-                assert_eq!(p.disk.log_ios, 0);
-                assert_eq!(p.disk.log_bytes, 0);
-            }
+            let total = t.total();
+            total.assert_same(&total.without_schema(5), "v5 classes of a read-only run");
         }
         assert_eq!(db.wal_fsyncs(), 0);
         assert_eq!(db.wal_pending_bytes(), 0);
@@ -1507,11 +1498,11 @@ mod tests {
         }
         // Staged statements charge log *records* but no log I/O yet.
         for t in &staged_traces {
-            assert!(t.phases().iter().all(|p| p.disk.log_ios == 0));
+            assert!(t.phases().iter().all(|p| p.ledger.disk.log_ios == 0));
             assert!(t
                 .phases()
                 .iter()
-                .any(|p| p.cpu.count(OpClass::LogRecord) > 0));
+                .any(|p| p.ledger.cpu.count(OpClass::LogRecord) > 0));
         }
         assert!(db.wal_pending_bytes() > 0);
         assert_eq!(db.wal_fsyncs(), 0);
@@ -1526,8 +1517,7 @@ mod tests {
         assert!(bytes > 0);
         assert_eq!(db.wal_fsyncs(), 1);
         assert_eq!(db.wal_pending_bytes(), 0);
-        let ios: u64 = commit_trace.phases().iter().map(|p| p.disk.log_ios).sum();
-        assert_eq!(ios, 1);
+        assert_eq!(commit_trace.total_disk().log_ios, 1);
         // An empty commit is free and uncounted.
         let (bytes, trace) = db.commit_wal().expect("no-op commit");
         assert_eq!(bytes, 0);

@@ -1,6 +1,6 @@
 //! The execution context: the work ledger every operator charges into.
 
-use eco_simhw::trace::{CpuWork, DiskWork, OpClass, Phase, PhaseKind, PricingMode};
+use eco_simhw::trace::{DiskWork, Ledger, OpClass, Phase, PhaseKind, PricingMode};
 
 use crate::error::ExecError;
 
@@ -15,34 +15,14 @@ pub const DEFAULT_BATCH_SIZE: usize = 1024;
 /// load-balancing granularity of morsel-driven execution).
 pub const DEFAULT_MORSEL_ROWS: usize = 4096;
 
-/// Per-core share of the charges accumulated by parallel sections —
-/// used to split a merged ledger back into per-core [`Phase`]s for the
-/// multi-core machine model.
-#[derive(Debug, Clone, Default)]
-struct CoreCharges {
-    cpu: CpuWork,
-    mem_stream_bytes: u64,
-    mem_random_accesses: u64,
-    disk: DiskWork,
-    backoff_ns: u64,
-}
-
 /// Per-execution accounting state, threaded through every operator call.
 #[derive(Debug, Clone)]
 pub struct ExecCtx {
-    /// CPU operations performed so far.
-    pub cpu: CpuWork,
-    /// Bytes streamed through memory (scans, materializations, copies).
-    pub mem_stream_bytes: u64,
-    /// Latency-bound random memory accesses (hash probes into tables
-    /// that exceed cache).
-    pub mem_random_accesses: u64,
-    /// Disk I/O drained from the buffer pool.
-    pub disk: DiskWork,
-    /// Retry backoff / stall idle time accumulated by verified page
-    /// reads, nanoseconds (ledger schema v2: halt-priced like a client
-    /// gap; exactly zero on fault-free runs).
-    pub backoff_ns: u64,
+    /// Everything charged so far: op classes, memory traffic, disk I/O
+    /// drained from the buffer pool, and retry backoff (ledger schema
+    /// v2: halt-priced like a client gap; exactly zero on fault-free
+    /// runs).
+    pub ledger: Ledger,
     /// Whether OR-lists short-circuit on the first true arm. MySQL-style
     /// evaluation short-circuits; the `ablation_qed_shortcircuit` bench
     /// flips this to study its effect on QED.
@@ -90,11 +70,11 @@ pub struct ExecCtx {
     /// this is set; blocking operators clear it for their own subtree
     /// since they drain their input fully in any mode.
     pub streaming_exact: u32,
-    /// Per-core charge shares recorded by parallel sections (index =
-    /// worker id). Charges made directly on this context (the
+    /// Per-core shares of the ledger recorded by parallel sections
+    /// (index = worker id). Charges made directly on this context (the
     /// coordinator's serial work) are attributed to core 0 at
     /// [`Self::take_core_phases`] time.
-    core_charges: Vec<CoreCharges>,
+    core_ledgers: Vec<Ledger>,
     /// The first error recorded by a failing operator (set-first-wins).
     /// Fallible drivers take it after the pipeline drains.
     error: Option<ExecError>,
@@ -103,11 +83,7 @@ pub struct ExecCtx {
 impl Default for ExecCtx {
     fn default() -> Self {
         Self {
-            cpu: CpuWork::default(),
-            mem_stream_bytes: 0,
-            mem_random_accesses: 0,
-            disk: DiskWork::default(),
-            backoff_ns: 0,
+            ledger: Ledger::new(),
             short_circuit_or: false,
             pred_evals: 0,
             batch_size: DEFAULT_BATCH_SIZE,
@@ -116,7 +92,7 @@ impl Default for ExecCtx {
             columnar: false,
             pricing: PricingMode::Raw,
             streaming_exact: 0,
-            core_charges: Vec::new(),
+            core_ledgers: Vec::new(),
             error: None,
         }
     }
@@ -192,11 +168,7 @@ impl ExecCtx {
     /// commutative, so the merged totals are identical to serial
     /// execution regardless of how morsels were scheduled.
     pub fn merge_worker(&mut self, worker: usize, other: &ExecCtx) {
-        self.cpu.merge(&other.cpu);
-        self.mem_stream_bytes += other.mem_stream_bytes;
-        self.mem_random_accesses += other.mem_random_accesses;
-        self.disk.merge(&other.disk);
-        self.backoff_ns += other.backoff_ns;
+        self.ledger.merge(&other.ledger);
         self.pred_evals += other.pred_evals;
         // Workers are merged in worker-index order, so under a fixed
         // fault plan the surviving error is deterministic regardless of
@@ -204,45 +176,39 @@ impl ExecCtx {
         if self.error.is_none() {
             self.error = other.error;
         }
-        if self.core_charges.len() <= worker {
-            self.core_charges
-                .resize_with(worker + 1, CoreCharges::default);
+        if self.core_ledgers.len() <= worker {
+            self.core_ledgers.resize_with(worker + 1, Ledger::new);
         }
-        let c = &mut self.core_charges[worker];
-        c.cpu.merge(&other.cpu);
-        c.mem_stream_bytes += other.mem_stream_bytes;
-        c.mem_random_accesses += other.mem_random_accesses;
-        c.disk.merge(&other.disk);
-        c.backoff_ns += other.backoff_ns;
+        self.core_ledgers[worker].merge(&other.ledger);
     }
 
     /// Charge `n` operations of `class`.
     #[inline]
     pub fn charge(&mut self, class: OpClass, n: u64) {
-        self.cpu.add(class, n);
+        self.ledger.cpu.add(class, n);
     }
 
     /// Charge bytes streamed through the memory system.
     #[inline]
     pub fn charge_mem_bytes(&mut self, bytes: u64) {
-        self.mem_stream_bytes += bytes;
+        self.ledger.mem_stream_bytes += bytes;
     }
 
     /// Charge latency-bound random memory accesses.
     #[inline]
     pub fn charge_mem_random(&mut self, n: u64) {
-        self.mem_random_accesses += n;
+        self.ledger.mem_random_accesses += n;
     }
 
     /// Merge disk I/O (drained from the buffer pool) into the ledger.
     pub fn charge_disk(&mut self, io: DiskWork) {
-        self.disk.merge(&io);
+        self.ledger.merge(&io.into());
     }
 
     /// Charge retry-backoff / stall idle time (nanoseconds).
     #[inline]
     pub fn charge_backoff(&mut self, ns: u64) {
-        self.backoff_ns += ns;
+        self.ledger.backoff_ns += ns;
     }
 
     /// Record a typed execution error. The first error wins; operators
@@ -265,19 +231,13 @@ impl ExecCtx {
     /// Convert the accumulated ledger into a trace phase, leaving the
     /// context empty for reuse.
     pub fn take_phase(&mut self, kind: PhaseKind, label: impl Into<String>) -> Phase {
-        let mut phase = match kind {
-            PhaseKind::Execute => Phase::execute(label),
-            PhaseKind::ClientCompute => Phase::client_compute(label),
-            PhaseKind::ClientGap => Phase::client_gap(0),
-        };
-        phase.cpu = std::mem::take(&mut self.cpu);
-        phase.mem_stream_bytes = std::mem::take(&mut self.mem_stream_bytes);
-        phase.mem_random_accesses = std::mem::take(&mut self.mem_random_accesses);
-        phase.disk = std::mem::take(&mut self.disk);
-        phase.backoff_ns = std::mem::take(&mut self.backoff_ns);
         self.pred_evals = 0;
-        self.core_charges.clear();
-        phase
+        self.core_ledgers.clear();
+        Phase {
+            kind,
+            label: label.into(),
+            ledger: std::mem::take(&mut self.ledger),
+        }
     }
 
     /// Split the accumulated ledger into one execute [`Phase`] per core
@@ -288,67 +248,35 @@ impl ExecCtx {
     /// sum to exactly what [`Self::take_phase`] would have returned.
     pub fn take_core_phases(&mut self, cores: usize, label: &str) -> Vec<Phase> {
         assert!(cores > 0, "need at least one core");
-        let mut remainder_cpu = std::mem::take(&mut self.cpu);
-        let mut remainder_stream = std::mem::take(&mut self.mem_stream_bytes);
-        let mut remainder_random = std::mem::take(&mut self.mem_random_accesses);
-        let mut remainder_disk = std::mem::take(&mut self.disk);
-        let mut remainder_backoff = std::mem::take(&mut self.backoff_ns);
-        let core_charges = std::mem::take(&mut self.core_charges);
+        let mut serial = std::mem::take(&mut self.ledger);
+        let mut ledgers = std::mem::take(&mut self.core_ledgers);
         self.pred_evals = 0;
         assert!(
-            core_charges.len() <= cores,
+            ledgers.len() <= cores,
             "recorded charges for {} workers but asked for {cores} core phases",
-            core_charges.len(),
+            ledgers.len(),
         );
-
         // Peel each worker's share off the total; what remains is the
-        // coordinator's serial work. Checked like CpuWork::subtract —
-        // a worker share exceeding the total means merge_worker was
-        // misused, and wrapping would silently price exabytes of DRAM
-        // traffic instead of failing.
-        for c in &core_charges {
-            remainder_cpu.subtract(&c.cpu);
-            remainder_stream = remainder_stream
-                .checked_sub(c.mem_stream_bytes)
-                .expect("subtracting more stream bytes than were recorded");
-            remainder_random = remainder_random
-                .checked_sub(c.mem_random_accesses)
-                .expect("subtracting more random accesses than were recorded");
-            remainder_disk.subtract(&c.disk);
-            remainder_backoff = remainder_backoff
-                .checked_sub(c.backoff_ns)
-                .expect("subtracting more backoff time than was recorded");
+        // coordinator's serial work. `subtract` is checked: a worker
+        // share exceeding the total means merge_worker was misused.
+        for worker in &ledgers {
+            serial.subtract(worker);
         }
-
-        (0..cores)
-            .map(|w| {
-                let mut p = Phase::execute(format!("{label} [core {w}]"));
-                if let Some(c) = core_charges.get(w) {
-                    p.cpu = c.cpu.clone();
-                    p.mem_stream_bytes = c.mem_stream_bytes;
-                    p.mem_random_accesses = c.mem_random_accesses;
-                    p.disk = c.disk;
-                    p.backoff_ns = c.backoff_ns;
-                }
-                if w == 0 {
-                    p.cpu.merge(&remainder_cpu);
-                    p.mem_stream_bytes += remainder_stream;
-                    p.mem_random_accesses += remainder_random;
-                    p.disk.merge(&remainder_disk);
-                    p.backoff_ns += remainder_backoff;
-                }
-                p
+        ledgers.resize_with(cores, Ledger::new);
+        ledgers[0].merge(&serial);
+        ledgers
+            .into_iter()
+            .enumerate()
+            .map(|(w, ledger)| Phase {
+                ledger,
+                ..Phase::execute(format!("{label} [core {w}]"))
             })
             .collect()
     }
 
     /// True when nothing has been charged yet.
     pub fn is_empty(&self) -> bool {
-        self.cpu.is_empty()
-            && self.mem_stream_bytes == 0
-            && self.mem_random_accesses == 0
-            && self.disk.is_empty()
-            && self.backoff_ns == 0
+        self.ledger.is_empty()
     }
 }
 
@@ -372,10 +300,10 @@ mod tests {
         assert!(!ctx.is_empty());
 
         let phase = ctx.take_phase(PhaseKind::Execute, "t");
-        assert_eq!(phase.cpu.count(OpClass::TupleFetch), 10);
-        assert_eq!(phase.mem_stream_bytes, 100);
-        assert_eq!(phase.mem_random_accesses, 3);
-        assert_eq!(phase.disk.random_ios, 1);
+        assert_eq!(phase.ledger.cpu.count(OpClass::TupleFetch), 10);
+        assert_eq!(phase.ledger.mem_stream_bytes, 100);
+        assert_eq!(phase.ledger.mem_random_accesses, 3);
+        assert_eq!(phase.ledger.disk.random_ios, 1);
         assert!(ctx.is_empty(), "take_phase must drain");
     }
 
@@ -421,10 +349,10 @@ mod tests {
         w1.pred_evals = 3;
         ctx.merge_worker(0, &w0);
         ctx.merge_worker(1, &w1);
-        assert_eq!(ctx.cpu.count(OpClass::TupleFetch), 30);
-        assert_eq!(ctx.cpu.count(OpClass::Parse), 2);
-        assert_eq!(ctx.mem_stream_bytes, 100);
-        assert_eq!(ctx.mem_random_accesses, 4);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::TupleFetch), 30);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::Parse), 2);
+        assert_eq!(ctx.ledger.mem_stream_bytes, 100);
+        assert_eq!(ctx.ledger.mem_random_accesses, 4);
         assert_eq!(ctx.pred_evals, 3);
     }
 
@@ -457,16 +385,16 @@ mod tests {
         let mut w1 = ctx.fork();
         w1.charge_backoff(250);
         ctx.merge_worker(1, &w1);
-        assert_eq!(ctx.backoff_ns, 350);
+        assert_eq!(ctx.ledger.backoff_ns, 350);
         let phases = ctx.take_core_phases(2, "t");
-        assert_eq!(phases[0].backoff_ns, 100, "serial backoff → core 0");
-        assert_eq!(phases[1].backoff_ns, 250);
+        assert_eq!(phases[0].ledger.backoff_ns, 100, "serial backoff → core 0");
+        assert_eq!(phases[1].ledger.backoff_ns, 250);
         assert!(ctx.is_empty(), "backoff drains with the rest");
 
         let mut ctx = ExecCtx::new();
         ctx.charge_backoff(77);
         let p = ctx.take_phase(PhaseKind::Execute, "t");
-        assert_eq!(p.backoff_ns, 77);
+        assert_eq!(p.ledger.backoff_ns, 77);
         assert!(ctx.is_empty());
     }
 
@@ -487,17 +415,14 @@ mod tests {
 
         let phases = ctx.take_core_phases(3, "t");
         assert_eq!(phases.len(), 3);
-        assert_eq!(phases[0].cpu.count(OpClass::Parse), 7);
-        assert_eq!(phases[0].cpu.count(OpClass::TupleFetch), 10);
-        assert_eq!(phases[1].cpu.count(OpClass::TupleFetch), 20);
-        assert_eq!(phases[1].mem_stream_bytes, 64);
-        assert!(phases[2].cpu.is_empty(), "unused core is idle");
+        assert_eq!(phases[0].ledger.cpu.count(OpClass::Parse), 7);
+        assert_eq!(phases[0].ledger.cpu.count(OpClass::TupleFetch), 10);
+        assert_eq!(phases[1].ledger.cpu.count(OpClass::TupleFetch), 20);
+        assert_eq!(phases[1].ledger.mem_stream_bytes, 64);
+        assert!(phases[2].ledger.is_empty(), "unused core is idle");
         assert!(ctx.is_empty(), "take_core_phases must drain");
 
-        let mut sum = CpuWork::new();
-        for p in &phases {
-            sum.merge(&p.cpu);
-        }
-        assert_eq!(sum, total_phase.cpu, "core phases partition the total");
+        let sum: Ledger = phases.iter().map(|p| &p.ledger).sum();
+        sum.assert_same(&total_phase.ledger, "core phases partition the total");
     }
 }

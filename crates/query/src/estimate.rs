@@ -44,19 +44,19 @@ impl WorkEstimate {
     }
 
     fn charge(&mut self, class: OpClass, n: f64) {
-        self.phase.cpu.add(class, n.max(0.0).round() as u64);
+        self.phase.ledger.cpu.add(class, n.max(0.0).round() as u64);
     }
 
     fn charge_mem(&mut self, bytes: f64) {
-        self.phase.mem_stream_bytes += bytes.max(0.0).round() as u64;
+        self.phase.ledger.mem_stream_bytes += bytes.max(0.0).round() as u64;
     }
 
     /// Charge `n` estimated cold index-page reads (ledger schema v4:
     /// priced like random I/O, ledgered as index I/O).
     fn charge_index_ios(&mut self, n: f64) {
         let n = n.max(0.0).round() as u64;
-        self.phase.disk.index_ios += n;
-        self.phase.disk.index_bytes += n * eco_storage::page::PAGE_SIZE as u64;
+        self.phase.ledger.disk.index_ios += n;
+        self.phase.ledger.disk.index_bytes += n * eco_storage::page::PAGE_SIZE as u64;
     }
 }
 
@@ -114,7 +114,8 @@ pub fn estimate_scan_selection(catalog: &Catalog, table: &str, selectivity: f64)
     e.charge_mem(rows * width);
     e.charge(OpClass::PredEval, rows);
     if let eco_storage::TableData::Disk(d) = &t.data {
-        e.phase.disk.sequential_bytes += d.num_pages() as u64 * eco_storage::page::PAGE_SIZE as u64;
+        e.phase.ledger.disk.sequential_bytes +=
+            d.num_pages() as u64 * eco_storage::page::PAGE_SIZE as u64;
     }
     let out = rows * sel;
     e.out_rows = out;
@@ -207,7 +208,7 @@ pub fn estimate_q5(catalog: &Catalog, _params: &Q5Params) -> WorkEstimate {
     e.charge(OpClass::HashProbe, rows("nation") + rows("customer"));
     e.charge(OpClass::HashBuild, cust_in_region + orders_joined);
     e.charge(OpClass::HashProbe, orders_window + rows("lineitem"));
-    e.phase.mem_random_accesses += (rows("customer") + rows("lineitem")) as u64;
+    e.phase.ledger.mem_random_accesses += (rows("customer") + rows("lineitem")) as u64;
     // Probe the supplier table with every joined lineitem.
     e.charge(OpClass::HashProbe, lineitems_joined);
 
@@ -244,7 +245,7 @@ mod tests {
             let mut ctx = ExecCtx::new();
             let rows = merged.run(&mut ctx);
             let actual_evals = ctx.pred_evals as f64;
-            let est_evals = est.phase.cpu.count(OpClass::PredEval) as f64;
+            let est_evals = est.phase.ledger.cpu.count(OpClass::PredEval) as f64;
             let rel = (est_evals - actual_evals).abs() / actual_evals;
             assert!(
                 rel < 0.25,
@@ -291,7 +292,7 @@ mod tests {
     fn q5_estimate_is_positive_and_prices() {
         let cat = setup();
         let est = estimate_q5(&cat, &Q5Params::new("ASIA", 1994));
-        assert!(est.phase.cpu.total_ops() > 0);
+        assert!(est.phase.ledger.cpu.total_ops() > 0);
         let m = est.measure(&Machine::paper_sut(), &MachineConfig::stock());
         assert!(m.elapsed_s > 0.0);
     }
@@ -318,8 +319,8 @@ mod tests {
             est.out_rows,
             rows.len()
         );
-        let actual_ios = ctx.disk.index_ios as f64;
-        let est_ios = est.phase.disk.index_ios as f64;
+        let actual_ios = ctx.ledger.disk.index_ios as f64;
+        let est_ios = est.phase.ledger.disk.index_ios as f64;
         assert!(actual_ios > 0.0);
         let rel_ios = (est_ios - actual_ios).abs() / actual_ios;
         assert!(
@@ -336,6 +337,9 @@ mod tests {
         let cat = setup();
         let sc = estimate_selection_batch(&cat, 30, true);
         let ex = estimate_selection_batch(&cat, 30, false);
-        assert!(ex.phase.cpu.count(OpClass::PredEval) > sc.phase.cpu.count(OpClass::PredEval));
+        assert!(
+            ex.phase.ledger.cpu.count(OpClass::PredEval)
+                > sc.phase.ledger.cpu.count(OpClass::PredEval)
+        );
     }
 }

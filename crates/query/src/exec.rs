@@ -237,8 +237,8 @@ mod tests {
         let mut ctx = ExecCtx::new();
         let rows = execute(&mut p, &mut ctx);
         assert_eq!(rows.len(), 5);
-        assert_eq!(ctx.cpu.count(OpClass::ResultEmit), 5);
-        assert!(ctx.mem_stream_bytes > 0);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::ResultEmit), 5);
+        assert!(ctx.ledger.mem_stream_bytes > 0);
     }
 
     #[test]
@@ -250,9 +250,9 @@ mod tests {
             let mut ctx_c = ExecCtx::new().with_batch_size(chunk_size);
             let rows_c = execute_columnar(&mut plan(), &mut ctx_c);
             assert_eq!(rows_c, rows_s, "chunk size {chunk_size}");
-            assert_eq!(ctx_c.cpu, ctx_s.cpu, "chunk size {chunk_size}");
-            assert_eq!(ctx_c.mem_stream_bytes, ctx_s.mem_stream_bytes);
-            assert_eq!(ctx_c.mem_random_accesses, ctx_s.mem_random_accesses);
+            ctx_s
+                .ledger
+                .assert_same(&ctx_c.ledger, format_args!("chunk size {chunk_size}"));
             assert_eq!(ctx_c.pred_evals, ctx_s.pred_evals);
         }
     }

@@ -956,7 +956,7 @@ mod tests {
             Expr::int(100),
         );
         assert_eq!(e.eval(&t(), &mut ctx), Value::Int(9));
-        assert_eq!(ctx.cpu.count(OpClass::Arith), 3);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::Arith), 3);
     }
 
     #[test]
@@ -1073,7 +1073,10 @@ mod columnar_tests {
             pred.filter_sel(&chunk, &mut sel, &mut cctx);
 
             assert_eq!(sel, scalar, "short_circuit={short_circuit}");
-            assert_eq!(cctx.cpu, sctx.cpu, "short_circuit={short_circuit}");
+            assert_eq!(
+                cctx.ledger.cpu, sctx.ledger.cpu,
+                "short_circuit={short_circuit}"
+            );
             assert_eq!(cctx.pred_evals, sctx.pred_evals);
         }
     }
@@ -1096,7 +1099,7 @@ mod columnar_tests {
         let col = expr.eval_column(&chunk, crate::chunk::Rows::Sel(&sel), &mut cctx);
         let got: Vec<Value> = (0..col.data.len()).map(|k| col.data.value(k)).collect();
         assert_eq!(got, scalar);
-        assert_eq!(cctx.cpu, sctx.cpu);
+        assert_eq!(cctx.ledger.cpu, sctx.ledger.cpu);
     }
 
     #[test]
@@ -1202,8 +1205,16 @@ mod columnar_tests {
         let mut sel: Vec<u32> = (0..600).collect();
         let mut ctx = ExecCtx::new();
         pred.filter_sel_enc(&chunk, &enc, &mut sel, &mut ctx);
-        assert_eq!(ctx.cpu.count(OpClass::PredEval), 5, "one per distinct");
-        assert_eq!(ctx.cpu.count(OpClass::DictLookup), 600, "one per row");
+        assert_eq!(
+            ctx.ledger.cpu.count(OpClass::PredEval),
+            5,
+            "one per distinct"
+        );
+        assert_eq!(
+            ctx.ledger.cpu.count(OpClass::DictLookup),
+            600,
+            "one per row"
+        );
 
         // RLE kernel: one PredEval per run touched (10 runs of 60).
         let pred = Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::int(4));
@@ -1211,7 +1222,7 @@ mod columnar_tests {
         let mut ctx = ExecCtx::new();
         pred.filter_sel_enc(&chunk, &enc, &mut sel, &mut ctx);
         assert_eq!(sel.len(), 240);
-        assert_eq!(ctx.cpu.count(OpClass::PredEval), 10, "one per run");
+        assert_eq!(ctx.ledger.cpu.count(OpClass::PredEval), 10, "one per run");
 
         // And-narrowing: later conjuncts only touch survivors.
         let pred = Expr::And(vec![
@@ -1221,7 +1232,11 @@ mod columnar_tests {
         let mut sel: Vec<u32> = (0..600).collect();
         let mut ctx = ExecCtx::new();
         pred.filter_sel_enc(&chunk, &enc, &mut sel, &mut ctx);
-        assert_eq!(ctx.cpu.count(OpClass::DictLookup), 60, "narrowed first");
+        assert_eq!(
+            ctx.ledger.cpu.count(OpClass::DictLookup),
+            60,
+            "narrowed first"
+        );
     }
 
     /// NULL handling: an invalid value fails every comparison (like SQL

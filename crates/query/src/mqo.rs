@@ -694,7 +694,7 @@ mod tests {
         let mut ctx = ExecCtx::new();
         merged.run(&mut ctx);
         assert_eq!(
-            ctx.cpu.count(OpClass::TupleFetch),
+            ctx.ledger.cpu.count(OpClass::TupleFetch),
             n_rows,
             "one fetch per tuple, not per query"
         );
@@ -730,8 +730,8 @@ mod tests {
         let n = tagged.len() as u64;
         let mut client = ExecCtx::new();
         let split = split_results(tagged, 5, &mut client);
-        assert_eq!(client.cpu.count(OpClass::SplitRoute), n);
-        assert_eq!(client.cpu.count(OpClass::RowCopy), n);
+        assert_eq!(client.ledger.cpu.count(OpClass::SplitRoute), n);
+        assert_eq!(client.ledger.cpu.count(OpClass::RowCopy), n);
         assert_eq!(split.iter().map(Vec::len).sum::<usize>() as u64, n);
     }
 

@@ -1018,8 +1018,7 @@ mod tests {
         let mut ctx = ExecCtx::new();
         let rows = ExecEngine::Columnar.execute(&mut mk(), &mut ctx);
         assert_eq!(rows, scalar_rows, "groups differ");
-        assert_eq!(ctx.cpu, sctx.cpu, "op counts differ");
-        assert_eq!(ctx.mem_random_accesses, sctx.mem_random_accesses);
+        sctx.ledger.assert_same(&ctx.ledger, "multi-key group-by");
     }
 
     /// Micro-assertion for the compressed aggregate kernels: under
@@ -1076,14 +1075,14 @@ mod tests {
         let (raw_rows, raw_ctx) = run(&mut mk(vec![0]), PricingMode::Raw);
         let (comp_rows, comp_ctx) = run(&mut mk(vec![0]), PricingMode::Compressed);
         assert_eq!(comp_rows, raw_rows, "dict-keyed groups must match raw");
-        assert_eq!(raw_ctx.cpu.count(OpClass::HashProbe), 600);
+        assert_eq!(raw_ctx.ledger.cpu.count(OpClass::HashProbe), 600);
         assert_eq!(
-            comp_ctx.cpu.count(OpClass::HashProbe),
+            comp_ctx.ledger.cpu.count(OpClass::HashProbe),
             5,
             "only first sight of each dictionary id probes the hash table"
         );
-        assert_eq!(comp_ctx.cpu.count(OpClass::DictLookup), 600);
-        assert_eq!(comp_ctx.mem_random_accesses, 5);
+        assert_eq!(comp_ctx.ledger.cpu.count(OpClass::DictLookup), 600);
+        assert_eq!(comp_ctx.ledger.mem_random_accesses, 5);
 
         // Global aggregate over the RLE column: one AggUpdate per run
         // fragment for SUM and AVG (10 runs, one chunk), per row for
@@ -1091,9 +1090,9 @@ mod tests {
         let (raw_rows, raw_ctx) = run(&mut mk(vec![]), PricingMode::Raw);
         let (comp_rows, comp_ctx) = run(&mut mk(vec![]), PricingMode::Compressed);
         assert_eq!(comp_rows, raw_rows, "run-at-a-time totals must match raw");
-        assert_eq!(raw_ctx.cpu.count(OpClass::AggUpdate), 1800);
+        assert_eq!(raw_ctx.ledger.cpu.count(OpClass::AggUpdate), 1800);
         assert_eq!(
-            comp_ctx.cpu.count(OpClass::AggUpdate),
+            comp_ctx.ledger.cpu.count(OpClass::AggUpdate),
             10 + 10 + 600,
             "SUM and AVG touch runs, COUNT touches rows"
         );
@@ -1140,10 +1139,10 @@ mod tests {
         let mut groups = ColumnarGroups::new(vec![], aggs.clone());
         chunks.iter().for_each(|c| groups.absorb(&mut ctx, c));
         let live = 10;
-        assert_eq!(ctx.cpu.count(OpClass::HashProbe), live);
-        assert_eq!(ctx.mem_random_accesses, live);
-        assert_eq!(ctx.cpu.count(OpClass::AggUpdate), live * 4);
-        assert_eq!(ctx.cpu.count(OpClass::Arith), live);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::HashProbe), live);
+        assert_eq!(ctx.ledger.mem_random_accesses, live);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::AggUpdate), live * 4);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::Arith), live);
         assert_eq!(groups.len(), 1, "one group, claimed once");
 
         let mut row_ctx = ExecCtx::new();
@@ -1159,8 +1158,7 @@ mod tests {
             .collect();
         assert_eq!(groups.into_rows(), want);
         assert_eq!(want[0][..2], [Value::Int(570), Value::Int(10)]);
-        assert_eq!(ctx.cpu, row_ctx.cpu);
-        assert_eq!(ctx.mem_random_accesses, row_ctx.mem_random_accesses);
+        row_ctx.ledger.assert_same(&ctx.ledger, "global aggregate");
     }
 
     #[test]
@@ -1176,7 +1174,7 @@ mod tests {
         );
         let mut ctx = ExecCtx::new();
         agg.open(&mut ctx);
-        assert_eq!(ctx.cpu.count(OpClass::AggUpdate), 5);
-        assert_eq!(ctx.cpu.count(OpClass::HashProbe), 5);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::AggUpdate), 5);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::HashProbe), 5);
     }
 }

@@ -155,7 +155,7 @@ mod tests {
             let mut ctx = ExecCtx::new().with_workers(workers).with_morsel_rows(100);
             let rows = drain(&mut ex, &mut ctx);
             assert_eq!(rows, serial, "workers={workers}");
-            assert_eq!(ctx.cpu, serial_ctx.cpu, "workers={workers}");
+            assert_eq!(ctx.ledger.cpu, serial_ctx.ledger.cpu, "workers={workers}");
         }
     }
 

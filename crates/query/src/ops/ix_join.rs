@@ -119,8 +119,7 @@ impl IxJoin {
                     if probe.node_searches > 0 {
                         ctx.charge(OpClass::NodeSearch, probe.node_searches);
                     }
-                    ctx.charge_disk(probe.io);
-                    ctx.charge_backoff(probe.backoff_ns);
+                    ctx.ledger.merge(&probe.ledger);
                     if probe.row_ids.is_empty() {
                         continue;
                     }
@@ -195,6 +194,7 @@ impl Operator for IxJoin {
 mod tests {
     use super::*;
     use crate::ops::VecSource;
+    use eco_simhw::trace::DiskWork;
     use eco_storage::{Catalog, ColumnType, Value};
 
     fn setup() -> (Catalog, Vec<Tuple>) {
@@ -232,8 +232,15 @@ mod tests {
         for t in &rows {
             assert_eq!(t[0], t[2], "join keys agree across the seam");
         }
-        assert_eq!(ctx.cpu.count(OpClass::TupleFetch), 6, "inner fetches only");
-        assert!(ctx.cpu.count(OpClass::NodeSearch) > 0, "4 probes descended");
+        assert_eq!(
+            ctx.ledger.cpu.count(OpClass::TupleFetch),
+            6,
+            "inner fetches only"
+        );
+        assert!(
+            ctx.ledger.cpu.count(OpClass::NodeSearch) > 0,
+            "4 probes descended"
+        );
     }
 
     #[test]
@@ -250,9 +257,16 @@ mod tests {
         let mut ctx = ExecCtx::new();
         join.open(&mut ctx);
         while join.next(&mut ctx).is_some() {}
-        assert!(ctx.disk.index_ios > 0, "cold probes pay index I/O");
-        assert_eq!(ctx.disk.sequential_bytes, 0);
-        assert_eq!(ctx.disk.random_ios, 0);
-        assert_eq!(ctx.disk.retry_ios, 0);
+        let disk = ctx.ledger.disk;
+        assert!(disk.index_ios > 0, "cold probes pay index I/O");
+        assert_eq!(
+            disk,
+            DiskWork {
+                index_ios: disk.index_ios,
+                index_bytes: disk.index_bytes,
+                ..DiskWork::none()
+            },
+            "probes never touch the v1 or v2 disk classes"
+        );
     }
 }

@@ -163,8 +163,7 @@ impl Operator for IxScan {
                 if probe.node_searches > 0 {
                     ctx.charge(OpClass::NodeSearch, probe.node_searches);
                 }
-                ctx.charge_disk(probe.io);
-                ctx.charge_backoff(probe.backoff_ns);
+                ctx.ledger.merge(&probe.ledger);
                 self.row_ids = probe.row_ids;
             }
             Err(e) => {
@@ -221,13 +220,13 @@ mod tests {
         assert_eq!(t[0], Value::Int(4321));
         assert!(scan.next(&mut ctx).is_none());
         assert!(ctx.error().is_none());
-        assert!(ctx.cpu.count(OpClass::NodeSearch) > 0);
-        assert!(ctx.disk.index_ios > 0, "cold probe pays index I/O");
+        assert!(ctx.ledger.cpu.count(OpClass::NodeSearch) > 0);
+        assert!(ctx.ledger.disk.index_ios > 0, "cold probe pays index I/O");
         assert_eq!(
-            ctx.disk,
+            ctx.ledger.disk,
             DiskWork {
-                index_ios: ctx.disk.index_ios,
-                index_bytes: ctx.disk.index_bytes,
+                index_ios: ctx.ledger.disk.index_ios,
+                index_bytes: ctx.ledger.disk.index_bytes,
                 ..DiskWork::none()
             },
             "probes never touch the v1 scan classes"
@@ -256,9 +255,9 @@ mod tests {
         for (i, t) in rows.iter().enumerate() {
             assert_eq!(t[0], Value::Int(100 + i as i64), "ascending table order");
         }
-        assert_eq!(ctx.cpu.count(OpClass::TupleFetch), 100);
-        assert!(ctx.disk.is_empty(), "warm probe is I/O-free");
-        assert!(ctx.mem_stream_bytes > 0);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::TupleFetch), 100);
+        assert!(ctx.ledger.disk.total_bytes() == 0, "warm probe is I/O-free");
+        assert!(ctx.ledger.mem_stream_bytes > 0);
     }
 
     #[test]
@@ -270,7 +269,7 @@ mod tests {
         scan.open(&mut ctx);
         assert!(scan.next(&mut ctx).is_none());
         assert!(ctx.error().is_none());
-        assert_eq!(ctx.cpu.count(OpClass::TupleFetch), 0);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::TupleFetch), 0);
     }
 
     #[test]

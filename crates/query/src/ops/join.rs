@@ -736,10 +736,10 @@ mod tests {
         let mut j = HashJoin::new(Box::new(build), Box::new(probe), vec![0], vec![0]);
         let mut ctx = ExecCtx::new();
         j.open(&mut ctx);
-        assert_eq!(ctx.cpu.count(OpClass::HashBuild), 3);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::HashBuild), 3);
         while j.next(&mut ctx).is_some() {}
-        assert_eq!(ctx.cpu.count(OpClass::HashProbe), 2);
-        assert_eq!(ctx.mem_random_accesses, 2);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::HashProbe), 2);
+        assert_eq!(ctx.ledger.mem_random_accesses, 2);
     }
 
     /// Morsel partitions concatenated in morsel order index exactly
@@ -783,9 +783,9 @@ mod tests {
                 part_of(&stream[7..40], None),
                 part_of(&stream[40..], Some(keep.clone())),
             ];
-            assert_eq!(ctx.cpu.count(OpClass::HashBuild), live.len() as u64);
+            assert_eq!(ctx.ledger.cpu.count(OpClass::HashBuild), live.len() as u64);
             assert_eq!(
-                ctx.mem_stream_bytes,
+                ctx.ledger.mem_stream_bytes,
                 live.iter().map(|t| tuple_width(t)).sum::<u64>(),
                 "a build row is charged its whole width, {kept:?} kept"
             );
@@ -848,9 +848,8 @@ mod tests {
             j.open(&mut nctx);
             let by_next: Vec<Tuple> = std::iter::from_fn(|| j.next(&mut nctx)).collect();
             assert_eq!(by_next, want, "workers={workers}");
-            assert_eq!(nctx.cpu, cctx.cpu, "workers={workers}");
-            assert_eq!(nctx.mem_stream_bytes, cctx.mem_stream_bytes);
-            assert_eq!(nctx.mem_random_accesses, cctx.mem_random_accesses);
+            cctx.ledger
+                .assert_same(&nctx.ledger, format_args!("workers={workers}"));
         }
     }
 
@@ -907,15 +906,15 @@ mod tests {
         let (comp_rows, comp_ctx) = mk(PricingMode::Compressed);
         assert_eq!(comp_rows, raw_rows, "dict-id probe must match raw rows");
         assert_eq!(raw_rows.len(), 360, "3 of 5 keys × 120 rows each");
-        assert_eq!(raw_ctx.cpu.count(OpClass::HashProbe), 600);
+        assert_eq!(raw_ctx.ledger.cpu.count(OpClass::HashProbe), 600);
         assert_eq!(
-            comp_ctx.cpu.count(OpClass::HashProbe),
+            comp_ctx.ledger.cpu.count(OpClass::HashProbe),
             5,
             "payload hashed once per distinct id per chunk"
         );
-        assert_eq!(comp_ctx.cpu.count(OpClass::DictLookup), 600);
+        assert_eq!(comp_ctx.ledger.cpu.count(OpClass::DictLookup), 600);
         assert!(
-            comp_ctx.mem_stream_bytes < raw_ctx.mem_stream_bytes,
+            comp_ctx.ledger.mem_stream_bytes < raw_ctx.ledger.mem_stream_bytes,
             "scan prices encoded bytes"
         );
     }
@@ -951,8 +950,6 @@ mod tests {
         let mut ctx = ExecCtx::new();
         let rows = ExecEngine::Columnar.execute(&mut mk(), &mut ctx);
         assert_eq!(rows, scalar_rows, "rows differ");
-        assert_eq!(ctx.cpu, sctx.cpu, "op counts differ");
-        assert_eq!(ctx.mem_stream_bytes, sctx.mem_stream_bytes);
-        assert_eq!(ctx.mem_random_accesses, sctx.mem_random_accesses);
+        sctx.ledger.assert_same(&ctx.ledger, "multi-key join");
     }
 }

@@ -217,9 +217,12 @@ mod tests {
         );
         let mut ctx = ExecCtx::new();
         mj.open(&mut ctx);
-        assert!(ctx.cpu.count(OpClass::SortCmp) > 200, "sorting dominates");
-        assert_eq!(ctx.cpu.count(OpClass::HashProbe), 0);
-        assert_eq!(ctx.cpu.count(OpClass::HashBuild), 0);
+        assert!(
+            ctx.ledger.cpu.count(OpClass::SortCmp) > 200,
+            "sorting dominates"
+        );
+        assert_eq!(ctx.ledger.cpu.count(OpClass::HashProbe), 0);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::HashBuild), 0);
     }
 
     #[test]

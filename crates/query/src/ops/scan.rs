@@ -426,9 +426,12 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 500);
-        assert_eq!(ctx.cpu.count(OpClass::TupleFetch), 500);
-        assert!(ctx.mem_stream_bytes > 0);
-        assert!(ctx.disk.is_empty(), "memory engine never hits disk");
+        assert_eq!(ctx.ledger.cpu.count(OpClass::TupleFetch), 500);
+        assert!(ctx.ledger.mem_stream_bytes > 0);
+        assert!(
+            ctx.ledger.disk.total_bytes() == 0,
+            "memory engine never hits disk"
+        );
     }
 
     #[test]
@@ -440,7 +443,10 @@ mod tests {
         scan.open(&mut ctx);
         let n = std::iter::from_fn(|| scan.next(&mut ctx)).count();
         assert_eq!(n, 500);
-        assert!(!ctx.disk.is_empty(), "cold scan must charge I/O");
+        assert!(
+            ctx.ledger.disk.total_bytes() > 0,
+            "cold scan must charge I/O"
+        );
 
         // Second scan: warm.
         let mut ctx2 = ExecCtx::new();
@@ -448,7 +454,7 @@ mod tests {
         scan2.open(&mut ctx2);
         let n2 = std::iter::from_fn(|| scan2.next(&mut ctx2)).count();
         assert_eq!(n2, 500);
-        assert!(ctx2.disk.is_empty(), "warm scan is I/O-free");
+        assert!(ctx2.ledger.disk.total_bytes() == 0, "warm scan is I/O-free");
     }
 
     #[test]
@@ -479,7 +485,7 @@ mod tests {
         }
         let expected: Vec<Tuple> = (0..500).map(|i| vec![Value::Int(i)]).collect();
         assert_eq!(all, expected, "morsel order reproduces the serial stream");
-        assert_eq!(ctx.cpu.count(OpClass::TupleFetch), 500);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::TupleFetch), 500);
     }
 
     #[test]
@@ -506,16 +512,16 @@ mod tests {
 
             assert_eq!(raw_rows, comp_rows, "{name}: same rows either way");
             assert_eq!(
-                raw.cpu.count(OpClass::TupleFetch),
-                comp.cpu.count(OpClass::TupleFetch),
+                raw.ledger.cpu.count(OpClass::TupleFetch),
+                comp.ledger.cpu.count(OpClass::TupleFetch),
                 "{name}: fetch counts are pricing-independent"
             );
             assert!(
-                comp.mem_stream_bytes < raw.mem_stream_bytes,
+                comp.ledger.mem_stream_bytes < raw.ledger.mem_stream_bytes,
                 "{name}: encoded pricing must charge fewer bytes \
                  ({} vs {})",
-                comp.mem_stream_bytes,
-                raw.mem_stream_bytes
+                comp.ledger.mem_stream_bytes,
+                raw.ledger.mem_stream_bytes
             );
         }
 
@@ -548,7 +554,7 @@ mod tests {
         let mut scan = SeqScan::new(Arc::clone(&table));
         scan.open(&mut serial_ctx);
         let serial_rows = std::iter::from_fn(|| scan.next(&mut serial_ctx)).count();
-        let serial_io = serial_ctx.disk;
+        let serial_io = serial_ctx.ledger.disk;
 
         // Flush and rescan cold through morsels.
         cat.pool().flush();
@@ -567,6 +573,9 @@ mod tests {
             rows += std::iter::from_fn(|| part.next(&mut ctx)).count();
         }
         assert_eq!(rows, serial_rows);
-        assert_eq!(ctx.disk, serial_io, "cold morsel I/O identical to serial");
+        assert_eq!(
+            ctx.ledger.disk, serial_io,
+            "cold morsel I/O identical to serial"
+        );
     }
 }

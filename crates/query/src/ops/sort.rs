@@ -155,7 +155,7 @@ mod tests {
         let mut s = Sort::new(Box::new(src(&[5, 4, 3, 2, 1])), vec![SortKey::asc(0)]);
         let mut ctx = ExecCtx::new();
         s.open(&mut ctx);
-        let cmps = ctx.cpu.count(OpClass::SortCmp);
+        let cmps = ctx.ledger.cpu.count(OpClass::SortCmp);
         assert!(
             cmps >= 4,
             "5 elements need at least 4 comparisons, got {cmps}"

@@ -226,7 +226,7 @@ mod tests {
             let mut ctx = ExecCtx::new().with_workers(workers).with_morsel_rows(64);
             let rows = gather_parallel(&p, &mut ctx).expect("partitionable");
             assert_eq!(rows, serial_rows, "workers={workers}");
-            assert_eq!(ctx.cpu, serial_ctx.cpu, "workers={workers}");
+            assert_eq!(ctx.ledger.cpu, serial_ctx.ledger.cpu, "workers={workers}");
             assert_eq!(ctx.pred_evals, serial_ctx.pred_evals);
         }
     }
@@ -255,7 +255,7 @@ mod tests {
             gather_parallel(&p, &mut ctx).expect("partitionable");
             ctx.take_core_phases(workers, "t")
                 .into_iter()
-                .map(|ph| ph.cpu.count(OpClass::PredEval))
+                .map(|ph| ph.ledger.cpu.count(OpClass::PredEval))
                 .collect::<Vec<_>>()
         };
         let a = charges(4);

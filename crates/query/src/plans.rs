@@ -849,10 +849,10 @@ mod late_filter_tests {
         b.sort();
         assert_eq!(a, b, "plans must agree on the answer");
         assert!(
-            bctx.cpu.cycles() > 1.5 * gctx.cpu.cycles(),
+            bctx.ledger.cpu.cycles() > 1.5 * gctx.ledger.cpu.cycles(),
             "late filtering must do much more work: {} vs {}",
-            bctx.cpu.cycles(),
-            gctx.cpu.cycles()
+            bctx.ledger.cpu.cycles(),
+            gctx.ledger.cpu.cycles()
         );
     }
 

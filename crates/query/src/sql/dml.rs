@@ -440,8 +440,7 @@ mod tests {
         let a = execute_dml(&cat, &stmt, &mut whole).expect("whole");
         let b = execute_dml(&cat, &stmt, &mut windowed).expect("windowed");
         assert_eq!(a, b);
-        assert_eq!(whole.cpu, windowed.cpu);
-        assert_eq!(whole.mem_stream_bytes, windowed.mem_stream_bytes);
+        whole.ledger.assert_same(&windowed.ledger, "windowed bind");
     }
 
     #[test]

@@ -897,7 +897,7 @@ mod tests {
         let ix_rows = execute(plan.as_mut(), &mut ctx);
         assert_eq!(ix_rows, scan_rows, "index path returns identical rows");
         assert!(
-            ctx.cpu.count(OpClass::NodeSearch) > 0,
+            ctx.ledger.cpu.count(OpClass::NodeSearch) > 0,
             "selective equality must route through the index"
         );
 
@@ -915,7 +915,7 @@ mod tests {
             .filter(|l| (3..=5).contains(&l.l_quantity))
             .count() as i64;
         assert_eq!(rows[0][0].as_int(), Some(want));
-        assert!(ctx.cpu.count(OpClass::NodeSearch) > 0);
+        assert!(ctx.ledger.cpu.count(OpClass::NodeSearch) > 0);
 
         // Non-selective shapes keep the sequential plan even though the
         // index exists.
@@ -926,8 +926,8 @@ mod tests {
         .unwrap_or_else(|e| panic!("{e}"));
         let mut ctx = ExecCtx::new();
         execute(plan.as_mut(), &mut ctx);
-        assert_eq!(ctx.cpu.count(OpClass::NodeSearch), 0);
-        assert_eq!(ctx.disk.index_ios, 0, "no probe, no v4 charges");
+        assert_eq!(ctx.ledger.cpu.count(OpClass::NodeSearch), 0);
+        assert_eq!(ctx.ledger.disk.index_ios, 0, "no probe, no v4 charges");
     }
 
     #[test]

@@ -62,8 +62,10 @@
 //! server extends that to concurrency, in two exact
 //! equalities enforced by tests and bench flags:
 //!
-//! * the merge of all per-session forked ledgers equals the server's
-//!   summed ledger ([`ServeReport::ledger_identity`]), and
+//! * the merge of all per-session forked ledgers (each an exact share,
+//!   [`Ledger::exact_share`](eco_simhw::trace::Ledger::exact_share),
+//!   of its dispatch's ledger) equals the server's summed ledger
+//!   ([`ServeReport::ledger_identity`]), and
 //! * the server's summed ledger equals a *serial replay* of the same
 //!   dispatched statements ([`scheduler::replay_serial`]).
 
@@ -77,7 +79,7 @@ pub use batcher::{
     dedup_batch, CommitBatcher, Dispatch, DispatchKind, OnlineBatcher, PendingCommit,
 };
 pub use scheduler::{replay_serial, EcoServer, ServeReport, ServerConfig};
-pub use session::{LedgerTotals, Request, SessionId, SessionOutcome, Statement};
+pub use session::{Request, SessionId, SessionOutcome, Statement};
 
 use eco_simhw::opensys::ArrivalSchedule;
 use eco_tpch::QedQuery;

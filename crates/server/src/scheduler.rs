@@ -23,13 +23,13 @@ use std::collections::BTreeMap;
 use eco_core::{EcoDb, ServerError};
 use eco_simhw::machine::MachineConfig;
 use eco_simhw::opensys::{OpenSystemMeasurement, OpenSystemRun};
-use eco_simhw::trace::WorkTrace;
+use eco_simhw::trace::{Ledger, WorkTrace};
 
 use crate::admission::should_shed;
 use crate::batcher::{
     dedup_batch, CommitBatcher, Dispatch, DispatchKind, OnlineBatcher, Pending, PendingCommit,
 };
-use crate::session::{LedgerTotals, Request, SessionId, SessionOutcome, Statement};
+use crate::session::{Request, SessionId, SessionOutcome, Statement};
 
 /// Scheduler tunables.
 #[derive(Debug, Clone, Copy)]
@@ -106,9 +106,9 @@ pub struct ServeReport {
     /// End-to-end open-system pricing (bursts + idle gaps).
     pub measurement: OpenSystemMeasurement,
     /// The server's summed ledger over every dispatched statement.
-    pub ledger: LedgerTotals,
+    pub ledger: Ledger,
     /// Per-session forked ledgers (exact shares of each dispatch).
-    pub session_ledgers: BTreeMap<SessionId, LedgerTotals>,
+    pub session_ledgers: BTreeMap<SessionId, Ledger>,
     /// Requests that completed.
     pub served: usize,
     /// Requests shed by admission control.
@@ -191,12 +191,8 @@ impl ServeReport {
     /// Merge all per-session ledgers back together. Equal to
     /// [`ServeReport::ledger`] by construction — exposed so tests and
     /// the bench identity flags can enforce it.
-    pub fn merged_session_ledger(&self) -> LedgerTotals {
-        let mut total = LedgerTotals::new();
-        for l in self.session_ledgers.values() {
-            total.merge(l);
-        }
-        total
+    pub fn merged_session_ledger(&self) -> Ledger {
+        self.session_ledgers.values().sum()
     }
 
     /// True when the per-session fork/merge round trip is exact.
@@ -239,7 +235,7 @@ impl<'a> EcoServer<'a> {
             now: 0.0,
             outcomes: vec![None; requests.len()],
             dispatches: Vec::new(),
-            ledger: LedgerTotals::new(),
+            ledger: Ledger::new(),
             session_ledgers: BTreeMap::new(),
             shed: 0,
             failed: 0,
@@ -395,7 +391,7 @@ impl<'a> EcoServer<'a> {
                 let m = run.burst(&core_traces);
                 state.now += m.elapsed_s;
 
-                let totals = LedgerTotals::from_traces(&core_traces);
+                let totals = summed(&core_traces);
                 state.ledger.merge(&totals);
                 let k = d.members.len();
                 for (i, member) in d.members.iter().enumerate() {
@@ -480,7 +476,7 @@ impl<'a> EcoServer<'a> {
                 let m = run.burst(&core_traces);
                 state.now += m.elapsed_s;
 
-                let totals = LedgerTotals::from_traces(&core_traces);
+                let totals = summed(&core_traces);
                 state.ledger.merge(&totals);
                 state
                     .session_ledgers
@@ -561,7 +557,7 @@ impl<'a> EcoServer<'a> {
                 let m = run.burst(&core_traces);
                 state.now += m.elapsed_s;
 
-                let totals = LedgerTotals::from_traces(&core_traces);
+                let totals = summed(&core_traces);
                 state.ledger.merge(&totals);
                 let k = members.len();
                 for (i, member) in members.into_iter().enumerate() {
@@ -604,13 +600,18 @@ struct ServeState {
     now: f64,
     outcomes: Vec<Option<SessionOutcome>>,
     dispatches: Vec<Dispatch>,
-    ledger: LedgerTotals,
-    session_ledgers: BTreeMap<SessionId, LedgerTotals>,
+    ledger: Ledger,
+    session_ledgers: BTreeMap<SessionId, Ledger>,
     shed: usize,
     failed: usize,
     io_failed: usize,
     consecutive_io: usize,
     degraded: bool,
+}
+
+/// The summed ledger of one dispatch's per-core traces.
+fn summed(traces: &[WorkTrace]) -> Ledger {
+    traces.iter().map(WorkTrace::total).sum()
 }
 
 /// Re-execute a serve run's dispatch transcript serially — the same
@@ -631,33 +632,33 @@ pub fn replay_serial(
     dispatches: &[Dispatch],
     workers: usize,
     short_circuit: bool,
-) -> LedgerTotals {
-    let mut total = LedgerTotals::new();
+) -> Ledger {
+    let mut total = Ledger::new();
     for d in dispatches {
         match &d.kind {
             DispatchKind::Merged(queries) => {
                 let (_, core_traces) = db
                     .try_trace_merged_selection_cores(queries, short_circuit, workers)
                     .unwrap_or_else(|e| panic!("a dispatched batch replays cleanly: {e}"));
-                total.absorb_traces(&core_traces);
+                total.merge(&summed(&core_traces));
             }
             DispatchKind::Sql(sql) => {
                 let (_, trace) = db
                     .try_trace_sql(sql)
                     .unwrap_or_else(|e| panic!("a dispatched statement replays cleanly: {e}"));
-                total.absorb_traces(std::slice::from_ref(&trace));
+                total.merge(&trace.total());
             }
             DispatchKind::StagedSql(sql) => {
                 let (_, trace, _) = db
                     .try_trace_sql_deferred(sql)
                     .unwrap_or_else(|e| panic!("a staged statement replays cleanly: {e}"));
-                total.absorb_traces(std::slice::from_ref(&trace));
+                total.merge(&trace.total());
             }
             DispatchKind::Commit => {
                 let (_, trace) = db
                     .commit_wal()
                     .unwrap_or_else(|e| panic!("a group commit replays cleanly: {e}"));
-                total.absorb_traces(std::slice::from_ref(&trace));
+                total.merge(&trace.total());
             }
         }
     }
@@ -897,7 +898,7 @@ mod tests {
         assert!(!report.degraded);
         assert!(report.ledger_identity(), "v2 classes split exactly too");
         assert!(
-            report.ledger.disk.retry_ios > 0 || report.ledger.backoff_ns > 0,
+            report.ledger.without_schema(2) != report.ledger,
             "injected faults must leave a ledger trail"
         );
     }

@@ -166,6 +166,7 @@ impl DiskSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Ledger;
 
     const GB: u64 = 1 << 30;
 
@@ -251,8 +252,7 @@ mod tests {
             random_bytes: 50 * 8192,
             ..DiskWork::none()
         };
-        let mut ab = a;
-        ab.merge(&b);
+        let ab = [a, b].map(Ledger::from).iter().sum::<Ledger>().disk;
         let ca = d.cost(&a);
         let cb = d.cost(&b);
         let cab = d.cost(&ab);

@@ -48,5 +48,6 @@ pub use machine::{Machine, MachineConfig, Measurement};
 pub use multicore::{MultiCoreMachine, MultiCoreMeasurement};
 pub use opensys::{ArrivalSchedule, IdleMeasurement, OpenSystemMeasurement, OpenSystemRun};
 pub use trace::{
-    CpuWork, DiskWork, OpClass, Phase, PhaseKind, PricingMode, WorkTrace, LEDGER_SCHEMA_VERSION,
+    ChargeClass, CpuWork, DiskWork, Ledger, LedgerDiff, OpClass, Phase, PhaseKind, PricingMode,
+    WorkTrace, LEDGER_SCHEMA_VERSION,
 };

@@ -184,7 +184,7 @@ impl Machine {
 
             // Busy interval.
             if t.busy_s() > 0.0 {
-                let act_ops = phase.cpu.mean_activity();
+                let act_ops = phase.ledger.cpu.mean_activity();
                 let act = if t.busy_s() > 0.0 {
                     (t.cpu_s * act_ops + t.stall_s * calib::STALL_ACTIVITY) / t.busy_s()
                 } else {
@@ -293,18 +293,18 @@ impl Machine {
 
     fn phase_timing(&self, phase: &Phase, config: &MachineConfig, top_freq: f64) -> PhaseTiming {
         let u = config.cpu.underclock;
-        let cpu_s = phase.cpu.cycles() / top_freq;
-        let mem_raw = self.mem.stream_time_s(phase.mem_stream_bytes, u)
-            + self.mem.random_time_s(phase.mem_random_accesses, u);
+        let cpu_s = phase.ledger.cpu.cycles() / top_freq;
+        let mem_raw = self.mem.stream_time_s(phase.ledger.mem_stream_bytes, u)
+            + self.mem.random_time_s(phase.ledger.mem_random_accesses, u);
         let stall_s = mem_raw * (1.0 - calib::MEM_OVERLAP);
-        let dcost = self.disk.cost(&phase.disk);
+        let dcost = self.disk.cost(&phase.ledger.disk);
         PhaseTiming {
             cpu_s,
             stall_s,
             disk_s: dcost.busy_s,
             disk_joules_active: dcost.busy_joules(),
-            gap_s: phase.gap_ns as f64 * 1e-9,
-            backoff_s: phase.backoff_ns as f64 * 1e-9,
+            gap_s: phase.ledger.gap_ns as f64 * 1e-9,
+            backoff_s: phase.ledger.backoff_ns as f64 * 1e-9,
         }
     }
 }
@@ -318,9 +318,9 @@ mod tests {
     fn cpu_heavy_trace(scale: u64) -> WorkTrace {
         let mut t = WorkTrace::new();
         let mut p = Phase::execute("cpu");
-        p.cpu.add(OpClass::PredEval, 2_000_000 * scale);
-        p.cpu.add(OpClass::TupleFetch, 2_000_000 * scale);
-        p.mem_stream_bytes = 64 << 20;
+        p.ledger.cpu.add(OpClass::PredEval, 2_000_000 * scale);
+        p.ledger.cpu.add(OpClass::TupleFetch, 2_000_000 * scale);
+        p.ledger.mem_stream_bytes = 64 << 20;
         t.push(p);
         t
     }
@@ -328,9 +328,9 @@ mod tests {
     fn mixed_trace() -> WorkTrace {
         let mut t = WorkTrace::new();
         let mut p = Phase::execute("q");
-        p.cpu.add(OpClass::PredEval, 3_000_000);
-        p.mem_stream_bytes = 256 << 20;
-        p.disk = DiskWork {
+        p.ledger.cpu.add(OpClass::PredEval, 3_000_000);
+        p.ledger.mem_stream_bytes = 256 << 20;
+        p.ledger.disk = DiskWork {
             sequential_bytes: 256 << 20,
             random_ios: 500,
             random_bytes: 500 * 8192,
@@ -461,7 +461,7 @@ mod tests {
         gap_trace.push(Phase::client_gap(30_000_000));
         let mut backoff_trace = WorkTrace::new();
         let mut p = Phase::execute("retrying");
-        p.backoff_ns = 30_000_000;
+        p.ledger.backoff_ns = 30_000_000;
         backoff_trace.push(p);
         let g = m.measure(&gap_trace, &cfg);
         let b = m.measure(&backoff_trace, &cfg);

@@ -213,9 +213,9 @@ mod tests {
     fn work_trace(ops: u64) -> WorkTrace {
         let mut t = WorkTrace::new();
         let mut p = Phase::execute("w");
-        p.cpu.add(OpClass::PredEval, ops);
-        p.cpu.add(OpClass::TupleFetch, ops);
-        p.mem_stream_bytes = 32 << 20;
+        p.ledger.cpu.add(OpClass::PredEval, ops);
+        p.ledger.cpu.add(OpClass::TupleFetch, ops);
+        p.ledger.mem_stream_bytes = 32 << 20;
         t.push(p);
         t
     }

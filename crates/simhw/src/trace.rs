@@ -5,24 +5,33 @@
 //! model then prices the ledger under a particular hardware
 //! configuration. Keeping execution and pricing separate is what makes
 //! a PVC sweep cheap: one execution, many configurations.
+//!
+//! Every count lives in one [`Ledger`], and every slot of it is one
+//! [`ChargeClass`] row of [`CHARGE_CLASSES`]. Merging, splitting,
+//! comparing and zeroing ledgers are loops over that table, so a new
+//! class is one row and one slot, and no consumer can forget it.
+
+use std::fmt;
 
 use crate::calib;
 
-/// Version of the ledger schema.
+/// Version of the ledger schema: the highest `schema` of any row of
+/// [`CHARGE_CLASSES`].
 ///
 /// * **v1** — op-class counts, memory stream bytes, random memory
-///   accesses, and three disk classes (sequential bytes, random I/Os,
-///   random bytes).
+///   accesses, three disk classes (sequential bytes, random I/Os,
+///   random bytes) and the client round-trip gap.
 /// * **v2** — adds the fault-tolerance charge classes: **retry random
 ///   I/O** ([`DiskWork::retry_ios`] / [`DiskWork::retry_bytes`], the
 ///   re-reads a checksum-verified page read pays after an injected or
-///   real fault) and **backoff halt residency** ([`Phase::backoff_ns`],
+///   real fault) and **backoff halt residency** ([`Ledger::backoff_ns`],
 ///   the exponential-backoff idle time between retry attempts, priced
 ///   like a client gap through the governor's halt residency).
 ///
 /// The v2 classes are zero on any fault-free run, so every v1 figure
 /// is byte-for-byte unchanged; a run with faults prices its robustness
-/// overhead through these classes and nowhere else.
+/// overhead through these classes and nowhere else
+/// ([`Ledger::without_schema`] drops them for a fault-blind compare).
 ///
 /// * **v3** — adds the opt-in **compressed pricing mode**
 ///   ([`PricingMode::Compressed`]) and the dictionary-lookup charge
@@ -174,26 +183,6 @@ impl OpClass {
     pub fn activity(self) -> f64 {
         calib::OP_ACTIVITY[self.index()]
     }
-
-    /// Human-readable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpClass::TupleFetch => "tuple_fetch",
-            OpClass::PredEval => "pred_eval",
-            OpClass::HashBuild => "hash_build",
-            OpClass::HashProbe => "hash_probe",
-            OpClass::Arith => "arith",
-            OpClass::AggUpdate => "agg_update",
-            OpClass::ResultEmit => "result_emit",
-            OpClass::Parse => "parse",
-            OpClass::SortCmp => "sort_cmp",
-            OpClass::RowCopy => "row_copy",
-            OpClass::SplitRoute => "split_route",
-            OpClass::DictLookup => "dict_lookup",
-            OpClass::NodeSearch => "node_search",
-            OpClass::LogRecord => "log_record",
-        }
-    }
 }
 
 /// Per-class operation counts for one phase of execution.
@@ -246,29 +235,6 @@ impl CpuWork {
             .sum();
         weighted / cycles
     }
-
-    /// Merge another ledger into this one.
-    pub fn merge(&mut self, other: &CpuWork) {
-        for i in 0..N_OP_CLASSES {
-            self.counts[i] += other.counts[i];
-        }
-    }
-
-    /// Subtract `other` from this ledger. Panics if `other` records more
-    /// of any class than this ledger — callers only ever subtract a
-    /// part from its whole (e.g. a worker's share from a merged total).
-    pub fn subtract(&mut self, other: &CpuWork) {
-        for i in 0..N_OP_CLASSES {
-            self.counts[i] = self.counts[i]
-                .checked_sub(other.counts[i])
-                .expect("subtracting more work than was recorded");
-        }
-    }
-
-    /// True when no operations have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
 }
 
 /// Disk work performed during a phase, split by access pattern because
@@ -318,19 +284,6 @@ impl DiskWork {
         Self::default()
     }
 
-    /// True when no I/O was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.sequential_bytes == 0
-            && self.random_ios == 0
-            && self.random_bytes == 0
-            && self.retry_ios == 0
-            && self.retry_bytes == 0
-            && self.index_ios == 0
-            && self.index_bytes == 0
-            && self.log_ios == 0
-            && self.log_bytes == 0
-    }
-
     /// Total bytes moved.
     pub fn total_bytes(&self) -> u64 {
         self.sequential_bytes
@@ -339,59 +292,306 @@ impl DiskWork {
             + self.index_bytes
             + self.log_bytes
     }
+}
 
-    /// Merge another disk ledger into this one.
-    pub fn merge(&mut self, other: &DiskWork) {
-        self.sequential_bytes += other.sequential_bytes;
-        self.random_ios += other.random_ios;
-        self.random_bytes += other.random_bytes;
-        self.retry_ios += other.retry_ios;
-        self.retry_bytes += other.retry_bytes;
-        self.index_ios += other.index_ios;
-        self.index_bytes += other.index_bytes;
-        self.log_ios += other.log_ios;
-        self.log_bytes += other.log_bytes;
+/// One slot of the [`Ledger`]: an op class, or one of the 13 counts
+/// beside the op classes, each named after its [`Ledger`] or
+/// [`DiskWork`] field. [`CHARGE_CLASSES`] describes each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ChargeClass {
+    Op(OpClass),
+    MemStreamBytes,
+    MemRandomAccesses,
+    SequentialBytes,
+    RandomIos,
+    RandomBytes,
+    RetryIos,
+    RetryBytes,
+    IndexIos,
+    IndexBytes,
+    LogIos,
+    LogBytes,
+    GapNs,
+    BackoffNs,
+}
+
+/// One row of [`CHARGE_CLASSES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClassInfo {
+    /// The class.
+    pub class: ChargeClass,
+    /// Its name in reports and diffs.
+    pub name: &'static str,
+    /// The ledger schema version that introduced it.
+    pub schema: u32,
+    /// What it counts: `ops`, `B`, `accesses`, `I/Os` or `ns`.
+    pub unit: &'static str,
+}
+
+/// Number of [`ChargeClass`]es: the op classes plus 13 more.
+pub const N_CHARGE_CLASSES: usize = N_OP_CLASSES + 13;
+
+const fn row(class: ChargeClass, name: &'static str, schema: u32, unit: &'static str) -> ClassInfo {
+    ClassInfo {
+        class,
+        name,
+        schema,
+        unit,
+    }
+}
+
+/// Every charge class, in ledger order (the op classes first, in
+/// [`OpClass::index`] order).
+pub const CHARGE_CLASSES: [ClassInfo; N_CHARGE_CLASSES] = {
+    use ChargeClass::*;
+    use OpClass::*;
+    const OPS: &str = "ops";
+    const BYTES: &str = "B";
+    [
+        row(Op(TupleFetch), "tuple_fetch", 1, OPS),
+        row(Op(PredEval), "pred_eval", 1, OPS),
+        row(Op(HashBuild), "hash_build", 1, OPS),
+        row(Op(HashProbe), "hash_probe", 1, OPS),
+        row(Op(Arith), "arith", 1, OPS),
+        row(Op(AggUpdate), "agg_update", 1, OPS),
+        row(Op(ResultEmit), "result_emit", 1, OPS),
+        row(Op(Parse), "parse", 1, OPS),
+        row(Op(SortCmp), "sort_cmp", 1, OPS),
+        row(Op(RowCopy), "row_copy", 1, OPS),
+        row(Op(SplitRoute), "split_route", 1, OPS),
+        row(Op(DictLookup), "dict_lookup", 3, OPS),
+        row(Op(NodeSearch), "node_search", 4, OPS),
+        row(Op(LogRecord), "log_record", 5, OPS),
+        row(MemStreamBytes, "mem_stream_bytes", 1, BYTES),
+        row(MemRandomAccesses, "mem_random_accesses", 1, "accesses"),
+        row(SequentialBytes, "sequential_bytes", 1, BYTES),
+        row(RandomIos, "random_ios", 1, "I/Os"),
+        row(RandomBytes, "random_bytes", 1, BYTES),
+        row(RetryIos, "retry_ios", 2, "I/Os"),
+        row(RetryBytes, "retry_bytes", 2, BYTES),
+        row(IndexIos, "index_ios", 4, "I/Os"),
+        row(IndexBytes, "index_bytes", 4, BYTES),
+        row(LogIos, "log_ios", 5, "I/Os"),
+        row(LogBytes, "log_bytes", 5, BYTES),
+        row(GapNs, "gap_ns", 1, "ns"),
+        row(BackoffNs, "backoff_ns", 2, "ns"),
+    ]
+};
+
+impl ChargeClass {
+    /// This class's row of [`CHARGE_CLASSES`].
+    pub fn info(self) -> &'static ClassInfo {
+        CHARGE_CLASSES
+            .iter()
+            .find(|r| r.class == self)
+            .expect("every charge class has a table row")
+    }
+}
+
+/// An energy ledger: every count the machine model prices, with exact
+/// integer arithmetic throughout. The named groups are what charge
+/// sites and pricing read; [`Ledger::get`] reaches any slot by
+/// [`ChargeClass`], and everything that treats the ledger as a whole
+/// loops over [`CHARGE_CLASSES`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Ledger {
+    /// Op-class counts.
+    pub cpu: CpuWork,
+    /// Bytes streamed through the memory system (table scans, copies).
+    pub mem_stream_bytes: u64,
+    /// Latency-bound random memory accesses (hash probes into tables
+    /// larger than cache, pointer chases).
+    pub mem_random_accesses: u64,
+    /// Disk activity (the CPU idles while it waits).
+    pub disk: DiskWork,
+    /// Wall-clock nanoseconds of enforced gap (client round trips,
+    /// think time). Independent of CPU frequency.
+    pub gap_ns: u64,
+    /// Wall-clock nanoseconds spent in retry backoff after page read
+    /// faults. The CPU halts through it, like a gap, but it is ledgered
+    /// separately so fault-free runs stay bit-identical (ledger schema
+    /// v2; see [`LEDGER_SCHEMA_VERSION`]).
+    pub backoff_ns: u64,
+}
+
+/// The one `match` from a charge class to its ledger slot, behind both
+/// [`Ledger::get`] (`&`) and [`Ledger::get_mut`] (`&mut`).
+macro_rules! slot {
+    ($ledger:expr, $class:expr, $($borrow:tt)+) => {
+        match $class {
+            ChargeClass::Op(c) => $($borrow)+ $ledger.cpu.counts[c.index()],
+            ChargeClass::MemStreamBytes => $($borrow)+ $ledger.mem_stream_bytes,
+            ChargeClass::MemRandomAccesses => $($borrow)+ $ledger.mem_random_accesses,
+            ChargeClass::SequentialBytes => $($borrow)+ $ledger.disk.sequential_bytes,
+            ChargeClass::RandomIos => $($borrow)+ $ledger.disk.random_ios,
+            ChargeClass::RandomBytes => $($borrow)+ $ledger.disk.random_bytes,
+            ChargeClass::RetryIos => $($borrow)+ $ledger.disk.retry_ios,
+            ChargeClass::RetryBytes => $($borrow)+ $ledger.disk.retry_bytes,
+            ChargeClass::IndexIos => $($borrow)+ $ledger.disk.index_ios,
+            ChargeClass::IndexBytes => $($borrow)+ $ledger.disk.index_bytes,
+            ChargeClass::LogIos => $($borrow)+ $ledger.disk.log_ios,
+            ChargeClass::LogBytes => $($borrow)+ $ledger.disk.log_bytes,
+            ChargeClass::GapNs => $($borrow)+ $ledger.gap_ns,
+            ChargeClass::BackoffNs => $($borrow)+ $ledger.backoff_ns,
+        }
+    };
+}
+
+impl Ledger {
+    /// An empty ledger.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Subtract `other` from this ledger. Panics if `other` records
-    /// more I/O than this ledger (see [`CpuWork::subtract`]).
-    pub fn subtract(&mut self, other: &DiskWork) {
-        self.sequential_bytes = self
-            .sequential_bytes
-            .checked_sub(other.sequential_bytes)
-            .expect("subtracting more sequential I/O than was recorded");
-        self.random_ios = self
-            .random_ios
-            .checked_sub(other.random_ios)
-            .expect("subtracting more random I/Os than were recorded");
-        self.random_bytes = self
-            .random_bytes
-            .checked_sub(other.random_bytes)
-            .expect("subtracting more random bytes than were recorded");
-        self.retry_ios = self
-            .retry_ios
-            .checked_sub(other.retry_ios)
-            .expect("subtracting more retry I/Os than were recorded");
-        self.retry_bytes = self
-            .retry_bytes
-            .checked_sub(other.retry_bytes)
-            .expect("subtracting more retry bytes than were recorded");
-        self.index_ios = self
-            .index_ios
-            .checked_sub(other.index_ios)
-            .expect("subtracting more index I/Os than were recorded");
-        self.index_bytes = self
-            .index_bytes
-            .checked_sub(other.index_bytes)
-            .expect("subtracting more index bytes than were recorded");
-        self.log_ios = self
-            .log_ios
-            .checked_sub(other.log_ios)
-            .expect("subtracting more log I/Os than were recorded");
-        self.log_bytes = self
-            .log_bytes
-            .checked_sub(other.log_bytes)
-            .expect("subtracting more log bytes than were recorded");
+    /// The count recorded for `class`.
+    #[inline]
+    pub fn get(&self, class: ChargeClass) -> u64 {
+        *slot!(self, class, &)
+    }
+
+    /// The slot of `class`.
+    #[inline]
+    pub fn get_mut(&mut self, class: ChargeClass) -> &mut u64 {
+        slot!(self, class, &mut)
+    }
+
+    /// Every class with its count, in ledger order.
+    pub fn iter(&self) -> impl Iterator<Item = (ChargeClass, u64)> + '_ {
+        CHARGE_CLASSES.iter().map(|r| (r.class, self.get(r.class)))
+    }
+
+    /// Fold another ledger into this one, class by class.
+    pub fn merge(&mut self, other: &Ledger) {
+        for r in &CHARGE_CLASSES {
+            *self.get_mut(r.class) += other.get(r.class);
+        }
+    }
+
+    /// Subtract `other` from this ledger. Panics, naming the class, if
+    /// `other` records more of any class than this ledger — callers
+    /// only ever subtract a part from its whole (a worker's share from
+    /// a merged total), and wrapping would silently price exabytes.
+    pub fn subtract(&mut self, other: &Ledger) {
+        for r in &CHARGE_CLASSES {
+            let slot = self.get_mut(r.class);
+            *slot = slot
+                .checked_sub(other.get(r.class))
+                .unwrap_or_else(|| panic!("subtracting more {} than was recorded", r.name));
+        }
+    }
+
+    /// Member `i`'s exact share of this ledger split over `k` members:
+    /// each count `c` contributes `c / k`, with the remainder `c % k`
+    /// spread one unit each over members `0..c % k`. Summing the shares
+    /// of all `k` members reproduces this ledger exactly — no count is
+    /// lost or invented.
+    pub fn exact_share(&self, i: usize, k: usize) -> Ledger {
+        assert!(k >= 1, "need at least one member");
+        assert!(i < k, "member index out of range");
+        let (i, k) = (i as u64, k as u64);
+        let mut share = Ledger::new();
+        for (class, c) in self.iter() {
+            *share.get_mut(class) = c / k + u64::from(i < c % k);
+        }
+        share
+    }
+
+    /// True when every class is zero.
+    pub fn is_empty(&self) -> bool {
+        self.iter().all(|(_, c)| c == 0)
+    }
+
+    /// This ledger with every class of schema version `v` zeroed — how
+    /// a comparison ignores, say, the fault classes (`v = 2`).
+    pub fn without_schema(&self, v: u32) -> Ledger {
+        let mut l = self.clone();
+        for r in CHARGE_CLASSES.iter().filter(|r| r.schema == v) {
+            *l.get_mut(r.class) = 0;
+        }
+        l
+    }
+
+    /// The classes whose counts differ between `self` (left) and
+    /// `other` (right); empty when the ledgers are identical.
+    pub fn diff(&self, other: &Ledger) -> LedgerDiff {
+        LedgerDiff(
+            CHARGE_CLASSES
+                .iter()
+                .filter_map(|r| {
+                    let (left, right) = (self.get(r.class), other.get(r.class));
+                    (left != right).then_some((r.class, left, right))
+                })
+                .collect(),
+        )
+    }
+
+    /// Panic with the per-class [`LedgerDiff`] unless `other` is
+    /// identical to this ledger; `what` names the comparison.
+    #[track_caller]
+    pub fn assert_same(&self, other: &Ledger, what: impl fmt::Display) {
+        let d = self.diff(other);
+        assert!(d.is_empty(), "{what}: ledgers differ\n{d}");
+    }
+}
+
+impl From<DiskWork> for Ledger {
+    fn from(disk: DiskWork) -> Self {
+        Ledger {
+            disk,
+            ..Ledger::new()
+        }
+    }
+}
+
+impl<'a> std::iter::Sum<&'a Ledger> for Ledger {
+    fn sum<I: Iterator<Item = &'a Ledger>>(iter: I) -> Ledger {
+        iter.fold(Ledger::new(), |mut sum, l| {
+            sum.merge(l);
+            sum
+        })
+    }
+}
+
+impl std::iter::Sum for Ledger {
+    fn sum<I: Iterator<Item = Ledger>>(iter: I) -> Ledger {
+        iter.fold(Ledger::new(), |mut sum, l| {
+            sum.merge(&l);
+            sum
+        })
+    }
+}
+
+/// The classes on which two ledgers differ, as `(class, left, right)`
+/// in ledger order. Its `Display` prints one line per class with the
+/// signed delta `right - left`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LedgerDiff(pub Vec<(ChargeClass, u64, u64)>);
+
+impl LedgerDiff {
+    /// True when the ledgers were identical.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl fmt::Display for LedgerDiff {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_empty() {
+            return write!(f, "ledgers identical");
+        }
+        for (n, &(class, left, right)) in self.0.iter().enumerate() {
+            let info = class.info();
+            let delta = i128::from(right) - i128::from(left);
+            if n > 0 {
+                writeln!(f)?;
+            }
+            write!(
+                f,
+                "{}: left {left}, right {right}, delta {delta:+} {}",
+                info.name, info.unit
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -414,25 +614,10 @@ pub enum PhaseKind {
 pub struct Phase {
     /// What the interval represents.
     pub kind: PhaseKind,
-    /// CPU operations performed.
-    pub cpu: CpuWork,
-    /// Bytes streamed through the memory system (table scans, copies).
-    pub mem_stream_bytes: u64,
-    /// Latency-bound random memory accesses (hash probes into tables
-    /// larger than cache, pointer chases).
-    pub mem_random_accesses: u64,
-    /// Disk activity (the CPU idles while it waits).
-    pub disk: DiskWork,
-    /// Wall-clock nanoseconds of enforced gap (client round trips,
-    /// think time). Independent of CPU frequency.
-    pub gap_ns: u64,
-    /// Wall-clock nanoseconds spent in retry backoff after page read
-    /// faults. The CPU halts through it, like a gap, but it is ledgered
-    /// separately so fault-free runs stay bit-identical (ledger schema
-    /// v2; see [`LEDGER_SCHEMA_VERSION`]).
-    pub backoff_ns: u64,
     /// Free-form label for reports ("Q5 #3", "qed batch", ...).
     pub label: String,
+    /// Everything charged during the interval.
+    pub ledger: Ledger,
 }
 
 impl Phase {
@@ -440,13 +625,8 @@ impl Phase {
     pub fn execute(label: impl Into<String>) -> Self {
         Self {
             kind: PhaseKind::Execute,
-            cpu: CpuWork::new(),
-            mem_stream_bytes: 0,
-            mem_random_accesses: 0,
-            disk: DiskWork::none(),
-            gap_ns: 0,
-            backoff_ns: 0,
             label: label.into(),
+            ledger: Ledger::new(),
         }
     }
 
@@ -454,13 +634,11 @@ impl Phase {
     pub fn client_gap(ns: u64) -> Self {
         Self {
             kind: PhaseKind::ClientGap,
-            cpu: CpuWork::new(),
-            mem_stream_bytes: 0,
-            mem_random_accesses: 0,
-            disk: DiskWork::none(),
-            gap_ns: ns,
-            backoff_ns: 0,
             label: "client gap".to_string(),
+            ledger: Ledger {
+                gap_ns: ns,
+                ..Ledger::new()
+            },
         }
     }
 
@@ -510,27 +688,24 @@ impl WorkTrace {
         self.phases.extend(other.phases);
     }
 
+    /// The summed ledger of every phase.
+    pub fn total(&self) -> Ledger {
+        self.phases.iter().map(|p| &p.ledger).sum()
+    }
+
     /// Sum of all CPU work across phases.
     pub fn total_cpu(&self) -> CpuWork {
-        let mut w = CpuWork::new();
-        for p in &self.phases {
-            w.merge(&p.cpu);
-        }
-        w
+        self.total().cpu
     }
 
     /// Sum of all disk work across phases.
     pub fn total_disk(&self) -> DiskWork {
-        let mut d = DiskWork::none();
-        for p in &self.phases {
-            d.merge(&p.disk);
-        }
-        d
+        self.total().disk
     }
 
     /// Total bytes streamed through memory.
     pub fn total_mem_stream_bytes(&self) -> u64 {
-        self.phases.iter().map(|p| p.mem_stream_bytes).sum()
+        self.total().mem_stream_bytes
     }
 }
 
@@ -546,13 +721,35 @@ mod tests {
     }
 
     #[test]
-    fn cpu_work_accumulates_and_merges() {
+    fn charge_class_table_lists_every_slot_once() {
+        for (i, r) in CHARGE_CLASSES.iter().enumerate() {
+            assert_eq!(r.class.info(), r, "{} has one row", r.name);
+            if i < N_OP_CLASSES {
+                assert_eq!(r.class, ChargeClass::Op(ALL_OP_CLASSES[i]));
+            }
+            assert!((1..=LEDGER_SCHEMA_VERSION).contains(&r.schema));
+            assert!(
+                CHARGE_CLASSES[..i].iter().all(|q| q.name != r.name),
+                "{} named twice",
+                r.name
+            );
+        }
+        // Every slot is reached by exactly one class: filling slot `i`
+        // with `i + 1` makes the ledger read back 1, 2, 3, ...
+        let mut l = Ledger::new();
+        for (i, r) in CHARGE_CLASSES.iter().enumerate() {
+            *l.get_mut(r.class) = i as u64 + 1;
+        }
+        let counts: Vec<u64> = l.iter().map(|(_, c)| c).collect();
+        assert_eq!(counts, (1..=N_CHARGE_CLASSES as u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn cpu_work_accumulates() {
         let mut a = CpuWork::new();
         a.add(OpClass::TupleFetch, 10);
         a.add(OpClass::PredEval, 5);
-        let mut b = CpuWork::new();
-        b.add(OpClass::PredEval, 7);
-        a.merge(&b);
+        a.add(OpClass::PredEval, 7);
         assert_eq!(a.count(OpClass::PredEval), 12);
         assert_eq!(a.total_ops(), 22);
         assert!(a.cycles() > 0.0);
@@ -572,7 +769,6 @@ mod tests {
     fn empty_work_reports_halt_activity() {
         let w = CpuWork::new();
         assert_eq!(w.mean_activity(), calib::HALT_ACTIVITY);
-        assert!(w.is_empty());
     }
 
     #[test]
@@ -588,98 +784,118 @@ mod tests {
     fn trace_totals() {
         let mut t = WorkTrace::new();
         let mut p = Phase::execute("a");
-        p.cpu.add(OpClass::Arith, 4);
-        p.mem_stream_bytes = 100;
-        p.disk.sequential_bytes = 50;
+        p.ledger.cpu.add(OpClass::Arith, 4);
+        p.ledger.mem_stream_bytes = 100;
+        p.ledger.disk.sequential_bytes = 50;
         t.push(p);
         let mut q = Phase::execute("b");
-        q.cpu.add(OpClass::Arith, 6);
-        q.disk.random_ios = 2;
-        q.disk.random_bytes = 8192;
+        q.ledger.cpu.add(OpClass::Arith, 6);
+        q.ledger.disk.random_ios = 2;
+        q.ledger.disk.random_bytes = 8192;
         t.push(q);
+        t.push(Phase::client_gap(7));
         assert_eq!(t.total_cpu().count(OpClass::Arith), 10);
         assert_eq!(t.total_disk().sequential_bytes, 50);
         assert_eq!(t.total_disk().random_ios, 2);
         assert_eq!(t.total_mem_stream_bytes(), 100);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.total().gap_ns, 7);
+        assert_eq!(t.len(), 3);
+    }
+
+    /// The per-schema property: a fresh phase is zero in every class,
+    /// and charging one class of schema `v` moves that class alone —
+    /// no leak into any other class, earlier schema or not.
+    fn classes_are_separate_and_zero_by_default(v: u32) {
+        let fresh = Phase::execute("fresh").ledger;
+        assert!(fresh.is_empty(), "{fresh:?}");
+        let rows: Vec<_> = CHARGE_CLASSES.iter().filter(|r| r.schema == v).collect();
+        assert!(!rows.is_empty(), "schema v{v} has classes");
+        for r in rows {
+            let mut charged = fresh.clone();
+            *charged.get_mut(r.class) += 3;
+            assert_eq!(
+                fresh.diff(&charged),
+                LedgerDiff(vec![(r.class, 0, 3)]),
+                "{}",
+                r.name
+            );
+            assert!(!charged.is_empty());
+            assert!(charged.without_schema(v).is_empty(), "{}", r.name);
+            let mut back = charged.clone();
+            back.subtract(&charged);
+            assert_eq!(back, fresh, "{}", r.name);
+        }
     }
 
     #[test]
     fn retry_classes_are_separate_and_zero_by_default() {
-        // Fault-free construction charges nothing to the v2 classes.
-        let p = Phase::execute("clean");
-        assert_eq!(p.disk.retry_ios, 0);
-        assert_eq!(p.disk.retry_bytes, 0);
-        assert_eq!(p.backoff_ns, 0);
-
-        let mut a = DiskWork::none();
-        a.retry_ios = 3;
-        a.retry_bytes = 3 * 8192;
-        assert!(!a.is_empty());
-        assert_eq!(a.total_bytes(), 3 * 8192);
-        let mut b = DiskWork::none();
-        b.retry_ios = 1;
-        b.retry_bytes = 8192;
-        a.merge(&b);
-        assert_eq!(a.retry_ios, 4);
-        a.subtract(&b);
-        assert_eq!(a.retry_ios, 3);
-        // Retry I/O never leaks into the v1 random-I/O class.
-        assert_eq!(a.random_ios, 0);
-        assert_eq!(a.random_bytes, 0);
+        classes_are_separate_and_zero_by_default(2);
     }
 
     #[test]
     fn index_classes_are_separate_and_zero_by_default() {
-        // Index-free construction charges nothing to the v4 classes.
-        let p = Phase::execute("scan only");
-        assert_eq!(p.disk.index_ios, 0);
-        assert_eq!(p.disk.index_bytes, 0);
-        assert_eq!(p.cpu.count(OpClass::NodeSearch), 0);
-
-        let mut a = DiskWork::none();
-        a.index_ios = 5;
-        a.index_bytes = 5 * 8192;
-        assert!(!a.is_empty());
-        assert_eq!(a.total_bytes(), 5 * 8192);
-        let mut b = DiskWork::none();
-        b.index_ios = 2;
-        b.index_bytes = 2 * 8192;
-        a.merge(&b);
-        assert_eq!(a.index_ios, 7);
-        a.subtract(&b);
-        assert_eq!(a.index_ios, 5);
-        // Index I/O never leaks into the v1 or v2 disk classes.
-        assert_eq!(a.random_ios, 0);
-        assert_eq!(a.random_bytes, 0);
-        assert_eq!(a.retry_ios, 0);
-        assert_eq!(a.sequential_bytes, 0);
+        classes_are_separate_and_zero_by_default(4);
     }
 
     #[test]
     fn log_classes_are_separate_and_zero_by_default() {
-        // Read-only construction charges nothing to the v5 classes.
-        let p = Phase::execute("read only");
-        assert_eq!(p.disk.log_ios, 0);
-        assert_eq!(p.disk.log_bytes, 0);
-        assert_eq!(p.cpu.count(OpClass::LogRecord), 0);
+        classes_are_separate_and_zero_by_default(5);
+    }
 
-        let mut a = DiskWork::none();
-        a.log_ios = 3;
-        a.log_bytes = 3 * 8192;
-        assert!(!a.is_empty());
-        assert_eq!(a.total_bytes(), 3 * 8192);
-        let mut b = DiskWork::none();
-        b.log_ios = 1;
-        b.log_bytes = 8192;
-        a.merge(&b);
-        assert_eq!(a.log_ios, 4);
-        a.subtract(&b);
-        assert_eq!(a.log_ios, 3);
-        // Log I/O never leaks into any earlier-schema disk class.
-        assert_eq!(a.sequential_bytes, 0);
-        assert_eq!(a.random_ios, 0);
-        assert_eq!(a.retry_ios, 0);
-        assert_eq!(a.index_ios, 0);
+    /// A ledger with a distinct prime count in every class.
+    fn prime_ledger() -> Ledger {
+        let mut primes = (2u64..).filter(|n| (2..*n).all(|d| n % d != 0));
+        let mut l = Ledger::new();
+        for r in &CHARGE_CLASSES {
+            *l.get_mut(r.class) = primes.next().unwrap() * 1_000_003;
+        }
+        l
+    }
+
+    #[test]
+    fn exact_shares_sum_back_to_the_whole() {
+        let whole = prime_ledger();
+        for k in [1usize, 2, 3, 7, 64] {
+            let sum: Ledger = (0..k).map(|i| whole.exact_share(i, k)).sum();
+            whole.assert_same(&sum, format_args!("k={k}"));
+        }
+    }
+
+    #[test]
+    fn shares_differ_by_at_most_one_unit() {
+        let whole = prime_ledger();
+        let k = 7;
+        let shares: Vec<Ledger> = (0..k).map(|i| whole.exact_share(i, k)).collect();
+        for r in &CHARGE_CLASSES {
+            let counts: Vec<u64> = shares.iter().map(|s| s.get(r.class)).collect();
+            let max = *counts.iter().max().unwrap();
+            let min = *counts.iter().min().unwrap();
+            assert!(max - min <= 1, "{}: shares {counts:?}", r.name);
+        }
+    }
+
+    #[test]
+    fn seeded_drift_names_the_class_and_the_delta() {
+        let left = prime_ledger();
+        let mut right = left.clone();
+        right.disk.index_bytes += 1;
+        let diff = left.diff(&right);
+        assert_eq!(diff.0.len(), 1, "only the seeded class drifted");
+        let shown = diff.to_string();
+        assert!(
+            shown.contains("index_bytes") && shown.contains("+1"),
+            "{shown}"
+        );
+        assert_eq!(left.diff(&left).to_string(), "ledgers identical");
+    }
+
+    #[test]
+    #[should_panic(expected = "subtracting more backoff_ns than was recorded")]
+    fn subtract_names_the_overdrawn_class() {
+        let mut l = Ledger::new();
+        l.subtract(&Ledger {
+            backoff_ns: 1,
+            ..Ledger::new()
+        });
     }
 }

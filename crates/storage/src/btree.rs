@@ -70,7 +70,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use eco_simhw::fault::{FaultPlan, PageFault, BACKOFF_BASE_NS, MAX_READ_RETRIES};
-use eco_simhw::trace::DiskWork;
+use eco_simhw::trace::{DiskWork, Ledger};
 
 use crate::bufferpool::{BufferPool, PageFrame, PageId};
 use crate::disk_table::IoError;
@@ -116,11 +116,9 @@ pub struct IndexProbe {
     /// rows in table order and its output is bit-identical to the
     /// equivalent full-scan-plus-filter plan.
     pub row_ids: Vec<usize>,
-    /// Disk charges of the probe (v4 index classes on misses; v2 retry
-    /// classes if a fault fired).
-    pub io: DiskWork,
-    /// Retry-backoff idle time, nanoseconds (zero unless a fault fired).
-    pub backoff_ns: u64,
+    /// Disk and backoff charges of the probe (v4 index classes on
+    /// misses; v2 retry classes and backoff if a fault fired).
+    pub ledger: Ledger,
     /// Binary-search steps taken inside nodes; the caller charges one
     /// [`eco_simhw::trace::OpClass::NodeSearch`] each.
     pub node_searches: u64,
@@ -445,8 +443,10 @@ impl BTreeIndex {
         let (frame, io, backoff_ns) = self.pool.get_index_checked(id, |plan, io, backoff_ns| {
             self.load_node_verified(page_no, plan, io, backoff_ns)
         })?;
-        probe.io.merge(&io);
-        probe.backoff_ns += backoff_ns;
+        probe.ledger.merge(&Ledger {
+            backoff_ns,
+            ..io.into()
+        });
         Ok(frame)
     }
 
@@ -595,7 +595,7 @@ mod tests {
         assert_eq!(ix.num_pages(), 0);
         let p = ix.probe_point(&Value::Int(7)).expect("empty probe");
         assert!(p.row_ids.is_empty());
-        assert!(p.io.is_empty());
+        assert!(p.ledger.is_empty());
         assert_eq!(p.node_searches, 0);
     }
 
@@ -753,16 +753,18 @@ mod tests {
         let ix = int_index(&keys);
         let p = ix.probe_point(&Value::Int(1234)).expect("probe");
         // Cold probe: one miss per level of the descent.
-        assert_eq!(p.io.index_ios, ix.height() as u64);
-        assert_eq!(p.io.index_bytes, ix.height() as u64 * PAGE_SIZE as u64);
-        assert_eq!(p.io.random_ios, 0, "probes never charge the v1 classes");
-        assert_eq!(p.io.sequential_bytes, 0);
-        assert_eq!(p.io.retry_ios, 0);
-        assert_eq!(p.backoff_ns, 0);
+        let height = ix.height() as u64;
+        let want = DiskWork {
+            index_ios: height,
+            index_bytes: height * PAGE_SIZE as u64,
+            ..DiskWork::none()
+        };
+        p.ledger
+            .assert_same(&want.into(), "probes charge only the v4 I/O classes");
         assert!(p.node_searches > 0);
         // Warm re-probe of the same key: pure CPU, no I/O at all.
         let q = ix.probe_point(&Value::Int(1234)).expect("warm probe");
-        assert!(q.io.is_empty());
+        assert!(q.ledger.is_empty());
         assert_eq!(q.row_ids, p.row_ids);
     }
 
@@ -777,7 +779,10 @@ mod tests {
             .collect();
         let ix = BTreeIndex::build(FIRST_INDEX_ID, ColumnType::Int, entries, Arc::clone(&p));
         ix.probe_point(&Value::Int(42)).expect("probe");
-        assert!(p.take_io().is_empty(), "probe charges belong to the caller");
+        assert!(
+            p.take_io().total_bytes() == 0,
+            "probe charges belong to the caller"
+        );
     }
 
     #[test]
@@ -785,7 +790,7 @@ mod tests {
         let ix = int_index(&[1, 2, 3]);
         let p = ix.probe_point(&Value::str("x")).expect("typed miss");
         assert!(p.row_ids.is_empty());
-        assert!(p.io.is_empty());
+        assert!(p.ledger.is_empty());
     }
 
     #[test]

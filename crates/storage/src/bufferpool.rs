@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use eco_simhw::fault::FaultPlan;
-use eco_simhw::trace::DiskWork;
+use eco_simhw::trace::{DiskWork, Ledger};
 use parking_lot::Mutex;
 
 use crate::page::{Page, PAGE_SIZE};
@@ -125,7 +125,7 @@ struct Inner {
     frames: HashMap<PageId, Frame>,
     by_stamp: BTreeMap<u64, PageId>,
     clock: u64,
-    io: DiskWork,
+    io: Ledger,
     stats: PoolStats,
     /// Last page read per (table, scan stream) — sequential-transfer
     /// detection is per stream so concurrent scan cursors over the same
@@ -155,7 +155,7 @@ impl BufferPool {
                 frames: HashMap::new(),
                 by_stamp: BTreeMap::new(),
                 clock: 0,
-                io: DiskWork::none(),
+                io: Ledger::new(),
                 stats: PoolStats::default(),
                 last_page: HashMap::new(),
                 warm_reread_every: None,
@@ -194,8 +194,8 @@ impl BufferPool {
         F: FnOnce() -> Arc<PageFrame>,
     {
         let (page, io) = self.get_inner(id, DEFAULT_STREAM, load);
-        if !io.is_empty() {
-            self.inner.lock().io.merge(&io);
+        if io != DiskWork::none() {
+            self.inner.lock().io.merge(&io.into());
         }
         page
     }
@@ -229,8 +229,8 @@ impl BufferPool {
         F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
     {
         let (page, io, backoff_ns) = self.get_inner_checked(id, Some(DEFAULT_STREAM), load)?;
-        if !io.is_empty() {
-            self.inner.lock().io.merge(&io);
+        if io != DiskWork::none() {
+            self.inner.lock().io.merge(&io.into());
         }
         Ok((page, backoff_ns))
     }
@@ -377,8 +377,7 @@ impl BufferPool {
     /// Drain the accumulated I/O ledger (the executor moves it into the
     /// current trace phase).
     pub fn take_io(&self) -> DiskWork {
-        let mut g = self.inner.lock();
-        std::mem::take(&mut g.io)
+        std::mem::take(&mut self.inner.lock().io).disk
     }
 
     /// Drop the sequential-position entry of a finished scan stream.
@@ -523,7 +522,7 @@ mod tests {
         assert_eq!(io.sequential_bytes, 2 * PAGE_SIZE as u64);
         assert_eq!(io.random_bytes, 2 * PAGE_SIZE as u64);
         // Ledger drained.
-        assert!(pool.take_io().is_empty());
+        assert!(pool.take_io().total_bytes() == 0);
     }
 
     #[test]
@@ -589,18 +588,19 @@ mod tests {
         // per-stream tracking both keep streaming; through the shared
         // default stream every read would be a seek.
         let pool = BufferPool::new(64);
-        let mut io = DiskWork::none();
+        let mut io = Ledger::new();
         for p in 0..4u32 {
             let (_, a) = pool.get_stream(id(1, p), 1, || page_data(p as i64));
-            io.merge(&a);
+            io.merge(&a.into());
             let (_, b) = pool.get_stream(id(1, 16 + p), 2, || page_data(p as i64));
-            io.merge(&b);
+            io.merge(&b.into());
         }
+        let io = io.disk;
         // One repositioning per extent start, streaming elsewhere.
         assert_eq!(io.random_ios, 2, "{io:?}");
         assert_eq!(io.sequential_bytes, 6 * PAGE_SIZE as u64);
         // Stream charges are returned, not accumulated in the pool.
-        assert!(pool.take_io().is_empty());
+        assert!(pool.take_io().total_bytes() == 0);
     }
 
     #[test]
@@ -633,7 +633,7 @@ mod tests {
         assert_eq!(r.unwrap_err(), "permanent");
         assert_eq!(pool.stats().resident, 0);
         // Charges of the failed attempt are discarded with it.
-        assert!(pool.take_io().is_empty());
+        assert!(pool.take_io().total_bytes() == 0);
         // The page is still loadable afterwards.
         let r: Result<_, ()> = pool.get_checked(id(1, 0), |_, _, _| Ok(page_data(0)));
         assert!(r.is_ok());
@@ -687,7 +687,7 @@ mod tests {
         assert_eq!(io.random_ios, 0, "probe never charges the v1 class");
         assert_eq!(io.sequential_bytes, 0);
         // Probe charges are returned, not accumulated in the pool.
-        assert!(pool.take_io().is_empty());
+        assert!(pool.take_io().total_bytes() == 0);
         // ...and the scan keeps streaming as if the probe never happened.
         pool.get(id(1, 3), || page_data(3));
         let io = pool.take_io();

@@ -798,7 +798,10 @@ mod tests {
         for p in 0..t.num_pages() {
             t.read_page(p);
         }
-        assert!(pool.take_io().is_empty(), "warm scan must not hit disk");
+        assert!(
+            pool.take_io().total_bytes() == 0,
+            "warm scan must not hit disk"
+        );
     }
 
     #[test]
@@ -997,7 +1000,7 @@ mod tests {
         // Re-reading the now-cached page is a hit: no further charges.
         let (_, backoff2) = t.read_page_checked(page as usize).expect("hit");
         assert_eq!(backoff2, 0);
-        assert!(pool.take_io().is_empty());
+        assert!(pool.take_io().total_bytes() == 0);
     }
 
     #[test]
@@ -1019,7 +1022,7 @@ mod tests {
         );
         assert!(err.to_string().contains("permanent read fault"));
         // The failed attempt's charges are discarded with it.
-        assert!(pool.take_io().is_empty());
+        assert!(pool.take_io().total_bytes() == 0);
     }
 
     #[test]
@@ -1075,7 +1078,7 @@ mod tests {
         assert_eq!(io.retry_ios, failures as u64);
         assert_eq!(backoff, eco_simhw::fault::backoff_ns_for(failures));
         // Stream charges are returned, not pooled.
-        assert!(pool.take_io().is_empty());
+        assert!(pool.take_io().total_bytes() == 0);
         t.end_stream(77);
     }
 }

@@ -56,7 +56,7 @@ fn main() {
     let run = |pricing: PricingMode| {
         let mut ctx = ExecCtx::new().with_columnar(true).with_pricing(pricing);
         let rows = execute_columnar(plans::q6_plan(db.catalog(), 1994, 6, 24).as_mut(), &mut ctx);
-        let bytes = ctx.mem_stream_bytes;
+        let bytes = ctx.ledger.mem_stream_bytes;
         let mut trace = WorkTrace::new();
         trace.push(ctx.take_phase(PhaseKind::Execute, "q6"));
         let m = db.machine().measure(&trace, &MachineConfig::stock());

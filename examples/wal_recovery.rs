@@ -46,10 +46,9 @@ fn main() {
         let (_, trace) = solo.try_trace_sql(sql).expect("durable insert");
         let m = solo.machine().measure(&trace, &config);
         solo_joules += m.wall_joules;
-        for p in trace.phases() {
-            solo_log.0 += p.disk.log_ios;
-            solo_log.1 += p.disk.log_bytes;
-        }
+        let disk = trace.total_disk();
+        solo_log.0 += disk.log_ios;
+        solo_log.1 += disk.log_bytes;
     }
 
     // Group commit: the same ten inserts stage their records, one
@@ -66,9 +65,8 @@ fn main() {
         .machine()
         .measure(&commit_trace, &config)
         .wall_joules;
-    let grouped_log: (u64, u64) = commit_trace.phases().iter().fold((0, 0), |(i, b), p| {
-        (i + p.disk.log_ios, b + p.disk.log_bytes)
-    });
+    let commit_disk = commit_trace.total_disk();
+    let grouped_log = (commit_disk.log_ios, commit_disk.log_bytes);
 
     println!(
         "10 inserts, per-statement fsync: {:>2} log_ios, {:>6} log_bytes, {:.4} mJ/txn",

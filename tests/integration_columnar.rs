@@ -31,16 +31,7 @@ fn fresh_catalog(engine: EngineKind) -> Catalog {
 }
 
 fn assert_ledgers_equal(a: &ExecCtx, b: &ExecCtx, what: &str) {
-    assert_eq!(a.cpu, b.cpu, "{what}: op-class counts differ");
-    assert_eq!(
-        a.mem_stream_bytes, b.mem_stream_bytes,
-        "{what}: memory stream bytes differ"
-    );
-    assert_eq!(
-        a.mem_random_accesses, b.mem_random_accesses,
-        "{what}: random memory accesses differ"
-    );
-    assert_eq!(a.disk, b.disk, "{what}: disk I/O differs");
+    b.ledger.assert_same(&a.ledger, what);
     assert_eq!(a.pred_evals, b.pred_evals, "{what}: pred_evals differ");
 }
 
@@ -84,16 +75,16 @@ fn check_query(name: &str, mk: &dyn Fn(&Catalog) -> BoxedOp) {
 
         // Sanity: the workload actually exercised the ledger.
         assert!(
-            scalar[0].1.cpu.count(OpClass::TupleFetch) > 0,
+            scalar[0].1.ledger.cpu.count(OpClass::TupleFetch) > 0,
             "{name}: no fetches"
         );
         if engine == EngineKind::Disk {
             assert!(
-                !scalar[0].1.disk.is_empty(),
+                scalar[0].1.ledger.disk.total_bytes() > 0,
                 "{name}: cold disk run charged no I/O"
             );
             assert!(
-                scalar[1].1.disk.is_empty(),
+                scalar[1].1.ledger.disk.total_bytes() == 0,
                 "{name}: warm disk run still paid I/O"
             );
         }
@@ -231,7 +222,7 @@ fn limit_over_streaming_pipeline_columnar_identical() {
         // The scan stopped early: fewer fetches than rows.
         let total = source_db().lineitem.len() as u64;
         for (driver, ctx) in [("scalar", &sctx), ("columnar", &cctx)] {
-            let fetched = ctx.cpu.count(OpClass::TupleFetch);
+            let fetched = ctx.ledger.cpu.count(OpClass::TupleFetch);
             assert!(
                 fetched < total,
                 "{engine:?}/{driver}: limit failed to stop the scan: {fetched}/{total}"
@@ -265,16 +256,9 @@ fn ecodb_engine_knob_produces_identical_traces() {
         assert_eq!(db.engine(), engine);
         let (rows, trace) = db.trace_q1(90);
         assert_eq!(rows, rows_d, "{engine:?}: rows differ");
-        assert_eq!(
-            trace.total_cpu(),
-            trace_d.total_cpu(),
-            "{engine:?}: cpu work differs"
-        );
-        assert_eq!(
-            trace.total_mem_stream_bytes(),
-            trace_d.total_mem_stream_bytes(),
-            "{engine:?}: stream bytes differ"
-        );
+        trace_d
+            .total()
+            .assert_same(&trace.total(), format_args!("{engine:?}"));
     }
 
     // The QED path honors the knob too.
@@ -283,5 +267,5 @@ fn ecodb_engine_knob_produces_identical_traces() {
     let oracle = mk().with_engine(ExecEngine::Scalar);
     let (split, qtrace) = oracle.trace_merged_selection(&queries, true);
     assert_eq!(split, split_d);
-    assert_eq!(qtrace.total_cpu(), qtrace_d.total_cpu());
+    qtrace_d.total().assert_same(&qtrace.total(), "QED oracle");
 }

@@ -13,7 +13,7 @@ use ecodb::query::exec::{execute, execute_parallel};
 use ecodb::query::ops::BoxedOp;
 use ecodb::query::plans;
 use ecodb::simhw::machine::MachineConfig;
-use ecodb::simhw::trace::CpuWork;
+use ecodb::simhw::trace::{Ledger, WorkTrace};
 use ecodb::storage::{load_tpch, Catalog, EngineKind};
 use ecodb::tpch::{TpchDb, TpchGenerator};
 
@@ -67,16 +67,8 @@ const QUERIES: [(&str, PlanFn); 5] = [
 ];
 
 fn assert_ledgers_equal(name: &str, workers: usize, par: &ExecCtx, ser: &ExecCtx) {
-    assert_eq!(par.cpu, ser.cpu, "{name} workers={workers}: op counts");
-    assert_eq!(
-        par.mem_stream_bytes, ser.mem_stream_bytes,
-        "{name} workers={workers}: stream bytes"
-    );
-    assert_eq!(
-        par.mem_random_accesses, ser.mem_random_accesses,
-        "{name} workers={workers}: random accesses"
-    );
-    assert_eq!(par.disk, ser.disk, "{name} workers={workers}: disk I/O");
+    ser.ledger
+        .assert_same(&par.ledger, format_args!("{name} workers={workers}"));
     assert_eq!(
         par.pred_evals, ser.pred_evals,
         "{name} workers={workers}: pred evals"
@@ -121,8 +113,14 @@ fn parallel_ledger_bit_identical_disk_engine_cold_and_warm() {
         let mut warm_serial = ExecCtx::new();
         let warm_rows = execute(plan_fn(&cat).as_mut(), &mut warm_serial);
         assert_eq!(cold_rows, warm_rows);
-        assert!(!cold_serial.disk.is_empty(), "{name}: cold serial hit disk");
-        assert!(warm_serial.disk.is_empty(), "{name}: warm serial I/O-free");
+        assert!(
+            cold_serial.ledger.disk.total_bytes() > 0,
+            "{name}: cold serial hit disk"
+        );
+        assert!(
+            warm_serial.ledger.disk.total_bytes() == 0,
+            "{name}: warm serial I/O-free"
+        );
 
         for workers in [2usize, 4] {
             // Parallel cold + warm on its own fresh pool.
@@ -148,42 +146,16 @@ fn core_traces_partition_the_serial_trace_exactly() {
         let (rows, core_traces) = db.trace_q5_workload_cores(workers);
         assert_eq!(rows, serial_rows, "workers={workers}");
         assert_eq!(core_traces.len(), workers);
-        let mut merged = CpuWork::new();
-        let mut stream = 0u64;
-        let mut random = 0u64;
-        for t in &core_traces {
-            merged.merge(&t.total_cpu());
-            stream += t.total_mem_stream_bytes();
-            random += t
-                .phases()
-                .iter()
-                .map(|p| p.mem_random_accesses)
-                .sum::<u64>();
-        }
-        assert_eq!(merged, serial_trace.total_cpu(), "workers={workers}: cpu");
-        assert_eq!(
-            stream,
-            serial_trace.total_mem_stream_bytes(),
-            "workers={workers}: bytes"
-        );
-        assert_eq!(
-            random,
-            serial_trace
-                .phases()
-                .iter()
-                .map(|p| p.mem_random_accesses)
-                .sum::<u64>(),
-            "workers={workers}: random"
-        );
+        let merged: Ledger = core_traces.iter().map(WorkTrace::total).sum();
+        serial_trace
+            .total()
+            .assert_same(&merged, format_args!("workers={workers}"));
         // Repeatability: static morsel assignment makes the per-core
         // split itself deterministic, not just the merged totals.
         let (_, again) = db.trace_q5_workload_cores(workers);
         for (a, b) in core_traces.iter().zip(&again) {
-            assert_eq!(
-                a.total_cpu(),
-                b.total_cpu(),
-                "workers={workers}: stable split"
-            );
+            a.total()
+                .assert_same(&b.total(), format_args!("workers={workers}: stable split"));
         }
     }
 }

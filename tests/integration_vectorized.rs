@@ -46,16 +46,7 @@ fn columnar_ctx(chunk_size: usize) -> ExecCtx {
 }
 
 fn assert_ledgers_equal(a: &ExecCtx, b: &ExecCtx, what: &str) {
-    assert_eq!(a.cpu, b.cpu, "{what}: op-class counts differ");
-    assert_eq!(
-        a.mem_stream_bytes, b.mem_stream_bytes,
-        "{what}: memory stream bytes differ"
-    );
-    assert_eq!(
-        a.mem_random_accesses, b.mem_random_accesses,
-        "{what}: random memory accesses differ"
-    );
-    assert_eq!(a.disk, b.disk, "{what}: disk I/O differs");
+    b.ledger.assert_same(&a.ledger, what);
     assert_eq!(a.pred_evals, b.pred_evals, "{what}: pred_evals differ");
 }
 
@@ -92,16 +83,16 @@ fn check_query(name: &str, mk: &dyn Fn(&Catalog) -> BoxedOp) {
 
         // Sanity: the workload actually exercised the ledger.
         assert!(
-            scalar[0].1.cpu.count(OpClass::TupleFetch) > 0,
+            scalar[0].1.ledger.cpu.count(OpClass::TupleFetch) > 0,
             "{name}: no fetches"
         );
         if engine == EngineKind::Disk {
             assert!(
-                !scalar[0].1.disk.is_empty(),
+                scalar[0].1.ledger.disk.total_bytes() > 0,
                 "{name}: cold disk run charged no I/O"
             );
             assert!(
-                scalar[1].1.disk.is_empty(),
+                scalar[1].1.ledger.disk.total_bytes() == 0,
                 "{name}: warm disk run still paid I/O"
             );
         }
@@ -188,7 +179,7 @@ fn limit_over_streaming_pipeline_identical() {
         }
         assert_eq!(rows_s.len(), 25);
         // The scan must have stopped early: fewer fetches than rows.
-        let fetched = sctx.cpu.count(OpClass::TupleFetch);
+        let fetched = sctx.ledger.cpu.count(OpClass::TupleFetch);
         let total = source_db().lineitem.len() as u64;
         assert!(
             fetched < total,

@@ -138,12 +138,9 @@ proptest! {
         let mut rctx = ExecCtx::new().with_batch_size(chunk).with_columnar(true);
         let raw = execute_parallel(mk(&load(engine_idx, &tuples)).as_mut(), &mut rctx, workers);
         prop_assert_eq!(&raw, &scalar, "raw columnar rows differ from scalar");
-        prop_assert_eq!(&rctx.cpu, &sctx.cpu, "raw-mode op counts differ from scalar");
-        prop_assert_eq!(rctx.mem_stream_bytes, sctx.mem_stream_bytes);
-        prop_assert_eq!(rctx.mem_random_accesses, sctx.mem_random_accesses);
-        prop_assert_eq!(rctx.disk, sctx.disk);
+        sctx.ledger.assert_same(&rctx.ledger, "raw-mode columnar vs scalar");
         prop_assert_eq!(rctx.pred_evals, sctx.pred_evals);
-        prop_assert_eq!(rctx.cpu.count(OpClass::DictLookup), 0, "raw mode must never dict-decode");
+        prop_assert_eq!(rctx.ledger.cpu.count(OpClass::DictLookup), 0, "raw mode must never dict-decode");
 
         // Compressed columnar: identical rows, same tuple fetches, and
         // the scan priced encoded (never wider per the +2 header floor)
@@ -155,10 +152,10 @@ proptest! {
         let comp = execute_parallel(mk(&load(engine_idx, &tuples)).as_mut(), &mut cctx, workers);
         prop_assert_eq!(&comp, &raw, "compressed rows differ from raw");
         prop_assert_eq!(
-            cctx.cpu.count(OpClass::TupleFetch),
-            rctx.cpu.count(OpClass::TupleFetch),
+            cctx.ledger.cpu.count(OpClass::TupleFetch),
+            rctx.ledger.cpu.count(OpClass::TupleFetch),
             "compressed path must fetch the same live rows"
         );
-        prop_assert_eq!(cctx.disk, rctx.disk, "disk pages stay raw; I/O pricing unchanged");
+        prop_assert_eq!(cctx.ledger.disk, rctx.ledger.disk, "disk pages stay raw; I/O pricing unchanged");
     }
 }

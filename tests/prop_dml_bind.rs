@@ -11,8 +11,7 @@
 //! here *is* that implementation (`rows()` + `Expr::eval_bool`, written
 //! in this file, sharing nothing with `scan_matching`), and generated
 //! statements over generated tables must agree with it in records,
-//! `affected`, `ctx.cpu` (every op class), `pred_evals` and
-//! `mem_stream_bytes`.
+//! `affected`, the whole ledger (every charge class) and `pred_evals`.
 //!
 //! Predicates: comparisons on `Int`/`Str`/`Date`/`Char` columns,
 //! `AND`/`OR`/`NOT` nests (short-circuiting and exhaustive `OR`),
@@ -283,14 +282,8 @@ fn assert_bind_equals_oracle(
     let want = oracle(&catalog.expect(table), &stmt, &mut want_ctx);
     prop_assert_eq!(got.affected, want.affected, "{}", sql);
     prop_assert_eq!(&got.records, &want.records, "{}", sql);
-    prop_assert_eq!(&got_ctx.cpu, &want_ctx.cpu, "{}", sql);
+    want_ctx.ledger.assert_same(&got_ctx.ledger, sql);
     prop_assert_eq!(got_ctx.pred_evals, want_ctx.pred_evals, "{}", sql);
-    prop_assert_eq!(
-        got_ctx.mem_stream_bytes,
-        want_ctx.mem_stream_bytes,
-        "{}",
-        sql
-    );
     Ok(())
 }
 

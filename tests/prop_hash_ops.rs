@@ -486,15 +486,9 @@ fn aggregate_some(child: BoxedOp, rng: &mut Rng) -> BoxedOp {
     Box::new(HashAggregate::new(child, groups, aggs))
 }
 
-/// Everything the figures are priced from.
+/// Everything the figures are priced from, plus the predicate count.
 fn ledger(ctx: &ExecCtx) -> impl PartialEq + std::fmt::Debug {
-    (
-        ctx.cpu.clone(),
-        ctx.mem_stream_bytes,
-        ctx.mem_random_accesses,
-        ctx.disk,
-        ctx.pred_evals,
-    )
+    (ctx.ledger.clone(), ctx.pred_evals)
 }
 
 fn columnar_ctx(chunk: usize, workers: usize, pricing: PricingMode) -> ExecCtx {
@@ -651,12 +645,12 @@ proptest! {
             let rows = execute_parallel(inputs.join().as_mut(), &mut ctx, workers);
             prop_assert_eq!(&rows, &scalar, "compressed rows, workers={}", workers);
             let (lookups, probes) = (
-                ctx.cpu.count(OpClass::DictLookup),
-                ctx.cpu.count(OpClass::HashProbe),
+                ctx.ledger.cpu.count(OpClass::DictLookup),
+                ctx.ledger.cpu.count(OpClass::HashProbe),
             );
-            prop_assert_eq!(ctx.mem_random_accesses, probes);
-            prop_assert_eq!(ctx.cpu.count(OpClass::HashBuild), inputs.build_rows.len() as u64);
-            prop_assert_eq!(ctx.cpu.count(OpClass::ResultEmit), scalar.len() as u64);
+            prop_assert_eq!(ctx.ledger.mem_random_accesses, probes);
+            prop_assert_eq!(ctx.ledger.cpu.count(OpClass::HashBuild), inputs.build_rows.len() as u64);
+            prop_assert_eq!(ctx.ledger.cpu.count(OpClass::ResultEmit), scalar.len() as u64);
             if !by_dict_id {
                 prop_assert_eq!((lookups, probes), (0, live), "raw kernel charges");
             } else {
@@ -770,11 +764,11 @@ proptest! {
             let rows = execute_parallel(mk().as_mut(), &mut ctx, workers);
             prop_assert_eq!(&rows, &scalar, "compressed rows, workers={}", workers);
             let (lookups, probes) = (
-                ctx.cpu.count(OpClass::DictLookup),
-                ctx.cpu.count(OpClass::HashProbe),
+                ctx.ledger.cpu.count(OpClass::DictLookup),
+                ctx.ledger.cpu.count(OpClass::HashProbe),
             );
-            prop_assert_eq!(ctx.mem_random_accesses, probes);
-            prop_assert_eq!(ctx.cpu.count(OpClass::AggUpdate), 2 * live);
+            prop_assert_eq!(ctx.ledger.mem_random_accesses, probes);
+            prop_assert_eq!(ctx.ledger.cpu.count(OpClass::AggUpdate), 2 * live);
             if !by_dict_id {
                 prop_assert_eq!((lookups, probes), (0, live), "raw kernel charges");
             } else {

@@ -87,13 +87,8 @@ proptest! {
         let mut ctx_after = ExecCtx::new();
         let scan_rows_after = execute_scalar(scan_plan(&indexed).as_mut(), &mut ctx_after);
         prop_assert_eq!(&scan_rows_after, &scan_rows);
-        prop_assert_eq!(&ctx_after.cpu, &ctx_before.cpu);
-        prop_assert_eq!(ctx_after.mem_stream_bytes, ctx_before.mem_stream_bytes);
-        prop_assert_eq!(ctx_after.mem_random_accesses, ctx_before.mem_random_accesses);
-        prop_assert_eq!(ctx_after.disk, ctx_before.disk);
-        prop_assert_eq!(ctx_after.disk.index_ios, 0);
-        prop_assert_eq!(ctx_after.disk.index_bytes, 0);
-        prop_assert_eq!(ctx_after.cpu.count(OpClass::NodeSearch), 0);
+        ctx_before.ledger.assert_same(&ctx_after.ledger, "scan plan before/after CREATE INDEX");
+        ctx_after.ledger.assert_same(&ctx_after.ledger.without_schema(4), "v4 classes on a scan");
 
         // The probe: same rows in the same (table) order, charged as v4
         // index I/O — never as sequential or plain-random traffic.
@@ -115,11 +110,11 @@ proptest! {
         let mut ictx = ExecCtx::new();
         let ix_rows = execute_scalar(&mut ix, &mut ictx);
         prop_assert_eq!(&ix_rows, &scan_rows, "index path must return the scan's rows");
-        prop_assert_eq!(ictx.disk.sequential_bytes, 0, "probes never charge sequential I/O");
-        prop_assert_eq!(ictx.disk.random_ios, 0, "probes ledger as index, not random, I/O");
-        prop_assert!(ictx.cpu.count(OpClass::NodeSearch) > 0, "descent must bill NodeSearch");
+        prop_assert_eq!(ictx.ledger.disk.sequential_bytes, 0, "probes never charge sequential I/O");
+        prop_assert_eq!(ictx.ledger.disk.random_ios, 0, "probes ledger as index, not random, I/O");
+        prop_assert!(ictx.ledger.cpu.count(OpClass::NodeSearch) > 0, "descent must bill NodeSearch");
         if !ix_rows.is_empty() {
-            prop_assert!(ictx.disk.index_ios > 0, "a cold matching probe must read pages");
+            prop_assert!(ictx.ledger.disk.index_ios > 0, "a cold matching probe must read pages");
         }
     }
 }

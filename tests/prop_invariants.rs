@@ -85,10 +85,7 @@ proptest! {
         let parallel = execute_parallel(mk(db.catalog()).as_mut(), &mut pctx, workers);
 
         prop_assert_eq!(parallel, serial, "rows (plan {})", plan_idx);
-        prop_assert_eq!(&pctx.cpu, &sctx.cpu, "op counts (plan {})", plan_idx);
-        prop_assert_eq!(pctx.mem_stream_bytes, sctx.mem_stream_bytes);
-        prop_assert_eq!(pctx.mem_random_accesses, sctx.mem_random_accesses);
-        prop_assert_eq!(pctx.disk, sctx.disk);
+        sctx.ledger.assert_same(&pctx.ledger, format_args!("plan {plan_idx}"));
         prop_assert_eq!(pctx.pred_evals, sctx.pred_evals);
     }
 
@@ -139,10 +136,7 @@ proptest! {
                 "plan {plan_idx} {engine:?} pass {pass} workers {workers} chunk {chunk_size}"
             );
             prop_assert_eq!(&rows, scalar_rows, "rows: {}", what);
-            prop_assert_eq!(&ctx.cpu, &scalar_ctx.cpu, "op counts: {}", what);
-            prop_assert_eq!(ctx.mem_stream_bytes, scalar_ctx.mem_stream_bytes);
-            prop_assert_eq!(ctx.mem_random_accesses, scalar_ctx.mem_random_accesses);
-            prop_assert_eq!(ctx.disk, scalar_ctx.disk, "disk: {}", what);
+            scalar_ctx.ledger.assert_same(&ctx.ledger, &what);
             prop_assert_eq!(ctx.pred_evals, scalar_ctx.pred_evals);
         }
     }
@@ -193,8 +187,8 @@ proptest! {
         let mk = |ops: u64, mem: u64, gap: u64| {
             let mut t = WorkTrace::new();
             let mut p = Phase::execute("p");
-            p.cpu.add(OpClass::PredEval, ops);
-            p.mem_stream_bytes = mem;
+            p.ledger.cpu.add(OpClass::PredEval, ops);
+            p.ledger.mem_stream_bytes = mem;
             t.push(p);
             if gap > 0 {
                 t.push(Phase::client_gap(gap * 1_000_000));
@@ -223,7 +217,7 @@ proptest! {
         let mk = |ops: u64| {
             let mut t = WorkTrace::new();
             let mut p = Phase::execute("p");
-            p.cpu.add(OpClass::Arith, ops);
+            p.ledger.cpu.add(OpClass::Arith, ops);
             t.push(p);
             t
         };
@@ -240,8 +234,8 @@ proptest! {
         let machine = Machine::paper_sut();
         let mut trace = WorkTrace::new();
         let mut p = Phase::execute("p");
-        p.cpu.add(OpClass::PredEval, ops);
-        p.mem_stream_bytes = 4 << 20;
+        p.ledger.cpu.add(OpClass::PredEval, ops);
+        p.ledger.mem_stream_bytes = 4 << 20;
         trace.push(p);
 
         let stock = machine.measure(&trace, &MachineConfig::stock());
@@ -270,7 +264,7 @@ proptest! {
         let machine = Machine::paper_sut();
         let mut trace = WorkTrace::new();
         let mut p = Phase::execute("p");
-        p.cpu.add(OpClass::HashProbe, ops);
+        p.ledger.cpu.add(OpClass::HashProbe, ops);
         trace.push(p);
         let a = machine.measure(&trace, &MachineConfig::stock());
         let b = machine.measure(

@@ -101,8 +101,8 @@ fn run(engine: ExecEngine, plan: &mut dyn Operator) -> (Outcome, ExecCtx) {
     let result = engine.try_execute(plan, &mut ctx);
     let outcome = Outcome {
         result,
-        disk: ctx.disk,
-        backoff_ns: ctx.backoff_ns,
+        disk: ctx.ledger.disk,
+        backoff_ns: ctx.ledger.backoff_ns,
     };
     (outcome, ctx)
 }
@@ -152,8 +152,7 @@ proptest! {
                     prop_assert_eq!(&l, &e, "{}", &what);
                     if let Ok(got) = &l.result {
                         prop_assert_eq!(got, &rows, "{}", &what);
-                        prop_assert_eq!(&lctx.cpu, &ectx.cpu, "{}", &what);
-                        prop_assert_eq!(lctx.mem_stream_bytes, ectx.mem_stream_bytes);
+                        ectx.ledger.assert_same(&lctx.ledger, &what);
                     }
                 }
                 // Index range probe: base-row fetches decode the pages
@@ -171,7 +170,7 @@ proptest! {
                             .cloned()
                             .collect();
                         prop_assert_eq!(got, &want, "{}", &what);
-                        prop_assert_eq!(&lctx.cpu, &ectx.cpu, "{}", &what);
+                        ectx.ledger.assert_same(&lctx.ledger, &what);
                     }
                 }
                 // Row-path page read, straight off the table.
@@ -308,7 +307,10 @@ fn a_row_read_after_a_columnar_touch_is_a_hit_with_the_right_tuples() {
         assert_eq!(frame.len(), page_rows(disk(&table), &rows, page).len());
         assert_eq!(frame.tuples(), page_rows(disk(&table), &rows, page));
     }
-    assert!(cat.pool().take_io().is_empty(), "hits charge nothing");
+    assert!(
+        cat.pool().take_io().total_bytes() == 0,
+        "hits charge nothing"
+    );
     let after = cat.pool().stats();
     assert_eq!(after.misses, before.misses);
     assert_eq!(after.hits, before.hits + pages as u64);
@@ -353,7 +355,7 @@ fn an_index_probe_and_its_row_fetches_decode_no_page() {
     let probes = |cat: &Catalog| {
         [(250, 250), (100, 130)].map(|(lo, hi)| {
             let (outcome, ctx) = run(ExecEngine::Columnar, &mut ix_range(cat, lo, hi));
-            (outcome, ctx.cpu)
+            (outcome, ctx.ledger.cpu)
         })
     };
 
@@ -381,7 +383,7 @@ fn an_index_probe_and_its_row_fetches_decode_no_page() {
     assert_eq!(warm, probes(&twin));
     for ((w, w_cpu), (c, c_cpu)) in warm.iter().zip(&cold) {
         assert_eq!((&w.result, w_cpu), (&c.result, c_cpu));
-        assert!(w.disk.is_empty());
+        assert!(w.disk.total_bytes() == 0);
     }
     assert_eq!(lazy.pool().stats(), twin.pool().stats());
     assert!(resident_frames(&lazy).iter().all(|f| !f.is_decoded()));

@@ -424,8 +424,12 @@ proptest! {
         let split = routing_plan(&rows, cut, &keys, disjoint).run_split(&mut sctx, &mut sclient);
         prop_assert_eq!(check_views(&split, &expected, false), Ok(()), "{}: serial", what);
         prop_assert_eq!(sctx.pred_evals, octx.pred_evals, "{}: serial pred_evals", what);
-        prop_assert_eq!(server_phase(&mut sctx), server_phase(&mut octx.clone()), "{}", what);
-        prop_assert_eq!(client_phase(&mut sclient), client_phase(&mut oclient.clone()), "{}", what);
+        server_phase(&mut octx.clone())
+            .ledger
+            .assert_same(&server_phase(&mut sctx).ledger, &what);
+        client_phase(&mut oclient.clone())
+            .ledger
+            .assert_same(&client_phase(&mut sclient).ledger, &what);
 
         // Fused path, morsel-parallel.
         let morsel_rows = rng.pick(&[16, 64, 4096]);
@@ -439,8 +443,12 @@ proptest! {
         let split = routing_plan(&rows, cut, &keys, disjoint).run_split(&mut ctx, &mut client);
         prop_assert_eq!(check_views(&split, &expected, workers == 2), Ok(()), "{}", what);
         prop_assert_eq!(ctx.pred_evals, octx.pred_evals, "{}: pred_evals", what);
-        prop_assert_eq!(client_phase(&mut client), client_phase(&mut oclient), "{}", what);
-        prop_assert_eq!(server_phase(&mut ctx.clone()), server_phase(&mut octx), "{}", what);
+        client_phase(&mut oclient)
+            .ledger
+            .assert_same(&client_phase(&mut client).ledger, &what);
+        server_phase(&mut octx)
+            .ledger
+            .assert_same(&server_phase(&mut ctx.clone()).ledger, &what);
 
         // Per-core attribution: the tagged-row parallel driver on the
         // scalar engine is the oracle.
@@ -483,8 +491,12 @@ proptest! {
         let split = MultiFilter::new(Box::new(source), 1, &keys, disjoint).run_split(&mut nctx, &mut nclient);
         prop_assert_eq!(check_views(&split, &expected, false), Ok(()), "{}: NULL keys", what);
         prop_assert_eq!(nctx.pred_evals, octx.pred_evals, "{}: NULL pred_evals", what);
-        prop_assert_eq!(server_phase(&mut nctx), server_phase(&mut octx), "{}: NULL", what);
-        prop_assert_eq!(client_phase(&mut nclient), client_phase(&mut oclient), "{}: NULL", what);
+        server_phase(&mut octx)
+            .ledger
+            .assert_same(&server_phase(&mut nctx).ledger, format_args!("{}: NULL", what));
+        client_phase(&mut oclient)
+            .ledger
+            .assert_same(&client_phase(&mut nclient).ledger, format_args!("{}: NULL", what));
     }
 }
 
@@ -530,14 +542,18 @@ fn null_keys_match_nothing_and_cost_k() {
         1 + 2 + 2 + 2 + 1,
         "NULL and unmatched cost k = 2"
     );
-    assert_eq!(ctx.cpu.count(OpClass::PredEval), 8);
+    assert_eq!(ctx.ledger.cpu.count(OpClass::PredEval), 8);
     let widths: u64 = [0, 4, 2].iter().map(|&i| tuple_width(&row(i))).sum();
-    assert_eq!(ctx.cpu.count(OpClass::ResultEmit), 3);
-    assert_eq!(ctx.mem_stream_bytes, widths + 3 * 8, "rows plus their tags");
-    assert_eq!(client.cpu.count(OpClass::SplitRoute), 3);
-    assert_eq!(client.cpu.count(OpClass::RowCopy), 3);
+    assert_eq!(ctx.ledger.cpu.count(OpClass::ResultEmit), 3);
     assert_eq!(
-        client.mem_stream_bytes, widths,
+        ctx.ledger.mem_stream_bytes,
+        widths + 3 * 8,
+        "rows plus their tags"
+    );
+    assert_eq!(client.ledger.cpu.count(OpClass::SplitRoute), 3);
+    assert_eq!(client.ledger.cpu.count(OpClass::RowCopy), 3);
+    assert_eq!(
+        client.ledger.mem_stream_bytes, widths,
         "the split copies untagged rows"
     );
 
@@ -550,7 +566,7 @@ fn null_keys_match_nothing_and_cost_k() {
             vec![vec![row(0), row(4)], vec![row(2)], vec![row(0), row(4)]]
         );
         assert_eq!(ctx.pred_evals, 5 * 3);
-        assert_eq!(ctx.cpu.count(OpClass::ResultEmit), 5);
-        assert_eq!(client.cpu.count(OpClass::SplitRoute), 5);
+        assert_eq!(ctx.ledger.cpu.count(OpClass::ResultEmit), 5);
+        assert_eq!(client.ledger.cpu.count(OpClass::SplitRoute), 5);
     }
 }

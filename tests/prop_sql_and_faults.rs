@@ -245,12 +245,12 @@ fn thrashing_pool_preserves_correctness() {
     let run = |cat: &Catalog| {
         let mut plan = compile(cat, sql).unwrap();
         let mut ctx = ExecCtx::new();
-        (execute(plan.as_mut(), &mut ctx), ctx.disk)
+        (execute(plan.as_mut(), &mut ctx), ctx.ledger.disk)
     };
     let (rows_roomy, _) = run(&roomy);
     let (rows_tiny, io_tiny) = run(&tiny);
     assert_eq!(rows_roomy, rows_tiny, "thrashing must not change answers");
-    assert!(!io_tiny.is_empty());
+    assert!(io_tiny.total_bytes() > 0);
 
     // And rescans under the tiny pool keep paying.
     let (rows_again, io_again) = run(&tiny);
@@ -274,7 +274,7 @@ fn q5_survives_pathological_pool() {
     let mut mem_ctx = ExecCtx::new();
     let mem_rows = execute(mem_plan.as_mut(), &mut mem_ctx);
     assert_eq!(rows, mem_rows);
-    assert!(ctx.disk.total_bytes() > 0);
+    assert!(ctx.ledger.disk.total_bytes() > 0);
 }
 
 /// Degenerate QED batches: batch of 1 equals plain execution.
@@ -433,11 +433,9 @@ proptest! {
                     report.ledger.disk.retry_bytes,
                     expected_retries * PAGE_SIZE as u64
                 );
-                let mut base = report.ledger.clone();
-                base.disk.retry_ios = 0;
-                base.disk.retry_bytes = 0;
-                base.backoff_ns = 0;
-                prop_assert_eq!(&base, &clean.ledger);
+                clean
+                    .ledger
+                    .assert_same(&report.ledger.without_schema(2), "base classes vs fault-free");
                 // The per-session fork/merge round trip stays exact
                 // with the v2 retry classes in play.
                 prop_assert!(report.ledger_identity());
