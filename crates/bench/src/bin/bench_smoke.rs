@@ -620,7 +620,7 @@ fn cold_point_read_report(
                 let hit: Result<_, ()> = catalog
                     .pool()
                     .get_index_checked(PageId { table, page }, |_, _, _| Err(()));
-                frames.extend(hit.map(|(frame, _, _)| frame));
+                frames.extend(hit.map(|(frame, _)| frame));
             }
         }
         frames

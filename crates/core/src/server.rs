@@ -30,7 +30,7 @@ use eco_query::sql::{execute_dml, DmlOutcome, Statement};
 use eco_simhw::fault::FaultPlan;
 use eco_simhw::machine::{Machine, MachineConfig, Measurement};
 use eco_simhw::multicore::{MultiCoreMachine, MultiCoreMeasurement};
-use eco_simhw::trace::{DiskWork, OpClass, Phase, PhaseKind, PricingMode, WorkTrace};
+use eco_simhw::trace::{OpClass, Phase, PhaseKind, PricingMode, WorkTrace};
 use eco_storage::{
     load_generated, Catalog, EngineKind, RowSet, StoredTable, Tuple, Value, WalError, WalRecord,
     WriteAheadLog,
@@ -993,11 +993,8 @@ impl EcoDb {
         wal.next_txn += 1;
         if durable {
             let bytes = wal.log.fsync()?;
-            ctx.charge_disk(DiskWork {
-                log_ios: 1,
-                log_bytes: bytes,
-                ..DiskWork::none()
-            });
+            ctx.ledger.disk.log_ios += 1;
+            ctx.ledger.disk.log_bytes += bytes;
         }
         // Apply while still holding the log lock so concurrent writers
         // observe log order = apply order.
@@ -1019,11 +1016,8 @@ impl EcoDb {
         }
         let bytes = wal.log.fsync()?;
         let mut ctx = ExecCtx::new();
-        ctx.charge_disk(DiskWork {
-            log_ios: 1,
-            log_bytes: bytes,
-            ..DiskWork::none()
-        });
+        ctx.ledger.disk.log_ios += 1;
+        ctx.ledger.disk.log_bytes += bytes;
         let phase = ctx.take_phase(PhaseKind::Execute, "group commit");
         let mut trace = WorkTrace::new();
         trace.push(phase);

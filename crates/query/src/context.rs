@@ -1,6 +1,6 @@
 //! The execution context: the work ledger every operator charges into.
 
-use eco_simhw::trace::{DiskWork, Ledger, OpClass, Phase, PhaseKind, PricingMode};
+use eco_simhw::trace::{Ledger, OpClass, Phase, PhaseKind, PricingMode};
 
 use crate::error::ExecError;
 
@@ -200,11 +200,6 @@ impl ExecCtx {
         self.ledger.mem_random_accesses += n;
     }
 
-    /// Merge disk I/O (drained from the buffer pool) into the ledger.
-    pub fn charge_disk(&mut self, io: DiskWork) {
-        self.ledger.merge(&io.into());
-    }
-
     /// Charge retry-backoff / stall idle time (nanoseconds).
     #[inline]
     pub fn charge_backoff(&mut self, ns: u64) {
@@ -291,12 +286,7 @@ mod tests {
         ctx.charge(OpClass::TupleFetch, 10);
         ctx.charge_mem_bytes(100);
         ctx.charge_mem_random(3);
-        ctx.charge_disk(DiskWork {
-            sequential_bytes: 8192,
-            random_ios: 1,
-            random_bytes: 8192,
-            ..DiskWork::none()
-        });
+        ctx.ledger.disk.random_ios += 1;
         assert!(!ctx.is_empty());
 
         let phase = ctx.take_phase(PhaseKind::Execute, "t");

@@ -90,9 +90,8 @@ impl IxJoin {
             unreachable!("IxJoin constructor enforces a disk inner");
         };
         match disk.read_page_index_checked(page_no) {
-            Ok((page, io, backoff_ns)) => {
-                ctx.charge_disk(io);
-                ctx.charge_backoff(backoff_ns);
+            Ok((page, io)) => {
+                ctx.ledger.merge(&io);
                 self.current = Some((page_no, page));
                 true
             }

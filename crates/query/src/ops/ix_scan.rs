@@ -122,9 +122,8 @@ impl IxScan {
             unreachable!("IxScan constructor enforces a disk table");
         };
         match disk.read_page_index_checked(page_no) {
-            Ok((page, io, backoff_ns)) => {
-                ctx.charge_disk(io);
-                ctx.charge_backoff(backoff_ns);
+            Ok((page, io)) => {
+                ctx.ledger.merge(&io);
                 self.current = Some((page_no, page));
                 true
             }
@@ -256,7 +255,10 @@ mod tests {
             assert_eq!(t[0], Value::Int(100 + i as i64), "ascending table order");
         }
         assert_eq!(ctx.ledger.cpu.count(OpClass::TupleFetch), 100);
-        assert!(ctx.ledger.disk.total_bytes() == 0, "warm probe is I/O-free");
+        assert!(
+            ctx.ledger.disk == DiskWork::none(),
+            "warm probe is I/O-free"
+        );
         assert!(ctx.ledger.mem_stream_bytes > 0);
     }
 

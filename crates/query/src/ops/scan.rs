@@ -163,9 +163,8 @@ impl SeqScan {
                 // Private stream: this access's I/O is returned directly
                 // and attributed to this worker's ledger.
                 match disk.read_page_stream_checked(self.page_no, stream) {
-                    Ok((page, io, backoff_ns)) => {
-                        ctx.charge_disk(io);
-                        ctx.charge_backoff(backoff_ns);
+                    Ok((page, io)) => {
+                        ctx.ledger.merge(&io);
                         page
                     }
                     Err(e) => {
@@ -179,7 +178,7 @@ impl SeqScan {
             _ => match disk.read_page_checked(self.page_no) {
                 Ok((page, backoff_ns)) => {
                     // Attribute whatever I/O the pool performed to this query.
-                    ctx.charge_disk(disk.pool().take_io());
+                    ctx.ledger.merge(&disk.pool().take_io());
                     ctx.charge_backoff(backoff_ns);
                     page
                 }
@@ -301,10 +300,7 @@ impl Operator for SeqScan {
                     match self.bounds {
                         ScanBounds::DiskPages { stream, .. } => {
                             match disk.read_page_stream_checked(p, stream) {
-                                Ok((_, io, backoff_ns)) => {
-                                    ctx.charge_disk(io);
-                                    ctx.charge_backoff(backoff_ns);
-                                }
+                                Ok((_, io)) => ctx.ledger.merge(&io),
                                 Err(e) => {
                                     ctx.fail(e.into());
                                     disk.end_stream(stream);
@@ -314,7 +310,7 @@ impl Operator for SeqScan {
                         }
                         _ => match disk.read_page_checked(p) {
                             Ok((_, backoff_ns)) => {
-                                ctx.charge_disk(disk.pool().take_io());
+                                ctx.ledger.merge(&disk.pool().take_io());
                                 ctx.charge_backoff(backoff_ns);
                             }
                             Err(e) => {
@@ -403,6 +399,7 @@ impl Operator for SeqScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eco_simhw::trace::DiskWork;
     use eco_storage::{Catalog, ColumnType, HeapTable, Value};
 
     fn catalog() -> Catalog {
@@ -429,7 +426,7 @@ mod tests {
         assert_eq!(ctx.ledger.cpu.count(OpClass::TupleFetch), 500);
         assert!(ctx.ledger.mem_stream_bytes > 0);
         assert!(
-            ctx.ledger.disk.total_bytes() == 0,
+            ctx.ledger.disk == DiskWork::none(),
             "memory engine never hits disk"
         );
     }
@@ -454,7 +451,10 @@ mod tests {
         scan2.open(&mut ctx2);
         let n2 = std::iter::from_fn(|| scan2.next(&mut ctx2)).count();
         assert_eq!(n2, 500);
-        assert!(ctx2.ledger.disk.total_bytes() == 0, "warm scan is I/O-free");
+        assert!(
+            ctx2.ledger.disk == DiskWork::none(),
+            "warm scan is I/O-free"
+        );
     }
 
     #[test]

@@ -166,7 +166,6 @@ impl DiskSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Ledger;
 
     const GB: u64 = 1 << 30;
 
@@ -252,7 +251,12 @@ mod tests {
             random_bytes: 50 * 8192,
             ..DiskWork::none()
         };
-        let ab = [a, b].map(Ledger::from).iter().sum::<Ledger>().disk;
+        let ab = DiskWork {
+            sequential_bytes: 15 << 20,
+            random_ios: 150,
+            random_bytes: 150 * 8192,
+            ..DiskWork::none()
+        };
         let ca = d.cost(&a);
         let cb = d.cost(&b);
         let cab = d.cost(&ab);

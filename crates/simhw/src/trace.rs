@@ -379,20 +379,27 @@ pub const CHARGE_CLASSES: [ClassInfo; N_CHARGE_CLASSES] = {
 };
 
 impl ChargeClass {
-    /// This class's row of [`CHARGE_CLASSES`].
-    pub fn info(self) -> &'static ClassInfo {
+    /// This class's slot: its position in [`CHARGE_CLASSES`] and in
+    /// [`Ledger::counts`].
+    pub fn index(self) -> usize {
         CHARGE_CLASSES
             .iter()
-            .find(|r| r.class == self)
+            .position(|r| r.class == self)
             .expect("every charge class has a table row")
+    }
+
+    /// This class's row of [`CHARGE_CLASSES`].
+    pub fn info(self) -> &'static ClassInfo {
+        &CHARGE_CLASSES[self.index()]
     }
 }
 
 /// An energy ledger: every count the machine model prices, with exact
 /// integer arithmetic throughout. The named groups are what charge
-/// sites and pricing read; [`Ledger::get`] reaches any slot by
-/// [`ChargeClass`], and everything that treats the ledger as a whole
-/// loops over [`CHARGE_CLASSES`].
+/// sites and pricing read; [`Ledger::counts`] and
+/// [`Ledger::from_counts`] are the one mapping between them and the
+/// rows of [`CHARGE_CLASSES`], and everything that treats the ledger as
+/// a whole is a loop over those counts.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ledger {
     /// Op-class counts.
@@ -414,57 +421,83 @@ pub struct Ledger {
     pub backoff_ns: u64,
 }
 
-/// The one `match` from a charge class to its ledger slot, behind both
-/// [`Ledger::get`] (`&`) and [`Ledger::get_mut`] (`&mut`).
-macro_rules! slot {
-    ($ledger:expr, $class:expr, $($borrow:tt)+) => {
-        match $class {
-            ChargeClass::Op(c) => $($borrow)+ $ledger.cpu.counts[c.index()],
-            ChargeClass::MemStreamBytes => $($borrow)+ $ledger.mem_stream_bytes,
-            ChargeClass::MemRandomAccesses => $($borrow)+ $ledger.mem_random_accesses,
-            ChargeClass::SequentialBytes => $($borrow)+ $ledger.disk.sequential_bytes,
-            ChargeClass::RandomIos => $($borrow)+ $ledger.disk.random_ios,
-            ChargeClass::RandomBytes => $($borrow)+ $ledger.disk.random_bytes,
-            ChargeClass::RetryIos => $($borrow)+ $ledger.disk.retry_ios,
-            ChargeClass::RetryBytes => $($borrow)+ $ledger.disk.retry_bytes,
-            ChargeClass::IndexIos => $($borrow)+ $ledger.disk.index_ios,
-            ChargeClass::IndexBytes => $($borrow)+ $ledger.disk.index_bytes,
-            ChargeClass::LogIos => $($borrow)+ $ledger.disk.log_ios,
-            ChargeClass::LogBytes => $($borrow)+ $ledger.disk.log_bytes,
-            ChargeClass::GapNs => $($borrow)+ $ledger.gap_ns,
-            ChargeClass::BackoffNs => $($borrow)+ $ledger.backoff_ns,
-        }
-    };
-}
-
 impl Ledger {
     /// An empty ledger.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The count recorded for `class`.
+    /// Every count, slot `i` holding class `CHARGE_CLASSES[i]`.
     #[inline]
-    pub fn get(&self, class: ChargeClass) -> u64 {
-        *slot!(self, class, &)
+    pub fn counts(&self) -> [u64; N_CHARGE_CLASSES] {
+        let d = &self.disk;
+        let mut counts = [0; N_CHARGE_CLASSES];
+        counts[..N_OP_CLASSES].copy_from_slice(&self.cpu.counts);
+        counts[N_OP_CLASSES..].copy_from_slice(&[
+            self.mem_stream_bytes,
+            self.mem_random_accesses,
+            d.sequential_bytes,
+            d.random_ios,
+            d.random_bytes,
+            d.retry_ios,
+            d.retry_bytes,
+            d.index_ios,
+            d.index_bytes,
+            d.log_ios,
+            d.log_bytes,
+            self.gap_ns,
+            self.backoff_ns,
+        ]);
+        counts
     }
 
-    /// The slot of `class`.
+    /// The ledger whose [`Self::counts`] are `counts`.
     #[inline]
-    pub fn get_mut(&mut self, class: ChargeClass) -> &mut u64 {
-        slot!(self, class, &mut)
+    pub fn from_counts(counts: [u64; N_CHARGE_CLASSES]) -> Ledger {
+        // A struct literal evaluates its fields top to bottom, which is
+        // slot order.
+        let mut slots = counts.into_iter();
+        let mut next = || slots.next().expect("one count per slot");
+        Ledger {
+            cpu: CpuWork {
+                counts: std::array::from_fn(|_| next()),
+            },
+            mem_stream_bytes: next(),
+            mem_random_accesses: next(),
+            disk: DiskWork {
+                sequential_bytes: next(),
+                random_ios: next(),
+                random_bytes: next(),
+                retry_ios: next(),
+                retry_bytes: next(),
+                index_ios: next(),
+                index_bytes: next(),
+                log_ios: next(),
+                log_bytes: next(),
+            },
+            gap_ns: next(),
+            backoff_ns: next(),
+        }
+    }
+
+    /// The count recorded for `class`.
+    pub fn get(&self, class: ChargeClass) -> u64 {
+        self.counts()[class.index()]
     }
 
     /// Every class with its count, in ledger order.
-    pub fn iter(&self) -> impl Iterator<Item = (ChargeClass, u64)> + '_ {
-        CHARGE_CLASSES.iter().map(|r| (r.class, self.get(r.class)))
+    pub fn iter(&self) -> impl Iterator<Item = (ChargeClass, u64)> {
+        CHARGE_CLASSES.iter().map(|r| r.class).zip(self.counts())
     }
 
     /// Fold another ledger into this one, class by class.
+    #[inline]
     pub fn merge(&mut self, other: &Ledger) {
-        for r in &CHARGE_CLASSES {
-            *self.get_mut(r.class) += other.get(r.class);
+        let (mut sum, add) = (self.counts(), other.counts());
+        for (s, a) in sum.iter_mut().zip(add) {
+            *s += a;
         }
+        *self = Ledger::from_counts(sum);
     }
 
     /// Subtract `other` from this ledger. Panics, naming the class, if
@@ -472,12 +505,13 @@ impl Ledger {
     /// only ever subtract a part from its whole (a worker's share from
     /// a merged total), and wrapping would silently price exabytes.
     pub fn subtract(&mut self, other: &Ledger) {
-        for r in &CHARGE_CLASSES {
-            let slot = self.get_mut(r.class);
-            *slot = slot
-                .checked_sub(other.get(r.class))
+        let (mut left, sub) = (self.counts(), other.counts());
+        for ((l, s), r) in left.iter_mut().zip(sub).zip(&CHARGE_CLASSES) {
+            *l = l
+                .checked_sub(s)
                 .unwrap_or_else(|| panic!("subtracting more {} than was recorded", r.name));
         }
+        *self = Ledger::from_counts(left);
     }
 
     /// Member `i`'s exact share of this ledger split over `k` members:
@@ -489,37 +523,35 @@ impl Ledger {
         assert!(k >= 1, "need at least one member");
         assert!(i < k, "member index out of range");
         let (i, k) = (i as u64, k as u64);
-        let mut share = Ledger::new();
-        for (class, c) in self.iter() {
-            *share.get_mut(class) = c / k + u64::from(i < c % k);
-        }
-        share
+        Ledger::from_counts(self.counts().map(|c| c / k + u64::from(i < c % k)))
     }
 
     /// True when every class is zero.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.iter().all(|(_, c)| c == 0)
+        self.counts().iter().fold(0, |any, &c| any | c) == 0
     }
 
     /// This ledger with every class of schema version `v` zeroed — how
     /// a comparison ignores, say, the fault classes (`v = 2`).
     pub fn without_schema(&self, v: u32) -> Ledger {
-        let mut l = self.clone();
-        for r in CHARGE_CLASSES.iter().filter(|r| r.schema == v) {
-            *l.get_mut(r.class) = 0;
+        let mut counts = self.counts();
+        for (c, r) in counts.iter_mut().zip(&CHARGE_CLASSES) {
+            if r.schema == v {
+                *c = 0;
+            }
         }
-        l
+        Ledger::from_counts(counts)
     }
 
     /// The classes whose counts differ between `self` (left) and
     /// `other` (right); empty when the ledgers are identical.
     pub fn diff(&self, other: &Ledger) -> LedgerDiff {
         LedgerDiff(
-            CHARGE_CLASSES
-                .iter()
-                .filter_map(|r| {
-                    let (left, right) = (self.get(r.class), other.get(r.class));
-                    (left != right).then_some((r.class, left, right))
+            self.iter()
+                .zip(other.counts())
+                .filter_map(|((class, left), right)| {
+                    (left != right).then_some((class, left, right))
                 })
                 .collect(),
         )
@@ -534,28 +566,10 @@ impl Ledger {
     }
 }
 
-impl From<DiskWork> for Ledger {
-    fn from(disk: DiskWork) -> Self {
-        Ledger {
-            disk,
-            ..Ledger::new()
-        }
-    }
-}
-
-impl<'a> std::iter::Sum<&'a Ledger> for Ledger {
-    fn sum<I: Iterator<Item = &'a Ledger>>(iter: I) -> Ledger {
+impl<L: std::borrow::Borrow<Ledger>> std::iter::Sum<L> for Ledger {
+    fn sum<I: Iterator<Item = L>>(iter: I) -> Ledger {
         iter.fold(Ledger::new(), |mut sum, l| {
-            sum.merge(l);
-            sum
-        })
-    }
-}
-
-impl std::iter::Sum for Ledger {
-    fn sum<I: Iterator<Item = Ledger>>(iter: I) -> Ledger {
-        iter.fold(Ledger::new(), |mut sum, l| {
-            sum.merge(&l);
+            sum.merge(l.borrow());
             sum
         })
     }
@@ -723,25 +737,22 @@ mod tests {
     #[test]
     fn charge_class_table_lists_every_slot_once() {
         for (i, r) in CHARGE_CLASSES.iter().enumerate() {
-            assert_eq!(r.class.info(), r, "{} has one row", r.name);
-            if i < N_OP_CLASSES {
-                assert_eq!(r.class, ChargeClass::Op(ALL_OP_CLASSES[i]));
-            }
+            assert_eq!((r.class.index(), r.class.info()), (i, r), "{}", r.name);
             assert!((1..=LEDGER_SCHEMA_VERSION).contains(&r.schema));
-            assert!(
-                CHARGE_CLASSES[..i].iter().all(|q| q.name != r.name),
-                "{} named twice",
-                r.name
-            );
+            let named_twice = CHARGE_CLASSES[..i].iter().any(|q| q.name == r.name);
+            assert!(!named_twice, "{} named twice", r.name);
+            // Slot `i` is the field the row names: a ledger with a 1 in
+            // slot `i` alone reads back, and shows `name: 1` (an op
+            // class: the op rows come first, in index order).
+            let mut counts = [0; N_CHARGE_CLASSES];
+            counts[i] = 1;
+            let l = Ledger::from_counts(counts);
+            assert_eq!((l.counts(), l.get(r.class)), (counts, 1), "{}", r.name);
+            match r.class {
+                ChargeClass::Op(c) => assert_eq!((c.index(), l.cpu.count(c)), (i, 1)),
+                _ => assert!(format!("{l:?}").contains(&format!("{}: 1", r.name))),
+            }
         }
-        // Every slot is reached by exactly one class: filling slot `i`
-        // with `i + 1` makes the ledger read back 1, 2, 3, ...
-        let mut l = Ledger::new();
-        for (i, r) in CHARGE_CLASSES.iter().enumerate() {
-            *l.get_mut(r.class) = i as u64 + 1;
-        }
-        let counts: Vec<u64> = l.iter().map(|(_, c)| c).collect();
-        assert_eq!(counts, (1..=N_CHARGE_CLASSES as u64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -811,8 +822,9 @@ mod tests {
         let rows: Vec<_> = CHARGE_CLASSES.iter().filter(|r| r.schema == v).collect();
         assert!(!rows.is_empty(), "schema v{v} has classes");
         for r in rows {
-            let mut charged = fresh.clone();
-            *charged.get_mut(r.class) += 3;
+            let mut counts = fresh.counts();
+            counts[r.class.index()] += 3;
+            let charged = Ledger::from_counts(counts);
             assert_eq!(
                 fresh.diff(&charged),
                 LedgerDiff(vec![(r.class, 0, 3)]),
@@ -845,11 +857,7 @@ mod tests {
     /// A ledger with a distinct prime count in every class.
     fn prime_ledger() -> Ledger {
         let mut primes = (2u64..).filter(|n| (2..*n).all(|d| n % d != 0));
-        let mut l = Ledger::new();
-        for r in &CHARGE_CLASSES {
-            *l.get_mut(r.class) = primes.next().unwrap() * 1_000_003;
-        }
-        l
+        Ledger::from_counts(std::array::from_fn(|_| primes.next().unwrap() * 1_000_003))
     }
 
     #[test]

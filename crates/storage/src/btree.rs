@@ -440,13 +440,10 @@ impl BTreeIndex {
             table: self.index_id,
             page: page_no as u32,
         };
-        let (frame, io, backoff_ns) = self.pool.get_index_checked(id, |plan, io, backoff_ns| {
+        let (frame, io) = self.pool.get_index_checked(id, |plan, io, backoff_ns| {
             self.load_node_verified(page_no, plan, io, backoff_ns)
         })?;
-        probe.ledger.merge(&Ledger {
-            backoff_ns,
-            ..io.into()
-        });
+        probe.ledger.merge(&io);
         Ok(frame)
     }
 
@@ -754,13 +751,12 @@ mod tests {
         let p = ix.probe_point(&Value::Int(1234)).expect("probe");
         // Cold probe: one miss per level of the descent.
         let height = ix.height() as u64;
-        let want = DiskWork {
-            index_ios: height,
-            index_bytes: height * PAGE_SIZE as u64,
-            ..DiskWork::none()
-        };
-        p.ledger
-            .assert_same(&want.into(), "probes charge only the v4 I/O classes");
+        let io = p.ledger.disk;
+        assert_eq!(
+            (io.index_ios, io.index_bytes),
+            (height, height * PAGE_SIZE as u64)
+        );
+        assert!(p.ledger.without_schema(4).is_empty(), "only the v4 classes");
         assert!(p.node_searches > 0);
         // Warm re-probe of the same key: pure CPU, no I/O at all.
         let q = ix.probe_point(&Value::Int(1234)).expect("warm probe");
@@ -779,10 +775,7 @@ mod tests {
             .collect();
         let ix = BTreeIndex::build(FIRST_INDEX_ID, ColumnType::Int, entries, Arc::clone(&p));
         ix.probe_point(&Value::Int(42)).expect("probe");
-        assert!(
-            p.take_io().total_bytes() == 0,
-            "probe charges belong to the caller"
-        );
+        assert!(p.take_io().is_empty(), "probe charges belong to the caller");
     }
 
     #[test]

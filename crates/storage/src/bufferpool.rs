@@ -194,8 +194,8 @@ impl BufferPool {
         F: FnOnce() -> Arc<PageFrame>,
     {
         let (page, io) = self.get_inner(id, DEFAULT_STREAM, load);
-        if io != DiskWork::none() {
-            self.inner.lock().io.merge(&io.into());
+        if !io.is_empty() {
+            self.inner.lock().io.merge(&io);
         }
         page
     }
@@ -209,7 +209,7 @@ impl BufferPool {
     /// (b) each worker attributes exactly its own I/O to its own energy
     /// ledger, keeping the merged parallel ledger identical to serial
     /// execution.
-    pub fn get_stream<F>(&self, id: PageId, stream: u64, load: F) -> (Arc<PageFrame>, DiskWork)
+    pub fn get_stream<F>(&self, id: PageId, stream: u64, load: F) -> (Arc<PageFrame>, Ledger)
     where
         F: FnOnce() -> Arc<PageFrame>,
     {
@@ -221,29 +221,30 @@ impl BufferPool {
     /// access's [`DiskWork`] ledger and a backoff-nanosecond
     /// accumulator, plus the pool's installed [`FaultPlan`]). Base I/O
     /// classification is identical to the unchecked path; on success
-    /// the charges land in the pool ledger and the access's backoff is
-    /// returned. On failure nothing is cached and the charges are
-    /// discarded with the failed attempt.
+    /// the disk charges land in the pool ledger and the access's
+    /// backoff is returned. On failure nothing is cached and the
+    /// charges are discarded with the failed attempt.
     pub fn get_checked<F, E>(&self, id: PageId, load: F) -> Result<(Arc<PageFrame>, u64), E>
     where
         F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
     {
-        let (page, io, backoff_ns) = self.get_inner_checked(id, Some(DEFAULT_STREAM), load)?;
-        if io != DiskWork::none() {
-            self.inner.lock().io.merge(&io.into());
+        let (page, mut io) = self.get_inner_checked(id, Some(DEFAULT_STREAM), load)?;
+        let backoff_ns = std::mem::take(&mut io.backoff_ns);
+        if !io.is_empty() {
+            self.inner.lock().io.merge(&io);
         }
         Ok((page, backoff_ns))
     }
 
     /// Checked twin of [`Self::get_stream`]: like [`Self::get_checked`]
-    /// but on a private scan stream, returning this access's I/O
-    /// directly instead of accumulating it in the pool ledger.
+    /// but on a private scan stream, returning this access's I/O and
+    /// backoff directly instead of accumulating them in the pool ledger.
     pub fn get_stream_checked<F, E>(
         &self,
         id: PageId,
         stream: u64,
         load: F,
-    ) -> Result<(Arc<PageFrame>, DiskWork, u64), E>
+    ) -> Result<(Arc<PageFrame>, Ledger), E>
     where
         F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
     {
@@ -264,39 +265,39 @@ impl BufferPool {
         &self,
         id: PageId,
         load: F,
-    ) -> Result<(Arc<PageFrame>, DiskWork, u64), E>
+    ) -> Result<(Arc<PageFrame>, Ledger), E>
     where
         F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
     {
         self.get_inner_checked(id, None, load)
     }
 
-    fn get_inner<F>(&self, id: PageId, stream: u64, load: F) -> (Arc<PageFrame>, DiskWork)
+    fn get_inner<F>(&self, id: PageId, stream: u64, load: F) -> (Arc<PageFrame>, Ledger)
     where
         F: FnOnce() -> Arc<PageFrame>,
     {
         let r: Result<_, std::convert::Infallible> =
             self.get_inner_checked(id, Some(stream), |_, _, _| Ok(load()));
         match r {
-            Ok((page, io, _)) => (page, io),
+            Ok(r) => r,
             Err(e) => match e {},
         }
     }
 
     /// `stream`: `Some(s)` classifies the miss against scan stream `s`'s
     /// sequential position; `None` is an index probe (v4 classes, no
-    /// position tracking).
+    /// position tracking). Returns the frame and what the access
+    /// charged: disk I/O, and backoff if the load retried.
     fn get_inner_checked<F, E>(
         &self,
         id: PageId,
         stream: Option<u64>,
         load: F,
-    ) -> Result<(Arc<PageFrame>, DiskWork, u64), E>
+    ) -> Result<(Arc<PageFrame>, Ledger), E>
     where
         F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
     {
-        let mut io = DiskWork::none();
-        let mut backoff_ns = 0u64;
+        let mut io = Ledger::new();
         let mut g = self.inner.lock();
         g.clock += 1;
         let stamp = g.clock;
@@ -311,11 +312,11 @@ impl BufferPool {
             g.hit_counter += 1;
             if let Some(every) = g.warm_reread_every {
                 if g.hit_counter.is_multiple_of(every) {
-                    io.random_ios += 1;
-                    io.random_bytes += PAGE_SIZE as u64;
+                    io.disk.random_ios += 1;
+                    io.disk.random_bytes += PAGE_SIZE as u64;
                 }
             }
-            return Ok((page, io, 0));
+            return Ok((page, io));
         }
 
         // Miss: charge I/O. Consecutive page numbers within a table
@@ -333,24 +334,24 @@ impl BufferPool {
                     == Some(true);
                 let extent_start = id.page.is_multiple_of(EXTENT_PAGES);
                 if consecutive && !extent_start {
-                    io.sequential_bytes += PAGE_SIZE as u64;
+                    io.disk.sequential_bytes += PAGE_SIZE as u64;
                 } else {
-                    io.random_ios += 1;
-                    io.random_bytes += PAGE_SIZE as u64;
+                    io.disk.random_ios += 1;
+                    io.disk.random_bytes += PAGE_SIZE as u64;
                 }
                 g.last_page.insert((id.table, stream), id.page);
             }
             // Index probe: every miss repositions the head (v4 class),
             // and the scan position trackers are left untouched.
             None => {
-                io.index_ios += 1;
-                io.index_bytes += PAGE_SIZE as u64;
+                io.disk.index_ios += 1;
+                io.disk.index_bytes += PAGE_SIZE as u64;
             }
         }
         g.stats.misses += 1;
 
         let plan = g.fault_plan;
-        let page = load(plan, &mut io, &mut backoff_ns)?;
+        let page = load(plan, &mut io.disk, &mut io.backoff_ns)?;
         if g.capacity > 0 {
             while g.frames.len() >= g.capacity {
                 // frames non-empty implies a stamp entry exists.
@@ -371,13 +372,13 @@ impl BufferPool {
             g.by_stamp.insert(stamp, id);
         }
         g.stats.resident = g.frames.len();
-        Ok((page, io, backoff_ns))
+        Ok((page, io))
     }
 
-    /// Drain the accumulated I/O ledger (the executor moves it into the
-    /// current trace phase).
-    pub fn take_io(&self) -> DiskWork {
-        std::mem::take(&mut self.inner.lock().io).disk
+    /// Drain the accumulated I/O ledger (the executor merges it into
+    /// its own).
+    pub fn take_io(&self) -> Ledger {
+        std::mem::take(&mut self.inner.lock().io)
     }
 
     /// Drop the sequential-position entry of a finished scan stream.
@@ -517,12 +518,12 @@ mod tests {
         pool.get(id(1, 1), || page_data(1)); // sequential
         pool.get(id(1, 2), || page_data(2)); // sequential
         pool.get(id(1, 7), || page_data(7)); // jump: random
-        let io = pool.take_io();
+        let io = pool.take_io().disk;
         assert_eq!(io.random_ios, 2);
         assert_eq!(io.sequential_bytes, 2 * PAGE_SIZE as u64);
         assert_eq!(io.random_bytes, 2 * PAGE_SIZE as u64);
         // Ledger drained.
-        assert!(pool.take_io().total_bytes() == 0);
+        assert!(pool.take_io().is_empty());
     }
 
     #[test]
@@ -565,7 +566,7 @@ mod tests {
         assert!(reloaded);
         let io = pool.take_io();
         // After flush the scan position is also reset ⇒ random charge.
-        assert_eq!(io.random_ios, 1);
+        assert_eq!(io.disk.random_ios, 1);
     }
 
     #[test]
@@ -591,16 +592,16 @@ mod tests {
         let mut io = Ledger::new();
         for p in 0..4u32 {
             let (_, a) = pool.get_stream(id(1, p), 1, || page_data(p as i64));
-            io.merge(&a.into());
+            io.merge(&a);
             let (_, b) = pool.get_stream(id(1, 16 + p), 2, || page_data(p as i64));
-            io.merge(&b.into());
+            io.merge(&b);
         }
         let io = io.disk;
         // One repositioning per extent start, streaming elsewhere.
         assert_eq!(io.random_ios, 2, "{io:?}");
         assert_eq!(io.sequential_bytes, 6 * PAGE_SIZE as u64);
         // Stream charges are returned, not accumulated in the pool.
-        assert!(pool.take_io().total_bytes() == 0);
+        assert!(pool.take_io().is_empty());
     }
 
     #[test]
@@ -633,7 +634,7 @@ mod tests {
         assert_eq!(r.unwrap_err(), "permanent");
         assert_eq!(pool.stats().resident, 0);
         // Charges of the failed attempt are discarded with it.
-        assert!(pool.take_io().total_bytes() == 0);
+        assert!(pool.take_io().is_empty());
         // The page is still loadable afterwards.
         let r: Result<_, ()> = pool.get_checked(id(1, 0), |_, _, _| Ok(page_data(0)));
         assert!(r.is_ok());
@@ -651,6 +652,8 @@ mod tests {
         let (_, backoff) = r.expect("transient read recovers");
         assert_eq!(backoff, 150_000);
         let io = pool.take_io();
+        assert_eq!(io.backoff_ns, 0, "backoff is returned, not pooled");
+        let io = io.disk;
         assert_eq!(io.retry_ios, 2);
         assert_eq!(io.retry_bytes, 2 * PAGE_SIZE as u64);
         // Base classification is unchanged: first read is still random.
@@ -680,23 +683,23 @@ mod tests {
         pool.take_io();
         // ...an index probe lands between its reads...
         let r: Result<_, ()> = pool.get_index_checked(id(1, 9), |_, _, _| Ok(page_data(9)));
-        let (_, io, backoff) = r.expect("probe succeeds");
-        assert_eq!(backoff, 0);
-        assert_eq!(io.index_ios, 1);
-        assert_eq!(io.index_bytes, PAGE_SIZE as u64);
-        assert_eq!(io.random_ios, 0, "probe never charges the v1 class");
-        assert_eq!(io.sequential_bytes, 0);
+        let (_, io) = r.expect("probe succeeds");
+        assert_eq!(
+            (io.disk.index_ios, io.disk.index_bytes),
+            (1, PAGE_SIZE as u64)
+        );
+        assert!(io.without_schema(4).is_empty(), "only the v4 classes");
         // Probe charges are returned, not accumulated in the pool.
-        assert!(pool.take_io().total_bytes() == 0);
+        assert!(pool.take_io().is_empty());
         // ...and the scan keeps streaming as if the probe never happened.
         pool.get(id(1, 3), || page_data(3));
-        let io = pool.take_io();
+        let io = pool.take_io().disk;
         assert_eq!(io.sequential_bytes, PAGE_SIZE as u64);
         assert_eq!(io.random_ios, 0);
         // A probe hit on a cached page charges nothing.
         let r: Result<_, ()> = pool.get_index_checked(id(1, 9), |_, _, _| panic!("hit"));
-        let (_, io, _) = r.expect("hit");
-        assert!(io.index_ios == 0 && io.index_bytes == 0);
+        let (_, io) = r.expect("hit");
+        assert!(io.is_empty());
     }
 
     #[test]
@@ -709,6 +712,6 @@ mod tests {
             pool.get(id(1, 0), || panic!("hit expected"));
         }
         let io = pool.take_io();
-        assert_eq!(io.random_ios, 3, "3 re-reads over 30 hits at every=10");
+        assert_eq!(io.disk.random_ios, 3, "3 re-reads over 30 hits at every=10");
     }
 }

@@ -40,7 +40,7 @@ use std::borrow::Borrow;
 use std::sync::{Arc, OnceLock};
 
 use eco_simhw::fault::{FaultPlan, PageFault, BACKOFF_BASE_NS, MAX_READ_RETRIES};
-use eco_simhw::trace::DiskWork;
+use eco_simhw::trace::{DiskWork, Ledger};
 
 use crate::bufferpool::{BufferPool, PageFrame, PageId, EXTENT_PAGES};
 use crate::column::{ColumnChunk, ColumnData, DataChunk};
@@ -553,11 +553,7 @@ impl DiskTable {
     /// Read one page on a private scan stream (see
     /// [`BufferPool::get_stream`]), returning the I/O this access
     /// charged so the caller can attribute it to its own ledger.
-    pub fn read_page_stream(
-        &self,
-        page_no: usize,
-        stream: u64,
-    ) -> (Arc<PageFrame>, eco_simhw::trace::DiskWork) {
+    pub fn read_page_stream(&self, page_no: usize, stream: u64) -> (Arc<PageFrame>, Ledger) {
         assert!(page_no < self.pages.len(), "page {page_no} out of range");
         let id = PageId {
             table: self.table_id,
@@ -615,7 +611,7 @@ impl DiskTable {
     pub fn read_page_index_checked(
         &self,
         page_no: usize,
-    ) -> Result<(Arc<PageFrame>, DiskWork, u64), IoError> {
+    ) -> Result<(Arc<PageFrame>, Ledger), IoError> {
         assert!(page_no < self.pages.len(), "page {page_no} out of range");
         let id = PageId {
             table: self.table_id,
@@ -628,12 +624,12 @@ impl DiskTable {
 
     /// Checked twin of [`Self::read_page_stream`]: like
     /// [`Self::read_page_checked`] but on a private scan stream,
-    /// returning this access's I/O directly.
+    /// returning this access's I/O and backoff directly.
     pub fn read_page_stream_checked(
         &self,
         page_no: usize,
         stream: u64,
-    ) -> Result<(Arc<PageFrame>, DiskWork, u64), IoError> {
+    ) -> Result<(Arc<PageFrame>, Ledger), IoError> {
         assert!(page_no < self.pages.len(), "page {page_no} out of range");
         let id = PageId {
             table: self.table_id,
@@ -775,7 +771,7 @@ mod tests {
         for p in 0..t.num_pages() {
             t.read_page(p);
         }
-        let io = pool.take_io();
+        let io = pool.take_io().disk;
         // One repositioning per extent, streaming within extents.
         let extents = t
             .num_pages()
@@ -798,10 +794,7 @@ mod tests {
         for p in 0..t.num_pages() {
             t.read_page(p);
         }
-        assert!(
-            pool.take_io().total_bytes() == 0,
-            "warm scan must not hit disk"
-        );
+        assert!(pool.take_io().is_empty(), "warm scan must not hit disk");
     }
 
     #[test]
@@ -817,7 +810,7 @@ mod tests {
         for p in 0..t.num_pages() {
             t.read_page(p);
         }
-        let io = pool.take_io();
+        let io = pool.take_io().disk;
         assert!(
             io.total_bytes() as usize >= (t.num_pages() - 1) * PAGE_SIZE,
             "rescan should re-read nearly everything"
@@ -953,9 +946,11 @@ mod tests {
             assert_eq!(backoff, 0, "no fault ⇒ no backoff");
         }
         let (ia, ib) = (pa.take_io(), pb.take_io());
-        assert_eq!(ia, ib, "bit-identical I/O ledgers");
-        assert_eq!(ib.retry_ios, 0);
-        assert_eq!(ib.retry_bytes, 0);
+        ia.assert_same(&ib, "checked vs unchecked scan");
+        assert!(
+            ib.without_schema(1).is_empty(),
+            "no fault ⇒ only v1 charges"
+        );
     }
 
     /// With a saturated plan every page faults; pick one of each kind.
@@ -994,13 +989,13 @@ mod tests {
             .expect("transient fault recovers within the retry budget");
         assert!(!data.is_empty(), "recovered read returns real tuples");
         assert_eq!(backoff, eco_simhw::fault::backoff_ns_for(failures));
-        let io = pool.take_io();
+        let io = pool.take_io().disk;
         assert_eq!(io.retry_ios, failures as u64, "one re-read per failure");
         assert_eq!(io.retry_bytes, failures as u64 * PAGE_SIZE as u64);
         // Re-reading the now-cached page is a hit: no further charges.
         let (_, backoff2) = t.read_page_checked(page as usize).expect("hit");
         assert_eq!(backoff2, 0);
-        assert!(pool.take_io().total_bytes() == 0);
+        assert!(pool.take_io().is_empty());
     }
 
     #[test]
@@ -1022,7 +1017,7 @@ mod tests {
         );
         assert!(err.to_string().contains("permanent read fault"));
         // The failed attempt's charges are discarded with it.
-        assert!(pool.take_io().total_bytes() == 0);
+        assert!(pool.take_io().is_empty());
     }
 
     #[test]
@@ -1040,7 +1035,7 @@ mod tests {
         let (_, backoff) = t.read_page_checked(page as usize).expect("stall succeeds");
         assert_eq!(backoff, ns);
         let io = pool.take_io();
-        assert_eq!(io.retry_ios, 0, "a stall is not a retry");
+        assert_eq!(io.disk.retry_ios, 0, "a stall is not a retry");
     }
 
     #[test]
@@ -1072,13 +1067,13 @@ mod tests {
         let PageFault::Transient { failures } = fault else {
             unreachable!()
         };
-        let (_, io, backoff) = t
+        let (_, io) = t
             .read_page_stream_checked(page as usize, 77)
             .expect("recovers");
-        assert_eq!(io.retry_ios, failures as u64);
-        assert_eq!(backoff, eco_simhw::fault::backoff_ns_for(failures));
+        assert_eq!(io.disk.retry_ios, failures as u64);
+        assert_eq!(io.backoff_ns, eco_simhw::fault::backoff_ns_for(failures));
         // Stream charges are returned, not pooled.
-        assert!(pool.take_io().total_bytes() == 0);
+        assert!(pool.take_io().is_empty());
         t.end_stream(77);
     }
 }

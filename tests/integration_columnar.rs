@@ -13,7 +13,7 @@ use ecodb::query::context::ExecCtx;
 use ecodb::query::exec::{execute_columnar, execute_parallel, execute_scalar, ExecEngine};
 use ecodb::query::ops::BoxedOp;
 use ecodb::query::plans;
-use ecodb::simhw::OpClass;
+use ecodb::simhw::{DiskWork, OpClass};
 use ecodb::storage::{load_tpch, Catalog, EngineKind, Tuple};
 use ecodb::tpch::{Q5Params, TpchDb, TpchGenerator};
 
@@ -84,7 +84,7 @@ fn check_query(name: &str, mk: &dyn Fn(&Catalog) -> BoxedOp) {
                 "{name}: cold disk run charged no I/O"
             );
             assert!(
-                scalar[1].1.ledger.disk.total_bytes() == 0,
+                scalar[1].1.ledger.disk == DiskWork::none(),
                 "{name}: warm disk run still paid I/O"
             );
         }

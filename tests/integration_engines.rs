@@ -3,7 +3,7 @@
 
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::plans;
-use ecodb::simhw::MachineConfig;
+use ecodb::simhw::{DiskWork, MachineConfig};
 
 const SCALE: f64 = 0.004;
 
@@ -78,6 +78,6 @@ fn disk_engine_charges_io_memory_engine_does_not() {
     disk.flush_cache();
     let (_, mt) = mem.trace_q5(&ecodb::tpch::Q5Params::new("ASIA", 1994));
     let (_, dt) = disk.trace_q5(&ecodb::tpch::Q5Params::new("ASIA", 1994));
-    assert!(mt.total_disk().total_bytes() == 0);
+    assert_eq!(mt.total_disk(), DiskWork::none());
     assert!(dt.total_disk().total_bytes() > 0);
 }

@@ -13,7 +13,7 @@ use ecodb::query::exec::{execute, execute_parallel};
 use ecodb::query::ops::BoxedOp;
 use ecodb::query::plans;
 use ecodb::simhw::machine::MachineConfig;
-use ecodb::simhw::trace::{Ledger, WorkTrace};
+use ecodb::simhw::trace::{DiskWork, Ledger, WorkTrace};
 use ecodb::storage::{load_tpch, Catalog, EngineKind};
 use ecodb::tpch::{TpchDb, TpchGenerator};
 
@@ -118,7 +118,7 @@ fn parallel_ledger_bit_identical_disk_engine_cold_and_warm() {
             "{name}: cold serial hit disk"
         );
         assert!(
-            warm_serial.ledger.disk.total_bytes() == 0,
+            warm_serial.ledger.disk == DiskWork::none(),
             "{name}: warm serial I/O-free"
         );
 

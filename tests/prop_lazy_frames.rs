@@ -307,10 +307,7 @@ fn a_row_read_after_a_columnar_touch_is_a_hit_with_the_right_tuples() {
         assert_eq!(frame.len(), page_rows(disk(&table), &rows, page).len());
         assert_eq!(frame.tuples(), page_rows(disk(&table), &rows, page));
     }
-    assert!(
-        cat.pool().take_io().total_bytes() == 0,
-        "hits charge nothing"
-    );
+    assert!(cat.pool().take_io().is_empty(), "hits charge nothing");
     let after = cat.pool().stats();
     assert_eq!(after.misses, before.misses);
     assert_eq!(after.hits, before.hits + pages as u64);
@@ -334,7 +331,7 @@ fn resident_frames(cat: &Catalog) -> Vec<Arc<PageFrame>> {
             let hit: Result<_, ()> = cat
                 .pool()
                 .get_index_checked(PageId { table, page }, |_, _, _| Err(()));
-            frames.extend(hit.map(|(frame, _, _)| frame));
+            frames.extend(hit.map(|(frame, _)| frame));
         }
     }
     frames
@@ -383,7 +380,7 @@ fn an_index_probe_and_its_row_fetches_decode_no_page() {
     assert_eq!(warm, probes(&twin));
     for ((w, w_cpu), (c, c_cpu)) in warm.iter().zip(&cold) {
         assert_eq!((&w.result, w_cpu), (&c.result, c_cpu));
-        assert!(w.disk.total_bytes() == 0);
+        assert_eq!(w.disk, DiskWork::none());
     }
     assert_eq!(lazy.pool().stats(), twin.pool().stats());
     assert!(resident_frames(&lazy).iter().all(|f| !f.is_decoded()));
