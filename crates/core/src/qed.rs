@@ -27,7 +27,7 @@
 
 use eco_simhw::machine::{MachineConfig, PhaseMeasurement};
 use eco_simhw::trace::{PhaseKind, WorkTrace};
-use eco_storage::{RowSet, Tuple};
+use eco_storage::RowSet;
 use eco_tpch::{qed_workload, QedQuery};
 
 use crate::server::EcoDb;
@@ -106,9 +106,8 @@ pub struct QedOutcome {
     pub results_match: bool,
 }
 
-/// The two schemes side by side. `results_match` comes from comparing
-/// QED's result sets with the sequential rows in place
-/// ([`RowSet::all_eq`]): no merged row is built to be compared.
+/// The two schemes side by side (`results_match`: see
+/// [`results_match`]).
 fn compare(seq: QedScheme, qed: QedScheme, results_match: bool) -> QedOutcome {
     QedOutcome {
         batch_size: qed.batch_size,
@@ -128,7 +127,15 @@ fn phase_seconds(phases: &[PhaseMeasurement], client: bool) -> f64 {
 }
 
 /// One sequential selection: its rows and its gap + execute trace.
-type Statement = (Vec<Tuple>, WorkTrace);
+type Statement = (RowSet, WorkTrace);
+
+/// Whether QED's per-query result sets equal the sequential ones, in
+/// order. Both sides stay as they came: on the columnar engine they are
+/// views of the same table version, compared by row id in one pass over
+/// the merged scan ([`RowSet::all_eq`]), and no row is built.
+fn results_match(merged: &[RowSet], sequential: &[RowSet]) -> bool {
+    RowSet::all_eq(merged, sequential)
+}
 
 /// Run the paper's QED experiment for one batch size under a machine
 /// configuration (the paper runs QED "at stock system settings";
@@ -200,8 +207,8 @@ fn qed_against(db: &EcoDb, baseline: &[Statement], config: MachineConfig, sc: bo
     let split = phase_seconds(&m.phases, true);
     let qed = QedScheme::merged(k, m.elapsed_s, m.cpu_joules, gap_exec, split);
 
-    let seq_rows: Vec<&[Tuple]> = baseline.iter().map(|(rows, _)| &rows[..]).collect();
-    compare(seq, qed, RowSet::all_eq(&rows, &seq_rows))
+    let seq_rows: Vec<RowSet> = baseline.iter().map(|(rows, _)| rows.clone()).collect();
+    compare(seq, qed, results_match(&rows, &seq_rows))
 }
 
 /// [`run_qed`] on the cores axis: both schemes execute morsel-parallel
@@ -231,7 +238,7 @@ pub fn run_qed_cores(
         acc += m.elapsed_s;
         seq_joules += m.cpu_joules;
         completions.push(acc);
-        seq_rows.push(rows);
+        seq_rows.push(RowSet::from(rows));
     }
     let seq = QedScheme::sequential(&completions, acc, seq_joules);
 
@@ -242,7 +249,7 @@ pub fn run_qed_cores(
     let split = phase_seconds(&m.per_core[0].phases, true);
     let gap_exec = (m.elapsed_s - split).max(0.0);
     let qed = QedScheme::merged(batch_size, m.elapsed_s, m.cpu_joules, gap_exec, split);
-    compare(seq, qed, RowSet::all_eq(&rows, &seq_rows))
+    compare(seq, qed, results_match(&rows, &seq_rows))
 }
 
 /// The admission-control queue: delay queries until a batch forms.
@@ -326,9 +333,20 @@ impl<T> WorkloadManager<T> {
 mod tests {
     use super::*;
     use crate::server::EngineProfile;
+    use eco_storage::{DataChunk, RoutedRows, TableData, Value};
+    use std::sync::Arc;
 
     fn db() -> EcoDb {
         EcoDb::tpch(EngineProfile::MemoryEngine, 0.004)
+    }
+
+    /// A view of every row of a copy of `rows`: another snapshot.
+    fn view_of(db: &EcoDb, rows: &[eco_storage::Tuple]) -> RowSet {
+        let schema = db.catalog().expect("lineitem").schema().clone();
+        let data = Arc::new(DataChunk::from_rows(&schema, rows));
+        let mut routed = RoutedRows::default();
+        (routed.matches_for(&data)).extend((0..rows.len() as u32).map(|row| (row, 0)));
+        routed.into_row_sets(1).remove(0)
     }
 
     /// Mutation check of the in-place comparison: one wrong cell in the
@@ -343,10 +361,59 @@ mod tests {
             })
         };
         assert_eq!(verdicts(&baseline), [true; 4]);
-        // Query 42's last row, its comment: in batches 45 and 50 only.
-        let row = baseline[41].0.last_mut().expect("quantity 42 selects rows");
-        row[15] = eco_storage::Value::str("not what the scan saw");
+        assert!(baseline.iter().all(|(rows, _)| !rows.is_decoded()));
+        // Query 42's last row, its comment, in a view of a copy: in
+        // batches 45 and 50 only.
+        let mut rows = baseline[41].0.clone().into_tuples();
+        let row = rows.last_mut().expect("quantity 42 selects rows");
+        row[15] = Value::str("not what the scan saw");
+        baseline[41].0 = view_of(&db, &rows);
         assert_eq!(verdicts(&baseline), [true, true, false, false]);
+        assert!(baseline.iter().all(|(rows, _)| !rows.is_decoded()));
+    }
+
+    /// The routing case: merged views of the very table version the
+    /// baseline scanned match it by row id, and one row id swapped for
+    /// another row of the same quantity — a row the predicate accepts —
+    /// is caught.
+    #[test]
+    fn a_misrouted_row_of_the_right_quantity_fails_the_match() {
+        let db = db();
+        let k = 40;
+        let baseline: Vec<RowSet> = (sequential_statements(&db, k).into_iter())
+            .map(|(rows, _)| rows)
+            .collect();
+        let lineitem = db.catalog().expect("lineitem");
+        let TableData::Memory(heap) = &lineitem.data else {
+            panic!("the memory engine");
+        };
+        let qty = lineitem.schema().expect_index("l_quantity");
+        let merged = |swap: Option<usize>| {
+            let data = heap.columns();
+            let mut routed = RoutedRows::default();
+            let matches = routed.matches_for(data);
+            for (q, query) in qed_workload(k).iter().enumerate() {
+                let of_q = (0..data.len() as u32)
+                    .filter(|&row| data.value(qty, row as usize) == Value::Int(query.quantity));
+                matches.extend(of_q.map(|row| (row, q as u32)));
+            }
+            matches.sort_unstable();
+            if let Some(q) = swap {
+                // Query q's first row id becomes its second's.
+                let mine: Vec<usize> = (0..matches.len())
+                    .filter(|&i| matches[i].1 == q as u32)
+                    .collect();
+                matches[mine[0]].0 = matches[mine[1]].0;
+            }
+            routed.into_row_sets(k)
+        };
+        assert!(results_match(&merged(None), &baseline));
+        for q in [0, 17, k - 1] {
+            let swapped = merged(Some(q));
+            assert!(!results_match(&swapped, &baseline), "query {q}");
+            assert!(swapped.iter().all(|rows| !rows.is_decoded()));
+        }
+        assert!(baseline.iter().all(|rows| !rows.is_decoded()));
     }
 
     #[test]

@@ -499,23 +499,24 @@ impl EcoDb {
         kind: StatementKind,
         plan: BoxedOp,
         label: &str,
-    ) -> (Vec<Tuple>, WorkTrace) {
+    ) -> (RowSet, WorkTrace) {
         self.try_trace_statement(kind, plan, label)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`Self::trace_statement`]: a page read whose retry
     /// budget is exhausted comes back as [`ServerError::Io`] instead of
-    /// a panic, failing only this statement.
+    /// a panic, failing only this statement. On the columnar engine the
+    /// rows are a view of the plan's final chunks ([`RowSet`]).
     fn try_trace_statement(
         &self,
         kind: StatementKind,
         mut plan: BoxedOp,
         label: &str,
-    ) -> Result<(Vec<Tuple>, WorkTrace), ServerError> {
+    ) -> Result<(RowSet, WorkTrace), ServerError> {
         let mut ctx = self.exec_ctx();
         ctx.charge(OpClass::Parse, parse_tokens(kind));
-        let rows = self.engine.execute(plan.as_mut(), &mut ctx);
+        let rows = self.engine.execute_rows(plan.as_mut(), &mut ctx);
         if let Some(e) = ctx.take_error() {
             return Err(e.into());
         }
@@ -775,11 +776,12 @@ impl EcoDb {
 
     /// Trace one TPC-H Q5 instance.
     pub fn trace_q5(&self, params: &Q5Params) -> (Vec<Tuple>, WorkTrace) {
-        self.trace_statement(
+        let (rows, trace) = self.trace_statement(
             StatementKind::Q5,
             plans::q5_plan(&self.catalog, params),
             &params.label(),
-        )
+        );
+        (rows.into_tuples(), trace)
     }
 
     /// Trace the paper's full PVC workload: ten Q5 instances
@@ -795,8 +797,10 @@ impl EcoDb {
         (all_rows, trace)
     }
 
-    /// Trace a single QED selection.
-    pub fn trace_selection(&self, q: &QedQuery) -> (Vec<Tuple>, WorkTrace) {
+    /// Trace a single QED selection. On the columnar engine its rows
+    /// are a view of the scanned columns ([`RowSet`]): no row is built
+    /// until a caller reads one, and comparing it builds none.
+    pub fn trace_selection(&self, q: &QedQuery) -> (RowSet, WorkTrace) {
         self.trace_statement(
             StatementKind::Selection,
             plans::selection_plan(&self.catalog, q),
@@ -806,10 +810,7 @@ impl EcoDb {
 
     /// Fallible [`Self::trace_selection`]: an unrecoverable disk fault
     /// comes back as [`ServerError::Io`], failing only this statement.
-    pub fn try_trace_selection(
-        &self,
-        q: &QedQuery,
-    ) -> Result<(Vec<Tuple>, WorkTrace), ServerError> {
+    pub fn try_trace_selection(&self, q: &QedQuery) -> Result<(RowSet, WorkTrace), ServerError> {
         self.try_trace_statement(
             StatementKind::Selection,
             plans::selection_plan(&self.catalog, q),
@@ -842,29 +843,32 @@ impl EcoDb {
 
     /// Trace TPC-H Q1.
     pub fn trace_q1(&self, delta_days: i32) -> (Vec<Tuple>, WorkTrace) {
-        self.trace_statement(
+        let (rows, trace) = self.trace_statement(
             StatementKind::Q1,
             plans::q1_plan(&self.catalog, delta_days),
             "Q1",
-        )
+        );
+        (rows.into_tuples(), trace)
     }
 
     /// Trace TPC-H Q3.
     pub fn trace_q3(&self, segment: &str, cut: eco_tpch::Date) -> (Vec<Tuple>, WorkTrace) {
-        self.trace_statement(
+        let (rows, trace) = self.trace_statement(
             StatementKind::Q3,
             plans::q3_plan(&self.catalog, segment, cut),
             "Q3",
-        )
+        );
+        (rows.into_tuples(), trace)
     }
 
     /// Trace TPC-H Q6.
     pub fn trace_q6(&self, year: i32, discount_pct: i64, max_qty: i64) -> (Vec<Tuple>, WorkTrace) {
-        self.trace_statement(
+        let (rows, trace) = self.trace_statement(
             StatementKind::Q6,
             plans::q6_plan(&self.catalog, year, discount_pct, max_qty),
             "Q6",
-        )
+        );
+        (rows.into_tuples(), trace)
     }
 
     /// Trace an ad-hoc SQL statement (parsed, bound and planned by the

@@ -9,8 +9,9 @@
 //! new columns (a hash join keeps its build side as columns and
 //! gathers its output from build and probe columns). Rows are
 //! materialized back into `Tuple`s as late as possible — at the one
-//! blocking operator that inherently needs rows (sort) and at the very
-//! top of the plan.
+//! blocking operator that inherently needs rows (sort), and by a caller
+//! that reads the rows of the view the top of the plan hands out
+//! ([`crate::exec::execute_rows`]).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -161,8 +162,8 @@ impl Chunk {
         self
     }
 
-    /// Materialize every live row into `out`, in row order — the late
-    /// materialization point of the columnar path.
+    /// Materialize every live row into `out`, in row order — what a
+    /// pipeline breaker that needs rows drains its child with.
     pub fn to_tuples(&self, out: &mut Vec<Tuple>) {
         out.reserve(self.len());
         self.rows().for_each(|_, i| out.push(self.data.row(i)));

@@ -2,11 +2,14 @@
 //!
 //! A plan runs one of two ways, picked by [`ExecCtx::columnar`]:
 //! the columnar chunk driver ([`Operator::next_chunk`] — typed column
-//! vectors and selection vectors, rows materialized only at the top),
+//! vectors and selection vectors; the result is a [`RowSet`] view of
+//! the final chunks, so no row is built unless a caller reads one),
 //! which is what ships, or the tuple-at-a-time scalar driver
 //! ([`Operator::next`]), the oracle the differential tests compare it
-//! against. [`execute`] / [`execute_into`] dispatch on the flag;
-//! [`ExecEngine`] sets it for one run; [`execute_parallel`] adds
+//! against. [`execute_rows`] is the one top-of-plan driver and
+//! dispatches on the flag; [`execute`] / [`execute_into`] are it with
+//! each row built once, for callers that want tuples. [`ExecEngine`]
+//! sets the flag for one run; [`execute_parallel`] adds
 //! morsel-driven intra-query parallelism on worker threads and composes
 //! with both (every worker drains the context's engine). Both produce
 //! identical result rows and bit-identical [`ExecCtx`] ledgers (see
@@ -28,9 +31,15 @@
 //! an `Err`; callers of the infallible drivers can (and the server
 //! layer does) inspect [`ExecCtx::take_error`] themselves. Nothing on
 //! the execution path panics on a disk fault or a zero divisor.
+//!
+//! A failed statement returns the same typed error on both engines.
+//! Its truncated rows and its ledger are unspecified: how far each
+//! engine got before it stopped differs (the columnar engine finishes
+//! the chunk it is in), no figure prices a failed statement, and no
+//! caller may compare them across engines.
 
 use eco_simhw::trace::OpClass;
-use eco_storage::{tuple_width, Tuple};
+use eco_storage::{tuple_width, RoutedRows, RowSet, Tuple};
 
 use crate::context::ExecCtx;
 use crate::error::ExecError;
@@ -60,22 +69,25 @@ impl ExecEngine {
         }
     }
 
-    /// Execute `plan` under this engine, appending into `out`. The
-    /// engine choice is authoritative: the context's
-    /// [`ExecCtx::columnar`] flag is set from it for the duration of
-    /// the run (and restored).
-    pub fn execute_into(self, plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
+    /// Execute `plan` under this engine ([`execute_rows`]). The engine
+    /// choice is authoritative: the context's [`ExecCtx::columnar`]
+    /// flag is set from it for the duration of the run (and restored).
+    pub fn execute_rows(self, plan: &mut dyn Operator, ctx: &mut ExecCtx) -> RowSet {
         let saved = ctx.columnar;
         ctx.columnar = self == ExecEngine::Columnar;
-        execute_into(plan, ctx, out);
+        let rows = execute_rows(plan, ctx);
         ctx.columnar = saved;
+        rows
+    }
+
+    /// Execute `plan` under this engine, appending into `out`.
+    pub fn execute_into(self, plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
+        out.append(&mut self.execute_rows(plan, ctx).into_tuples());
     }
 
     /// Execute `plan` under this engine, returning all result tuples.
     pub fn execute(self, plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        self.execute_into(plan, ctx, &mut out);
-        out
+        self.execute_rows(plan, ctx).into_tuples()
     }
 
     /// Fallible twin of [`Self::execute_into`]: drives the plan, then
@@ -97,9 +109,8 @@ impl ExecEngine {
         plan: &mut dyn Operator,
         ctx: &mut ExecCtx,
     ) -> Result<Vec<Tuple>, ExecError> {
-        let mut out = Vec::new();
-        self.try_execute_into(plan, ctx, &mut out)?;
-        Ok(out)
+        let rows = self.execute(plan, ctx);
+        take_exec_error(ctx).map(|()| rows)
     }
 }
 
@@ -111,45 +122,60 @@ fn take_exec_error(ctx: &mut ExecCtx) -> Result<(), ExecError> {
     }
 }
 
-/// Execute a plan under the context's engine, returning all result
-/// tuples. Each result row charges one `ResultEmit` plus its width in
-/// memory bytes (materialization into the wire buffer — the DBMS side
-/// of the result path).
-pub fn execute(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    execute_into(plan, ctx, &mut out);
-    out
-}
-
-/// Like [`execute`], appending into an existing buffer (lets callers
-/// reuse a workhorse allocation across queries). The one dispatcher:
-/// a context with [`ExecCtx::columnar`] set runs the columnar driver,
-/// any other the scalar one.
+/// Execute a plan under the context's engine and return its result
+/// rows: the one top-of-plan driver. Each result row charges one
+/// `ResultEmit` plus its stored width in memory bytes (materialization
+/// into the wire buffer — the DBMS side of the result path).
 ///
-/// The columnar driver tells the root that every column is read
-/// ([`Operator::prune`]) before `open`, streams chunks through the
-/// plan and materializes rows only here, at the top (late
-/// materialization), charging the same `ResultEmit` + width bytes per
-/// row as the scalar loop.
-pub fn execute_into(plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
+/// The scalar engine pulls tuples ([`Operator::next`]) into an owned
+/// set. The columnar engine tells the root that every column is read
+/// ([`Operator::prune`]) before `open`, streams chunks through the plan
+/// and keeps each final chunk's selected rows as a [`RowSet`] view of
+/// the chunk (late materialization): no row is built here, and each is
+/// charged from the chunk's stored widths ([`DataChunk::width_sum`]),
+/// exactly what the scalar loop charges from the tuple.
+///
+/// [`DataChunk::width_sum`]: eco_storage::DataChunk::width_sum
+pub fn execute_rows(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> RowSet {
     if !ctx.columnar {
+        let mut out = Vec::new();
         plan.open(ctx);
         while let Some(t) = plan.next(ctx) {
             ctx.charge(OpClass::ResultEmit, 1);
             ctx.charge_mem_bytes(tuple_width(&t));
             out.push(t);
         }
-        return;
+        return out.into();
     }
     plan.prune(&vec![true; plan.schema().arity()]);
     plan.open(ctx);
+    let mut routed = RoutedRows::default();
     while let Some(chunk) = plan.next_chunk(ctx) {
-        let start = out.len();
-        chunk.to_tuples(out);
-        let bytes: u64 = out[start..].iter().map(tuple_width).sum();
-        ctx.charge(OpClass::ResultEmit, (out.len() - start) as u64);
+        if chunk.is_empty() {
+            continue;
+        }
+        let matches = routed.matches_for(&chunk.data);
+        let seen = matches.len();
+        chunk.rows().for_each(|_, i| matches.push((i as u32, 0)));
+        let new = &matches[seen..];
+        let bytes = chunk
+            .data
+            .width_sum(new.iter().map(|&(row, _)| row as usize));
+        ctx.charge(OpClass::ResultEmit, new.len() as u64);
         ctx.charge_mem_bytes(bytes);
     }
+    routed.into_row_sets(1).remove(0)
+}
+
+/// [`execute_rows`] with each row built once, as tuples.
+pub fn execute(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
+    execute_rows(plan, ctx).into_tuples()
+}
+
+/// Like [`execute`], appending into an existing buffer (lets callers
+/// reuse a workhorse allocation across queries).
+pub fn execute_into(plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
+    out.append(&mut execute_rows(plan, ctx).into_tuples());
 }
 
 /// Execute a plan through the columnar driver whatever the context's

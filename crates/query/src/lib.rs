@@ -18,8 +18,10 @@
 //! aggregates hash key columns a chunk at a time through one shared key
 //! kernel — the join keeps its build side as columns and gathers its
 //! output, the aggregate updates typed accumulator arrays keyed by
-//! group id; rows are re-materialized only by sort and at the very top
-//! (**late materialization**). This is the engine `EcoDb` runs.
+//! group id; rows are re-materialized only by sort and by a caller that
+//! reads the result's rows — the top of the plan hands out a view of its
+//! final chunks (**late materialization**). This is the engine `EcoDb`
+//! runs.
 //!
 //! [`ops::Operator::next`] is the tuple-at-a-time Volcano loop: the
 //! scalar oracle every differential test compares the columnar engine

@@ -69,9 +69,13 @@
 //!   that pulls *rows* ([`Limit`], [`Sort`], [`IxJoin`],
 //!   [`SortMergeJoin`], [`Exchange`]) would read the empty columns, so
 //!   its subtree is never pruned;
+//!   A scan passes the mask on to storage: a paged table's columnar
+//!   mirror decodes only the columns its scans asked for;
 //! * rows come back into existence ([`crate::chunk::Chunk::to_tuples`])
 //!   only at the pipeline breaker that inherently needs them (sort
-//!   buffers) and at the top of the plan.
+//!   buffers); the top of the plan keeps its final chunks as a
+//!   [`eco_storage::RowSet`] view ([`crate::exec::execute_rows`]) until
+//!   a caller reads a row.
 //!
 //! Every operator works under the columnar driver: the default
 //! `next_chunk` collects up to [`ExecCtx::batch_size`] rows from

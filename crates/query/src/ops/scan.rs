@@ -57,6 +57,9 @@ pub struct SeqScan {
     table: Arc<StoredTable>,
     avg_bytes: u64,
     bounds: ScanBounds,
+    /// The columns a parent reads ([`Operator::prune`]; all unless it
+    /// says otherwise): what a disk table's columnar mirror decodes.
+    needed: Vec<bool>,
     // Disk-engine state.
     page_no: usize,
     current: Option<Arc<PageFrame>>,
@@ -67,10 +70,12 @@ impl SeqScan {
     /// Scan over a catalog table.
     pub fn new(table: Arc<StoredTable>) -> Self {
         let avg_bytes = table.avg_tuple_bytes();
+        let needed = vec![true; table.schema().arity()];
         Self {
             table,
             avg_bytes,
             bounds: ScanBounds::Full,
+            needed,
             page_no: 0,
             current: None,
             idx: 0,
@@ -320,7 +325,11 @@ impl Operator for SeqScan {
                         },
                     }
                 }
-                let cols = disk.columnar();
+                // Compressed pricing encodes whole extents.
+                let cols = match ctx.pricing {
+                    PricingMode::Raw => disk.columnar_with(&self.needed),
+                    PricingMode::Compressed => disk.columnar(),
+                };
                 let (g0, g1) = cols.page_row_range(self.page_no, page_end);
                 let base = cols.extent_row_start(extent_no);
                 let mut chunk = Chunk::window(
@@ -340,6 +349,13 @@ impl Operator for SeqScan {
                 Some(chunk)
             }
         }
+    }
+
+    /// On a disk table the columnar mirror decodes only the columns
+    /// `needed` ([`eco_storage::disk_table::DiskTable::columnar_with`]); a memory
+    /// table's chunks are its columns either way.
+    fn prune(&mut self, needed: &[bool]) {
+        self.needed = needed.to_vec();
     }
 
     fn morsels(&self, target_rows: usize) -> Option<Vec<Morsel>> {
@@ -389,6 +405,7 @@ impl Operator for SeqScan {
             table: Arc::clone(&self.table),
             avg_bytes: self.avg_bytes,
             bounds,
+            needed: self.needed.clone(),
             page_no: 0,
             current: None,
             idx: 0,

@@ -729,7 +729,10 @@ mod tests {
         };
         let [a, b, c, d] = [0, 1, 2, 3].map(|i| rows(&report, i));
         assert!([&a, &b, &c, &d].iter().all(|r| !r.is_decoded()));
-        let (want, _) = db.trace_selection(&QedQuery { quantity: 5 });
+        let want = db
+            .trace_selection(&QedQuery { quantity: 5 })
+            .0
+            .into_tuples();
         assert_eq!(a.len(), want.len(), "counted before any decode");
         assert!(!a.is_decoded());
 

@@ -163,6 +163,19 @@ impl ColumnData {
         }
     }
 
+    /// Whether the value at `i` equals `other`'s at `j`, both read in
+    /// place. Columns of different types are unequal.
+    pub(crate) fn cell_eq(&self, i: usize, other: &ColumnData, j: usize) -> bool {
+        match (self, other) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
+            (ColumnData::Str(a), ColumnData::Str(b)) => a[i] == b[j],
+            (ColumnData::Date(a), ColumnData::Date(b)) => a[i] == b[j],
+            (ColumnData::Char(a), ColumnData::Char(b)) => a[i] == b[j],
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
+            _ => false,
+        }
+    }
+
     /// Typed access: `&[i64]` when this is an `Int` column.
     pub fn as_ints(&self) -> Option<&[i64]> {
         match self {
@@ -500,6 +513,22 @@ impl DataChunk {
                 .iter()
                 .zip(row)
                 .all(|(c, v)| c.data.value_eq(i, v))
+    }
+
+    /// Whether row `i` equals `other`'s row `j` — what
+    /// `self.row(i) == other.row(j)` answers, compared cell by cell in
+    /// place.
+    pub(crate) fn row_eq_at(&self, i: usize, other: &DataChunk, j: usize) -> bool {
+        self.columns.len() == other.columns.len()
+            && (self.columns.iter())
+                .zip(&other.columns)
+                .all(|(a, b)| a.data.cell_eq(i, &b.data, j))
+    }
+
+    /// The columns and, for a chunk built by [`Self::with_widths`], the
+    /// widths it carries.
+    pub(crate) fn into_parts(self) -> (Vec<ColumnChunk>, Option<Vec<u32>>) {
+        (self.columns, self.widths)
     }
 
     /// Append the stored width of each of `rows` to `out`: exactly

@@ -39,6 +39,8 @@
 use std::borrow::Borrow;
 use std::sync::{Arc, OnceLock};
 
+use parking_lot::Mutex;
+
 use eco_simhw::fault::{FaultPlan, PageFault, BACKOFF_BASE_NS, MAX_READ_RETRIES};
 use eco_simhw::trace::{DiskWork, Ledger};
 
@@ -46,8 +48,8 @@ use crate::bufferpool::{BufferPool, PageFrame, PageId, EXTENT_PAGES};
 use crate::column::{ColumnChunk, ColumnData, DataChunk};
 use crate::encode::EncodedChunk;
 use crate::intern::Interner;
-use crate::page::{serialize_tuple, serialize_tuple_into, Page, PAGE_SIZE};
-use crate::value::{Schema, Tuple};
+use crate::page::{serialize_tuple, serialize_tuple_into, stored_width, Page, PAGE_SIZE};
+use crate::value::{ColumnType, Schema, Tuple};
 
 /// A page read that could not be satisfied: every attempt within the
 /// bounded retry budget ([`MAX_READ_RETRIES`] re-reads) failed.
@@ -99,18 +101,25 @@ impl std::error::Error for IoError {}
 /// the page → row mapping needed to translate page-range scan bounds
 /// into chunk row windows.
 ///
-/// The mirror is decoded once, lazily, straight from the table's pages
-/// — slot payload to typed column, no row in between, and one
-/// `Arc<str>` per distinct value of a low-cardinality string column —
-/// and never through the buffer pool, so building it charges no I/O. The
-/// columnar scan still drives every covered page through the pool for
-/// its ledger charges (misses, hits, warm re-reads), exactly like the
-/// row scan; only the tuple *data* comes from the mirror.
+/// The mirror is decoded lazily, straight from the table's pages — slot
+/// payload to typed column, no row in between, and one `Arc<str>` per
+/// distinct value of a low-cardinality string column — and never
+/// through the buffer pool, so building it charges no I/O. It holds
+/// only the columns scans have asked for ([`DiskTable::columnar_with`]):
+/// the others are empty and every row carries its full stored width
+/// ([`DataChunk::with_widths`]), so a pruned scan decodes what its plan
+/// reads and still prices whole rows. Once every column is decoded the
+/// chunks are plain decompositions of their rows. The columnar scan
+/// still drives every covered page through the pool for its ledger
+/// charges (misses, hits, warm re-reads), exactly like the row scan;
+/// only the tuple *data* comes from the mirror.
 #[derive(Debug, Clone)]
 pub struct ColumnarExtents {
     /// Cumulative tuple offsets per page: page `p` holds rows
     /// `[page_rows[p], page_rows[p + 1])`. Length `num_pages + 1`.
     page_rows: Vec<usize>,
+    /// `decoded[c]`: whether the extent chunks hold column `c`.
+    decoded: Vec<bool>,
     /// One chunk per extent, in extent order.
     extents: Vec<Arc<DataChunk>>,
     /// Lazily-built encoded mirror of each extent (see
@@ -133,11 +142,29 @@ impl ColumnarExtents {
         &self.extents[e]
     }
 
+    /// Which columns the extent chunks hold (`decoded()[c]` for column
+    /// `c`); the others are empty.
+    pub fn decoded(&self) -> &[bool] {
+        &self.decoded
+    }
+
+    /// Whether every column is decoded.
+    fn is_complete(&self) -> bool {
+        self.decoded.iter().all(|&d| d)
+    }
+
+    /// Whether every column `needed` is decoded.
+    fn covers(&self, needed: &[bool]) -> bool {
+        needed.iter().zip(&self.decoded).all(|(&n, &d)| d || !n)
+    }
+
     /// The *encoded* mirror of extent `e` (dictionary / RLE /
     /// bit-packed per column; see [`crate::encode`]), built lazily —
     /// raw-pricing scans never build it. Extent-relative row indices
-    /// align with [`ColumnarExtents::extent_chunk`].
+    /// align with [`ColumnarExtents::extent_chunk`]. Panics on a mirror
+    /// without every column ([`DiskTable::columnar`] is complete).
     pub fn extent_encoded(&self, e: usize) -> &Arc<EncodedChunk> {
+        assert!(self.is_complete(), "encoding a partly decoded mirror");
         self.encoded[e].get_or_init(|| Arc::new(EncodedChunk::encode(&self.extents[e])))
     }
 
@@ -145,7 +172,7 @@ impl ColumnarExtents {
     /// scans price over this table: the mean of the per-extent encoded
     /// footprints, computed once over all extents so every scan
     /// geometry (serial, morsel-parallel, any batch size) charges
-    /// identically per row.
+    /// identically per row. Panics like [`Self::extent_encoded`].
     pub fn avg_encoded_tuple_bytes(&self) -> u64 {
         *self.avg_encoded_bytes.get_or_init(|| {
             let rows: usize = self.extents.iter().map(|e| e.len()).sum();
@@ -217,6 +244,30 @@ enum RowChange<'a> {
     Remove(usize),
 }
 
+/// What a table version derives from its pages, computed on first use
+/// and dropped by every mutation.
+#[derive(Debug, Clone)]
+struct Layout {
+    /// Cumulative tuple offsets per page (length `num_pages + 1`): the
+    /// row-id → page translation of the index fetch path.
+    row_offsets: Vec<usize>,
+    /// Average stored tuple width, bytes.
+    avg_tuple_bytes: u64,
+}
+
+/// Where a table version keeps its columnar mirror, once a scan asks
+/// for one. Scans on worker threads share it, and a scan that asks for
+/// a column not decoded yet replaces it with a grown copy
+/// ([`DiskTable::columnar_with`]).
+#[derive(Debug, Default)]
+struct MirrorSlot(Mutex<Option<Arc<ColumnarExtents>>>);
+
+impl Clone for MirrorSlot {
+    fn clone(&self) -> Self {
+        Self(Mutex::new(self.0.lock().clone()))
+    }
+}
+
 /// A paged table.
 #[derive(Clone)]
 pub struct DiskTable {
@@ -229,11 +280,8 @@ pub struct DiskTable {
     checksums: Vec<u64>,
     num_tuples: usize,
     pool: Arc<BufferPool>,
-    columnar: OnceLock<ColumnarExtents>,
-    /// Cumulative tuple offsets per page (lazily built; length
-    /// `num_pages + 1`) for row-id → page translation on the index
-    /// fetch path.
-    row_offsets: OnceLock<Vec<usize>>,
+    columnar: MirrorSlot,
+    layout: OnceLock<Layout>,
 }
 
 impl DiskTable {
@@ -287,8 +335,8 @@ impl DiskTable {
             checksums,
             num_tuples,
             pool,
-            columnar: OnceLock::new(),
-            row_offsets: OnceLock::new(),
+            columnar: MirrorSlot::default(),
+            layout: OnceLock::new(),
         }
     }
 
@@ -369,43 +417,112 @@ impl DiskTable {
         let sums: Vec<u64> = rebuilt.iter().map(Page::checksum).collect();
         self.checksums.splice(first..end, sums);
         self.pages.splice(first..end, rebuilt);
-        // The columnar copy no longer matches; rebuild on next use.
-        self.columnar.take();
-        self.row_offsets.take();
+        // The columnar copy and the layout no longer match; rebuild
+        // them on next use.
+        *self.columnar.0.get_mut() = None;
+        self.layout.take();
     }
 
-    /// The lazily-built columnar mirror (see [`ColumnarExtents`]).
-    pub fn columnar(&self) -> &ColumnarExtents {
-        self.columnar.get_or_init(|| {
-            let mut page_rows = Vec::with_capacity(self.pages.len() + 1);
-            page_rows.push(0usize);
+    /// The columnar mirror with every column decoded (see
+    /// [`Self::columnar_with`]).
+    pub fn columnar(&self) -> Arc<ColumnarExtents> {
+        self.columnar_with(&vec![true; self.schema.arity()])
+    }
+
+    /// The columnar mirror (see [`ColumnarExtents`]) with at least the
+    /// columns `needed` (`needed[c]` for column `c`) decoded. The first
+    /// call after a load or mutation decodes them; a later call that
+    /// needs more decodes only the columns still missing, into a grown
+    /// copy of the mirror (a copy only in name unless a scan still
+    /// holds the old chunks). What an earlier call returned stays
+    /// valid.
+    pub fn columnar_with(&self, needed: &[bool]) -> Arc<ColumnarExtents> {
+        let mut slot = self.columnar.0.lock();
+        if let Some(mirror) = slot.as_ref().filter(|m| m.covers(needed)) {
+            return Arc::clone(mirror);
+        }
+        let grown = Arc::new(self.decode_mirror(slot.take(), needed));
+        *slot = Some(Arc::clone(&grown));
+        grown
+    }
+
+    /// `old` (if any) with the columns `needed` decoded as well: one
+    /// pass over each extent's slot payloads decodes the missing
+    /// columns (strings interned per column across extents), the rest
+    /// of each payload stepped over in place. Widths are read off the
+    /// payloads ([`stored_width`]) unless the mirror ends up complete.
+    fn decode_mirror(&self, old: Option<Arc<ColumnarExtents>>, needed: &[bool]) -> ColumnarExtents {
+        let columns = self.schema.columns();
+        let arity = columns.len();
+        let old = old.map(Arc::unwrap_or_clone);
+        let had = |c: usize| old.as_ref().is_some_and(|m| m.decoded[c]);
+        let decoded: Vec<bool> = (0..arity).map(|c| needed[c] || had(c)).collect();
+        let missing: Vec<usize> = (0..arity).filter(|&c| decoded[c] && !had(c)).collect();
+        let complete = decoded.iter().all(|&d| d);
+        // Widths come from the old mirror when there is one.
+        let walk = (old.is_none() && !complete).then(|| {
+            let is_char = |c: &usize| columns[*c].ty == ColumnType::Char;
+            (0..arity).rfind(is_char).map_or(0, |c| c + 1)
+        });
+        let mut old_extents = old.map(|m| m.extents).unwrap_or_default().into_iter();
+        let mut strs = vec![Interner::default(); missing.len()];
+        let extent = EXTENT_PAGES as usize;
+        let mut extents = Vec::with_capacity(self.pages.len().div_ceil(extent));
+        for chunk_pages in self.pages.chunks(extent) {
+            let rows = chunk_pages.iter().map(Page::len).sum();
+            let typed =
+                |c: usize, rows| ColumnChunk::new(ColumnData::with_capacity(columns[c].ty, rows));
+            let mut fresh = DataChunk::new(missing.iter().map(|&c| typed(c, rows)).collect());
+            let mut widths = Vec::with_capacity(if walk.is_some() { rows } else { 0 });
+            for p in chunk_pages {
+                for slot in 0..p.len() {
+                    let payload = p.payload(slot);
+                    fresh.push_serialized(payload, arity, missing.iter().copied(), &mut strs);
+                    if let Some(walk) = walk {
+                        match stored_width(payload, walk) {
+                            Some(width) => widths.push(width),
+                            None => panic!("corrupt page: malformed tuple payload"),
+                        }
+                    }
+                }
+            }
+            let (mut kept, old_widths) = match old_extents.next() {
+                Some(chunk) => Arc::unwrap_or_clone(chunk).into_parts(),
+                None => ((0..arity).map(|c| typed(c, 0)).collect(), None),
+            };
+            for (&c, col) in missing.iter().zip(fresh.into_parts().0) {
+                kept[c] = col;
+            }
+            extents.push(Arc::new(if complete {
+                DataChunk::new(kept)
+            } else {
+                DataChunk::with_widths(kept, old_widths.unwrap_or(widths))
+            }));
+        }
+        let encoded = (0..extents.len()).map(|_| OnceLock::new()).collect();
+        ColumnarExtents {
+            page_rows: self.layout().row_offsets.clone(),
+            decoded,
+            extents,
+            encoded,
+            avg_encoded_bytes: OnceLock::new(),
+        }
+    }
+
+    /// The lazily-derived [`Layout`] of this table version.
+    fn layout(&self) -> &Layout {
+        self.layout.get_or_init(|| {
+            let mut row_offsets = Vec::with_capacity(self.pages.len() + 1);
+            row_offsets.push(0usize);
             let mut total = 0usize;
             for p in &self.pages {
                 total += p.len();
-                page_rows.push(total);
+                row_offsets.push(total);
             }
-            let extent = EXTENT_PAGES as usize;
-            let mut extents = Vec::with_capacity(self.pages.len().div_ceil(extent));
-            // One per column, across extents: a repeated string is
-            // allocated once for the whole mirror.
-            let arity = self.schema.arity();
-            let mut strs = vec![Interner::default(); arity];
-            for chunk_pages in self.pages.chunks(extent) {
-                let rows = chunk_pages.iter().map(Page::len).sum();
-                let mut chunk = DataChunk::with_capacity(&self.schema, rows);
-                for p in chunk_pages {
-                    for slot in 0..p.len() {
-                        chunk.push_serialized(p.payload(slot), arity, 0..arity, &mut strs);
-                    }
-                }
-                extents.push(Arc::new(chunk));
-            }
-            let encoded = (0..extents.len()).map(|_| OnceLock::new()).collect();
-            ColumnarExtents {
-                page_rows,
-                extents,
-                encoded,
-                avg_encoded_bytes: OnceLock::new(),
+            let used: usize = self.pages.iter().map(Page::used_bytes).sum();
+            Layout {
+                row_offsets,
+                avg_tuple_bytes: used.checked_div(self.num_tuples).unwrap_or(0) as u64,
             }
         })
     }
@@ -440,10 +557,9 @@ impl DiskTable {
         (self.pages.len() * PAGE_SIZE) as u64
     }
 
-    /// Average tuple width, bytes.
+    /// Average tuple width, bytes: computed once per table version.
     pub fn avg_tuple_bytes(&self) -> u64 {
-        let used: usize = self.pages.iter().map(Page::used_bytes).sum();
-        used.checked_div(self.num_tuples).unwrap_or(0) as u64
+        self.layout().avg_tuple_bytes
     }
 
     /// Page-at-a-time projected scan: for every page in row order, the
@@ -586,16 +702,7 @@ impl DiskTable {
     /// Panics on an out-of-range row.
     pub fn row_location(&self, row: usize) -> (usize, usize) {
         assert!(row < self.num_tuples, "row {row} out of range");
-        let offsets = self.row_offsets.get_or_init(|| {
-            let mut v = Vec::with_capacity(self.pages.len() + 1);
-            v.push(0usize);
-            let mut total = 0usize;
-            for p in &self.pages {
-                total += p.len();
-                v.push(total);
-            }
-            v
-        });
+        let offsets = &self.layout().row_offsets;
         // partition_point: first page whose end offset exceeds `row`.
         let page = offsets.partition_point(|&end| end <= row) - 1;
         (page, row - offsets[page])

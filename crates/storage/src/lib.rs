@@ -19,7 +19,8 @@
 //! memory engine *stores* its tables that way
 //! ([`heap::HeapTable::columns`] is the table; rows are materialized on
 //! demand), the disk engine keeps a lazily-built mirror of its pages,
-//! one chunk per extent ([`disk_table::DiskTable::columnar`]). Since
+//! one chunk per extent, holding the columns scans asked for
+//! ([`disk_table::DiskTable::columnar_with`]). Since
 //! schema v3 each also has a lazily-built *encoded* form
 //! ([`heap::HeapTable::encoded`], [`ColumnarExtents::extent_encoded`]):
 //! dictionary encoding for strings/chars, run-length and

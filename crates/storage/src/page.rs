@@ -439,6 +439,26 @@ pub(crate) fn try_append_to_columns(
     Some(())
 }
 
+/// The stored width ([`crate::value::tuple_width`]) of the tuple
+/// serialized in `buf`, read without decoding it. Every value is
+/// serialized as a tag byte plus its stored bytes, except a char, whose
+/// one stored byte becomes a length byte plus its UTF-8 bytes; so the
+/// width is the payload's length less one tag per value and less the
+/// UTF-8 bytes of every char. Values `0..walk` are stepped over to find
+/// those chars: `walk` is one past the schema's last char column, 0
+/// when it has none. `None` on a malformed payload.
+pub(crate) fn stored_width(mut buf: &[u8], walk: usize) -> Option<u32> {
+    let total = buf.len();
+    let arity = u16::from_le_bytes(take_array(&mut buf)?) as usize;
+    let mut char_bytes = 0;
+    for _ in 0..walk.min(arity) {
+        if let ValueRef::Char(c) = read_value(&mut buf)? {
+            char_bytes += c.len_utf8();
+        }
+    }
+    u32::try_from(total.checked_sub(arity + char_bytes)?).ok()
+}
+
 /// Deserialize a tuple from bytes produced by [`serialize_tuple`].
 /// Panics on anything else (page images are checksummed before they
 /// are decoded).
@@ -472,6 +492,27 @@ mod tests {
     fn unicode_roundtrip() {
         let t: Tuple = vec![Value::str("naïve — 日本"), Value::Char('é')];
         assert_eq!(deserialize_tuple(&serialize_tuple(&t)), t);
+    }
+
+    #[test]
+    fn stored_width_reads_the_tuple_width_off_the_payload() {
+        use crate::value::tuple_width;
+        let rows: [Tuple; 3] = [
+            sample(),
+            vec![Value::Char('é'), Value::str("日本"), Value::Char('Z')],
+            vec![Value::Bool(true), Value::Int(1), Value::Char('日')],
+        ];
+        for (t, walk) in rows.iter().zip([4, 3, 3]) {
+            let width = stored_width(&serialize_tuple(t), walk);
+            assert_eq!(width, Some(tuple_width(t) as u32), "{t:?}");
+        }
+        // No char column: nothing is walked.
+        let t: Tuple = vec![Value::Int(7), Value::str("abc"), Value::Date(3)];
+        assert_eq!(
+            stored_width(&serialize_tuple(&t), 0),
+            Some(tuple_width(&t) as u32)
+        );
+        assert_eq!(stored_width(&[1], 0), None, "a short payload");
     }
 
     #[test]

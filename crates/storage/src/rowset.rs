@@ -4,17 +4,23 @@
 //! forms behind one cheap-to-clone handle:
 //!
 //! * **owned** — the tuples themselves, shared (`From<Vec<Tuple>>`):
-//!   what SQL, DML and point-read outcomes carry, and what the
-//!   row-engine oracle of the merged scan returns;
-//! * **view** — query *q* of one merged scan's [`RoutedRows`]: the
-//!   scan's column chunks with the `(row, query)` pairs routed out of
-//!   each, in scan order. No tuple exists until [`RowSet::tuples`] is
-//!   first called on *any* query of that scan; that call decodes the
-//!   whole scan in one sequential pass (the pattern of
-//!   [`crate::PageFrame`]) and every other query, and every clone,
-//!   reads the same decoded rows from then on. Comparing a view with
-//!   tuples the caller already holds (`==`, [`RowSet::all_eq`]) is not
-//!   a read: the routed cells are compared where they lie.
+//!   what DML and point-read outcomes carry, and what the scalar
+//!   engine's drivers return;
+//! * **view** — query *q* of one scan's [`RoutedRows`]: the column
+//!   chunks the scan produced with the `(row, query)` pairs routed out
+//!   of each, in scan order. A merged QED scan routes to many queries;
+//!   the columnar top-of-plan driver routes every final row to query 0.
+//!   No tuple exists until [`RowSet::tuples`] is first called on *any*
+//!   query of that scan; that call decodes the whole scan in one
+//!   sequential pass (the pattern of [`crate::PageFrame`]) and every
+//!   other query, and every clone, reads the same decoded rows from
+//!   then on.
+//!
+//! Comparing is not reading. A view compared with tuples the caller
+//! already holds, or with another result set (`==`,
+//! [`RowSet::all_eq`]), is compared where its cells lie: against
+//! another view's row in the same chunk — the same snapshot — by row id
+//! first, and cell by cell otherwise. No comparison decodes.
 //!
 //! # A view is a snapshot
 //!
@@ -34,8 +40,8 @@ use std::sync::{Arc, OnceLock};
 use crate::column::DataChunk;
 use crate::value::Tuple;
 
-/// What a merged scan accumulates instead of rows: per column chunk it
-/// saw, the `(row, query)` pairs it routed, in scan order.
+/// What a scan accumulates instead of rows: per column chunk it saw,
+/// the `(row, query)` pairs it routed, in scan order.
 /// [`RoutedRows::into_row_sets`] freezes it into one view per query.
 #[derive(Debug, Default)]
 pub struct RoutedRows {
@@ -104,7 +110,7 @@ impl RoutedRows {
     }
 }
 
-/// A frozen [`RoutedRows`]: what every view of one merged scan shares.
+/// A frozen [`RoutedRows`]: what every view of one scan shares.
 struct Split {
     parts: Vec<Part>,
     /// Rows routed to each query.
@@ -129,45 +135,94 @@ impl Split {
         })
     }
 
-    /// Whether, for every query `q` with `expected[q]` given, the rows
-    /// routed to `q` are exactly those tuples in that order — compared
-    /// cell by cell in the scan's chunks, in one pass over the scan
-    /// whatever the number of queries compared; no tuple is built.
-    fn rows_eq(&self, expected: &[Option<&[Tuple]>]) -> bool {
-        let lengths_agree = expected
-            .iter()
-            .zip(&self.counts)
-            .all(|(want, &n)| want.is_none_or(|want| want.len() == n));
-        if !lengths_agree {
-            return false;
+    /// The `(chunk, row)` entries routed to `query`, in scan order.
+    fn entries(&self, query: usize) -> Entries<'_> {
+        Entries {
+            parts: self.parts.iter(),
+            part: None,
+            query: query as u32,
         }
-        // Each compared query's expected rows not yet met by the scan.
-        let mut rest = expected.to_vec();
+    }
+
+    /// Whether, for every query `q` with `expected[q]` given, the rows
+    /// routed to `q` are exactly the rows that cursor yields, in that
+    /// order — in one pass over the scan whatever the number of queries
+    /// compared; no tuple is built. The caller has checked that each
+    /// cursor holds as many rows as its query was routed.
+    fn rows_eq(&self, expected: &mut [Option<Cursor<'_>>]) -> bool {
         self.parts.iter().all(|part| {
             part.matches.iter().all(|&(row, query)| {
-                let Some(want) = &mut rest[query as usize] else {
-                    return true;
-                };
-                let Some((next, later)) = want.split_first() else {
-                    return false;
-                };
-                *want = later;
-                part.data.row_eq(row as usize, next)
+                expected[query as usize]
+                    .as_mut()
+                    .is_none_or(|want| want.next_eq(&part.data, row as usize))
             })
         })
     }
+
+    /// [`Self::rows_eq`] for query `query` alone.
+    fn query_eq(&self, query: usize, want: Cursor<'_>) -> bool {
+        let mut expected: Vec<Option<Cursor<'_>>> = self.counts.iter().map(|_| None).collect();
+        expected[query] = Some(want);
+        self.rows_eq(&mut expected)
+    }
 }
 
-/// A statement's result rows: shared, and — out of a merged scan — not
-/// materialised until read. See the [module docs](self) for the two
-/// forms and the snapshot rule.
+/// The entries of one query of a [`Split`] (see [`Split::entries`]).
+struct Entries<'a> {
+    parts: std::slice::Iter<'a, Part>,
+    /// The part being read and the next of its matches to look at.
+    part: Option<(&'a Part, usize)>,
+    query: u32,
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = (&'a Arc<DataChunk>, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some((part, at)) = &mut self.part {
+                let part: &'a Part = part;
+                while let Some(&(row, query)) = part.matches.get(*at) {
+                    *at += 1;
+                    if query == self.query {
+                        return Some((&part.data, row as usize));
+                    }
+                }
+            }
+            self.part = Some((self.parts.next()?, 0));
+        }
+    }
+}
+
+/// The rows one side of a comparison expects, consumed front to back.
+enum Cursor<'a> {
+    Tuples(std::slice::Iter<'a, Tuple>),
+    View(Entries<'a>),
+}
+
+impl Cursor<'_> {
+    /// Whether the next expected row equals row `row` of `data`: the
+    /// same row of the same chunk is equal without a look at its cells.
+    /// False when no row is left.
+    fn next_eq(&mut self, data: &Arc<DataChunk>, row: usize) -> bool {
+        match self {
+            Cursor::Tuples(rows) => rows.next().is_some_and(|t| data.row_eq(row, t)),
+            Cursor::View(entries) => entries.next().is_some_and(|(other, at)| {
+                (Arc::ptr_eq(data, other) && row == at) || data.row_eq_at(row, other, at)
+            }),
+        }
+    }
+}
+
+/// A statement's result rows: shared, and — out of the columnar
+/// engine — not materialised until read. See the [module docs](self)
+/// for the two forms and the snapshot rule.
 ///
 /// [`RowSet::len`] and [`RowSet::is_empty`] never decode, and neither
-/// does comparing a view with tuples (`== [Tuple]`, `== Vec<Tuple>`,
+/// does any comparison (`==` with tuples or another set,
 /// [`RowSet::all_eq`]); everything that hands out tuples
-/// ([`RowSet::tuples`], `Deref` to `[Tuple]`, `Debug`) does, once per
-/// merged scan, and so does comparing two result sets. `clone()`
-/// copies a pointer.
+/// ([`RowSet::tuples`], [`RowSet::into_tuples`], `Deref` to `[Tuple]`,
+/// `Debug`) does, once per scan. `clone()` copies a pointer.
 #[derive(Clone)]
 pub struct RowSet(Repr);
 
@@ -192,11 +247,31 @@ impl RowSet {
     }
 
     /// The rows as tuples, in scan order. The first call on any view of
-    /// a merged scan decodes that scan's rows for all its queries.
+    /// a scan decodes that scan's rows for all its queries.
     pub fn tuples(&self) -> &[Tuple] {
         match &self.0 {
             Repr::Owned(rows) => rows,
             Repr::View { split, query } => &split.decoded()[*query],
+        }
+    }
+
+    /// The rows as owned tuples. A view that is the last handle on its
+    /// scan builds each of its rows once, straight into the vector;
+    /// otherwise this is [`Self::tuples`] cloned.
+    pub fn into_tuples(self) -> Vec<Tuple> {
+        match self.0 {
+            Repr::Owned(rows) => Arc::unwrap_or_clone(rows),
+            Repr::View { split, query } => match Arc::try_unwrap(split) {
+                Ok(mut split) => match split.decoded.take() {
+                    Some(mut decoded) => decoded.swap_remove(query),
+                    None => {
+                        let mut rows = Vec::with_capacity(split.counts[query]);
+                        rows.extend(split.entries(query).map(|(data, row)| data.row(row)));
+                        rows
+                    }
+                },
+                Err(split) => split.decoded()[query].clone(),
+            },
         }
     }
 
@@ -216,23 +291,36 @@ impl RowSet {
         }
     }
 
-    /// Whether `sets[i] == *expected[i]` for every `i` (and the two are
-    /// equally many). Undecoded views of one merged scan — what
+    /// A cursor over this set's rows: its entries while undecoded, its
+    /// tuples otherwise.
+    fn cursor(&self) -> Cursor<'_> {
+        match self.undecoded_view() {
+            Some((split, query)) => Cursor::View(split.entries(query)),
+            None => Cursor::Tuples(self.tuples().iter()),
+        }
+    }
+
+    /// Whether `sets[i] == expected[i]` for every `i` (and the two are
+    /// equally many). Undecoded views of one scan — what
     /// [`RoutedRows::into_row_sets`] returns, or any part of it — are
-    /// all checked in a single pass over that scan and stay undecoded.
-    pub fn all_eq<R: AsRef<[Tuple]>>(sets: &[RowSet], expected: &[R]) -> bool {
+    /// all checked in a single pass over that scan, against expected
+    /// sets of any form, and nothing is decoded.
+    pub fn all_eq(sets: &[RowSet], expected: &[RowSet]) -> bool {
         if sets.len() != expected.len() {
             return false;
         }
         let scan = sets.first().and_then(RowSet::undecoded_view).map(|v| v.0);
-        let mut of_scan = vec![None; scan.map_or(0, |s| s.counts.len())];
+        let queries = scan.map_or(0, |s| s.counts.len());
+        let mut of_scan: Vec<Option<Cursor<'_>>> = (0..queries).map(|_| None).collect();
         for (set, want) in sets.iter().zip(expected) {
-            let want = want.as_ref();
+            if set.len() != want.len() {
+                return false;
+            }
             match (scan, set.undecoded_view()) {
                 (Some(scan), Some((split, query)))
                     if Arc::ptr_eq(split, scan) && of_scan[query].is_none() =>
                 {
-                    of_scan[query] = Some(want);
+                    of_scan[query] = Some(want.cursor());
                 }
                 // An owned or decoded set, another scan's view, or one
                 // query a second time: compared on its own.
@@ -240,7 +328,7 @@ impl RowSet {
                 _ => {}
             }
         }
-        scan.is_none_or(|scan| scan.rows_eq(&of_scan))
+        scan.is_none_or(|scan| scan.rows_eq(&mut of_scan))
     }
 }
 
@@ -266,7 +354,14 @@ impl fmt::Debug for RowSet {
 
 impl PartialEq for RowSet {
     fn eq(&self, other: &RowSet) -> bool {
-        self.len() == other.len() && self.tuples() == other.tuples()
+        if self.len() != other.len() {
+            return false;
+        }
+        match (self.undecoded_view(), other.undecoded_view()) {
+            (Some((split, query)), _) => split.query_eq(query, other.cursor()),
+            (None, Some((split, query))) => split.query_eq(query, self.cursor()),
+            (None, None) => self.tuples() == other.tuples(),
+        }
     }
 }
 
@@ -278,13 +373,12 @@ impl PartialEq<Vec<Tuple>> for RowSet {
 
 impl PartialEq<[Tuple]> for RowSet {
     fn eq(&self, other: &[Tuple]) -> bool {
+        if self.len() != other.len() {
+            return false;
+        }
         match self.undecoded_view() {
-            Some((split, query)) => {
-                let mut expected = vec![None; split.counts.len()];
-                expected[query] = Some(other);
-                split.rows_eq(&expected)
-            }
-            None => self.len() == other.len() && self.tuples() == other,
+            Some((split, query)) => split.query_eq(query, Cursor::Tuples(other.iter())),
+            None => self.tuples() == other,
         }
     }
 }
@@ -439,33 +533,71 @@ mod tests {
 
     #[test]
     fn all_eq_checks_every_view_of_a_scan_in_one_pass_and_falls_back_per_set() {
+        let owned = |sets: &[&[Tuple]]| -> Vec<RowSet> {
+            sets.iter()
+                .map(|rows| RowSet::from(rows.to_vec()))
+                .collect()
+        };
         let v = views();
         let want = expected();
-        assert!(RowSet::all_eq(&v, &want));
-        assert!(RowSet::all_eq(&v[1..], &want[1..]), "any part of a scan");
-        assert!(!RowSet::all_eq(&v, &want[..2]), "fewer expected than sets");
+        let want_sets = owned(&[&want[0], &want[1], &want[2]]);
+        assert!(RowSet::all_eq(&v, &want_sets));
+        assert!(
+            RowSet::all_eq(&v[1..], &want_sets[1..]),
+            "any part of a scan"
+        );
+        assert!(
+            !RowSet::all_eq(&v, &want_sets[..2]),
+            "fewer expected than sets"
+        );
         let mut off = want.clone();
         off[2][1][1] = Value::str("S4");
-        assert!(!RowSet::all_eq(&v, &off));
-        assert!(!RowSet::all_eq(&v[..2], &[&want[0][..3], &want[1][..]]));
+        let off_sets = owned(&[&off[0], &off[1], &off[2]]);
+        assert!(!RowSet::all_eq(&v, &off_sets));
+        assert!(!RowSet::all_eq(&v[..2], &owned(&[&want[0][..3], &want[1]])));
+        // Expected views: the scan itself (row ids) and a second scan
+        // over equal copies of its chunks (cells).
+        assert!(RowSet::all_eq(&v, &v));
+        assert!(RowSet::all_eq(&v, &views()));
+        assert!(!RowSet::all_eq(
+            &v,
+            &[v[0].clone(), v[1].clone(), v[0].clone()]
+        ));
         // Mixed company: an owned set, another scan's view, and one
         // query twice are each compared on their own.
         let (rows, other_scan) = typed_view();
         let mixed = [
             v[2].clone(),
             RowSet::from(want[0].clone()),
-            other_scan,
+            other_scan.clone(),
             v[2].clone(),
         ];
-        let mixed_want = [&want[2][..], &want[0][..], &rows[..], &want[2][..]];
+        let mixed_want = owned(&[&want[2], &want[0], &rows, &want[2]]);
         assert!(RowSet::all_eq(&mixed, &mixed_want));
-        let swapped = [&want[2][..], &want[0][..], &rows[..], &want[0][..]];
+        let swapped = owned(&[&want[2], &want[0], &rows, &want[0]]);
         assert!(!RowSet::all_eq(&mixed, &swapped));
-        assert!(v.iter().all(|r| !r.is_decoded()));
+        assert!(v.iter().all(|r| !r.is_decoded()) && !other_scan.is_decoded());
         // Decoded views compare as tuples.
         let _ = v[0].tuples();
-        assert!(RowSet::all_eq(&v, &want) && !RowSet::all_eq(&v, &off));
-        assert!(RowSet::all_eq(&[], &[] as &[Vec<Tuple>]));
+        assert!(RowSet::all_eq(&v, &want_sets) && !RowSet::all_eq(&v, &off_sets));
+        assert!(RowSet::all_eq(&[], &[]));
+    }
+
+    #[test]
+    fn into_tuples_builds_each_row_once_or_clones_the_decoded_rows() {
+        let want = expected();
+        // The last handle on an undecoded scan: rows built straight out.
+        let mut v = views();
+        let last = v.pop().expect("three queries");
+        drop(v);
+        assert_eq!(last.into_tuples(), want[2]);
+        // Shared, or already decoded: the decoded rows.
+        let v = views();
+        assert_eq!(v[0].clone().into_tuples(), want[0]);
+        assert!(v[0].is_decoded());
+        let first = v.into_iter().next().expect("three queries");
+        assert_eq!(first.into_tuples(), want[0]);
+        assert_eq!(RowSet::from(want[1].clone()).into_tuples(), want[1]);
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! before the mutation or are first decoded after it — while a fresh
 //! selection sees the mutation. Both storage profiles.
 
+use std::sync::Arc;
+
+use proptest::prelude::*;
+
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::exec::ExecEngine;
-use ecodb::storage::{RowSet, TableData, Tuple};
+use ecodb::storage::{ColumnType, DataChunk, RoutedRows, RowSet, Schema, TableData, Tuple, Value};
 use ecodb::tpch::{qed_workload, QedQuery};
 
 const SCALE: f64 = 0.002;
@@ -32,7 +36,7 @@ fn mutate(db: &EcoDb) {
 fn oracle_rows(oracle: &EcoDb, queries: &[QedQuery]) -> Vec<Vec<Tuple>> {
     queries
         .iter()
-        .map(|q| oracle.trace_selection(q).0)
+        .map(|q| oracle.trace_selection(q).0.into_tuples())
         .collect()
 }
 
@@ -112,4 +116,136 @@ fn a_held_result_makes_the_next_heap_mutation_copy() {
     drop(held);
     db.try_trace_sql(MUTATIONS[1]).expect("delete");
     assert_eq!(columns(), copied, "unshared: edited where it stands");
+}
+
+// ---------------------------------------------------------------------------
+// Comparing result sets: view against view without a decode.
+// ---------------------------------------------------------------------------
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn below(state: &mut u64, n: usize) -> usize {
+    (splitmix64(state) % n.max(1) as u64) as usize
+}
+
+/// The chunks views are cut from: `A`, a copy of `A` (another
+/// snapshot of the same rows), `A` with one cell changed, and an
+/// unrelated chunk. Values come from tiny domains, so equal rows sit
+/// at different row ids of one chunk.
+fn chunks(state: &mut u64, rows: usize) -> Vec<Arc<DataChunk>> {
+    let schema = Schema::new(&[("k", ColumnType::Int), ("s", ColumnType::Str)]);
+    let row = |state: &mut u64| -> Tuple {
+        vec![
+            Value::Int(below(state, 3) as i64),
+            Value::str(["x", "y", "z"][below(state, 3)]),
+        ]
+    };
+    let a: Vec<Tuple> = (0..rows).map(|_| row(state)).collect();
+    let mut changed = a.clone();
+    if let Some(r) = changed.get_mut(below(state, rows)) {
+        r[1] = Value::str("changed");
+    }
+    let other: Vec<Tuple> = (0..rows).map(|_| row(state)).collect();
+    let a = Arc::new(DataChunk::from_rows(&schema, &a));
+    let copy = Arc::new(DataChunk::clone(&a));
+    let changed = Arc::new(DataChunk::from_rows(&schema, &changed));
+    let other = Arc::new(DataChunk::from_rows(&schema, &other));
+    vec![a, copy, changed, other]
+}
+
+/// One side of a comparison: `(chunk, row, query)` routed in scan order.
+type Entries = Vec<(usize, u32, u32)>;
+
+/// Rows routed out of up to three parts to `queries` queries, rows
+/// ascending within a part.
+fn random_entries(state: &mut u64, chunks: &[Arc<DataChunk>], queries: u32) -> Entries {
+    let mut entries = Vec::new();
+    for _ in 0..below(state, 4) {
+        let chunk = below(state, chunks.len());
+        for row in 0..chunks[chunk].len() as u32 {
+            if below(state, 3) == 0 {
+                entries.push((chunk, row, below(state, queries as usize) as u32));
+            }
+        }
+    }
+    entries
+}
+
+/// The views of `entries` (query 0 is the one compared) and the tuples
+/// query 0's view holds, built without touching the view.
+fn views(chunks: &[Arc<DataChunk>], entries: &Entries, queries: u32) -> (Vec<RowSet>, Vec<Tuple>) {
+    let mut routed = RoutedRows::default();
+    let mut query0 = Vec::new();
+    for &(chunk, row, query) in entries {
+        routed.matches_for(&chunks[chunk]).push((row, query));
+        if query == 0 {
+            query0.push(chunks[chunk].row(row as usize));
+        }
+    }
+    (routed.into_row_sets(queries as usize), query0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// View-vs-view equality is the equality of the rows the views
+    /// decode to, whichever path answers it: the same row of the same
+    /// chunk (row ids), rows of different snapshots (cells), empty
+    /// views and views of unequal length; and no comparison decodes.
+    #[test]
+    fn view_equality_agrees_with_decoded_equality(
+        seed in 0u64..1_000_000,
+        rows in 0usize..12,
+        mode in 0usize..5,
+        queries in 1u32..3,
+    ) {
+        let mut state = seed;
+        let chunks = chunks(&mut state, rows);
+        let left = random_entries(&mut state, &chunks, queries);
+        let mut right = left.clone();
+        match mode {
+            // Independent: mostly unequal, equal when both are empty.
+            0 => right = random_entries(&mut state, &chunks, queries),
+            // The same rows of the same chunks: row ids.
+            1 => {}
+            // The same rows of `A`'s copy: cells.
+            2 => right.iter_mut().filter(|e| e.0 == 0).for_each(|e| e.0 = 1),
+            // One row id moved to another row of its chunk: unequal
+            // unless the two rows hold the same values.
+            3 => {
+                if !right.is_empty() {
+                    let at = below(&mut state, right.len());
+                    right[at].1 = below(&mut state, rows) as u32;
+                }
+            }
+            // One row fewer.
+            _ => {
+                right.pop();
+            }
+        }
+        let (left_sets, left_rows) = views(&chunks, &left, queries);
+        let (right_sets, right_rows) = views(&chunks, &right, queries);
+        let (l, r) = (&left_sets[0], &right_sets[0]);
+        let want = left_rows == right_rows;
+        prop_assert_eq!(l == r, want, "{:?} vs {:?}", left, right);
+        prop_assert_eq!(r == l, want);
+        prop_assert_eq!(RowSet::all_eq(&left_sets[..1], &right_sets[..1]), want);
+        prop_assert_eq!(*l == right_rows, want);
+        let owned = RowSet::from(right_rows.clone());
+        prop_assert_eq!(*l == owned, want);
+        prop_assert!(left_sets.iter().chain(&right_sets).all(|s| !s.is_decoded()));
+        if mode == 1 || mode == 2 {
+            prop_assert!(want);
+            prop_assert!(RowSet::all_eq(&left_sets, &right_sets));
+        }
+        // Decoded, they are the rows they were compared as.
+        prop_assert_eq!(l.tuples(), &left_rows[..]);
+        prop_assert_eq!(r == l, want);
+    }
 }

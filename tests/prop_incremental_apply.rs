@@ -33,15 +33,21 @@
 //! and must leave the snapshot untouched.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
+use ecodb::query::context::ExecCtx;
+use ecodb::query::exec::ExecEngine;
+use ecodb::query::ops::BoxedOp;
+use ecodb::query::plans;
 use ecodb::storage::disk_table::DiskTable;
 use ecodb::storage::{
-    BTreeIndex, BufferPool, Catalog, ColumnType, DataChunk, IndexEntry, KeyBound, Schema,
-    StoredTable, TableData, Tuple, Value, WalRecord,
+    load_tpch, tuple_width, BTreeIndex, BufferPool, Catalog, ColumnType, ColumnarExtents,
+    DataChunk, EngineKind, IndexEntry, KeyBound, Schema, StoredTable, TableData, Tuple, Value,
+    WalRecord,
 };
+use ecodb::tpch::{Date, Q5Params, TpchDb, TpchGenerator};
 
 const TABLE: &str = "t";
 /// `(index name, indexed column)`: a duplicate-heavy `Int` key and a
@@ -496,4 +502,260 @@ fn projection_reads_nothing_past_its_last_column() {
     let keys = with_garbled_payload(STR_LEN_HIGH, |t| t.column_with_row_ids(0));
     assert_eq!(keys.len(), 100);
     assert!(keys.iter().enumerate().all(|(i, (_, row))| *row == i));
+}
+
+// ---------------------------------------------------------------------------
+// The mirror decodes column by column: what a scan asks for, grown on
+// demand, reset by a mutation.
+// ---------------------------------------------------------------------------
+
+/// Every stored type, chars beyond ASCII among them, so a row's width
+/// cannot be read off its payload length alone.
+fn mixed_schema() -> Schema {
+    Schema::new(&[
+        ("a", ColumnType::Int),
+        ("flag", ColumnType::Char),
+        ("s", ColumnType::Str),
+        ("d", ColumnType::Date),
+        ("b", ColumnType::Bool),
+        ("mark", ColumnType::Char),
+        ("t", ColumnType::Str),
+    ])
+}
+
+fn mixed_row(gen: &mut Gen) -> Tuple {
+    const CHARS: [char; 5] = ['A', 'F', 'é', '日', '🦀'];
+    vec![
+        Value::Int(gen.below(1000) as i64 - 500),
+        Value::Char(CHARS[gen.below(CHARS.len())]),
+        Value::str("x".repeat(gen.below(90))),
+        Value::Date(gen.below(3000) as i32),
+        Value::Bool(gen.below(2) == 1),
+        Value::Char(CHARS[gen.below(CHARS.len())]),
+        Value::str(format!("{}-{}", gen.below(20), "é".repeat(gen.below(8)))),
+    ]
+}
+
+fn tpch_source() -> &'static TpchDb {
+    static DB: OnceLock<TpchDb> = OnceLock::new();
+    DB.get_or_init(|| TpchGenerator::new(0.001).generate())
+}
+
+/// The TPC-H tables as loaded, no mirror built: each case clones the
+/// table it needs, so every case starts from a fresh mirror.
+fn tpch_tables() -> &'static Catalog {
+    static CAT: OnceLock<Catalog> = OnceLock::new();
+    CAT.get_or_init(|| load_tpch(tpch_source(), EngineKind::Disk, 1 << 16))
+}
+
+/// What Q1, Q3, Q5 and Q6 leave decoded in the mirrors of a fresh disk
+/// database: `(query, table, mask)`, the masks their scans ask for.
+fn plan_masks() -> &'static [(&'static str, &'static str, Vec<bool>)] {
+    type PlanFn = fn(&Catalog) -> BoxedOp;
+    static MASKS: OnceLock<Vec<(&str, &str, Vec<bool>)>> = OnceLock::new();
+    MASKS.get_or_init(|| {
+        let queries: [(&str, PlanFn); 4] = [
+            ("Q1", |cat| plans::q1_plan(cat, 90)),
+            ("Q3", |cat| {
+                plans::q3_plan(cat, "BUILDING", Date::from_ymd(1995, 3, 15))
+            }),
+            ("Q5", |cat| {
+                plans::q5_plan(cat, &Q5Params::new("ASIA", 1994))
+            }),
+            ("Q6", |cat| plans::q6_plan(cat, 1994, 6, 24)),
+        ];
+        let mut masks = Vec::new();
+        for (query, mk) in queries {
+            let cat = load_tpch(tpch_source(), EngineKind::Disk, 1 << 16);
+            ExecEngine::Columnar.execute(mk(&cat).as_mut(), &mut ExecCtx::new());
+            for table in [
+                "lineitem", "orders", "customer", "nation", "region", "supplier",
+            ] {
+                let stored = cat.expect(table);
+                let none = vec![false; stored.schema().arity()];
+                let mask = disk(&stored).columnar_with(&none).decoded().to_vec();
+                if mask.contains(&true) {
+                    masks.push((query, table, mask));
+                }
+            }
+        }
+        masks
+    })
+}
+
+/// Q6 reads four of `lineitem`'s sixteen columns and its scan decodes
+/// no more; no plan needs every column of any table it scans.
+#[test]
+fn tpch_plans_decode_only_the_columns_they_read() {
+    let (_, _, q6) = (plan_masks().iter())
+        .find(|(q, t, _)| (*q, *t) == ("Q6", "lineitem"))
+        .expect("Q6 scans lineitem");
+    let schema = tpch_tables().expect("lineitem").schema().clone();
+    let names: Vec<&str> = (schema.names().into_iter().zip(q6))
+        .filter_map(|(name, &read)| read.then_some(name))
+        .collect();
+    assert_eq!(
+        names,
+        ["l_quantity", "l_extendedprice", "l_discount", "l_shipdate"]
+    );
+    assert_eq!(
+        plan_masks().len(),
+        1 + 3 + 6 + 1,
+        "tables scanned per query"
+    );
+    assert!(plan_masks().iter().all(|(_, _, m)| m.contains(&false)));
+}
+
+/// A mask: empty, every column, one of the plans' (on their table), or
+/// each column with probability one half.
+fn draw_mask(gen: &mut Gen, table: &str, arity: usize) -> Vec<bool> {
+    let of_table: Vec<&Vec<bool>> = (plan_masks().iter())
+        .filter(|(_, t, _)| *t == table)
+        .map(|(_, _, m)| m)
+        .collect();
+    match gen.below(5) {
+        0 => vec![false; arity],
+        1 => vec![true; arity],
+        2 if !of_table.is_empty() => of_table[gen.below(of_table.len())].clone(),
+        _ => (0..arity).map(|_| gen.below(2) == 1).collect(),
+    }
+}
+
+/// `part` holds exactly the columns `mask` of `full`'s rows, cell for
+/// cell, and every row's full stored width.
+fn assert_partial_mirror(
+    part: &ColumnarExtents,
+    full: &ColumnarExtents,
+    mask: &[bool],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(part.decoded(), mask, "{}: decoded columns", what);
+    prop_assert_eq!(part.num_extents(), full.num_extents(), "{}: extents", what);
+    for e in 0..full.num_extents() {
+        let (p, f) = (part.extent_chunk(e), full.extent_chunk(e));
+        prop_assert_eq!(p.len(), f.len(), "{}: extent {} rows", what, e);
+        for (c, &wanted) in mask.iter().enumerate() {
+            if wanted {
+                prop_assert!(
+                    p.column(c) == f.column(c),
+                    "{}: extent {} column {}",
+                    what,
+                    e,
+                    c
+                );
+            } else {
+                prop_assert!(
+                    p.column(c).data.is_empty(),
+                    "{}: column {} decoded",
+                    what,
+                    c
+                );
+            }
+        }
+        let mut widths = Vec::new();
+        p.row_widths(0..p.len(), &mut widths);
+        let want: Vec<u32> = (0..f.len())
+            .map(|i| tuple_width(&f.row(i)) as u32)
+            .collect();
+        prop_assert_eq!(&widths, &want, "{}: extent {} widths", what, e);
+        prop_assert_eq!(p.width_sum(0..p.len()), f.width_sum(0..f.len()));
+    }
+    Ok(())
+}
+
+/// Grown in two steps equals decoded at once, extent for extent.
+fn assert_same_mirror(
+    a: &ColumnarExtents,
+    b: &ColumnarExtents,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.decoded(), b.decoded(), "{}: decoded", what);
+    prop_assert_eq!(a.num_extents(), b.num_extents(), "{}: extents", what);
+    for e in 0..a.num_extents() {
+        prop_assert!(
+            a.extent_chunk(e) == b.extent_chunk(e),
+            "{}: extent {}",
+            what,
+            e
+        );
+    }
+    Ok(())
+}
+
+fn union(a: &[bool], b: &[bool]) -> Vec<bool> {
+    a.iter().zip(b).map(|(x, y)| x | y).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn a_mirror_decodes_the_columns_asked_for_and_grows_on_demand(
+        seed in 0u64..1_000_000,
+        table_no in 0usize..4,
+        n in prop_oneof![0usize..3, 3usize..900],
+    ) {
+        let mut gen = Gen { state: seed, wide: false };
+        let (name, fresh): (&str, DiskTable) = match table_no {
+            0 => {
+                let rows: Vec<Tuple> = (0..n).map(|_| mixed_row(&mut gen)).collect();
+                let pool = Arc::new(BufferPool::new(16));
+                ("mixed", DiskTable::load(1, mixed_schema(), &rows, pool))
+            }
+            t => {
+                let name = ["lineitem", "orders", "customer"][t - 1];
+                (name, disk(&tpch_tables().expect(name)).clone())
+            }
+        };
+        let arity = fresh.schema().arity();
+        let (a, b) = (draw_mask(&mut gen, name, arity), draw_mask(&mut gen, name, arity));
+        let both = union(&a, &b);
+        let what = format!("{name} {a:?} then {b:?}");
+
+        let full = fresh.clone().columnar();
+        prop_assert_eq!(full.decoded(), &vec![true; arity][..]);
+        let once = fresh.clone().columnar_with(&both);
+        assert_partial_mirror(&once, &full, &both, &what)?;
+
+        let mut grown = fresh.clone();
+        let first = grown.columnar_with(&a);
+        assert_partial_mirror(&first, &full, &a, &what)?;
+        let second = grown.columnar_with(&b);
+        assert_same_mirror(&second, &once, &what)?;
+        // What the first call returned still reads its columns, and
+        // asking for what is decoded decodes nothing new.
+        assert_partial_mirror(&first, &full, &a, &what)?;
+        prop_assert!(Arc::ptr_eq(&grown.columnar_with(&a), &second));
+
+        // A mutation resets the mirror; it grows again from the new
+        // rows, as a fresh load of them would decode at once.
+        let rows = grown.all_tuples();
+        if rows.is_empty() {
+            grown.append(&match name {
+                "mixed" => mixed_row(&mut gen),
+                _ => tpch_tables().expect(name).schema().columns().iter().map(|c| match c.ty {
+                    ColumnType::Int => Value::Int(1),
+                    ColumnType::Str => Value::str("s"),
+                    ColumnType::Date => Value::Date(1),
+                    ColumnType::Char => Value::Char('c'),
+                    ColumnType::Bool => Value::Bool(true),
+                }).collect(),
+            });
+        } else {
+            let row = gen.below(rows.len());
+            match gen.below(3) {
+                0 => grown.remove_row(row),
+                1 => grown.append(&rows[row]),
+                _ => grown.set_row(row, &rows[(row + 1) % rows.len()]),
+            }
+        }
+        let mutated = grown.all_tuples();
+        let pool = Arc::new(BufferPool::new(16));
+        let reloaded = DiskTable::load(2, grown.schema().clone(), &mutated, pool);
+        grown.columnar_with(&a);
+        let regrown = grown.columnar_with(&b);
+        let what = format!("{what}, mutated");
+        assert_same_mirror(&regrown, &reloaded.clone().columnar_with(&both), &what)?;
+        assert_partial_mirror(&regrown, &reloaded.columnar(), &both, &what)?;
+    }
 }
