@@ -194,23 +194,6 @@ impl Expr {
         }
     }
 
-    /// This expression over a different column layout: every `Col(i)`
-    /// becomes `Col(map(i))` — how a predicate bound against a table's
-    /// schema is pointed at a chunk holding only the columns it reads.
-    pub fn map_columns(&self, map: &impl Fn(usize) -> usize) -> Expr {
-        let each = |arms: &[Expr]| arms.iter().map(|a| a.map_columns(map)).collect();
-        let boxed = |e: &Expr| Box::new(e.map_columns(map));
-        match self {
-            Expr::Col(i) => Expr::Col(map(*i)),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Cmp(op, l, r) => Expr::Cmp(*op, boxed(l), boxed(r)),
-            Expr::Arith(op, l, r) => Expr::Arith(*op, boxed(l), boxed(r)),
-            Expr::And(arms) => Expr::And(each(arms)),
-            Expr::Or(arms) => Expr::Or(each(arms)),
-            Expr::Not(e) => Expr::Not(boxed(e)),
-        }
-    }
-
     /// Evaluate against a tuple, charging work into `ctx`.
     pub fn eval(&self, tuple: &Tuple, ctx: &mut ExecCtx) -> Value {
         match self {

@@ -35,7 +35,7 @@
 //! (see `eco_storage::wal`).
 
 use eco_storage::wal::WalRecord;
-use eco_storage::{Catalog, ColumnType, StoredTable, TableData, Tuple, Value};
+use eco_storage::{Catalog, ColumnType, DataChunk, StoredTable, TableData, Tuple, Value};
 
 use super::ast::{DeleteStmt, InsertStmt, Statement, UpdateStmt};
 use super::plan::{bind_expr, bind_predicate};
@@ -83,15 +83,16 @@ fn lookup(catalog: &Catalog, table: &str) -> Result<std::sync::Arc<StoredTable>,
 /// streaming over the stored bytes plus the predicate's per-row op
 /// classes. Only matching rows are ever handed out as tuples, and only
 /// the columns the predicate reads are looked at to find them: both
-/// engines filter on typed columns ([`Expr::filter_sel`],
-/// charge-identical to a per-row [`Expr::eval_bool`]) and materialize
-/// the survivors. The heap filters its own columns a batch-sized window
-/// at a time — so the selection vector and the kernels' flag vectors
-/// stay small however large the table; a paged table decodes the
-/// predicate's columns a page at a time
-/// ([`eco_storage::disk_table::DiskTable::project_pages`]), stepping
-/// over the others in the slot payload, and decodes a whole row only
-/// where the predicate held. Without a predicate, or with one that
+/// engines filter typed columns ([`Expr::filter_sel`], charge-identical
+/// to a per-row [`Expr::eval_bool`]) a batch-sized window at a time, so
+/// the selection vector and the kernels' flag vectors stay small
+/// however large the table, and materialize the survivors. The heap
+/// filters its own columns; a paged table filters its columnar mirror's
+/// extent chunks with the predicate's columns decoded
+/// ([`eco_storage::disk_table::DiskTable::columnar_with`]: after a
+/// mutation only the extents it rewrote are decoded again) and decodes
+/// a whole row from its page ([`eco_storage::disk_table::DiskTable::tuple_at`])
+/// only where the predicate held. Without a predicate, or with one that
 /// reads no column, every paged row is decoded and tested as a tuple.
 fn scan_matching(
     stored: &StoredTable,
@@ -99,21 +100,13 @@ fn scan_matching(
     ctx: &mut ExecCtx,
     mut visit: impl FnMut(usize, &Tuple, &mut ExecCtx) -> Result<(), SqlError>,
 ) -> Result<(), SqlError> {
+    let mut sel = Vec::new();
     match &stored.data {
         TableData::Memory(h) => {
             ctx.charge_mem_bytes(h.bytes());
-            let window = ctx.batch_size.max(1);
-            let mut sel: Vec<u32> = Vec::with_capacity(window.min(h.len()));
-            for start in (0..h.len()).step_by(window) {
-                sel.clear();
-                sel.extend(start as u32..(start + window).min(h.len()) as u32);
-                if let Some(p) = pred {
-                    p.filter_sel(h.columns(), &mut sel, ctx);
-                }
-                for &row_id in &sel {
-                    visit(row_id as usize, &h.row(row_id as usize), ctx)?;
-                }
-            }
+            each_match(h.columns(), pred, ctx, &mut sel, |row, ctx| {
+                visit(row, &h.row(row), ctx)
+            })?;
         }
         TableData::Disk(d) => {
             ctx.charge_mem_bytes(d.avg_tuple_bytes() * d.len() as u64);
@@ -121,21 +114,19 @@ fn scan_matching(
             if let Some(p) = pred {
                 p.columns(&mut cols);
             }
-            cols.sort_unstable();
-            cols.dedup();
             match pred {
                 Some(p) if !cols.is_empty() => {
-                    // The predicate over a chunk of just `cols`.
-                    let p = p.map_columns(&|c| cols.partition_point(|&have| have < c));
-                    let mut sel: Vec<u32> = Vec::new();
-                    for (first_row, chunk, page) in d.project_pages(&cols) {
-                        sel.clear();
-                        sel.extend(0..chunk.len() as u32);
-                        p.filter_sel(&chunk, &mut sel, ctx);
-                        for &slot in &sel {
-                            let slot = slot as usize;
-                            visit(first_row + slot, &page.get(slot), ctx)?;
-                        }
+                    let mut needed = vec![false; d.schema().arity()];
+                    for c in cols {
+                        needed[c] = true;
+                    }
+                    let mirror = d.columnar_with(&needed);
+                    for e in 0..mirror.num_extents() {
+                        let first_row = mirror.extent_row_start(e);
+                        each_match(mirror.extent_chunk(e), Some(p), ctx, &mut sel, |i, ctx| {
+                            let row = first_row + i;
+                            visit(row, &d.tuple_at(row), ctx)
+                        })?;
                     }
                 }
                 _ => {
@@ -146,6 +137,30 @@ fn scan_matching(
                     }
                 }
             }
+        }
+    }
+    Ok(())
+}
+
+/// `hit(i, ctx)` for every row `i` of `data` that `pred` accepts (every
+/// row when `None`), in order, filtering a batch-sized window of rows
+/// at a time through `sel`.
+fn each_match(
+    data: &DataChunk,
+    pred: Option<&Expr>,
+    ctx: &mut ExecCtx,
+    sel: &mut Vec<u32>,
+    mut hit: impl FnMut(usize, &mut ExecCtx) -> Result<(), SqlError>,
+) -> Result<(), SqlError> {
+    let window = ctx.batch_size.max(1);
+    for start in (0..data.len()).step_by(window) {
+        sel.clear();
+        sel.extend(start as u32..(start + window).min(data.len()) as u32);
+        if let Some(p) = pred {
+            p.filter_sel(data, sel, ctx);
+        }
+        for &i in sel.iter() {
+            hit(i as usize, ctx)?;
         }
     }
     Ok(())

@@ -27,7 +27,10 @@
 //! a new page — from there on the old pages *are* the new packing. Checksums are
 //! recomputed for rewritten pages only. A same-width update rewrites
 //! one page, an append the last page, and a width change ripples only
-//! as far as the slack in the following pages lets it.
+//! as far as the slack in the following pages lets it. The columnar
+//! mirror ([`ColumnarExtents`]) is kept: the mutation marks stale the
+//! extents over the pages it rewrote, and the next
+//! [`DiskTable::columnar_with`] decodes only those again.
 //!
 //! **Invariant:** after any sequence of mutations the page images and
 //! checksums are byte-identical to [`DiskTable::load`] over the mutated
@@ -255,12 +258,54 @@ struct Layout {
     avg_tuple_bytes: u64,
 }
 
+/// The last columnar mirror a table version built or inherited, and
+/// which of its extents still match the version's pages.
+#[derive(Debug, Clone)]
+struct Mirror {
+    extents: Arc<ColumnarExtents>,
+    /// `fresh[e]`: extent `e` of `extents` holds what the pages hold
+    /// now. Extents past the end of `fresh` do not.
+    fresh: Vec<bool>,
+}
+
+impl Mirror {
+    fn new(extents: Arc<ColumnarExtents>) -> Self {
+        let fresh = vec![true; extents.num_extents()];
+        Self { extents, fresh }
+    }
+
+    /// Whether every extent matches the `pages` pages there are.
+    fn is_current(&self, pages: usize) -> bool {
+        self.extents.page_rows.len() == pages + 1
+            && self.fresh.len() == self.extents.num_extents()
+            && self.fresh.iter().all(|&f| f)
+    }
+
+    /// Pages `[first, end)` were rewritten as `rebuilt` pages. Same
+    /// page count: every other page kept its number, so only the
+    /// extents over the range go stale. Otherwise every page from
+    /// `first` on moved, and so did every extent from its one.
+    fn mark_rewritten(&mut self, first: usize, end: usize, rebuilt: usize) {
+        let extent = EXTENT_PAGES as usize;
+        if rebuilt == end - first {
+            let stale = first / extent..end.div_ceil(extent).min(self.fresh.len());
+            if !stale.is_empty() {
+                self.fresh[stale].fill(false);
+            }
+        } else {
+            self.fresh.truncate(first / extent);
+        }
+    }
+}
+
 /// Where a table version keeps its columnar mirror, once a scan asks
-/// for one. Scans on worker threads share it, and a scan that asks for
-/// a column not decoded yet replaces it with a grown copy
-/// ([`DiskTable::columnar_with`]).
+/// for one. Scans on worker threads share it; a scan that asks for a
+/// column not decoded yet, or comes after a mutation, replaces it with
+/// a new one that shares every extent it can
+/// ([`DiskTable::columnar_with`]). A table cloned for copy-on-write
+/// starts from the same mirror.
 #[derive(Debug, Default)]
-struct MirrorSlot(Mutex<Option<Arc<ColumnarExtents>>>);
+struct MirrorSlot(Mutex<Option<Mirror>>);
 
 impl Clone for MirrorSlot {
     fn clone(&self) -> Self {
@@ -348,7 +393,6 @@ impl DiskTable {
     pub fn append(&mut self, tuple: &Tuple) {
         self.check(tuple);
         self.repack(RowChange::Append(&serialize_tuple(tuple)));
-        self.num_tuples += 1;
     }
 
     /// Overwrite row `row`. Panics on an out-of-range row, a schema
@@ -362,7 +406,6 @@ impl DiskTable {
     /// out-of-range row.
     pub fn remove_row(&mut self, row: usize) {
         self.repack(RowChange::Remove(row));
-        self.num_tuples -= 1;
     }
 
     fn check(&self, tuple: &Tuple) {
@@ -382,6 +425,12 @@ impl DiskTable {
             RowChange::Append(_) => (self.pages.len(), 0),
             RowChange::Replace(row, _) | RowChange::Remove(row) => self.row_location(row),
         };
+        // The new count, before anything below can read it.
+        match change {
+            RowChange::Append(_) => self.num_tuples += 1,
+            RowChange::Remove(_) => self.num_tuples -= 1,
+            RowChange::Replace(..) => {}
+        }
         // A page's contents depend on every tuple up to the one that
         // did not fit it any more, so a change to a page's *first*
         // tuple (or past the last one) can reach back into the page
@@ -414,13 +463,20 @@ impl DiskTable {
             packer.push(payload);
         }
         let rebuilt = packer.finish();
+        // The mirror's extents over the rewritten pages no longer
+        // match; the next `columnar_with` decodes just those again.
+        if let Some(mirror) = self.columnar.0.get_mut() {
+            mirror.mark_rewritten(first, end, rebuilt.len());
+        }
         let sums: Vec<u64> = rebuilt.iter().map(Page::checksum).collect();
         self.checksums.splice(first..end, sums);
         self.pages.splice(first..end, rebuilt);
-        // The columnar copy and the layout no longer match; rebuild
-        // them on next use.
-        *self.columnar.0.get_mut() = None;
         self.layout.take();
+        debug_assert_eq!(
+            self.num_tuples,
+            self.pages.iter().map(Page::len).sum::<usize>(),
+            "row count after a mutation"
+        );
     }
 
     /// The columnar mirror with every column decoded (see
@@ -431,75 +487,93 @@ impl DiskTable {
 
     /// The columnar mirror (see [`ColumnarExtents`]) with at least the
     /// columns `needed` (`needed[c]` for column `c`) decoded. The first
-    /// call after a load or mutation decodes them; a later call that
-    /// needs more decodes only the columns still missing, into a grown
-    /// copy of the mirror (a copy only in name unless a scan still
-    /// holds the old chunks). What an earlier call returned stays
-    /// valid.
+    /// call after a load decodes them. A later call that needs more
+    /// columns, or follows a mutation, builds a new mirror that shares
+    /// every extent chunk still matching the pages and decodes only
+    /// the rest: the missing columns of a kept extent, every column of
+    /// an extent a mutation rewrote. What an earlier call returned stays
+    /// valid and keeps reading the rows it was built from.
     pub fn columnar_with(&self, needed: &[bool]) -> Arc<ColumnarExtents> {
         let mut slot = self.columnar.0.lock();
-        if let Some(mirror) = slot.as_ref().filter(|m| m.covers(needed)) {
-            return Arc::clone(mirror);
+        let usable = |m: &&Mirror| m.is_current(self.pages.len()) && m.extents.covers(needed);
+        if let Some(mirror) = slot.as_ref().filter(usable) {
+            return Arc::clone(&mirror.extents);
         }
-        let grown = Arc::new(self.decode_mirror(slot.take(), needed));
-        *slot = Some(Arc::clone(&grown));
-        grown
+        let built = Arc::new(self.decode_mirror(slot.take(), needed));
+        *slot = Some(Mirror::new(Arc::clone(&built)));
+        built
     }
 
-    /// `old` (if any) with the columns `needed` decoded as well: one
-    /// pass over each extent's slot payloads decodes the missing
-    /// columns (strings interned per column across extents), the rest
-    /// of each payload stepped over in place. Widths are read off the
-    /// payloads ([`stored_width`]) unless the mirror ends up complete.
-    fn decode_mirror(&self, old: Option<Arc<ColumnarExtents>>, needed: &[bool]) -> ColumnarExtents {
+    /// A mirror of this version's pages with the columns `needed` and
+    /// those `old` holds decoded. An extent `old` holds fresh is kept:
+    /// its chunk shared as it is (encoded form included) or grown by
+    /// the columns it lacks. Any other extent is decoded from its
+    /// pages, its widths read off the payloads ([`stored_width`])
+    /// unless the mirror ends up complete.
+    fn decode_mirror(&self, old: Option<Mirror>, needed: &[bool]) -> ColumnarExtents {
         let columns = self.schema.columns();
         let arity = columns.len();
-        let old = old.map(Arc::unwrap_or_clone);
-        let had = |c: usize| old.as_ref().is_some_and(|m| m.decoded[c]);
+        let had = |c: usize| old.as_ref().is_some_and(|m| m.extents.decoded[c]);
         let decoded: Vec<bool> = (0..arity).map(|c| needed[c] || had(c)).collect();
-        let missing: Vec<usize> = (0..arity).filter(|&c| decoded[c] && !had(c)).collect();
-        let complete = decoded.iter().all(|&d| d);
-        // Widths come from the old mirror when there is one.
-        let walk = (old.is_none() && !complete).then(|| {
+        let all: Vec<usize> = (0..arity).filter(|&c| decoded[c]).collect();
+        let missing: Vec<usize> = all.iter().copied().filter(|&c| !had(c)).collect();
+        let complete = all.len() == arity;
+        let walk = (!complete).then(|| {
             let is_char = |c: &usize| columns[*c].ty == ColumnType::Char;
             (0..arity).rfind(is_char).map_or(0, |c| c + 1)
         });
-        let mut old_extents = old.map(|m| m.extents).unwrap_or_default().into_iter();
-        let mut strs = vec![Interner::default(); missing.len()];
+        let (fresh, mut old_extents) = match old {
+            Some(m) => {
+                let ColumnarExtents {
+                    extents, encoded, ..
+                } = Arc::unwrap_or_clone(m.extents);
+                (m.fresh, extents.into_iter().zip(encoded))
+            }
+            None => (Vec::new(), Vec::new().into_iter().zip(Vec::new())),
+        };
+        // Widths are carried while a column is missing, derived from
+        // the columns once none is.
+        let assemble = |parts, widths: Option<Vec<u32>>| match widths {
+            Some(widths) if !complete => DataChunk::with_widths(parts, widths),
+            _ => DataChunk::new(parts),
+        };
+        let empty = |ty| ColumnChunk::new(ColumnData::with_capacity(ty, 0));
+        let mut strs = vec![Interner::default(); arity];
         let extent = EXTENT_PAGES as usize;
         let mut extents = Vec::with_capacity(self.pages.len().div_ceil(extent));
-        for chunk_pages in self.pages.chunks(extent) {
-            let rows = chunk_pages.iter().map(Page::len).sum();
-            let typed =
-                |c: usize, rows| ColumnChunk::new(ColumnData::with_capacity(columns[c].ty, rows));
-            let mut fresh = DataChunk::new(missing.iter().map(|&c| typed(c, rows)).collect());
-            let mut widths = Vec::with_capacity(if walk.is_some() { rows } else { 0 });
-            for p in chunk_pages {
-                for slot in 0..p.len() {
-                    let payload = p.payload(slot);
-                    fresh.push_serialized(payload, arity, missing.iter().copied(), &mut strs);
-                    if let Some(walk) = walk {
-                        match stored_width(payload, walk) {
-                            Some(width) => widths.push(width),
-                            None => panic!("corrupt page: malformed tuple payload"),
+        let mut encoded = Vec::with_capacity(extents.capacity());
+        for (e, pages) in self.pages.chunks(extent).enumerate() {
+            let kept = old_extents.next().filter(|_| fresh.get(e) == Some(&true));
+            let (chunk, enc) = match kept {
+                Some(kept) if missing.is_empty() => kept,
+                kept => {
+                    // Grow a kept extent by the missing columns, or
+                    // decode a stale or new one whole.
+                    let (mut parts, widths, want, walk) = match kept {
+                        Some((chunk, _)) => {
+                            let (parts, widths) = Arc::unwrap_or_clone(chunk).into_parts();
+                            (parts, widths, &missing, None)
                         }
+                        None => (
+                            columns.iter().map(|c| empty(c.ty)).collect(),
+                            None,
+                            &all,
+                            walk,
+                        ),
+                    };
+                    let (cols, walked) = self.decode_columns(pages, want, walk, &mut strs);
+                    for (&c, col) in want.iter().zip(cols.into_parts().0) {
+                        parts[c] = col;
                     }
+                    (
+                        Arc::new(assemble(parts, widths.or(walked))),
+                        OnceLock::new(),
+                    )
                 }
-            }
-            let (mut kept, old_widths) = match old_extents.next() {
-                Some(chunk) => Arc::unwrap_or_clone(chunk).into_parts(),
-                None => ((0..arity).map(|c| typed(c, 0)).collect(), None),
             };
-            for (&c, col) in missing.iter().zip(fresh.into_parts().0) {
-                kept[c] = col;
-            }
-            extents.push(Arc::new(if complete {
-                DataChunk::new(kept)
-            } else {
-                DataChunk::with_widths(kept, old_widths.unwrap_or(widths))
-            }));
+            extents.push(chunk);
+            encoded.push(enc);
         }
-        let encoded = (0..extents.len()).map(|_| OnceLock::new()).collect();
         ColumnarExtents {
             page_rows: self.layout().row_offsets.clone(),
             decoded,
@@ -507,6 +581,43 @@ impl DiskTable {
             encoded,
             avg_encoded_bytes: OnceLock::new(),
         }
+    }
+
+    /// Columns `cols` (ascending) of every row of `pages`, in one pass
+    /// over each slot payload, the other columns stepped over in place;
+    /// strings interned per column across calls (`strs[c]` for column
+    /// `c`). With `walk` (see [`stored_width`]), each row's stored
+    /// width as well.
+    fn decode_columns(
+        &self,
+        pages: &[Page],
+        cols: &[usize],
+        walk: Option<usize>,
+        strs: &mut [Interner],
+    ) -> (DataChunk, Option<Vec<u32>>) {
+        let columns = self.schema.columns();
+        let arity = columns.len();
+        let rows = pages.iter().map(Page::len).sum();
+        let typed = |&c: &usize| ColumnChunk::new(ColumnData::with_capacity(columns[c].ty, rows));
+        let mut chunk = DataChunk::new(cols.iter().map(typed).collect());
+        let mut these: Vec<Interner> = cols.iter().map(|&c| std::mem::take(&mut strs[c])).collect();
+        let mut widths = walk.map(|_| Vec::with_capacity(rows));
+        for p in pages {
+            for slot in 0..p.len() {
+                let payload = p.payload(slot);
+                chunk.push_serialized(payload, arity, cols.iter().copied(), &mut these);
+                if let (Some(walk), Some(widths)) = (walk, &mut widths) {
+                    match stored_width(payload, walk) {
+                        Some(width) => widths.push(width),
+                        None => panic!("corrupt page: malformed tuple payload"),
+                    }
+                }
+            }
+        }
+        for (&c, interner) in cols.iter().zip(these) {
+            strs[c] = interner;
+        }
+        (chunk, widths)
     }
 
     /// The lazily-derived [`Layout`] of this table version.
@@ -564,15 +675,15 @@ impl DiskTable {
 
     /// Page-at-a-time projected scan: for every page in row order, the
     /// table-global id of its first row, columns `cols` of its rows (in
-    /// that order; ascending and distinct) and the page itself, whose
-    /// slots the caller decodes whole ([`Page::get`]) for whichever rows
-    /// it turns out to need. The columns are decoded from the slot
-    /// payloads straight into typed vectors, strings interned per
-    /// column across pages, and the other columns of a row are stepped
-    /// over where they lie — a scan that filters on one column of nine
-    /// pays for one. Straight from the pages, never through the buffer
-    /// pool: no I/O is charged (the same rule as [`Self::rows`]).
-    /// Panics on a column out of range or out of order.
+    /// that order; ascending and distinct) and the page itself. The
+    /// columns are decoded from the slot payloads straight into typed
+    /// vectors, strings interned per column across pages, and the other
+    /// columns of a row are stepped over where they lie — an index
+    /// build on one column of nine pays for one
+    /// ([`Self::column_with_row_ids`]). Straight from the pages, never
+    /// through the buffer pool and never into the columnar mirror: no
+    /// I/O is charged (the same rule as [`Self::rows`]). Panics on a
+    /// column out of range or out of order.
     pub fn project_pages<'a>(
         &'a self,
         cols: &'a [usize],
@@ -583,17 +694,11 @@ impl DiskTable {
             "projection {cols:?} is not ascending columns of {:?}",
             self.schema.names()
         );
-        let mut strs = vec![Interner::default(); cols.len()];
+        let mut strs = vec![Interner::default(); arity];
         let mut next_row = 0;
         self.pages.iter().map(move |page| {
-            let columns = cols.iter().map(|&c| {
-                let ty = self.schema.columns()[c].ty;
-                ColumnChunk::new(ColumnData::with_capacity(ty, page.len()))
-            });
-            let mut chunk = DataChunk::new(columns.collect());
-            for slot in 0..page.len() {
-                chunk.push_serialized(page.payload(slot), arity, cols.iter().copied(), &mut strs);
-            }
+            let pages = std::slice::from_ref(page);
+            let (chunk, _) = self.decode_columns(pages, cols, None, &mut strs);
             let first_row = next_row;
             next_row += page.len();
             (first_row, chunk, page)
@@ -972,6 +1077,32 @@ mod tests {
             t.avg_tuple_bytes()
         );
         assert_eq!(avg, cols.avg_encoded_tuple_bytes());
+    }
+
+    #[test]
+    fn a_row_change_decodes_again_only_the_extent_it_rewrote() {
+        let mut t = DiskTable::load(1, schema(), tuples(12_000), Arc::new(BufferPool::new(4)));
+        let before = t.columnar();
+        assert!(before.num_extents() >= 3);
+        let encoded: Vec<_> = (0..before.num_extents())
+            .map(|e| Arc::clone(before.extent_encoded(e)))
+            .collect();
+        // Same width, mid-page in extent 1: one page rewritten.
+        let row = before.extent_row_start(1) + 5;
+        let old = t.tuple_at(row);
+        let new = vec![Value::Int(-1), Value::str("value-999999")];
+        t.set_row(row, &new);
+        let after = t.columnar();
+        assert_eq!(after.num_extents(), encoded.len());
+        for (e, enc) in encoded.iter().enumerate() {
+            let kept = Arc::ptr_eq(after.extent_chunk(e), before.extent_chunk(e));
+            assert_eq!(kept, e != 1, "extent {e} chunk");
+            let kept = Arc::ptr_eq(after.extent_encoded(e), enc);
+            assert_eq!(kept, e != 1, "extent {e} encoded");
+        }
+        assert_eq!(after.extent_chunk(1).row(5), new);
+        // What was handed out before reads the old row.
+        assert_eq!(before.extent_chunk(1).row(5), old);
     }
 
     fn assert_same_as_load(t: &DiskTable, rows: &[Tuple]) {

@@ -30,8 +30,9 @@
 //! table. The price is the one [`crate::HeapTable`] already documents
 //! for scan windows: the first mutation of a heap table while a view of
 //! it is alive goes through [`Arc::make_mut`]'s copy of the columns (a
-//! disk table rebuilds its columnar mirror on the next scan either
-//! way). Drop result sets you no longer read before a write burst.
+//! disk table decodes the extents a mutation rewrote into a new mirror
+//! on the next scan either way, and shares the others with the view).
+//! Drop result sets you no longer read before a write burst.
 
 use std::fmt;
 use std::ops::Deref;

@@ -2,36 +2,42 @@
 //! row-at-a-time oracle**.
 //!
 //! A filtered `UPDATE`/`DELETE` finds its rows by filtering typed
-//! columns — the heap's own, or, on a paged table, just the columns the
-//! predicate reads, decoded a page at a time with the rest of each row
-//! stepped over in the slot payload (`DiskTable::project_pages`) — and
-//! decodes a whole row only where the predicate held. It claims to emit
-//! the records, and charge the ledger, of the obvious implementation:
-//! decode every row, evaluate the predicate on the tuple. The oracle
-//! here *is* that implementation (`rows()` + `Expr::eval_bool`, written
-//! in this file, sharing nothing with `scan_matching`), and generated
-//! statements over generated tables must agree with it in records,
-//! `affected`, the whole ledger (every charge class) and `pred_evals`.
+//! columns — the heap's own, or, on a paged table, the extent chunks of
+//! its columnar mirror with the predicate's columns decoded
+//! (`DiskTable::columnar_with`; after a row change only the extents it
+//! rewrote are decoded again) — and decodes a whole row only where the
+//! predicate held. It claims to emit the records, and charge the
+//! ledger, of the obvious implementation: decode every row, evaluate
+//! the predicate on the tuple. The oracle here *is* that implementation
+//! (`rows()` + `Expr::eval_bool`, written in this file, sharing nothing
+//! with `scan_matching`), and generated statements over generated
+//! tables must agree with it in records, `affected`, the whole ledger
+//! (every charge class) and `pred_evals`.
 //!
 //! Predicates: comparisons on `Int`/`Str`/`Date`/`Char` columns,
 //! `AND`/`OR`/`NOT` nests (short-circuiting and exhaustive `OR`),
 //! arithmetic, `IN`, `BETWEEN`, a predicate that reads no column, and
 //! no predicate. Tables: empty, one row, many rows to a page, one row
-//! to a page, mixed widths — and every table gets predicates aimed at
-//! the first and last slot of its pages, where a page-at-a-time scan
-//! translates slots to row ids.
+//! to a page, mixed widths, several extents — and every table gets
+//! predicates aimed at the first and last row of its pages and of its
+//! extents, where the bind translates chunk rows to row ids. One
+//! property binds on a table that has taken row changes while its
+//! mirror was alive, so stale and kept extents are mixed.
 //!
-//! Mutation check (done by hand when this file was written, redo it
-//! when `scan_matching` changes): dropping one wanted column from the
-//! paged arm's projection — `cols.pop()` before `project_pages` — fails
-//! `paged_bind_equals_the_row_oracle` on its first multi-column
-//! predicate.
+//! Mutation checks (done by hand when this file was written, redo them
+//! when `scan_matching` or the mirror changes): dropping one wanted
+//! column from the paged arm's mask — `cols.pop()` before `needed` is
+//! built — fails `paged_bind_equals_the_row_oracle` (the filter reads a
+//! column the mirror never decoded); marking one extent too few stale
+//! in `Mirror::mark_rewritten`, whether or not the page count changed,
+//! fails `bind_on_a_mutated_table_equals_the_row_oracle`.
 
 use proptest::prelude::*;
 
 use ecodb::query::sql::plan::bind_expr;
 use ecodb::query::sql::{execute_dml, parse_statement, DmlOutcome, Statement};
 use ecodb::query::ExecCtx;
+use ecodb::storage::bufferpool::EXTENT_PAGES;
 use ecodb::storage::disk_table::DiskTable;
 use ecodb::storage::wal::WalRecord;
 use ecodb::storage::{
@@ -89,33 +95,71 @@ impl Gen {
     }
 
     /// `shape` 0: empty; 1: one row; 2: ~100 rows to a page; 3: one row
-    /// to a page; 4: a few rows to a page, widths all over the place.
+    /// to a page; 4: a few rows to a page, widths all over the place;
+    /// 5: ~35 rows to a page over three or four extents.
     fn rows(&mut self, shape: usize) -> Vec<Tuple> {
         let len = match shape {
             0 => 0,
             1 => 1,
             2 => 250 + self.below(300),
             3 => 5 + self.below(6),
-            _ => 30 + self.below(60),
+            4 => 30 + self.below(60),
+            _ => 1300 + self.below(700),
         };
-        (0..len)
-            .map(|i| {
-                let pad = match shape {
-                    3 => 4200 + self.below(2500),
-                    4 if self.below(2) == 0 => 900 + self.below(2500),
-                    _ => self.below(40),
-                };
-                vec![
-                    Value::Int(self.key()),
-                    Value::str(self.name()),
-                    Value::Date(self.date().0),
-                    Value::Char(self.letter()),
-                    Value::Char(self.letter()),
-                    Value::Int(i as i64),
-                    Value::str("p".repeat(pad)),
-                ]
-            })
-            .collect()
+        (0..len).map(|i| self.row(shape, i)).collect()
+    }
+
+    /// Row `n` of a table of `shape` (see [`Self::rows`]).
+    fn row(&mut self, shape: usize, n: usize) -> Tuple {
+        let pad = match shape {
+            3 => 4200 + self.below(2500),
+            4 if self.below(2) == 0 => 900 + self.below(2500),
+            5 => 100 + self.below(150),
+            _ => self.below(40),
+        };
+        vec![
+            Value::Int(self.key()),
+            Value::str(self.name()),
+            Value::Date(self.date().0),
+            Value::Char(self.letter()),
+            Value::Char(self.letter()),
+            Value::Int(n as i64),
+            Value::str("p".repeat(pad)),
+        ]
+    }
+
+    /// One row change to `table`: an append (the next `n`), a delete,
+    /// or an update that rewrites `pad` (usually changing the row's
+    /// width) and `k`, aimed at the edge of a page or an extent, or at
+    /// any row.
+    fn change(&mut self, table: &DiskTable, shape: usize, next_n: &mut usize) -> WalRecord {
+        let name = TABLE.to_string();
+        if table.is_empty() || self.below(4) == 0 {
+            *next_n += 1;
+            return WalRecord::Insert {
+                table: name,
+                tuple: self.row(shape, *next_n),
+            };
+        }
+        let row = match self.below(3) {
+            0 => self.below(table.len()),
+            side => {
+                let edges = edge_rows(table, side == 2);
+                edges[self.below(edges.len())]
+            }
+        };
+        if self.below(3) == 0 {
+            return WalRecord::Delete { table: name, row };
+        }
+        let mut tuple = table.tuple_at(row);
+        let fresh = self.row(shape, 0);
+        tuple[0] = fresh[0].clone();
+        tuple[6] = fresh[6].clone();
+        WalRecord::Update {
+            table: name,
+            row,
+            tuple,
+        }
     }
 
     fn cmp(&mut self) -> &'static str {
@@ -189,19 +233,34 @@ impl Gen {
     }
 }
 
-/// The rows at the first and last slot of every page (row 0 of an
-/// empty table, which matches nothing).
-fn page_edges(table: &DiskTable) -> Vec<usize> {
-    let mut edges: Vec<usize> = (0..table.len())
-        .filter(|&r| {
-            let (page, slot) = table.row_location(r);
-            slot == 0 || r + 1 == table.len() || table.row_location(r + 1).0 != page
-        })
-        .collect();
-    if edges.is_empty() {
-        edges.push(0);
+/// The first and last row of every page, or of every extent
+/// (`extents`).
+fn edge_rows(table: &DiskTable, extents: bool) -> Vec<usize> {
+    let extent = EXTENT_PAGES as usize;
+    let opens = |r: usize| {
+        let (page, slot) = table.row_location(r);
+        slot == 0 && (!extents || page % extent == 0)
+    };
+    let mut rows = Vec::new();
+    for r in (0..table.len()).filter(|&r| opens(r)) {
+        rows.extend(r.checked_sub(1));
+        rows.push(r);
     }
-    edges
+    rows.extend(table.len().checked_sub(1));
+    rows
+}
+
+/// The `n` of each of `rows` (until a row changes, its row id), or 0,
+/// which matches nothing, when there are none.
+fn ns(table: &DiskTable, rows: &[usize]) -> Vec<usize> {
+    let n = |&r: &usize| match table.tuple_at(r)[5] {
+        Value::Int(n) => n as usize,
+        ref other => panic!("n is an Int, not {other:?}"),
+    };
+    match rows {
+        [] => vec![0],
+        rows => rows.iter().map(n).collect(),
+    }
 }
 
 /// The obvious bind: decode every row, evaluate the predicate and the
@@ -304,7 +363,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn paged_bind_equals_the_row_oracle(seed in 0u64..1_000_000, shape in 0usize..5) {
+    fn paged_bind_equals_the_row_oracle(seed in 0u64..1_000_000, shape in 0usize..6) {
         let mut gen = Gen(seed);
         let rows = gen.rows(shape);
         let catalog = paged(&rows);
@@ -315,7 +374,7 @@ proptest! {
             3 => prop_assert_eq!(table.num_pages(), rows.len(), "one row to a page"),
             _ => {}
         }
-        let edges = page_edges(table);
+        let edges = ns(table, &edge_rows(table, false));
         for i in 0..12 {
             let sql = gen.statement(&edges);
             assert_bind_equals_oracle(&catalog, TABLE, &sql, i % 2 == 0)?;
@@ -324,6 +383,41 @@ proptest! {
         for &row in &edges {
             let sql = format!("DELETE FROM {TABLE} WHERE n = {row}");
             assert_bind_equals_oracle(&catalog, TABLE, &sql, true)?;
+        }
+    }
+
+    /// Bind on a table whose mirror was alive through row changes:
+    /// each round applies a few changes (appends, deletes, updates that
+    /// widen or narrow a row, aimed at extent and page edges), so the
+    /// next bind finds the extents they rewrote stale and the others
+    /// kept, then binds generated statements and every extent edge.
+    #[test]
+    fn bind_on_a_mutated_table_equals_the_row_oracle(
+        seed in 0u64..1_000_000,
+        shape in prop_oneof![Just(2usize), Just(4), Just(5)],
+        rounds in 2usize..5,
+    ) {
+        let mut gen = Gen(seed);
+        let rows = gen.rows(shape);
+        let mut next_n = rows.len();
+        let catalog = paged(&rows);
+        for _ in 0..rounds {
+            let stored = catalog.expect(TABLE);
+            let table = disk(&stored);
+            let pages = ns(table, &edge_rows(table, false));
+            for i in 0..4 {
+                let sql = gen.statement(&pages);
+                assert_bind_equals_oracle(&catalog, TABLE, &sql, i % 2 == 0)?;
+            }
+            for n in ns(table, &edge_rows(table, true)) {
+                let sql = format!("UPDATE {TABLE} SET k = 0 WHERE n = {n}");
+                assert_bind_equals_oracle(&catalog, TABLE, &sql, true)?;
+            }
+            drop(stored);
+            for _ in 0..1 + gen.below(3) {
+                let rec = gen.change(disk(&catalog.expect(TABLE)), shape, &mut next_n);
+                catalog.apply_wal_record(&rec).expect("a valid change applies");
+            }
         }
     }
 

@@ -16,10 +16,11 @@
 //!   and `len` equal `BTreeIndex::build` over the model's column — for
 //!   an `Int` key with many duplicates (fanout-bound leaves) and a wide
 //!   `Str` key (page-bound leaves);
-//! * the table's columnar mirror, rebuilt after the mutation by
-//!   decoding slot payloads straight into typed columns (strings of a
-//!   repeating column shared, of a non-repeating one not), equals
-//!   `DataChunk::from_rows` over the model, extent by extent;
+//! * the table's columnar mirror, mended after the mutation by
+//!   decoding the slot payloads of the extents it rewrote straight into
+//!   typed columns (strings of a repeating column shared, of a
+//!   non-repeating one not), equals `DataChunk::from_rows` over the
+//!   model, extent by extent;
 //! * point and range probes return the model's rows, and their whole
 //!   [`IndexProbe`] ledgers (`index_ios`, `NodeSearch` steps, backoff)
 //!   equal the bulk-loaded twin's, probe for probe.
@@ -31,6 +32,15 @@
 //! grown again. Half the cases hold a reader's snapshot of the table
 //! and indexes across each apply, which takes the copy-on-write path
 //! and must leave the snapshot untouched.
+//!
+//! Further down, the mirror on its own: partial masks grown on demand,
+//! and a mirror kept across random row changes on a mixed schema, held
+//! after every change to a fresh decode of the pages (cells, widths,
+//! page rows, extents and, complete, the encoded extents), with what
+//! was handed out before the change left reading the old rows. Marking
+//! one extent too few stale in `Mirror::mark_rewritten` fails
+//! `a_kept_mirror_equals_a_fresh_decode_after_every_change` (checked
+//! by hand, for a same-count and a page-count-changing rewrite).
 
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -41,6 +51,7 @@ use ecodb::query::context::ExecCtx;
 use ecodb::query::exec::ExecEngine;
 use ecodb::query::ops::BoxedOp;
 use ecodb::query::plans;
+use ecodb::storage::bufferpool::EXTENT_PAGES;
 use ecodb::storage::disk_table::DiskTable;
 use ecodb::storage::{
     load_tpch, tuple_width, BTreeIndex, BufferPool, Catalog, ColumnType, ColumnarExtents,
@@ -506,7 +517,7 @@ fn projection_reads_nothing_past_its_last_column() {
 
 // ---------------------------------------------------------------------------
 // The mirror decodes column by column: what a scan asks for, grown on
-// demand, reset by a mutation.
+// demand, mended after a mutation.
 // ---------------------------------------------------------------------------
 
 /// Every stored type, chars beyond ASCII among them, so a row's width
@@ -727,8 +738,8 @@ proptest! {
         assert_partial_mirror(&first, &full, &a, &what)?;
         prop_assert!(Arc::ptr_eq(&grown.columnar_with(&a), &second));
 
-        // A mutation resets the mirror; it grows again from the new
-        // rows, as a fresh load of them would decode at once.
+        // After a mutation the mirror is mended and grows again, to what
+        // a fresh load of the new rows would decode at once.
         let rows = grown.all_tuples();
         if rows.is_empty() {
             grown.append(&match name {
@@ -757,5 +768,179 @@ proptest! {
         let what = format!("{what}, mutated");
         assert_same_mirror(&regrown, &reloaded.clone().columnar_with(&both), &what)?;
         assert_partial_mirror(&regrown, &reloaded.columnar(), &both, &what)?;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The mirror across mutations: a row change marks stale the extents
+// whose pages it rewrote, and the next `columnar_with` decodes those
+// again and shares the others.
+// ---------------------------------------------------------------------------
+
+/// A [`mixed_row`] whose `s` is 0–89 bytes, or, one time in four,
+/// 1–4 KB: wide enough to outgrow a page's slack, so an update to one
+/// moves page boundaries and can change the page count mid-table.
+fn mixed_row_of_any_width(gen: &mut Gen) -> Tuple {
+    let mut row = mixed_row(gen);
+    let len = match gen.below(4) {
+        0 => 1000 + gen.below(3000),
+        _ => gen.below(90),
+    };
+    row[2] = Value::str("x".repeat(len));
+    row
+}
+
+/// The first and last row of every extent (`extents`) or of every page.
+fn edge_rows(table: &DiskTable, extents: bool) -> Vec<usize> {
+    let extent = EXTENT_PAGES as usize;
+    let opens = |r: usize| {
+        let (page, slot) = table.row_location(r);
+        slot == 0 && (!extents || page % extent == 0)
+    };
+    let mut edges = Vec::new();
+    for r in (0..table.len()).filter(|&r| opens(r)) {
+        edges.extend(r.checked_sub(1));
+        edges.push(r);
+    }
+    edges.extend(table.len().checked_sub(1));
+    edges
+}
+
+/// One random row change, applied to `table` and `model`: an append,
+/// a delete, a same-width update or one that changes the row's width,
+/// aimed at an extent edge, a page edge, the first or last row, or any
+/// row.
+fn mutate(gen: &mut Gen, table: &mut DiskTable, model: &mut Vec<Tuple>) -> String {
+    if model.is_empty() || gen.below(5) == 0 {
+        let row = mixed_row_of_any_width(gen);
+        table.append(&row);
+        model.push(row);
+        return "append".into();
+    }
+    let n = model.len();
+    let row = match gen.below(4) {
+        0 | 1 => {
+            let edges = edge_rows(table, gen.below(2) == 0);
+            edges[gen.below(edges.len())]
+        }
+        2 => [0, n - 1][gen.below(2)],
+        _ => gen.below(n),
+    };
+    match gen.below(4) {
+        0 => {
+            table.remove_row(row);
+            model.remove(row);
+            format!("delete row {row}")
+        }
+        1 => {
+            // `a`, `d` and `b` have fixed widths.
+            let mut tuple = model[row].clone();
+            let other = mixed_row(gen);
+            for c in [0, 3, 4] {
+                tuple[c] = other[c].clone();
+            }
+            table.set_row(row, &tuple);
+            model[row] = tuple;
+            format!("same-width update of row {row}")
+        }
+        _ => {
+            let tuple = mixed_row_of_any_width(gen);
+            table.set_row(row, &tuple);
+            model[row] = tuple;
+            format!("update of row {row}")
+        }
+    }
+}
+
+/// `got` is what a fresh decode of `model`'s pages gives: a table
+/// loaded from `model` asked for the same columns — cells, widths, page
+/// rows and extents — and, when `got` is complete, the same encoded
+/// extents and per-row encoded charge.
+fn assert_mirror_is_a_fresh_decode(
+    got: &ColumnarExtents,
+    model: &[Tuple],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let fresh = DiskTable::load(1, mixed_schema(), model, Arc::new(BufferPool::new(16)));
+    let want = fresh.clone().columnar_with(got.decoded());
+    assert_same_mirror(got, &want, what)?;
+    assert_partial_mirror(got, &fresh.columnar(), got.decoded(), what)?;
+    for p in 0..=fresh.num_pages() {
+        prop_assert_eq!(
+            got.page_row_range(0, p),
+            want.page_row_range(0, p),
+            "{}: rows before page {}",
+            what,
+            p
+        );
+    }
+    let (_, covered) = got.page_row_range(0, fresh.num_pages());
+    prop_assert_eq!(covered, model.len(), "{}: rows of the pages", what);
+    if got.decoded().iter().all(|&d| d) {
+        for e in 0..want.num_extents() {
+            prop_assert!(
+                got.extent_encoded(e) == want.extent_encoded(e),
+                "{}: encoded extent {}",
+                what,
+                e
+            );
+        }
+        prop_assert_eq!(
+            got.avg_encoded_tuple_bytes(),
+            want.avg_encoded_tuple_bytes(),
+            "{}: encoded bytes per row",
+            what
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// After every row change the kept mirror equals a fresh decode, a
+    /// mirror handed out before the change still reads the rows it was
+    /// built from, and so does the table version a reader kept. Under
+    /// compressed pricing (the mirror complete, every extent's encoded
+    /// form built each step) the encoded extents and the per-row charge
+    /// equal a fresh table's.
+    #[test]
+    fn a_kept_mirror_equals_a_fresh_decode_after_every_change(
+        seed in 0u64..1_000_000,
+        n in prop_oneof![0usize..4, 300usize..1200],
+        steps in 4usize..20,
+        compressed in any::<bool>(),
+    ) {
+        let mut gen = Gen { state: seed, wide: false };
+        let mut model: Vec<Tuple> = (0..n).map(|_| mixed_row_of_any_width(&mut gen)).collect();
+        let pool = Arc::new(BufferPool::new(16));
+        let mut live = DiskTable::load(1, mixed_schema(), &model, pool);
+        let arity = mixed_schema().arity();
+        let mut mask = match compressed {
+            true => vec![true; arity],
+            false => draw_mask(&mut gen, "mixed", arity),
+        };
+        let mut before = live.columnar_with(&mask);
+        assert_mirror_is_a_fresh_decode(&before, &model, "load")?;
+        for step in 0..steps {
+            let rows_before = model.clone();
+            let reader = (gen.below(2) == 0).then(|| live.clone());
+            let what = format!("step {step}: {}", mutate(&mut gen, &mut live, &mut model));
+            if gen.below(3) == 0 {
+                // A scan asks for more columns than the mirror holds.
+                mask = union(&mask, &draw_mask(&mut gen, "mixed", arity));
+            }
+            let after = live.columnar_with(&mask);
+            assert_mirror_is_a_fresh_decode(&after, &model, &what)?;
+            // What was handed out before the change did not move, and
+            // a reader's version of the table still hands it out.
+            let old = format!("{what}, mirror from before");
+            assert_mirror_is_a_fresh_decode(&before, &rows_before, &old)?;
+            if let Some(reader) = reader {
+                let kept = reader.columnar_with(before.decoded());
+                prop_assert!(Arc::ptr_eq(&kept, &before), "{}: reader's mirror", what);
+            }
+            before = after;
+        }
     }
 }
