@@ -2,7 +2,7 @@
 //! [`super::HashAggregate`]: hash key columns a chunk at a time, index
 //! rows by key, compare keys column against column.
 //!
-//! Three pieces, none of which ever builds a `Value`:
+//! Four pieces, none of which ever builds a `Value`:
 //!
 //! * [`hash_keys`] folds the key columns of a chunk into one `u64` per
 //!   live row, a column at a time, in typed loops over `&[i64]` /
@@ -21,6 +21,15 @@
 //!   never match (`Int(1) ≠ Date(1)`), strings compare by content. The
 //!   SQL planner only ever pairs columns of one type, so the type rule
 //!   is a defensive invariant for hand-built plans.
+//! * [`DirectIndex`] is the join's index for a dense `Int` key: when a
+//!   key column's value range (`max − min + 1`) is at most
+//!   `max(8 × rows, 65 536)`, `heads[v − min]` holds the first row with
+//!   value `v` and `next` the same FIFO chains — no hash is computed on
+//!   either side, a probe is a subtraction and a bound check, and
+//!   [`keys_eq`] checks a composite key's other columns. The join picks
+//!   it from the build keys it holds (no knob) and falls back to a
+//!   [`KeyTable`] for any other input. Charges do not depend on the
+//!   choice: the simulated machine runs a hash join either way.
 
 use eco_storage::{ColumnData, DataChunk};
 
@@ -28,6 +37,10 @@ use crate::chunk::Rows;
 
 /// "No row": an empty slot, the end of a chain, a probe miss.
 pub(crate) const NO_ROW: u32 = u32::MAX;
+
+/// The value range a [`DirectIndex`] accepts whatever the row count:
+/// 65 536 heads, 256 KiB.
+const DIRECT_SPAN_FLOOR: usize = 65_536;
 
 const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -234,15 +247,78 @@ impl KeyTable {
     /// The rows holding `head`'s key, in insertion order.
     #[inline]
     pub(crate) fn chain(&self, head: u32) -> impl Iterator<Item = u32> + '_ {
-        std::iter::successors(Some(head), |&r| {
-            let n = self.next[r as usize];
-            (n != NO_ROW).then_some(n)
-        })
+        chain(&self.next, head)
     }
 
     /// The hash row `r` was inserted with.
     pub(crate) fn hash_of(&self, r: u32) -> u64 {
         self.hashes[r as usize]
+    }
+}
+
+/// `head` and the rows `next` links behind it; nothing for [`NO_ROW`].
+#[inline]
+fn chain(next: &[u32], head: u32) -> impl Iterator<Item = u32> + '_ {
+    let first = (head != NO_ROW).then_some(head);
+    std::iter::successors(first, |&r| {
+        let n = next[r as usize];
+        (n != NO_ROW).then_some(n)
+    })
+}
+
+/// Rows indexed by the value of one `Int` column, by direct address:
+/// rows are numbered in insertion order from 0, value `v` owns
+/// `heads[v − min]` (its first row), and rows with equal values chain
+/// behind it in insertion order, as in a [`KeyTable`].
+pub(crate) struct DirectIndex {
+    /// The smallest value.
+    min: i64,
+    /// Per value `min + d`: its first row, or [`NO_ROW`].
+    heads: Vec<u32>,
+    /// Per row: the next row with an equal value, or [`NO_ROW`].
+    next: Vec<u32>,
+}
+
+impl DirectIndex {
+    /// The index of `values` (row `r` holding `values[r]`) when their
+    /// range, `max − min + 1`, is at most `max(8 × rows, 65 536)`;
+    /// `None` for a wider range, or for no rows.
+    pub(crate) fn build(values: &[i64]) -> Option<Self> {
+        let (&first, rest) = values.split_first()?;
+        let (min, max) = (rest.iter()).fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        let span = i128::from(max) - i128::from(min) + 1;
+        if span > (8 * values.len()).max(DIRECT_SPAN_FLOOR) as i128 {
+            return None;
+        }
+        // Row ids stay below `rows`, so none is the sentinel.
+        let rows = u32::try_from(values.len()).expect("fewer than 2^32 rows");
+        let mut heads = vec![NO_ROW; span as usize];
+        let mut next = vec![NO_ROW; values.len()];
+        // Backwards, so that each chain lists its rows in order.
+        for (r, &v) in (0..rows).zip(values).rev() {
+            let d = v.wrapping_sub(min) as usize;
+            next[r as usize] = std::mem::replace(&mut heads[d], r);
+        }
+        Some(Self { min, heads, next })
+    }
+
+    /// The first row holding `v`, or [`NO_ROW`].
+    #[inline]
+    pub(crate) fn head(&self, v: i64) -> u32 {
+        // Below `min` wraps past every head.
+        let d = v.wrapping_sub(self.min) as u64;
+        if d < self.heads.len() as u64 {
+            self.heads[d as usize]
+        } else {
+            NO_ROW
+        }
+    }
+
+    /// The rows holding `head`'s value, in insertion order; nothing for
+    /// [`NO_ROW`].
+    #[inline]
+    pub(crate) fn chain(&self, head: u32) -> impl Iterator<Item = u32> + '_ {
+        chain(&self.next, head)
     }
 }
 

@@ -1,4 +1,11 @@
 //! Hash join (equi-join, possibly multi-column keys).
+//!
+//! The columnar engine's build side is indexed by what its keys hold:
+//! when some key column is `Int` and its values span at most
+//! `max(8 × build rows, 65 536)`, a [`DirectIndex`] addresses each
+//! value's chain by `value − min` and the probe hashes nothing; any
+//! other build is hashed into a [`KeyTable`]. The choice moves no
+//! charge — the simulated machine runs a hash join either way.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -11,7 +18,7 @@ use eco_storage::{
 
 use crate::chunk::{Chunk, Rows};
 use crate::context::ExecCtx;
-use crate::ops::hashkey::{hash_keys, hash_row, keys_eq, KeyTable, NO_ROW};
+use crate::ops::hashkey::{hash_keys, hash_row, keys_eq, DirectIndex, KeyTable, NO_ROW};
 use crate::ops::{drain_chunks, BoxedOp, Operator};
 use crate::parallel::run_morsels;
 
@@ -117,7 +124,7 @@ impl JoinTable {
 
 /// The columnar engine's build side: the live build rows kept as
 /// columns — only the ones a parent reads, plus the keys — one stored
-/// width per row, and a [`KeyTable`] over the key columns. No `Tuple`
+/// width per row, and a [`KeyIndex`] over the key columns. No `Tuple`
 /// and no `Value` is built on the way in, at the probe, or on the way
 /// out.
 struct BuildSide {
@@ -136,10 +143,19 @@ struct BuildSide {
     rows: DataChunk,
     /// `tuple_width` of each whole build row, kept columns or not.
     widths: Vec<u32>,
-    /// Key hash of each build row, until [`Self::index`] hands them to
-    /// the table.
-    hashes: Vec<u64>,
-    table: KeyTable,
+    index: KeyIndex,
+}
+
+/// How a [`BuildSide`] finds the build rows whose key equals a probe
+/// row's, chosen by [`BuildSide::index`] from the keys it holds.
+enum KeyIndex {
+    /// By the value of the `Int` key column `keys[key]`, whose range is
+    /// dense (see [`DirectIndex::build`]). With more than one key
+    /// column, each row of a value's chain is checked against the
+    /// others.
+    Direct { key: usize, index: DirectIndex },
+    /// By the hash of every key column.
+    Hashed(KeyTable),
 }
 
 /// Per-probe-chunk buffers, kept by whoever probes (the operator, or a
@@ -174,8 +190,7 @@ impl BuildSide {
             rows: DataChunk::with_capacity(&schema.project(&cols), 0),
             cols,
             widths: Vec::new(),
-            hashes: Vec::new(),
-            table: KeyTable::with_capacity(0),
+            index: KeyIndex::Hashed(KeyTable::with_capacity(0)),
         }
     }
 
@@ -187,8 +202,6 @@ impl BuildSide {
             Rows::Range(s, e) => self.append_live(&chunk.data, s..e),
             Rows::Sel(sel) => self.append_live(&chunk.data, sel.iter().map(|&i| i as usize)),
         }
-        let kept = Rows::Range(first, self.widths.len());
-        hash_keys(&self.rows, &self.keys, kept, &mut self.hashes);
         let bytes: u64 = self.widths[first..].iter().map(|&w| u64::from(w)).sum();
         ctx.charge(OpClass::HashBuild, chunk.len() as u64);
         ctx.charge_mem_bytes(bytes);
@@ -207,42 +220,94 @@ impl BuildSide {
         let all: Vec<usize> = (0..self.cols.len()).collect();
         self.rows.append_rows(&part.rows, &all, 0..part.rows.len());
         self.widths.extend(part.widths);
-        self.hashes.extend(part.hashes);
     }
 
-    /// Index the collected rows by key, in row order.
+    /// Index the collected rows by key, in row order: by direct address
+    /// on the first `Int` key column whose values are dense enough
+    /// ([`DirectIndex::build`]), else by hashing every key column into a
+    /// [`KeyTable`] — the only case that hashes the build keys.
     fn index(&mut self) {
-        let hashes = std::mem::take(&mut self.hashes);
         let (rows, keys) = (&self.rows, &self.keys);
-        let mut table = KeyTable::with_capacity(hashes.len());
-        for (r, &h) in hashes.iter().enumerate() {
-            table.insert(h, |head| keys_eq(rows, keys, head as usize, rows, keys, r));
-        }
-        self.table = table;
+        let direct = keys.iter().enumerate().find_map(|(key, &k)| {
+            let ColumnData::Int(v) = &rows.column(k).data else {
+                return None;
+            };
+            DirectIndex::build(v).map(|index| KeyIndex::Direct { key, index })
+        });
+        self.index = direct.unwrap_or_else(|| {
+            let mut hashes = Vec::with_capacity(rows.len());
+            hash_keys(rows, keys, Rows::Range(0, rows.len()), &mut hashes);
+            let mut table = KeyTable::with_capacity(hashes.len());
+            for (r, &h) in hashes.iter().enumerate() {
+                table.insert(h, |head| keys_eq(rows, keys, head as usize, rows, keys, r));
+            }
+            KeyIndex::Hashed(table)
+        });
     }
 
     /// The chain head of the build rows whose key equals row `i` of
-    /// `data` (key columns `probe_keys`, hash `h`).
+    /// `data` (key columns `probe_keys`, hash `h`) in a hashed index.
     #[inline]
-    fn find(&self, h: u64, data: &DataChunk, probe_keys: &[usize], i: usize) -> Option<u32> {
+    fn find(
+        &self,
+        table: &KeyTable,
+        h: u64,
+        data: &DataChunk,
+        probe_keys: &[usize],
+        i: usize,
+    ) -> Option<u32> {
         let (rows, keys) = (&self.rows, &self.keys);
-        self.table
-            .find(h, |b| keys_eq(rows, keys, b as usize, data, probe_keys, i))
+        table.find(h, |b| keys_eq(rows, keys, b as usize, data, probe_keys, i))
     }
 
-    /// Record `(build row, probe row i)` for every build row whose key
-    /// equals probe row `i`'s, in build-insertion order.
-    #[inline]
-    fn push_matches(&self, head: u32, i: usize, s: &mut ProbeScratch) {
-        for b in self.table.chain(head) {
-            s.build_idx.push(b);
-            s.probe_idx.push(i as u32);
+    /// The chain head for row `i` of `data` alone, through whichever
+    /// index was chosen; [`NO_ROW`] when no build row can match.
+    fn head_of_row(&self, data: &DataChunk, probe_keys: &[usize], i: usize) -> u32 {
+        match &self.index {
+            KeyIndex::Hashed(table) => {
+                let h = hash_row(data, probe_keys, i);
+                (self.find(table, h, data, probe_keys, i)).unwrap_or(NO_ROW)
+            }
+            KeyIndex::Direct { key, index } => match &data.column(probe_keys[*key]).data {
+                ColumnData::Int(v) => index.head(v[i]),
+                _ => NO_ROW,
+            },
         }
     }
 
-    /// Join one probe chunk. The key columns are hashed a chunk at a
-    /// time, matches are collected as `(build row, probe row)` pairs in
-    /// probe order × chain order, and the output is
+    /// Record `(build row, probe row i)` for every build row on `head`'s
+    /// chain whose key equals probe row `i`'s, in build-insertion order.
+    #[inline]
+    fn push_matches(
+        &self,
+        head: u32,
+        data: &DataChunk,
+        probe_keys: &[usize],
+        i: usize,
+        s: &mut ProbeScratch,
+    ) {
+        let push = |b: u32| {
+            s.build_idx.push(b);
+            s.probe_idx.push(i as u32);
+        };
+        match &self.index {
+            KeyIndex::Hashed(table) => table.chain(head).for_each(push),
+            // A chain holds one value of one key column: a composite key
+            // checks the others.
+            KeyIndex::Direct { index, .. } => (index.chain(head))
+                .filter(|&b| {
+                    self.keys.len() == 1
+                        || keys_eq(&self.rows, &self.keys, b as usize, data, probe_keys, i)
+                })
+                .for_each(push),
+        }
+    }
+
+    /// Join one probe chunk. Matches are collected as `(build row, probe
+    /// row)` pairs in probe order × chain order — a direct index reads
+    /// each probe row's chain off its key value, a hashed one hashes the
+    /// key columns a chunk at a time and looks each row up — and the
+    /// output is
     /// `gather(build columns) ++ gather(probe columns)` over the columns
     /// a parent reads, the others left empty — a string costs an `Arc`
     /// bump, nothing is materialized and re-decomposed. Each output
@@ -274,13 +339,29 @@ impl BuildSide {
         if let Some((ids, dict_len)) = dict {
             self.pairs_by_dict_id(ids, dict_len, chunk, probe_keys, s, ctx);
         } else {
-            s.hashes.clear();
-            hash_keys(&chunk.data, probe_keys, chunk.rows(), &mut s.hashes);
-            chunk.rows().for_each(|k, i| {
-                if let Some(head) = self.find(s.hashes[k], &chunk.data, probe_keys, i) {
-                    self.push_matches(head, i, s);
+            let data = &chunk.data;
+            match &self.index {
+                KeyIndex::Direct { key, index } => {
+                    // A probe key column of another type matches nothing.
+                    if let ColumnData::Int(v) = &data.column(probe_keys[*key]).data {
+                        chunk.rows().for_each(|_, i| {
+                            let head = index.head(v[i]);
+                            if head != NO_ROW {
+                                self.push_matches(head, data, probe_keys, i, s);
+                            }
+                        });
+                    }
                 }
-            });
+                KeyIndex::Hashed(table) => {
+                    s.hashes.clear();
+                    hash_keys(data, probe_keys, chunk.rows(), &mut s.hashes);
+                    chunk.rows().for_each(|k, i| {
+                        if let Some(head) = self.find(table, s.hashes[k], data, probe_keys, i) {
+                            self.push_matches(head, data, probe_keys, i, s);
+                        }
+                    });
+                }
+            }
             let n = chunk.len() as u64;
             ctx.charge(OpClass::HashProbe, n);
             ctx.charge_mem_random(n);
@@ -317,7 +398,8 @@ impl BuildSide {
 
     /// Dictionary-id pair collection (compressed pricing, single key):
     /// the id *is* the hash key, so the string/char payload is hashed
-    /// and looked up only on the first sight of each id in this chunk;
+    /// and looked up only on the first sight of each id in this chunk
+    /// (against an `Int` build key's direct index it never matches);
     /// repeats serve their chain head from a per-id memo. Every live
     /// row charges one `DictLookup` (the id translation); only memo
     /// misses charge the `HashProbe` + random access the raw kernel
@@ -341,12 +423,10 @@ impl BuildSide {
             if s.memo[d] == UNSEEN {
                 misses += 1;
                 // Row `i` carries id `d`'s payload in the raw mirror.
-                let h = hash_row(&chunk.data, probe_keys, i);
-                let head = self.find(h, &chunk.data, probe_keys, i);
-                s.memo[d] = head.unwrap_or(NO_ROW);
+                s.memo[d] = self.head_of_row(&chunk.data, probe_keys, i);
             }
             if s.memo[d] != NO_ROW {
-                self.push_matches(s.memo[d], i, s);
+                self.push_matches(s.memo[d], &chunk.data, probe_keys, i, s);
             }
         });
         ctx.charge(OpClass::DictLookup, chunk.len() as u64);
@@ -361,7 +441,11 @@ impl BuildSide {
 /// Work accounting: one `HashBuild` plus the tuple's width in memory
 /// bytes per build row; one `HashProbe` plus one random memory access
 /// per probe row (the table exceeds cache for any interesting input);
-/// output concatenation charges its width in memory bytes.
+/// output concatenation charges its width in memory bytes. These are
+/// the simulated machine's costs of a hash join, so they stay the same
+/// when the columnar engine indexes a dense `Int` key by direct address
+/// instead of hashing it: only the host's index changes, not the
+/// priced work.
 ///
 /// Multi-match rows are emitted in build-insertion (FIFO) order, in
 /// every mode, so execution order is deterministic and
@@ -371,10 +455,11 @@ impl BuildSide {
 /// a `Value`-keyed hash map — it is the oracle the differential tests
 /// compare against. The columnar engine
 /// ([`ExecCtx::columnar`]) never builds a row: the build side stays in
-/// columns with one stored width per row, keys are hashed a chunk at a
-/// time and indexed by the shared key kernel (`ops/hashkey.rs`:
-/// row-id table, per-key FIFO chains, typed column-vs-column
-/// equality), and a probe chunk's output is gathered from the build
+/// columns with one stored width per row, keys are indexed by the
+/// shared key kernel (`ops/hashkey.rs`: a direct-address index on a
+/// dense `Int` key column, else a row-id hash table; per-key FIFO
+/// chains; typed column-vs-column equality), and a probe chunk's
+/// output is gathered from the build
 /// and probe columns — only those a parent reads ([`Operator::prune`]);
 /// the build keeps no other column but its keys, the output leaves the
 /// others empty and carries each row's stored width. All charges are
@@ -606,11 +691,11 @@ impl Operator for HashJoin {
         }
     }
 
-    /// Columnar probe: the probe chunk's key columns are hashed, the
-    /// matches collected as row-id pairs, and the output gathered from
-    /// the build and probe columns (`BuildSide::probe`) — no row is
-    /// built on either side. Chunks are only pulled from a join the
-    /// columnar engine opened.
+    /// Columnar probe: the probe chunk's keys are looked up (by value
+    /// or by hash), the matches collected as row-id pairs, and the
+    /// output gathered from the build and probe columns
+    /// (`BuildSide::probe`) — no row is built on either side. Chunks
+    /// are only pulled from a join the columnar engine opened.
     fn next_chunk(&mut self, ctx: &mut ExecCtx) -> Option<Chunk> {
         let side = self.columns.as_ref().expect("columnar open");
         if let Some(chunks) = &mut self.probed_chunks {
@@ -806,15 +891,87 @@ mod tests {
                     .filter(|&r| live[r as usize][1] == Value::Int(key))
                     .collect();
                 let first = want[0] as usize;
-                let head = side
-                    .find(hash_row(&side.rows, &keys, first), &side.rows, &keys, first)
-                    .expect("key present");
-                assert_eq!(
-                    side.table.chain(head).collect::<Vec<_>>(),
-                    want,
-                    "key {key}, {kept:?} kept"
-                );
+                let head = side.head_of_row(&side.rows, &keys, first);
+                assert_ne!(head, NO_ROW, "key {key} present");
+                let mut s = ProbeScratch::default();
+                side.push_matches(head, &side.rows, &keys, first, &mut s);
+                assert_eq!(s.build_idx, want, "key {key}, {kept:?} kept");
             }
+        }
+    }
+
+    /// The index follows the build keys: a dense `Int` key column is
+    /// addressed directly (also when it is not the first key column);
+    /// a sparse or extreme range, like an empty build, is hashed — and
+    /// every choice finds exactly the rows with the probe's key.
+    #[test]
+    fn the_build_keys_choose_the_index() {
+        let schema = Schema::new(&[("s", ColumnType::Str), ("k", ColumnType::Int)]);
+        let row = |s: &str, k: i64| vec![Value::str(s), Value::Int(k)];
+        // `(build keys, direct key column or None, probe, wanted pairs)`.
+        type Case = (
+            Vec<Tuple>,
+            &'static [usize],
+            Option<usize>,
+            Vec<Tuple>,
+            Vec<(u32, u32)>,
+        );
+        let cases: Vec<Case> = vec![
+            (
+                (0..100).map(|k| row("a", k % 40 - 20)).collect(),
+                &[1],
+                Some(0),
+                vec![row("", -20), row("", 19), row("", 20), row("", -21)],
+                vec![(0, 0), (40, 0), (80, 0), (39, 1), (79, 1)],
+            ),
+            (
+                vec![row("a", 7), row("b", 7), row("a", 7), row("c", 8)],
+                &[0, 1],
+                Some(1),
+                vec![row("a", 7), row("c", 7), row("c", 8)],
+                vec![(0, 0), (2, 0), (3, 2)],
+            ),
+            (
+                vec![row("a", 0), row("b", 1 << 40), row("c", 0)],
+                &[1],
+                None,
+                vec![row("", 1 << 40), row("", 0), row("", 1)],
+                vec![(1, 0), (0, 1), (2, 1)],
+            ),
+            (
+                vec![row("a", i64::MAX), row("b", i64::MIN), row("c", -1)],
+                &[1],
+                None,
+                vec![row("", i64::MIN), row("", i64::MAX), row("", 0)],
+                vec![(1, 0), (0, 1)],
+            ),
+            (
+                vec![],
+                &[1],
+                None,
+                vec![row("", 0), row("", i64::MIN)],
+                vec![],
+            ),
+        ];
+        for (build, keys, direct, probe, want) in cases {
+            let mut side = BuildSide::new(&schema, keys, &[true; 4]);
+            let mut ctx = ExecCtx::new().with_columnar(true);
+            let data = Arc::new(DataChunk::from_rows(&schema, &build));
+            side.append(&Chunk::dense(data), &mut ctx);
+            side.index();
+            let chosen = match &side.index {
+                KeyIndex::Direct { key, .. } => Some(*key),
+                KeyIndex::Hashed(_) => None,
+            };
+            assert_eq!(chosen, direct, "index of {build:?}");
+            let probe = Chunk::dense(Arc::new(DataChunk::from_rows(&schema, &probe)));
+            let mut s = ProbeScratch::default();
+            let out = side.probe(&probe, keys, &mut s, &mut ctx);
+            let pairs: Vec<(u32, u32)> = (s.build_idx.iter().copied())
+                .zip(s.probe_idx.iter().copied())
+                .collect();
+            assert_eq!(pairs, want, "pairs of {build:?}");
+            assert_eq!(out.len(), want.len());
         }
     }
 

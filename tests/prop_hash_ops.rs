@@ -10,7 +10,18 @@
 //! in type (`Int(1)` vs `Date(1)`: never a match), empty build, empty
 //! probe, no matches at all, selection vectors on either side, a
 //! `LIMIT` pulling the join a row at a time, and group-bys over 0–3
-//! columns × SUM/COUNT/MIN/MAX/AVG. The join also comes in plan shapes
+//! columns × SUM/COUNT/MIN/MAX/AVG.
+//!
+//! The columnar join indexes a build whose `Int` key column is dense by
+//! direct address and hashes every other build, so the inputs reach
+//! both: small `Int` ids take the direct index; sparse ids (spanning
+//! past its range limit), the collision and twin modes' spread ids, and
+//! builds holding both `i64::MIN` and `i64::MAX` (which must fall back
+//! without overflowing) take the hash table; negative ids, probe values
+//! just past either end of the build's range, and composite keys where
+//! only a later `Int` column is dense — with duplicates on it under
+//! different other keys, so each row of a chain must be checked — take
+//! the direct index. The join also comes in plan shapes
 //! that make the columnar engine prune its columns (`Inputs::shaped`):
 //! under an aggregate reading a few of them, as both inputs of another
 //! join under one (whose charges then come from the widths the pruned
@@ -110,18 +121,41 @@ enum Mode {
     LowBitCollisions,
     /// Pairs of distinct keys with identical 64-bit hashes.
     HashTwins,
+    /// Ids a stride apart, spanning past the direct index's range.
+    Sparse,
+    /// Negative ids, and `i64::MIN` and `i64::MAX` in one build.
+    Extreme,
+    /// Two or three key columns: the last an `Int` over a few ids,
+    /// shared by keys whose other (spread) columns differ.
+    DenseLast,
     /// Probe key columns carry the build's bits under another type.
     CrossTyped,
 }
 
-const MODES: [Mode; 6] = [
+/// Every mode; the group-by properties draw from the first five, the
+/// compressed join from all but the last.
+const MODES: [Mode; 9] = [
     Mode::Uniform,
     Mode::Skewed,
     Mode::AllEqual,
     Mode::LowBitCollisions,
     Mode::HashTwins,
+    Mode::Sparse,
+    Mode::Extreme,
+    Mode::DenseLast,
     Mode::CrossTyped,
 ];
+
+/// The gap between [`Mode::Sparse`] ids: 40 of them span 39 million,
+/// past the direct index's limit for any generated build. Odd, so that
+/// `Bool` keys still take both values.
+const SPARSE_STRIDE: i64 = 1_000_003;
+
+/// A random 40-bit id: a column of a few of them spans far past the
+/// direct index's range.
+fn spread_id(rng: &mut Rng) -> i64 {
+    (rng.next() >> 24) as i64
+}
 
 /// The kernel's hash of each composite key in `keys` (typed `types`).
 fn hashes_of(types: &[ColumnType], keys: &[Vec<i64>]) -> Vec<u64> {
@@ -152,21 +186,17 @@ fn key_pool(rng: &mut Rng, mode: Mode, types: &[ColumnType], distinct: usize) ->
     let arity = types.len();
     let random_key =
         |rng: &mut Rng| -> Vec<i64> { (0..arity).map(|_| rng.below(40) as i64).collect() };
+    // Spread ids keep every `Int` key column sparse, so that the
+    // collision and twin modes reach the hash table.
+    let spread_key = |rng: &mut Rng| -> Vec<i64> { (0..arity).map(|_| spread_id(rng)).collect() };
     match mode {
         Mode::AllEqual => vec![random_key(rng)],
         Mode::LowBitCollisions => {
-            // Vary the first key column, hash the candidates with the
-            // kernel's own function, keep the fullest low-8-bit bucket:
-            // a build of up to 128 rows sits in a 256-slot table, so
-            // every key starts its probe at the same slot.
-            let tail = random_key(rng);
-            let candidates: Vec<Vec<i64>> = (0..4096)
-                .map(|id| {
-                    let mut k = tail.clone();
-                    k[0] = id;
-                    k
-                })
-                .collect();
+            // Hash spread candidates with the kernel's own function and
+            // keep the fullest low-8-bit bucket: a build of up to 128
+            // rows sits in a 256-slot table, so every key starts its
+            // probe at the same slot.
+            let candidates: Vec<Vec<i64>> = (0..4096).map(|_| spread_key(rng)).collect();
             let hashes = hashes_of(types, &candidates);
             let mut fill = [0usize; 256];
             hashes.iter().for_each(|h| fill[(h & 255) as usize] += 1);
@@ -188,8 +218,8 @@ fn key_pool(rng: &mut Rng, mode: Mode, types: &[ColumnType], distinct: usize) ->
             assert!(types[..2].iter().all(|&t| t == ColumnType::Int));
             let mut pool = Vec::new();
             for _ in 0..distinct.div_ceil(2) {
-                let (a, a2) = (rng.below(1000) as i64, 1000 + rng.below(1000) as i64);
-                let tail = random_key(rng);
+                let (a, a2) = (spread_id(rng), spread_id(rng));
+                let tail = spread_key(rng);
                 let h = hashes_of(&types[..1], &[vec![a], vec![a2]]);
                 let b = rng.next() as i64;
                 let b2 = b ^ (h[0] ^ h[1]) as i64;
@@ -203,11 +233,30 @@ fn key_pool(rng: &mut Rng, mode: Mode, types: &[ColumnType], distinct: usize) ->
             assert!(h.chunks(2).all(|p| p[0] == p[1]), "twins must share a hash");
             pool
         }
+        Mode::Extreme => {
+            // `generate` puts the first two keys in the build first.
+            let mut pool = vec![vec![i64::MIN; arity], vec![i64::MAX; arity]];
+            let negative = |rng: &mut Rng| (0..arity).map(|_| -1 - rng.below(40) as i64).collect();
+            pool.extend((0..distinct).map(|_| negative(rng)));
+            pool
+        }
+        Mode::DenseLast => (0..distinct)
+            .map(|_| {
+                let mut k = spread_key(rng);
+                k[arity - 1] = rng.below(4) as i64;
+                k
+            })
+            .collect(),
         _ => {
+            let stride = if mode == Mode::Sparse {
+                SPARSE_STRIDE
+            } else {
+                1
+            };
             let mut seen = HashSet::new();
             (0..distinct * 4)
-                .map(|_| random_key(rng))
-                .filter(|k| seen.insert(k.clone()))
+                .map(|_| random_key(rng).into_iter().map(|id| id * stride).collect())
+                .filter(|k: &Vec<i64>| seen.insert(k.clone()))
                 .take(distinct)
                 .collect()
         }
@@ -256,8 +305,13 @@ fn generate(seed: u64, mode: Mode, scanned: bool, filters: bool) -> Inputs {
         Mode::CrossTyped if scanned => Mode::Uniform,
         m => m,
     };
-    if mode == Mode::HashTwins {
-        types = vec![ColumnType::Int; arity.max(2)];
+    match mode {
+        Mode::HashTwins => types = vec![ColumnType::Int; arity.max(2)],
+        Mode::DenseLast => {
+            types.truncate(arity.max(2) - 1);
+            types.push(ColumnType::Int);
+        }
+        _ => {}
     }
     let probe_types: Vec<ColumnType> = match mode {
         Mode::CrossTyped => (types.iter())
@@ -281,7 +335,7 @@ fn generate(seed: u64, mode: Mode, scanned: bool, filters: bool) -> Inputs {
             _ => pool[rng.below(pool.len() as u64) as usize].clone(),
         };
         if !hit {
-            k[0] += 5000;
+            k[0] = k[0].wrapping_add(5000);
         }
         k
     };
@@ -307,9 +361,26 @@ fn generate(seed: u64, mode: Mode, scanned: bool, filters: bool) -> Inputs {
         probe_cols.push((n.to_string(), t));
     }
 
-    let build_rows: Vec<Tuple> = (0..n_build)
-        .map(|i| {
-            let key = draw(&mut rng, true);
+    let build_keys: Vec<Vec<i64>> = (0..n_build)
+        .map(|i| match mode {
+            Mode::Extreme if i < 2 => pool[i].clone(),
+            _ => draw(&mut rng, true),
+        })
+        .collect();
+    // One past either end of the build's ids in one key column: where
+    // the direct index's bound check decides.
+    let edge = |rng: &mut Rng| -> Vec<i64> {
+        let mut k = build_keys[rng.below(build_keys.len() as u64) as usize].clone();
+        let j = rng.below(k.len() as u64) as usize;
+        let ids = build_keys.iter().map(|b| b[j]);
+        k[j] = match rng.below(2) {
+            0 => ids.max().expect("a build row").wrapping_add(1),
+            _ => ids.min().expect("a build row").wrapping_sub(1),
+        };
+        k
+    };
+    let build_rows: Vec<Tuple> = (build_keys.iter().enumerate())
+        .map(|(i, key)| {
             let mut row: Tuple = (key.iter().zip(&types))
                 .map(|(&id, &t)| key_value(t, id))
                 .collect();
@@ -319,8 +390,10 @@ fn generate(seed: u64, mode: Mode, scanned: bool, filters: bool) -> Inputs {
         .collect();
     let probe_rows: Vec<Tuple> = (0..n_probe)
         .map(|i| {
-            let hit = !no_matches && rng.below(10) < 7;
-            let key = draw(&mut rng, hit);
+            let key = match rng.below(10) {
+                0 if !no_matches && n_build > 0 => edge(&mut rng),
+                c => draw(&mut rng, !no_matches && c < 7),
+            };
             let [seq, pay, r] = payload(&mut rng, i);
             let mut row = vec![pay];
             row.extend((key.iter().zip(&probe_types)).map(|(&id, &t)| key_value(t, id)));
@@ -600,7 +673,7 @@ proptest! {
     #[test]
     fn join_matches_both_oracles(
         seed in any::<u64>(),
-        mode_idx in 0usize..6,
+        mode_idx in 0usize..MODES.len(),
         scanned in any::<bool>(),
         chunk in prop_oneof![Just(3usize), Just(64), Just(1024)],
         limit in prop_oneof![Just(None), Just(None), Just(Some(0usize)), Just(Some(7))],
@@ -626,7 +699,7 @@ proptest! {
     #[test]
     fn join_under_compressed_pricing_keeps_rows_and_the_dict_charge_contract(
         seed in any::<u64>(),
-        mode_idx in 0usize..5,
+        mode_idx in 0usize..MODES.len() - 1,
         chunk in prop_oneof![Just(7usize), Just(64), Just(1024)],
     ) {
         let inputs = generate(seed, MODES[mode_idx], true, false);
