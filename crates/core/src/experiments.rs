@@ -1,33 +1,48 @@
 //! The reproduction harness: one typed experiment per table/figure in
 //! the paper's evaluation, each returning structured rows and printing
-//! the same series the paper reports.
+//! the same series the paper reports, plus the extensions and ablations
+//! built on them. [`report`] renders any of them by `repro` target name
+//! (`cargo run --release --bin repro -- 0.01 all`);
+//! `tests/golden/repro_0.01_all.txt` holds `all` at scale 0.01 and
+//! `tests/repro_golden.rs` compares it byte for byte.
 //!
-//! | id | paper artifact |
-//! |----|----------------|
-//! | [`table1`] | Table 1 — system power breakdown |
-//! | [`fig1`]   | Fig 1 — Q5 joules vs seconds, commercial DBMS |
-//! | [`fig2`]   | Fig 2 — energy/time ratios + iso-EDP, commercial |
-//! | [`fig3`]   | Fig 3 — energy/time ratios, MySQL memory engine |
-//! | [`fig4`]   | Fig 4 — observed vs theoretical (`V²/F`) EDP |
-//! | [`warm_cold`] | §3.5 — CPU vs disk joules, warm vs cold |
-//! | [`fig5`]   | Fig 5 — disk throughput & energy/KB by pattern |
-//! | [`fig6`]   | Fig 6 — QED energy vs average response time |
-//! | [`operator_energy`] | extension — join-algorithm energy (§2) |
-//! | [`index_crossover`] | extension — B-tree probe vs scan energy (Fig 5's random-vs-sequential axis applied to access paths) |
+//! | target | experiment | paper artifact |
+//! |--------|------------|----------------|
+//! | `table1` | [`table1`] | Table 1 — system power breakdown |
+//! | `fig1` | [`fig1`] | Fig 1 — Q5 joules vs seconds, commercial DBMS |
+//! | `fig2` | [`fig2`] | Fig 2 — energy/time ratios + iso-EDP, commercial |
+//! | `fig3` | [`fig3`] | Fig 3 — energy/time ratios, MySQL memory engine |
+//! | `fig4` | [`fig4`] | Fig 4 — observed vs theoretical (`V²/F`) EDP |
+//! | `warmcold` | [`warm_cold`] | §3.5 — CPU vs disk joules, warm vs cold |
+//! | `fig5` | [`fig5`] | Fig 5 — disk throughput & energy/KB by pattern |
+//! | `fig6` | [`fig6`] | Fig 6 — QED energy vs average response time |
+//! | `openergy` | [`operator_energy`] | extension — join-algorithm energy (§2) |
+//! | `parallel` | [`parallel_scaling`] | extension — morsel-driven Q5 across 1–8 cores |
+//! | `index` | [`index_crossover`] | extension — B-tree probe vs scan energy (Fig 5's random-vs-sequential axis applied to access paths) |
+//! | `pstate` | [`pstate_cap`] | ablation — p-state capping vs FSB underclocking (§3) |
+//! | `droop` | [`voltage_droop`] | ablation — load-dependent voltage droop |
+//! | `sampling` | [`sampling`] | ablation — 1 Hz EPU sampling vs exact integration (§3.1) |
+//! | `shortcircuit` | [`qed_short_circuit`] | ablation — QED's merged disjunction, short-circuit vs exhaustive |
+//! | `reread` | [`warm_reread`] | ablation — residual warm-run disk re-reads (§3.5) |
+//! | `joinorder` | [`join_order`] | ablation — Q5 join order ranked by energy (§2) |
 //!
 //! Scale factors are configurable (the paper used SF 1.0 / 0.125 / 0.5
 //! on real hardware; simulation shapes are scale-free, so tests and
-//! benches default to smaller SFs for runtime sanity).
+//! the golden use smaller SFs for runtime sanity).
 
-use eco_simhw::cpu::VoltageSetting;
+use eco_query::plans;
+use eco_simhw::cpu::{CpuConfig, VoltageSetting};
 use eco_simhw::disk::{AccessPattern, DiskSpec};
 use eco_simhw::machine::MachineConfig;
 use eco_simhw::power::{table1_breakdown, CpuPowerModel};
 use eco_simhw::psu::PsuSpec;
 use eco_simhw::CpuSpec;
+use eco_tpch::Q5Params;
 
+use crate::advisor::{rank_plans_by_energy, PlanEnergy};
+use crate::metrics::iso_edp_curve;
 use crate::pvc::{theoretical_edp_ratio, PvcSweep};
-use crate::qed::{run_qed_sweep, QedOutcome};
+use crate::qed::{run_qed, run_qed_sweep, QedOutcome};
 use crate::server::{EcoDb, EngineProfile};
 
 /// Default scale factor for quick experiment runs.
@@ -705,7 +720,6 @@ pub struct IndexCrossoverRow {
 pub fn index_crossover(scale: f64) -> Vec<IndexCrossoverRow> {
     use eco_query::context::ExecCtx;
     use eco_query::ops::BoxedOp;
-    use eco_query::plans;
     use eco_simhw::trace::{PhaseKind, WorkTrace};
     use eco_storage::{TableData, Tuple};
 
@@ -793,11 +807,383 @@ pub fn index_crossover_report(rows: &[IndexCrossoverRow]) -> String {
     )
 }
 
+// ---------------------------------------------------------------------------
+// Ablations: the design choices the paper argues for, each priced against
+// its alternative.
+// ---------------------------------------------------------------------------
+
+/// One CPU setting priced against stock.
+#[derive(Debug, Clone)]
+pub struct CpuSettingRow {
+    /// Setting label.
+    pub label: &'static str,
+    /// Top reachable core frequency, GHz.
+    pub top_ghz: f64,
+    /// CPU energy ratio vs stock.
+    pub energy_ratio: f64,
+    /// Time ratio vs stock.
+    pub time_ratio: f64,
+    /// EDP ratio vs stock.
+    pub edp_ratio: f64,
+}
+
+/// Paper §3's motivating comparison: capping the p-state multiplier is
+/// coarse and loses the upper p-states, FSB underclocking is fine-grained
+/// and keeps them all. The Q5 workload on the MySQL memory-engine
+/// profile, medium voltage throughout.
+pub fn pstate_cap(scale: f64) -> Vec<CpuSettingRow> {
+    let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
+    let (_, trace) = db.trace_q5_workload();
+    let stock = db.price(&trace, MachineConfig::stock());
+    let medium = VoltageSetting::Medium;
+    [
+        ("cap x9", CpuConfig::capped(9.0, medium)),
+        ("cap x8", CpuConfig::capped(8.0, medium)),
+        ("cap x7", CpuConfig::capped(7.0, medium)),
+        ("5% UC", CpuConfig::underclocked(0.05, medium)),
+        ("10% UC", CpuConfig::underclocked(0.10, medium)),
+        ("15% UC", CpuConfig::underclocked(0.15, medium)),
+    ]
+    .into_iter()
+    .map(|(label, cfg)| {
+        let m = db.price(&trace, MachineConfig::with_cpu(cfg));
+        CpuSettingRow {
+            label,
+            top_ghz: cfg.top_freq_hz(&db.machine().cpu_spec) / 1e9,
+            energy_ratio: m.cpu_joules / stock.cpu_joules,
+            time_ratio: m.elapsed_s / stock.elapsed_s,
+            edp_ratio: (m.cpu_joules * m.elapsed_s) / (stock.cpu_joules * stock.elapsed_s),
+        }
+    })
+    .collect()
+}
+
+/// Format the p-state-cap ablation.
+pub fn pstate_cap_report(rows: &[CpuSettingRow]) -> String {
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.label.to_string(),
+                format!("{:.2}", r.top_ghz),
+                format!("{:.3}", r.energy_ratio),
+                format!("{:.3}", r.time_ratio),
+                format!("{:.3}", r.edp_ratio),
+            ]
+        })
+        .collect();
+    render_table(
+        "Ablation: p-state capping vs underclocking (Q5 workload, MySQL memory-engine profile, medium voltage)",
+        &["setting", "top GHz", "E ratio", "T ratio", "EDP ratio"],
+        &table,
+    )
+}
+
+/// One profile's response to the same PVC setting.
+#[derive(Debug, Clone)]
+pub struct DroopRow {
+    /// Engine profile label.
+    pub profile: &'static str,
+    /// CPU utilization at stock.
+    pub utilization: f64,
+    /// CPU energy ratio vs stock.
+    pub energy_ratio: f64,
+    /// Core voltage while busy, volts.
+    pub busy_voltage_v: f64,
+}
+
+/// Load-dependent voltage droop (`eco_simhw::calib::DROOP_AT_FULL_LOAD`),
+/// the mechanism behind the commercial-vs-MySQL savings gap: the Q5
+/// workload at 5 % underclock / medium voltage on the warm commercial
+/// profile (low utilization) and the memory engine (high utilization).
+pub fn voltage_droop(scale: f64) -> Vec<DroopRow> {
+    let pvc = MachineConfig::with_cpu(CpuConfig::underclocked(0.05, VoltageSetting::Medium));
+    [
+        ("commercial (low util)", EngineProfile::CommercialDisk),
+        ("mysql-memory (high util)", EngineProfile::MemoryEngine),
+    ]
+    .into_iter()
+    .map(|(label, profile)| {
+        let db = EcoDb::tpch(profile, scale);
+        if profile == EngineProfile::CommercialDisk {
+            db.warm_up();
+        }
+        let (_, trace) = db.trace_q5_workload();
+        let stock = db.price(&trace, MachineConfig::stock());
+        let m = db.price(&trace, pvc);
+        DroopRow {
+            profile: label,
+            utilization: stock.utilization,
+            energy_ratio: m.cpu_joules / stock.cpu_joules,
+            busy_voltage_v: m.busy_voltage_v,
+        }
+    })
+    .collect()
+}
+
+/// Format the voltage-droop ablation.
+pub fn voltage_droop_report(rows: &[DroopRow]) -> String {
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.profile.to_string(),
+                format!("{:.2}", r.utilization),
+                format!("{:.3}", r.energy_ratio),
+                format!("{:.3}", r.busy_voltage_v),
+            ]
+        })
+        .collect();
+    render_table(
+        "Ablation: voltage droop (Q5 workload, 5% UC / medium vs stock)",
+        &["profile", "util", "E ratio", "busy V"],
+        &table,
+    )
+}
+
+/// The Q5 workload's CPU joules integrated exactly and as the paper's
+/// 1 Hz EPU GUI sampling reads them (§3.1 discusses the sensor's
+/// drawbacks): the memory-engine profile at stock.
+pub fn sampling(scale: f64) -> eco_simhw::machine::Measurement {
+    let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
+    let (_, trace) = db.trace_q5_workload();
+    db.price(&trace, MachineConfig::stock())
+}
+
+/// Format the sampling ablation.
+pub fn sampling_report(m: &eco_simhw::machine::Measurement) -> String {
+    let err = (m.cpu_joules_epu - m.cpu_joules).abs() / m.cpu_joules;
+    render_table(
+        "Ablation: EPU 1 Hz sampling vs exact integration (Q5 workload, MySQL memory-engine profile)",
+        &["seconds", "exact J", "sampled J", "rel error"],
+        &[vec![
+            format!("{:.2}", m.elapsed_s),
+            format!("{:.2}", m.cpu_joules),
+            format!("{:.2}", m.cpu_joules_epu),
+            format!("{:.2}%", err * 100.0),
+        ]],
+    )
+}
+
+/// QED at batch 40 with the merged scan's disjunction short-circuited
+/// and evaluated exhaustively, in that order (`docs/ARCHITECTURE.md`,
+/// "The merged QED scan": short-circuiting is what makes Fig 6's growth
+/// sublinear). Memory-engine profile, stock.
+pub fn qed_short_circuit(scale: f64) -> [QedOutcome; 2] {
+    let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
+    [true, false].map(|short_circuit| run_qed(&db, 40, MachineConfig::stock(), short_circuit))
+}
+
+/// Format the QED short-circuit ablation.
+pub fn qed_short_circuit_report(outcomes: &[QedOutcome; 2]) -> String {
+    let table: Vec<Vec<String>> = ["short-circuit", "exhaustive"]
+        .iter()
+        .zip(outcomes)
+        .map(|(name, o)| {
+            vec![
+                name.to_string(),
+                format!("{:.3}", o.energy_ratio),
+                format!("{:.3}", o.response_ratio),
+                format!("{:.3}", o.edp_ratio),
+            ]
+        })
+        .collect();
+    render_table(
+        "Ablation: QED disjunction evaluation (batch 40, MySQL memory-engine profile, stock)",
+        &["evaluation", "E ratio", "avg-resp ratio", "EDP ratio"],
+        &table,
+    )
+}
+
+/// One residual re-read interval of the warm-run disk study.
+#[derive(Debug, Clone, Copy)]
+pub struct WarmRereadRow {
+    /// Every how many pool hits a warm page is read again (`None`: never).
+    pub every: Option<u64>,
+    /// Workload seconds.
+    pub seconds: f64,
+    /// CPU joules.
+    pub cpu_joules: f64,
+    /// Disk joules.
+    pub disk_joules: f64,
+}
+
+/// Paper §3.5 observes the disk stays busy even with a warm,
+/// memory-resident database: the warm Q5 workload on the commercial
+/// profile as the buffer pool's residual re-read interval shrinks.
+pub fn warm_reread(scale: f64) -> Vec<WarmRereadRow> {
+    [None, Some(5000u64), Some(2500), Some(500)]
+        .into_iter()
+        .map(|every| {
+            let db = EcoDb::tpch(EngineProfile::CommercialDisk, scale);
+            db.catalog().pool().set_warm_reread_every(every);
+            db.warm_up();
+            let m = db.run_q5_workload(MachineConfig::stock()).measurement;
+            WarmRereadRow {
+                every,
+                seconds: m.elapsed_s,
+                cpu_joules: m.cpu_joules,
+                disk_joules: m.disk_joules,
+            }
+        })
+        .collect()
+}
+
+/// Format the warm re-read ablation.
+pub fn warm_reread_report(rows: &[WarmRereadRow]) -> String {
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.every.map_or("off".to_string(), |e| e.to_string()),
+                format!("{:.3}", r.seconds),
+                format!("{:.2}", r.disk_joules),
+                format!("{:.3}", r.disk_joules / r.cpu_joules),
+            ]
+        })
+        .collect();
+    render_table(
+        "Ablation: warm re-read interval (warm Q5 workload, commercial profile)",
+        &["re-read every", "seconds", "disk J", "disk/CPU"],
+        &table,
+    )
+}
+
+/// Paper §2's query-level opportunity: one Q5 under two join orders
+/// (filter pushdown vs late filtering) ranked by CPU joules
+/// ([`rank_plans_by_energy`]). Memory-engine profile, stock.
+pub fn join_order(scale: f64) -> Vec<PlanEnergy> {
+    let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
+    let params = Q5Params::new("ASIA", 1994);
+    rank_plans_by_energy(
+        &db,
+        vec![
+            ("pushdown", plans::q5_plan(db.catalog(), &params)),
+            (
+                "late-filter",
+                plans::q5_plan_late_filter(db.catalog(), &params),
+            ),
+        ],
+        MachineConfig::stock(),
+    )
+}
+
+/// Format the join-order ablation.
+pub fn join_order_report(ranked: &[PlanEnergy]) -> String {
+    let table: Vec<Vec<String>> = ranked
+        .iter()
+        .map(|p| {
+            vec![
+                p.name.clone(),
+                format!("{:.4}", p.seconds),
+                format!("{:.3}", p.cpu_joules),
+                format!("{:.4}", p.edp()),
+            ]
+        })
+        .collect();
+    render_table(
+        "Ablation: Q5 join order by energy (MySQL memory-engine profile, stock)",
+        &["plan", "seconds", "CPU J", "EDP"],
+        &table,
+    )
+}
+
+// ---------------------------------------------------------------------------
+// The `repro` report
+// ---------------------------------------------------------------------------
+
+/// Renders one `repro` target's section at a scale factor.
+pub type Render = fn(f64) -> String;
+
+/// Every `repro` target and its section, in the order `all` renders
+/// them.
+pub const TARGETS: [(&str, Render); 17] = [
+    ("table1", |_| table1_report()),
+    ("fig1", |scale| {
+        pvc_report(
+            "Fig 1: TPC-H Q5 workload on the commercial profile (medium voltage)",
+            &fig1(scale),
+        )
+    }),
+    ("fig2", |scale| {
+        format!(
+            "{}iso-EDP curve samples: {:?}\n",
+            pvc_report(
+                "Fig 2: commercial profile, small + medium voltage (ratios vs stock)",
+                &fig2(scale),
+            ),
+            iso_edp_curve(&[0.4, 0.6, 0.8, 1.0])
+        )
+    }),
+    ("fig3", |scale| {
+        pvc_report(
+            "Fig 3: MySQL memory-engine profile (ratios vs stock)",
+            &fig3(scale),
+        )
+    }),
+    ("fig4", |scale| fig4_report(&fig4(scale))),
+    ("warmcold", |scale| warm_cold_report(&warm_cold(scale))),
+    ("fig5", |_| fig5_report(&fig5())),
+    ("fig6", |scale| fig6_report(&fig6(scale))),
+    ("openergy", |scale| {
+        operator_energy_report(&operator_energy(scale))
+    }),
+    ("parallel", |scale| {
+        parallel_scaling_report(&parallel_scaling(scale))
+    }),
+    ("index", |scale| {
+        index_crossover_report(&index_crossover(scale))
+    }),
+    ("pstate", |scale| pstate_cap_report(&pstate_cap(scale))),
+    ("droop", |scale| voltage_droop_report(&voltage_droop(scale))),
+    ("sampling", |scale| sampling_report(&sampling(scale))),
+    ("shortcircuit", |scale| {
+        qed_short_circuit_report(&qed_short_circuit(scale))
+    }),
+    ("reread", |scale| warm_reread_report(&warm_reread(scale))),
+    ("joinorder", |scale| join_order_report(&join_order(scale))),
+];
+
+/// The `repro` report at `scale`: a header, then one section per
+/// target in the order given. No target, or `all` among them, renders
+/// every one of [`TARGETS`]. The first target not in [`TARGETS`] is
+/// the error, returned before any experiment runs.
+pub fn report(scale: f64, targets: &[&str]) -> Result<String, String> {
+    let mut sections = Vec::new();
+    for &name in targets.iter().filter(|&&t| t != "all") {
+        let (_, render) = TARGETS
+            .iter()
+            .find(|(target, _)| *target == name)
+            .ok_or_else(|| name.to_string())?;
+        sections.push(*render);
+    }
+    if sections.is_empty() || targets.contains(&"all") {
+        sections = TARGETS.iter().map(|(_, render)| *render).collect();
+    }
+    let mut out = format!(
+        "ecoDB reproduction of Lang & Patel, CIDR 2009 (scale factor {scale})\n\
+         ====================================================================\n\n"
+    );
+    for render in sections {
+        out.push_str(&render(scale));
+        out.push('\n');
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const SCALE: f64 = 0.004;
+
+    #[test]
+    fn report_rejects_an_unknown_target_before_running_any() {
+        assert_eq!(report(SCALE, &["fig7"]), Err("fig7".to_string()));
+        assert_eq!(report(SCALE, &["index", "fig7"]), Err("fig7".to_string()));
+        let table1 = report(SCALE, &["table1"]).expect("a known target");
+        assert!(table1.ends_with(&format!("{}\n", table1_report())));
+    }
 
     #[test]
     fn table1_within_model_bands() {

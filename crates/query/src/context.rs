@@ -24,7 +24,7 @@ pub struct ExecCtx {
     /// runs).
     pub ledger: Ledger,
     /// Whether OR-lists short-circuit on the first true arm. MySQL-style
-    /// evaluation short-circuits; the `ablation_qed_shortcircuit` bench
+    /// evaluation short-circuits; `repro`'s `shortcircuit` target
     /// flips this to study its effect on QED.
     pub short_circuit_or: bool,
     /// Number of predicate-term evaluations (for introspection/tests).

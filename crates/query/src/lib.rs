@@ -55,8 +55,8 @@
 //! count** (enforced by `tests/integration_parallel.rs` and the
 //! `parallel_matches_serial` property test), so every figure in the
 //! reproduction is reproducible at any core count while wall-clock time
-//! scales with workers (`cargo bench -p eco-bench --bench
-//! exec_parallel_scaling`).
+//! scales with workers (the `parallel` target of the `repro` binary
+//! prints the simulated makespans).
 //!
 //! The crate also provides:
 //!

@@ -60,7 +60,7 @@
 //! Every figure in this repository is guarded by bit-identical energy
 //! ledgers across execution modes (scalar = columnar = parallel). The
 //! server extends that to concurrency, in two exact
-//! equalities enforced by tests and bench flags:
+//! equalities enforced by tests:
 //!
 //! * the merge of all per-session forked ledgers (each an exact share,
 //!   [`Ledger::exact_share`](eco_simhw::trace::Ledger::exact_share),

@@ -63,7 +63,9 @@ pub struct ServerConfig {
     /// group (the delay budget is [`ServerConfig::max_delay_s`], shared
     /// with the read batcher). `1` disables grouping: every DML
     /// statement fsyncs inside its own trace — the per-statement-
-    /// durability baseline the `BENCH_wal` gate compares against.
+    /// durability baseline that
+    /// `group_commit_fsyncs_once_per_group_and_halves_joules_per_txn`
+    /// (`tests/integration_server.rs`) compares against.
     pub commit_threshold: usize,
 }
 
@@ -189,8 +191,8 @@ impl ServeReport {
     }
 
     /// Merge all per-session ledgers back together. Equal to
-    /// [`ServeReport::ledger`] by construction — exposed so tests and
-    /// the bench identity flags can enforce it.
+    /// [`ServeReport::ledger`] by construction — exposed so tests can
+    /// enforce it.
     pub fn merged_session_ledger(&self) -> Ledger {
         self.session_ledgers.values().sum()
     }

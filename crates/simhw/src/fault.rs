@@ -157,11 +157,11 @@ impl FaultPlan {
     /// retry and backoff cost. Transient and stall draws are
     /// untouched.
     ///
-    /// This is how the fault-rate energy curve (`BENCH_faults.json`)
-    /// is charted: a single permanent fault on a scanned table fails
-    /// every query that touches it, so the *priced* cost of fault
-    /// pressure — retry random I/O plus backoff halt residency — is
-    /// only visible on plans where service completes.
+    /// This is how the priced cost of fault pressure is observed: a
+    /// single permanent fault on a scanned table fails every query that
+    /// touches it, so retry random I/O plus backoff halt residency are
+    /// only visible on plans where service completes
+    /// (`tests/prop_lazy_frames.rs` runs such plans).
     pub fn recoverable(mut self) -> Self {
         self.recoverable_only = true;
         self

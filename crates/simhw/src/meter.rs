@@ -6,7 +6,7 @@
 //! (§3.1). We keep both the exact integral of the simulated power
 //! timeline and the 1 Hz sampled estimate, so the paper's measurement
 //! methodology is itself reproducible (and its error is testable — see
-//! the `ablation_sampling` bench).
+//! the `sampling` target of `repro`).
 
 use crate::calib;
 
@@ -160,8 +160,8 @@ mod tests {
         // within a few percent of the exact integral.
         // Segment period is incommensurate with the 1 Hz sampling so
         // the samples dephase; a commensurate period would alias (a
-        // real hazard of the paper's methodology, covered by the
-        // `ablation_sampling` bench).
+        // real hazard of the paper's methodology; `repro`'s `sampling`
+        // target prints the error on the Q5 workload).
         let mut t = PowerTimeline::new();
         for _ in 0..300 {
             t.push(0.73, 30.0);

@@ -11,14 +11,20 @@
 //!    stay bit-identical to scalar execution, and the compression
 //!    machinery never charges (no `DictLookup`, no encoded mirrors) —
 //!    i.e. pre-v3 ledgers are reproduced byte for byte.
+//!
+//! And one exact gain on TPC-H: compressed pricing at least halves the
+//! priced memory bytes of Q1 and Q6 and strictly lowers their joules.
 
 use proptest::prelude::*;
 
+use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute_parallel, execute_scalar};
+use ecodb::query::exec::{execute_columnar, execute_parallel, execute_scalar};
 use ecodb::query::expr::{AggFunc, CmpOp, Expr};
 use ecodb::query::ops::{AggSpec, BoxedOp, Filter, HashAggregate, SeqScan};
-use ecodb::simhw::trace::{OpClass, PricingMode};
+use ecodb::query::plans;
+use ecodb::simhw::trace::{OpClass, PhaseKind, PricingMode, WorkTrace};
+use ecodb::simhw::MachineConfig;
 use ecodb::storage::{Catalog, ColumnType, HeapTable, Schema, Tuple, Value};
 
 /// Deterministic pseudo-random table whose columns exercise every
@@ -157,5 +163,43 @@ proptest! {
             "compressed path must fetch the same live rows"
         );
         prop_assert_eq!(cctx.ledger.disk, rctx.ledger.disk, "disk pages stay raw; I/O pricing unchanged");
+    }
+}
+
+/// TPC-H Q1 and Q6 at scale 0.01 on the memory engine, columnar, priced
+/// raw and compressed (ledger schema v3): rows identical, priced memory
+/// bytes at least 2x smaller, and CPU + DRAM joules strictly lower.
+#[test]
+fn compressed_pricing_halves_tpch_q1_q6_priced_bytes_and_lowers_joules() {
+    let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.01);
+    let run = |pricing: PricingMode, name: &str| {
+        let mut plan = match name {
+            "q1" => plans::q1_plan(db.catalog(), 90),
+            _ => plans::q6_plan(db.catalog(), 1994, 6, 24),
+        };
+        let mut ctx = ExecCtx::new().with_columnar(true).with_pricing(pricing);
+        let rows = execute_columnar(plan.as_mut(), &mut ctx);
+        let bytes = ctx.ledger.mem_stream_bytes;
+        let mut trace = WorkTrace::new();
+        trace.push(ctx.take_phase(PhaseKind::Execute, name));
+        let m = db.machine().measure(&trace, &MachineConfig::stock());
+        (rows, bytes, m.cpu_joules + m.dram_joules)
+    };
+    for name in ["q1", "q6"] {
+        let (raw_rows, raw_bytes, raw_joules) = run(PricingMode::Raw, name);
+        let (comp_rows, comp_bytes, comp_joules) = run(PricingMode::Compressed, name);
+        assert_eq!(
+            comp_rows, raw_rows,
+            "{name}: compressed rows differ from raw"
+        );
+        let ratio = raw_bytes as f64 / comp_bytes as f64;
+        assert!(
+            ratio >= 2.0,
+            "{name}: priced bytes {raw_bytes} -> {comp_bytes} ({ratio:.2}x < 2x)"
+        );
+        assert!(
+            comp_joules < raw_joules,
+            "{name}: compressed {comp_joules} J not below raw {raw_joules} J"
+        );
     }
 }
