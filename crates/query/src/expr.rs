@@ -7,12 +7,10 @@
 //! cost is what makes the QED disjunction scan slower (and the
 //! energy/response-time trade of paper §4 non-trivial).
 
-use std::sync::Arc;
-
 use eco_simhw::trace::OpClass;
 use eco_storage::{
     BitPacked, ColumnChunk, ColumnData, ColumnType, DataChunk, EncodedChunk, EncodedColumn, Schema,
-    Tuple, Value,
+    StrColumn, Tuple, Value,
 };
 
 use crate::chunk::Rows;
@@ -423,7 +421,7 @@ enum ValSrc<'a> {
     DateConst(i32),
     Char(&'a [char], Option<&'a [bool]>),
     CharConst(char),
-    Str(&'a [Arc<str>], Option<&'a [bool]>),
+    Str(&'a StrColumn, Option<&'a [bool]>),
     StrConst(&'a str),
     Bool(Vec<bool>),
     BoolSlice(&'a [bool], Option<&'a [bool]>),
@@ -821,15 +819,15 @@ fn cmp_flags(
         (ValSrc::CharConst(c), ValSrc::Char(b, vb)) => rows.for_each(|k, i| {
             flags[k] = valid_at(*vb, i) && op.test(c.cmp(&b[i]));
         }),
+        // Strings compare as bytes, in place: byte order is `str` order.
         (ValSrc::Str(a, va), ValSrc::Str(b, vb)) => rows.for_each(|k, i| {
-            flags[k] =
-                valid_at(*va, i) && valid_at(*vb, i) && op.test(a[i].as_ref().cmp(b[i].as_ref()));
+            flags[k] = valid_at(*va, i) && valid_at(*vb, i) && op.test(a.bytes(i).cmp(b.bytes(i)));
         }),
         (ValSrc::Str(a, va), ValSrc::StrConst(c)) => rows.for_each(|k, i| {
-            flags[k] = valid_at(*va, i) && op.test(a[i].as_ref().cmp(c));
+            flags[k] = valid_at(*va, i) && op.test(a.bytes(i).cmp(c.as_bytes()));
         }),
         (ValSrc::StrConst(c), ValSrc::Str(b, vb)) => rows.for_each(|k, i| {
-            flags[k] = valid_at(*vb, i) && op.test((*c).cmp(b[i].as_ref()));
+            flags[k] = valid_at(*vb, i) && op.test(c.as_bytes().cmp(b.bytes(i)));
         }),
         // Two literals (`'ASIA' = 'x'`): one verdict for every row.
         (ValSrc::DateConst(a), ValSrc::DateConst(b)) => flags.fill(op.test(a.cmp(b))),

@@ -554,23 +554,26 @@ impl ColumnarGroups {
                         counts[g] += 1;
                     });
                 }
-                (AggFunc::Min, ColAcc::Min(accs)) => {
+                (AggFunc::Min, ColAcc::Min(accs)) | (AggFunc::Max, ColAcc::Max(accs)) => {
                     ctx.charge(OpClass::AggUpdate, n as u64);
+                    let wins = match spec.func {
+                        AggFunc::Min => Ordering::Less,
+                        _ => Ordering::Greater,
+                    };
+                    // Each cell is compared where it lies; only a new
+                    // extreme becomes a `Value`.
                     let col = spec.input.eval_column(&chunk.data, rows, ctx);
                     rows.for_each(|k, _| {
-                        keep_extreme(
-                            &mut accs[gids[k] as usize],
-                            col.data.value(k),
-                            Ordering::Less,
-                        );
-                    });
-                }
-                (AggFunc::Max, ColAcc::Max(accs)) => {
-                    ctx.charge(OpClass::AggUpdate, n as u64);
-                    let col = spec.input.eval_column(&chunk.data, rows, ctx);
-                    rows.for_each(|k, _| {
-                        let v = col.data.value(k);
-                        keep_extreme(&mut accs[gids[k] as usize], v, Ordering::Greater);
+                        let acc = &mut accs[gids[k] as usize];
+                        let replace = match acc {
+                            None => true,
+                            Some(cur) => {
+                                col.data.cmp_value(k, cur).expect("comparable MIN/MAX") == wins
+                            }
+                        };
+                        if replace {
+                            *acc = Some(col.data.value(k));
+                        }
                     });
                 }
                 _ => unreachable!("accumulator variant matches its spec"),

@@ -75,7 +75,7 @@ fn hash_into(data: &DataChunk, keys: &[usize], rows: Rows<'_>, out: &mut [u64]) 
             ColumnData::Char(v) => rows.for_each(|k, i| out[k] = mix(out[k], v[i] as u64)),
             ColumnData::Bool(v) => rows.for_each(|k, i| out[k] = mix(out[k], v[i] as u64)),
             ColumnData::Str(v) => {
-                rows.for_each(|k, i| out[k] = mix_bytes(out[k], v[i].as_bytes()));
+                rows.for_each(|k, i| out[k] = mix_bytes(out[k], v.bytes(i)));
             }
         }
     }
@@ -118,7 +118,7 @@ pub(crate) fn keys_eq(
             (ColumnData::Date(x), ColumnData::Date(y)) => x[ai] == y[bi],
             (ColumnData::Char(x), ColumnData::Char(y)) => x[ai] == y[bi],
             (ColumnData::Bool(x), ColumnData::Bool(y)) => x[ai] == y[bi],
-            (ColumnData::Str(x), ColumnData::Str(y)) => x[ai] == y[bi],
+            (ColumnData::Str(x), ColumnData::Str(y)) => x.bytes(ai) == y.bytes(bi),
             _ => false,
         },
     )

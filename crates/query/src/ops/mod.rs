@@ -29,7 +29,7 @@
 //! Instead of one heap-allocated tuple of tagged values per call, a
 //! [`crate::chunk::Chunk`] moves an `Arc`-shared window
 //! of typed column vectors (`eco-storage`'s [`DataChunk`] — one
-//! contiguous `i64`/`i32`/`char`/`Arc<str>` array per column, plus
+//! contiguous `i64`/`i32`/`char` array or string arena per column, plus
 //! optional validity) together with an optional **selection vector**
 //! naming the live rows. The pipeline idiom is
 //! scan → select → compute → late-materialize:

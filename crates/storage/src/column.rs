@@ -24,19 +24,163 @@
 //! selection-vector unit tests (an invalid value fails every
 //! comparison, like SQL `NULL`).
 
-use std::sync::Arc;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, OnceLock};
 
-use crate::intern::Interner;
 use crate::page::try_append_to_columns;
 use crate::value::{ColumnType, Schema, Tuple, Value};
+
+/// A string column: every value's UTF-8 bytes end to end in one
+/// buffer plus each value's end offset (Apache Arrow's variable-size
+/// binary layout, less its leading zero): two allocations whatever the
+/// length, each value read in place. [`Self::set`] and [`Self::remove`]
+/// splice, so the offsets cover the buffer exactly and equality and
+/// clones go by content. `u32` offsets cap a column at 4 GiB of string
+/// bytes (≈ 25 × TPC-H `l_comment` at scale 10); a write past it panics.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct StrColumn {
+    bytes: Vec<u8>,
+    ends: Vec<u32>,
+}
+
+impl StrColumn {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when the column holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Where value `i` lies in the buffer.
+    #[inline]
+    fn span(&self, i: usize) -> Range<usize> {
+        // `ends[i]` first: then `ends[i - 1]` needs no bounds check.
+        let end = self.ends[i] as usize;
+        let start = match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        };
+        start..end
+    }
+
+    /// The UTF-8 bytes of value `i`, in place. Byte order is `str`
+    /// order, so comparisons and hashes need no more than this.
+    #[inline]
+    pub fn bytes(&self, i: usize) -> &[u8] {
+        &self.bytes[self.span(i)]
+    }
+
+    /// Value `i` in bytes.
+    #[inline]
+    pub fn byte_len(&self, i: usize) -> usize {
+        let span = self.span(i);
+        span.end - span.start
+    }
+
+    /// Value `i`.
+    pub fn get(&self, i: usize) -> &str {
+        match std::str::from_utf8(self.bytes(i)) {
+            Ok(s) => s,
+            Err(_) => unreachable!("a string column holds whole UTF-8 values"),
+        }
+    }
+
+    /// Every value, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// The offset `len` bytes of values end at; panics past 4 GiB.
+    fn end_at(len: usize) -> u32 {
+        match u32::try_from(len) {
+            Ok(end) => end,
+            Err(_) => panic!("a string column holds at most 4 GiB of bytes"),
+        }
+    }
+
+    /// Append `s`.
+    #[inline]
+    pub fn push(&mut self, s: &str) {
+        self.bytes.extend_from_slice(s.as_bytes());
+        self.ends.push(Self::end_at(self.bytes.len()));
+    }
+
+    /// Overwrite value `i` with `s`, moving the later values' bytes
+    /// when the length changes.
+    pub fn set(&mut self, i: usize, s: &str) {
+        let span = self.span(i);
+        let (old, new) = (span.len() as u32, Self::end_at(s.len()));
+        // The 4 GiB limit, checked before anything moves.
+        Self::end_at(self.bytes.len() - span.len() + s.len());
+        self.bytes.splice(span, s.bytes());
+        for end in &mut self.ends[i..] {
+            *end = *end - old + new;
+        }
+    }
+
+    /// Remove value `i`, shifting the later values down by one.
+    pub fn remove(&mut self, i: usize) {
+        let span = self.span(i);
+        let gone = span.len() as u32;
+        self.bytes.drain(span);
+        self.ends.remove(i);
+        for end in &mut self.ends[i..] {
+            *end -= gone;
+        }
+    }
+
+    /// Append `src`'s values at `rows`, in iteration order (rows may
+    /// repeat): room for all of their bytes is made once, then the
+    /// bytes are copied — nothing is allocated per value.
+    pub fn append_rows(&mut self, src: &StrColumn, rows: impl Iterator<Item = usize> + Clone) {
+        self.bytes
+            .reserve(rows.clone().map(|i| src.byte_len(i)).sum());
+        self.ends.reserve(rows.size_hint().0);
+        for i in rows {
+            self.bytes.extend_from_slice(src.bytes(i));
+            self.ends.push(Self::end_at(self.bytes.len()));
+        }
+    }
+
+    /// Make room for `rows` more values, and for their bytes at the
+    /// mean length of the values so far plus one byte in eight (none
+    /// while there are none).
+    pub fn reserve(&mut self, rows: usize) {
+        self.ends.reserve(rows);
+        let bytes = rows * self.bytes.len().div_ceil(self.len().max(1));
+        self.bytes.reserve(bytes + bytes / 8);
+    }
+
+    /// Drop every value, keeping both allocations.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for StrColumn {
+    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> Self {
+        let mut out = StrColumn::default();
+        for s in iter {
+            out.push(s.as_ref());
+        }
+        out
+    }
+}
 
 /// One typed column vector.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     /// 64-bit integers (also fixed-point money in cents).
     Int(Vec<i64>),
-    /// Strings (shared; a gather clones only the `Arc`).
-    Str(Vec<Arc<str>>),
+    /// Strings, in one arena per column.
+    Str(StrColumn),
     /// Dates as day offsets.
     Date(Vec<i32>),
     /// Single characters.
@@ -55,7 +199,10 @@ impl ColumnData {
     pub fn with_capacity(ty: ColumnType, cap: usize) -> Self {
         match ty {
             ColumnType::Int => ColumnData::Int(Vec::with_capacity(cap)),
-            ColumnType::Str => ColumnData::Str(Vec::with_capacity(cap)),
+            ColumnType::Str => ColumnData::Str(StrColumn {
+                bytes: Vec::new(),
+                ends: Vec::with_capacity(cap),
+            }),
             ColumnType::Date => ColumnData::Date(Vec::with_capacity(cap)),
             ColumnType::Char => ColumnData::Char(Vec::with_capacity(cap)),
             ColumnType::Bool => ColumnData::Bool(Vec::with_capacity(cap)),
@@ -93,24 +240,10 @@ impl ColumnData {
     pub fn push(&mut self, v: &Value) {
         match (self, v) {
             (ColumnData::Int(c), Value::Int(x)) => c.push(*x),
-            (ColumnData::Str(c), Value::Str(x)) => c.push(Arc::clone(x)),
+            (ColumnData::Str(c), Value::Str(x)) => c.push(x),
             (ColumnData::Date(c), Value::Date(x)) => c.push(*x),
             (ColumnData::Char(c), Value::Char(x)) => c.push(*x),
             (ColumnData::Bool(c), Value::Bool(x)) => c.push(*x),
-            (c, v) => panic!("cannot push {v:?} into a {:?} column", c.column_type()),
-        }
-    }
-
-    /// Append one `Value`, taking it (a string moves in — no reference
-    /// count is touched); panics on a type mismatch.
-    #[inline]
-    pub fn push_value(&mut self, v: Value) {
-        match (self, v) {
-            (ColumnData::Int(c), Value::Int(x)) => c.push(x),
-            (ColumnData::Str(c), Value::Str(x)) => c.push(x),
-            (ColumnData::Date(c), Value::Date(x)) => c.push(x),
-            (ColumnData::Char(c), Value::Char(x)) => c.push(x),
-            (ColumnData::Bool(c), Value::Bool(x)) => c.push(x),
             (c, v) => panic!("cannot push {v:?} into a {:?} column", c.column_type()),
         }
     }
@@ -119,7 +252,7 @@ impl ColumnData {
     pub fn set(&mut self, i: usize, v: &Value) {
         match (self, v) {
             (ColumnData::Int(c), Value::Int(x)) => c[i] = *x,
-            (ColumnData::Str(c), Value::Str(x)) => c[i] = Arc::clone(x),
+            (ColumnData::Str(c), Value::Str(x)) => c.set(i, x),
             (ColumnData::Date(c), Value::Date(x)) => c[i] = *x,
             (ColumnData::Char(c), Value::Char(x)) => c[i] = *x,
             (ColumnData::Bool(c), Value::Bool(x)) => c[i] = *x,
@@ -131,7 +264,11 @@ impl ColumnData {
     pub fn remove(&mut self, i: usize) -> Value {
         match self {
             ColumnData::Int(v) => Value::Int(v.remove(i)),
-            ColumnData::Str(v) => Value::Str(v.remove(i)),
+            ColumnData::Str(v) => {
+                let s = Value::str(v.get(i));
+                v.remove(i);
+                s
+            }
             ColumnData::Date(v) => Value::Date(v.remove(i)),
             ColumnData::Char(v) => Value::Char(v.remove(i)),
             ColumnData::Bool(v) => Value::Bool(v.remove(i)),
@@ -139,28 +276,29 @@ impl ColumnData {
     }
 
     /// The value at `i` as a row-engine [`Value`] (materialization).
+    #[inline]
     pub fn value(&self, i: usize) -> Value {
         match self {
             ColumnData::Int(v) => Value::Int(v[i]),
-            ColumnData::Str(v) => Value::Str(Arc::clone(&v[i])),
+            ColumnData::Str(v) => Value::str(v.get(i)),
             ColumnData::Date(v) => Value::Date(v[i]),
             ColumnData::Char(v) => Value::Char(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
         }
     }
 
-    /// Whether the value at `i` equals `v` — what
-    /// `self.value(i) == *v` answers, read in place (a string is
-    /// compared, not cloned). A value of another type is unequal.
-    pub fn value_eq(&self, i: usize, v: &Value) -> bool {
-        match (self, v) {
-            (ColumnData::Int(c), Value::Int(x)) => c[i] == *x,
-            (ColumnData::Str(c), Value::Str(x)) => c[i] == *x,
-            (ColumnData::Date(c), Value::Date(x)) => c[i] == *x,
-            (ColumnData::Char(c), Value::Char(x)) => c[i] == *x,
-            (ColumnData::Bool(c), Value::Bool(x)) => c[i] == *x,
-            _ => false,
-        }
+    /// How the value at `i` orders against `v` — what
+    /// `self.value(i).partial_cmp_typed(v)` answers, read in place.
+    /// `None` for a value of another type.
+    pub fn cmp_value(&self, i: usize, v: &Value) -> Option<Ordering> {
+        Some(match (self, v) {
+            (ColumnData::Int(c), Value::Int(x)) => c[i].cmp(x),
+            (ColumnData::Str(c), Value::Str(x)) => c.bytes(i).cmp(x.as_bytes()),
+            (ColumnData::Date(c), Value::Date(x)) => c[i].cmp(x),
+            (ColumnData::Char(c), Value::Char(x)) => c[i].cmp(x),
+            (ColumnData::Bool(c), Value::Bool(x)) => c[i].cmp(x),
+            _ => return None,
+        })
     }
 
     /// Whether the value at `i` equals `other`'s at `j`, both read in
@@ -168,7 +306,7 @@ impl ColumnData {
     pub(crate) fn cell_eq(&self, i: usize, other: &ColumnData, j: usize) -> bool {
         match (self, other) {
             (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
-            (ColumnData::Str(a), ColumnData::Str(b)) => a[i] == b[j],
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.bytes(i) == b.bytes(j),
             (ColumnData::Date(a), ColumnData::Date(b)) => a[i] == b[j],
             (ColumnData::Char(a), ColumnData::Char(b)) => a[i] == b[j],
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
@@ -200,8 +338,9 @@ impl ColumnData {
         }
     }
 
-    /// Gather the values at `indices` into a fresh column (strings cost
-    /// one `Arc` bump each). Indices may repeat (join fan-out).
+    /// Gather the values at `indices` into a fresh column (a string's
+    /// bytes are copied into the new column's arena). Indices may
+    /// repeat (join fan-out).
     pub fn gather(&self, indices: &[u32]) -> ColumnData {
         let mut out = ColumnData::empty(self.column_type());
         self.gather_into(indices, &mut out);
@@ -222,16 +361,16 @@ impl ColumnData {
         out.append_rows(self, indices.iter().map(|&i| i as usize));
     }
 
-    /// Append `src`'s values at `rows`, in iteration order (strings
-    /// cost one `Arc` bump each; rows may repeat). This is how a
-    /// pipeline breaker keeps the live rows of the chunks it drains —
-    /// a dense window passes its range, a selection vector its
-    /// indices — without building a tuple. Validity is not consulted,
+    /// Append `src`'s values at `rows`, in iteration order (a string's
+    /// bytes are copied, nothing is allocated per value; rows may
+    /// repeat). This is how a pipeline breaker keeps the live rows of
+    /// the chunks it drains — a dense window passes its range, a
+    /// selection vector its indices — without building a tuple. Validity is not consulted,
     /// exactly like [`DataChunk::row`]. Panics on a type mismatch.
-    pub fn append_rows(&mut self, src: &ColumnData, rows: impl Iterator<Item = usize>) {
+    pub fn append_rows(&mut self, src: &ColumnData, rows: impl Iterator<Item = usize> + Clone) {
         match (self, src) {
             (ColumnData::Int(o), ColumnData::Int(v)) => o.extend(rows.map(|i| v[i])),
-            (ColumnData::Str(o), ColumnData::Str(v)) => o.extend(rows.map(|i| Arc::clone(&v[i]))),
+            (ColumnData::Str(o), ColumnData::Str(v)) => o.append_rows(v, rows),
             (ColumnData::Date(o), ColumnData::Date(v)) => o.extend(rows.map(|i| v[i])),
             (ColumnData::Char(o), ColumnData::Char(v)) => o.extend(rows.map(|i| v[i])),
             (ColumnData::Bool(o), ColumnData::Bool(v)) => o.extend(rows.map(|i| v[i])),
@@ -275,6 +414,8 @@ pub struct ColumnChunk {
     /// Per-row validity: `false` marks a NULL. Must match `data.len()`
     /// when present.
     pub validity: Option<Vec<bool>>,
+    /// The strings row reads have handed out.
+    read: ReadStrs,
 }
 
 impl ColumnChunk {
@@ -283,6 +424,7 @@ impl ColumnChunk {
         Self {
             data,
             validity: None,
+            read: ReadStrs::default(),
         }
     }
 
@@ -290,8 +432,8 @@ impl ColumnChunk {
     pub fn with_validity(data: ColumnData, validity: Vec<bool>) -> Self {
         assert_eq!(data.len(), validity.len(), "validity mask length mismatch");
         Self {
-            data,
             validity: Some(validity),
+            ..Self::new(data)
         }
     }
 
@@ -304,12 +446,85 @@ impl ColumnChunk {
     /// Gather rows `indices` into a fresh column, carrying validity.
     pub fn gather(&self, indices: &[u32]) -> ColumnChunk {
         ColumnChunk {
-            data: self.data.gather(indices),
-            validity: self
-                .validity
-                .as_ref()
+            validity: (self.validity.as_ref())
                 .map(|v| indices.iter().map(|&i| v[i as usize]).collect()),
+            ..Self::new(self.data.gather(indices))
         }
+    }
+
+    /// The value at `i`, a string shared with every earlier read of it
+    /// (see [`ReadStrs`]).
+    #[inline]
+    fn value(&self, i: usize) -> Value {
+        match &self.data {
+            ColumnData::Str(c) => Value::Str(self.read.get(c, i)),
+            data => data.value(i),
+        }
+    }
+}
+
+/// Most distinct values row reads share by value (as `u8` ids; TPC-H's
+/// widest enumerated column, `p_type`, has 150).
+const MAX_DISTINCT: usize = 256;
+
+/// The `Arc<str>`s row reads ([`DataChunk::row`], [`DataChunk::value`])
+/// hand out for a string column, built in one pass once reads reach a
+/// sixteenth of its rows, so rows read again (by many statements over
+/// one table version) share them. A row change drops it, an appended
+/// row is read without it; clones start empty, equality ignores it.
+#[derive(Debug, Default)]
+struct ReadStrs(OnceLock<SharedStrs>, AtomicUsize);
+
+#[derive(Debug)]
+enum SharedStrs {
+    /// At most [`MAX_DISTINCT`] values: each once, and each row's id.
+    Dict(Box<[Arc<str>]>, Box<[u8]>),
+    /// One string per row.
+    Cells(Box<[Arc<str>]>),
+}
+
+impl ReadStrs {
+    #[inline]
+    fn get(&self, col: &StrColumn, i: usize) -> Arc<str> {
+        if self.0.get().is_none() && self.1.fetch_add(1, Relaxed) < col.len() / 16 {
+            return Arc::from(col.get(i));
+        }
+        let shared = match self.0.get_or_init(|| share(col)) {
+            SharedStrs::Dict(strs, ids) => ids.get(i).map(|&id| &strs[id as usize]),
+            SharedStrs::Cells(strs) => strs.get(i),
+        };
+        shared.map_or_else(|| Arc::from(col.get(i)), Arc::clone)
+    }
+}
+
+/// `col` as a dictionary while it has at most [`MAX_DISTINCT`] values.
+fn share(col: &StrColumn) -> SharedStrs {
+    let mut strs: Vec<Arc<str>> = Vec::new();
+    let mut ids: HashMap<&str, u8> = HashMap::new();
+    let mut rows = Vec::with_capacity(col.len());
+    for s in col.iter() {
+        let id = match ids.get(s) {
+            Some(&id) => id,
+            None if strs.len() < MAX_DISTINCT => {
+                strs.push(Arc::from(s));
+                *ids.entry(s).or_insert((strs.len() - 1) as u8)
+            }
+            None => return SharedStrs::Cells(col.iter().map(Arc::from).collect()),
+        };
+        rows.push(id);
+    }
+    SharedStrs::Dict(strs.into(), rows.into())
+}
+
+impl Clone for ReadStrs {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for ReadStrs {
+    fn eq(&self, _: &Self) -> bool {
+        true
     }
 }
 
@@ -374,8 +589,21 @@ impl DataChunk {
     }
 
     /// Decompose row tuples into a chunk with `schema`'s column types.
+    /// A row read hands back the rows' own strings.
     pub fn from_rows(schema: &Schema, rows: &[Tuple]) -> Self {
         let mut chunk = Self::with_capacity(schema, rows.len());
+        for (j, col) in chunk.columns.iter_mut().enumerate() {
+            if let ColumnData::Str(c) = &mut col.data {
+                let strs: Box<[Arc<str>]> = (rows.iter())
+                    .filter_map(|r| match r.get(j) {
+                        Some(Value::Str(s)) => Some(Arc::clone(s)),
+                        _ => None,
+                    })
+                    .collect();
+                c.bytes.reserve(strs.iter().map(|s| s.len()).sum());
+                col.read = ReadStrs(OnceLock::from(SharedStrs::Cells(strs)), AtomicUsize::new(0));
+            }
+        }
         for row in rows {
             assert_eq!(row.len(), chunk.columns.len(), "row arity mismatch");
             for (col, v) in chunk.columns.iter_mut().zip(row) {
@@ -386,14 +614,14 @@ impl DataChunk {
         chunk
     }
 
-    /// Append one row, taking its values (the bulk-load path: nothing
-    /// is cloned); panics on an arity or type mismatch. The three row
+    /// Append one row (a string's bytes are copied onto its column's
+    /// arena); panics on an arity or type mismatch. The three row
     /// mutators keep a validity mask, where a column has one, in step
     /// (a stored value is valid).
     pub fn push_row(&mut self, row: Tuple) {
         assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
-        for (col, v) in self.columns.iter_mut().zip(row) {
-            col.data.push_value(v);
+        for (col, v) in self.columns.iter_mut().zip(&row) {
+            col.data.push(v);
             if let Some(mask) = &mut col.validity {
                 mask.push(true);
             }
@@ -404,18 +632,16 @@ impl DataChunk {
     /// Append columns `wanted` (ascending, distinct, one per column of
     /// this chunk; `0..arity` for all of them) of the `arity`-column
     /// row serialized in `payload` (a page slot), decoded straight into
-    /// the columns with column `j`'s strings shared through `strs[j]`;
-    /// the row's other values are skipped in place. Panics on a payload
-    /// that is not such a row with this chunk's column types at
-    /// `wanted`, like [`crate::page::deserialize_tuple`].
+    /// the columns; the row's other values are skipped in place. Panics
+    /// on a payload that is not such a row with this chunk's column
+    /// types at `wanted`, like [`crate::page::deserialize_tuple`].
     pub(crate) fn push_serialized(
         &mut self,
         payload: &[u8],
         arity: usize,
         wanted: impl IntoIterator<Item = usize>,
-        strs: &mut [Interner],
     ) {
-        if try_append_to_columns(payload, arity, wanted, &mut self.columns, strs).is_none() {
+        if try_append_to_columns(payload, arity, wanted, &mut self.columns).is_none() {
             panic!("corrupt page: malformed tuple payload");
         }
         self.len += 1;
@@ -427,6 +653,7 @@ impl DataChunk {
         assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
         for (col, v) in self.columns.iter_mut().zip(row) {
             col.data.set(i, v);
+            col.read = ReadStrs::default();
             if let Some(mask) = &mut col.validity {
                 mask[i] = true;
             }
@@ -444,6 +671,7 @@ impl DataChunk {
                 if let Some(mask) = &mut col.validity {
                     mask.remove(i);
                 }
+                col.read = ReadStrs::default();
                 col.data.remove(i)
             })
             .collect()
@@ -500,7 +728,7 @@ impl DataChunk {
 
     /// Materialize row `i` back into the row-engine tuple it mirrors.
     pub fn row(&self, i: usize) -> Tuple {
-        self.columns.iter().map(|c| c.data.value(i)).collect()
+        self.columns.iter().map(|c| c.value(i)).collect()
     }
 
     /// Whether row `i` equals `row` — what `self.row(i) == *row`
@@ -512,7 +740,7 @@ impl DataChunk {
                 .columns
                 .iter()
                 .zip(row)
-                .all(|(c, v)| c.data.value_eq(i, v))
+                .all(|(c, v)| c.data.cmp_value(i, v) == Some(Ordering::Equal))
     }
 
     /// Whether row `i` equals `other`'s row `j` — what
@@ -546,7 +774,7 @@ impl DataChunk {
         for c in &self.columns {
             if let ColumnData::Str(v) = &c.data {
                 for (w, i) in out[start..].iter_mut().zip(rows.clone()) {
-                    *w += v[i].len() as u32;
+                    *w += v.byte_len(i) as u32;
                 }
             }
         }
@@ -563,7 +791,7 @@ impl DataChunk {
         let mut sum = u64::from(self.fixed_width()) * rows.clone().count() as u64;
         for c in &self.columns {
             if let ColumnData::Str(v) = &c.data {
-                sum += rows.clone().map(|i| v[i].len() as u64).sum::<u64>();
+                sum += rows.clone().map(|i| v.byte_len(i) as u64).sum::<u64>();
             }
         }
         sum
@@ -587,7 +815,7 @@ impl DataChunk {
 
     /// The value at (`col`, `row`).
     pub fn value(&self, col: usize, row: usize) -> Value {
-        self.columns[col].data.value(row)
+        self.columns[col].value(row)
     }
 }
 
@@ -682,12 +910,9 @@ mod tests {
         col.gather_into(&[1, 2], &mut scratch);
         assert_eq!(scratch.as_ints().unwrap(), &[1, 2]);
         // A type mismatch replaces the scratch instead of panicking.
-        let strs = ColumnData::Str(vec![Arc::from("a"), Arc::from("b")]);
+        let strs = ColumnData::Str(["a", "b"].into_iter().collect());
         strs.gather_into(&[1, 0], &mut scratch);
-        assert_eq!(
-            scratch,
-            ColumnData::Str(vec![Arc::from("b"), Arc::from("a")])
-        );
+        assert_eq!(scratch, ColumnData::Str(["b", "a"].into_iter().collect()));
         assert_eq!(strs.gather(&[1, 0]), scratch, "gather matches gather_into");
     }
 

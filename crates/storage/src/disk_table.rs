@@ -50,7 +50,6 @@ use eco_simhw::trace::{DiskWork, Ledger};
 use crate::bufferpool::{BufferPool, PageFrame, PageId, EXTENT_PAGES};
 use crate::column::{ColumnChunk, ColumnData, DataChunk};
 use crate::encode::EncodedChunk;
-use crate::intern::Interner;
 use crate::page::{serialize_tuple, serialize_tuple_into, stored_width, Page, PAGE_SIZE};
 use crate::value::{ColumnType, Schema, Tuple};
 
@@ -105,8 +104,8 @@ impl std::error::Error for IoError {}
 /// into chunk row windows.
 ///
 /// The mirror is decoded lazily, straight from the table's pages — slot
-/// payload to typed column, no row in between, and one `Arc<str>` per
-/// distinct value of a low-cardinality string column — and never
+/// payload to typed column, no row in between, a string column's bytes
+/// into one arena per extent ([`crate::column::StrColumn`]) — and never
 /// through the buffer pool, so building it charges no I/O. It holds
 /// only the columns scans have asked for ([`DiskTable::columnar_with`]):
 /// the others are empty and every row carries its full stored width
@@ -538,7 +537,6 @@ impl DiskTable {
             _ => DataChunk::new(parts),
         };
         let empty = |ty| ColumnChunk::new(ColumnData::with_capacity(ty, 0));
-        let mut strs = vec![Interner::default(); arity];
         let extent = EXTENT_PAGES as usize;
         let mut extents = Vec::with_capacity(self.pages.len().div_ceil(extent));
         let mut encoded = Vec::with_capacity(extents.capacity());
@@ -561,7 +559,7 @@ impl DiskTable {
                             walk,
                         ),
                     };
-                    let (cols, walked) = self.decode_columns(pages, want, walk, &mut strs);
+                    let (cols, walked) = self.decode_columns(pages, want, walk);
                     for (&c, col) in want.iter().zip(cols.into_parts().0) {
                         parts[c] = col;
                     }
@@ -584,28 +582,25 @@ impl DiskTable {
     }
 
     /// Columns `cols` (ascending) of every row of `pages`, in one pass
-    /// over each slot payload, the other columns stepped over in place;
-    /// strings interned per column across calls (`strs[c]` for column
-    /// `c`). With `walk` (see [`stored_width`]), each row's stored
-    /// width as well.
+    /// over each slot payload, the other columns stepped over in place.
+    /// With `walk` (see [`stored_width`]), each row's stored width as
+    /// well.
     fn decode_columns(
         &self,
         pages: &[Page],
         cols: &[usize],
         walk: Option<usize>,
-        strs: &mut [Interner],
     ) -> (DataChunk, Option<Vec<u32>>) {
         let columns = self.schema.columns();
         let arity = columns.len();
         let rows = pages.iter().map(Page::len).sum();
         let typed = |&c: &usize| ColumnChunk::new(ColumnData::with_capacity(columns[c].ty, rows));
         let mut chunk = DataChunk::new(cols.iter().map(typed).collect());
-        let mut these: Vec<Interner> = cols.iter().map(|&c| std::mem::take(&mut strs[c])).collect();
         let mut widths = walk.map(|_| Vec::with_capacity(rows));
         for p in pages {
             for slot in 0..p.len() {
                 let payload = p.payload(slot);
-                chunk.push_serialized(payload, arity, cols.iter().copied(), &mut these);
+                chunk.push_serialized(payload, arity, cols.iter().copied());
                 if let (Some(walk), Some(widths)) = (walk, &mut widths) {
                     match stored_width(payload, walk) {
                         Some(width) => widths.push(width),
@@ -613,9 +608,6 @@ impl DiskTable {
                     }
                 }
             }
-        }
-        for (&c, interner) in cols.iter().zip(these) {
-            strs[c] = interner;
         }
         (chunk, widths)
     }
@@ -677,7 +669,7 @@ impl DiskTable {
     /// table-global id of its first row, columns `cols` of its rows (in
     /// that order; ascending and distinct) and the page itself. The
     /// columns are decoded from the slot payloads straight into typed
-    /// vectors, strings interned per column across pages, and the other
+    /// vectors, strings into one arena per column, and the other
     /// columns of a row are stepped over where they lie — an index
     /// build on one column of nine pays for one
     /// ([`Self::column_with_row_ids`]). Straight from the pages, never
@@ -694,11 +686,10 @@ impl DiskTable {
             "projection {cols:?} is not ascending columns of {:?}",
             self.schema.names()
         );
-        let mut strs = vec![Interner::default(); arity];
         let mut next_row = 0;
         self.pages.iter().map(move |page| {
             let pages = std::slice::from_ref(page);
-            let (chunk, _) = self.decode_columns(pages, cols, None, &mut strs);
+            let (chunk, _) = self.decode_columns(pages, cols, None);
             let first_row = next_row;
             next_row += page.len();
             (first_row, chunk, page)

@@ -41,7 +41,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crate::column::{ColumnData, DataChunk};
+use crate::column::{ColumnData, DataChunk, StrColumn};
 
 /// A vector of `len` unsigned values stored in `bits` bits each,
 /// little-endian within packed 64-bit words.
@@ -246,11 +246,9 @@ impl EncodedColumn {
     /// late materialization goes through the raw mirror).
     pub fn decode(&self) -> ColumnData {
         match self {
-            EncodedColumn::DictStr { dict, ids } => ColumnData::Str(
-                (0..ids.len())
-                    .map(|i| Arc::clone(&dict[ids.get(i) as usize]))
-                    .collect(),
-            ),
+            EncodedColumn::DictStr { dict, ids } => {
+                ColumnData::Str((0..ids.len()).map(|i| &dict[ids.get(i) as usize]).collect())
+            }
             EncodedColumn::DictChar { dict, ids } => {
                 ColumnData::Char((0..ids.len()).map(|i| dict[ids.get(i) as usize]).collect())
             }
@@ -295,7 +293,7 @@ impl EncodedColumn {
 fn plain_bytes(col: &ColumnData) -> u64 {
     match col {
         ColumnData::Int(v) => v.len() as u64 * 8,
-        ColumnData::Str(v) => v.iter().map(|s| str_bytes(s)).sum(),
+        ColumnData::Str(v) => v.iter().map(str_bytes).sum(),
         ColumnData::Date(v) => v.len() as u64 * 4,
         ColumnData::Char(v) => v.len() as u64,
         ColumnData::Bool(v) => v.len() as u64,
@@ -376,27 +374,27 @@ fn encode_date(v: &[i32]) -> EncodedColumn {
     }
 }
 
-fn encode_str(v: &[Arc<str>]) -> EncodedColumn {
+fn encode_str(v: &StrColumn) -> EncodedColumn {
     if v.is_empty() {
-        return EncodedColumn::Plain(ColumnData::Str(Vec::new()));
+        return EncodedColumn::Plain(ColumnData::Str(StrColumn::default()));
     }
-    let distinct: BTreeSet<&str> = v.iter().map(|s| s.as_ref()).collect();
+    let distinct: BTreeSet<&str> = v.iter().collect();
     let bits = bits_for(distinct.len() as u64 - 1);
     let dict_bytes = distinct.iter().map(|s| str_bytes(s)).sum::<u64>()
         + (v.len() as u64 * bits as u64).div_ceil(8);
-    let plain = v.iter().map(|s| str_bytes(s)).sum::<u64>();
+    let plain = v.iter().map(str_bytes).sum::<u64>();
     if dict_bytes < plain {
         let dict: Vec<Arc<str>> = distinct.iter().map(|&s| Arc::from(s)).collect();
         let ids = BitPacked::pack(
             bits,
             v.iter().map(|s| {
-                dict.binary_search_by(|d| d.as_ref().cmp(s.as_ref()))
+                dict.binary_search_by(|d| d.as_ref().cmp(s))
                     .unwrap_or(usize::MAX) as u64
             }),
         );
         EncodedColumn::DictStr { dict, ids }
     } else {
-        EncodedColumn::Plain(ColumnData::Str(v.to_vec()))
+        EncodedColumn::Plain(ColumnData::Str(v.clone()))
     }
 }
 
@@ -535,9 +533,7 @@ mod tests {
 
     #[test]
     fn dict_is_sorted_and_roundtrips() {
-        let vals: Vec<Arc<str>> = (0..300)
-            .map(|i| Arc::from(format!("mode-{}", i % 7).as_str()))
-            .collect();
+        let vals: StrColumn = (0..300).map(|i| format!("mode-{}", i % 7)).collect();
         let enc = EncodedColumn::encode(&ColumnData::Str(vals.clone()));
         match &enc {
             EncodedColumn::DictStr { dict, .. } => {
@@ -553,8 +549,8 @@ mod tests {
 
     #[test]
     fn high_cardinality_strings_stay_plain() {
-        let vals: Vec<Arc<str>> = (0..50)
-            .map(|i| Arc::from(format!("unique comment text {i}").as_str()))
+        let vals: StrColumn = (0..50)
+            .map(|i| format!("unique comment text {i}"))
             .collect();
         let enc = EncodedColumn::encode(&ColumnData::Str(vals.clone()));
         assert!(matches!(enc, EncodedColumn::Plain(_)), "{enc:?}");

@@ -94,7 +94,7 @@ impl HeapTable {
     /// (see `Catalog::apply_wal_record`), so a panic here is a caller
     /// bug, not a data error.
     pub fn set_row(&mut self, row: usize, tuple: Tuple) {
-        self.bytes -= tuple_width(&self.row(row));
+        self.bytes -= self.columns.width_sum(std::iter::once(row));
         self.bytes += Self::checked_width(&self.schema, &tuple);
         Arc::make_mut(&mut self.columns).set_row(row, &tuple);
         self.encoded.take();

@@ -77,7 +77,6 @@ pub mod column;
 pub mod disk_table;
 pub mod encode;
 pub mod heap;
-mod intern;
 pub mod loader;
 pub mod page;
 pub mod rowset;
@@ -87,7 +86,7 @@ pub mod wal;
 pub use btree::{BTreeIndex, IndexProbe, KeyBound};
 pub use bufferpool::{BufferPool, PageFrame, PageId};
 pub use catalog::{Catalog, IndexEntry, IndexError, StoredTable, TableData};
-pub use column::{ColumnChunk, ColumnData, DataChunk};
+pub use column::{ColumnChunk, ColumnData, DataChunk, StrColumn};
 pub use disk_table::{ColumnarExtents, IoError};
 pub use encode::{BitPacked, EncodedChunk, EncodedColumn};
 pub use heap::HeapTable;

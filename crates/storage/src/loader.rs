@@ -22,8 +22,9 @@
 //! `Vec<Value>`. There are two builders, one per profile:
 //!
 //! * the memory engine's pushes each value onto its typed column
-//!   (strings interned per column) and sums the stored width the
-//!   [`Value::width_bytes`] rule gives, producing the [`HeapTable`];
+//!   (a string's bytes onto its column's arena) and sums the stored
+//!   width the [`Value::width_bytes`] rule gives, producing the
+//!   [`HeapTable`];
 //! * the disk engine's writes each row's payload in the page format's
 //!   exact bytes into one reused buffer and packs it as the row ends,
 //!   producing the [`DiskTable`]'s pages.
@@ -43,7 +44,6 @@ use crate::catalog::Catalog;
 use crate::column::{ColumnChunk, ColumnData, DataChunk};
 use crate::disk_table::Packer;
 use crate::heap::HeapTable;
-use crate::intern::Interner;
 use crate::page;
 use crate::value::{Column, ColumnType as T, Schema, Tuple, Value};
 
@@ -193,27 +193,37 @@ trait FieldSink {
 }
 
 /// The memory profile's table builder: one typed column per schema
-/// column, string columns interned (repeats of `l_shipmode`, `o_clerk`,
-/// `p_type` and the like share one `Arc<str>` per distinct value; a
-/// column that does not repeat stops being looked up after a few
-/// hundred rows — see `crate::intern`), and the table's stored bytes
-/// summed as the values arrive, by [`Value::width_bytes`] — what
-/// [`crate::value::tuple_width`] adds up for the row the columns hold.
+/// column, each value pushed as its type (a string's bytes onto its
+/// column's arena, [`crate::column::StrColumn`]: no allocation per
+/// value), and the table's stored bytes summed as the values arrive,
+/// by [`Value::width_bytes`] — what [`crate::value::tuple_width`] adds
+/// up for the row the columns hold.
 struct ColumnSink {
     schema: Schema,
     columns: Vec<ColumnData>,
-    strs: Vec<Interner>,
     /// Column the next value goes to.
     at: usize,
     bytes: u64,
+    /// Rows the source said to expect.
+    expected: usize,
 }
 
+/// Rows a [`ColumnSink`] takes before it sizes its string columns for
+/// the rest at their mean length so far: one allocation, not doublings.
+const SAMPLE_ROWS: usize = 64;
+
 impl ColumnSink {
-    fn push(&mut self, v: Value) {
-        self.bytes += v.width_bytes();
-        self.columns[self.at].push_value(v);
+    /// The column the next value goes to; it adds `width` stored bytes.
+    fn next(&mut self, width: u64) -> &mut ColumnData {
+        self.bytes += width;
         self.at += 1;
+        &mut self.columns[self.at - 1]
     }
+}
+
+/// A field listing wrote a value of another type than its schema's.
+fn mismatch(col: &ColumnData, ty: T) -> ! {
+    panic!("cannot push a {ty:?} into a {:?} column", col.column_type())
 }
 
 impl FieldSink for ColumnSink {
@@ -224,33 +234,49 @@ impl FieldSink for ColumnSink {
                 .iter()
                 .map(|c| ColumnData::empty(c.ty))
                 .collect(),
-            strs: vec![Interner::default(); schema.arity()],
             schema,
             at: 0,
             bytes: 0,
+            expected: 0,
         }
     }
     fn reserve(&mut self, rows: usize) {
+        self.expected = self.columns.first().map_or(0, ColumnData::len) + rows;
         self.columns.iter_mut().for_each(|c| c.reserve(rows));
     }
     fn int(&mut self, v: i64) {
-        self.push(Value::Int(v));
+        match self.next(8) {
+            ColumnData::Int(c) => c.push(v),
+            c => mismatch(c, T::Int),
+        }
     }
     fn str(&mut self, v: &str) {
-        let s = self.strs[self.at].intern(v);
-        self.push(Value::Str(s));
+        match self.next(2 + v.len() as u64) {
+            ColumnData::Str(c) => c.push(v),
+            c => mismatch(c, T::Str),
+        }
     }
     fn date(&mut self, v: Date) {
-        self.push(Value::Date(v.0));
+        match self.next(4) {
+            ColumnData::Date(c) => c.push(v.0),
+            c => mismatch(c, T::Date),
+        }
     }
     fn char(&mut self, v: char) {
-        self.push(Value::Char(v));
+        match self.next(1) {
+            ColumnData::Char(c) => c.push(v),
+            c => mismatch(c, T::Char),
+        }
     }
     fn end_row(&mut self) {
         debug_assert_eq!(self.at, self.columns.len(), "short row");
         self.at = 0;
         // The row header `tuple_width` counts on top of the values.
         self.bytes += 2;
+        if self.columns[0].len() == SAMPLE_ROWS {
+            let rest = self.expected.saturating_sub(SAMPLE_ROWS);
+            self.columns.iter_mut().for_each(|c| c.reserve(rest));
+        }
     }
     fn register(self, cat: &mut Catalog, name: &str) {
         let columns = DataChunk::new(self.columns.into_iter().map(ColumnChunk::new).collect());

@@ -15,7 +15,6 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::column::{ColumnChunk, ColumnData};
-use crate::intern::Interner;
 use crate::value::{Tuple, Value};
 
 /// Page size in bytes.
@@ -396,27 +395,26 @@ fn try_deserialize_tuple(mut buf: &[u8]) -> Option<Tuple> {
 /// Decode values `wanted` (ascending and distinct, one per entry of
 /// `columns`) of the `arity`-value tuple serialized in `buf` straight
 /// onto the ends of `columns` — one typed push per wanted value, a
-/// string through its column's interner; no [`Tuple`] or [`Value`] is
-/// built. The values in between are stepped over where they lie
-/// ([`read_value`] allocates nothing) and nothing past the last wanted
-/// one is read, so a projection costs what it keeps; `0..arity` decodes
-/// the whole tuple. `None` when `buf` is not a serialized tuple of that
-/// arity with these column types at `wanted` (the columns may then be
-/// left ragged: the caller has a corrupt page and panics).
-pub(crate) fn try_append_to_columns(
+/// string's bytes copied into its column's arena; no [`Tuple`] or
+/// [`Value`] is built. The values in between are stepped over where
+/// they lie (`read_value` allocates nothing) and nothing past the last
+/// wanted one is read, so a projection costs what it keeps; `0..arity`
+/// decodes the whole tuple. `None` when `buf` is not a serialized tuple
+/// of that arity with these column types at `wanted` (the columns may
+/// then be left ragged: the caller has a corrupt page and panics).
+/// Never panics itself, whatever `buf` holds.
+pub fn try_append_to_columns(
     mut buf: &[u8],
     arity: usize,
     wanted: impl IntoIterator<Item = usize>,
     columns: &mut [ColumnChunk],
-    strs: &mut [Interner],
 ) -> Option<()> {
-    debug_assert_eq!(columns.len(), strs.len(), "one interner per column");
     if u16::from_le_bytes(take_array(&mut buf)?) as usize != arity {
         return None;
     }
     // Position in the tuple of the value at the front of `buf`.
     let mut at = 0;
-    for ((col, strs), want) in columns.iter_mut().zip(strs).zip(wanted) {
+    for (col, want) in columns.iter_mut().zip(wanted) {
         while at < want {
             read_value(&mut buf)?;
             at += 1;
@@ -424,9 +422,7 @@ pub(crate) fn try_append_to_columns(
         at += 1;
         match (&mut col.data, read_value(&mut buf)?) {
             (ColumnData::Int(c), ValueRef::Int(x)) => c.push(x),
-            (ColumnData::Str(c), ValueRef::Str(s)) => {
-                c.push(strs.intern(std::str::from_utf8(s).ok()?));
-            }
+            (ColumnData::Str(c), ValueRef::Str(s)) => c.push(std::str::from_utf8(s).ok()?),
             (ColumnData::Date(c), ValueRef::Date(x)) => c.push(x),
             (ColumnData::Char(c), ValueRef::Char(x)) => c.push(x),
             (ColumnData::Bool(c), ValueRef::Bool(x)) => c.push(x),

@@ -115,6 +115,35 @@ fn q6_columnar_scalar_identical() {
     check_query("Q6", &|cat| plans::q6_plan(cat, 1994, 6, 24));
 }
 
+/// `MIN`/`MAX` over string columns: the columnar accumulator compares
+/// each cell where it lies in its column's arena and builds a `Value`
+/// only for a new extreme; rows and whole ledgers must equal the
+/// scalar oracle's, which compares materialized values.
+#[test]
+fn min_max_over_string_columns_columnar_scalar_identical() {
+    let sql = [
+        "SELECT l_returnflag, MIN(l_shipmode), MAX(l_shipmode), MIN(l_comment), \
+         MAX(l_comment) FROM lineitem GROUP BY l_returnflag",
+        "SELECT c_mktsegment, MIN(c_name), MAX(c_name) FROM customer GROUP BY c_mktsegment",
+        "SELECT MIN(c_name), MAX(c_address) FROM customer",
+    ];
+    for q in sql {
+        check_query(q, &|cat| ecodb::query::sql::compile(cat, q).expect(q));
+    }
+    // The extremes are the source's, not just the oracle's.
+    let modes = source_db().lineitem.iter().map(|l| l.l_shipmode.as_str());
+    let (lo, hi) = (modes.clone().min(), modes.max());
+    let catalog = fresh_catalog(EngineKind::Memory);
+    let mut plan = ecodb::query::sql::compile(
+        &catalog,
+        "SELECT MIN(l_shipmode), MAX(l_shipmode) FROM lineitem",
+    )
+    .expect("compiles");
+    let rows = execute_columnar(plan.as_mut(), &mut ExecCtx::new().with_columnar(true));
+    let want = [lo, hi].map(|s| ecodb::storage::Value::str(s.expect("rows")));
+    assert_eq!(rows, vec![want.to_vec()]);
+}
+
 /// Columnar execution composes with morsel-driven parallelism: the
 /// merged ledger and rows stay bit-identical to serial scalar execution
 /// at every worker count, cold and warm, on both storage engines.

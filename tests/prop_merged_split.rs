@@ -512,9 +512,7 @@ fn null_keys_match_nothing_and_cost_k() {
             ColumnData::Int(vec![5, 5, 9, 7, 5, 9]),
             vec![true, false, true, true, true, true],
         ),
-        ColumnChunk::new(ColumnData::Str(
-            pads.iter().map(|&p| Arc::from(p)).collect(),
-        )),
+        ColumnChunk::new(ColumnData::Str(pads.iter().collect())),
     ]));
     // Row 5 is not selected; row 1 is NULL; row 3 has no query.
     let chunk = Chunk::dense(Arc::clone(&data)).with_sel(vec![0, 1, 2, 3, 4]);
