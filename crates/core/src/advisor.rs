@@ -1,20 +1,14 @@
-//! The energy advisor: pick operating points under SLA constraints and
-//! watch for mis-predictions.
+//! The energy advisor: pick operating points under SLA constraints.
 //!
 //! Paper §1: "Factors such as Service Level Agreements (SLAs) may
 //! restrict the choices … when the data center is not operating at peak
 //! capacity it may have the option of using an operating point that can
-//! save energy", and "it may also be interesting to consider cases
-//! where our initial prediction for energy consumption are incorrect
-//! and then to dynamically adapt".
+//! save energy".
 
 use eco_query::estimate::{
     estimate_index_selection, estimate_scan_selection, estimate_selection_batch,
 };
-use eco_simhw::cpu::{CpuConfig, VoltageSetting};
 use eco_simhw::machine::{Machine, MachineConfig};
-use eco_simhw::multicore::MultiCoreMachine;
-use eco_simhw::trace::WorkTrace;
 
 use crate::pvc::PvcSweep;
 
@@ -45,63 +39,6 @@ pub fn choose_pvc(sweep: &PvcSweep, sla: Sla) -> MachineConfig {
         .best_energy_under_sla(sla.max_time_ratio)
         .map(|p| p.point.config)
         .unwrap_or(sweep.stock.config)
-}
-
-/// A per-core p-state cap recommendation on the cores axis.
-#[derive(Debug, Clone, Copy)]
-pub struct CoreCapAdvice {
-    /// Recommended multiplier cap for every core (9.5 = stock top).
-    pub cap: f64,
-    /// Predicted makespan under the cap, seconds.
-    pub seconds: f64,
-    /// CPU-energy ratio vs uncapped parallel execution (< 1 saves).
-    pub energy_ratio: f64,
-    /// Makespan ratio vs uncapped parallel execution (> 1 is slower).
-    pub time_ratio: f64,
-}
-
-/// Recommend a per-core p-state cap for a morsel-parallel workload
-/// under an *absolute* latency budget.
-///
-/// This is where parallelism and DVFS compose: spreading a query over
-/// more cores cuts its makespan, which opens latency headroom that a
-/// per-core cap converts into energy savings ("race to idle" inverted —
-/// run wider and slower). The advisor walks the multiplier grid from
-/// stock downward and returns the most energy-saving cap whose
-/// predicted makespan still fits `max_seconds`; `None` when even stock
-/// misses the budget (the operator must add cores instead).
-pub fn recommend_core_cap(
-    mc: &MultiCoreMachine,
-    core_traces: &[WorkTrace],
-    max_seconds: f64,
-) -> Option<CoreCapAdvice> {
-    assert!(max_seconds > 0.0, "latency budget must be positive");
-    let stock = mc.measure_uniform(core_traces, &MachineConfig::stock());
-    if stock.elapsed_s > max_seconds {
-        return None;
-    }
-    let caps = [9.5, 9.0, 8.5, 8.0, 7.5, 7.0, 6.5, 6.0];
-    let mut best: Option<CoreCapAdvice> = None;
-    for cap in caps {
-        let cfg = MachineConfig::with_cpu(CpuConfig::capped(cap, VoltageSetting::Stock));
-        let m = mc.measure_uniform(core_traces, &cfg);
-        if m.elapsed_s > max_seconds {
-            continue;
-        }
-        let advice = CoreCapAdvice {
-            cap,
-            seconds: m.elapsed_s,
-            energy_ratio: m.cpu_joules / stock.cpu_joules,
-            time_ratio: m.elapsed_s / stock.elapsed_s,
-        };
-        if best
-            .map(|b| advice.energy_ratio < b.energy_ratio)
-            .unwrap_or(true)
-        {
-            best = Some(advice);
-        }
-    }
-    best
 }
 
 /// Estimated QED trade-off for a batch size, from the cost model alone
@@ -260,56 +197,6 @@ pub fn rank_plans_by_energy(
     out
 }
 
-/// Drift verdict from comparing a prediction to a measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Adaptation {
-    /// Prediction held; keep the current plan/setting.
-    Keep,
-    /// Prediction was off beyond tolerance; re-plan ("dynamically adapt
-    /// our query plan midflight", §1).
-    Replan,
-}
-
-/// Monitors prediction accuracy over a run.
-#[derive(Debug, Clone)]
-pub struct PredictionMonitor {
-    tolerance: f64,
-    observations: Vec<f64>,
-}
-
-impl PredictionMonitor {
-    /// Monitor that requests a re-plan when |actual/predicted − 1|
-    /// exceeds `tolerance`.
-    pub fn new(tolerance: f64) -> Self {
-        assert!(tolerance > 0.0);
-        Self {
-            tolerance,
-            observations: Vec::new(),
-        }
-    }
-
-    /// Record one prediction/actual pair and decide.
-    pub fn observe(&mut self, predicted: f64, actual: f64) -> Adaptation {
-        assert!(predicted > 0.0, "prediction must be positive");
-        let ratio = actual / predicted;
-        self.observations.push(ratio);
-        if (ratio - 1.0).abs() > self.tolerance {
-            Adaptation::Replan
-        } else {
-            Adaptation::Keep
-        }
-    }
-
-    /// Mean actual/predicted ratio so far (1.0 = perfectly calibrated).
-    pub fn calibration(&self) -> f64 {
-        if self.observations.is_empty() {
-            1.0
-        } else {
-            self.observations.iter().sum::<f64>() / self.observations.len() as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,36 +216,6 @@ mod tests {
         let loose = choose_pvc(&sweep, Sla::slack_pct(25.0));
         assert!(loose.cpu.underclock > 0.0);
         assert_eq!(loose.cpu.voltage, VoltageSetting::Medium);
-    }
-
-    #[test]
-    fn wider_execution_unlocks_deeper_core_caps() {
-        // The cores × DVFS composition: the latency headroom opened by
-        // running on 4 cores lets the advisor pick a deeper (more
-        // energy-saving) per-core cap than 1 core can afford, under the
-        // same absolute budget.
-        let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.004);
-        let (_, t1) = db.trace_q5_workload_cores(1);
-        let (_, t4) = db.trace_q5_workload_cores(4);
-        let m1 = db.multicore(1);
-        let m4 = db.multicore(4);
-        // Budget: a bit above the single-core stock makespan.
-        let budget = m1
-            .measure_uniform(&t1, &eco_simhw::machine::MachineConfig::stock())
-            .elapsed_s
-            * 1.05;
-        let a1 = recommend_core_cap(&m1, &t1, budget).expect("stock fits");
-        let a4 = recommend_core_cap(&m4, &t4, budget).expect("stock fits");
-        assert!(
-            a4.cap < a1.cap,
-            "4 cores should afford a deeper cap: {} vs {}",
-            a4.cap,
-            a1.cap
-        );
-        assert!(a4.energy_ratio < 1.0, "the cap saves energy");
-        assert!(a4.seconds <= budget && a1.seconds <= budget);
-        // A hopeless budget yields no recommendation.
-        assert!(recommend_core_cap(&m1, &t1, budget * 1e-6).is_none());
     }
 
     #[test]
@@ -445,13 +302,5 @@ mod tests {
         // side grows with selectivity.
         assert!(full.scan_joules >= narrow.scan_joules);
         assert!(full.index_joules > 10.0 * narrow.index_joules);
-    }
-
-    #[test]
-    fn prediction_monitor_flags_drift() {
-        let mut m = PredictionMonitor::new(0.2);
-        assert_eq!(m.observe(10.0, 11.0), Adaptation::Keep);
-        assert_eq!(m.observe(10.0, 14.0), Adaptation::Replan);
-        assert!(m.calibration() > 1.0);
     }
 }

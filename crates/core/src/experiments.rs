@@ -8,23 +8,23 @@
 //!
 //! | target | experiment | paper artifact |
 //! |--------|------------|----------------|
-//! | `table1` | [`table1`] | Table 1 — system power breakdown |
+//! | `table1` | `table1` | Table 1 — system power breakdown |
 //! | `fig1` | [`fig1`] | Fig 1 — Q5 joules vs seconds, commercial DBMS |
-//! | `fig2` | [`fig2`] | Fig 2 — energy/time ratios + iso-EDP, commercial |
+//! | `fig2` | `fig2` | Fig 2 — energy/time ratios + iso-EDP, commercial |
 //! | `fig3` | [`fig3`] | Fig 3 — energy/time ratios, MySQL memory engine |
-//! | `fig4` | [`fig4`] | Fig 4 — observed vs theoretical (`V²/F`) EDP |
+//! | `fig4` | `fig4` | Fig 4 — observed vs theoretical (`V²/F`) EDP |
 //! | `warmcold` | [`warm_cold`] | §3.5 — CPU vs disk joules, warm vs cold |
 //! | `fig5` | [`fig5`] | Fig 5 — disk throughput & energy/KB by pattern |
 //! | `fig6` | [`fig6`] | Fig 6 — QED energy vs average response time |
-//! | `openergy` | [`operator_energy`] | extension — join-algorithm energy (§2) |
-//! | `parallel` | [`parallel_scaling`] | extension — morsel-driven Q5 across 1–8 cores |
+//! | `openergy` | `operator_energy` | extension — join-algorithm energy (§2) |
+//! | `parallel` | `parallel_scaling` | extension — morsel-driven Q5 across 1–8 cores |
 //! | `index` | [`index_crossover`] | extension — B-tree probe vs scan energy (Fig 5's random-vs-sequential axis applied to access paths) |
-//! | `pstate` | [`pstate_cap`] | ablation — p-state capping vs FSB underclocking (§3) |
-//! | `droop` | [`voltage_droop`] | ablation — load-dependent voltage droop |
+//! | `pstate` | `pstate_cap` | ablation — p-state capping vs FSB underclocking (§3) |
+//! | `droop` | `voltage_droop` | ablation — load-dependent voltage droop |
 //! | `sampling` | [`sampling`] | ablation — 1 Hz EPU sampling vs exact integration (§3.1) |
-//! | `shortcircuit` | [`qed_short_circuit`] | ablation — QED's merged disjunction, short-circuit vs exhaustive |
-//! | `reread` | [`warm_reread`] | ablation — residual warm-run disk re-reads (§3.5) |
-//! | `joinorder` | [`join_order`] | ablation — Q5 join order ranked by energy (§2) |
+//! | `shortcircuit` | `qed_short_circuit` | ablation — QED's merged disjunction, short-circuit vs exhaustive |
+//! | `reread` | `warm_reread` | ablation — residual warm-run disk re-reads (§3.5) |
+//! | `joinorder` | `join_order` | ablation — Q5 join order ranked by energy (§2) |
 //!
 //! Scale factors are configurable (the paper used SF 1.0 / 0.125 / 0.5
 //! on real hardware; simulation shapes are scale-free, so tests and
@@ -49,7 +49,7 @@ use crate::server::{EcoDb, EngineProfile};
 pub const DEFAULT_SCALE: f64 = 0.02;
 
 /// Render an aligned text table.
-pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -85,7 +85,7 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
 
 /// One row of the Table-1 reproduction.
 #[derive(Debug, Clone)]
-pub struct Table1Row {
+pub(crate) struct Table1Row {
     /// Build stage label.
     pub label: String,
     /// Modeled wall watts.
@@ -95,7 +95,7 @@ pub struct Table1Row {
 }
 
 /// Reproduce Table 1: wall power as the machine is built up.
-pub fn table1() -> Vec<Table1Row> {
+pub(crate) fn table1() -> Vec<Table1Row> {
     let paper = [9.2, 20.1, 49.7, 54.0, 55.7, 69.3];
     let model = CpuPowerModel::new(CpuSpec::e8500());
     table1_breakdown(&model, &PsuSpec::default())
@@ -205,7 +205,7 @@ pub fn fig1(scale: f64) -> PvcFigure {
 }
 
 /// Fig 2: commercial profile, small + medium voltage, ratio axes.
-pub fn fig2(scale: f64) -> PvcFigure {
+pub(crate) fn fig2(scale: f64) -> PvcFigure {
     pvc_figure(
         EngineProfile::CommercialDisk,
         scale,
@@ -262,7 +262,7 @@ pub fn pvc_report(title: &str, fig: &PvcFigure) -> String {
 
 /// One Fig-4 point: observed EDP ratio vs the `V²/F` model.
 #[derive(Debug, Clone)]
-pub struct Fig4Point {
+pub(crate) struct Fig4Point {
     /// Voltage setting name.
     pub voltage: String,
     /// Underclock fraction.
@@ -275,7 +275,7 @@ pub struct Fig4Point {
 
 /// Fig 4: on the MySQL profile (as in the paper), compare observed EDP
 /// with the theoretical model for small (a) and medium (b) settings.
-pub fn fig4(scale: f64) -> Vec<Fig4Point> {
+pub(crate) fn fig4(scale: f64) -> Vec<Fig4Point> {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
     let (_, trace) = db.trace_q5_workload();
     let sweep = PvcSweep::paper_grid(db.machine(), &trace);
@@ -295,7 +295,7 @@ pub fn fig4(scale: f64) -> Vec<Fig4Point> {
 }
 
 /// Format Fig 4.
-pub fn fig4_report(points: &[Fig4Point]) -> String {
+pub(crate) fn fig4_report(points: &[Fig4Point]) -> String {
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
@@ -450,7 +450,7 @@ pub fn fig6(scale: f64) -> Vec<QedOutcome> {
 }
 
 /// Format Fig 6.
-pub fn fig6_report(outcomes: &[QedOutcome]) -> String {
+pub(crate) fn fig6_report(outcomes: &[QedOutcome]) -> String {
     let rows: Vec<Vec<String>> = outcomes
         .iter()
         .map(|o| {
@@ -483,7 +483,7 @@ pub fn fig6_report(outcomes: &[QedOutcome]) -> String {
 
 /// One core count's measured outcome for the Q5 PVC workload.
 #[derive(Debug, Clone)]
-pub struct ParallelScalingRow {
+pub(crate) struct ParallelScalingRow {
     /// Worker/core count.
     pub workers: usize,
     /// Simulated makespan, seconds.
@@ -503,7 +503,7 @@ pub struct ParallelScalingRow {
 /// merged energy ledger is asserted bit-identical to serial execution
 /// at every core count — the property that keeps every other figure in
 /// this file reproducible on parallel hardware.
-pub fn parallel_scaling(scale: f64) -> Vec<ParallelScalingRow> {
+pub(crate) fn parallel_scaling(scale: f64) -> Vec<ParallelScalingRow> {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
     let (_, serial_trace) = db.trace_q5_workload();
     let totals = |traces: &[eco_simhw::trace::WorkTrace]| {
@@ -535,7 +535,7 @@ pub fn parallel_scaling(scale: f64) -> Vec<ParallelScalingRow> {
 }
 
 /// Format the parallel-scaling study.
-pub fn parallel_scaling_report(rows: &[ParallelScalingRow]) -> String {
+pub(crate) fn parallel_scaling_report(rows: &[ParallelScalingRow]) -> String {
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -570,7 +570,7 @@ pub fn parallel_scaling_report(rows: &[ParallelScalingRow]) -> String {
 
 /// One join algorithm's measured cost on the same input.
 #[derive(Debug, Clone)]
-pub struct JoinAlgoRow {
+pub(crate) struct JoinAlgoRow {
     /// Algorithm name.
     pub algo: String,
     /// Execution seconds.
@@ -586,7 +586,7 @@ pub struct JoinAlgoRow {
 /// Hash vs sort-merge join on `lineitem ⋈ orders`: same answer,
 /// different cycle mix, different watts — the operator-level trade an
 /// energy-aware optimizer must weigh.
-pub fn operator_energy(scale: f64) -> Vec<JoinAlgoRow> {
+pub(crate) fn operator_energy(scale: f64) -> Vec<JoinAlgoRow> {
     use eco_query::context::ExecCtx;
     use eco_query::expr::{AggFunc, Expr};
     use eco_query::ops::{AggSpec, BoxedOp, HashAggregate, HashJoin, SeqScan, SortMergeJoin};
@@ -656,7 +656,7 @@ pub fn operator_energy(scale: f64) -> Vec<JoinAlgoRow> {
 }
 
 /// Format the operator-level study.
-pub fn operator_energy_report(rows: &[JoinAlgoRow]) -> String {
+pub(crate) fn operator_energy_report(rows: &[JoinAlgoRow]) -> String {
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -814,7 +814,7 @@ pub fn index_crossover_report(rows: &[IndexCrossoverRow]) -> String {
 
 /// One CPU setting priced against stock.
 #[derive(Debug, Clone)]
-pub struct CpuSettingRow {
+pub(crate) struct CpuSettingRow {
     /// Setting label.
     pub label: &'static str,
     /// Top reachable core frequency, GHz.
@@ -831,7 +831,7 @@ pub struct CpuSettingRow {
 /// coarse and loses the upper p-states, FSB underclocking is fine-grained
 /// and keeps them all. The Q5 workload on the MySQL memory-engine
 /// profile, medium voltage throughout.
-pub fn pstate_cap(scale: f64) -> Vec<CpuSettingRow> {
+pub(crate) fn pstate_cap(scale: f64) -> Vec<CpuSettingRow> {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
     let (_, trace) = db.trace_q5_workload();
     let stock = db.price(&trace, MachineConfig::stock());
@@ -859,7 +859,7 @@ pub fn pstate_cap(scale: f64) -> Vec<CpuSettingRow> {
 }
 
 /// Format the p-state-cap ablation.
-pub fn pstate_cap_report(rows: &[CpuSettingRow]) -> String {
+pub(crate) fn pstate_cap_report(rows: &[CpuSettingRow]) -> String {
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -881,7 +881,7 @@ pub fn pstate_cap_report(rows: &[CpuSettingRow]) -> String {
 
 /// One profile's response to the same PVC setting.
 #[derive(Debug, Clone)]
-pub struct DroopRow {
+pub(crate) struct DroopRow {
     /// Engine profile label.
     pub profile: &'static str,
     /// CPU utilization at stock.
@@ -896,7 +896,7 @@ pub struct DroopRow {
 /// the mechanism behind the commercial-vs-MySQL savings gap: the Q5
 /// workload at 5 % underclock / medium voltage on the warm commercial
 /// profile (low utilization) and the memory engine (high utilization).
-pub fn voltage_droop(scale: f64) -> Vec<DroopRow> {
+pub(crate) fn voltage_droop(scale: f64) -> Vec<DroopRow> {
     let pvc = MachineConfig::with_cpu(CpuConfig::underclocked(0.05, VoltageSetting::Medium));
     [
         ("commercial (low util)", EngineProfile::CommercialDisk),
@@ -922,7 +922,7 @@ pub fn voltage_droop(scale: f64) -> Vec<DroopRow> {
 }
 
 /// Format the voltage-droop ablation.
-pub fn voltage_droop_report(rows: &[DroopRow]) -> String {
+pub(crate) fn voltage_droop_report(rows: &[DroopRow]) -> String {
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -951,7 +951,7 @@ pub fn sampling(scale: f64) -> eco_simhw::machine::Measurement {
 }
 
 /// Format the sampling ablation.
-pub fn sampling_report(m: &eco_simhw::machine::Measurement) -> String {
+pub(crate) fn sampling_report(m: &eco_simhw::machine::Measurement) -> String {
     let err = (m.cpu_joules_epu - m.cpu_joules).abs() / m.cpu_joules;
     render_table(
         "Ablation: EPU 1 Hz sampling vs exact integration (Q5 workload, MySQL memory-engine profile)",
@@ -969,13 +969,13 @@ pub fn sampling_report(m: &eco_simhw::machine::Measurement) -> String {
 /// and evaluated exhaustively, in that order (`docs/ARCHITECTURE.md`,
 /// "The merged QED scan": short-circuiting is what makes Fig 6's growth
 /// sublinear). Memory-engine profile, stock.
-pub fn qed_short_circuit(scale: f64) -> [QedOutcome; 2] {
+pub(crate) fn qed_short_circuit(scale: f64) -> [QedOutcome; 2] {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
     [true, false].map(|short_circuit| run_qed(&db, 40, MachineConfig::stock(), short_circuit))
 }
 
 /// Format the QED short-circuit ablation.
-pub fn qed_short_circuit_report(outcomes: &[QedOutcome; 2]) -> String {
+pub(crate) fn qed_short_circuit_report(outcomes: &[QedOutcome; 2]) -> String {
     let table: Vec<Vec<String>> = ["short-circuit", "exhaustive"]
         .iter()
         .zip(outcomes)
@@ -997,7 +997,7 @@ pub fn qed_short_circuit_report(outcomes: &[QedOutcome; 2]) -> String {
 
 /// One residual re-read interval of the warm-run disk study.
 #[derive(Debug, Clone, Copy)]
-pub struct WarmRereadRow {
+pub(crate) struct WarmRereadRow {
     /// Every how many pool hits a warm page is read again (`None`: never).
     pub every: Option<u64>,
     /// Workload seconds.
@@ -1011,7 +1011,7 @@ pub struct WarmRereadRow {
 /// Paper §3.5 observes the disk stays busy even with a warm,
 /// memory-resident database: the warm Q5 workload on the commercial
 /// profile as the buffer pool's residual re-read interval shrinks.
-pub fn warm_reread(scale: f64) -> Vec<WarmRereadRow> {
+pub(crate) fn warm_reread(scale: f64) -> Vec<WarmRereadRow> {
     [None, Some(5000u64), Some(2500), Some(500)]
         .into_iter()
         .map(|every| {
@@ -1030,7 +1030,7 @@ pub fn warm_reread(scale: f64) -> Vec<WarmRereadRow> {
 }
 
 /// Format the warm re-read ablation.
-pub fn warm_reread_report(rows: &[WarmRereadRow]) -> String {
+pub(crate) fn warm_reread_report(rows: &[WarmRereadRow]) -> String {
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -1052,7 +1052,7 @@ pub fn warm_reread_report(rows: &[WarmRereadRow]) -> String {
 /// Paper §2's query-level opportunity: one Q5 under two join orders
 /// (filter pushdown vs late filtering) ranked by CPU joules
 /// ([`rank_plans_by_energy`]). Memory-engine profile, stock.
-pub fn join_order(scale: f64) -> Vec<PlanEnergy> {
+pub(crate) fn join_order(scale: f64) -> Vec<PlanEnergy> {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
     let params = Q5Params::new("ASIA", 1994);
     rank_plans_by_energy(
@@ -1069,7 +1069,7 @@ pub fn join_order(scale: f64) -> Vec<PlanEnergy> {
 }
 
 /// Format the join-order ablation.
-pub fn join_order_report(ranked: &[PlanEnergy]) -> String {
+pub(crate) fn join_order_report(ranked: &[PlanEnergy]) -> String {
     let table: Vec<Vec<String>> = ranked
         .iter()
         .map(|p| {
@@ -1093,7 +1093,7 @@ pub fn join_order_report(ranked: &[PlanEnergy]) -> String {
 // ---------------------------------------------------------------------------
 
 /// Renders one `repro` target's section at a scale factor.
-pub type Render = fn(f64) -> String;
+pub(crate) type Render = fn(f64) -> String;
 
 /// Every `repro` target and its section, in the order `all` renders
 /// them.

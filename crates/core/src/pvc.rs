@@ -9,13 +9,9 @@
 
 use eco_simhw::cpu::{CpuConfig, VoltageSetting};
 use eco_simhw::machine::{Machine, MachineConfig};
-use eco_simhw::multicore::MultiCoreMachine;
 use eco_simhw::trace::WorkTrace;
 
 use crate::metrics::OperatingPoint;
-
-/// The paper's underclock grid (stock + 5/10/15 %).
-pub const PAPER_UNDERCLOCKS: [f64; 4] = [0.0, 0.05, 0.10, 0.15];
 
 /// The paper's voltage downgrades.
 pub const PAPER_VOLTAGES: [VoltageSetting; 2] = [VoltageSetting::Small, VoltageSetting::Medium];
@@ -89,51 +85,6 @@ impl PvcSweep {
         Self::run(machine, trace, &[0.05, 0.10, 0.15], &PAPER_VOLTAGES)
     }
 
-    /// The cores axis: sweep the same grid over *per-core* traces from
-    /// a morsel-parallel run, priced on a [`MultiCoreMachine`] (every
-    /// core shares the FSB underclock, as on real hardware). Because
-    /// the merged parallel ledger is bit-identical to serial execution,
-    /// the energy side of each point is the multi-core pricing of
-    /// exactly the same work — the sweep isolates the effect of the
-    /// operating point and the core count, never of execution noise.
-    pub fn run_cores(
-        mc: &MultiCoreMachine,
-        core_traces: &[WorkTrace],
-        underclocks: &[f64],
-        voltages: &[VoltageSetting],
-    ) -> Self {
-        let stock_cfg = MachineConfig::stock();
-        let stock_m = mc.measure_uniform(core_traces, &stock_cfg);
-        let stock = OperatingPoint::from_multicore("stock", stock_cfg, &stock_m);
-
-        let mut points = Vec::new();
-        for &v in voltages {
-            for &u in underclocks {
-                if u == 0.0 && v == VoltageSetting::Stock {
-                    continue;
-                }
-                let cfg = MachineConfig::with_cpu(CpuConfig::underclocked(u, v));
-                let m = mc.measure_uniform(core_traces, &cfg);
-                let point = OperatingPoint::from_multicore(cfg.cpu.label(), cfg, &m);
-                points.push(PvcSweepPoint {
-                    underclock: u,
-                    voltage: v,
-                    energy_ratio: point.energy_ratio(&stock),
-                    time_ratio: point.time_ratio(&stock),
-                    edp_ratio: point.edp_ratio(&stock),
-                    wall_energy_ratio: point.wall_energy_ratio(&stock),
-                    point,
-                });
-            }
-        }
-        Self { stock, points }
-    }
-
-    /// The paper's grid on the cores axis.
-    pub fn paper_grid_cores(mc: &MultiCoreMachine, core_traces: &[WorkTrace]) -> Self {
-        Self::run_cores(mc, core_traces, &[0.05, 0.10, 0.15], &PAPER_VOLTAGES)
-    }
-
     /// Points for one voltage setting, ordered by underclock.
     pub fn points_for(&self, voltage: VoltageSetting) -> Vec<&PvcSweepPoint> {
         let mut v: Vec<&PvcSweepPoint> = self
@@ -156,7 +107,7 @@ impl PvcSweep {
 
     /// The most energy-saving setting whose slowdown stays within the
     /// SLA (`time_ratio ≤ max_time_ratio`).
-    pub fn best_energy_under_sla(&self, max_time_ratio: f64) -> Option<&PvcSweepPoint> {
+    pub(crate) fn best_energy_under_sla(&self, max_time_ratio: f64) -> Option<&PvcSweepPoint> {
         self.points
             .iter()
             .filter(|p| p.time_ratio <= max_time_ratio)
@@ -169,7 +120,11 @@ impl PvcSweep {
 /// *normalized to the stock setting* for comparability with observed
 /// EDP ratios (Fig 4 plots the two on separate axes; normalizing makes
 /// the shapes directly overlayable).
-pub fn theoretical_edp_ratio(machine: &Machine, config: &CpuConfig, utilization: f64) -> f64 {
+pub(crate) fn theoretical_edp_ratio(
+    machine: &Machine,
+    config: &CpuConfig,
+    utilization: f64,
+) -> f64 {
     let spec = &machine.cpu_spec;
     let stock = CpuConfig::stock();
     let model = |cfg: &CpuConfig| {
@@ -278,36 +233,6 @@ mod tests {
         assert!(r5 < r10 && r10 < r15);
         // And the downgrade makes all of them beat stock.
         assert!(r5 < 1.0);
-    }
-
-    #[test]
-    fn cores_sweep_keeps_paper_shape_and_scales_time() {
-        // The PVC tradeoff survives the cores axis: same grid shape,
-        // with the multi-core makespan well under the single-core time.
-        let machine = Machine::paper_sut();
-        let trace = workload_trace();
-        let serial = PvcSweep::paper_grid(&machine, &trace);
-
-        // Split the workload's execute phases round-robin across cores.
-        let cores = 4;
-        let mut per_core: Vec<WorkTrace> = (0..cores).map(|_| WorkTrace::new()).collect();
-        for (i, p) in trace.phases().iter().enumerate() {
-            per_core[i % cores].push(p.clone());
-        }
-        let mc = eco_simhw::multicore::MultiCoreMachine { machine, cores };
-        let sweep = PvcSweep::run_cores(&mc, &per_core, &[0.05, 0.10, 0.15], &PAPER_VOLTAGES);
-        assert_eq!(sweep.points.len(), 6);
-        assert!(
-            sweep.stock.seconds < 0.6 * serial.stock.seconds,
-            "parallel makespan"
-        );
-        for p in &sweep.points {
-            assert!(p.energy_ratio > 0.0 && p.energy_ratio < 1.0, "{p:?}");
-            assert!(p.time_ratio > 1.0, "{p:?}");
-        }
-        // 5% underclock still EDP-optimal on the grid at 4 cores.
-        let best = sweep.best_edp().expect("a winning point");
-        assert!((best.underclock - 0.05).abs() < 1e-9);
     }
 
     #[test]

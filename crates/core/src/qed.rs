@@ -211,47 +211,6 @@ fn qed_against(db: &EcoDb, baseline: &[Statement], config: MachineConfig, sc: bo
     compare(seq, qed, results_match(&rows, &seq_rows))
 }
 
-/// [`run_qed`] on the cores axis: both schemes execute morsel-parallel
-/// across `workers` cores and are priced on the multi-core machine.
-/// Merging stays strictly energy-positive — the merged scan's ledger is
-/// the same work regardless of worker count (bit-identical to serial),
-/// so QED's k-fold scan sharing composes with intra-query parallelism's
-/// makespan reduction instead of competing with it.
-pub fn run_qed_cores(
-    db: &EcoDb,
-    batch_size: usize,
-    config: MachineConfig,
-    short_circuit: bool,
-    workers: usize,
-) -> QedOutcome {
-    let queries = qed_workload(batch_size);
-    let mc = db.multicore(workers);
-
-    // Sequential baseline: k parallel statements back-to-back.
-    let mut seq_rows = Vec::with_capacity(batch_size);
-    let mut completions = Vec::with_capacity(batch_size);
-    let mut acc = 0.0;
-    let mut seq_joules = 0.0;
-    for q in &queries {
-        let (rows, core_traces) = db.trace_selection_cores(q, workers);
-        let m = mc.measure_uniform(&core_traces, &config);
-        acc += m.elapsed_s;
-        seq_joules += m.cpu_joules;
-        completions.push(acc);
-        seq_rows.push(RowSet::from(rows));
-    }
-    let seq = QedScheme::sequential(&completions, acc, seq_joules);
-
-    // QED: one merged parallel statement; the split runs on the client
-    // (core 0) after the barrier.
-    let (rows, core_traces) = db.trace_merged_selection_cores(&queries, short_circuit, workers);
-    let m = mc.measure_uniform(&core_traces, &config);
-    let split = phase_seconds(&m.per_core[0].phases, true);
-    let gap_exec = (m.elapsed_s - split).max(0.0);
-    let qed = QedScheme::merged(batch_size, m.elapsed_s, m.cpu_joules, gap_exec, split);
-    compare(seq, qed, results_match(&rows, &seq_rows))
-}
-
 /// The admission-control queue: delay queries until a batch forms.
 /// (The paper assumes the queue "builds up in a master system that is
 /// always on" — accumulation time is free from the DBMS's view.)
@@ -264,7 +223,6 @@ pub fn run_qed_cores(
 pub struct WorkloadManager<T = QedQuery> {
     threshold: usize,
     queue: Vec<T>,
-    batches_released: usize,
 }
 
 impl<T> WorkloadManager<T> {
@@ -274,7 +232,6 @@ impl<T> WorkloadManager<T> {
         Self {
             threshold,
             queue: Vec::new(),
-            batches_released: 0,
         }
     }
 
@@ -282,7 +239,6 @@ impl<T> WorkloadManager<T> {
     pub fn submit(&mut self, q: T) -> Option<Vec<T>> {
         self.queue.push(q);
         if self.queue.len() >= self.threshold {
-            self.batches_released += 1;
             Some(std::mem::take(&mut self.queue))
         } else {
             None
@@ -302,9 +258,6 @@ impl<T> WorkloadManager<T> {
 
     /// Force-release whatever is queued (timeout path).
     pub fn drain(&mut self) -> Vec<T> {
-        if !self.queue.is_empty() {
-            self.batches_released += 1;
-        }
         std::mem::take(&mut self.queue)
     }
 
@@ -321,11 +274,6 @@ impl<T> WorkloadManager<T> {
     pub fn set_threshold(&mut self, threshold: usize) {
         assert!(threshold >= 1, "threshold must be at least 1");
         self.threshold = threshold;
-    }
-
-    /// Batches released so far.
-    pub fn batches_released(&self) -> usize {
-        self.batches_released
     }
 }
 
@@ -459,24 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn qed_on_cores_still_saves_energy_and_answers_match() {
-        let db = db();
-        let serial = run_qed(&db, 20, MachineConfig::stock(), true);
-        let par = run_qed_cores(&db, 20, MachineConfig::stock(), true, 4);
-        assert!(par.results_match, "parallel QED must not change answers");
-        assert!(par.energy_ratio < 1.0, "energy ratio {}", par.energy_ratio);
-        assert!(par.response_ratio > 1.0);
-        // Four cores finish the merged statement faster than one. The
-        // speedup is bounded well below 4x: result emission and the
-        // client-side split stay on the coordinator core by design.
-        let (par_s, serial_s) = (par.qed.total_seconds, serial.qed.total_seconds);
-        assert!(
-            par_s < 0.97 * serial_s,
-            "parallel {par_s} vs serial {serial_s}"
-        );
-    }
-
-    #[test]
     fn workload_manager_batches() {
         let mut wm = WorkloadManager::new(3);
         assert!(wm.submit(QedQuery { quantity: 1 }).is_none());
@@ -485,10 +415,8 @@ mod tests {
         let batch = wm.submit(QedQuery { quantity: 3 }).expect("batch ready");
         assert_eq!(batch.len(), 3);
         assert_eq!(wm.pending(), 0);
-        assert_eq!(wm.batches_released(), 1);
         assert!(wm.submit(QedQuery { quantity: 4 }).is_none());
         assert_eq!(wm.drain().len(), 1);
-        assert_eq!(wm.batches_released(), 2);
         assert!(wm.drain().is_empty());
     }
 

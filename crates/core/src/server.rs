@@ -59,7 +59,7 @@ impl EngineProfile {
 
     /// Client round-trip time as a fraction of the statement's
     /// stock-setting busy time.
-    pub fn gap_fraction(self) -> f64 {
+    pub(crate) fn gap_fraction(self) -> f64 {
         match self {
             // Thin client loop against a local memory engine.
             EngineProfile::MemoryEngine => 0.06,
@@ -214,7 +214,7 @@ fn parse_tokens(kind: StatementKind) -> u64 {
 
 /// Statement kinds known to the facade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StatementKind {
+pub(crate) enum StatementKind {
     /// TPC-H Q5.
     Q5,
     /// TPC-H Q1.
@@ -403,11 +403,6 @@ impl EcoDb {
         self
     }
 
-    /// Switch the pricing mode in place.
-    pub fn set_pricing(&mut self, pricing: PricingMode) {
-        self.pricing = pricing;
-    }
-
     /// A fresh [`ExecCtx`] configured for this database's engine and
     /// pricing mode.
     fn exec_ctx(&self) -> ExecCtx {
@@ -460,12 +455,6 @@ impl EcoDb {
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         self.wal.lock().log.set_crash(plan.wal_crash());
         self.catalog.pool().set_fault_plan(plan);
-    }
-
-    /// Same database with a fault schedule installed (builder style).
-    pub fn with_fault_plan(self, plan: FaultPlan) -> Self {
-        self.set_fault_plan(plan);
-        self
     }
 
     /// The installed fault schedule.
@@ -603,7 +592,7 @@ impl EcoDb {
     }
 
     /// Trace one TPC-H Q5 instance across `workers` cores.
-    pub fn trace_q5_cores(
+    pub(crate) fn trace_q5_cores(
         &self,
         params: &Q5Params,
         workers: usize,
@@ -629,36 +618,6 @@ impl EcoDb {
             }
         }
         (all_rows, core_traces)
-    }
-
-    /// Trace TPC-H Q6 across `workers` cores.
-    pub fn trace_q6_cores(
-        &self,
-        year: i32,
-        discount_pct: i64,
-        max_qty: i64,
-        workers: usize,
-    ) -> (Vec<Tuple>, Vec<WorkTrace>) {
-        self.trace_statement_cores(
-            StatementKind::Q6,
-            plans::q6_plan(&self.catalog, year, discount_pct, max_qty),
-            "Q6",
-            workers,
-        )
-    }
-
-    /// Trace a single QED selection across `workers` cores.
-    pub fn trace_selection_cores(
-        &self,
-        q: &QedQuery,
-        workers: usize,
-    ) -> (Vec<Tuple>, Vec<WorkTrace>) {
-        self.trace_statement_cores(
-            StatementKind::Selection,
-            plans::selection_plan(&self.catalog, q),
-            &q.label(),
-            workers,
-        )
     }
 
     /// Trace a merged QED batch across `workers` cores: the disjunctive
@@ -741,26 +700,6 @@ impl EcoDb {
         Ok((split, traces))
     }
 
-    /// Run one Q6 morsel-parallel under a per-core configuration.
-    pub fn run_q6_cores(
-        &self,
-        year: i32,
-        discount_pct: i64,
-        max_qty: i64,
-        workers: usize,
-        config: MachineConfig,
-    ) -> ParallelQueryRun {
-        let (rows, core_traces) = self.trace_q6_cores(year, discount_pct, max_qty, workers);
-        let measurement = self
-            .multicore(workers)
-            .measure_uniform(&core_traces, &config);
-        ParallelQueryRun {
-            rows,
-            core_traces,
-            measurement,
-        }
-    }
-
     /// Run the ten-query Q5 PVC workload morsel-parallel.
     pub fn run_q5_workload_cores(&self, workers: usize, config: MachineConfig) -> ParallelQueryRun {
         let (rows, core_traces) = self.trace_q5_workload_cores(workers);
@@ -802,16 +741,6 @@ impl EcoDb {
     /// until a caller reads one, and comparing it builds none.
     pub fn trace_selection(&self, q: &QedQuery) -> (RowSet, WorkTrace) {
         self.trace_statement(
-            StatementKind::Selection,
-            plans::selection_plan(&self.catalog, q),
-            &q.label(),
-        )
-    }
-
-    /// Fallible [`Self::trace_selection`]: an unrecoverable disk fault
-    /// comes back as [`ServerError::Io`], failing only this statement.
-    pub fn try_trace_selection(&self, q: &QedQuery) -> Result<(RowSet, WorkTrace), ServerError> {
-        self.try_trace_statement(
             StatementKind::Selection,
             plans::selection_plan(&self.catalog, q),
             &q.label(),
@@ -877,7 +806,7 @@ impl EcoDb {
     /// schema v4) and returns no rows. Panics on a disk fault —
     /// fault-injected servers use [`Self::try_trace_sql`], which types
     /// it.
-    pub fn trace_sql(
+    pub(crate) fn trace_sql(
         &self,
         sql: &str,
     ) -> Result<(Vec<Tuple>, WorkTrace), eco_query::sql::SqlError> {
@@ -1026,12 +955,6 @@ impl EcoDb {
         let mut trace = WorkTrace::new();
         trace.push(phase);
         Ok((bytes, trace))
-    }
-
-    /// Log bytes appended but not yet fsynced (transactions that would
-    /// not survive a crash right now).
-    pub fn wal_pending_bytes(&self) -> usize {
-        self.wal.lock().log.pending_bytes()
     }
 
     /// Fsyncs the write-ahead log has performed.
@@ -1371,10 +1294,13 @@ mod tests {
         // retries or fail with a typed Io error; nothing panics.
         db.set_fault_plan(FaultPlan::new(1234, 1_000_000));
         db.flush_cache();
-        let queries = eco_tpch::qed_workload(4);
+        let queries: Vec<String> = eco_tpch::qed_workload(4)
+            .iter()
+            .map(|q| format!("SELECT * FROM lineitem WHERE l_quantity = {}", q.quantity))
+            .collect();
         let mut io_errors = 0;
         for q in &queries {
-            match db.try_trace_selection(q) {
+            match db.try_trace_sql(q) {
                 Ok((rows, trace)) => {
                     assert!(!trace.phases().is_empty());
                     let _ = rows;
@@ -1390,7 +1316,7 @@ mod tests {
         db.set_fault_plan(FaultPlan::none());
         db.flush_cache();
         for q in &queries {
-            db.try_trace_selection(q).expect("fault-free run succeeds");
+            db.try_trace_sql(q).expect("fault-free run succeeds");
         }
     }
 
@@ -1477,7 +1403,7 @@ mod tests {
             total.assert_same(&total.without_schema(5), "v5 classes of a read-only run");
         }
         assert_eq!(db.wal_fsyncs(), 0);
-        assert_eq!(db.wal_pending_bytes(), 0);
+        assert_eq!(db.wal.lock().log.pending_bytes(), 0);
     }
 
     #[test]
@@ -1502,7 +1428,7 @@ mod tests {
                 .iter()
                 .any(|p| p.ledger.cpu.count(OpClass::LogRecord) > 0));
         }
-        assert!(db.wal_pending_bytes() > 0);
+        assert!(db.wal.lock().log.pending_bytes() > 0);
         assert_eq!(db.wal_fsyncs(), 0);
         // All five transactions are already visible (group commit
         // defers durability, not visibility).
@@ -1514,7 +1440,7 @@ mod tests {
         let (bytes, commit_trace) = db.commit_wal().expect("commit");
         assert!(bytes > 0);
         assert_eq!(db.wal_fsyncs(), 1);
-        assert_eq!(db.wal_pending_bytes(), 0);
+        assert_eq!(db.wal.lock().log.pending_bytes(), 0);
         assert_eq!(commit_trace.total_disk().log_ios, 1);
         // An empty commit is free and uncounted.
         let (bytes, trace) = db.commit_wal().expect("no-op commit");

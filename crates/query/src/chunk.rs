@@ -94,7 +94,7 @@ impl Rows<'_> {
     }
 
     /// Collect the absolute indices into a vector.
-    pub fn to_indices(&self) -> Vec<u32> {
+    pub(crate) fn to_indices(self) -> Vec<u32> {
         let mut v = Vec::with_capacity(self.len());
         self.for_each(|_, i| v.push(i as u32));
         v
@@ -128,7 +128,7 @@ impl Chunk {
 
     /// Attach an encoded mirror of the chunk's data (builder style).
     /// Row indices in the mirror must align with `data`.
-    pub fn with_enc(mut self, enc: Arc<EncodedChunk>) -> Self {
+    pub(crate) fn with_enc(mut self, enc: Arc<EncodedChunk>) -> Self {
         debug_assert_eq!(enc.rows(), self.data.len());
         self.enc = Some(enc);
         self
@@ -164,7 +164,7 @@ impl Chunk {
 
     /// Materialize every live row into `out`, in row order — what a
     /// pipeline breaker that needs rows drains its child with.
-    pub fn to_tuples(&self, out: &mut Vec<Tuple>) {
+    pub(crate) fn to_tuples(&self, out: &mut Vec<Tuple>) {
         out.reserve(self.len());
         self.rows().for_each(|_, i| out.push(self.data.row(i)));
     }

@@ -7,13 +7,13 @@ use crate::error::ExecError;
 /// Default [`ExecCtx::batch_size`]: rows per columnar chunk and per DML
 /// filter window. 1024 keeps a chunk of lineitem-width rows well inside
 /// L2 while amortizing per-call dispatch to noise.
-pub const DEFAULT_BATCH_SIZE: usize = 1024;
+pub(crate) const DEFAULT_BATCH_SIZE: usize = 1024;
 
 /// Default number of input tuples per morsel handed to a parallel
 /// worker. Big enough to amortize the per-morsel pipeline setup, small
 /// enough that a scan splits into many more morsels than workers (the
 /// load-balancing granularity of morsel-driven execution).
-pub const DEFAULT_MORSEL_ROWS: usize = 4096;
+pub(crate) const DEFAULT_MORSEL_ROWS: usize = 4096;
 
 /// Per-execution accounting state, threaded through every operator call.
 #[derive(Debug, Clone)]
@@ -167,7 +167,7 @@ impl ExecCtx {
     /// to core `worker` for [`Self::take_core_phases`]. Addition is
     /// commutative, so the merged totals are identical to serial
     /// execution regardless of how morsels were scheduled.
-    pub fn merge_worker(&mut self, worker: usize, other: &ExecCtx) {
+    pub(crate) fn merge_worker(&mut self, worker: usize, other: &ExecCtx) {
         self.ledger.merge(&other.ledger);
         self.pred_evals += other.pred_evals;
         // Workers are merged in worker-index order, so under a fixed
@@ -196,13 +196,13 @@ impl ExecCtx {
 
     /// Charge latency-bound random memory accesses.
     #[inline]
-    pub fn charge_mem_random(&mut self, n: u64) {
+    pub(crate) fn charge_mem_random(&mut self, n: u64) {
         self.ledger.mem_random_accesses += n;
     }
 
     /// Charge retry-backoff / stall idle time (nanoseconds).
     #[inline]
-    pub fn charge_backoff(&mut self, ns: u64) {
+    pub(crate) fn charge_backoff(&mut self, ns: u64) {
         self.ledger.backoff_ns += ns;
     }
 

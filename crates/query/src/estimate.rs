@@ -12,7 +12,6 @@
 use eco_simhw::machine::{Machine, MachineConfig, Measurement};
 use eco_simhw::trace::{OpClass, Phase, WorkTrace};
 use eco_storage::Catalog;
-use eco_tpch::Q5Params;
 
 /// An estimated work profile (mirrors the executor's ledger).
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +31,7 @@ impl WorkEstimate {
     }
 
     /// Convert into a single-phase trace.
-    pub fn into_trace(self) -> WorkTrace {
+    pub(crate) fn into_trace(self) -> WorkTrace {
         let mut t = WorkTrace::new();
         t.push(self.phase);
         t
@@ -58,12 +57,6 @@ impl WorkEstimate {
         self.phase.ledger.disk.index_ios += n;
         self.phase.ledger.disk.index_bytes += n * eco_storage::page::PAGE_SIZE as u64;
     }
-}
-
-/// Selectivity of a one-year `o_orderdate` window (orders span the
-/// 7-year TPC-H window minus 151 days).
-pub fn order_year_selectivity() -> f64 {
-    365.25 / (7.0 * 365.25 - 151.0)
 }
 
 /// Estimate the merged (or single, `k = 1`) QED selection over
@@ -172,55 +165,6 @@ pub fn estimate_index_selection(
     e
 }
 
-/// Estimate TPC-H Q5 under the paper's workload parameters.
-pub fn estimate_q5(catalog: &Catalog, _params: &Q5Params) -> WorkEstimate {
-    let rows = |name: &str| catalog.expect(name).len() as f64;
-    let width = |name: &str| catalog.expect(name).avg_tuple_bytes() as f64;
-
-    let mut e = WorkEstimate::new("est:q5");
-    // Scans: region, nation, customer, orders, lineitem, supplier.
-    for t in [
-        "region", "nation", "customer", "orders", "lineitem", "supplier",
-    ] {
-        e.charge(OpClass::TupleFetch, rows(t));
-        e.charge_mem(rows(t) * width(t));
-    }
-    // Filters.
-    e.charge(OpClass::PredEval, rows("region")); // r_name
-    e.charge(OpClass::PredEval, 2.0 * rows("orders")); // date range
-
-    // Join cardinalities (FK containment + uniform regions).
-    let nations_in_region = rows("nation") / 5.0;
-    let cust_in_region = rows("customer") / 5.0;
-    let orders_window = rows("orders") * order_year_selectivity();
-    let orders_joined = orders_window / 5.0; // customer in region
-    let lines_per_order = rows("lineitem") / rows("orders");
-    let lineitems_joined = orders_joined * lines_per_order;
-    // Supplier nation matches customer nation with probability 1/25.
-    let q5_out_lines = lineitems_joined / 25.0;
-
-    // Hash builds: region⋈nation (tiny), customer (1/5), orders
-    // (joined), lineitem probe, supplier build.
-    e.charge(
-        OpClass::HashBuild,
-        1.0 + nations_in_region + rows("supplier"),
-    );
-    e.charge(OpClass::HashProbe, rows("nation") + rows("customer"));
-    e.charge(OpClass::HashBuild, cust_in_region + orders_joined);
-    e.charge(OpClass::HashProbe, orders_window + rows("lineitem"));
-    e.phase.ledger.mem_random_accesses += (rows("customer") + rows("lineitem")) as u64;
-    // Probe the supplier table with every joined lineitem.
-    e.charge(OpClass::HashProbe, lineitems_joined);
-
-    // Aggregate + revenue arithmetic (3 ops per row) + emit ≤ 5 nations.
-    e.charge(OpClass::HashProbe, q5_out_lines);
-    e.charge(OpClass::AggUpdate, q5_out_lines);
-    e.charge(OpClass::Arith, 3.0 * q5_out_lines);
-    e.out_rows = 5.0_f64.min(q5_out_lines);
-    e.charge(OpClass::ResultEmit, e.out_rows);
-    e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,18 +233,10 @@ mod tests {
     }
 
     #[test]
-    fn q5_estimate_is_positive_and_prices() {
-        let cat = setup();
-        let est = estimate_q5(&cat, &Q5Params::new("ASIA", 1994));
-        assert!(est.phase.ledger.cpu.total_ops() > 0);
-        let m = est.measure(&Machine::paper_sut(), &MachineConfig::stock());
-        assert!(m.elapsed_s > 0.0);
-    }
-
-    #[test]
     fn index_estimate_tracks_actual_probe() {
         use crate::exec::execute;
-        use crate::plans;
+        use crate::ops::{IxBound, IxScan};
+        use eco_storage::Value;
         let db = TpchGenerator::new(0.01).generate();
         let cat = load_tpch(&db, EngineKind::Disk, 1 << 16);
         let entry = cat
@@ -309,9 +245,14 @@ mod tests {
         // Quantity uniform over 1..=50: BETWEEN 1 AND 5 keeps ~10 %.
         let est = estimate_index_selection(&cat, &entry, 5.0 / 50.0);
         cat.pool().flush();
-        let mut plan = plans::quantity_range_plan_indexed(&cat, 1, 5).expect("indexed");
+        let mut plan = IxScan::range(
+            cat.expect("lineitem"),
+            std::sync::Arc::clone(&entry.index),
+            IxBound::Inclusive(Value::Int(1)),
+            IxBound::Inclusive(Value::Int(5)),
+        );
         let mut ctx = ExecCtx::new();
-        let rows = execute(plan.as_mut(), &mut ctx);
+        let rows = execute(&mut plan, &mut ctx);
         let rel_rows = (est.out_rows - rows.len() as f64).abs() / rows.len() as f64;
         assert!(
             rel_rows < 0.25,

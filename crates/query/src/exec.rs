@@ -7,8 +7,8 @@
 //! which is what ships, or the tuple-at-a-time scalar driver
 //! ([`Operator::next`]), the oracle the differential tests compare it
 //! against. [`execute_rows`] is the one top-of-plan driver and
-//! dispatches on the flag; [`execute`] / [`execute_into`] are it with
-//! each row built once, for callers that want tuples. [`ExecEngine`]
+//! dispatches on the flag; [`execute`] is it with each row built
+//! once, for callers that want tuples. [`ExecEngine`]
 //! sets the flag for one run; [`execute_parallel`] adds
 //! morsel-driven intra-query parallelism on worker threads and composes
 //! with both (every worker drains the context's engine). Both produce
@@ -80,27 +80,9 @@ impl ExecEngine {
         rows
     }
 
-    /// Execute `plan` under this engine, appending into `out`.
-    pub fn execute_into(self, plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
-        out.append(&mut self.execute_rows(plan, ctx).into_tuples());
-    }
-
     /// Execute `plan` under this engine, returning all result tuples.
     pub fn execute(self, plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
         self.execute_rows(plan, ctx).into_tuples()
-    }
-
-    /// Fallible twin of [`Self::execute_into`]: drives the plan, then
-    /// surfaces the first typed error any operator recorded. On `Err`
-    /// the buffer holds whatever rows were produced before the fault.
-    pub fn try_execute_into(
-        self,
-        plan: &mut dyn Operator,
-        ctx: &mut ExecCtx,
-        out: &mut Vec<Tuple>,
-    ) -> Result<(), ExecError> {
-        self.execute_into(plan, ctx, out);
-        take_exec_error(ctx)
     }
 
     /// Fallible twin of [`Self::execute`].
@@ -174,7 +156,7 @@ pub fn execute(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
 
 /// Like [`execute`], appending into an existing buffer (lets callers
 /// reuse a workhorse allocation across queries).
-pub fn execute_into(plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
+pub(crate) fn execute_into(plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
     out.append(&mut execute_rows(plan, ctx).into_tuples());
 }
 
@@ -205,10 +187,10 @@ pub fn execute_parallel(plan: &mut dyn Operator, ctx: &mut ExecCtx, workers: usi
     out
 }
 
-/// Fallible twin of [`execute_parallel_into`]: drives the plan with
-/// `workers` threads, then surfaces the first typed error any worker
-/// recorded (workers merge in index order, so the surviving error is
-/// deterministic for a given fault plan).
+/// Fallible [`execute_parallel`], appending into `out`: drives the
+/// plan with `workers` threads, then surfaces the first typed error
+/// any worker recorded (workers merge in index order, so the surviving
+/// error is deterministic for a given fault plan).
 pub fn try_execute_parallel_into(
     plan: &mut dyn Operator,
     ctx: &mut ExecCtx,
@@ -220,7 +202,7 @@ pub fn try_execute_parallel_into(
 }
 
 /// Like [`execute_parallel`], appending into an existing buffer.
-pub fn execute_parallel_into(
+pub(crate) fn execute_parallel_into(
     plan: &mut dyn Operator,
     ctx: &mut ExecCtx,
     workers: usize,

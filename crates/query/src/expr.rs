@@ -152,7 +152,7 @@ impl Expr {
     }
 
     /// `col = lit` convenience.
-    pub fn col_eq_int(i: usize, v: i64) -> Expr {
+    pub(crate) fn col_eq_int(i: usize, v: i64) -> Expr {
         Expr::Cmp(CmpOp::Eq, Box::new(Expr::col(i)), Box::new(Expr::int(v)))
     }
 
@@ -448,7 +448,7 @@ impl Expr {
     /// Refine a selection vector in place: keep the rows of `sel` this
     /// boolean expression accepts. Charges exactly what evaluating
     /// [`Expr::eval_bool`] against each live row would charge.
-    pub fn filter_sel(&self, data: &DataChunk, sel: &mut Vec<u32>, ctx: &mut ExecCtx) {
+    pub(crate) fn filter_sel(&self, data: &DataChunk, sel: &mut Vec<u32>, ctx: &mut ExecCtx) {
         if sel.is_empty() {
             return;
         }
@@ -488,7 +488,7 @@ impl Expr {
     ///
     /// Top-level `And`s narrow conjunct-by-conjunct like the raw path,
     /// so each arm only touches surviving rows.
-    pub fn filter_sel_enc(
+    pub(crate) fn filter_sel_enc(
         &self,
         data: &DataChunk,
         enc: &EncodedChunk,
@@ -525,7 +525,12 @@ impl Expr {
     /// Evaluate a boolean expression over the live rows, returning one
     /// flag per live-row ordinal. Charge-identical to per-row
     /// [`Expr::eval_bool`] (see module notes on selection narrowing).
-    pub fn eval_flags(&self, data: &DataChunk, rows: Rows<'_>, ctx: &mut ExecCtx) -> Vec<bool> {
+    pub(crate) fn eval_flags(
+        &self,
+        data: &DataChunk,
+        rows: Rows<'_>,
+        ctx: &mut ExecCtx,
+    ) -> Vec<bool> {
         let n = rows.len();
         match self {
             Expr::Cmp(op, l, r) => cmp_flags(*op, l, r, data, rows, ctx),
@@ -645,7 +650,12 @@ impl Expr {
     /// through the typed [`ColumnChunk::gather`] loops, *carrying the
     /// validity mask*, so projecting never launders a NULL into a valid
     /// value; computed columns are always fully valid.
-    pub fn eval_column(&self, data: &DataChunk, rows: Rows<'_>, ctx: &mut ExecCtx) -> ColumnChunk {
+    pub(crate) fn eval_column(
+        &self,
+        data: &DataChunk,
+        rows: Rows<'_>,
+        ctx: &mut ExecCtx,
+    ) -> ColumnChunk {
         let n = rows.len();
         match self {
             Expr::Col(i) => data.column(*i).gather(&rows.to_indices()),

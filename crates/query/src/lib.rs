@@ -38,7 +38,7 @@
 //! `columnar_matches_scalar` property test, on both storage engines,
 //! cold and warm, serial and morsel-parallel. The chunk size
 //! ([`ExecCtx::batch_size`](context::ExecCtx), default
-//! [`context::DEFAULT_BATCH_SIZE`] = 1024) is a pure throughput knob.
+//! `DEFAULT_BATCH_SIZE` = 1024) is a pure throughput knob.
 //!
 //! ## Morsel-driven parallel execution
 //!
@@ -62,10 +62,9 @@
 //!
 //! * hand-built physical plans for TPC-H Q1/Q3/Q5/Q6 and simple
 //!   selections ([`plans`]) — index-free by default, matching the
-//!   paper's setup ("we did not create any database indices"), with
-//!   opt-in `*_indexed` variants ([`ops::IxScan`] probes and
-//!   [`ops::IxJoin`] index nested loops, ledger schema v4) for the
-//!   random-vs-sequential energy studies;
+//!   paper's setup ("we did not create any database indices"), with an
+//!   opt-in indexed variant ([`ops::IxScan`] probes, ledger schema v4)
+//!   for the random-vs-sequential energy studies;
 //! * the multi-query optimizer used by QED ([`mqo`]): merge a batch of
 //!   selection queries into one disjunctive scan and split the results;
 //! * a cardinality + energy/time cost model ([`estimate`]) — the
@@ -87,8 +86,7 @@ pub use chunk::{Chunk, Rows};
 pub use context::ExecCtx;
 pub use error::ExecError;
 pub use exec::{
-    execute, execute_columnar, execute_into, execute_parallel, execute_parallel_into,
-    try_execute_parallel_into, ExecEngine,
+    execute, execute_columnar, execute_parallel, try_execute_parallel_into, ExecEngine,
 };
 pub use expr::{AggFunc, ArithOp, CmpOp, Expr};
 pub use ops::Operator;

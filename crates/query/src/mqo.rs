@@ -611,18 +611,11 @@ impl MergedSelection {
         crate::exec::execute(&mut self.plan, ctx)
     }
 
-    /// Execute the merged scan morsel-parallel across `workers`
-    /// threads: same tagged rows, bit-identical ledger (the disjunctive
-    /// scan is a partitionable pipeline).
-    pub fn run_parallel(&mut self, ctx: &mut ExecCtx, workers: usize) -> Vec<Tuple> {
-        crate::exec::execute_parallel(&mut self.plan, ctx, workers)
-    }
-
     /// Execute the merged scan *and* the application-side split in one
     /// pass, returning per-query result sets: server-side work is
     /// charged to `ctx` (across [`ExecCtx::workers`] threads), the
-    /// split to `client`. Rows and both ledgers equal [`Self::run`] /
-    /// [`Self::run_parallel`] followed by [`split_results`]; see
+    /// split to `client`. Rows and both ledgers equal [`Self::run`]
+    /// (serial or morsel-parallel) followed by [`split_results`]; see
     /// [`MultiFilter::run_split`].
     pub fn run_split(&mut self, ctx: &mut ExecCtx, client: &mut ExecCtx) -> Vec<RowSet> {
         self.plan.run_split(ctx, client)
@@ -875,7 +868,8 @@ mod tests {
                     // The tagged-row parallel driver is the per-core oracle.
                     let mut pctx = ExecCtx::new().with_morsel_rows(1000);
                     pctx.short_circuit_or = short_circuit;
-                    MergedSelection::new(&cat, &queries).run_parallel(&mut pctx, workers);
+                    let mut tagged = MergedSelection::new(&cat, &queries);
+                    crate::exec::execute_parallel(&mut tagged.plan, &mut pctx, workers);
                     assert_eq!(
                         ctx.take_core_phases(workers, "t"),
                         pctx.take_core_phases(workers, "t"),

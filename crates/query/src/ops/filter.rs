@@ -16,7 +16,7 @@ use crate::parallel::Morsel;
 /// evaluated column-at-a-time into the chunk's *selection vector* —
 /// no row is ever materialized or moved; non-matching rows are simply
 /// dropped from the selection. Charges are identical to evaluating the
-/// predicate against every live row ([`Expr::filter_sel`]).
+/// predicate against every live row (`Expr::filter_sel`).
 pub struct Filter {
     child: BoxedOp,
     predicate: Expr,

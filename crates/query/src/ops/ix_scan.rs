@@ -22,7 +22,7 @@ pub enum IxBound {
 
 impl IxBound {
     /// Borrow as the storage layer's probe bound.
-    pub fn as_key_bound(&self) -> KeyBound<'_> {
+    pub(crate) fn as_key_bound(&self) -> KeyBound<'_> {
         match self {
             IxBound::Unbounded => KeyBound::Unbounded,
             IxBound::Inclusive(v) => KeyBound::Inclusive(v),

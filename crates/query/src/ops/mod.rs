@@ -7,11 +7,10 @@
 //! create any database indices"), so the default access path is the
 //! sequential scan and the default join is the hash join
 //! ([`SortMergeJoin`] exists for the operator-level energy studies).
-//! Since ledger schema v4 the engine *additionally* offers indexed
-//! access paths — [`IxScan`] (B-tree point/range probe) and [`IxJoin`]
-//! (index nested-loop) — whose page accesses are charged as **index
-//! random I/O**, a separately-ledgered class priced exactly like random
-//! I/O. Plans that use no index charge nothing to those classes, so
+//! Since ledger schema v4 the engine *additionally* offers an indexed
+//! access path — [`IxScan`] (B-tree point/range probe) — whose page
+//! accesses are charged as **index random I/O**, a separately-ledgered
+//! class priced exactly like random I/O. Plans that use no index charge nothing to those classes, so
 //! every pre-v4 figure stays bit-identical while the random-vs-
 //! sequential energy split of the paper's fig. 5 becomes measurable
 //! from real query plans (see `eco_storage::btree`).
@@ -38,7 +37,7 @@
 //!   columns (a heap table *is* its columns; a paged table keeps one
 //!   chunk per extent) — zero per-row work beyond the ledger charge;
 //! * [`Filter`] evaluates predicates column-at-a-time
-//!   ([`crate::expr::Expr::filter_sel`]), refining the selection vector
+//!   (`Expr::filter_sel`), refining the selection vector
 //!   without touching data — short-circuit semantics become *selection
 //!   narrowing*, with identical evaluation counts; the QED merged scan
 //!   ([`crate::mqo::MultiFilter::run_split`]) instead looks each live
@@ -66,12 +65,12 @@
 //!   width instead ([`DataChunk::with_widths`]), so a parent join
 //!   charges exactly what it would from the full row. Every other
 //!   operator keeps the default, which passes nothing on: an operator
-//!   that pulls *rows* ([`Limit`], [`Sort`], [`IxJoin`],
-//!   [`SortMergeJoin`], [`Exchange`]) would read the empty columns, so
-//!   its subtree is never pruned;
+//!   that pulls *rows* ([`Limit`], [`Sort`], [`SortMergeJoin`],
+//!   [`Exchange`]) would read the empty columns, so its subtree is
+//!   never pruned;
 //!   A scan passes the mask on to storage: a paged table's columnar
 //!   mirror decodes only the columns its scans asked for;
-//! * rows come back into existence ([`crate::chunk::Chunk::to_tuples`])
+//! * rows come back into existence (`Chunk::to_tuples`)
 //!   only at the pipeline breaker that inherently needs them (sort
 //!   buffers); the top of the plan keeps its final chunks as a
 //!   [`eco_storage::RowSet`] view ([`crate::exec::execute_rows`]) until
@@ -135,7 +134,6 @@ mod agg;
 mod exchange;
 mod filter;
 mod hashkey;
-mod ix_join;
 mod ix_scan;
 mod join;
 mod limit;
@@ -149,7 +147,6 @@ pub use agg::{AggSpec, HashAggregate};
 pub use exchange::{Exchange, GatherMerge};
 pub use filter::Filter;
 pub use hashkey::hash_keys;
-pub use ix_join::IxJoin;
 pub use ix_scan::{IxBound, IxScan};
 pub use join::HashJoin;
 pub use limit::Limit;

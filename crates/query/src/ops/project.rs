@@ -57,7 +57,7 @@ impl Operator for Project {
     }
 
     /// Columnar projection: evaluate each output expression over the
-    /// live rows as typed column kernels ([`Expr::eval_column`]),
+    /// live rows as typed column kernels (`Expr::eval_column`),
     /// producing a fresh dense chunk (computed columns have no
     /// selection vector to inherit; passthrough columns keep their
     /// validity masks). Charges match per-row evaluation.

@@ -23,7 +23,7 @@ impl SortKey {
     }
 
     /// Descending key.
-    pub fn desc(col: usize) -> Self {
+    pub(crate) fn desc(col: usize) -> Self {
         Self { col, desc: true }
     }
 }

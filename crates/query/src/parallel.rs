@@ -70,7 +70,7 @@ impl Morsel {
 
 /// Split `total` units into morsels of about `per_morsel` units each
 /// (the leaf-side helper behind [`Operator::morsels`] implementations).
-pub fn split_units(total: usize, per_morsel: usize) -> Vec<Morsel> {
+pub(crate) fn split_units(total: usize, per_morsel: usize) -> Vec<Morsel> {
     let per = per_morsel.max(1);
     (0..total)
         .step_by(per)

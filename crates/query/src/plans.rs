@@ -1,10 +1,10 @@
 //! Hand-built physical plans for the paper's queries (plus Q1/Q3/Q6
 //! used in extension studies). The paper's own experiments are
 //! index-free, so the canonical plans use scans + hash joins only;
-//! the `*_indexed` variants added with ledger schema v4 swap in
-//! [`IxScan`]/[`IxJoin`] access paths for the scan-vs-probe energy
-//! studies, and return `None` when the catalog carries no suitable
-//! index — index-free runs never change shape.
+//! [`orderkey_range_plan_indexed`], added with ledger schema v4, swaps
+//! in an [`IxScan`] access path for the scan-vs-probe energy studies,
+//! and returns `None` when the catalog carries no suitable index —
+//! index-free runs never change shape.
 //!
 //! Column positions are resolved by name through each intermediate
 //! schema (TPC-H column names are globally unique), so join reordering
@@ -12,18 +12,18 @@
 
 use std::sync::Arc;
 
-use eco_storage::{Catalog, ColumnType, Tuple, Value};
+use eco_storage::{Catalog, Tuple, Value};
 use eco_tpch::{Q5Params, QedQuery};
 
 use crate::expr::{AggFunc, ArithOp, CmpOp, Expr};
 use crate::ops::{
-    AggSpec, BoxedOp, Filter, HashAggregate, HashJoin, IxBound, IxJoin, IxScan, Limit, SeqScan,
-    Sort, SortKey,
+    AggSpec, BoxedOp, Filter, HashAggregate, HashJoin, IxBound, IxScan, Limit, SeqScan, Sort,
+    SortKey,
 };
 
 /// `extendedprice × (100 − discount) / 100` over the given column
 /// positions — Q3/Q5's revenue expression in integer cents.
-pub fn revenue_expr(ep_col: usize, disc_col: usize) -> Expr {
+pub(crate) fn revenue_expr(ep_col: usize, disc_col: usize) -> Expr {
     Expr::arith(
         ArithOp::Div,
         Expr::arith(
@@ -470,51 +470,11 @@ pub fn selection_plan(catalog: &Catalog, query: &QedQuery) -> BoxedOp {
     Box::new(Filter::new(li, Expr::col_eq_int(qty, query.quantity)))
 }
 
-/// Index variant of the QED unit query: point-probe a B-tree on
-/// `lineitem.l_quantity` instead of scanning. `None` when no such
-/// index exists (the index-free default).
-pub fn selection_plan_indexed(catalog: &Catalog, query: &QedQuery) -> Option<BoxedOp> {
-    let entry = catalog.index_on("lineitem", "l_quantity")?;
-    Some(Box::new(IxScan::point(
-        catalog.expect("lineitem"),
-        Arc::clone(&entry.index),
-        Value::Int(query.quantity),
-    )))
-}
-
-/// Sequential plan for `SELECT * FROM lineitem WHERE l_quantity
-/// BETWEEN lo AND hi` — the selectivity-knob query of the
-/// `index_crossover` experiment (quantity is uniform on 1..=50, so the
-/// width of the range dials selectivity directly).
-pub fn quantity_range_plan(catalog: &Catalog, lo: i64, hi: i64) -> BoxedOp {
-    let li = scan(catalog, "lineitem");
-    let qty = li.schema().expect_index("l_quantity");
-    Box::new(Filter::new(
-        li,
-        Expr::And(vec![
-            Expr::cmp(CmpOp::Ge, Expr::col(qty), Expr::int(lo)),
-            Expr::cmp(CmpOp::Le, Expr::col(qty), Expr::int(hi)),
-        ]),
-    ))
-}
-
-/// Index variant of [`quantity_range_plan`]: one B-tree range probe.
-/// `None` when `lineitem.l_quantity` is not indexed.
-pub fn quantity_range_plan_indexed(catalog: &Catalog, lo: i64, hi: i64) -> Option<BoxedOp> {
-    let entry = catalog.index_on("lineitem", "l_quantity")?;
-    Some(Box::new(IxScan::range(
-        catalog.expect("lineitem"),
-        Arc::clone(&entry.index),
-        IxBound::Inclusive(Value::Int(lo)),
-        IxBound::Inclusive(Value::Int(hi)),
-    )))
-}
-
 /// σ(l_orderkey BETWEEN lo AND hi) over lineitem, by sequential scan.
 ///
-/// The clustered counterpart of [`quantity_range_plan`]: lineitem is
-/// generated in orderkey order, so a key range selects a *contiguous*
-/// band of pages. That makes this pair the canonical scan-vs-probe
+/// lineitem is generated in orderkey order, so a key range selects a
+/// *contiguous* band of pages. That makes this plan and
+/// [`orderkey_range_plan_indexed`] the canonical scan-vs-probe
 /// crossover knob — the indexed variant touches only the band (as
 /// random-priced index I/O) while this plan streams every page.
 pub fn orderkey_range_plan(catalog: &Catalog, lo: i64, hi: i64) -> BoxedOp {
@@ -538,47 +498,6 @@ pub fn orderkey_range_plan_indexed(catalog: &Catalog, lo: i64, hi: i64) -> Optio
         Arc::clone(&entry.index),
         IxBound::Inclusive(Value::Int(lo)),
         IxBound::Inclusive(Value::Int(hi)),
-    )))
-}
-
-/// Hash-join plan for the lineitems of one day's orders: σ(o_orderdate
-/// = :day) orders ⋈ lineitem. The selective outer makes this the
-/// canonical index-nested-loop candidate.
-pub fn day_orders_lineitem_plan(catalog: &Catalog, day: eco_tpch::Date) -> BoxedOp {
-    let orders_scan = scan(catalog, "orders");
-    let o_orderdate = orders_scan.schema().expect_index("o_orderdate");
-    let orders = Box::new(Filter::new(
-        orders_scan,
-        Expr::cmp(CmpOp::Eq, Expr::col(o_orderdate), Expr::date(day.0)),
-    )) as BoxedOp;
-    let lineitem = scan(catalog, "lineitem");
-    let l_orderkey = lineitem.schema().expect_index("l_orderkey");
-    Box::new(HashJoin::new_keyed(
-        orders.into_keyed("o_orderkey"),
-        lineitem,
-        vec![l_orderkey],
-    ))
-}
-
-/// Index nested-loop variant of [`day_orders_lineitem_plan`]: each
-/// filtered order probes a B-tree on `lineitem.l_orderkey`. Same
-/// output rows (orders ++ lineitem), different access path — the
-/// hash plan scans all of lineitem once, this touches only matching
-/// pages, as random index I/O. `None` without the index.
-pub fn day_orders_lineitem_plan_indexed(catalog: &Catalog, day: eco_tpch::Date) -> Option<BoxedOp> {
-    let entry = catalog.index_on("lineitem", "l_orderkey")?;
-    let orders_scan = scan(catalog, "orders");
-    let o_orderdate = orders_scan.schema().expect_index("o_orderdate");
-    let o_orderkey = orders_scan.schema().expect_index("o_orderkey");
-    let orders = Box::new(Filter::new(
-        orders_scan,
-        Expr::cmp(CmpOp::Eq, Expr::col(o_orderdate), Expr::date(day.0)),
-    )) as BoxedOp;
-    Some(Box::new(IxJoin::new(
-        orders,
-        o_orderkey,
-        catalog.expect("lineitem"),
-        Arc::clone(&entry.index),
     )))
 }
 
@@ -647,11 +566,6 @@ pub fn q5_rows_to_pairs(rows: &[Tuple]) -> Vec<(String, i64)> {
             )
         })
         .collect()
-}
-
-/// Column type of the QED result rows (full lineitem tuples).
-pub fn qed_result_type() -> ColumnType {
-    ColumnType::Int
 }
 
 #[cfg(test)]
@@ -769,47 +683,6 @@ mod tests {
         for t in &rows {
             assert_eq!(t[qty].as_int(), Some(17));
         }
-    }
-
-    #[test]
-    fn indexed_variants_match_their_sequential_plans() {
-        let db = TpchGenerator::new(0.004).generate();
-        let cat = load_tpch(&db, EngineKind::Disk, 1 << 16);
-        // Without indexes every variant declines.
-        let q = QedQuery { quantity: 17 };
-        assert!(selection_plan_indexed(&cat, &q).is_none());
-        assert!(quantity_range_plan_indexed(&cat, 1, 5).is_none());
-        let day = db.orders[0].o_orderdate;
-        assert!(day_orders_lineitem_plan_indexed(&cat, day).is_none());
-
-        cat.create_index("ix_li_qty", "lineitem", "l_quantity")
-            .expect("qty index");
-        cat.create_index("ix_li_ok", "lineitem", "l_orderkey")
-            .expect("orderkey index");
-
-        let run = |mut p: BoxedOp| {
-            let mut ctx = ExecCtx::new();
-            let rows = execute(p.as_mut(), &mut ctx);
-            assert!(ctx.error().is_none());
-            rows
-        };
-        // Point and range selections emit table order on both paths.
-        assert_eq!(
-            run(selection_plan_indexed(&cat, &q).expect("indexed")),
-            run(selection_plan(&cat, &q))
-        );
-        assert_eq!(
-            run(quantity_range_plan_indexed(&cat, 3, 7).expect("indexed")),
-            run(quantity_range_plan(&cat, 3, 7))
-        );
-        // Join variants emit different row orders; compare as multisets.
-        let mut a = run(day_orders_lineitem_plan_indexed(&cat, day).expect("indexed"));
-        let mut b = run(day_orders_lineitem_plan(&cat, day));
-        assert!(!b.is_empty(), "day {day:?} has lineitems");
-        let key = |t: &Tuple| format!("{t:?}");
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        assert_eq!(a, b);
     }
 
     #[test]

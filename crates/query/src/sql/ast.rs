@@ -75,7 +75,7 @@ impl SqlExpr {
     }
 
     /// True when the expression contains an aggregate call.
-    pub fn has_aggregate(&self) -> bool {
+    pub(crate) fn has_aggregate(&self) -> bool {
         match self {
             SqlExpr::Agg(..) | SqlExpr::CountStar => true,
             SqlExpr::Binary(_, l, r) => l.has_aggregate() || r.has_aggregate(),
@@ -127,22 +127,6 @@ pub enum SelectItem {
         /// Optional output name.
         alias: Option<String>,
     },
-}
-
-impl SelectItem {
-    /// The expression and alias of a non-`*` item, or a
-    /// [`super::SqlError::Bind`] for `*` — the fallible accessor
-    /// consumers (and tests) use instead of panicking on the variant.
-    /// (`*` parsed fine; using it where an expression is required is a
-    /// binding-shape error, not a syntax one, so no byte offset.)
-    pub fn expr_item(&self) -> Result<(&SqlExpr, Option<&str>), super::SqlError> {
-        match self {
-            SelectItem::Expr { expr, alias } => Ok((expr, alias.as_deref())),
-            SelectItem::Star => Err(super::SqlError::Bind(
-                "expected expression item, found `*`".to_string(),
-            )),
-        }
-    }
 }
 
 /// An `ORDER BY` key: output column name + direction.

@@ -1,6 +1,6 @@
 //! SQL lexer: hand-written, byte-offset-reporting.
 //!
-//! [`tokenize_spanned`] is the real lexer: every token carries the
+//! `tokenize_spanned` is the real lexer: every token carries the
 //! byte offset where it starts in the original SQL text, and every
 //! error is a typed [`ParseError`] pointing at the offending byte.
 //! [`tokenize`] is the span-dropping convenience wrapper.
@@ -55,7 +55,7 @@ pub enum Token {
 /// One lexed token plus the byte offset where it starts in the SQL
 /// text (what the parser reports in its [`ParseError`]s).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub(crate) struct Spanned {
     /// The token.
     pub tok: Token,
     /// Byte offset of the token's first character.
@@ -72,7 +72,7 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>, SqlError> {
 }
 
 /// Tokenize a SQL string into byte-offset-spanned tokens.
-pub fn tokenize_spanned(sql: &str) -> Result<Vec<Spanned>, ParseError> {
+pub(crate) fn tokenize_spanned(sql: &str) -> Result<Vec<Spanned>, ParseError> {
     let b: Vec<(usize, char)> = sql.char_indices().collect();
     let peek = |i: usize| b.get(i).map(|&(_, c)| c);
     let mut i = 0;

@@ -21,7 +21,7 @@ pub use ast::{
     BinOp, DeleteStmt, InsertStmt, SelectItem, SelectStmt, SqlExpr, Statement, UpdateStmt,
 };
 pub use dml::{execute_dml, DmlOutcome};
-pub use lexer::{tokenize, tokenize_spanned, Spanned, Token};
+pub use lexer::{tokenize, Token};
 pub use parser::{parse_select, parse_statement};
 pub use plan::plan_select;
 

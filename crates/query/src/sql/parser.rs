@@ -536,6 +536,14 @@ fn parse_date(s: &str, offset: usize) -> Result<Date, SqlError> {
 mod tests {
     use super::*;
 
+    /// The expression and alias of a non-`*` select item.
+    fn expr_item(item: &SelectItem) -> (&SqlExpr, Option<&str>) {
+        match item {
+            SelectItem::Expr { expr, alias } => (expr, alias.as_deref()),
+            SelectItem::Star => panic!("expected an expression item, found `*`"),
+        }
+    }
+
     #[test]
     fn parses_simple_select() {
         let s = parse_select("SELECT l_orderkey FROM lineitem WHERE l_quantity = 17").unwrap();
@@ -568,7 +576,7 @@ mod tests {
         assert_eq!(s.group_by, vec!["n_name"]);
         assert_eq!(s.order_by.len(), 1);
         assert!(s.order_by[0].desc);
-        let (expr, alias) = s.items[1].expr_item()?;
+        let (expr, alias) = expr_item(&s.items[1]);
         assert_eq!(alias, Some("revenue"));
         assert!(expr.has_aggregate());
         Ok(())
@@ -599,7 +607,7 @@ mod tests {
     #[test]
     fn qualified_columns() -> Result<(), SqlError> {
         let s = parse_select("SELECT lineitem.l_orderkey FROM lineitem")?;
-        let (expr, _) = s.items[0].expr_item()?;
+        let (expr, _) = expr_item(&s.items[0]);
         assert_eq!(
             expr,
             &SqlExpr::Column {
@@ -613,7 +621,7 @@ mod tests {
     #[test]
     fn count_star_and_decimal() -> Result<(), SqlError> {
         let s = parse_select("SELECT COUNT(*) FROM lineitem WHERE l_discount <= 0.07")?;
-        let (expr, _) = s.items[0].expr_item()?;
+        let (expr, _) = expr_item(&s.items[0]);
         assert_eq!(expr, &SqlExpr::CountStar);
         // 0.07 scaled to hundredths.
         let w = format!("{:?}", s.where_clause.unwrap());
@@ -623,9 +631,27 @@ mod tests {
 
     #[test]
     fn star_item_is_a_typed_error_not_a_panic() {
+        // `*` parses; where the planner needs expressions it is a typed
+        // bind error.
         let s = parse_select("SELECT * FROM t").unwrap();
-        let err = s.items[0].expr_item().unwrap_err();
-        assert!(matches!(err, SqlError::Bind(m) if m.contains("expected expression item")));
+        assert_eq!(s.items, vec![SelectItem::Star]);
+        let db = eco_tpch::TpchGenerator::new(0.001).generate();
+        let cat = eco_storage::load_tpch(&db, eco_storage::EngineKind::Memory, 0);
+        let grouped = parse_select("SELECT * FROM nation GROUP BY n_name").unwrap();
+        let mut mixed = parse_select("SELECT n_name FROM nation").unwrap();
+        mixed.items.push(SelectItem::Star);
+        for (stmt, want) in [
+            (grouped, "invalid with GROUP BY"),
+            (mixed, "cannot be mixed"),
+        ] {
+            let Err(err) = super::super::plan_select(&cat, &stmt) else {
+                panic!("{want}: planned")
+            };
+            assert!(
+                matches!(err, SqlError::Bind(ref m) if m.contains(want)),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! **Index selection** (ledger schema v4): when a base table carries a
 //! B-tree index on a predicate column and the predicate is sargable and
 //! selective — an equality or `BETWEEN` with literal bounds, estimated
-//! to keep at most [`INDEX_SELECTIVITY_CUTOFF`] of the table — the
+//! to keep at most `INDEX_SELECTIVITY_CUTOFF` of the table — the
 //! planner replaces the scan+filter with an [`IxScan`] probe and keeps
 //! any remaining predicates as a filter above it. Catalogs without
 //! indexes plan exactly as before, so index-free ledgers stay
@@ -34,7 +34,7 @@ use crate::ops::{
 /// over a sequential scan. Matches the paper's crossover intuition: a
 /// probe pays random I/O per matching page, so it only wins when few
 /// rows survive (the `index_crossover` experiment measures where).
-pub const INDEX_SELECTIVITY_CUTOFF: f64 = 0.15;
+pub(crate) const INDEX_SELECTIVITY_CUTOFF: f64 = 0.15;
 
 /// Plan a parsed statement against the catalog.
 pub fn plan_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<BoxedOp, SqlError> {

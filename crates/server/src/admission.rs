@@ -80,7 +80,7 @@ pub fn plan_admission(db: &EcoDb, cfg: &AdmissionConfig) -> AdmissionPlan {
 }
 
 /// Should a new arrival be shed given the current backlog?
-pub fn should_shed(pending: usize, max_backlog: usize) -> bool {
+pub(crate) fn should_shed(pending: usize, max_backlog: usize) -> bool {
     pending >= max_backlog
 }
 

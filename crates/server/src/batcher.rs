@@ -26,7 +26,7 @@ use crate::session::SessionId;
 
 /// A session request queued in the batcher, waiting for dispatch.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Pending {
+pub(crate) struct Pending {
     /// Index of the originating request in the serve call's input.
     pub request: usize,
     /// The submitting session.
@@ -87,7 +87,7 @@ pub struct Dispatch {
 /// The online batcher: accumulate selections until the threshold hits
 /// or the oldest member's delay budget expires.
 #[derive(Debug, Clone)]
-pub struct OnlineBatcher {
+pub(crate) struct OnlineBatcher {
     manager: WorkloadManager<Pending>,
     max_delay_s: f64,
 }
@@ -118,7 +118,7 @@ impl OnlineBatcher {
 
     /// The instant the oldest queued request's delay budget expires
     /// (`None` when the queue is empty).
-    pub fn oldest_deadline(&self) -> Option<f64> {
+    pub(crate) fn oldest_deadline(&self) -> Option<f64> {
         self.manager
             .queued()
             .first()
@@ -141,11 +141,6 @@ impl OnlineBatcher {
     pub fn set_threshold(&mut self, threshold: usize) {
         self.manager.set_threshold(threshold);
     }
-
-    /// Batches released so far (threshold hits and drains).
-    pub fn batches_released(&self) -> usize {
-        self.manager.batches_released()
-    }
 }
 
 /// A durability ack owed to a session: its DML statement executed,
@@ -153,7 +148,7 @@ impl OnlineBatcher {
 /// the fsync is deferred — the session's completion is released by the
 /// group commit that makes its transaction durable.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PendingCommit {
+pub(crate) struct PendingCommit {
     /// Index of the originating request in the serve call's input.
     pub request: usize,
     /// The submitting session.
@@ -175,7 +170,7 @@ pub struct PendingCommit {
 /// transactions until `threshold` of them wait, or the oldest has
 /// waited out the delay budget; one fsync then covers the whole group.
 #[derive(Debug, Clone)]
-pub struct CommitBatcher {
+pub(crate) struct CommitBatcher {
     manager: WorkloadManager<PendingCommit>,
     max_delay_s: f64,
 }
@@ -204,7 +199,7 @@ impl CommitBatcher {
 
     /// The instant the oldest staged transaction's delay budget
     /// expires (`None` when nothing is staged).
-    pub fn oldest_deadline(&self) -> Option<f64> {
+    pub(crate) fn oldest_deadline(&self) -> Option<f64> {
         self.manager
             .queued()
             .first()
@@ -215,16 +210,11 @@ impl CommitBatcher {
     pub fn drain(&mut self) -> Vec<PendingCommit> {
         self.manager.drain()
     }
-
-    /// Group-release threshold.
-    pub fn threshold(&self) -> usize {
-        self.manager.threshold()
-    }
 }
 
 /// Turn a released batch into a dispatch: deduplicate predicates in
 /// first-arrival order and map each member to its distinct query.
-pub fn dedup_batch(batch: Vec<Pending>, dispatch_s: f64) -> Dispatch {
+pub(crate) fn dedup_batch(batch: Vec<Pending>, dispatch_s: f64) -> Dispatch {
     let mut queries: Vec<QedQuery> = Vec::new();
     let mut members = Vec::with_capacity(batch.len());
     for p in batch {
@@ -271,7 +261,6 @@ mod tests {
         let batch = b.submit(pending(2, 0.2, 7)).expect("threshold hit");
         assert_eq!(batch.len(), 3);
         assert_eq!(b.pending(), 0);
-        assert_eq!(b.batches_released(), 1);
     }
 
     #[test]

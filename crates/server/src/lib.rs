@@ -75,9 +75,7 @@ pub mod scheduler;
 pub mod session;
 
 pub use admission::{plan_admission, AdmissionConfig, AdmissionPlan};
-pub use batcher::{
-    dedup_batch, CommitBatcher, Dispatch, DispatchKind, OnlineBatcher, PendingCommit,
-};
+pub use batcher::{Dispatch, DispatchKind};
 pub use scheduler::{replay_serial, EcoServer, ServeReport, ServerConfig};
 pub use session::{Request, SessionId, SessionOutcome, Statement};
 

@@ -16,27 +16,27 @@ use crate::trace::N_OP_CLASSES;
 // ---------------------------------------------------------------------------
 
 /// Stock front-side bus frequency in Hz (E8500: 333 MHz quad-pumped base).
-pub const STOCK_FSB_HZ: f64 = 333.0e6;
+pub(crate) const STOCK_FSB_HZ: f64 = 333.0e6;
 
 /// Available CPU multipliers, lowest p-state first (E8500 supports
 /// half-multipliers; SpeedStep floor is 6.0, top is 9.5).
-pub const MULTIPLIERS: [f64; 5] = [6.0, 7.0, 8.0, 9.0, 9.5];
+pub(crate) const MULTIPLIERS: [f64; 5] = [6.0, 7.0, 8.0, 9.0, 9.5];
 
 /// Core VID at the lowest multiplier (volts). Intel 45 nm mobile/desktop
 /// VID floor region.
-pub const VID_MIN: f64 = 1.000;
+pub(crate) const VID_MIN: f64 = 1.000;
 
 /// Core VID at the top multiplier (volts). The board runs the E8500
 /// with headroom near the top of its VID range, which is what makes the
 /// BIOS "voltage downgrade" settings so effective (paper Fig 1: −49 %
 /// CPU energy at 5 % underclock + medium downgrade).
-pub const VID_MAX: f64 = 1.3625;
+pub(crate) const VID_MAX: f64 = 1.3625;
 
 /// BIOS "small" voltage downgrade, volts below VID (paper §3.3).
-pub const VDROP_SMALL: f64 = 0.210;
+pub(crate) const VDROP_SMALL: f64 = 0.210;
 
 /// BIOS "medium" voltage downgrade, volts below VID (paper §3.3).
-pub const VDROP_MEDIUM: f64 = 0.420;
+pub(crate) const VDROP_MEDIUM: f64 = 0.420;
 
 /// Load-line droop compensation: fraction of the configured downgrade
 /// that the voltage regulator gives back under sustained load
@@ -54,31 +54,27 @@ pub const DROOP_AT_FULL_LOAD: f64 = 0.70;
 /// at full activity, stock V/F draws ≈ 17 W dynamic: with both static
 /// terms below, package power for a single-threaded DB workload averages
 /// in the mid-20 W range (paper §3.3: 1228.7 J / 48.5 s ≈ 25.3 W).
-pub const CEFF_PER_CORE: f64 = 5.6e-9;
+pub(crate) const CEFF_PER_CORE: f64 = 5.6e-9;
 
 /// Number of cores (E8500 is a dual-core part; the DB workload in the
 /// paper is effectively single-threaded, the second core idles).
-pub const N_CORES: usize = 2;
+pub(crate) const N_CORES: usize = 2;
 
 /// Leakage coefficient: P_leak = K_LEAK · V² (whole package, watts at
 /// V in volts). ≈ 45 nm-era leakage ≈ 30 % of package power; the
 /// V²-scaled, *time-proportional* term is what makes deep underclocking
 /// lose (paper §3.4: EDP worsens beyond 5 %).
-pub const K_LEAK: f64 = 4.6;
+pub(crate) const K_LEAK: f64 = 4.6;
 
 /// Uncore/chipset-interface power coefficient: P_uncore = K_UNCORE·V²·F_fsb/STOCK_FSB.
-pub const K_UNCORE: f64 = 2.6;
+pub(crate) const K_UNCORE: f64 = 2.6;
 
 /// Switching activity of a halted (C1) core relative to full activity.
-pub const HALT_ACTIVITY: f64 = 0.18;
+pub(crate) const HALT_ACTIVITY: f64 = 0.18;
 
 /// Switching activity of a core stalled on memory (spinning in the
 /// load/store path, prefetchers active) relative to full activity.
-pub const STALL_ACTIVITY: f64 = 0.34;
-
-/// Multiplier the SpeedStep governor drops to when the CPU is idle
-/// (disk waits, client gaps).
-pub const IDLE_MULTIPLIER: f64 = 6.0;
+pub(crate) const STALL_ACTIVITY: f64 = 0.34;
 
 // ---------------------------------------------------------------------------
 // Per-op-class cycle costs and switching activity
@@ -92,7 +88,7 @@ pub const IDLE_MULTIPLIER: f64 = 6.0;
 //    NodeSearch, LogRecord]
 
 /// Cycles per operation for each [`crate::trace::OpClass`].
-pub const OP_CYCLES: [f64; N_OP_CLASSES] = [
+pub(crate) const OP_CYCLES: [f64; N_OP_CLASSES] = [
     60.0,   // TupleFetch: row pointer advance + header decode
     60.0,   // PredEval: interpreted expression-tree evaluation (MySQL Item-style)
     120.0,  // HashBuild
@@ -110,7 +106,7 @@ pub const OP_CYCLES: [f64; N_OP_CLASSES] = [
 ];
 
 /// Switching-activity factor per [`crate::trace::OpClass`].
-pub const OP_ACTIVITY: [f64; N_OP_CLASSES] = [
+pub(crate) const OP_ACTIVITY: [f64; N_OP_CLASSES] = [
     0.72, // TupleFetch
     1.00, // PredEval (tight compute loop)
     0.85, // HashBuild
@@ -134,10 +130,10 @@ pub const OP_ACTIVITY: [f64; N_OP_CLASSES] = [
 
 /// Sustained stream bandwidth at stock FSB, bytes/second (DDR3-1333
 /// single channel effective).
-pub const MEM_BW_STOCK: f64 = 6.4e9;
+pub(crate) const MEM_BW_STOCK: f64 = 6.4e9;
 
 /// Random-access latency at stock FSB, nanoseconds.
-pub const MEM_LAT_STOCK_NS: f64 = 75.0;
+pub(crate) const MEM_LAT_STOCK_NS: f64 = 75.0;
 
 /// Superlinearity exponent for memory time under FSB underclocking:
 /// effective memory time scales as (1/(1−u))^MEM_CONTENTION_EXP.
@@ -145,24 +141,24 @@ pub const MEM_LAT_STOCK_NS: f64 = 75.0;
 /// > drops; this is what makes response time (and hence leakage joules)
 /// > grow faster than 1/F and the EDP optimum land at the shallow 5 %
 /// > setting (paper Figs 1–4).
-pub const MEM_CONTENTION_EXP: f64 = 1.5;
+pub(crate) const MEM_CONTENTION_EXP: f64 = 1.5;
 
 /// Fraction of memory time that overlaps with CPU compute
 /// (out-of-order window hides part of the stalls).
-pub const MEM_OVERLAP: f64 = 0.30;
+pub(crate) const MEM_OVERLAP: f64 = 0.30;
 
 /// DC power of the memory controller path when memory is active, watts.
-pub const MEM_CTRL_ACTIVE_W: f64 = 1.9;
+pub(crate) const MEM_CTRL_ACTIVE_W: f64 = 1.9;
 
 /// DC power per DIMM, idle, watts (paper Table 1: +1 GB ≈ 4.3 W wall
 /// incl. controller, second +1 GB ≈ 1.7 W wall; "about 6 W for 2 DIMMs").
-pub const DIMM_IDLE_W: f64 = 1.15;
+pub(crate) const DIMM_IDLE_W: f64 = 1.15;
 
 /// Extra DC power per DIMM at full stream bandwidth, watts.
-pub const DIMM_ACTIVE_EXTRA_W: f64 = 2.1;
+pub(crate) const DIMM_ACTIVE_EXTRA_W: f64 = 2.1;
 
 /// DIMMs installed in the system under test.
-pub const N_DIMMS: usize = 2;
+pub(crate) const N_DIMMS: usize = 2;
 
 // ---------------------------------------------------------------------------
 // Disk (WD Caviar SE16; paper §3.5 and Fig 5)
@@ -170,27 +166,27 @@ pub const N_DIMMS: usize = 2;
 
 /// Sustained sequential transfer rate, bytes/second. Fig 5(a): the
 /// sequential curve is flat regardless of read size.
-pub const DISK_SEQ_RATE: f64 = 78.0e6;
+pub(crate) const DISK_SEQ_RATE: f64 = 78.0e6;
 
 /// Average random service overhead per access (short-stroke seek +
 /// rotational latency), seconds. Together with the in-block burst rate
 /// below this reproduces Fig 5's random-throughput ratios
 /// (≈1.88× / 3.5× / 6× for 8/16/32 KB vs 4 KB).
-pub const DISK_RAND_OVERHEAD_S: f64 = 6.0e-3;
+pub(crate) const DISK_RAND_OVERHEAD_S: f64 = 6.0e-3;
 
 /// Effective transfer rate *within* a random access, bytes/second
 /// (includes head settle and request issue overhead, hence far below
 /// the sequential streaming rate).
-pub const DISK_RAND_BURST_RATE: f64 = 10.0e6;
+pub(crate) const DISK_RAND_BURST_RATE: f64 = 10.0e6;
 
 /// 5 V rail: electronics idle current, amps.
-pub const DISK_5V_IDLE_A: f64 = 0.28;
+pub(crate) const DISK_5V_IDLE_A: f64 = 0.28;
 /// 5 V rail: extra current while transferring, amps.
-pub const DISK_5V_XFER_EXTRA_A: f64 = 0.42;
+pub(crate) const DISK_5V_XFER_EXTRA_A: f64 = 0.42;
 /// 12 V rail: spindle idle current, amps.
-pub const DISK_12V_IDLE_A: f64 = 0.25;
+pub(crate) const DISK_12V_IDLE_A: f64 = 0.25;
 /// 12 V rail: extra current while seeking, amps.
-pub const DISK_12V_SEEK_EXTRA_A: f64 = 0.52;
+pub(crate) const DISK_12V_SEEK_EXTRA_A: f64 = 0.52;
 
 // Paper §3.5 anchor: warm Q5 workload (48.5 s) drew 214.7 J from the
 // disk ⇒ ≈ 4.4 W average, i.e. essentially the idle floor:
@@ -202,7 +198,7 @@ pub const DISK_12V_SEEK_EXTRA_A: f64 = 0.52;
 
 /// Wall power with the system off (PSU standby + board standby), watts.
 /// Paper Table 1 row 1: 9.2 W.
-pub const WALL_STANDBY_W: f64 = 9.2;
+pub(crate) const WALL_STANDBY_W: f64 = 9.2;
 
 /// Motherboard DC draw when powered on, watts.
 pub const MOBO_DC_W: f64 = 7.6;
@@ -213,12 +209,12 @@ pub const MOBO_DC_W: f64 = 7.6;
 pub const GPU_DC_W: f64 = 12.3;
 
 /// PSU rated output, watts (Corsair VX450W).
-pub const PSU_RATED_W: f64 = 450.0;
+pub(crate) const PSU_RATED_W: f64 = 450.0;
 
 /// PSU efficiency curve anchors as (load_fraction, efficiency).
 /// Paper §3.2 estimates ≈ 83 % efficiency near 20 % load (per the
 /// Enermax-style curves it cites).
-pub const PSU_EFF_CURVE: [(f64, f64); 5] = [
+pub(crate) const PSU_EFF_CURVE: [(f64, f64); 5] = [
     (0.02, 0.58),
     (0.05, 0.68),
     (0.10, 0.78),
@@ -232,10 +228,10 @@ pub const PSU_EFF_CURVE: [(f64, f64); 5] = [
 
 /// EPU sensor refresh period, seconds (the paper sampled the 6-Engine
 /// GUI "about" once per second).
-pub const EPU_SAMPLE_PERIOD_S: f64 = 1.0;
+pub(crate) const EPU_SAMPLE_PERIOD_S: f64 = 1.0;
 
 /// Watt quantization of the sensor readout (the GUI displays tenths).
-pub const EPU_QUANTUM_W: f64 = 0.1;
+pub(crate) const EPU_QUANTUM_W: f64 = 0.1;
 
 #[cfg(test)]
 mod tests {

@@ -28,7 +28,7 @@ pub enum VoltageSetting {
 
 impl VoltageSetting {
     /// Configured downgrade below VID, in volts.
-    pub fn downgrade_v(self) -> f64 {
+    pub(crate) fn downgrade_v(self) -> f64 {
         match self {
             VoltageSetting::Stock => 0.0,
             VoltageSetting::Small => calib::VDROP_SMALL,
@@ -44,13 +44,6 @@ impl VoltageSetting {
             VoltageSetting::Medium => "medium",
         }
     }
-
-    /// All settings, for sweeps.
-    pub const ALL: [VoltageSetting; 3] = [
-        VoltageSetting::Stock,
-        VoltageSetting::Small,
-        VoltageSetting::Medium,
-    ];
 }
 
 /// One processor performance state: a multiplier plus the VID the part
@@ -120,16 +113,11 @@ impl CpuSpec {
         *self.pstates.first().expect("spec has at least one p-state")
     }
 
-    /// Stock top frequency, Hz.
-    pub fn stock_freq_hz(&self) -> f64 {
-        self.stock_fsb_hz * self.top_pstate().multiplier
-    }
-
     /// The p-state with the highest multiplier not exceeding `cap`.
     /// Models traditional p-state capping (paper §3's foil to
     /// underclocking). Falls back to the bottom p-state if the cap is
     /// below every multiplier.
-    pub fn capped_top(&self, cap: f64) -> PState {
+    pub(crate) fn capped_top(&self, cap: f64) -> PState {
         self.pstates
             .iter()
             .rev()
@@ -193,7 +181,7 @@ impl CpuConfig {
     }
 
     /// Effective FSB under this configuration, Hz.
-    pub fn fsb_hz(&self, spec: &CpuSpec) -> f64 {
+    pub(crate) fn fsb_hz(&self, spec: &CpuSpec) -> f64 {
         spec.stock_fsb_hz * (1.0 - self.underclock)
     }
 
@@ -244,7 +232,7 @@ mod tests {
     #[test]
     fn e8500_stock_frequency_is_3_16_ghz() {
         let spec = CpuSpec::e8500();
-        let f = spec.stock_freq_hz();
+        let f = CpuConfig::stock().top_freq_hz(&spec);
         assert!((f - 3.1635e9).abs() < 1e7, "stock freq {f}");
     }
 
@@ -255,7 +243,8 @@ mod tests {
         assert!((cfg.fsb_hz(&spec) - 0.95 * calib::STOCK_FSB_HZ).abs() < 1.0);
         // All multipliers remain available.
         assert_eq!(cfg.active_top_pstate(&spec).multiplier, 9.5);
-        assert!((cfg.top_freq_hz(&spec) - 0.95 * spec.stock_freq_hz()).abs() < 1e6);
+        let stock = CpuConfig::stock().top_freq_hz(&spec);
+        assert!((cfg.top_freq_hz(&spec) - 0.95 * stock).abs() < 1e6);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct DiskCost {
 impl DiskCost {
     /// Total busy-time energy across both rails, joules. Idle-floor
     /// energy for the rest of a run is added by the machine model.
-    pub fn busy_joules(&self) -> f64 {
+    pub(crate) fn busy_joules(&self) -> f64 {
         self.joules_5v + self.joules_12v
     }
 }
@@ -113,7 +113,12 @@ impl DiskSpec {
 
     /// Cost of reading `total_bytes` in `block` -byte requests under the
     /// given pattern — the raw-disk experiment of Fig 5.
-    pub fn access_cost(&self, pattern: AccessPattern, total_bytes: u64, block: u64) -> DiskCost {
+    pub(crate) fn access_cost(
+        &self,
+        pattern: AccessPattern,
+        total_bytes: u64,
+        block: u64,
+    ) -> DiskCost {
         assert!(block > 0, "block size must be positive");
         let blocks = total_bytes.div_ceil(block);
         let work = match pattern {

@@ -7,12 +7,9 @@
 //! just on a slower base clock (§3) — unlike p-state capping, which
 //! removes the upper steps.
 
-use crate::cpu::{CpuConfig, CpuSpec, PState};
-use crate::trace::PhaseKind;
-
 /// How long the governor dwells at the top p-state after work ends
 /// before stepping down, seconds (demand-based switching hysteresis).
-pub const STEP_DOWN_DWELL_S: f64 = 2.0e-3;
+pub(crate) const STEP_DOWN_DWELL_S: f64 = 2.0e-3;
 
 /// Governor policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -27,7 +24,7 @@ pub enum GovernorPolicy {
 
 /// Residency of an idle interval across p-states.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IdleResidency {
+pub(crate) struct IdleResidency {
     /// Seconds spent halted at the top p-state (pre-step-down dwell).
     pub top_s: f64,
     /// Seconds spent halted at the bottom p-state.
@@ -47,22 +44,10 @@ impl Governor {
         Self { policy }
     }
 
-    /// P-state used while actively executing the given phase kind.
-    pub fn run_pstate(&self, spec: &CpuSpec, cfg: &CpuConfig, kind: PhaseKind) -> PState {
-        match kind {
-            // Compute phases always demand the top available state.
-            PhaseKind::Execute | PhaseKind::ClientCompute => cfg.active_top_pstate(spec),
-            PhaseKind::ClientGap => match self.policy {
-                GovernorPolicy::Performance => cfg.active_top_pstate(spec),
-                GovernorPolicy::Demand => cfg.active_top_pstate(spec),
-            },
-        }
-    }
-
     /// Split an idle interval (disk wait or client gap) into top-state
     /// and bottom-state residency. Short gaps never see the step-down;
     /// long waits spend almost everything at the bottom state.
-    pub fn idle_residency(&self, idle_s: f64) -> IdleResidency {
+    pub(crate) fn idle_residency(&self, idle_s: f64) -> IdleResidency {
         assert!(idle_s >= 0.0);
         match self.policy {
             GovernorPolicy::Performance => IdleResidency {
@@ -83,29 +68,6 @@ impl Governor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::VoltageSetting;
-
-    #[test]
-    fn execute_runs_at_top_state() {
-        let spec = CpuSpec::e8500();
-        let cfg = CpuConfig::stock();
-        let g = Governor::default();
-        assert_eq!(
-            g.run_pstate(&spec, &cfg, PhaseKind::Execute).multiplier,
-            9.5
-        );
-    }
-
-    #[test]
-    fn capped_config_limits_run_pstate() {
-        let spec = CpuSpec::e8500();
-        let cfg = CpuConfig::capped(7.0, VoltageSetting::Stock);
-        let g = Governor::default();
-        assert_eq!(
-            g.run_pstate(&spec, &cfg, PhaseKind::Execute).multiplier,
-            7.0
-        );
-    }
 
     #[test]
     fn short_gap_stays_at_top_state() {

@@ -31,7 +31,7 @@
 //! between attempts (bounded exponential backoff). Each failed
 //! attempt's re-read is charged to the **retry random I/O** ledger
 //! class and each backoff sleep to **backoff halt residency** — the
-//! v2 ledger classes (see [`crate::trace::LEDGER_SCHEMA_VERSION`]),
+//! v2 ledger classes (see [schema versions](crate::trace#ledger-schema-versions)),
 //! which are exactly zero when no fault fires, so fault-free runs
 //! stay bit-identical to every v1 figure.
 

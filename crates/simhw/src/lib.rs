@@ -48,6 +48,5 @@ pub use machine::{Machine, MachineConfig, Measurement};
 pub use multicore::{MultiCoreMachine, MultiCoreMeasurement};
 pub use opensys::{ArrivalSchedule, IdleMeasurement, OpenSystemMeasurement, OpenSystemRun};
 pub use trace::{
-    ChargeClass, CpuWork, DiskWork, Ledger, LedgerDiff, OpClass, Phase, PhaseKind, PricingMode,
-    WorkTrace, LEDGER_SCHEMA_VERSION,
+    ChargeClass, CpuWork, DiskWork, Ledger, OpClass, Phase, PhaseKind, PricingMode, WorkTrace,
 };

@@ -97,11 +97,6 @@ impl Measurement {
     pub fn edp(&self) -> f64 {
         self.cpu_joules * self.elapsed_s
     }
-
-    /// Energy-delay product on wall joules.
-    pub fn wall_edp(&self) -> f64 {
-        self.wall_joules * self.elapsed_s
-    }
 }
 
 /// Internal: frequency-dependent timing of one phase.
@@ -144,7 +139,7 @@ impl Machine {
     }
 
     /// CPU power model for this machine.
-    pub fn cpu_power(&self) -> CpuPowerModel {
+    pub(crate) fn cpu_power(&self) -> CpuPowerModel {
         CpuPowerModel::new(self.cpu_spec.clone())
     }
 

@@ -40,13 +40,13 @@ impl MemSpec {
     /// superlinearly — the queueing term behind the paper's observation
     /// that the time penalty "overwhelms any CPU power gains" beyond
     /// 5 % underclocking (§3.4).
-    pub fn contention_factor(&self, underclock: f64) -> f64 {
+    pub(crate) fn contention_factor(&self, underclock: f64) -> f64 {
         assert!((0.0..1.0).contains(&underclock));
         (1.0 / (1.0 - underclock)).powf(calib::MEM_CONTENTION_EXP)
     }
 
     /// Time to stream `bytes` through memory at underclock `u`, seconds.
-    pub fn stream_time_s(&self, bytes: u64, underclock: f64) -> f64 {
+    pub(crate) fn stream_time_s(&self, bytes: u64, underclock: f64) -> f64 {
         if bytes == 0 {
             return 0.0;
         }
@@ -55,7 +55,7 @@ impl MemSpec {
     }
 
     /// Time for `accesses` latency-bound random accesses at underclock `u`.
-    pub fn random_time_s(&self, accesses: u64, underclock: f64) -> f64 {
+    pub(crate) fn random_time_s(&self, accesses: u64, underclock: f64) -> f64 {
         if accesses == 0 {
             return 0.0;
         }
@@ -67,7 +67,7 @@ impl MemSpec {
     /// `bw_utilization` in `[0,1]` is the fraction of peak stream
     /// bandwidth in use; `underclock` scales the active component with
     /// the clock (lower clock ⇒ fewer transfers ⇒ less switching).
-    pub fn power_w(&self, bw_utilization: f64, underclock: f64) -> f64 {
+    pub(crate) fn power_w(&self, bw_utilization: f64, underclock: f64) -> f64 {
         let util = bw_utilization.clamp(0.0, 1.0);
         let clock_scale = 1.0 - underclock;
         let idle = self.dimms as f64 * calib::DIMM_IDLE_W;

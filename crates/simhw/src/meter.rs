@@ -13,7 +13,7 @@ use crate::calib;
 /// A piecewise-constant power timeline: ordered `(seconds, watts)`
 /// segments.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct PowerTimeline {
+pub(crate) struct PowerTimeline {
     segments: Vec<(f64, f64)>,
 }
 
@@ -34,27 +34,17 @@ impl PowerTimeline {
     }
 
     /// Total duration, seconds.
-    pub fn duration_s(&self) -> f64 {
+    pub(crate) fn duration_s(&self) -> f64 {
         self.segments.iter().map(|(s, _)| s).sum()
     }
 
     /// Exact energy: the integral of power over time, joules.
-    pub fn exact_joules(&self) -> f64 {
+    pub(crate) fn exact_joules(&self) -> f64 {
         self.segments.iter().map(|(s, w)| s * w).sum()
     }
 
-    /// Exact average power, watts (0 for an empty timeline).
-    pub fn avg_watts(&self) -> f64 {
-        let d = self.duration_s();
-        if d <= 0.0 {
-            0.0
-        } else {
-            self.exact_joules() / d
-        }
-    }
-
     /// Instantaneous power at time `t` seconds from the start.
-    pub fn power_at(&self, t: f64) -> f64 {
+    pub(crate) fn power_at(&self, t: f64) -> f64 {
         let mut acc = 0.0;
         for &(s, w) in &self.segments {
             acc += s;
@@ -70,7 +60,7 @@ impl PowerTimeline {
     /// the samples, multiply by the runtime. Short runs relative to the
     /// period are the worst case — which is why the paper builds 10-query
     /// workloads "usually many minutes long" (§3.1).
-    pub fn sampled_joules(&self, period_s: f64, quantum_w: f64) -> f64 {
+    pub(crate) fn sampled_joules(&self, period_s: f64, quantum_w: f64) -> f64 {
         assert!(period_s > 0.0);
         let d = self.duration_s();
         if d <= 0.0 {
@@ -100,34 +90,9 @@ impl PowerTimeline {
 
     /// Sampled estimate with the paper's instrument parameters (1 Hz,
     /// 0.1 W display quantum).
-    pub fn epu_joules(&self) -> f64 {
+    pub(crate) fn epu_joules(&self) -> f64 {
         self.sampled_joules(calib::EPU_SAMPLE_PERIOD_S, calib::EPU_QUANTUM_W)
     }
-
-    /// Concatenate another timeline after this one.
-    pub fn extend(&mut self, other: &PowerTimeline) {
-        self.segments.extend_from_slice(&other.segments);
-    }
-
-    /// Raw segments (for plotting/debug).
-    pub fn segments(&self) -> &[(f64, f64)] {
-        &self.segments
-    }
-}
-
-/// Run several repetitions, discard the min and max, average the middle
-/// — the paper's five-run protocol (§3.1): "we run each workload five
-/// times and discard the top and bottom readings, and average the
-/// middle three readings."
-pub fn trimmed_mean(readings: &[f64]) -> f64 {
-    assert!(
-        readings.len() >= 3,
-        "trimmed mean needs at least 3 readings"
-    );
-    let mut v: Vec<f64> = readings.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN readings"));
-    let inner = &v[1..v.len() - 1];
-    inner.iter().sum::<f64>() / inner.len() as f64
 }
 
 #[cfg(test)]
@@ -141,7 +106,6 @@ mod tests {
         t.push(3.0, 20.0);
         assert!((t.exact_joules() - 80.0).abs() < 1e-12);
         assert!((t.duration_s() - 5.0).abs() < 1e-12);
-        assert!((t.avg_watts() - 16.0).abs() < 1e-12);
     }
 
     #[test]
@@ -189,19 +153,6 @@ mod tests {
         t.push(0.0, 100.0);
         assert_eq!(t.duration_s(), 0.0);
         assert_eq!(t.exact_joules(), 0.0);
-        assert_eq!(t.avg_watts(), 0.0);
-    }
-
-    #[test]
-    fn trimmed_mean_drops_extremes() {
-        let v = [10.0, 100.0, 12.0, 11.0, 0.0];
-        assert!((trimmed_mean(&v) - 11.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn trimmed_mean_requires_three() {
-        let _ = trimmed_mean(&[1.0, 2.0]);
     }
 
     #[test]

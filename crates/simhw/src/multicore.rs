@@ -73,20 +73,6 @@ impl MultiCoreMeasurement {
     pub fn edp(&self) -> f64 {
         self.cpu_joules * self.elapsed_s
     }
-
-    /// Energy-delay product on wall joules.
-    pub fn wall_edp(&self) -> f64 {
-        self.wall_joules * self.elapsed_s
-    }
-
-    /// Wall-clock speedup vs a single-core baseline measurement.
-    pub fn speedup_vs(&self, serial: &Measurement) -> f64 {
-        if self.elapsed_s > 0.0 {
-            serial.elapsed_s / self.elapsed_s
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 impl MultiCoreMachine {
@@ -246,7 +232,7 @@ mod tests {
 
         let mc = MultiCoreMachine::paper_sut(4);
         let multi = mc.measure_uniform(&split_trace(8_000_000, 4), &cfg);
-        let speedup = multi.speedup_vs(&serial);
+        let speedup = serial.elapsed_s / multi.elapsed_s;
         assert!(
             speedup > 3.0 && speedup <= 4.0 + 1e-9,
             "near-linear simulated scaling, got {speedup}"

@@ -121,7 +121,7 @@ impl MultiCoreMachine {
     /// governor splits the gap across halt p-states, the shared DRAM
     /// and disk floors are charged once, and the summed DC idle draw
     /// goes through the PSU efficiency curve.
-    pub fn price_idle(&self, seconds: f64, config: &MachineConfig) -> IdleMeasurement {
+    pub(crate) fn price_idle(&self, seconds: f64, config: &MachineConfig) -> IdleMeasurement {
         assert!(seconds >= 0.0, "idle gap must be nonnegative");
         let m = &self.machine;
         if seconds == 0.0 {
@@ -250,11 +250,6 @@ impl<'a> OpenSystemRun<'a> {
         self.disk_joules += m.disk_joules;
         self.wall_joules += m.wall_joules;
         m
-    }
-
-    /// Seconds of virtual time accumulated so far (busy + idle).
-    pub fn clock_s(&self) -> f64 {
-        self.busy_window_s + self.idle_s
     }
 
     /// Close the run.

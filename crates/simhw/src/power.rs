@@ -26,17 +26,17 @@ impl CpuPowerModel {
 
     /// Dynamic power of one core at voltage `v`, frequency `f_hz` and
     /// switching activity `activity`, watts.
-    pub fn core_dynamic_w(&self, v: f64, f_hz: f64, activity: f64) -> f64 {
+    pub(crate) fn core_dynamic_w(&self, v: f64, f_hz: f64, activity: f64) -> f64 {
         self.spec.ceff_per_core * v * v * f_hz * activity.clamp(0.0, 1.0)
     }
 
     /// Package leakage at voltage `v`, watts (frequency-independent).
-    pub fn leakage_w(&self, v: f64) -> f64 {
+    pub(crate) fn leakage_w(&self, v: f64) -> f64 {
         self.spec.k_leak * v * v
     }
 
     /// Uncore/bus-interface power at voltage `v` and FSB `fsb_hz`, watts.
-    pub fn uncore_w(&self, v: f64, fsb_hz: f64) -> f64 {
+    pub(crate) fn uncore_w(&self, v: f64, fsb_hz: f64) -> f64 {
         self.spec.k_uncore * v * v * (fsb_hz / calib::STOCK_FSB_HZ)
     }
 
@@ -67,7 +67,7 @@ impl CpuPowerModel {
 
     /// Package power sitting at the BIOS: halted at the top p-state,
     /// stock configuration, no load (the state of Table 1's +CPU row).
-    pub fn bios_idle_w(&self) -> f64 {
+    pub(crate) fn bios_idle_w(&self) -> f64 {
         let cfg = CpuConfig::stock();
         self.package_halt_w(&cfg, self.spec.top_pstate(), 0.0)
     }
@@ -151,7 +151,7 @@ pub fn table1_breakdown(cpu: &CpuPowerModel, psu: &PsuSpec) -> Vec<BreakdownRow>
 }
 
 /// DC draw of one component in the BIOS-idle build-up state, watts.
-pub fn component_dc_w(c: Component, cpu: &CpuPowerModel) -> f64 {
+pub(crate) fn component_dc_w(c: Component, cpu: &CpuPowerModel) -> f64 {
     match c {
         Component::Mobo => calib::MOBO_DC_W,
         Component::Cpu => cpu.bios_idle_w(),

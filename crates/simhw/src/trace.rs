@@ -7,70 +7,71 @@
 //! a PVC sweep cheap: one execution, many configurations.
 //!
 //! Every count lives in one [`Ledger`], and every slot of it is one
-//! [`ChargeClass`] row of [`CHARGE_CLASSES`]. Merging, splitting,
+//! [`ChargeClass`] row of `CHARGE_CLASSES`. Merging, splitting,
 //! comparing and zeroing ledgers are loops over that table, so a new
 //! class is one row and one slot, and no consumer can forget it.
+//!
+//! # Ledger schema versions
+//!
+//! Each row of `CHARGE_CLASSES` records the schema version that
+//! introduced it; the ledger is at v5.
+//!
+//! * **v1** — op-class counts, memory stream bytes, random memory
+//!   accesses, three disk classes (sequential bytes, random I/Os,
+//!   random bytes) and the client round-trip gap.
+//! * **v2** — adds the fault-tolerance charge classes: **retry random
+//!   I/O** ([`DiskWork::retry_ios`] / [`DiskWork::retry_bytes`], the
+//!   re-reads a checksum-verified page read pays after an injected or
+//!   real fault) and **backoff halt residency** ([`Ledger::backoff_ns`],
+//!   the exponential-backoff idle time between retry attempts, priced
+//!   like a client gap through the governor's halt residency).
+//!
+//! The v2 classes are zero on any fault-free run, so every v1 figure
+//! is byte-for-byte unchanged; a run with faults prices its robustness
+//! overhead through these classes and nowhere else
+//! ([`Ledger::without_schema`] drops them for a fault-blind compare).
+//!
+//! * **v3** — adds the opt-in **compressed pricing mode**
+//!   ([`PricingMode::Compressed`]) and the dictionary-lookup charge
+//!   class ([`OpClass::DictLookup`], one id→payload translation when an
+//!   execution kernel reads through a dictionary-encoded column). Under
+//!   [`PricingMode::Raw`] (the default) no `DictLookup` is ever
+//!   charged and every scan prices its *raw* tuple bytes, so every
+//!   v1/v2 figure stays byte-for-byte unchanged; under
+//!   [`PricingMode::Compressed`] scans price the *encoded* byte counts
+//!   as memory traffic and compressed kernels charge `DictLookup`, so
+//!   compression ratio becomes measurable joules.
+//!
+//! * **v4** — adds the secondary-index charge classes: **index random
+//!   I/O** ([`DiskWork::index_ios`] / [`DiskWork::index_bytes`], the
+//!   page reads a B-tree probe and its base-row fetches pay through the
+//!   buffer pool — priced exactly like random I/O but ledgered apart so
+//!   scan-shaped plans keep their pure sequential/random split) and the
+//!   node-search CPU class ([`OpClass::NodeSearch`], one binary-search
+//!   step inside a B-tree page). Index-free runs charge nothing to the
+//!   v4 classes, so every v1–v3 figure stays byte-for-byte unchanged;
+//!   an index plan prices its probe overhead through these classes and
+//!   nowhere else, which is what makes the paper's fig5
+//!   random-vs-sequential energy split reproducible from real plans.
+//!
+//! * **v5** — adds the durability charge classes: **log I/O**
+//!   ([`DiskWork::log_ios`] / [`DiskWork::log_bytes`], the write-ahead
+//!   log appends an fsync pushes to stable storage — priced as
+//!   *sequential* transfer because the log is an append-only stream the
+//!   head never leaves, with no per-fsync seek) and the log-record CPU
+//!   class ([`OpClass::LogRecord`], formatting + checksumming one WAL
+//!   record). Read-only runs charge nothing to the v5 classes, so every
+//!   v1–v4 figure stays byte-for-byte unchanged; a mutating workload
+//!   prices its durability overhead through these classes and nowhere
+//!   else, which is what makes group commit (fsync batching as
+//!   QED-for-writes) measurable as joules per transaction.
 
 use std::fmt;
 
 use crate::calib;
 
-/// Version of the ledger schema: the highest `schema` of any row of
-/// [`CHARGE_CLASSES`].
-///
-/// * **v1** — op-class counts, memory stream bytes, random memory
-///   accesses, three disk classes (sequential bytes, random I/Os,
-///   random bytes) and the client round-trip gap.
-/// * **v2** — adds the fault-tolerance charge classes: **retry random
-///   I/O** ([`DiskWork::retry_ios`] / [`DiskWork::retry_bytes`], the
-///   re-reads a checksum-verified page read pays after an injected or
-///   real fault) and **backoff halt residency** ([`Ledger::backoff_ns`],
-///   the exponential-backoff idle time between retry attempts, priced
-///   like a client gap through the governor's halt residency).
-///
-/// The v2 classes are zero on any fault-free run, so every v1 figure
-/// is byte-for-byte unchanged; a run with faults prices its robustness
-/// overhead through these classes and nowhere else
-/// ([`Ledger::without_schema`] drops them for a fault-blind compare).
-///
-/// * **v3** — adds the opt-in **compressed pricing mode**
-///   ([`PricingMode::Compressed`]) and the dictionary-lookup charge
-///   class ([`OpClass::DictLookup`], one id→payload translation when an
-///   execution kernel reads through a dictionary-encoded column). Under
-///   [`PricingMode::Raw`] (the default) no `DictLookup` is ever
-///   charged and every scan prices its *raw* tuple bytes, so every
-///   v1/v2 figure stays byte-for-byte unchanged; under
-///   [`PricingMode::Compressed`] scans price the *encoded* byte counts
-///   as memory traffic and compressed kernels charge `DictLookup`, so
-///   compression ratio becomes measurable joules.
-///
-/// * **v4** — adds the secondary-index charge classes: **index random
-///   I/O** ([`DiskWork::index_ios`] / [`DiskWork::index_bytes`], the
-///   page reads a B-tree probe and its base-row fetches pay through the
-///   buffer pool — priced exactly like random I/O but ledgered apart so
-///   scan-shaped plans keep their pure sequential/random split) and the
-///   node-search CPU class ([`OpClass::NodeSearch`], one binary-search
-///   step inside a B-tree page). Index-free runs charge nothing to the
-///   v4 classes, so every v1–v3 figure stays byte-for-byte unchanged;
-///   an index plan prices its probe overhead through these classes and
-///   nowhere else, which is what makes the paper's fig5
-///   random-vs-sequential energy split reproducible from real plans.
-///
-/// * **v5** — adds the durability charge classes: **log I/O**
-///   ([`DiskWork::log_ios`] / [`DiskWork::log_bytes`], the write-ahead
-///   log appends an fsync pushes to stable storage — priced as
-///   *sequential* transfer because the log is an append-only stream the
-///   head never leaves, with no per-fsync seek) and the log-record CPU
-///   class ([`OpClass::LogRecord`], formatting + checksumming one WAL
-///   record). Read-only runs charge nothing to the v5 classes, so every
-///   v1–v4 figure stays byte-for-byte unchanged; a mutating workload
-///   prices its durability overhead through these classes and nowhere
-///   else, which is what makes group commit (fsync batching as
-///   QED-for-writes) measurable as joules per transaction.
-pub const LEDGER_SCHEMA_VERSION: u32 = 5;
-
 /// How the ledger prices column-store memory traffic (ledger schema
-/// v3; see [`LEDGER_SCHEMA_VERSION`]).
+/// v3; see [schema versions](crate::trace#ledger-schema-versions)).
 ///
 /// * [`PricingMode::Raw`] — every scan charges the raw (uncompressed)
 ///   tuple bytes and no [`OpClass::DictLookup`] is ever recorded. This
@@ -143,10 +144,10 @@ pub enum OpClass {
 }
 
 /// Number of [`OpClass`] variants.
-pub const N_OP_CLASSES: usize = 14;
+pub(crate) const N_OP_CLASSES: usize = 14;
 
 /// All op classes, in discriminant order.
-pub const ALL_OP_CLASSES: [OpClass; N_OP_CLASSES] = [
+pub(crate) const ALL_OP_CLASSES: [OpClass; N_OP_CLASSES] = [
     OpClass::TupleFetch,
     OpClass::PredEval,
     OpClass::HashBuild,
@@ -224,7 +225,7 @@ impl CpuWork {
 
     /// Cycle-weighted mean switching activity of this work, in `[0, 1]`.
     /// Returns the configured halt activity if the ledger is empty.
-    pub fn mean_activity(&self) -> f64 {
+    pub(crate) fn mean_activity(&self) -> f64 {
         let cycles = self.cycles();
         if cycles <= 0.0 {
             return calib::HALT_ACTIVITY;
@@ -251,7 +252,7 @@ pub struct DiskWork {
     /// checksum-mismatched page read. Priced exactly like
     /// [`DiskWork::random_ios`] but ledgered separately so fault-free
     /// runs stay bit-identical (ledger schema v2; see
-    /// [`LEDGER_SCHEMA_VERSION`]).
+    /// [schema versions](crate::trace#ledger-schema-versions)).
     pub retry_ios: u64,
     /// Bytes transferred by those retry I/Os (schema v2).
     pub retry_bytes: u64,
@@ -260,7 +261,7 @@ pub struct DiskWork {
     /// exactly like [`DiskWork::random_ios`] but ledgered separately so
     /// index-free runs stay bit-identical and scan plans keep a pure
     /// sequential/random split (ledger schema v4; see
-    /// [`LEDGER_SCHEMA_VERSION`]).
+    /// [schema versions](crate::trace#ledger-schema-versions)).
     pub index_ios: u64,
     /// Bytes transferred by those index I/Os (schema v4).
     pub index_bytes: u64,
@@ -269,7 +270,7 @@ pub struct DiskWork {
     /// log is append-only, so the head never repositions) — priced like
     /// [`DiskWork::sequential_bytes`] but ledgered separately so
     /// read-only runs stay bit-identical (ledger schema v5; see
-    /// [`LEDGER_SCHEMA_VERSION`]).
+    /// [schema versions](crate::trace#ledger-schema-versions)).
     pub log_ios: u64,
     /// Bytes pushed to stable storage by those fsyncs, rounded up to
     /// whole device blocks per fsync — which is exactly why group
@@ -296,7 +297,7 @@ impl DiskWork {
 
 /// One slot of the [`Ledger`]: an op class, or one of the 13 counts
 /// beside the op classes, each named after its [`Ledger`] or
-/// [`DiskWork`] field. [`CHARGE_CLASSES`] describes each.
+/// [`DiskWork`] field. `CHARGE_CLASSES` describes each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChargeClass {
     Op(OpClass),
@@ -315,9 +316,9 @@ pub enum ChargeClass {
     BackoffNs,
 }
 
-/// One row of [`CHARGE_CLASSES`].
+/// One row of `CHARGE_CLASSES`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassInfo {
+pub(crate) struct ClassInfo {
     /// The class.
     pub class: ChargeClass,
     /// Its name in reports and diffs.
@@ -329,7 +330,7 @@ pub struct ClassInfo {
 }
 
 /// Number of [`ChargeClass`]es: the op classes plus 13 more.
-pub const N_CHARGE_CLASSES: usize = N_OP_CLASSES + 13;
+pub(crate) const N_CHARGE_CLASSES: usize = N_OP_CLASSES + 13;
 
 const fn row(class: ChargeClass, name: &'static str, schema: u32, unit: &'static str) -> ClassInfo {
     ClassInfo {
@@ -342,7 +343,7 @@ const fn row(class: ChargeClass, name: &'static str, schema: u32, unit: &'static
 
 /// Every charge class, in ledger order (the op classes first, in
 /// [`OpClass::index`] order).
-pub const CHARGE_CLASSES: [ClassInfo; N_CHARGE_CLASSES] = {
+pub(crate) const CHARGE_CLASSES: [ClassInfo; N_CHARGE_CLASSES] = {
     use ChargeClass::*;
     use OpClass::*;
     const OPS: &str = "ops";
@@ -379,7 +380,7 @@ pub const CHARGE_CLASSES: [ClassInfo; N_CHARGE_CLASSES] = {
 };
 
 impl ChargeClass {
-    /// This class's slot: its position in [`CHARGE_CLASSES`] and in
+    /// This class's slot: its position in `CHARGE_CLASSES` and in
     /// [`Ledger::counts`].
     pub fn index(self) -> usize {
         CHARGE_CLASSES
@@ -388,8 +389,8 @@ impl ChargeClass {
             .expect("every charge class has a table row")
     }
 
-    /// This class's row of [`CHARGE_CLASSES`].
-    pub fn info(self) -> &'static ClassInfo {
+    /// This class's row of `CHARGE_CLASSES`.
+    pub(crate) fn info(self) -> &'static ClassInfo {
         &CHARGE_CLASSES[self.index()]
     }
 }
@@ -397,8 +398,8 @@ impl ChargeClass {
 /// An energy ledger: every count the machine model prices, with exact
 /// integer arithmetic throughout. The named groups are what charge
 /// sites and pricing read; [`Ledger::counts`] and
-/// [`Ledger::from_counts`] are the one mapping between them and the
-/// rows of [`CHARGE_CLASSES`], and everything that treats the ledger as
+/// `Ledger::from_counts` are the one mapping between them and the
+/// rows of `CHARGE_CLASSES`, and everything that treats the ledger as
 /// a whole is a loop over those counts.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ledger {
@@ -417,7 +418,7 @@ pub struct Ledger {
     /// Wall-clock nanoseconds spent in retry backoff after page read
     /// faults. The CPU halts through it, like a gap, but it is ledgered
     /// separately so fault-free runs stay bit-identical (ledger schema
-    /// v2; see [`LEDGER_SCHEMA_VERSION`]).
+    /// v2; see [schema versions](crate::trace#ledger-schema-versions)).
     pub backoff_ns: u64,
 }
 
@@ -453,7 +454,7 @@ impl Ledger {
 
     /// The ledger whose [`Self::counts`] are `counts`.
     #[inline]
-    pub fn from_counts(counts: [u64; N_CHARGE_CLASSES]) -> Ledger {
+    pub(crate) fn from_counts(counts: [u64; N_CHARGE_CLASSES]) -> Ledger {
         // A struct literal evaluates its fields top to bottom, which is
         // slot order.
         let mut slots = counts.into_iter();
@@ -546,7 +547,7 @@ impl Ledger {
 
     /// The classes whose counts differ between `self` (left) and
     /// `other` (right); empty when the ledgers are identical.
-    pub fn diff(&self, other: &Ledger) -> LedgerDiff {
+    pub(crate) fn diff(&self, other: &Ledger) -> LedgerDiff {
         LedgerDiff(
             self.iter()
                 .zip(other.counts())
@@ -557,7 +558,7 @@ impl Ledger {
         )
     }
 
-    /// Panic with the per-class [`LedgerDiff`] unless `other` is
+    /// Panic with the per-class `LedgerDiff` unless `other` is
     /// identical to this ledger; `what` names the comparison.
     #[track_caller]
     pub fn assert_same(&self, other: &Ledger, what: impl fmt::Display) {
@@ -579,7 +580,7 @@ impl<L: std::borrow::Borrow<Ledger>> std::iter::Sum<L> for Ledger {
 /// in ledger order. Its `Display` prints one line per class with the
 /// signed delta `right - left`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LedgerDiff(pub Vec<(ChargeClass, u64, u64)>);
+pub(crate) struct LedgerDiff(pub Vec<(ChargeClass, u64, u64)>);
 
 impl LedgerDiff {
     /// True when the ledgers were identical.
@@ -653,14 +654,6 @@ impl Phase {
                 gap_ns: ns,
                 ..Ledger::new()
             },
-        }
-    }
-
-    /// A client-side compute phase (e.g. the QED result split).
-    pub fn client_compute(label: impl Into<String>) -> Self {
-        Self {
-            kind: PhaseKind::ClientCompute,
-            ..Self::execute(label)
         }
     }
 }
@@ -738,7 +731,7 @@ mod tests {
     fn charge_class_table_lists_every_slot_once() {
         for (i, r) in CHARGE_CLASSES.iter().enumerate() {
             assert_eq!((r.class.index(), r.class.info()), (i, r), "{}", r.name);
-            assert!((1..=LEDGER_SCHEMA_VERSION).contains(&r.schema));
+            assert!((1..=5).contains(&r.schema), "{}: v1-v5", r.name);
             let named_twice = CHARGE_CLASSES[..i].iter().any(|q| q.name == r.name);
             assert!(!named_twice, "{} named twice", r.name);
             // Slot `i` is the field the row names: a ledger with a 1 in

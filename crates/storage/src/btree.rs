@@ -51,7 +51,7 @@
 //! that array produces. A table mutation patches the array in place —
 //! [`BTreeIndex::insert`] and [`BTreeIndex::remove`] binary-search
 //! their position (a removal also shifts every higher row id down by
-//! one, as the table does), [`BTreeIndex::update_key`] does nothing at
+//! one, as the table does), `BTreeIndex::update_key` does nothing at
 //! all when the indexed column did not change — and then re-emits
 //! nodes through the *same* routine the bulk load uses: leaf packing is
 //! greedy and left to right, so every leaf that ends before the first
@@ -86,7 +86,7 @@ pub const BTREE_FANOUT: usize = 256;
 /// First index id. Index page ids share the buffer pool's `(table,
 /// page)` namespace with tables, so index ids live in their own upper
 /// range — a catalog would need billions of tables to collide.
-pub const FIRST_INDEX_ID: u32 = 0x8000_0000;
+pub(crate) const FIRST_INDEX_ID: u32 = 0x8000_0000;
 
 /// One bound of a range probe.
 #[derive(Debug, Clone, Copy)]
@@ -202,7 +202,7 @@ impl BTreeIndex {
 
     /// Row `row`'s indexed column changed from `old` to `new`; nothing
     /// at all happens when it did not.
-    pub fn update_key(&mut self, row: usize, old: &Value, new: &Value) {
+    pub(crate) fn update_key(&mut self, row: usize, old: &Value, new: &Value) {
         if old == new {
             return;
         }
@@ -325,7 +325,8 @@ impl BTreeIndex {
     }
 
     /// Point probe: all rows whose key equals `key`.
-    pub fn probe_point(&self, key: &Value) -> Result<IndexProbe, IoError> {
+    #[cfg(test)]
+    pub(crate) fn probe_point(&self, key: &Value) -> Result<IndexProbe, IoError> {
         self.probe_range(KeyBound::Inclusive(key), KeyBound::Inclusive(key))
     }
 

@@ -118,7 +118,7 @@ struct Frame {
 /// The default scan stream: all accesses through [`BufferPool::get`]
 /// share one sequential-position tracker per table, preserving the
 /// original single-cursor semantics.
-pub const DEFAULT_STREAM: u64 = 0;
+pub(crate) const DEFAULT_STREAM: u64 = 0;
 
 struct Inner {
     capacity: usize,
@@ -187,7 +187,7 @@ impl BufferPool {
     }
 
     /// Fetch a page, loading (and charging I/O to the pool's internal
-    /// ledger) on miss via `load`. Uses the [`DEFAULT_STREAM`] scan
+    /// ledger) on miss via `load`. Uses the `DEFAULT_STREAM` scan
     /// cursor; the executor drains the charges with [`Self::take_io`].
     pub fn get<F>(&self, id: PageId, load: F) -> Arc<PageFrame>
     where
@@ -200,22 +200,6 @@ impl BufferPool {
         page
     }
 
-    /// Fetch a page on a private scan stream, returning the I/O charged
-    /// by *this* access instead of accumulating it in the pool ledger.
-    ///
-    /// Parallel scan cursors use this so (a) sequential-transfer
-    /// detection tracks each cursor independently — interleaved workers
-    /// would otherwise turn every in-order read into a seek — and
-    /// (b) each worker attributes exactly its own I/O to its own energy
-    /// ledger, keeping the merged parallel ledger identical to serial
-    /// execution.
-    pub fn get_stream<F>(&self, id: PageId, stream: u64, load: F) -> (Arc<PageFrame>, Ledger)
-    where
-        F: FnOnce() -> Arc<PageFrame>,
-    {
-        self.get_inner(id, stream, load)
-    }
-
     /// Checked twin of [`Self::get`]: the miss-path `load` may fail and
     /// may charge extra retry I/O / backoff idle time (it receives the
     /// access's [`DiskWork`] ledger and a backoff-nanosecond
@@ -224,7 +208,7 @@ impl BufferPool {
     /// the disk charges land in the pool ledger and the access's
     /// backoff is returned. On failure nothing is cached and the
     /// charges are discarded with the failed attempt.
-    pub fn get_checked<F, E>(&self, id: PageId, load: F) -> Result<(Arc<PageFrame>, u64), E>
+    pub(crate) fn get_checked<F, E>(&self, id: PageId, load: F) -> Result<(Arc<PageFrame>, u64), E>
     where
         F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
     {
@@ -236,10 +220,17 @@ impl BufferPool {
         Ok((page, backoff_ns))
     }
 
-    /// Checked twin of [`Self::get_stream`]: like [`Self::get_checked`]
-    /// but on a private scan stream, returning this access's I/O and
-    /// backoff directly instead of accumulating them in the pool ledger.
-    pub fn get_stream_checked<F, E>(
+    /// Like `Self::get_checked` but on a private scan stream,
+    /// returning this access's I/O and backoff directly instead of
+    /// accumulating them in the pool ledger.
+    ///
+    /// Parallel scan cursors use this so (a) sequential-transfer
+    /// detection tracks each cursor independently — interleaved workers
+    /// would otherwise turn every in-order read into a seek — and
+    /// (b) each worker attributes exactly its own I/O to its own energy
+    /// ledger, keeping the merged parallel ledger identical to serial
+    /// execution.
+    pub(crate) fn get_stream_checked<F, E>(
         &self,
         id: PageId,
         stream: u64,
@@ -260,7 +251,7 @@ impl BufferPool {
     /// stays bit-identical. Returns this access's I/O and backoff
     /// directly (probes attribute charges to their own operator, like
     /// private scan streams); fault handling matches
-    /// [`Self::get_checked`].
+    /// `Self::get_checked`.
     pub fn get_index_checked<F, E>(
         &self,
         id: PageId,
@@ -591,9 +582,9 @@ mod tests {
         let pool = BufferPool::new(64);
         let mut io = Ledger::new();
         for p in 0..4u32 {
-            let (_, a) = pool.get_stream(id(1, p), 1, || page_data(p as i64));
+            let (_, a) = pool.get_inner(id(1, p), 1, || page_data(p as i64));
             io.merge(&a);
-            let (_, b) = pool.get_stream(id(1, 16 + p), 2, || page_data(p as i64));
+            let (_, b) = pool.get_inner(id(1, 16 + p), 2, || page_data(p as i64));
             io.merge(&b);
         }
         let io = io.disk;

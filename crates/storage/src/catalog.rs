@@ -64,7 +64,7 @@ impl StoredTable {
 
     /// Whether the table can physically hold `tuple`: a paged table
     /// takes only tuples that fit an empty page
-    /// ([`crate::page::tuple_fits_page`]); the memory engine has no
+    /// (`page::tuple_fits_page`); the memory engine has no
     /// width limit. The write path asks this before a statement is
     /// logged and again before a record is applied.
     pub fn can_store(&self, tuple: &Tuple) -> bool {
@@ -425,11 +425,6 @@ impl Catalog {
             .cloned()
     }
 
-    /// All index names, sorted.
-    pub fn index_names(&self) -> Vec<String> {
-        self.indexes.lock().keys().cloned().collect()
-    }
-
     /// Every registered index entry, sorted by name. Crash recovery
     /// uses this to re-create the crashed catalog's indexes over the
     /// recovered tables (indexes are derivable state, not WAL-logged).
@@ -653,7 +648,8 @@ mod tests {
         assert!(c.index("ix_d_k").is_some());
         assert!(c.index_on("d", "k").is_some());
         assert!(c.index_on("d", "missing").is_none());
-        assert_eq!(c.index_names(), vec!["ix_d_k".to_string()]);
+        let names: Vec<String> = c.index_entries().iter().map(|e| e.name.clone()).collect();
+        assert_eq!(names, vec!["ix_d_k".to_string()]);
         // Typed rejections, not panics.
         assert_eq!(
             c.create_index("ix_d_k", "d", "k").unwrap_err(),

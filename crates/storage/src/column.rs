@@ -322,14 +322,6 @@ impl ColumnData {
         }
     }
 
-    /// Typed access: `&[i32]` when this is a `Date` column.
-    pub fn as_dates(&self) -> Option<&[i32]> {
-        match self {
-            ColumnData::Date(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Typed access: `&[bool]` when this is a `Bool` column.
     pub fn as_bools(&self) -> Option<&[bool]> {
         match self {
@@ -435,12 +427,6 @@ impl ColumnChunk {
             validity: Some(validity),
             ..Self::new(data)
         }
-    }
-
-    /// True when row `i` holds a valid (non-NULL) value.
-    #[inline]
-    pub fn is_valid(&self, i: usize) -> bool {
-        self.validity.as_ref().is_none_or(|v| v[i])
     }
 
     /// Gather rows `indices` into a fresh column, carrying validity.
@@ -852,8 +838,8 @@ mod tests {
         }
         assert_eq!(chunk.column(0).data.as_ints().unwrap(), &[0, 1, 2, 3, 4]);
         assert_eq!(
-            chunk.column(2).data.as_dates().unwrap(),
-            &[0, 10, 20, 30, 40]
+            chunk.column(2).data,
+            ColumnData::Date(vec![0, 10, 20, 30, 40])
         );
     }
 
@@ -880,7 +866,8 @@ mod tests {
         };
         chunk.set_row(1, &new(10));
         model[1] = new(10);
-        assert!(chunk.column(0).is_valid(1), "a stored value is valid");
+        let valid = chunk.column(0).validity.as_ref().map(|v| v[1]);
+        assert_eq!(valid, Some(true), "a stored value is valid");
         assert_eq!(chunk.remove_row(0), model.remove(0));
         chunk.push_row(new(11));
         model.push(new(11));
@@ -889,15 +876,6 @@ mod tests {
             assert_eq!(&chunk.row(i), r, "row {i}");
         }
         assert_eq!(chunk.column(0).validity.as_ref().map(Vec::len), Some(5));
-    }
-
-    #[test]
-    fn validity_defaults_to_all_valid() {
-        let col = ColumnChunk::new(ColumnData::Int(vec![1, 2]));
-        assert!(col.is_valid(0) && col.is_valid(1));
-        let masked = ColumnChunk::with_validity(ColumnData::Int(vec![1, 2]), vec![true, false]);
-        assert!(masked.is_valid(0));
-        assert!(!masked.is_valid(1));
     }
 
     #[test]

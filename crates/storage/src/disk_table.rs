@@ -752,8 +752,10 @@ impl DiskTable {
         Arc::new(PageFrame::new(self.pages[page_no].clone()))
     }
 
-    /// Read one page through the buffer pool (charging I/O on a miss).
-    pub fn read_page(&self, page_no: usize) -> Arc<PageFrame> {
+    /// Read one page through the buffer pool (charging I/O on a miss),
+    /// without verifying it: the unchecked read tests compare against.
+    #[cfg(test)]
+    pub(crate) fn read_page(&self, page_no: usize) -> Arc<PageFrame> {
         assert!(page_no < self.pages.len(), "page {page_no} out of range");
         let id = PageId {
             table: self.table_id,
@@ -762,19 +764,7 @@ impl DiskTable {
         self.pool.get(id, || self.frame(page_no))
     }
 
-    /// Read one page on a private scan stream (see
-    /// [`BufferPool::get_stream`]), returning the I/O this access
-    /// charged so the caller can attribute it to its own ledger.
-    pub fn read_page_stream(&self, page_no: usize, stream: u64) -> (Arc<PageFrame>, Ledger) {
-        assert!(page_no < self.pages.len(), "page {page_no} out of range");
-        let id = PageId {
-            table: self.table_id,
-            page: page_no as u32,
-        };
-        self.pool.get_stream(id, stream, || self.frame(page_no))
-    }
-
-    /// Checked twin of [`Self::read_page`]: verifies the page's
+    /// Read one page through the buffer pool: verifies the page's
     /// load-time checksum on every buffer-pool miss, consults the
     /// pool's installed [`FaultPlan`], and retries failed attempts with
     /// bounded exponential backoff. Charges land in the pool ledger
@@ -825,9 +815,9 @@ impl DiskTable {
         })
     }
 
-    /// Checked twin of [`Self::read_page_stream`]: like
-    /// [`Self::read_page_checked`] but on a private scan stream,
-    /// returning this access's I/O and backoff directly.
+    /// Like [`Self::read_page_checked`] but on a private scan stream
+    /// (sequential transfers detected per cursor), returning this
+    /// access's I/O and backoff directly.
     pub fn read_page_stream_checked(
         &self,
         page_no: usize,

@@ -90,7 +90,7 @@ pub use column::{ColumnChunk, ColumnData, DataChunk, StrColumn};
 pub use disk_table::{ColumnarExtents, IoError};
 pub use encode::{BitPacked, EncodedChunk, EncodedColumn};
 pub use heap::HeapTable;
-pub use loader::{load_generated, load_tbl, load_tpch, parse_tbl, EngineKind, LoadError};
+pub use loader::{load_generated, load_tpch, EngineKind};
 pub use rowset::{RoutedRows, RowSet};
 pub use value::{tuple_width, Column, ColumnType, Schema, Tuple, Value};
 pub use wal::{LogTail, Recovery, WalError, WalRecord, WriteAheadLog};

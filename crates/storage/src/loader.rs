@@ -1,15 +1,9 @@
 //! Load a TPC-H database into a catalog, under either engine profile —
-//! straight from the generator's stream ([`load_generated`]), from
-//! stored rows ([`load_tpch`]), or from dbgen-style pipe-delimited
-//! `.tbl` text ([`parse_tbl`] / [`load_tbl`]).
+//! straight from the generator's stream ([`load_generated`]) or from
+//! stored rows ([`load_tpch`]).
 //!
 //! Schemas follow TPC-H column naming; money is `Int` cents, dates are
 //! `Date` day offsets (see `eco-tpch::rows` for the conventions).
-//!
-//! The text path never panics on malformed input: a truncated file, a
-//! record with the wrong field count, or an unparsable field comes
-//! back as a typed [`LoadError`] carrying the table name and 1-based
-//! line number, and the catalog is left without the broken table.
 //!
 //! # The TPC-H load path
 //!
@@ -23,7 +17,7 @@
 //!
 //! * the memory engine's pushes each value onto its typed column
 //!   (a string's bytes onto its column's arena) and sums the stored
-//!   width the [`Value::width_bytes`] rule gives, producing the
+//!   width the `Value::width_bytes` rule gives, producing the
 //!   [`HeapTable`];
 //! * the disk engine's writes each row's payload in the page format's
 //!   exact bytes into one reused buffer and packs it as the row ends,
@@ -45,7 +39,7 @@ use crate::column::{ColumnChunk, ColumnData, DataChunk};
 use crate::disk_table::Packer;
 use crate::heap::HeapTable;
 use crate::page;
-use crate::value::{Column, ColumnType as T, Schema, Tuple, Value};
+use crate::value::{ColumnType as T, Schema};
 
 /// Which storage profile to load into (the paper's two systems).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,7 +61,7 @@ impl EngineKind {
 }
 
 /// Schema of the `region` table.
-pub fn region_schema() -> Schema {
+pub(crate) fn region_schema() -> Schema {
     Schema::new(&[
         ("r_regionkey", T::Int),
         ("r_name", T::Str),
@@ -76,7 +70,7 @@ pub fn region_schema() -> Schema {
 }
 
 /// Schema of the `nation` table.
-pub fn nation_schema() -> Schema {
+pub(crate) fn nation_schema() -> Schema {
     Schema::new(&[
         ("n_nationkey", T::Int),
         ("n_name", T::Str),
@@ -86,7 +80,7 @@ pub fn nation_schema() -> Schema {
 }
 
 /// Schema of the `supplier` table.
-pub fn supplier_schema() -> Schema {
+pub(crate) fn supplier_schema() -> Schema {
     Schema::new(&[
         ("s_suppkey", T::Int),
         ("s_name", T::Str),
@@ -99,7 +93,7 @@ pub fn supplier_schema() -> Schema {
 }
 
 /// Schema of the `customer` table.
-pub fn customer_schema() -> Schema {
+pub(crate) fn customer_schema() -> Schema {
     Schema::new(&[
         ("c_custkey", T::Int),
         ("c_name", T::Str),
@@ -113,7 +107,7 @@ pub fn customer_schema() -> Schema {
 }
 
 /// Schema of the `part` table.
-pub fn part_schema() -> Schema {
+pub(crate) fn part_schema() -> Schema {
     Schema::new(&[
         ("p_partkey", T::Int),
         ("p_name", T::Str),
@@ -128,7 +122,7 @@ pub fn part_schema() -> Schema {
 }
 
 /// Schema of the `partsupp` table.
-pub fn partsupp_schema() -> Schema {
+pub(crate) fn partsupp_schema() -> Schema {
     Schema::new(&[
         ("ps_partkey", T::Int),
         ("ps_suppkey", T::Int),
@@ -139,7 +133,7 @@ pub fn partsupp_schema() -> Schema {
 }
 
 /// Schema of the `orders` table.
-pub fn orders_schema() -> Schema {
+pub(crate) fn orders_schema() -> Schema {
     Schema::new(&[
         ("o_orderkey", T::Int),
         ("o_custkey", T::Int),
@@ -154,7 +148,7 @@ pub fn orders_schema() -> Schema {
 }
 
 /// Schema of the `lineitem` table.
-pub fn lineitem_schema() -> Schema {
+pub(crate) fn lineitem_schema() -> Schema {
     Schema::new(&[
         ("l_orderkey", T::Int),
         ("l_partkey", T::Int),
@@ -196,7 +190,7 @@ trait FieldSink {
 /// column, each value pushed as its type (a string's bytes onto its
 /// column's arena, [`crate::column::StrColumn`]: no allocation per
 /// value), and the table's stored bytes summed as the values arrive,
-/// by [`Value::width_bytes`] — what [`crate::value::tuple_width`] adds
+/// by `Value::width_bytes` — what [`crate::value::tuple_width`] adds
 /// up for the row the columns hold.
 struct ColumnSink {
     schema: Schema,
@@ -507,168 +501,6 @@ pub fn load_tpch(db: &TpchDb, kind: EngineKind, pool_pages: usize) -> Catalog {
     load(kind, pool_pages, |sink| db.stream(sink))
 }
 
-/// Why loading a pipe-delimited `.tbl` text table failed. Every
-/// variant carries the table name and the 1-based line number of the
-/// offending record, so a bad or cut-short dump is reported instead of
-/// panicking mid-load.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LoadError {
-    /// The input ended mid-record: a non-empty line without the
-    /// dbgen-style terminating `|` (the signature of a truncated file).
-    Truncated {
-        /// Table being loaded.
-        table: String,
-        /// 1-based line number of the cut-off record.
-        line: usize,
-    },
-    /// A record had the wrong number of fields for the table's schema.
-    WrongArity {
-        /// Table being loaded.
-        table: String,
-        /// 1-based line number.
-        line: usize,
-        /// Fields the schema requires.
-        want: usize,
-        /// Fields the record actually had.
-        got: usize,
-    },
-    /// A field failed to parse as its column's type.
-    BadField {
-        /// Table being loaded.
-        table: String,
-        /// 1-based line number.
-        line: usize,
-        /// Column whose value was malformed.
-        column: String,
-        /// The raw field text.
-        value: String,
-    },
-}
-
-impl std::fmt::Display for LoadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LoadError::Truncated { table, line } => write!(
-                f,
-                "table {table:?} line {line}: record is truncated (no terminating '|')"
-            ),
-            LoadError::WrongArity {
-                table,
-                line,
-                want,
-                got,
-            } => write!(
-                f,
-                "table {table:?} line {line}: expected {want} fields, found {got}"
-            ),
-            LoadError::BadField {
-                table,
-                line,
-                column,
-                value,
-            } => write!(
-                f,
-                "table {table:?} line {line}: column {column:?} cannot parse {value:?}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for LoadError {}
-
-/// Parse dbgen-style `.tbl` text (`field|field|...|` per line, one
-/// trailing `|` per record) against a schema. Money columns are
-/// integer cents, dates are `YYYY-MM-DD`, `Char` columns are exactly
-/// one character, `Bool` columns are `true`/`false`.
-pub fn parse_tbl(table: &str, schema: &Schema, text: &str) -> Result<Vec<Tuple>, LoadError> {
-    let mut tuples = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = idx + 1;
-        if raw.is_empty() {
-            continue;
-        }
-        let body = raw.strip_suffix('|').ok_or_else(|| LoadError::Truncated {
-            table: table.to_string(),
-            line,
-        })?;
-        let fields: Vec<&str> = if body.is_empty() {
-            Vec::new()
-        } else {
-            body.split('|').collect()
-        };
-        if fields.len() != schema.arity() {
-            return Err(LoadError::WrongArity {
-                table: table.to_string(),
-                line,
-                want: schema.arity(),
-                got: fields.len(),
-            });
-        }
-        let mut tuple = Vec::with_capacity(fields.len());
-        for (col, field) in schema.columns().iter().zip(&fields) {
-            tuple.push(parse_field(table, line, col, field)?);
-        }
-        tuples.push(tuple);
-    }
-    Ok(tuples)
-}
-
-fn parse_field(table: &str, line: usize, col: &Column, field: &str) -> Result<Value, LoadError> {
-    let bad = || LoadError::BadField {
-        table: table.to_string(),
-        line,
-        column: col.name.clone(),
-        value: field.to_string(),
-    };
-    match col.ty {
-        T::Int => field.parse::<i64>().map(Value::Int).map_err(|_| bad()),
-        T::Str => Ok(Value::str(field)),
-        T::Date => parse_tbl_date(field).map(Value::Date).ok_or_else(bad),
-        T::Char => {
-            let mut chars = field.chars();
-            match (chars.next(), chars.next()) {
-                (Some(c), None) => Ok(Value::Char(c)),
-                _ => Err(bad()),
-            }
-        }
-        T::Bool => match field {
-            "true" => Ok(Value::Bool(true)),
-            "false" => Ok(Value::Bool(false)),
-            _ => Err(bad()),
-        },
-    }
-}
-
-/// Parse `YYYY-MM-DD` into the storage day offset.
-fn parse_tbl_date(s: &str) -> Option<i32> {
-    let mut it = s.split('-');
-    let y: i32 = it.next()?.parse().ok()?;
-    let m: u32 = it.next()?.parse().ok()?;
-    let d: u32 = it.next()?.parse().ok()?;
-    if it.next().is_some() || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
-        return None;
-    }
-    Some(eco_tpch::Date::from_ymd(y, m, d).0)
-}
-
-/// Parse `.tbl` text and register the table in `cat` under the given
-/// engine profile. On error nothing is added — the catalog never holds
-/// a half-loaded table.
-pub fn load_tbl(
-    cat: &mut Catalog,
-    name: &str,
-    schema: Schema,
-    text: &str,
-    kind: EngineKind,
-) -> Result<(), LoadError> {
-    let tuples = parse_tbl(name, &schema, text)?;
-    match kind {
-        EngineKind::Memory => cat.add_memory_table(name, HeapTable::from_tuples(schema, tuples)),
-        EngineKind::Disk => cat.add_disk_table(name, schema, tuples),
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,129 +530,6 @@ mod tests {
                     assert!(t.schema().check(&tup), "{name} tuple fails schema");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn tbl_text_roundtrips_the_region_table() {
-        let text = "0|AFRICA|lar deposits|\n\
-                    1|AMERICA|hs use ironic requests|\n\
-                    2|ASIA|ges. thinly even pinto beans|\n";
-        for kind in [EngineKind::Memory, EngineKind::Disk] {
-            let mut cat = Catalog::new(1024);
-            load_tbl(&mut cat, "region", region_schema(), text, kind)
-                .unwrap_or_else(|e| panic!("{e}"));
-            let t = cat.expect("region");
-            assert_eq!(t.len(), 3, "{kind:?}");
-        }
-        let tuples = parse_tbl("region", &region_schema(), text).unwrap();
-        assert_eq!(tuples[2][0], Value::Int(2));
-        assert_eq!(tuples[2][1], Value::str("ASIA"));
-    }
-
-    #[test]
-    fn truncated_tbl_is_a_typed_error_not_a_panic() {
-        // The file is cut mid-record: the final line lost its
-        // terminating '|' (and part of its last field).
-        let text = "0|AFRICA|lar deposits|\n1|AMERICA|hs use iron";
-        let err = parse_tbl("region", &region_schema(), text).unwrap_err();
-        assert_eq!(
-            err,
-            LoadError::Truncated {
-                table: "region".into(),
-                line: 2
-            }
-        );
-        // A failed load leaves the catalog without the table.
-        let mut cat = Catalog::new(1024);
-        let r = load_tbl(
-            &mut cat,
-            "region",
-            region_schema(),
-            text,
-            EngineKind::Memory,
-        );
-        assert!(r.is_err());
-        assert!(cat.get("region").is_none());
-        assert_eq!(cat.len(), 0);
-    }
-
-    #[test]
-    fn short_records_report_arity_with_line_numbers() {
-        // Line 2 lost a field but kept its terminator.
-        let text = "0|AFRICA|lar deposits|\n1|AMERICA|\n";
-        let err = parse_tbl("region", &region_schema(), text).unwrap_err();
-        assert_eq!(
-            err,
-            LoadError::WrongArity {
-                table: "region".into(),
-                line: 2,
-                want: 3,
-                got: 2
-            }
-        );
-    }
-
-    #[test]
-    fn malformed_fields_name_the_column() {
-        // o_orderdate is not a date; errors point at column and line.
-        let text = "1|7|O|17288106|not-a-date|5-LOW|Clerk#000000951|0|egular courts|\n";
-        let err = parse_tbl("orders", &orders_schema(), text).unwrap_err();
-        assert_eq!(
-            err,
-            LoadError::BadField {
-                table: "orders".into(),
-                line: 1,
-                column: "o_orderdate".into(),
-                value: "not-a-date".into()
-            }
-        );
-        // A bad integer likewise.
-        let text = "x|AFRICA|lar deposits|\n";
-        let err = parse_tbl("region", &region_schema(), text).unwrap_err();
-        assert!(matches!(
-            err,
-            LoadError::BadField { ref column, .. } if column == "r_regionkey"
-        ));
-        // Char columns must be exactly one character.
-        let text = "1|7|OPEN|17288106|1996-01-02|5-LOW|Clerk#000000951|0|egular courts|\n";
-        let err = parse_tbl("orders", &orders_schema(), text).unwrap_err();
-        assert!(matches!(
-            err,
-            LoadError::BadField { ref column, .. } if column == "o_orderstatus"
-        ));
-    }
-
-    #[test]
-    fn generated_rows_survive_a_tbl_round_trip() {
-        // Dump the generated region+nation tables as .tbl text, parse
-        // them back, and compare tuples exactly.
-        let db = TpchGenerator::new(0.001).generate();
-        let mem = load_tpch(&db, EngineKind::Memory, 0);
-        for name in ["region", "nation"] {
-            let t = mem.expect(name);
-            let crate::catalog::TableData::Memory(h) = &t.data else {
-                panic!("memory expected")
-            };
-            let mut text = String::new();
-            for tup in h.rows() {
-                for v in &tup {
-                    match v {
-                        Value::Int(n) => text.push_str(&n.to_string()),
-                        Value::Str(s) => text.push_str(s),
-                        Value::Char(c) => text.push(*c),
-                        Value::Bool(b) => text.push_str(if *b { "true" } else { "false" }),
-                        Value::Date(d) => {
-                            let (y, m, dd) = eco_tpch::Date(*d).to_ymd();
-                            text.push_str(&format!("{y:04}-{m:02}-{dd:02}"));
-                        }
-                    }
-                    text.push('|');
-                }
-                text.push('\n');
-            }
-            let parsed = parse_tbl(name, t.schema(), &text).unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(h.rows().collect::<Vec<_>>(), parsed, "{name} round trip");
         }
     }
 

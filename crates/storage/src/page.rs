@@ -3,12 +3,12 @@
 //! Classic layout: a header (slot count), a slot directory growing from
 //! the front, and tuple payloads packed from the back. Values use a
 //! compact tagged serialization. Pages are fixed at 8 KB — a tuple that
-//! cannot fit an empty page ([`tuple_fits_page`]) is rejected before it
+//! cannot fit an empty page (`tuple_fits_page`) is rejected before it
 //! is logged or applied (TPC-H's widest rows are far below that).
 //!
 //! A page image is a pure function of the payload sequence inserted
 //! into a fresh page, which is what lets the write path repack raw
-//! slot payloads ([`Page::payload`] → [`Page::insert_raw`]) and land on
+//! slot payloads ([`Page::payload`] → `Page::insert_raw`) and land on
 //! exactly the bytes a bulk load of the decoded tuples would produce.
 
 use std::cmp::Ordering;
@@ -72,7 +72,7 @@ impl Page {
     }
 
     /// Bytes of free space remaining.
-    pub fn free_space(&self) -> usize {
+    pub(crate) fn free_space(&self) -> usize {
         let used_front = HEADER + self.len() * SLOT;
         (self.free_end() as usize).saturating_sub(used_front)
     }
@@ -85,7 +85,7 @@ impl Page {
     /// Try to append an already-serialized tuple (a [`Self::payload`]
     /// of another page, or [`serialize_tuple`] output); returns `false`
     /// when it does not fit.
-    pub fn insert_raw(&mut self, payload: &[u8]) -> bool {
+    pub(crate) fn insert_raw(&mut self, payload: &[u8]) -> bool {
         if payload.len() + SLOT > self.free_space() {
             return false;
         }
@@ -129,7 +129,7 @@ impl Page {
 
     /// Bytes occupied (header + slots + payloads); the I/O cost of
     /// reading this page is nevertheless always the full `PAGE_SIZE`.
-    pub fn used_bytes(&self) -> usize {
+    pub(crate) fn used_bytes(&self) -> usize {
         HEADER + self.len() * SLOT + (PAGE_SIZE - self.free_end() as usize)
     }
 
@@ -176,7 +176,7 @@ impl Page {
 
     /// Corrupt one byte of the raw page image (a fault-injection /
     /// test hook: the next checksum verification must detect it).
-    pub fn flip_byte(&mut self, offset: usize) {
+    pub(crate) fn flip_byte(&mut self, offset: usize) {
         Arc::make_mut(&mut self.buf)[offset % PAGE_SIZE] ^= 0xFF;
     }
 }
@@ -263,7 +263,7 @@ pub(crate) fn serialize_pair(a: &Value, b: &Value, out: &mut Vec<u8>) {
 /// indexing any of its columns). Computed from the value widths without
 /// serializing, so an over-long string is rejected here rather than
 /// tripping [`serialize_tuple`]'s length assertion.
-pub fn tuple_fits_page(t: &Tuple) -> bool {
+pub(crate) fn tuple_fits_page(t: &Tuple) -> bool {
     let len: usize = t
         .iter()
         .map(|v| match v {

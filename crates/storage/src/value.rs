@@ -90,7 +90,7 @@ impl Value {
     }
 
     /// Approximate stored width in bytes (drives scan byte accounting).
-    pub fn width_bytes(&self) -> u64 {
+    pub(crate) fn width_bytes(&self) -> u64 {
         match self {
             Value::Int(_) => 8,
             Value::Str(s) => 2 + s.len() as u64,

@@ -45,7 +45,7 @@ use crate::page::PAGE_SIZE;
 use crate::value::{Tuple, Value};
 
 /// Framing header size: payload length (u32) + payload checksum (u64).
-pub const RECORD_HEADER: usize = 12;
+pub(crate) const RECORD_HEADER: usize = 12;
 
 /// Sanity ceiling on a single record's payload — anything larger is
 /// corruption, not data.
@@ -471,11 +471,6 @@ impl WriteAheadLog {
     /// True once a crash point has fired.
     pub fn crashed(&self) -> bool {
         self.crashed
-    }
-
-    /// Successful appends so far.
-    pub fn records_appended(&self) -> u64 {
-        self.records_appended
     }
 
     /// Successful fsync calls so far.

@@ -13,7 +13,7 @@ const DAYS_IN_MONTH: [i32; 12] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31
 /// True for leap years in the TPC-H window (1992, 1996 — the Gregorian
 /// century rules don't bite between 1992 and 1998, but implement them
 /// anyway for correctness outside the window).
-pub fn is_leap(year: i32) -> bool {
+pub(crate) fn is_leap(year: i32) -> bool {
     (year % 4 == 0 && year % 100 != 0) || year % 400 == 0
 }
 
@@ -36,7 +36,7 @@ fn days_in_month(year: i32, month: u32) -> i32 {
 
 impl Date {
     /// TPC-H epoch: 1992-01-01.
-    pub const EPOCH_YEAR: i32 = 1992;
+    pub(crate) const EPOCH_YEAR: i32 = 1992;
 
     /// Build a date from year/month/day. Panics on invalid components.
     pub fn from_ymd(year: i32, month: u32, day: u32) -> Self {
@@ -105,12 +105,12 @@ impl std::fmt::Display for Date {
 }
 
 /// TPC-H data window start.
-pub fn start_date() -> Date {
+pub(crate) fn start_date() -> Date {
     Date::from_ymd(1992, 1, 1)
 }
 
 /// TPC-H data window end (inclusive).
-pub fn end_date() -> Date {
+pub(crate) fn end_date() -> Date {
     Date::from_ymd(1998, 12, 31)
 }
 

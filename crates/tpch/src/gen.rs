@@ -57,18 +57,6 @@ pub struct TpchDb {
 }
 
 impl TpchDb {
-    /// Total row count across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.region.len()
-            + self.nation.len()
-            + self.supplier.len()
-            + self.customer.len()
-            + self.part.len()
-            + self.partsupp.len()
-            + self.orders.len()
-            + self.lineitem.len()
-    }
-
     /// Hand every stored row to `sink`, each table's rows in order.
     pub fn stream<S: TpchSink + ?Sized>(&self, sink: &mut S) {
         fn each<T, S: TpchSink + ?Sized>(

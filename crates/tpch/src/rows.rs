@@ -178,70 +178,6 @@ impl Lineitem {
     }
 }
 
-/// Approximate on-wire/in-page width of each row type in bytes; used by
-/// the executors to charge memory-stream traffic for a scan.
-pub trait RowWidth {
-    /// Byte width of this row as stored.
-    fn width_bytes(&self) -> u64;
-}
-
-fn s(len: usize) -> u64 {
-    len as u64
-}
-
-impl RowWidth for Region {
-    fn width_bytes(&self) -> u64 {
-        8 + s(self.r_name.len()) + s(self.r_comment.len())
-    }
-}
-impl RowWidth for Nation {
-    fn width_bytes(&self) -> u64 {
-        16 + s(self.n_name.len()) + s(self.n_comment.len())
-    }
-}
-impl RowWidth for Supplier {
-    fn width_bytes(&self) -> u64 {
-        24 + s(self.s_name.len())
-            + s(self.s_address.len())
-            + s(self.s_phone.len())
-            + s(self.s_comment.len())
-    }
-}
-impl RowWidth for Customer {
-    fn width_bytes(&self) -> u64 {
-        24 + s(self.c_name.len())
-            + s(self.c_address.len())
-            + s(self.c_phone.len())
-            + s(self.c_mktsegment.len())
-            + s(self.c_comment.len())
-    }
-}
-impl RowWidth for Part {
-    fn width_bytes(&self) -> u64 {
-        24 + s(self.p_name.len())
-            + s(self.p_mfgr.len())
-            + s(self.p_brand.len())
-            + s(self.p_type.len())
-            + s(self.p_container.len())
-            + s(self.p_comment.len())
-    }
-}
-impl RowWidth for PartSupp {
-    fn width_bytes(&self) -> u64 {
-        32 + s(self.ps_comment.len())
-    }
-}
-impl RowWidth for Order {
-    fn width_bytes(&self) -> u64 {
-        40 + s(self.o_orderpriority.len()) + s(self.o_clerk.len()) + s(self.o_comment.len())
-    }
-}
-impl RowWidth for Lineitem {
-    fn width_bytes(&self) -> u64 {
-        64 + s(self.l_shipinstruct.len()) + s(self.l_shipmode.len()) + s(self.l_comment.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,6 +203,5 @@ mod tests {
             l_comment: "x".into(),
         };
         assert_eq!(li.revenue_cents(), 9_300); // $93.00
-        assert!(li.width_bytes() > 64);
     }
 }

@@ -13,7 +13,7 @@ pub const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE E
 
 /// The 25 TPC-H nations as `(name, region_key)`, in nation-key order
 /// (per the TPC-H specification's fixed nation table).
-pub const NATIONS: [(&str, i64); 25] = [
+pub(crate) const NATIONS: [(&str, i64); 25] = [
     ("ALGERIA", 0),
     ("ARGENTINA", 1),
     ("BRAZIL", 1),
@@ -51,10 +51,11 @@ pub const SEGMENTS: [&str; 5] = [
 ];
 
 /// Order priorities (orders.o_orderpriority domain).
-pub const PRIORITIES: [&str; 5] = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
+pub(crate) const PRIORITIES: [&str; 5] =
+    ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
 
 /// Ship instructions (lineitem.l_shipinstruct domain).
-pub const INSTRUCTIONS: [&str; 4] = [
+pub(crate) const INSTRUCTIONS: [&str; 4] = [
     "DELIVER IN PERSON",
     "COLLECT COD",
     "NONE",
@@ -65,21 +66,24 @@ pub const INSTRUCTIONS: [&str; 4] = [
 pub const MODES: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
 
 /// Part type components (p_type = "syllable1 syllable2 syllable3").
-pub const TYPE_SYLLABLE_1: [&str; 6] = ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"];
+pub(crate) const TYPE_SYLLABLE_1: [&str; 6] =
+    ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"];
 /// Second part-type syllable.
-pub const TYPE_SYLLABLE_2: [&str; 5] = ["ANODIZED", "BURNISHED", "PLATED", "POLISHED", "BRUSHED"];
+pub(crate) const TYPE_SYLLABLE_2: [&str; 5] =
+    ["ANODIZED", "BURNISHED", "PLATED", "POLISHED", "BRUSHED"];
 /// Third part-type syllable.
-pub const TYPE_SYLLABLE_3: [&str; 5] = ["TIN", "NICKEL", "BRASS", "STEEL", "COPPER"];
+pub(crate) const TYPE_SYLLABLE_3: [&str; 5] = ["TIN", "NICKEL", "BRASS", "STEEL", "COPPER"];
 
 /// Container size words.
-pub const CONTAINER_1: [&str; 5] = ["SM", "LG", "MED", "JUMBO", "WRAP"];
+pub(crate) const CONTAINER_1: [&str; 5] = ["SM", "LG", "MED", "JUMBO", "WRAP"];
 /// Container kind words.
-pub const CONTAINER_2: [&str; 8] = ["CASE", "BOX", "BAG", "JAR", "PKG", "PACK", "CAN", "DRUM"];
+pub(crate) const CONTAINER_2: [&str; 8] =
+    ["CASE", "BOX", "BAG", "JAR", "PKG", "PACK", "CAN", "DRUM"];
 
 /// Part-name colour pool (p_name concatenates five of these in dbgen;
 /// we use two to keep rows compact — width, not content, is what the
 /// experiments exercise).
-pub const COLORS: [&str; 20] = [
+pub(crate) const COLORS: [&str; 20] = [
     "almond",
     "antique",
     "aquamarine",
@@ -103,7 +107,7 @@ pub const COLORS: [&str; 20] = [
 ];
 
 /// Word pool for synthetic comments.
-pub const COMMENT_WORDS: [&str; 24] = [
+pub(crate) const COMMENT_WORDS: [&str; 24] = [
     "carefully",
     "quickly",
     "furiously",
@@ -135,7 +139,7 @@ pub const COMMENT_WORDS: [&str; 24] = [
 // allocating per row.
 
 /// A short synthetic comment of `words` words, into `out`.
-pub fn comment_into<R: Rng>(rng: &mut R, words: usize, out: &mut String) {
+pub(crate) fn comment_into<R: Rng>(rng: &mut R, words: usize, out: &mut String) {
     out.clear();
     for i in 0..words {
         if i > 0 {
@@ -147,7 +151,7 @@ pub fn comment_into<R: Rng>(rng: &mut R, words: usize, out: &mut String) {
 
 /// A spec-style phone number for a nation key, into `out`:
 /// `CC-DDD-DDD-DDDD` where the country code is `10 + nation_key`.
-pub fn phone_into<R: Rng>(rng: &mut R, nation_key: i64, out: &mut String) {
+pub(crate) fn phone_into<R: Rng>(rng: &mut R, nation_key: i64, out: &mut String) {
     out.clear();
     // Writing into a `String` cannot fail.
     let _ = write!(
@@ -161,7 +165,7 @@ pub fn phone_into<R: Rng>(rng: &mut R, nation_key: i64, out: &mut String) {
 }
 
 /// A synthetic street address, into `out`.
-pub fn address_into<R: Rng>(rng: &mut R, out: &mut String) {
+pub(crate) fn address_into<R: Rng>(rng: &mut R, out: &mut String) {
     out.clear();
     let _ = write!(
         out,
