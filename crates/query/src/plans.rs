@@ -699,6 +699,7 @@ mod late_filter_tests {
     use super::*;
     use crate::context::ExecCtx;
     use crate::exec::execute;
+    use eco_simhw::trace::PhaseKind;
     use eco_storage::{load_tpch, EngineKind};
     use eco_tpch::TpchGenerator;
 
@@ -721,11 +722,14 @@ mod late_filter_tests {
         let mut b = q5_rows_to_pairs(&bad_rows);
         b.sort();
         assert_eq!(a, b, "plans must agree on the answer");
+        let machine = eco_simhw::Machine::paper_sut();
+        let busy_s = |ctx: &mut ExecCtx| {
+            machine.stock_busy_seconds(&ctx.take_phase(PhaseKind::Execute, "q5"))
+        };
+        let (bad_s, good_s) = (busy_s(&mut bctx), busy_s(&mut gctx));
         assert!(
-            bctx.ledger.cpu.cycles() > 1.5 * gctx.ledger.cpu.cycles(),
-            "late filtering must do much more work: {} vs {}",
-            bctx.ledger.cpu.cycles(),
-            gctx.ledger.cpu.cycles()
+            bad_s > 1.5 * good_s,
+            "late filtering must do much more work: {bad_s} s vs {good_s} s busy"
         );
     }
 

@@ -10,7 +10,6 @@
 //!   size (≈ 1.88× / 3.5× / 6× for 8/16/32 KB relative to 4 KB).
 
 use crate::calib;
-use crate::trace::DiskWork;
 
 /// Access pattern for a raw-disk experiment (Fig 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,21 +93,15 @@ impl DiskSpec {
         5.0 * self.idle_5v_a + 12.0 * self.idle_12v_a
     }
 
-    /// Cost of the disk work recorded in a trace phase. Retry I/O
-    /// (ledger schema v2) and index I/O (schema v4) price exactly like
-    /// random I/O — a re-read or a B-tree probe repositions the head
-    /// and bursts the block again — they are only *ledgered* separately
-    /// so fault-free and index-free runs stay bit-identical. Log I/O
-    /// (schema v5) prices exactly like *sequential* transfer: the
-    /// write-ahead log is an append-only stream the head never leaves,
-    /// so an fsync pays streaming-rate bytes and no seek.
-    pub fn cost(&self, work: &DiskWork) -> DiskCost {
-        let seq_xfer = (work.sequential_bytes + work.log_bytes) as f64 / self.seq_rate;
-        let rand_seek =
-            (work.random_ios + work.retry_ios + work.index_ios) as f64 * self.rand_overhead_s;
-        let rand_xfer =
-            (work.random_bytes + work.retry_bytes + work.index_bytes) as f64 / self.rand_burst_rate;
-        self.cost_parts(rand_seek, seq_xfer + rand_xfer)
+    /// Cost of `seeks` random repositionings, `seq_bytes` streamed at
+    /// the sequential rate and `burst_bytes` transferred at the random
+    /// in-block burst rate — a ledger's `DiskSeek`, `DiskSeqBytes` and
+    /// `DiskBurstBytes` role sums.
+    pub fn cost(&self, seeks: u64, seq_bytes: u64, burst_bytes: u64) -> DiskCost {
+        let seq_xfer = seq_bytes as f64 / self.seq_rate;
+        let seek_s = seeks as f64 * self.rand_overhead_s;
+        let burst_xfer = burst_bytes as f64 / self.rand_burst_rate;
+        self.cost_parts(seek_s, seq_xfer + burst_xfer)
     }
 
     /// Cost of reading `total_bytes` in `block` -byte requests under the
@@ -120,19 +113,10 @@ impl DiskSpec {
         block: u64,
     ) -> DiskCost {
         assert!(block > 0, "block size must be positive");
-        let blocks = total_bytes.div_ceil(block);
-        let work = match pattern {
-            AccessPattern::Sequential => DiskWork {
-                sequential_bytes: total_bytes,
-                ..DiskWork::none()
-            },
-            AccessPattern::Random => DiskWork {
-                random_ios: blocks,
-                random_bytes: total_bytes,
-                ..DiskWork::none()
-            },
-        };
-        self.cost(&work)
+        match pattern {
+            AccessPattern::Sequential => self.cost(0, total_bytes, 0),
+            AccessPattern::Random => self.cost(total_bytes.div_ceil(block), 0, total_bytes),
+        }
     }
 
     /// Throughput of an access experiment, bytes/s.
@@ -244,91 +228,11 @@ mod tests {
     #[test]
     fn cost_additivity() {
         let d = DiskSpec::default();
-        let a = DiskWork {
-            sequential_bytes: 10 << 20,
-            random_ios: 100,
-            random_bytes: 100 * 8192,
-            ..DiskWork::none()
-        };
-        let b = DiskWork {
-            sequential_bytes: 5 << 20,
-            random_ios: 50,
-            random_bytes: 50 * 8192,
-            ..DiskWork::none()
-        };
-        let ab = DiskWork {
-            sequential_bytes: 15 << 20,
-            random_ios: 150,
-            random_bytes: 150 * 8192,
-            ..DiskWork::none()
-        };
-        let ca = d.cost(&a);
-        let cb = d.cost(&b);
-        let cab = d.cost(&ab);
+        let ca = d.cost(100, 10 << 20, 100 * 8192);
+        let cb = d.cost(50, 5 << 20, 50 * 8192);
+        let cab = d.cost(150, 15 << 20, 150 * 8192);
         assert!((cab.busy_s - (ca.busy_s + cb.busy_s)).abs() < 1e-9);
         assert!((cab.busy_joules() - (ca.busy_joules() + cb.busy_joules())).abs() < 1e-9);
-    }
-
-    #[test]
-    fn retry_io_prices_exactly_like_random_io() {
-        let d = DiskSpec::default();
-        let random = DiskWork {
-            random_ios: 40,
-            random_bytes: 40 * 8192,
-            ..DiskWork::none()
-        };
-        let retry = DiskWork {
-            retry_ios: 40,
-            retry_bytes: 40 * 8192,
-            ..DiskWork::none()
-        };
-        let cr = d.cost(&random);
-        let ct = d.cost(&retry);
-        assert_eq!(cr.busy_s, ct.busy_s);
-        assert_eq!(cr.busy_joules(), ct.busy_joules());
-    }
-
-    #[test]
-    fn index_io_prices_exactly_like_random_io() {
-        // Schema v4: a B-tree probe pays seek + burst per page, same as
-        // any other random access — the class split is bookkeeping only.
-        let d = DiskSpec::default();
-        let random = DiskWork {
-            random_ios: 40,
-            random_bytes: 40 * 8192,
-            ..DiskWork::none()
-        };
-        let index = DiskWork {
-            index_ios: 40,
-            index_bytes: 40 * 8192,
-            ..DiskWork::none()
-        };
-        let cr = d.cost(&random);
-        let ci = d.cost(&index);
-        assert_eq!(cr.busy_s, ci.busy_s);
-        assert_eq!(cr.busy_joules(), ci.busy_joules());
-    }
-
-    #[test]
-    fn log_io_prices_exactly_like_sequential_io() {
-        // Schema v5: an fsync streams the pending log tail at the
-        // drive's sequential rate with no repositioning — the class
-        // split is bookkeeping only, and log_ios carry no seek charge.
-        let d = DiskSpec::default();
-        let sequential = DiskWork {
-            sequential_bytes: 40 * 8192,
-            ..DiskWork::none()
-        };
-        let log = DiskWork {
-            log_ios: 40,
-            log_bytes: 40 * 8192,
-            ..DiskWork::none()
-        };
-        let cs = d.cost(&sequential);
-        let cl = d.cost(&log);
-        assert_eq!(cs.busy_s, cl.busy_s);
-        assert_eq!(cs.busy_joules(), cl.busy_joules());
-        assert_eq!(cl.seek_s, 0.0, "fsyncs never seek");
     }
 
     #[test]

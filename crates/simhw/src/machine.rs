@@ -108,6 +108,8 @@ struct PhaseTiming {
     disk_joules_active: f64,
     gap_s: f64,
     backoff_s: f64,
+    /// Cycle-weighted mean switching activity of the phase's CPU work.
+    activity: f64,
 }
 
 impl PhaseTiming {
@@ -158,11 +160,8 @@ impl Machine {
 
         let busy_s: f64 = timings.iter().map(|t| t.busy_s()).sum();
         let elapsed_s: f64 = timings.iter().map(|t| t.elapsed_s()).sum();
-        let utilization = if elapsed_s > 0.0 {
-            (busy_s / elapsed_s).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
+        let per_s = |x: f64| if elapsed_s > 0.0 { x / elapsed_s } else { 0.0 };
+        let utilization = per_s(busy_s).clamp(0.0, 1.0);
 
         // Pass 2: power, with droop-adjusted voltage from utilization.
         let top_p = config.cpu.active_top_pstate(&self.cpu_spec);
@@ -179,21 +178,12 @@ impl Machine {
 
             // Busy interval.
             if t.busy_s() > 0.0 {
-                let act_ops = phase.ledger.cpu.mean_activity();
-                let act = if t.busy_s() > 0.0 {
-                    (t.cpu_s * act_ops + t.stall_s * calib::STALL_ACTIVITY) / t.busy_s()
-                } else {
-                    act_ops
-                };
+                let act = (t.cpu_s * t.activity + t.stall_s * calib::STALL_ACTIVITY) / t.busy_s();
                 let w = cpu_model.package_busy_w(&config.cpu, top_p, utilization, act);
                 cpu_tl.push(t.busy_s(), w);
                 phase_cpu_j += w * t.busy_s();
                 // DRAM active in proportion to the stall share.
-                let bw_util = if t.busy_s() > 0.0 {
-                    (t.stall_s / t.busy_s()).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
+                let bw_util = (t.stall_s / t.busy_s()).clamp(0.0, 1.0);
                 dram_joules += self.mem.power_w(bw_util, u) * t.busy_s();
             }
 
@@ -261,16 +251,8 @@ impl Machine {
             wall_joules,
             busy_s,
             utilization,
-            avg_cpu_w: if elapsed_s > 0.0 {
-                cpu_joules / elapsed_s
-            } else {
-                0.0
-            },
-            avg_wall_w: if elapsed_s > 0.0 {
-                wall_joules / elapsed_s
-            } else {
-                0.0
-            },
+            avg_cpu_w: per_s(cpu_joules),
+            avg_wall_w: per_s(wall_joules),
             busy_voltage_v: busy_voltage,
             top_freq_hz: top_freq,
             phases: phases_out,
@@ -286,20 +268,23 @@ impl Machine {
         t.busy_s()
     }
 
+    /// Prices the phase ledger's role sums, never a ledger field.
     fn phase_timing(&self, phase: &Phase, config: &MachineConfig, top_freq: f64) -> PhaseTiming {
         let u = config.cpu.underclock;
-        let cpu_s = phase.ledger.cpu.cycles() / top_freq;
-        let mem_raw = self.mem.stream_time_s(phase.ledger.mem_stream_bytes, u)
-            + self.mem.random_time_s(phase.ledger.mem_random_accesses, u);
+        let s = phase.ledger.role_sums();
+        let cpu_s = s.cycles / top_freq;
+        let mem_raw = self.mem.stream_time_s(s.stream_bytes, u)
+            + self.mem.random_time_s(s.random_accesses, u);
         let stall_s = mem_raw * (1.0 - calib::MEM_OVERLAP);
-        let dcost = self.disk.cost(&phase.ledger.disk);
+        let dcost = self.disk.cost(s.seeks, s.seq_bytes, s.burst_bytes);
         PhaseTiming {
             cpu_s,
             stall_s,
             disk_s: dcost.busy_s,
             disk_joules_active: dcost.busy_joules(),
-            gap_s: phase.ledger.gap_ns as f64 * 1e-9,
-            backoff_s: phase.ledger.backoff_ns as f64 * 1e-9,
+            gap_s: s.gap_nanos as f64 * 1e-9,
+            backoff_s: s.backoff_nanos as f64 * 1e-9,
+            activity: s.mean_activity(),
         }
     }
 }
@@ -308,7 +293,9 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::cpu::VoltageSetting;
-    use crate::trace::{DiskWork, OpClass};
+    use crate::trace::{
+        ChargeClass, DiskWork, Ledger, OpClass, PriceRole, CHARGE_CLASSES, N_CHARGE_CLASSES,
+    };
 
     fn cpu_heavy_trace(scale: u64) -> WorkTrace {
         let mut t = WorkTrace::new();
@@ -462,6 +449,48 @@ mod tests {
         let b = m.measure(&backoff_trace, &cfg);
         assert_eq!(g.elapsed_s, b.elapsed_s);
         assert_eq!(g.cpu_joules, b.cpu_joules);
+    }
+
+    /// The pricing property of `CHARGE_CLASSES`: one unit of a class
+    /// moves the measurement, at stock and under PVC, iff its role is
+    /// not `Counted`, and `log_ios` is the one `Counted` class (an
+    /// fsync never seeks); moving counts between two classes of one
+    /// role (other than `Cycles`, which reads each op's own
+    /// calibration) never changes the price.
+    #[test]
+    fn every_class_prices_by_its_role() {
+        let m = Machine::paper_sut();
+        let pvc = MachineConfig::with_cpu(CpuConfig::underclocked(0.05, VoltageSetting::Medium));
+        let price = |counts: [u64; N_CHARGE_CLASSES]| {
+            let mut trace = WorkTrace::new();
+            let mut p = Phase::execute("q");
+            p.ledger = Ledger::from_counts(counts);
+            trace.push(p);
+            [MachineConfig::stock(), pvc].map(|cfg| m.measure(&trace, &cfg))
+        };
+        let nothing = price([0; N_CHARGE_CLASSES]);
+        // Every class in play, so every role sum is too.
+        let base: [u64; N_CHARGE_CLASSES] = std::array::from_fn(|i| 1_000 + 37 * i as u64);
+        let at_base = price(base);
+        for (i, r) in CHARGE_CLASSES.iter().enumerate() {
+            let mut one = [0; N_CHARGE_CLASSES];
+            one[i] = 1;
+            let counted = r.price == PriceRole::Counted;
+            assert_eq!(counted, r.class == ChargeClass::LogIos, "{}", r.name);
+            assert_eq!(price(one) == nothing, counted, "{}", r.name);
+            let same_role = CHARGE_CLASSES
+                .iter()
+                .enumerate()
+                .filter(|(j, q)| *j != i && q.price == r.price && r.price != PriceRole::Cycles);
+            for (j, q) in same_role {
+                for n in [1, 40, 900] {
+                    let mut shifted = base;
+                    shifted[i] -= n;
+                    shifted[j] += n;
+                    assert_eq!(price(shifted), at_base, "{} -> {}: {n}", r.name, q.name);
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,60 +11,48 @@
 //! comparing and zeroing ledgers are loops over that table, so a new
 //! class is one row and one slot, and no consumer can forget it.
 //!
+//! A class's price is its row too: each row names the `PriceRole`
+//! whose sum its count adds to, `Ledger::role_sums` reduces a ledger to
+//! those sums in one loop over the table, and the machine model prices
+//! the sums, never a field. A new class is priced by its row; the one
+//! class left unpriced on purpose (`log_ios`) says so in its row.
+//!
 //! # Ledger schema versions
 //!
 //! Each row of `CHARGE_CLASSES` records the schema version that
-//! introduced it; the ledger is at v5.
+//! introduced it; the ledger is at v5. A later version's classes are
+//! zero on every run that does not use its feature, so every earlier
+//! figure stays byte-for-byte unchanged, and the feature prices its
+//! overhead through its own classes and nowhere else
+//! ([`Ledger::without_schema`] drops a version for a compare blind to
+//! it).
 //!
 //! * **v1** — op-class counts, memory stream bytes, random memory
 //!   accesses, three disk classes (sequential bytes, random I/Os,
 //!   random bytes) and the client round-trip gap.
-//! * **v2** — adds the fault-tolerance charge classes: **retry random
-//!   I/O** ([`DiskWork::retry_ios`] / [`DiskWork::retry_bytes`], the
-//!   re-reads a checksum-verified page read pays after an injected or
-//!   real fault) and **backoff halt residency** ([`Ledger::backoff_ns`],
-//!   the exponential-backoff idle time between retry attempts, priced
-//!   like a client gap through the governor's halt residency).
-//!
-//! The v2 classes are zero on any fault-free run, so every v1 figure
-//! is byte-for-byte unchanged; a run with faults prices its robustness
-//! overhead through these classes and nowhere else
-//! ([`Ledger::without_schema`] drops them for a fault-blind compare).
-//!
-//! * **v3** — adds the opt-in **compressed pricing mode**
-//!   ([`PricingMode::Compressed`]) and the dictionary-lookup charge
-//!   class ([`OpClass::DictLookup`], one id→payload translation when an
-//!   execution kernel reads through a dictionary-encoded column). Under
-//!   [`PricingMode::Raw`] (the default) no `DictLookup` is ever
-//!   charged and every scan prices its *raw* tuple bytes, so every
-//!   v1/v2 figure stays byte-for-byte unchanged; under
-//!   [`PricingMode::Compressed`] scans price the *encoded* byte counts
-//!   as memory traffic and compressed kernels charge `DictLookup`, so
+//! * **v2** — faults: **retry random I/O** ([`DiskWork::retry_ios`] /
+//!   [`DiskWork::retry_bytes`], the re-reads a checksum-verified page
+//!   read pays after an injected or real fault) and **backoff halt
+//!   residency** ([`Ledger::backoff_ns`], the exponential-backoff idle
+//!   time between retry attempts).
+//! * **v3** — the opt-in **compressed pricing mode**
+//!   ([`PricingMode::Compressed`]) and [`OpClass::DictLookup`] (one
+//!   id→payload translation when a kernel reads through a
+//!   dictionary-encoded column). Under [`PricingMode::Raw`] (the
+//!   default) no `DictLookup` is charged and scans price raw tuple
+//!   bytes; under `Compressed` scans price the *encoded* bytes, so
 //!   compression ratio becomes measurable joules.
-//!
-//! * **v4** — adds the secondary-index charge classes: **index random
-//!   I/O** ([`DiskWork::index_ios`] / [`DiskWork::index_bytes`], the
-//!   page reads a B-tree probe and its base-row fetches pay through the
-//!   buffer pool — priced exactly like random I/O but ledgered apart so
-//!   scan-shaped plans keep their pure sequential/random split) and the
-//!   node-search CPU class ([`OpClass::NodeSearch`], one binary-search
-//!   step inside a B-tree page). Index-free runs charge nothing to the
-//!   v4 classes, so every v1–v3 figure stays byte-for-byte unchanged;
-//!   an index plan prices its probe overhead through these classes and
-//!   nowhere else, which is what makes the paper's fig5
-//!   random-vs-sequential energy split reproducible from real plans.
-//!
-//! * **v5** — adds the durability charge classes: **log I/O**
-//!   ([`DiskWork::log_ios`] / [`DiskWork::log_bytes`], the write-ahead
-//!   log appends an fsync pushes to stable storage — priced as
-//!   *sequential* transfer because the log is an append-only stream the
-//!   head never leaves, with no per-fsync seek) and the log-record CPU
-//!   class ([`OpClass::LogRecord`], formatting + checksumming one WAL
-//!   record). Read-only runs charge nothing to the v5 classes, so every
-//!   v1–v4 figure stays byte-for-byte unchanged; a mutating workload
-//!   prices its durability overhead through these classes and nowhere
-//!   else, which is what makes group commit (fsync batching as
-//!   QED-for-writes) measurable as joules per transaction.
+//! * **v4** — secondary indexes: **index random I/O**
+//!   ([`DiskWork::index_ios`] / [`DiskWork::index_bytes`], the page
+//!   reads a B-tree probe and its base-row fetches pay) and
+//!   [`OpClass::NodeSearch`] (one binary-search step inside a B-tree
+//!   page), which make the paper's fig5 random-vs-sequential energy
+//!   split reproducible from real plans.
+//! * **v5** — durability: **log I/O** ([`DiskWork::log_ios`] /
+//!   [`DiskWork::log_bytes`], the write-ahead-log appends an fsync
+//!   pushes to stable storage) and [`OpClass::LogRecord`] (formatting
+//!   and checksumming one WAL record), which make group commit (fsync
+//!   batching as QED-for-writes) measurable as joules per transaction.
 
 use std::fmt;
 
@@ -146,43 +134,11 @@ pub enum OpClass {
 /// Number of [`OpClass`] variants.
 pub(crate) const N_OP_CLASSES: usize = 14;
 
-/// All op classes, in discriminant order.
-pub(crate) const ALL_OP_CLASSES: [OpClass; N_OP_CLASSES] = [
-    OpClass::TupleFetch,
-    OpClass::PredEval,
-    OpClass::HashBuild,
-    OpClass::HashProbe,
-    OpClass::Arith,
-    OpClass::AggUpdate,
-    OpClass::ResultEmit,
-    OpClass::Parse,
-    OpClass::SortCmp,
-    OpClass::RowCopy,
-    OpClass::SplitRoute,
-    OpClass::DictLookup,
-    OpClass::NodeSearch,
-    OpClass::LogRecord,
-];
-
 impl OpClass {
     /// Stable index into per-class arrays.
     #[inline]
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// Cycles consumed by one operation of this class (at any frequency;
-    /// cycle counts are frequency-independent, wall time is not).
-    #[inline]
-    pub fn cycles(self) -> f64 {
-        calib::OP_CYCLES[self.index()]
-    }
-
-    /// Switching-activity factor in `[0, 1]`: the fraction of peak
-    /// dynamic power the core draws while executing this class.
-    #[inline]
-    pub fn activity(self) -> f64 {
-        calib::OP_ACTIVITY[self.index()]
     }
 }
 
@@ -214,28 +170,6 @@ impl CpuWork {
     pub fn total_ops(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// Total CPU cycles implied by the recorded operations.
-    pub fn cycles(&self) -> f64 {
-        ALL_OP_CLASSES
-            .iter()
-            .map(|c| self.counts[c.index()] as f64 * c.cycles())
-            .sum()
-    }
-
-    /// Cycle-weighted mean switching activity of this work, in `[0, 1]`.
-    /// Returns the configured halt activity if the ledger is empty.
-    pub(crate) fn mean_activity(&self) -> f64 {
-        let cycles = self.cycles();
-        if cycles <= 0.0 {
-            return calib::HALT_ACTIVITY;
-        }
-        let weighted: f64 = ALL_OP_CLASSES
-            .iter()
-            .map(|c| self.counts[c.index()] as f64 * c.cycles() * c.activity())
-            .sum();
-        weighted / cycles
-    }
 }
 
 /// Disk work performed during a phase, split by access pattern because
@@ -249,27 +183,22 @@ pub struct DiskWork {
     /// Bytes transferred by those random accesses.
     pub random_bytes: u64,
     /// Retry random I/Os: re-reads issued after a failed or
-    /// checksum-mismatched page read. Priced exactly like
-    /// [`DiskWork::random_ios`] but ledgered separately so fault-free
-    /// runs stay bit-identical (ledger schema v2; see
+    /// checksum-mismatched page read (ledger schema v2; see
     /// [schema versions](crate::trace#ledger-schema-versions)).
     pub retry_ios: u64,
     /// Bytes transferred by those retry I/Os (schema v2).
     pub retry_bytes: u64,
     /// Index random I/Os: page reads issued by a B-tree probe (index
-    /// node descent *and* the base-row fetches it drives). Priced
-    /// exactly like [`DiskWork::random_ios`] but ledgered separately so
-    /// index-free runs stay bit-identical and scan plans keep a pure
+    /// node descent *and* the base-row fetches it drives), ledgered
+    /// apart from [`DiskWork::random_ios`] so scan plans keep a pure
     /// sequential/random split (ledger schema v4; see
     /// [schema versions](crate::trace#ledger-schema-versions)).
     pub index_ios: u64,
     /// Bytes transferred by those index I/Os (schema v4).
     pub index_bytes: u64,
     /// Log fsyncs: stable-storage syncs of the write-ahead log. Each
-    /// fsync pushes the pending log tail as one sequential burst (the
-    /// log is append-only, so the head never repositions) — priced like
-    /// [`DiskWork::sequential_bytes`] but ledgered separately so
-    /// read-only runs stay bit-identical (ledger schema v5; see
+    /// fsync pushes the pending log tail as one sequential burst
+    /// (ledger schema v5; see
     /// [schema versions](crate::trace#ledger-schema-versions)).
     pub log_ios: u64,
     /// Bytes pushed to stable storage by those fsyncs, rounded up to
@@ -327,57 +256,141 @@ pub(crate) struct ClassInfo {
     pub schema: u32,
     /// What it counts: `ops`, `B`, `accesses`, `I/Os` or `ns`.
     pub unit: &'static str,
+    /// What one unit of it costs.
+    pub price: PriceRole,
+}
+
+/// What one unit of a charge class costs: the sum of `RoleSums` its
+/// count adds to. Classes that share a role other than `Cycles` price
+/// identically, count for count; they are ledgered apart only for
+/// bookkeeping, so that fault-free, index-free and read-only runs stay
+/// bit-identical to ledgers from before their classes existed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PriceRole {
+    /// CPU work: `calib::OP_CYCLES` cycles per op at the class's
+    /// `calib::OP_ACTIVITY` switching activity. Only op classes.
+    Cycles,
+    /// Bytes streamed through the memory system.
+    MemStream,
+    /// Latency-bound random memory accesses.
+    MemRandom,
+    /// Disk repositionings (seek + rotation), one per random read.
+    DiskSeek,
+    /// Disk bytes at the sequential streaming rate.
+    DiskSeqBytes,
+    /// Disk bytes at the in-block burst rate of a random read.
+    DiskBurstBytes,
+    /// Nanoseconds of client gap: the CPU halts through them.
+    Gap,
+    /// Nanoseconds of retry backoff: halted through like a gap, but
+    /// converted to seconds on its own (one sum would round apart).
+    Backoff,
+    /// Recorded in the ledger but deliberately unpriced.
+    Counted,
 }
 
 /// Number of [`ChargeClass`]es: the op classes plus 13 more.
 pub(crate) const N_CHARGE_CLASSES: usize = N_OP_CLASSES + 13;
 
-const fn row(class: ChargeClass, name: &'static str, schema: u32, unit: &'static str) -> ClassInfo {
+const fn row(
+    class: ChargeClass,
+    name: &'static str,
+    schema: u32,
+    unit: &'static str,
+    price: PriceRole,
+) -> ClassInfo {
     ClassInfo {
         class,
         name,
         schema,
         unit,
+        price,
     }
 }
 
 /// Every charge class, in ledger order (the op classes first, in
-/// [`OpClass::index`] order).
+/// [`OpClass::index`] order), with its price.
 pub(crate) const CHARGE_CLASSES: [ClassInfo; N_CHARGE_CLASSES] = {
     use ChargeClass::*;
     use OpClass::*;
+    use PriceRole::*;
     const OPS: &str = "ops";
     const BYTES: &str = "B";
     [
-        row(Op(TupleFetch), "tuple_fetch", 1, OPS),
-        row(Op(PredEval), "pred_eval", 1, OPS),
-        row(Op(HashBuild), "hash_build", 1, OPS),
-        row(Op(HashProbe), "hash_probe", 1, OPS),
-        row(Op(Arith), "arith", 1, OPS),
-        row(Op(AggUpdate), "agg_update", 1, OPS),
-        row(Op(ResultEmit), "result_emit", 1, OPS),
-        row(Op(Parse), "parse", 1, OPS),
-        row(Op(SortCmp), "sort_cmp", 1, OPS),
-        row(Op(RowCopy), "row_copy", 1, OPS),
-        row(Op(SplitRoute), "split_route", 1, OPS),
-        row(Op(DictLookup), "dict_lookup", 3, OPS),
-        row(Op(NodeSearch), "node_search", 4, OPS),
-        row(Op(LogRecord), "log_record", 5, OPS),
-        row(MemStreamBytes, "mem_stream_bytes", 1, BYTES),
-        row(MemRandomAccesses, "mem_random_accesses", 1, "accesses"),
-        row(SequentialBytes, "sequential_bytes", 1, BYTES),
-        row(RandomIos, "random_ios", 1, "I/Os"),
-        row(RandomBytes, "random_bytes", 1, BYTES),
-        row(RetryIos, "retry_ios", 2, "I/Os"),
-        row(RetryBytes, "retry_bytes", 2, BYTES),
-        row(IndexIos, "index_ios", 4, "I/Os"),
-        row(IndexBytes, "index_bytes", 4, BYTES),
-        row(LogIos, "log_ios", 5, "I/Os"),
-        row(LogBytes, "log_bytes", 5, BYTES),
-        row(GapNs, "gap_ns", 1, "ns"),
-        row(BackoffNs, "backoff_ns", 2, "ns"),
+        row(Op(TupleFetch), "tuple_fetch", 1, OPS, Cycles),
+        row(Op(PredEval), "pred_eval", 1, OPS, Cycles),
+        row(Op(HashBuild), "hash_build", 1, OPS, Cycles),
+        row(Op(HashProbe), "hash_probe", 1, OPS, Cycles),
+        row(Op(Arith), "arith", 1, OPS, Cycles),
+        row(Op(AggUpdate), "agg_update", 1, OPS, Cycles),
+        row(Op(ResultEmit), "result_emit", 1, OPS, Cycles),
+        row(Op(Parse), "parse", 1, OPS, Cycles),
+        row(Op(SortCmp), "sort_cmp", 1, OPS, Cycles),
+        row(Op(RowCopy), "row_copy", 1, OPS, Cycles),
+        row(Op(SplitRoute), "split_route", 1, OPS, Cycles),
+        row(Op(DictLookup), "dict_lookup", 3, OPS, Cycles),
+        row(Op(NodeSearch), "node_search", 4, OPS, Cycles),
+        row(Op(LogRecord), "log_record", 5, OPS, Cycles),
+        row(MemStreamBytes, "mem_stream_bytes", 1, BYTES, MemStream),
+        row(
+            MemRandomAccesses,
+            "mem_random_accesses",
+            1,
+            "accesses",
+            MemRandom,
+        ),
+        row(SequentialBytes, "sequential_bytes", 1, BYTES, DiskSeqBytes),
+        row(RandomIos, "random_ios", 1, "I/Os", DiskSeek),
+        row(RandomBytes, "random_bytes", 1, BYTES, DiskBurstBytes),
+        // A re-read repositions the head and bursts the block again.
+        row(RetryIos, "retry_ios", 2, "I/Os", DiskSeek),
+        row(RetryBytes, "retry_bytes", 2, BYTES, DiskBurstBytes),
+        // A B-tree probe pays seek + burst per page, like any random read.
+        row(IndexIos, "index_ios", 4, "I/Os", DiskSeek),
+        row(IndexBytes, "index_bytes", 4, BYTES, DiskBurstBytes),
+        // The log is an append-only stream the head never leaves: an
+        // fsync pays its bytes at the streaming rate and no seek.
+        row(LogIos, "log_ios", 5, "I/Os", Counted),
+        row(LogBytes, "log_bytes", 5, BYTES, DiskSeqBytes),
+        row(GapNs, "gap_ns", 1, "ns", Gap),
+        row(BackoffNs, "backoff_ns", 2, "ns", Backoff),
     ]
 };
+
+/// A ledger reduced to what the machine model prices: one sum per
+/// [`PriceRole`] (see `Ledger::role_sums`).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RoleSums {
+    /// CPU cycles of the `Cycles` classes.
+    pub cycles: f64,
+    /// Those cycles, each weighted by its class's switching activity.
+    pub active_cycles: f64,
+    /// `MemStream` bytes.
+    pub stream_bytes: u64,
+    /// `MemRandom` accesses.
+    pub random_accesses: u64,
+    /// `DiskSeek` repositionings.
+    pub seeks: u64,
+    /// `DiskSeqBytes` bytes.
+    pub seq_bytes: u64,
+    /// `DiskBurstBytes` bytes.
+    pub burst_bytes: u64,
+    /// `Gap` nanoseconds.
+    pub gap_nanos: u64,
+    /// `Backoff` nanoseconds.
+    pub backoff_nanos: u64,
+}
+
+impl RoleSums {
+    /// Cycle-weighted mean switching activity of the CPU work, in
+    /// `[0, 1]`; the halt activity when there is none.
+    pub fn mean_activity(&self) -> f64 {
+        if self.cycles <= 0.0 {
+            return calib::HALT_ACTIVITY;
+        }
+        self.active_cycles / self.cycles
+    }
+}
 
 impl ChargeClass {
     /// This class's slot: its position in `CHARGE_CLASSES` and in
@@ -489,6 +502,33 @@ impl Ledger {
     /// Every class with its count, in ledger order.
     pub fn iter(&self) -> impl Iterator<Item = (ChargeClass, u64)> {
         CHARGE_CLASSES.iter().map(|r| r.class).zip(self.counts())
+    }
+
+    /// This ledger reduced to its [`RoleSums`]: one pass over the
+    /// counts and `CHARGE_CLASSES`, each count added to its row's
+    /// role. The cycle sums add up in table order: the op-index order
+    /// every figure has been priced in.
+    pub(crate) fn role_sums(&self) -> RoleSums {
+        let mut s = RoleSums::default();
+        for (i, (row, n)) in CHARGE_CLASSES.iter().zip(self.counts()).enumerate() {
+            match row.price {
+                // Op rows come first, so `i` is the op's index.
+                PriceRole::Cycles => {
+                    let cycles = n as f64 * calib::OP_CYCLES[i];
+                    s.cycles += cycles;
+                    s.active_cycles += cycles * calib::OP_ACTIVITY[i];
+                }
+                PriceRole::MemStream => s.stream_bytes += n,
+                PriceRole::MemRandom => s.random_accesses += n,
+                PriceRole::DiskSeek => s.seeks += n,
+                PriceRole::DiskSeqBytes => s.seq_bytes += n,
+                PriceRole::DiskBurstBytes => s.burst_bytes += n,
+                PriceRole::Gap => s.gap_nanos += n,
+                PriceRole::Backoff => s.backoff_nanos += n,
+                PriceRole::Counted => {}
+            }
+        }
+        s
     }
 
     /// Fold another ledger into this one, class by class.
@@ -720,10 +760,20 @@ impl WorkTrace {
 mod tests {
     use super::*;
 
+    /// The `Cycles` rows are the op rows, and each reads its own
+    /// calibration entry.
     #[test]
     fn op_class_indices_are_dense_and_unique() {
-        for (i, c) in ALL_OP_CLASSES.iter().enumerate() {
-            assert_eq!(c.index(), i);
+        for (i, r) in CHARGE_CLASSES.iter().enumerate() {
+            let is_op = matches!(r.class, ChargeClass::Op(_));
+            assert_eq!(is_op, r.price == PriceRole::Cycles, "{}", r.name);
+            if let ChargeClass::Op(c) = r.class {
+                let mut l = Ledger::new();
+                l.cpu.add(c, 2);
+                let s = l.role_sums();
+                let want = (2.0 * calib::OP_CYCLES[i], calib::OP_ACTIVITY[i]);
+                assert_eq!((c.index(), (s.cycles, s.mean_activity())), (i, want));
+            }
         }
     }
 
@@ -748,6 +798,15 @@ mod tests {
         }
     }
 
+    /// The role sums of a ledger holding only `cpu`.
+    fn cpu_sums(cpu: CpuWork) -> RoleSums {
+        Ledger {
+            cpu,
+            ..Ledger::new()
+        }
+        .role_sums()
+    }
+
     #[test]
     fn cpu_work_accumulates() {
         let mut a = CpuWork::new();
@@ -756,23 +815,27 @@ mod tests {
         a.add(OpClass::PredEval, 7);
         assert_eq!(a.count(OpClass::PredEval), 12);
         assert_eq!(a.total_ops(), 22);
-        assert!(a.cycles() > 0.0);
+        assert!(cpu_sums(a).cycles > 0.0);
     }
 
     #[test]
     fn mean_activity_is_bounded() {
         let mut w = CpuWork::new();
-        for c in ALL_OP_CLASSES {
-            w.add(c, 3);
+        for r in &CHARGE_CLASSES {
+            if let ChargeClass::Op(c) = r.class {
+                w.add(c, 3);
+            }
         }
-        let a = w.mean_activity();
+        let a = cpu_sums(w).mean_activity();
         assert!(a > 0.0 && a <= 1.0, "activity {a} out of range");
     }
 
     #[test]
     fn empty_work_reports_halt_activity() {
-        let w = CpuWork::new();
-        assert_eq!(w.mean_activity(), calib::HALT_ACTIVITY);
+        assert_eq!(
+            cpu_sums(CpuWork::new()).mean_activity(),
+            calib::HALT_ACTIVITY
+        );
     }
 
     #[test]
@@ -781,7 +844,7 @@ mod tests {
         hot.add(OpClass::PredEval, 1000);
         let mut cold = CpuWork::new();
         cold.add(OpClass::RowCopy, 1000);
-        assert!(hot.mean_activity() > cold.mean_activity());
+        assert!(cpu_sums(hot).mean_activity() > cpu_sums(cold).mean_activity());
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! point. Accordingly, **every** buffer-pool miss taken on behalf of an
 //! index probe is charged to the v4 index classes
 //! ([`eco_simhw::trace::DiskWork::index_ios`] /
-//! [`eco_simhw::trace::DiskWork::index_bytes`]), which the disk model
-//! prices *exactly* like random I/O ([`eco_simhw::disk::DiskSpec::cost`])
-//! but which are ledgered apart, so:
+//! [`eco_simhw::trace::DiskWork::index_bytes`]), which price *exactly*
+//! like random I/O (their charge-class rows share its price roles) but
+//! are ledgered apart, so:
 //!
 //! * index-free runs charge nothing to the v4 classes and every
 //!   pre-existing figure stays bit-identical;
