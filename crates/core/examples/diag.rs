@@ -31,15 +31,15 @@ fn main() {
         if p == EngineProfile::CommercialDisk {
             db.warm_up();
         }
-        let r = db.run_q5_workload(MachineConfig::stock());
+        let m = db.price(&db.trace_q5_workload().1, MachineConfig::stock());
         println!(
             "{}: {:.3}s util {:.2} cpuW {:.1} cpuJ {:.1} diskJ {:.1}",
             p.name(),
-            r.measurement.elapsed_s,
-            r.measurement.utilization,
-            r.measurement.avg_cpu_w,
-            r.measurement.cpu_joules,
-            r.measurement.disk_joules
+            m.elapsed_s,
+            m.utilization,
+            m.avg_cpu_w,
+            m.cpu_joules,
+            m.disk_joules
         );
     }
 

@@ -36,14 +36,15 @@ use eco_simhw::disk::{AccessPattern, DiskSpec};
 use eco_simhw::machine::MachineConfig;
 use eco_simhw::power::{table1_breakdown, CpuPowerModel};
 use eco_simhw::psu::PsuSpec;
+use eco_simhw::trace::WorkTrace;
 use eco_simhw::CpuSpec;
-use eco_tpch::Q5Params;
+use eco_tpch::{q5_workload, Q5Params};
 
 use crate::advisor::{rank_plans_by_energy, PlanEnergy};
 use crate::metrics::iso_edp_curve;
 use crate::pvc::{theoretical_edp_ratio, PvcSweep};
 use crate::qed::{run_qed, run_qed_sweep, QedOutcome};
-use crate::server::{EcoDb, EngineProfile};
+use crate::server::{EcoDb, EngineProfile, Query};
 
 /// Default scale factor for quick experiment runs.
 pub const DEFAULT_SCALE: f64 = 0.02;
@@ -343,16 +344,16 @@ pub struct WarmCold {
 pub fn warm_cold(scale: f64) -> WarmCold {
     let db = EcoDb::tpch(EngineProfile::CommercialDisk, scale);
     db.flush_cache();
-    let cold_run = db.run_q5_workload(MachineConfig::stock());
-    let warm_run = db.run_q5_workload(MachineConfig::stock());
+    let cold_run = db.price(&db.trace_q5_workload().1, MachineConfig::stock());
+    let warm_run = db.price(&db.trace_q5_workload().1, MachineConfig::stock());
     let to = |m: &eco_simhw::machine::Measurement| WarmColdRun {
         seconds: m.elapsed_s,
         cpu_joules: m.cpu_joules,
         disk_joules: m.disk_joules,
     };
     WarmCold {
-        warm: to(&warm_run.measurement),
-        cold: to(&cold_run.measurement),
+        warm: to(&warm_run),
+        cold: to(&cold_run),
     }
 }
 
@@ -506,10 +507,10 @@ pub(crate) struct ParallelScalingRow {
 pub(crate) fn parallel_scaling(scale: f64) -> Vec<ParallelScalingRow> {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
     let (_, serial_trace) = db.trace_q5_workload();
-    let totals = |traces: &[eco_simhw::trace::WorkTrace]| {
+    let totals = |traces: &[WorkTrace]| {
         traces
             .iter()
-            .map(eco_simhw::trace::WorkTrace::total)
+            .map(WorkTrace::total)
             .sum::<eco_simhw::trace::Ledger>()
     };
     let serial_totals = totals(std::slice::from_ref(&serial_trace));
@@ -518,20 +519,38 @@ pub(crate) fn parallel_scaling(scale: f64) -> Vec<ParallelScalingRow> {
     [1usize, 2, 4, 8]
         .iter()
         .map(|&workers| {
-            let run = db.run_q5_workload_cores(workers, MachineConfig::stock());
+            let core_traces = q5_workload_cores(&db, workers);
+            let m = db
+                .multicore(workers)
+                .measure_uniform(&core_traces, &MachineConfig::stock());
             if workers == 1 {
-                base = run.measurement.elapsed_s;
+                base = m.elapsed_s;
             }
             ParallelScalingRow {
                 workers,
-                elapsed_s: run.measurement.elapsed_s,
-                speedup: base / run.measurement.elapsed_s,
-                cpu_joules: run.measurement.cpu_joules,
-                wall_joules: run.measurement.wall_joules,
-                ledger_identical: totals(&run.core_traces) == serial_totals,
+                elapsed_s: m.elapsed_s,
+                speedup: base / m.elapsed_s,
+                cpu_joules: m.cpu_joules,
+                wall_joules: m.wall_joules,
+                ledger_identical: totals(&core_traces) == serial_totals,
             }
         })
         .collect()
+}
+
+/// The ten-query Q5 workload on `workers` cores, each core's trace the
+/// concatenation of its per-statement traces.
+fn q5_workload_cores(db: &EcoDb, workers: usize) -> Vec<WorkTrace> {
+    let mut cores = vec![WorkTrace::new(); workers];
+    for params in q5_workload() {
+        let (_, traces) = db
+            .trace(&Query::Q5(&params), workers)
+            .unwrap_or_else(|e| panic!("the Q5 workload hit a fault: {e}"));
+        for (core, t) in cores.iter_mut().zip(traces) {
+            core.extend(t);
+        }
+    }
+    cores
 }
 
 /// Format the parallel-scaling study.
@@ -1018,7 +1037,7 @@ pub(crate) fn warm_reread(scale: f64) -> Vec<WarmRereadRow> {
             let db = EcoDb::tpch(EngineProfile::CommercialDisk, scale);
             db.catalog().pool().set_warm_reread_every(every);
             db.warm_up();
-            let m = db.run_q5_workload(MachineConfig::stock()).measurement;
+            let m = db.price(&db.trace_q5_workload().1, MachineConfig::stock());
             WarmRereadRow {
                 every,
                 seconds: m.elapsed_s,

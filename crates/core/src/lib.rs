@@ -37,4 +37,4 @@ pub use advisor::{AccessPath, AccessPathAdvice};
 pub use metrics::{Edp, OperatingPoint};
 pub use pvc::{PvcSweep, PvcSweepPoint};
 pub use qed::{QedOutcome, QedScheme};
-pub use server::{EcoDb, EngineProfile, QueryRun, ServerError};
+pub use server::{EcoDb, EngineProfile, Query, ServerError};

@@ -30,7 +30,7 @@ use eco_simhw::trace::{PhaseKind, WorkTrace};
 use eco_storage::RowSet;
 use eco_tpch::{qed_workload, QedQuery};
 
-use crate::server::EcoDb;
+use crate::server::{EcoDb, Query};
 
 /// Measured outcome of one scheme (sequential or QED) over a batch.
 #[derive(Debug, Clone, Copy)]
@@ -174,7 +174,12 @@ pub fn run_qed_sweep(
 
 /// `qed_workload(k)` run back to back, one statement per query.
 fn sequential_statements(db: &EcoDb, k: usize) -> Vec<Statement> {
-    let trace = |q: &QedQuery| db.trace_selection(q);
+    let trace = |q: &QedQuery| {
+        let (rows, traces) = db
+            .trace(&Query::Selection(q), 1)
+            .unwrap_or_else(|e| panic!("a QED selection failed: {e}"));
+        (rows, traces.into_iter().collect())
+    };
     qed_workload(k).iter().map(trace).collect()
 }
 
@@ -201,7 +206,9 @@ fn qed_against(db: &EcoDb, baseline: &[Statement], config: MachineConfig, sc: bo
 
     // QED: one merged statement.
     let k = baseline.len();
-    let (rows, qed_trace) = db.trace_merged_selection(&qed_workload(k), sc);
+    let (rows, qed_trace) = db
+        .try_trace_merged_selection(&qed_workload(k), sc)
+        .unwrap_or_else(|e| panic!("a QED batch failed: {e}"));
     let m = db.price(&qed_trace, config);
     let gap_exec = phase_seconds(&m.phases, false);
     let split = phase_seconds(&m.phases, true);

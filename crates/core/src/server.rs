@@ -22,20 +22,20 @@ use std::sync::{Arc, OnceLock};
 
 use eco_query::context::ExecCtx;
 use eco_query::error::ExecError;
-use eco_query::exec::{execute_parallel, ExecEngine};
+use eco_query::exec::{execute, execute_rows, ExecEngine};
 use eco_query::mqo::{MergeError, MergedSelection};
 use eco_query::ops::BoxedOp;
 use eco_query::plans;
 use eco_query::sql::{execute_dml, DmlOutcome, Statement};
 use eco_simhw::fault::FaultPlan;
 use eco_simhw::machine::{Machine, MachineConfig, Measurement};
-use eco_simhw::multicore::{MultiCoreMachine, MultiCoreMeasurement};
+use eco_simhw::multicore::MultiCoreMachine;
 use eco_simhw::trace::{OpClass, Phase, PhaseKind, PricingMode, WorkTrace};
 use eco_storage::{
     load_generated, Catalog, EngineKind, RowSet, StoredTable, Tuple, Value, WalError, WalRecord,
     WriteAheadLog,
 };
-use eco_tpch::{q5_workload, Q5Params, QedQuery, TpchDb, TpchGenerator};
+use eco_tpch::{q5_workload, Date, Q5Params, QedQuery, TpchDb, TpchGenerator};
 use parking_lot::Mutex;
 
 /// Which of the paper's two systems this database emulates.
@@ -200,58 +200,59 @@ impl From<eco_storage::IndexError> for ServerError {
     }
 }
 
-/// Approximate statement token counts (drive parse/plan cost).
-fn parse_tokens(kind: StatementKind) -> u64 {
-    match kind {
-        StatementKind::Q5 => 64,
-        StatementKind::Q1 => 36,
-        StatementKind::Q3 => 48,
-        StatementKind::Q6 => 30,
-        StatementKind::Selection => 12,
-        StatementKind::MergedSelection(k) => 12 + 3 * k as u64,
-    }
-}
-
-/// Statement kinds known to the facade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StatementKind {
-    /// TPC-H Q5.
-    Q5,
-    /// TPC-H Q1.
-    Q1,
+/// A statement the facade plans by hand: the paper's TPC-H queries and
+/// the QED selection unit. [`EcoDb::trace`] runs one at any worker
+/// count; ad-hoc SQL goes through [`EcoDb::try_trace_sql`] and merged
+/// QED batches through [`EcoDb::try_trace_merged_selection`].
+#[derive(Debug, Clone, Copy)]
+pub enum Query<'a> {
+    /// TPC-H Q1, `delta_days` before the shipdate cut.
+    Q1 {
+        /// The query's `DELTA` substitution parameter.
+        delta_days: i32,
+    },
     /// TPC-H Q3.
-    Q3,
+    Q3 {
+        /// Customer market segment.
+        segment: &'a str,
+        /// Order-date / ship-date cut.
+        cut: Date,
+    },
+    /// TPC-H Q5, the PVC workload's statement.
+    Q5(&'a Q5Params),
     /// TPC-H Q6.
-    Q6,
-    /// Single `l_quantity` selection (QED unit).
-    Selection,
-    /// A QED-merged selection of `k` predicates.
-    MergedSelection(usize),
+    Q6 {
+        /// Shipdate year.
+        year: i32,
+        /// Centre of the discount band, in percent.
+        discount_pct: i64,
+        /// Exclusive quantity bound.
+        max_qty: i64,
+    },
+    /// Single `l_quantity` selection (the QED unit).
+    Selection(&'a QedQuery),
 }
 
-/// Result of running one statement (or workload) under a configuration.
-#[derive(Debug, Clone)]
-pub struct QueryRun {
-    /// Result rows.
-    pub rows: Vec<Tuple>,
-    /// The work trace (reusable: re-price under other configs).
-    pub trace: WorkTrace,
-    /// The measurement under the requested configuration.
-    pub measurement: Measurement,
-}
-
-/// Result of running one statement (or workload) morsel-parallel
-/// across cores.
-#[derive(Debug, Clone)]
-pub struct ParallelQueryRun {
-    /// Result rows — identical to the serial rows.
-    pub rows: Vec<Tuple>,
-    /// One work trace per core (reusable: re-price under other
-    /// configs or core counts via [`MultiCoreMachine::measure`]).
-    /// Their merged ledger is bit-identical to the serial trace.
-    pub core_traces: Vec<WorkTrace>,
-    /// The multi-core measurement under the requested configuration.
-    pub measurement: MultiCoreMeasurement,
+impl Query<'_> {
+    /// The statement's approximate token count (it drives the parse and
+    /// plan charge), its execute-phase label and its hand-built plan.
+    fn plan(&self, catalog: &Catalog) -> (u64, String, BoxedOp) {
+        match *self {
+            Query::Q1 { delta_days } => (36, "Q1".into(), plans::q1_plan(catalog, delta_days)),
+            Query::Q3 { segment, cut } => (48, "Q3".into(), plans::q3_plan(catalog, segment, cut)),
+            Query::Q5(params) => (64, params.label(), plans::q5_plan(catalog, params)),
+            Query::Q6 {
+                year,
+                discount_pct,
+                max_qty,
+            } => (
+                30,
+                "Q6".into(),
+                plans::q6_plan(catalog, year, discount_pct, max_qty),
+            ),
+            Query::Selection(q) => (12, q.label(), plans::selection_plan(catalog, q)),
+        }
+    }
 }
 
 /// The write-ahead log plus the transaction counter that frames it.
@@ -352,11 +353,6 @@ impl EcoDb {
         }
     }
 
-    /// The engine profile.
-    pub fn profile(&self) -> EngineProfile {
-        self.profile
-    }
-
     /// The execution engine driving statements — SQL, the hand-built
     /// plans, merged QED scans, and everything `eco-server` and
     /// `experiments` run on top. [`ExecEngine::Columnar`] unless
@@ -380,17 +376,6 @@ impl EcoDb {
         self
     }
 
-    /// Switch the execution engine in place.
-    pub fn set_engine(&mut self, engine: ExecEngine) {
-        self.engine = engine;
-    }
-
-    /// The energy-pricing mode driving statements (default
-    /// [`PricingMode::Raw`]).
-    pub fn pricing(&self) -> PricingMode {
-        self.pricing
-    }
-
     /// Same database with a different pricing mode (builder style).
     ///
     /// Unlike [`EcoDb::with_engine`] this is *not* a pure throughput
@@ -404,11 +389,12 @@ impl EcoDb {
     }
 
     /// A fresh [`ExecCtx`] configured for this database's engine and
-    /// pricing mode.
-    fn exec_ctx(&self) -> ExecCtx {
+    /// pricing mode, running on `workers` threads (0 counts as 1).
+    fn exec_ctx(&self, workers: usize) -> ExecCtx {
         ExecCtx::new()
             .with_columnar(self.engine == ExecEngine::Columnar)
             .with_pricing(self.pricing)
+            .with_workers(workers.max(1))
     }
 
     /// The scale factor.
@@ -457,63 +443,80 @@ impl EcoDb {
         self.catalog.pool().set_fault_plan(plan);
     }
 
-    /// The installed fault schedule.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.catalog.pool().fault_plan()
-    }
-
     /// Pre-warm the buffer pool by running the 10-query Q5 workload
     /// once, discarding the trace. Tolerates injected faults (a
     /// permanently unreadable page leaves that page cold; everything
     /// else still warms).
     pub fn warm_up(&self) {
         for params in q5_workload() {
-            let _ = self.try_trace_statement(
-                StatementKind::Q5,
-                plans::q5_plan(&self.catalog, &params),
-                &params.label(),
-            );
+            let _ = self.trace(&Query::Q5(&params), 1);
         }
     }
 
     // --- trace builders (execute once, price under any config) -----------
 
-    /// Execute a plan as one client statement: a round-trip gap phase
-    /// followed by an execute phase (parse + plan work included).
-    /// Panics on a disk fault — the infallible tracers are for
-    /// fault-free use; fault-injected servers go through the `try_*`
-    /// paths.
-    fn trace_statement(
+    /// Execute `q` as one client statement on `workers` threads and
+    /// return its rows and one trace per core: the one statement path.
+    ///
+    /// At one worker (0 counts as 1) the vec holds one trace: a client
+    /// round-trip gap phase, then the execute phase (parse + plan work
+    /// included) labelled as the statement. Above one, core 0 (the
+    /// coordinator) carries the gap and all serial work and cores 1..
+    /// their workers' shares, each phase labelled `[core w]`; the
+    /// merged ledger equals the serial trace's, and so do the rows. A
+    /// page read whose retry budget is exhausted comes back as
+    /// [`ServerError::Io`], a zero divisor in the data as
+    /// [`ServerError::Data`], failing only this statement. On the
+    /// columnar engine the serial rows are a view of the plan's final
+    /// chunks ([`RowSet`]): no row is built until a caller reads one,
+    /// and comparing it builds none.
+    pub fn trace(
         &self,
-        kind: StatementKind,
-        plan: BoxedOp,
-        label: &str,
-    ) -> (RowSet, WorkTrace) {
-        self.try_trace_statement(kind, plan, label)
-            .unwrap_or_else(|e| panic!("{e}"))
+        q: &Query,
+        workers: usize,
+    ) -> Result<(RowSet, Vec<WorkTrace>), ServerError> {
+        let (tokens, label, mut plan) = q.plan(&self.catalog);
+        let mut ctx = self.exec_ctx(workers);
+        ctx.charge(OpClass::Parse, tokens);
+        let rows = execute_rows(plan.as_mut(), &mut ctx);
+        Ok((rows, self.statement_traces(&mut ctx, &label, None)?))
     }
 
-    /// Fallible [`Self::trace_statement`]: a page read whose retry
-    /// budget is exhausted comes back as [`ServerError::Io`] instead of
-    /// a panic, failing only this statement. On the columnar engine the
-    /// rows are a view of the plan's final chunks ([`RowSet`]).
-    fn try_trace_statement(
+    /// Turn a drained statement context into per-core traces — the one
+    /// assembly every statement path shares. An error the run recorded
+    /// fails the statement. Otherwise the ledger becomes one execute
+    /// phase labelled `label` at one worker, or one phase per core
+    /// ([`ExecCtx::take_core_phases`]) above that; the client
+    /// round-trip gap — sized from the statement's *total* stock busy
+    /// time, since the round trip does not shrink with intra-query
+    /// parallelism — precedes core 0's phase, and the optional client
+    /// `tail` (the QED result split) follows it.
+    fn statement_traces(
         &self,
-        kind: StatementKind,
-        mut plan: BoxedOp,
+        ctx: &mut ExecCtx,
         label: &str,
-    ) -> Result<(RowSet, WorkTrace), ServerError> {
-        let mut ctx = self.exec_ctx();
-        ctx.charge(OpClass::Parse, parse_tokens(kind));
-        let rows = self.engine.execute_rows(plan.as_mut(), &mut ctx);
+        tail: Option<Phase>,
+    ) -> Result<Vec<WorkTrace>, ServerError> {
         if let Some(e) = ctx.take_error() {
             return Err(e.into());
         }
-        let exec_phase = ctx.take_phase(PhaseKind::Execute, label);
-        let mut trace = WorkTrace::new();
-        trace.push(self.gap_before(&exec_phase));
-        trace.push(exec_phase);
-        Ok((rows, trace))
+        let phases = match ctx.workers {
+            1 => vec![ctx.take_phase(PhaseKind::Execute, label)],
+            cores => ctx.take_core_phases(cores, label),
+        };
+        let total = Phase {
+            ledger: phases.iter().map(|p| &p.ledger).sum(),
+            ..Phase::execute(label)
+        };
+        // Core 0, the first phase, takes the gap and the tail.
+        let (mut gap, mut tail) = (Some(self.gap_before(&total)), tail);
+        let core_trace = |phase| {
+            [gap.take(), Some(phase), tail.take()]
+                .into_iter()
+                .flatten()
+                .collect()
+        };
+        Ok(phases.into_iter().map(core_trace).collect())
     }
 
     /// The client round-trip gap preceding an execution phase.
@@ -531,290 +534,75 @@ impl EcoDb {
         }
     }
 
-    /// Execute a plan morsel-parallel as one client statement,
-    /// returning per-core traces. Core 0 (the coordinator) carries the
-    /// client round-trip gap — sized from the statement's *total* work,
-    /// since the round trip does not shrink with intra-query
-    /// parallelism — plus all serial work; cores 1.. carry their
-    /// workers' shares. The merged ledger equals the serial trace's.
-    fn trace_statement_cores(
-        &self,
-        kind: StatementKind,
-        mut plan: BoxedOp,
-        label: &str,
-        workers: usize,
-    ) -> (Vec<Tuple>, Vec<WorkTrace>) {
-        assert!(workers >= 1, "need at least one worker");
-        // Workers drain scalar or columnar pipelines per the engine knob.
-        let mut ctx = self.exec_ctx().with_workers(workers);
-        ctx.charge(OpClass::Parse, parse_tokens(kind));
-        let rows = execute_parallel(plan.as_mut(), &mut ctx, workers);
-        if let Some(e) = ctx.take_error() {
-            panic!("{}", ServerError::from(e));
-        }
-        let phases = ctx.take_core_phases(workers, label);
-        (rows, self.assemble_core_traces(phases, None))
-    }
-
-    /// Turn per-core execute phases into per-core traces: the client
-    /// round-trip gap — sized from the statement's *total* stock busy
-    /// time, since the round trip does not shrink with intra-query
-    /// parallelism — lands on core 0, as does the optional trailing
-    /// client phase (e.g. the QED result split).
-    fn assemble_core_traces(
-        &self,
-        phases: Vec<Phase>,
-        core0_tail: Option<Phase>,
-    ) -> Vec<WorkTrace> {
-        let combined = Phase {
-            ledger: phases.iter().map(|p| &p.ledger).sum(),
-            ..Phase::execute("combined")
-        };
-        let gap = self.gap_before(&combined);
-
-        phases
-            .into_iter()
-            .enumerate()
-            .map(|(core, phase)| {
-                let mut t = WorkTrace::new();
-                if core == 0 {
-                    t.push(gap.clone());
-                }
-                t.push(phase);
-                if core == 0 {
-                    if let Some(tail) = &core0_tail {
-                        t.push(tail.clone());
-                    }
-                }
-                t
-            })
-            .collect()
-    }
-
-    /// Trace one TPC-H Q5 instance across `workers` cores.
-    pub(crate) fn trace_q5_cores(
-        &self,
-        params: &Q5Params,
-        workers: usize,
-    ) -> (Vec<Tuple>, Vec<WorkTrace>) {
-        self.trace_statement_cores(
-            StatementKind::Q5,
-            plans::q5_plan(&self.catalog, params),
-            &params.label(),
-            workers,
-        )
-    }
-
-    /// Trace the ten-query Q5 PVC workload across `workers` cores
-    /// (per-core traces concatenated statement by statement).
-    pub fn trace_q5_workload_cores(&self, workers: usize) -> (Vec<Vec<Tuple>>, Vec<WorkTrace>) {
-        let mut all_rows = Vec::with_capacity(10);
-        let mut core_traces: Vec<WorkTrace> = (0..workers).map(|_| WorkTrace::new()).collect();
-        for params in q5_workload() {
-            let (rows, traces) = self.trace_q5_cores(&params, workers);
-            all_rows.push(rows);
-            for (acc, t) in core_traces.iter_mut().zip(traces) {
-                acc.extend(t);
-            }
-        }
-        (all_rows, core_traces)
-    }
-
-    /// Trace a merged QED batch across `workers` cores: the disjunctive
-    /// scan runs morsel-parallel; the client-side split (and the round
-    /// trip) stay on core 0.
-    pub fn trace_merged_selection_cores(
+    /// Trace a merged QED batch serially: gap, merged execution, and
+    /// the application-side result split (client compute phase) —
+    /// [`Self::try_trace_merged_selection_cores`] on one worker.
+    /// Returns per-query result sets; malformed batches come back as a
+    /// typed [`ServerError`] instead of a panic.
+    pub fn try_trace_merged_selection(
         &self,
         queries: &[QedQuery],
         short_circuit: bool,
-        workers: usize,
-    ) -> (Vec<RowSet>, Vec<WorkTrace>) {
-        self.try_trace_merged_selection_cores(queries, short_circuit, workers)
-            .unwrap_or_else(|e| panic!("{e}"))
+    ) -> Result<(Vec<RowSet>, WorkTrace), ServerError> {
+        let (split, traces) = self.try_trace_merged_selection_cores(queries, short_circuit, 1)?;
+        Ok((split, traces.into_iter().collect()))
     }
 
-    /// Fallible [`Self::trace_merged_selection_cores`]: malformed
-    /// batches come back as a typed [`ServerError`] instead of a panic,
-    /// so a session layer can reject them without dying.
+    /// Trace a merged QED batch across `workers` cores (0 counts as 1):
+    /// the one shared merged-batch path (offline QED replay *and* the
+    /// online batcher in `eco-server` price through here). Validate and
+    /// build the [`MergedSelection`] — a malformed batch comes back as
+    /// a typed [`ServerError`], so a session layer can reject it
+    /// without dying — charge the merged parse, run the disjunctive
+    /// scan morsel-parallel and the application-side split in one pass
+    /// ([`MergedSelection::run_split`]), and assemble
+    /// gap/execute/split phases into traces. The split is client work:
+    /// its phase follows the execute phase on core 0, with the round
+    /// trip before it. On the columnar engine the per-query
+    /// [`RowSet`]s are views of the scan's columns: the ledger prices
+    /// every routed row, but the host builds none until a caller reads
+    /// one (see [`RowSet::tuples`]), and a held result keeps the table
+    /// version it scanned.
+    ///
+    /// The serial layout (one worker) reproduces the historical single
+    /// trace (gap, `qed×k` execute, split) byte-for-byte, so every
+    /// offline QED figure is unchanged by routing through here.
     pub fn try_trace_merged_selection_cores(
         &self,
         queries: &[QedQuery],
         short_circuit: bool,
         workers: usize,
     ) -> Result<(Vec<RowSet>, Vec<WorkTrace>), ServerError> {
-        self.merged_selection_traces(queries, short_circuit, Some(workers))
-    }
-
-    /// The one shared merged-batch path (offline QED replay *and* the
-    /// online batcher in `eco-server` price through here): validate and
-    /// build the [`MergedSelection`], charge the merged parse, run the
-    /// disjunctive scan and the application-side split in one pass
-    /// ([`MergedSelection::run_split`] — serially when `workers` is
-    /// `None`, morsel-parallel otherwise), and assemble
-    /// gap/execute/split phases into traces. The split is client work:
-    /// its phase follows the execute phase on core 0. On the columnar
-    /// engine the per-query [`RowSet`]s are views of the scan's columns:
-    /// the ledger prices every routed row, but the host builds none
-    /// until a caller reads one (see [`RowSet::tuples`]), and a held
-    /// result keeps the table version it scanned.
-    ///
-    /// The serial layout reproduces the historical single trace (gap,
-    /// `qed×k` execute, split) byte-for-byte, so every offline QED
-    /// figure is unchanged by routing through this function.
-    fn merged_selection_traces(
-        &self,
-        queries: &[QedQuery],
-        short_circuit: bool,
-        workers: Option<usize>,
-    ) -> Result<(Vec<RowSet>, Vec<WorkTrace>), ServerError> {
-        let mut ctx = self.exec_ctx();
+        let mut ctx = self.exec_ctx(workers);
         ctx.short_circuit_or = short_circuit;
-        ctx.workers = workers.unwrap_or(1).max(1);
-        ctx.charge(
-            OpClass::Parse,
-            parse_tokens(StatementKind::MergedSelection(queries.len())),
-        );
+        // A selection's 12 tokens plus 3 per merged predicate.
+        ctx.charge(OpClass::Parse, 12 + 3 * queries.len() as u64);
         let mut merged = MergedSelection::try_new(&self.catalog, queries)?;
         let mut client = ExecCtx::new();
         let split = merged.run_split(&mut ctx, &mut client);
-        if let Some(e) = ctx.take_error() {
-            return Err(e.into());
-        }
         let split_phase = client.take_phase(PhaseKind::ClientCompute, "qed split");
-
         let label = format!("qed×{}", queries.len());
-        let traces = match workers {
-            None => {
-                let exec_phase = ctx.take_phase(PhaseKind::Execute, label);
-                let mut trace = WorkTrace::new();
-                trace.push(self.gap_before(&exec_phase));
-                trace.push(exec_phase);
-                trace.push(split_phase);
-                vec![trace]
-            }
-            Some(workers) => {
-                let phases = ctx.take_core_phases(workers, &label);
-                self.assemble_core_traces(phases, Some(split_phase))
-            }
-        };
+        let traces = self.statement_traces(&mut ctx, &label, Some(split_phase))?;
         Ok((split, traces))
     }
 
-    /// Run the ten-query Q5 PVC workload morsel-parallel.
-    pub fn run_q5_workload_cores(&self, workers: usize, config: MachineConfig) -> ParallelQueryRun {
-        let (rows, core_traces) = self.trace_q5_workload_cores(workers);
-        let measurement = self
-            .multicore(workers)
-            .measure_uniform(&core_traces, &config);
-        ParallelQueryRun {
-            rows: rows.into_iter().flatten().collect(),
-            core_traces,
-            measurement,
-        }
-    }
-
-    /// Trace one TPC-H Q5 instance.
-    pub fn trace_q5(&self, params: &Q5Params) -> (Vec<Tuple>, WorkTrace) {
-        let (rows, trace) = self.trace_statement(
-            StatementKind::Q5,
-            plans::q5_plan(&self.catalog, params),
-            &params.label(),
-        );
-        (rows.into_tuples(), trace)
-    }
-
     /// Trace the paper's full PVC workload: ten Q5 instances
-    /// back-to-back, each with its client round trip.
+    /// back-to-back, each with its client round trip ([`Self::trace`]
+    /// at one worker, the traces concatenated). Panics on a disk fault:
+    /// the workload is the fault-free figures' input, and a
+    /// fault-injected database traces its statements through
+    /// [`Self::trace`].
     pub fn trace_q5_workload(&self) -> (Vec<Vec<Tuple>>, WorkTrace) {
         let mut all_rows = Vec::with_capacity(10);
         let mut trace = WorkTrace::new();
         for params in q5_workload() {
-            let (rows, t) = self.trace_q5(&params);
-            all_rows.push(rows);
-            trace.extend(t);
+            let (rows, traces) = self
+                .trace(&Query::Q5(&params), 1)
+                .unwrap_or_else(|e| panic!("the Q5 workload hit a fault: {e}"));
+            all_rows.push(rows.into_tuples());
+            trace.extend(traces.into_iter().collect());
         }
         (all_rows, trace)
-    }
-
-    /// Trace a single QED selection. On the columnar engine its rows
-    /// are a view of the scanned columns ([`RowSet`]): no row is built
-    /// until a caller reads one, and comparing it builds none.
-    pub fn trace_selection(&self, q: &QedQuery) -> (RowSet, WorkTrace) {
-        self.trace_statement(
-            StatementKind::Selection,
-            plans::selection_plan(&self.catalog, q),
-            &q.label(),
-        )
-    }
-
-    /// Trace a merged QED batch: gap, merged execution, and the
-    /// application-side result split (client compute phase). Returns
-    /// per-query result sets.
-    pub fn trace_merged_selection(
-        &self,
-        queries: &[QedQuery],
-        short_circuit: bool,
-    ) -> (Vec<RowSet>, WorkTrace) {
-        self.try_trace_merged_selection(queries, short_circuit)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Self::trace_merged_selection`]: malformed batches come
-    /// back as a typed [`ServerError`] instead of a panic.
-    pub fn try_trace_merged_selection(
-        &self,
-        queries: &[QedQuery],
-        short_circuit: bool,
-    ) -> Result<(Vec<RowSet>, WorkTrace), ServerError> {
-        let (split, mut traces) = self.merged_selection_traces(queries, short_circuit, None)?;
-        Ok((split, traces.pop().expect("serial path yields one trace")))
-    }
-
-    /// Trace TPC-H Q1.
-    pub fn trace_q1(&self, delta_days: i32) -> (Vec<Tuple>, WorkTrace) {
-        let (rows, trace) = self.trace_statement(
-            StatementKind::Q1,
-            plans::q1_plan(&self.catalog, delta_days),
-            "Q1",
-        );
-        (rows.into_tuples(), trace)
-    }
-
-    /// Trace TPC-H Q3.
-    pub fn trace_q3(&self, segment: &str, cut: eco_tpch::Date) -> (Vec<Tuple>, WorkTrace) {
-        let (rows, trace) = self.trace_statement(
-            StatementKind::Q3,
-            plans::q3_plan(&self.catalog, segment, cut),
-            "Q3",
-        );
-        (rows.into_tuples(), trace)
-    }
-
-    /// Trace TPC-H Q6.
-    pub fn trace_q6(&self, year: i32, discount_pct: i64, max_qty: i64) -> (Vec<Tuple>, WorkTrace) {
-        let (rows, trace) = self.trace_statement(
-            StatementKind::Q6,
-            plans::q6_plan(&self.catalog, year, discount_pct, max_qty),
-            "Q6",
-        );
-        (rows.into_tuples(), trace)
-    }
-
-    /// Trace an ad-hoc SQL statement (parsed, bound and planned by the
-    /// generic front end in `eco-query::sql`): `SELECT`s execute and
-    /// return rows; `CREATE INDEX` bulk-loads a paged B-tree (ledger
-    /// schema v4) and returns no rows. Panics on a disk fault —
-    /// fault-injected servers use [`Self::try_trace_sql`], which types
-    /// it.
-    pub(crate) fn trace_sql(
-        &self,
-        sql: &str,
-    ) -> Result<(Vec<Tuple>, WorkTrace), eco_query::sql::SqlError> {
-        match self.try_trace_sql(sql) {
-            Ok(r) => Ok(r),
-            Err(ServerError::Sql(e)) => Err(e),
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Fallible SQL tracing with every failure mode typed into
@@ -858,17 +646,13 @@ impl EcoDb {
     ) -> Result<(Vec<Tuple>, WorkTrace, bool), ServerError> {
         let stmt = eco_query::sql::parse_statement(sql)?;
         let tokens = (sql.split_whitespace().count() as u64).max(4);
-        let mut ctx = self.exec_ctx();
+        let mut ctx = self.exec_ctx(1);
         ctx.charge(OpClass::Parse, tokens);
         let mut deferred = false;
         let (rows, label) = match stmt {
             Statement::Select(select) => {
                 let mut plan = eco_query::sql::plan_select(&self.catalog, &select)?;
-                let rows = self.engine.execute(plan.as_mut(), &mut ctx);
-                if let Some(e) = ctx.take_error() {
-                    return Err(e.into());
-                }
-                (rows, "sql")
+                (execute(plan.as_mut(), &mut ctx), "sql")
             }
             Statement::CreateIndex {
                 name,
@@ -890,16 +674,18 @@ impl EcoDb {
                     _ => "delete",
                 };
                 let outcome = execute_dml(&self.catalog, &stmt, &mut ctx)?;
+                // A value the bind could not compute fails the
+                // statement before anything is logged or applied.
+                if let Some(e) = ctx.take_error() {
+                    return Err(e.into());
+                }
                 let affected = self.log_and_apply(outcome, &mut ctx, durable)?;
                 deferred = !durable;
                 (vec![vec![Value::Int(affected as i64)]], label)
             }
         };
-        let exec_phase = ctx.take_phase(PhaseKind::Execute, label);
-        let mut trace = WorkTrace::new();
-        trace.push(self.gap_before(&exec_phase));
-        trace.push(exec_phase);
-        Ok((rows, trace, deferred))
+        let traces = self.statement_traces(&mut ctx, label, None)?;
+        Ok((rows, traces.into_iter().collect(), deferred))
     }
 
     /// The write protocol (one statement = one transaction): charge
@@ -1059,46 +845,6 @@ impl EcoDb {
         Ok(self.catalog.create_index(name, table, column)?)
     }
 
-    /// Run an ad-hoc SQL `SELECT` under a machine configuration.
-    pub fn run_sql(
-        &self,
-        sql: &str,
-        config: MachineConfig,
-    ) -> Result<QueryRun, eco_query::sql::SqlError> {
-        let (rows, trace) = self.trace_sql(sql)?;
-        let measurement = self.machine.measure(&trace, &config);
-        Ok(QueryRun {
-            rows,
-            trace,
-            measurement,
-        })
-    }
-
-    // --- one-shot runs ----------------------------------------------------
-
-    /// Run one Q5 under a machine configuration.
-    pub fn run_q5(&self, region: &str, year: i32, config: MachineConfig) -> QueryRun {
-        let params = Q5Params::new(region, year);
-        let (rows, trace) = self.trace_q5(&params);
-        let measurement = self.machine.measure(&trace, &config);
-        QueryRun {
-            rows,
-            trace,
-            measurement,
-        }
-    }
-
-    /// Run the ten-query Q5 PVC workload under a configuration.
-    pub fn run_q5_workload(&self, config: MachineConfig) -> QueryRun {
-        let (rows, trace) = self.trace_q5_workload();
-        let measurement = self.machine.measure(&trace, &config);
-        QueryRun {
-            rows: rows.into_iter().flatten().collect(),
-            trace,
-            measurement,
-        }
-    }
-
     /// Price an existing trace under another configuration.
     pub fn price(&self, trace: &WorkTrace, config: MachineConfig) -> Measurement {
         self.machine.measure(trace, &config)
@@ -1124,43 +870,56 @@ mod tests {
         EcoDb::tpch(profile, 0.005)
     }
 
+    const Q6: Query<'static> = Query::Q6 {
+        year: 1994,
+        discount_pct: 6,
+        max_qty: 24,
+    };
+
+    /// `q` traced on one worker: its rows and its one trace.
+    fn serial_run(db: &EcoDb, q: Query) -> (RowSet, WorkTrace) {
+        let (rows, traces) = db.trace(&q, 1).expect("fault-free statement");
+        assert_eq!(traces.len(), 1, "one worker, one trace");
+        (rows, traces.into_iter().collect())
+    }
+
     #[test]
     fn q5_runs_on_both_profiles_with_same_answer() {
         let mem = db(EngineProfile::MemoryEngine);
         let disk = db(EngineProfile::CommercialDisk);
-        let a = mem.run_q5("ASIA", 1994, MachineConfig::stock());
-        let b = disk.run_q5("ASIA", 1994, MachineConfig::stock());
-        assert_eq!(a.rows, b.rows, "engines must agree on answers");
-        assert!(!a.rows.is_empty());
+        let params = Q5Params::new("ASIA", 1994);
+        let (a, _) = serial_run(&mem, Query::Q5(&params));
+        let (b, _) = serial_run(&disk, Query::Q5(&params));
+        assert_eq!(a, b, "engines must agree on answers");
+        assert!(!a.is_empty());
     }
 
     #[test]
     fn pvc_saves_energy_costs_time() {
         let db = db(EngineProfile::MemoryEngine);
-        let stock = db.run_q5("ASIA", 1994, MachineConfig::stock());
-        let pvc = db.run_q5(
-            "ASIA",
-            1994,
+        let (_, trace) = serial_run(&db, Query::Q5(&Q5Params::new("ASIA", 1994)));
+        let stock = db.price(&trace, MachineConfig::stock());
+        let pvc = db.price(
+            &trace,
             MachineConfig::with_cpu(CpuConfig::underclocked(0.05, VoltageSetting::Medium)),
         );
-        assert_eq!(stock.rows, pvc.rows);
-        assert!(pvc.measurement.cpu_joules < stock.measurement.cpu_joules);
-        assert!(pvc.measurement.elapsed_s > stock.measurement.elapsed_s);
+        assert!(pvc.cpu_joules < stock.cpu_joules);
+        assert!(pvc.elapsed_s > stock.elapsed_s);
     }
 
     #[test]
     fn memory_profile_is_more_cpu_bound_than_disk_profile() {
         let mem = db(EngineProfile::MemoryEngine);
         let disk = db(EngineProfile::CommercialDisk);
-        let m = mem.run_q5_workload(MachineConfig::stock());
-        let d = disk.run_q5_workload(MachineConfig::stock());
+        let m = mem.price(&mem.trace_q5_workload().1, MachineConfig::stock());
+        let d = disk.price(&disk.trace_q5_workload().1, MachineConfig::stock());
         assert!(
-            m.measurement.utilization > d.measurement.utilization + 0.2,
+            m.utilization > d.utilization + 0.2,
             "memory {} vs disk {}",
-            m.measurement.utilization,
-            d.measurement.utilization
+            m.utilization,
+            d.utilization
         );
-        assert!(m.measurement.utilization > 0.85);
+        assert!(m.utilization > 0.85);
     }
 
     #[test]
@@ -1168,21 +927,23 @@ mod tests {
         let db = db(EngineProfile::CommercialDisk);
         // Cold: fresh pool.
         db.flush_cache();
-        let cold = db.run_q5_workload(MachineConfig::stock());
+        let (cold_rows, cold) = db.trace_q5_workload();
         // Warm: run again without flushing.
-        let warm = db.run_q5_workload(MachineConfig::stock());
-        assert!(cold.measurement.elapsed_s > 1.5 * warm.measurement.elapsed_s);
-        assert!(cold.measurement.disk_joules > warm.measurement.disk_joules);
-        assert_eq!(cold.rows, warm.rows);
+        let (warm_rows, warm) = db.trace_q5_workload();
+        let cold = db.price(&cold, MachineConfig::stock());
+        let warm = db.price(&warm, MachineConfig::stock());
+        assert!(cold.elapsed_s > 1.5 * warm.elapsed_s);
+        assert!(cold.disk_joules > warm.disk_joules);
+        assert_eq!(cold_rows, warm_rows);
     }
 
     #[test]
     fn merged_selection_matches_individual_queries() {
         let db = db(EngineProfile::MemoryEngine);
         let queries = eco_tpch::qed_workload(6);
-        let (split, _trace) = db.trace_merged_selection(&queries, true);
+        let (split, _trace) = db.try_trace_merged_selection(&queries, true).unwrap();
         for (i, q) in queries.iter().enumerate() {
-            let (rows, _) = db.trace_selection(q);
+            let (rows, _) = serial_run(&db, Query::Selection(q));
             assert_eq!(split[i], rows, "query {i}");
         }
     }
@@ -1190,7 +951,7 @@ mod tests {
     #[test]
     fn traces_are_reusable_across_configs() {
         let db = db(EngineProfile::MemoryEngine);
-        let (_, trace) = db.trace_q5(&Q5Params::new("ASIA", 1995));
+        let (_, trace) = serial_run(&db, Query::Q5(&Q5Params::new("ASIA", 1995)));
         let m1 = db.price(&trace, MachineConfig::stock());
         let m2 = db.price(&trace, MachineConfig::stock());
         assert_eq!(m1.cpu_joules, m2.cpu_joules, "pricing is deterministic");
@@ -1218,7 +979,7 @@ mod tests {
         let err = db.try_trace_sql("SELECT x FROM not_a_table").unwrap_err();
         assert!(matches!(err, ServerError::Sql(_)));
         // The database is still fully operational afterwards.
-        let (rows, _) = db.trace_q6(1994, 6, 24);
+        let (rows, _) = serial_run(&db, Q6);
         assert_eq!(rows.len(), 1);
     }
 
@@ -1269,7 +1030,7 @@ mod tests {
             ServerError::Index(eco_storage::IndexError::NotDiskTable(_))
         ));
         // Both databases still serve statements afterwards.
-        let (rows, _) = db.trace_q6(1994, 6, 24);
+        let (rows, _) = serial_run(&db, Q6);
         assert_eq!(rows.len(), 1);
         mem.try_trace_sql(sql).expect("memory profile still serves");
     }
@@ -1278,12 +1039,14 @@ mod tests {
     fn fallible_and_panicking_merged_paths_agree() {
         let db = db(EngineProfile::MemoryEngine);
         let queries = eco_tpch::qed_workload(4);
-        let (a_rows, a_trace) = db.trace_merged_selection(&queries, true);
-        let (b_rows, b_trace) = db
+        let (a_rows, a_trace) = db
             .try_trace_merged_selection(&queries, true)
             .expect("valid");
+        let (b_rows, b_traces) = db
+            .try_trace_merged_selection_cores(&queries, true, 1)
+            .expect("valid");
         assert_eq!(a_rows, b_rows);
-        assert_eq!(a_trace, b_trace, "one shared path, identical traces");
+        assert_eq!(vec![a_trace], b_traces, "one shared path, identical traces");
     }
 
     #[test]
@@ -1324,12 +1087,12 @@ mod tests {
     fn fault_free_plan_leaves_ledgers_bit_identical() {
         let db = db(EngineProfile::CommercialDisk);
         db.flush_cache();
-        let (rows_a, trace_a) = db.trace_q6(1994, 6, 24);
+        let (rows_a, trace_a) = serial_run(&db, Q6);
         // Install a plan that never fires, reboot, rerun: the trace must
         // be byte-for-byte identical (v2 classes all zero).
         db.set_fault_plan(FaultPlan::none());
         db.flush_cache();
-        let (rows_b, trace_b) = db.trace_q6(1994, 6, 24);
+        let (rows_b, trace_b) = serial_run(&db, Q6);
         assert_eq!(rows_a, rows_b);
         assert_eq!(trace_a, trace_b, "fault-free ledgers are bit-identical");
         let total = trace_b.total();
@@ -1623,6 +1386,25 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_divisor_in_a_dml_statement_applies_nothing() {
+        let db = db(EngineProfile::MemoryEngine);
+        let image = db.wal_image();
+        // Region 0's key is a zero divisor.
+        for sql in [
+            "UPDATE region SET r_name = 'X' WHERE 1 / r_regionkey = 1",
+            "DELETE FROM region WHERE 1 / r_regionkey = 1",
+        ] {
+            let err = db.try_trace_sql(sql).unwrap_err();
+            assert_eq!(err, ServerError::Data(ExecError::DivisionByZero), "{sql}");
+        }
+        assert_eq!(db.wal_image(), image, "nothing was logged");
+        let (rows, _) = db
+            .try_trace_sql("SELECT r_regionkey FROM region")
+            .expect("select");
+        assert_eq!(rows.len(), 5, "nothing was applied");
+    }
+
+    #[test]
     fn source_rows_are_built_only_when_asked_for() {
         for profile in [EngineProfile::MemoryEngine, EngineProfile::CommercialDisk] {
             let mut db = EcoDb::tpch_seeded(profile, 0.002, 7);
@@ -1646,11 +1428,41 @@ mod tests {
     #[test]
     fn q1_q3_q6_run() {
         let db = db(EngineProfile::MemoryEngine);
-        let (r1, _) = db.trace_q1(90);
+        let (r1, _) = serial_run(&db, Query::Q1 { delta_days: 90 });
         assert!(!r1.is_empty());
-        let (r3, _) = db.trace_q3("BUILDING", eco_tpch::Date::from_ymd(1995, 3, 15));
+        let cut = Date::from_ymd(1995, 3, 15);
+        let (r3, _) = serial_run(
+            &db,
+            Query::Q3 {
+                segment: "BUILDING",
+                cut,
+            },
+        );
         assert!(r3.len() <= 10);
-        let (r6, _) = db.trace_q6(1994, 6, 24);
+        let (r6, _) = serial_run(&db, Q6);
         assert_eq!(r6.len(), 1);
+    }
+
+    #[test]
+    fn zero_workers_run_the_serial_layout() {
+        let db = db(EngineProfile::MemoryEngine);
+        let (rows, traces) = db.trace(&Q6, 0).expect("zero workers count as one");
+        let (want_rows, want) = db.trace(&Q6, 1).expect("one worker");
+        assert_eq!(rows, want_rows);
+        assert_eq!(traces, want);
+        let labels: Vec<&str> = traces[0]
+            .phases()
+            .iter()
+            .map(|p| p.label.as_str())
+            .collect();
+        assert_eq!(labels, ["client gap", "Q6"]);
+
+        let queries = eco_tpch::qed_workload(3);
+        let (split, traces) = db
+            .try_trace_merged_selection_cores(&queries, true, 0)
+            .expect("zero workers count as one");
+        let (want_split, want_trace) = db.try_trace_merged_selection(&queries, true).unwrap();
+        assert_eq!(split, want_split);
+        assert_eq!(traces, vec![want_trace]);
     }
 }

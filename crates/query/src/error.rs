@@ -2,9 +2,9 @@
 //!
 //! Operators do not return `Result` — the pull-based iterator interface
 //! stays infallible — instead a failing operator records the first
-//! error in its [`crate::context::ExecCtx`] and ends its stream. The
-//! fallible drivers (`try_execute*` in [`crate::exec`]) check the slot
-//! after the pipeline drains and surface it as an `Err`, so a disk
+//! error in its [`crate::context::ExecCtx`] and ends its stream. Callers
+//! of the driver ([`crate::exec`]) take the slot after the pipeline
+//! drains and surface it as an `Err`, so a disk
 //! fault or a zero divisor in the data fails one query with a typed
 //! error instead of panicking the process.
 

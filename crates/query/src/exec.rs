@@ -6,12 +6,12 @@
 //! the final chunks, so no row is built unless a caller reads one),
 //! which is what ships, or the tuple-at-a-time scalar driver
 //! ([`Operator::next`]), the oracle the differential tests compare it
-//! against. [`execute_rows`] is the one top-of-plan driver and
-//! dispatches on the flag; [`execute`] is it with each row built
-//! once, for callers that want tuples. [`ExecEngine`]
-//! sets the flag for one run; [`execute_parallel`] adds
-//! morsel-driven intra-query parallelism on worker threads and composes
-//! with both (every worker drains the context's engine). Both produce
+//! against. [`execute_rows`] is the one driver: it dispatches on the
+//! flag and reads [`ExecCtx::workers`] for morsel-driven intra-query
+//! parallelism on worker threads, which composes with both engines
+//! (every worker drains the context's engine). [`execute`] is it with
+//! each row built once, for callers that want tuples; [`ExecEngine`]
+//! sets the flag for one run. Every engine and worker count produces
 //! identical result rows and bit-identical [`ExecCtx`] ledgers (see
 //! `tests/integration_columnar.rs` and `tests/integration_parallel.rs`)
 //! — engine choice, chunk size and worker count are purely throughput
@@ -25,12 +25,12 @@
 //! data — see [`crate::error::ExecError`]) records the first error in
 //! the context and ends its stream — a failed expression yields a
 //! placeholder value, and every sequential scan stops once an error is
-//! recorded — so every driver below terminates normally with a
-//! *truncated* result and the error still recorded. The `try_*`
-//! drivers check the slot after the pipeline drains and surface it as
-//! an `Err`; callers of the infallible drivers can (and the server
-//! layer does) inspect [`ExecCtx::take_error`] themselves. Nothing on
-//! the execution path panics on a disk fault or a zero divisor.
+//! recorded — so the driver terminates normally with a *truncated*
+//! result and the error still recorded. Callers read it with
+//! [`ExecCtx::take_error`] after the run (parallel workers merge in
+//! index order, so the surviving error is deterministic for a given
+//! fault plan). Nothing on the execution path panics on a disk fault or
+//! a zero divisor.
 //!
 //! A failed statement returns the same typed error on both engines.
 //! Its truncated rows and its ledger are unspecified: how far each
@@ -42,7 +42,6 @@ use eco_simhw::trace::OpClass;
 use eco_storage::{tuple_width, RoutedRows, RowSet, Tuple};
 
 use crate::context::ExecCtx;
-use crate::error::ExecError;
 use crate::ops::Operator;
 use crate::parallel::gather_parallel;
 
@@ -84,30 +83,20 @@ impl ExecEngine {
     pub fn execute(self, plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
         self.execute_rows(plan, ctx).into_tuples()
     }
-
-    /// Fallible twin of [`Self::execute`].
-    pub fn try_execute(
-        self,
-        plan: &mut dyn Operator,
-        ctx: &mut ExecCtx,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let rows = self.execute(plan, ctx);
-        take_exec_error(ctx).map(|()| rows)
-    }
-}
-
-/// Surface (and clear) the error an operator recorded in `ctx`, if any.
-fn take_exec_error(ctx: &mut ExecCtx) -> Result<(), ExecError> {
-    match ctx.take_error() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
 }
 
 /// Execute a plan under the context's engine and return its result
-/// rows: the one top-of-plan driver. Each result row charges one
-/// `ResultEmit` plus its stored width in memory bytes (materialization
-/// into the wire buffer — the DBMS side of the result path).
+/// rows: the one driver, at every worker count. Each result row charges
+/// one `ResultEmit` plus its stored width in memory bytes
+/// (materialization into the wire buffer — the DBMS side of the result
+/// path).
+///
+/// With [`ExecCtx::workers`] above one, a fully partitionable plan
+/// (scan → filter → project) is gathered morsel-parallel here at the
+/// root, and blocking operators ([`crate::ops::HashJoin`],
+/// [`crate::ops::HashAggregate`], [`crate::ops::Sort`]) parallelize
+/// their own inputs during `open`; rows and the merged ledger are those
+/// of one worker.
 ///
 /// The scalar engine pulls tuples ([`Operator::next`]) into an owned
 /// set. The columnar engine tells the root that every column is read
@@ -119,6 +108,11 @@ fn take_exec_error(ctx: &mut ExecCtx) -> Result<(), ExecError> {
 ///
 /// [`DataChunk::width_sum`]: eco_storage::DataChunk::width_sum
 pub fn execute_rows(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> RowSet {
+    if let Some(rows) = gather_parallel(plan, ctx) {
+        ctx.charge(OpClass::ResultEmit, rows.len() as u64);
+        ctx.charge_mem_bytes(rows.iter().map(tuple_width).sum());
+        return rows.into();
+    }
     if !ctx.columnar {
         let mut out = Vec::new();
         plan.open(ctx);
@@ -154,12 +148,6 @@ pub fn execute(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
     execute_rows(plan, ctx).into_tuples()
 }
 
-/// Like [`execute`], appending into an existing buffer (lets callers
-/// reuse a workhorse allocation across queries).
-pub(crate) fn execute_into(plan: &mut dyn Operator, ctx: &mut ExecCtx, out: &mut Vec<Tuple>) {
-    out.append(&mut execute_rows(plan, ctx).into_tuples());
-}
-
 /// Execute a plan through the columnar driver whatever the context's
 /// flag ([`ExecEngine::Columnar`]).
 pub fn execute_columnar(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
@@ -170,57 +158,6 @@ pub fn execute_columnar(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple
 /// ([`ExecEngine::Scalar`]): the oracle.
 pub fn execute_scalar(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
     ExecEngine::Scalar.execute(plan, ctx)
-}
-
-/// Execute a plan with `workers` morsel-parallel worker threads.
-///
-/// Identical result rows and a bit-identical merged ledger to
-/// [`execute`] at every worker count. Parallelism applies wherever the
-/// plan allows it: a fully partitionable plan (scan → filter → project)
-/// is gathered morsel-parallel here at the root, and blocking operators
-/// ([`crate::ops::HashJoin`], [`crate::ops::HashAggregate`],
-/// [`crate::ops::Sort`]) parallelize their own inputs during `open`.
-/// With `workers == 1` this is exactly [`execute`].
-pub fn execute_parallel(plan: &mut dyn Operator, ctx: &mut ExecCtx, workers: usize) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    execute_parallel_into(plan, ctx, workers, &mut out);
-    out
-}
-
-/// Fallible [`execute_parallel`], appending into `out`: drives the
-/// plan with `workers` threads, then surfaces the first typed error
-/// any worker recorded (workers merge in index order, so the surviving
-/// error is deterministic for a given fault plan).
-pub fn try_execute_parallel_into(
-    plan: &mut dyn Operator,
-    ctx: &mut ExecCtx,
-    workers: usize,
-    out: &mut Vec<Tuple>,
-) -> Result<(), ExecError> {
-    execute_parallel_into(plan, ctx, workers, out);
-    take_exec_error(ctx)
-}
-
-/// Like [`execute_parallel`], appending into an existing buffer.
-pub(crate) fn execute_parallel_into(
-    plan: &mut dyn Operator,
-    ctx: &mut ExecCtx,
-    workers: usize,
-    out: &mut Vec<Tuple>,
-) {
-    ctx.workers = workers.max(1);
-    // Root-level gather for fully partitionable plans; the result-path
-    // charges below match execute_into's per-row charges exactly.
-    if let Some(rows) = gather_parallel(plan, ctx) {
-        if !rows.is_empty() {
-            let bytes: u64 = rows.iter().map(tuple_width).sum();
-            ctx.charge(OpClass::ResultEmit, rows.len() as u64);
-            ctx.charge_mem_bytes(bytes);
-        }
-        out.extend(rows);
-        return;
-    }
-    execute_into(plan, ctx, out);
 }
 
 #[cfg(test)]
@@ -274,21 +211,5 @@ mod tests {
         let rows_s = execute_scalar(&mut plan(), &mut ctx);
         assert!(ctx.columnar, "flag must not leak out of the scalar run");
         assert_eq!(rows_s, rows_c);
-    }
-
-    #[test]
-    fn execute_into_reuses_buffer() {
-        let schema = Schema::new(&[("v", ColumnType::Int)]);
-        let mut out = Vec::with_capacity(64);
-        for round in 0..3 {
-            out.clear();
-            let mut src = VecSource::new(
-                schema.clone(),
-                (0..4).map(|i| vec![Value::Int(i)]).collect(),
-            );
-            let mut ctx = ExecCtx::new();
-            execute_into(&mut src, &mut ctx, &mut out);
-            assert_eq!(out.len(), 4, "round {round}");
-        }
     }
 }

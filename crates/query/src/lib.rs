@@ -42,7 +42,8 @@
 //!
 //! ## Morsel-driven parallel execution
 //!
-//! [`exec::execute_parallel`] runs a plan across worker threads:
+//! [`exec::execute_rows`] runs a plan across
+//! [`ExecCtx::workers`](context::ExecCtx) worker threads:
 //! partitionable pipelines split into [`parallel::Morsel`]s (rows for
 //! memory sources, whole disk extents for paged tables), workers run
 //! per-morsel pipeline clones charging private forked ledgers, and
@@ -85,9 +86,7 @@ pub mod sql;
 pub use chunk::{Chunk, Rows};
 pub use context::ExecCtx;
 pub use error::ExecError;
-pub use exec::{
-    execute, execute_columnar, execute_parallel, try_execute_parallel_into, ExecEngine,
-};
+pub use exec::{execute, execute_columnar, ExecEngine};
 pub use expr::{AggFunc, ArithOp, CmpOp, Expr};
 pub use ops::Operator;
 pub use parallel::Morsel;

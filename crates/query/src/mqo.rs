@@ -381,15 +381,14 @@ impl MultiFilter {
     /// evaluations), their match lists are concatenated in morsel
     /// order — so every query's rows come in serial order — and the
     /// emit charge stays with the coordinator, as in
-    /// [`crate::exec::execute_parallel`]: per-core phases are unchanged
+    /// [`crate::exec::execute_rows`]: per-core phases are unchanged
     /// at every worker count.
     ///
     /// A scalar context (`!ctx.columnar`) runs the oracle instead — on
     /// every worker — and returns its tuples as owned sets.
     pub fn run_split(&mut self, ctx: &mut ExecCtx, client: &mut ExecCtx) -> Vec<RowSet> {
         if !ctx.columnar {
-            let workers = ctx.workers;
-            let tagged = crate::exec::execute_parallel(self, ctx, workers);
+            let tagged = crate::exec::execute(self, ctx);
             return split_results(tagged, self.arity(), client)
                 .into_iter()
                 .map(RowSet::from)
@@ -866,10 +865,10 @@ mod tests {
                         "{what}: client ledger"
                     );
                     // The tagged-row parallel driver is the per-core oracle.
-                    let mut pctx = ExecCtx::new().with_morsel_rows(1000);
+                    let mut pctx = ExecCtx::new().with_morsel_rows(1000).with_workers(workers);
                     pctx.short_circuit_or = short_circuit;
                     let mut tagged = MergedSelection::new(&cat, &queries);
-                    crate::exec::execute_parallel(&mut tagged.plan, &mut pctx, workers);
+                    crate::exec::execute(&mut tagged.plan, &mut pctx);
                     assert_eq!(
                         ctx.take_core_phases(workers, "t"),
                         pctx.take_core_phases(workers, "t"),

@@ -670,7 +670,7 @@ pub fn replay_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eco_core::EngineProfile;
+    use eco_core::{EngineProfile, Query};
     use eco_tpch::QedQuery;
 
     fn db() -> EcoDb {
@@ -704,7 +704,7 @@ mod tests {
                     let Statement::Selection(q) = &r.statement else {
                         unreachable!()
                     };
-                    let (want, _) = db.trace_selection(q);
+                    let (want, _) = db.trace(&Query::Selection(q), 1).unwrap();
                     assert_eq!(*rows, want, "session {session:?} rows");
                 }
                 other => panic!("expected completion, got {other:?}"),
@@ -732,7 +732,8 @@ mod tests {
         let [a, b, c, d] = [0, 1, 2, 3].map(|i| rows(&report, i));
         assert!([&a, &b, &c, &d].iter().all(|r| !r.is_decoded()));
         let want = db
-            .trace_selection(&QedQuery { quantity: 5 })
+            .trace(&Query::Selection(&QedQuery { quantity: 5 }), 1)
+            .unwrap()
             .0
             .into_tuples();
         assert_eq!(a.len(), want.len(), "counted before any decode");

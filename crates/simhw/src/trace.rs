@@ -756,6 +756,22 @@ impl WorkTrace {
     }
 }
 
+impl FromIterator<Phase> for WorkTrace {
+    fn from_iter<I: IntoIterator<Item = Phase>>(phases: I) -> Self {
+        Self {
+            phases: phases.into_iter().collect(),
+        }
+    }
+}
+
+/// Concatenation: each trace's phases in turn (per-statement traces
+/// into one workload trace).
+impl FromIterator<WorkTrace> for WorkTrace {
+    fn from_iter<I: IntoIterator<Item = WorkTrace>>(traces: I) -> Self {
+        traces.into_iter().flat_map(|t| t.phases).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,8 +17,8 @@ fn main() {
     // Where does the energy go during the Q5 workload?
     let db = EcoDb::tpch(EngineProfile::CommercialDisk, 0.01);
     db.warm_up();
-    let r = db.run_q5_workload(MachineConfig::stock());
-    let m = &r.measurement;
+    let (_, trace) = db.trace_q5_workload();
+    let m = &db.price(&trace, MachineConfig::stock());
     println!("Q5 workload ({:.2} s wall):", m.elapsed_s);
     println!(
         "  CPU    {:>8.2} J  ({:.1} W avg, utilization {:.0}%)",

@@ -31,20 +31,21 @@ fn main() {
     let eco = MachineConfig::with_cpu(CpuConfig::underclocked(0.05, VoltageSetting::Medium));
     for sql in statements {
         println!("sql> {sql}");
-        match db.run_sql(sql, MachineConfig::stock()) {
-            Ok(run) => {
-                for row in run.rows.iter().take(8) {
+        match db.try_trace_sql(sql) {
+            Ok((rows, trace)) => {
+                for row in rows.iter().take(8) {
                     let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
                     println!("     {}", cells.join(" | "));
                 }
-                if run.rows.len() > 8 {
-                    println!("     ... {} rows total", run.rows.len());
+                if rows.len() > 8 {
+                    println!("     ... {} rows total", rows.len());
                 }
-                let eco_m = db.price(&run.trace, eco);
+                let stock = db.price(&trace, MachineConfig::stock());
+                let eco_m = db.price(&trace, eco);
                 println!(
                     "     [{:.2} ms, {:.4} J stock | {:.4} J at 5% UC/medium]\n",
-                    run.measurement.elapsed_s * 1e3,
-                    run.measurement.cpu_joules,
+                    stock.elapsed_s * 1e3,
+                    stock.cpu_joules,
                     eco_m.cpu_joules
                 );
             }
@@ -53,7 +54,7 @@ fn main() {
     }
 
     // Errors are first-class too.
-    let bad = db.run_sql("SELECT bogus FROM lineitem", MachineConfig::stock());
+    let bad = db.try_trace_sql("SELECT bogus FROM lineitem");
     println!(
         "sql> SELECT bogus FROM lineitem\n     -> {}",
         bad.unwrap_err()

@@ -23,24 +23,29 @@
 //! ## Quickstart
 //!
 //! ```
-//! use ecodb::core::server::{EcoDb, EngineProfile};
-//! use ecodb::simhw::{CpuConfig, VoltageSetting};
+//! use ecodb::core::server::{EcoDb, EngineProfile, Query};
+//! use ecodb::simhw::{CpuConfig, MachineConfig, VoltageSetting};
+//! use ecodb::tpch::Q5Params;
 //!
 //! // An in-memory engine over TPC-H data at a tiny scale factor.
-//! let mut db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.01);
+//! let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.01);
 //!
-//! // Run one TPC-H Q5 at stock settings and at a PVC setting.
-//! let stock = db.run_q5("ASIA", 1994, ecodb::simhw::MachineConfig::stock());
-//! let pvc = db.run_q5(
-//!     "ASIA",
-//!     1994,
-//!     ecodb::simhw::MachineConfig::with_cpu(CpuConfig::underclocked(
-//!         0.05,
-//!         VoltageSetting::Medium,
-//!     )),
+//! // Execute one TPC-H Q5 once, on one worker, then price its trace at
+//! // stock settings and at a PVC setting.
+//! let q5 = Q5Params::new("ASIA", 1994);
+//! let (rows, traces) = db.trace(&Query::Q5(&q5), 1).unwrap();
+//! assert!(!rows.is_empty());
+//! let stock = db.price(&traces[0], MachineConfig::stock());
+//! let pvc = db.price(
+//!     &traces[0],
+//!     MachineConfig::with_cpu(CpuConfig::underclocked(0.05, VoltageSetting::Medium)),
 //! );
-//! assert!(pvc.measurement.cpu_joules < stock.measurement.cpu_joules);
-//! assert_eq!(pvc.rows, stock.rows); // same answer, fewer joules
+//! assert!(pvc.cpu_joules < stock.cpu_joules); // same answer, fewer joules
+//!
+//! // The same statement on four workers: the same rows, one trace per core.
+//! let (par_rows, core_traces) = db.trace(&Query::Q5(&q5), 4).unwrap();
+//! assert_eq!(par_rows, rows);
+//! assert_eq!(core_traces.len(), 4);
 //! ```
 //!
 //! ## Further reading

@@ -8,9 +8,9 @@
 
 use std::sync::OnceLock;
 
-use ecodb::core::server::{EcoDb, EngineProfile};
+use ecodb::core::server::{EcoDb, EngineProfile, Query};
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute_columnar, execute_parallel, execute_scalar, ExecEngine};
+use ecodb::query::exec::{execute, execute_columnar, execute_scalar, ExecEngine};
 use ecodb::query::ops::BoxedOp;
 use ecodb::query::plans;
 use ecodb::simhw::{DiskWork, OpClass};
@@ -167,14 +167,14 @@ fn parallel_columnar_identical_to_scalar() {
 
             for workers in [1usize, 2, 4] {
                 let cat = fresh_catalog(engine);
-                let mut cold_par = ExecCtx::new().with_columnar(true);
-                let rows = execute_parallel(mk(&cat).as_mut(), &mut cold_par, workers);
+                let mut cold_par = ExecCtx::new().with_columnar(true).with_workers(workers);
+                let rows = execute(mk(&cat).as_mut(), &mut cold_par);
                 let what = format!("{name}/{engine:?}/cold/workers={workers}");
                 assert_eq!(rows, cold_rows, "{what}: rows differ");
                 assert_ledgers_equal(&cold_par, &sctx, &what);
 
-                let mut warm_par = ExecCtx::new().with_columnar(true);
-                let rows = execute_parallel(mk(&cat).as_mut(), &mut warm_par, workers);
+                let mut warm_par = ExecCtx::new().with_columnar(true).with_workers(workers);
+                let rows = execute(mk(&cat).as_mut(), &mut warm_par);
                 let what = format!("{name}/{engine:?}/warm/workers={workers}");
                 assert_eq!(rows, warm_rows, "{what}: rows differ");
                 assert_ledgers_equal(&warm_par, &wctx, &what);
@@ -231,15 +231,12 @@ fn a_disk_mirror_grown_statement_by_statement_matches_the_scalar_oracle() {
         let cat = fresh_catalog(EngineKind::Disk);
         for ((name, mk), (rows, ctx)) in statements.iter().zip(&want) {
             let what = format!("{name}/workers={workers}");
-            let mut got = ExecCtx::new().with_columnar(true);
+            let mut got = ExecCtx::new().with_columnar(true).with_workers(workers);
+            let view = execute_rows(mk(&cat).as_mut(), &mut got);
+            assert_eq!(view, *rows, "{what}: rows differ");
             if workers == 1 {
-                let view = execute_rows(mk(&cat).as_mut(), &mut got);
-                assert_eq!(view, *rows, "{what}: rows differ");
                 assert!(!view.is_decoded(), "{what}: the comparison decoded");
                 assert_eq!(view.tuples(), rows, "{what}: decoded rows differ");
-            } else {
-                let got_rows = execute_parallel(mk(&cat).as_mut(), &mut got, workers);
-                assert_eq!(got_rows, *rows, "{what}: rows differ");
             }
             assert_ledgers_equal(&got, ctx, &what);
             if *name == "Q6" {
@@ -350,22 +347,25 @@ fn default_engine_is_columnar() {
 fn ecodb_engine_knob_produces_identical_traces() {
     let mk = || EcoDb::tpch(EngineProfile::MemoryEngine, 0.002);
     let default_db = mk();
-    let (rows_d, trace_d) = default_db.trace_q1(90);
+    let q1 = Query::Q1 { delta_days: 90 };
+    let (rows_d, trace_d) = default_db.trace(&q1, 1).unwrap();
     for engine in [ExecEngine::Scalar, ExecEngine::Columnar] {
         let db = mk().with_engine(engine);
         assert_eq!(db.engine(), engine);
-        let (rows, trace) = db.trace_q1(90);
+        let (rows, trace) = db.trace(&q1, 1).unwrap();
         assert_eq!(rows, rows_d, "{engine:?}: rows differ");
-        trace_d
+        trace_d[0]
             .total()
-            .assert_same(&trace.total(), format_args!("{engine:?}"));
+            .assert_same(&trace[0].total(), format_args!("{engine:?}"));
     }
 
     // The QED path honors the knob too.
     let queries = ecodb::tpch::qed_workload(5);
-    let (split_d, qtrace_d) = default_db.trace_merged_selection(&queries, true);
+    let (split_d, qtrace_d) = default_db
+        .try_trace_merged_selection(&queries, true)
+        .unwrap();
     let oracle = mk().with_engine(ExecEngine::Scalar);
-    let (split, qtrace) = oracle.trace_merged_selection(&queries, true);
+    let (split, qtrace) = oracle.try_trace_merged_selection(&queries, true).unwrap();
     assert_eq!(split, split_d);
     qtrace_d.total().assert_same(&qtrace.total(), "QED oracle");
 }

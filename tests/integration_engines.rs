@@ -1,9 +1,10 @@
 //! Cross-crate integration: both storage engines, all four queries,
 //! answers checked against independent oracles over the generated rows.
 
-use ecodb::core::server::{EcoDb, EngineProfile};
+use ecodb::core::server::{EcoDb, EngineProfile, Query};
 use ecodb::query::plans;
 use ecodb::simhw::{DiskWork, MachineConfig};
+use ecodb::tpch::Q5Params;
 
 const SCALE: f64 = 0.004;
 
@@ -13,11 +14,12 @@ fn q5_answers_match_reference_on_both_engines() {
     let disk = EcoDb::tpch(EngineProfile::CommercialDisk, SCALE);
     for region in ["ASIA", "AMERICA"] {
         for year in [1993, 1995, 1997] {
-            let a = mem.run_q5(region, year, MachineConfig::stock());
-            let b = disk.run_q5(region, year, MachineConfig::stock());
-            assert_eq!(a.rows, b.rows, "{region}/{year}");
-            let got = plans::q5_rows_to_pairs(&a.rows);
-            let want = plans::q5_reference(mem.source(), &ecodb::tpch::Q5Params::new(region, year));
+            let params = Q5Params::new(region, year);
+            let (a, _) = mem.trace(&Query::Q5(&params), 1).unwrap();
+            let (b, _) = disk.trace(&Query::Q5(&params), 1).unwrap();
+            assert_eq!(a, b, "{region}/{year}");
+            let got = plans::q5_rows_to_pairs(&a);
+            let want = plans::q5_reference(mem.source(), &params);
             let mut g = got.clone();
             g.sort();
             let mut w = want.clone();
@@ -30,11 +32,10 @@ fn q5_answers_match_reference_on_both_engines() {
 #[test]
 fn full_workload_is_deterministic() {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
-    let a = db.run_q5_workload(MachineConfig::stock());
-    let b = db.run_q5_workload(MachineConfig::stock());
-    assert_eq!(a.rows, b.rows);
-    assert_eq!(a.measurement.cpu_joules, b.measurement.cpu_joules);
-    assert_eq!(a.measurement.elapsed_s, b.measurement.elapsed_s);
+    let (a_rows, a) = db.trace_q5_workload();
+    let (b_rows, b) = db.trace_q5_workload();
+    assert_eq!(a_rows, b_rows);
+    assert_eq!(a, b, "identical traces, so identical joules and seconds");
 }
 
 #[test]
@@ -45,8 +46,8 @@ fn ten_q5_variants_do_equal_work() {
     let times: Vec<f64> = ecodb::tpch::q5_workload()
         .iter()
         .map(|p| {
-            let (_, trace) = db.trace_q5(p);
-            db.price(&trace, MachineConfig::stock()).elapsed_s
+            let (_, traces) = db.trace(&Query::Q5(p), 1).unwrap();
+            db.price(&traces[0], MachineConfig::stock()).elapsed_s
         })
         .collect();
     let mean = times.iter().sum::<f64>() / times.len() as f64;
@@ -62,13 +63,17 @@ fn ten_q5_variants_do_equal_work() {
 fn q1_q3_q6_agree_across_engines() {
     let mem = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
     let disk = EcoDb::tpch(EngineProfile::CommercialDisk, SCALE);
-    assert_eq!(mem.trace_q1(90).0, disk.trace_q1(90).0);
-    let cut = ecodb::tpch::Date::from_ymd(1995, 3, 15);
-    assert_eq!(
-        mem.trace_q3("BUILDING", cut).0,
-        disk.trace_q3("BUILDING", cut).0
-    );
-    assert_eq!(mem.trace_q6(1994, 6, 24).0, disk.trace_q6(1994, 6, 24).0);
+    let (segment, cut) = ("BUILDING", ecodb::tpch::Date::from_ymd(1995, 3, 15));
+    let (year, discount_pct, max_qty) = (1994, 6, 24);
+    let q6 = Query::Q6 {
+        year,
+        discount_pct,
+        max_qty,
+    };
+    for q in [Query::Q1 { delta_days: 90 }, Query::Q3 { segment, cut }, q6] {
+        let rows = |db: &EcoDb| db.trace(&q, 1).unwrap().0;
+        assert_eq!(rows(&mem), rows(&disk), "{q:?}");
+    }
 }
 
 #[test]
@@ -76,8 +81,9 @@ fn disk_engine_charges_io_memory_engine_does_not() {
     let mem = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
     let disk = EcoDb::tpch(EngineProfile::CommercialDisk, SCALE);
     disk.flush_cache();
-    let (_, mt) = mem.trace_q5(&ecodb::tpch::Q5Params::new("ASIA", 1994));
-    let (_, dt) = disk.trace_q5(&ecodb::tpch::Q5Params::new("ASIA", 1994));
-    assert_eq!(mt.total_disk(), DiskWork::none());
-    assert!(dt.total_disk().total_bytes() > 0);
+    let params = Q5Params::new("ASIA", 1994);
+    let (_, mt) = mem.trace(&Query::Q5(&params), 1).unwrap();
+    let (_, dt) = disk.trace(&Query::Q5(&params), 1).unwrap();
+    assert_eq!(mt[0].total_disk(), DiskWork::none());
+    assert!(dt[0].total_disk().total_bytes() > 0);
 }

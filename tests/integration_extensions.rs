@@ -9,7 +9,7 @@ mod qed_model;
 
 use cluster::{simulate, uniform_stream, Policy, ServerPower};
 use ecodb::core::advisor::rank_plans_by_energy;
-use ecodb::core::server::{EcoDb, EngineProfile};
+use ecodb::core::server::{EcoDb, EngineProfile, Query};
 use ecodb::query::plans;
 use ecodb::simhw::machine::{Machine, MachineConfig};
 use ecodb::simhw::{CpuConfig, VoltageSetting};
@@ -23,15 +23,11 @@ fn all_ten_q5_variants_run_through_sql() {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
     for params in q5_workload() {
         let sql = plans::q5_sql(&params);
-        let via_sql = db.run_sql(&sql, MachineConfig::stock()).expect("compiles");
-        let hand = db.run_q5(
-            &params.region,
-            params.date_from.to_ymd().0,
-            MachineConfig::stock(),
-        );
-        let mut a = plans::q5_rows_to_pairs(&via_sql.rows);
+        let (via_sql, _) = db.try_trace_sql(&sql).expect("compiles");
+        let (hand, _) = db.trace(&Query::Q5(&params), 1).unwrap();
+        let mut a = plans::q5_rows_to_pairs(&via_sql);
         a.sort();
-        let mut b = plans::q5_rows_to_pairs(&hand.rows);
+        let mut b = plans::q5_rows_to_pairs(&hand);
         b.sort();
         assert_eq!(a, b, "{}", params.label());
     }
@@ -41,16 +37,15 @@ fn all_ten_q5_variants_run_through_sql() {
 fn sql_runs_are_priced_like_any_other_statement() {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
     let sql = "SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity <= 25";
-    let stock = db.run_sql(sql, MachineConfig::stock()).unwrap();
-    let eco = db
-        .run_sql(
-            sql,
-            MachineConfig::with_cpu(CpuConfig::underclocked(0.05, VoltageSetting::Medium)),
-        )
-        .unwrap();
-    assert_eq!(stock.rows, eco.rows);
-    assert!(eco.measurement.cpu_joules < stock.measurement.cpu_joules);
-    assert!(eco.measurement.elapsed_s > stock.measurement.elapsed_s);
+    let (rows, trace) = db.try_trace_sql(sql).unwrap();
+    assert_eq!(rows.len(), 1);
+    let stock = db.price(&trace, MachineConfig::stock());
+    let eco = db.price(
+        &trace,
+        MachineConfig::with_cpu(CpuConfig::underclocked(0.05, VoltageSetting::Medium)),
+    );
+    assert!(eco.cpu_joules < stock.cpu_joules);
+    assert!(eco.elapsed_s > stock.elapsed_s);
 }
 
 #[test]
@@ -63,7 +58,7 @@ fn sql_errors_do_not_panic() {
         "SELECT * FROM lineitem WHERE",
         "SELECT n_name FROM nation, region", // cartesian
     ] {
-        assert!(db.run_sql(bad, MachineConfig::stock()).is_err(), "{bad}");
+        assert!(db.try_trace_sql(bad).is_err(), "{bad}");
     }
 }
 

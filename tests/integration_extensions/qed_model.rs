@@ -16,7 +16,7 @@
 //! Nothing in the engine or the reproduced figures reads it: it lives
 //! with its one caller, `tests/integration_extensions.rs`.
 
-use ecodb::core::server::EcoDb;
+use ecodb::core::server::{EcoDb, Query};
 use ecodb::simhw::machine::MachineConfig;
 use ecodb::tpch::qed_workload;
 
@@ -42,13 +42,15 @@ impl QedModel {
         assert!(k_lo >= 2 && k_hi > k_lo && k_hi <= 50);
         let cfg = MachineConfig::stock();
 
-        let (_, single) = db.trace_selection(&qed_workload(1)[0]);
-        let sm = db.price(&single, cfg);
+        let (_, single) = db.trace(&Query::Selection(&qed_workload(1)[0]), 1).unwrap();
+        let sm = db.price(&single[0], cfg);
         let gap_s = sm.phases[0].elapsed_s;
         let t_single_s = sm.phases[1].elapsed_s;
 
         let measure = |k: usize| -> (f64, f64) {
-            let (_, trace) = db.trace_merged_selection(&qed_workload(k), true);
+            let (_, trace) = db
+                .try_trace_merged_selection(&qed_workload(k), true)
+                .unwrap();
             let m = db.price(&trace, cfg);
             // phases: [gap, merged exec, split]
             (m.phases[1].elapsed_s, m.phases[2].elapsed_s)

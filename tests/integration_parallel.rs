@@ -7,15 +7,15 @@
 
 use std::sync::OnceLock;
 
-use ecodb::core::server::{EcoDb, EngineProfile};
+use ecodb::core::server::{EcoDb, EngineProfile, Query};
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute, execute_parallel};
+use ecodb::query::exec::execute;
 use ecodb::query::ops::BoxedOp;
 use ecodb::query::plans;
 use ecodb::simhw::machine::MachineConfig;
 use ecodb::simhw::trace::{DiskWork, Ledger, WorkTrace};
-use ecodb::storage::{load_tpch, Catalog, EngineKind};
-use ecodb::tpch::{TpchDb, TpchGenerator};
+use ecodb::storage::{load_tpch, Catalog, EngineKind, Tuple};
+use ecodb::tpch::{q5_workload, TpchDb, TpchGenerator};
 
 const SCALE: f64 = 0.01;
 
@@ -82,8 +82,8 @@ fn parallel_ledger_bit_identical_memory_engine() {
         let mut serial_ctx = ExecCtx::new();
         let serial_rows = execute(plan_fn(&cat).as_mut(), &mut serial_ctx);
         for workers in [1usize, 2, 3, 4, 8] {
-            let mut ctx = ExecCtx::new();
-            let rows = execute_parallel(plan_fn(&cat).as_mut(), &mut ctx, workers);
+            let mut ctx = ExecCtx::new().with_workers(workers);
+            let rows = execute(plan_fn(&cat).as_mut(), &mut ctx);
             assert_eq!(rows, serial_rows, "{name} workers={workers}: rows");
             assert_ledgers_equal(name, workers, &ctx, &serial_ctx);
         }
@@ -96,8 +96,8 @@ fn parallel_ledger_bit_identical_across_morsel_sizes() {
     let mut serial_ctx = ExecCtx::new();
     let serial_rows = execute(q6(&cat).as_mut(), &mut serial_ctx);
     for morsel_rows in [64usize, 1000, 4096, 1 << 20] {
-        let mut ctx = ExecCtx::new().with_morsel_rows(morsel_rows);
-        let rows = execute_parallel(q6(&cat).as_mut(), &mut ctx, 4);
+        let mut ctx = ExecCtx::new().with_morsel_rows(morsel_rows).with_workers(4);
+        let rows = execute(q6(&cat).as_mut(), &mut ctx);
         assert_eq!(rows, serial_rows, "morsel_rows={morsel_rows}");
         assert_ledgers_equal("q6", 4, &ctx, &serial_ctx);
     }
@@ -125,17 +125,31 @@ fn parallel_ledger_bit_identical_disk_engine_cold_and_warm() {
         for workers in [2usize, 4] {
             // Parallel cold + warm on its own fresh pool.
             let cat = fresh_catalog(EngineKind::Disk);
-            let mut cold_par = ExecCtx::new();
-            let rows = execute_parallel(plan_fn(&cat).as_mut(), &mut cold_par, workers);
+            let mut cold_par = ExecCtx::new().with_workers(workers);
+            let rows = execute(plan_fn(&cat).as_mut(), &mut cold_par);
             assert_eq!(rows, cold_rows, "{name} cold workers={workers}");
             assert_ledgers_equal(&format!("{name} cold"), workers, &cold_par, &cold_serial);
 
-            let mut warm_par = ExecCtx::new();
-            let rows = execute_parallel(plan_fn(&cat).as_mut(), &mut warm_par, workers);
+            let mut warm_par = ExecCtx::new().with_workers(workers);
+            let rows = execute(plan_fn(&cat).as_mut(), &mut warm_par);
             assert_eq!(rows, warm_rows, "{name} warm workers={workers}");
             assert_ledgers_equal(&format!("{name} warm"), workers, &warm_par, &warm_serial);
         }
     }
+}
+
+/// The Q5 workload through `EcoDb::trace` on `workers` cores: each
+/// statement's rows, and each core's traces concatenated.
+fn q5_workload_cores(db: &EcoDb, workers: usize) -> (Vec<Vec<Tuple>>, Vec<WorkTrace>) {
+    let mut cores = vec![WorkTrace::new(); workers];
+    let rows = q5_workload().into_iter().map(|p| {
+        let (rows, traces) = db.trace(&Query::Q5(&p), workers).unwrap();
+        for (core, t) in cores.iter_mut().zip(traces) {
+            core.extend(t);
+        }
+        rows.into_tuples()
+    });
+    (rows.collect(), cores)
 }
 
 #[test]
@@ -143,7 +157,7 @@ fn core_traces_partition_the_serial_trace_exactly() {
     let db = mem_db();
     let (serial_rows, serial_trace) = db.trace_q5_workload();
     for workers in [1usize, 2, 4, 8] {
-        let (rows, core_traces) = db.trace_q5_workload_cores(workers);
+        let (rows, core_traces) = q5_workload_cores(db, workers);
         assert_eq!(rows, serial_rows, "workers={workers}");
         assert_eq!(core_traces.len(), workers);
         let merged: Ledger = core_traces.iter().map(WorkTrace::total).sum();
@@ -152,7 +166,7 @@ fn core_traces_partition_the_serial_trace_exactly() {
             .assert_same(&merged, format_args!("workers={workers}"));
         // Repeatability: static morsel assignment makes the per-core
         // split itself deterministic, not just the merged totals.
-        let (_, again) = db.trace_q5_workload_cores(workers);
+        let (_, again) = q5_workload_cores(db, workers);
         for (a, b) in core_traces.iter().zip(&again) {
             a.total()
                 .assert_same(&b.total(), format_args!("workers={workers}: stable split"));
@@ -163,12 +177,15 @@ fn core_traces_partition_the_serial_trace_exactly() {
 #[test]
 fn multicore_pricing_is_sane_and_faster_with_more_cores() {
     let db = mem_db();
-    let serial = db.run_q5_workload(MachineConfig::stock());
+    let (serial_rows, serial_trace) = db.trace_q5_workload();
+    let serial = db.price(&serial_trace, MachineConfig::stock());
     let mut prev_elapsed = f64::INFINITY;
     for workers in [1usize, 2, 4, 8] {
-        let run = db.run_q5_workload_cores(workers, MachineConfig::stock());
-        assert_eq!(run.rows, serial.rows, "workers={workers}");
-        let m = &run.measurement;
+        let (rows, core_traces) = q5_workload_cores(db, workers);
+        assert_eq!(rows, serial_rows, "workers={workers}");
+        let m = db
+            .multicore(workers)
+            .measure_uniform(&core_traces, &MachineConfig::stock());
         assert!(m.elapsed_s > 0.0 && m.cpu_joules > 0.0 && m.wall_joules > m.cpu_joules);
         assert!(
             m.elapsed_s <= prev_elapsed * 1.0001,
@@ -176,16 +193,12 @@ fn multicore_pricing_is_sane_and_faster_with_more_cores() {
         );
         prev_elapsed = m.elapsed_s;
         if workers == 1 {
-            // One core reproduces the single-core pricing closely (the
-            // only difference is the per-core phase labeling).
-            assert!((m.elapsed_s - serial.measurement.elapsed_s).abs() < 1e-9);
-            assert!(
-                (m.cpu_joules - serial.measurement.cpu_joules).abs()
-                    < 1e-6 * serial.measurement.cpu_joules
-            );
+            // One core reproduces the single-core pricing closely.
+            assert!((m.elapsed_s - serial.elapsed_s).abs() < 1e-9);
+            assert!((m.cpu_joules - serial.cpu_joules).abs() < 1e-6 * serial.cpu_joules);
         }
         if workers == 4 {
-            let speedup = serial.measurement.elapsed_s / m.elapsed_s;
+            let speedup = serial.elapsed_s / m.elapsed_s;
             assert!(speedup > 2.0, "4 simulated cores: {speedup}x");
         }
     }
@@ -212,8 +225,8 @@ fn limit_over_streaming_pipeline_keeps_scalar_exact_consumption() {
     let serial_rows = execute(mk().as_mut(), &mut serial_ctx);
     assert_eq!(serial_rows.len(), 25);
     for workers in [2usize, 8] {
-        let mut ctx = ExecCtx::new();
-        let rows = execute_parallel(mk().as_mut(), &mut ctx, workers);
+        let mut ctx = ExecCtx::new().with_workers(workers);
+        let rows = execute(mk().as_mut(), &mut ctx);
         assert_eq!(rows, serial_rows);
         assert_ledgers_equal("limit-pipeline", workers, &ctx, &serial_ctx);
     }

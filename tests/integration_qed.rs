@@ -132,7 +132,7 @@ fn workload_manager_feeds_qed_end_to_end() {
     }
     assert_eq!(batches.len(), 3);
     for batch in &batches {
-        let (split, _) = db.trace_merged_selection(batch, true);
+        let (split, _) = db.try_trace_merged_selection(batch, true).unwrap();
         assert_eq!(split.len(), 8);
         let total: usize = split.iter().map(|rows| rows.len()).sum();
         assert!(total > 0, "every batch selects some rows");

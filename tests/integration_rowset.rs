@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ecodb::core::server::{EcoDb, EngineProfile};
+use ecodb::core::server::{EcoDb, EngineProfile, Query};
 use ecodb::query::exec::ExecEngine;
 use ecodb::storage::{ColumnType, DataChunk, RoutedRows, RowSet, Schema, TableData, Tuple, Value};
 use ecodb::tpch::{qed_workload, QedQuery};
@@ -36,20 +36,19 @@ fn mutate(db: &EcoDb) {
 fn oracle_rows(oracle: &EcoDb, queries: &[QedQuery]) -> Vec<Vec<Tuple>> {
     queries
         .iter()
-        .map(|q| oracle.trace_selection(q).0.into_tuples())
+        .map(Query::Selection)
+        .map(|q| oracle.trace(&q, 1).unwrap().0.into_tuples())
         .collect()
 }
 
-fn snapshot_case(profile: EngineProfile, workers: Option<usize>, decode_first: bool) {
-    let what = format!("{profile:?} workers={workers:?} decode_first={decode_first}");
+fn snapshot_case(profile: EngineProfile, workers: usize, decode_first: bool) {
+    let what = format!("{profile:?} workers={workers} decode_first={decode_first}");
     let db = EcoDb::tpch(profile, SCALE);
     let oracle = EcoDb::tpch(profile, SCALE).with_engine(ExecEngine::Scalar);
     let queries = qed_workload(5);
     let select = |db: &EcoDb| -> Vec<RowSet> {
-        match workers {
-            None => db.trace_merged_selection(&queries, true).0,
-            Some(w) => db.trace_merged_selection_cores(&queries, true, w).0,
-        }
+        let batch = db.try_trace_merged_selection_cores(&queries, true, workers);
+        batch.unwrap().0
     };
 
     let before = oracle_rows(&oracle, &queries);
@@ -89,8 +88,8 @@ fn a_held_result_keeps_its_rows_across_dml_on_both_profiles() {
     for profile in PROFILES {
         // Decoded before the mutation on the serial arm, first decoded
         // after it on the per-core arm.
-        snapshot_case(profile, None, true);
-        snapshot_case(profile, Some(2), false);
+        snapshot_case(profile, 1, true);
+        snapshot_case(profile, 2, false);
     }
 }
 
@@ -108,7 +107,10 @@ fn a_held_result_makes_the_next_heap_mutation_copy() {
         };
         std::sync::Arc::as_ptr(heap.columns())
     };
-    let held = db.trace_merged_selection(&qed_workload(2), true).0;
+    let held = db
+        .try_trace_merged_selection(&qed_workload(2), true)
+        .unwrap()
+        .0;
     let scanned = columns();
     db.try_trace_sql(MUTATIONS[0]).expect("update");
     let copied = columns();

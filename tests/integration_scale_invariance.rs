@@ -58,7 +58,7 @@ fn qed_ratios_are_scale_free() {
 fn absolute_costs_scale_linearly() {
     let measure = |scale: f64| {
         let db = EcoDb::tpch(EngineProfile::MemoryEngine, scale);
-        db.run_q5_workload(MachineConfig::stock()).measurement
+        db.price(&db.trace_q5_workload().1, MachineConfig::stock())
     };
     let a = measure(0.002);
     let b = measure(0.008);

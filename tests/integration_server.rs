@@ -4,7 +4,7 @@
 //! control degrades gracefully; group commit shares one fsync per
 //! group and at least halves joules/txn.
 
-use ecodb::core::server::{EcoDb, EngineProfile, ServerError};
+use ecodb::core::server::{EcoDb, EngineProfile, Query, ServerError};
 use ecodb::query::exec::ExecEngine;
 use ecodb::server::{
     plan_admission, replay_serial, session_workload, AdmissionConfig, EcoServer, Request,
@@ -87,7 +87,7 @@ fn every_session_gets_its_own_correct_rows_out_of_merged_batches() {
         let ecodb::server::Statement::Selection(q) = &r.statement else {
             unreachable!()
         };
-        let (want, _) = oracle.trace_selection(q);
+        let (want, _) = oracle.trace(&Query::Selection(q), 1).unwrap();
         assert_eq!(rows, &want);
     }
 }

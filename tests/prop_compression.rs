@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute_columnar, execute_parallel, execute_scalar};
+use ecodb::query::exec::{execute, execute_columnar, execute_scalar};
 use ecodb::query::expr::{AggFunc, CmpOp, Expr};
 use ecodb::query::ops::{AggSpec, BoxedOp, Filter, HashAggregate, SeqScan};
 use ecodb::query::plans;
@@ -141,8 +141,11 @@ proptest! {
 
         // Raw columnar: rows AND the full ledger bit-identical to
         // scalar — compression machinery must be invisible in raw mode.
-        let mut rctx = ExecCtx::new().with_batch_size(chunk).with_columnar(true);
-        let raw = execute_parallel(mk(&load(engine_idx, &tuples)).as_mut(), &mut rctx, workers);
+        let mut rctx = ExecCtx::new()
+            .with_batch_size(chunk)
+            .with_columnar(true)
+            .with_workers(workers);
+        let raw = execute(mk(&load(engine_idx, &tuples)).as_mut(), &mut rctx);
         prop_assert_eq!(&raw, &scalar, "raw columnar rows differ from scalar");
         sctx.ledger.assert_same(&rctx.ledger, "raw-mode columnar vs scalar");
         prop_assert_eq!(rctx.pred_evals, sctx.pred_evals);
@@ -154,8 +157,9 @@ proptest! {
         let mut cctx = ExecCtx::new()
             .with_batch_size(chunk)
             .with_columnar(true)
-            .with_pricing(PricingMode::Compressed);
-        let comp = execute_parallel(mk(&load(engine_idx, &tuples)).as_mut(), &mut cctx, workers);
+            .with_pricing(PricingMode::Compressed)
+            .with_workers(workers);
+        let comp = execute(mk(&load(engine_idx, &tuples)).as_mut(), &mut cctx);
         prop_assert_eq!(&comp, &raw, "compressed rows differ from raw");
         prop_assert_eq!(
             cctx.ledger.cpu.count(OpClass::TupleFetch),

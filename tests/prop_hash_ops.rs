@@ -53,7 +53,7 @@ use proptest::prelude::*;
 
 use ecodb::query::chunk::Rows;
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute_parallel, execute_scalar};
+use ecodb::query::exec::{execute, execute_scalar};
 use ecodb::query::expr::{AggFunc, ArithOp, CmpOp, Expr};
 use ecodb::query::ops::{
     hash_keys, AggSpec, BoxedOp, Filter, HashAggregate, HashJoin, Limit, Project, SeqScan,
@@ -584,7 +584,7 @@ fn check_against_oracle(
     let scalar = execute_scalar(mk().as_mut(), &mut sctx);
     for workers in [1, 2, 4] {
         let mut ctx = columnar_ctx(chunk, workers, PricingMode::Raw);
-        let rows = execute_parallel(mk().as_mut(), &mut ctx, workers);
+        let rows = execute(mk().as_mut(), &mut ctx);
         prop_assert_eq!(&rows, &scalar, "columnar rows, workers={}", workers);
         prop_assert_eq!(
             ledger(&ctx),
@@ -715,7 +715,7 @@ proptest! {
             .sum();
         for workers in [1, 2, 4] {
             let mut ctx = columnar_ctx(chunk, workers, PricingMode::Compressed);
-            let rows = execute_parallel(inputs.join().as_mut(), &mut ctx, workers);
+            let rows = execute(inputs.join().as_mut(), &mut ctx);
             prop_assert_eq!(&rows, &scalar, "compressed rows, workers={}", workers);
             let (lookups, probes) = (
                 ctx.ledger.cpu.count(OpClass::DictLookup),
@@ -834,7 +834,7 @@ proptest! {
         let live = inputs.probe_rows.len() as u64;
         for workers in [1, 2, 4] {
             let mut ctx = columnar_ctx(chunk, workers, PricingMode::Compressed);
-            let rows = execute_parallel(mk().as_mut(), &mut ctx, workers);
+            let rows = execute(mk().as_mut(), &mut ctx);
             prop_assert_eq!(&rows, &scalar, "compressed rows, workers={}", workers);
             let (lookups, probes) = (
                 ctx.ledger.cpu.count(OpClass::DictLookup),

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute, execute_parallel};
+use ecodb::query::exec::execute;
 use ecodb::query::mqo::{split_results, MergedSelection};
 use ecodb::query::ops::BoxedOp;
 use ecodb::query::plans::{self, selection_plan};
@@ -81,8 +81,10 @@ proptest! {
         let mut sctx = ExecCtx::new();
         let serial = execute(mk(db.catalog()).as_mut(), &mut sctx);
 
-        let mut pctx = ExecCtx::new().with_morsel_rows(morsel_rows);
-        let parallel = execute_parallel(mk(db.catalog()).as_mut(), &mut pctx, workers);
+        let mut pctx = ExecCtx::new()
+            .with_morsel_rows(morsel_rows)
+            .with_workers(workers);
+        let parallel = execute(mk(db.catalog()).as_mut(), &mut pctx);
 
         prop_assert_eq!(parallel, serial, "rows (plan {})", plan_idx);
         sctx.ledger.assert_same(&pctx.ledger, format_args!("plan {plan_idx}"));
@@ -130,8 +132,9 @@ proptest! {
         for (pass, (scalar_rows, scalar_ctx)) in scalar.iter().enumerate() {
             let mut ctx = ExecCtx::new()
                 .with_batch_size(chunk_size)
-                .with_columnar(true);
-            let rows = execute_parallel(mk(&cat).as_mut(), &mut ctx, workers);
+                .with_columnar(true)
+                .with_workers(workers);
+            let rows = execute(mk(&cat).as_mut(), &mut ctx);
             let what = format!(
                 "plan {plan_idx} {engine:?} pass {pass} workers {workers} chunk {chunk_size}"
             );

@@ -98,7 +98,8 @@ struct Outcome {
 
 fn run(engine: ExecEngine, plan: &mut dyn Operator) -> (Outcome, ExecCtx) {
     let mut ctx = ExecCtx::new();
-    let result = engine.try_execute(plan, &mut ctx);
+    let rows = engine.execute(plan, &mut ctx);
+    let result = ctx.take_error().map_or(Ok(rows), Err);
     let outcome = Outcome {
         result,
         disk: ctx.ledger.disk,

@@ -40,7 +40,7 @@ use proptest::prelude::*;
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::chunk::Chunk;
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute_parallel, execute_scalar, ExecEngine};
+use ecodb::query::exec::{execute, execute_scalar, ExecEngine};
 use ecodb::query::expr::{CmpOp, Expr};
 use ecodb::query::mqo::{split_results, MultiFilter};
 use ecodb::query::ops::{BoxedOp, Filter, Operator, VecSource};
@@ -452,9 +452,11 @@ proptest! {
 
         // Per-core attribution: the tagged-row parallel driver on the
         // scalar engine is the oracle.
-        let mut pctx = ExecCtx::new().with_morsel_rows(morsel_rows);
+        let mut pctx = ExecCtx::new()
+            .with_morsel_rows(morsel_rows)
+            .with_workers(workers);
         pctx.short_circuit_or = short_circuit;
-        execute_parallel(&mut routing_plan(&rows, cut, &keys, disjoint), &mut pctx, workers);
+        execute(&mut routing_plan(&rows, cut, &keys, disjoint), &mut pctx);
         prop_assert_eq!(
             ctx.take_core_phases(workers, "t"),
             pctx.take_core_phases(workers, "t"),

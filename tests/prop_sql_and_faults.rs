@@ -12,11 +12,11 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use ecodb::core::server::{EcoDb, EngineProfile};
+use ecodb::core::server::{EcoDb, EngineProfile, Query};
 use ecodb::core::ServerError;
 use ecodb::query::context::ExecCtx;
 use ecodb::query::error::ExecError;
-use ecodb::query::exec::{execute, try_execute_parallel_into, ExecEngine};
+use ecodb::query::exec::{execute, ExecEngine};
 use ecodb::query::sql::{compile, parse_select, tokenize, SqlError};
 use ecodb::server::{session_workload, EcoServer, ServerConfig, SessionOutcome, Statement};
 use ecodb::simhw::fault::{FaultPlan, PageFault, TornTail, WalCrash};
@@ -205,7 +205,7 @@ fn a_zero_divisor_in_the_data_is_a_typed_error() {
     for profile in [EngineProfile::MemoryEngine, EngineProfile::CommercialDisk] {
         let mut db = EcoDb::tpch(profile, 0.002);
         for engine in [ExecEngine::Scalar, ExecEngine::Columnar] {
-            db.set_engine(engine);
+            db = db.with_engine(engine);
             for sql in statements {
                 let got = db.try_trace_sql(sql).map(|(rows, _)| rows.len());
                 assert_eq!(got, Err(zero.clone()), "{profile:?} {engine:?}: {sql}");
@@ -219,11 +219,11 @@ fn a_zero_divisor_in_the_data_is_a_typed_error() {
     for workers in [1, 4] {
         for sql in statements {
             let mut plan = compile(shared_catalog(), sql).expect("binds");
-            let mut ctx = ExecCtx::new().with_columnar(true);
-            let got = try_execute_parallel_into(plan.as_mut(), &mut ctx, workers, &mut Vec::new());
+            let mut ctx = ExecCtx::new().with_columnar(true).with_workers(workers);
+            execute(plan.as_mut(), &mut ctx);
             assert_eq!(
-                got,
-                Err(ExecError::DivisionByZero),
+                ctx.take_error(),
+                Some(ExecError::DivisionByZero),
                 "{workers} workers: {sql}"
             );
         }
@@ -284,8 +284,8 @@ fn qed_batch_of_one_is_a_noop() {
     let q = ecodb::tpch::qed_workload(1);
     for engine in [ExecEngine::Columnar, ExecEngine::Scalar] {
         let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.002).with_engine(engine);
-        let (split, _) = db.trace_merged_selection(&q, true);
-        let (direct, _) = db.trace_selection(&q[0]);
+        let (split, _) = db.try_trace_merged_selection(&q, true).unwrap();
+        let (direct, _) = db.trace(&Query::Selection(&q[0]), 1).unwrap();
         assert_eq!(split.len(), 1, "{engine:?}");
         assert_eq!(split[0], direct, "{engine:?}");
     }
@@ -312,6 +312,40 @@ fn lineitem_faults(db: &EcoDb, plan: FaultPlan) -> (u64, bool) {
         }
     }
     (retries, any_permanent)
+}
+
+/// A permanently unreadable `lineitem` page fails a cold Q6 with a
+/// typed I/O error at every worker count — the morsel workers' scans
+/// meet it too — and once the plan is cleared and the pool flushed the
+/// same statement runs.
+#[test]
+fn a_permanent_read_fault_fails_a_parallel_statement_with_a_typed_error() {
+    let db = EcoDb::tpch(EngineProfile::CommercialDisk, 0.002);
+    let plan = (0..)
+        .map(|seed| FaultPlan::new(seed, 20_000))
+        .find(|&plan| lineitem_faults(&db, plan).1)
+        .expect("some seed faults a lineitem page permanently");
+    let q6 = Query::Q6 {
+        year: 1994,
+        discount_pct: 6,
+        max_qty: 24,
+    };
+    db.set_fault_plan(plan);
+    for workers in [1, 2, 4] {
+        db.flush_cache();
+        let got = db.trace(&q6, workers);
+        assert!(
+            matches!(got, Err(ServerError::Io(ExecError::Io(_)))),
+            "{workers} workers: {got:?}"
+        );
+    }
+    db.set_fault_plan(FaultPlan::none());
+    for workers in [1, 2, 4] {
+        db.flush_cache();
+        let (rows, traces) = db.trace(&q6, workers).expect("fault-free again");
+        assert_eq!(rows.len(), 1, "{workers} workers");
+        assert_eq!(traces.len(), workers);
+    }
 }
 
 proptest! {
@@ -456,15 +490,12 @@ proptest! {
 #[test]
 fn empty_results_price_cleanly() {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.002);
-    let run = db
-        .run_sql(
-            "SELECT l_orderkey FROM lineitem WHERE l_quantity = 99",
-            MachineConfig::stock(),
-        )
+    let (rows, trace) = db
+        .try_trace_sql("SELECT l_orderkey FROM lineitem WHERE l_quantity = 99")
         .unwrap();
-    assert!(run.rows.is_empty());
+    assert!(rows.is_empty());
     assert!(
-        run.measurement.cpu_joules > 0.0,
+        db.price(&trace, MachineConfig::stock()).cpu_joules > 0.0,
         "the scan still costs energy"
     );
 }
