@@ -6,17 +6,18 @@
 //! the final chunks, so no row is built unless a caller reads one),
 //! which is what ships, or the tuple-at-a-time scalar driver
 //! ([`Operator::next`]), the oracle the differential tests compare it
-//! against. [`execute_rows`] is the one driver: it dispatches on the
-//! flag and reads [`ExecCtx::workers`] for morsel-driven intra-query
-//! parallelism on worker threads, which composes with both engines
-//! (every worker drains the context's engine). [`execute`] is it with
-//! each row built once, for callers that want tuples; [`ExecEngine`]
-//! sets the flag for one run. Every engine and worker count produces
-//! identical result rows and bit-identical [`ExecCtx`] ledgers (see
-//! `tests/integration_columnar.rs` and `tests/integration_parallel.rs`)
-//! — engine choice, chunk size and worker count are purely throughput
-//! knobs; the energy accounting the paper's figures are computed from
-//! never changes.
+//! against. [`execute_rows`] is the one front door: it dispatches on
+//! the flag and reads [`ExecCtx::workers`] for morsel-driven
+//! intra-query parallelism on worker threads, which composes with both
+//! engines (every worker drains the context's engine). [`execute`] is
+//! it with each row built once, for callers that want tuples, and
+//! [`ExecEngine::execute`] sets the flag for one run — how the test
+//! harness (`tests/support`) picks the engine under test and the
+//! scalar oracle. Every engine and worker count produces identical
+//! result rows and bit-identical [`ExecCtx`] ledgers (the harness's
+//! `check` compares them on every axis) — engine choice, chunk size
+//! and worker count are purely throughput knobs; the energy accounting
+//! the paper's figures are computed from never changes.
 //!
 //! ## Failure semantics
 //!
@@ -41,9 +42,10 @@
 use eco_simhw::trace::OpClass;
 use eco_storage::{tuple_width, RoutedRows, RowSet, Tuple};
 
+use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::ops::Operator;
-use crate::parallel::gather_parallel;
+use crate::parallel::{gather_parallel, run_morsels};
 
 /// Which execution engine drives a plan — a pure throughput knob; both
 /// produce identical rows and bit-identical ledgers. `EcoDb` (and so
@@ -68,20 +70,16 @@ impl ExecEngine {
         }
     }
 
-    /// Execute `plan` under this engine ([`execute_rows`]). The engine
-    /// choice is authoritative: the context's [`ExecCtx::columnar`]
-    /// flag is set from it for the duration of the run (and restored).
-    pub fn execute_rows(self, plan: &mut dyn Operator, ctx: &mut ExecCtx) -> RowSet {
+    /// Execute `plan` under this engine ([`execute_rows`]), returning
+    /// all result tuples. The engine choice is authoritative: the
+    /// context's [`ExecCtx::columnar`] flag is set from it for the
+    /// duration of the run (and restored).
+    pub fn execute(self, plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
         let saved = ctx.columnar;
         ctx.columnar = self == ExecEngine::Columnar;
         let rows = execute_rows(plan, ctx);
         ctx.columnar = saved;
-        rows
-    }
-
-    /// Execute `plan` under this engine, returning all result tuples.
-    pub fn execute(self, plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
-        self.execute_rows(plan, ctx).into_tuples()
+        rows.into_tuples()
     }
 }
 
@@ -92,43 +90,37 @@ impl ExecEngine {
 /// path).
 ///
 /// With [`ExecCtx::workers`] above one, a fully partitionable plan
-/// (scan → filter → project) is gathered morsel-parallel here at the
-/// root, and blocking operators ([`crate::ops::HashJoin`],
+/// (scan → filter → project) is run morsel-parallel here at the root,
+/// and blocking operators ([`crate::ops::HashJoin`],
 /// [`crate::ops::HashAggregate`], [`crate::ops::Sort`]) parallelize
 /// their own inputs during `open`; rows and the merged ledger are those
 /// of one worker.
 ///
 /// The scalar engine pulls tuples ([`Operator::next`]) into an owned
-/// set. The columnar engine tells the root that every column is read
-/// ([`Operator::prune`]) before `open`, streams chunks through the plan
-/// and keeps each final chunk's selected rows as a [`RowSet`] view of
-/// the chunk (late materialization): no row is built here, and each is
-/// charged from the chunk's stored widths ([`DataChunk::width_sum`]),
-/// exactly what the scalar loop charges from the tuple.
+/// set. The columnar engine streams chunks through the plan — serially
+/// after telling the root that every column is read
+/// ([`Operator::prune`]) before `open`, or per morsel, its chunks taken
+/// in morsel order — and keeps each final chunk's selected rows as a
+/// [`RowSet`] view of the chunk (late materialization): no row is built
+/// here, and each is charged from the chunk's stored widths
+/// ([`DataChunk::width_sum`]), exactly what the scalar loop charges from
+/// the tuple.
 ///
 /// [`DataChunk::width_sum`]: eco_storage::DataChunk::width_sum
 pub fn execute_rows(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> RowSet {
-    if let Some(rows) = gather_parallel(plan, ctx) {
+    if !ctx.columnar {
+        let rows = gather_parallel(plan, ctx).unwrap_or_else(|| {
+            plan.open(ctx);
+            std::iter::from_fn(|| plan.next(ctx)).collect()
+        });
         ctx.charge(OpClass::ResultEmit, rows.len() as u64);
         ctx.charge_mem_bytes(rows.iter().map(tuple_width).sum());
         return rows.into();
     }
-    if !ctx.columnar {
-        let mut out = Vec::new();
-        plan.open(ctx);
-        while let Some(t) = plan.next(ctx) {
-            ctx.charge(OpClass::ResultEmit, 1);
-            ctx.charge_mem_bytes(tuple_width(&t));
-            out.push(t);
-        }
-        return out.into();
-    }
-    plan.prune(&vec![true; plan.schema().arity()]);
-    plan.open(ctx);
     let mut routed = RoutedRows::default();
-    while let Some(chunk) = plan.next_chunk(ctx) {
+    let mut emit = |chunk: Chunk, ctx: &mut ExecCtx| {
         if chunk.is_empty() {
-            continue;
+            return;
         }
         let matches = routed.matches_for(&chunk.data);
         let seen = matches.len();
@@ -139,6 +131,19 @@ pub fn execute_rows(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> RowSet {
             .width_sum(new.iter().map(|&(row, _)| row as usize));
         ctx.charge(OpClass::ResultEmit, new.len() as u64);
         ctx.charge_mem_bytes(bytes);
+    };
+    let morsels = run_morsels(plan, ctx, |wctx, pipe| {
+        std::iter::from_fn(|| pipe.next_chunk(wctx)).collect::<Vec<_>>()
+    });
+    match morsels {
+        Some(morsels) => morsels.into_iter().flatten().for_each(|c| emit(c, ctx)),
+        None => {
+            plan.prune(&vec![true; plan.schema().arity()]);
+            plan.open(ctx);
+            while let Some(chunk) = plan.next_chunk(ctx) {
+                emit(chunk, ctx);
+            }
+        }
     }
     routed.into_row_sets(1).remove(0)
 }
@@ -146,18 +151,6 @@ pub fn execute_rows(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> RowSet {
 /// [`execute_rows`] with each row built once, as tuples.
 pub fn execute(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
     execute_rows(plan, ctx).into_tuples()
-}
-
-/// Execute a plan through the columnar driver whatever the context's
-/// flag ([`ExecEngine::Columnar`]).
-pub fn execute_columnar(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
-    ExecEngine::Columnar.execute(plan, ctx)
-}
-
-/// Execute a plan tuple-at-a-time whatever the context's flag
-/// ([`ExecEngine::Scalar`]): the oracle.
-pub fn execute_scalar(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> Vec<Tuple> {
-    ExecEngine::Scalar.execute(plan, ctx)
 }
 
 #[cfg(test)]
@@ -189,11 +182,11 @@ mod tests {
     #[test]
     fn scalar_and_columnar_agree_on_rows_and_ledger() {
         let mut ctx_s = ExecCtx::new();
-        let rows_s = execute_scalar(&mut plan(), &mut ctx_s);
+        let rows_s = ExecEngine::Scalar.execute(&mut plan(), &mut ctx_s);
 
         for chunk_size in [1, 3, 7, 1024] {
             let mut ctx_c = ExecCtx::new().with_batch_size(chunk_size);
-            let rows_c = execute_columnar(&mut plan(), &mut ctx_c);
+            let rows_c = ExecEngine::Columnar.execute(&mut plan(), &mut ctx_c);
             assert_eq!(rows_c, rows_s, "chunk size {chunk_size}");
             ctx_s
                 .ledger
@@ -205,10 +198,10 @@ mod tests {
     #[test]
     fn engines_restore_the_context_flag() {
         let mut ctx = ExecCtx::new();
-        let rows_c = execute_columnar(&mut plan(), &mut ctx);
+        let rows_c = ExecEngine::Columnar.execute(&mut plan(), &mut ctx);
         assert!(!ctx.columnar, "flag must not leak out of the columnar run");
         let mut ctx = ExecCtx::new().with_columnar(true);
-        let rows_s = execute_scalar(&mut plan(), &mut ctx);
+        let rows_s = ExecEngine::Scalar.execute(&mut plan(), &mut ctx);
         assert!(ctx.columnar, "flag must not leak out of the scalar run");
         assert_eq!(rows_s, rows_c);
     }

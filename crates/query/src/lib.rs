@@ -47,9 +47,9 @@
 //! partitionable pipelines split into [`parallel::Morsel`]s (rows for
 //! memory sources, whole disk extents for paged tables), workers run
 //! per-morsel pipeline clones charging private forked ledgers, and
-//! results merge back **in morsel order** — through the
-//! [`ops::Exchange`] / [`ops::GatherMerge`] operators, a partitioned
-//! parallel [`ops::HashJoin`] build, per-morsel partial aggregation in
+//! results merge back **in morsel order** — through the driver's own
+//! gather of a partitionable root, a partitioned parallel
+//! [`ops::HashJoin`] build, per-morsel partial aggregation in
 //! [`ops::HashAggregate`], and an order-preserving gather below
 //! [`ops::Sort`]. The invariant extends to parallelism: the
 //! **merged ledger is bit-identical to serial execution at every worker
@@ -86,7 +86,7 @@ pub mod sql;
 pub use chunk::{Chunk, Rows};
 pub use context::ExecCtx;
 pub use error::ExecError;
-pub use exec::{execute, execute_columnar, ExecEngine};
+pub use exec::{execute, ExecEngine};
 pub use expr::{AggFunc, ArithOp, CmpOp, Expr};
 pub use ops::Operator;
 pub use parallel::Morsel;

@@ -762,7 +762,7 @@ mod tests {
             let sets = mf.run_split(&mut ctx, &mut client);
             sets.iter().map(|s| s.tuples().to_vec()).collect()
         } else {
-            let tagged = crate::exec::execute_scalar(&mut mf, &mut ctx);
+            let tagged = crate::exec::ExecEngine::Scalar.execute(&mut mf, &mut ctx);
             split_results(tagged, keys.len(), &mut client)
         };
         let evals = ctx.pred_evals;
@@ -842,7 +842,7 @@ mod tests {
                 let mut oracle = MergedSelection::new(&cat, &queries);
                 let mut octx = ExecCtx::new();
                 octx.short_circuit_or = short_circuit;
-                let tagged = crate::exec::execute_scalar(&mut oracle.plan, &mut octx);
+                let tagged = crate::exec::ExecEngine::Scalar.execute(&mut oracle.plan, &mut octx);
                 let mut oclient = ExecCtx::new();
                 let expected = split_results(tagged, queries.len(), &mut oclient);
                 let oclient = oclient.take_phase(PhaseKind::ClientCompute, "split");

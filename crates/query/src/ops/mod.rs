@@ -65,9 +65,8 @@
 //!   width instead ([`DataChunk::with_widths`]), so a parent join
 //!   charges exactly what it would from the full row. Every other
 //!   operator keeps the default, which passes nothing on: an operator
-//!   that pulls *rows* ([`Limit`], [`Sort`], [`SortMergeJoin`],
-//!   [`Exchange`]) would read the empty columns, so its subtree is
-//!   never pruned;
+//!   that pulls *rows* ([`Limit`], [`Sort`], [`SortMergeJoin`]) would
+//!   read the empty columns, so its subtree is never pruned;
 //!   A scan passes the mask on to storage: a paged table's columnar
 //!   mirror decodes only the columns its scans asked for;
 //! * rows come back into existence (`Chunk::to_tuples`)
@@ -114,9 +113,9 @@
 //! [`HashJoin`] (partitioned parallel build, ordered parallel probe),
 //! [`HashAggregate`] (per-morsel partial aggregation with an ordered
 //! final merge) and [`Sort`] (order-preserving gather before a serial
-//! sort, whose comparison count is input-order dependent) — and exposed
-//! as standalone [`Exchange`] / [`GatherMerge`] operators for custom
-//! plans.
+//! sort, whose comparison count is input-order dependent) — and into the
+//! top-of-plan driver, which gathers a partitionable root
+//! ([`crate::exec::execute_rows`]).
 //!
 //! **The ledger is worker-count-invariant by the same construction**:
 //! every charge is per-tuple and additive, morsels
@@ -131,7 +130,6 @@
 //! parallelism for their own subtrees.
 
 mod agg;
-mod exchange;
 mod filter;
 mod hashkey;
 mod ix_scan;
@@ -144,7 +142,6 @@ mod sort;
 mod source;
 
 pub use agg::{AggSpec, HashAggregate};
-pub use exchange::{Exchange, GatherMerge};
 pub use filter::Filter;
 pub use hashkey::hash_keys;
 pub use ix_scan::{IxBound, IxScan};

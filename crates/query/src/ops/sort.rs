@@ -32,12 +32,11 @@ impl SortKey {
 /// performed by the sort algorithm plus materialization bytes.
 ///
 /// In a parallel context a partitionable child is drained through an
-/// order-preserving morsel gather (the inlined [`super::GatherMerge`]
-/// pattern) and the sort itself runs serially over the gathered rows.
-/// The comparison count of the sort algorithm depends on input order,
-/// so presenting the *exact serial input sequence* is what keeps the
-/// `SortCmp` charge — and with it the energy ledger — identical at
-/// every worker count.
+/// order-preserving morsel gather and the sort itself runs serially
+/// over the gathered rows. The comparison count of the sort algorithm
+/// depends on input order, so presenting the *exact serial input
+/// sequence* is what keeps the `SortCmp` charge — and with it the
+/// energy ledger — identical at every worker count.
 pub struct Sort {
     child: BoxedOp,
     keys: Vec<SortKey>,

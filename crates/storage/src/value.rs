@@ -113,14 +113,15 @@ impl Value {
     }
 }
 
+/// Honours the formatter's width, fill and alignment (`{:<12}`).
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Str(s) => write!(f, "{s}"),
-            Value::Date(d) => write!(f, "@{d}"),
-            Value::Char(c) => write!(f, "{c}"),
-            Value::Bool(b) => write!(f, "{b}"),
+            Value::Int(i) => fmt::Display::fmt(i, f),
+            Value::Str(s) => f.pad(s),
+            Value::Date(d) => f.pad(&format!("@{d}")),
+            Value::Char(c) => fmt::Display::fmt(c, f),
+            Value::Bool(b) => fmt::Display::fmt(b, f),
         }
     }
 }
@@ -222,6 +223,13 @@ mod tests {
             ("d", ColumnType::Date),
             ("flag", ColumnType::Char),
         ])
+    }
+
+    #[test]
+    fn display_honours_width_and_alignment() {
+        assert_eq!(format!("{:<9}|", Value::str("PERU")), "PERU     |");
+        assert_eq!(format!("{:>6}|", Value::Int(-42)), "   -42|");
+        assert_eq!(format!("{}", Value::Date(3)), "@3");
     }
 
     #[test]

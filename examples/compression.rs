@@ -10,7 +10,7 @@
 
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::execute_columnar;
+use ecodb::query::exec::ExecEngine;
 use ecodb::query::plans;
 use ecodb::simhw::machine::MachineConfig;
 use ecodb::simhw::trace::{PhaseKind, PricingMode, WorkTrace};
@@ -55,7 +55,8 @@ fn main() {
     // Q6 under both pricing modes: identical rows, cheaper ledger.
     let run = |pricing: PricingMode| {
         let mut ctx = ExecCtx::new().with_columnar(true).with_pricing(pricing);
-        let rows = execute_columnar(plans::q6_plan(db.catalog(), 1994, 6, 24).as_mut(), &mut ctx);
+        let rows = ExecEngine::Columnar
+            .execute(plans::q6_plan(db.catalog(), 1994, 6, 24).as_mut(), &mut ctx);
         let bytes = ctx.ledger.mem_stream_bytes;
         let mut trace = WorkTrace::new();
         trace.push(ctx.take_phase(PhaseKind::Execute, "q6"));

@@ -10,6 +10,8 @@
 //! at scale 0.01. The two tests take turns (see [`TIMING`]) so neither
 //! times the other's work.
 
+mod support;
+
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -18,11 +20,8 @@ use ecodb::query::context::ExecCtx;
 use ecodb::query::exec::{execute, ExecEngine};
 use ecodb::query::ops::BoxedOp;
 use ecodb::query::plans;
-use ecodb::tpch::{Date, Q5Params};
 
 const SAMPLES: usize = 7;
-
-type PlanFn = fn(&EcoDb) -> BoxedOp;
 
 /// How much faster an `IxScan` probe must be than the full scan it
 /// replaces, on the point and range shapes. Both sides run the columnar
@@ -56,21 +55,11 @@ fn median(mut f: impl FnMut() -> usize) -> Duration {
 fn columnar_is_no_slower_than_scalar_on_tpch_q1_q3_q5_q6() {
     let _turn = TIMING.lock().unwrap_or_else(|e| e.into_inner());
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.01);
-    let queries: [(&str, PlanFn); 4] = [
-        ("q1", |db| plans::q1_plan(db.catalog(), 90)),
-        ("q3", |db| {
-            plans::q3_plan(db.catalog(), "BUILDING", Date::from_ymd(1995, 3, 15))
-        }),
-        ("q5", |db| {
-            plans::q5_plan(db.catalog(), &Q5Params::new("ASIA", 1994))
-        }),
-        ("q6", |db| plans::q6_plan(db.catalog(), 1994, 6, 24)),
-    ];
-    for (name, plan) in queries {
+    for (name, plan) in &support::TPCH_PLANS[..4] {
         let time = |engine: ExecEngine| {
             median(|| {
                 engine
-                    .execute(plan(&db).as_mut(), &mut ExecCtx::new())
+                    .execute(plan(db.catalog()).as_mut(), &mut ExecCtx::new())
                     .len()
             })
         };

@@ -1,6 +1,8 @@
 //! Cross-crate integration: both storage engines, all four queries,
 //! answers checked against independent oracles over the generated rows.
 
+mod support;
+
 use ecodb::core::server::{EcoDb, EngineProfile, Query};
 use ecodb::query::plans;
 use ecodb::simhw::{DiskWork, MachineConfig};
@@ -10,7 +12,7 @@ const SCALE: f64 = 0.004;
 
 #[test]
 fn q5_answers_match_reference_on_both_engines() {
-    let mem = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
+    let mem = support::memory_db(SCALE);
     let disk = EcoDb::tpch(EngineProfile::CommercialDisk, SCALE);
     for region in ["ASIA", "AMERICA"] {
         for year in [1993, 1995, 1997] {
@@ -31,7 +33,7 @@ fn q5_answers_match_reference_on_both_engines() {
 
 #[test]
 fn full_workload_is_deterministic() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
+    let db = support::memory_db(SCALE);
     let (a_rows, a) = db.trace_q5_workload();
     let (b_rows, b) = db.trace_q5_workload();
     assert_eq!(a_rows, b_rows);
@@ -61,7 +63,7 @@ fn ten_q5_variants_do_equal_work() {
 
 #[test]
 fn q1_q3_q6_agree_across_engines() {
-    let mem = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
+    let mem = support::memory_db(SCALE);
     let disk = EcoDb::tpch(EngineProfile::CommercialDisk, SCALE);
     let (segment, cut) = ("BUILDING", ecodb::tpch::Date::from_ymd(1995, 3, 15));
     let (year, discount_pct, max_qty) = (1994, 6, 24);
@@ -72,13 +74,13 @@ fn q1_q3_q6_agree_across_engines() {
     };
     for q in [Query::Q1 { delta_days: 90 }, Query::Q3 { segment, cut }, q6] {
         let rows = |db: &EcoDb| db.trace(&q, 1).unwrap().0;
-        assert_eq!(rows(&mem), rows(&disk), "{q:?}");
+        assert_eq!(rows(mem), rows(&disk), "{q:?}");
     }
 }
 
 #[test]
 fn disk_engine_charges_io_memory_engine_does_not() {
-    let mem = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
+    let mem = support::memory_db(SCALE);
     let disk = EcoDb::tpch(EngineProfile::CommercialDisk, SCALE);
     disk.flush_cache();
     let params = Q5Params::new("ASIA", 1994);

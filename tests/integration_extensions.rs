@@ -7,9 +7,11 @@ mod cluster;
 #[path = "integration_extensions/qed_model.rs"]
 mod qed_model;
 
+mod support;
+
 use cluster::{simulate, uniform_stream, Policy, ServerPower};
 use ecodb::core::advisor::rank_plans_by_energy;
-use ecodb::core::server::{EcoDb, EngineProfile, Query};
+use ecodb::core::server::Query;
 use ecodb::query::plans;
 use ecodb::simhw::machine::{Machine, MachineConfig};
 use ecodb::simhw::{CpuConfig, VoltageSetting};
@@ -20,7 +22,7 @@ const SCALE: f64 = 0.004;
 
 #[test]
 fn all_ten_q5_variants_run_through_sql() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
+    let db = support::memory_db(SCALE);
     for params in q5_workload() {
         let sql = plans::q5_sql(&params);
         let (via_sql, _) = db.try_trace_sql(&sql).expect("compiles");
@@ -35,7 +37,7 @@ fn all_ten_q5_variants_run_through_sql() {
 
 #[test]
 fn sql_runs_are_priced_like_any_other_statement() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
+    let db = support::memory_db(SCALE);
     let sql = "SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity <= 25";
     let (rows, trace) = db.try_trace_sql(sql).unwrap();
     assert_eq!(rows.len(), 1);
@@ -50,7 +52,7 @@ fn sql_runs_are_priced_like_any_other_statement() {
 
 #[test]
 fn sql_errors_do_not_panic() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
+    let db = support::memory_db(SCALE);
     for bad in [
         "SELEC oops",
         "SELECT * FROM no_such_table",
@@ -64,8 +66,8 @@ fn sql_errors_do_not_panic() {
 
 #[test]
 fn analytical_model_supports_sla_reasoning() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
-    let model = QedModel::fit(&db, 10, 40);
+    let db = support::memory_db(SCALE);
+    let model = QedModel::fit(db, 10, 40);
     // The model must reproduce the measured average-response ratio and
     // drive a deadline-based batch choice end to end.
     let deadline = model.qed_response_s(20, 20) * 1.02;
@@ -80,10 +82,10 @@ fn analytical_model_supports_sla_reasoning() {
 
 #[test]
 fn energy_aware_plan_choice_end_to_end() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
+    let db = support::memory_db(SCALE);
     let params = Q5Params::new("AMERICA", 1995);
     let ranked = rank_plans_by_energy(
-        &db,
+        db,
         vec![
             (
                 "late-filter",

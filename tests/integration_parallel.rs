@@ -5,136 +5,60 @@
 //! the total exactly, and the multi-core machine model prices them
 //! sanely.
 
-use std::sync::OnceLock;
+mod support;
 
-use ecodb::core::server::{EcoDb, EngineProfile, Query};
-use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::execute;
+use ecodb::core::server::{EcoDb, Query};
+use ecodb::query::exec::ExecEngine;
 use ecodb::query::ops::BoxedOp;
-use ecodb::query::plans;
 use ecodb::simhw::machine::MachineConfig;
-use ecodb::simhw::trace::{DiskWork, Ledger, WorkTrace};
-use ecodb::storage::{load_tpch, Catalog, EngineKind, Tuple};
-use ecodb::tpch::{q5_workload, TpchDb, TpchGenerator};
+use ecodb::simhw::trace::{Ledger, WorkTrace};
+use ecodb::storage::{Catalog, Tuple};
+use ecodb::tpch::q5_workload;
+use support::{check, Axes, Storage, TPCH_PLANS};
 
 const SCALE: f64 = 0.01;
 
-fn mem_db() -> &'static EcoDb {
-    static DB: OnceLock<EcoDb> = OnceLock::new();
-    DB.get_or_init(|| EcoDb::tpch(EngineProfile::MemoryEngine, SCALE))
-}
+/// The scale the plan-level checks load: small enough to load a fresh
+/// disk catalog per run.
+const PLAN_SCALE: f64 = 0.004;
 
-fn source_db() -> &'static TpchDb {
-    static DB: OnceLock<TpchDb> = OnceLock::new();
-    DB.get_or_init(|| TpchGenerator::new(0.004).generate())
-}
-
-/// A roomy, reread-free pool (like `integration_columnar.rs`): cold
-/// runs charge the full read once, warm runs are I/O-free — so ledgers
-/// are comparable across runs without warm-reread counter offsets.
-fn fresh_catalog(engine: EngineKind) -> Catalog {
-    load_tpch(source_db(), engine, 1 << 20)
-}
-
-type PlanFn = fn(&Catalog) -> BoxedOp;
-
-fn q1(cat: &Catalog) -> BoxedOp {
-    plans::q1_plan(cat, 90)
-}
-
-fn q3(cat: &Catalog) -> BoxedOp {
-    plans::q3_plan(cat, "BUILDING", ecodb::tpch::Date::from_ymd(1995, 3, 15))
-}
-
-fn q5(cat: &Catalog) -> BoxedOp {
-    plans::q5_plan(cat, &ecodb::tpch::Q5Params::new("ASIA", 1994))
-}
-
-fn q6(cat: &Catalog) -> BoxedOp {
-    plans::q6_plan(cat, 1994, 6, 24)
-}
-
-fn selection(cat: &Catalog) -> BoxedOp {
-    plans::selection_plan(cat, &ecodb::tpch::QedQuery { quantity: 17 })
-}
-
-const QUERIES: [(&str, PlanFn); 5] = [
-    ("q1", q1),
-    ("q3", q3),
-    ("q5", q5),
-    ("q6", q6),
-    ("selection", selection),
-];
-
-fn assert_ledgers_equal(name: &str, workers: usize, par: &ExecCtx, ser: &ExecCtx) {
-    ser.ledger
-        .assert_same(&par.ledger, format_args!("{name} workers={workers}"));
-    assert_eq!(
-        par.pred_evals, ser.pred_evals,
-        "{name} workers={workers}: pred evals"
-    );
+/// The scalar engine at `workers` against its own serial run, one pass
+/// on `storage`.
+fn scalar_axes(storage: Storage, workers: &[usize]) -> Axes {
+    Axes {
+        storage: vec![storage],
+        engines: vec![ExecEngine::Scalar],
+        workers: workers.to_vec(),
+        ..Axes::default()
+    }
 }
 
 #[test]
 fn parallel_ledger_bit_identical_memory_engine() {
-    let cat = fresh_catalog(EngineKind::Memory);
-    for (name, plan_fn) in QUERIES {
-        let mut serial_ctx = ExecCtx::new();
-        let serial_rows = execute(plan_fn(&cat).as_mut(), &mut serial_ctx);
-        for workers in [1usize, 2, 3, 4, 8] {
-            let mut ctx = ExecCtx::new().with_workers(workers);
-            let rows = execute(plan_fn(&cat).as_mut(), &mut ctx);
-            assert_eq!(rows, serial_rows, "{name} workers={workers}: rows");
-            assert_ledgers_equal(name, workers, &ctx, &serial_ctx);
-        }
+    let axes = scalar_axes(Storage::Memory(PLAN_SCALE), &[1, 2, 3, 4, 8]);
+    for (name, plan) in TPCH_PLANS {
+        check(name, &plan, &axes);
     }
 }
 
 #[test]
 fn parallel_ledger_bit_identical_across_morsel_sizes() {
-    let cat = fresh_catalog(EngineKind::Memory);
-    let mut serial_ctx = ExecCtx::new();
-    let serial_rows = execute(q6(&cat).as_mut(), &mut serial_ctx);
-    for morsel_rows in [64usize, 1000, 4096, 1 << 20] {
-        let mut ctx = ExecCtx::new().with_morsel_rows(morsel_rows).with_workers(4);
-        let rows = execute(q6(&cat).as_mut(), &mut ctx);
-        assert_eq!(rows, serial_rows, "morsel_rows={morsel_rows}");
-        assert_ledgers_equal("q6", 4, &ctx, &serial_ctx);
-    }
+    let axes = Axes {
+        morsel_rows: vec![64, 1000, 4096, 1 << 20],
+        ..scalar_axes(Storage::Memory(PLAN_SCALE), &[4])
+    };
+    check("Q6", &support::Q6, &axes);
 }
 
 #[test]
 fn parallel_ledger_bit_identical_disk_engine_cold_and_warm() {
-    for (name, plan_fn) in QUERIES {
-        // Serial cold + warm on a fresh pool.
-        let cat = fresh_catalog(EngineKind::Disk);
-        let mut cold_serial = ExecCtx::new();
-        let cold_rows = execute(plan_fn(&cat).as_mut(), &mut cold_serial);
-        let mut warm_serial = ExecCtx::new();
-        let warm_rows = execute(plan_fn(&cat).as_mut(), &mut warm_serial);
-        assert_eq!(cold_rows, warm_rows);
-        assert!(
-            cold_serial.ledger.disk.total_bytes() > 0,
-            "{name}: cold serial hit disk"
-        );
-        assert!(
-            warm_serial.ledger.disk == DiskWork::none(),
-            "{name}: warm serial I/O-free"
-        );
-
-        for workers in [2usize, 4] {
-            // Parallel cold + warm on its own fresh pool.
-            let cat = fresh_catalog(EngineKind::Disk);
-            let mut cold_par = ExecCtx::new().with_workers(workers);
-            let rows = execute(plan_fn(&cat).as_mut(), &mut cold_par);
-            assert_eq!(rows, cold_rows, "{name} cold workers={workers}");
-            assert_ledgers_equal(&format!("{name} cold"), workers, &cold_par, &cold_serial);
-
-            let mut warm_par = ExecCtx::new().with_workers(workers);
-            let rows = execute(plan_fn(&cat).as_mut(), &mut warm_par);
-            assert_eq!(rows, warm_rows, "{name} warm workers={workers}");
-            assert_ledgers_equal(&format!("{name} warm"), workers, &warm_par, &warm_serial);
-        }
+    let axes = Axes {
+        passes: 2,
+        ..scalar_axes(Storage::Disk(PLAN_SCALE), &[2, 4])
+    };
+    for (name, plan) in TPCH_PLANS {
+        let oracle = check(name, &plan, &axes);
+        assert_eq!(oracle[0].0, oracle[1].0, "{name}: cold and warm rows");
     }
 }
 
@@ -154,7 +78,7 @@ fn q5_workload_cores(db: &EcoDb, workers: usize) -> (Vec<Vec<Tuple>>, Vec<WorkTr
 
 #[test]
 fn core_traces_partition_the_serial_trace_exactly() {
-    let db = mem_db();
+    let db = support::memory_db(SCALE);
     let (serial_rows, serial_trace) = db.trace_q5_workload();
     for workers in [1usize, 2, 4, 8] {
         let (rows, core_traces) = q5_workload_cores(db, workers);
@@ -176,7 +100,7 @@ fn core_traces_partition_the_serial_trace_exactly() {
 
 #[test]
 fn multicore_pricing_is_sane_and_faster_with_more_cores() {
-    let db = mem_db();
+    let db = support::memory_db(SCALE);
     let (serial_rows, serial_trace) = db.trace_q5_workload();
     let serial = db.price(&serial_trace, MachineConfig::stock());
     let mut prev_elapsed = f64::INFINITY;
@@ -204,67 +128,45 @@ fn multicore_pricing_is_sane_and_faster_with_more_cores() {
     }
 }
 
+/// A Limit directly over a scan→filter pipeline: parallel execution
+/// must consume (and charge) exactly as much of the stream as serial.
 #[test]
 fn limit_over_streaming_pipeline_keeps_scalar_exact_consumption() {
-    // A Limit directly over a scan→filter pipeline: parallel execution
-    // must consume (and charge) exactly as much of the stream as serial.
     use ecodb::query::expr::{CmpOp, Expr};
     use ecodb::query::ops::{Filter, Limit, SeqScan};
-    let db = mem_db();
-    let table = db.catalog().expect("lineitem");
-    let qty = table.schema().expect_index("l_quantity");
-    let mk = || -> BoxedOp {
-        let scan = Box::new(SeqScan::new(std::sync::Arc::clone(&table)));
+    let plan = |cat: &Catalog| -> BoxedOp {
+        let table = cat.expect("lineitem");
+        let qty = table.schema().expect_index("l_quantity");
         let filt = Box::new(Filter::new(
-            scan,
+            Box::new(SeqScan::new(table)),
             Expr::cmp(CmpOp::Ge, Expr::col(qty), Expr::int(10)),
         ));
         Box::new(Limit::new(filt, 25))
     };
-    let mut serial_ctx = ExecCtx::new();
-    let serial_rows = execute(mk().as_mut(), &mut serial_ctx);
-    assert_eq!(serial_rows.len(), 25);
-    for workers in [2usize, 8] {
-        let mut ctx = ExecCtx::new().with_workers(workers);
-        let rows = execute(mk().as_mut(), &mut ctx);
-        assert_eq!(rows, serial_rows);
-        assert_ledgers_equal("limit-pipeline", workers, &ctx, &serial_ctx);
-    }
+    let axes = scalar_axes(Storage::Memory(SCALE), &[2, 8]);
+    let oracle = check("limit-pipeline", &plan, &axes);
+    assert_eq!(oracle[0].0.len(), 25);
 }
 
+/// `Sort` over a partitionable child gathers it morsel-parallel, in
+/// morsel order: rows and ledger (its `SortCmp` count depends on input
+/// order) equal serial execution's on both engines.
 #[test]
-fn exchange_and_gather_merge_compose_into_plans() {
-    use ecodb::query::ops::{Exchange, GatherMerge, Sort, SortKey};
-    let db = mem_db();
-
-    // Exchange over the Q6 filter pipeline, Sort over a GatherMerge.
-    let table = db.catalog().expect("lineitem");
-    let qty = table.schema().expect_index("l_quantity");
-    let mk_filtered = || -> BoxedOp {
-        use ecodb::query::expr::{CmpOp, Expr};
-        use ecodb::query::ops::{Filter, SeqScan};
-        let scan = Box::new(SeqScan::new(std::sync::Arc::clone(&table)));
-        Box::new(Filter::new(
-            scan,
+fn sort_over_a_morsel_parallel_child_matches_serial() {
+    use ecodb::query::expr::{CmpOp, Expr};
+    use ecodb::query::ops::{Filter, SeqScan, Sort, SortKey};
+    let plan = |cat: &Catalog| -> BoxedOp {
+        let table = cat.expect("lineitem");
+        let qty = table.schema().expect_index("l_quantity");
+        let filtered = Box::new(Filter::new(
+            Box::new(SeqScan::new(table)),
             Expr::cmp(CmpOp::Eq, Expr::col(qty), Expr::int(17)),
-        ))
+        ));
+        Box::new(Sort::new(filtered, vec![SortKey::asc(0)]))
     };
-
-    let mut serial_ctx = ExecCtx::new();
-    let mut serial_plan = Sort::new(mk_filtered(), vec![SortKey::asc(0)]);
-    let serial_rows = execute(&mut serial_plan, &mut serial_ctx);
-
-    for workers in [2usize, 4] {
-        let mut ctx = ExecCtx::new().with_workers(workers);
-        let gathered = Box::new(GatherMerge::new(mk_filtered())) as BoxedOp;
-        let mut plan = Sort::new(gathered, vec![SortKey::asc(0)]);
-        let rows = execute(&mut plan, &mut ctx);
-        assert_eq!(rows, serial_rows, "workers={workers}");
-        assert_ledgers_equal("sort-over-gather", workers, &ctx, &serial_ctx);
-
-        let mut ctx2 = ExecCtx::new().with_workers(workers);
-        let mut ex = Exchange::new(mk_filtered());
-        let ex_rows = execute(&mut ex, &mut ctx2);
-        assert_eq!(ex_rows.len(), serial_rows.len());
-    }
+    let axes = Axes {
+        engines: vec![ExecEngine::Scalar, ExecEngine::Columnar],
+        ..scalar_axes(Storage::Memory(SCALE), &[2, 4])
+    };
+    check("sort-over-filter", &plan, &axes);
 }

@@ -1,21 +1,18 @@
 //! Cross-crate integration: the QED pipeline — correctness, trade-off
 //! shapes, interaction with PVC, and the workload manager.
 
+mod support;
+
 use ecodb::core::qed::{run_qed, run_qed_sweep, QedOutcome, QedScheme, WorkloadManager};
-use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::simhw::{CpuConfig, MachineConfig, VoltageSetting};
 use ecodb::tpch::qed_workload;
 
 const SCALE: f64 = 0.004;
 
-fn db() -> EcoDb {
-    EcoDb::tpch(EngineProfile::MemoryEngine, SCALE)
-}
-
 #[test]
 fn fig6_shape_full() {
-    let db = db();
-    let outcomes = run_qed_sweep(&db, &[35, 40, 45, 50], MachineConfig::stock(), true);
+    let db = support::memory_db(SCALE);
+    let outcomes = run_qed_sweep(db, &[35, 40, 45, 50], MachineConfig::stock(), true);
     for o in &outcomes {
         assert!(o.results_match, "batch {}", o.batch_size);
         assert!((0.4..0.8).contains(&o.energy_ratio), "E {}", o.energy_ratio);
@@ -57,35 +54,35 @@ fn bits(o: &QedOutcome) -> (usize, [[u64; 5]; 2], [u64; 3], bool) {
 /// the last bit of every figure.
 #[test]
 fn a_sweep_equals_its_single_runs_bit_for_bit() {
-    let db = db();
+    let db = support::memory_db(SCALE);
     let sizes = [35, 40, 45, 50];
     for short_circuit in [true, false] {
-        let sweep = run_qed_sweep(&db, &sizes, MachineConfig::stock(), short_circuit);
+        let sweep = run_qed_sweep(db, &sizes, MachineConfig::stock(), short_circuit);
         assert_eq!(sweep.len(), sizes.len());
         for (swept, &k) in sweep.iter().zip(&sizes) {
-            let single = run_qed(&db, k, MachineConfig::stock(), short_circuit);
+            let single = run_qed(db, k, MachineConfig::stock(), short_circuit);
             assert!(single.results_match, "batch {k}");
             assert_eq!(bits(swept), bits(&single), "batch {k} sc={short_circuit}");
         }
     }
     // Sizes in any order, repeats allowed; none gives none.
-    let odd = run_qed_sweep(&db, &[12, 3, 12], MachineConfig::stock(), true);
+    let odd = run_qed_sweep(db, &[12, 3, 12], MachineConfig::stock(), true);
     assert_eq!(
         odd.iter().map(|o| o.batch_size).collect::<Vec<_>>(),
         [12, 3, 12]
     );
     assert_eq!(bits(&odd[0]), bits(&odd[2]));
-    assert!(run_qed_sweep(&db, &[], MachineConfig::stock(), true).is_empty());
+    assert!(run_qed_sweep(db, &[], MachineConfig::stock(), true).is_empty());
 }
 
 #[test]
 fn qed_composes_with_pvc() {
     // Extension: run the QED batch *under* a PVC setting — the savings
     // multiply (the paper treats the mechanisms as complementary).
-    let db = db();
-    let stock = run_qed(&db, 40, MachineConfig::stock(), true);
+    let db = support::memory_db(SCALE);
+    let stock = run_qed(db, 40, MachineConfig::stock(), true);
     let pvc = run_qed(
-        &db,
+        db,
         40,
         MachineConfig::with_cpu(CpuConfig::underclocked(0.05, VoltageSetting::Medium)),
         true,
@@ -100,9 +97,9 @@ fn qed_composes_with_pvc() {
 
 #[test]
 fn small_batches_also_work() {
-    let db = db();
+    let db = support::memory_db(SCALE);
     for k in [2, 5, 10] {
-        let o = run_qed(&db, k, MachineConfig::stock(), true);
+        let o = run_qed(db, k, MachineConfig::stock(), true);
         assert!(o.results_match, "batch {k}");
         assert!(o.energy_ratio < 1.0, "batch {k} saves energy");
     }
@@ -110,9 +107,9 @@ fn small_batches_also_work() {
 
 #[test]
 fn exhaustive_evaluation_still_correct_but_costlier() {
-    let db = db();
-    let sc = run_qed(&db, 30, MachineConfig::stock(), true);
-    let ex = run_qed(&db, 30, MachineConfig::stock(), false);
+    let db = support::memory_db(SCALE);
+    let sc = run_qed(db, 30, MachineConfig::stock(), true);
+    let ex = run_qed(db, 30, MachineConfig::stock(), false);
     assert!(sc.results_match && ex.results_match);
     assert!(
         ex.qed.cpu_joules > sc.qed.cpu_joules,
@@ -122,7 +119,7 @@ fn exhaustive_evaluation_still_correct_but_costlier() {
 
 #[test]
 fn workload_manager_feeds_qed_end_to_end() {
-    let db = db();
+    let db = support::memory_db(SCALE);
     let mut wm = WorkloadManager::new(8);
     let mut batches = Vec::new();
     for q in qed_workload(24) {
@@ -141,8 +138,8 @@ fn workload_manager_feeds_qed_end_to_end() {
 
 #[test]
 fn per_query_energy_drops_even_though_batch_runs_longer() {
-    let db = db();
-    let o = run_qed(&db, 45, MachineConfig::stock(), true);
+    let db = support::memory_db(SCALE);
+    let o = run_qed(db, 45, MachineConfig::stock(), true);
     assert!(o.qed.joules_per_query() < o.sequential.joules_per_query());
     assert!(o.qed.total_seconds < o.sequential.total_seconds);
 }

@@ -4,6 +4,8 @@
 //! before the mutation or are first decoded after it — while a fresh
 //! selection sees the mutation. Both storage profiles.
 
+mod support;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -12,6 +14,7 @@ use ecodb::core::server::{EcoDb, EngineProfile, Query};
 use ecodb::query::exec::ExecEngine;
 use ecodb::storage::{ColumnType, DataChunk, RoutedRows, RowSet, Schema, TableData, Tuple, Value};
 use ecodb::tpch::{qed_workload, QedQuery};
+use support::Rng;
 
 const SCALE: f64 = 0.002;
 const PROFILES: [EngineProfile; 2] = [EngineProfile::MemoryEngine, EngineProfile::CommercialDisk];
@@ -124,36 +127,24 @@ fn a_held_result_makes_the_next_heap_mutation_copy() {
 // Comparing result sets: view against view without a decode.
 // ---------------------------------------------------------------------------
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn below(state: &mut u64, n: usize) -> usize {
-    (splitmix64(state) % n.max(1) as u64) as usize
-}
-
 /// The chunks views are cut from: `A`, a copy of `A` (another
 /// snapshot of the same rows), `A` with one cell changed, and an
 /// unrelated chunk. Values come from tiny domains, so equal rows sit
 /// at different row ids of one chunk.
-fn chunks(state: &mut u64, rows: usize) -> Vec<Arc<DataChunk>> {
+fn chunks(rng: &mut Rng, rows: usize) -> Vec<Arc<DataChunk>> {
     let schema = Schema::new(&[("k", ColumnType::Int), ("s", ColumnType::Str)]);
-    let row = |state: &mut u64| -> Tuple {
+    let row = |rng: &mut Rng| -> Tuple {
         vec![
-            Value::Int(below(state, 3) as i64),
-            Value::str(["x", "y", "z"][below(state, 3)]),
+            Value::Int(rng.index(3) as i64),
+            Value::str(["x", "y", "z"][rng.index(3)]),
         ]
     };
-    let a: Vec<Tuple> = (0..rows).map(|_| row(state)).collect();
+    let a: Vec<Tuple> = (0..rows).map(|_| row(rng)).collect();
     let mut changed = a.clone();
-    if let Some(r) = changed.get_mut(below(state, rows)) {
+    if let Some(r) = changed.get_mut(rng.index(rows)) {
         r[1] = Value::str("changed");
     }
-    let other: Vec<Tuple> = (0..rows).map(|_| row(state)).collect();
+    let other: Vec<Tuple> = (0..rows).map(|_| row(rng)).collect();
     let a = Arc::new(DataChunk::from_rows(&schema, &a));
     let copy = Arc::new(DataChunk::clone(&a));
     let changed = Arc::new(DataChunk::from_rows(&schema, &changed));
@@ -166,13 +157,13 @@ type Entries = Vec<(usize, u32, u32)>;
 
 /// Rows routed out of up to three parts to `queries` queries, rows
 /// ascending within a part.
-fn random_entries(state: &mut u64, chunks: &[Arc<DataChunk>], queries: u32) -> Entries {
+fn random_entries(rng: &mut Rng, chunks: &[Arc<DataChunk>], queries: u32) -> Entries {
     let mut entries = Vec::new();
-    for _ in 0..below(state, 4) {
-        let chunk = below(state, chunks.len());
+    for _ in 0..rng.index(4) {
+        let chunk = rng.index(chunks.len());
         for row in 0..chunks[chunk].len() as u32 {
-            if below(state, 3) == 0 {
-                entries.push((chunk, row, below(state, queries as usize) as u32));
+            if rng.index(3) == 0 {
+                entries.push((chunk, row, rng.index(queries as usize) as u32));
             }
         }
     }
@@ -207,13 +198,13 @@ proptest! {
         mode in 0usize..5,
         queries in 1u32..3,
     ) {
-        let mut state = seed;
-        let chunks = chunks(&mut state, rows);
-        let left = random_entries(&mut state, &chunks, queries);
+        let mut rng = Rng(seed);
+        let chunks = chunks(&mut rng, rows);
+        let left = random_entries(&mut rng, &chunks, queries);
         let mut right = left.clone();
         match mode {
             // Independent: mostly unequal, equal when both are empty.
-            0 => right = random_entries(&mut state, &chunks, queries),
+            0 => right = random_entries(&mut rng, &chunks, queries),
             // The same rows of the same chunks: row ids.
             1 => {}
             // The same rows of `A`'s copy: cells.
@@ -222,8 +213,8 @@ proptest! {
             // unless the two rows hold the same values.
             3 => {
                 if !right.is_empty() {
-                    let at = below(&mut state, right.len());
-                    right[at].1 = below(&mut state, rows) as u32;
+                    let at = rng.index(right.len());
+                    right[at].1 = rng.index(rows) as u32;
                 }
             }
             // One row fewer.

@@ -4,12 +4,15 @@
 //! control degrades gracefully; group commit shares one fsync per
 //! group and at least halves joules/txn.
 
+mod support;
+
 use ecodb::core::server::{EcoDb, EngineProfile, Query, ServerError};
 use ecodb::query::exec::ExecEngine;
 use ecodb::server::{
     plan_admission, replay_serial, session_workload, AdmissionConfig, EcoServer, Request,
     ServeReport, ServerConfig, SessionId, SessionOutcome, Statement,
 };
+use ecodb::simhw::trace::PricingMode;
 
 const SCALE: f64 = 0.002;
 /// Saturating offered load: arrivals land faster than even the
@@ -18,10 +21,12 @@ const SCALE: f64 = 0.002;
 const RATE_QPS: f64 = 50_000.0;
 const SEED: u64 = 0xEC0;
 
-/// The same memory-profile database under the scalar oracle (the
-/// servers under test run `EcoDb`'s default, columnar).
-fn oracle() -> EcoDb {
-    EcoDb::tpch(EngineProfile::MemoryEngine, SCALE).with_engine(ExecEngine::Scalar)
+/// The memory-profile database under the scalar oracle (the servers
+/// under test share `support::memory_db`, columnar: serving reads
+/// change nothing in it).
+fn oracle() -> &'static EcoDb {
+    let profile = EngineProfile::MemoryEngine;
+    support::db(profile, SCALE, PricingMode::Raw, ExecEngine::Scalar)
 }
 
 fn serve(db: &EcoDb, sessions: usize, threshold: usize) -> ServeReport {
@@ -32,12 +37,12 @@ fn serve(db: &EcoDb, sessions: usize, threshold: usize) -> ServeReport {
 
 #[test]
 fn online_qed_batching_halves_joules_per_query_at_1k_sessions() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
-    let plan = plan_admission(&db, &AdmissionConfig::default());
+    let db = support::memory_db(SCALE);
+    let plan = plan_admission(db, &AdmissionConfig::default());
     let threshold = plan.threshold.max(32);
 
-    let unbatched = serve(&db, 1000, 1);
-    let batched = serve(&db, 1000, threshold);
+    let unbatched = serve(db, 1000, 1);
+    let batched = serve(db, 1000, threshold);
 
     assert_eq!(unbatched.served, 1000);
     assert_eq!(batched.served, 1000);
@@ -65,19 +70,19 @@ fn online_qed_batching_halves_joules_per_query_at_1k_sessions() {
     // no reset needed between serve and replay).
     for report in [&unbatched, &batched] {
         assert!(report.ledger_identity());
-        let replay = replay_serial(&db, &report.dispatches, 2, true);
+        let replay = replay_serial(db, &report.dispatches, 2, true);
         assert_eq!(report.ledger, replay);
     }
     // ...and to a replay under the oracle engine, on two workers.
-    let replay = replay_serial(&oracle(), &batched.dispatches, 2, true);
+    let replay = replay_serial(oracle(), &batched.dispatches, 2, true);
     assert_eq!(batched.ledger, replay);
 }
 
 #[test]
 fn every_session_gets_its_own_correct_rows_out_of_merged_batches() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
+    let db = support::memory_db(SCALE);
     let requests = session_workload(128, RATE_QPS, SEED ^ 1);
-    let report = EcoServer::new(&db, ServerConfig::batched(2, 16)).serve(&requests);
+    let report = EcoServer::new(db, ServerConfig::batched(2, 16)).serve(&requests);
     assert_eq!(report.served, 128);
     let oracle = oracle();
     for (r, o) in requests.iter().zip(&report.outcomes) {
@@ -94,8 +99,8 @@ fn every_session_gets_its_own_correct_rows_out_of_merged_batches() {
 
 #[test]
 fn advisor_planned_admission_batches_and_sheds_under_overload() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
-    let plan = plan_admission(&db, &AdmissionConfig::default());
+    let db = support::memory_db(SCALE);
+    let plan = plan_admission(db, &AdmissionConfig::default());
     let cfg = ServerConfig::batched(2, 1).with_admission(&plan);
     assert_eq!(cfg.threshold, plan.threshold);
     assert_eq!(cfg.max_backlog, plan.max_backlog);
@@ -108,7 +113,7 @@ fn advisor_planned_admission_batches_and_sheds_under_overload() {
     }
     // Threshold dispatches interleave with arrivals, so exact shed
     // counts depend on the plan; the invariants do not.
-    let report = EcoServer::new(&db, cfg).serve(&requests);
+    let report = EcoServer::new(db, cfg).serve(&requests);
     assert_eq!(report.served + report.shed, requests.len());
     assert!(report.served >= plan.max_backlog, "queued work completes");
     let shed_errors = report
@@ -129,26 +134,26 @@ fn advisor_planned_admission_batches_and_sheds_under_overload() {
 
 #[test]
 fn disk_profile_ledger_identity_cold_and_warm() {
-    let db = EcoDb::tpch(EngineProfile::CommercialDisk, SCALE);
+    let db = &EcoDb::tpch(EngineProfile::CommercialDisk, SCALE);
     let requests = session_workload(60, RATE_QPS, SEED ^ 3);
     let cfg = ServerConfig::batched(2, 8);
 
     // Cold: both serve and replay start from a flushed pool.
     db.flush_cache();
-    let cold = EcoServer::new(&db, cfg).serve(&requests);
+    let cold = EcoServer::new(db, cfg).serve(&requests);
     assert!(cold.ledger_identity());
     db.flush_cache();
-    let cold_replay = replay_serial(&db, &cold.dispatches, 2, true);
+    let cold_replay = replay_serial(db, &cold.dispatches, 2, true);
     assert_eq!(cold.ledger, cold_replay, "cold serve vs cold replay");
 
     // Warm: both start from an identically pre-warmed pool.
     db.flush_cache();
     db.warm_up();
-    let warm = EcoServer::new(&db, cfg).serve(&requests);
+    let warm = EcoServer::new(db, cfg).serve(&requests);
     assert!(warm.ledger_identity());
     db.flush_cache();
     db.warm_up();
-    let warm_replay = replay_serial(&db, &warm.dispatches, 2, true);
+    let warm_replay = replay_serial(db, &warm.dispatches, 2, true);
     assert_eq!(warm.ledger, warm_replay, "warm serve vs warm replay");
 
     // Cold does strictly more disk work.
@@ -157,10 +162,10 @@ fn disk_profile_ledger_identity_cold_and_warm() {
 
 #[test]
 fn open_system_pricing_charges_idle_between_sparse_arrivals() {
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
+    let db = support::memory_db(SCALE);
     // Sparse arrivals (10 qps): the machine idles between dispatches.
     let requests = session_workload(10, 10.0, SEED ^ 4);
-    let report = EcoServer::new(&db, ServerConfig::unbatched(2)).serve(&requests);
+    let report = EcoServer::new(db, ServerConfig::unbatched(2)).serve(&requests);
     assert_eq!(report.served, 10);
     assert!(
         report.measurement.idle_s > 0.5,
@@ -183,7 +188,7 @@ fn type_mismatched_sql_is_a_bind_error_not_a_panic() {
     use ecodb::query::sql::SqlError;
     use ecodb::server::{Request, SessionId, Statement};
 
-    let db = EcoDb::tpch(EngineProfile::MemoryEngine, SCALE);
+    let db = support::memory_db(SCALE);
     let mismatched = [
         "SELECT COUNT(*) AS n FROM orders WHERE o_orderkey = 'abc'",
         "SELECT COUNT(*) AS n FROM orders WHERE o_orderdate = o_orderkey",
@@ -208,7 +213,7 @@ fn type_mismatched_sql_is_a_bind_error_not_a_panic() {
         sql(1, 1e-4, mismatched[0]),
         sql(2, 2e-4, "SELECT COUNT(*) AS n FROM lineitem"),
     ];
-    let report = EcoServer::new(&db, ServerConfig::batched(2, 2)).serve(&requests);
+    let report = EcoServer::new(db, ServerConfig::batched(2, 2)).serve(&requests);
     assert_eq!((report.served, report.failed), (2, 1));
     assert!(matches!(
         &report.outcomes[1],

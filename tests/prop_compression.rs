@@ -15,17 +15,19 @@
 //! And one exact gain on TPC-H: compressed pricing at least halves the
 //! priced memory bytes of Q1 and Q6 and strictly lowers their joules.
 
+mod support;
+
 use proptest::prelude::*;
 
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute, execute_columnar, execute_scalar};
+use ecodb::query::exec::{execute, ExecEngine};
 use ecodb::query::expr::{AggFunc, CmpOp, Expr};
 use ecodb::query::ops::{AggSpec, BoxedOp, Filter, HashAggregate, SeqScan};
-use ecodb::query::plans;
 use ecodb::simhw::trace::{OpClass, PhaseKind, PricingMode, WorkTrace};
 use ecodb::simhw::MachineConfig;
 use ecodb::storage::{Catalog, ColumnType, HeapTable, Schema, Tuple, Value};
+use support::{check, Axes};
 
 /// Deterministic pseudo-random table whose columns exercise every
 /// encoding: a low-cardinality string (dict-str), a run- or
@@ -135,20 +137,16 @@ proptest! {
             }
         };
 
-        // Raw scalar baseline on a fresh catalog (cold pool).
-        let mut sctx = ExecCtx::new();
-        let scalar = execute_scalar(mk(&load(engine_idx, &tuples)).as_mut(), &mut sctx);
-
-        // Raw columnar: rows AND the full ledger bit-identical to
-        // scalar — compression machinery must be invisible in raw mode.
-        let mut rctx = ExecCtx::new()
-            .with_batch_size(chunk)
-            .with_columnar(true)
-            .with_workers(workers);
-        let raw = execute(mk(&load(engine_idx, &tuples)).as_mut(), &mut rctx);
-        prop_assert_eq!(&raw, &scalar, "raw columnar rows differ from scalar");
-        sctx.ledger.assert_same(&rctx.ledger, "raw-mode columnar vs scalar");
-        prop_assert_eq!(rctx.pred_evals, sctx.pred_evals);
+        // Raw columnar on a fresh catalog (cold pool): rows AND the full
+        // ledger bit-identical to scalar — compression machinery must be
+        // invisible in raw mode. `raw` and `rctx` are the scalar
+        // oracle's, which the raw columnar run equals.
+        let axes = Axes {
+            chunks: vec![chunk],
+            workers: vec![workers],
+            ..Axes::default()
+        };
+        let (raw, rctx) = check("raw", &|_| mk(&load(engine_idx, &tuples)), &axes).remove(0);
         prop_assert_eq!(rctx.ledger.cpu.count(OpClass::DictLookup), 0, "raw mode must never dict-decode");
 
         // Compressed columnar: identical rows, same tuple fetches, and
@@ -178,11 +176,11 @@ fn compressed_pricing_halves_tpch_q1_q6_priced_bytes_and_lowers_joules() {
     let db = EcoDb::tpch(EngineProfile::MemoryEngine, 0.01);
     let run = |pricing: PricingMode, name: &str| {
         let mut plan = match name {
-            "q1" => plans::q1_plan(db.catalog(), 90),
-            _ => plans::q6_plan(db.catalog(), 1994, 6, 24),
+            "q1" => support::Q1(db.catalog()),
+            _ => support::Q6(db.catalog()),
         };
         let mut ctx = ExecCtx::new().with_columnar(true).with_pricing(pricing);
-        let rows = execute_columnar(plan.as_mut(), &mut ctx);
+        let rows = ExecEngine::Columnar.execute(plan.as_mut(), &mut ctx);
         let bytes = ctx.ledger.mem_stream_bytes;
         let mut trace = WorkTrace::new();
         trace.push(ctx.take_phase(PhaseKind::Execute, name));

@@ -32,18 +32,20 @@
 //! in `Mirror::mark_rewritten`, whether or not the page count changed,
 //! fails `bind_on_a_mutated_table_equals_the_row_oracle`.
 
+mod support;
+
 use proptest::prelude::*;
 
 use ecodb::query::sql::plan::bind_expr;
 use ecodb::query::sql::{execute_dml, parse_statement, DmlOutcome, Statement};
 use ecodb::query::ExecCtx;
-use ecodb::storage::bufferpool::EXTENT_PAGES;
 use ecodb::storage::disk_table::DiskTable;
 use ecodb::storage::wal::WalRecord;
 use ecodb::storage::{
     Catalog, ColumnType, DataChunk, HeapTable, Schema, StoredTable, TableData, Tuple, Value,
 };
 use ecodb::tpch::Date;
+use support::{disk, edge_rows, Rng};
 
 const TABLE: &str = "t";
 
@@ -63,19 +65,11 @@ fn schema() -> Schema {
     ])
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-struct Gen(u64);
+struct Gen(Rng);
 
 impl Gen {
     fn below(&mut self, n: usize) -> usize {
-        (splitmix64(&mut self.0) % n.max(1) as u64) as usize
+        self.0.index(n)
     }
 
     fn key(&mut self) -> i64 {
@@ -233,23 +227,6 @@ impl Gen {
     }
 }
 
-/// The first and last row of every page, or of every extent
-/// (`extents`).
-fn edge_rows(table: &DiskTable, extents: bool) -> Vec<usize> {
-    let extent = EXTENT_PAGES as usize;
-    let opens = |r: usize| {
-        let (page, slot) = table.row_location(r);
-        slot == 0 && (!extents || page % extent == 0)
-    };
-    let mut rows = Vec::new();
-    for r in (0..table.len()).filter(|&r| opens(r)) {
-        rows.extend(r.checked_sub(1));
-        rows.push(r);
-    }
-    rows.extend(table.len().checked_sub(1));
-    rows
-}
-
 /// The `n` of each of `rows` (until a row changes, its row id), or 0,
 /// which matches nothing, when there are none.
 fn ns(table: &DiskTable, rows: &[usize]) -> Vec<usize> {
@@ -352,19 +329,12 @@ fn paged(rows: &[Tuple]) -> Catalog {
     catalog
 }
 
-fn disk(stored: &StoredTable) -> &DiskTable {
-    match &stored.data {
-        TableData::Disk(d) => d,
-        TableData::Memory(_) => panic!("{TABLE} is a disk table"),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn paged_bind_equals_the_row_oracle(seed in 0u64..1_000_000, shape in 0usize..6) {
-        let mut gen = Gen(seed);
+        let mut gen = Gen(Rng(seed));
         let rows = gen.rows(shape);
         let catalog = paged(&rows);
         let stored = catalog.expect(TABLE);
@@ -397,7 +367,7 @@ proptest! {
         shape in prop_oneof![Just(2usize), Just(4), Just(5)],
         rounds in 2usize..5,
     ) {
-        let mut gen = Gen(seed);
+        let mut gen = Gen(Rng(seed));
         let rows = gen.rows(shape);
         let mut next_n = rows.len();
         let catalog = paged(&rows);
@@ -425,7 +395,7 @@ proptest! {
     /// subset of any page equals the same columns of its decoded rows.
     #[test]
     fn projected_pages_equal_their_rows(seed in 0u64..1_000_000, shape in 0usize..5, mask in 0u32..128) {
-        let rows = Gen(seed).rows(shape);
+        let rows = Gen(Rng(seed)).rows(shape);
         let catalog = paged(&rows);
         let stored = catalog.expect(TABLE);
         let table = disk(&stored);
@@ -461,7 +431,7 @@ proptest! {
 /// second conjunct runs only where the first held).
 #[test]
 fn heap_and_paged_binds_both_equal_the_row_oracle() {
-    let rows = Gen(7).rows(4);
+    let rows = Gen(Rng(7)).rows(4);
     let mut catalog = paged(&rows);
     catalog.add_memory_table("m", HeapTable::from_tuples(schema(), rows));
     for sql in [

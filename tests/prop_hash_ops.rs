@@ -47,13 +47,15 @@
 //! Seeds are pinned: the vendored `proptest` derives each test's
 //! generator from the test's name.
 
+mod support;
+
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
 use ecodb::query::chunk::Rows;
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute, execute_scalar};
+use ecodb::query::exec::{execute, ExecEngine};
 use ecodb::query::expr::{AggFunc, ArithOp, CmpOp, Expr};
 use ecodb::query::ops::{
     hash_keys, AggSpec, BoxedOp, Filter, HashAggregate, HashJoin, Limit, Project, SeqScan,
@@ -63,6 +65,7 @@ use ecodb::simhw::trace::{OpClass, PricingMode};
 use ecodb::storage::{
     Catalog, ColumnType, DataChunk, EncodedColumn, HeapTable, Schema, Tuple, Value,
 };
+use support::{check, Axes, Rng};
 
 const TYPES: [ColumnType; 5] = [
     ColumnType::Int,
@@ -71,27 +74,6 @@ const TYPES: [ColumnType; 5] = [
     ColumnType::Str,
     ColumnType::Bool,
 ];
-
-/// splitmix64: the case's own generator, seeded from one drawn `u64`.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    fn pick<T: Copy>(&mut self, of: &[T]) -> T {
-        of[self.below(of.len() as u64) as usize]
-    }
-}
 
 /// The value key id `id` takes in a column of type `ty` — one value per
 /// id (two ids per `Bool`), the same bits across the numeric types so
@@ -559,47 +541,26 @@ fn aggregate_some(child: BoxedOp, rng: &mut Rng) -> BoxedOp {
     Box::new(HashAggregate::new(child, groups, aggs))
 }
 
-/// Everything the figures are priced from, plus the predicate count.
-fn ledger(ctx: &ExecCtx) -> impl PartialEq + std::fmt::Debug {
-    (ctx.ledger.clone(), ctx.pred_evals)
-}
-
-fn columnar_ctx(chunk: usize, workers: usize, pricing: PricingMode) -> ExecCtx {
+fn compressed_ctx(chunk: usize, workers: usize) -> ExecCtx {
     ExecCtx::new()
         .with_batch_size(chunk)
         .with_columnar(true)
         .with_morsel_rows(16)
         .with_workers(workers)
-        .with_pricing(pricing)
+        .with_pricing(PricingMode::Compressed)
 }
 
 /// Rows, ledgers and recorded errors of `mk()` under the columnar
-/// engine equal the scalar oracle's at every worker count. Returns the
-/// oracle rows.
-fn check_against_oracle(
-    mk: &dyn Fn() -> BoxedOp,
-    chunk: usize,
-) -> Result<Vec<Tuple>, TestCaseError> {
-    let mut sctx = ExecCtx::new();
-    let scalar = execute_scalar(mk().as_mut(), &mut sctx);
-    for workers in [1, 2, 4] {
-        let mut ctx = columnar_ctx(chunk, workers, PricingMode::Raw);
-        let rows = execute(mk().as_mut(), &mut ctx);
-        prop_assert_eq!(&rows, &scalar, "columnar rows, workers={}", workers);
-        prop_assert_eq!(
-            ledger(&ctx),
-            ledger(&sctx),
-            "columnar ledger, workers={}",
-            workers
-        );
-        prop_assert_eq!(
-            ctx.error(),
-            sctx.error(),
-            "columnar error, workers={}",
-            workers
-        );
-    }
-    Ok(scalar)
+/// engine equal the scalar oracle's at 1, 2 and 4 workers (16-row
+/// morsels). Returns the oracle rows.
+fn check_against_oracle(name: &str, mk: &dyn Fn() -> BoxedOp, chunk: usize) -> Vec<Tuple> {
+    let axes = Axes {
+        chunks: vec![chunk],
+        workers: vec![1, 2, 4],
+        morsel_rows: vec![16],
+        ..Axes::default()
+    };
+    check(name, &|_| mk(), &axes).remove(0).0
 }
 
 /// Literals of the kernel property: zero (a literal zero divisor), the
@@ -690,7 +651,7 @@ proptest! {
                 None => plan,
             }
         };
-        let rows = check_against_oracle(&mk, chunk)?;
+        let rows = check_against_oracle("join", &mk, chunk);
         if MODES[mode_idx] == Mode::CrossTyped && !scanned && shape == 0 {
             prop_assert!(rows.is_empty(), "key columns of different types never match");
         }
@@ -704,7 +665,7 @@ proptest! {
     ) {
         let inputs = generate(seed, MODES[mode_idx], true, false);
         let mut sctx = ExecCtx::new();
-        let scalar = execute_scalar(inputs.join().as_mut(), &mut sctx);
+        let scalar = ExecEngine::Scalar.execute(inputs.join().as_mut(), &mut sctx);
 
         let by_dict_id = inputs.probe_keys.len() == 1
             && dict_encoded(&inputs.probe_schema, &inputs.probe_rows, inputs.probe_keys[0]);
@@ -714,7 +675,7 @@ proptest! {
             .map(|w| w.iter().map(|t| &t[inputs.probe_keys[0]]).collect::<HashSet<_>>().len() as u64)
             .sum();
         for workers in [1, 2, 4] {
-            let mut ctx = columnar_ctx(chunk, workers, PricingMode::Compressed);
+            let mut ctx = compressed_ctx(chunk, workers);
             let rows = execute(inputs.join().as_mut(), &mut ctx);
             prop_assert_eq!(&rows, &scalar, "compressed rows, workers={}", workers);
             let (lookups, probes) = (
@@ -752,7 +713,7 @@ proptest! {
         chunk in prop_oneof![Just(3usize), Just(64), Just(1024)],
     ) {
         let inputs = generate(seed, MODES[mode_idx], scanned, true);
-        check_against_oracle(&|| inputs.aggregate(groups, &funcs), chunk)?;
+        check_against_oracle("group by", &|| inputs.aggregate(groups, &funcs), chunk);
     }
 
     /// The columnar arithmetic, comparison and accumulator kernels
@@ -810,7 +771,7 @@ proptest! {
             let groups = if grouped { vec![0] } else { vec![] };
             Box::new(HashAggregate::new(src, groups, aggs)) as BoxedOp
         };
-        check_against_oracle(&mk, chunk)?;
+        check_against_oracle("kernels", &mk, chunk);
     }
 
     #[test]
@@ -826,14 +787,14 @@ proptest! {
         let funcs = [AggFunc::Count, AggFunc::Min];
         let mk = || inputs.aggregate(groups, &funcs);
         let mut sctx = ExecCtx::new();
-        let scalar = execute_scalar(mk().as_mut(), &mut sctx);
+        let scalar = ExecEngine::Scalar.execute(mk().as_mut(), &mut sctx);
 
         let group_cols = &inputs.probe_keys[..groups.min(inputs.probe_keys.len())];
         let by_dict_id = group_cols.len() == 1
             && dict_encoded(&inputs.probe_schema, &inputs.probe_rows, group_cols[0]);
         let live = inputs.probe_rows.len() as u64;
         for workers in [1, 2, 4] {
-            let mut ctx = columnar_ctx(chunk, workers, PricingMode::Compressed);
+            let mut ctx = compressed_ctx(chunk, workers);
             let rows = execute(mk().as_mut(), &mut ctx);
             prop_assert_eq!(&rows, &scalar, "compressed rows, workers={}", workers);
             let (lookups, probes) = (

@@ -42,6 +42,8 @@
 //! `a_kept_mirror_equals_a_fresh_decode_after_every_change` (checked
 //! by hand, for a same-count and a page-count-changing rewrite).
 
+mod support;
+
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
@@ -49,16 +51,12 @@ use proptest::prelude::*;
 
 use ecodb::query::context::ExecCtx;
 use ecodb::query::exec::ExecEngine;
-use ecodb::query::ops::BoxedOp;
-use ecodb::query::plans;
-use ecodb::storage::bufferpool::EXTENT_PAGES;
 use ecodb::storage::disk_table::DiskTable;
 use ecodb::storage::{
     load_tpch, tuple_width, BTreeIndex, BufferPool, Catalog, ColumnType, ColumnarExtents,
-    DataChunk, EngineKind, IndexEntry, KeyBound, Schema, StoredTable, TableData, Tuple, Value,
-    WalRecord,
+    DataChunk, EngineKind, IndexEntry, KeyBound, Schema, StoredTable, Tuple, Value, WalRecord,
 };
-use ecodb::tpch::{Date, Q5Params, TpchDb, TpchGenerator};
+use support::{disk, edge_rows, Rng};
 
 const TABLE: &str = "t";
 /// `(index name, indexed column)`: a duplicate-heavy `Int` key and a
@@ -73,26 +71,18 @@ fn schema() -> Schema {
     ])
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Deterministic row generator. `wide` rows are 0.3–2.5 KB, so a page
 /// holds a handful and page boundaries are everywhere; narrow rows pack
 /// ~60 to a page, so a few hundred of them spill the index past one
 /// 256-entry leaf.
 struct Gen {
-    state: u64,
+    rng: Rng,
     wide: bool,
 }
 
 impl Gen {
     fn below(&mut self, n: usize) -> usize {
-        (splitmix64(&mut self.state) % n.max(1) as u64) as usize
+        self.rng.index(n)
     }
 
     /// Keys from a small domain: duplicates are the rule.
@@ -120,13 +110,6 @@ impl Gen {
 
     fn row(&mut self) -> Tuple {
         vec![self.key(), self.name(), self.pad()]
-    }
-}
-
-fn disk(stored: &StoredTable) -> &DiskTable {
-    match &stored.data {
-        TableData::Disk(d) => d,
-        TableData::Memory(_) => panic!("{TABLE} is a disk table"),
     }
 }
 
@@ -391,7 +374,7 @@ proptest! {
         wide in any::<bool>(),
         hold_snapshot in any::<bool>(),
     ) {
-        let mut gen = Gen { state: seed, wide };
+        let mut gen = Gen { rng: Rng(seed), wide };
         let mut model: Vec<Tuple> = (0..n).map(|_| gen.row()).collect();
         let mut cat = Catalog::new(1 << 16);
         cat.add_disk_table(TABLE, schema(), &model);
@@ -464,7 +447,7 @@ fn mirror_equals_rows_when_a_column_stops_repeating_mid_table() {
 /// decoder itself must refuse.
 fn with_garbled_payload<R>(offset: usize, decode: impl FnOnce(&DiskTable) -> R) -> R {
     let mut gen = Gen {
-        state: 7,
+        rng: Rng(7),
         wide: false,
     };
     let rows: Vec<Tuple> = (0..100).map(|_| gen.row()).collect();
@@ -547,37 +530,21 @@ fn mixed_row(gen: &mut Gen) -> Tuple {
     ]
 }
 
-fn tpch_source() -> &'static TpchDb {
-    static DB: OnceLock<TpchDb> = OnceLock::new();
-    DB.get_or_init(|| TpchGenerator::new(0.001).generate())
-}
-
 /// The TPC-H tables as loaded, no mirror built: each case clones the
 /// table it needs, so every case starts from a fresh mirror.
 fn tpch_tables() -> &'static Catalog {
     static CAT: OnceLock<Catalog> = OnceLock::new();
-    CAT.get_or_init(|| load_tpch(tpch_source(), EngineKind::Disk, 1 << 16))
+    CAT.get_or_init(|| load_tpch(support::source(0.001), EngineKind::Disk, 1 << 16))
 }
 
 /// What Q1, Q3, Q5 and Q6 leave decoded in the mirrors of a fresh disk
 /// database: `(query, table, mask)`, the masks their scans ask for.
 fn plan_masks() -> &'static [(&'static str, &'static str, Vec<bool>)] {
-    type PlanFn = fn(&Catalog) -> BoxedOp;
     static MASKS: OnceLock<Vec<(&str, &str, Vec<bool>)>> = OnceLock::new();
     MASKS.get_or_init(|| {
-        let queries: [(&str, PlanFn); 4] = [
-            ("Q1", |cat| plans::q1_plan(cat, 90)),
-            ("Q3", |cat| {
-                plans::q3_plan(cat, "BUILDING", Date::from_ymd(1995, 3, 15))
-            }),
-            ("Q5", |cat| {
-                plans::q5_plan(cat, &Q5Params::new("ASIA", 1994))
-            }),
-            ("Q6", |cat| plans::q6_plan(cat, 1994, 6, 24)),
-        ];
         let mut masks = Vec::new();
-        for (query, mk) in queries {
-            let cat = load_tpch(tpch_source(), EngineKind::Disk, 1 << 16);
+        for &(query, mk) in &support::TPCH_PLANS[..4] {
+            let cat = load_tpch(support::source(0.001), EngineKind::Disk, 1 << 16);
             ExecEngine::Columnar.execute(mk(&cat).as_mut(), &mut ExecCtx::new());
             for table in [
                 "lineitem", "orders", "customer", "nation", "region", "supplier",
@@ -706,7 +673,7 @@ proptest! {
         table_no in 0usize..4,
         n in prop_oneof![0usize..3, 3usize..900],
     ) {
-        let mut gen = Gen { state: seed, wide: false };
+        let mut gen = Gen { rng: Rng(seed), wide: false };
         let (name, fresh): (&str, DiskTable) = match table_no {
             0 => {
                 let rows: Vec<Tuple> = (0..n).map(|_| mixed_row(&mut gen)).collect();
@@ -788,22 +755,6 @@ fn mixed_row_of_any_width(gen: &mut Gen) -> Tuple {
     };
     row[2] = Value::str("x".repeat(len));
     row
-}
-
-/// The first and last row of every extent (`extents`) or of every page.
-fn edge_rows(table: &DiskTable, extents: bool) -> Vec<usize> {
-    let extent = EXTENT_PAGES as usize;
-    let opens = |r: usize| {
-        let (page, slot) = table.row_location(r);
-        slot == 0 && (!extents || page % extent == 0)
-    };
-    let mut edges = Vec::new();
-    for r in (0..table.len()).filter(|&r| opens(r)) {
-        edges.extend(r.checked_sub(1));
-        edges.push(r);
-    }
-    edges.extend(table.len().checked_sub(1));
-    edges
 }
 
 /// One random row change, applied to `table` and `model`: an append,
@@ -911,7 +862,7 @@ proptest! {
         steps in 4usize..20,
         compressed in any::<bool>(),
     ) {
-        let mut gen = Gen { state: seed, wide: false };
+        let mut gen = Gen { rng: Rng(seed), wide: false };
         let mut model: Vec<Tuple> = (0..n).map(|_| mixed_row_of_any_width(&mut gen)).collect();
         let pool = Arc::new(BufferPool::new(16));
         let mut live = DiskTable::load(1, mixed_schema(), &model, pool);

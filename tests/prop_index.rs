@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::execute_scalar;
+use ecodb::query::exec::ExecEngine;
 use ecodb::query::expr::{CmpOp, Expr};
 use ecodb::query::ops::{BoxedOp, Filter, IxBound, IxScan, SeqScan};
 use ecodb::simhw::trace::OpClass;
@@ -78,14 +78,14 @@ proptest! {
         // Reference: a cold scan on an index-free catalog.
         let before = load(&tuples);
         let mut ctx_before = ExecCtx::new();
-        let scan_rows = execute_scalar(scan_plan(&before).as_mut(), &mut ctx_before);
+        let scan_rows = ExecEngine::Scalar.execute(scan_plan(&before).as_mut(), &mut ctx_before);
 
         // The same catalog shape WITH an index: the scan plan's ledger
         // must not move, and every v4 class must stay zero.
         let indexed = load(&tuples);
         let entry = indexed.create_index("ix_t_k", "t", "k").expect("disk table");
         let mut ctx_after = ExecCtx::new();
-        let scan_rows_after = execute_scalar(scan_plan(&indexed).as_mut(), &mut ctx_after);
+        let scan_rows_after = ExecEngine::Scalar.execute(scan_plan(&indexed).as_mut(), &mut ctx_after);
         prop_assert_eq!(&scan_rows_after, &scan_rows);
         ctx_before.ledger.assert_same(&ctx_after.ledger, "scan plan before/after CREATE INDEX");
         ctx_after.ledger.assert_same(&ctx_after.ledger.without_schema(4), "v4 classes on a scan");
@@ -108,7 +108,7 @@ proptest! {
             )
         };
         let mut ictx = ExecCtx::new();
-        let ix_rows = execute_scalar(&mut ix, &mut ictx);
+        let ix_rows = ExecEngine::Scalar.execute(&mut ix, &mut ictx);
         prop_assert_eq!(&ix_rows, &scan_rows, "index path must return the scan's rows");
         prop_assert_eq!(ictx.ledger.disk.sequential_bytes, 0, "probes never charge sequential I/O");
         prop_assert_eq!(ictx.ledger.disk.random_ios, 0, "probes ledger as index, not random, I/O");

@@ -1,15 +1,15 @@
 //! Property-based tests over core invariants, spanning crates.
 
-use std::sync::{Arc, OnceLock};
+mod support;
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::execute;
+use ecodb::query::exec::{execute, ExecEngine};
 use ecodb::query::mqo::{split_results, MergedSelection};
-use ecodb::query::ops::BoxedOp;
-use ecodb::query::plans::{self, selection_plan};
+use ecodb::query::plans::selection_plan;
 use ecodb::simhw::machine::{Machine, MachineConfig};
 use ecodb::simhw::trace::{OpClass, Phase, WorkTrace};
 use ecodb::simhw::{CpuConfig, VoltageSetting};
@@ -20,11 +20,9 @@ use ecodb::storage::{
     Value,
 };
 use ecodb::tpch::{Date, QedQuery, TpchGenerator};
+use support::{check, Axes, Storage, TPCH_PLANS};
 
-fn shared_db() -> &'static EcoDb {
-    static DB: OnceLock<EcoDb> = OnceLock::new();
-    DB.get_or_init(|| EcoDb::tpch(EngineProfile::MemoryEngine, 0.002))
-}
+const SCALE: f64 = 0.002;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -44,7 +42,7 @@ proptest! {
     /// exactly what the individual queries return — in order.
     #[test]
     fn qed_split_equals_sequential(quantities in proptest::collection::btree_set(1i64..=50, 1..12)) {
-        let db = shared_db();
+        let db = support::memory_db(SCALE);
         let queries: Vec<QedQuery> =
             quantities.iter().map(|&q| QedQuery { quantity: q }).collect();
         let mut merged = MergedSelection::new(db.catalog(), &queries);
@@ -68,27 +66,15 @@ proptest! {
         workers in 1usize..=8,
         morsel_rows in prop_oneof![Just(64usize), Just(333), Just(4096)],
     ) {
-        let db = shared_db();
-        let mk = |cat: &ecodb::storage::Catalog| -> BoxedOp {
-            match plan_idx {
-                0 => plans::q1_plan(cat, 90),
-                1 => plans::q3_plan(cat, "BUILDING", Date::from_ymd(1995, 3, 15)),
-                2 => plans::q5_plan(cat, &ecodb::tpch::Q5Params::new("ASIA", 1994)),
-                3 => plans::q6_plan(cat, 1994, 6, 24),
-                _ => plans::selection_plan(cat, &QedQuery { quantity: 17 }),
-            }
+        let (name, plan) = TPCH_PLANS[plan_idx];
+        let axes = Axes {
+            storage: vec![Storage::Memory(SCALE)],
+            engines: vec![ExecEngine::Scalar],
+            workers: vec![workers],
+            morsel_rows: vec![morsel_rows],
+            ..Axes::default()
         };
-        let mut sctx = ExecCtx::new();
-        let serial = execute(mk(db.catalog()).as_mut(), &mut sctx);
-
-        let mut pctx = ExecCtx::new()
-            .with_morsel_rows(morsel_rows)
-            .with_workers(workers);
-        let parallel = execute(mk(db.catalog()).as_mut(), &mut pctx);
-
-        prop_assert_eq!(parallel, serial, "rows (plan {})", plan_idx);
-        sctx.ledger.assert_same(&pctx.ledger, format_args!("plan {plan_idx}"));
-        prop_assert_eq!(pctx.pred_evals, sctx.pred_evals);
+        check(name, &plan, &axes);
     }
 
     /// The columnar engine is a pure throughput knob: for any plan,
@@ -102,46 +88,15 @@ proptest! {
         workers in prop_oneof![Just(1usize), Just(2), Just(4)],
         chunk_size in prop_oneof![Just(3usize), Just(257), Just(1024)],
     ) {
-        use ecodb::storage::EngineKind;
-        let mk = |cat: &ecodb::storage::Catalog| -> BoxedOp {
-            match plan_idx {
-                0 => plans::q1_plan(cat, 90),
-                1 => plans::q3_plan(cat, "BUILDING", Date::from_ymd(1995, 3, 15)),
-                2 => plans::q5_plan(cat, &ecodb::tpch::Q5Params::new("ASIA", 1994)),
-                3 => plans::q6_plan(cat, 1994, 6, 24),
-                _ => plans::selection_plan(cat, &QedQuery { quantity: 17 }),
-            }
+        let (name, plan) = TPCH_PLANS[plan_idx];
+        let storage = [Storage::Memory(SCALE), Storage::Disk(SCALE)][engine_idx];
+        let axes = Axes {
+            storage: vec![storage],
+            workers: vec![workers],
+            chunks: vec![chunk_size],
+            ..Axes::tpch(SCALE)
         };
-        let engine = [EngineKind::Memory, EngineKind::Disk][engine_idx];
-        static SRC: OnceLock<ecodb::tpch::TpchDb> = OnceLock::new();
-        let src = SRC.get_or_init(|| ecodb::tpch::TpchGenerator::new(0.002).generate());
-
-        // Scalar baseline, cold then warm, on a fresh catalog.
-        let cat = ecodb::storage::load_tpch(src, engine, 1 << 20);
-        let scalar: Vec<(Vec<ecodb::storage::Tuple>, ExecCtx)> = (0..2)
-            .map(|_| {
-                let mut ctx = ExecCtx::new();
-                let rows =
-                    ecodb::query::exec::execute_scalar(mk(&cat).as_mut(), &mut ctx);
-                (rows, ctx)
-            })
-            .collect();
-
-        // Columnar (possibly parallel), cold then warm, on its own pool.
-        let cat = ecodb::storage::load_tpch(src, engine, 1 << 20);
-        for (pass, (scalar_rows, scalar_ctx)) in scalar.iter().enumerate() {
-            let mut ctx = ExecCtx::new()
-                .with_batch_size(chunk_size)
-                .with_columnar(true)
-                .with_workers(workers);
-            let rows = execute(mk(&cat).as_mut(), &mut ctx);
-            let what = format!(
-                "plan {plan_idx} {engine:?} pass {pass} workers {workers} chunk {chunk_size}"
-            );
-            prop_assert_eq!(&rows, scalar_rows, "rows: {}", what);
-            scalar_ctx.ledger.assert_same(&ctx.ledger, &what);
-            prop_assert_eq!(ctx.pred_evals, scalar_ctx.pred_evals);
-        }
+        check(name, &plan, &axes);
     }
 
     /// Tuple serialization round-trips arbitrary values.

@@ -32,15 +32,17 @@
 //! Seeds are pinned: the vendored `proptest` derives each test's
 //! generator from the test's name.
 
+mod support;
+
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::chunk::Chunk;
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute, execute_scalar, ExecEngine};
+use ecodb::query::exec::{execute, ExecEngine};
 use ecodb::query::expr::{CmpOp, Expr};
 use ecodb::query::mqo::{split_results, MultiFilter};
 use ecodb::query::ops::{BoxedOp, Filter, Operator, VecSource};
@@ -49,54 +51,16 @@ use ecodb::storage::{
     tuple_width, ColumnChunk, ColumnData, ColumnType, DataChunk, RowSet, Schema, Tuple, Value,
 };
 use ecodb::tpch::QedQuery;
+use support::Rng;
 
-/// splitmix64: the case's own generator, seeded from one drawn `u64`.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    fn pick<T: Copy>(&mut self, of: &[T]) -> T {
-        of[self.below(of.len() as u64) as usize]
-    }
-}
-
-const ENGINES: [ExecEngine; 2] = [ExecEngine::Scalar, ExecEngine::Columnar];
-const PRICINGS: [PricingMode; 2] = [PricingMode::Raw, PricingMode::Compressed];
-const PROFILES: [EngineProfile; 2] = [EngineProfile::MemoryEngine, EngineProfile::CommercialDisk];
-
-/// One database per (profile, pricing, engine): the scalar-engine one
-/// is the oracle (`run_split` falls back to tagged rows +
-/// `split_results` there), the columnar one runs the fused path.
+/// The scale-0.002 database of the disk or memory profile under
+/// compressed or raw pricing and `engine`: the scalar-engine one is the
+/// oracle (`run_split` falls back to tagged rows + `split_results`
+/// there), the columnar one runs the fused path.
 fn db(disk: bool, compressed: bool, engine: ExecEngine) -> &'static EcoDb {
-    static DBS: OnceLock<Vec<EcoDb>> = OnceLock::new();
-    let dbs = DBS.get_or_init(|| {
-        let mut dbs = Vec::new();
-        for profile in PROFILES {
-            for pricing in PRICINGS {
-                for engine in ENGINES {
-                    dbs.push(
-                        EcoDb::tpch(profile, 0.002)
-                            .with_engine(engine)
-                            .with_pricing(pricing),
-                    );
-                }
-            }
-        }
-        dbs
-    });
-    let at = ENGINES.iter().position(|e| *e == engine).expect("listed");
-    &dbs[(usize::from(disk) * 2 + usize::from(compressed)) * 2 + at]
+    let profile = [EngineProfile::MemoryEngine, EngineProfile::CommercialDisk][usize::from(disk)];
+    let pricing = [PricingMode::Raw, PricingMode::Compressed][usize::from(compressed)];
+    support::db(profile, 0.002, pricing, engine)
 }
 
 /// 1–50 quantities, mostly inside TPC-H's 1..=50 (a few are absent
@@ -411,7 +375,7 @@ proptest! {
         // Oracle: scalar tagged rows, then the application-side split.
         let mut octx = ExecCtx::new();
         octx.short_circuit_or = short_circuit;
-        let tagged = execute_scalar(&mut routing_plan(&rows, cut, &keys, disjoint), &mut octx);
+        let tagged = ExecEngine::Scalar.execute(&mut routing_plan(&rows, cut, &keys, disjoint), &mut octx);
         let mut oclient = ExecCtx::new();
         let expected = split_results(tagged, k, &mut oclient);
 
@@ -482,7 +446,7 @@ proptest! {
             .collect();
         let mut octx = ExecCtx::new();
         octx.short_circuit_or = short_circuit;
-        let tagged = execute_scalar(&mut routing_plan(&nulled, None, &keys, disjoint), &mut octx);
+        let tagged = ExecEngine::Scalar.execute(&mut routing_plan(&nulled, None, &keys, disjoint), &mut octx);
         let mut oclient = ExecCtx::new();
         let expected = split_results(tagged, k, &mut oclient);
 

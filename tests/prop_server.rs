@@ -5,58 +5,44 @@
 //! the serving engine (columnar, `EcoDb`'s default) and under the
 //! scalar oracle.
 
-use std::sync::OnceLock;
+mod support;
 
 use proptest::prelude::*;
 
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::query::exec::ExecEngine;
 use ecodb::server::{replay_serial, EcoServer, Request, ServerConfig, SessionId, Statement};
+use ecodb::simhw::trace::PricingMode;
 use ecodb::tpch::QedQuery;
+use support::Rng;
 
 const ENGINES: [ExecEngine; 2] = [ExecEngine::Columnar, ExecEngine::Scalar];
 
-/// One database per (profile, engine): the server under test runs the
-/// columnar one, both replay its transcript.
+/// The scale-0.002 database of one profile under `engine`: the server
+/// under test runs the columnar one, both replay its transcript.
 fn db(on_disk_profile: bool, engine: ExecEngine) -> &'static EcoDb {
-    static DBS: OnceLock<Vec<EcoDb>> = OnceLock::new();
-    let dbs = DBS.get_or_init(|| {
-        [EngineProfile::MemoryEngine, EngineProfile::CommercialDisk]
-            .into_iter()
-            .flat_map(|profile| {
-                ENGINES.map(|engine| EcoDb::tpch(profile, 0.002).with_engine(engine))
-            })
-            .collect()
-    });
-    let at = ENGINES.iter().position(|e| *e == engine).expect("listed");
-    &dbs[usize::from(on_disk_profile) * ENGINES.len() + at]
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let profile =
+        [EngineProfile::MemoryEngine, EngineProfile::CommercialDisk][usize::from(on_disk_profile)];
+    support::db(profile, 0.002, PricingMode::Raw, engine)
 }
 
 /// Derive a random-but-deterministic session workload from one seed:
 /// arbitrary arrival order (gaps from microseconds to tens of
 /// milliseconds, with ties) and arbitrary predicates.
 fn workload_from_seed(seed: u64, sessions: usize) -> Vec<Request> {
-    let mut state = seed;
+    let mut rng = Rng(seed);
     let mut t = 0.0;
     (0..sessions)
         .map(|i| {
             // ~1/8 of arrivals tie with the previous one.
-            if !splitmix64(&mut state).is_multiple_of(8) {
-                t += (splitmix64(&mut state) % 20_000) as f64 * 1e-6;
+            if !rng.next().is_multiple_of(8) {
+                t += rng.below(20_000) as f64 * 1e-6;
             }
             Request {
                 session: SessionId(i as u64),
                 arrival_s: t,
                 statement: Statement::Selection(QedQuery {
-                    quantity: (splitmix64(&mut state) % 50 + 1) as i64,
+                    quantity: (rng.below(50) + 1) as i64,
                 }),
             }
         })

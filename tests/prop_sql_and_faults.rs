@@ -8,7 +8,7 @@
 //! name, so every chaos case is pinned: CI replays the exact same fault
 //! plans on every run.
 
-use std::sync::OnceLock;
+mod support;
 
 use proptest::prelude::*;
 
@@ -24,14 +24,9 @@ use ecodb::simhw::machine::MachineConfig;
 use ecodb::simhw::trace::DiskWork;
 use ecodb::storage::page::PAGE_SIZE;
 use ecodb::storage::{load_tpch, Catalog, EngineKind, TableData, Value};
-use ecodb::tpch::TpchGenerator;
 
 fn shared_catalog() -> &'static Catalog {
-    static CAT: OnceLock<Catalog> = OnceLock::new();
-    CAT.get_or_init(|| {
-        let db = TpchGenerator::new(0.002).generate();
-        load_tpch(&db, EngineKind::Memory, 0)
-    })
+    support::memory_db(0.002).catalog()
 }
 
 proptest! {
@@ -236,9 +231,9 @@ fn a_zero_divisor_in_the_data_is_a_typed_error() {
 /// correct answers, just with (much) more I/O charged.
 #[test]
 fn thrashing_pool_preserves_correctness() {
-    let db = TpchGenerator::new(0.002).generate();
-    let roomy = load_tpch(&db, EngineKind::Disk, 1 << 20);
-    let tiny = load_tpch(&db, EngineKind::Disk, 3); // three pages!
+    let db = support::source(0.002);
+    let roomy = load_tpch(db, EngineKind::Disk, 1 << 20);
+    let tiny = load_tpch(db, EngineKind::Disk, 3); // three pages!
 
     // lineitem ⋈ orders spans many pages, far beyond the tiny pool.
     let sql = "SELECT o_orderstatus, COUNT(*) AS c FROM lineitem, orders \
@@ -263,15 +258,14 @@ fn thrashing_pool_preserves_correctness() {
 /// more expensive than the roomy warm case.
 #[test]
 fn q5_survives_pathological_pool() {
-    let src = TpchGenerator::new(0.002).generate();
-    let tiny = load_tpch(&src, EngineKind::Disk, 2);
-    let mut plan = ecodb::query::plans::q5_plan(&tiny, &ecodb::tpch::Q5Params::new("ASIA", 1994));
+    let src = support::source(0.002);
+    let tiny = load_tpch(src, EngineKind::Disk, 2);
+    let mut plan = support::Q5(&tiny);
     let mut ctx = ExecCtx::new();
     let rows = execute(plan.as_mut(), &mut ctx);
 
-    let mem = load_tpch(&src, EngineKind::Memory, 0);
-    let mut mem_plan =
-        ecodb::query::plans::q5_plan(&mem, &ecodb::tpch::Q5Params::new("ASIA", 1994));
+    let mem = load_tpch(src, EngineKind::Memory, 0);
+    let mut mem_plan = support::Q5(&mem);
     let mut mem_ctx = ExecCtx::new();
     let mem_rows = execute(mem_plan.as_mut(), &mut mem_ctx);
     assert_eq!(rows, mem_rows);

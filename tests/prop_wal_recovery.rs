@@ -26,26 +26,21 @@
 //! name, so every crash case is pinned: CI replays the exact same
 //! workloads and crash points on every run.
 
+mod support;
+
 use proptest::prelude::*;
 
 use ecodb::core::server::{EcoDb, EngineProfile};
 use ecodb::core::ServerError;
 use ecodb::simhw::fault::{FaultPlan, TornTail, WalCrash};
 use ecodb::storage::{Value, WalRecord, WriteAheadLog};
+use support::Rng;
 
 /// TPC-H scale and generator seed shared by the crashing database and
 /// its clean-replay twin — equivalence only means anything when both
 /// start from the same bytes.
 const SCALE: f64 = 0.002;
 const DB_SEED: u64 = 17;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A deterministic DML workload over `region` — the `n` statements
 /// from `first` on of a longer history: inserts with fresh keys (100,
@@ -54,19 +49,19 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// find their target (an empty delete is still a committed transaction:
 /// just a lone commit marker).
 fn dml_workload(first: usize, n: usize, seed: u64) -> Vec<String> {
-    let mut state = seed ^ 0xD6E8_FEB8_6659_FD93 ^ first as u64;
+    let mut rng = Rng(seed ^ 0xD6E8_FEB8_6659_FD93 ^ first as u64);
     (first..first + n)
-        .map(|i| match splitmix64(&mut state) % 3 {
+        .map(|i| match rng.below(3) {
             0 => {
                 let key = 100 + i;
                 format!("INSERT INTO region VALUES ({key}, 'R{key}', 'crash-test')")
             }
             1 => {
-                let key = splitmix64(&mut state) % 5;
+                let key = rng.below(5);
                 format!("UPDATE region SET r_name = 'U{i}' WHERE r_regionkey = {key}")
             }
             _ => {
-                let key = 100 + splitmix64(&mut state) as usize % (i + 1);
+                let key = 100 + rng.index(i + 1);
                 format!("DELETE FROM region WHERE r_regionkey = {key}")
             }
         })
