@@ -365,12 +365,13 @@ impl EcoDb {
     ///
     /// This is how the differential tests reach their oracle: scalar
     /// and columnar execution produce identical rows and bit-identical
-    /// energy ledgers — serial and on every morsel worker — so every
-    /// PVC/QED sweep and paper grid yields the same figures under
-    /// either — only the wall-clock cost of *producing* the traces
-    /// differs, and columnar (the default) is the cheaper. Nothing
-    /// outside tests and the engine-comparison checks needs to call
-    /// this.
+    /// summed energy ledgers at every worker count, so every PVC/QED
+    /// sweep and paper grid yields the same figures under either — only
+    /// the wall-clock cost of *producing* the traces differs, and
+    /// columnar (the default) is the cheaper. Per-core traces differ
+    /// above one worker: the scalar oracle runs serial, so its whole
+    /// statement lands on core 0. Nothing outside tests and the
+    /// engine-comparison checks needs to call this.
     pub fn with_engine(mut self, engine: ExecEngine) -> Self {
         self.engine = engine;
         self

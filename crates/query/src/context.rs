@@ -37,9 +37,11 @@ pub struct ExecCtx {
     /// chunked, never how much work is charged); it is a pure
     /// throughput knob.
     pub batch_size: usize,
-    /// Worker threads available to parallel sections (1 = serial). Like
-    /// `batch_size`, this is a pure throughput knob: the merged ledger
-    /// is identical at every worker count (`tests/integration_parallel.rs`).
+    /// Worker threads available to the columnar engine's parallel
+    /// sections (1 = serial); the scalar oracle runs serial whatever it
+    /// says, so its charges all land on core 0. Like `batch_size`, this
+    /// is a pure throughput knob: the merged ledger is identical at
+    /// every worker count (`tests/integration_parallel.rs`).
     pub workers: usize,
     /// Target input tuples per morsel for parallel scans. Leaf
     /// operators may align this upward (disk scans round to whole
@@ -47,10 +49,11 @@ pub struct ExecCtx {
     pub morsel_rows: usize,
     /// The engine: when set, drivers, blocking operators and morsel
     /// workers move data through [`crate::ops::Operator::next_chunk`]
-    /// (typed column vectors + selection vectors); otherwise they pull
-    /// [`crate::ops::Operator::next`] tuple-at-a-time (the scalar
-    /// oracle). Like `batch_size` and `workers`, a pure throughput
-    /// knob: the energy ledger is bit-identical either way
+    /// (typed column vectors + selection vectors); otherwise drivers
+    /// and blocking operators pull [`crate::ops::Operator::next`]
+    /// tuple-at-a-time, serially (the scalar oracle: no morsel worker
+    /// runs). Like `batch_size` and `workers`, a pure throughput knob:
+    /// the summed energy ledger is bit-identical either way
     /// (`tests/integration_columnar.rs`).
     pub columnar: bool,
     /// Energy-pricing mode (ledger schema v3). Under the default

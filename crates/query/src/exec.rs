@@ -7,17 +7,20 @@
 //! which is what ships, or the tuple-at-a-time scalar driver
 //! ([`Operator::next`]), the oracle the differential tests compare it
 //! against. [`execute_rows`] is the one front door: it dispatches on
-//! the flag and reads [`ExecCtx::workers`] for morsel-driven
-//! intra-query parallelism on worker threads, which composes with both
-//! engines (every worker drains the context's engine). [`execute`] is
-//! it with each row built once, for callers that want tuples, and
+//! the flag, and the columnar engine reads [`ExecCtx::workers`] for
+//! morsel-driven intra-query parallelism on worker threads. The scalar
+//! oracle runs serial at every worker count: it shares no parallel
+//! path with the engine it checks. [`execute`] is [`execute_rows`]
+//! with each row built once, for callers that want tuples, and
 //! [`ExecEngine::execute`] sets the flag for one run — how the test
 //! harness (`tests/support`) picks the engine under test and the
 //! scalar oracle. Every engine and worker count produces identical
-//! result rows and bit-identical [`ExecCtx`] ledgers (the harness's
-//! `check` compares them on every axis) — engine choice, chunk size
-//! and worker count are purely throughput knobs; the energy accounting
-//! the paper's figures are computed from never changes.
+//! result rows and bit-identical summed [`ExecCtx`] ledgers (the
+//! harness's `check` compares them on every axis) — engine choice,
+//! chunk size and worker count are purely throughput knobs; the energy
+//! accounting the paper's figures are computed from never changes.
+//! Only the per-core split differs: the scalar engine charges core 0
+//! alone.
 //!
 //! ## Failure semantics
 //!
@@ -45,7 +48,7 @@ use eco_storage::{tuple_width, RoutedRows, RowSet, Tuple};
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::ops::Operator;
-use crate::parallel::{gather_parallel, run_morsels};
+use crate::parallel::run_morsels;
 
 /// Which execution engine drives a plan — a pure throughput knob; both
 /// produce identical rows and bit-identical ledgers. `EcoDb` (and so
@@ -89,18 +92,18 @@ impl ExecEngine {
 /// (materialization into the wire buffer — the DBMS side of the result
 /// path).
 ///
-/// With [`ExecCtx::workers`] above one, a fully partitionable plan
-/// (scan → filter → project) is run morsel-parallel here at the root,
-/// and blocking operators ([`crate::ops::HashJoin`],
+/// On the columnar engine with [`ExecCtx::workers`] above one, a fully
+/// partitionable plan (scan → filter → project) is run morsel-parallel
+/// here at the root, and blocking operators ([`crate::ops::HashJoin`],
 /// [`crate::ops::HashAggregate`], [`crate::ops::Sort`]) parallelize
 /// their own inputs during `open`; rows and the merged ledger are those
 /// of one worker.
 ///
 /// The scalar engine pulls tuples ([`Operator::next`]) into an owned
-/// set. The columnar engine streams chunks through the plan — serially
-/// after telling the root that every column is read
-/// ([`Operator::prune`]) before `open`, or per morsel, its chunks taken
-/// in morsel order — and keeps each final chunk's selected rows as a
+/// set, serially at any worker count. The columnar engine streams
+/// chunks through the plan — serially after telling the root that
+/// every column is read ([`Operator::prune`]) before `open`, or per
+/// morsel, its chunks taken in morsel order — and keeps each final chunk's selected rows as a
 /// [`RowSet`] view of the chunk (late materialization): no row is built
 /// here, and each is charged from the chunk's stored widths
 /// ([`DataChunk::width_sum`]), exactly what the scalar loop charges from
@@ -109,10 +112,8 @@ impl ExecEngine {
 /// [`DataChunk::width_sum`]: eco_storage::DataChunk::width_sum
 pub fn execute_rows(plan: &mut dyn Operator, ctx: &mut ExecCtx) -> RowSet {
     if !ctx.columnar {
-        let rows = gather_parallel(plan, ctx).unwrap_or_else(|| {
-            plan.open(ctx);
-            std::iter::from_fn(|| plan.next(ctx)).collect()
-        });
+        plan.open(ctx);
+        let rows: Vec<Tuple> = std::iter::from_fn(|| plan.next(ctx)).collect();
         ctx.charge(OpClass::ResultEmit, rows.len() as u64);
         ctx.charge_mem_bytes(rows.iter().map(tuple_width).sum());
         return rows.into();

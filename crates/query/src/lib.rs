@@ -42,8 +42,9 @@
 //!
 //! ## Morsel-driven parallel execution
 //!
-//! [`exec::execute_rows`] runs a plan across
-//! [`ExecCtx::workers`](context::ExecCtx) worker threads:
+//! On the columnar engine [`exec::execute_rows`] runs a plan across
+//! [`ExecCtx::workers`](context::ExecCtx) worker threads (the scalar
+//! oracle runs serial at any worker count):
 //! partitionable pipelines split into [`parallel::Morsel`]s (rows for
 //! memory sources, whole disk extents for paged tables), workers run
 //! per-morsel pipeline clones charging private forked ledgers, and

@@ -384,8 +384,9 @@ impl MultiFilter {
     /// [`crate::exec::execute_rows`]: per-core phases are unchanged
     /// at every worker count.
     ///
-    /// A scalar context (`!ctx.columnar`) runs the oracle instead — on
-    /// every worker — and returns its tuples as owned sets.
+    /// A scalar context (`!ctx.columnar`) runs the oracle instead —
+    /// serially, at any worker count — and returns its tuples as owned
+    /// sets.
     pub fn run_split(&mut self, ctx: &mut ExecCtx, client: &mut ExecCtx) -> Vec<RowSet> {
         if !ctx.columnar {
             let tagged = crate::exec::execute(self, ctx);
@@ -623,6 +624,12 @@ impl MergedSelection {
     /// Batch size.
     pub fn batch_size(&self) -> usize {
         self.batch_size
+    }
+
+    /// The merged scan's plan: the [`MultiFilter`] over `lineitem` that
+    /// [`Self::run`] and [`Self::run_split`] drive.
+    pub fn into_plan(self) -> MultiFilter {
+        self.plan
     }
 }
 
@@ -864,8 +871,12 @@ mod tests {
                         oclient,
                         "{what}: client ledger"
                     );
-                    // The tagged-row parallel driver is the per-core oracle.
-                    let mut pctx = ExecCtx::new().with_morsel_rows(1000).with_workers(workers);
+                    // The per-core oracle: the columnar driver runs the
+                    // tagged-row `MultiFilter::next` on every morsel.
+                    let mut pctx = ExecCtx::new()
+                        .with_columnar(true)
+                        .with_morsel_rows(1000)
+                        .with_workers(workers);
                     pctx.short_circuit_or = short_circuit;
                     let mut tagged = MergedSelection::new(&cat, &queries);
                     crate::exec::execute(&mut tagged.plan, &mut pctx);

@@ -89,51 +89,6 @@ impl AggState {
         }
     }
 
-    /// Fold another partial state for the same group into this one.
-    /// Merging is free in the energy ledger — like the hash table's own
-    /// bookkeeping, it is not one of the paper's metered op classes —
-    /// so per-morsel partial aggregation merges to exactly the serial
-    /// ledger (every row was already charged where it was absorbed).
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::Sum(a), AggState::Sum(b)) => *a = a.wrapping_add(b),
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(v) = b {
-                    let replace = match a {
-                        None => true,
-                        Some(cur) => {
-                            v.partial_cmp_typed(cur).expect("comparable MIN")
-                                == std::cmp::Ordering::Less
-                        }
-                    };
-                    if replace {
-                        *a = Some(v);
-                    }
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(v) = b {
-                    let replace = match a {
-                        None => true,
-                        Some(cur) => {
-                            v.partial_cmp_typed(cur).expect("comparable MAX")
-                                == std::cmp::Ordering::Greater
-                        }
-                    };
-                    if replace {
-                        *a = Some(v);
-                    }
-                }
-            }
-            (AggState::Avg { sum, count }, AggState::Avg { sum: s2, count: c2 }) => {
-                *sum = sum.wrapping_add(s2);
-                *count += c2;
-            }
-            _ => unreachable!("partial states of one aggregate share a variant"),
-        }
-    }
-
     fn finish(self) -> Value {
         match self {
             AggState::Sum(v) | AggState::Count(v) => Value::Int(v),
@@ -144,74 +99,29 @@ impl AggState {
     }
 }
 
-/// The scalar engine's index from group key to slot in the ordered
-/// accumulator list (the columnar engine's [`ColumnarGroups`] assigns
-/// group ids through the key kernel instead and shares nothing with
-/// this). Single-column keys are indexed by a [`Value`] directly and
-/// composite keys are looked up through a reused scratch vector (via
-/// `Vec<Value>: Borrow<[Value]>`), so the steady-state path performs no
-/// per-row key allocation.
-enum GroupIndex {
-    /// Exactly one group column.
-    Single(HashMap<Value, usize>),
-    /// Zero or several group columns.
-    Multi(HashMap<Vec<Value>, usize>),
-}
-
-impl GroupIndex {
-    /// Slot of the group key currently held in `scratch` (single-key
-    /// callers place the one value there too). Lookup borrows the
-    /// scratch — no allocation; on first sight the key is inserted with
-    /// slot `next` and the materialized key tuple is returned for the
-    /// caller to register in its first-seen-ordered storage.
-    fn slot_or_insert(&mut self, scratch: &mut Vec<Value>, next: usize) -> (usize, Option<Tuple>) {
-        match self {
-            GroupIndex::Single(m) => match m.get(&scratch[0]) {
-                Some(&s) => (s, None),
-                None => {
-                    m.insert(scratch[0].clone(), next);
-                    (next, Some(std::mem::take(scratch)))
-                }
-            },
-            GroupIndex::Multi(m) => match m.get(scratch.as_slice()) {
-                Some(&s) => (s, None),
-                None => {
-                    let key = std::mem::take(scratch);
-                    m.insert(key.clone(), next);
-                    (next, Some(key))
-                }
-            },
-        }
-    }
-}
-
-/// The scalar engine's grouping hash table: first-seen-ordered
-/// accumulators plus the key → slot index. One instance drives serial
-/// aggregation; parallel workers build one per morsel and the
-/// coordinator merges them *in morsel order*, which reproduces the
-/// serial stream's global first-seen group order exactly.
+/// The scalar engine's grouping hash table (the differential-test
+/// oracle; the columnar engine's [`ColumnarGroups`] assigns group ids
+/// through the key kernel instead and shares nothing with this):
+/// first-seen-ordered accumulators plus the key → slot index. Keys are
+/// looked up through a reused scratch vector (via
+/// `Vec<Value>: Borrow<[Value]>`), so only a group's first row
+/// allocates its key.
 struct GroupTable {
     group_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
     entries: Vec<(Tuple, Vec<AggState>)>,
-    index: GroupIndex,
+    index: HashMap<Vec<Value>, usize>,
     scratch_key: Vec<Value>,
 }
 
 impl GroupTable {
     fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
-        let index = if group_cols.len() == 1 {
-            GroupIndex::Single(HashMap::new())
-        } else {
-            GroupIndex::Multi(HashMap::new())
-        };
-        let scratch_key = Vec::with_capacity(group_cols.len());
         Self {
+            scratch_key: Vec::with_capacity(group_cols.len()),
             group_cols,
             aggs,
             entries: Vec::new(),
-            index,
-            scratch_key,
+            index: HashMap::new(),
         }
     }
 
@@ -222,21 +132,18 @@ impl GroupTable {
         self.scratch_key.clear();
         self.scratch_key
             .extend(self.group_cols.iter().map(|&i| t[i].clone()));
-        let (slot, new_key) = self
-            .index
-            .slot_or_insert(&mut self.scratch_key, self.entries.len());
-        if let Some(key) = new_key {
-            self.entries.push((
-                key,
-                self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-            ));
+        if let Some(&slot) = self.index.get(self.scratch_key.as_slice()) {
+            return slot;
         }
+        let slot = self.entries.len();
+        self.index.insert(self.scratch_key.clone(), slot);
+        let states = self.aggs.iter().map(|a| AggState::new(a.func)).collect();
+        self.entries.push((self.scratch_key.clone(), states));
         slot
     }
 
     /// Absorb one input row: one probe + one latency-bound access, and
-    /// one accumulator update per aggregate — identical wherever the row
-    /// is absorbed (serial drain or any worker's morsel).
+    /// one accumulator update per aggregate.
     fn absorb(&mut self, ctx: &mut ExecCtx, t: &Tuple) {
         ctx.charge(OpClass::HashProbe, 1);
         ctx.charge_mem_random(1);
@@ -249,34 +156,6 @@ impl GroupTable {
                 _ => Some(spec.input.eval(t, ctx)),
             };
             state.update(v);
-        }
-    }
-
-    /// Slot for an already-extracted group-key tuple (merge path).
-    fn slot_for_key(&mut self, key: Tuple) -> usize {
-        self.scratch_key = key;
-        let (slot, new_key) = self
-            .index
-            .slot_or_insert(&mut self.scratch_key, self.entries.len());
-        if let Some(key) = new_key {
-            self.entries.push((
-                key,
-                self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-            ));
-        }
-        slot
-    }
-
-    /// Merge a partial table built from a later portion of the input
-    /// stream. Free in the ledger (see [`AggState::merge`]); first-seen
-    /// order is preserved because `other`'s first sight of any group it
-    /// shares with `self` came later in stream order.
-    fn merge(&mut self, other: GroupTable) {
-        for (key, states) in other.entries {
-            let slot = self.slot_for_key(key);
-            for (mine, theirs) in self.entries[slot].1.iter_mut().zip(states) {
-                mine.merge(theirs);
-            }
         }
     }
 }
@@ -334,7 +213,11 @@ impl ColAcc {
     }
 
     /// Fold group `theirs` of a later partial's accumulator into group
-    /// `mine` — free in the ledger, like [`AggState::merge`].
+    /// `mine`. Merging is free in the energy ledger — like the hash
+    /// table's own bookkeeping, it is not one of the paper's metered op
+    /// classes — so per-morsel partial aggregation merges to exactly the
+    /// serial ledger (every row was already charged where it was
+    /// absorbed).
     fn merge_from(&mut self, mine: usize, other: &ColAcc, theirs: usize) {
         match (self, other) {
             (ColAcc::Sum(a), ColAcc::Sum(b)) | (ColAcc::Count(a), ColAcc::Count(b)) => {
@@ -722,12 +605,13 @@ fn rle_accumulate(
 /// and the aggregate inputs are read, so a join below gathers nothing
 /// else.
 ///
-/// With a parallel context and a partitionable child, `open` runs
-/// morsel-parallel *partial aggregation*: each worker absorbs its
+/// With a parallel columnar context and a partitionable child, `open`
+/// runs morsel-parallel *partial aggregation*: each worker absorbs its
 /// morsels into private tables (charging each row exactly as the
 /// serial drain would), and the coordinator folds the partials
 /// together in morsel order — a ledger-free merge that reproduces both
-/// the serial group values and the serial first-seen output order.
+/// the serial group values and the serial first-seen output order. The
+/// scalar engine (the oracle) aggregates serially.
 pub struct HashAggregate {
     child: BoxedOp,
     group_cols: Vec<usize>,
@@ -774,11 +658,6 @@ impl Operator for HashAggregate {
     }
 
     fn open(&mut self, ctx: &mut ExecCtx) {
-        // Aggregation drains its input fully in every mode, so a
-        // surrounding Limit's streaming-exactness constraint does not
-        // apply below it.
-        let saved_exact = ctx.streaming_exact;
-        ctx.streaming_exact = 0;
         let group_cols = &self.group_cols;
         let aggs = &self.aggs;
         let mut out = if ctx.columnar {
@@ -789,6 +668,11 @@ impl Operator for HashAggregate {
             (aggs.iter().filter(|a| a.func != AggFunc::Count))
                 .for_each(|a| mark_read(&a.input, &mut needed));
             self.child.prune(&needed);
+            // Aggregation drains its input fully, so a surrounding
+            // Limit's streaming-exactness constraint does not apply
+            // below it.
+            let saved_exact = ctx.streaming_exact;
+            ctx.streaming_exact = 0;
             let partials = run_morsels(self.child.as_ref(), ctx, |wctx, pipe| {
                 let mut part = ColumnarGroups::new(group_cols.clone(), aggs.clone());
                 drain_chunks(pipe, wctx, |wctx, chunk| part.absorb(wctx, chunk));
@@ -809,23 +693,10 @@ impl Operator for HashAggregate {
             }
             groups.into_rows()
         } else {
-            let partials = run_morsels(self.child.as_ref(), ctx, |wctx, pipe| {
-                let mut part = GroupTable::new(group_cols.clone(), aggs.clone());
-                while let Some(t) = pipe.next(wctx) {
-                    part.absorb(wctx, &t);
-                }
-                part
-            });
-            ctx.streaming_exact = saved_exact;
             let mut table = GroupTable::new(group_cols.clone(), aggs.clone());
-            match partials {
-                Some(parts) => parts.into_iter().for_each(|part| table.merge(part)),
-                None => {
-                    self.child.open(ctx);
-                    while let Some(t) = self.child.next(ctx) {
-                        table.absorb(ctx, &t);
-                    }
-                }
+            self.child.open(ctx);
+            while let Some(t) = self.child.next(ctx) {
+                table.absorb(ctx, &t);
             }
             let finish = |(mut row, states): (Tuple, Vec<AggState>)| {
                 row.extend(states.into_iter().map(AggState::finish));

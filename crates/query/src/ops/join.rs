@@ -24,32 +24,22 @@ use crate::parallel::run_morsels;
 
 /// The scalar engine's build-side hash table (the differential-test
 /// oracle; the columnar engine builds a [`BuildSide`] instead and
-/// shares nothing with this). Single-column keys index the table by a
-/// borrowed [`Value`] directly, and composite keys are looked up
-/// through a caller-provided scratch vector
-/// (`Vec<Value>: Borrow<[Value]>`), so the steady-state probe path
-/// performs **no per-row key allocation** at any arity.
-enum JoinTable {
-    /// One join key: probe with `&tuple[key]`, zero allocation.
-    Single(HashMap<Value, Vec<Tuple>>),
-    /// Composite keys: probe through a reused scratch key.
-    Multi(HashMap<Vec<Value>, Vec<Tuple>>),
+/// shares nothing with this): each key's build rows in insertion order.
+/// Keys are looked up through a reused scratch vector
+/// (`Vec<Value>: Borrow<[Value]>`), so a probe allocates no key and a
+/// build allocates one per distinct key.
+#[derive(Default)]
+struct JoinTable {
+    rows: HashMap<Vec<Value>, Vec<Tuple>>,
+    scratch: Vec<Value>,
 }
 
 impl JoinTable {
-    fn for_arity(arity: usize) -> Self {
-        if arity == 1 {
-            JoinTable::Single(HashMap::new())
-        } else {
-            JoinTable::Multi(HashMap::new())
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            JoinTable::Single(m) => m.clear(),
-            JoinTable::Multi(m) => m.clear(),
-        }
+    /// Fill the scratch key with `t`'s `keys` columns (cheap value
+    /// clones: a string is an `Arc` bump).
+    fn load_key(&mut self, t: &Tuple, keys: &[usize]) {
+        self.scratch.clear();
+        self.scratch.extend(keys.iter().map(|&i| t[i].clone()));
     }
 
     /// Insert one build row, charged as every engine charges a build
@@ -57,67 +47,34 @@ impl JoinTable {
     fn insert(&mut self, tuple: Tuple, keys: &[usize], ctx: &mut ExecCtx) {
         ctx.charge(OpClass::HashBuild, 1);
         ctx.charge_mem_bytes(tuple_width(&tuple));
-        match self {
-            JoinTable::Single(m) => {
-                m.entry(tuple[keys[0]].clone()).or_default().push(tuple);
-            }
-            JoinTable::Multi(m) => {
-                let key: Vec<Value> = keys.iter().map(|&i| tuple[i].clone()).collect();
-                m.entry(key).or_default().push(tuple);
+        self.load_key(&tuple, keys);
+        match self.rows.get_mut(self.scratch.as_slice()) {
+            Some(rows) => rows.push(tuple),
+            None => {
+                self.rows.insert(self.scratch.clone(), vec![tuple]);
             }
         }
     }
 
     /// Join one probe row, handing `emit` its output rows in
     /// build-insertion order. Charges one `HashProbe` + one random
-    /// access, and each output row's width. `scratch` is a reused
-    /// buffer for composite keys — cleared and refilled with cheap
-    /// value clones, looked up by slice borrow, so no `Vec<Value>` is
-    /// allocated per probe.
+    /// access, and each output row's width.
     fn probe(
-        &self,
+        &mut self,
         probe: &Tuple,
         keys: &[usize],
-        scratch: &mut Vec<Value>,
         ctx: &mut ExecCtx,
         mut emit: impl FnMut(Tuple),
     ) {
         ctx.charge(OpClass::HashProbe, 1);
         ctx.charge_mem_random(1);
-        let matches = match self {
-            JoinTable::Single(m) => m.get(&probe[keys[0]]),
-            JoinTable::Multi(m) => {
-                scratch.clear();
-                scratch.extend(keys.iter().map(|&i| probe[i].clone()));
-                m.get(scratch.as_slice())
-            }
-        };
-        for build in matches.into_iter().flatten() {
+        self.load_key(probe, keys);
+        for build in self.rows.get(self.scratch.as_slice()).into_iter().flatten() {
             let mut out = Vec::with_capacity(build.len() + probe.len());
             out.extend(build.iter().cloned());
             out.extend(probe.iter().cloned());
             ctx.charge_mem_bytes(tuple_width(&out));
             emit(out);
-        }
-    }
-
-    /// Absorb a partition table built from a *later* morsel of the
-    /// build stream. Appending each key's row list preserves global
-    /// build-insertion (FIFO) order per key, because every row in
-    /// `other` comes after every row already in `self` in stream order.
-    fn absorb(&mut self, other: JoinTable) {
-        match (self, other) {
-            (JoinTable::Single(a), JoinTable::Single(b)) => {
-                for (k, mut rows) in b {
-                    a.entry(k).or_default().append(&mut rows);
-                }
-            }
-            (JoinTable::Multi(a), JoinTable::Multi(b)) => {
-                for (k, mut rows) in b {
-                    a.entry(k).or_default().append(&mut rows);
-                }
-            }
-            _ => unreachable!("partition tables share the join's key arity"),
         }
     }
 }
@@ -466,17 +423,18 @@ impl BuildSide {
 /// computed from the width vectors and are bit-identical to the row
 /// engines'.
 ///
-/// With a parallel context (`ExecCtx::workers > 1`) and partitionable
-/// children, `open` runs both sides morsel-parallel: workers build
-/// per-morsel partitions that are merged (scalar) or concatenated and
-/// then indexed (columnar) in morsel order — so per-key FIFO order,
-/// and therefore output order, is exactly the serial build's — and the
-/// probe pipeline is pre-materialized by probing the shared, read-only
-/// table from every worker, gathered in morsel order. All charges are
-/// per-row and additive, so the merged ledger is bit-identical to
-/// serial execution. Probe pre-materialization is suppressed under a
-/// `Limit` ([`ExecCtx::streaming_exact`]) so early termination keeps
-/// consuming exactly what scalar execution would.
+/// With a parallel columnar context (`ExecCtx::workers > 1`) and
+/// partitionable children, `open` runs both sides morsel-parallel:
+/// workers build per-morsel partitions that are concatenated in morsel
+/// order and then indexed — so per-key FIFO order, and therefore output
+/// order, is exactly the serial build's — and the probe pipeline is
+/// pre-materialized by probing the shared, read-only build side from
+/// every worker, gathered in morsel order. All charges are per-row and
+/// additive, so the merged ledger is bit-identical to serial execution.
+/// Probe pre-materialization is suppressed under a `Limit`
+/// ([`ExecCtx::streaming_exact`]) so early termination keeps consuming
+/// exactly what scalar execution would. The scalar engine (the oracle)
+/// builds and probes serially.
 pub struct HashJoin {
     build: BoxedOp,
     probe: BoxedOp,
@@ -491,11 +449,7 @@ pub struct HashJoin {
     /// Columnar engine: the build side, `Some` after a columnar `open`.
     columns: Option<BuildSide>,
     pending: VecDeque<Tuple>,
-    /// Reused composite-key probe buffer (see [`JoinTable::probe`]).
-    key_scratch: Vec<Value>,
     probe_scratch: ProbeScratch,
-    /// Scalar engine: parallel-probed output, morsel order.
-    probed: Option<std::vec::IntoIter<Tuple>>,
     /// Columnar engine: parallel-probed output chunks, morsel order.
     probed_chunks: Option<VecDeque<Chunk>>,
 }
@@ -517,7 +471,6 @@ impl HashJoin {
         );
         assert!(!build_keys.is_empty(), "join needs at least one key");
         let schema = build.schema().join(probe.schema());
-        let table = JoinTable::for_arity(build_keys.len());
         Self {
             build,
             probe,
@@ -525,19 +478,16 @@ impl HashJoin {
             probe_keys,
             needed: vec![true; schema.arity()],
             schema,
-            table,
+            table: JoinTable::default(),
             columns: None,
             pending: VecDeque::new(),
-            key_scratch: Vec::new(),
             probe_scratch: ProbeScratch::default(),
-            probed: None,
             probed_chunks: None,
         }
     }
 
-    /// `open` under the columnar engine: same shape as the scalar
-    /// engine's — build (morsel-parallel when possible), then pre-probe
-    /// (likewise) — over a [`BuildSide`].
+    /// `open` under the columnar engine: build a [`BuildSide`]
+    /// (morsel-parallel when possible), then pre-probe it (likewise).
     fn open_columnar(&mut self, ctx: &mut ExecCtx) {
         // The build side is fully consumed in every mode, so a
         // surrounding Limit's streaming-exactness constraint does not
@@ -605,68 +555,21 @@ impl Operator for HashJoin {
     }
 
     fn open(&mut self, ctx: &mut ExecCtx) {
-        self.table.clear();
+        self.table = JoinTable::default();
         self.columns = None;
         self.pending.clear();
-        self.probed = None;
         self.probed_chunks = None;
         if ctx.columnar {
             return self.open_columnar(ctx);
         }
-
-        // Build side: fully consumed in every mode, so a surrounding
-        // Limit's streaming-exactness constraint does not apply below
-        // the build.
-        let saved_exact = ctx.streaming_exact;
-        ctx.streaming_exact = 0;
-        let arity = self.build_keys.len();
-        let build_keys = &self.build_keys;
-        let partitions = run_morsels(self.build.as_ref(), ctx, |wctx, pipe| {
-            // One partition table per morsel, charged exactly as the
-            // serial build charges its rows.
-            let mut part = JoinTable::for_arity(arity);
-            while let Some(t) = pipe.next(wctx) {
-                part.insert(t, build_keys, wctx);
-            }
-            part
-        });
-        match partitions {
-            // Merge in morsel order: per-key FIFO equals serial.
-            Some(parts) => parts.into_iter().for_each(|part| self.table.absorb(part)),
-            None => {
-                self.build.open(ctx);
-                while let Some(t) = self.build.next(ctx) {
-                    self.table.insert(t, &self.build_keys, ctx);
-                }
-            }
+        self.build.open(ctx);
+        while let Some(t) = self.build.next(ctx) {
+            self.table.insert(t, &self.build_keys, ctx);
         }
-        ctx.streaming_exact = saved_exact;
-
-        // Probe side: pre-materialize morsel-parallel when allowed
-        // (run_morsels declines under streaming_exact / serial ctx).
-        let (table, probe_keys) = (&self.table, &self.probe_keys);
-        let probed = run_morsels(self.probe.as_ref(), ctx, |wctx, pipe| {
-            let (mut rows, mut key_scratch) = (Vec::new(), Vec::new());
-            while let Some(probe_t) = pipe.next(wctx) {
-                table.probe(&probe_t, probe_keys, &mut key_scratch, wctx, |t| {
-                    rows.push(t);
-                });
-            }
-            rows
-        });
-        match probed {
-            Some(parts) => {
-                let rows: Vec<Tuple> = parts.into_iter().flatten().collect();
-                self.probed = Some(rows.into_iter());
-            }
-            None => self.probe.open(ctx),
-        }
+        self.probe.open(ctx);
     }
 
     fn next(&mut self, ctx: &mut ExecCtx) -> Option<Tuple> {
-        if let Some(rows) = &mut self.probed {
-            return rows.next();
-        }
         loop {
             if let Some(t) = self.pending.pop_front() {
                 return Some(t);
@@ -683,10 +586,9 @@ impl Operator for HashJoin {
                     .extend((0..joined.len()).map(|i| joined.data.row(i)));
             } else {
                 let probe_t = self.probe.next(ctx)?;
-                let (table, keys, pending) = (&self.table, &self.probe_keys, &mut self.pending);
-                table.probe(&probe_t, keys, &mut self.key_scratch, ctx, |t| {
-                    pending.push_back(t)
-                });
+                let pending = &mut self.pending;
+                self.table
+                    .probe(&probe_t, &self.probe_keys, ctx, |t| pending.push_back(t));
             }
         }
     }

@@ -17,9 +17,10 @@
 //!
 //! # Two engines
 //!
-//! [`Operator::next`] is the scalar engine: tuple-at-a-time, the
-//! reference oracle every differential test compares against. Row-mode
-//! blocking operators and morsel workers pull it too.
+//! [`Operator::next`] is the scalar engine: tuple-at-a-time and serial
+//! at any worker count, the reference oracle every differential test
+//! compares against. [`Limit`] pulls it under either engine, and so
+//! does the default `next_chunk` (below).
 //! [`Operator::next_chunk`] is the columnar engine, the one `EcoDb`
 //! ships; [`ExecCtx::columnar`] picks between them.
 //!
@@ -97,8 +98,9 @@
 //!
 //! # Morsel-driven parallel execution
 //!
-//! When [`ExecCtx::workers`] is greater than one, partitionable
-//! pipelines execute in parallel: a *morsel* is a contiguous run of a
+//! When the columnar engine runs with [`ExecCtx::workers`] greater than
+//! one, partitionable pipelines execute in parallel (the scalar oracle
+//! never does; see [`crate::parallel`]): a *morsel* is a contiguous run of a
 //! leaf's input ([`crate::parallel::Morsel`] — rows for memory-resident
 //! sources, whole disk extents for paged tables), and
 //! [`Operator::morsels`] / [`Operator::clone_morsel`] let non-blocking

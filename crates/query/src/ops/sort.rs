@@ -31,9 +31,9 @@ impl SortKey {
 /// Full materializing sort. Charges one `SortCmp` per actual comparison
 /// performed by the sort algorithm plus materialization bytes.
 ///
-/// In a parallel context a partitionable child is drained through an
-/// order-preserving morsel gather and the sort itself runs serially
-/// over the gathered rows. The comparison count of the sort algorithm
+/// In a parallel columnar context a partitionable child is drained
+/// through an order-preserving morsel gather and the sort itself runs
+/// serially over the gathered rows. The comparison count of the sort algorithm
 /// depends on input order, so presenting the *exact serial input
 /// sequence* is what keeps the `SortCmp` charge — and with it the
 /// energy ledger — identical at every worker count.

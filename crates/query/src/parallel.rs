@@ -8,6 +8,13 @@
 //! together with each worker's private energy ledger merged back into
 //! the caller's [`ExecCtx`].
 //!
+//! Only the columnar engine runs morsels. The scalar engine is the
+//! oracle the parallel runs are checked against, so it shares none of
+//! this machinery: on a scalar context `run_morsels` declines and
+//! every operator takes its serial path, at any [`ExecCtx::workers`].
+//! Its summed ledger is the same at every worker count; its per-core
+//! split puts every charge on core 0.
+//!
 //! # Determinism
 //!
 //! Two properties make parallel execution reproducible:
@@ -83,8 +90,9 @@ pub(crate) fn split_units(total: usize, per_morsel: usize) -> Vec<Morsel> {
 
 /// Drain an opened pipeline to completion tuple-at-a-time — or, in a
 /// columnar context, through its chunk path with rows materialized at
-/// the drain point (the parallel workers' late-materialization
-/// boundary). Either way the tuples and charges are identical.
+/// the drain point (the late-materialization boundary of a sort, a
+/// merge join or a morsel gather). Either way the tuples and charges
+/// are identical.
 pub(crate) fn drain_pipeline(ctx: &mut ExecCtx, op: &mut dyn Operator) -> Vec<Tuple> {
     let mut out = Vec::new();
     if ctx.columnar {
@@ -113,7 +121,7 @@ where
     T: Send,
     F: Fn(&mut ExecCtx, &mut dyn Operator) -> T + Sync,
 {
-    if ctx.workers <= 1 || ctx.streaming_exact > 0 {
+    if !ctx.columnar || ctx.workers <= 1 || ctx.streaming_exact > 0 {
         return None;
     }
     let morsels = child.morsels(ctx.morsel_rows)?;
@@ -203,6 +211,14 @@ mod tests {
         )
     }
 
+    /// A columnar context at `workers` threads and `morsel_rows` rows a
+    /// morsel.
+    fn parallel_ctx(workers: usize, morsel_rows: usize) -> ExecCtx {
+        (ExecCtx::new().with_columnar(true))
+            .with_workers(workers)
+            .with_morsel_rows(morsel_rows)
+    }
+
     #[test]
     fn split_units_covers_exactly() {
         let ms = split_units(10, 3);
@@ -223,7 +239,7 @@ mod tests {
         }
         for workers in [2, 3, 8] {
             let p = pipeline(1000);
-            let mut ctx = ExecCtx::new().with_workers(workers).with_morsel_rows(64);
+            let mut ctx = parallel_ctx(workers, 64);
             let rows = gather_parallel(&p, &mut ctx).expect("partitionable");
             assert_eq!(rows, serial_rows, "workers={workers}");
             assert_eq!(ctx.ledger.cpu, serial_ctx.ledger.cpu, "workers={workers}");
@@ -233,16 +249,27 @@ mod tests {
 
     #[test]
     fn serial_context_declines_parallelism() {
-        let p = pipeline(100);
-        let mut ctx = ExecCtx::new(); // workers = 1
-        assert!(gather_parallel(&p, &mut ctx).is_none());
+        let mut ctx = parallel_ctx(1, 64);
+        assert!(gather_parallel(&pipeline(1000), &mut ctx).is_none());
         assert!(ctx.is_empty());
+
+        // The scalar oracle runs serial at any worker count: it declines
+        // a pipeline the columnar engine would split, and a whole run
+        // charges core 0 alone.
+        let mut ctx = ExecCtx::new().with_workers(4).with_morsel_rows(64);
+        assert!(gather_parallel(&pipeline(1000), &mut ctx).is_none());
+        assert!(ctx.is_empty());
+        let rows = crate::exec::execute(&mut pipeline(1000), &mut ctx);
+        assert_eq!(rows.len(), 500);
+        let phases = ctx.take_core_phases(4, "t");
+        assert!(!phases[0].ledger.is_empty());
+        assert!(phases[1..].iter().all(|ph| ph.ledger.is_empty()));
     }
 
     #[test]
     fn streaming_exact_region_declines_parallelism() {
         let p = pipeline(1000);
-        let mut ctx = ExecCtx::new().with_workers(4);
+        let mut ctx = parallel_ctx(4, 64);
         ctx.streaming_exact = 1;
         assert!(gather_parallel(&p, &mut ctx).is_none());
     }
@@ -251,7 +278,7 @@ mod tests {
     fn per_core_attribution_is_deterministic() {
         let charges = |workers: usize| {
             let p = pipeline(2000);
-            let mut ctx = ExecCtx::new().with_workers(workers).with_morsel_rows(128);
+            let mut ctx = parallel_ctx(workers, 128);
             gather_parallel(&p, &mut ctx).expect("partitionable");
             ctx.take_core_phases(workers, "t")
                 .into_iter()

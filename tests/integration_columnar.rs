@@ -13,7 +13,7 @@ mod support;
 use ecodb::core::server::{EcoDb, EngineProfile, Query};
 use ecodb::query::context::ExecCtx;
 use ecodb::query::exec::ExecEngine;
-use ecodb::query::mqo::MultiFilter;
+use ecodb::query::mqo::MergedSelection;
 use ecodb::query::ops::{BoxedOp, SeqScan};
 use ecodb::simhw::OpClass;
 use ecodb::storage::{Catalog, Tuple};
@@ -179,21 +179,13 @@ fn a_disk_mirror_grown_statement_by_statement_matches_the_scalar_oracle() {
     }
 }
 
-/// The merged scan `MergedSelection` runs for the QED batch of 8
-/// distinct quantities: a `MultiFilter` routing `lineitem` rows on
+/// The merged scan `MergedSelection::try_new` builds for the QED batch
+/// of 8 distinct quantities: a `MultiFilter` routing `lineitem` rows on
 /// `l_quantity`.
 fn merged_selection(cat: &Catalog) -> BoxedOp {
-    let keys: Vec<i64> = (ecodb::tpch::qed_workload(8).iter())
-        .map(|q| q.quantity)
-        .collect();
-    let lineitem = cat.expect("lineitem");
-    let qty = lineitem.schema().expect_index("l_quantity");
-    Box::new(MultiFilter::new(
-        Box::new(SeqScan::new(lineitem)),
-        qty,
-        &keys,
-        true,
-    ))
+    let queries = ecodb::tpch::qed_workload(8);
+    let merged = MergedSelection::try_new(cat, &queries).expect("a well-formed batch");
+    Box::new(merged.into_plan())
 }
 
 /// The QED merged scan (MultiFilter) obeys the same contract, in both
@@ -212,11 +204,10 @@ fn merged_selection_columnar_identical() {
     }
 }
 
-/// The merged scan at the extreme chunk sizes; its plan is the one
-/// `MergedSelection` runs.
+/// The merged scan at the extreme chunk sizes; the oracle's rows are
+/// `MergedSelection::run`'s.
 #[test]
 fn merged_selection_scalar_batch_identical() {
-    use ecodb::query::mqo::MergedSelection;
     let axes = Axes {
         passes: 1,
         ..axes(EXTREME_CHUNKS)

@@ -1,14 +1,13 @@
-//! Morsel-driven parallel execution: result rows and the merged energy
-//! ledger must be **bit-identical** to serial execution at every worker
-//! count, on both storage engines, cold and warm — the invariant every
-//! reproduction figure rests on. Plus: per-core trace splits partition
+//! Morsel-driven parallel execution: the columnar engine's result rows
+//! and merged energy ledger must be **bit-identical** to the serial
+//! scalar oracle's at every worker count, on both storage engines, cold
+//! and warm — the invariant every reproduction figure rests on. Plus: per-core trace splits partition
 //! the total exactly, and the multi-core machine model prices them
 //! sanely.
 
 mod support;
 
 use ecodb::core::server::{EcoDb, Query};
-use ecodb::query::exec::ExecEngine;
 use ecodb::query::ops::BoxedOp;
 use ecodb::simhw::machine::MachineConfig;
 use ecodb::simhw::trace::{Ledger, WorkTrace};
@@ -22,12 +21,11 @@ const SCALE: f64 = 0.01;
 /// disk catalog per run.
 const PLAN_SCALE: f64 = 0.004;
 
-/// The scalar engine at `workers` against its own serial run, one pass
-/// on `storage`.
-fn scalar_axes(storage: Storage, workers: &[usize]) -> Axes {
+/// The columnar engine at `workers` against the serial scalar oracle,
+/// one pass on `storage`.
+fn worker_axes(storage: Storage, workers: &[usize]) -> Axes {
     Axes {
         storage: vec![storage],
-        engines: vec![ExecEngine::Scalar],
         workers: workers.to_vec(),
         ..Axes::default()
     }
@@ -35,7 +33,7 @@ fn scalar_axes(storage: Storage, workers: &[usize]) -> Axes {
 
 #[test]
 fn parallel_ledger_bit_identical_memory_engine() {
-    let axes = scalar_axes(Storage::Memory(PLAN_SCALE), &[1, 2, 3, 4, 8]);
+    let axes = worker_axes(Storage::Memory(PLAN_SCALE), &[1, 2, 3, 4, 8]);
     for (name, plan) in TPCH_PLANS {
         check(name, &plan, &axes);
     }
@@ -45,7 +43,7 @@ fn parallel_ledger_bit_identical_memory_engine() {
 fn parallel_ledger_bit_identical_across_morsel_sizes() {
     let axes = Axes {
         morsel_rows: vec![64, 1000, 4096, 1 << 20],
-        ..scalar_axes(Storage::Memory(PLAN_SCALE), &[4])
+        ..worker_axes(Storage::Memory(PLAN_SCALE), &[4])
     };
     check("Q6", &support::Q6, &axes);
 }
@@ -54,7 +52,7 @@ fn parallel_ledger_bit_identical_across_morsel_sizes() {
 fn parallel_ledger_bit_identical_disk_engine_cold_and_warm() {
     let axes = Axes {
         passes: 2,
-        ..scalar_axes(Storage::Disk(PLAN_SCALE), &[2, 4])
+        ..worker_axes(Storage::Disk(PLAN_SCALE), &[2, 4])
     };
     for (name, plan) in TPCH_PLANS {
         let oracle = check(name, &plan, &axes);
@@ -143,14 +141,14 @@ fn limit_over_streaming_pipeline_keeps_scalar_exact_consumption() {
         ));
         Box::new(Limit::new(filt, 25))
     };
-    let axes = scalar_axes(Storage::Memory(SCALE), &[2, 8]);
+    let axes = worker_axes(Storage::Memory(SCALE), &[2, 8]);
     let oracle = check("limit-pipeline", &plan, &axes);
     assert_eq!(oracle[0].0.len(), 25);
 }
 
 /// `Sort` over a partitionable child gathers it morsel-parallel, in
 /// morsel order: rows and ledger (its `SortCmp` count depends on input
-/// order) equal serial execution's on both engines.
+/// order) equal the serial scalar oracle's.
 #[test]
 fn sort_over_a_morsel_parallel_child_matches_serial() {
     use ecodb::query::expr::{CmpOp, Expr};
@@ -164,9 +162,6 @@ fn sort_over_a_morsel_parallel_child_matches_serial() {
         ));
         Box::new(Sort::new(filtered, vec![SortKey::asc(0)]))
     };
-    let axes = Axes {
-        engines: vec![ExecEngine::Scalar, ExecEngine::Columnar],
-        ..scalar_axes(Storage::Memory(SCALE), &[2, 4])
-    };
+    let axes = worker_axes(Storage::Memory(SCALE), &[2, 4]);
     check("sort-over-filter", &plan, &axes);
 }

@@ -73,7 +73,8 @@ fn online_qed_batching_halves_joules_per_query_at_1k_sessions() {
         let replay = replay_serial(db, &report.dispatches, 2, true);
         assert_eq!(report.ledger, replay);
     }
-    // ...and to a replay under the oracle engine, on two workers.
+    // ...and to a replay under the oracle engine, which runs serial
+    // whatever the worker count: summed ledgers agree.
     let replay = replay_serial(oracle(), &batched.dispatches, 2, true);
     assert_eq!(batched.ledger, replay);
 }

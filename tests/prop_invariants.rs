@@ -7,7 +7,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ecodb::query::context::ExecCtx;
-use ecodb::query::exec::{execute, ExecEngine};
+use ecodb::query::exec::execute;
 use ecodb::query::mqo::{split_results, MergedSelection};
 use ecodb::query::plans::selection_plan;
 use ecodb::simhw::machine::{Machine, MachineConfig};
@@ -58,8 +58,9 @@ proptest! {
     }
 
     /// The morsel-parallel executor is a pure throughput knob: for any
-    /// plan, worker count and morsel size, the result rows and the
-    /// merged energy ledger are identical to serial execution.
+    /// plan, worker count and morsel size, the columnar engine's result
+    /// rows and merged energy ledger are identical to the serial scalar
+    /// oracle's.
     #[test]
     fn parallel_matches_serial(
         plan_idx in 0usize..5,
@@ -69,7 +70,6 @@ proptest! {
         let (name, plan) = TPCH_PLANS[plan_idx];
         let axes = Axes {
             storage: vec![Storage::Memory(SCALE)],
-            engines: vec![ExecEngine::Scalar],
             workers: vec![workers],
             morsel_rows: vec![morsel_rows],
             ..Axes::default()
