@@ -13,7 +13,7 @@ use eco_storage::{
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::expr::{AggFunc, Expr};
-use crate::ops::hashkey::{hash_keys, hash_row, keys_eq, KeyTable};
+use crate::ops::hashkey::{hash_keys, hash_row, keys_eq, pack_keys, KeyTable, PackedMemo};
 use crate::ops::{drain_chunks, mark_read, BoxedOp, Operator};
 use crate::parallel::run_morsels;
 
@@ -268,7 +268,19 @@ fn keep_extreme(acc: &mut Option<Value>, v: Value, wins: Ordering) {
 /// of every group is kept as columns (one key tuple is materialized per
 /// *group*, at the end). A global aggregate (no group columns) skips
 /// the per-row hash and probe: the chunk's first live row finds or
-/// claims group 0 and every row takes it. Accumulators are typed
+/// claims group 0 and every row takes it.
+///
+/// Group keys that pack into one `u64` (fixed-width columns of at most
+/// 64 bits in all, [`pack_keys`]; Q1's two `Char`s) skip the hash and
+/// the table too: each live row's packed key looks its group id up in
+/// a [`PackedMemo`], and only a miss asks the table (hashing that one
+/// row) and records the answer. Packed equality is key equality, and
+/// the memo never mints an id, so ids, first-seen order and stored keys
+/// are the table's whichever way a row came; the morsel-partial
+/// [`Self::merge`] goes through the table alone. The general path stays
+/// for what does not pack: a `Str` column, or keys over 64 bits (Q3's
+/// `Int`, `Date`, `Int`). The precedence is dictionary ids (below),
+/// then the memo, then the table. Accumulators are typed
 /// arrays ([`ColAcc`]) keyed by group id; each aggregate resolves its
 /// input once per chunk ([`Expr::eval_num`] settles `SUM`/`AVG` inputs
 /// into an `i64` lane — a slice, a gather or a constant) and runs one
@@ -289,9 +301,12 @@ struct ColumnarGroups {
     /// Key → group id; holds exactly one row per group.
     table: KeyTable,
     accs: Vec<ColAcc>,
-    /// Reused per-chunk group-id and key-hash buffers.
+    /// Packed key → group id, made on the first chunk whose keys pack.
+    memo: Option<PackedMemo>,
+    /// Reused per-chunk buffers: group ids, and one key hash or packed
+    /// key per live row.
     gids: Vec<u32>,
-    hashes: Vec<u64>,
+    words: Vec<u64>,
     /// The encoded chunk the dict-id memo below is keyed against
     /// (compressed pricing, single dictionary-encoded group column).
     dict_enc: Option<Arc<EncodedChunk>>,
@@ -311,8 +326,9 @@ impl ColumnarGroups {
             keys: None,
             table: KeyTable::with_capacity(0),
             accs,
+            memo: None,
             gids: Vec::new(),
-            hashes: Vec::new(),
+            words: Vec::new(),
             dict_enc: None,
             dict_gids: Vec::new(),
         }
@@ -379,13 +395,27 @@ impl ColumnarGroups {
                 let g = self.gid_of(hash_row(&chunk.data, &[], i), &chunk.data, &[], i);
                 gids.resize(n, g);
             } else {
-                let mut hashes = std::mem::take(&mut self.hashes);
-                hashes.clear();
-                hash_keys(&chunk.data, &group_cols, chunk.rows(), &mut hashes);
-                chunk.rows().for_each(|k, i| {
-                    gids.push(self.gid_of(hashes[k], &chunk.data, &group_cols, i));
-                });
-                self.hashes = hashes;
+                let mut words = std::mem::take(&mut self.words);
+                if pack_keys(&chunk.data, &group_cols, chunk.rows(), &mut words) {
+                    let mut memo = self.memo.take().unwrap_or_else(PackedMemo::new);
+                    chunk.rows().for_each(|k, i| {
+                        let gid = memo.find(words[k]).unwrap_or_else(|s| {
+                            let h = hash_row(&chunk.data, &group_cols, i);
+                            let gid = self.gid_of(h, &chunk.data, &group_cols, i);
+                            memo.insert_at(s, words[k], gid);
+                            gid
+                        });
+                        gids.push(gid);
+                    });
+                    self.memo = Some(memo);
+                } else {
+                    words.clear();
+                    hash_keys(&chunk.data, &group_cols, chunk.rows(), &mut words);
+                    chunk.rows().for_each(|k, i| {
+                        gids.push(self.gid_of(words[k], &chunk.data, &group_cols, i));
+                    });
+                }
+                self.words = words;
             }
             self.group_cols = group_cols;
         }
@@ -401,14 +431,19 @@ impl ColumnarGroups {
                 },
                 _ => None,
             };
-            match (spec.func, acc) {
-                (AggFunc::Count, ColAcc::Count(counts)) => {
+            // Which way a `MIN`/`MAX` step wins.
+            let wins = match acc {
+                ColAcc::Min(_) => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            match acc {
+                ColAcc::Count(counts) => {
                     ctx.charge(OpClass::AggUpdate, n as u64);
                     for &g in &gids {
                         counts[g as usize] += 1;
                     }
                 }
-                (AggFunc::Sum, ColAcc::Sum(sums)) => {
+                ColAcc::Sum(sums) => {
                     if let Some((values, ends)) = rle {
                         let frags = rle_accumulate(values, ends, rows, &gids, |g, v, w| {
                             sums[g] = sums[g].wrapping_add(v.wrapping_mul(w));
@@ -421,7 +456,7 @@ impl ColumnarGroups {
                     src.lane(rows)
                         .zip_gids(&gids, |g, v| sums[g] = sums[g].wrapping_add(v));
                 }
-                (AggFunc::Avg, ColAcc::Avg { sums, counts }) => {
+                ColAcc::Avg { sums, counts } => {
                     if let Some((values, ends)) = rle {
                         let frags = rle_accumulate(values, ends, rows, &gids, |g, v, w| {
                             sums[g] = sums[g].wrapping_add(v.wrapping_mul(w));
@@ -437,12 +472,8 @@ impl ColumnarGroups {
                         counts[g] += 1;
                     });
                 }
-                (AggFunc::Min, ColAcc::Min(accs)) | (AggFunc::Max, ColAcc::Max(accs)) => {
+                ColAcc::Min(accs) | ColAcc::Max(accs) => {
                     ctx.charge(OpClass::AggUpdate, n as u64);
-                    let wins = match spec.func {
-                        AggFunc::Min => Ordering::Less,
-                        _ => Ordering::Greater,
-                    };
                     // Each cell is compared where it lies; only a new
                     // extreme becomes a `Value`.
                     let col = spec.input.eval_column(&chunk.data, rows, ctx);
@@ -459,7 +490,6 @@ impl ColumnarGroups {
                         }
                     });
                 }
-                _ => unreachable!("accumulator variant matches its spec"),
             }
         }
         self.gids = gids;
@@ -600,7 +630,12 @@ fn rle_accumulate(
 /// `GroupTable`; the columnar engine
 /// absorbs chunks into `ColumnarGroups`: group ids from the shared
 /// key kernel (`ops/hashkey.rs`), first-seen keys kept as columns,
-/// typed accumulator arrays. Under the columnar engine `open` first
+/// typed accumulator arrays. Group keys of fixed-width columns that fit
+/// in 64 bits (Q1's `l_returnflag`, `l_linestatus`) are packed into one
+/// word per row and their ids served from a memo in front of the key
+/// table, which alone mints ids; `Str` keys and wider ones (Q3's) hash
+/// every row into the table. The charges are the same either way.
+/// Under the columnar engine `open` first
 /// tells its child ([`Operator::prune`]) that only the group columns
 /// and the aggregate inputs are read, so a join below gathers nothing
 /// else.

@@ -2,7 +2,7 @@
 //! [`super::HashAggregate`]: hash key columns a chunk at a time, index
 //! rows by key, compare keys column against column.
 //!
-//! Four pieces, none of which ever builds a `Value`:
+//! Five pieces, none of which ever builds a `Value`:
 //!
 //! * [`hash_keys`] folds the key columns of a chunk into one `u64` per
 //!   live row, a column at a time, in typed loops over `&[i64]` /
@@ -30,6 +30,21 @@
 //!   it from the build keys it holds (no knob) and falls back to a
 //!   [`KeyTable`] for any other input. Charges do not depend on the
 //!   choice: the simulated machine runs a hash join either way.
+//! * [`pack_keys`] and [`PackedMemo`] are the aggregate's shortcut to a
+//!   group id when its key columns are fixed-width and their widths
+//!   (`Int` 64 bits, `Date` 32, `Char` 21, `Bool` 1) sum to at most 64:
+//!   each live row's key is packed into one `u64`, a typed pass per
+//!   column, each column in a bit field of its own, and looked up in a
+//!   small open-addressed `u64 → group id` memo. For one list of key
+//!   types, packed equality ⇔ [`keys_eq`]: every field holds its value's
+//!   bits exactly (`Date`s as `u32`, so a negative one sets no bit of
+//!   another field) and the fields are disjoint. The memo never mints a
+//!   group id: a miss asks the aggregate's [`KeyTable`] (hashed with
+//!   [`hash_row`], like the morsel-partial merge) and records its
+//!   answer, so the table stays the one source of ids, first-seen order
+//!   and stored keys — a packed hash inside the table would split a key
+//!   into two groups. A `Str` column, or a key wider than 64 bits, has
+//!   no packing and takes the table on every row.
 
 use eco_storage::{ColumnData, DataChunk};
 
@@ -122,6 +137,111 @@ pub(crate) fn keys_eq(
             _ => false,
         },
     )
+}
+
+/// Bits a key column's values take in a packed key: the widest
+/// value's — `char::MAX` is U+10FFFF, 21 bits. `Str` has no fixed
+/// width.
+fn packed_bits(data: &ColumnData) -> Option<u32> {
+    match data {
+        ColumnData::Int(_) => Some(64),
+        ColumnData::Date(_) => Some(32),
+        ColumnData::Char(_) => Some(21),
+        ColumnData::Bool(_) => Some(1),
+        ColumnData::Str(_) => None,
+    }
+}
+
+/// Replace `out` with one packed key per live row of `rows` (in `rows`
+/// order) over the key columns `keys` of `data`: key column `j` holds
+/// the bit field above those of columns `0..j`. Returns `false`, and
+/// leaves `out` alone, when the columns do not pack — a `Str` among
+/// them, or more than 64 bits in all.
+pub(crate) fn pack_keys(
+    data: &DataChunk,
+    keys: &[usize],
+    rows: Rows<'_>,
+    out: &mut Vec<u64>,
+) -> bool {
+    let bits: Option<u32> = keys
+        .iter()
+        .map(|&k| packed_bits(&data.column(k).data))
+        .sum();
+    if bits.is_none_or(|b| b > 64) {
+        return false;
+    }
+    out.clear();
+    out.resize(rows.len(), 0);
+    // Every field has at least one bit and all of them fit in 64, so a
+    // field's offset is at most 63.
+    let mut at = 0;
+    for &key in keys {
+        let data = &data.column(key).data;
+        match data {
+            ColumnData::Int(v) => rows.for_each(|k, i| out[k] |= (v[i] as u64) << at),
+            ColumnData::Date(v) => rows.for_each(|k, i| out[k] |= u64::from(v[i] as u32) << at),
+            ColumnData::Char(v) => rows.for_each(|k, i| out[k] |= u64::from(v[i]) << at),
+            ColumnData::Bool(v) => rows.for_each(|k, i| out[k] |= u64::from(v[i]) << at),
+            // Has no packing: ruled out above.
+            ColumnData::Str(_) => {}
+        }
+        at += packed_bits(data).unwrap_or_default();
+    }
+    true
+}
+
+/// Packed key → group id: open-addressed, linear probing, power-of-two
+/// sized, at most half full. A cache in front of the aggregate's
+/// [`KeyTable`], never a source of ids (see the module docs).
+pub(crate) struct PackedMemo {
+    keys: Vec<u64>,
+    /// Per slot: the group id of `keys[slot]`, or [`NO_ROW`] (vacant).
+    gids: Vec<u32>,
+    len: usize,
+}
+
+impl PackedMemo {
+    pub(crate) fn new() -> Self {
+        Self {
+            keys: vec![0; 16],
+            gids: vec![NO_ROW; 16],
+            len: 0,
+        }
+    }
+
+    /// `Ok(gid)` of `key`, or the vacant slot where it belongs.
+    #[inline]
+    pub(crate) fn find(&self, key: u64) -> Result<u32, usize> {
+        let mask = self.keys.len() - 1;
+        let mut s = mix(SEED, key) as usize & mask;
+        loop {
+            let gid = self.gids[s];
+            if gid == NO_ROW {
+                return Err(s);
+            }
+            if self.keys[s] == key {
+                return Ok(gid);
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// Record `key → gid` in vacant slot `s`, as [`Self::find`] just
+    /// returned it.
+    pub(crate) fn insert_at(&mut self, s: usize, key: u64, gid: u32) {
+        (self.keys[s], self.gids[s]) = (key, gid);
+        self.len += 1;
+        if self.len * 2 > self.keys.len() {
+            let cap = self.keys.len() * 2;
+            let keys = std::mem::replace(&mut self.keys, vec![0; cap]);
+            let gids = std::mem::replace(&mut self.gids, vec![NO_ROW; cap]);
+            for (key, gid) in keys.into_iter().zip(gids).filter(|&(_, g)| g != NO_ROW) {
+                if let Err(s) = self.find(key) {
+                    (self.keys[s], self.gids[s]) = (key, gid);
+                }
+            }
+        }
+    }
 }
 
 /// Rows indexed by key: rows are numbered in insertion order from 0,
@@ -508,6 +628,66 @@ mod tests {
         assert_eq!(gids, vec![0, 1, 0, 2, 1, 0]);
         assert_eq!(table.len(), 3);
         assert_eq!(seen.row(2), vec![Value::str("c")]);
+    }
+
+    /// Which key-type lists pack: fixed widths summing to at most 64.
+    #[test]
+    fn keys_pack_up_to_64_bits() {
+        use T::{Bool, Char, Date, Int, Str};
+        let schema = Schema::new(&[
+            ("i", Int),
+            ("d", Date),
+            ("c", Char),
+            ("b", Bool),
+            ("s", Str),
+        ]);
+        let row = vec![
+            Value::Int(-1),
+            Value::Date(-1),
+            Value::Char(char::MAX),
+            Value::Bool(true),
+            Value::str("s"),
+        ];
+        let data = chunk(&schema, &[row]);
+        let (i, d, c, b, s) = (0, 1, 2, 3, 4);
+        let packs = |keys: &[usize]| pack_keys(&data, keys, Rows::Range(0, 1), &mut Vec::new());
+        // 64, 64, 63, 64 and 54 bits.
+        for keys in [&[i][..], &[d, d], &[c, c, c], &[c, c, c, b], &[b, c, d]] {
+            assert!(packs(keys), "{keys:?}");
+        }
+        // 65 bits, or a string.
+        for keys in [
+            &[i, b][..],
+            &[b, i],
+            &[d, d, b],
+            &[c, c, c, b, b],
+            &[s],
+            &[b, s],
+        ] {
+            assert!(!packs(keys), "{keys:?}");
+        }
+        // Each column in its own field, a negative `Date` as 32 bits.
+        let mut out = vec![7];
+        assert!(pack_keys(&data, &[b, d, c], Rows::Range(0, 1), &mut out));
+        assert_eq!(out, vec![1 | 0xFFFF_FFFF << 1 | 0x10_FFFF << 33]);
+        assert!(pack_keys(&data, &[i], Rows::Range(0, 1), &mut out));
+        assert_eq!(out, vec![u64::MAX]);
+    }
+
+    #[test]
+    fn the_memo_finds_what_it_recorded_across_growth() {
+        let mut memo = PackedMemo::new();
+        // Keys differing only in their top or bottom bits, 0 included.
+        let key = |g: u64| (g << 40) ^ g.rotate_right(1);
+        for g in 0..1000u32 {
+            let s = memo.find(key(g.into())).expect_err("not recorded yet");
+            memo.insert_at(s, key(g.into()), g);
+        }
+        assert_eq!(memo.keys.len(), 2048, "grown from 16, half full at most");
+        for g in 0..1000u32 {
+            assert_eq!(memo.find(key(g.into())), Ok(g));
+        }
+        assert!(memo.find(key(1000)).is_err());
     }
 
     #[test]

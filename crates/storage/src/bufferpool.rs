@@ -596,6 +596,42 @@ mod tests {
     }
 
     #[test]
+    fn evicting_a_table_forgets_its_scan_positions() {
+        let pool = BufferPool::new(64);
+        pool.get(id(1, 0), || page_data(0));
+        pool.get(id(1, 1), || page_data(1));
+        pool.get(id(2, 0), || page_data(0));
+        pool.take_io();
+        pool.evict_table(1);
+        // Page 2 follows page 1 on the stream, but the cursor was
+        // forgotten with the table: the read repositions.
+        pool.get(id(1, 2), || page_data(2));
+        let io = pool.take_io().disk;
+        assert_eq!((io.random_ios, io.sequential_bytes), (1, 0), "{io:?}");
+        // Another table's cursor survives.
+        pool.get(id(2, 1), || page_data(1));
+        let io = pool.take_io().disk;
+        assert_eq!((io.random_ios, io.sequential_bytes), (0, PAGE_SIZE as u64));
+    }
+
+    #[test]
+    fn an_ended_stream_starts_over() {
+        let pool = BufferPool::new(64);
+        let (_, io) = pool.get_inner(id(1, 0), 5, || page_data(0));
+        assert_eq!(io.disk.random_ios, 1);
+        let (_, io) = pool.get_inner(id(1, 1), 5, || page_data(1));
+        assert_eq!(io.disk.sequential_bytes, PAGE_SIZE as u64);
+        pool.end_stream(1, 5);
+        // The next in-order page on stream 5 is its first read again.
+        let (_, io) = pool.get_inner(id(1, 2), 5, || page_data(2));
+        assert_eq!(
+            (io.disk.random_ios, io.disk.sequential_bytes),
+            (1, 0),
+            "{io:?}"
+        );
+    }
+
+    #[test]
     fn checked_read_matches_unchecked_when_fault_free() {
         let a = BufferPool::new(8);
         let b = BufferPool::new(8);

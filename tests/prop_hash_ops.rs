@@ -36,6 +36,19 @@
 //! on the first sight of an id (per probe chunk in the join, per
 //! encoded table in the aggregate).
 //!
+//! The group-by packs keys of fixed-width columns that fit in 64 bits
+//! into one word and serves their group ids from a memo in front of its
+//! key table. Its boundary has a property of its own: key-type lists of
+//! exactly 64 bits (`Int`; `Date` × 2; `Char` × 3 and a `Bool`), under
+//! (`Char` × 3 in 63) and just over (`Int` and a `Bool` either way
+//! round; `Date` × 2 and a `Bool`), or holding a `Str`, with every
+//! type's extremes (`i64::MIN`/`MAX`, negative and extreme dates,
+//! `'\0'`, `char::MAX` and `Char`s that would spill out of a narrower
+//! field), must equal the oracle in rows — first-seen group order
+//! included — and ledgers at chunks of 1 to 4096 rows and 1, 2 and 4
+//! workers; thousands of distinct packable keys grow the memo nine
+//! times over.
+//!
 //! The arithmetic and accumulator kernels under those aggregates have a
 //! property of their own: generated `Int` expression trees (up to four
 //! levels, every operand shape pair — column, computed vector, literal
@@ -78,11 +91,18 @@ const TYPES: [ColumnType; 5] = [
 /// The value key id `id` takes in a column of type `ty` — one value per
 /// id (two ids per `Bool`), the same bits across the numeric types so
 /// that cross-typed columns agree in payload and differ only in type.
+/// `Char`s cover every scalar value: small ids are themselves, `-1` is
+/// `char::MAX`.
 fn key_value(ty: ColumnType, id: i64) -> Value {
     match ty {
         ColumnType::Int => Value::Int(id),
         ColumnType::Date => Value::Date(id as i32),
-        ColumnType::Char => Value::Char(char::from_u32(id as u32 % 0xD000).expect("scalar value")),
+        ColumnType::Char => {
+            // 0x10F800 scalar values: 0..=0x10FFFF less the surrogates.
+            let c = id.rem_euclid(0x10_F800) as u32;
+            let c = if c < 0xD800 { c } else { c + 0x800 };
+            Value::Char(char::from_u32(c).expect("scalar value"))
+        }
         ColumnType::Bool => Value::Bool(id % 2 != 0),
         ColumnType::Str => Value::str(match id.rem_euclid(4) {
             0 if id == 0 => String::new(),
@@ -628,6 +648,124 @@ fn dict_encoded(schema: &Schema, rows: &[Tuple], col: usize) -> bool {
     )
 }
 
+/// Group-key type lists on either side of the packed aggregate key's
+/// 64 bits (`Int` 64, `Date` 32, `Char` 21, `Bool` 1): the first five
+/// pack (three of them in exactly 64 bits, `Char` × 3 in 63), the rest
+/// do not — one bit over, or a `Str` — and take the general path.
+const PACKING_BOUNDARY: [&[ColumnType]; 10] = {
+    use ColumnType::{Bool, Char, Date, Int, Str};
+    [
+        &[Int],
+        &[Date, Date],
+        &[Char, Char, Char],
+        &[Char, Char, Char, Bool],
+        &[Bool, Char, Date],
+        &[Int, Bool],
+        &[Bool, Int],
+        &[Date, Date, Bool],
+        &[Char, Char, Char, Bool, Bool],
+        &[Str, Bool],
+    ]
+};
+
+/// A key value of type `ty` for the packing boundary: half the time
+/// one of the type's extremes — the ends of its range, `-1` and `0`,
+/// and `Char`s whose bits would spill into a 20-bit field — otherwise
+/// one of `spread` ids.
+fn boundary_value(rng: &mut Rng, ty: ColumnType, spread: u64) -> Value {
+    let extreme = rng.below(2) == 0;
+    match ty {
+        ColumnType::Int if extreme => Value::Int(rng.pick(&[i64::MIN, i64::MAX, -1, 0, 1])),
+        ColumnType::Date if extreme => Value::Date(rng.pick(&[i32::MIN, i32::MAX, -1, 0, -36_525])),
+        ColumnType::Char if extreme => Value::Char(rng.pick(&[
+            '\0',
+            '\u{1}',
+            '\u{FFFF}',
+            '\u{D7FF}',
+            '\u{E000}',
+            '\u{FFFFF}',
+            char::MAX,
+        ])),
+        // Negative ids reach negative dates and the top `Char`s.
+        _ => key_value(ty, rng.below(spread) as i64 - (spread / 2) as i64),
+    }
+}
+
+/// `rows` rows over the key types `types` drawn from `distinct` keys
+/// (every key repeats, first sights scattered through the input), then
+/// `seq` and the filter column `r`.
+fn boundary_rows(
+    rng: &mut Rng,
+    types: &[ColumnType],
+    distinct: usize,
+    rows: usize,
+) -> (Schema, Vec<Tuple>) {
+    let mut cols: Vec<(String, ColumnType)> = (types.iter().enumerate())
+        .map(|(j, &t)| (format!("k{j}"), t))
+        .collect();
+    cols.push(("seq".to_string(), ColumnType::Int));
+    cols.push(("r".to_string(), ColumnType::Int));
+    let spread = (distinct as u64 * 4).max(2);
+    let pool: Vec<Tuple> = (0..distinct)
+        .map(|_| {
+            types
+                .iter()
+                .map(|&t| boundary_value(rng, t, spread))
+                .collect()
+        })
+        .collect();
+    let rows = (0..rows)
+        .map(|i| {
+            let mut row = pool[rng.index(pool.len())].clone();
+            row.extend([Value::Int(i as i64), Value::Int(rng.below(10) as i64)]);
+            row
+        })
+        .collect();
+    (schema_of(&cols), rows)
+}
+
+/// GROUP BY every key column of [`boundary_rows`]: `COUNT`, `SUM`
+/// and `AVG` of `seq`, `MIN` of the last key and `MAX` of the first,
+/// over every row or (`filter`) about 70 % of them as selections.
+fn boundary_aggregate((schema, rows): &(Schema, Vec<Tuple>), filter: bool) -> BoxedOp {
+    let keys = schema.arity() - 2;
+    let src: BoxedOp = Box::new(VecSource::new(schema.clone(), rows.clone()));
+    let seq = Expr::col(keys);
+    let spec = |func, input: Expr, name: &str| AggSpec {
+        func,
+        input,
+        name: name.to_string(),
+    };
+    let aggs = vec![
+        spec(AggFunc::Count, seq.clone(), "c"),
+        spec(AggFunc::Sum, seq.clone(), "s"),
+        spec(AggFunc::Avg, seq, "a"),
+        spec(AggFunc::Min, Expr::col(keys - 1), "lo"),
+        spec(AggFunc::Max, Expr::col(0), "hi"),
+    ];
+    let src: BoxedOp = match filter {
+        true => Box::new(Filter::new(
+            src,
+            Expr::cmp(CmpOp::Lt, Expr::col(keys + 1), Expr::int(7)),
+        )),
+        false => src,
+    };
+    Box::new(HashAggregate::new(src, (0..keys).collect(), aggs))
+}
+
+/// Rows (first-seen group order included) and whole ledgers of
+/// `mk()` under the columnar engine equal the scalar oracle's at
+/// chunks of 1 to 4096 rows and 1, 2 and 4 workers (16-row morsels).
+fn check_across_chunks(name: &str, mk: &dyn Fn() -> BoxedOp) -> Vec<Tuple> {
+    let axes = Axes {
+        chunks: vec![1, 7, 64, 1024, 4096],
+        workers: vec![1, 2, 4],
+        morsel_rows: vec![16],
+        ..Axes::default()
+    };
+    check(name, &|_| mk(), &axes).remove(0).0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -774,6 +912,23 @@ proptest! {
         check_against_oracle("kernels", &mk, chunk);
     }
 
+    /// Group keys at the packed key's 64-bit boundary, both sides of
+    /// it, with every type's extreme values: a packed key that merged
+    /// two keys (or split one) shows as a wrong row or group order.
+    #[test]
+    fn group_by_at_the_packing_boundary_matches_the_oracle(
+        seed in any::<u64>(),
+        types_idx in 0usize..PACKING_BOUNDARY.len(),
+        distinct in prop_oneof![Just(1usize), Just(5), Just(40), Just(300)],
+        rows in prop_oneof![Just(0usize), Just(1), Just(60), Just(900)],
+        filter in any::<bool>(),
+    ) {
+        let types = PACKING_BOUNDARY[types_idx];
+        let input = boundary_rows(&mut Rng(seed), types, distinct, rows);
+        let mk = || boundary_aggregate(&input, filter);
+        check_across_chunks("packing boundary", &mk);
+    }
+
     #[test]
     fn group_by_under_compressed_pricing_keeps_rows_and_the_dict_charge_contract(
         seed in any::<u64>(),
@@ -815,4 +970,17 @@ proptest! {
             }
         }
     }
+}
+
+/// Thousands of distinct packable keys, new ones arriving all through
+/// the input: past 2048 groups the memo has grown from 16 slots to
+/// 8192, nine times, while group ids keep coming from the first-seen
+/// table, at every chunk size and worker count.
+#[test]
+fn packable_groups_grow_the_memo_across_chunks() {
+    use ColumnType::{Bool, Char, Date};
+    let types = [Date, Char, Bool];
+    let input = boundary_rows(&mut Rng(0x6d656d6f), &types, 6000, 12_000);
+    let rows = check_across_chunks("memo growth", &|| boundary_aggregate(&input, false));
+    assert!(rows.len() > 2048, "{} groups", rows.len());
 }
