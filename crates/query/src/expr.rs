@@ -273,33 +273,46 @@ impl Expr {
 // into a [`Lane`] once — dense by live-row ordinal (a computed vector, or
 // a column under a dense window), gathered through the selection vector,
 // or a constant — and the operator is matched once, so each arithmetic
-// node and each `Int` comparison is one monomorphised loop over slices
-// with no `ExecCtx`, no enum match and no charge inside it (charges are
-// counts, made before the loop). A zero divisor is found by a scan of
-// the divisor's lane before the division loop — a zero literal, or any
-// zero among the live rows — and recorded once
-// (`ExecError::DivisionByZero`, first error wins); the rows that divide
-// by zero hold the placeholder 0, as on the row path.
+// node is one monomorphised loop over slices with no `ExecCtx`, no enum
+// match and no charge inside it (charges are counts, made before the
+// loop). A zero divisor is found by a scan of the divisor's lane before
+// the division loop — a zero literal, or any zero among the live rows —
+// and recorded once (`ExecError::DivisionByZero`, first error wins); the
+// rows that divide by zero hold the placeholder 0, as on the row path.
+//
+// A comparison (`compare`) settles its operands' type (`Int`, `Date`,
+// `Char`, `Str` by bytes, `Bool`) and shape (a column read by row id, a
+// computed vector read by ordinal, a literal; a literal on the left is
+// swapped to the right) and matches its operator once per chunk, then
+// runs one loop that narrows the live rows. Selection refinement
+// ([`Expr::filter_sel`]) compacts the selection vector in place: every
+// row id is written at a cursor that advances by the verdict, with no
+// branch on the row's data and no flag vector. The same loops write
+// flags instead ([`Expr::eval_flags`]) where `Or`, `Not` and boolean
+// projection need one verdict per row. A validity mask is applied as a
+// second narrowing pass over the same rows.
 
-/// An `Int`-valued operand resolved over a row set. `Slice` indexes by
-/// absolute row id, `Own` by live-row ordinal, `Const` by neither.
-pub(crate) enum NumSrc<'a> {
-    /// A borrowed `Int` column.
-    Slice(&'a [i64]),
-    /// A computed vector, one value per live row.
-    Own(Vec<i64>),
-    /// A literal.
-    Const(i64),
+/// A comparison operand of one type, resolved over a row set.
+pub(crate) enum Operand<C, T> {
+    /// A column, read by absolute row id.
+    Col(C),
+    /// A computed vector, one value per live-row ordinal.
+    Own(Vec<T>),
+    /// A literal, the same for every row.
+    Lit(T),
 }
+
+/// An `Int`-valued operand resolved over a row set.
+pub(crate) type NumSrc<'a> = Operand<&'a [i64], i64>;
 
 impl NumSrc<'_> {
     /// This operand laid out for one loop over `rows`.
     pub(crate) fn lane<'s>(&'s self, rows: Rows<'s>) -> Lane<'s> {
         match (self, rows) {
-            (NumSrc::Slice(v), Rows::Range(s, e)) => Lane::Dense(&v[s..e]),
-            (NumSrc::Slice(v), Rows::Sel(sel)) => Lane::Gather(v, sel),
-            (NumSrc::Own(v), _) => Lane::Dense(v),
-            (NumSrc::Const(c), _) => Lane::Const(*c),
+            (Operand::Col(v), Rows::Range(s, e)) => Lane::Dense(&v[s..e]),
+            (Operand::Col(v), Rows::Sel(sel)) => Lane::Gather(v, sel),
+            (Operand::Own(v), _) => Lane::Dense(v),
+            (Operand::Lit(c), _) => Lane::Const(*c),
         }
     }
 }
@@ -391,41 +404,14 @@ fn arith(
     }
 }
 
-/// The `Int`-against-`Int` comparison kernel: one loop per operator and
-/// operand shape; rows invalid on either side then read `false`.
-fn cmp_ints(
-    op: CmpOp,
-    (a, va): (&NumSrc<'_>, Option<&[bool]>),
-    (b, vb): (&NumSrc<'_>, Option<&[bool]>),
-    rows: Rows<'_>,
-) -> Vec<bool> {
-    let (n, a, b) = (rows.len(), a.lane(rows), b.lane(rows));
-    let mut flags = match op {
-        CmpOp::Eq => zip_lanes(a, b, n, |x, y| x == y),
-        CmpOp::Ne => zip_lanes(a, b, n, |x, y| x != y),
-        CmpOp::Lt => zip_lanes(a, b, n, |x, y| x < y),
-        CmpOp::Le => zip_lanes(a, b, n, |x, y| x <= y),
-        CmpOp::Gt => zip_lanes(a, b, n, |x, y| x > y),
-        CmpOp::Ge => zip_lanes(a, b, n, |x, y| x >= y),
-    };
-    if va.is_some() || vb.is_some() {
-        rows.for_each(|k, i| flags[k] &= valid_at(va, i) && valid_at(vb, i));
-    }
-    flags
-}
-
-/// Any typed operand resolved over a row set (comparison inputs).
+/// Any typed comparison operand resolved over a row set.
 enum ValSrc<'a> {
-    Int(NumSrc<'a>, Option<&'a [bool]>),
-    Date(&'a [i32], Option<&'a [bool]>),
-    DateConst(i32),
-    Char(&'a [char], Option<&'a [bool]>),
-    CharConst(char),
-    Str(&'a StrColumn, Option<&'a [bool]>),
-    StrConst(&'a str),
-    Bool(Vec<bool>),
-    BoolSlice(&'a [bool], Option<&'a [bool]>),
-    BoolConst(bool),
+    Int(NumSrc<'a>),
+    Date(Operand<&'a [i32], i32>),
+    Char(Operand<&'a [char], char>),
+    /// Strings compare as bytes, in place: byte order is `str` order.
+    Str(Operand<&'a StrColumn, &'a [u8]>),
+    Bool(Operand<&'a [bool], bool>),
 }
 
 #[inline]
@@ -433,21 +419,203 @@ fn valid_at(mask: Option<&[bool]>, i: usize) -> bool {
     mask.is_none_or(|m| m[i])
 }
 
-/// Drop the live rows of `sel` whose ordinal flag is `false`.
-fn retain_by_flags(sel: &mut Vec<u32>, flags: &[bool]) {
-    debug_assert_eq!(sel.len(), flags.len());
-    let mut k = 0;
-    sel.retain(|_| {
-        let keep = flags[k];
-        k += 1;
-        keep
-    });
+/// One side of a comparison loop: its value at live-row ordinal `k`,
+/// absolute row id `i`.
+trait Side: Copy {
+    type Item: PartialOrd;
+    fn at(self, k: usize, i: usize) -> Self::Item;
+}
+
+/// A column, read by row id.
+impl<T: Copy + PartialOrd> Side for &[T] {
+    type Item = T;
+    #[inline(always)]
+    fn at(self, _: usize, i: usize) -> T {
+        self[i]
+    }
+}
+
+/// A string column's bytes, read in place by row id.
+impl<'a> Side for &'a StrColumn {
+    type Item = &'a [u8];
+    #[inline(always)]
+    fn at(self, _: usize, i: usize) -> &'a [u8] {
+        self.bytes(i)
+    }
+}
+
+/// Packed offsets from a frame of reference, read by row id.
+impl Side for &BitPacked {
+    type Item = u64;
+    #[inline(always)]
+    fn at(self, _: usize, i: usize) -> u64 {
+        self.get(i)
+    }
+}
+
+/// A computed vector, read by live-row ordinal.
+#[derive(Clone, Copy)]
+struct ByOrd<'a, T>(&'a [T]);
+
+impl<T: Copy + PartialOrd> Side for ByOrd<'_, T> {
+    type Item = T;
+    #[inline(always)]
+    fn at(self, k: usize, _: usize) -> T {
+        self.0[k]
+    }
+}
+
+/// A literal.
+#[derive(Clone, Copy)]
+struct Same<T>(T);
+
+impl<T: Copy + PartialOrd> Side for Same<T> {
+    type Item = T;
+    #[inline(always)]
+    fn at(self, _: usize, _: usize) -> T {
+        self.0
+    }
+}
+
+/// Where a comparison's verdicts go. Both forms narrow the live rows to
+/// those a verdict accepts: a selection vector compacts in place
+/// ([`Expr::filter_sel`]), [`Flags`] clears the flags of the others
+/// ([`Expr::eval_flags`]).
+trait Verdicts {
+    /// The live rows.
+    fn rows(&self) -> Rows<'_>;
+    /// Keep only the live rows for which `keep(k, i)` holds (`k` the
+    /// live-row ordinal, `i` the absolute row id).
+    fn narrow(&mut self, keep: impl Fn(usize, usize) -> bool);
+}
+
+impl Verdicts for Vec<u32> {
+    fn rows(&self) -> Rows<'_> {
+        Rows::Sel(self)
+    }
+
+    #[inline(always)]
+    fn narrow(&mut self, keep: impl Fn(usize, usize) -> bool) {
+        compact(self, keep);
+    }
+}
+
+/// One flag per live-row ordinal, all `true` until narrowed.
+struct Flags<'r> {
+    rows: Rows<'r>,
+    flags: Vec<bool>,
+}
+
+impl<'r> Flags<'r> {
+    fn new(rows: Rows<'r>) -> Self {
+        Self {
+            rows,
+            flags: vec![true; rows.len()],
+        }
+    }
+}
+
+impl Verdicts for Flags<'_> {
+    fn rows(&self) -> Rows<'_> {
+        self.rows
+    }
+
+    #[inline(always)]
+    fn narrow(&mut self, keep: impl Fn(usize, usize) -> bool) {
+        let flags = &mut self.flags;
+        self.rows.for_each(|k, i| flags[k] &= keep(k, i));
+    }
+}
+
+/// Keep the row ids of `sel` that `keep(k, i)` accepts (`k` the
+/// ordinal, `i` the id), in order, with no branch on the verdict: each
+/// id is written at the cursor, and the cursor advances by the verdict.
+#[inline(always)]
+fn compact(sel: &mut Vec<u32>, keep: impl Fn(usize, usize) -> bool) {
+    let mut w = 0;
+    for k in 0..sel.len() {
+        let i = sel[k];
+        sel[w] = i;
+        w += usize::from(keep(k, i as usize));
+    }
+    sel.truncate(w);
+}
+
+/// Narrow `out` by `a op b`: the operator is matched here, once, so each
+/// arm is one loop compiled for its operator and operand shapes.
+fn by_op<A: Side, B: Side<Item = A::Item>>(op: CmpOp, a: A, b: B, out: &mut impl Verdicts) {
+    match op {
+        CmpOp::Eq => out.narrow(|k, i| a.at(k, i) == b.at(k, i)),
+        CmpOp::Ne => out.narrow(|k, i| a.at(k, i) != b.at(k, i)),
+        CmpOp::Lt => out.narrow(|k, i| a.at(k, i) < b.at(k, i)),
+        CmpOp::Le => out.narrow(|k, i| a.at(k, i) <= b.at(k, i)),
+        CmpOp::Gt => out.narrow(|k, i| a.at(k, i) > b.at(k, i)),
+        CmpOp::Ge => out.narrow(|k, i| a.at(k, i) >= b.at(k, i)),
+    }
+}
+
+/// Narrow `out` by `a op b` over two operands of one type, settling
+/// their shapes once: a literal on the left moves right (`lit ⋄ x` is
+/// `x ⋄' lit` with `⋄' = ⋄.swap()`), and two literals give one verdict
+/// for every row.
+fn by_shape<C, T>(op: CmpOp, a: Operand<C, T>, b: Operand<C, T>, out: &mut impl Verdicts)
+where
+    C: Side<Item = T>,
+    T: Copy + PartialOrd,
+{
+    use Operand::{Col, Lit, Own};
+    match (a, b) {
+        (Col(a), Col(b)) => by_op(op, a, b, out),
+        (Col(a), Own(b)) => by_op(op, a, ByOrd(&b), out),
+        (Own(a), Col(b)) => by_op(op, ByOrd(&a), b, out),
+        (Own(a), Own(b)) => by_op(op, ByOrd(&a), ByOrd(&b), out),
+        (Col(a), Lit(c)) => by_op(op, a, Same(c), out),
+        (Own(a), Lit(c)) => by_op(op, ByOrd(&a), Same(c), out),
+        (Lit(c), Col(b)) => by_op(op.swap(), b, Same(c), out),
+        (Lit(c), Own(b)) => by_op(op.swap(), ByOrd(&b), Same(c), out),
+        (Lit(a), Lit(b)) => by_op(op, Same(a), Same(b), out),
+    }
+}
+
+/// The typed comparison kernel, one for both verdict forms: resolve both
+/// operands, charge one `PredEval` per live row, and narrow `out` by
+/// `lhs op rhs` in one loop chosen per chunk by the operands' types and
+/// shapes and the operator, with no branch on a row's data. A row
+/// invalid on either side then reads `false`, still charged.
+fn compare(
+    op: CmpOp,
+    lhs: &Expr,
+    rhs: &Expr,
+    data: &DataChunk,
+    ctx: &mut ExecCtx,
+    out: &mut impl Verdicts,
+) {
+    let rows = out.rows();
+    let n = rows.len();
+    let (l, lmask) = resolve(lhs, data, rows, ctx);
+    let (r, rmask) = resolve(rhs, data, rows, ctx);
+    ctx.charge(OpClass::PredEval, n as u64);
+    ctx.pred_evals += n as u64;
+    match (l, r) {
+        (ValSrc::Int(a), ValSrc::Int(b)) => by_shape(op, a, b, out),
+        (ValSrc::Date(a), ValSrc::Date(b)) => by_shape(op, a, b, out),
+        (ValSrc::Char(a), ValSrc::Char(b)) => by_shape(op, a, b, out),
+        (ValSrc::Str(a), ValSrc::Str(b)) => by_shape(op, a, b, out),
+        (ValSrc::Bool(a), ValSrc::Bool(b)) => by_shape(op, a, b, out),
+        _ => assert!(n == 0, "type mismatch in columnar comparison"),
+    }
+    if lmask.is_some() || rmask.is_some() {
+        out.narrow(|_, i| valid_at(lmask, i) & valid_at(rmask, i));
+    }
 }
 
 impl Expr {
     /// Refine a selection vector in place: keep the rows of `sel` this
     /// boolean expression accepts. Charges exactly what evaluating
-    /// [`Expr::eval_bool`] against each live row would charge.
+    /// [`Expr::eval_bool`] against each live row would charge. `And`
+    /// narrows conjunct by conjunct, and a comparison compacts `sel`
+    /// itself, branch-free (see the columnar notes above); any other
+    /// shape computes one flag per live row, then compacts by them.
     pub(crate) fn filter_sel(&self, data: &DataChunk, sel: &mut Vec<u32>, ctx: &mut ExecCtx) {
         if sel.is_empty() {
             return;
@@ -461,9 +629,10 @@ impl Expr {
                     }
                 }
             }
+            Expr::Cmp(op, l, r) => compare(*op, l, r, data, ctx, sel),
             _ => {
                 let flags = self.eval_flags(data, Rows::Sel(sel), ctx);
-                retain_by_flags(sel, &flags);
+                compact(sel, |k, _| flags[k]);
             }
         }
     }
@@ -533,7 +702,11 @@ impl Expr {
     ) -> Vec<bool> {
         let n = rows.len();
         match self {
-            Expr::Cmp(op, l, r) => cmp_flags(*op, l, r, data, rows, ctx),
+            Expr::Cmp(op, l, r) => {
+                let mut out = Flags::new(rows);
+                compare(*op, l, r, data, ctx, &mut out);
+                out.flags
+            }
             Expr::And(arms) => {
                 let mut flags = vec![true; n];
                 // Rows still passing: (absolute id, original ordinal).
@@ -634,12 +807,12 @@ impl Expr {
             Expr::Col(i) => {
                 let col = data.column(*i);
                 match col.data.as_ints() {
-                    Some(v) => NumSrc::Slice(v),
+                    Some(v) => Operand::Col(v),
                     None => panic!("arith on Int"),
                 }
             }
-            Expr::Lit(Value::Int(v)) => NumSrc::Const(*v),
-            Expr::Arith(op, l, r) => NumSrc::Own(arith(*op, l, r, data, rows, ctx)),
+            Expr::Lit(Value::Int(v)) => Operand::Lit(*v),
+            Expr::Arith(op, l, r) => Operand::Own(arith(*op, l, r, data, rows, ctx)),
             _ => panic!("arith on Int"),
         }
     }
@@ -696,7 +869,7 @@ fn cmp_sel_enc(
             ctx.charge(OpClass::PredEval, dict.len() as u64);
             ctx.pred_evals += dict.len() as u64;
             ctx.charge(OpClass::DictLookup, sel.len() as u64);
-            sel.retain(|&i| keep[ids.get(i as usize) as usize]);
+            compact(sel, |_, i| keep[ids.get(i) as usize]);
             true
         }
         (EncodedColumn::DictChar { dict, ids }, Value::Char(lit)) => {
@@ -704,7 +877,7 @@ fn cmp_sel_enc(
             ctx.charge(OpClass::PredEval, dict.len() as u64);
             ctx.pred_evals += dict.len() as u64;
             ctx.charge(OpClass::DictLookup, sel.len() as u64);
-            sel.retain(|&i| keep[ids.get(i as usize) as usize]);
+            compact(sel, |_, i| keep[ids.get(i) as usize]);
             true
         }
         (EncodedColumn::RleInt { values, ends }, Value::Int(lit)) => {
@@ -786,110 +959,42 @@ fn pack_cmp_sel(op: CmpOp, packed: &BitPacked, delta: i128, sel: &mut Vec<u32>, 
         }
         return;
     }
-    let d = delta as u64;
-    sel.retain(|&i| op.test(packed.get(i as usize).cmp(&d)));
+    by_op(op, packed, Same(delta as u64), sel);
 }
 
-/// The typed comparison kernel: resolve both operands, charge one
-/// `PredEval` per live row, and compare slice-against-slice /
-/// slice-against-constant without materializing values.
-fn cmp_flags(
-    op: CmpOp,
-    lhs: &Expr,
-    rhs: &Expr,
-    data: &DataChunk,
+/// Resolve a comparison operand over the live rows: its typed values
+/// and, for a column, its validity mask.
+fn resolve<'a>(
+    e: &'a Expr,
+    data: &'a DataChunk,
     rows: Rows<'_>,
     ctx: &mut ExecCtx,
-) -> Vec<bool> {
-    let l = resolve(lhs, data, rows, ctx);
-    let r = resolve(rhs, data, rows, ctx);
-    let n = rows.len();
-    ctx.charge(OpClass::PredEval, n as u64);
-    ctx.pred_evals += n as u64;
-    if let (ValSrc::Int(a, va), ValSrc::Int(b, vb)) = (&l, &r) {
-        return cmp_ints(op, (a, *va), (b, *vb), rows);
-    }
-    let mut flags = vec![false; n];
-    match (&l, &r) {
-        (ValSrc::Date(a, va), ValSrc::Date(b, vb)) => rows.for_each(|k, i| {
-            flags[k] = valid_at(*va, i) && valid_at(*vb, i) && op.test(a[i].cmp(&b[i]));
-        }),
-        (ValSrc::Date(a, va), ValSrc::DateConst(c)) => rows.for_each(|k, i| {
-            flags[k] = valid_at(*va, i) && op.test(a[i].cmp(c));
-        }),
-        (ValSrc::DateConst(c), ValSrc::Date(b, vb)) => rows.for_each(|k, i| {
-            flags[k] = valid_at(*vb, i) && op.test(c.cmp(&b[i]));
-        }),
-        (ValSrc::Char(a, va), ValSrc::Char(b, vb)) => rows.for_each(|k, i| {
-            flags[k] = valid_at(*va, i) && valid_at(*vb, i) && op.test(a[i].cmp(&b[i]));
-        }),
-        (ValSrc::Char(a, va), ValSrc::CharConst(c)) => rows.for_each(|k, i| {
-            flags[k] = valid_at(*va, i) && op.test(a[i].cmp(c));
-        }),
-        (ValSrc::CharConst(c), ValSrc::Char(b, vb)) => rows.for_each(|k, i| {
-            flags[k] = valid_at(*vb, i) && op.test(c.cmp(&b[i]));
-        }),
-        // Strings compare as bytes, in place: byte order is `str` order.
-        (ValSrc::Str(a, va), ValSrc::Str(b, vb)) => rows.for_each(|k, i| {
-            flags[k] = valid_at(*va, i) && valid_at(*vb, i) && op.test(a.bytes(i).cmp(b.bytes(i)));
-        }),
-        (ValSrc::Str(a, va), ValSrc::StrConst(c)) => rows.for_each(|k, i| {
-            flags[k] = valid_at(*va, i) && op.test(a.bytes(i).cmp(c.as_bytes()));
-        }),
-        (ValSrc::StrConst(c), ValSrc::Str(b, vb)) => rows.for_each(|k, i| {
-            flags[k] = valid_at(*vb, i) && op.test(c.as_bytes().cmp(b.bytes(i)));
-        }),
-        // Two literals (`'ASIA' = 'x'`): one verdict for every row.
-        (ValSrc::DateConst(a), ValSrc::DateConst(b)) => flags.fill(op.test(a.cmp(b))),
-        (ValSrc::CharConst(a), ValSrc::CharConst(b)) => flags.fill(op.test(a.cmp(b))),
-        (ValSrc::StrConst(a), ValSrc::StrConst(b)) => flags.fill(op.test(a.cmp(b))),
-        (a, b) => {
-            // Boolean/mixed-shape comparisons: rare, resolved generically.
-            rows.for_each(|k, i| {
-                let (la, lb) = (bool_like(a, k, i), bool_like(b, k, i));
-                match (la, lb) {
-                    (Some((av, aval)), Some((bv, bval))) => {
-                        flags[k] = aval && bval && op.test(av.cmp(&bv));
-                    }
-                    _ => panic!("type mismatch in columnar comparison"),
-                }
-            });
-        }
-    }
-    flags
-}
-
-/// Boolean-shaped access for the generic comparison arm.
-fn bool_like(v: &ValSrc<'_>, k: usize, i: usize) -> Option<(bool, bool)> {
-    match v {
-        ValSrc::Bool(f) => Some((f[k], true)),
-        ValSrc::BoolSlice(s, mask) => Some((s[i], valid_at(*mask, i))),
-        ValSrc::BoolConst(c) => Some((*c, true)),
-        _ => None,
-    }
-}
-
-/// Resolve a comparison operand into a typed source over the live rows.
-fn resolve<'a>(e: &'a Expr, data: &'a DataChunk, rows: Rows<'_>, ctx: &mut ExecCtx) -> ValSrc<'a> {
+) -> (ValSrc<'a>, Option<&'a [bool]>) {
+    use Operand::{Col, Lit, Own};
     match e {
         Expr::Col(i) => {
             let col = data.column(*i);
-            let mask = col.validity.as_deref();
-            match &col.data {
-                ColumnData::Int(v) => ValSrc::Int(NumSrc::Slice(v), mask),
-                ColumnData::Date(v) => ValSrc::Date(v, mask),
-                ColumnData::Char(v) => ValSrc::Char(v, mask),
-                ColumnData::Str(v) => ValSrc::Str(v, mask),
-                ColumnData::Bool(v) => ValSrc::BoolSlice(v, mask),
-            }
+            let src = match &col.data {
+                ColumnData::Int(v) => ValSrc::Int(Col(v)),
+                ColumnData::Date(v) => ValSrc::Date(Col(v)),
+                ColumnData::Char(v) => ValSrc::Char(Col(v)),
+                ColumnData::Str(v) => ValSrc::Str(Col(v)),
+                ColumnData::Bool(v) => ValSrc::Bool(Col(v)),
+            };
+            (src, col.validity.as_deref())
         }
-        Expr::Lit(Value::Int(v)) => ValSrc::Int(NumSrc::Const(*v), None),
-        Expr::Lit(Value::Date(v)) => ValSrc::DateConst(*v),
-        Expr::Lit(Value::Char(v)) => ValSrc::CharConst(*v),
-        Expr::Lit(Value::Str(v)) => ValSrc::StrConst(v),
-        Expr::Lit(Value::Bool(v)) => ValSrc::BoolConst(*v),
-        Expr::Arith(..) => ValSrc::Int(e.eval_num(data, rows, ctx), None),
-        _ => ValSrc::Bool(e.eval_flags(data, rows, ctx)),
+        Expr::Lit(v) => {
+            let src = match v {
+                Value::Int(v) => ValSrc::Int(Lit(*v)),
+                Value::Date(v) => ValSrc::Date(Lit(*v)),
+                Value::Char(v) => ValSrc::Char(Lit(*v)),
+                Value::Str(v) => ValSrc::Str(Lit(v.as_bytes())),
+                Value::Bool(v) => ValSrc::Bool(Lit(*v)),
+            };
+            (src, None)
+        }
+        Expr::Arith(..) => (ValSrc::Int(e.eval_num(data, rows, ctx)), None),
+        _ => (ValSrc::Bool(Own(e.eval_flags(data, rows, ctx))), None),
     }
 }
 
@@ -1228,6 +1333,156 @@ mod columnar_tests {
             60,
             "narrowed first"
         );
+    }
+
+    /// Per-row model of one comparison: the row evaluator's verdict,
+    /// `false` where a bare column operand is invalid. Returns the
+    /// verdict; charges what the row evaluator charges into `ctx`.
+    fn model(
+        op: CmpOp,
+        l: &Expr,
+        r: &Expr,
+        chunk: &DataChunk,
+        i: usize,
+        ctx: &mut ExecCtx,
+    ) -> bool {
+        let valid = |e: &Expr| match e {
+            Expr::Col(c) => valid_at(chunk.column(*c).validity.as_deref(), i),
+            _ => true,
+        };
+        let holds = Expr::cmp(op, l.clone(), r.clone()).eval_bool(&chunk.row(i), ctx);
+        valid(l) && valid(r) && holds
+    }
+
+    /// Every comparison shape the kernel settles once per chunk, held to
+    /// a per-row model ([`model`]): each operator; `Int`, `Date`, `Char`
+    /// and `Str`; `col ⋄ lit`, `lit ⋄ col` and `col ⋄ col` (and, for
+    /// `Int`, arithmetic on either side or both); with and without
+    /// validity masks; over a dense window and a sparse selection; with
+    /// literals below, inside and above the column's values. Both
+    /// verdict forms — the selection compacted in place and the flags —
+    /// must keep the model's rows and charge exactly what the row
+    /// evaluator charges over the live rows: one `PredEval` and one
+    /// `pred_evals` per live row, masked rows included.
+    #[test]
+    fn comparison_kernel_matches_a_row_model_on_every_shape() {
+        const N: i64 = 40;
+        let schema = Schema::new(&[
+            ("i0", ColumnType::Int),
+            ("i1", ColumnType::Int),
+            ("d0", ColumnType::Date),
+            ("d1", ColumnType::Date),
+            ("c0", ColumnType::Char),
+            ("c1", ColumnType::Char),
+            ("s0", ColumnType::Str),
+            ("s1", ColumnType::Str),
+        ]);
+        // Strings of differing lengths, prefixes of one another included.
+        let strs = ["ab", "abc", "abd", "b", "a", "abcd"];
+        let rows: Vec<Tuple> = (0..N)
+            .map(|i| {
+                let (p, q) = ((i * 7) % 13, (i * 5) % 11);
+                vec![
+                    Value::Int(p - 6),
+                    Value::Int(q - 5),
+                    Value::Date(p as i32 * 3),
+                    Value::Date(q as i32 * 3 + 1),
+                    Value::Char((b'C' + (p % 9) as u8) as char),
+                    Value::Char((b'C' + (q % 7) as u8) as char),
+                    Value::str(strs[p as usize % 6]),
+                    Value::str(strs[q as usize % 6]),
+                ]
+            })
+            .collect();
+        let plain = DataChunk::from_rows(&schema, &rows);
+        let masked = DataChunk::new(
+            (plain.columns().iter().enumerate())
+                .map(|(c, col)| {
+                    let mask = (0..N as usize).map(|i| (i + c) % 3 != 0).collect();
+                    ColumnChunk::with_validity(col.data.clone(), mask)
+                })
+                .collect(),
+        );
+        // (left column, right column, literals below / inside / above).
+        let types: [(usize, usize, [Value; 4]); 4] = [
+            (0, 1, [-100, 0, 3, 100].map(Value::Int)),
+            (2, 3, [-5, 9, 18, 1000].map(Value::Date)),
+            (4, 5, ['A', 'E', 'G', 'Z'].map(Value::Char)),
+            (6, 7, ["A", "abc", "abd", "zz"].map(Value::str)),
+        ];
+        let plus_one = |c: usize| Expr::arith(ArithOp::Add, Expr::col(c), Expr::int(1));
+        let mut shapes: Vec<(Expr, Expr)> = Vec::new();
+        for (a, b, lits) in &types {
+            shapes.push((Expr::col(*a), Expr::col(*b)));
+            for lit in lits {
+                shapes.push((Expr::col(*a), Expr::Lit(lit.clone())));
+                shapes.push((Expr::Lit(lit.clone()), Expr::col(*a)));
+            }
+        }
+        // `Int` operands computed per live-row ordinal.
+        shapes.push((plus_one(0), Expr::col(1)));
+        shapes.push((Expr::col(0), plus_one(1)));
+        shapes.push((plus_one(0), plus_one(1)));
+        for lit in &types[0].2 {
+            shapes.push((plus_one(0), Expr::Lit(lit.clone())));
+            shapes.push((Expr::Lit(lit.clone()), plus_one(1)));
+        }
+        shapes.push((Expr::int(2), Expr::int(3)));
+
+        let sparse: Vec<u32> = (0..N as u32).filter(|i| i % 3 != 1).collect();
+        let inputs = [Rows::Range(5, 35), Rows::Sel(&sparse)];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        for (chunk, masked) in [(&plain, false), (&masked, true)] {
+            for (l, r) in &shapes {
+                for op in ops {
+                    let pred = Expr::cmp(op, l.clone(), r.clone());
+                    for rows in inputs {
+                        let what = format!("{pred:?} over {rows:?}, masked={masked}");
+                        let mut want_ctx = ExecCtx::new();
+                        let mut want_flags = Vec::new();
+                        rows.for_each(|_, i| {
+                            want_flags.push(model(op, l, r, chunk, i, &mut want_ctx));
+                        });
+                        let want_sel: Vec<u32> = (rows.to_indices().into_iter())
+                            .zip(&want_flags)
+                            .filter_map(|(i, &keep)| keep.then_some(i))
+                            .collect();
+
+                        let mut ctx = ExecCtx::new();
+                        let mut sel = rows.to_indices();
+                        pred.filter_sel(chunk, &mut sel, &mut ctx);
+                        assert_eq!(sel, want_sel, "{what}: filter_sel rows");
+                        assert_eq!(
+                            ctx.ledger.cpu, want_ctx.ledger.cpu,
+                            "{what}: filter_sel charges"
+                        );
+                        assert_eq!(
+                            ctx.pred_evals, want_ctx.pred_evals,
+                            "{what}: filter_sel pred_evals"
+                        );
+
+                        let mut ctx = ExecCtx::new();
+                        let flags = pred.eval_flags(chunk, rows, &mut ctx);
+                        assert_eq!(flags, want_flags, "{what}: eval_flags");
+                        assert_eq!(
+                            ctx.ledger.cpu, want_ctx.ledger.cpu,
+                            "{what}: eval_flags charges"
+                        );
+                        assert_eq!(
+                            ctx.pred_evals, want_ctx.pred_evals,
+                            "{what}: eval_flags pred_evals"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// NULL handling: an invalid value fails every comparison (like SQL

@@ -13,10 +13,13 @@ use crate::parallel::Morsel;
 /// wide disjunctions expensive — exactly the effect QED trades on.
 ///
 /// In columnar mode ([`Operator::next_chunk`]) the predicate is
-/// evaluated column-at-a-time into the chunk's *selection vector* —
-/// no row is ever materialized or moved; non-matching rows are simply
-/// dropped from the selection. Charges are identical to evaluating the
-/// predicate against every live row (`Expr::filter_sel`).
+/// evaluated column-at-a-time against the chunk's *selection vector* —
+/// no row is ever materialized or moved. Each comparison conjunct
+/// compacts the selection in place: one loop per chunk writes every
+/// live row id at a cursor that advances only where the row passes,
+/// with no branch on the row's data and no per-row flag vector
+/// (`Expr::filter_sel`). Charges are identical to evaluating the
+/// predicate against every live row.
 pub struct Filter {
     child: BoxedOp,
     predicate: Expr,

@@ -38,9 +38,10 @@
 //!   columns (a heap table *is* its columns; a paged table keeps one
 //!   chunk per extent) — zero per-row work beyond the ledger charge;
 //! * [`Filter`] evaluates predicates column-at-a-time
-//!   (`Expr::filter_sel`), refining the selection vector
-//!   without touching data — short-circuit semantics become *selection
-//!   narrowing*, with identical evaluation counts; the QED merged scan
+//!   (`Expr::filter_sel`), compacting the selection vector in place,
+//!   branch-free, without touching data — short-circuit semantics
+//!   become *selection narrowing*, with identical evaluation counts;
+//!   the QED merged scan
 //!   ([`crate::mqo::MultiFilter::run_split`]) instead looks each live
 //!   row's key up in a per-key routing table, with no branch on the
 //!   row's data, and sums the evaluation counts the table holds;

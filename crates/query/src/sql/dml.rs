@@ -84,9 +84,10 @@ fn lookup(catalog: &Catalog, table: &str) -> Result<std::sync::Arc<StoredTable>,
 /// classes. Only matching rows are ever handed out as tuples, and only
 /// the columns the predicate reads are looked at to find them: both
 /// engines filter typed columns ([`Expr::filter_sel`], charge-identical
-/// to a per-row [`Expr::eval_bool`]) a batch-sized window at a time, so
-/// the selection vector and the kernels' flag vectors stay small
-/// however large the table, and materialize the survivors. The heap
+/// to a per-row [`Expr::eval_bool`]) a batch-sized window at a time,
+/// each comparison compacting the window's selection vector in place,
+/// so the one selection vector stays small however large the table,
+/// and materialize the survivors. The heap
 /// filters its own columns; a paged table filters its columnar mirror's
 /// extent chunks with the predicate's columns decoded
 /// ([`eco_storage::disk_table::DiskTable::columnar_with`]: after a

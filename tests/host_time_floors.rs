@@ -8,7 +8,9 @@
 //!
 //! Each side is the median of [`SAMPLES`] timed runs after one warm-up,
 //! at scale 0.01. The two tests take turns (see [`TIMING`]) so neither
-//! times the other's work.
+//! times the other's work. Each prints every ratio it measures (shown
+//! with `cargo test --release --test host_time_floors -- --nocapture`),
+//! so a log shows the margin above each floor, not only a pass.
 
 mod support;
 
@@ -65,6 +67,7 @@ fn columnar_is_no_slower_than_scalar_on_tpch_q1_q3_q5_q6() {
         };
         let (scalar, columnar) = (time(ExecEngine::Scalar), time(ExecEngine::Columnar));
         let speedup = scalar.as_secs_f64() / columnar.as_secs_f64();
+        println!("{name}: columnar {columnar:?}, scalar {scalar:?}: {speedup:.2}x, floor 1x");
         assert!(
             speedup >= 1.0,
             "{name}: columnar {columnar:?} is slower than scalar {scalar:?} ({speedup:.2}x)"
@@ -102,6 +105,7 @@ fn an_index_probe_beats_the_full_scan_on_point_and_range_shapes() {
         let scan_time = median(|| run(scan(lo, hi)).len());
         let probe_time = median(|| run(probe(lo, hi)).len());
         let speedup = scan_time.as_secs_f64() / probe_time.as_secs_f64();
+        println!("{name}: probe {probe_time:?}, scan {scan_time:?}: {speedup:.1}x, floor {floor}x");
         assert!(
             speedup >= floor,
             "{name}: probe {probe_time:?} vs scan {scan_time:?} is {speedup:.1}x, floor {floor}x"

@@ -50,13 +50,13 @@ use ecodb::query::context::ExecCtx;
 use ecodb::query::exec::{execute, ExecEngine};
 use ecodb::query::expr::{CmpOp, Expr};
 use ecodb::query::mqo::{split_results, MultiFilter};
-use ecodb::query::ops::{BoxedOp, Filter, Operator, VecSource};
+use ecodb::query::ops::{BoxedOp, Filter, VecSource};
 use ecodb::simhw::trace::{Ledger, OpClass, Phase, PhaseKind, PricingMode, WorkTrace};
 use ecodb::storage::{
     tuple_width, ColumnChunk, ColumnData, ColumnType, DataChunk, RowSet, Schema, Tuple, Value,
 };
 use ecodb::tpch::QedQuery;
-use support::Rng;
+use support::{ChunkSource, Rng};
 
 /// The scale-0.002 database of the disk or memory profile under
 /// compressed or raw pricing and `engine`: the scalar-engine one is the
@@ -214,34 +214,6 @@ fn client_phase(ctx: &mut ExecCtx) -> Phase {
     ctx.take_phase(PhaseKind::ClientCompute, "split")
 }
 
-/// Emits prebuilt chunks (validity masks, selection vectors) — inputs
-/// no row source can produce. Columnar only.
-struct ChunkSource {
-    schema: Schema,
-    chunks: Vec<Chunk>,
-    at: usize,
-}
-
-impl Operator for ChunkSource {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self, _ctx: &mut ExecCtx) {
-        self.at = 0;
-    }
-
-    fn next(&mut self, _ctx: &mut ExecCtx) -> Option<Tuple> {
-        unreachable!("ChunkSource is driven through next_chunk only")
-    }
-
-    fn next_chunk(&mut self, _ctx: &mut ExecCtx) -> Option<Chunk> {
-        let chunk = self.chunks.get(self.at).cloned();
-        self.at += 1;
-        chunk
-    }
-}
-
 /// `rows` (of [`routing_schema`]) as windows of `step` rows over one
 /// chunk whose key column is NULL where `valid` is false; with `live`,
 /// each window carries the selection of its rows `live` names.
@@ -268,11 +240,7 @@ fn masked_chunks(
             }
         })
         .collect();
-    ChunkSource {
-        schema,
-        chunks,
-        at: 0,
-    }
+    ChunkSource::new(schema, chunks)
 }
 
 proptest! {
@@ -494,11 +462,7 @@ fn null_keys_match_nothing_and_cost_k() {
     let row = |i: usize| data.row(i);
 
     let run = |keys: &[i64], disjoint: bool, short_circuit: bool| {
-        let source = ChunkSource {
-            schema: schema.clone(),
-            chunks: vec![chunk.clone()],
-            at: 0,
-        };
+        let source = ChunkSource::new(schema.clone(), vec![chunk.clone()]);
         let mut mf = MultiFilter::new(Box::new(source), 0, keys, disjoint);
         let mut ctx = ExecCtx::new().with_columnar(true);
         ctx.short_circuit_or = short_circuit;

@@ -16,15 +16,16 @@
 use std::sync::{Mutex, OnceLock};
 
 use ecodb::core::server::{EcoDb, EngineProfile};
+use ecodb::query::chunk::Chunk;
 use ecodb::query::context::ExecCtx;
 use ecodb::query::exec::ExecEngine;
-use ecodb::query::ops::BoxedOp;
+use ecodb::query::ops::{BoxedOp, Operator};
 use ecodb::query::plans;
 use ecodb::simhw::trace::PricingMode;
 use ecodb::simhw::{DiskWork, OpClass};
 use ecodb::storage::bufferpool::EXTENT_PAGES;
 use ecodb::storage::disk_table::DiskTable;
-use ecodb::storage::{load_tpch, Catalog, EngineKind, StoredTable, TableData, Tuple};
+use ecodb::storage::{load_tpch, Catalog, EngineKind, Schema, StoredTable, TableData, Tuple};
 use ecodb::tpch::{Date, Q5Params, QedQuery, TpchDb, TpchGenerator};
 
 /// splitmix64: a case's own generator, seeded from one drawn `u64`.
@@ -141,6 +142,44 @@ pub fn edge_rows(table: &DiskTable, extents: bool) -> Vec<usize> {
     }
     rows.extend(table.len().checked_sub(1));
     rows
+}
+
+/// Emits prebuilt chunks (validity masks, selection vectors) — inputs
+/// no row source can produce. Columnar only.
+pub struct ChunkSource {
+    schema: Schema,
+    chunks: Vec<Chunk>,
+    at: usize,
+}
+
+impl ChunkSource {
+    pub fn new(schema: Schema, chunks: Vec<Chunk>) -> Self {
+        Self {
+            schema,
+            chunks,
+            at: 0,
+        }
+    }
+}
+
+impl Operator for ChunkSource {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn open(&mut self, _ctx: &mut ExecCtx) {
+        self.at = 0;
+    }
+
+    fn next(&mut self, _ctx: &mut ExecCtx) -> Option<Tuple> {
+        unreachable!("ChunkSource is driven through next_chunk only")
+    }
+
+    fn next_chunk(&mut self, _ctx: &mut ExecCtx) -> Option<Chunk> {
+        let chunk = self.chunks.get(self.at).cloned();
+        self.at += 1;
+        chunk
+    }
 }
 
 /// Where a plan's tables come from: one axis of [`check`].
