@@ -18,10 +18,10 @@ pub(crate) const DEFAULT_MORSEL_ROWS: usize = 4096;
 /// Per-execution accounting state, threaded through every operator call.
 #[derive(Debug, Clone)]
 pub struct ExecCtx {
-    /// Everything charged so far: op classes, memory traffic, disk I/O
-    /// drained from the buffer pool, and retry backoff (ledger schema
-    /// v2: halt-priced like a client gap; exactly zero on fault-free
-    /// runs).
+    /// Everything charged so far: op classes, memory traffic, and what
+    /// each buffer-pool read returned — its disk I/O and retry backoff
+    /// (ledger schema v2: halt-priced like a client gap; exactly zero on
+    /// fault-free runs).
     pub ledger: Ledger,
     /// Whether OR-lists short-circuit on the first true arm. MySQL-style
     /// evaluation short-circuits; `repro`'s `shortcircuit` target
@@ -203,12 +203,6 @@ impl ExecCtx {
         self.ledger.mem_random_accesses += n;
     }
 
-    /// Charge retry-backoff / stall idle time (nanoseconds).
-    #[inline]
-    pub(crate) fn charge_backoff(&mut self, ns: u64) {
-        self.ledger.backoff_ns += ns;
-    }
-
     /// Record a typed execution error. The first error wins; operators
     /// call this and end their stream, and the fallible drivers
     /// surface it after the pipeline drains.
@@ -374,9 +368,9 @@ mod tests {
     #[test]
     fn backoff_drains_into_phases_and_partitions_per_core() {
         let mut ctx = ExecCtx::new();
-        ctx.charge_backoff(100);
+        ctx.ledger.backoff_ns += 100;
         let mut w1 = ctx.fork();
-        w1.charge_backoff(250);
+        w1.ledger.backoff_ns += 250;
         ctx.merge_worker(1, &w1);
         assert_eq!(ctx.ledger.backoff_ns, 350);
         let phases = ctx.take_core_phases(2, "t");
@@ -385,7 +379,7 @@ mod tests {
         assert!(ctx.is_empty(), "backoff drains with the rest");
 
         let mut ctx = ExecCtx::new();
-        ctx.charge_backoff(77);
+        ctx.ledger.backoff_ns += 77;
         let p = ctx.take_phase(PhaseKind::Execute, "t");
         assert_eq!(p.ledger.backoff_ns, 77);
         assert!(ctx.is_empty());

@@ -3,7 +3,9 @@
 use std::sync::Arc;
 
 use eco_simhw::trace::{OpClass, PricingMode};
-use eco_storage::{BTreeIndex, KeyBound, PageFrame, Schema, StoredTable, TableData, Tuple, Value};
+use eco_storage::{
+    Access, BTreeIndex, KeyBound, PageFrame, Schema, StoredTable, TableData, Tuple, Value,
+};
 
 use crate::context::ExecCtx;
 use crate::ops::Operator;
@@ -121,7 +123,7 @@ impl IxScan {
         let TableData::Disk(disk) = &self.table.data else {
             unreachable!("IxScan constructor enforces a disk table");
         };
-        match disk.read_page_index_checked(page_no) {
+        match disk.read_page(page_no, Access::Index) {
             Ok((page, io)) => {
                 ctx.ledger.merge(&io);
                 self.current = Some((page_no, page));

@@ -88,7 +88,7 @@
 //! charge the same per-tuple op classes with the same counts as
 //! `next()`, aggregated per chunk (`charge(class, n)`) — never
 //! re-priced — and columnar disk scans still drive every covered page
-//! through the buffer pool's checked miss path (the extent chunks
+//! through the buffer pool's verified miss path (the extent chunks
 //! supply data, never I/O, and the frames stay undecoded). Scalar and
 //! columnar ledgers (op-class counts, memory bytes, random accesses,
 //! disk I/O) are bit-identical on both storage engines, cold and warm,

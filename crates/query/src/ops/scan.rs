@@ -4,16 +4,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use eco_simhw::trace::{OpClass, PricingMode};
-use eco_storage::{PageFrame, Schema, StoredTable, TableData, Tuple};
+use eco_storage::disk_table::DiskTable;
+use eco_storage::{Access, PageFrame, Schema, StoredTable, TableData, Tuple, DEFAULT_STREAM};
 
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::ops::{BoxedOp, Operator};
 use crate::parallel::{split_units, Morsel};
 
-/// Allocator for private buffer-pool scan streams (stream 0 is the
-/// shared default cursor; partitioned scans each get their own so
-/// sequential-transfer detection survives interleaved workers).
+/// Allocator for private buffer-pool scan streams (stream 0,
+/// [`DEFAULT_STREAM`], is the serial scan's; partitioned scans each get
+/// their own so sequential-transfer detection survives interleaved
+/// workers).
 static NEXT_SCAN_STREAM: AtomicU64 = AtomicU64::new(1);
 
 /// The portion of the table this scan covers.
@@ -35,8 +37,10 @@ enum ScanBounds {
 /// Full-table sequential scan.
 ///
 /// Charges one `TupleFetch` plus the tuple's average width in memory
-/// bytes per tuple produced. Disk-engine scans additionally drain the
-/// buffer pool's I/O ledger into the context after every page.
+/// bytes per tuple produced. Disk-engine scans additionally charge
+/// every page read what the buffer pool returned for it: a whole-table
+/// scan reads on the serial stream ([`DEFAULT_STREAM`]), a partition
+/// on a private one.
 ///
 /// Under [`PricingMode::Compressed`] (ledger schema v3) the per-tuple
 /// memory charge is the table's average *encoded* width instead — the
@@ -163,41 +167,38 @@ impl SeqScan {
             }
             return false;
         }
-        let page = match self.bounds {
-            ScanBounds::DiskPages { stream, .. } => {
-                // Private stream: this access's I/O is returned directly
-                // and attributed to this worker's ledger.
-                match disk.read_page_stream_checked(self.page_no, stream) {
-                    Ok((page, io)) => {
-                        ctx.ledger.merge(&io);
-                        page
-                    }
-                    Err(e) => {
-                        ctx.fail(e.into());
-                        disk.end_stream(stream);
-                        self.current = None;
-                        return false;
-                    }
-                }
-            }
-            _ => match disk.read_page_checked(self.page_no) {
-                Ok((page, backoff_ns)) => {
-                    // Attribute whatever I/O the pool performed to this query.
-                    ctx.ledger.merge(&disk.pool().take_io());
-                    ctx.charge_backoff(backoff_ns);
-                    page
-                }
-                Err(e) => {
-                    ctx.fail(e.into());
-                    self.current = None;
-                    return false;
-                }
-            },
-        };
+        self.current = self.read_page(disk, self.page_no, ctx);
         self.page_no += 1;
         self.idx = 0;
-        self.current = Some(page);
-        true
+        self.current.is_some()
+    }
+
+    /// Read page `page_no` on this scan's stream, charging `ctx` what
+    /// the read charged. On a failed read, records the error (a
+    /// partition also ends its private stream) and returns `None`.
+    fn read_page(
+        &self,
+        disk: &DiskTable,
+        page_no: usize,
+        ctx: &mut ExecCtx,
+    ) -> Option<Arc<PageFrame>> {
+        let stream = match self.bounds {
+            ScanBounds::DiskPages { stream, .. } => stream,
+            _ => DEFAULT_STREAM,
+        };
+        match disk.read_page(page_no, Access::Scan(stream)) {
+            Ok((page, io)) => {
+                ctx.ledger.merge(&io);
+                Some(page)
+            }
+            Err(e) => {
+                ctx.fail(e.into());
+                if let ScanBounds::DiskPages { stream, .. } = self.bounds {
+                    disk.end_stream(stream);
+                }
+                None
+            }
+        }
     }
 }
 
@@ -265,7 +266,7 @@ impl Operator for SeqScan {
     /// chunks) — no per-row clone, no per-tuple `Vec`. Charges are
     /// identical to the row scan: one `TupleFetch` plus the average
     /// width per row, and on the disk engine every covered page is
-    /// still driven through the buffer pool's checked miss path (same
+    /// still driven through the buffer pool's verified miss path (same
     /// misses, hits, warm re-reads, checksum verification and fault
     /// handling — the chunks supply the *data*, never the I/O; the
     /// frames it leaves resident stay undecoded until a row reader
@@ -302,28 +303,7 @@ impl Operator for SeqScan {
                 let extent_no = self.page_no / extent;
                 let page_end = ((extent_no + 1) * extent).min(bound_end);
                 for p in self.page_no..page_end {
-                    match self.bounds {
-                        ScanBounds::DiskPages { stream, .. } => {
-                            match disk.read_page_stream_checked(p, stream) {
-                                Ok((_, io)) => ctx.ledger.merge(&io),
-                                Err(e) => {
-                                    ctx.fail(e.into());
-                                    disk.end_stream(stream);
-                                    return None;
-                                }
-                            }
-                        }
-                        _ => match disk.read_page_checked(p) {
-                            Ok((_, backoff_ns)) => {
-                                ctx.ledger.merge(&disk.pool().take_io());
-                                ctx.charge_backoff(backoff_ns);
-                            }
-                            Err(e) => {
-                                ctx.fail(e.into());
-                                return None;
-                            }
-                        },
-                    }
+                    self.read_page(disk, p, ctx)?;
                 }
                 // Compressed pricing encodes whole extents.
                 let cols = match ctx.pricing {
@@ -417,7 +397,8 @@ impl Operator for SeqScan {
 mod tests {
     use super::*;
     use eco_simhw::trace::DiskWork;
-    use eco_storage::{Catalog, ColumnType, HeapTable, Value};
+    use eco_storage::page::PAGE_SIZE;
+    use eco_storage::{BufferPool, Catalog, ColumnType, HeapTable, Value};
 
     fn catalog() -> Catalog {
         let schema = Schema::new(&[("k", ColumnType::Int)]);
@@ -472,6 +453,44 @@ mod tests {
             ctx2.ledger.disk == DiskWork::none(),
             "warm scan is I/O-free"
         );
+    }
+
+    #[test]
+    fn a_failed_whole_table_scan_keeps_the_serial_stream_position() {
+        // Only a partition's private stream ends on a failed read.
+        // Stream 0 is every whole-table scan's: the failed page stays
+        // its last, so the next page on it still streams.
+        let schema = Schema::new(&[("k", ColumnType::Int)]);
+        let tuples: Vec<Tuple> = (0..5000).map(|i| vec![Value::Int(i)]).collect();
+        let pool = Arc::new(BufferPool::new(64));
+        let mut disk = DiskTable::load(1, schema, &tuples, Arc::clone(&pool));
+        assert!(disk.num_pages() > 4);
+        disk.corrupt_page(2, 100);
+        let table = Arc::new(StoredTable {
+            name: "d".into(),
+            data: TableData::Disk(disk),
+        });
+        let TableData::Disk(disk) = &table.data else {
+            unreachable!("loaded as a disk table")
+        };
+        for columnar in [false, true] {
+            pool.flush();
+            let mut ctx = ExecCtx::new().with_columnar(columnar);
+            let mut scan = SeqScan::new(Arc::clone(&table));
+            scan.open(&mut ctx);
+            if columnar {
+                while scan.next_chunk(&mut ctx).is_some() {}
+            } else {
+                while scan.next(&mut ctx).is_some() {}
+            }
+            assert!(ctx.error().is_some(), "page 2 fails verification");
+            let (_, io) = disk.read_page_checked(3).expect("page 3 verifies");
+            assert_eq!(
+                (io.disk.random_ios, io.disk.sequential_bytes),
+                (0, PAGE_SIZE as u64),
+                "columnar {columnar}"
+            );
+        }
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //!   pre-existing figure stays bit-identical;
 //! * scan-shaped plans keep a *pure* sequential/random split even when
 //!   probes interleave with them (probes never touch the pool's
-//!   sequential-position trackers — see
-//!   [`BufferPool::get_index_checked`]);
+//!   sequential-position trackers — see [`Access::Index`]);
 //! * the scan-vs-probe energy crossover becomes a real, measurable
 //!   function of selectivity and p-state instead of a synthetic
 //!   raw-disk experiment.
@@ -69,11 +68,10 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use eco_simhw::fault::{FaultPlan, PageFault, BACKOFF_BASE_NS, MAX_READ_RETRIES};
-use eco_simhw::trace::{DiskWork, Ledger};
+use eco_simhw::trace::Ledger;
 
-use crate::bufferpool::{BufferPool, PageFrame, PageId};
-use crate::disk_table::IoError;
+use crate::bufferpool::{Access, BufferPool, PageFrame, PageId};
+use crate::disk_table::{load_verified, IoError};
 use crate::page::{read_key, read_pair, serialize_pair, Page, PAGE_SIZE};
 use crate::value::{ColumnType, Value};
 
@@ -434,67 +432,19 @@ impl BTreeIndex {
         Ok(probe)
     }
 
-    /// Read one node through the buffer pool on the index charge path,
-    /// merging this access's I/O and backoff into `probe`.
+    /// Read one node through the buffer pool as an index read, merging
+    /// what it charged into `probe`.
     fn read_node(&self, page_no: usize, probe: &mut IndexProbe) -> Result<Arc<PageFrame>, IoError> {
         let id = PageId {
             table: self.index_id,
             page: page_no as u32,
         };
-        let (frame, io) = self.pool.get_index_checked(id, |plan, io, backoff_ns| {
-            self.load_node_verified(page_no, plan, io, backoff_ns)
+        let (page, checksum) = (&self.pages[page_no], self.checksums[page_no]);
+        let (frame, io) = self.pool.read(id, Access::Index, |plan, io, backoff_ns| {
+            load_verified(id, page, checksum, plan, io, backoff_ns)
         })?;
         probe.ledger.merge(&io);
         Ok(frame)
-    }
-
-    /// Miss-path attempt loop — the index twin of
-    /// `DiskTable::load_page_verified`: verify the node's load-time
-    /// checksum, consult the installed [`FaultPlan`], retry with
-    /// exponential backoff. Retries charge the v2 retry classes (a
-    /// re-read is a re-read, whatever kind of page it re-reads).
-    fn load_node_verified(
-        &self,
-        page_no: usize,
-        plan: FaultPlan,
-        io: &mut DiskWork,
-        backoff_ns: &mut u64,
-    ) -> Result<Arc<PageFrame>, IoError> {
-        let fault = plan.fault_for(self.index_id, page_no as u64);
-        let mut injected_failures = match fault {
-            Some(PageFault::Transient { failures }) => failures,
-            Some(PageFault::Permanent) => u32::MAX,
-            Some(PageFault::Stall { ns }) => {
-                *backoff_ns += ns;
-                0
-            }
-            None => 0,
-        };
-        for attempt in 0..=MAX_READ_RETRIES {
-            let injected = injected_failures > 0;
-            if injected {
-                injected_failures -= 1;
-            }
-            let page = &self.pages[page_no];
-            if !injected && page.checksum() == self.checksums[page_no] {
-                return Ok(Arc::new(PageFrame::new(page.clone())));
-            }
-            if attempt < MAX_READ_RETRIES {
-                io.retry_ios += 1;
-                io.retry_bytes += PAGE_SIZE as u64;
-                *backoff_ns += BACKOFF_BASE_NS << attempt;
-            }
-        }
-        Err(match fault {
-            Some(PageFault::Permanent) => IoError::Permanent {
-                table: self.index_id,
-                page: page_no as u32,
-            },
-            _ => IoError::Corrupt {
-                table: self.index_id,
-                page: page_no as u32,
-            },
-        })
     }
 }
 
@@ -567,6 +517,7 @@ fn lower_bound(node: &Page, key: &Value, steps: &mut u64) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eco_simhw::fault::{FaultPlan, PageFault};
 
     fn pool() -> Arc<BufferPool> {
         Arc::new(BufferPool::new(1024))
@@ -766,7 +717,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_io_is_returned_not_pooled() {
+    fn a_probe_returns_every_charge_its_reads_caused() {
         let keys: Vec<i64> = (0..5000).collect();
         let p = pool();
         let entries = keys
@@ -775,8 +726,13 @@ mod tests {
             .map(|(row, &k)| (Value::Int(k), row))
             .collect();
         let ix = BTreeIndex::build(FIRST_INDEX_ID, ColumnType::Int, entries, Arc::clone(&p));
-        ix.probe_point(&Value::Int(42)).expect("probe");
-        assert!(p.take_io().is_empty(), "probe charges belong to the caller");
+        // Saturated and recoverable: every node read retries or stalls.
+        p.set_fault_plan(FaultPlan::new(42, 1_000_000).recoverable());
+        let probe = ix.probe_point(&Value::Int(42)).expect("recoverable");
+        let height = ix.height() as u64;
+        assert_eq!(p.stats().misses, height);
+        assert_eq!(probe.ledger.disk.index_ios, height, "one index I/O a miss");
+        assert!(probe.ledger.backoff_ns > 0, "the faults' backoff came back");
     }
 
     #[test]
@@ -809,7 +765,6 @@ mod tests {
 
     #[test]
     fn faulted_index_page_reports_typed_error_with_index_id() {
-        use eco_simhw::fault::FaultPlan;
         let keys: Vec<i64> = (0..5000).collect();
         let p = pool();
         let entries = keys

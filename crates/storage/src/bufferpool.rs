@@ -1,9 +1,12 @@
 //! LRU buffer pool in front of the simulated disk.
 //!
-//! Every miss charges simulated I/O to an internal ledger the executor
-//! drains into its work trace: consecutive page numbers within a table
-//! are charged as sequential transfer, anything else as a random access
-//! (paper §3.5 shows the two differ enormously in both time and energy).
+//! Every page read goes through [`BufferPool::read`], which returns
+//! what that read charged; the caller merges it into its own work
+//! trace, and the pool keeps no ledger. A miss charges simulated I/O:
+//! on a scan stream, consecutive page numbers within a table are
+//! charged as sequential transfer, anything else as a random access
+//! (paper §3.5 shows the two differ enormously in both time and
+//! energy); an index read is always an index random access.
 //!
 //! `flush()` models a reboot (the paper's cold runs); an optional
 //! *warm re-read interval* models the residual disk traffic the paper
@@ -11,7 +14,7 @@
 //! even though the database was warm").
 //!
 //! A resident page is a [`PageFrame`]: the page image the miss path
-//! read (and, on the checked paths, verified). Everything priced
+//! read and verified. Everything priced
 //! happens on the miss — fault lookup, checksum, retries,
 //! classification, LRU stamp — and a reader then pays for what it
 //! reads off the image: nothing for a columnar scan (its data comes
@@ -115,17 +118,34 @@ struct Frame {
     stamp: u64,
 }
 
-/// The default scan stream: all accesses through [`BufferPool::get`]
-/// share one sequential-position tracker per table, preserving the
-/// original single-cursor semantics.
-pub(crate) const DEFAULT_STREAM: u64 = 0;
+/// The serial scan stream: every whole-table scan reads on it, sharing
+/// one sequential-position tracker per table. Partitions of a parallel
+/// scan each read on a stream of their own.
+pub const DEFAULT_STREAM: u64 = 0;
+
+/// What kind of read a [`BufferPool::read`] is: how its miss is
+/// classified.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// A scan read on a stream: a miss on the page after the stream's
+    /// last one, within an extent, is sequential transfer, any other
+    /// miss a random access. Each stream tracks its own position, so
+    /// interleaved scan cursors do not break each other's runs.
+    Scan(u64),
+    /// An index read (ledger schema v4): a descent node or a base-row
+    /// fetch it drives. A miss charges one index I/O — priced exactly
+    /// like a random access but ledgered apart — and never reads or
+    /// moves a scan stream's position, so probes cannot break a
+    /// concurrent scan's run and an index-free run's ledger stays
+    /// bit-identical.
+    Index,
+}
 
 struct Inner {
     capacity: usize,
     frames: HashMap<PageId, Frame>,
     by_stamp: BTreeMap<u64, PageId>,
     clock: u64,
-    io: Ledger,
     stats: PoolStats,
     /// Last page read per (table, scan stream) — sequential-transfer
     /// detection is per stream so concurrent scan cursors over the same
@@ -133,10 +153,8 @@ struct Inner {
     last_page: HashMap<(u32, u64), u32>,
     warm_reread_every: Option<u64>,
     hit_counter: u64,
-    /// Deterministic fault schedule consulted by checked miss-path
-    /// loads ([`BufferPool::get_checked`]). Defaults to the never-fault
-    /// plan, under which every checked read behaves exactly like its
-    /// unchecked twin.
+    /// Deterministic fault schedule handed to every miss-path load
+    /// ([`BufferPool::read`]). Defaults to the never-fault plan.
     fault_plan: FaultPlan,
 }
 
@@ -155,7 +173,6 @@ impl BufferPool {
                 frames: HashMap::new(),
                 by_stamp: BTreeMap::new(),
                 clock: 0,
-                io: Ledger::new(),
                 stats: PoolStats::default(),
                 last_page: HashMap::new(),
                 warm_reread_every: None,
@@ -165,8 +182,8 @@ impl BufferPool {
         }
     }
 
-    /// Install a deterministic fault schedule. Checked reads consult it
-    /// on every miss; the default is [`FaultPlan::none`] (never faults).
+    /// Install a deterministic fault schedule. Every miss hands it to
+    /// its load; the default is [`FaultPlan::none`] (never faults).
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         self.inner.lock().fault_plan = plan;
     }
@@ -186,103 +203,18 @@ impl BufferPool {
         g.warm_reread_every = every;
     }
 
-    /// Fetch a page, loading (and charging I/O to the pool's internal
-    /// ledger) on miss via `load`. Uses the `DEFAULT_STREAM` scan
-    /// cursor; the executor drains the charges with [`Self::take_io`].
-    pub fn get<F>(&self, id: PageId, load: F) -> Arc<PageFrame>
-    where
-        F: FnOnce() -> Arc<PageFrame>,
-    {
-        let (page, io) = self.get_inner(id, DEFAULT_STREAM, load);
-        if !io.is_empty() {
-            self.inner.lock().io.merge(&io);
-        }
-        page
-    }
-
-    /// Checked twin of [`Self::get`]: the miss-path `load` may fail and
-    /// may charge extra retry I/O / backoff idle time (it receives the
-    /// access's [`DiskWork`] ledger and a backoff-nanosecond
-    /// accumulator, plus the pool's installed [`FaultPlan`]). Base I/O
-    /// classification is identical to the unchecked path; on success
-    /// the disk charges land in the pool ledger and the access's
-    /// backoff is returned. On failure nothing is cached and the
-    /// charges are discarded with the failed attempt.
-    pub(crate) fn get_checked<F, E>(&self, id: PageId, load: F) -> Result<(Arc<PageFrame>, u64), E>
-    where
-        F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
-    {
-        let (page, mut io) = self.get_inner_checked(id, Some(DEFAULT_STREAM), load)?;
-        let backoff_ns = std::mem::take(&mut io.backoff_ns);
-        if !io.is_empty() {
-            self.inner.lock().io.merge(&io);
-        }
-        Ok((page, backoff_ns))
-    }
-
-    /// Like `Self::get_checked` but on a private scan stream,
-    /// returning this access's I/O and backoff directly instead of
-    /// accumulating them in the pool ledger.
-    ///
-    /// Parallel scan cursors use this so (a) sequential-transfer
-    /// detection tracks each cursor independently — interleaved workers
-    /// would otherwise turn every in-order read into a seek — and
-    /// (b) each worker attributes exactly its own I/O to its own energy
-    /// ledger, keeping the merged parallel ledger identical to serial
-    /// execution.
-    pub(crate) fn get_stream_checked<F, E>(
+    /// Read page `id`, loading it through `load` on a miss, and return
+    /// the frame with everything this read charged. A hit charges
+    /// nothing, unless it is a warm re-read ([`Self::set_warm_reread_every`]).
+    /// A miss is classified by `access` (see [`Access`]) and hands
+    /// `load` the installed [`FaultPlan`], the read's [`DiskWork`] and
+    /// its backoff-nanosecond accumulator, to which the load adds its
+    /// retries and backoff. If `load` fails, nothing is cached and its
+    /// charges are dropped with the failed read.
+    pub fn read<F, E>(
         &self,
         id: PageId,
-        stream: u64,
-        load: F,
-    ) -> Result<(Arc<PageFrame>, Ledger), E>
-    where
-        F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
-    {
-        self.get_inner_checked(id, Some(stream), load)
-    }
-
-    /// Checked fetch for an index probe (ledger schema v4). A miss
-    /// charges one [`DiskWork::index_ios`] plus [`PAGE_SIZE`]
-    /// [`DiskWork::index_bytes`] — priced exactly like a random access
-    /// but ledgered separately — and never reads or updates the
-    /// sequential-position tracker, so interleaved probes cannot break
-    /// a concurrent scan's streaming run and an index-free run's ledger
-    /// stays bit-identical. Returns this access's I/O and backoff
-    /// directly (probes attribute charges to their own operator, like
-    /// private scan streams); fault handling matches
-    /// `Self::get_checked`.
-    pub fn get_index_checked<F, E>(
-        &self,
-        id: PageId,
-        load: F,
-    ) -> Result<(Arc<PageFrame>, Ledger), E>
-    where
-        F: FnOnce(FaultPlan, &mut DiskWork, &mut u64) -> Result<Arc<PageFrame>, E>,
-    {
-        self.get_inner_checked(id, None, load)
-    }
-
-    fn get_inner<F>(&self, id: PageId, stream: u64, load: F) -> (Arc<PageFrame>, Ledger)
-    where
-        F: FnOnce() -> Arc<PageFrame>,
-    {
-        let r: Result<_, std::convert::Infallible> =
-            self.get_inner_checked(id, Some(stream), |_, _, _| Ok(load()));
-        match r {
-            Ok(r) => r,
-            Err(e) => match e {},
-        }
-    }
-
-    /// `stream`: `Some(s)` classifies the miss against scan stream `s`'s
-    /// sequential position; `None` is an index probe (v4 classes, no
-    /// position tracking). Returns the frame and what the access
-    /// charged: disk I/O, and backoff if the load retried.
-    fn get_inner_checked<F, E>(
-        &self,
-        id: PageId,
-        stream: Option<u64>,
+        access: Access,
         load: F,
     ) -> Result<(Arc<PageFrame>, Ledger), E>
     where
@@ -316,8 +248,8 @@ impl BufferPool {
         // — DBMS files interleave table extents on disk, which is why
         // the paper's cold runs are seek-dominated (≈3× slower, §3.5)
         // rather than running at the drive's streaming rate.
-        match stream {
-            Some(stream) => {
+        match access {
+            Access::Scan(stream) => {
                 let consecutive = g
                     .last_page
                     .get(&(id.table, stream))
@@ -334,7 +266,7 @@ impl BufferPool {
             }
             // Index probe: every miss repositions the head (v4 class),
             // and the scan position trackers are left untouched.
-            None => {
+            Access::Index => {
                 io.disk.index_ios += 1;
                 io.disk.index_bytes += PAGE_SIZE as u64;
             }
@@ -366,10 +298,13 @@ impl BufferPool {
         Ok((page, io))
     }
 
-    /// Drain the accumulated I/O ledger (the executor merges it into
-    /// its own).
+    /// Always an empty ledger: every read returns its own charges
+    /// ([`Self::read`]) and the pool keeps none. It stays only because
+    /// the benchmark's shadow layer (`ecobench/src/layers.rs`) still
+    /// calls it; the next benchmark change (ROADMAP item 6) removes
+    /// those calls, and then this method.
     pub fn take_io(&self) -> Ledger {
-        std::mem::take(&mut self.inner.lock().io)
+        Ledger::new()
     }
 
     /// Drop the sequential-position entry of a finished scan stream.
@@ -457,6 +392,8 @@ mod tests {
     use super::*;
     use crate::value::Value;
 
+    const SCAN: Access = Access::Scan(DEFAULT_STREAM);
+
     fn page_data(n: i64) -> Arc<PageFrame> {
         let mut page = Page::new();
         assert!(page.insert(&vec![Value::Int(n)]));
@@ -467,12 +404,32 @@ mod tests {
         PageId { table, page }
     }
 
+    /// A read whose load cannot fail: `load` runs on a miss.
+    fn read(
+        pool: &BufferPool,
+        id: PageId,
+        access: Access,
+        load: impl FnOnce() -> Arc<PageFrame>,
+    ) -> (Arc<PageFrame>, Ledger) {
+        let r: Result<_, std::convert::Infallible> = pool.read(id, access, |_, _, _| Ok(load()));
+        match r {
+            Ok(r) => r,
+            Err(e) => match e {},
+        }
+    }
+
+    /// What a serial-stream read of page `p` of table `t` charged.
+    fn scan(pool: &BufferPool, t: u32, p: u32) -> Ledger {
+        read(pool, id(t, p), SCAN, || page_data(p as i64)).1
+    }
+
     #[test]
     fn hit_after_miss() {
         let pool = BufferPool::new(8);
-        let a = pool.get(id(1, 0), || page_data(0));
-        let b = pool.get(id(1, 0), || panic!("should hit"));
+        let (a, _) = read(&pool, id(1, 0), SCAN, || page_data(0));
+        let (b, io) = read(&pool, id(1, 0), SCAN, || panic!("should hit"));
         assert!(Arc::ptr_eq(&a, &b));
+        assert!(io.is_empty(), "a hit charges nothing");
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
@@ -505,28 +462,26 @@ mod tests {
     #[test]
     fn sequential_vs_random_charging() {
         let pool = BufferPool::new(8);
-        pool.get(id(1, 0), || page_data(0)); // first access: random
-        pool.get(id(1, 1), || page_data(1)); // sequential
-        pool.get(id(1, 2), || page_data(2)); // sequential
-        pool.get(id(1, 7), || page_data(7)); // jump: random
-        let io = pool.take_io().disk;
-        assert_eq!(io.random_ios, 2);
+        let first = scan(&pool, 1, 0);
+        assert_eq!((first.disk.random_ios, first.disk.sequential_bytes), (1, 0));
+        let io: Ledger = [1, 2, 7].iter().map(|&p| scan(&pool, 1, p)).sum();
+        // Two streamed pages, then a jump.
+        let io = io.disk;
+        assert_eq!(io.random_ios, 1);
         assert_eq!(io.sequential_bytes, 2 * PAGE_SIZE as u64);
-        assert_eq!(io.random_bytes, 2 * PAGE_SIZE as u64);
-        // Ledger drained.
-        assert!(pool.take_io().is_empty());
+        assert_eq!(io.random_bytes, PAGE_SIZE as u64);
     }
 
     #[test]
     fn lru_evicts_least_recent() {
         let pool = BufferPool::new(2);
-        pool.get(id(1, 0), || page_data(0));
-        pool.get(id(1, 1), || page_data(1));
-        pool.get(id(1, 0), || panic!("0 resident")); // touch 0: 1 is now LRU
-        pool.get(id(1, 2), || page_data(2)); // evicts 1
-        pool.get(id(1, 0), || panic!("0 must survive"));
+        read(&pool, id(1, 0), SCAN, || page_data(0));
+        read(&pool, id(1, 1), SCAN, || page_data(1));
+        read(&pool, id(1, 0), SCAN, || panic!("0 resident")); // touch 0: 1 is now LRU
+        read(&pool, id(1, 2), SCAN, || page_data(2)); // evicts 1
+        read(&pool, id(1, 0), SCAN, || panic!("0 must survive"));
         let mut evicted_reloaded = false;
-        pool.get(id(1, 1), || {
+        read(&pool, id(1, 1), SCAN, || {
             evicted_reloaded = true;
             page_data(1)
         });
@@ -538,7 +493,7 @@ mod tests {
     fn capacity_never_exceeded() {
         let pool = BufferPool::new(4);
         for p in 0..100 {
-            pool.get(id(1, p), || page_data(p as i64));
+            scan(&pool, 1, p);
             assert!(pool.stats().resident <= 4);
         }
     }
@@ -546,16 +501,14 @@ mod tests {
     #[test]
     fn flush_forces_cold_reads() {
         let pool = BufferPool::new(8);
-        pool.get(id(1, 0), || page_data(0));
-        pool.take_io();
+        scan(&pool, 1, 0);
         pool.flush();
         let mut reloaded = false;
-        pool.get(id(1, 0), || {
+        let (_, io) = read(&pool, id(1, 0), SCAN, || {
             reloaded = true;
             page_data(0)
         });
         assert!(reloaded);
-        let io = pool.take_io();
         // After flush the scan position is also reset ⇒ random charge.
         assert_eq!(io.disk.random_ios, 1);
     }
@@ -565,7 +518,7 @@ mod tests {
         let pool = BufferPool::new(0);
         for _ in 0..3 {
             let mut loaded = false;
-            pool.get(id(1, 0), || {
+            read(&pool, id(1, 0), SCAN, || {
                 loaded = true;
                 page_data(0)
             });
@@ -577,53 +530,50 @@ mod tests {
     #[test]
     fn independent_streams_keep_sequential_runs() {
         // Two interleaved in-order cursors over disjoint extents: with
-        // per-stream tracking both keep streaming; through the shared
-        // default stream every read would be a seek.
+        // per-stream tracking both keep streaming; through one shared
+        // stream every read would be a seek.
         let pool = BufferPool::new(64);
         let mut io = Ledger::new();
         for p in 0..4u32 {
-            let (_, a) = pool.get_inner(id(1, p), 1, || page_data(p as i64));
-            io.merge(&a);
-            let (_, b) = pool.get_inner(id(1, 16 + p), 2, || page_data(p as i64));
-            io.merge(&b);
+            io.merge(&read(&pool, id(1, p), Access::Scan(1), || page_data(p as i64)).1);
+            io.merge(
+                &read(&pool, id(1, 16 + p), Access::Scan(2), || {
+                    page_data(p as i64)
+                })
+                .1,
+            );
         }
         let io = io.disk;
         // One repositioning per extent start, streaming elsewhere.
         assert_eq!(io.random_ios, 2, "{io:?}");
         assert_eq!(io.sequential_bytes, 6 * PAGE_SIZE as u64);
-        // Stream charges are returned, not accumulated in the pool.
-        assert!(pool.take_io().is_empty());
     }
 
     #[test]
     fn evicting_a_table_forgets_its_scan_positions() {
         let pool = BufferPool::new(64);
-        pool.get(id(1, 0), || page_data(0));
-        pool.get(id(1, 1), || page_data(1));
-        pool.get(id(2, 0), || page_data(0));
-        pool.take_io();
+        scan(&pool, 1, 0);
+        scan(&pool, 1, 1);
+        scan(&pool, 2, 0);
         pool.evict_table(1);
         // Page 2 follows page 1 on the stream, but the cursor was
         // forgotten with the table: the read repositions.
-        pool.get(id(1, 2), || page_data(2));
-        let io = pool.take_io().disk;
+        let io = scan(&pool, 1, 2).disk;
         assert_eq!((io.random_ios, io.sequential_bytes), (1, 0), "{io:?}");
         // Another table's cursor survives.
-        pool.get(id(2, 1), || page_data(1));
-        let io = pool.take_io().disk;
+        let io = scan(&pool, 2, 1).disk;
         assert_eq!((io.random_ios, io.sequential_bytes), (0, PAGE_SIZE as u64));
     }
 
     #[test]
     fn an_ended_stream_starts_over() {
         let pool = BufferPool::new(64);
-        let (_, io) = pool.get_inner(id(1, 0), 5, || page_data(0));
-        assert_eq!(io.disk.random_ios, 1);
-        let (_, io) = pool.get_inner(id(1, 1), 5, || page_data(1));
-        assert_eq!(io.disk.sequential_bytes, PAGE_SIZE as u64);
+        let on_5 = |p: u32| read(&pool, id(1, p), Access::Scan(5), || page_data(p as i64)).1;
+        assert_eq!(on_5(0).disk.random_ios, 1);
+        assert_eq!(on_5(1).disk.sequential_bytes, PAGE_SIZE as u64);
         pool.end_stream(1, 5);
         // The next in-order page on stream 5 is its first read again.
-        let (_, io) = pool.get_inner(id(1, 2), 5, || page_data(2));
+        let io = on_5(2);
         assert_eq!(
             (io.disk.random_ios, io.disk.sequential_bytes),
             (1, 0),
@@ -632,27 +582,10 @@ mod tests {
     }
 
     #[test]
-    fn checked_read_matches_unchecked_when_fault_free() {
-        let a = BufferPool::new(8);
-        let b = BufferPool::new(8);
-        for p in [0u32, 1, 2, 7, 16] {
-            a.get(id(1, p), || page_data(p as i64));
-            let r: Result<_, ()> = b.get_checked(id(1, p), |plan, _io, _backoff| {
-                assert!(plan.is_none(), "no plan installed");
-                Ok(page_data(p as i64))
-            });
-            let (_, backoff) = r.expect("fault-free checked read succeeds");
-            assert_eq!(backoff, 0);
-        }
-        assert_eq!(a.take_io(), b.take_io(), "identical miss classification");
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn checked_read_error_leaves_nothing_cached() {
+    fn a_failed_load_leaves_nothing_cached() {
         let pool = BufferPool::new(8);
-        let r: Result<(Arc<PageFrame>, u64), &str> =
-            pool.get_checked(id(1, 0), |_, io, backoff| {
+        let r: Result<(Arc<PageFrame>, Ledger), &str> =
+            pool.read(id(1, 0), SCAN, |_, io, backoff| {
                 io.retry_ios += 3;
                 io.retry_bytes += 3 * PAGE_SIZE as u64;
                 *backoff += 123;
@@ -660,26 +593,25 @@ mod tests {
             });
         assert_eq!(r.unwrap_err(), "permanent");
         assert_eq!(pool.stats().resident, 0);
-        // Charges of the failed attempt are discarded with it.
-        assert!(pool.take_io().is_empty());
-        // The page is still loadable afterwards.
-        let r: Result<_, ()> = pool.get_checked(id(1, 0), |_, _, _| Ok(page_data(0)));
-        assert!(r.is_ok());
+        // The page is still loadable afterwards, and the read that
+        // loads it carries none of the failed one's retries.
+        let r: Result<_, ()> = pool.read(id(1, 0), SCAN, |_, _, _| Ok(page_data(0)));
+        let (_, io) = r.expect("loads");
+        assert_eq!((io.disk.retry_ios, io.backoff_ns), (0, 0));
+        assert_eq!(io.disk.random_ios, 1);
     }
 
     #[test]
-    fn checked_read_retry_charges_reach_the_ledger() {
+    fn a_read_returns_its_retries_and_backoff() {
         let pool = BufferPool::new(8);
-        let r: Result<_, ()> = pool.get_checked(id(1, 0), |_, io, backoff| {
+        let r: Result<_, ()> = pool.read(id(1, 0), SCAN, |_, io, backoff| {
             io.retry_ios += 2;
             io.retry_bytes += 2 * PAGE_SIZE as u64;
             *backoff += 150_000;
             Ok(page_data(0))
         });
-        let (_, backoff) = r.expect("transient read recovers");
-        assert_eq!(backoff, 150_000);
-        let io = pool.take_io();
-        assert_eq!(io.backoff_ns, 0, "backoff is returned, not pooled");
+        let (_, io) = r.expect("transient read recovers");
+        assert_eq!(io.backoff_ns, 150_000);
         let io = io.disk;
         assert_eq!(io.retry_ios, 2);
         assert_eq!(io.retry_bytes, 2 * PAGE_SIZE as u64);
@@ -689,12 +621,11 @@ mod tests {
 
     #[test]
     fn fault_plan_is_installed_and_visible_to_loads() {
-        use eco_simhw::fault::FaultPlan;
         let pool = BufferPool::new(8);
         assert!(pool.fault_plan().is_none());
         pool.set_fault_plan(FaultPlan::new(7, 250_000));
         assert_eq!(pool.fault_plan().rate_ppm(), 250_000);
-        let r: Result<_, ()> = pool.get_checked(id(1, 0), |plan, _, _| {
+        let r: Result<_, ()> = pool.read(id(1, 0), SCAN, |plan, _, _| {
             assert_eq!(plan.seed(), 7);
             Ok(page_data(0))
         });
@@ -705,27 +636,21 @@ mod tests {
     fn index_probe_charges_v4_and_preserves_scan_streaming() {
         let pool = BufferPool::new(64);
         // A scan cursor is mid-run...
-        pool.get(id(1, 1), || page_data(1));
-        pool.get(id(1, 2), || page_data(2));
-        pool.take_io();
+        scan(&pool, 1, 1);
+        scan(&pool, 1, 2);
         // ...an index probe lands between its reads...
-        let r: Result<_, ()> = pool.get_index_checked(id(1, 9), |_, _, _| Ok(page_data(9)));
-        let (_, io) = r.expect("probe succeeds");
+        let (_, io) = read(&pool, id(1, 9), Access::Index, || page_data(9));
         assert_eq!(
             (io.disk.index_ios, io.disk.index_bytes),
             (1, PAGE_SIZE as u64)
         );
         assert!(io.without_schema(4).is_empty(), "only the v4 classes");
-        // Probe charges are returned, not accumulated in the pool.
-        assert!(pool.take_io().is_empty());
         // ...and the scan keeps streaming as if the probe never happened.
-        pool.get(id(1, 3), || page_data(3));
-        let io = pool.take_io().disk;
+        let io = scan(&pool, 1, 3).disk;
         assert_eq!(io.sequential_bytes, PAGE_SIZE as u64);
         assert_eq!(io.random_ios, 0);
         // A probe hit on a cached page charges nothing.
-        let r: Result<_, ()> = pool.get_index_checked(id(1, 9), |_, _, _| panic!("hit"));
-        let (_, io) = r.expect("hit");
+        let (_, io) = read(&pool, id(1, 9), Access::Index, || panic!("hit"));
         assert!(io.is_empty());
     }
 
@@ -733,12 +658,184 @@ mod tests {
     fn warm_reread_charges_periodically() {
         let pool = BufferPool::new(8);
         pool.set_warm_reread_every(Some(10));
-        pool.get(id(1, 0), || page_data(0));
-        pool.take_io();
-        for _ in 0..30 {
-            pool.get(id(1, 0), || panic!("hit expected"));
+        scan(&pool, 1, 0);
+        // The 10th, 20th and 30th hit each charge one random read.
+        let charged: Vec<usize> = (1..=30)
+            .filter(|_| {
+                let (_, io) = read(&pool, id(1, 0), SCAN, || panic!("hit expected"));
+                io.disk.random_ios == 1
+            })
+            .collect();
+        assert_eq!(charged, [10, 20, 30]);
+    }
+
+    /// A reference model of the pool's charging and bookkeeping: an LRU
+    /// list, each scan stream's last page, the extent rule, the v4
+    /// index classes and the warm re-read hit counter.
+    struct Model {
+        capacity: usize,
+        reread: Option<u64>,
+        /// Resident pages, least recently read first.
+        lru: Vec<PageId>,
+        last: HashMap<(u32, u64), u32>,
+        hit_counter: u64,
+        stats: PoolStats,
+    }
+
+    impl Model {
+        fn new(capacity: usize, reread: Option<u64>) -> Self {
+            Self {
+                capacity,
+                reread,
+                lru: Vec::new(),
+                last: HashMap::new(),
+                hit_counter: 0,
+                stats: PoolStats::default(),
+            }
         }
-        let io = pool.take_io();
-        assert_eq!(io.disk.random_ios, 3, "3 re-reads over 30 hits at every=10");
+
+        /// What reading `id` charges, and whether it misses.
+        fn read(&mut self, id: PageId, access: Access) -> (Ledger, bool) {
+            let page = PAGE_SIZE as u64;
+            let mut io = Ledger::new();
+            if let Some(at) = self.lru.iter().position(|&r| r == id) {
+                self.lru.remove(at);
+                self.lru.push(id);
+                self.stats.hits += 1;
+                self.hit_counter += 1;
+                if self
+                    .reread
+                    .is_some_and(|every| self.hit_counter.is_multiple_of(every))
+                {
+                    io.disk.random_ios += 1;
+                    io.disk.random_bytes += page;
+                }
+                return (io, false);
+            }
+            match access {
+                Access::Scan(stream) => {
+                    let follows =
+                        self.last.get(&(id.table, stream)) == Some(&(id.page.wrapping_sub(1)));
+                    if follows && !id.page.is_multiple_of(EXTENT_PAGES) {
+                        io.disk.sequential_bytes += page;
+                    } else {
+                        io.disk.random_ios += 1;
+                        io.disk.random_bytes += page;
+                    }
+                    self.last.insert((id.table, stream), id.page);
+                }
+                Access::Index => {
+                    io.disk.index_ios += 1;
+                    io.disk.index_bytes += page;
+                }
+            }
+            self.stats.misses += 1;
+            if self.capacity > 0 {
+                while self.lru.len() >= self.capacity {
+                    self.lru.remove(0);
+                    self.stats.evictions += 1;
+                }
+                self.lru.push(id);
+            }
+            (io, true)
+        }
+
+        fn stats(&self) -> PoolStats {
+            PoolStats {
+                resident: self.lru.len(),
+                ..self.stats
+            }
+        }
+    }
+
+    /// splitmix64: a fixed-seed generator for the model test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    #[test]
+    fn every_read_returns_what_a_reference_model_charges() {
+        const TABLES: u32 = 2;
+        const PAGES: u32 = 40;
+        const OPS: usize = 5_000;
+        let value = |id: PageId| i64::from(id.table * 1000 + id.page);
+        for capacity in [0, 3, 16, 64] {
+            for reread in [None, Some(7)] {
+                let pool = BufferPool::new(capacity);
+                pool.set_warm_reread_every(reread);
+                let mut model = Model::new(capacity, reread);
+                let mut rng = Rng(20090104 + capacity as u64);
+                let mut total = Ledger::new();
+                for step in 0..OPS {
+                    let what = format!("capacity {capacity}, re-read {reread:?}, step {step}");
+                    let table = rng.below(u64::from(TABLES)) as u32;
+                    match rng.below(100) {
+                        // Reads on streams 0, 1 and 2 and index reads;
+                        // a scan read follows its stream's last page
+                        // half the time, so runs and extent starts occur.
+                        0..=89 => {
+                            let access = match rng.below(4) {
+                                3 => Access::Index,
+                                s => Access::Scan(s),
+                            };
+                            let last = match access {
+                                Access::Scan(s) => model.last.get(&(table, s)).copied(),
+                                Access::Index => None,
+                            };
+                            let page = match last {
+                                Some(p) if rng.below(2) == 0 => (p + 1) % PAGES,
+                                _ => rng.below(u64::from(PAGES)) as u32,
+                            };
+                            let id = id(table, page);
+                            let mut loaded = false;
+                            let (frame, io) = read(&pool, id, access, || {
+                                loaded = true;
+                                page_data(value(id))
+                            });
+                            let (want, miss) = model.read(id, access);
+                            io.assert_same(&want, &what);
+                            total.merge(&io);
+                            assert_eq!(loaded, miss, "{what}: loaded");
+                            assert_eq!(frame.tuple(0), vec![Value::Int(value(id))], "{what}");
+                        }
+                        90..=93 => {
+                            let stream = rng.below(3);
+                            pool.end_stream(table, stream);
+                            model.last.remove(&(table, stream));
+                        }
+                        94..=97 => {
+                            pool.evict_table(table);
+                            model.lru.retain(|id| id.table != table);
+                            model.last.retain(|&(t, _), _| t != table);
+                        }
+                        _ => {
+                            pool.flush();
+                            model.lru.clear();
+                            model.last.clear();
+                            model.hit_counter = 0;
+                        }
+                    }
+                    assert_eq!(pool.stats(), model.stats(), "{what}: stats");
+                }
+                // Every rule the model states was exercised.
+                let (d, s) = (total.disk, model.stats);
+                assert!(d.sequential_bytes > 0 && d.index_ios > 0, "{d:?}");
+                assert_eq!(s.hits > 0, capacity > 0, "{s:?}");
+                if capacity == 3 || capacity == 16 {
+                    assert!(s.evictions > 0, "{s:?}");
+                }
+                let reads = d.random_ios + d.index_ios + d.sequential_bytes / PAGE_SIZE as u64;
+                let rereads = reads > s.misses;
+                assert_eq!(rereads, reread.is_some() && capacity > 0, "{d:?}");
+            }
+        }
     }
 }

@@ -617,9 +617,8 @@ mod tests {
             panic!("disk")
         };
         for p in 0..t.num_pages() {
-            t.read_page(p);
+            t.read_page_checked(p).expect("fault-free read");
         }
-        c.pool().take_io();
         c.apply_wal_record(&WalRecord::Insert {
             table: "d".into(),
             tuple: vec![Value::Int(9999)],
@@ -635,8 +634,9 @@ mod tests {
         let TableData::Disk(t) = &d.data else {
             panic!("disk")
         };
-        let last = t.read_page(t.num_pages() - 1);
+        let (last, io) = t.read_page_checked(t.num_pages() - 1).expect("read");
         assert_eq!(last.tuples().last(), Some(&vec![Value::Int(9999)]));
+        assert_eq!(io.disk.random_ios, 1, "the stale page was evicted: a miss");
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! Tuples are packed into 8 KB slotted pages at load time; reads go
 //! through the shared [`BufferPool`], which charges simulated I/O on
-//! misses. Every checked miss verifies the full page image against the
+//! misses. Every miss verifies the full page image against the
 //! checksum recorded when the page was written ([`Page::checksum`])
 //! before anything is read from it; after that a reader decodes what it
 //! reads. A columnar scan, which takes its data from the extent chunks,
-//! drives every page through the checked miss path and decodes nothing;
+//! drives every page through the verified miss path and decodes nothing;
 //! an index-driven fetch decodes the one slot its row id names
 //! ([`PageFrame::tuple`]); only the scalar engine's sequential scans decode
 //! a page whole ([`PageFrame::tuples`], once per residency). (The
@@ -47,7 +47,7 @@ use parking_lot::Mutex;
 use eco_simhw::fault::{FaultPlan, PageFault, BACKOFF_BASE_NS, MAX_READ_RETRIES};
 use eco_simhw::trace::{DiskWork, Ledger};
 
-use crate::bufferpool::{BufferPool, PageFrame, PageId, EXTENT_PAGES};
+use crate::bufferpool::{Access, BufferPool, PageFrame, PageId, DEFAULT_STREAM, EXTENT_PAGES};
 use crate::column::{ColumnChunk, ColumnData, DataChunk};
 use crate::encode::EncodedChunk;
 use crate::page::{serialize_tuple, serialize_tuple_into, stored_width, Page, PAGE_SIZE};
@@ -56,7 +56,7 @@ use crate::value::{ColumnType, Schema, Tuple};
 /// A page read that could not be satisfied: every attempt within the
 /// bounded retry budget ([`MAX_READ_RETRIES`] re-reads) failed.
 ///
-/// Checked reads ([`DiskTable::read_page_checked`]) surface this as a
+/// Page reads ([`DiskTable::read_page`]) surface this as a
 /// typed error instead of panicking, so a fault fails only the query
 /// (and, one level up, only the owning session) that hit it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +97,61 @@ impl std::fmt::Display for IoError {
 }
 
 impl std::error::Error for IoError {}
+
+/// The miss-path attempt loop of every page read, table or index: read
+/// page `id`'s `image`, verify it against its load-time `checksum`, and
+/// retry on failure (injected by `plan` or genuine) up to
+/// [`MAX_READ_RETRIES`] times with exponential backoff. The frame it
+/// hands the pool holds the verified image, undecoded.
+///
+/// Accounting: the *initial* read is already charged by the buffer
+/// pool's miss classification. Each failed attempt charges one re-read
+/// to the v2 **retry random I/O** class (`retry_ios`/`retry_bytes`; a
+/// re-read is a re-read, whatever kind of page it re-reads) and
+/// `BACKOFF_BASE_NS << attempt` of **backoff halt residency** — so a
+/// transient fault with `f` failures charges exactly `f` retry I/Os and
+/// [`eco_simhw::fault::backoff_ns_for`]`(f)` nanoseconds, and a
+/// fault-free read charges exactly nothing extra.
+pub(crate) fn load_verified(
+    id: PageId,
+    image: &Page,
+    checksum: u64,
+    plan: FaultPlan,
+    io: &mut DiskWork,
+    backoff_ns: &mut u64,
+) -> Result<Arc<PageFrame>, IoError> {
+    let fault = plan.fault_for(id.table, u64::from(id.page));
+    let mut injected_failures = match fault {
+        Some(PageFault::Transient { failures }) => failures,
+        Some(PageFault::Permanent) => u32::MAX,
+        Some(PageFault::Stall { ns }) => {
+            *backoff_ns += ns;
+            0
+        }
+        None => 0,
+    };
+    for attempt in 0..=MAX_READ_RETRIES {
+        let injected = injected_failures > 0;
+        if injected {
+            injected_failures -= 1;
+        }
+        if !injected && image.checksum() == checksum {
+            return Ok(Arc::new(PageFrame::new(image.clone())));
+        }
+        if attempt < MAX_READ_RETRIES {
+            // Re-read: reposition + burst the block again, after an
+            // exponential backoff sleep (halt-priced idle time).
+            io.retry_ios += 1;
+            io.retry_bytes += PAGE_SIZE as u64;
+            *backoff_ns += BACKOFF_BASE_NS << attempt;
+        }
+    }
+    let (table, page) = (id.table, id.page);
+    Err(match fault {
+        Some(PageFault::Permanent) => IoError::Permanent { table, page },
+        _ => IoError::Corrupt { table, page },
+    })
+}
 
 /// The columnar mirror of a [`DiskTable`]: one [`DataChunk`] per disk
 /// *extent* (the I/O scheduling granule, [`EXTENT_PAGES`] pages), plus
@@ -319,8 +374,8 @@ pub struct DiskTable {
     schema: Schema,
     pages: Vec<Page>,
     /// Per-page checksums ([`Page::checksum`]) computed when a page is
-    /// written (load or repack) and verified on every checked
-    /// buffer-pool miss (see [`DiskTable::read_page_checked`]).
+    /// written (load or repack) and verified on every buffer-pool
+    /// miss (see [`DiskTable::read_page`]).
     checksums: Vec<u64>,
     num_tuples: usize,
     pool: Arc<BufferPool>,
@@ -746,41 +801,31 @@ impl DiskTable {
         self.checksums[page_no]
     }
 
-    /// A frame over page `page_no`'s image: shares the image, decodes
-    /// nothing.
-    fn frame(&self, page_no: usize) -> Arc<PageFrame> {
-        Arc::new(PageFrame::new(self.pages[page_no].clone()))
-    }
-
-    /// Read one page through the buffer pool (charging I/O on a miss),
-    /// without verifying it: the unchecked read tests compare against.
-    #[cfg(test)]
-    pub(crate) fn read_page(&self, page_no: usize) -> Arc<PageFrame> {
+    /// Read one page through the buffer pool and return it with what
+    /// the read charged. A miss is classified by `access`, verifies the
+    /// page against its load-time checksum, consults the pool's
+    /// [`FaultPlan`] and retries with bounded exponential backoff, its
+    /// retries and backoff charged too; a hit charges nothing but a
+    /// warm re-read. Panics on an out-of-range page.
+    pub fn read_page(
+        &self,
+        page_no: usize,
+        access: Access,
+    ) -> Result<(Arc<PageFrame>, Ledger), IoError> {
         assert!(page_no < self.pages.len(), "page {page_no} out of range");
         let id = PageId {
             table: self.table_id,
             page: page_no as u32,
         };
-        self.pool.get(id, || self.frame(page_no))
-    }
-
-    /// Read one page through the buffer pool: verifies the page's
-    /// load-time checksum on every buffer-pool miss, consults the
-    /// pool's installed [`FaultPlan`], and retries failed attempts with
-    /// bounded exponential backoff. Charges land in the pool ledger
-    /// exactly like the unchecked path; the returned value is this
-    /// access's backoff idle time in nanoseconds (zero unless a fault
-    /// fired). Fault-free checked reads are charge-identical to
-    /// unchecked reads.
-    pub fn read_page_checked(&self, page_no: usize) -> Result<(Arc<PageFrame>, u64), IoError> {
-        assert!(page_no < self.pages.len(), "page {page_no} out of range");
-        let id = PageId {
-            table: self.table_id,
-            page: page_no as u32,
-        };
-        self.pool.get_checked(id, |plan, io, backoff_ns| {
-            self.load_page_verified(page_no, plan, io, backoff_ns)
+        let (page, checksum) = (&self.pages[page_no], self.checksums[page_no]);
+        self.pool.read(id, access, |plan, io, backoff_ns| {
+            load_verified(id, page, checksum, plan, io, backoff_ns)
         })
+    }
+
+    /// [`Self::read_page`] on the serial scan stream ([`DEFAULT_STREAM`]).
+    pub fn read_page_checked(&self, page_no: usize) -> Result<(Arc<PageFrame>, Ledger), IoError> {
+        self.read_page(page_no, Access::Scan(DEFAULT_STREAM))
     }
 
     /// Locate row `row` as `(page_no, slot)` — the translation an index
@@ -794,108 +839,9 @@ impl DiskTable {
         (page, row - offsets[page])
     }
 
-    /// Checked read of one page on the **index charge path** (ledger
-    /// schema v4): a miss is charged as index random I/O
-    /// ([`BufferPool::get_index_checked`]) and never disturbs scan
-    /// stream positions — base-row fetches driven by an index probe are
-    /// random accesses wherever they land, and keeping them out of the
-    /// v1 classes keeps scan plans' sequential/random split pure.
-    /// Returns this access's I/O and backoff directly.
-    pub fn read_page_index_checked(
-        &self,
-        page_no: usize,
-    ) -> Result<(Arc<PageFrame>, Ledger), IoError> {
-        assert!(page_no < self.pages.len(), "page {page_no} out of range");
-        let id = PageId {
-            table: self.table_id,
-            page: page_no as u32,
-        };
-        self.pool.get_index_checked(id, |plan, io, backoff_ns| {
-            self.load_page_verified(page_no, plan, io, backoff_ns)
-        })
-    }
-
-    /// Like [`Self::read_page_checked`] but on a private scan stream
-    /// (sequential transfers detected per cursor), returning this
-    /// access's I/O and backoff directly.
-    pub fn read_page_stream_checked(
-        &self,
-        page_no: usize,
-        stream: u64,
-    ) -> Result<(Arc<PageFrame>, Ledger), IoError> {
-        assert!(page_no < self.pages.len(), "page {page_no} out of range");
-        let id = PageId {
-            table: self.table_id,
-            page: page_no as u32,
-        };
-        self.pool
-            .get_stream_checked(id, stream, |plan, io, backoff_ns| {
-                self.load_page_verified(page_no, plan, io, backoff_ns)
-            })
-    }
-
-    /// The miss-path attempt loop: read the page image, verify its
-    /// checksum, and retry on failure (injected or genuine) up to
-    /// [`MAX_READ_RETRIES`] times with exponential backoff. The frame
-    /// it hands the pool holds the verified image, undecoded.
-    ///
-    /// Accounting: the *initial* read is already charged by the buffer
-    /// pool's miss classification (sequential or random). Each failed
-    /// attempt charges one re-read to the v2 **retry random I/O** class
-    /// (`retry_ios`/`retry_bytes`) and `BACKOFF_BASE_NS << attempt` of
-    /// **backoff halt residency** — so a transient fault with `f`
-    /// failures charges exactly `f` retry I/Os and
-    /// [`eco_simhw::fault::backoff_ns_for`]`(f)` nanoseconds, and a
-    /// fault-free read charges exactly nothing extra.
-    fn load_page_verified(
-        &self,
-        page_no: usize,
-        plan: FaultPlan,
-        io: &mut DiskWork,
-        backoff_ns: &mut u64,
-    ) -> Result<Arc<PageFrame>, IoError> {
-        let fault = plan.fault_for(self.table_id, page_no as u64);
-        let mut injected_failures = match fault {
-            Some(PageFault::Transient { failures }) => failures,
-            Some(PageFault::Permanent) => u32::MAX,
-            Some(PageFault::Stall { ns }) => {
-                *backoff_ns += ns;
-                0
-            }
-            None => 0,
-        };
-        for attempt in 0..=MAX_READ_RETRIES {
-            let injected = injected_failures > 0;
-            if injected {
-                injected_failures -= 1;
-            }
-            let page = &self.pages[page_no];
-            if !injected && page.checksum() == self.checksums[page_no] {
-                return Ok(self.frame(page_no));
-            }
-            if attempt < MAX_READ_RETRIES {
-                // Re-read: reposition + burst the block again, after an
-                // exponential backoff sleep (halt-priced idle time).
-                io.retry_ios += 1;
-                io.retry_bytes += PAGE_SIZE as u64;
-                *backoff_ns += BACKOFF_BASE_NS << attempt;
-            }
-        }
-        Err(match fault {
-            Some(PageFault::Permanent) => IoError::Permanent {
-                table: self.table_id,
-                page: page_no as u32,
-            },
-            _ => IoError::Corrupt {
-                table: self.table_id,
-                page: page_no as u32,
-            },
-        })
-    }
-
     /// Corrupt one byte of a page's raw image *without* refreshing its
-    /// stored checksum — a test hook: the next checked read of the page
-    /// must detect the mismatch, exhaust its retries and report
+    /// stored checksum — a test hook: the next read of the page that
+    /// misses must detect the mismatch, exhaust its retries and report
     /// [`IoError::Corrupt`].
     pub fn corrupt_page(&mut self, page_no: usize, offset: usize) {
         self.pages[page_no].flip_byte(offset);
@@ -938,6 +884,16 @@ mod tests {
             .collect()
     }
 
+    /// A fault-free serial-stream read of page `p`.
+    fn read(t: &DiskTable, p: usize) -> (Arc<PageFrame>, Ledger) {
+        t.read_page_checked(p).expect("fault-free read")
+    }
+
+    /// What a serial-stream scan of every page of `t` charged.
+    fn scan(t: &DiskTable) -> Ledger {
+        (0..t.num_pages()).map(|p| read(t, p).1).sum()
+    }
+
     #[test]
     fn load_packs_multiple_pages() {
         let pool = Arc::new(BufferPool::new(64));
@@ -948,7 +904,7 @@ mod tests {
         // Read everything back in order.
         let mut seen = 0usize;
         for p in 0..t.num_pages() {
-            for tup in t.read_page(p).tuples() {
+            for tup in read(&t, p).0.tuples() {
                 assert_eq!(tup[0], Value::Int(seen as i64));
                 seen += 1;
             }
@@ -959,12 +915,8 @@ mod tests {
     #[test]
     fn full_scan_charges_mostly_sequential_io() {
         let pool = Arc::new(BufferPool::new(256));
-        let t = DiskTable::load(1, schema(), tuples(2000), Arc::clone(&pool));
-        pool.take_io();
-        for p in 0..t.num_pages() {
-            t.read_page(p);
-        }
-        let io = pool.take_io().disk;
+        let t = DiskTable::load(1, schema(), tuples(2000), pool);
+        let io = scan(&t).disk;
         // One repositioning per extent, streaming within extents.
         let extents = t
             .num_pages()
@@ -979,15 +931,11 @@ mod tests {
     #[test]
     fn warm_scan_is_io_free() {
         let pool = Arc::new(BufferPool::new(256));
-        let t = DiskTable::load(1, schema(), tuples(2000), Arc::clone(&pool));
+        let t = DiskTable::load(1, schema(), tuples(2000), pool);
+        assert!(!scan(&t).is_empty(), "a cold scan reads the disk");
         for p in 0..t.num_pages() {
-            t.read_page(p);
+            assert!(read(&t, p).1.is_empty(), "warm scan must not hit disk");
         }
-        pool.take_io();
-        for p in 0..t.num_pages() {
-            t.read_page(p);
-        }
-        assert!(pool.take_io().is_empty(), "warm scan must not hit disk");
     }
 
     #[test]
@@ -995,15 +943,9 @@ mod tests {
         // A pool smaller than the table forces a full re-read on the
         // second scan (the classic sequential-flooding pattern).
         let pool = Arc::new(BufferPool::new(2));
-        let t = DiskTable::load(1, schema(), tuples(2000), Arc::clone(&pool));
-        for p in 0..t.num_pages() {
-            t.read_page(p);
-        }
-        pool.take_io();
-        for p in 0..t.num_pages() {
-            t.read_page(p);
-        }
-        let io = pool.take_io().disk;
+        let t = DiskTable::load(1, schema(), tuples(2000), pool);
+        scan(&t);
+        let io = scan(&t).disk;
         assert!(
             io.total_bytes() as usize >= (t.num_pages() - 1) * PAGE_SIZE,
             "rescan should re-read nearly everything"
@@ -1149,29 +1091,6 @@ mod tests {
         assert_eq!(t.avg_tuple_bytes(), 0);
     }
 
-    #[test]
-    fn checked_scan_is_charge_identical_to_unchecked_when_fault_free() {
-        let data = tuples(2000);
-        let pa = Arc::new(BufferPool::new(256));
-        let pb = Arc::new(BufferPool::new(256));
-        let a = DiskTable::load(1, schema(), &data, Arc::clone(&pa));
-        let b = DiskTable::load(1, schema(), &data, Arc::clone(&pb));
-        pa.take_io();
-        pb.take_io();
-        for p in 0..a.num_pages() {
-            let ta = a.read_page(p);
-            let (tb, backoff) = b.read_page_checked(p).expect("fault-free read");
-            assert_eq!(ta.tuples(), tb.tuples());
-            assert_eq!(backoff, 0, "no fault ⇒ no backoff");
-        }
-        let (ia, ib) = (pa.take_io(), pb.take_io());
-        ia.assert_same(&ib, "checked vs unchecked scan");
-        assert!(
-            ib.without_schema(1).is_empty(),
-            "no fault ⇒ only v1 charges"
-        );
-    }
-
     /// With a saturated plan every page faults; pick one of each kind.
     fn fault_of_kind(
         plan: &eco_simhw::fault::FaultPlan,
@@ -1195,7 +1114,6 @@ mod tests {
     fn transient_fault_retries_with_exact_ledger_charges() {
         let pool = Arc::new(BufferPool::new(256));
         let t = DiskTable::load(1, schema(), tuples(2000), Arc::clone(&pool));
-        pool.take_io();
         let plan = FaultPlan::new(42, 1_000_000);
         pool.set_fault_plan(plan);
         let (page, fault) = fault_of_kind(&plan, 1, t.num_pages() as u64, Some(true))
@@ -1203,25 +1121,34 @@ mod tests {
         let PageFault::Transient { failures } = fault else {
             unreachable!()
         };
-        let (data, backoff) = t
-            .read_page_checked(page as usize)
-            .expect("transient fault recovers within the retry budget");
-        assert!(!data.is_empty(), "recovered read returns real tuples");
-        assert_eq!(backoff, eco_simhw::fault::backoff_ns_for(failures));
-        let io = pool.take_io().disk;
-        assert_eq!(io.retry_ios, failures as u64, "one re-read per failure");
-        assert_eq!(io.retry_bytes, failures as u64 * PAGE_SIZE as u64);
-        // Re-reading the now-cached page is a hit: no further charges.
-        let (_, backoff2) = t.read_page_checked(page as usize).expect("hit");
-        assert_eq!(backoff2, 0);
-        assert!(pool.take_io().is_empty());
+        // Whatever the access, the read returns its retries and backoff.
+        for access in [
+            Access::Scan(DEFAULT_STREAM),
+            Access::Scan(77),
+            Access::Index,
+        ] {
+            pool.flush();
+            let (data, io) = t
+                .read_page(page as usize, access)
+                .expect("transient fault recovers within the retry budget");
+            assert!(!data.is_empty(), "recovered read returns real tuples");
+            assert_eq!(io.backoff_ns, eco_simhw::fault::backoff_ns_for(failures));
+            assert_eq!(
+                io.disk.retry_ios, failures as u64,
+                "one re-read per failure"
+            );
+            assert_eq!(io.disk.retry_bytes, failures as u64 * PAGE_SIZE as u64);
+            // Re-reading the now-cached page is a hit: no further charges.
+            let (_, io) = t.read_page(page as usize, access).expect("hit");
+            assert!(io.is_empty());
+        }
+        t.end_stream(77);
     }
 
     #[test]
     fn permanent_fault_reports_a_typed_error() {
         let pool = Arc::new(BufferPool::new(256));
         let t = DiskTable::load(1, schema(), tuples(20_000), Arc::clone(&pool));
-        pool.take_io();
         let plan = FaultPlan::new(42, 1_000_000);
         pool.set_fault_plan(plan);
         let (page, _) = fault_of_kind(&plan, 1, t.num_pages() as u64, Some(false))
@@ -1235,15 +1162,14 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("permanent read fault"));
-        // The failed attempt's charges are discarded with it.
-        assert!(pool.take_io().is_empty());
+        // Nothing was cached by the failed read.
+        assert_eq!(pool.stats().resident, 0);
     }
 
     #[test]
     fn stall_fault_charges_backoff_only() {
         let pool = Arc::new(BufferPool::new(256));
         let t = DiskTable::load(1, schema(), tuples(20_000), Arc::clone(&pool));
-        pool.take_io();
         let plan = FaultPlan::new(42, 1_000_000);
         pool.set_fault_plan(plan);
         let (page, fault) = fault_of_kind(&plan, 1, t.num_pages() as u64, None)
@@ -1251,48 +1177,21 @@ mod tests {
         let PageFault::Stall { ns } = fault else {
             unreachable!()
         };
-        let (_, backoff) = t.read_page_checked(page as usize).expect("stall succeeds");
-        assert_eq!(backoff, ns);
-        let io = pool.take_io();
+        let (_, io) = t.read_page_checked(page as usize).expect("stall succeeds");
+        assert_eq!(io.backoff_ns, ns);
         assert_eq!(io.disk.retry_ios, 0, "a stall is not a retry");
     }
 
     #[test]
     fn corrupted_page_is_detected_and_reported() {
         let pool = Arc::new(BufferPool::new(256));
-        let mut t = DiskTable::load(1, schema(), tuples(2000), Arc::clone(&pool));
+        let mut t = DiskTable::load(1, schema(), tuples(2000), pool);
         t.corrupt_page(3, 100);
-        pool.take_io();
         let err = t.read_page_checked(3).unwrap_err();
         assert_eq!(err, IoError::Corrupt { table: 1, page: 3 });
         assert!(err.to_string().contains("checksum mismatch"));
         // Neighbouring pages are unaffected.
         assert!(t.read_page_checked(2).is_ok());
         assert!(t.read_page_checked(4).is_ok());
-        // The unchecked path does not verify — it still decodes
-        // whatever the (possibly garbled) page image yields, so
-        // corruption detection is the checked path's job.
-    }
-
-    #[test]
-    fn stream_checked_reads_return_io_directly() {
-        let pool = Arc::new(BufferPool::new(256));
-        let t = DiskTable::load(1, schema(), tuples(2000), Arc::clone(&pool));
-        pool.take_io();
-        let plan = FaultPlan::new(42, 1_000_000);
-        pool.set_fault_plan(plan);
-        let (page, fault) = fault_of_kind(&plan, 1, t.num_pages() as u64, Some(true))
-            .expect("saturated plan has a transient fault");
-        let PageFault::Transient { failures } = fault else {
-            unreachable!()
-        };
-        let (_, io) = t
-            .read_page_stream_checked(page as usize, 77)
-            .expect("recovers");
-        assert_eq!(io.disk.retry_ios, failures as u64);
-        assert_eq!(io.backoff_ns, eco_simhw::fault::backoff_ns_for(failures));
-        // Stream charges are returned, not pooled.
-        assert!(pool.take_io().is_empty());
-        t.end_stream(77);
     }
 }

@@ -84,7 +84,7 @@ pub mod value;
 pub mod wal;
 
 pub use btree::{BTreeIndex, IndexProbe, KeyBound};
-pub use bufferpool::{BufferPool, PageFrame, PageId};
+pub use bufferpool::{Access, BufferPool, PageFrame, PageId, DEFAULT_STREAM};
 pub use catalog::{Catalog, IndexEntry, IndexError, StoredTable, TableData};
 pub use column::{ColumnChunk, ColumnData, DataChunk, StrColumn};
 pub use disk_table::{ColumnarExtents, IoError};

@@ -548,7 +548,14 @@ mod tests {
         };
         let mut from_disk = Vec::new();
         for p in 0..dt.num_pages() {
-            from_disk.extend(dt.read_page(p).tuples().iter().cloned());
+            from_disk.extend(
+                dt.read_page_checked(p)
+                    .expect("read")
+                    .0
+                    .tuples()
+                    .iter()
+                    .cloned(),
+            );
         }
         assert_eq!(
             h.rows().collect::<Vec<_>>(),

@@ -1,6 +1,6 @@
 //! Property tests for lazily decoded buffer-pool frames.
 //!
-//! A buffer-pool miss runs the whole checked path — fault-plan lookup,
+//! A buffer-pool miss runs the whole verified path — fault-plan lookup,
 //! checksum verification, retry and backoff charging, miss
 //! classification, LRU stamp — and leaves a frame whose tuples are
 //! decoded only when a row reader first asks. Nothing priced may depend
@@ -36,8 +36,8 @@ use ecodb::simhw::fault::{backoff_ns_for, FaultPlan, PageFault};
 use ecodb::simhw::trace::DiskWork;
 use ecodb::storage::disk_table::DiskTable;
 use ecodb::storage::{
-    BufferPool, Catalog, ColumnType, IoError, PageFrame, PageId, Schema, StoredTable, TableData,
-    Tuple, Value,
+    Access, BufferPool, Catalog, ColumnType, IoError, PageFrame, PageId, Schema, StoredTable,
+    TableData, Tuple, Value,
 };
 
 const TABLE: &str = "t";
@@ -181,8 +181,8 @@ proptest! {
                     let l = disk(&lt).read_page_checked(page);
                     let e = disk(&et).read_page_checked(page);
                     match (&l, &e) {
-                        (Ok((lf, lb)), Ok((ef, eb))) => {
-                            prop_assert_eq!(lb, eb, "{}: backoff", &what);
+                        (Ok((lf, lio)), Ok((ef, eio))) => {
+                            lio.assert_same(eio, &what);
                             prop_assert_eq!(lf.tuples(), ef.tuples(), "{}", &what);
                             prop_assert_eq!(lf.tuples(), page_rows(disk(&lt), &rows, page));
                         }
@@ -204,9 +204,6 @@ proptest! {
                     eager.pool().evict_table(id(&eager));
                 }
             }
-            // Scans and probes drained their own charges; a bare page
-            // read leaves them in the pool's ledger.
-            prop_assert_eq!(lazy.pool().take_io(), eager.pool().take_io(), "{}", &what);
             prop_assert_eq!(lazy.pool().stats(), eager.pool().stats(), "{}", &what);
         }
     }
@@ -303,12 +300,11 @@ fn a_row_read_after_a_columnar_touch_is_a_hit_with_the_right_tuples() {
     let before = cat.pool().stats();
     let pages = disk(&table).num_pages();
     for page in 0..pages {
-        let (frame, backoff) = disk(&table).read_page_checked(page).expect("resident");
-        assert_eq!(backoff, 0);
+        let (frame, io) = disk(&table).read_page_checked(page).expect("resident");
+        assert!(io.is_empty(), "hits charge nothing");
         assert_eq!(frame.len(), page_rows(disk(&table), &rows, page).len());
         assert_eq!(frame.tuples(), page_rows(disk(&table), &rows, page));
     }
-    assert!(cat.pool().take_io().is_empty(), "hits charge nothing");
     let after = cat.pool().stats();
     assert_eq!(after.misses, before.misses);
     assert_eq!(after.hits, before.hits + pages as u64);
@@ -329,9 +325,9 @@ fn resident_frames(cat: &Catalog) -> Vec<Arc<PageFrame>> {
     let mut frames = Vec::new();
     for (table, pages) in ids {
         for page in 0..pages as u32 {
-            let hit: Result<_, ()> = cat
-                .pool()
-                .get_index_checked(PageId { table, page }, |_, _, _| Err(()));
+            let hit: Result<_, ()> =
+                cat.pool()
+                    .read(PageId { table, page }, Access::Index, |_, _, _| Err(()));
             frames.extend(hit.map(|(frame, _)| frame));
         }
     }
