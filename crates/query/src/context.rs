@@ -45,7 +45,7 @@ pub struct ExecCtx {
     pub workers: usize,
     /// Target input tuples per morsel for parallel scans. Leaf
     /// operators may align this upward (disk scans round to whole
-    /// extents so parallel I/O charges stay identical to serial).
+    /// extents, so that each extent chunk belongs to one morsel).
     pub morsel_rows: usize,
     /// The engine: when set, drivers, blocking operators and morsel
     /// workers move data through [`crate::ops::Operator::next_chunk`]

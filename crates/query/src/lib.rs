@@ -45,11 +45,11 @@
 //! On the columnar engine [`exec::execute_rows`] runs a plan across
 //! [`ExecCtx::workers`](context::ExecCtx) worker threads (the scalar
 //! oracle runs serial at any worker count):
-//! partitionable pipelines split into [`parallel::Morsel`]s (rows for
-//! memory sources, whole disk extents for paged tables), workers run
-//! per-morsel pipeline clones charging private forked ledgers, and
-//! results merge back **in morsel order** — through the driver's own
-//! gather of a partitionable root, a partitioned parallel
+//! partitionable pipelines split into morsels (rows for memory sources,
+//! whole disk extents for paged tables; [`ops::Operator::split`]),
+//! workers run the per-morsel pipelines charging private forked
+//! ledgers, and results merge back **in morsel order** — through the
+//! driver's own gather of a partitionable root, a partitioned parallel
 //! [`ops::HashJoin`] build, per-morsel partial aggregation in
 //! [`ops::HashAggregate`], and an order-preserving gather below
 //! [`ops::Sort`]. The invariant extends to parallelism: the
@@ -90,4 +90,3 @@ pub use error::ExecError;
 pub use exec::{execute, ExecEngine};
 pub use expr::{AggFunc, ArithOp, CmpOp, Expr};
 pub use ops::Operator;
-pub use parallel::Morsel;

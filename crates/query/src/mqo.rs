@@ -47,7 +47,7 @@ use crate::chunk::{Chunk, Rows};
 use crate::context::ExecCtx;
 use crate::expr::Expr;
 use crate::ops::{BoxedOp, Operator, SeqScan};
-use crate::parallel::{run_morsels, Morsel};
+use crate::parallel::run_morsels;
 
 /// Widest key span (`max − min + 1`) the routing table indexes densely
 /// by `key − min` (64 KiB of entries — QED's 50 quantities need 816
@@ -489,18 +489,17 @@ impl Operator for MultiFilter {
         }
     }
 
-    fn morsels(&self, target_rows: usize) -> Option<Vec<Morsel>> {
-        self.child.morsels(target_rows)
-    }
-
-    fn clone_morsel(&self, morsel: &Morsel) -> Option<BoxedOp> {
-        let child = self.child.clone_morsel(morsel)?;
-        Some(Box::new(MultiFilter {
-            child,
-            routing: Arc::clone(&self.routing),
-            schema: self.schema.clone(),
-            pending: std::collections::VecDeque::new(),
-        }))
+    fn split(&self, target_rows: usize) -> Option<Vec<BoxedOp>> {
+        let parts = self.child.split(target_rows)?;
+        let multi_filter = |child| -> BoxedOp {
+            Box::new(MultiFilter {
+                child,
+                routing: Arc::clone(&self.routing),
+                schema: self.schema.clone(),
+                pending: std::collections::VecDeque::new(),
+            })
+        };
+        Some(parts.into_iter().map(multi_filter).collect())
     }
 }
 

@@ -6,7 +6,6 @@ use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::expr::Expr;
 use crate::ops::{mark_read, BoxedOp, Operator};
-use crate::parallel::Morsel;
 
 /// Predicate filter. The expression evaluator itself charges one
 /// `PredEval` per comparison, so selective predicates are cheap and
@@ -80,13 +79,10 @@ impl Operator for Filter {
         self.child.prune(&needed);
     }
 
-    fn morsels(&self, target_rows: usize) -> Option<Vec<Morsel>> {
-        self.child.morsels(target_rows)
-    }
-
-    fn clone_morsel(&self, morsel: &Morsel) -> Option<BoxedOp> {
-        let child = self.child.clone_morsel(morsel)?;
-        Some(Box::new(Filter::new(child, self.predicate.clone())))
+    fn split(&self, target_rows: usize) -> Option<Vec<BoxedOp>> {
+        let parts = self.child.split(target_rows)?;
+        let filter = |child| -> BoxedOp { Box::new(Filter::new(child, self.predicate.clone())) };
+        Some(parts.into_iter().map(filter).collect())
     }
 }
 

@@ -101,12 +101,13 @@
 //!
 //! When the columnar engine runs with [`ExecCtx::workers`] greater than
 //! one, partitionable pipelines execute in parallel (the scalar oracle
-//! never does; see [`crate::parallel`]): a *morsel* is a contiguous run of a
-//! leaf's input ([`crate::parallel::Morsel`] — rows for memory-resident
-//! sources, whole disk extents for paged tables), and
-//! [`Operator::morsels`] / [`Operator::clone_morsel`] let non-blocking
-//! pipeline segments (scan → filter → project chains) describe and
-//! replicate themselves per morsel. Worker threads each run their
+//! never does; see [`crate::parallel`]): a *morsel* is a contiguous run
+//! of a leaf's input (rows for memory-resident sources, whole disk
+//! extents for paged tables), and [`Operator::split`] cuts a
+//! non-blocking pipeline segment (a scan → filter → project chain) into
+//! one fresh copy per morsel. A disk scan's split reads the pages of
+//! every morsel through the buffer pool itself, in page order, so the
+//! workers never touch the pool. Worker threads each run their
 //! morsels' pipelines to completion, charging a private forked
 //! [`ExecCtx`] ledger; per-morsel outputs are then stitched back
 //! together **in morsel order**, so every consumer observes the exact
@@ -163,7 +164,6 @@ use eco_storage::{DataChunk, Schema, Tuple};
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::expr::Expr;
-use crate::parallel::Morsel;
 
 /// A Volcano-style physical operator with an optional columnar path
 /// and an optional morsel-parallel decomposition.
@@ -214,28 +214,20 @@ pub trait Operator: Send {
     fn prune(&mut self, _needed: &[bool]) {}
 
     /// Morsel decomposition: if this subtree is a partitionable
-    /// pipeline (a non-blocking chain over a single source leaf),
-    /// return the morsels that cover its input exactly, sized near
-    /// `target_rows` input tuples each. Leaves choose the unit (rows
-    /// for memory sources; whole disk extents for paged tables, so
-    /// parallel cold-scan I/O classifies identically to serial);
-    /// streaming wrappers (filter, project) delegate to their child.
+    /// pipeline (a non-blocking chain over a single source leaf), cut
+    /// it into fresh, unopened copies, each over one morsel of its
+    /// input, sized near `target_rows` input tuples. Running them to
+    /// completion and concatenating their outputs in order reproduces
+    /// this operator's serial output stream and charges, exactly. The
+    /// leaf chooses the unit (rows for memory sources, whole extents
+    /// for paged tables) and decides before it reads anything;
+    /// streaming wrappers (filter, project) wrap each of their child's
+    /// parts.
     ///
-    /// `None` (the default) means the subtree cannot be partitioned and
-    /// parallel consumers fall back to serial execution — which is
-    /// always ledger-identical.
-    fn morsels(&self, _target_rows: usize) -> Option<Vec<Morsel>> {
-        None
-    }
-
-    /// Build a fresh, unopened copy of this pipeline restricted to one
-    /// morsel of its input. Running every morsel's clone to completion
-    /// and concatenating the outputs in morsel order reproduces this
-    /// operator's serial output stream and charges, exactly.
-    ///
-    /// Must return `Some` for every morsel produced by
-    /// [`Operator::morsels`], and `None` whenever `morsels` does.
-    fn clone_morsel(&self, _morsel: &Morsel) -> Option<BoxedOp> {
+    /// Returns `None` (the default: the subtree cannot be partitioned,
+    /// and parallel consumers fall back to serial execution, which is
+    /// always ledger-identical) or at least two parts.
+    fn split(&self, _target_rows: usize) -> Option<Vec<BoxedOp>> {
         None
     }
 }

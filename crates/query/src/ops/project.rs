@@ -8,7 +8,6 @@ use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::expr::Expr;
 use crate::ops::{mark_read, BoxedOp, Operator};
-use crate::parallel::Morsel;
 
 /// Expression projection with named output columns.
 pub struct Project {
@@ -82,17 +81,16 @@ impl Operator for Project {
         self.child.prune(&needed);
     }
 
-    fn morsels(&self, target_rows: usize) -> Option<Vec<Morsel>> {
-        self.child.morsels(target_rows)
-    }
-
-    fn clone_morsel(&self, morsel: &Morsel) -> Option<BoxedOp> {
-        let child = self.child.clone_morsel(morsel)?;
-        Some(Box::new(Project {
-            child,
-            exprs: self.exprs.clone(),
-            schema: self.schema.clone(),
-        }))
+    fn split(&self, target_rows: usize) -> Option<Vec<BoxedOp>> {
+        let parts = self.child.split(target_rows)?;
+        let project = |child| -> BoxedOp {
+            Box::new(Project {
+                child,
+                exprs: self.exprs.clone(),
+                schema: self.schema.clone(),
+            })
+        };
+        Some(parts.into_iter().map(project).collect())
     }
 }
 

@@ -1,46 +1,46 @@
 //! Sequential scan over a stored table (memory or disk engine).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
 use std::sync::Arc;
 
-use eco_simhw::trace::{OpClass, PricingMode};
+use eco_simhw::trace::{Ledger, OpClass, PricingMode};
+use eco_storage::bufferpool::EXTENT_PAGES;
 use eco_storage::disk_table::DiskTable;
-use eco_storage::{Access, PageFrame, Schema, StoredTable, TableData, Tuple, DEFAULT_STREAM};
+use eco_storage::{Access, IoError, PageFrame, Schema, StoredTable, TableData, Tuple};
 
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::ops::{BoxedOp, Operator};
-use crate::parallel::{split_units, Morsel};
-
-/// Allocator for private buffer-pool scan streams (stream 0,
-/// [`DEFAULT_STREAM`], is the serial scan's; partitioned scans each get
-/// their own so sequential-transfer detection survives interleaved
-/// workers).
-static NEXT_SCAN_STREAM: AtomicU64 = AtomicU64::new(1);
+use crate::parallel::split_units;
 
 /// The portion of the table this scan covers.
-#[derive(Debug, Clone, Copy)]
 enum ScanBounds {
-    /// The whole table (the serial scan).
+    /// The whole table (the serial scan), read through the buffer pool.
     Full,
-    /// Rows `[start, end)` of a memory table.
-    MemoryRows { start: usize, end: usize },
-    /// Pages `[start, end)` of a disk table, read on a private
-    /// buffer-pool stream.
-    DiskPages {
-        start: usize,
-        end: usize,
-        stream: u64,
-    },
+    /// Rows of a memory table.
+    MemoryRows(Range<usize>),
+    /// Pages of a disk table, read before the partition was made.
+    DiskPages(Box<DiskPart>),
+}
+
+/// A disk partition as the reads of [`SeqScan::split`] left it: the
+/// frames of its pages in page order, what those reads charged (merged
+/// into the ledger of whoever opens the partition), and the error of
+/// the read that failed, if it was one of this partition's. A read
+/// fails on the page after the last frame; no partition after it has
+/// a frame.
+struct DiskPart {
+    pages: Range<usize>,
+    frames: Vec<Arc<PageFrame>>,
+    io: Ledger,
+    error: Option<IoError>,
 }
 
 /// Full-table sequential scan.
 ///
 /// Charges one `TupleFetch` plus the tuple's average width in memory
 /// bytes per tuple produced. Disk-engine scans additionally charge
-/// every page read what the buffer pool returned for it: a whole-table
-/// scan reads on the serial stream ([`DEFAULT_STREAM`]), a partition
-/// on a private one.
+/// every page read what the buffer pool returned for it.
 ///
 /// Under [`PricingMode::Compressed`] (ledger schema v3) the per-tuple
 /// memory charge is the table's average *encoded* width instead — the
@@ -51,12 +51,12 @@ enum ScanBounds {
 /// carry the encoded mirror so downstream kernels can run directly on
 /// the compressed form.
 ///
-/// For parallel execution the scan partitions itself into [`Morsel`]s:
-/// row ranges on the memory engine, whole disk *extents* on the disk
-/// engine. Extent alignment matters for ledger identity — serial cold
-/// scans charge one repositioning per extent and stream within it, and
-/// an extent-aligned partition read on its own buffer-pool stream
-/// charges exactly the same pattern.
+/// For parallel execution the scan splits itself into morsels
+/// ([`Operator::split`]): row ranges on the memory engine, whole disk
+/// *extents* on the disk engine, so that each extent chunk belongs to
+/// one partition. A disk split reads every page through the pool
+/// itself, in page order, before any partition runs: the reads a
+/// serial scan makes, charged where serial execution charges them.
 pub struct SeqScan {
     table: Arc<StoredTable>,
     avg_bytes: u64,
@@ -73,12 +73,15 @@ pub struct SeqScan {
 impl SeqScan {
     /// Scan over a catalog table.
     pub fn new(table: Arc<StoredTable>) -> Self {
-        let avg_bytes = table.avg_tuple_bytes();
         let needed = vec![true; table.schema().arity()];
+        Self::with_bounds(table, ScanBounds::Full, needed)
+    }
+
+    fn with_bounds(table: Arc<StoredTable>, bounds: ScanBounds, needed: Vec<bool>) -> Self {
         Self {
+            avg_bytes: table.avg_tuple_bytes(),
             table,
-            avg_bytes,
-            bounds: ScanBounds::Full,
+            bounds,
             needed,
             page_no: 0,
             current: None,
@@ -106,47 +109,24 @@ impl SeqScan {
         }
     }
 
-    /// Whether a recorded error has failed the query — a page read of
-    /// this scan's or any other's, a zero divisor downstream — so the
-    /// scan ends its stream (releasing its private pool stream).
-    fn stopped(&self, ctx: &ExecCtx) -> bool {
-        if ctx.error().is_none() {
-            return false;
-        }
-        if let (TableData::Disk(disk), ScanBounds::DiskPages { stream, .. }) =
-            (&self.table.data, self.bounds)
-        {
-            disk.end_stream(stream);
-        }
-        true
-    }
-
-    /// First memory-row index of this scan's range.
-    fn mem_start(&self) -> usize {
-        match self.bounds {
-            ScanBounds::MemoryRows { start, .. } => start,
-            _ => 0,
-        }
-    }
-
-    /// One-past-last memory-row index of this scan's range.
-    fn mem_end(&self, total: usize) -> usize {
-        match self.bounds {
-            ScanBounds::MemoryRows { end, .. } => end.min(total),
-            _ => total,
+    /// Memory-row range `[start, end)` this scan covers.
+    fn mem_range(&self, total: usize) -> (usize, usize) {
+        match &self.bounds {
+            ScanBounds::MemoryRows(rows) => (rows.start, rows.end.min(total)),
+            _ => (0, total),
         }
     }
 
     /// Page range `[start, end)` this scan covers on the disk engine.
     fn page_range(&self, num_pages: usize) -> (usize, usize) {
-        match self.bounds {
-            ScanBounds::DiskPages { start, end, .. } => (start, end.min(num_pages)),
+        match &self.bounds {
+            ScanBounds::DiskPages(part) => (part.pages.start, part.pages.end),
             _ => (0, num_pages),
         }
     }
 
-    /// Ensure `self.current` holds the next unread disk page, charging
-    /// buffer pool I/O. Returns `false` at end of the scan's range.
+    /// Ensure `self.current` holds the next unread disk page. Returns
+    /// `false` at end of the scan's range or on a failed read.
     fn advance_disk_page(&mut self, ctx: &mut ExecCtx) -> bool {
         let TableData::Disk(disk) = &self.table.data else {
             unreachable!("advance_disk_page on a memory table");
@@ -159,47 +139,74 @@ impl SeqScan {
         let (_, end) = self.page_range(disk.num_pages());
         if self.page_no >= end {
             self.current = None;
-            if let ScanBounds::DiskPages { stream, .. } = self.bounds {
-                // Release the pool's per-stream scan-position entry —
-                // stream ids are never reused, so a finished partition
-                // must clean up after itself.
-                disk.end_stream(stream);
-            }
             return false;
         }
-        self.current = self.read_page(disk, self.page_no, ctx);
+        self.current = self.page(disk, self.page_no, ctx);
         self.page_no += 1;
         self.idx = 0;
         self.current.is_some()
     }
 
-    /// Read page `page_no` on this scan's stream, charging `ctx` what
-    /// the read charged. On a failed read, records the error (a
-    /// partition also ends its private stream) and returns `None`.
-    fn read_page(
-        &self,
-        disk: &DiskTable,
-        page_no: usize,
-        ctx: &mut ExecCtx,
-    ) -> Option<Arc<PageFrame>> {
-        let stream = match self.bounds {
-            ScanBounds::DiskPages { stream, .. } => stream,
-            _ => DEFAULT_STREAM,
-        };
-        match disk.read_page(page_no, Access::Scan(stream)) {
-            Ok((page, io)) => {
+    /// Page `page_no`: a whole-table scan reads it through the pool and
+    /// charges `ctx` what the read charged; a partition hands out the
+    /// frame its split read. Where a read failed, records its error
+    /// and returns `None`; so does a partition past a failed read.
+    fn page(&self, disk: &DiskTable, page_no: usize, ctx: &mut ExecCtx) -> Option<Arc<PageFrame>> {
+        let read = match &self.bounds {
+            ScanBounds::DiskPages(part) => match part.frames.get(page_no - part.pages.start) {
+                Some(frame) => Ok(Arc::clone(frame)),
+                None => Err(part.error?),
+            },
+            _ => disk.read_page(page_no, Access::Scan).map(|(frame, io)| {
                 ctx.ledger.merge(&io);
-                Some(page)
+                frame
+            }),
+        };
+        read.map_err(|e| ctx.fail(e.into())).ok()
+    }
+
+    /// The page ranges a disk split cuts, each near `target_rows` rows
+    /// rounded up to whole extents (`None` below two).
+    fn extent_ranges(disk: &DiskTable, target_rows: usize) -> Option<Vec<Range<usize>>> {
+        let pages = disk.num_pages();
+        let extent = EXTENT_PAGES as usize;
+        let tuples_per_page = disk.len().div_ceil(pages.max(1)).max(1);
+        let raw_pages = target_rows.div_ceil(tuples_per_page).max(1);
+        split_units(pages, raw_pages.div_ceil(extent) * extent)
+    }
+}
+
+/// Read the pages of `ranges` through the pool in page order — the
+/// reads a whole-table scan makes — up to the first that fails, and
+/// hand each range what its reads returned.
+fn read_parts(disk: &DiskTable, ranges: Vec<Range<usize>>) -> Vec<ScanBounds> {
+    let mut failed = false;
+    let mut parts = Vec::with_capacity(ranges.len());
+    for pages in ranges {
+        let mut part = DiskPart {
+            frames: Vec::with_capacity(pages.len()),
+            pages: pages.clone(),
+            io: Ledger::new(),
+            error: None,
+        };
+        for p in pages {
+            if failed {
+                break;
             }
-            Err(e) => {
-                ctx.fail(e.into());
-                if let ScanBounds::DiskPages { stream, .. } = self.bounds {
-                    disk.end_stream(stream);
+            match disk.read_page(p, Access::Scan) {
+                Ok((frame, io)) => {
+                    part.io.merge(&io);
+                    part.frames.push(frame);
                 }
-                None
+                Err(e) => {
+                    part.error = Some(e);
+                    failed = true;
+                }
             }
         }
+        parts.push(ScanBounds::DiskPages(Box::new(part)));
     }
+    parts
 }
 
 impl Operator for SeqScan {
@@ -219,27 +226,30 @@ impl Operator for SeqScan {
                 TableData::Disk(disk) => disk.columnar().avg_encoded_tuple_bytes(),
             },
         };
+        // A disk partition's reads are charged to whoever opens it.
+        if let ScanBounds::DiskPages(part) = &mut self.bounds {
+            ctx.ledger.merge(&std::mem::take(&mut part.io));
+        }
         self.current = None;
-        match (&self.table.data, self.bounds) {
-            (TableData::Disk(disk), _) => {
-                let (start, _) = self.page_range(disk.num_pages());
-                self.page_no = start;
+        match &self.table.data {
+            TableData::Disk(disk) => {
+                (self.page_no, _) = self.page_range(disk.num_pages());
                 self.idx = 0;
             }
-            (TableData::Memory(_), _) => {
+            TableData::Memory(heap) => {
                 self.page_no = 0;
-                self.idx = self.mem_start();
+                (self.idx, _) = self.mem_range(heap.len());
             }
         }
     }
 
     fn next(&mut self, ctx: &mut ExecCtx) -> Option<Tuple> {
-        if self.stopped(ctx) {
+        if ctx.error().is_some() {
             return None;
         }
         match &self.table.data {
             TableData::Memory(heap) => {
-                if self.idx < self.mem_end(heap.len()) {
+                if self.idx < self.mem_range(heap.len()).1 {
                     let t = heap.row(self.idx);
                     self.idx += 1;
                     self.charge_tuple(ctx);
@@ -272,13 +282,13 @@ impl Operator for SeqScan {
     /// frames it leaves resident stay undecoded until a row reader
     /// needs them).
     fn next_chunk(&mut self, ctx: &mut ExecCtx) -> Option<Chunk> {
-        if self.stopped(ctx) {
+        if ctx.error().is_some() {
             return None;
         }
         match &self.table.data {
             TableData::Memory(heap) => {
                 let cols = heap.columns();
-                let limit = self.mem_end(cols.len());
+                let (_, limit) = self.mem_range(cols.len());
                 if self.idx >= limit {
                     return None;
                 }
@@ -299,11 +309,11 @@ impl Operator for SeqScan {
                 // One extent (the I/O scheduling granule) per call:
                 // charge the pool for every covered page, then emit the
                 // extent chunk's matching row window.
-                let extent = eco_storage::bufferpool::EXTENT_PAGES as usize;
+                let extent = EXTENT_PAGES as usize;
                 let extent_no = self.page_no / extent;
                 let page_end = ((extent_no + 1) * extent).min(bound_end);
                 for p in self.page_no..page_end {
-                    self.read_page(disk, p, ctx)?;
+                    self.page(disk, p, ctx)?;
                 }
                 // Compressed pricing encodes whole extents.
                 let cols = match ctx.pricing {
@@ -321,11 +331,6 @@ impl Operator for SeqScan {
                 }
                 self.charge_tuples(ctx, (g1 - g0) as u64);
                 self.page_no = page_end;
-                if self.page_no >= bound_end {
-                    if let ScanBounds::DiskPages { stream, .. } = self.bounds {
-                        disk.end_stream(stream);
-                    }
-                }
                 Some(chunk)
             }
         }
@@ -338,58 +343,30 @@ impl Operator for SeqScan {
         self.needed = needed.to_vec();
     }
 
-    fn morsels(&self, target_rows: usize) -> Option<Vec<Morsel>> {
+    /// A whole-table scan splits into row ranges on a memory table and
+    /// whole extents on a disk table, where it then reads every page of
+    /// them here, in page order, up to the first failed read: no
+    /// partition touches the pool.
+    fn split(&self, target_rows: usize) -> Option<Vec<BoxedOp>> {
         if !matches!(self.bounds, ScanBounds::Full) {
             // Already a partition of some other scan; never re-split.
             return None;
         }
-        match &self.table.data {
-            TableData::Memory(heap) => {
-                let n = heap.len();
-                (n > 0).then(|| split_units(n, target_rows))
-            }
-            TableData::Disk(disk) => {
-                let pages = disk.num_pages();
-                if pages == 0 {
-                    return None;
-                }
-                // Convert the row target to pages, then round *up* to
-                // whole extents: serial scans charge one repositioning
-                // per extent start, so extent-aligned morsels on
-                // private streams reproduce the exact same I/O split.
-                let extent = eco_storage::bufferpool::EXTENT_PAGES as usize;
-                let tuples_per_page = disk.len().div_ceil(pages).max(1);
-                let raw_pages = target_rows.div_ceil(tuples_per_page).max(1);
-                let per_morsel = raw_pages.div_ceil(extent) * extent;
-                Some(split_units(pages, per_morsel))
-            }
-        }
-    }
-
-    fn clone_morsel(&self, morsel: &Morsel) -> Option<BoxedOp> {
-        if !matches!(self.bounds, ScanBounds::Full) {
-            return None;
-        }
-        let bounds = match &self.table.data {
-            TableData::Memory(_) => ScanBounds::MemoryRows {
-                start: morsel.start,
-                end: morsel.end,
-            },
-            TableData::Disk(_) => ScanBounds::DiskPages {
-                start: morsel.start,
-                end: morsel.end,
-                stream: NEXT_SCAN_STREAM.fetch_add(1, Ordering::Relaxed),
-            },
+        let parts = match &self.table.data {
+            TableData::Memory(heap) => split_units(heap.len(), target_rows)?
+                .into_iter()
+                .map(ScanBounds::MemoryRows)
+                .collect(),
+            TableData::Disk(disk) => read_parts(disk, Self::extent_ranges(disk, target_rows)?),
         };
-        Some(Box::new(SeqScan {
-            table: Arc::clone(&self.table),
-            avg_bytes: self.avg_bytes,
-            bounds,
-            needed: self.needed.clone(),
-            page_no: 0,
-            current: None,
-            idx: 0,
-        }))
+        let part = |bounds| -> BoxedOp {
+            Box::new(Self::with_bounds(
+                Arc::clone(&self.table),
+                bounds,
+                self.needed.clone(),
+            ))
+        };
+        Some(parts.into_iter().map(part).collect())
     }
 }
 
@@ -456,10 +433,9 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_whole_table_scan_keeps_the_serial_stream_position() {
-        // Only a partition's private stream ends on a failed read.
-        // Stream 0 is every whole-table scan's: the failed page stays
-        // its last, so the next page on it still streams.
+    fn a_failed_scan_keeps_the_table_scan_position() {
+        // The failed page stays the table's last scanned one, so the
+        // next page still streams.
         let schema = Schema::new(&[("k", ColumnType::Int)]);
         let tuples: Vec<Tuple> = (0..5000).map(|i| vec![Value::Int(i)]).collect();
         let pool = Arc::new(BufferPool::new(64));
@@ -508,12 +484,11 @@ mod tests {
     fn memory_morsels_cover_rows_exactly_once() {
         let cat = catalog();
         let scan = SeqScan::new(cat.expect("m"));
-        let morsels = scan.morsels(128).expect("memory scans partition");
-        assert!(morsels.len() >= 3);
+        let parts = scan.split(128).expect("memory scans partition");
+        assert!(parts.len() >= 3);
         let mut ctx = ExecCtx::new();
         let mut all = Vec::new();
-        for m in &morsels {
-            let mut part = scan.clone_morsel(m).expect("clone");
+        for mut part in parts {
             part.open(&mut ctx);
             while let Some(t) = part.next(&mut ctx) {
                 all.push(t);
@@ -594,24 +569,79 @@ mod tests {
 
         // Flush and rescan cold through morsels.
         cat.pool().flush();
-        let scan = SeqScan::new(table);
-        let morsels = scan.morsels(1024).expect("disk scans partition");
-        assert!(morsels.len() >= 2, "{morsels:?}");
-        let extent = eco_storage::bufferpool::EXTENT_PAGES as usize;
-        for m in &morsels {
-            assert_eq!(m.start % extent, 0, "morsels start on extent boundaries");
+        let TableData::Disk(disk) = &table.data else {
+            unreachable!("a disk table")
+        };
+        let ranges = SeqScan::extent_ranges(disk, 1024).expect("disk scans partition");
+        assert!(ranges.len() >= 2, "{ranges:?}");
+        let extent = EXTENT_PAGES as usize;
+        for r in &ranges {
+            assert_eq!(r.start % extent, 0, "morsels start on extent boundaries");
         }
+        let misses = cat.pool().stats().misses;
+        let scan = SeqScan::new(Arc::clone(&table));
+        let parts = scan.split(1024).expect("disk scans partition");
+        assert_eq!(parts.len(), ranges.len());
+        // The split read every page; the partitions read none.
+        let misses = cat.pool().stats().misses - misses;
+        assert_eq!(misses, disk.num_pages() as u64);
         let mut ctx = ExecCtx::new();
         let mut rows = 0;
-        for m in &morsels {
-            let mut part = scan.clone_morsel(m).expect("clone");
+        for mut part in parts {
             part.open(&mut ctx);
             rows += std::iter::from_fn(|| part.next(&mut ctx)).count();
         }
+        assert_eq!(cat.pool().stats().misses, 2 * misses);
         assert_eq!(rows, serial_rows);
         assert_eq!(
             ctx.ledger.disk, serial_io,
             "cold morsel I/O identical to serial"
         );
+    }
+
+    #[test]
+    fn a_split_stops_reading_at_the_first_failed_page() {
+        let schema = Schema::new(&[("k", ColumnType::Int)]);
+        let tuples: Vec<Tuple> = (0..40_000).map(|i| vec![Value::Int(i)]).collect();
+        let pool = Arc::new(BufferPool::new(1 << 10));
+        let mut disk = DiskTable::load(1, schema, &tuples, Arc::clone(&pool));
+        let extent = EXTENT_PAGES as usize;
+        assert!(disk.num_pages() > 3 * extent);
+        // Page 3 of the second extent fails; so would the third extent's.
+        let (bad, later) = (extent + 3, 2 * extent);
+        disk.corrupt_page(bad, 100);
+        disk.corrupt_page(later, 100);
+        let table = Arc::new(StoredTable {
+            name: "d".into(),
+            data: TableData::Disk(disk),
+        });
+
+        // The serial scan: what it charges and records (by rows: the
+        // columnar mirror would decode the corrupt pages).
+        let mut serial = ExecCtx::new();
+        let mut scan = SeqScan::new(Arc::clone(&table));
+        scan.open(&mut serial);
+        while scan.next(&mut serial).is_some() {}
+        assert!(serial.error().is_some());
+
+        // One extent a part: the split reads up to the bad page and no
+        // further, and the parts, run in order, charge what the serial
+        // scan charged and record its error, in the part that holds it.
+        pool.flush();
+        let misses = pool.stats().misses;
+        let parts = SeqScan::new(Arc::clone(&table)).split(1).expect("splits");
+        let misses = pool.stats().misses - misses;
+        assert_eq!(misses, bad as u64 + 1, "no read after the failed one");
+        let mut ctx = ExecCtx::new();
+        for (i, mut part) in parts.into_iter().enumerate() {
+            let mut part_ctx = ctx.fork();
+            part.open(&mut part_ctx);
+            while part.next(&mut part_ctx).is_some() {}
+            assert_eq!(part_ctx.error().is_some(), i == 1, "part {i}");
+            assert_eq!(part_ctx.ledger.is_empty(), i > 1, "part {i}");
+            ctx.merge_worker(0, &part_ctx);
+        }
+        assert_eq!(ctx.error(), serial.error());
+        serial.ledger.assert_same(&ctx.ledger, "parts in order");
     }
 }

@@ -7,14 +7,14 @@ use eco_storage::{DataChunk, Schema, Tuple};
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::ops::{BoxedOp, Operator};
-use crate::parallel::{split_units, Morsel};
+use crate::parallel::split_units;
 
 /// Emits a fixed vector of tuples. Charges nothing — the tuples are
 /// assumed already materialized (use [`crate::ops::SeqScan`] for
 /// table access that should be priced).
 ///
 /// The tuples are held behind an `Arc`, so morsel partitions
-/// ([`Operator::clone_morsel`]) share the data instead of copying it;
+/// ([`Operator::split`]) share the data instead of copying it;
 /// the lazily-built columnar mirror behind [`Operator::next_chunk`] is
 /// shared the same way.
 pub struct VecSource {
@@ -78,23 +78,23 @@ impl Operator for VecSource {
         Some(chunk)
     }
 
-    fn morsels(&self, target_rows: usize) -> Option<Vec<Morsel>> {
-        (self.is_full() && !self.tuples.is_empty())
-            .then(|| split_units(self.tuples.len(), target_rows))
-    }
-
-    fn clone_morsel(&self, morsel: &Morsel) -> Option<BoxedOp> {
+    fn split(&self, target_rows: usize) -> Option<Vec<BoxedOp>> {
         if !self.is_full() {
+            // Already a partition; never re-split.
             return None;
         }
-        Some(Box::new(VecSource {
-            schema: self.schema.clone(),
-            tuples: Arc::clone(&self.tuples),
-            columns: Arc::clone(&self.columns),
-            start: morsel.start,
-            end: morsel.end.min(self.tuples.len()),
-            idx: morsel.start,
-        }))
+        let ranges = split_units(self.tuples.len(), target_rows)?;
+        let part = |rows: std::ops::Range<usize>| -> BoxedOp {
+            Box::new(VecSource {
+                schema: self.schema.clone(),
+                tuples: Arc::clone(&self.tuples),
+                columns: Arc::clone(&self.columns),
+                start: rows.start,
+                end: rows.end,
+                idx: rows.start,
+            })
+        };
+        Some(ranges.into_iter().map(part).collect())
     }
 }
 
@@ -120,12 +120,11 @@ mod tests {
     fn morsel_partitions_share_and_cover() {
         let schema = Schema::new(&[("k", ColumnType::Int)]);
         let s = VecSource::new(schema, (0..10).map(|i| vec![Value::Int(i)]).collect());
-        let morsels = s.morsels(4).expect("partitionable");
-        assert_eq!(morsels.len(), 3);
+        let parts = s.split(4).expect("partitionable");
+        assert_eq!(parts.len(), 3);
         let mut ctx = ExecCtx::new();
         let mut all = Vec::new();
-        for m in &morsels {
-            let mut part = s.clone_morsel(m).expect("clone");
+        for mut part in parts {
             part.open(&mut ctx);
             while let Some(t) = part.next(&mut ctx) {
                 all.push(t[0].as_int().unwrap());
@@ -133,7 +132,9 @@ mod tests {
         }
         assert_eq!(all, (0..10).collect::<Vec<_>>());
         // Partitions never re-split.
-        let part = s.clone_morsel(&morsels[0]).unwrap();
-        assert!(part.morsels(2).is_none());
+        let parts = s.split(4).expect("partitionable");
+        assert!(parts[0].split(2).is_none());
+        // Nor does a source too small for two parts.
+        assert!(s.split(10).is_none());
     }
 }

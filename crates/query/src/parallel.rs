@@ -1,12 +1,12 @@
 //! Morsel-driven parallel execution machinery.
 //!
-//! A [`Morsel`] is a contiguous slice of a leaf operator's input — the
+//! A *morsel* is a contiguous slice of a leaf operator's input — the
 //! scheduling granule of HyPer-style morsel-driven parallelism. The
-//! driver here (`run_morsels`) partitions a pipeline into per-morsel
-//! clones (via [`Operator::clone_morsel`]), runs them on worker
-//! threads, and returns the per-morsel results **in morsel order**
-//! together with each worker's private energy ledger merged back into
-//! the caller's [`ExecCtx`].
+//! driver here (`run_morsels`) splits a pipeline into one copy per
+//! morsel ([`Operator::split`]), runs them on worker threads, and
+//! returns the per-morsel results **in morsel order** together with
+//! each worker's private energy ledger merged back into the caller's
+//! [`ExecCtx`].
 //!
 //! Only the columnar engine runs morsels. The scalar engine is the
 //! oracle the parallel runs are checked against, so it shares none of
@@ -32,60 +32,32 @@
 //!    ledger would be identical either way; the *per-core* split would
 //!    not.)
 //!
-//! The one intentionally scheduling-dependent detail: on the disk
-//! engine, warm-run re-read charges (`BufferPool::set_warm_reread_every`)
-//! land on whichever worker performs the Nth buffer-pool hit. Their
-//! *total* is a function of the hit count alone and therefore still
-//! merges identically to serial execution; only the per-core split of
-//! those few charges can vary between runs.
-//!
-//! **Disk-engine precondition:** merged-ledger identity on the disk
-//! engine additionally requires the buffer pool to hold the scanned
-//! working set without evicting (as the shipped profiles do — the
-//! paper's tables fit in memory). With a pool smaller than the tables,
-//! hit/miss counts depend on the residency state left behind by
-//! thread-interleaved evictions, which is scheduling-dependent in
-//! parallel mode; the memory engine has no such precondition.
+//! On the disk engine only the coordinator reads the buffer pool: a
+//! scan's split reads every page of its morsels in page order, the
+//! reads a serial scan makes, and hands each morsel its frames and
+//! what its reads charged. Hits, misses, LRU evictions, the extent rule
+//! and the periodic warm re-reads therefore fall exactly where they
+//! fall serially, at any worker count and any pool size, and the
+//! worker that statically owns a morsel is charged its reads.
+
+use std::ops::Range;
 
 use eco_storage::Tuple;
 
 use crate::context::ExecCtx;
 use crate::ops::{BoxedOp, Operator};
 
-/// A contiguous range `[start, end)` of a leaf operator's input, in the
-/// unit the leaf chose (rows for memory sources, pages for disk
-/// tables). Only meaningful to the pipeline that produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Morsel {
-    /// First input unit (inclusive).
-    pub start: usize,
-    /// Last input unit (exclusive).
-    pub end: usize,
-}
-
-impl Morsel {
-    /// Number of input units covered.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// True when the morsel covers nothing.
-    pub fn is_empty(&self) -> bool {
-        self.start >= self.end
-    }
-}
-
-/// Split `total` units into morsels of about `per_morsel` units each
-/// (the leaf-side helper behind [`Operator::morsels`] implementations).
-pub(crate) fn split_units(total: usize, per_morsel: usize) -> Vec<Morsel> {
+/// Split `total` units into ranges of `per_morsel` units (the last
+/// may be shorter), or `None` when that makes fewer than two: the
+/// leaf-side helper behind [`Operator::split`].
+pub(crate) fn split_units(total: usize, per_morsel: usize) -> Option<Vec<Range<usize>>> {
     let per = per_morsel.max(1);
-    (0..total)
-        .step_by(per)
-        .map(|start| Morsel {
-            start,
-            end: (start + per).min(total),
-        })
-        .collect()
+    (total > per).then(|| {
+        (0..total)
+            .step_by(per)
+            .map(|start| start..(start + per).min(total))
+            .collect()
+    })
 }
 
 /// Drain an opened pipeline to completion tuple-at-a-time — or, in a
@@ -105,8 +77,8 @@ pub(crate) fn drain_pipeline(ctx: &mut ExecCtx, op: &mut dyn Operator) -> Vec<Tu
     out
 }
 
-/// Run `child`'s pipeline morsel-parallel: clone it per morsel, open
-/// and reduce each clone with `run` on a worker thread, and return the
+/// Run `child`'s pipeline morsel-parallel: split it per morsel, open
+/// and reduce each part with `run` on a worker thread, and return the
 /// per-morsel results in morsel order. Worker ledgers are merged into
 /// `ctx` (totals *and* per-core attribution).
 ///
@@ -124,12 +96,7 @@ where
     if !ctx.columnar || ctx.workers <= 1 || ctx.streaming_exact > 0 {
         return None;
     }
-    let morsels = child.morsels(ctx.morsel_rows)?;
-    if morsels.len() < 2 {
-        return None;
-    }
-    let pipes: Option<Vec<BoxedOp>> = morsels.iter().map(|m| child.clone_morsel(m)).collect();
-    let pipes = pipes?;
+    let pipes = child.split(ctx.morsel_rows)?;
 
     let workers = ctx.workers.min(pipes.len());
     // Static strided assignment: worker w owns morsels w, w+N, w+2N, …
@@ -221,11 +188,11 @@ mod tests {
 
     #[test]
     fn split_units_covers_exactly() {
-        let ms = split_units(10, 3);
-        assert_eq!(ms.len(), 4);
-        assert_eq!(ms[0], Morsel { start: 0, end: 3 });
-        assert_eq!(ms[3], Morsel { start: 9, end: 10 });
-        assert!(split_units(0, 3).is_empty());
+        assert_eq!(split_units(10, 3), Some(vec![0..3, 3..6, 6..9, 9..10]));
+        assert_eq!(split_units(4, 3), Some(vec![0..3, 3..4]));
+        for total in [0, 1, 3] {
+            assert_eq!(split_units(total, 3), None, "{total} units");
+        }
     }
 
     #[test]
@@ -272,6 +239,64 @@ mod tests {
         let mut ctx = parallel_ctx(4, 64);
         ctx.streaming_exact = 1;
         assert!(gather_parallel(&p, &mut ctx).is_none());
+    }
+
+    /// A disk scan's parts run in any order charge the same per-core
+    /// ledgers: its split did every pool read, warm re-reads included,
+    /// so no part's charges depend on when it runs.
+    #[test]
+    fn disk_parts_charge_the_same_per_core_ledgers_in_any_order() {
+        use crate::ops::SeqScan;
+        use eco_simhw::trace::Ledger;
+        use eco_storage::{Catalog, TableData};
+        use std::sync::Arc;
+
+        let schema = Schema::new(&[("v", ColumnType::Int)]);
+        let tuples: Vec<_> = (0..40_000).map(|i| vec![Value::Int(i)]).collect();
+        let mut cat = Catalog::new(1 << 10);
+        cat.add_disk_table("d", schema, &tuples);
+        let table = cat.expect("d");
+        let TableData::Disk(disk) = &table.data else {
+            unreachable!("a disk table")
+        };
+        // More extents than workers: some worker owns two parts.
+        assert!(disk.num_pages() > 3 * 16, "{} pages", disk.num_pages());
+        cat.pool().set_warm_reread_every(Some(7));
+
+        const WORKERS: usize = 3;
+        let per_core = |order: &dyn Fn(usize) -> Vec<usize>| {
+            // Cold, then warm: the split's reads hit and re-read.
+            cat.pool().flush();
+            let mut ctx = parallel_ctx(WORKERS, 1);
+            gather_parallel(&SeqScan::new(Arc::clone(&table)), &mut ctx).expect("splits");
+            let scan = Filter::new(
+                Box::new(SeqScan::new(Arc::clone(&table))),
+                Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::int(100)),
+            );
+            let mut parts = scan.split(1).expect("one extent a part");
+            let mut cores = vec![Ledger::new(); WORKERS];
+            for i in order(parts.len()) {
+                let mut wctx = ctx.fork();
+                parts[i].open(&mut wctx);
+                drain_pipeline(&mut wctx, parts[i].as_mut());
+                cores[i % WORKERS].merge(&wctx.ledger);
+            }
+            cores
+        };
+        let forward = per_core(&|n| (0..n).collect());
+        assert!(forward.iter().all(|l| l.disk.random_ios > 0), "{forward:?}");
+        let reverse = per_core(&|n| (0..n).rev().collect());
+        // From both ends inwards: 0, n-1, 1, n-2, ...
+        let interleaved = per_core(&|n| {
+            (0..n)
+                .map(|i| if i % 2 == 0 { i / 2 } else { n - 1 - i / 2 })
+                .collect()
+        });
+        for (order, cores) in [("reverse", reverse), ("interleaved", interleaved)] {
+            for (w, (want, got)) in forward.iter().zip(&cores).enumerate() {
+                want.assert_same(got, format_args!("{order}: core {w}"));
+            }
+        }
     }
 
     #[test]

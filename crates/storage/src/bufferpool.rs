@@ -3,10 +3,13 @@
 //! Every page read goes through [`BufferPool::read`], which returns
 //! what that read charged; the caller merges it into its own work
 //! trace, and the pool keeps no ledger. A miss charges simulated I/O:
-//! on a scan stream, consecutive page numbers within a table are
-//! charged as sequential transfer, anything else as a random access
-//! (paper §3.5 shows the two differ enormously in both time and
-//! energy); an index read is always an index random access.
+//! a scan read of the page after the table's last scanned one is
+//! sequential transfer, anything else a random access (paper §3.5
+//! shows the two differ enormously in both time and energy); an index
+//! read is always an index random access. Scans read in page order on
+//! one thread, the parallel ones included (their coordinator reads
+//! every page before its workers start), so one scan position per
+//! table is all the pool tracks.
 //!
 //! `flush()` models a reboot (the paper's cold runs); an optional
 //! *warm re-read interval* models the residual disk traffic the paper
@@ -118,26 +121,19 @@ struct Frame {
     stamp: u64,
 }
 
-/// The serial scan stream: every whole-table scan reads on it, sharing
-/// one sequential-position tracker per table. Partitions of a parallel
-/// scan each read on a stream of their own.
-pub const DEFAULT_STREAM: u64 = 0;
-
 /// What kind of read a [`BufferPool::read`] is: how its miss is
 /// classified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
-    /// A scan read on a stream: a miss on the page after the stream's
-    /// last one, within an extent, is sequential transfer, any other
-    /// miss a random access. Each stream tracks its own position, so
-    /// interleaved scan cursors do not break each other's runs.
-    Scan(u64),
+    /// A scan read: a miss on the page after the table's last scanned
+    /// one, within an extent, is sequential transfer, any other miss a
+    /// random access. The pool keeps one scan position per table.
+    Scan,
     /// An index read (ledger schema v4): a descent node or a base-row
     /// fetch it drives. A miss charges one index I/O — priced exactly
     /// like a random access but ledgered apart — and never reads or
-    /// moves a scan stream's position, so probes cannot break a
-    /// concurrent scan's run and an index-free run's ledger stays
-    /// bit-identical.
+    /// moves the scan position, so probes cannot break a scan's run
+    /// and an index-free run's ledger stays bit-identical.
     Index,
 }
 
@@ -147,10 +143,9 @@ struct Inner {
     by_stamp: BTreeMap<u64, PageId>,
     clock: u64,
     stats: PoolStats,
-    /// Last page read per (table, scan stream) — sequential-transfer
-    /// detection is per stream so concurrent scan cursors over the same
-    /// table don't destroy each other's streaming runs.
-    last_page: HashMap<(u32, u64), u32>,
+    /// Last page a scan read, per table — what sequential-transfer
+    /// detection compares a scan miss with.
+    last_page: HashMap<u32, u32>,
     warm_reread_every: Option<u64>,
     hit_counter: u64,
     /// Deterministic fault schedule handed to every miss-path load
@@ -249,12 +244,9 @@ impl BufferPool {
         // the paper's cold runs are seek-dominated (≈3× slower, §3.5)
         // rather than running at the drive's streaming rate.
         match access {
-            Access::Scan(stream) => {
-                let consecutive = g
-                    .last_page
-                    .get(&(id.table, stream))
-                    .map(|&p| p + 1 == id.page)
-                    == Some(true);
+            Access::Scan => {
+                let consecutive =
+                    g.last_page.get(&id.table).map(|&p| p + 1 == id.page) == Some(true);
                 let extent_start = id.page.is_multiple_of(EXTENT_PAGES);
                 if consecutive && !extent_start {
                     io.disk.sequential_bytes += PAGE_SIZE as u64;
@@ -262,7 +254,7 @@ impl BufferPool {
                     io.disk.random_ios += 1;
                     io.disk.random_bytes += PAGE_SIZE as u64;
                 }
-                g.last_page.insert((id.table, stream), id.page);
+                g.last_page.insert(id.table, id.page);
             }
             // Index probe: every miss repositions the head (v4 class),
             // and the scan position trackers are left untouched.
@@ -307,15 +299,6 @@ impl BufferPool {
         Ledger::new()
     }
 
-    /// Drop the sequential-position entry of a finished scan stream.
-    /// Stream ids are allocated fresh per parallel scan partition, so
-    /// without this the `last_page` map would grow by one entry per
-    /// morsel for the life of the pool.
-    pub fn end_stream(&self, table: u32, stream: u64) {
-        let mut g = self.inner.lock();
-        g.last_page.remove(&(table, stream));
-    }
-
     /// Drop every cached page and reset scan-position tracking — a
     /// reboot, for the paper's cold runs. The warm-reread hit counter
     /// resets too, so two runs that both start from a flush charge
@@ -335,7 +318,7 @@ impl BufferPool {
     }
 
     /// Drop every cached page of one table (or index — indexes share
-    /// the id space) and its scan positions. This is the invalidation
+    /// the id space) and its scan position. This is the invalidation
     /// the mutating write path needs: a mutated [`crate::disk_table::DiskTable`]
     /// keeps its table id and reuses page numbers, so any pages cached
     /// before the mutation would otherwise serve stale tuples. The
@@ -357,7 +340,7 @@ impl BufferPool {
                 dropped.push(frame);
             }
         }
-        g.last_page.retain(|&(t, _), _| t != table);
+        g.last_page.remove(&table);
         g.stats.resident = g.frames.len();
         // As in `flush`: free the frames after the lock is released.
         drop(g);
@@ -392,7 +375,7 @@ mod tests {
     use super::*;
     use crate::value::Value;
 
-    const SCAN: Access = Access::Scan(DEFAULT_STREAM);
+    const SCAN: Access = Access::Scan;
 
     fn page_data(n: i64) -> Arc<PageFrame> {
         let mut page = Page::new();
@@ -418,7 +401,7 @@ mod tests {
         }
     }
 
-    /// What a serial-stream read of page `p` of table `t` charged.
+    /// What a scan read of page `p` of table `t` charged.
     fn scan(pool: &BufferPool, t: u32, p: u32) -> Ledger {
         read(pool, id(t, p), SCAN, || page_data(p as i64)).1
     }
@@ -528,57 +511,19 @@ mod tests {
     }
 
     #[test]
-    fn independent_streams_keep_sequential_runs() {
-        // Two interleaved in-order cursors over disjoint extents: with
-        // per-stream tracking both keep streaming; through one shared
-        // stream every read would be a seek.
-        let pool = BufferPool::new(64);
-        let mut io = Ledger::new();
-        for p in 0..4u32 {
-            io.merge(&read(&pool, id(1, p), Access::Scan(1), || page_data(p as i64)).1);
-            io.merge(
-                &read(&pool, id(1, 16 + p), Access::Scan(2), || {
-                    page_data(p as i64)
-                })
-                .1,
-            );
-        }
-        let io = io.disk;
-        // One repositioning per extent start, streaming elsewhere.
-        assert_eq!(io.random_ios, 2, "{io:?}");
-        assert_eq!(io.sequential_bytes, 6 * PAGE_SIZE as u64);
-    }
-
-    #[test]
-    fn evicting_a_table_forgets_its_scan_positions() {
+    fn evicting_a_table_forgets_its_scan_position() {
         let pool = BufferPool::new(64);
         scan(&pool, 1, 0);
         scan(&pool, 1, 1);
         scan(&pool, 2, 0);
         pool.evict_table(1);
-        // Page 2 follows page 1 on the stream, but the cursor was
-        // forgotten with the table: the read repositions.
+        // Page 2 follows page 1, but the position was forgotten with
+        // the table: the read repositions.
         let io = scan(&pool, 1, 2).disk;
         assert_eq!((io.random_ios, io.sequential_bytes), (1, 0), "{io:?}");
-        // Another table's cursor survives.
+        // Another table's position survives.
         let io = scan(&pool, 2, 1).disk;
         assert_eq!((io.random_ios, io.sequential_bytes), (0, PAGE_SIZE as u64));
-    }
-
-    #[test]
-    fn an_ended_stream_starts_over() {
-        let pool = BufferPool::new(64);
-        let on_5 = |p: u32| read(&pool, id(1, p), Access::Scan(5), || page_data(p as i64)).1;
-        assert_eq!(on_5(0).disk.random_ios, 1);
-        assert_eq!(on_5(1).disk.sequential_bytes, PAGE_SIZE as u64);
-        pool.end_stream(1, 5);
-        // The next in-order page on stream 5 is its first read again.
-        let io = on_5(2);
-        assert_eq!(
-            (io.disk.random_ios, io.disk.sequential_bytes),
-            (1, 0),
-            "{io:?}"
-        );
     }
 
     #[test]
@@ -670,14 +615,14 @@ mod tests {
     }
 
     /// A reference model of the pool's charging and bookkeeping: an LRU
-    /// list, each scan stream's last page, the extent rule, the v4
+    /// list, each table's last scanned page, the extent rule, the v4
     /// index classes and the warm re-read hit counter.
     struct Model {
         capacity: usize,
         reread: Option<u64>,
         /// Resident pages, least recently read first.
         lru: Vec<PageId>,
-        last: HashMap<(u32, u64), u32>,
+        last: HashMap<u32, u32>,
         hit_counter: u64,
         stats: PoolStats,
     }
@@ -713,16 +658,15 @@ mod tests {
                 return (io, false);
             }
             match access {
-                Access::Scan(stream) => {
-                    let follows =
-                        self.last.get(&(id.table, stream)) == Some(&(id.page.wrapping_sub(1)));
+                Access::Scan => {
+                    let follows = self.last.get(&id.table) == Some(&(id.page.wrapping_sub(1)));
                     if follows && !id.page.is_multiple_of(EXTENT_PAGES) {
                         io.disk.sequential_bytes += page;
                     } else {
                         io.disk.random_ios += 1;
                         io.disk.random_bytes += page;
                     }
-                    self.last.insert((id.table, stream), id.page);
+                    self.last.insert(id.table, id.page);
                 }
                 Access::Index => {
                     io.disk.index_ios += 1;
@@ -778,16 +722,16 @@ mod tests {
                     let what = format!("capacity {capacity}, re-read {reread:?}, step {step}");
                     let table = rng.below(u64::from(TABLES)) as u32;
                     match rng.below(100) {
-                        // Reads on streams 0, 1 and 2 and index reads;
-                        // a scan read follows its stream's last page
-                        // half the time, so runs and extent starts occur.
-                        0..=89 => {
+                        // Scan and index reads; a scan read follows its
+                        // table's last scanned page half the time, so
+                        // runs and extent starts occur.
+                        0..=93 => {
                             let access = match rng.below(4) {
                                 3 => Access::Index,
-                                s => Access::Scan(s),
+                                _ => Access::Scan,
                             };
                             let last = match access {
-                                Access::Scan(s) => model.last.get(&(table, s)).copied(),
+                                Access::Scan => model.last.get(&table).copied(),
                                 Access::Index => None,
                             };
                             let page = match last {
@@ -806,15 +750,10 @@ mod tests {
                             assert_eq!(loaded, miss, "{what}: loaded");
                             assert_eq!(frame.tuple(0), vec![Value::Int(value(id))], "{what}");
                         }
-                        90..=93 => {
-                            let stream = rng.below(3);
-                            pool.end_stream(table, stream);
-                            model.last.remove(&(table, stream));
-                        }
                         94..=97 => {
                             pool.evict_table(table);
                             model.lru.retain(|id| id.table != table);
-                            model.last.retain(|&(t, _), _| t != table);
+                            model.last.remove(&table);
                         }
                         _ => {
                             pool.flush();

@@ -47,7 +47,7 @@ use parking_lot::Mutex;
 use eco_simhw::fault::{FaultPlan, PageFault, BACKOFF_BASE_NS, MAX_READ_RETRIES};
 use eco_simhw::trace::{DiskWork, Ledger};
 
-use crate::bufferpool::{Access, BufferPool, PageFrame, PageId, DEFAULT_STREAM, EXTENT_PAGES};
+use crate::bufferpool::{Access, BufferPool, PageFrame, PageId, EXTENT_PAGES};
 use crate::column::{ColumnChunk, ColumnData, DataChunk};
 use crate::encode::EncodedChunk;
 use crate::page::{serialize_tuple, serialize_tuple_into, stored_width, Page, PAGE_SIZE};
@@ -823,9 +823,9 @@ impl DiskTable {
         })
     }
 
-    /// [`Self::read_page`] on the serial scan stream ([`DEFAULT_STREAM`]).
+    /// [`Self::read_page`] as a scan read ([`Access::Scan`]).
     pub fn read_page_checked(&self, page_no: usize) -> Result<(Arc<PageFrame>, Ledger), IoError> {
-        self.read_page(page_no, Access::Scan(DEFAULT_STREAM))
+        self.read_page(page_no, Access::Scan)
     }
 
     /// Locate row `row` as `(page_no, slot)` — the translation an index
@@ -850,12 +850,6 @@ impl DiskTable {
     /// The buffer pool this table reads through.
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
-    }
-
-    /// Release a finished scan stream's position tracking (see
-    /// [`BufferPool::end_stream`]).
-    pub fn end_stream(&self, stream: u64) {
-        self.pool.end_stream(self.table_id, stream);
     }
 }
 
@@ -884,12 +878,12 @@ mod tests {
             .collect()
     }
 
-    /// A fault-free serial-stream read of page `p`.
+    /// A fault-free scan read of page `p`.
     fn read(t: &DiskTable, p: usize) -> (Arc<PageFrame>, Ledger) {
         t.read_page_checked(p).expect("fault-free read")
     }
 
-    /// What a serial-stream scan of every page of `t` charged.
+    /// What a scan of every page of `t` charged.
     fn scan(t: &DiskTable) -> Ledger {
         (0..t.num_pages()).map(|p| read(t, p).1).sum()
     }
@@ -1122,11 +1116,7 @@ mod tests {
             unreachable!()
         };
         // Whatever the access, the read returns its retries and backoff.
-        for access in [
-            Access::Scan(DEFAULT_STREAM),
-            Access::Scan(77),
-            Access::Index,
-        ] {
+        for access in [Access::Scan, Access::Index] {
             pool.flush();
             let (data, io) = t
                 .read_page(page as usize, access)
@@ -1142,7 +1132,6 @@ mod tests {
             let (_, io) = t.read_page(page as usize, access).expect("hit");
             assert!(io.is_empty());
         }
-        t.end_stream(77);
     }
 
     #[test]

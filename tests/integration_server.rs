@@ -159,6 +159,23 @@ fn disk_profile_ledger_identity_cold_and_warm() {
 
     // Cold does strictly more disk work.
     assert!(cold.ledger.disk.total_bytes() > warm.ledger.disk.total_bytes());
+
+    // Two workers scan each merged batch. Enough sessions for the
+    // pool's warm re-reads (one per 2500 hits) to fall inside those
+    // scans: repeated from a flushed pool, the priced per-core split
+    // is the same to the bit.
+    let requests = session_workload(400, RATE_QPS, SEED ^ 5);
+    let serve = || {
+        db.flush_cache();
+        EcoServer::new(db, cfg).serve(&requests)
+    };
+    let hits = db.catalog().pool().stats().hits;
+    let first = serve();
+    let hits = db.catalog().pool().stats().hits - hits;
+    assert!(hits > 2 * 2500, "{hits} pool hits: re-reads are charged");
+    for repeat in 1..20 {
+        assert_eq!(serve().measurement, first.measurement, "repeat {repeat}");
+    }
 }
 
 #[test]
