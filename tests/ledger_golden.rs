@@ -11,7 +11,9 @@
 //! voltage downgrade) with every `f64` in its exact `{:?}` form.
 //!
 //! Cases: SQL TPC-H Q1/Q3/Q5/Q6 cold and warm on both engine profiles;
-//! Q1, Q6 and Q3 under compressed pricing; a QED merged selection; a cold
+//! per-core cases — the Q5 workload at 2 workers on both profiles and a
+//! warm disk Q6 at 4 — each core's ledger and price, then the
+//! multi-core price of them all; Q1, Q6 and Q3 under compressed pricing; a QED merged selection; a cold
 //! Q6 under transient read faults; `CREATE INDEX` with one point and one range probe; one DML group
 //! commit; and one crash recovery (its report and the next statement).
 //! Last, the paper's six headline numbers (fig1, fig3, fig6) and their
@@ -24,11 +26,11 @@
 use std::fmt::Write as _;
 
 use ecodb::core::experiments::{fig1, fig3, fig6, PvcFigure};
-use ecodb::core::server::{EcoDb, EngineProfile};
+use ecodb::core::server::{EcoDb, EngineProfile, Query};
 use ecodb::query::plans;
 use ecodb::simhw::trace::{PricingMode, WorkTrace};
 use ecodb::simhw::{CpuConfig, FaultPlan, MachineConfig, VoltageSetting};
-use ecodb::tpch::{Q5Params, QedQuery};
+use ecodb::tpch::{q5_workload, Q5Params, QedQuery};
 
 const GOLDEN: &str = include_str!("golden/ledgers_0.01.txt");
 const SCALE: f64 = 0.01;
@@ -94,6 +96,44 @@ impl Render {
         }
     }
 
+    /// Each core's trace as a case of its own, then the multi-core
+    /// price of them all at both configurations.
+    fn cores(&mut self, db: &EcoDb, case: &str, cores: &[WorkTrace]) {
+        for (i, trace) in cores.iter().enumerate() {
+            self.case(db, &format!("{case} core {i}"), trace);
+        }
+        for (cfg_name, cfg) in self.configs {
+            let m = db.multicore(cores.len()).measure_uniform(cores, &cfg);
+            let fields = [
+                ("elapsed_s", m.elapsed_s),
+                ("cpu_joules", m.cpu_joules),
+                ("dram_joules", m.dram_joules),
+                ("disk_joules", m.disk_joules),
+                ("wall_joules", m.wall_joules),
+                ("busy_s", m.busy_s),
+                ("utilization", m.utilization),
+                ("avg_wall_w", m.avg_wall_w),
+            ];
+            for (field, v) in fields {
+                writeln!(self.out, "{case} | @{cfg_name} multicore {field} = {v:?}").unwrap();
+            }
+        }
+    }
+
+    /// Run `queries` on `workers` cores: each core's traces joined.
+    fn run_cores(&mut self, db: &EcoDb, case: &str, queries: &[Query], workers: usize) {
+        let mut cores = vec![WorkTrace::new(); workers];
+        for q in queries {
+            let (_, traces) = db
+                .trace(q, workers)
+                .unwrap_or_else(|e| panic!("{case}: {e}"));
+            for (core, t) in cores.iter_mut().zip(traces) {
+                core.extend(t);
+            }
+        }
+        self.cores(db, case, &cores);
+    }
+
     fn sql(&mut self, db: &EcoDb, case: &str, sql: &str) {
         let (_, trace) = db
             .try_trace_sql(sql)
@@ -120,6 +160,22 @@ fn render() -> String {
             r.sql(db, &format!("{profile} {name} warm"), sql);
         }
     }
+
+    // Per-core cases: a function of the plan at every worker count.
+    let q5s = q5_workload();
+    let q5s: Vec<Query> = q5s.iter().map(Query::Q5).collect();
+    for (profile, db) in [("memory", &mem), ("disk", &disk)] {
+        db.flush_cache();
+        r.run_cores(db, &format!("{profile} q5 workload 2 workers"), &q5s, 2);
+    }
+    let q6 = Query::Q6 {
+        year: 1994,
+        discount_pct: 6,
+        max_qty: 24,
+    };
+    disk.flush_cache();
+    disk.warm_up();
+    r.run_cores(&disk, "disk q6 warm 4 workers", &[q6], 4);
 
     let mem = mem.with_pricing(PricingMode::Compressed);
     r.sql(&mem, "memory q1 compressed", Q1);
