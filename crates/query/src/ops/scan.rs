@@ -26,9 +26,9 @@ enum ScanBounds {
 /// A disk partition as the reads of [`SeqScan::split`] left it: the
 /// frames of its pages in page order, what those reads charged (merged
 /// into the ledger of whoever opens the partition), and the error of
-/// the read that failed, if it was one of this partition's. A read
-/// fails on the page after the last frame; no partition after it has
-/// a frame.
+/// the read that failed, if it was one of this partition's. Reads stop
+/// at a failure: it is on the page after the last frame, and no later
+/// partition has a frame.
 struct DiskPart {
     pages: Range<usize>,
     frames: Vec<Arc<PageFrame>>,
