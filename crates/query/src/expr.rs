@@ -275,10 +275,14 @@ impl Expr {
 // or a constant — and the operator is matched once, so each arithmetic
 // node is one monomorphised loop over slices with no `ExecCtx`, no enum
 // match and no charge inside it (charges are counts, made before the
-// loop). A zero divisor is found by a scan of the divisor's lane before
-// the division loop — a zero literal, or any zero among the live rows —
-// and recorded once (`ExecError::DivisionByZero`, first error wins); the
-// rows that divide by zero hold the placeholder 0, as on the row path.
+// loop). A nonzero `Int` literal divisor (Q1's `/ 100` and `/ 10000`)
+// is turned into a multiplier and a shift once per chunk (`DivConst`),
+// so its loop runs no hardware divide and equals `wrapping_div` for
+// every dividend. Any other divisor — a zero literal, or a column or
+// computed vector — is scanned for a zero among the live rows before
+// the division loop, which is recorded once (`ExecError::DivisionByZero`,
+// first error wins); the rows that divide by zero hold the placeholder
+// 0, as on the row path.
 //
 // A comparison (`compare`) settles its operands' type (`Int`, `Date`,
 // `Char`, `Str` by bytes, `Bool`) and shape (a column read by row id, a
@@ -395,12 +399,95 @@ fn arith(
         ArithOp::Add => zip_lanes(a, b, n, |x, y| ArithOp::Add.of(x, y)),
         ArithOp::Sub => zip_lanes(a, b, n, |x, y| ArithOp::Sub.of(x, y)),
         ArithOp::Mul => zip_lanes(a, b, n, |x, y| ArithOp::Mul.of(x, y)),
-        ArithOp::Div => {
-            if b.has_zero() {
-                ctx.fail(ExecError::DivisionByZero);
+        ArithOp::Div => match b {
+            Lane::Const(d) if d != 0 => {
+                let by = DivConst::new(d);
+                zip_lanes(a, b, n, |x, _| by.of(x))
             }
-            zip_lanes(a, b, n, |x, y| ArithOp::Div.of(x, y))
+            _ => {
+                if b.has_zero() {
+                    ctx.fail(ExecError::DivisionByZero);
+                }
+                zip_lanes(a, b, n, |x, y| ArithOp::Div.of(x, y))
+            }
+        },
+    }
+}
+
+/// Division by a nonzero constant `d` with a multiply and a shift
+/// instead of a hardware divide (Granlund and Montgomery, "Division by
+/// Invariant Integers using Multiplication", PLDI 1994, in the signed
+/// form of Warren's *Hacker's Delight*, ch. 10): `of(x)` is
+/// `x.wrapping_div(d)` for every `x`, `i64::MIN / -1` included.
+#[derive(Clone, Copy)]
+struct DivConst {
+    magic: i64,
+    /// All ones where the product's high half takes `x` added (`d > 0`
+    /// and a negative `magic`, or `d = 1`) or subtracted (`d < 0` and a
+    /// positive `magic`, or `d = -1`), else zero.
+    add: i64,
+    sub: i64,
+    shift: u32,
+    /// 1 where a negative quotient is rounded up toward zero; 0 for
+    /// `d = ±1`, whose quotient is exact.
+    round: i64,
+}
+
+impl DivConst {
+    /// The multiplier and shift for `d` (nonzero), found once.
+    fn new(d: i64) -> Self {
+        debug_assert_ne!(d, 0, "a zero divisor takes the checked path");
+        if d.unsigned_abs() == 1 {
+            return Self {
+                magic: 0,
+                add: -i64::from(d > 0),
+                sub: -i64::from(d < 0),
+                shift: 0,
+                round: 0,
+            };
         }
+        // The smallest `p >= 64` with `2^p > nc * (|d| - 2^p mod |d|)`,
+        // `nc` the largest dividend with `nc mod |d| = |d| - 1`; then
+        // `magic = (2^p + |d| - 2^p mod |d|) / |d|`, kept mod 2^64.
+        const TWO63: u64 = 1 << 63;
+        let ad = d.unsigned_abs();
+        let t = TWO63 + ((d as u64) >> 63);
+        let anc = t - 1 - t % ad;
+        let (mut q1, mut r1) = (TWO63 / anc, TWO63 % anc);
+        let (mut q2, mut r2) = (TWO63 / ad, TWO63 % ad);
+        let mut p = 63;
+        loop {
+            p += 1;
+            (q1, r1) = (q1.wrapping_mul(2), 2 * r1);
+            if r1 >= anc {
+                (q1, r1) = (q1.wrapping_add(1), r1 - anc);
+            }
+            (q2, r2) = (q2.wrapping_mul(2), 2 * r2);
+            if r2 >= ad {
+                (q2, r2) = (q2.wrapping_add(1), r2 - ad);
+            }
+            let delta = ad - r2;
+            if q1 > delta || (q1 == delta && r1 != 0) {
+                break;
+            }
+        }
+        let magic = q2.wrapping_add(1) as i64;
+        let magic = if d < 0 { magic.wrapping_neg() } else { magic };
+        Self {
+            magic,
+            add: -i64::from(d > 0 && magic < 0),
+            sub: -i64::from(d < 0 && magic > 0),
+            shift: p - 64,
+            round: 1,
+        }
+    }
+
+    /// `x.wrapping_div(d)`.
+    #[inline(always)]
+    fn of(self, x: i64) -> i64 {
+        let high = ((i128::from(self.magic) * i128::from(x)) >> 64) as i64;
+        let q = high.wrapping_add(x & self.add).wrapping_sub(x & self.sub) >> self.shift;
+        q + ((q as u64 >> 63) as i64 & self.round)
     }
 }
 
@@ -814,6 +901,15 @@ impl Expr {
             Expr::Lit(Value::Int(v)) => Operand::Lit(*v),
             Expr::Arith(op, l, r) => Operand::Own(arith(*op, l, r, data, rows, ctx)),
             _ => panic!("arith on Int"),
+        }
+    }
+
+    /// The arithmetic nodes of an `Int`-valued expression: the `Arith`s
+    /// evaluating it charges per row.
+    pub(crate) fn arith_nodes(&self) -> u64 {
+        match self {
+            Expr::Arith(_, l, r) => 1 + l.arith_nodes() + r.arith_nodes(),
+            _ => 0,
         }
     }
 
@@ -1505,5 +1601,58 @@ mod columnar_tests {
         let mut sel2: Vec<u32> = (0..4).collect();
         Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::int(0)).filter_sel(&chunk, &mut sel2, &mut ctx);
         assert!(sel2.is_empty());
+    }
+
+    /// Division by a nonzero literal is `wrapping_div` for every divisor
+    /// — ±1, small ones, Q1's 100 and 10 000, every power of two, the
+    /// extremes and random ones of every width, each of either sign —
+    /// and every dividend: 0, ±1, the extremes, the divisor ± 1 and
+    /// random ones of every width. A zero literal still fails the
+    /// statement, its rows holding the placeholder 0.
+    #[test]
+    fn division_by_a_literal_is_wrapping_div() {
+        let mut state = 0x0D17_C0DE_u64;
+        let mut random = || {
+            // splitmix64, cut to a random width so small values come up.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z >> (z % 64)) as i64 ^ -((z >> 7) as i64 & 1)
+        };
+        let mut divisors = vec![1, 2, 3, 7, 100, 10_000, i64::MAX, i64::MIN, i64::MIN + 1];
+        divisors.extend((1..63).map(|k| 1i64 << k));
+        divisors.extend((0..300).map(|_| random()));
+        for d in divisors.iter().flat_map(|&d| [d, d.wrapping_neg()]) {
+            if d == 0 {
+                continue;
+            }
+            let by = DivConst::new(d);
+            let mut dividends = vec![0, 1, -1, i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1];
+            dividends.extend([d, d.wrapping_sub(1), d.wrapping_add(1)]);
+            dividends.extend([d.wrapping_neg(), d.wrapping_neg().wrapping_add(1)]);
+            dividends.extend((0..300).map(|_| random()));
+            for x in dividends {
+                assert_eq!(by.of(x), x.wrapping_div(d), "{x} / {d}");
+            }
+        }
+
+        let schema = Schema::new(&[("v", ColumnType::Int)]);
+        let values = [i64::MIN, -7, -1, 0, 5, 99, i64::MAX];
+        let rows: Vec<Tuple> = values.iter().map(|&v| vec![Value::Int(v)]).collect();
+        let chunk = DataChunk::from_rows(&schema, &rows);
+        let all = crate::chunk::Rows::Range(0, values.len());
+        for d in [-1, 7, 100, 0] {
+            let mut ctx = ExecCtx::new();
+            let e = Expr::arith(ArithOp::Div, Expr::col(0), Expr::int(d));
+            let col = e.eval_column(&chunk, all, &mut ctx);
+            let want: Vec<i64> = (values.iter())
+                .map(|&v| if d == 0 { 0 } else { v.wrapping_div(d) })
+                .collect();
+            assert_eq!(col.data.as_ints(), Some(&want[..]), "/ {d}");
+            let failed = ctx.error() == Some(&ExecError::DivisionByZero);
+            assert_eq!(failed, d == 0, "/ {d}");
+        }
     }
 }

@@ -13,7 +13,7 @@ use eco_storage::{
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
 use crate::expr::{AggFunc, Expr};
-use crate::ops::hashkey::{hash_keys, hash_row, keys_eq, pack_keys, KeyTable, PackedMemo};
+use crate::ops::hashkey::{hash_keys, hash_row, keys_eq, pack_keys, KeyTable, PackedMemo, NO_ROW};
 use crate::ops::{drain_chunks, mark_read, BoxedOp, Operator};
 use crate::parallel::run_morsels;
 
@@ -160,94 +160,6 @@ impl GroupTable {
     }
 }
 
-/// One aggregate's accumulators for the columnar path: a typed array
-/// indexed by group id, updated in tight per-chunk loops instead of
-/// per-row `AggState` enum dispatch.
-enum ColAcc {
-    Sum(Vec<i64>),
-    Count(Vec<i64>),
-    Min(Vec<Option<Value>>),
-    Max(Vec<Option<Value>>),
-    Avg { sums: Vec<i64>, counts: Vec<i64> },
-}
-
-impl ColAcc {
-    fn new(f: AggFunc) -> Self {
-        match f {
-            AggFunc::Sum => ColAcc::Sum(Vec::new()),
-            AggFunc::Count => ColAcc::Count(Vec::new()),
-            AggFunc::Min => ColAcc::Min(Vec::new()),
-            AggFunc::Max => ColAcc::Max(Vec::new()),
-            AggFunc::Avg => ColAcc::Avg {
-                sums: Vec::new(),
-                counts: Vec::new(),
-            },
-        }
-    }
-
-    /// Add a zeroed slot for a newly-seen group.
-    fn grow(&mut self) {
-        match self {
-            ColAcc::Sum(v) | ColAcc::Count(v) => v.push(0),
-            ColAcc::Min(v) | ColAcc::Max(v) => v.push(None),
-            ColAcc::Avg { sums, counts } => {
-                sums.push(0);
-                counts.push(0);
-            }
-        }
-    }
-
-    /// The group's final [`AggState`] (for the shared finish
-    /// machinery).
-    fn state(&self, gid: usize) -> AggState {
-        match self {
-            ColAcc::Sum(v) => AggState::Sum(v[gid]),
-            ColAcc::Count(v) => AggState::Count(v[gid]),
-            ColAcc::Min(v) => AggState::Min(v[gid].clone()),
-            ColAcc::Max(v) => AggState::Max(v[gid].clone()),
-            ColAcc::Avg { sums, counts } => AggState::Avg {
-                sum: sums[gid],
-                count: counts[gid],
-            },
-        }
-    }
-
-    /// Fold group `theirs` of a later partial's accumulator into group
-    /// `mine`. Merging is free in the energy ledger — like the hash
-    /// table's own bookkeeping, it is not one of the paper's metered op
-    /// classes — so per-morsel partial aggregation merges to exactly the
-    /// serial ledger (every row was already charged where it was
-    /// absorbed).
-    fn merge_from(&mut self, mine: usize, other: &ColAcc, theirs: usize) {
-        match (self, other) {
-            (ColAcc::Sum(a), ColAcc::Sum(b)) | (ColAcc::Count(a), ColAcc::Count(b)) => {
-                a[mine] = a[mine].wrapping_add(b[theirs]);
-            }
-            (ColAcc::Min(a), ColAcc::Min(b)) => {
-                if let Some(v) = &b[theirs] {
-                    keep_extreme(&mut a[mine], v.clone(), Ordering::Less);
-                }
-            }
-            (ColAcc::Max(a), ColAcc::Max(b)) => {
-                if let Some(v) = &b[theirs] {
-                    keep_extreme(&mut a[mine], v.clone(), Ordering::Greater);
-                }
-            }
-            (
-                ColAcc::Avg { sums, counts },
-                ColAcc::Avg {
-                    sums: s2,
-                    counts: c2,
-                },
-            ) => {
-                sums[mine] = sums[mine].wrapping_add(s2[theirs]);
-                counts[mine] += c2[theirs];
-            }
-            _ => unreachable!("partial accumulators of one aggregate share a variant"),
-        }
-    }
-}
-
 /// `MIN`/`MAX` step: keep `v` when the slot is empty or `v` compares
 /// `wins` against the value held (ties keep the earlier value, like the
 /// row path).
@@ -272,27 +184,40 @@ fn keep_extreme(acc: &mut Option<Value>, v: Value, wins: Ordering) {
 ///
 /// Group keys that pack into one `u64` (fixed-width columns of at most
 /// 64 bits in all, [`pack_keys`]; Q1's two `Char`s) skip the hash and
-/// the table too: each live row's packed key looks its group id up in
-/// a [`PackedMemo`], and only a miss asks the table (hashing that one
-/// row) and records the answer. Packed equality is key equality, and
-/// the memo never mints an id, so ids, first-seen order and stored keys
-/// are the table's whichever way a row came; the morsel-partial
-/// [`Self::merge`] goes through the table alone. The general path stays
-/// for what does not pack: a `Str` column, or keys over 64 bits (Q3's
-/// `Int`, `Date`, `Int`). The precedence is dictionary ids (below),
-/// then the memo, then the table. Accumulators are typed
-/// arrays ([`ColAcc`]) keyed by group id; each aggregate resolves its
-/// input once per chunk ([`Expr::eval_num`] settles `SUM`/`AVG` inputs
-/// into an `i64` lane — a slice, a gather or a constant) and runs one
-/// loop over the group ids and that lane. Sums wrap, like the row
+/// the table too, in two passes: the first looks every live row's
+/// packed key up in a [`PackedMemo`] and marks the misses; the second,
+/// only when something missed, resolves the marked rows in row order,
+/// each asking the memo again (an earlier miss may have recorded its
+/// key) and else the table (hashing that one row), recording the
+/// answer. Packed equality is key equality, and the memo never mints an
+/// id, so ids, first-seen order and stored keys are the table's
+/// whichever way a row came; the morsel-partial [`Self::merge`] goes
+/// through the table alone. The general path stays for what does not
+/// pack: a `Str` column, or keys over 64 bits (Q3's `Int`, `Date`,
+/// `Int`). The precedence is dictionary ids (below), then the memo,
+/// then the table.
+///
+/// Accumulators are slots indexed by group id, each filled once per
+/// chunk however many aggregates read it: one row count per group
+/// (`COUNT`'s value and every `AVG`'s divisor), one `i64` sum array per
+/// distinct `SUM`/`AVG` input expression (Q1's `SUM(l_quantity)` and
+/// `AVG(l_quantity)` share one), and one extreme array per `MIN`/`MAX`.
+/// A sum's input is resolved once per chunk ([`Expr::eval_num`] settles
+/// it into an `i64` lane — a slice, a gather or a constant) and runs
+/// one loop over the group ids and that lane. Sums wrap, like the row
 /// path's. Group order is first-seen order, as on the row path, and
 /// the charges are identical to [`GroupTable::absorb`]: one `HashProbe`
 /// and one random access per row (global aggregate included), one
 /// `AggUpdate` per (row, aggregate), plus whatever the input
-/// expressions charge.
+/// expressions charge — an aggregate whose slot an earlier one fills
+/// still charges its `AggUpdate`s and its input's `Arith`s.
 struct ColumnarGroups {
     group_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
+    /// Per aggregate: the slot it reads (a sum array for `SUM`/`AVG`,
+    /// an extreme array for `MIN`/`MAX`, unused for `COUNT`), and
+    /// whether an earlier aggregate fills that slot.
+    slots: Vec<(usize, bool)>,
     /// First-seen group keys: row `g` is group `g`'s key, column `j`
     /// its `group_cols[j]` value. Typed by the first chunk absorbed.
     keys: Option<DataChunk>,
@@ -300,7 +225,15 @@ struct ColumnarGroups {
     key_cols: Vec<usize>,
     /// Key → group id; holds exactly one row per group.
     table: KeyTable,
-    accs: Vec<ColAcc>,
+    /// Rows absorbed, per group.
+    counts: Vec<i64>,
+    /// Per distinct `SUM`/`AVG` input: its sum per group.
+    sums: Vec<Vec<i64>>,
+    /// Per `MIN`/`MAX`: its extreme per group.
+    extremes: Vec<Vec<Option<Value>>>,
+    /// Per sum array, this chunk: the `AggUpdate`s each aggregate
+    /// reading it charges (live rows, or run fragments).
+    updates: Vec<u64>,
     /// Packed key → group id, made on the first chunk whose keys pack.
     memo: Option<PackedMemo>,
     /// Reused per-chunk buffers: group ids, and one key hash or packed
@@ -316,16 +249,45 @@ struct ColumnarGroups {
     dict_gids: Vec<u32>,
 }
 
+/// Which way a `MIN`/`MAX` step wins.
+fn wins(func: AggFunc) -> Ordering {
+    match func {
+        AggFunc::Min => Ordering::Less,
+        _ => Ordering::Greater,
+    }
+}
+
 impl ColumnarGroups {
     fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
-        let accs = aggs.iter().map(|a| ColAcc::new(a.func)).collect();
+        let mut inputs: Vec<&Expr> = Vec::new();
+        let mut extremes = 0;
+        let slots = (aggs.iter())
+            .map(|a| match a.func {
+                AggFunc::Count => (0, false),
+                AggFunc::Sum | AggFunc::Avg => match inputs.iter().position(|&e| *e == a.input) {
+                    Some(s) => (s, true),
+                    None => {
+                        inputs.push(&a.input);
+                        (inputs.len() - 1, false)
+                    }
+                },
+                AggFunc::Min | AggFunc::Max => {
+                    extremes += 1;
+                    (extremes - 1, false)
+                }
+            })
+            .collect();
         Self {
             key_cols: (0..group_cols.len()).collect(),
             group_cols,
-            aggs,
+            slots,
             keys: None,
             table: KeyTable::with_capacity(0),
-            accs,
+            counts: Vec::new(),
+            sums: vec![Vec::new(); inputs.len()],
+            extremes: vec![Vec::new(); extremes],
+            updates: vec![0; inputs.len()],
+            aggs,
             memo: None,
             gids: Vec::new(),
             words: Vec::new(),
@@ -340,8 +302,8 @@ impl ColumnarGroups {
     }
 
     /// Group id of the key in row `i` of `data` (key columns `cols`,
-    /// hash `h`), claiming the next id — and growing every accumulator
-    /// — on first sight.
+    /// hash `h`), claiming the next id — and growing every slot — on
+    /// first sight.
     fn gid_of(&mut self, h: u64, data: &DataChunk, cols: &[usize], i: usize) -> u32 {
         let keys = self.keys.get_or_insert_with(|| {
             let typed = cols
@@ -355,7 +317,9 @@ impl ColumnarGroups {
             .find_or_insert(h, |g| keys_eq(keys, key_cols, g as usize, data, cols, i));
         if new {
             keys.append_rows(data, cols, std::iter::once(i));
-            self.accs.iter_mut().for_each(ColAcc::grow);
+            self.counts.push(0);
+            self.sums.iter_mut().for_each(|s| s.push(0));
+            self.extremes.iter_mut().for_each(|e| e.push(None));
         }
         gid
     }
@@ -398,15 +362,27 @@ impl ColumnarGroups {
                 let mut words = std::mem::take(&mut self.words);
                 if pack_keys(&chunk.data, &group_cols, chunk.rows(), &mut words) {
                     let mut memo = self.memo.take().unwrap_or_else(PackedMemo::new);
-                    chunk.rows().for_each(|k, i| {
-                        let gid = memo.find(words[k]).unwrap_or_else(|s| {
-                            let h = hash_row(&chunk.data, &group_cols, i);
-                            let gid = self.gid_of(h, &chunk.data, &group_cols, i);
-                            memo.insert_at(s, words[k], gid);
-                            gid
-                        });
+                    // Hits first, a miss marked `NO_ROW`.
+                    let mut missed = false;
+                    for &w in &words {
+                        let gid = memo.find(w).unwrap_or(NO_ROW);
+                        missed |= gid == NO_ROW;
                         gids.push(gid);
-                    });
+                    }
+                    // Misses second, in row order, so that ids are
+                    // claimed in first-seen order.
+                    if missed {
+                        chunk.rows().for_each(|k, i| {
+                            if gids[k] == NO_ROW {
+                                gids[k] = memo.find(words[k]).unwrap_or_else(|s| {
+                                    let h = hash_row(&chunk.data, &group_cols, i);
+                                    let gid = self.gid_of(h, &chunk.data, &group_cols, i);
+                                    memo.insert_at(s, words[k], gid);
+                                    gid
+                                });
+                            }
+                        });
+                    }
                     self.memo = Some(memo);
                 } else {
                     words.clear();
@@ -420,60 +396,50 @@ impl ColumnarGroups {
             self.group_cols = group_cols;
         }
 
+        // The row counts, once for every `COUNT` and `AVG`.
+        match self.group_cols.is_empty() {
+            true => self.counts[gids[0] as usize] += n as i64,
+            false => gids.iter().for_each(|&g| self.counts[g as usize] += 1),
+        }
         let rows = chunk.rows();
-        for (spec, acc) in self.aggs.iter().zip(&mut self.accs) {
-            // Run-length input under compressed pricing → accumulate
-            // run fragments, not rows.
-            let rle = match (&chunk.enc, &spec.input, spec.func) {
-                (Some(enc), Expr::Col(c), AggFunc::Sum | AggFunc::Avg) => match enc.column(*c) {
-                    EncodedColumn::RleInt { values, ends } => Some((values, ends)),
-                    _ => None,
-                },
-                _ => None,
-            };
-            // Which way a `MIN`/`MAX` step wins.
-            let wins = match acc {
-                ColAcc::Min(_) => Ordering::Less,
-                _ => Ordering::Greater,
-            };
-            match acc {
-                ColAcc::Count(counts) => {
-                    ctx.charge(OpClass::AggUpdate, n as u64);
-                    for &g in &gids {
-                        counts[g as usize] += 1;
-                    }
+        for (spec, &(slot, shared)) in self.aggs.iter().zip(&self.slots) {
+            match spec.func {
+                AggFunc::Count => ctx.charge(OpClass::AggUpdate, n as u64),
+                AggFunc::Sum | AggFunc::Avg if shared => {
+                    // An earlier aggregate filled the slot: charge what
+                    // filling it charged.
+                    ctx.charge(OpClass::AggUpdate, self.updates[slot]);
+                    ctx.charge(OpClass::Arith, spec.input.arith_nodes() * n as u64);
                 }
-                ColAcc::Sum(sums) => {
-                    if let Some((values, ends)) = rle {
-                        let frags = rle_accumulate(values, ends, rows, &gids, |g, v, w| {
-                            sums[g] = sums[g].wrapping_add(v.wrapping_mul(w));
-                        });
-                        ctx.charge(OpClass::AggUpdate, frags);
-                        continue;
-                    }
-                    ctx.charge(OpClass::AggUpdate, n as u64);
-                    let src = spec.input.eval_num(&chunk.data, rows, ctx);
-                    src.lane(rows)
-                        .zip_gids(&gids, |g, v| sums[g] = sums[g].wrapping_add(v));
+                AggFunc::Sum | AggFunc::Avg => {
+                    let sums = &mut self.sums[slot];
+                    // Run-length input under compressed pricing →
+                    // accumulate run fragments, not rows.
+                    let rle = match (&chunk.enc, &spec.input) {
+                        (Some(enc), Expr::Col(c)) => match enc.column(*c) {
+                            EncodedColumn::RleInt { values, ends } => Some((values, ends)),
+                            _ => None,
+                        },
+                        _ => None,
+                    };
+                    self.updates[slot] = match rle {
+                        Some((values, ends)) => {
+                            rle_accumulate(values, ends, rows, &gids, |g, v, w| {
+                                sums[g] = sums[g].wrapping_add(v.wrapping_mul(w));
+                            })
+                        }
+                        None => {
+                            let src = spec.input.eval_num(&chunk.data, rows, ctx);
+                            (src.lane(rows))
+                                .zip_gids(&gids, |g, v| sums[g] = sums[g].wrapping_add(v));
+                            n as u64
+                        }
+                    };
+                    ctx.charge(OpClass::AggUpdate, self.updates[slot]);
                 }
-                ColAcc::Avg { sums, counts } => {
-                    if let Some((values, ends)) = rle {
-                        let frags = rle_accumulate(values, ends, rows, &gids, |g, v, w| {
-                            sums[g] = sums[g].wrapping_add(v.wrapping_mul(w));
-                            counts[g] += w;
-                        });
-                        ctx.charge(OpClass::AggUpdate, frags);
-                        continue;
-                    }
+                AggFunc::Min | AggFunc::Max => {
                     ctx.charge(OpClass::AggUpdate, n as u64);
-                    let src = spec.input.eval_num(&chunk.data, rows, ctx);
-                    src.lane(rows).zip_gids(&gids, |g, v| {
-                        sums[g] = sums[g].wrapping_add(v);
-                        counts[g] += 1;
-                    });
-                }
-                ColAcc::Min(accs) | ColAcc::Max(accs) => {
-                    ctx.charge(OpClass::AggUpdate, n as u64);
+                    let (accs, wins) = (&mut self.extremes[slot], wins(spec.func));
                     // Each cell is compared where it lies; only a new
                     // extreme becomes a `Value`.
                     let col = spec.input.eval_column(&chunk.data, rows, ctx);
@@ -544,8 +510,11 @@ impl ColumnarGroups {
     /// Fold in a partial built from a *later* morsel of the input: each
     /// of its groups finds or claims its id here (first-seen order is
     /// preserved because `other`'s first sight of any shared group came
-    /// later in stream order) and its accumulators merge in. Free in
-    /// the ledger — every row was charged where it was absorbed.
+    /// later in stream order) and its counts, sums and extremes fold
+    /// in. Free in the ledger — like the hash table's own bookkeeping,
+    /// merging is not one of the paper's metered op classes, and every
+    /// row was charged where it was absorbed — so per-morsel partial
+    /// aggregation merges to exactly the serial ledger.
     fn merge(&mut self, other: ColumnarGroups) {
         let Some(their_keys) = &other.keys else {
             return;
@@ -553,8 +522,16 @@ impl ColumnarGroups {
         for theirs in 0..other.len() {
             let h = other.table.hash_of(theirs as u32);
             let mine = self.gid_of(h, their_keys, &other.key_cols, theirs) as usize;
-            for (acc, their_acc) in self.accs.iter_mut().zip(&other.accs) {
-                acc.merge_from(mine, their_acc, theirs);
+            self.counts[mine] += other.counts[theirs];
+            for (sums, their_sums) in self.sums.iter_mut().zip(&other.sums) {
+                sums[mine] = sums[mine].wrapping_add(their_sums[theirs]);
+            }
+            for (spec, &(e, _)) in self.aggs.iter().zip(&self.slots) {
+                if let AggFunc::Min | AggFunc::Max = spec.func {
+                    if let Some(v) = &other.extremes[e][theirs] {
+                        keep_extreme(&mut self.extremes[e][mine], v.clone(), wins(spec.func));
+                    }
+                }
             }
         }
     }
@@ -565,10 +542,21 @@ impl ColumnarGroups {
         let Some(keys) = &self.keys else {
             return Vec::new();
         };
+        let state = |spec: &AggSpec, slot: usize, g: usize| match spec.func {
+            AggFunc::Count => AggState::Count(self.counts[g]),
+            AggFunc::Sum => AggState::Sum(self.sums[slot][g]),
+            AggFunc::Avg => AggState::Avg {
+                sum: self.sums[slot][g],
+                count: self.counts[g],
+            },
+            AggFunc::Min => AggState::Min(self.extremes[slot][g].clone()),
+            AggFunc::Max => AggState::Max(self.extremes[slot][g].clone()),
+        };
         (0..self.len())
-            .map(|gid| {
-                let mut row = keys.row(gid);
-                row.extend(self.accs.iter().map(|a| a.state(gid).finish()));
+            .map(|g| {
+                let mut row = keys.row(g);
+                let aggs = self.aggs.iter().zip(&self.slots);
+                row.extend(aggs.map(|(spec, &(slot, _))| state(spec, slot, g).finish()));
                 row
             })
             .collect()
@@ -630,11 +618,17 @@ fn rle_accumulate(
 /// `GroupTable`; the columnar engine
 /// absorbs chunks into `ColumnarGroups`: group ids from the shared
 /// key kernel (`ops/hashkey.rs`), first-seen keys kept as columns,
-/// typed accumulator arrays. Group keys of fixed-width columns that fit
-/// in 64 bits (Q1's `l_returnflag`, `l_linestatus`) are packed into one
-/// word per row and their ids served from a memo in front of the key
-/// table, which alone mints ids; `Str` keys and wider ones (Q3's) hash
-/// every row into the table. The charges are the same either way.
+/// accumulator slots by group id that each chunk fills once however
+/// many aggregates read them: one row count per group (`COUNT`, and
+/// every `AVG`'s divisor) and one sum array per distinct `SUM`/`AVG`
+/// input (Q1's eight aggregates fill five sums and the count). Group
+/// keys of fixed-width columns that fit in 64 bits (Q1's
+/// `l_returnflag`, `l_linestatus`) are packed into one word per row and
+/// their ids served from a memo in front of the key table, which alone
+/// mints ids; `Str` keys and wider ones (Q3's) hash every row into the
+/// table. The charges are the same either way, and an aggregate that
+/// reads a slot another fills still charges its own `AggUpdate`s and
+/// its input's `Arith`s.
 /// Under the columnar engine `open` first
 /// tells its child ([`Operator::prune`]) that only the group columns
 /// and the aggregate inputs are read, so a join below gathers nothing

@@ -373,6 +373,7 @@ impl Operator for SeqScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ExecError;
     use eco_simhw::trace::DiskWork;
     use eco_storage::page::PAGE_SIZE;
     use eco_storage::{BufferPool, Catalog, ColumnType, HeapTable, Value};
@@ -616,8 +617,8 @@ mod tests {
             data: TableData::Disk(disk),
         });
 
-        // The serial scan: what it charges and records (by rows: the
-        // columnar mirror would decode the corrupt pages).
+        // The serial scan: what it charges and records, by rows, as
+        // the parts below are run.
         let mut serial = ExecCtx::new();
         let mut scan = SeqScan::new(Arc::clone(&table));
         scan.open(&mut serial);
@@ -643,5 +644,54 @@ mod tests {
         }
         assert_eq!(ctx.error(), serial.error());
         serial.ledger.assert_same(&ctx.ledger, "parts in order");
+    }
+
+    /// A columnar scan of a table with a corrupt page past its first
+    /// extent decodes the columnar mirror (every extent) before it
+    /// reads that page: the page that does not decode leaves its extent
+    /// out of the mirror, and the scan fails at the page's read with
+    /// the row scan's error, serial or split.
+    #[test]
+    fn a_columnar_scan_fails_at_a_corrupt_page_with_the_row_scans_error() {
+        let schema = Schema::new(&[("k", ColumnType::Int)]);
+        let tuples: Vec<Tuple> = (0..40_000).map(|i| vec![Value::Int(i)]).collect();
+        let pool = Arc::new(BufferPool::new(1 << 10));
+        let mut disk = DiskTable::load(1, schema, &tuples, Arc::clone(&pool));
+        let extent = EXTENT_PAGES as usize;
+        disk.corrupt_page(extent + 3, 100);
+        let table = Arc::new(StoredTable {
+            name: "d".into(),
+            data: TableData::Disk(disk),
+        });
+        let mut rows = ExecCtx::new();
+        let mut scan = SeqScan::new(Arc::clone(&table));
+        scan.open(&mut rows);
+        while scan.next(&mut rows).is_some() {}
+        let error = rows.error().cloned();
+        assert!(
+            matches!(error, Some(ExecError::Io(IoError::Corrupt { .. }))),
+            "{error:?}"
+        );
+
+        pool.flush();
+        let mut ctx = ExecCtx::new().with_columnar(true);
+        let mut scan = SeqScan::new(Arc::clone(&table));
+        scan.open(&mut ctx);
+        let mut emitted = 0;
+        while let Some(chunk) = scan.next_chunk(&mut ctx) {
+            emitted += chunk.len();
+        }
+        assert_eq!(ctx.error(), error.as_ref(), "serial");
+        assert!(emitted > 0, "the first extent is emitted");
+
+        pool.flush();
+        let mut ctx = ExecCtx::new().with_columnar(true);
+        let parts = SeqScan::new(Arc::clone(&table)).split(1);
+        assert!(parts.as_ref().is_some_and(|p| p.len() > 2), "splits");
+        for mut part in parts.into_iter().flatten() {
+            part.open(&mut ctx);
+            while part.next_chunk(&mut ctx).is_some() {}
+        }
+        assert_eq!(ctx.error(), error.as_ref(), "split");
     }
 }

@@ -618,19 +618,19 @@ impl DataChunk {
     /// Append columns `wanted` (ascending, distinct, one per column of
     /// this chunk; `0..arity` for all of them) of the `arity`-column
     /// row serialized in `payload` (a page slot), decoded straight into
-    /// the columns; the row's other values are skipped in place. Panics
-    /// on a payload that is not such a row with this chunk's column
-    /// types at `wanted`, like [`crate::page::deserialize_tuple`].
+    /// the columns; the row's other values are skipped in place.
+    /// `None` on a payload that is not such a row with this chunk's
+    /// column types at `wanted`; the chunk is then left part-way
+    /// through the row, fit only to be dropped.
     pub(crate) fn push_serialized(
         &mut self,
         payload: &[u8],
         arity: usize,
         wanted: impl IntoIterator<Item = usize>,
-    ) {
-        if try_append_to_columns(payload, arity, wanted, &mut self.columns).is_none() {
-            panic!("corrupt page: malformed tuple payload");
-        }
+    ) -> Option<()> {
+        try_append_to_columns(payload, arity, wanted, &mut self.columns)?;
         self.len += 1;
+        Some(())
     }
 
     /// Overwrite row `i`; panics on an out-of-range row or an arity or

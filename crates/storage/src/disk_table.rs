@@ -323,11 +323,6 @@ struct Mirror {
 }
 
 impl Mirror {
-    fn new(extents: Arc<ColumnarExtents>) -> Self {
-        let fresh = vec![true; extents.num_extents()];
-        Self { extents, fresh }
-    }
-
     /// Whether every extent matches the `pages` pages there are.
     fn is_current(&self, pages: usize) -> bool {
         self.extents.page_rows.len() == pages + 1
@@ -553,9 +548,10 @@ impl DiskTable {
         if let Some(mirror) = slot.as_ref().filter(usable) {
             return Arc::clone(&mirror.extents);
         }
-        let built = Arc::new(self.decode_mirror(slot.take(), needed));
-        *slot = Some(Mirror::new(Arc::clone(&built)));
-        built
+        let built = self.decode_mirror(slot.take(), needed);
+        let extents = Arc::clone(&built.extents);
+        *slot = Some(built);
+        extents
     }
 
     /// A mirror of this version's pages with the columns `needed` and
@@ -563,8 +559,11 @@ impl DiskTable {
     /// its chunk shared as it is (encoded form included) or grown by
     /// the columns it lacks. Any other extent is decoded from its
     /// pages, its widths read off the payloads ([`stored_width`])
-    /// unless the mirror ends up complete.
-    fn decode_mirror(&self, old: Option<Mirror>, needed: &[bool]) -> ColumnarExtents {
+    /// unless the mirror ends up complete. An extent with a slot that
+    /// does not decode (a corrupt page image) is left empty and stale:
+    /// no scan reads it, since the page's checksum fails its read
+    /// first, and the next call decodes it again.
+    fn decode_mirror(&self, old: Option<Mirror>, needed: &[bool]) -> Mirror {
         let columns = self.schema.columns();
         let arity = columns.len();
         let had = |c: usize| old.as_ref().is_some_and(|m| m.extents.decoded[c]);
@@ -593,8 +592,10 @@ impl DiskTable {
         };
         let empty = |ty| ColumnChunk::new(ColumnData::with_capacity(ty, 0));
         let extent = EXTENT_PAGES as usize;
-        let mut extents = Vec::with_capacity(self.pages.len().div_ceil(extent));
-        let mut encoded = Vec::with_capacity(extents.capacity());
+        let n_extents = self.pages.len().div_ceil(extent);
+        let mut extents = Vec::with_capacity(n_extents);
+        let mut encoded = Vec::with_capacity(n_extents);
+        let mut new_fresh = vec![true; n_extents];
         for (e, pages) in self.pages.chunks(extent).enumerate() {
             let kept = old_extents.next().filter(|_| fresh.get(e) == Some(&true));
             let (chunk, enc) = match kept {
@@ -614,38 +615,47 @@ impl DiskTable {
                             walk,
                         ),
                     };
-                    let (cols, walked) = self.decode_columns(pages, want, walk);
-                    for (&c, col) in want.iter().zip(cols.into_parts().0) {
-                        parts[c] = col;
-                    }
-                    (
-                        Arc::new(assemble(parts, widths.or(walked))),
-                        OnceLock::new(),
-                    )
+                    let chunk = match self.decode_columns(pages, want, walk) {
+                        Some((cols, walked)) => {
+                            for (&c, col) in want.iter().zip(cols.into_parts().0) {
+                                parts[c] = col;
+                            }
+                            assemble(parts, widths.or(walked))
+                        }
+                        None => {
+                            new_fresh[e] = false;
+                            DataChunk::new(columns.iter().map(|c| empty(c.ty)).collect())
+                        }
+                    };
+                    (Arc::new(chunk), OnceLock::new())
                 }
             };
             extents.push(chunk);
             encoded.push(enc);
         }
-        ColumnarExtents {
+        let extents = ColumnarExtents {
             page_rows: self.layout().row_offsets.clone(),
             decoded,
             extents,
             encoded,
             avg_encoded_bytes: OnceLock::new(),
+        };
+        Mirror {
+            extents: Arc::new(extents),
+            fresh: new_fresh,
         }
     }
 
     /// Columns `cols` (ascending) of every row of `pages`, in one pass
     /// over each slot payload, the other columns stepped over in place.
     /// With `walk` (see [`stored_width`]), each row's stored width as
-    /// well.
+    /// well. `None` when a slot is not a row of this table.
     fn decode_columns(
         &self,
         pages: &[Page],
         cols: &[usize],
         walk: Option<usize>,
-    ) -> (DataChunk, Option<Vec<u32>>) {
+    ) -> Option<(DataChunk, Option<Vec<u32>>)> {
         let columns = self.schema.columns();
         let arity = columns.len();
         let rows = pages.iter().map(Page::len).sum();
@@ -655,16 +665,13 @@ impl DiskTable {
         for p in pages {
             for slot in 0..p.len() {
                 let payload = p.payload(slot);
-                chunk.push_serialized(payload, arity, cols.iter().copied());
+                chunk.push_serialized(payload, arity, cols.iter().copied())?;
                 if let (Some(walk), Some(widths)) = (walk, &mut widths) {
-                    match stored_width(payload, walk) {
-                        Some(width) => widths.push(width),
-                        None => panic!("corrupt page: malformed tuple payload"),
-                    }
+                    widths.push(stored_width(payload, walk)?);
                 }
             }
         }
-        (chunk, widths)
+        Some((chunk, widths))
     }
 
     /// The lazily-derived [`Layout`] of this table version.
@@ -730,7 +737,8 @@ impl DiskTable {
     /// ([`Self::column_with_row_ids`]). Straight from the pages, never
     /// through the buffer pool and never into the columnar mirror: no
     /// I/O is charged (the same rule as [`Self::rows`]). Panics on a
-    /// column out of range or out of order.
+    /// column out of range or out of order, or a slot that does not
+    /// decode.
     pub fn project_pages<'a>(
         &'a self,
         cols: &'a [usize],
@@ -744,7 +752,8 @@ impl DiskTable {
         let mut next_row = 0;
         self.pages.iter().map(move |page| {
             let pages = std::slice::from_ref(page);
-            let (chunk, _) = self.decode_columns(pages, cols, None);
+            let (chunk, _) = (self.decode_columns(pages, cols, None))
+                .unwrap_or_else(|| panic!("corrupt page: malformed tuple payload"));
             let first_row = next_row;
             next_row += page.len();
             (first_row, chunk, page)

@@ -57,12 +57,25 @@
 //! globally and grouped, must equal the row oracle in rows, ledger and
 //! recorded `ExecError`.
 //!
+//! Aggregates whose inputs repeat have checks of their own: the
+//! columnar aggregate keeps one row count per group and one sum array
+//! per distinct `SUM`/`AVG` input, so `SUM(x)` and `AVG(x)`, `SUM(e)`
+//! and `AVG(e)` for an arithmetic `e`, `AVG(x)` twice, `COUNT` alone
+//! and beside `AVG`, and all of them with `MIN`/`MAX` mixed in, grouped
+//! (packed keys and hashed ones) and global, must equal the oracle in
+//! rows and ledgers on both storage engines at chunks of 1, 7 and 1024
+//! rows and 1, 2 and 4 workers. Under compressed pricing, where a
+//! run-length-encoded input is summed a run fragment at a time, rows
+//! must still equal the oracle and each aggregate must charge what it
+//! charges alone.
+//!
 //! Seeds are pinned: the vendored `proptest` derives each test's
 //! generator from the test's name.
 
 mod support;
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -74,11 +87,11 @@ use ecodb::query::ops::{
     hash_keys, AggSpec, BoxedOp, Filter, HashAggregate, HashJoin, Limit, Project, SeqScan,
     VecSource,
 };
-use ecodb::simhw::trace::{OpClass, PricingMode};
+use ecodb::simhw::trace::{Ledger, OpClass, PricingMode};
 use ecodb::storage::{
     Catalog, ColumnType, DataChunk, EncodedColumn, HeapTable, Schema, Tuple, Value,
 };
-use support::{check, Axes, Rng};
+use support::{check, Axes, Rng, Storage};
 
 const TYPES: [ColumnType; 5] = [
     ColumnType::Int,
@@ -983,4 +996,156 @@ fn packable_groups_grow_the_memo_across_chunks() {
     let input = boundary_rows(&mut Rng(0x6d656d6f), &types, 6000, 12_000);
     let rows = check_across_chunks("memo growth", &|| boundary_aggregate(&input, false));
     assert!(rows.len() > 2048, "{} groups", rows.len());
+}
+
+/// The aggregate lists whose `SUM`/`AVG` inputs repeat, over `x` (a
+/// column) and `e` (arithmetic ending in a division by a literal):
+/// `SUM(x)` + `AVG(x)`, `SUM(e)` + `AVG(e)`, `AVG(x)` twice, `COUNT`
+/// alone, `COUNT` + `AVG(x)`, and every one of those with `MIN`/`MAX`
+/// mixed in.
+fn shared_aggs(x: &Expr, e: &Expr) -> Vec<Vec<AggSpec>> {
+    use AggFunc::{Avg, Count, Max, Min, Sum};
+    let sets: [&[(AggFunc, &Expr)]; 6] = [
+        &[(Sum, x), (Avg, x)],
+        &[(Sum, e), (Avg, e)],
+        &[(Avg, x), (Avg, x)],
+        &[(Count, x)],
+        &[(Count, x), (Avg, x)],
+        &[
+            (Min, x),
+            (Sum, x),
+            (Max, e),
+            (Avg, x),
+            (Count, x),
+            (Sum, e),
+            (Min, e),
+            (Avg, e),
+            (Avg, x),
+        ],
+    ];
+    let spec = |(j, &(func, input)): (usize, &(AggFunc, &Expr))| AggSpec {
+        func,
+        input: input.clone(),
+        name: format!("a{j}"),
+    };
+    (sets.iter())
+        .map(|set| set.iter().enumerate().map(spec).collect())
+        .collect()
+}
+
+/// `x * (100 - y) / 100`: Q1's discounted price.
+fn discounted(x: usize, y: usize) -> Expr {
+    let kept = Expr::arith(ArithOp::Sub, Expr::int(100), Expr::col(y));
+    let product = Expr::arith(ArithOp::Mul, Expr::col(x), kept);
+    Expr::arith(ArithOp::Div, product, Expr::int(100))
+}
+
+#[test]
+fn aggregates_sharing_inputs_match_the_oracle() {
+    const SCALE: f64 = 0.001;
+    let axes = Axes {
+        storage: vec![Storage::Memory(SCALE), Storage::Disk(SCALE)],
+        engines: vec![ExecEngine::Scalar, ExecEngine::Columnar],
+        chunks: vec![1, 7, 1024],
+        workers: vec![1, 2, 4],
+        morsel_rows: vec![1024],
+        ..Axes::default()
+    };
+    let sets = shared_aggs(&Expr::col(0), &Expr::col(1)).len();
+    // Global; Q1's packed `Char` keys; a hashed `Str` key. Every set
+    // and every grouping runs over dense windows and over selections.
+    let groupings: [&[&str]; 3] = [&[], &["l_returnflag", "l_linestatus"], &["l_shipmode"]];
+    for set in 0..sets {
+        for (g, grouping) in groupings.iter().enumerate() {
+            let filtered = (set + g) % 2 == 1;
+            let plan = |cat: &Catalog| -> BoxedOp {
+                let lineitem = cat.expect("lineitem");
+                let col = |name| lineitem.schema().expect_index(name);
+                let (qty, price, disc) =
+                    (col("l_quantity"), col("l_extendedprice"), col("l_discount"));
+                let aggs = shared_aggs(&Expr::col(qty), &discounted(price, disc)).swap_remove(set);
+                let groups = grouping.iter().map(|&g| col(g)).collect();
+                let scan = Box::new(SeqScan::new(Arc::clone(&lineitem)));
+                let src: BoxedOp = match filtered {
+                    true => Box::new(Filter::new(
+                        scan,
+                        Expr::cmp(CmpOp::Lt, Expr::col(qty), Expr::int(30)),
+                    )),
+                    false => scan,
+                };
+                Box::new(HashAggregate::new(src, groups, aggs))
+            };
+            let name =
+                format!("shared inputs: set {set}, groups {grouping:?}, filtered {filtered}");
+            check(&name, &plan, &axes);
+        }
+    }
+}
+
+/// Under compressed pricing, over a run-length-encoded `x`: rows equal
+/// the oracle's, and the aggregates together charge what each charges
+/// alone (a plan of all of them plus `k - 1` plans of none equals the
+/// `k` plans of one), at every chunk size and worker count.
+#[test]
+fn aggregates_sharing_inputs_charge_alone_under_compressed_pricing() {
+    let schema = Schema::new(&[
+        ("s", ColumnType::Str),
+        ("c", ColumnType::Char),
+        ("b", ColumnType::Bool),
+        ("x", ColumnType::Int),
+        ("y", ColumnType::Int),
+    ]);
+    let mut rng = Rng(0x51075);
+    let rows: Vec<Tuple> = (0..3000)
+        .map(|i| {
+            vec![
+                Value::str(format!("s{}", rng.below(5))),
+                Value::Char(rng.pick(&['A', 'N', 'R'])),
+                Value::Bool(rng.below(2) == 0),
+                Value::Int(i / 60 - 20),
+                Value::Int(rng.below(11) as i64),
+            ]
+        })
+        .collect();
+    let data = DataChunk::from_rows(&schema, &rows);
+    assert!(matches!(
+        EncodedColumn::encode(&data.column(3).data),
+        EncodedColumn::RleInt { .. }
+    ));
+    assert!(dict_encoded(&schema, &rows, 0));
+    let mut cat = Catalog::new(1 << 20);
+    cat.add_memory_table("t", HeapTable::from_tuples(schema, rows));
+    let plan = |groups: &[usize], aggs: Vec<AggSpec>| -> BoxedOp {
+        let scan = Box::new(SeqScan::new(cat.expect("t")));
+        Box::new(HashAggregate::new(scan, groups.to_vec(), aggs))
+    };
+
+    let groupings: [&[usize]; 3] = [&[], &[1, 2], &[0]];
+    for aggs in shared_aggs(&Expr::col(3), &discounted(3, 4)) {
+        for groups in groupings {
+            let mut sctx = ExecCtx::new();
+            let want = ExecEngine::Scalar.execute(plan(groups, aggs.clone()).as_mut(), &mut sctx);
+            for (chunk, workers) in [1, 7, 1024]
+                .into_iter()
+                .flat_map(|c| [(c, 1), (c, 2), (c, 4)])
+            {
+                let what = format!("{aggs:?} by {groups:?}, chunk {chunk}, workers {workers}");
+                let run = |aggs: Vec<AggSpec>| {
+                    let mut ctx = compressed_ctx(chunk, workers);
+                    let rows = execute(plan(groups, aggs).as_mut(), &mut ctx);
+                    (rows, ctx.ledger)
+                };
+                let (rows, mut together) = run(aggs.clone());
+                assert_eq!(rows, want, "{what}");
+                let (_, none) = run(Vec::new());
+                let mut alone = Ledger::new();
+                for a in &aggs {
+                    alone.merge(&run(vec![a.clone()]).1);
+                    together.merge(&none);
+                }
+                alone.merge(&none);
+                alone.assert_same(&together, &what);
+            }
+        }
+    }
 }

@@ -441,11 +441,11 @@ fn mirror_equals_rows_when_a_column_stops_repeating_mid_table() {
     assert_mirror_matches(&table, &rows, "bulk load").expect("mirror equals rows");
 }
 
-/// A table whose first row's payload has the byte at `offset` garbled,
-/// handed to `decode`. The mirror and the projected scan decode without
-/// checksum verification (they never go through the pool), so the
-/// decoder itself must refuse.
-fn with_garbled_payload<R>(offset: usize, decode: impl FnOnce(&DiskTable) -> R) -> R {
+/// A table of 100 rows whose first row's payload has the byte at
+/// `offset` garbled, its rows, and where that byte is in page 0. The
+/// mirror and the projected scan decode without checksum verification
+/// (they never go through the pool), so the decoder itself must refuse.
+fn garbled_table(offset: usize) -> (DiskTable, Vec<Tuple>, usize) {
     let mut gen = Gen {
         rng: Rng(7),
         wide: false,
@@ -454,9 +454,31 @@ fn with_garbled_payload<R>(offset: usize, decode: impl FnOnce(&DiskTable) -> R) 
     let mut table = DiskTable::load(1, schema(), &rows, Arc::new(BufferPool::new(16)));
     // Slot 0's directory entry follows the 4-byte page header.
     let image = table.page_image(0);
-    let payload = u16::from_le_bytes([image[4], image[5]]) as usize;
-    table.corrupt_page(0, payload + offset);
-    decode(&table)
+    let at = u16::from_le_bytes([image[4], image[5]]) as usize + offset;
+    table.corrupt_page(0, at);
+    (table, rows, at)
+}
+
+/// [`garbled_table`] handed to `decode`.
+fn with_garbled_payload<R>(offset: usize, decode: impl FnOnce(&DiskTable) -> R) -> R {
+    decode(&garbled_table(offset).0)
+}
+
+/// The mirror leaves out the extent of a page that does not decode,
+/// where it used to panic: a scan never reads that extent (the page
+/// fails its checksum first). The extent stays stale, so once the page
+/// is whole again the next call decodes it.
+fn assert_mirror_leaves_out_a_garbled_extent(offset: usize) {
+    let (mut table, rows, at) = garbled_table(offset);
+    let mirror = table.columnar();
+    assert_eq!(mirror.num_extents(), 1);
+    assert_eq!(
+        mirror.extent_chunk(0).len(),
+        0,
+        "the garbled extent is left out"
+    );
+    table.corrupt_page(0, at);
+    assert_mirror_matches(&table, &rows, "whole again").expect("mirror equals rows");
 }
 
 /// Arity (2 bytes), then the first value's tag.
@@ -466,15 +488,13 @@ const FIRST_TAG: usize = 2;
 const STR_LEN_HIGH: usize = 2 + 9 + 1 + 1;
 
 #[test]
-#[should_panic(expected = "corrupt page")]
-fn mirror_refuses_an_unknown_value_tag() {
-    with_garbled_payload(FIRST_TAG, |t| t.columnar().num_extents());
+fn mirror_leaves_out_an_extent_with_an_unknown_value_tag() {
+    assert_mirror_leaves_out_a_garbled_extent(FIRST_TAG);
 }
 
 #[test]
-#[should_panic(expected = "corrupt page")]
-fn mirror_refuses_a_string_longer_than_its_slot() {
-    with_garbled_payload(STR_LEN_HIGH, |t| t.columnar().num_extents());
+fn mirror_leaves_out_an_extent_with_a_string_longer_than_its_slot() {
+    assert_mirror_leaves_out_a_garbled_extent(STR_LEN_HIGH);
 }
 
 #[test]
