@@ -275,14 +275,22 @@ impl Expr {
 // or a constant — and the operator is matched once, so each arithmetic
 // node is one monomorphised loop over slices with no `ExecCtx`, no enum
 // match and no charge inside it (charges are counts, made before the
-// loop). A nonzero `Int` literal divisor (Q1's `/ 100` and `/ 10000`)
-// is turned into a multiplier and a shift once per chunk (`DivConst`),
-// so its loop runs no hardware divide and equals `wrapping_div` for
-// every dividend. Any other divisor — a zero literal, or a column or
-// computed vector — is scanned for a zero among the live rows before
-// the division loop, which is recorded once (`ExecError::DivisionByZero`,
-// first error wins); the rows that divide by zero hold the placeholder
-// 0, as on the row path.
+// loop), writing into a vector it is handed (`arith_into`). A nonzero
+// `Int` literal divisor (Q1's `/ 100` and `/ 10000`) is turned into a
+// multiplier, a shift and a correction once per chunk (`DivConst`; the
+// correction picks the loop), so its loop runs no hardware divide and
+// equals `wrapping_div` for every dividend. Any other divisor — a zero
+// literal, or a column or computed vector — is scanned for a zero among
+// the live rows before the division loop, which is recorded once
+// (`ExecError::DivisionByZero`, first error wins); the rows that divide
+// by zero hold the placeholder 0, as on the row path.
+//
+// Filters and projections evaluate a tree node by node into fresh
+// vectors (`Expr::eval_num`). The aggregate's `SUM`/`AVG` inputs go
+// through [`Subexprs`] instead: their distinct subtrees (by `Expr`
+// equality) are each computed once per chunk, however many inputs hold
+// them, into lanes the aggregate owns and reuses across chunks, and the
+// `Arith` charges stay counts taken from each input's own tree.
 //
 // A comparison (`compare`) settles its operands' type (`Int`, `Date`,
 // `Char`, `Str` by bytes, `Bool`) and shape (a column read by row id, a
@@ -341,46 +349,69 @@ impl Lane<'_> {
             Lane::Const(c) => c == 0,
         }
     }
-
-    /// `f(gids[k], value of ordinal k)` for every live row — the
-    /// accumulators' loop.
-    #[inline]
-    pub(crate) fn zip_gids(self, gids: &[u32], mut f: impl FnMut(usize, i64)) {
-        match self {
-            Lane::Dense(v) => (gids.iter().zip(v)).for_each(|(&g, &x)| f(g as usize, x)),
-            Lane::Gather(v, sel) => {
-                (gids.iter().zip(sel)).for_each(|(&g, &i)| f(g as usize, v[i as usize]));
-            }
-            Lane::Const(c) => gids.iter().for_each(|&g| f(g as usize, c)),
-        }
-    }
 }
 
-/// `f(l, r)` for each of `n` live rows: one loop, chosen by the two
-/// lanes' shapes.
+/// `f(l, r)` for each of `n` live rows into `out`, replacing what it
+/// held: one loop, chosen by the two lanes' shapes.
 #[inline(always)]
-fn zip_lanes<T: Copy>(l: Lane<'_>, r: Lane<'_>, n: usize, f: impl Fn(i64, i64) -> T) -> Vec<T> {
+fn zip_lanes(l: Lane<'_>, r: Lane<'_>, n: usize, out: &mut Vec<i64>, f: impl Fn(i64, i64) -> i64) {
     let at = |v: &[i64], i: u32| v[i as usize];
+    out.clear();
     match (l, r) {
-        (Lane::Dense(a), Lane::Dense(b)) => a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect(),
+        (Lane::Dense(a), Lane::Dense(b)) => out.extend(a.iter().zip(b).map(|(&x, &y)| f(x, y))),
         (Lane::Dense(a), Lane::Gather(b, s)) => {
-            a.iter().zip(s).map(|(&x, &i)| f(x, at(b, i))).collect()
+            out.extend(a.iter().zip(s).map(|(&x, &i)| f(x, at(b, i))));
         }
         (Lane::Gather(a, s), Lane::Dense(b)) => {
-            s.iter().zip(b).map(|(&i, &y)| f(at(a, i), y)).collect()
+            out.extend(s.iter().zip(b).map(|(&i, &y)| f(at(a, i), y)));
         }
         (Lane::Gather(a, s), Lane::Gather(b, _)) => {
-            s.iter().map(|&i| f(at(a, i), at(b, i))).collect()
+            out.extend(s.iter().map(|&i| f(at(a, i), at(b, i))));
         }
-        (Lane::Dense(a), Lane::Const(c)) => a.iter().map(|&x| f(x, c)).collect(),
-        (Lane::Const(c), Lane::Dense(b)) => b.iter().map(|&y| f(c, y)).collect(),
-        (Lane::Gather(a, s), Lane::Const(c)) => s.iter().map(|&i| f(at(a, i), c)).collect(),
-        (Lane::Const(c), Lane::Gather(b, s)) => s.iter().map(|&i| f(c, at(b, i))).collect(),
-        (Lane::Const(a), Lane::Const(b)) => vec![f(a, b); n],
+        (Lane::Dense(a), Lane::Const(c)) => out.extend(a.iter().map(|&x| f(x, c))),
+        (Lane::Const(c), Lane::Dense(b)) => out.extend(b.iter().map(|&y| f(c, y))),
+        (Lane::Gather(a, s), Lane::Const(c)) => out.extend(s.iter().map(|&i| f(at(a, i), c))),
+        (Lane::Const(c), Lane::Gather(b, s)) => out.extend(s.iter().map(|&i| f(c, at(b, i)))),
+        (Lane::Const(a), Lane::Const(b)) => out.resize(n, f(a, b)),
     }
 }
 
-/// The arithmetic kernel: `l op r` over the live rows, charging one
+/// The arithmetic kernel: `a op b` over the `n` live rows into `out`,
+/// replacing what it held. A zero divisor among the live rows records
+/// [`ExecError::DivisionByZero`] in `ctx` (first error wins). Charges
+/// nothing: the caller charges one `Arith` per live row and node.
+fn arith_into(
+    op: ArithOp,
+    a: Lane<'_>,
+    b: Lane<'_>,
+    n: usize,
+    out: &mut Vec<i64>,
+    ctx: &mut ExecCtx,
+) {
+    match op {
+        ArithOp::Add => zip_lanes(a, b, n, out, |x, y| ArithOp::Add.of(x, y)),
+        ArithOp::Sub => zip_lanes(a, b, n, out, |x, y| ArithOp::Sub.of(x, y)),
+        ArithOp::Mul => zip_lanes(a, b, n, out, |x, y| ArithOp::Mul.of(x, y)),
+        ArithOp::Div => match b {
+            Lane::Const(d) if d != 0 => {
+                let by = DivConst::new(d);
+                match by.fix {
+                    Fix::None => zip_lanes(a, b, n, out, |x, _| by.of(x, Fix::None)),
+                    Fix::Add => zip_lanes(a, b, n, out, |x, _| by.of(x, Fix::Add)),
+                    Fix::Sub => zip_lanes(a, b, n, out, |x, _| by.of(x, Fix::Sub)),
+                }
+            }
+            _ => {
+                if b.has_zero() {
+                    ctx.fail(ExecError::DivisionByZero);
+                }
+                zip_lanes(a, b, n, out, |x, y| ArithOp::Div.of(x, y));
+            }
+        },
+    }
+}
+
+/// `l op r` over the live rows into a fresh vector, charging one
 /// `Arith` per live row, as per-row [`Expr::eval`] would.
 fn arith(
     op: ArithOp,
@@ -394,23 +425,155 @@ fn arith(
     let r = r.eval_num(data, rows, ctx);
     let n = rows.len();
     ctx.charge(OpClass::Arith, n as u64);
-    let (a, b) = (l.lane(rows), r.lane(rows));
-    match op {
-        ArithOp::Add => zip_lanes(a, b, n, |x, y| ArithOp::Add.of(x, y)),
-        ArithOp::Sub => zip_lanes(a, b, n, |x, y| ArithOp::Sub.of(x, y)),
-        ArithOp::Mul => zip_lanes(a, b, n, |x, y| ArithOp::Mul.of(x, y)),
-        ArithOp::Div => match b {
-            Lane::Const(d) if d != 0 => {
-                let by = DivConst::new(d);
-                zip_lanes(a, b, n, |x, _| by.of(x))
-            }
-            _ => {
-                if b.has_zero() {
-                    ctx.fail(ExecError::DivisionByZero);
+    let mut out = Vec::with_capacity(n);
+    arith_into(op, l.lane(rows), r.lane(rows), n, &mut out, ctx);
+    out
+}
+
+/// One node of [`Subexprs`]: a leaf, or an operator over two earlier
+/// nodes.
+#[derive(Clone, Copy, PartialEq)]
+enum Node {
+    Col(usize),
+    Lit(i64),
+    Arith(ArithOp, usize, usize),
+}
+
+/// The distinct `Int` subexpressions of a set of expressions, each
+/// evaluated once per chunk into a lane this owns and reuses across
+/// chunks. A node is its operator and its operands' nodes, so two
+/// subtrees are one node exactly when they are equal `Expr`s: Q1's
+/// `l_extendedprice * (100 - l_discount)` is computed once for both
+/// inputs that hold it.
+pub(crate) struct Subexprs {
+    /// The distinct nodes, each after its operands.
+    nodes: Vec<Node>,
+    /// Per node: whether its values are read whole ([`Self::values`]),
+    /// not only as an operand.
+    roots: Vec<bool>,
+    /// Per node, this chunk: its values, one per live-row ordinal, where
+    /// they are not read in place — an arithmetic node's results, a
+    /// root column's values gathered through the selection, a root
+    /// literal repeated; else empty.
+    lanes: Vec<Vec<i64>>,
+}
+
+impl Subexprs {
+    pub(crate) fn new() -> Self {
+        Self {
+            nodes: Vec::new(),
+            roots: Vec::new(),
+            lanes: Vec::new(),
+        }
+    }
+
+    /// The node of `e` (an `Int` column, literal or arithmetic), whose
+    /// values [`Self::values`] reads, adding it and every subexpression
+    /// not seen yet.
+    pub(crate) fn root(&mut self, e: &Expr) -> usize {
+        let j = self.intern(e);
+        self.roots[j] = true;
+        j
+    }
+
+    /// The node of `e`, added with its subexpressions if not seen yet.
+    fn intern(&mut self, e: &Expr) -> usize {
+        let node = match e {
+            Expr::Col(i) => Node::Col(*i),
+            Expr::Lit(Value::Int(v)) => Node::Lit(*v),
+            Expr::Arith(op, l, r) => Node::Arith(*op, self.intern(l), self.intern(r)),
+            _ => not_int(e),
+        };
+        self.nodes
+            .iter()
+            .position(|&n| n == node)
+            .unwrap_or_else(|| {
+                self.nodes.push(node);
+                self.roots.push(false);
+                self.lanes.push(Vec::new());
+                self.nodes.len() - 1
+            })
+    }
+
+    /// The column node `node` reads, if it is a bare column.
+    pub(crate) fn column(&self, node: usize) -> Option<usize> {
+        match self.nodes[node] {
+            Node::Col(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    /// Evaluate every node over the live rows, once each, into its
+    /// lane. A zero divisor records [`ExecError::DivisionByZero`] (first
+    /// error wins). Charges nothing: the `Arith`s are counts the caller
+    /// takes from its expressions' trees.
+    pub(crate) fn eval(&mut self, data: &DataChunk, rows: Rows<'_>, ctx: &mut ExecCtx) {
+        let n = rows.len();
+        for j in 0..self.nodes.len() {
+            let (done, rest) = self.lanes.split_at_mut(j);
+            let out = &mut rest[0];
+            match (self.nodes[j], rows, self.roots[j]) {
+                (Node::Col(c), Rows::Sel(sel), true) => {
+                    let v = ints(data, c);
+                    out.clear();
+                    out.extend(sel.iter().map(|&i| v[i as usize]));
                 }
-                zip_lanes(a, b, n, |x, y| ArithOp::Div.of(x, y))
+                // Every value is `c`, so only the length changes.
+                (Node::Lit(c), _, true) => out.resize(n, c),
+                (Node::Arith(op, l, r), ..) => {
+                    let lane = |k| lane(&self.nodes, &self.roots, done, k, data, rows);
+                    arith_into(op, lane(l), lane(r), n, out, ctx);
+                }
+                _ => {}
             }
-        },
+        }
+    }
+
+    /// Root `node`'s values, one per live-row ordinal, after
+    /// [`Self::eval`] over the same rows.
+    pub(crate) fn values<'s>(
+        &'s self,
+        node: usize,
+        data: &'s DataChunk,
+        rows: Rows<'s>,
+    ) -> &'s [i64] {
+        match lane(&self.nodes, &self.roots, &self.lanes, node, data, rows) {
+            Lane::Dense(v) => v,
+            _ => &self.lanes[node],
+        }
+    }
+}
+
+/// Node `j`'s lane over `rows`: a column in place (or its gathered
+/// lane, if it is a root under a selection), a literal as a constant,
+/// an arithmetic node's lane.
+fn lane<'s>(
+    nodes: &[Node],
+    roots: &[bool],
+    lanes: &'s [Vec<i64>],
+    j: usize,
+    data: &'s DataChunk,
+    rows: Rows<'s>,
+) -> Lane<'s> {
+    match (nodes[j], rows, roots[j]) {
+        (Node::Col(c), Rows::Range(s, e), _) => Lane::Dense(&ints(data, c)[s..e]),
+        (Node::Col(c), Rows::Sel(sel), false) => Lane::Gather(ints(data, c), sel),
+        (Node::Lit(c), ..) => Lane::Const(c),
+        _ => Lane::Dense(&lanes[j]),
+    }
+}
+
+/// The panic of an `Int` operand that is not one, like the row
+/// evaluator's `expect("arith on Int")`.
+fn not_int(e: &Expr) -> ! {
+    panic!("arith on Int, got {e:?}")
+}
+
+/// Column `c` of `data` as `Int`s.
+fn ints(data: &DataChunk, c: usize) -> &[i64] {
+    match data.column(c).data.as_ints() {
+        Some(v) => v,
+        None => panic!("arith on Int"),
     }
 }
 
@@ -422,11 +585,7 @@ fn arith(
 #[derive(Clone, Copy)]
 struct DivConst {
     magic: i64,
-    /// All ones where the product's high half takes `x` added (`d > 0`
-    /// and a negative `magic`, or `d = 1`) or subtracted (`d < 0` and a
-    /// positive `magic`, or `d = -1`), else zero.
-    add: i64,
-    sub: i64,
+    fix: Fix,
     shift: u32,
     /// 1 where a negative quotient is rounded up toward zero; 0 for
     /// `d = ±1`, whose quotient is exact.
@@ -440,8 +599,7 @@ impl DivConst {
         if d.unsigned_abs() == 1 {
             return Self {
                 magic: 0,
-                add: -i64::from(d > 0),
-                sub: -i64::from(d < 0),
+                fix: if d > 0 { Fix::Add } else { Fix::Sub },
                 shift: 0,
                 round: 0,
             };
@@ -473,22 +631,43 @@ impl DivConst {
         }
         let magic = q2.wrapping_add(1) as i64;
         let magic = if d < 0 { magic.wrapping_neg() } else { magic };
+        let fix = match (d > 0, magic < 0) {
+            (true, true) => Fix::Add,
+            (false, false) => Fix::Sub,
+            _ => Fix::None,
+        };
         Self {
             magic,
-            add: -i64::from(d > 0 && magic < 0),
-            sub: -i64::from(d < 0 && magic > 0),
+            fix,
             shift: p - 64,
             round: 1,
         }
     }
 
-    /// `x.wrapping_div(d)`.
+    /// `x.wrapping_div(d)`, given `fix` is `self.fix`: a loop that
+    /// passes it as a literal carries only its own correction.
     #[inline(always)]
-    fn of(self, x: i64) -> i64 {
+    fn of(self, x: i64, fix: Fix) -> i64 {
         let high = ((i128::from(self.magic) * i128::from(x)) >> 64) as i64;
-        let q = high.wrapping_add(x & self.add).wrapping_sub(x & self.sub) >> self.shift;
+        let high = match fix {
+            Fix::None => high,
+            Fix::Add => high.wrapping_add(x),
+            Fix::Sub => high.wrapping_sub(x),
+        };
+        let q = high >> self.shift;
         q + ((q as u64 >> 63) as i64 & self.round)
     }
+}
+
+/// What [`DivConst`] does to the product's high half before the shift:
+/// nothing, add the dividend (`d > 0` and a negative `magic`, or
+/// `d = 1`) or subtract it (`d < 0` and a positive `magic`, or
+/// `d = -1`).
+#[derive(Clone, Copy)]
+enum Fix {
+    None,
+    Add,
+    Sub,
 }
 
 /// Any typed comparison operand resolved over a row set.
@@ -891,16 +1070,10 @@ impl Expr {
         ctx: &mut ExecCtx,
     ) -> NumSrc<'a> {
         match self {
-            Expr::Col(i) => {
-                let col = data.column(*i);
-                match col.data.as_ints() {
-                    Some(v) => Operand::Col(v),
-                    None => panic!("arith on Int"),
-                }
-            }
+            Expr::Col(i) => Operand::Col(ints(data, *i)),
             Expr::Lit(Value::Int(v)) => Operand::Lit(*v),
             Expr::Arith(op, l, r) => Operand::Own(arith(*op, l, r, data, rows, ctx)),
-            _ => panic!("arith on Int"),
+            _ => not_int(self),
         }
     }
 
@@ -1634,7 +1807,7 @@ mod columnar_tests {
             dividends.extend([d.wrapping_neg(), d.wrapping_neg().wrapping_add(1)]);
             dividends.extend((0..300).map(|_| random()));
             for x in dividends {
-                assert_eq!(by.of(x), x.wrapping_div(d), "{x} / {d}");
+                assert_eq!(by.of(x, by.fix), x.wrapping_div(d), "{x} / {d}");
             }
         }
 

@@ -12,7 +12,7 @@ use eco_storage::{
 
 use crate::chunk::Chunk;
 use crate::context::ExecCtx;
-use crate::expr::{AggFunc, Expr};
+use crate::expr::{AggFunc, Expr, Subexprs};
 use crate::ops::hashkey::{hash_keys, hash_row, keys_eq, pack_keys, KeyTable, PackedMemo, NO_ROW};
 use crate::ops::{drain_chunks, mark_read, BoxedOp, Operator};
 use crate::parallel::run_morsels;
@@ -180,7 +180,7 @@ fn keep_extreme(acc: &mut Option<Value>, v: Value, wins: Ordering) {
 /// of every group is kept as columns (one key tuple is materialized per
 /// *group*, at the end). A global aggregate (no group columns) skips
 /// the per-row hash and probe: the chunk's first live row finds or
-/// claims group 0 and every row takes it.
+/// claims group 0, and no row needs an id.
 ///
 /// Group keys that pack into one `u64` (fixed-width columns of at most
 /// 64 bits in all, [`pack_keys`]; Q1's two `Char`s) skip the hash and
@@ -197,27 +197,34 @@ fn keep_extreme(acc: &mut Option<Value>, v: Value, wins: Ordering) {
 /// `Int`). The precedence is dictionary ids (below), then the memo,
 /// then the table.
 ///
-/// Accumulators are slots indexed by group id, each filled once per
-/// chunk however many aggregates read it: one row count per group
-/// (`COUNT`'s value and every `AVG`'s divisor), one `i64` sum array per
-/// distinct `SUM`/`AVG` input expression (Q1's `SUM(l_quantity)` and
-/// `AVG(l_quantity)` share one), and one extreme array per `MIN`/`MAX`.
-/// A sum's input is resolved once per chunk ([`Expr::eval_num`] settles
-/// it into an `i64` lane — a slice, a gather or a constant) and runs
-/// one loop over the group ids and that lane. Sums wrap, like the row
-/// path's. Group order is first-seen order, as on the row path, and
-/// the charges are identical to [`GroupTable::absorb`]: one `HashProbe`
-/// and one random access per row (global aggregate included), one
-/// `AggUpdate` per (row, aggregate), plus whatever the input
-/// expressions charge — an aggregate whose slot an earlier one fills
-/// still charges its `AggUpdate`s and its input's `Arith`s.
+/// The accumulators are row-major per group: one cell per `cells`, the
+/// row count first (`COUNT`'s value and every `AVG`'s divisor), then
+/// one wrapping sum per distinct `SUM`/`AVG` input expression (Q1's
+/// `SUM(l_quantity)` and `AVG(l_quantity)` share one); `MIN`/`MAX` keep
+/// one extreme array each. Each chunk first computes the distinct `Int`
+/// subexpressions of all `SUM`/`AVG` inputs once ([`Subexprs`]: Q1's
+/// eight arithmetic nodes a row are six), then fills every cell of a
+/// row's group in one loop over the group ids; a global aggregate sums
+/// each input in one fold instead. Sums wrap, like the row path's, so
+/// their order does not matter. Group order is first-seen order, as on
+/// the row path, and the charges are counts taken from the aggregates,
+/// identical to [`GroupTable::absorb`]: one `HashProbe` and one random
+/// access per row (global aggregate included), one `AggUpdate` per
+/// (row, aggregate), and per `SUM`/`AVG` one `Arith` per row and
+/// arithmetic node of its input — an aggregate whose cell or
+/// subexpressions another fills still charges its own.
 struct ColumnarGroups {
     group_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
-    /// Per aggregate: the slot it reads (a sum array for `SUM`/`AVG`,
-    /// an extreme array for `MIN`/`MAX`, unused for `COUNT`), and
-    /// whether an earlier aggregate fills that slot.
-    slots: Vec<(usize, bool)>,
+    /// Per aggregate: its cell (`COUNT`, `SUM`, `AVG`) or its extreme
+    /// array (`MIN`/`MAX`).
+    slots: Vec<usize>,
+    /// The `SUM`/`AVG` inputs' distinct subexpressions, and the count's
+    /// literal 1.
+    exprs: Subexprs,
+    /// Per accumulator cell: the node of `exprs` it sums. Cell 0 sums
+    /// the literal 1: it is the row count.
+    cells: Vec<usize>,
     /// First-seen group keys: row `g` is group `g`'s key, column `j`
     /// its `group_cols[j]` value. Typed by the first chunk absorbed.
     keys: Option<DataChunk>,
@@ -225,15 +232,15 @@ struct ColumnarGroups {
     key_cols: Vec<usize>,
     /// Key → group id; holds exactly one row per group.
     table: KeyTable,
-    /// Rows absorbed, per group.
-    counts: Vec<i64>,
-    /// Per distinct `SUM`/`AVG` input: its sum per group.
-    sums: Vec<Vec<i64>>,
+    /// Group `g`'s cells are `accs[g * w..][..w]`, `w` = `cells.len()`.
+    accs: Vec<i64>,
     /// Per `MIN`/`MAX`: its extreme per group.
     extremes: Vec<Vec<Option<Value>>>,
-    /// Per sum array, this chunk: the `AggUpdate`s each aggregate
-    /// reading it charges (live rows, or run fragments).
+    /// Per cell, this chunk: the `AggUpdate`s each aggregate reading it
+    /// charges (live rows, or run fragments).
     updates: Vec<u64>,
+    /// This chunk's (cell, node) pairs filled by the accumulator pass.
+    fused: Vec<(usize, usize)>,
     /// Packed key → group id, made on the first chunk whose keys pack.
     memo: Option<PackedMemo>,
     /// Reused per-chunk buffers: group ids, and one key hash or packed
@@ -259,21 +266,22 @@ fn wins(func: AggFunc) -> Ordering {
 
 impl ColumnarGroups {
     fn new(group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
-        let mut inputs: Vec<&Expr> = Vec::new();
+        let mut exprs = Subexprs::new();
+        let mut cells = vec![exprs.root(&Expr::int(1))];
         let mut extremes = 0;
         let slots = (aggs.iter())
             .map(|a| match a.func {
-                AggFunc::Count => (0, false),
-                AggFunc::Sum | AggFunc::Avg => match inputs.iter().position(|&e| *e == a.input) {
-                    Some(s) => (s, true),
-                    None => {
-                        inputs.push(&a.input);
-                        (inputs.len() - 1, false)
-                    }
-                },
+                AggFunc::Count => 0,
+                AggFunc::Sum | AggFunc::Avg => {
+                    let node = exprs.root(&a.input);
+                    cells.iter().position(|&c| c == node).unwrap_or_else(|| {
+                        cells.push(node);
+                        cells.len() - 1
+                    })
+                }
                 AggFunc::Min | AggFunc::Max => {
                     extremes += 1;
-                    (extremes - 1, false)
+                    extremes - 1
                 }
             })
             .collect();
@@ -281,12 +289,14 @@ impl ColumnarGroups {
             key_cols: (0..group_cols.len()).collect(),
             group_cols,
             slots,
+            exprs,
             keys: None,
             table: KeyTable::with_capacity(0),
-            counts: Vec::new(),
-            sums: vec![Vec::new(); inputs.len()],
+            accs: Vec::new(),
             extremes: vec![Vec::new(); extremes],
-            updates: vec![0; inputs.len()],
+            updates: vec![0; cells.len()],
+            fused: Vec::new(),
+            cells,
             aggs,
             memo: None,
             gids: Vec::new(),
@@ -302,8 +312,8 @@ impl ColumnarGroups {
     }
 
     /// Group id of the key in row `i` of `data` (key columns `cols`,
-    /// hash `h`), claiming the next id — and growing every slot — on
-    /// first sight.
+    /// hash `h`), claiming the next id — and growing every accumulator
+    /// — on first sight.
     fn gid_of(&mut self, h: u64, data: &DataChunk, cols: &[usize], i: usize) -> u32 {
         let keys = self.keys.get_or_insert_with(|| {
             let typed = cols
@@ -317,8 +327,7 @@ impl ColumnarGroups {
             .find_or_insert(h, |g| keys_eq(keys, key_cols, g as usize, data, cols, i));
         if new {
             keys.append_rows(data, cols, std::iter::once(i));
-            self.counts.push(0);
-            self.sums.iter_mut().for_each(|s| s.push(0));
+            self.accs.resize(self.accs.len() + self.cells.len(), 0);
             self.extremes.iter_mut().for_each(|e| e.push(None));
         }
         gid
@@ -347,28 +356,25 @@ impl ColumnarGroups {
             }
             _ => false,
         };
+        // The global aggregate's one group, which every row takes.
+        let mut global = None;
         if !dict_keyed {
             ctx.charge(OpClass::HashProbe, n as u64);
             ctx.charge_mem_random(n as u64);
             let group_cols = std::mem::take(&mut self.group_cols);
             if group_cols.is_empty() {
-                // Global aggregate: every row's key is the empty key, so
-                // the chunk's first live row finds (or claims) the one
-                // group for all of them.
+                // Every row's key is the empty key, so the chunk's first
+                // live row finds (or claims) the group for all of them.
                 let i = chunk.rows().at(0);
-                let g = self.gid_of(hash_row(&chunk.data, &[], i), &chunk.data, &[], i);
-                gids.resize(n, g);
+                let h = hash_row(&chunk.data, &[], i);
+                global = Some(self.gid_of(h, &chunk.data, &[], i) as usize);
             } else {
                 let mut words = std::mem::take(&mut self.words);
                 if pack_keys(&chunk.data, &group_cols, chunk.rows(), &mut words) {
                     let mut memo = self.memo.take().unwrap_or_else(PackedMemo::new);
                     // Hits first, a miss marked `NO_ROW`.
-                    let mut missed = false;
-                    for &w in &words {
-                        let gid = memo.find(w).unwrap_or(NO_ROW);
-                        missed |= gid == NO_ROW;
-                        gids.push(gid);
-                    }
+                    gids.extend(words.iter().map(|&w| memo.find(w).unwrap_or(NO_ROW)));
+                    let missed = gids.contains(&NO_ROW);
                     // Misses second, in row order, so that ids are
                     // claimed in first-seen order.
                     if missed {
@@ -395,47 +401,52 @@ impl ColumnarGroups {
             }
             self.group_cols = group_cols;
         }
+        let gid = |k: usize| global.unwrap_or_else(|| gids[k] as usize);
 
-        // The row counts, once for every `COUNT` and `AVG`.
-        match self.group_cols.is_empty() {
-            true => self.counts[gids[0] as usize] += n as i64,
-            false => gids.iter().for_each(|&g| self.counts[g as usize] += 1),
+        // Every distinct subexpression once, then every cell: a
+        // run-length input under compressed pricing accumulates run
+        // fragments, not rows; the others fill in one pass.
+        let (rows, width, data) = (chunk.rows(), self.cells.len(), &*chunk.data);
+        self.exprs.eval(data, rows, ctx);
+        self.fused.clear();
+        for (cell, &node) in self.cells.iter().enumerate() {
+            let rle = match (&chunk.enc, self.exprs.column(node)) {
+                (Some(enc), Some(c)) => match enc.column(c) {
+                    EncodedColumn::RleInt { values, ends } => Some((values, ends)),
+                    _ => None,
+                },
+                _ => None,
+            };
+            let accs = &mut self.accs;
+            self.updates[cell] = match rle {
+                Some((values, ends)) => rle_accumulate(values, ends, rows, gid, |g, v, w| {
+                    let acc = &mut accs[g * width + cell];
+                    *acc = acc.wrapping_add(v.wrapping_mul(w));
+                }),
+                None => {
+                    self.fused.push((cell, node));
+                    n as u64
+                }
+            };
         }
-        let rows = chunk.rows();
-        for (spec, &(slot, shared)) in self.aggs.iter().zip(&self.slots) {
+        let values = |node| self.exprs.values(node, data, rows);
+        match global {
+            Some(g) => {
+                let cells = &mut self.accs[g * width..][..width];
+                for &(c, node) in &self.fused {
+                    let sum = values(node).iter().fold(0, |s: i64, &v| s.wrapping_add(v));
+                    cells[c] = cells[c].wrapping_add(sum);
+                }
+            }
+            None => accumulate(&mut self.accs, width, &gids, &self.fused, values),
+        }
+
+        for (spec, &slot) in self.aggs.iter().zip(&self.slots) {
             match spec.func {
                 AggFunc::Count => ctx.charge(OpClass::AggUpdate, n as u64),
-                AggFunc::Sum | AggFunc::Avg if shared => {
-                    // An earlier aggregate filled the slot: charge what
-                    // filling it charged.
+                AggFunc::Sum | AggFunc::Avg => {
                     ctx.charge(OpClass::AggUpdate, self.updates[slot]);
                     ctx.charge(OpClass::Arith, spec.input.arith_nodes() * n as u64);
-                }
-                AggFunc::Sum | AggFunc::Avg => {
-                    let sums = &mut self.sums[slot];
-                    // Run-length input under compressed pricing →
-                    // accumulate run fragments, not rows.
-                    let rle = match (&chunk.enc, &spec.input) {
-                        (Some(enc), Expr::Col(c)) => match enc.column(*c) {
-                            EncodedColumn::RleInt { values, ends } => Some((values, ends)),
-                            _ => None,
-                        },
-                        _ => None,
-                    };
-                    self.updates[slot] = match rle {
-                        Some((values, ends)) => {
-                            rle_accumulate(values, ends, rows, &gids, |g, v, w| {
-                                sums[g] = sums[g].wrapping_add(v.wrapping_mul(w));
-                            })
-                        }
-                        None => {
-                            let src = spec.input.eval_num(&chunk.data, rows, ctx);
-                            (src.lane(rows))
-                                .zip_gids(&gids, |g, v| sums[g] = sums[g].wrapping_add(v));
-                            n as u64
-                        }
-                    };
-                    ctx.charge(OpClass::AggUpdate, self.updates[slot]);
                 }
                 AggFunc::Min | AggFunc::Max => {
                     ctx.charge(OpClass::AggUpdate, n as u64);
@@ -444,7 +455,7 @@ impl ColumnarGroups {
                     // extreme becomes a `Value`.
                     let col = spec.input.eval_column(&chunk.data, rows, ctx);
                     rows.for_each(|k, _| {
-                        let acc = &mut accs[gids[k] as usize];
+                        let acc = &mut accs[gid(k)];
                         let replace = match acc {
                             None => true,
                             Some(cur) => {
@@ -510,23 +521,24 @@ impl ColumnarGroups {
     /// Fold in a partial built from a *later* morsel of the input: each
     /// of its groups finds or claims its id here (first-seen order is
     /// preserved because `other`'s first sight of any shared group came
-    /// later in stream order) and its counts, sums and extremes fold
-    /// in. Free in the ledger — like the hash table's own bookkeeping,
-    /// merging is not one of the paper's metered op classes, and every
-    /// row was charged where it was absorbed — so per-morsel partial
-    /// aggregation merges to exactly the serial ledger.
+    /// later in stream order) and its cells and extremes fold in. Free
+    /// in the ledger — like the hash table's own bookkeeping, merging is
+    /// not one of the paper's metered op classes, and every row was
+    /// charged where it was absorbed — so per-morsel partial aggregation
+    /// merges to exactly the serial ledger.
     fn merge(&mut self, other: ColumnarGroups) {
         let Some(their_keys) = &other.keys else {
             return;
         };
+        let width = self.cells.len();
         for theirs in 0..other.len() {
             let h = other.table.hash_of(theirs as u32);
             let mine = self.gid_of(h, their_keys, &other.key_cols, theirs) as usize;
-            self.counts[mine] += other.counts[theirs];
-            for (sums, their_sums) in self.sums.iter_mut().zip(&other.sums) {
-                sums[mine] = sums[mine].wrapping_add(their_sums[theirs]);
+            let cells = &mut self.accs[mine * width..][..width];
+            for (cell, their) in cells.iter_mut().zip(&other.accs[theirs * width..]) {
+                *cell = cell.wrapping_add(*their);
             }
-            for (spec, &(e, _)) in self.aggs.iter().zip(&self.slots) {
+            for (spec, &e) in self.aggs.iter().zip(&self.slots) {
                 if let AggFunc::Min | AggFunc::Max = spec.func {
                     if let Some(v) = &other.extremes[e][theirs] {
                         keep_extreme(&mut self.extremes[e][mine], v.clone(), wins(spec.func));
@@ -542,38 +554,89 @@ impl ColumnarGroups {
         let Some(keys) = &self.keys else {
             return Vec::new();
         };
-        let state = |spec: &AggSpec, slot: usize, g: usize| match spec.func {
-            AggFunc::Count => AggState::Count(self.counts[g]),
-            AggFunc::Sum => AggState::Sum(self.sums[slot][g]),
-            AggFunc::Avg => AggState::Avg {
-                sum: self.sums[slot][g],
-                count: self.counts[g],
-            },
-            AggFunc::Min => AggState::Min(self.extremes[slot][g].clone()),
-            AggFunc::Max => AggState::Max(self.extremes[slot][g].clone()),
+        let state = |spec: &AggSpec, slot: usize, g: usize| {
+            let width = self.cells.len();
+            let cells = &self.accs[g * width..][..width];
+            match spec.func {
+                AggFunc::Count => AggState::Count(cells[0]),
+                AggFunc::Sum => AggState::Sum(cells[slot]),
+                AggFunc::Avg => AggState::Avg {
+                    sum: cells[slot],
+                    count: cells[0],
+                },
+                AggFunc::Min => AggState::Min(self.extremes[slot][g].clone()),
+                AggFunc::Max => AggState::Max(self.extremes[slot][g].clone()),
+            }
         };
         (0..self.len())
             .map(|g| {
                 let mut row = keys.row(g);
                 let aggs = self.aggs.iter().zip(&self.slots);
-                row.extend(aggs.map(|(spec, &(slot, _))| state(spec, slot, g).finish()));
+                row.extend(aggs.map(|(spec, &slot)| state(spec, slot, g).finish()));
                 row
             })
             .collect()
     }
 }
 
+/// The accumulator pass: each live row adds its value in every lane
+/// to its group's cell for that lane (`lanes` holds (cell, node)
+/// pairs, `values` a node's values by live-row ordinal), the cells of
+/// a group lying together, `width` a group. One loop over the group
+/// ids fills up to eight cells; the lane count is a constant in each
+/// loop, so its lanes sit in registers and its inner loop unrolls.
+fn accumulate<'a>(
+    accs: &mut [i64],
+    width: usize,
+    gids: &[u32],
+    lanes: &[(usize, usize)],
+    values: impl Fn(usize) -> &'a [i64] + Copy,
+) {
+    for block in lanes.chunks(8) {
+        match block.len() {
+            1 => pass::<1>(accs, width, gids, block, values),
+            2 => pass::<2>(accs, width, gids, block, values),
+            3 => pass::<3>(accs, width, gids, block, values),
+            4 => pass::<4>(accs, width, gids, block, values),
+            5 => pass::<5>(accs, width, gids, block, values),
+            6 => pass::<6>(accs, width, gids, block, values),
+            7 => pass::<7>(accs, width, gids, block, values),
+            _ => pass::<8>(accs, width, gids, block, values),
+        }
+    }
+}
+
+/// One loop of [`accumulate`] over `L` lanes.
+fn pass<'a, const L: usize>(
+    accs: &mut [i64],
+    width: usize,
+    gids: &[u32],
+    block: &[(usize, usize)],
+    values: impl Fn(usize) -> &'a [i64],
+) {
+    let n = gids.len();
+    let lanes: [(usize, &[i64]); L] =
+        std::array::from_fn(|j| (block[j].0, &values(block[j].1)[..n]));
+    for (k, &g) in gids.iter().enumerate() {
+        let cells = &mut accs[g as usize * width..][..width];
+        for &(c, v) in &lanes {
+            cells[c] = cells[c].wrapping_add(v[k]);
+        }
+    }
+}
+
 /// Run-at-a-time accumulation over a run-length-encoded input column:
 /// `f(gid, run value, weight)` once per maximal fragment of live rows
-/// sharing one run *and* one group id — the weight is the fragment
-/// length, so the result is exactly the per-row accumulation's. Returns
-/// the fragment count (the `AggUpdate` charge). Relies on live rows
-/// being ascending, so runs advance monotonically.
+/// sharing one run *and* one group id (`gid(k)` of live-row ordinal
+/// `k`) — the weight is the fragment length, so the result is exactly
+/// the per-row accumulation's. Returns the fragment count (the
+/// `AggUpdate` charge). Relies on live rows being ascending, so runs
+/// advance monotonically.
 fn rle_accumulate(
     values: &[i64],
     ends: &[u32],
     rows: crate::chunk::Rows<'_>,
-    gids: &[u32],
+    gid: impl Fn(usize) -> usize,
     mut f: impl FnMut(usize, i64, i64),
 ) -> u64 {
     let mut run = 0usize;
@@ -585,7 +648,7 @@ fn rle_accumulate(
         while ends[run] as usize <= i {
             run += 1;
         }
-        let g = gids[k] as usize;
+        let g = gid(k);
         if run == cur_run && g == cur_gid {
             weight += 1;
         } else {
@@ -617,17 +680,20 @@ fn rle_accumulate(
 /// (the differential-test oracle) absorbs tuples into a `Value`-keyed
 /// `GroupTable`; the columnar engine
 /// absorbs chunks into `ColumnarGroups`: group ids from the shared
-/// key kernel (`ops/hashkey.rs`), first-seen keys kept as columns,
-/// accumulator slots by group id that each chunk fills once however
-/// many aggregates read them: one row count per group (`COUNT`, and
-/// every `AVG`'s divisor) and one sum array per distinct `SUM`/`AVG`
-/// input (Q1's eight aggregates fill five sums and the count). Group
-/// keys of fixed-width columns that fit in 64 bits (Q1's
-/// `l_returnflag`, `l_linestatus`) are packed into one word per row and
-/// their ids served from a memo in front of the key table, which alone
-/// mints ids; `Str` keys and wider ones (Q3's) hash every row into the
-/// table. The charges are the same either way, and an aggregate that
-/// reads a slot another fills still charges its own `AggUpdate`s and
+/// key kernel (`ops/hashkey.rs`), first-seen keys kept as columns, and
+/// accumulators row-major per group: a row count (`COUNT`, and every
+/// `AVG`'s divisor) and one sum per distinct `SUM`/`AVG` input, side by
+/// side (Q1's eight aggregates fill six cells a group). Each chunk
+/// computes the inputs' distinct subexpressions once into reused lanes
+/// (Q1's `l_extendedprice * (100 - l_discount)` serves both revenue
+/// inputs: six arithmetic nodes a row, not eight), then fills every
+/// cell of a row's group in one pass over the group ids. Group keys of
+/// fixed-width columns that fit in 64 bits (Q1's `l_returnflag`,
+/// `l_linestatus`) are packed into one word per row and their ids
+/// served from a memo in front of the key table, which alone mints ids;
+/// `Str` keys and wider ones (Q3's) hash every row into the table. The
+/// charges are the same either way, and an aggregate whose cell or
+/// subexpressions another fills still charges its own `AggUpdate`s and
 /// its input's `Arith`s.
 /// Under the columnar engine `open` first
 /// tells its child ([`Operator::prune`]) that only the group columns
@@ -1062,6 +1128,144 @@ mod tests {
         assert_eq!(groups.into_rows(), want);
         assert_eq!(want[0][..2], [Value::Int(570), Value::Int(10)]);
         row_ctx.ledger.assert_same(&ctx.ledger, "global aggregate");
+    }
+
+    /// Per-slot loops, the model of [`accumulate`]: each lane adds into
+    /// its cell of every row's group, one lane after another.
+    fn per_slot(
+        width: usize,
+        groups: usize,
+        gids: &[u32],
+        lanes: &[(usize, Vec<i64>)],
+    ) -> Vec<i64> {
+        let mut accs = vec![0i64; groups * width];
+        for (c, v) in lanes {
+            for (&g, &x) in gids.iter().zip(v) {
+                let cell = &mut accs[g as usize * width + c];
+                *cell = cell.wrapping_add(x);
+            }
+        }
+        accs
+    }
+
+    /// The accumulator pass fills every cell as per-slot loops would, on
+    /// group ids that stress it: one group (each row adds where the last
+    /// one did), alternating groups, short runs, more than 2^16 groups
+    /// (every row its own), and no rows; with 1 to 10 lanes (one pass of
+    /// up to eight, then another) filling cells in reverse order, one
+    /// cell filled by none, and values at the `i64` extremes, so the
+    /// sums wrap.
+    #[test]
+    fn the_accumulator_pass_equals_per_slot_loops() {
+        let mut state = 0x5EED_u64;
+        let mut random = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (z ^ (z >> 31)) as i64
+        };
+        const N: usize = 70_000;
+        let patterns: [(&str, usize, Vec<u32>); 5] = [
+            ("one group", 1, vec![0; N]),
+            ("alternating", 2, (0..N as u32).map(|k| k % 2).collect()),
+            ("runs", 4, (0..N as u32).map(|k| (k / 3) % 4).collect()),
+            ("past 2^16 groups", N, (0..N as u32).rev().collect()),
+            ("no rows", 3, Vec::new()),
+        ];
+        for (what, groups, gids) in &patterns {
+            for count in 1..=10 {
+                let width = count + 1;
+                let lanes: Vec<(usize, Vec<i64>)> = (0..count)
+                    .map(|j| {
+                        let edge = [i64::MAX, i64::MIN, -1][j % 3];
+                        let v = (0..gids.len()).map(|k| if k % 5 == 0 { edge } else { random() });
+                        (width - 1 - j, v.collect())
+                    })
+                    .collect();
+                let want = per_slot(width, *groups, gids, &lanes);
+                let mut accs = vec![0i64; groups * width];
+                let cells: Vec<(usize, usize)> = (lanes.iter().enumerate())
+                    .map(|(node, (c, _))| (*c, node))
+                    .collect();
+                accumulate(&mut accs, width, gids, &cells, |node| &lanes[node].1[..]);
+                assert_eq!(accs, want, "{what}, {count} lanes");
+            }
+        }
+    }
+
+    /// A chunk's lanes hold only its own live rows: chunks of 1000
+    /// rows, then a selection of 3, an empty selection, a dense window
+    /// of 1, then 1000 again, grouped (packed and hashed keys) and
+    /// global, give the row path's rows and ledger. The inputs share
+    /// subexpressions (`x * y` inside two sums and a `MIN`), and `x`
+    /// holds the `i64` extremes, so the sums wrap.
+    #[test]
+    fn a_short_chunk_after_a_long_one_reads_only_its_rows() {
+        use crate::expr::ArithOp;
+        let schema = Schema::new(&[
+            ("g", ColumnType::Int),
+            ("s", ColumnType::Str),
+            ("x", ColumnType::Int),
+            ("y", ColumnType::Int),
+        ]);
+        let edges = [i64::MAX, i64::MIN, 7, -3];
+        let tuples: Vec<Tuple> = (0..2000)
+            .map(|i| {
+                vec![
+                    Value::Int(i % 7),
+                    Value::str(format!("s{}", i % 3)),
+                    Value::Int(edges[i as usize % 4].wrapping_add(i)),
+                    Value::Int(i % 11 - 5),
+                ]
+            })
+            .collect();
+        let data = Arc::new(DataChunk::from_rows(&schema, &tuples));
+        let with_sel = |sel: Vec<u32>| Chunk {
+            sel: Some(sel),
+            ..Chunk::dense(Arc::clone(&data))
+        };
+        let chunks = [
+            Chunk::window(Arc::clone(&data), 0..1000),
+            with_sel(vec![1003, 1500, 1999]),
+            with_sel(vec![]),
+            Chunk::window(Arc::clone(&data), 1200..1201),
+            Chunk::window(Arc::clone(&data), 1000..2000),
+        ];
+        let spec = |func, input| AggSpec {
+            func,
+            input,
+            name: String::new(),
+        };
+        let xy = Expr::arith(ArithOp::Mul, Expr::col(2), Expr::col(3));
+        let aggs = vec![
+            spec(AggFunc::Sum, Expr::col(2)),
+            spec(AggFunc::Sum, xy.clone()),
+            spec(
+                AggFunc::Avg,
+                Expr::arith(ArithOp::Sub, xy.clone(), Expr::col(2)),
+            ),
+            spec(AggFunc::Min, xy),
+            spec(AggFunc::Count, Expr::col(2)),
+            spec(AggFunc::Avg, Expr::col(2)),
+        ];
+        for group_cols in [vec![], vec![0], vec![1]] {
+            let mut ctx = ExecCtx::new();
+            let mut groups = ColumnarGroups::new(group_cols.clone(), aggs.clone());
+            chunks.iter().for_each(|c| groups.absorb(&mut ctx, c));
+
+            let mut row_ctx = ExecCtx::new();
+            let mut table = GroupTable::new(group_cols.clone(), aggs.clone());
+            (chunks.iter())
+                .flat_map(|c| c.rows().to_indices())
+                .for_each(|i| table.absorb(&mut row_ctx, &tuples[i as usize]));
+            let want: Vec<Tuple> = (table.entries.into_iter())
+                .map(|(mut key, states)| {
+                    key.extend(states.into_iter().map(AggState::finish));
+                    key
+                })
+                .collect();
+            assert_eq!(groups.into_rows(), want, "grouped by {group_cols:?}");
+            row_ctx.ledger.assert_same(&ctx.ledger, "short chunks");
+        }
     }
 
     #[test]

@@ -171,23 +171,33 @@ pub(crate) fn pack_keys(
         return false;
     }
     out.clear();
-    out.resize(rows.len(), 0);
     // Every field has at least one bit and all of them fit in 64, so a
-    // field's offset is at most 63.
+    // field's offset is at most 63, and only the first field's is 0.
     let mut at = 0;
     for &key in keys {
         let data = &data.column(key).data;
         match data {
-            ColumnData::Int(v) => rows.for_each(|k, i| out[k] |= (v[i] as u64) << at),
-            ColumnData::Date(v) => rows.for_each(|k, i| out[k] |= u64::from(v[i] as u32) << at),
-            ColumnData::Char(v) => rows.for_each(|k, i| out[k] |= u64::from(v[i]) << at),
-            ColumnData::Bool(v) => rows.for_each(|k, i| out[k] |= u64::from(v[i]) << at),
+            ColumnData::Int(v) => pack_field(out, rows, at, |i| v[i] as u64),
+            ColumnData::Date(v) => pack_field(out, rows, at, |i| u64::from(v[i] as u32)),
+            ColumnData::Char(v) => pack_field(out, rows, at, |i| u64::from(v[i])),
+            ColumnData::Bool(v) => pack_field(out, rows, at, |i| u64::from(v[i])),
             // Has no packing: ruled out above.
             ColumnData::Str(_) => {}
         }
         at += packed_bits(data).unwrap_or_default();
     }
     true
+}
+
+/// Put each live row's field `f(row id)` at bit `at` of its packed key:
+/// the first field (`at` 0) writes the keys, the others or in.
+#[inline(always)]
+fn pack_field(out: &mut Vec<u64>, rows: Rows<'_>, at: u32, f: impl Fn(usize) -> u64) {
+    match (at, rows) {
+        (0, Rows::Range(s, e)) => out.extend((s..e).map(f)),
+        (0, Rows::Sel(sel)) => out.extend(sel.iter().map(|&i| f(i as usize))),
+        _ => rows.for_each(|k, i| out[k] |= f(i) << at),
+    }
 }
 
 /// Packed key → group id: open-addressed, linear probing, power-of-two

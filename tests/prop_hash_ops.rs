@@ -58,16 +58,22 @@
 //! recorded `ExecError`.
 //!
 //! Aggregates whose inputs repeat have checks of their own: the
-//! columnar aggregate keeps one row count per group and one sum array
-//! per distinct `SUM`/`AVG` input, so `SUM(x)` and `AVG(x)`, `SUM(e)`
+//! columnar aggregate keeps a row count and one sum per distinct
+//! `SUM`/`AVG` input for each group, so `SUM(x)` and `AVG(x)`, `SUM(e)`
 //! and `AVG(e)` for an arithmetic `e`, `AVG(x)` twice, `COUNT` alone
 //! and beside `AVG`, and all of them with `MIN`/`MAX` mixed in, grouped
 //! (packed keys and hashed ones) and global, must equal the oracle in
 //! rows and ledgers on both storage engines at chunks of 1, 7 and 1024
-//! rows and 1, 2 and 4 workers. Under compressed pricing, where a
-//! run-length-encoded input is summed a run fragment at a time, rows
-//! must still equal the oracle and each aggregate must charge what it
-//! charges alone.
+//! rows and 1, 2 and 4 workers. It also evaluates each distinct
+//! subexpression of those inputs once a chunk, so inputs that share a
+//! proper subexpression but differ as wholes (Q1's two revenue inputs;
+//! one subexpression under `SUM`, `AVG`, `MIN` and `MAX`; inputs that
+//! differ in a literal only) are held to the oracle the same way, dense
+//! and filtered, and a shared subexpression dividing by a column that
+//! holds zeros must record the oracle's one `DivisionByZero`. Under
+//! compressed pricing, where a run-length-encoded input is summed a run
+//! fragment at a time, rows must still equal the oracle and each
+//! aggregate must charge what it charges alone.
 //!
 //! Seeds are pinned: the vendored `proptest` derives each test's
 //! generator from the test's name.
@@ -81,6 +87,7 @@ use proptest::prelude::*;
 
 use ecodb::query::chunk::Rows;
 use ecodb::query::context::ExecCtx;
+use ecodb::query::error::ExecError;
 use ecodb::query::exec::{execute, ExecEngine};
 use ecodb::query::expr::{AggFunc, ArithOp, CmpOp, Expr};
 use ecodb::query::ops::{
@@ -1088,6 +1095,15 @@ fn aggregates_sharing_inputs_match_the_oracle() {
 /// `k` plans of one), at every chunk size and worker count.
 #[test]
 fn aggregates_sharing_inputs_charge_alone_under_compressed_pricing() {
+    charges_alone_under_compressed_pricing(&|x, y| shared_aggs(&Expr::col(x), &discounted(x, y)));
+}
+
+/// The lists `lists(x, y)` (`x` run-length encoded) under compressed
+/// pricing, grouped three ways (global, packed keys, a dictionary `Str`
+/// key) at chunks of 1, 7 and 1024 rows and 1, 2 and 4 workers: rows
+/// equal the oracle's, and each list's plan plus `k - 1` plans of no
+/// aggregate charges what its `k` one-aggregate plans charge.
+fn charges_alone_under_compressed_pricing(lists: &dyn Fn(usize, usize) -> Vec<Vec<AggSpec>>) {
     let schema = Schema::new(&[
         ("s", ColumnType::Str),
         ("c", ColumnType::Char),
@@ -1121,7 +1137,7 @@ fn aggregates_sharing_inputs_charge_alone_under_compressed_pricing() {
     };
 
     let groupings: [&[usize]; 3] = [&[], &[1, 2], &[0]];
-    for aggs in shared_aggs(&Expr::col(3), &discounted(3, 4)) {
+    for aggs in lists(3, 4) {
         for groups in groupings {
             let mut sctx = ExecCtx::new();
             let want = ExecEngine::Scalar.execute(plan(groups, aggs.clone()).as_mut(), &mut sctx);
@@ -1148,4 +1164,179 @@ fn aggregates_sharing_inputs_charge_alone_under_compressed_pricing() {
             }
         }
     }
+}
+
+/// `l op r` shorthand for the lists below.
+fn ar(op: ArithOp, l: Expr, r: Expr) -> Expr {
+    Expr::arith(op, l, r)
+}
+
+/// Aggregate lists whose inputs share a proper subexpression but differ
+/// as wholes, over columns `x`, `y` and `z`:
+/// - Q1's `x * (100 - y) / 100` beside `x * (100 - y) * (100 + z) / 10000`,
+///   and `COUNT`;
+/// - `p = x * (100 - y)` under `SUM(p / 100)`, `AVG(p)`, `MIN(p)` and
+///   `MAX(p * (100 + z))`;
+/// - inputs that differ in a literal only: `x - 1` and `x - 2`,
+///   `x / 100` and `x / 10000`.
+fn subexpr_aggs(x: usize, y: usize, z: usize) -> Vec<Vec<AggSpec>> {
+    use AggFunc::{Avg, Count, Max, Min, Sum};
+    use ArithOp::{Add, Div, Mul, Sub};
+    let (col, int) = (Expr::col, Expr::int);
+    let p = ar(Mul, col(x), ar(Sub, int(100), col(y)));
+    let taxed = ar(Mul, p.clone(), ar(Add, int(100), col(z)));
+    let sets = [
+        vec![
+            (Sum, discounted(x, y)),
+            (Sum, ar(Div, taxed.clone(), int(10_000))),
+            (Count, col(x)),
+        ],
+        vec![
+            (Sum, ar(Div, p.clone(), int(100))),
+            (Avg, p.clone()),
+            (Min, p),
+            (Max, taxed),
+        ],
+        vec![
+            (Sum, ar(Sub, col(x), int(1))),
+            (Sum, ar(Sub, col(x), int(2))),
+            (Avg, ar(Div, col(x), int(100))),
+            (Avg, ar(Div, col(x), int(10_000))),
+        ],
+    ];
+    let spec = |(j, (func, input)): (usize, (AggFunc, Expr))| AggSpec {
+        func,
+        input,
+        name: format!("a{j}"),
+    };
+    (sets.into_iter())
+        .map(|set| set.into_iter().enumerate().map(spec).collect())
+        .collect()
+}
+
+/// Aggregates whose inputs share subexpressions, evaluated once a chunk
+/// for all of them, against the oracle: every list of [`subexpr_aggs`]
+/// over TPC-H `lineitem` (`x` the extended price, `y` the discount, `z`
+/// the tax), global, by Q1's packed `Char` keys and by a hashed `Str`
+/// key, dense and filtered, on both storage engines, at chunks of 1, 7
+/// and 1024 rows and 1, 2 and 4 workers.
+#[test]
+fn subexpressions_shared_across_inputs_match_the_oracle() {
+    const SCALE: f64 = 0.001;
+    let axes = Axes {
+        storage: vec![Storage::Memory(SCALE), Storage::Disk(SCALE)],
+        engines: vec![ExecEngine::Scalar, ExecEngine::Columnar],
+        chunks: vec![1, 7, 1024],
+        workers: vec![1, 2, 4],
+        morsel_rows: vec![1024],
+        ..Axes::default()
+    };
+    let groupings: [&[&str]; 3] = [&[], &["l_returnflag", "l_linestatus"], &["l_shipmode"]];
+    for set in 0..subexpr_aggs(0, 1, 2).len() {
+        for grouping in groupings {
+            for filtered in [false, true] {
+                let plan = |cat: &Catalog| -> BoxedOp {
+                    let lineitem = cat.expect("lineitem");
+                    let col = |name| lineitem.schema().expect_index(name);
+                    let (qty, price) = (col("l_quantity"), col("l_extendedprice"));
+                    let aggs =
+                        subexpr_aggs(price, col("l_discount"), col("l_tax")).swap_remove(set);
+                    let groups = grouping.iter().map(|&g| col(g)).collect();
+                    let scan = Box::new(SeqScan::new(Arc::clone(&lineitem)));
+                    let src: BoxedOp = match filtered {
+                        true => Box::new(Filter::new(
+                            scan,
+                            Expr::cmp(CmpOp::Lt, Expr::col(qty), Expr::int(30)),
+                        )),
+                        false => scan,
+                    };
+                    Box::new(HashAggregate::new(src, groups, aggs))
+                };
+                let name =
+                    format!("subexpressions: set {set}, groups {grouping:?}, filtered {filtered}");
+                check(&name, &plan, &axes);
+            }
+        }
+    }
+}
+
+/// A shared subexpression that divides by a column holding zeros fails
+/// the statement as the oracle does: `q = a / b` under `SUM(q)`,
+/// `AVG(q + 1)`, `SUM(q * 100 / 100)` and `MIN(q)`, over rows whose `b`
+/// is zero about one in seven, records the oracle's one
+/// `DivisionByZero` (the first error wins), with the oracle's rows and
+/// ledger — global, by a packed key and by a hashed `Str` key, dense
+/// and filtered, at chunks of 1, 7 and 1024 rows and 1, 2 and 4
+/// workers. The rows come from their own source, which reads every row
+/// whatever is recorded, so every run does the same work.
+#[test]
+fn a_shared_subexpression_dividing_by_zero_fails_once_like_the_oracle() {
+    use ArithOp::{Add, Div, Mul};
+    let schema = Schema::new(&[
+        ("g", ColumnType::Int),
+        ("s", ColumnType::Str),
+        ("a", ColumnType::Int),
+        ("b", ColumnType::Int),
+    ]);
+    let mut rng = Rng(0xD1_0000);
+    let rows: Vec<Tuple> = (0..3000)
+        .map(|_| {
+            vec![
+                Value::Int(rng.below(4) as i64),
+                Value::str(format!("s{}", rng.below(3))),
+                Value::Int(rng.below(2000) as i64 - 1000),
+                Value::Int(rng.below(7) as i64 - 3),
+            ]
+        })
+        .collect();
+    let q = ar(Div, Expr::col(2), Expr::col(3));
+    let spec = |func, input| AggSpec {
+        func,
+        input,
+        name: String::new(),
+    };
+    let aggs = vec![
+        spec(AggFunc::Sum, q.clone()),
+        spec(AggFunc::Avg, ar(Add, q.clone(), Expr::int(1))),
+        spec(
+            AggFunc::Sum,
+            ar(Div, ar(Mul, q.clone(), Expr::int(100)), Expr::int(100)),
+        ),
+        spec(AggFunc::Min, q),
+    ];
+    let axes = Axes {
+        engines: vec![ExecEngine::Scalar, ExecEngine::Columnar],
+        chunks: vec![1, 7, 1024],
+        workers: vec![1, 2, 4],
+        morsel_rows: vec![16],
+        ..Axes::default()
+    };
+    for groups in [vec![], vec![0], vec![1]] {
+        for filtered in [false, true] {
+            let plan = |_: &Catalog| -> BoxedOp {
+                let src: BoxedOp = Box::new(VecSource::new(schema.clone(), rows.clone()));
+                let src: BoxedOp = match filtered {
+                    true => Box::new(Filter::new(
+                        src,
+                        Expr::cmp(CmpOp::Gt, Expr::col(2), Expr::int(-500)),
+                    )),
+                    false => src,
+                };
+                Box::new(HashAggregate::new(src, groups.clone(), aggs.clone()))
+            };
+            let name = format!("zero divisor: groups {groups:?}, filtered {filtered}");
+            let (_, oracle) = &check(&name, &plan, &axes)[0];
+            assert_eq!(oracle.error(), Some(&ExecError::DivisionByZero), "{name}");
+        }
+    }
+}
+
+/// [`subexpr_aggs`] under compressed pricing, over a memory table whose
+/// `x` is run-length encoded: rows equal the oracle's, and the
+/// aggregates together charge what each charges alone (a plan of all
+/// of them plus `k - 1` plans of none equals the `k` plans of one), at
+/// every chunk size and worker count.
+#[test]
+fn subexpressions_shared_across_inputs_charge_alone_under_compressed_pricing() {
+    charges_alone_under_compressed_pricing(&|x, y| subexpr_aggs(x, y, x));
 }
